@@ -134,8 +134,9 @@ func (p *clusterPipeline) gateLoop() {
 	}
 }
 
-// Close stops the gate loop and closes every shard (drain + flush +
-// store close). Safe to call more than once.
+// Close stops the gate loop and closes every shard (in-flight
+// deliveries finish, then its store closes). Safe to call more than
+// once.
 func (p *clusterPipeline) Close() error {
 	p.stopOnce.Do(func() { close(p.stop) })
 	<-p.done

@@ -48,6 +48,14 @@ func NewVerifier() *Verifier {
 	return &Verifier{perThread: map[uint32]uint64{}}
 }
 
+// NewUnorderedVerifier creates a Verifier in unordered mode, for a
+// source that multiplexes independent producers.
+func NewUnorderedVerifier() *Verifier {
+	v := NewVerifier()
+	v.unordered = true
+	return v
+}
+
 // Check splits a polled batch into clean entries and quarantined ones,
 // with one violation description per quarantined entry.
 func (v *Verifier) Check(es []tracer.Entry) (clean, quarantined []tracer.Entry, violations []string) {

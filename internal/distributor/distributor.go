@@ -2,12 +2,12 @@
 // ingest tier: it resolves each wire batch to a tenant and a set of
 // stream keys, applies per-tenant quotas and the shared overload gate
 // once — before replication, so every replica sees the identical
-// post-gate stream — and fans the admitted events out to RF shard
-// replicas chosen by the consistent-hash ring, with bounded per-shard
-// queues, retry and hedging on replica failure, and quorum-ack
-// semantics: a batch is acknowledged only when a majority of its
-// replica set durably applied it, which is what makes killing any
-// single shard lose nothing that was acknowledged.
+// post-gate stream — and fans the admitted events out to the RF shard
+// replicas the consistent-hash ring names for each, one delivery per
+// destination shard, with retry and hedging on replica failure and
+// quorum-ack semantics: an event is acknowledged only when a majority
+// of its replica set durably applied it, which is what makes killing
+// any single shard lose nothing that was acknowledged.
 //
 // Placement is deliberately tenant-agnostic: the stream key is the TID
 // alone, because durable events do not carry a tenant and drain must be
@@ -23,6 +23,7 @@ import (
 	"strings"
 	"sync"
 
+	"btrace/internal/collect"
 	"btrace/internal/overload"
 	"btrace/internal/ring"
 	"btrace/internal/store"
@@ -106,6 +107,7 @@ type Stats struct {
 	GateDropped   uint64
 	Acked         uint64
 	Refused       uint64
+	Quarantined   uint64 // entries the front-door verifier flagged (replicated, never shed)
 	ReplicaErrors uint64 // failed deliveries (after per-replica retries)
 	Retries       uint64 // per-replica delivery re-attempts
 	Hedges        uint64 // deliveries diverted to a non-owner candidate
@@ -116,18 +118,22 @@ type Stats struct {
 type Distributor struct {
 	cfg Config
 
-	// admit serializes the tenant limiter and the overload gate — both
-	// single-goroutine by contract. Held only for in-memory filtering,
-	// never across shard I/O.
-	admit   sync.Mutex
-	gate    *overload.Gate
-	limiter *tenantLimiter
+	// admit serializes the verifier, the tenant limiter and the overload
+	// gate — all single-goroutine by contract. Held only for in-memory
+	// filtering, never across shard I/O.
+	admit    sync.Mutex
+	verifier *collect.Verifier
+	gate     *overload.Gate
+	limiter  *tenantLimiter
 
-	// topo guards the ring pointer and the shard table. Lookups take the
-	// read side; topology changes the write side.
+	// topo guards the ring pointer, the shard table and targets. Lookups
+	// take the read side; topology changes the write side.
 	topo   sync.RWMutex
 	ring   *ring.Ring
 	shards map[string]Shard
+	// targets is the shard table in the ring's index order (ring.Owners
+	// answers in indexes), rebuilt with every ring swap.
+	targets []Shard
 
 	obs *distObs
 }
@@ -149,13 +155,14 @@ func New(shards []Shard, cfg Config) (*Distributor, error) {
 		return nil, fmt.Errorf("distributor: %w", err)
 	}
 	d := &Distributor{
-		cfg:     cfg,
-		gate:    overload.NewGate(cfg.Gate),
-		limiter: newTenantLimiter(cfg.Overrides),
-		ring:    r,
-		shards:  table,
-		obs:     newDistObs(),
+		cfg:      cfg,
+		verifier: collect.NewUnorderedVerifier(),
+		gate:     overload.NewGate(cfg.Gate),
+		limiter:  newTenantLimiter(cfg.Overrides),
+		shards:   table,
+		obs:      newDistObs(),
 	}
+	d.setRingLocked(r)
 	d.obs.shards.Set(int64(len(table)))
 	d.obs.replication.Set(int64(cfg.Replication))
 	d.registerObs()
@@ -166,19 +173,52 @@ func New(shards []Shard, cfg Config) (*Distributor, error) {
 // the package comment for why the tenant is excluded).
 func streamKey(tid uint32) string { return strconv.FormatUint(uint64(tid), 10) }
 
-// group is the fan-out unit: the events of one ingest batch that share
-// an owner set, delivered together.
-type group struct {
-	candidates []string // LookupN(key, RF+HedgeLimit): owners first, hedges after
-	rf         int
-	es         []tracer.Entry
+// fanout is one Ingest call's routing scratch, pooled across calls. The
+// per-shard slices are indexed like Distributor.targets.
+type fanout struct {
+	walkAt map[uint32]int32 // TID → offset of its ring walk in walks
+	walks  []int            // ring walks, width shard indexes each: owners first, hedges after
+	evWalk []int32          // per admitted event: its walk's offset in walks
+	acks   []uint8          // per admitted event: replicas that applied it
+
+	sub     [][]tracer.Entry // per shard: this round's sub-batch, in batch order
+	idx     [][]int32        // per shard: the admitted index of each sub-batch entry
+	applied []bool           // per shard: this round's delivery succeeded
+}
+
+var fanoutPool = sync.Pool{New: func() any { return &fanout{walkAt: make(map[uint32]int32)} }}
+
+// reset sizes the scratch for a batch of events over shards.
+func (f *fanout) reset(shards, events int) {
+	clear(f.walkAt)
+	f.walks = f.walks[:0]
+	f.evWalk = append(f.evWalk[:0], make([]int32, events)...)
+	f.acks = append(f.acks[:0], make([]uint8, events)...)
+	for len(f.sub) < shards {
+		f.sub = append(f.sub, nil)
+		f.idx = append(f.idx, nil)
+		f.applied = append(f.applied, false)
+	}
+	f.clearRound()
+}
+
+func (f *fanout) clearRound() {
+	for si := range f.sub {
+		f.sub[si] = f.sub[si][:0]
+		f.idx[si] = f.idx[si][:0]
+	}
+}
+
+// route appends event i to shard si's sub-batch.
+func (f *fanout) route(si, i int, e *tracer.Entry) {
+	f.sub[si] = append(f.sub[si], *e)
+	f.idx[si] = append(f.idx[si], int32(i))
 }
 
 // Ingest admits and fans out one tenant batch, blocking until every
-// group resolved (quorum reached, or retries and hedges exhausted).
-// Safe for concurrent use. The batch is filtered in place and its
-// entries are shared read-only with the shard pipelines — callers must
-// not reuse es after the call.
+// event resolved (quorum reached, or retries and hedges exhausted).
+// Safe for concurrent use. The entries are shared read-only with the
+// shards until the call returns; nothing retains es past it.
 func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	if tenant == "" {
 		tenant = d.cfg.DefaultTenant
@@ -186,62 +226,71 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	res := Result{Tenant: tenant, Seen: len(es)}
 
 	d.admit.Lock()
-	kept, throttled := d.limiter.filter(tenant, es)
+	clean, quarantined, _ := d.verifier.Check(es)
+	kept, throttled := d.limiter.filter(tenant, clean)
 	d.gate.SetTenant(tenant)
 	admitted := d.gate.Filter(kept)
 	d.admit.Unlock()
 	res.Throttled = throttled
 	res.GateDropped = len(kept) - len(admitted)
+	// Quarantined entries are evidence, never shed: they bypass quota
+	// and gate and are replicated with the batch.
+	d.obs.quarantined.Add(uint64(len(quarantined)))
+	admitted = append(admitted, quarantined...)
 
-	r := d.ringSnapshot()
+	r, targets := d.topology()
 	rf := r.RF()
-	width := rf + d.cfg.HedgeLimit
+	width := min(rf+d.cfg.HedgeLimit, len(targets))
+	need := uint8(quorum(rf))
 
-	// Group the batch by owner set, caching the ring walk per TID.
-	byTID := make(map[uint32]*group)
-	var groups []*group
+	f := fanoutPool.Get().(*fanout)
+	defer fanoutPool.Put(f)
+	f.reset(len(targets), len(admitted))
+
+	// One ring walk per TID, one sub-batch per owner shard. Appending in
+	// batch order keeps per-thread stamp order inside every shard.
 	for i := range admitted {
 		tid := admitted[i].TID
-		g := byTID[tid]
-		if g == nil {
-			cand := r.LookupN(streamKey(tid), width)
-			// Distinct TIDs can share an owner set; merge them so the
-			// fan-out is per owner set, not per TID.
-			g = d.findGroup(groups, cand, rf)
-			if g == nil {
-				g = &group{candidates: cand, rf: rf}
-				groups = append(groups, g)
-			}
-			byTID[tid] = g
+		at, ok := f.walkAt[tid]
+		if !ok {
+			at = int32(len(f.walks))
+			f.walks = r.Owners(f.walks, uint64(tid), width)
+			f.walkAt[tid] = at
 		}
-		g.es = append(g.es, admitted[i])
+		f.evWalk[i] = at
+		for _, si := range f.walks[at : int(at)+rf] {
+			f.route(si, i, &admitted[i])
+		}
+	}
+	d.deliverRound(targets, f)
+
+	// Hedge rounds: every event still short of quorum goes to its next
+	// ring candidate, grouped per candidate shard like the owners were.
+	for h := rf; h < width; h++ {
+		f.clearRound()
+		short := false
+		for i := range admitted {
+			if f.acks[i] < need {
+				f.route(f.walks[int(f.evWalk[i])+h], i, &admitted[i])
+				short = true
+			}
+		}
+		if !short {
+			break
+		}
+		d.obs.hedges.Add(uint64(d.deliverRound(targets, f)))
 	}
 
-	var wg sync.WaitGroup
-	acked := make([]bool, len(groups))
-	for i, g := range groups {
-		wg.Add(1)
-		go func(i int, g *group) {
-			defer wg.Done()
-			acked[i] = d.deliverGroup(g)
-		}(i, g)
-	}
-	wg.Wait()
-
-	for i, g := range groups {
-		if acked[i] {
-			res.Acked += len(g.es)
+	for i := range admitted {
+		if f.acks[i] >= need {
+			res.Acked++
 			if d.cfg.RecordStamps {
-				for j := range g.es {
-					res.AckedStamps = append(res.AckedStamps, g.es[j].Stamp)
-				}
+				res.AckedStamps = append(res.AckedStamps, admitted[i].Stamp)
 			}
 		} else {
-			res.Refused += len(g.es)
+			res.Refused++
 			if d.cfg.RecordStamps {
-				for j := range g.es {
-					res.RefusedStamps = append(res.RefusedStamps, g.es[j].Stamp)
-				}
+				res.RefusedStamps = append(res.RefusedStamps, admitted[i].Stamp)
 			}
 		}
 	}
@@ -256,81 +305,43 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	return res
 }
 
-// findGroup returns the existing group with the same candidate walk, if
-// any. Linear: the number of distinct owner sets is bounded by the
-// shard count, not the batch size.
-func (d *Distributor) findGroup(groups []*group, cand []string, rf int) *group {
-	for _, g := range groups {
-		if g.rf != rf || len(g.candidates) != len(cand) {
-			continue
-		}
-		same := true
-		for i := range cand {
-			if g.candidates[i] != cand[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return g
-		}
-	}
-	return nil
-}
-
 // quorum is the majority of an rf-sized replica set. At rf=2 that is 2
 // — write-all — which is exactly what makes RF=2 survive any single
 // shard kill with zero acked loss.
 func quorum(rf int) int { return rf/2 + 1 }
 
-// deliverGroup writes one group to its replica set: the rf owners in
-// parallel, then — if the ack count is short of quorum — the hedge
-// candidates in walk order until quorum is reached or candidates run
-// out.
-func (d *Distributor) deliverGroup(g *group) bool {
-	rf := g.rf
-	if rf > len(g.candidates) {
-		rf = len(g.candidates)
-	}
-	need := quorum(rf)
-	acks := 0
-	var mu sync.Mutex
+// deliverRound delivers the round's non-empty sub-batches in parallel,
+// credits every applied one to its events' ack counts, and returns how
+// many applied.
+func (d *Distributor) deliverRound(targets []Shard, f *fanout) int {
 	var wg sync.WaitGroup
-	for _, owner := range g.candidates[:rf] {
+	for si := range targets {
+		f.applied[si] = false
+		if len(f.sub[si]) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(owner string) {
+		go func() {
 			defer wg.Done()
-			if d.deliverTo(owner, g.es) == nil {
-				mu.Lock()
-				acks++
-				mu.Unlock()
-			}
-		}(owner)
+			f.applied[si] = d.deliver(targets[si], f.sub[si]) == nil
+		}()
 	}
 	wg.Wait()
-	for _, cand := range g.candidates[rf:] {
-		if acks >= need {
-			break
-		}
-		if d.deliverTo(cand, g.es) == nil {
-			acks++
-			d.obs.hedges.Add(1)
+	applied := 0
+	for si := range targets {
+		if f.applied[si] {
+			applied++
+			for _, i := range f.idx[si] {
+				f.acks[i]++
+			}
 		}
 	}
-	return acks >= need
+	return applied
 }
 
-// deliverTo writes a batch to one named shard, retrying within the
-// per-replica budget. A missing shard (removed mid-flight) counts as a
-// failed replica, not an error to surface.
-func (d *Distributor) deliverTo(name string, es []tracer.Entry) error {
-	d.topo.RLock()
-	sh := d.shards[name]
-	d.topo.RUnlock()
-	if sh == nil {
-		d.obs.replicaErrors.Add(1)
-		return fmt.Errorf("%w: %s (not in ring)", ErrShardDown, name)
-	}
+// deliver writes a batch to one shard, retrying within the per-replica
+// budget.
+func (d *Distributor) deliver(sh Shard, es []tracer.Entry) error {
 	var err error
 	for attempt := 0; attempt < d.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -344,12 +355,23 @@ func (d *Distributor) deliverTo(name string, es []tracer.Entry) error {
 	return err
 }
 
-// ringSnapshot returns the current ring; in-flight operations keep the
-// topology they started with.
-func (d *Distributor) ringSnapshot() *ring.Ring {
+// topology returns the current ring and the shards in its index order;
+// in-flight operations keep the topology they started with.
+func (d *Distributor) topology() (*ring.Ring, []Shard) {
 	d.topo.RLock()
 	defer d.topo.RUnlock()
-	return d.ring
+	return d.ring, d.targets
+}
+
+// setRingLocked swaps the ring and re-derives targets from the shard
+// table. Callers hold topo for writing (or own d exclusively).
+func (d *Distributor) setRingLocked(r *ring.Ring) {
+	names := r.Shards()
+	targets := make([]Shard, len(names))
+	for i, name := range names {
+		targets[i] = d.shards[name]
+	}
+	d.ring, d.targets = r, targets
 }
 
 // ParallelQuerier is the optional shard surface for worker-pool scans:
@@ -448,8 +470,8 @@ func (d *Distributor) AddShard(sh Shard) (DrainReport, error) {
 		d.topo.Unlock()
 		return rep, err
 	}
-	d.ring = newRing
 	d.shards[name] = sh
+	d.setRingLocked(newRing)
 	d.obs.shards.Set(int64(len(d.shards)))
 	peers := make([]Shard, 0, len(d.shards)-1)
 	for pname, p := range d.shards {
@@ -465,7 +487,7 @@ func (d *Distributor) AddShard(sh Shard) (DrainReport, error) {
 		if len(pending) == 0 {
 			return
 		}
-		if err := d.deliverTo(name, pending); err != nil {
+		if err := d.deliver(sh, pending); err != nil {
 			rep.Failed += len(pending)
 		} else {
 			rep.Moved += len(pending)
@@ -536,8 +558,8 @@ func (d *Distributor) RemoveShard(name string) (Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.ring = r
 	delete(d.shards, name)
+	d.setRingLocked(r)
 	d.obs.shards.Set(int64(len(d.shards)))
 	return sh, nil
 }
@@ -582,7 +604,7 @@ func (d *Distributor) DrainShard(name string) (Shard, DrainReport, error) {
 	// Swap the ring first: from here on, writes route around the
 	// draining shard while its data stays queryable until the scan is
 	// done.
-	d.ring = newRing
+	d.setRingLocked(newRing)
 	d.topo.Unlock()
 
 	cur, err := sh.Query(store.Query{})
@@ -598,7 +620,8 @@ func (d *Distributor) DrainShard(name string) (Shard, DrainReport, error) {
 			return
 		}
 		pending[target] = nil
-		if err := d.deliverTo(target, es); err != nil {
+		// A target removed mid-drain counts as a failed replica.
+		if tsh := d.Shard(target); tsh == nil || d.deliver(tsh, es) != nil {
 			rep.Failed += len(es)
 			return
 		}
@@ -714,6 +737,7 @@ func (d *Distributor) Stats() Stats {
 		GateDropped:   o.gateDropped.Load(),
 		Acked:         o.acked.Load(),
 		Refused:       o.refused.Load(),
+		Quarantined:   o.quarantined.Load(),
 		ReplicaErrors: o.replicaErrors.Load(),
 		Retries:       o.retries.Load(),
 		Hedges:        o.hedges.Load(),
@@ -778,7 +802,8 @@ func (d *Distributor) NotReadyReasons() []string {
 			reasons = append(reasons, fmt.Sprintf("shard %s down or write path failed", sh.Name()))
 		}
 	}
-	rf := d.ringSnapshot().RF()
+	r, _ := d.topology()
+	rf := r.RF()
 	if healthy < quorum(rf) {
 		reasons = append(reasons, fmt.Sprintf("only %d healthy shards, quorum needs %d", healthy, quorum(rf)))
 	}
@@ -788,8 +813,8 @@ func (d *Distributor) NotReadyReasons() []string {
 	return reasons
 }
 
-// Close closes every shard (drain + flush + store close), first error
-// wins.
+// Close closes every shard (in-flight deliveries finish, then the store
+// closes), first error wins.
 func (d *Distributor) Close() error {
 	var first error
 	for _, sh := range d.Shards() {

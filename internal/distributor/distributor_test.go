@@ -343,7 +343,7 @@ func TestRemoveShardErrors(t *testing.T) {
 	}
 }
 
-func TestShardBusyBackpressure(t *testing.T) {
+func TestKilledShardRefuses(t *testing.T) {
 	st, err := store.OpenBackend(backend.NewObject(), store.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"btrace/internal/collect"
 	"btrace/internal/overload"
@@ -17,12 +17,8 @@ var (
 	// ErrShardDown reports delivery to a shard that is no longer running
 	// (killed, closed, or removed).
 	ErrShardDown = errors.New("distributor: shard down")
-	// ErrShardBusy reports a shard whose bounded ingest queue stayed full
-	// for the whole ack timeout — backpressure, not failure.
-	ErrShardBusy = errors.New("distributor: shard queue full")
-	// errNotApplied reports a delivery the shard's pipeline accepted but
-	// could not durably apply (the dump spilled instead of reaching the
-	// store).
+	// errNotApplied reports a delivery the shard's store refused even
+	// after the shard-local retries.
 	errNotApplied = errors.New("distributor: delivery not applied")
 )
 
@@ -33,7 +29,9 @@ var (
 type Shard interface {
 	Name() string
 	// Ingest delivers one batch and blocks until it is durably applied
-	// or refused. Safe for concurrent use.
+	// or refused; a refused batch leaves nothing behind for the shard to
+	// apply later. es is only valid for the duration of the call. Safe
+	// for concurrent use.
 	Ingest(es []tracer.Entry) error
 	// Query opens a stamp-ordered cursor over the shard's durable store.
 	Query(q store.Query) (tracer.Cursor, error)
@@ -45,7 +43,7 @@ type Shard interface {
 	Events() uint64
 	Size() int64
 	Dir() string
-	// Close drains and flushes the shard, then closes its store.
+	// Close waits for in-flight deliveries, then closes the shard's store.
 	Close() error
 }
 
@@ -56,246 +54,71 @@ type LocalConfig struct {
 	// Store is the shard's durable store (required; the shard owns it
 	// and closes it on Close).
 	Store *store.Store
-	// WrapStore, when set, wraps the store as seen by the shard's sink
-	// pipeline — the fault-injection seam (queries still read the
-	// unwrapped store).
+	// WrapStore, when set, wraps the store as seen by deliveries — the
+	// fault-injection seam (queries still read the unwrapped store).
 	WrapStore func(collect.DumpStore) collect.DumpStore
-	// QueueDepth bounds accepted-but-unapplied batches (default 64).
-	QueueDepth int
-	// AckTimeout bounds how long one Ingest waits for a full queue or a
-	// stuck pipeline (default 5s).
-	AckTimeout time.Duration
 }
 
-func (c LocalConfig) withDefaults() LocalConfig {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 5 * time.Second
-	}
-	return c
-}
+// applyAttempts is the shard-local append budget per delivery. The
+// distributor owns cross-replica retry and hedging; the local budget
+// stays small so a dead store answers fast instead of burning
+// wall-clock per delivery.
+const applyAttempts = 2
 
-// task is one batch awaiting synchronous application.
-type task struct {
-	es   []tracer.Entry
-	done chan error
-}
-
-// shardTrigger fires exactly one dump per delivered batch. It is armed
-// by the drive loop before each task and fires on the poll that
-// consumes the task's batch even when the Verifier quarantined every
-// entry in it (cross-replica delivery interleaves streams, so
-// out-of-order batches are routine) — quarantined entries ride the dump
-// into the store, and the delivery still acks. Only touched by the
-// drive goroutine.
-type shardTrigger struct{ armed bool }
-
-func (t *shardTrigger) Observe(es []tracer.Entry) string {
-	if t.armed {
-		t.armed = false
-		return "batch"
-	}
-	return ""
-}
-func (t *shardTrigger) Name() string { return "shard-ingest" }
-
-// slot is a one-batch poller: the drive loop loads the current task's
-// batch, the supervisor's next poll consumes it.
-type slot struct{ es []tracer.Entry }
-
-func (s *slot) Poll() ([]tracer.Entry, uint64, error) {
-	es := s.es
-	s.es = nil
-	return es, 0, nil
-}
-
-// LocalShard runs the existing collect.Supervisor + store pipeline as an
-// in-process replica: many of them in one process make a cluster that is
-// testable and chaos-able without networking. Batches flow through a
-// bounded task queue into a single drive goroutine (the Supervisor's
-// single-goroutine contract), which steps the pipeline until each dump
-// is durably applied or definitively spilled and answers the waiting
-// Ingest call.
+// LocalShard is an in-process replica over one store: many of them in
+// one process make a cluster that is testable and chaos-able without
+// networking. A delivery is a synchronous append on the caller's
+// goroutine; the store's own staging arena and group commit batch
+// concurrent deliveries.
 type LocalShard struct {
-	cfg   LocalConfig
-	st    *store.Store
-	sup   *collect.Supervisor
-	slot  *slot
-	trig  *shardTrigger
-	tasks chan task
+	name string
+	st   *store.Store
+	sink collect.DumpStore // st, or WrapStore(st)
 
-	dead     chan struct{} // closed by Kill or Close; fails fast
-	deadOnce sync.Once
-	done     chan struct{} // drive goroutine exited
-	graceful bool          // Close (drain+flush) vs Kill (abrupt)
-
-	mu     sync.Mutex
-	closed bool
+	// down fails new deliveries and queries fast; inflight lets Kill and
+	// Close wait out the deliveries that were already applying.
+	down     atomic.Bool
+	inflight sync.RWMutex
+	closed   bool // guarded by inflight
 }
 
-// NewLocalShard wires the pipeline over cfg.Store and starts the drive
-// goroutine.
+// NewLocalShard builds a shard over cfg.Store.
 func NewLocalShard(cfg LocalConfig) (*LocalShard, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("distributor: shard needs a name")
 	}
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("distributor: shard %q needs a store", cfg.Name)
 	}
-	var sink collect.DumpStore = cfg.Store
+	s := &LocalShard{name: cfg.Name, st: cfg.Store, sink: cfg.Store}
 	if cfg.WrapStore != nil {
-		sink = cfg.WrapStore(cfg.Store)
+		s.sink = cfg.WrapStore(cfg.Store)
 	}
-	s := &LocalShard{
-		cfg:   cfg,
-		st:    cfg.Store,
-		slot:  &slot{},
-		trig:  &shardTrigger{},
-		tasks: make(chan task, cfg.QueueDepth),
-		dead:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	sup, err := collect.NewSupervisor(collect.SupervisorConfig{
-		Source:    collect.Fallible(pollAdapter{s.slot}),
-		Triggers:  []collect.Trigger{s.trig},
-		Store:     sink,
-		StoreSink: true,
-		// The distributor owns cross-replica retry and hedging; the
-		// shard-local budget stays small so a dead store answers fast
-		// instead of burning wall-clock per delivery.
-		SinkRetryBudget: 2,
-		BackoffBase:     1,
-		BackoffMax:      2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.sup = sup
-	go s.drive()
 	return s, nil
 }
 
-// pollAdapter narrows *slot to the infallible Poller shape Fallible
-// wraps.
-type pollAdapter struct{ s *slot }
+func (s *LocalShard) Name() string { return s.name }
 
-func (p pollAdapter) Poll() ([]tracer.Entry, uint64) {
-	es, _, _ := p.s.Poll()
-	return es, 0
-}
-
-// driveSteps bounds the Step calls spent resolving one delivery; with
-// the small retry budget above a delivery resolves in a handful of
-// steps, so hitting the bound means the pipeline is wedged.
-const driveSteps = 64
-
-// drive is the shard's single pipeline goroutine: one task at a time,
-// stepping the supervisor until the task's dump is applied (ack) or
-// spilled (nack).
-func (s *LocalShard) drive() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.dead:
-			if s.graceful {
-				s.drainAndFlush()
-			} else {
-				s.failQueued()
-			}
-			return
-		case t := <-s.tasks:
-			t.done <- s.apply(t.es)
-		}
+// Ingest appends one batch to the shard's store, retrying within the
+// shard-local budget. Nil means applied; an error means the delivery
+// does not count and nothing of it is retained to apply later — the
+// distributor's hedge is the retry.
+func (s *LocalShard) Ingest(es []tracer.Entry) error {
+	s.inflight.RLock()
+	defer s.inflight.RUnlock()
+	if s.down.Load() {
+		return ErrShardDown
 	}
-}
-
-// apply pushes one batch through the pipeline and reports whether it
-// was durably applied. The supervisor's accounting is event-exact:
-// DumpsWritten means the store append returned, Spilled means delivery
-// gave up — exactly one of the two moves per batch.
-func (s *LocalShard) apply(es []tracer.Entry) error {
-	before := s.sup.Stats()
-	s.slot.es = es
-	s.trig.armed = true
-	for i := 0; i < driveSteps; i++ {
-		s.sup.Step()
-		st := s.sup.Stats()
-		// Spill first: a spilled dump means the store refused this batch
-		// even after retries, and acking it would claim durability the
-		// pipeline could not provide.
-		if st.Spilled > before.Spilled {
-			return errNotApplied
-		}
-		if st.DumpsWritten > before.DumpsWritten {
+	var err error
+	for attempt := 0; attempt < applyAttempts; attempt++ {
+		if err = s.sink.AppendEntries(es); err == nil {
 			return nil
 		}
-	}
-	return errNotApplied
-}
-
-// drainAndFlush finishes queued work on graceful close: remaining tasks
-// still get real answers, then pending and spilled dumps are flushed.
-func (s *LocalShard) drainAndFlush() {
-	for {
-		select {
-		case t := <-s.tasks:
-			t.done <- s.apply(t.es)
-		default:
-			s.sup.Flush()
-			return
+		if s.st.WriteErr() != nil {
+			break // sticky write-path failure: the disk is gone, retrying cannot help
 		}
 	}
-}
-
-// failQueued answers queued tasks with ErrShardDown on Kill: nothing
-// queued was acked, so nothing is lost — the distributor re-routes.
-func (s *LocalShard) failQueued() {
-	for {
-		select {
-		case t := <-s.tasks:
-			t.done <- ErrShardDown
-		default:
-			return
-		}
-	}
-}
-
-func (s *LocalShard) Name() string { return s.cfg.Name }
-
-// Ingest delivers one batch, blocking until the drive goroutine applied
-// it or the shard refused (down, or queue full past the ack timeout).
-func (s *LocalShard) Ingest(es []tracer.Entry) error {
-	if len(es) == 0 {
-		return nil
-	}
-	t := task{es: es, done: make(chan error, 1)}
-	timer := time.NewTimer(s.cfg.AckTimeout)
-	defer timer.Stop()
-	select {
-	case s.tasks <- t:
-	case <-s.dead:
-		return ErrShardDown
-	case <-timer.C:
-		return ErrShardBusy
-	}
-	select {
-	case err := <-t.done:
-		return err
-	case <-s.dead:
-		// The drive goroutine may still answer a task it already picked
-		// up; prefer that answer over the blanket shard-down error.
-		select {
-		case err := <-t.done:
-			return err
-		default:
-			return ErrShardDown
-		}
-	case <-timer.C:
-		return ErrShardBusy
-	}
+	return fmt.Errorf("%w: %s: %v", errNotApplied, s.name, err)
 }
 
 // Query opens a cursor over the shard's durable store. A killed shard
@@ -303,7 +126,7 @@ func (s *LocalShard) Ingest(es []tracer.Entry) error {
 // like a dead process's disk.
 func (s *LocalShard) Query(q store.Query) (tracer.Cursor, error) {
 	if !s.Healthy() {
-		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.cfg.Name)
+		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)
 	}
 	return s.st.Query(q), nil
 }
@@ -312,51 +135,41 @@ func (s *LocalShard) Query(q store.Query) (tracer.Cursor, error) {
 // store (distributor.ParallelQuerier); same refusal rule as Query.
 func (s *LocalShard) QueryParallel(q store.Query, workers int) (tracer.Cursor, error) {
 	if !s.Healthy() {
-		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.cfg.Name)
+		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)
 	}
 	return s.st.QueryParallel(q, workers), nil
 }
 
 // Healthy reports whether the shard accepts work: alive and with a
 // working store write path.
-func (s *LocalShard) Healthy() bool {
-	select {
-	case <-s.dead:
-		return false
-	default:
-	}
-	return s.st.WriteErr() == nil
-}
+func (s *LocalShard) Healthy() bool { return !s.down.Load() && s.st.WriteErr() == nil }
 
-func (s *LocalShard) Segments() []store.SegmentInfo     { return s.st.Segments() }
-func (s *LocalShard) TierStats() []store.TierStat       { return s.st.TierStats() }
-func (s *LocalShard) Pressure() overload.StorePressure  { return s.st.Pressure() }
-func (s *LocalShard) Events() uint64                    { return s.st.Events() }
-func (s *LocalShard) Size() int64                       { return s.st.Size() }
-func (s *LocalShard) Dir() string                       { return s.st.Dir() }
-func (s *LocalShard) SupStats() collect.SupervisorStats { return s.sup.Stats() }
-func (s *LocalShard) Health() collect.HealthReport      { return s.sup.Health() }
+func (s *LocalShard) Segments() []store.SegmentInfo    { return s.st.Segments() }
+func (s *LocalShard) TierStats() []store.TierStat      { return s.st.TierStats() }
+func (s *LocalShard) Pressure() overload.StorePressure { return s.st.Pressure() }
+func (s *LocalShard) Events() uint64                   { return s.st.Events() }
+func (s *LocalShard) Size() int64                      { return s.st.Size() }
+func (s *LocalShard) Dir() string                      { return s.st.Dir() }
 
-// Kill stops the shard abruptly — no drain, no flush — simulating a
-// crashed process for chaos tests. Queued (unacked) deliveries fail
-// with ErrShardDown; the store is left unclosed, like a dead process's
-// files.
+// Kill stops the shard abruptly, simulating a crashed process for chaos
+// tests: new deliveries and queries fail with ErrShardDown, deliveries
+// already applying finish with their real answer before Kill returns,
+// and the store is left unclosed, like a dead process's files.
 func (s *LocalShard) Kill() {
-	s.deadOnce.Do(func() { close(s.dead) })
-	<-s.done
+	s.down.Store(true)
+	s.inflight.Lock()
+	defer s.inflight.Unlock()
 }
 
-// Close drains the queue, flushes the pipeline, and closes the store.
-// Safe to call more than once; Close after Kill only closes the store.
+// Close waits for in-flight deliveries and closes the store. Safe to
+// call more than once; Close after Kill only closes the store.
 func (s *LocalShard) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.down.Store(true)
+	s.inflight.Lock()
+	defer s.inflight.Unlock()
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	s.graceful = true
-	s.deadOnce.Do(func() { close(s.dead) })
-	<-s.done
 	return s.st.Close()
 }

@@ -1,9 +1,7 @@
 package faults_test
 
 import (
-	"sort"
 	"testing"
-	"time"
 
 	"btrace/internal/collect"
 	"btrace/internal/faults"
@@ -26,18 +24,6 @@ func (fireNonEmpty) Observe(es []tracer.Entry) string {
 }
 func (fireNonEmpty) Name() string { return "burst" }
 
-func p99(samples []time.Duration) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := len(samples) * 99 / 100
-	if idx >= len(samples) {
-		idx = len(samples) - 1
-	}
-	return samples[idx]
-}
-
 // TestChaosOverloadStorm drives the full adaptive-overload loop through
 // two engage→degrade→recover cycles: an oversubscribed producer floods
 // the collector while the durable store's write path is wedged, then
@@ -49,8 +35,12 @@ func p99(samples []time.Duration) time.Duration {
 //   - the event-exact accounting identity holds: every event the source
 //     produced is either durably stored or attributed to exactly one
 //     overload/spill counter — nothing is silently lost;
-//   - the per-step p99 latency under storm stays within 2× of the calm
-//     baseline (with an absolute floor to keep CI noise out).
+//   - the work a step does stays bounded under storm, in step counts
+//     (the wall-clock form of the bound — storm within 2× of baseline —
+//     is BenchmarkRecordUnderOverload's, gated by benchdiff): a wedged
+//     store is attempted at most once per step, and once the full-drop
+//     tier has engaged a storm step hands on no more events than a calm
+//     one.
 func TestChaosOverloadStorm(t *testing.T) {
 	in := faults.New(chaosSeed)
 	st, err := store.Open(t.TempDir(), store.Config{})
@@ -100,9 +90,11 @@ func TestChaosOverloadStorm(t *testing.T) {
 	}
 	var (
 		trajectory        []sample
-		calmNs, stormNs   []time.Duration
 		reachedFull       int
 		quietSteps, steps int
+		// Per-step work, in counts: events admitted past the gate and
+		// store append attempts.
+		calmAdmitted, shedAdmitted, stormAppends uint64
 	)
 	for quietSteps < 30 {
 		storming := src.Storming()
@@ -115,13 +107,19 @@ func TestChaosOverloadStorm(t *testing.T) {
 		} else {
 			fst.Heal()
 		}
-		start := time.Now()
+		admitted0 := gate.Stats().Admitted
+		appends0, _, _ := fst.Stats()
 		sup.Step()
-		elapsed := time.Since(start)
+		admitted := gate.Stats().Admitted - admitted0
+		appends, _, _ := fst.Stats()
+		switch {
+		case !storming:
+			calmAdmitted = max(calmAdmitted, admitted)
+		case gate.Tier() == overload.TierStream:
+			shedAdmitted = max(shedAdmitted, admitted)
+		}
 		if storming {
-			stormNs = append(stormNs, elapsed)
-		} else if quietSteps == 0 {
-			calmNs = append(calmNs, elapsed)
+			stormAppends = max(stormAppends, appends-appends0)
 		}
 		trajectory = append(trajectory, sample{storm: storming, tier: gate.Tier()})
 		if storming && gate.Tier() == overload.TierStream {
@@ -196,12 +194,15 @@ func TestChaosOverloadStorm(t *testing.T) {
 		t.Error("payload tier never engaged its shedding")
 	}
 
-	// Latency bound: storm p99 within 2× of the calm baseline. The
-	// absolute floor keeps scheduler noise on busy CI machines from
-	// failing a bound the pipeline itself respects.
-	calmP99, stormP99 := p99(calmNs), p99(stormNs)
-	if stormP99 > 2*calmP99 && stormP99 > 250*time.Microsecond {
-		t.Errorf("storm p99 %v exceeds 2x calm p99 %v", stormP99, calmP99)
+	// Bounded work per step: the pipeline never spins on the wedged
+	// store (SinkRetryBudget 1: one attempt, then spill), and at the
+	// full-drop tier an 8× oversubscribed step hands on no more than a
+	// calm step does.
+	if stormAppends > 1 {
+		t.Errorf("a storm step attempted the wedged store %d times, want at most 1", stormAppends)
+	}
+	if shedAdmitted > calmAdmitted {
+		t.Errorf("a full-drop storm step admitted %d events, a calm step at most %d", shedAdmitted, calmAdmitted)
 	}
 
 	// The injected schedule is part of the scenario's reproducible plan.

@@ -115,7 +115,7 @@ func New(shards []string, cfg Config) (*Ring, error) {
 // across the word so points land uniformly. Both stages are fixed
 // arithmetic — deterministic across processes and platforms, which
 // keeps placement stable across restarts.
-func hash64(key string) uint64 {
+func hash64[K string | []byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -131,6 +131,14 @@ func hash64(key string) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
+}
+
+// hashUint hashes an integer key as its decimal digits, formatted into
+// a stack buffer: the same hash as hash64(strconv.FormatUint(key, 10))
+// without the string, so integer and string lookups place identically.
+func hashUint(key uint64) uint64 {
+	var buf [20]byte // len(strconv.FormatUint(math.MaxUint64, 10))
+	return hash64(strconv.AppendUint(buf[:0], key, 10))
 }
 
 // Shards returns the shard names, sorted.
@@ -156,49 +164,57 @@ func (r *Ring) Lookup(key string) []string { return r.LookupN(key, r.RF()) }
 // (RF+1)-th entry is the shard a write spills to when a replica is down.
 // n is clamped to the shard count.
 func (r *Ring) LookupN(key string, n int) []string {
+	var buf [8]int
+	idx := r.walk(buf[:0], hash64(key), n)
+	if len(idx) == 0 {
+		return nil
+	}
+	owners := make([]string, len(idx))
+	for i, si := range idx {
+		owners[i] = r.shards[si]
+	}
+	return owners
+}
+
+// Owners is LookupN for an integer key, without allocating: it appends
+// to dst the indexes into Shards() of up to n distinct shards, in the
+// order LookupN(strconv.FormatUint(key, 10), n) names them.
+func (r *Ring) Owners(dst []int, key uint64, n int) []int {
+	return r.walk(dst, hashUint(key), n)
+}
+
+// walk appends to dst the indexes of the first n distinct shards
+// clockwise from hash h (n clamped to the shard count).
+func (r *Ring) walk(dst []int, h uint64, n int) []int {
 	if n > len(r.shards) {
 		n = len(r.shards)
 	}
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	owners := make([]string, 0, n)
-	r.walk(key, func(shard string) bool {
-		owners = append(owners, shard)
-		return len(owners) < n
-	})
-	return owners
-}
-
-// walk visits the distinct shards clockwise from key's hash until fn
-// returns false or every shard has been visited.
-func (r *Ring) walk(key string, fn func(shard string) bool) {
-	h := hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	var seen uint64 // shard-count is small; a bitmap beats a map here
 	var seenOver []bool
 	if len(r.shards) > 64 {
 		seenOver = make([]bool, len(r.shards))
 	}
-	visited := 0
-	for i := 0; visited < len(r.shards) && i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
+	for i, found := 0, 0; found < n && i < len(r.points); i++ {
+		si := r.points[(start+i)%len(r.points)].shard
 		if seenOver != nil {
-			if seenOver[p.shard] {
+			if seenOver[si] {
 				continue
 			}
-			seenOver[p.shard] = true
+			seenOver[si] = true
 		} else {
-			if seen&(1<<uint(p.shard)) != 0 {
+			if seen&(1<<uint(si)) != 0 {
 				continue
 			}
-			seen |= 1 << uint(p.shard)
+			seen |= 1 << uint(si)
 		}
-		visited++
-		if !fn(r.shards[p.shard]) {
-			return
-		}
+		found++
+		dst = append(dst, int(si))
 	}
+	return dst
 }
 
 // Add returns a ring with shard name added. Adding an existing shard is

@@ -3,6 +3,9 @@ package ring
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -223,5 +226,94 @@ func TestRingLookupNExtendsWalk(t *testing.T) {
 	}
 	if got := r.LookupN("k", 99); len(got) != 5 {
 		t.Fatalf("LookupN clamped to %d, want 5", len(got))
+	}
+}
+
+// Integer-key lookups must place exactly where the decimal-string
+// lookups do — on-disk cluster directories were laid out by the string
+// form — on the base ring and on rings derived by Add and Remove.
+func TestRingOwnersMatchLookupN(t *testing.T) {
+	base := mustRing(t, names(4), Config{Replicas: 2})
+	added, err := base.Add("shard-99")
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, err := base.Remove("shard-02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	tids := []uint64{0, 9, 10, math.MaxUint32, math.MaxUint64}
+	for len(tids) < 100_000 {
+		tids = append(tids, uint64(rng.Uint32()))
+	}
+	var idx []int
+	for _, r := range []*Ring{base, added, removed} {
+		shards := r.Shards()
+		for _, tid := range tids {
+			for _, n := range []int{2, 3} {
+				want := r.LookupN(strconv.FormatUint(tid, 10), n)
+				idx = r.Owners(idx[:0], tid, n)
+				if len(idx) != len(want) {
+					t.Fatalf("tid %d: Owners returned %d shards, LookupN %d", tid, len(idx), len(want))
+				}
+				for i, si := range idx {
+					if shards[si] != want[i] {
+						t.Fatalf("tid %d on %v: Owners[%d] = %s, LookupN says %v", tid, shards, i, shards[si], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A golden of (tid → ring walk) on the default 4-shard ring, recorded
+// before integer keys existed: a change to the hash, the vnode labels
+// or the walk order re-places every stored stream and must not land
+// silently.
+func TestRingPlacementGolden(t *testing.T) {
+	r := mustRing(t, names(4), Config{Replicas: 2})
+	golden := []struct {
+		tid  uint64
+		walk string
+	}{
+		{0, "shard-03 shard-02 shard-00"},
+		{1, "shard-02 shard-01 shard-03"},
+		{7, "shard-02 shard-03 shard-00"},
+		{42, "shard-02 shard-03 shard-00"},
+		{100, "shard-02 shard-00 shard-01"},
+		{1000, "shard-03 shard-00 shard-02"},
+		{65535, "shard-00 shard-01 shard-02"},
+		{math.MaxUint32, "shard-03 shard-02 shard-00"},
+		{math.MaxUint64, "shard-03 shard-02 shard-00"},
+	}
+	shards := r.Shards()
+	for _, g := range golden {
+		if got := strings.Join(r.LookupN(strconv.FormatUint(g.tid, 10), 3), " "); got != g.walk {
+			t.Errorf("LookupN(%d) = %s, golden %s", g.tid, got, g.walk)
+		}
+		var got []string
+		for _, si := range r.Owners(nil, g.tid, 3) {
+			got = append(got, shards[si])
+		}
+		if s := strings.Join(got, " "); s != g.walk {
+			t.Errorf("Owners(%d) = %s, golden %s", g.tid, s, g.walk)
+		}
+	}
+}
+
+// The ingest path resolves a ring walk per TID per batch; it must not
+// allocate (the string form cost a FormatUint and an owners slice each).
+func TestRingOwnersDoesNotAllocate(t *testing.T) {
+	r := mustRing(t, names(4), Config{Replicas: 2})
+	var buf [3]int
+	tid := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		tid++
+		if len(r.Owners(buf[:0], tid, 3)) != 3 {
+			t.Fatal("short walk")
+		}
+	}); n != 0 {
+		t.Fatalf("Owners allocates %v times per lookup, want 0", n)
 	}
 }

@@ -124,10 +124,21 @@ func (f *objFile) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("backend: negative offset %d", off)
 	}
-	if end := off + int64(len(p)); end > int64(len(o.data)) {
-		grown := make([]byte, end)
-		copy(grown, o.data)
-		o.data = grown
+	if old, end := int64(len(o.data)), off+int64(len(p)); end > old {
+		if end <= int64(cap(o.data)) {
+			o.data = o.data[:end]
+			if off > old {
+				// The spare capacity may hold bytes a Truncate cut off;
+				// a hole must read as zeros.
+				clear(o.data[old:off])
+			}
+		} else {
+			// Appends dominate: doubling keeps growth amortized O(1)
+			// instead of recopying the whole object on every write.
+			grown := make([]byte, end, max(end, 2*int64(cap(o.data))))
+			copy(grown, o.data)
+			o.data = grown
+		}
 	}
 	copy(o.data[off:], p)
 	return len(p), nil
