@@ -1,34 +1,28 @@
 // One-shot aggregate execution. BTQL aggregates (count, rate, topk)
-// consume only header fields, so the executor never builds entries or
-// copies payloads: v2 cold blocks feed the aggregators straight from
-// their decoded meta columns, v1 blocks and row segments walk frames
-// and observe the raw header words. The payload section of a v2 block
-// inflates only when the predicate itself inspects payload bytes.
+// consume only header fields, so Aggregate drives the shared scan
+// (scan.go) with a sink that builds no entries and wants no payloads:
+// v2 cold blocks feed the aggregators straight from their decoded meta
+// columns, v1 blocks and row segments from the raw header words. A
+// record body is decoded, and the payload section of a v2 block
+// inflated, only when the predicate itself inspects payload bytes.
 package store
 
-import (
-	"bytes"
-	"errors"
-	"fmt"
-	"io"
-	"io/fs"
+import "btrace/internal/btql"
 
-	"btrace/internal/btql"
-	"btrace/internal/store/backend"
-	"btrace/internal/tracer"
-)
+// aggSink is the header-only sink of the shared scan.
+type aggSink struct {
+	aggs []*btql.Aggregator
+	buf  *pchunk // pooled; only its span buffer is used
+}
 
-// aggSeg is the point-in-time view of one segment captured for an
-// aggregate pass. Sealed segments are immutable; for the active segment
-// bound is the committed size at capture, which is exactly the set of
-// records the snapshot covers.
-type aggSeg struct {
-	name    string
-	bound   int64
-	cold    bool
-	ordered bool
-	count   uint64
-	blocks  []coldBlock
+func (a *aggSink) payloads() bool { return false }
+
+func (a *aggSink) span(n int) []byte { return a.buf.span(n) }
+
+func (a *aggSink) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, _ []byte) {
+	for _, ag := range a.aggs {
+		ag.Observe(stamp, ts, core, tid, cat, level)
+	}
 }
 
 // Aggregate executes specs in one streaming pass over the records
@@ -37,207 +31,38 @@ type aggSeg struct {
 // missed reports (an upper bound on) events retention deleted before
 // the pass could read them, mirroring the cursor contract.
 func (st *Store) Aggregate(q Query, specs []btql.AggSpec) (results []btql.Result, missed uint64, err error) {
-	c := compile(q)
-	aggs := make([]*btql.Aggregator, len(specs))
+	sink := &aggSink{aggs: make([]*btql.Aggregator, len(specs)), buf: globalChunks.Get().(*pchunk)}
+	defer globalChunks.Put(sink.buf)
 	for i := range specs {
-		aggs[i] = specs[i].New()
+		sink.aggs[i] = specs[i].New()
 	}
-	for _, sn := range st.aggSnapshot(c) {
-		m, aerr := st.aggSegment(c, &sn, aggs)
+	// The pass covers exactly what the first round of a parallel cursor
+	// would — same snapshot, same file-rung pruning (never of a segment
+	// still growing, whose metadata may lag its bytes), same retention
+	// accounting — folded in place, segment by segment, instead of
+	// merged.
+	pc := st.QueryParallel(q, 1)
+	snaps, missed := pc.snapshot()
+	for i := range snaps {
+		s, m, err := st.openScan(pc.q, &snaps[i], false)
 		missed += m
-		if aerr != nil {
-			return nil, missed, aerr
+		if err != nil {
+			return nil, missed, err
+		}
+		if s == nil {
+			continue
+		}
+		for more := true; more && err == nil; {
+			more, err = s.step(sink)
+		}
+		s.f.Close()
+		if err != nil {
+			return nil, missed, err
 		}
 	}
-	results = make([]btql.Result, len(aggs))
-	for i, a := range aggs {
+	results = make([]btql.Result, len(sink.aggs))
+	for i, a := range sink.aggs {
 		results[i] = a.Result()
 	}
 	return results, missed, nil
-}
-
-// aggSnapshot captures the matching segments under the store lock.
-// A still-growing segment is never pruned on metadata: its meta may lag
-// its committed bytes, so only the frame walk's per-record filter is
-// trustworthy there.
-func (st *Store) aggSnapshot(c *compiled) []aggSeg {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	snap := make([]aggSeg, 0, len(st.segs))
-	for _, s := range st.segs {
-		if s.sealed && !c.matchSegment(&s.meta) {
-			continue
-		}
-		snap = append(snap, aggSeg{
-			name: s.name, bound: s.size, cold: s.isCold(),
-			ordered: s.meta.ordered, count: s.meta.count,
-			blocks: s.blocks,
-		})
-	}
-	return snap
-}
-
-// aggSegment folds one snapshotted segment into the aggregators. A
-// segment retention deleted between snapshot and open is reported as
-// missed (its snapshot count bounds the loss), like a cursor lapped by
-// retention.
-func (st *Store) aggSegment(c *compiled, sn *aggSeg, aggs []*btql.Aggregator) (missed uint64, err error) {
-	f, err := st.be.OpenRead(sn.name)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return sn.count, nil
-		}
-		return 0, err
-	}
-	defer f.Close()
-	if sn.cold {
-		return 0, st.aggCold(c, sn, f, aggs)
-	}
-	return 0, aggFrames(c, &chunkReader{f: f, off: headerSize, bound: sn.bound}, sn.ordered, aggs)
-}
-
-// aggCold walks a cold segment's block directory, pruning blocks on
-// their header metadata before any decompression, then folding survivors
-// in by column (v2) or by inflated frame walk (v1).
-func (st *Store) aggCold(c *compiled, sn *aggSeg, f backend.ReadFile, aggs []*btql.Aggregator) error {
-	for i := range sn.blocks {
-		b := &sn.blocks[i]
-		if sn.ordered && c.q.MaxStamp > 0 && b.meta.baseStamp > c.q.MaxStamp {
-			return nil // ordered early exit: no later block can match
-		}
-		if !c.matchColdBlock(b) {
-			st.obs.blocksPruned.Add(1)
-			continue
-		}
-		if b.v2 == nil {
-			buf, err := st.inflateCached(sn.name, f, b)
-			if err != nil {
-				return err
-			}
-			rd := chunkReader{f: bytes.NewReader(buf), bound: int64(len(buf))}
-			if err := aggFrames(c, &rd, sn.ordered, aggs); err != nil {
-				return err
-			}
-			continue
-		}
-		cols, err := st.columnsCached(sn.name, f, b)
-		if err != nil {
-			return err
-		}
-		if err := st.aggColumns(c, sn, f, b, cols, aggs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// aggColumns folds one v2 block's matching rows into the aggregators
-// straight from the decoded columns. The payload section inflates only
-// if the predicate needs payload bytes and some header-matched row has
-// any; otherwise the aggregate is entirely payload-free.
-func (st *Store) aggColumns(c *compiled, sn *aggSeg, f io.ReaderAt, b *coldBlock, cb *colBlock, aggs []*btql.Aggregator) error {
-	count := int(b.meta.count)
-	needPay := false
-	if c.pred != nil && c.pred.NeedsPayload() {
-		for i := 0; i < count; i++ {
-			if cb.plens[i] > 0 && c.matchRaw(cb.stamps[i], cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i]) {
-				needPay = true
-				break
-			}
-		}
-	}
-	var pay []byte
-	if needPay {
-		var err error
-		if pay, err = st.inflatePayCached(sn.name, f, b); err != nil {
-			return err
-		}
-	} else if b.v2.payLen > 0 {
-		st.obs.payloadSkips.Add(1)
-	}
-	for i := 0; i < count; i++ {
-		stamp := cb.stamps[i]
-		if sn.ordered && c.q.MaxStamp > 0 && stamp > c.q.MaxStamp {
-			return nil
-		}
-		if !c.matchRaw(stamp, cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i]) {
-			continue
-		}
-		if needPay {
-			e := tracer.Entry{
-				Stamp: stamp, TS: cb.ts[i],
-				Core: cb.cores[i], TID: cb.tids[i],
-				Category: cb.cats[i], Level: cb.levels[i],
-			}
-			if cb.plens[i] > 0 {
-				e.Payload = pay[cb.payOff[i]:cb.payOff[i+1]]
-			}
-			if !c.pred.Match(&e) {
-				continue
-			}
-		}
-		for _, a := range aggs {
-			a.Observe(stamp, cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i])
-		}
-	}
-	return nil
-}
-
-// aggFrames walks CRC-framed records from rd, observing each match.
-// Like the parallel scan, the checksum and decode are deferred until the
-// raw header fields say the record matters — and the decode happens only
-// for payload predicates, since aggregators consume header fields.
-func aggFrames(c *compiled, rd *chunkReader, ordered bool, aggs []*btql.Aggregator) error {
-	needPay := c.pred != nil && c.pred.NeedsPayload()
-	for {
-		if rd.off+int64(rd.pos) >= rd.bound {
-			return nil
-		}
-		head, err := rd.peek(tracer.Align)
-		if err != nil || len(head) < tracer.Align {
-			return nil
-		}
-		_, recSize, perr := tracer.PeekRecord(head)
-		if perr != nil || recSize > maxRecordSize {
-			return perr
-		}
-		if rd.off+int64(rd.pos)+int64(recSize+tailSize) > rd.bound {
-			return nil // frame not fully committed
-		}
-		buf, err := rd.peek(recSize + tailSize)
-		if err != nil || len(buf) < recSize+tailSize {
-			return nil
-		}
-		rec, tail := buf[:recSize], buf[recSize:recSize+tailSize]
-		rd.advance(recSize + tailSize)
-		if recSize < tracer.EventHeaderSize {
-			return fmt.Errorf("%w: short event", tracer.ErrCorrupt)
-		}
-		stamp := le64(rec[8:])
-		if ordered && c.q.MaxStamp > 0 && stamp > c.q.MaxStamp {
-			return nil
-		}
-		ts := le64(rec[16:])
-		w3 := le64(rec[24:])
-		core, tid := uint8(w3>>56), uint32(w3>>32)&0xFFFFFF
-		cat, level := uint8(w3>>24), uint8(w3>>16)
-		if !c.matchRaw(stamp, ts, core, tid, cat, level) {
-			continue
-		}
-		if cerr := checkFrame(rec, tail); cerr != nil {
-			return cerr
-		}
-		if needPay {
-			var e tracer.Entry
-			if derr := decodeEventTo(rec, &e); derr != nil {
-				return derr
-			}
-			if !c.pred.Match(&e) {
-				continue
-			}
-		}
-		for _, a := range aggs {
-			a.Observe(stamp, ts, core, tid, cat, level)
-		}
-	}
 }

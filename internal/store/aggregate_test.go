@@ -1,10 +1,13 @@
 package store
 
 import (
+	"errors"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"btrace/internal/btql"
+	"btrace/internal/tracer"
 )
 
 // aggRef computes the expected results by materializing the matching
@@ -120,5 +123,67 @@ func TestAggregateColumnarSkips(t *testing.T) {
 	if final.BlocksPruned <= after.BlocksPruned {
 		t.Fatalf("absent-TID aggregate pruned no blocks: %d -> %d",
 			after.BlocksPruned, final.BlocksPruned)
+	}
+}
+
+// TestCorruptFrameFailsEverySurface: one byte of rot in a hot segment
+// has to surface as ErrCorrupt from the sequential cursor, the parallel
+// cursor and the aggregate executor alike, never as a silently wrong
+// answer. Two places a surface could look away: the tail magic of a
+// frame its predicate does not select (the magic is what keeps the
+// frame walk itself honest, so it is checked on every frame stepped
+// over), and the checksum of a frame it does select. The checksum of a
+// pruned frame is the sequential cursor's job alone: it is the
+// reference surface and verifies every frame it walks, where the other
+// two defer the CRC to candidates.
+func TestCorruptFrameFailsEverySurface(t *testing.T) {
+	first := mkEntry(1) // category 1: `category == 2` never selects it
+	for _, tc := range []struct {
+		name    string
+		off     int  // byte to flip, relative to the first frame
+		seqOnly bool // only the sequential cursor is required to notice
+	}{
+		// Byte 6 of frame 1's 8-byte tail sits in the magic half.
+		{"magic of a pruned frame", first.WireSize() + 6, false},
+		// Frame 2 holds stamp 2 (category 2); its first payload byte.
+		{"checksum of a selected frame", FrameSize(&first) + tracer.EventHeaderSize, false},
+		{"checksum of a pruned frame", tracer.EventHeaderSize, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open(t.TempDir(), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			appendRange(t, st, 1, 100)
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			st.mu.Lock()
+			path := filepath.Join(st.loc, st.segs[0].name)
+			st.mu.Unlock()
+			flipByte(t, path, int64(headerSize+tc.off))
+
+			q := Query{Pred: predOf(t, `category == 2`)}
+			cur := st.Query(q)
+			_, err = tracer.Drain(cur, 64)
+			cur.Close()
+			if !errors.Is(err, tracer.ErrCorrupt) {
+				t.Errorf("Query: err = %v, want ErrCorrupt", err)
+			}
+			if tc.seqOnly {
+				return
+			}
+			pc := st.QueryParallel(q, 2)
+			_, err = tracer.Drain(pc, 64)
+			pc.Close()
+			if !errors.Is(err, tracer.ErrCorrupt) {
+				t.Errorf("QueryParallel: err = %v, want ErrCorrupt", err)
+			}
+			res, _, err := st.Aggregate(q, []btql.AggSpec{{Kind: btql.AggCount}})
+			if !errors.Is(err, tracer.ErrCorrupt) {
+				t.Errorf("Aggregate: result %+v, err = %v, want ErrCorrupt", res, err)
+			}
+		})
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"btrace/internal/btql"
 	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
 )
@@ -259,10 +261,19 @@ func TestCompactionChaosTierBoundaries(t *testing.T) {
 
 // TestStoreCompactorStress races the background compactor (1ms ticks)
 // against live appends, explicit seals, parallel and sequential queries,
-// and byte-budget retention. Run under -race via `make compaction-chaos`.
-// The assertion is structural: no write-path error, no query corruption
-// error, newest data still readable at the end.
+// aggregates and byte-budget retention. Run under -race via
+// `make compaction-chaos`. The assertion is structural: no write-path
+// error, no query corruption error, newest data still readable at the
+// end. The run is sized in work, not time: everyone keeps going until
+// the appender has written its batches, every reader has completed its
+// drains and a freeze has been observed, so a loaded runner makes the
+// test slower, never different. The deadline only reports a hang.
 func TestStoreCompactorStress(t *testing.T) {
+	const (
+		wantBatches = 100 // appended batches of 32 events
+		wantDrains  = 5   // complete passes per reader
+		readers     = 3   // parallel cursor, sequential cursor, aggregate
+	)
 	st, err := Open(t.TempDir(), Config{
 		SegmentBytes:    8 << 10,
 		MaxBytes:        256 << 10,
@@ -273,109 +284,143 @@ func TestStoreCompactorStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
+	var (
+		batches atomic.Int64
+		drains  [readers]atomic.Int64
+		frozen  atomic.Bool
+		stop    = make(chan struct{})
+		once    sync.Once
+	)
+	// progress is called after every unit of work; whoever completes the
+	// last outstanding piece stops the run.
+	progress := func() {
+		if batches.Load() < wantBatches || !frozen.Load() {
+			return
+		}
+		for i := range drains {
+			if drains[i].Load() < wantDrains {
+				return
+			}
+		}
+		once.Do(func() { close(stop) })
+	}
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	qerrs := make(chan error, readers+1)
+	fail := func(err error) {
+		select {
+		case qerrs <- err:
+		default:
+		}
+		once.Do(func() { close(stop) })
+	}
+
 	var wg sync.WaitGroup
 	var lastStamp uint64
 	wg.Add(1)
 	go func() { // appender + sealer: a steady diet of small sealed segments
 		defer wg.Done()
 		stamp := uint64(1)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for i := 0; !stopped(); i++ {
 			var es []tracer.Entry
 			for k := 0; k < 32; k++ {
 				es = append(es, mkEntry(stamp))
 				stamp++
 			}
 			if err := st.AppendEntries(es); err != nil {
+				fail(err)
 				return
 			}
 			lastStamp = stamp - 1
 			if i%4 == 3 {
 				if err := st.Seal(); err != nil {
+					fail(err)
 					return
 				}
 			}
+			batches.Add(1)
+			progress()
 		}
 	}()
-	qerrs := make(chan error, 4)
-	for w := 0; w < 2; w++ {
+	count := []btql.AggSpec{{Kind: btql.AggCount}}
+	for w := 0; w < readers; w++ {
 		wg.Add(1)
-		go func(par bool) {
+		go func(w int) {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			buf := make([]tracer.Entry, 64)
+			for !stopped() {
 				var cur tracer.Cursor
-				if par {
+				switch w {
+				case 0:
 					cur = st.QueryParallel(Query{}, 3)
-				} else {
+				case 1:
 					cur = st.Query(Query{})
+				default:
+					if _, _, err := st.Aggregate(Query{}, count); err != nil {
+						fail(err)
+						return
+					}
 				}
-				buf := make([]tracer.Entry, 64)
-				for {
+				for cur != nil {
 					k, _, err := cur.Next(buf)
 					if err != nil {
-						select {
-						case qerrs <- err:
-						default:
-						}
 						cur.Close()
+						fail(err)
 						return
 					}
 					if k == 0 {
-						break
+						cur.Close()
+						cur = nil
 					}
 				}
-				cur.Close()
+				drains[w].Add(1)
+				progress()
 			}
-		}(w == 0)
+		}(w)
 	}
 	wg.Add(1)
 	go func() { // foreground compaction racing the background ticker
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for !stopped() {
 			if err := st.CompactTick(); err != nil && err != ErrClosed {
-				select {
-				case qerrs <- err:
-				default:
-				}
+				fail(err)
 				return
+			}
+			if !frozen.Load() && st.Stats().SegmentsFrozen > 0 {
+				frozen.Store(true)
+				progress()
 			}
 		}
 	}()
-	time.Sleep(400 * time.Millisecond)
-	close(stop)
+
+	deadline := time.NewTimer(2 * time.Minute)
+	defer deadline.Stop()
+	select {
+	case <-stop:
+	case <-deadline.C:
+		once.Do(func() { close(stop) })
+		wg.Wait()
+		t.Fatalf("hang: %d/%d batches, drains %d/%d/%d of %d, frozen=%v",
+			batches.Load(), wantBatches, drains[0].Load(), drains[1].Load(), drains[2].Load(), wantDrains, frozen.Load())
+	}
 	wg.Wait()
 	select {
 	case err := <-qerrs:
-		t.Fatalf("concurrent query/compaction error: %v", err)
+		t.Fatalf("concurrent append/query/compaction error: %v", err)
 	default:
 	}
 	if err := st.WriteErr(); err != nil {
 		t.Fatalf("write path error: %v", err)
 	}
-	if lastStamp > 0 {
-		es := drainStore(t, st, Query{MinStamp: lastStamp, MaxStamp: lastStamp})
-		if len(es) != 1 {
-			t.Fatalf("newest event %d not readable after stress: got %d copies", lastStamp, len(es))
-		}
-	}
-	stats := st.Stats()
-	if stats.SegmentsFrozen == 0 {
-		t.Fatalf("stress never froze a segment: %+v", stats)
+	es := drainStore(t, st, Query{MinStamp: lastStamp, MaxStamp: lastStamp})
+	if len(es) != 1 {
+		t.Fatalf("newest event %d not readable after stress: got %d copies", lastStamp, len(es))
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,11 @@
 // Cold tier: a cold file (col-%08d.blk) is a frozen, compressed copy of
-// one or more sealed row segments. The format is frame-preserving: each
-// block's payload decompresses to exactly the CRC-framed records the row
-// segments held, so the cursor's frame walk, checksum verification and
-// decode run unchanged over inflated bytes.
+// one or more sealed row segments. This file holds what the two block
+// formats share plus the read side of v1, the frame-preserving format:
+// each v1 block's payload decompresses to exactly the CRC-framed records
+// the row segments held, so the scan's frame walk, checksum
+// verification and decode run unchanged over inflated bytes. v1 is
+// read-only — the freeze path writes columnar v2 blocks (coldv2.go) —
+// and pinned by the directory in testdata/cold-v1.
 //
 //	offset 0    file header (88 bytes, same layout as a segment header
 //	            but coldMagic; always written sealed — cold files only
@@ -50,7 +53,7 @@ type coldBlock struct {
 	v2      *blockV2 // nil for v1 blocks
 }
 
-// encodeBlockHeader renders one block header. Layout:
+// decodeBlockHeader parses and validates one v1 block header. Layout:
 //
 //	[0:8)   blockMagic
 //	[8:16)  compLen     [16:24) rawLen
@@ -61,26 +64,6 @@ type coldBlock struct {
 //	[80:88) flags (bit 1 = ordered, matching the segment header)
 //	[88:96) crc32c of [0:88) in the low 32 bits, crc32c of the
 //	        compressed payload in the high 32 bits
-func encodeBlockHeader(dst []byte, b *coldBlock) {
-	le64put(dst[0:], blockMagic)
-	le64put(dst[8:], uint64(b.compLen))
-	le64put(dst[16:], uint64(b.rawLen))
-	le64put(dst[24:], b.meta.count)
-	le64put(dst[32:], b.meta.baseStamp)
-	le64put(dst[40:], b.meta.maxStamp)
-	le64put(dst[48:], b.meta.minTS)
-	le64put(dst[56:], b.meta.maxTS)
-	le64put(dst[64:], b.meta.coreBits)
-	le64put(dst[72:], b.meta.catBits)
-	var flags uint64
-	if b.meta.ordered {
-		flags |= 2
-	}
-	le64put(dst[80:], flags)
-	le64put(dst[88:], uint64(b.crc)<<32|uint64(crc32.Checksum(dst[:88], castagnoli)))
-}
-
-// decodeBlockHeader parses and validates one block header.
 func decodeBlockHeader(src []byte) (b coldBlock, err error) {
 	if len(src) < blockHeaderSize {
 		return b, fmt.Errorf("store: short block header (%d bytes)", len(src))
@@ -210,106 +193,4 @@ func inflateMetaV2(f io.ReaderAt, b *coldBlock, comp, dst []byte) (newComp, out 
 func inflatePayV2(f io.ReaderAt, b *coldBlock, comp, dst []byte) (newComp, out []byte, err error) {
 	v := b.v2
 	return inflateSection(f, b.off+v.metaLen, v.payLen, v.payRawLen, v.payCRC, comp, dst)
-}
-
-// coldWriter streams frames into a cold file under construction:
-// frames accumulate into a raw buffer that is compressed and flushed as
-// one block each time it reaches blockBytes.
-type coldWriter struct {
-	f          backend.File
-	off        int64 // next write offset (starts past the file header)
-	blockBytes int
-	raw        []byte
-	comp       bytes.Buffer
-	blockMeta  segmentMeta
-	blocks     []coldBlock
-	fileMeta   segmentMeta
-	rawTotal   int64
-}
-
-func newColdWriter(f backend.File, blockBytes int) *coldWriter {
-	if blockBytes <= 0 {
-		blockBytes = defaultColdBlockBytes
-	}
-	return &coldWriter{f: f, off: headerSize, blockBytes: blockBytes}
-}
-
-// add appends one frame (record ++ tail, already checksummed) with its
-// decoded event.
-func (w *coldWriter) add(frame []byte, e *tracer.Entry) error {
-	w.raw = append(w.raw, frame...)
-	w.blockMeta.observeRaw(e.Stamp, e.TS, e.Core, e.Category)
-	if len(w.raw) >= w.blockBytes {
-		return w.flush()
-	}
-	return nil
-}
-
-// flush compresses and writes the pending block.
-func (w *coldWriter) flush() error {
-	if len(w.raw) == 0 {
-		return nil
-	}
-	w.comp.Reset()
-	fw, err := flate.NewWriter(&w.comp, flate.BestSpeed)
-	if err != nil {
-		return err
-	}
-	if _, err := fw.Write(w.raw); err != nil {
-		return err
-	}
-	if err := fw.Close(); err != nil {
-		return err
-	}
-	b := coldBlock{
-		off:     w.off + blockHeaderSize,
-		compLen: int64(w.comp.Len()),
-		rawLen:  int64(len(w.raw)),
-		crc:     crc32.Checksum(w.comp.Bytes(), castagnoli),
-		meta:    w.blockMeta,
-	}
-	hdr := make([]byte, blockHeaderSize)
-	encodeBlockHeader(hdr, &b)
-	if _, err := w.f.WriteAt(hdr, w.off); err != nil {
-		return err
-	}
-	if _, err := w.f.WriteAt(w.comp.Bytes(), b.off); err != nil {
-		return err
-	}
-	w.off = b.off + b.compLen
-	w.blocks = append(w.blocks, b)
-	mergeMeta(&w.fileMeta, &w.blockMeta)
-	w.rawTotal += int64(len(w.raw))
-	w.raw = w.raw[:0]
-	w.blockMeta = segmentMeta{}
-	return nil
-}
-
-// finish flushes the last block, writes the sealed file header, syncs
-// and seals. The caller renames the file in afterwards (the commit).
-func (w *coldWriter) finish(coversThrough uint64) error {
-	if err := w.flush(); err != nil {
-		return err
-	}
-	hdr := make([]byte, headerSize)
-	encodeHeaderMagic(hdr, coldMagic, &w.fileMeta, coversThrough, true)
-	if _, err := w.f.WriteAt(hdr, 0); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	return w.f.Seal()
-}
-
-func (w *coldWriter) result() (segmentMeta, []coldBlock, int64) {
-	return w.fileMeta, w.blocks, w.rawTotal
-}
-
-// coldSink abstracts the two cold writers so the freeze path picks the
-// block format without caring which one it feeds.
-type coldSink interface {
-	add(frame []byte, e *tracer.Entry) error
-	finish(coversThrough uint64) error
-	result() (fileMeta segmentMeta, blocks []coldBlock, rawTotal int64)
 }

@@ -337,7 +337,7 @@ func grow8(s []uint8, n int) []uint8 {
 // coldWriterV2 streams decoded events into a v2 cold file under
 // construction: rows accumulate as columns and are compressed and
 // flushed as one block each time their frame-equivalent raw size
-// reaches blockBytes (the same sizing rule as the v1 writer, so
+// reaches blockBytes (the sizing rule v1 files were written under, so
 // ColdBlockBytes means the same thing in both formats).
 type coldWriterV2 struct {
 	f          backend.File

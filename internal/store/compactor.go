@@ -278,12 +278,7 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 		st.be.Remove(tmpName)
 		return 0, e
 	}
-	var w coldSink
-	if st.cfg.coldV1 {
-		w = newColdWriter(tmp, st.cfg.ColdBlockBytes)
-	} else {
-		w = newColdWriterV2(tmp, st.cfg.ColdBlockBytes)
-	}
+	w := newColdWriterV2(tmp, st.cfg.ColdBlockBytes)
 	srcSizes := make(map[uint64]int64, len(run))
 	for _, s := range run {
 		if err := st.freezeSource(w, s); err != nil {
@@ -366,7 +361,7 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 // last cheap moment to catch rot. Events are fully decoded before
 // handoff — the columnar writer needs every field, and decode failures
 // are freeze failures for the same reason checksum failures are.
-func (st *Store) freezeSource(w coldSink, s *segment) error {
+func (st *Store) freezeSource(w *coldWriterV2, s *segment) error {
 	src, err := st.be.OpenRead(s.name)
 	if err != nil {
 		return err

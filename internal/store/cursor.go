@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"btrace/internal/btql"
-	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
 )
 
@@ -87,84 +86,52 @@ func compile(q Query) *compiled {
 	return c
 }
 
+// matchMeta is the hull test of the file and block rungs: whether a
+// run of records summarised by m can contain a match. v2, when the run
+// is a columnar block, adds the TID range and bloom filter its header
+// carries, which veto TID equality predicates without touching the
+// block bytes.
+func (c *compiled) matchMeta(m *segmentMeta, v2 *blockV2) bool {
+	if m.count == 0 {
+		return false
+	}
+	if c.q.MinStamp > m.maxStamp || (c.q.MaxStamp > 0 && c.q.MaxStamp < m.baseStamp) {
+		return false
+	}
+	if c.q.MinTS > m.maxTS || (c.q.MaxTS > 0 && c.q.MaxTS < m.minTS) {
+		return false
+	}
+	if c.coreMask&m.coreBits == 0 || c.catMask&m.catBits == 0 {
+		return false
+	}
+	if c.pred == nil {
+		return true
+	}
+	bm := btql.Meta{
+		MinStamp: m.baseStamp, MaxStamp: m.maxStamp,
+		MinTS: m.minTS, MaxTS: m.maxTS,
+		CoreBits: m.coreBits, CatBits: m.catBits,
+	}
+	if v2 != nil {
+		bm.HasTID = true
+		bm.MinTID, bm.MaxTID = v2.minTID, v2.maxTID
+		bm.TIDMay = v2.mayContainTID
+	}
+	return c.pred.MatchMeta(&bm)
+}
+
 // matchSegment reports whether the segment can contain matching records.
-func (c *compiled) matchSegment(m *segmentMeta) bool {
-	if m.count == 0 {
-		return false
-	}
-	if c.q.MinStamp > m.maxStamp || (c.q.MaxStamp > 0 && c.q.MaxStamp < m.baseStamp) {
-		return false
-	}
-	if c.q.MinTS > m.maxTS || (c.q.MaxTS > 0 && c.q.MaxTS < m.minTS) {
-		return false
-	}
-	if c.coreMask&m.coreBits == 0 || c.catMask&m.catBits == 0 {
-		return false
-	}
-	if c.pred != nil {
-		return c.pred.MatchMeta(&btql.Meta{
-			MinStamp: m.baseStamp, MaxStamp: m.maxStamp,
-			MinTS: m.minTS, MaxTS: m.maxTS,
-			CoreBits: m.coreBits, CatBits: m.catBits,
-		})
-	}
-	return true
-}
+func (c *compiled) matchSegment(m *segmentMeta) bool { return c.matchMeta(m, nil) }
 
-// matchColdBlock is matchSegment for one cold block, with the extra
-// metadata a columnar block header carries: the TID range and bloom
-// filter veto TID equality predicates without touching the block bytes.
-func (c *compiled) matchColdBlock(b *coldBlock) bool {
-	m := &b.meta
-	if m.count == 0 {
-		return false
-	}
-	if c.q.MinStamp > m.maxStamp || (c.q.MaxStamp > 0 && c.q.MaxStamp < m.baseStamp) {
-		return false
-	}
-	if c.q.MinTS > m.maxTS || (c.q.MaxTS > 0 && c.q.MaxTS < m.minTS) {
-		return false
-	}
-	if c.coreMask&m.coreBits == 0 || c.catMask&m.catBits == 0 {
-		return false
-	}
-	if c.pred != nil {
-		bm := btql.Meta{
-			MinStamp: m.baseStamp, MaxStamp: m.maxStamp,
-			MinTS: m.minTS, MaxTS: m.maxTS,
-			CoreBits: m.coreBits, CatBits: m.catBits,
-		}
-		if v := b.v2; v != nil {
-			bm.HasTID = true
-			bm.MinTID, bm.MaxTID = v.minTID, v.maxTID
-			bm.TIDMay = v.mayContainTID
-		}
-		return c.pred.MatchMeta(&bm)
-	}
-	return true
-}
+// matchColdBlock is matchSegment for one cold block's directory entry.
+func (c *compiled) matchColdBlock(b *coldBlock) bool { return c.matchMeta(&b.meta, b.v2) }
 
-// match reports whether one fully decoded record satisfies the query,
-// BTQL predicate included.
-func (c *compiled) match(e *tracer.Entry) bool {
-	if e.Stamp < c.q.MinStamp || (c.q.MaxStamp > 0 && e.Stamp > c.q.MaxStamp) {
-		return false
-	}
-	if e.TS < c.q.MinTS || (c.q.MaxTS > 0 && e.TS > c.q.MaxTS) {
-		return false
-	}
-	if !(c.anyCore || c.coreSet[e.Core]) || !(c.anyCat || c.catSet[e.Category]) {
-		return false
-	}
-	return c.pred == nil || c.pred.Match(e)
-}
-
-// matchRaw is match evaluated on fields lifted straight from a raw
-// record header, so a scan loop can reject a frame before paying its
-// checksum and decode. It is exact for payload-free predicates and
-// conservative (may return true) when the predicate needs the payload —
-// callers that append on true must re-check with match/Predicate.Match
-// after decoding when NeedsPayload reports true.
+// matchRaw evaluates the query on fields lifted straight from a raw
+// record header or a block's columns, so a scan can reject a row before
+// paying its checksum and decode. It is exact for payload-free
+// predicates and conservative (may return true) when the predicate
+// needs the payload — the scan re-checks with Predicate.Match once it
+// has the bytes when NeedsPayload reports true.
 func (c *compiled) matchRaw(stamp, ts uint64, core uint8, tid uint32, cat, level uint8) bool {
 	if stamp < c.q.MinStamp || (c.q.MaxStamp > 0 && stamp > c.q.MaxStamp) {
 		return false
@@ -186,28 +153,20 @@ type Cursor struct {
 	st *Store
 	q  *compiled
 
-	// nextSeq is the next segment seq to read; cur* describe the
-	// segment currently being read.
-	nextSeq   uint64
-	cur       *segment
-	curSealed bool
-	curBound  int64 // committed bytes readable this pass
-	dedupe    bool  // entered a merged segment: drop stamps <= lastStamp
-	f         backend.ReadFile
-	rd        chunkReader
+	// nextSeq is the next segment seq to read; cur, snap and scan
+	// describe the segment currently being read (scan is nil between
+	// segments).
+	nextSeq uint64
+	cur     *segment
+	snap    segSnap
+	scan    *segScan
+	dedupe  bool // entered a merged segment: drop stamps <= lastStamp
 
-	// Cold-tier read state: the block cursor within c.cur.blocks plus
-	// the inflated bytes of the block being walked. coldBuf may alias
-	// the store's shared block cache and is never written to.
-	coldIdx int
-	coldBuf []byte
-	coldPos int
-
-	// Columnar (v2) block state: candidate entries decoded from the
-	// current block's cached columns (payloads aliasing the cached
-	// payload section), drained by v2pos.
-	v2ents []tracer.Entry
-	v2pos  int
+	// ck holds the rows of the span or cold block scanned last, drained
+	// by pos. Hot rows alias ck's span buffer; cold rows alias the
+	// store's shared block cache, which is never written to.
+	ck  *pchunk
+	pos int
 
 	lastStamp   uint64
 	seenRetired uint64
@@ -225,6 +184,7 @@ func (st *Store) Query(q Query) *Cursor {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	c := &Cursor{st: st, q: compile(q), nextSeq: 1, seenRetired: st.retiredEvents}
+	c.ck = globalChunks.Get().(*pchunk)
 	if len(st.segs) > 0 {
 		c.nextSeq = st.segs[0].seq
 	}
@@ -239,19 +199,35 @@ func (c *Cursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	if c.closed {
 		return 0, 0, tracer.ErrClosed
 	}
-	if len(batch) == 0 {
-		return 0, 0, nil
-	}
 	c.arena = c.arena[:0]
 	var (
 		n      int
 		missed uint64
 	)
-	for n < len(batch) {
-		if c.q.q.Limit > 0 && c.delivered >= c.q.q.Limit {
-			break
+	for n < len(batch) && (c.q.q.Limit <= 0 || c.delivered < c.q.q.Limit) {
+		if c.pos < len(c.ck.entries) {
+			e := c.ck.entries[c.pos]
+			c.pos++
+			if c.dedupe && e.Stamp <= c.lastStamp {
+				continue
+			}
+			// Re-home the payload in the cursor's arena: the chunk's span
+			// buffer is recycled by the next step, and a cold row aliases
+			// shared cache memory the entry must not pin past this batch.
+			if len(e.Payload) > 0 {
+				off := len(c.arena)
+				c.arena = append(c.arena, e.Payload...)
+				e.Payload = c.arena[off:len(c.arena):len(c.arena)]
+			}
+			batch[n] = e
+			n++
+			c.delivered++
+			if e.Stamp > c.lastStamp {
+				c.lastStamp = e.Stamp
+			}
+			continue
 		}
-		if c.f == nil {
+		if c.scan == nil {
 			m, ok := c.openNext()
 			missed += m
 			if !ok {
@@ -259,20 +235,29 @@ func (c *Cursor) Next(batch []tracer.Entry) (int, uint64, error) {
 			}
 			continue
 		}
-		read, done, err := c.readFrames(batch[n:])
-		n += read
+		if !c.snap.sealed {
+			c.refreshBound()
+		}
+		c.ck.reset()
+		c.pos = 0
+		more, err := c.scan.step(c.ck)
 		if err != nil {
+			// Nothing of the failed span is delivered; its offset stands,
+			// so a retry meets the same error.
+			c.ck.reset()
 			return n, missed, err
 		}
-		if done {
-			// Segment exhausted for good: move on.
-			c.f.Close()
-			c.f = nil
-			c.nextSeq = c.cur.coversThrough + 1
-			c.cur = nil
+		if more {
 			continue
 		}
-		if read == 0 {
+		if c.scan.cut || c.snap.sealed {
+			// Segment exhausted for good: move on. The rows still in ck do
+			// not need its file.
+			c.scan.f.Close()
+			c.scan = nil
+			c.nextSeq = c.cur.coversThrough + 1
+			c.cur = nil
+		} else if len(c.ck.entries) == 0 {
 			// Active segment, nothing new committed yet.
 			break
 		}
@@ -331,70 +316,58 @@ func (c *Cursor) openNext() (missed uint64, ok bool) {
 			c.nextSeq = next
 			continue
 		}
-		name, bound, sealed := seg.name, seg.size, seg.sealed
-		// Sparse seek: skip straight to the stamp lower bound when the
-		// segment is ordered. With dedupe on, everything at or below
-		// lastStamp is a duplicate, so seek past it too.
-		seekStamp := c.q.q.MinStamp
-		if dedupe && c.lastStamp+1 > seekStamp {
-			seekStamp = c.lastStamp + 1
+		// With dedupe on, everything at or below lastStamp is a duplicate:
+		// fold that floor into this segment's query, so the sparse seek
+		// and the block rung skip the delivered prefix like any other
+		// stamp lower bound.
+		q := c.q
+		if dedupe && c.lastStamp+1 > q.q.MinStamp {
+			floored := *c.q
+			floored.q.MinStamp = c.lastStamp + 1
+			q = &floored
 		}
-		startOff := int64(headerSize)
-		coldStart := 0
+		// Sparse seek: skip straight to the stamp lower bound when the
+		// segment is ordered. (A cold segment's block directory replaces
+		// the sparse index: the block rung vetoes blocks below the bound.)
+		start := int64(headerSize)
 		if seg.isCold() {
-			// Cold tier: the block directory replaces the sparse index —
-			// skip whole blocks below the seek stamp when ordered.
-			if seg.meta.ordered && seekStamp > 0 {
-				for coldStart < len(seg.blocks) && seg.blocks[coldStart].meta.maxStamp < seekStamp {
-					coldStart++
-				}
-				if coldStart > 0 {
-					// The seek is pruning too: these blocks were ruled out
-					// on directory metadata alone, same as a matchColdBlock
-					// veto.
-					c.st.obs.blocksPruned.Add(uint64(coldStart))
-				}
-			}
-		} else if seg.meta.ordered && seekStamp > 0 && len(seg.sparse) > 0 {
+			start = 0
+		} else if seekStamp := q.q.MinStamp; seg.meta.ordered && seekStamp > 0 && len(seg.sparse) > 0 {
 			lo := sort.Search(len(seg.sparse), func(i int) bool {
 				return seg.sparse[i].stamp >= seekStamp
 			})
 			if lo > 0 {
-				startOff = seg.sparse[lo-1].off
+				start = seg.sparse[lo-1].off
 			}
 		}
+		c.snap = snapOf(seg, start)
 		c.st.mu.Unlock()
 
-		f, err := c.st.be.OpenRead(name)
-		if err != nil {
+		scan, _, _ := c.st.openScan(q, &c.snap, true)
+		if scan == nil {
 			// Deleted between lookup and open (retention race): retry the
 			// loop, which will re-observe the retirement counters.
 			c.nextSeq = seg.coversThrough + 1
 			continue
 		}
-		c.f = f
+		c.scan = scan
 		c.cur = seg
-		c.curSealed = sealed
-		c.curBound = bound
 		c.dedupe = dedupe
-		c.coldIdx, c.coldBuf, c.coldPos = coldStart, nil, 0
-		c.v2ents, c.v2pos = c.v2ents[:0], 0
-		c.rd = chunkReader{f: f, off: startOff, bound: bound}
 		return missed, true
 	}
 }
 
-// refreshBound re-reads the committed size of the current segment. For a
-// segment no longer in the store (sealed then compacted away while we
+// refreshBound re-reads the committed extent of the current segment. For
+// a segment no longer in the store (sealed then compacted away while we
 // hold its file), the held inode is immutable: its own size is final.
 func (c *Cursor) refreshBound() {
 	c.st.mu.Lock()
 	idx := c.st.findSeqLocked(c.cur.seq)
 	if idx >= 0 && c.st.segs[idx] == c.cur {
-		c.curBound = c.cur.size
-		c.curSealed = c.cur.sealed
+		c.snap.bound = c.cur.size
+		c.snap.sealed = c.cur.sealed
+		c.snap.ordered = c.cur.meta.ordered
 		c.st.mu.Unlock()
-		c.rd.bound = c.curBound
 		return
 	}
 	c.st.mu.Unlock()
@@ -403,263 +376,25 @@ func (c *Cursor) refreshBound() {
 	// carry a zeroed tail if it was dropped before the seal finalize
 	// trimmed it — keep the last committed bound rather than trusting
 	// the file size past it.
-	if size, err := c.f.Size(); err == nil && size < c.curBound {
-		c.curBound = size
+	if size, err := c.scan.f.Size(); err == nil && size < c.snap.bound {
+		c.snap.bound = size
 	}
-	c.curSealed = true
-	c.rd.bound = c.curBound
-}
-
-// readFrames decodes committed frames of the current segment into out,
-// applying the query filter. done reports the segment is fully consumed
-// and will never grow again.
-func (c *Cursor) readFrames(out []tracer.Entry) (n int, done bool, err error) {
-	if c.cur.isCold() {
-		return c.readColdFrames(out)
-	}
-	if !c.curSealed {
-		c.refreshBound()
-	}
-	pos := func() int64 { return c.rd.off + int64(c.rd.pos) }
-	for n < len(out) {
-		if c.q.q.Limit > 0 && c.delivered >= c.q.q.Limit {
-			return n, true, nil
-		}
-		if pos() >= c.curBound {
-			return n, c.curSealed, nil
-		}
-		head, err := c.rd.peek(tracer.Align)
-		if err != nil || len(head) < tracer.Align {
-			// Committed bytes must be readable; treat shortfall as end.
-			return n, c.curSealed, nil
-		}
-		_, recSize, perr := tracer.PeekRecord(head)
-		if perr != nil || recSize > maxRecordSize {
-			return n, true, perr
-		}
-		if pos()+int64(recSize+tailSize) > c.curBound {
-			return n, c.curSealed, nil // frame not fully committed yet
-		}
-		buf, err := c.rd.peek(recSize + tailSize)
-		if err != nil || len(buf) < recSize+tailSize {
-			return n, c.curSealed, nil
-		}
-		if err := checkFrame(buf[:recSize], buf[recSize:recSize+tailSize]); err != nil {
-			return n, true, err
-		}
-		rec, derr := tracer.DecodeRecord(buf[:recSize])
-		if derr != nil {
-			return n, true, derr
-		}
-		c.rd.advance(recSize + tailSize)
-		e := rec.Event
-		if c.dedupe && e.Stamp <= c.lastStamp {
-			continue
-		}
-		// Ordered early exit: past the stamp upper bound, nothing later
-		// in this segment can match.
-		if c.cur.meta.ordered && c.q.q.MaxStamp > 0 && e.Stamp > c.q.q.MaxStamp {
-			return n, true, nil
-		}
-		if !c.q.match(&e) {
-			continue
-		}
-		// Re-home the payload in the cursor's arena: the read buffer is
-		// recycled by the next peek.
-		if len(e.Payload) > 0 {
-			off := len(c.arena)
-			c.arena = append(c.arena, e.Payload...)
-			e.Payload = c.arena[off:len(c.arena):len(c.arena)]
-		}
-		out[n] = e
-		n++
-		c.delivered++
-		if e.Stamp > c.lastStamp {
-			c.lastStamp = e.Stamp
-		}
-	}
-	return n, false, nil
-}
-
-// readColdFrames is readFrames over a cold segment: blocks are pruned
-// by their directory metadata (min/max stamp, time range, core and
-// category bitmaps, and for v2 the TID range/bloom) before any
-// decompression. A v1 block inflates to frames walked with exactly the
-// row-tier loop; a v2 block decodes its meta columns and materializes
-// only candidate rows, inflating the payload column only if a candidate
-// carries payload bytes. Cold segments are always sealed, so there is
-// no bound refresh.
-func (c *Cursor) readColdFrames(out []tracer.Entry) (n int, done bool, err error) {
-	blocks := c.cur.blocks
-	for n < len(out) {
-		if c.q.q.Limit > 0 && c.delivered >= c.q.q.Limit {
-			return n, true, nil
-		}
-		if c.v2pos < len(c.v2ents) {
-			e := c.v2ents[c.v2pos]
-			c.v2pos++
-			if c.dedupe && e.Stamp <= c.lastStamp {
-				continue
-			}
-			if c.cur.meta.ordered && c.q.q.MaxStamp > 0 && e.Stamp > c.q.q.MaxStamp {
-				return n, true, nil
-			}
-			// Candidates passed the header-field filter at load; only a
-			// payload predicate still needs the exact check.
-			if c.q.pred != nil && c.q.pred.NeedsPayload() && !c.q.pred.Match(&e) {
-				continue
-			}
-			if len(e.Payload) > 0 {
-				off := len(c.arena)
-				c.arena = append(c.arena, e.Payload...)
-				e.Payload = c.arena[off:len(c.arena):len(c.arena)]
-			}
-			out[n] = e
-			n++
-			c.delivered++
-			if e.Stamp > c.lastStamp {
-				c.lastStamp = e.Stamp
-			}
-			continue
-		}
-		if c.coldPos >= len(c.coldBuf) {
-			// Advance to the next block the query cannot rule out.
-			for {
-				if c.coldIdx >= len(blocks) {
-					return n, true, nil
-				}
-				b := &blocks[c.coldIdx]
-				if c.cur.meta.ordered && c.q.q.MaxStamp > 0 && b.meta.baseStamp > c.q.q.MaxStamp {
-					// Ordered early exit: no later block can match.
-					return n, true, nil
-				}
-				if c.dedupe && b.meta.maxStamp <= c.lastStamp {
-					c.coldIdx++ // entirely already-delivered stamps
-					continue
-				}
-				if !c.q.matchColdBlock(b) {
-					c.coldIdx++ // pruned without decompression
-					c.st.obs.blocksPruned.Add(1)
-					continue
-				}
-				break
-			}
-			b := &blocks[c.coldIdx]
-			c.coldIdx++
-			if b.v2 != nil {
-				if err := c.loadV2Block(b); err != nil {
-					return n, true, err
-				}
-				continue
-			}
-			c.coldBuf, err = c.st.inflateCached(c.cur.name, c.f, b)
-			if err != nil {
-				return n, true, err
-			}
-			c.coldPos = 0
-		}
-		buf := c.coldBuf[c.coldPos:]
-		if len(buf) < tracer.Align {
-			c.coldPos = len(c.coldBuf) // ragged tail cannot happen in a committed block
-			continue
-		}
-		_, recSize, perr := tracer.PeekRecord(buf)
-		if perr != nil || recSize > maxRecordSize {
-			return n, true, perr
-		}
-		if recSize+tailSize > len(buf) {
-			c.coldPos = len(c.coldBuf)
-			continue
-		}
-		if err := checkFrame(buf[:recSize], buf[recSize:recSize+tailSize]); err != nil {
-			return n, true, err
-		}
-		var e tracer.Entry
-		if derr := decodeEventTo(buf[:recSize], &e); derr != nil {
-			return n, true, derr
-		}
-		c.coldPos += recSize + tailSize
-		if c.dedupe && e.Stamp <= c.lastStamp {
-			continue
-		}
-		if c.cur.meta.ordered && c.q.q.MaxStamp > 0 && e.Stamp > c.q.q.MaxStamp {
-			return n, true, nil
-		}
-		if !c.q.match(&e) {
-			continue
-		}
-		// Re-home the payload in the cursor's arena: coldBuf is replaced
-		// at the next block, and may be shared cache memory the entry
-		// must not pin past this batch.
-		if len(e.Payload) > 0 {
-			off := len(c.arena)
-			c.arena = append(c.arena, e.Payload...)
-			e.Payload = c.arena[off:len(c.arena):len(c.arena)]
-		}
-		out[n] = e
-		n++
-		c.delivered++
-		if e.Stamp > c.lastStamp {
-			c.lastStamp = e.Stamp
-		}
-	}
-	return n, false, nil
-}
-
-// loadV2Block decodes a columnar block's meta section and fills v2ents
-// with the candidate rows (header-field filter applied column-wise).
-// The payload column is inflated only when a surviving candidate
-// actually carries payload bytes — the predicate-pushdown payoff: a
-// block whose candidate set is empty, or payload-free, never touches
-// its compressed payload section.
-func (c *Cursor) loadV2Block(b *coldBlock) error {
-	cb, err := c.st.columnsCached(c.cur.name, c.f, b)
-	if err != nil {
-		return err
-	}
-	count := int(b.meta.count)
-	needPay := false
-	for i := 0; i < count; i++ {
-		if c.q.matchRaw(cb.stamps[i], cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i]) && cb.plens[i] > 0 {
-			needPay = true
-			break
-		}
-	}
-	var pay []byte
-	if needPay {
-		pay, err = c.st.inflatePayCached(c.cur.name, c.f, b)
-		if err != nil {
-			return err
-		}
-	} else if b.v2.payLen > 0 {
-		c.st.obs.payloadSkips.Add(1)
-	}
-	c.v2ents = c.v2ents[:0]
-	for i := 0; i < count; i++ {
-		if !c.q.matchRaw(cb.stamps[i], cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i]) {
-			continue
-		}
-		e := tracer.Entry{
-			Stamp: cb.stamps[i], TS: cb.ts[i],
-			Core: cb.cores[i], TID: cb.tids[i],
-			Category: cb.cats[i], Level: cb.levels[i],
-		}
-		if cb.plens[i] > 0 {
-			e.Payload = pay[cb.payOff[i]:cb.payOff[i+1]:cb.payOff[i+1]]
-		}
-		c.v2ents = append(c.v2ents, e)
-	}
-	c.v2pos = 0
-	return nil
+	c.snap.sealed = true
 }
 
 // Close implements tracer.Cursor.
 func (c *Cursor) Close() error {
-	if c.f != nil {
-		c.f.Close()
-		c.f = nil
+	if c.closed {
+		return nil
 	}
 	c.closed = true
+	if c.scan != nil {
+		c.scan.f.Close()
+		c.scan = nil
+	}
+	c.ck.reset()
+	globalChunks.Put(c.ck)
+	c.ck = nil
 	c.arena = nil
 	return nil
 }

@@ -5,9 +5,9 @@
 //   - Prune first: the per-round snapshot drops sealed segments whose
 //     header metadata (stamp/time min-max, core and category bitsets)
 //     cannot match the query, without ever opening their files.
-//   - One goroutine per surviving segment streams decoded, pre-filtered
-//     chunks over a channel; a semaphore of `workers` permits bounds how
-//     many are inside a read+decode at once.
+//   - One goroutine per surviving segment steps the shared scan (scan.go)
+//     into chunks it streams over a channel; a semaphore of `workers`
+//     permits bounds how many are inside a read+decode at once.
 //   - The merge pops streams by head stamp (or concatenates them when
 //     the segments' stamp ranges are disjoint and ordered — the common
 //     sealed-rotation layout — which is a straight copy per chunk).
@@ -23,58 +23,54 @@
 package store
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 
 	"btrace/internal/tracer"
 )
 
-const (
-	// scanSpanBytes is the read granularity of a parallel scan: one
-	// ReadAt, decode, send. Must exceed maxRecordSize+tailSize so a
-	// frame always fits a span.
-	scanSpanBytes = 256 << 10
-	// chunkMaxEntries bounds one chunk's decoded batch.
-	chunkMaxEntries = 4096
-	// DefaultQueryWorkers is the scan-pool size when the caller passes
-	// workers <= 0.
-	DefaultQueryWorkers = 4
-)
+// DefaultQueryWorkers is the scan-pool size when the caller passes
+// workers <= 0.
+const DefaultQueryWorkers = 4
 
-// segSnap is the immutable per-round snapshot of one segment, taken
-// under st.mu. Stream goroutines only ever touch the snapshot, never
-// the live *segment (which the writer goroutine keeps mutating).
-type segSnap struct {
-	seq           uint64
-	coversThrough uint64
-	name          string
-	// start/bound are byte offsets for row segments, block indices for
-	// cold ones.
-	start     int64 // first byte/block to scan (resume offset or seek)
-	bound     int64 // committed bytes / block count at snapshot time
-	count     uint64
-	baseStamp uint64
-	maxStamp  uint64
-	ordered   bool
-	sealed    bool
-	cold      bool
-	// blocks shares the cold segment's immutable block directory.
-	blocks []coldBlock
-}
-
-// pchunk is one decoded batch in flight from a stream to the merge.
-// entries' payloads alias data.
+// pchunk is the entry sink of the shared scan: one decoded batch, in
+// flight from a stream to the merge (PCursor) or being drained in place
+// (Cursor). Hot entries' payloads alias data.
 type pchunk struct {
 	entries []tracer.Entry
 	data    []byte
 }
 
-// globalChunks backs every cursor's chunkPool, so span buffers (up to
+func (ck *pchunk) payloads() bool { return true }
+
+func (ck *pchunk) span(n int) []byte {
+	// Entries already in the chunk alias the current buffer (a second
+	// span of an unordered segment): leave it to them and the GC.
+	if len(ck.entries) > 0 || cap(ck.data) < n {
+		ck.data = make([]byte, n)
+	}
+	ck.data = ck.data[:n]
+	return ck.data
+}
+
+func (ck *pchunk) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte) {
+	ck.entries = append(ck.entries, tracer.Entry{
+		Stamp: stamp, TS: ts, Core: core, TID: tid,
+		Category: cat, Level: level, Payload: payload,
+	})
+}
+
+func (ck *pchunk) reset() {
+	ck.entries = ck.entries[:0]
+	ck.data = ck.data[:0]
+}
+
+// globalChunks backs every scan's chunks, so span buffers (up to
 // scanSpanBytes each) survive cursor lifetimes instead of being
 // reallocated and rezeroed per query. A chunk only reaches the global
-// pool from Close, after its payloads' validity window has ended.
+// pool once nothing handed out can alias it: from a cursor's Close,
+// after its payloads' validity window has ended, or at the end of an
+// Aggregate pass.
 var globalChunks = sync.Pool{New: func() any { return new(pchunk) }}
 
 // chunkPool recycles chunks (and their buffers) across spans and
@@ -97,8 +93,7 @@ func (p *chunkPool) get() *pchunk {
 }
 
 func (p *chunkPool) put(ck *pchunk) {
-	ck.entries = ck.entries[:0]
-	ck.data = ck.data[:0]
+	ck.reset()
 	p.mu.Lock()
 	p.free = append(p.free, ck)
 	p.mu.Unlock()
@@ -354,18 +349,7 @@ func (c *PCursor) snapshot() ([]segSnap, uint64) {
 				start = s.sparse[lo-1].off
 			}
 		}
-		snaps = append(snaps, segSnap{
-			seq:           s.seq,
-			coversThrough: s.coversThrough,
-			name:          s.name,
-			start:         start,
-			bound:         s.size,
-			count:         s.meta.count,
-			baseStamp:     s.meta.baseStamp,
-			maxStamp:      s.meta.maxStamp,
-			ordered:       s.meta.ordered,
-			sealed:        s.sealed,
-		})
+		snaps = append(snaps, snapOf(s, start))
 	}
 	if low == 0 {
 		low = st.nextSeq
@@ -434,84 +418,67 @@ func (c *PCursor) snapshotCold(s *segment) (sn segSnap, missed uint64, live bool
 		c.progress[s.seq] = consumed
 		return sn, 0, false
 	}
-	return segSnap{
-		seq:           s.seq,
-		coversThrough: s.coversThrough,
-		name:          s.name,
-		start:         start,
-		bound:         int64(len(s.blocks)),
-		count:         s.meta.count,
-		baseStamp:     s.meta.baseStamp,
-		maxStamp:      s.meta.maxStamp,
-		ordered:       s.meta.ordered,
-		sealed:        true,
-		cold:          true,
-		blocks:        s.blocks,
-	}, 0, true
+	return snapOf(s, start), 0, true
 }
 
-// runStream scans one segment snapshot span by span, sending decoded
-// chunks to the merge. A semaphore permit is held only across the
-// read+decode, never across a channel send, so a blocked merge cannot
-// starve other streams of scan slots.
+// runStream steps the shared scan over one segment snapshot, sending
+// each step's chunk to the merge. A semaphore permit is held only
+// across the read+decode, never across a channel send, so a blocked
+// merge cannot starve other streams of scan slots. ps.endOff only ever
+// advances past steps that succeeded.
 func (c *PCursor) runStream(ps *pstream) {
 	defer c.wg.Done()
 	defer close(ps.ch)
 	sn := &ps.snap
-	f, err := c.st.be.OpenRead(sn.name)
-	if err != nil {
-		// Retention won the race to the file: what this stream would
-		// have delivered is bounded by the segment's count.
-		ps.missed = sn.count
-		ps.endOff = sn.bound
+	s, missed, err := c.st.openScan(c.q, sn, false)
+	if s == nil {
+		if ps.err = err; err == nil {
+			// Retention won the race to the file.
+			ps.missed, ps.endOff = missed, sn.bound
+		}
 		return
 	}
-	defer f.Close()
-	if sn.cold {
-		c.scanCold(ps, f)
-		return
-	}
-	if !sn.ordered {
-		c.scanUnordered(ps, f)
-		return
-	}
-	off := sn.start
-	for off < sn.bound {
+	defer s.f.Close()
+	for more := true; more; {
 		if !c.acquire() {
-			ps.endOff = off
 			return
 		}
 		ck := c.pool.get()
-		stop, serr := c.scanSpan(f, sn, &off, ck)
+		more, err = s.step(ck)
+		if !sn.ordered {
+			// The whole remaining range (bounded by SegmentBytes) becomes
+			// one chunk sorted by stamp, so the merge can treat every
+			// stream as stamp-ordered.
+			for more && err == nil {
+				more, err = s.step(ck)
+			}
+			sort.Slice(ck.entries, func(i, j int) bool {
+				return ck.entries[i].Stamp < ck.entries[j].Stamp
+			})
+		}
 		c.release()
-		if serr != nil {
+		if err != nil {
 			c.pool.put(ck)
-			ps.err = serr
-			ps.endOff = off
+			ps.err = err
 			return
 		}
-		if len(ck.entries) > 0 {
-			select {
-			case ps.ch <- ck:
-			case <-c.done:
-				c.pool.put(ck)
-				ps.endOff = off
-				return
-			}
-		} else {
-			c.pool.put(ck)
+		ps.endOff = s.off
+		if s.cut && sn.sealed {
+			// Ordered early exit on an immutable segment: nothing later
+			// can ever match; mark it fully consumed.
+			ps.endOff = sn.bound
 		}
-		ps.endOff = off
-		if stop {
-			if sn.sealed {
-				// Ordered early exit on an immutable segment: nothing
-				// later can ever match; mark it fully consumed.
-				ps.endOff = sn.bound
-			}
+		if len(ck.entries) == 0 {
+			c.pool.put(ck)
+			continue
+		}
+		select {
+		case ps.ch <- ck:
+		case <-c.done:
+			c.pool.put(ck)
 			return
 		}
 	}
-	ps.endOff = sn.bound
 }
 
 func (c *PCursor) acquire() bool {
@@ -524,389 +491,6 @@ func (c *PCursor) acquire() bool {
 }
 
 func (c *PCursor) release() { <-c.sem }
-
-// scanSpan reads one span of committed bytes at *off and decodes its
-// whole frames into ck, filtering as it goes. stop reports the ordered
-// early exit (a stamp past MaxStamp was seen).
-func (c *PCursor) scanSpan(f io.ReaderAt, sn *segSnap, off *int64, ck *pchunk) (stop bool, err error) {
-	want := sn.bound - *off
-	if want > scanSpanBytes {
-		want = scanSpanBytes
-	}
-	if int64(cap(ck.data)) < want {
-		ck.data = make([]byte, want)
-	} else {
-		ck.data = ck.data[:want]
-	}
-	n, rerr := f.ReadAt(ck.data, *off)
-	ck.data = ck.data[:n]
-	if n == 0 {
-		if rerr != nil && rerr != io.EOF {
-			return false, rerr
-		}
-		// Committed bytes unreadable: treat as segment end, like the
-		// sequential cursor's shortfall handling.
-		*off = sn.bound
-		return false, nil
-	}
-	buf := ck.data
-	pos := 0
-	for pos+tracer.Align <= len(buf) {
-		_, recSize, perr := tracer.PeekRecord(buf[pos:])
-		if perr != nil {
-			return false, perr
-		}
-		if recSize > maxRecordSize {
-			// Mirror the sequential cursor: an implausible size ends the
-			// segment quietly (recovery truncates it at reopen).
-			*off = sn.bound
-			return false, nil
-		}
-		frame := recSize + tailSize
-		if pos+frame > len(buf) {
-			break // frame crosses the span boundary: the next span rereads it
-		}
-		rec, tail := buf[pos:pos+recSize], buf[pos+recSize:pos+frame]
-		// The tail magic keeps the frame walk honest for every frame;
-		// the checksum and the decode are deferred until the raw header
-		// fields say the query wants this record, so a pruned frame
-		// costs three loads and a mask test instead of a CRC pass.
-		if uint32(le64(tail)>>32) != frameMagic {
-			return false, fmt.Errorf("%w: bad frame magic %#x", tracer.ErrCorrupt, uint32(le64(tail)>>32))
-		}
-		if recSize < tracer.EventHeaderSize {
-			return false, fmt.Errorf("%w: short event", tracer.ErrCorrupt)
-		}
-		stamp := le64(rec[8:])
-		pos += frame
-		if sn.ordered && c.q.q.MaxStamp > 0 && stamp > c.q.q.MaxStamp {
-			*off += int64(pos)
-			return true, nil
-		}
-		w3 := le64(rec[24:])
-		if !c.q.matchRaw(stamp, le64(rec[16:]), uint8(w3>>56), uint32(w3>>32)&0xFFFFFF, uint8(w3>>24), uint8(w3>>16)) {
-			continue
-		}
-		if cerr := checkFrame(rec, tail); cerr != nil {
-			return false, cerr
-		}
-		var e tracer.Entry
-		if derr := decodeEventTo(rec, &e); derr != nil {
-			return false, derr
-		}
-		// matchRaw is conservative for payload predicates; finish the
-		// job now that the payload is decoded.
-		if c.q.pred != nil && c.q.pred.NeedsPayload() && !c.q.pred.Match(&e) {
-			continue
-		}
-		ck.entries = append(ck.entries, e)
-		if len(ck.entries) >= chunkMaxEntries {
-			break
-		}
-	}
-	if pos == 0 {
-		// A frame longer than the remaining committed bytes: the
-		// snapshot outran the file. End the stream here.
-		*off = sn.bound
-		return false, nil
-	}
-	*off += int64(pos)
-	return false, nil
-}
-
-// scanUnordered loads the stream's whole remaining range (bounded by
-// SegmentBytes) as one chunk and sorts it by stamp, so the merge can
-// treat every stream as stamp-ordered.
-func (c *PCursor) scanUnordered(ps *pstream, f io.ReaderAt) {
-	sn := &ps.snap
-	if !c.acquire() {
-		return
-	}
-	ck := c.pool.get()
-	want := sn.bound - sn.start
-	if int64(cap(ck.data)) < want {
-		ck.data = make([]byte, want)
-	} else {
-		ck.data = ck.data[:want]
-	}
-	n, rerr := f.ReadAt(ck.data, sn.start)
-	ck.data = ck.data[:n]
-	var err error
-	if int64(n) < want && rerr != nil && rerr != io.EOF {
-		err = rerr
-	}
-	pos := 0
-	if err == nil {
-		buf := ck.data
-		for pos+tracer.Align <= len(buf) {
-			_, recSize, perr := tracer.PeekRecord(buf[pos:])
-			if perr != nil {
-				err = perr
-				break
-			}
-			if recSize > maxRecordSize {
-				pos = len(buf)
-				break
-			}
-			frame := recSize + tailSize
-			if pos+frame > len(buf) {
-				break
-			}
-			if cerr := checkFrame(buf[pos:pos+recSize], buf[pos+recSize:pos+frame]); cerr != nil {
-				err = cerr
-				break
-			}
-			var e tracer.Entry
-			if derr := decodeEventTo(buf[pos:pos+recSize], &e); derr != nil {
-				err = derr
-				break
-			}
-			pos += frame
-			if c.q.match(&e) {
-				ck.entries = append(ck.entries, e)
-			}
-		}
-		sort.Slice(ck.entries, func(i, j int) bool {
-			return ck.entries[i].Stamp < ck.entries[j].Stamp
-		})
-	}
-	c.release()
-	ps.err = err
-	ps.endOff = sn.start + int64(pos)
-	if len(ck.entries) > 0 {
-		select {
-		case ps.ch <- ck:
-		case <-c.done:
-			c.pool.put(ck)
-		}
-	} else {
-		c.pool.put(ck)
-	}
-}
-
-// scanCold scans one cold segment block by block: prune on the block
-// header's metadata (skipping the decompression entirely), then inflate
-// and decode under a semaphore permit. endOff counts blocks, not bytes —
-// a cold segment is immutable, so block indices are stable resume marks.
-func (c *PCursor) scanCold(ps *pstream, f io.ReaderAt) {
-	sn := &ps.snap
-	if !sn.ordered {
-		c.scanColdUnordered(ps, f)
-		return
-	}
-	idx := sn.start
-	for idx < sn.bound {
-		b := &sn.blocks[idx]
-		if c.q.q.MaxStamp > 0 && b.meta.baseStamp > c.q.q.MaxStamp {
-			// Ordered early exit: every remaining block starts later
-			// still, and cold segments are immutable.
-			ps.endOff = sn.bound
-			return
-		}
-		if !c.q.matchColdBlock(b) {
-			idx++
-			ps.endOff = idx
-			c.st.obs.blocksPruned.Add(1)
-			continue
-		}
-		if !c.acquire() {
-			ps.endOff = idx
-			return
-		}
-		ck := c.pool.get()
-		var stop bool
-		var err error
-		if b.v2 != nil {
-			stop, err = c.decodeColdV2(ck, sn.name, f, b, true)
-		} else {
-			var buf []byte
-			if buf, err = c.st.inflateCached(sn.name, f, b); err == nil {
-				stop, err = c.decodeCold(ck, buf, true)
-			}
-		}
-		c.release()
-		if err != nil {
-			c.pool.put(ck)
-			ps.err = err
-			ps.endOff = idx
-			return
-		}
-		idx++
-		if len(ck.entries) > 0 {
-			select {
-			case ps.ch <- ck:
-			case <-c.done:
-				c.pool.put(ck)
-				ps.endOff = idx
-				return
-			}
-		} else {
-			c.pool.put(ck)
-		}
-		ps.endOff = idx
-		if stop {
-			// A stamp past MaxStamp inside an ordered, immutable
-			// segment: nothing later can match.
-			ps.endOff = sn.bound
-			return
-		}
-	}
-	ps.endOff = sn.bound
-}
-
-// scanColdUnordered inflates every surviving block into one chunk and
-// sorts the matches by stamp, so the heap merge can treat the stream as
-// stamp-ordered (mirroring scanUnordered for row segments).
-func (c *PCursor) scanColdUnordered(ps *pstream, f io.ReaderAt) {
-	sn := &ps.snap
-	if !c.acquire() {
-		return
-	}
-	ck := c.pool.get()
-	var err error
-	for idx := sn.start; idx < sn.bound; idx++ {
-		b := &sn.blocks[idx]
-		if !c.q.matchColdBlock(b) {
-			c.st.obs.blocksPruned.Add(1)
-			continue
-		}
-		if b.v2 != nil {
-			if _, err = c.decodeColdV2(ck, sn.name, f, b, false); err != nil {
-				break
-			}
-			continue
-		}
-		var buf []byte
-		if buf, err = c.st.inflateCached(sn.name, f, b); err != nil {
-			break
-		}
-		if _, err = c.decodeCold(ck, buf, false); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		sort.Slice(ck.entries, func(i, j int) bool {
-			return ck.entries[i].Stamp < ck.entries[j].Stamp
-		})
-	}
-	c.release()
-	ps.err = err
-	if err != nil {
-		c.pool.put(ck)
-		ps.endOff = sn.start
-		return
-	}
-	ps.endOff = sn.bound
-	if len(ck.entries) > 0 {
-		select {
-		case ps.ch <- ck:
-		case <-c.done:
-			c.pool.put(ck)
-		}
-	} else {
-		c.pool.put(ck)
-	}
-}
-
-// decodeCold walks the inflated frames in buf (the cold format is
-// frame-preserving, so this is the same walk scanSpan does over row
-// bytes), appending matches to ck.entries. buf is typically shared
-// block-cache memory: entries alias it read-only and the GC keeps it
-// alive for as long as any entry does. With ordered set, stop reports a
-// stamp past MaxStamp.
-func (c *PCursor) decodeCold(ck *pchunk, buf []byte, ordered bool) (stop bool, err error) {
-	pos := 0
-	for pos+tracer.Align <= len(buf) {
-		_, recSize, perr := tracer.PeekRecord(buf[pos:])
-		if perr != nil {
-			return false, perr
-		}
-		frame := recSize + tailSize
-		if recSize > maxRecordSize || pos+frame > len(buf) {
-			return false, fmt.Errorf("%w: cold frame overruns block", tracer.ErrCorrupt)
-		}
-		rec, tail := buf[pos:pos+recSize], buf[pos+recSize:pos+frame]
-		if uint32(le64(tail)>>32) != frameMagic {
-			return false, fmt.Errorf("%w: bad frame magic %#x", tracer.ErrCorrupt, uint32(le64(tail)>>32))
-		}
-		if recSize < tracer.EventHeaderSize {
-			return false, fmt.Errorf("%w: short event", tracer.ErrCorrupt)
-		}
-		stamp := le64(rec[8:])
-		pos += frame
-		if ordered && c.q.q.MaxStamp > 0 && stamp > c.q.q.MaxStamp {
-			return true, nil
-		}
-		w3 := le64(rec[24:])
-		if !c.q.matchRaw(stamp, le64(rec[16:]), uint8(w3>>56), uint32(w3>>32)&0xFFFFFF, uint8(w3>>24), uint8(w3>>16)) {
-			continue
-		}
-		if cerr := checkFrame(rec, tail); cerr != nil {
-			return false, cerr
-		}
-		var e tracer.Entry
-		if derr := decodeEventTo(rec, &e); derr != nil {
-			return false, derr
-		}
-		if c.q.pred != nil && c.q.pred.NeedsPayload() && !c.q.pred.Match(&e) {
-			continue
-		}
-		ck.entries = append(ck.entries, e)
-	}
-	return false, nil
-}
-
-// decodeColdV2 is decodeCold for a columnar block: the decoded columns
-// come through the cache and are filtered without touching the payload
-// section; the payload column is inflated only when a surviving row
-// actually carries payload bytes. Entries' payloads alias the cached
-// payload buffer, which the GC keeps alive for as long as any entry
-// does. With ordered set, stop reports a stamp past MaxStamp.
-func (c *PCursor) decodeColdV2(ck *pchunk, name string, f io.ReaderAt, b *coldBlock, ordered bool) (stop bool, err error) {
-	cb, err := c.st.columnsCached(name, f, b)
-	if err != nil {
-		return false, err
-	}
-	count := int(b.meta.count)
-	needPay := false
-	for i := 0; i < count; i++ {
-		if ordered && c.q.q.MaxStamp > 0 && cb.stamps[i] > c.q.q.MaxStamp {
-			stop = true
-			count = i
-			break
-		}
-		if !needPay && cb.plens[i] > 0 &&
-			c.q.matchRaw(cb.stamps[i], cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i]) {
-			needPay = true
-		}
-	}
-	var pay []byte
-	if needPay {
-		if pay, err = c.st.inflatePayCached(name, f, b); err != nil {
-			return false, err
-		}
-	} else if b.v2.payLen > 0 {
-		c.st.obs.payloadSkips.Add(1)
-	}
-	for i := 0; i < count; i++ {
-		if !c.q.matchRaw(cb.stamps[i], cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i]) {
-			continue
-		}
-		e := tracer.Entry{
-			Stamp: cb.stamps[i], TS: cb.ts[i],
-			Core: cb.cores[i], TID: cb.tids[i],
-			Category: cb.cats[i], Level: cb.levels[i],
-		}
-		if cb.plens[i] > 0 {
-			e.Payload = pay[cb.payOff[i]:cb.payOff[i+1]:cb.payOff[i+1]]
-		}
-		if c.q.pred != nil && c.q.pred.NeedsPayload() && !c.q.pred.Match(&e) {
-			continue
-		}
-		ck.entries = append(ck.entries, e)
-	}
-	return stop, nil
-}
 
 // advanceStream makes ps.cur/idx reference the stream's next
 // undelivered entry, blocking for the scanner when needed. false means

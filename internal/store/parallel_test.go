@@ -1,11 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"btrace/internal/btql"
 	"btrace/internal/tracer"
 	"btrace/internal/tracer/tracertest"
 )
@@ -34,34 +37,84 @@ func drainParallel(t *testing.T, c *PCursor, batch int) ([]tracer.Entry, uint64)
 	}
 }
 
-// TestParallelMatchesSequential checks that the parallel cursor delivers
-// exactly the sequential cursor's result set for a spread of queries,
-// including the segment-pruning ones, over a multi-segment store.
+// TestParallelMatchesSequential is the equivalence table of the three
+// scan surfaces. Over a store holding every tier at once — a frozen v2
+// run, a compacted run, sealed hot segments and an unsealed tail — the
+// parallel cursor must deliver exactly the sequential cursor's result
+// set, and Aggregate must equal a brute-force fold of that drain, for a
+// spread of queries: field filters, the segment-pruning ones, BTQL
+// header and payload predicates, limits.
 func TestParallelMatchesSequential(t *testing.T) {
-	st, err := Open(t.TempDir(), Config{SegmentBytes: 4 << 10})
+	st, err := Open(t.TempDir(), tierCfg())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer st.Close()
-	appendRange(t, st, 1, 2000)
-	if err := st.Seal(); err != nil {
-		t.Fatalf("Seal: %v", err)
+	sealEvery(t, st, 1, 800, 100)
+	if _, err := st.CompactCold(); err != nil { // all but the newest run freeze
+		t.Fatalf("CompactCold: %v", err)
 	}
-	appendRange(t, st, 2001, 2400)
+	sealEvery(t, st, 801, 1400, 100)
+	if _, err := st.Compact(); err != nil { // the small sealed runs merge
+		t.Fatalf("Compact: %v", err)
+	}
+	appendRange(t, st, 1401, 2400) // rotates once by size, tail unsealed
 	if err := st.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	queries := []Query{
-		{},
-		{MinStamp: 500, MaxStamp: 1500},
-		{Categories: []uint8{2}},
-		{Cores: []uint8{0, 3}, MinStamp: 100},
-		{MinTS: 700_000, MaxTS: 900_000},
-		{Limit: 37},
-		{MinStamp: 1900, Limit: 250},
+	ts := st.TierStats()
+	if ts[TierCold].Segments == 0 || ts[TierCompacted].Segments == 0 || ts[TierHot].Segments < 2 {
+		t.Fatalf("fixture does not span the tiers: %+v", ts)
 	}
-	for qi, q := range queries {
+	for _, b := range st.ColdBlocks() {
+		if b.Version != 2 {
+			t.Fatalf("fixture froze a v%d block", b.Version)
+		}
+	}
+
+	specs := []btql.AggSpec{
+		{Kind: btql.AggCount},
+		{Kind: btql.AggTopK, K: 3, Field: btql.FTID},
+	}
+	// keep is the brute-force reading of each query, so the sequential
+	// cursor — the reference the other two surfaces are compared against,
+	// which runs the same scan they do — is itself checked against
+	// something that shares no code with it.
+	queries := []struct {
+		q    Query
+		keep func(e *tracer.Entry) bool
+	}{
+		{Query{}, func(e *tracer.Entry) bool { return true }},
+		{Query{MinStamp: 500, MaxStamp: 1500}, func(e *tracer.Entry) bool { return e.Stamp >= 500 && e.Stamp <= 1500 }},
+		{Query{Categories: []uint8{2}}, func(e *tracer.Entry) bool { return e.Category == 2 }},
+		{Query{Cores: []uint8{0, 3}, MinStamp: 100}, func(e *tracer.Entry) bool { return (e.Core == 0 || e.Core == 3) && e.Stamp >= 100 }},
+		{Query{MinTS: 700_000, MaxTS: 900_000}, func(e *tracer.Entry) bool { return e.TS >= 700_000 && e.TS <= 900_000 }},
+		{Query{Limit: 37}, func(e *tracer.Entry) bool { return true }},
+		{Query{MinStamp: 1900, Limit: 250}, func(e *tracer.Entry) bool { return e.Stamp >= 1900 }},
+		{Query{Pred: predOf(t, `tid == 3`)}, func(e *tracer.Entry) bool { return e.TID == 3 }},
+		{Query{Pred: predOf(t, `category == 2 && core != 1`)}, func(e *tracer.Entry) bool { return e.Category == 2 && e.Core != 1 }},
+		{Query{Pred: predOf(t, `payload contains "payload-77"`), MinStamp: 300}, func(e *tracer.Entry) bool {
+			return e.Stamp >= 300 && bytes.Contains(e.Payload, []byte("payload-77"))
+		}},
+	}
+	for qi, tc := range queries {
+		q := tc.q
 		want := drainStore(t, st, q)
+		var oracle []uint64
+		for s := uint64(1); s <= 2400 && (q.Limit == 0 || len(oracle) < q.Limit); s++ {
+			if e := mkEntry(s); tc.keep(&e) {
+				oracle = append(oracle, s)
+			}
+		}
+		if len(oracle) == 0 || len(want) != len(oracle) {
+			t.Fatalf("query %d: sequential cursor returned %d entries, brute force %d", qi, len(want), len(oracle))
+		}
+		for i := range want {
+			if want[i].Stamp != oracle[i] {
+				t.Fatalf("query %d: sequential entry %d stamp %d, brute force %d", qi, i, want[i].Stamp, oracle[i])
+			}
+			checkEntry(t, want[i])
+		}
 		for _, workers := range []int{1, 4} {
 			pc := st.QueryParallel(q, workers)
 			got, missed := drainParallel(t, pc, 113)
@@ -78,6 +131,24 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 				checkEntry(t, got[i])
 			}
+		}
+		if q.Limit > 0 {
+			continue // an aggregate is defined over every match
+		}
+		ref := make([]btql.Result, len(specs))
+		for i := range specs {
+			a := specs[i].New()
+			for j := range want {
+				a.ObserveEntry(&want[j])
+			}
+			ref[i] = a.Result()
+		}
+		agg, missed, err := st.Aggregate(q, specs)
+		if err != nil || missed != 0 {
+			t.Fatalf("query %d: Aggregate: missed=%d err=%v", qi, missed, err)
+		}
+		if !reflect.DeepEqual(agg, ref) {
+			t.Fatalf("query %d: aggregate mismatch:\n got %+v\nwant %+v", qi, agg, ref)
 		}
 	}
 }

@@ -204,28 +204,37 @@ func TestColdStampPruningSkipsCorruptBlocks(t *testing.T) {
 	}
 }
 
+// copyDir copies the regular files of src into a fresh temp directory.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
 // TestColdV1V2MixedDirectory: a store directory holding both legacy v1
 // (frame-preserving) and v2 (columnar) cold files — the state of a
 // deployment upgraded mid-retention — answers every query and aggregate
 // identically to an all-hot reference store.
+//
+// Nothing writes v1 any more, so the v1 half is a committed directory:
+// testdata/cold-v1 is what sealEvery(1..600, 100) + CompactCold left
+// under tierCfg() at the last commit that had a v1 writer (stamps 1–500
+// frozen into one v1 cold file, 501–600 still a row segment).
 func TestColdV1V2MixedDirectory(t *testing.T) {
-	dir := t.TempDir()
-	cfg := tierCfg()
-	cfg.coldV1 = true
-	st, err := Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealEvery(t, st, 1, 600, 100)
-	if _, err := st.CompactCold(); err != nil {
-		t.Fatalf("CompactCold (v1): %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.coldV1 = false
-	st, err = Open(dir, cfg)
+	st, err := Open(copyDir(t, filepath.Join("testdata", "cold-v1")), tierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,331 @@
+// The one scan. This file is the only place on the read path that knows
+// how a segment's bytes become rows: the block rung over a cold
+// segment's directory, the column walker over a v2 block, and the frame
+// walker over CRC-framed records (a span of a row segment, or an
+// inflated v1 block). The sequential Cursor, the parallel PCursor and
+// Store.Aggregate are drivers: each takes segment snapshots (the file
+// rung, matchSegment, runs there), opens a segScan per snapshot, and
+// steps it into a rowSink — a chunk of entries for the cursors, the
+// aggregators for Aggregate. What differs between the surfaces is
+// sequencing (append order vs stamp merge vs fold), never the ladder.
+package store
+
+import (
+	"fmt"
+	"io"
+	"sort"
+
+	"btrace/internal/store/backend"
+	"btrace/internal/tracer"
+)
+
+// scanSpanBytes is the read granularity over a row segment: one ReadAt,
+// one frame walk. Must exceed maxRecordSize+tailSize so a frame always
+// fits a span.
+const scanSpanBytes = 256 << 10
+
+// rowSink consumes the rows a scan selects. It is called only for rows
+// that passed the compiled query: the header match and, when the
+// predicate has one, the payload test.
+type rowSink interface {
+	// payloads reports whether row needs payload bytes. A sink that
+	// answers false gets them only when the predicate itself had to read
+	// them; header-only scans then never decode a record body nor
+	// inflate a v2 payload section.
+	payloads() bool
+	// span returns an n-byte buffer to read a row segment's next span
+	// into. Payloads of rows emitted until the next span call alias it,
+	// so a sink that keeps rows owns the buffer's lifetime.
+	span(n int) []byte
+	row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte)
+}
+
+// segSnap is the immutable snapshot of one segment a scan runs against,
+// taken under st.mu. A scan only ever touches the snapshot, never the
+// live *segment (which the writer goroutine keeps mutating).
+type segSnap struct {
+	seq  uint64
+	name string
+	// start/bound are byte offsets for row segments, block indices for
+	// cold ones.
+	start     int64 // first byte/block to scan (resume offset or seek)
+	bound     int64 // committed bytes / block count at snapshot time
+	count     uint64
+	baseStamp uint64
+	maxStamp  uint64
+	ordered   bool
+	sealed    bool
+	cold      bool
+	// blocks shares the cold segment's immutable block directory.
+	blocks []coldBlock
+}
+
+// snapOf captures s for a scan starting at start. Caller holds st.mu.
+func snapOf(s *segment, start int64) segSnap {
+	sn := segSnap{
+		seq:       s.seq,
+		name:      s.name,
+		start:     start,
+		bound:     s.size,
+		count:     s.meta.count,
+		baseStamp: s.meta.baseStamp,
+		maxStamp:  s.meta.maxStamp,
+		ordered:   s.meta.ordered,
+		sealed:    s.sealed,
+	}
+	if s.isCold() {
+		sn.cold, sn.bound, sn.blocks = true, int64(len(s.blocks)), s.blocks
+	}
+	return sn
+}
+
+// segScan is one pass of a compiled query over one segment snapshot.
+type segScan struct {
+	st *Store
+	q  *compiled
+	sn *segSnap
+	f  backend.ReadFile
+	// verify makes the frame walker checksum every frame it walks rather
+	// than only the ones the query selects. The sequential cursor sets
+	// it: it is the reference the other surfaces are checked against.
+	verify bool
+	// off is the next unread byte (row segment) or block (cold segment);
+	// drivers persist it as their resume mark.
+	off int64
+	// cut reports the ordered early exit: a stamp past MaxStamp was seen
+	// in an ordered segment, so nothing later in it can match.
+	cut bool
+}
+
+// openScan opens sn's file for one pass of q. A segment that retention
+// deleted between snapshot and open is not an error: s is nil and
+// missed bounds what the pass lost (the snapshot's event count).
+func (st *Store) openScan(q *compiled, sn *segSnap, verify bool) (s *segScan, missed uint64, err error) {
+	f, err := st.be.OpenRead(sn.name)
+	if err != nil {
+		if backend.IsNotExist(err) {
+			return nil, sn.count, nil
+		}
+		return nil, 0, err
+	}
+	return &segScan{st: st, q: q, sn: sn, f: f, verify: verify, off: sn.start}, 0, nil
+}
+
+// step scans the segment's next unit — one span of a row segment, or
+// the next cold block the query cannot rule out — into dst. more
+// reports whether another step can make progress against the current
+// sn.bound; when it is false, s.cut tells a driver of a growing segment
+// whether that is final. A failed step consumes nothing: s.off stays
+// put, though dst may hold rows that preceded the failure.
+func (s *segScan) step(dst rowSink) (more bool, err error) {
+	if s.sn.cold {
+		return s.stepBlock(dst)
+	}
+	want := s.sn.bound - s.off
+	if want <= 0 {
+		return false, nil
+	}
+	// An unordered segment is read whole: its driver sorts the rows, so
+	// they must all alias one buffer.
+	if s.sn.ordered && want > scanSpanBytes {
+		want = scanSpanBytes
+	}
+	buf := dst.span(int(want))
+	n, rerr := s.f.ReadAt(buf, s.off)
+	if rerr != nil && rerr != io.EOF {
+		return false, rerr
+	}
+	used, err := s.frames(buf[:n], dst)
+	if err != nil {
+		return false, err
+	}
+	s.off += int64(used)
+	// used == 0: committed bytes unreadable, or a frame longer than what
+	// is committed — the end of the segment as far as this pass can see.
+	return used > 0 && !s.cut && s.off < s.sn.bound, nil
+}
+
+// stepBlock is the block rung: directory entries are vetoed on their
+// header metadata — stamp/time hulls, core and category bitmaps, and
+// for v2 the TID range and bloom — before any byte of the block is
+// read, and an ordered segment is cut at the first block that starts
+// past MaxStamp. The first survivor is decoded by column (v2) or by
+// frame walk over its inflated bytes (v1). Cold segments are immutable,
+// so block indices are stable resume marks.
+func (s *segScan) stepBlock(dst rowSink) (more bool, err error) {
+	sn, q := s.sn, s.q
+	for s.off < sn.bound {
+		b := &sn.blocks[s.off]
+		if sn.ordered && q.q.MaxStamp > 0 && b.meta.baseStamp > q.q.MaxStamp {
+			s.cut = true // every later block starts later still
+			break
+		}
+		if !q.matchColdBlock(b) {
+			s.off++
+			s.st.obs.blocksPruned.Add(1)
+			continue
+		}
+		if b.v2 != nil {
+			err = s.columns(b, dst)
+		} else {
+			err = s.inflatedFrames(b, dst)
+		}
+		if err != nil {
+			return false, err
+		}
+		s.off++
+		if s.cut {
+			break
+		}
+		return s.off < sn.bound, nil
+	}
+	s.off = sn.bound
+	return false, nil
+}
+
+// inflatedFrames walks a v1 block: the format is frame-preserving, so
+// the inflated bytes are exactly the frames the row segment held. The
+// buffer is shared block-cache memory: rows alias it read-only and the
+// GC keeps it alive for as long as any row does.
+func (s *segScan) inflatedFrames(b *coldBlock, dst rowSink) error {
+	buf, err := s.st.inflateCached(s.sn.name, s.f, b)
+	if err != nil {
+		return err
+	}
+	used, err := s.frames(buf, dst)
+	if err == nil && !s.cut && used != len(buf) {
+		// A committed block holds whole frames only.
+		err = fmt.Errorf("%w: cold frame overruns block", tracer.ErrCorrupt)
+	}
+	return err
+}
+
+// frames walks the whole CRC-framed records in buf and returns the
+// bytes they span; a trailing partial frame is left for the caller (the
+// next span rereads it). Every frame's tail magic is checked, which
+// keeps the walk itself honest; the checksum and the decode are
+// deferred until the raw header words say the query wants the record,
+// so a pruned frame costs three loads and a mask test instead of a CRC
+// pass — unless s.verify asks for the checksum up front.
+func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
+	q := s.q
+	var maxStamp uint64 // ordered early exit bound, 0 = none
+	if s.sn.ordered {
+		maxStamp = q.q.MaxStamp
+	}
+	predPay := q.pred != nil && q.pred.NeedsPayload()
+	decode := predPay || dst.payloads()
+	pos := 0
+	for pos+tracer.Align <= len(buf) {
+		_, recSize, perr := tracer.PeekRecord(buf[pos:])
+		if perr != nil {
+			return 0, perr
+		}
+		frame := recSize + tailSize
+		if recSize > maxRecordSize || pos+frame > len(buf) {
+			// Not a whole frame of this buffer. An implausible size word
+			// lands here too and so ends a row segment quietly (recovery
+			// truncates it at reopen) instead of driving an unbounded read.
+			break
+		}
+		rec, tail := buf[pos:pos+recSize], buf[pos+recSize:pos+frame]
+		if s.verify {
+			if err := checkFrame(rec, tail); err != nil {
+				return 0, err
+			}
+		} else if magic := uint32(le64(tail) >> 32); magic != frameMagic {
+			return 0, fmt.Errorf("%w: bad frame magic %#x", tracer.ErrCorrupt, magic)
+		}
+		if recSize < tracer.EventHeaderSize {
+			return 0, fmt.Errorf("%w: short event", tracer.ErrCorrupt)
+		}
+		pos += frame
+		stamp := le64(rec[8:])
+		if maxStamp > 0 && stamp > maxStamp {
+			s.cut = true
+			break
+		}
+		ts, w3 := le64(rec[16:]), le64(rec[24:])
+		core, tid := uint8(w3>>56), uint32(w3>>32)&0xFFFFFF
+		cat, level := uint8(w3>>24), uint8(w3>>16)
+		if !q.matchRaw(stamp, ts, core, tid, cat, level) {
+			continue
+		}
+		if !s.verify {
+			if err := checkFrame(rec, tail); err != nil {
+				return 0, err
+			}
+		}
+		var payload []byte
+		if decode {
+			var e tracer.Entry
+			if err := decodeEventTo(rec, &e); err != nil {
+				return 0, err
+			}
+			// matchRaw is conservative for payload predicates; finish the
+			// job now that the payload is decoded.
+			if predPay && !q.pred.Match(&e) {
+				continue
+			}
+			payload = e.Payload
+		}
+		dst.row(stamp, ts, core, tid, cat, level, payload)
+	}
+	return pos, nil
+}
+
+// columns is the column walker over one v2 block. The decoded meta
+// columns come through the block cache and are filtered without
+// touching the payload section; that section is inflated only when a
+// surviving row has payload bytes somebody will read — the sink, or the
+// predicate. A block whose candidate set is empty or payload-free, and
+// any header-only scan, never touches its compressed payload. Row
+// payloads alias the cached payload buffer, which the GC keeps alive
+// for as long as any row does.
+func (s *segScan) columns(b *coldBlock, dst rowSink) error {
+	sn, q := s.sn, s.q
+	cb, err := s.st.columnsCached(sn.name, s.f, b)
+	if err != nil {
+		return err
+	}
+	count := int(b.meta.count)
+	if max := q.q.MaxStamp; sn.ordered && max > 0 && b.meta.maxStamp > max {
+		// The MaxStamp cut: an ordered segment's stamp column is sorted.
+		count = sort.Search(count, func(i int) bool { return cb.stamps[i] > max })
+		s.cut = true
+	}
+	predPay := q.pred != nil && q.pred.NeedsPayload()
+	needPay := false
+	if predPay || dst.payloads() {
+		for i := 0; i < count && !needPay; i++ {
+			needPay = cb.plens[i] > 0 &&
+				q.matchRaw(cb.stamps[i], cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i])
+		}
+	}
+	var pay []byte
+	if needPay {
+		if pay, err = s.st.inflatePayCached(sn.name, s.f, b); err != nil {
+			return err
+		}
+	} else if b.v2.payLen > 0 {
+		s.st.obs.payloadSkips.Add(1)
+	}
+	for i := 0; i < count; i++ {
+		stamp, ts, core, tid, cat, level := cb.stamps[i], cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i]
+		if !q.matchRaw(stamp, ts, core, tid, cat, level) {
+			continue
+		}
+		var payload []byte
+		if needPay && cb.plens[i] > 0 {
+			payload = pay[cb.payOff[i]:cb.payOff[i+1]:cb.payOff[i+1]]
+		}
+		if predPay {
+			e := tracer.Entry{Stamp: stamp, TS: ts, Core: core, TID: tid, Category: cat, Level: level, Payload: payload}
+			if !q.pred.Match(&e) {
+				continue
+			}
+		}
+		dst.row(stamp, ts, core, tid, cat, level, payload)
+	}
+	return nil
+}

@@ -118,35 +118,6 @@ func (m *segmentMeta) observeStaged(se *stagedEntry) {
 	m.count++
 }
 
-// observeRaw is observe for fields lifted straight from a raw record
-// header (the cold freeze path); the update rules must match observe.
-func (m *segmentMeta) observeRaw(stamp, ts uint64, core, cat uint8) {
-	if m.count == 0 {
-		m.baseStamp, m.maxStamp = stamp, stamp
-		m.minTS, m.maxTS = ts, ts
-		m.ordered = true
-	} else {
-		if stamp < m.maxStamp {
-			m.ordered = false
-		}
-		if stamp > m.maxStamp {
-			m.maxStamp = stamp
-		}
-		if stamp < m.baseStamp {
-			m.baseStamp = stamp
-		}
-		if ts < m.minTS {
-			m.minTS = ts
-		}
-		if ts > m.maxTS {
-			m.maxTS = ts
-		}
-	}
-	m.coreBits |= 1 << min(uint(core), 63)
-	m.catBits |= 1 << min(uint(cat), 63)
-	m.count++
-}
-
 // indexEntry maps a stamp to the file offset of its frame.
 type indexEntry struct {
 	stamp uint64

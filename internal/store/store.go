@@ -104,10 +104,6 @@ type Config struct {
 	// Strategy overrides tier-transition selection (nil selects
 	// DefaultStrategy).
 	Strategy Strategy
-	// coldV1 makes the freeze path emit legacy frame-preserving v1
-	// blocks instead of columnar v2. Test-only: v1 must stay readable
-	// and query-equivalent, and this is how tests produce it.
-	coldV1 bool
 }
 
 func (c Config) withDefaults() Config {
