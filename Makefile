@@ -88,13 +88,15 @@ vulture-soak:
 # the Options.DisableStats baseline (see DESIGN.md). The obs record
 # sub-benchmarks measure a single ~45ns Write, so they get their own
 # much higher iteration count (OBS_RECORD_BENCHTIME) — at BENCHTIME-scale
-# counts the timer granularity would swamp the <2% contract.
+# counts the timer granularity would swamp the <2% contract. The CSV
+# export benchmark's op is one ~70ns row and runs at that count too.
 BENCHTIME ?= 2000x
 OBS_RECORD_BENCHTIME ?= 200000x
 bench:
 	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkReadPath' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test . -run '^$$' -bench 'BenchmarkWritePathStampBatch' -benchmem -benchtime $(BENCHTIME); \
-	   $(GO) test ./internal/live -run '^$$' -bench 'BenchmarkLiveFanout' -benchmem -benchtime $(BENCHTIME); } \
+	   $(GO) test ./internal/live -run '^$$' -bench 'BenchmarkLiveFanout' -benchmem -benchtime $(BENCHTIME); \
+	   $(GO) test ./internal/export -run '^$$' -bench 'BenchmarkExportCSV' -benchmem -benchtime $(OBS_RECORD_BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
 	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate)' -benchmem -benchtime $(BENCHTIME); \
@@ -114,9 +116,9 @@ bench:
 # the wide query over the majority-cold store must stay within 2x of the
 # identical all-hot query, a selective BTQL query with predicate
 # pushdown must beat the full-scan-and-filter baseline by at least 5x,
-# the header-only count() aggregate must run in at most half the time
-# of that same full scan (its sink builds no entries and inflates no
-# payloads), RF=2 ingest over 4 shards must stay within 4x of direct single-shard
+# the header-only count() aggregate must run in at most a fifth of the
+# time of that same full scan (it decodes one wide column, builds no
+# entries and inflates no payloads), RF=2 ingest over 4 shards must stay within 4x of direct single-shard
 # ingest (2x of it is the second copy), and the overload gate under
 # storm within 2x of its baseline.
 # CI runs the same comparison on every push (bench-smoke job).
@@ -125,5 +127,5 @@ benchdiff:
 	@for f in BENCH_readpath.json BENCH_store.json BENCH_obs.json; do \
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
-	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/idle' \
-	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.5*BenchmarkQueryFullScan,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline'
+	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/idle,BenchmarkExportCSV' \
+	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline'

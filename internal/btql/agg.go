@@ -60,6 +60,47 @@ func (a *Aggregator) Observe(stamp, ts uint64, core uint8, tid uint32, cat, leve
 	_ = stamp
 }
 
+// ObserveColumns folds in rows idx of a block held by column, reading
+// only the columns the aggregate is over: the times (every result
+// carries their range, and rate buckets them), plus for topk its field.
+func (a *Aggregator) ObserveColumns(c Columns, idx []int32) {
+	a.count += uint64(len(idx))
+	ts := c.Times()
+	for _, i := range idx {
+		a.minTS, a.maxTS = min(a.minTS, ts[i]), max(a.maxTS, ts[i])
+	}
+	switch a.spec.Kind {
+	case AggRate:
+		for _, i := range idx {
+			a.buckets[ts[i]-ts[i]%a.spec.WindowNs]++
+		}
+	case AggTopK:
+		if a.spec.Field == FTID {
+			tids := c.TIDs()
+			for _, i := range idx {
+				a.vals[uint64(tids[i])]++
+			}
+			return
+		}
+		// A byte-wide field: count by column byte, then translate the few
+		// distinct ones (dictionary indices, for categories).
+		col, dict := c.Bytes(a.spec.Field)
+		var n [256]uint64
+		for _, i := range idx {
+			n[col[i]]++
+		}
+		for v, cnt := range n {
+			if cnt == 0 {
+				continue
+			}
+			if dict != nil {
+				v = int(dict[v])
+			}
+			a.vals[uint64(v)] += cnt
+		}
+	}
+}
+
 // ObserveEntry is Observe for callers that already hold a decoded entry.
 func (a *Aggregator) ObserveEntry(e *tracer.Entry) {
 	a.Observe(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level)

@@ -1,0 +1,168 @@
+package btql
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"btrace/internal/tracer"
+)
+
+// sliceCols is a block of entries laid out by column, categories behind
+// a dictionary, with a summary that either says nothing (every leaf runs
+// its loop) or is exact (leaves the summary decides do not).
+type sliceCols struct {
+	n           int
+	sum         Meta
+	stamps, ts  []uint64
+	tids        []uint32
+	cores, lvls []uint8
+	catIdx      []uint8
+	dict        []uint8
+}
+
+func (c *sliceCols) Summary() *Meta   { return &c.sum }
+func (c *sliceCols) Stamps() []uint64 { return c.stamps[:c.n] }
+func (c *sliceCols) Times() []uint64  { return c.ts[:c.n] }
+func (c *sliceCols) TIDs() []uint32   { return c.tids[:c.n] }
+func (c *sliceCols) Bytes(f Field) (col, dict []uint8) {
+	switch f {
+	case FCore:
+		return c.cores[:c.n], nil
+	case FCategory:
+		return c.catIdx[:c.n], c.dict
+	default:
+		return c.lvls[:c.n], nil
+	}
+}
+
+func columnsOf(es []tracer.Entry, summarise bool) *sliceCols {
+	c := &sliceCols{n: len(es), sum: Meta{MaxStamp: ^uint64(0), MaxTS: ^uint64(0)}}
+	var idx [256]int
+	for i := range es {
+		e := &es[i]
+		c.stamps, c.ts, c.tids = append(c.stamps, e.Stamp), append(c.ts, e.TS), append(c.tids, e.TID)
+		c.cores, c.lvls = append(c.cores, e.Core), append(c.lvls, e.Level)
+		if idx[e.Category] == 0 {
+			c.dict = append(c.dict, e.Category)
+			idx[e.Category] = len(c.dict)
+		}
+		c.catIdx = append(c.catIdx, uint8(idx[e.Category]-1))
+		if !summarise {
+			continue
+		}
+		if i == 0 {
+			c.sum = Meta{MinStamp: e.Stamp, MaxStamp: e.Stamp, MinTS: e.TS, MaxTS: e.TS, HasTID: true, MinTID: e.TID, MaxTID: e.TID}
+		}
+		c.sum.MinStamp, c.sum.MaxStamp = min(c.sum.MinStamp, e.Stamp), max(c.sum.MaxStamp, e.Stamp)
+		c.sum.MinTS, c.sum.MaxTS = min(c.sum.MinTS, e.TS), max(c.sum.MaxTS, e.TS)
+		c.sum.MinTID, c.sum.MaxTID = min(c.sum.MinTID, e.TID), max(c.sum.MaxTID, e.TID)
+		c.sum.CoreBits |= 1 << min(uint(e.Core), 63)
+		c.sum.CatBits |= 1 << min(uint(e.Category), 63)
+	}
+	return c
+}
+
+// TestSelectMatchesHeaderEvaluation: Select is evalHeader by column.
+// Row for row, may is "not proven to miss", yes is "proven to match",
+// and MatchRow settles the rest the way Match does — for blocks of
+// every size around a word boundary, with and without a summary.
+func TestSelectMatchesHeaderEvaluation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var randExpr func(depth int) Expr
+	randExpr = func(depth int) Expr {
+		if depth > 0 && rng.Intn(3) > 0 {
+			switch rng.Intn(3) {
+			case 0:
+				return &And{randExpr(depth - 1), randExpr(depth - 1)}
+			case 1:
+				return &Or{randExpr(depth - 1), randExpr(depth - 1)}
+			default:
+				return &Not{randExpr(depth - 1)}
+			}
+		}
+		if rng.Intn(5) == 0 {
+			return &PayloadMatch{Prefix: rng.Intn(2) == 0, Needle: "ab"}
+		}
+		vals := []uint64{0, 1, 2, 3, 4, 63, 64, 200, 255, 256, 70_000, 1 << 40, ^uint64(0)}
+		return &Cmp{Field: Field(rng.Intn(6)), Op: CmpOp(rng.Intn(6)), Val: vals[rng.Intn(len(vals))]}
+	}
+	for round := 0; round < 300; round++ {
+		es := make([]tracer.Entry, []int{0, 1, 63, 64, 65, 130, 200}[rng.Intn(7)])
+		for i := range es {
+			es[i] = tracer.Entry{
+				Stamp: uint64(rng.Intn(5)), TS: uint64(rng.Intn(4)) << 40, Core: uint8(rng.Intn(3) * 100),
+				TID: uint32(rng.Intn(3) * 35_000), Category: uint8(rng.Intn(4) * 64), Level: uint8(rng.Intn(4)),
+				Payload: []byte([]string{"", "ab", "cab", "b"}[rng.Intn(4)]),
+			}
+		}
+		c := columnsOf(es, round%2 == 0)
+		p := Compile(randExpr(3))
+		var sel Selection
+		sel.Reset(len(es))
+		p.Select(c, &sel)
+		var got, want []int32
+		for _, i := range sel.Rows(nil) {
+			if sel.Sure(i) || p.MatchRow(c, i, es[i].Payload) {
+				got = append(got, i)
+			}
+		}
+		rows := sel.Rows(nil)
+		for i := range es {
+			e := &es[i]
+			h := evalHeader(p.expr, e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level)
+			selected := len(rows) > 0 && rows[0] == int32(i)
+			if selected {
+				rows = rows[1:]
+			}
+			if selected != (h != triNo) || selected && sel.Sure(int32(i)) != (h == triYes) {
+				t.Fatalf("round %d, %v, row %d of %d (%+v): header says %d, selected=%v", round, p.expr, i, len(es), e, h, selected)
+			}
+			if p.Match(e) {
+				want = append(want, int32(i))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d, %v: rows %v, want %v", round, p.expr, got, want)
+		}
+		if sel.Exact() && p.NeedsPayload() && len(got) != len(sel.Rows(nil)) {
+			t.Fatalf("round %d, %v: an exact selection lost rows to MatchRow", round, p.expr)
+		}
+	}
+}
+
+// TestObserveColumnsMatchesObserve: the bulk form of every aggregate
+// yields what row-at-a-time Observe does over the same rows.
+func TestObserveColumnsMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	es := make([]tracer.Entry, 150)
+	for i := range es {
+		es[i] = tracer.Entry{
+			Stamp: uint64(i), TS: uint64(rng.Intn(1000)) * 1e6, Core: uint8(rng.Intn(4)),
+			TID: uint32(rng.Intn(5) * 30_000), Category: uint8(rng.Intn(4) * 70), Level: uint8(rng.Intn(3)),
+		}
+	}
+	c := columnsOf(es, true)
+	var idx []int32
+	for i := range es {
+		if rng.Intn(3) > 0 {
+			idx = append(idx, int32(i))
+		}
+	}
+	specs := []AggSpec{
+		{Kind: AggCount}, {Kind: AggRate, WindowNs: 50e6},
+		{Kind: AggTopK, K: 3, Field: FTID}, {Kind: AggTopK, K: 2, Field: FCategory},
+		{Kind: AggTopK, K: 5, Field: FCore}, {Kind: AggTopK, K: 5, Field: FLevel},
+	}
+	for _, spec := range specs {
+		bulk, rowwise := spec.New(), spec.New()
+		bulk.ObserveColumns(c, idx[:40])
+		bulk.ObserveColumns(c, idx[40:])
+		for _, i := range idx {
+			rowwise.ObserveEntry(&es[i])
+		}
+		if got, want := bulk.Result(), rowwise.Result(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: bulk %+v, row-wise %+v", spec.String(), got, want)
+		}
+	}
+}

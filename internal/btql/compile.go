@@ -1,10 +1,6 @@
 package btql
 
-import (
-	"bytes"
-
-	"btrace/internal/tracer"
-)
+import "btrace/internal/tracer"
 
 // Meta summarizes a file or block for pruning. The store fills it from
 // segment headers (row tier) or v2 block headers (cold tier); zero-valued
@@ -26,7 +22,8 @@ type Meta struct {
 // Predicate is a compiled filter. It is immutable and safe for concurrent
 // use by any number of cursors.
 type Predicate struct {
-	expr         Expr // nil matches everything
+	expr         Expr    // nil matches everything
+	kern         *kernel // expr compiled for column evaluation (columns.go)
 	needsPayload bool
 
 	// Extracted hulls and value masks, for folding into store.Query so the
@@ -48,6 +45,7 @@ func Compile(e Expr) *Predicate {
 	if e == nil {
 		return p
 	}
+	p.kern = compileKernel(e)
 	p.needsPayload = needsPayload(e)
 	p.minStamp, p.maxStamp = boundsOf(e, FStamp)
 	p.minTS, p.maxTS = boundsOf(e, FTime)
@@ -135,10 +133,7 @@ func evalEntry(e Expr, ev *tracer.Entry) bool {
 	case *Cmp:
 		return cmpU64(fieldValue(e.Field, ev), e.Op, e.Val)
 	case *PayloadMatch:
-		if e.Prefix {
-			return bytes.HasPrefix(ev.Payload, []byte(e.Needle))
-		}
-		return bytes.Contains(ev.Payload, []byte(e.Needle))
+		return e.match(ev.Payload)
 	}
 	return false
 }

@@ -6,7 +6,7 @@
 package export
 
 import (
-	"encoding/csv"
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -63,39 +63,62 @@ func ChromeTrace(w io.Writer, es []tracer.Entry) error {
 }
 
 // csvHeader is the column set shared by CSV and CSVCursor.
-var csvHeader = []string{"stamp", "ts_ns", "core", "tid", "category", "level", "payload_bytes"}
+const csvHeader = "stamp,ts_ns,core,tid,category,level,payload_bytes\n"
 
-// CSV writes es as comma-separated rows with a header.
-func CSV(w io.Writer, es []tracer.Entry) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	if err := csvRows(cw, es); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
+// csvWriter renders entries as CSV rows. Every field is a decimal or an
+// atrace category name, none of which can need quoting, so a row is
+// appended digit by digit into one reused buffer instead of going
+// through encoding/csv's per-field strings and quoting checks; the
+// bytes are what encoding/csv would have written (the tests hold it to
+// that, header included).
+type csvWriter struct {
+	bw  *bufio.Writer
+	row []byte
 }
 
-// csvRows writes one row per entry.
-func csvRows(cw *csv.Writer, es []tracer.Entry) error {
+// newCSVWriter starts a CSV document on w: it writes the header row.
+func newCSVWriter(w io.Writer) (*csvWriter, error) {
+	cw := &csvWriter{bw: bufio.NewWriter(w)}
+	_, err := cw.bw.WriteString(csvHeader)
+	return cw, err
+}
+
+// rows writes one row per entry.
+func (cw *csvWriter) rows(es []tracer.Entry) error {
 	for i := range es {
 		e := &es[i]
-		rec := []string{
-			strconv.FormatUint(e.Stamp, 10),
-			strconv.FormatUint(e.TS, 10),
-			strconv.Itoa(int(e.Core)),
-			strconv.FormatUint(uint64(e.TID), 10),
-			workload.Category(e.Category).Name(),
-			strconv.Itoa(int(e.Level)),
-			strconv.Itoa(len(e.Payload)),
-		}
-		if err := cw.Write(rec); err != nil {
+		b := strconv.AppendUint(cw.row[:0], e.Stamp, 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, e.TS, 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(e.Core), 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(e.TID), 10)
+		b = append(b, ',')
+		b = append(b, workload.Category(e.Category).Name()...)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(e.Level), 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(len(e.Payload)), 10)
+		b = append(b, '\n')
+		cw.row = b
+		if _, err := cw.bw.Write(b); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// CSV writes es as comma-separated rows with a header.
+func CSV(w io.Writer, es []tracer.Entry) error {
+	cw, err := newCSVWriter(w)
+	if err != nil {
+		return err
+	}
+	if err := cw.rows(es); err != nil {
+		return err
+	}
+	return cw.bw.Flush()
 }
 
 // Text writes es in a human-readable, ftrace-output-like form:

@@ -2,11 +2,15 @@ package export
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
 	"btrace/internal/tracer"
+	"btrace/internal/workload"
 )
 
 func sample() []tracer.Entry {
@@ -61,10 +65,54 @@ func TestChromeTraceEmpty(t *testing.T) {
 	}
 }
 
+// csvReference renders es the way the exporter did before it stopped
+// going through encoding/csv: the bytes CSV and CSVCursor are held to.
+func csvReference(t testing.TB, es []tracer.Entry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	recs := [][]string{{"stamp", "ts_ns", "core", "tid", "category", "level", "payload_bytes"}}
+	for _, e := range es {
+		recs = append(recs, []string{
+			strconv.FormatUint(e.Stamp, 10),
+			strconv.FormatUint(e.TS, 10),
+			strconv.Itoa(int(e.Core)),
+			strconv.FormatUint(uint64(e.TID), 10),
+			workload.Category(e.Category).Name(),
+			strconv.Itoa(int(e.Level)),
+			strconv.Itoa(len(e.Payload)),
+		})
+	}
+	if err := cw.WriteAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 func TestCSV(t *testing.T) {
 	var buf bytes.Buffer
 	if err := CSV(&buf, sample()); err != nil {
 		t.Fatal(err)
+	}
+	// Byte-identical to encoding/csv, for every category name there is
+	// (none needs quoting) and the "unknown" ones past the table, at the
+	// extremes of every numeric field.
+	var all []tracer.Entry
+	for cat := 0; cat < 256; cat++ {
+		all = append(all, tracer.Entry{Stamp: uint64(cat), Category: uint8(cat)})
+	}
+	all = append(all, tracer.Entry{
+		Stamp: ^uint64(0), TS: ^uint64(0), Core: 255, TID: ^uint32(0), Category: 255, Level: 255,
+		Payload: make([]byte, tracer.MaxPayload),
+	})
+	for _, es := range [][]tracer.Entry{sample(), all, nil} {
+		var got bytes.Buffer
+		if err := CSV(&got, es); err != nil {
+			t.Fatal(err)
+		}
+		if want := csvReference(t, es); got.String() != want {
+			t.Fatalf("CSV differs from encoding/csv:\n%s\nvs\n%s", got.String(), want)
+		}
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 4 {
@@ -103,3 +151,36 @@ func TestText(t *testing.T) {
 		t.Error("no truncation marker")
 	}
 }
+
+// BenchmarkExportCSV is the CSV exporter alone, cursor → io.Discard: one
+// op is one event, so ns/op is the export layer's cost per event and
+// allocs/op its (zero) allocations per event.
+func BenchmarkExportCSV(b *testing.B) {
+	es := make([]tracer.Entry, 1024)
+	for i := range es {
+		es[i] = tracer.Entry{
+			Stamp: uint64(1_000_000 + i), TS: uint64(i) * 7_629, Core: uint8(i % 8), TID: uint32(4096 + i%64),
+			Category: uint8(i % int(workload.NumCategories)), Level: uint8(1 + i%3), Payload: make([]byte, 16+i%64),
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	events, _, err := CSVCursor(io.Discard, &cycleCursor{es: es, left: b.N}, make([]tracer.Entry, 1024))
+	if err != nil || events != b.N {
+		b.Fatalf("exported %d of %d events: %v", events, b.N, err)
+	}
+}
+
+// cycleCursor yields left events, cycling over es.
+type cycleCursor struct {
+	es   []tracer.Entry
+	left int
+}
+
+func (c *cycleCursor) Next(batch []tracer.Entry) (int, uint64, error) {
+	n := copy(batch[:min(len(batch), c.left)], c.es)
+	c.left -= n
+	return n, 0, nil
+}
+
+func (c *cycleCursor) Close() error { return nil }

@@ -1,7 +1,6 @@
 package export
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -170,16 +169,15 @@ func TextCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (events int,
 
 // CSVCursor streams c through batch to w as CSV with one header row.
 func CSVCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (events int, missed uint64, err error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	cw, err := newCSVWriter(w)
+	if err != nil {
 		return 0, 0, err
 	}
-	events, missed, err = drainTo(c, batch, func(es []tracer.Entry) error { return csvRows(cw, es) })
+	events, missed, err = drainTo(c, batch, cw.rows)
 	if err != nil {
 		return events, missed, err
 	}
-	cw.Flush()
-	return events, missed, cw.Error()
+	return events, missed, cw.bw.Flush()
 }
 
 // ChromeTraceCursor streams c through batch to w as Chrome trace-event

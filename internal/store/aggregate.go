@@ -1,10 +1,14 @@
 // One-shot aggregate execution. BTQL aggregates (count, rate, topk)
 // consume only header fields, so Aggregate drives the shared scan
-// (scan.go) with a sink that builds no entries and wants no payloads:
-// v2 cold blocks feed the aggregators straight from their decoded meta
-// columns, v1 blocks and row segments from the raw header words. A
-// record body is decoded, and the payload section of a v2 block
-// inflated, only when the predicate itself inspects payload bytes.
+// (scan.go) with a sink that builds no entries and wants no payloads.
+// A v2 cold block hands it its selection in one call, and each
+// aggregator reads only the columns it is over: count() is the
+// selection's size plus a min/max over the selected times, rate buckets
+// those times, topk counts its one field — so a count() never causes a
+// stamp or TID column to be decoded, let alone cached. v1 blocks and
+// row segments feed it row by row from the raw header words. A record
+// body is decoded, and the payload section of a v2 block inflated, only
+// when the predicate itself inspects payload bytes.
 package store
 
 import "btrace/internal/btql"
@@ -22,6 +26,12 @@ func (a *aggSink) span(n int) []byte { return a.buf.span(n) }
 func (a *aggSink) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, _ []byte) {
 	for _, ag := range a.aggs {
 		ag.Observe(stamp, ts, core, tid, cat, level)
+	}
+}
+
+func (a *aggSink) rows(c *blockCols, idx []int32, _ []byte) {
+	for _, ag := range a.aggs {
+		ag.ObserveColumns(c, idx)
 	}
 }
 

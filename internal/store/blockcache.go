@@ -1,17 +1,32 @@
-// Decompressed-block cache: cold queries pay a DEFLATE inflate per
-// block touched, which would make every repeated analytical query over
-// the cold tier re-do the same decompression. The store keeps one
-// bounded LRU cache of decompressed block sections, shared by all
-// cursors (sequential and parallel): v1 row blocks and v2 payload
-// sections cache as raw bytes, v2 meta sections as fully decoded column
-// blocks (so warm scans skip the varint decode too). The first scan of
-// a block inflates and caches it, later scans read the cached form.
+// Block cache: cold queries pay a DEFLATE inflate per section touched,
+// and a varint decode per wide column read, which would make every
+// repeated analytical query over the cold tier redo the same work. The
+// store keeps one bounded LRU, shared by all cursors (sequential and
+// parallel) and by Aggregate, of what those steps produce — each in the
+// form the scan consumes it, each an entry of its own, created the first
+// time a query needs it:
 //
-// Ownership: cached buffers and column blocks are immutable. Cursors
-// alias them (entries
-// handed to callers may point into cache memory) and never write to
-// them; eviction only drops the cache's reference — a buffer still
-// aliased by a live cursor stays valid until the GC collects it.
+//	meta     a v2 block's inflated, validated meta section (*metaSec,
+//	         ≈10 B/event). The byte-wide columns — core, category index,
+//	         level — are read from it in place.
+//	column   one decoded wide column of a v2 block: stamps or times
+//	         (8 B/event), TIDs or payload offsets (4 B/event). Decoded
+//	         from the block's cached meta section, never from disk.
+//	payload  a v2 block's inflated payload section, or a whole inflated
+//	         v1 block (frames, payloads included).
+//
+// What a query caches is therefore what it reads: `category == C |
+// count()` leaves meta sections and time columns behind (the result
+// carries min/max time), a wide materialising scan leaves everything,
+// and the second such scan finds every column decoded. Nothing is
+// cached on behalf of a query that did not ask for it.
+//
+// Ownership: every cached value is immutable from the moment it is
+// inserted. Scans alias them (entries handed to callers may point into a
+// cached payload section) and never write to them, which is what lets
+// any number of concurrent scans share one copy without a lock held
+// past the lookup; eviction only drops the cache's reference — a value
+// still aliased by a live cursor stays valid until the GC collects it.
 package store
 
 import (
@@ -24,34 +39,77 @@ import (
 // Config.ColdCacheBytes is zero.
 const defaultColdCacheBytes = 32 << 20
 
-// blockKey identifies one cold block: the file it lives in plus its
-// payload offset (unique within the file).
+// section names one cacheable part of a cold block.
+type section uint8
+
+const (
+	secMeta section = iota
+	secStamps
+	secTimes
+	secTIDs
+	secPayOff
+	secPayload // also a whole v1 block
+)
+
+// cacheClass groups sections for the counters: one inflate each for
+// meta and payload, one decode for a column.
+type cacheClass uint8
+
+const (
+	classMeta cacheClass = iota
+	classColumn
+	classPayload
+	numClasses
+)
+
+var classNames = [numClasses]string{"meta", "column", "payload"}
+
+func (s section) class() cacheClass {
+	switch s {
+	case secMeta:
+		return classMeta
+	case secPayload:
+		return classPayload
+	}
+	return classColumn
+}
+
+// blockKey identifies one section of one cold block: the file it lives
+// in, the block's offset (unique within the file), and the section.
 type blockKey struct {
 	name string
 	off  int64
+	sec  section
 }
 
-// cacheEnt is one cached section: either raw decompressed bytes (v1
-// blocks, v2 payload sections) or a decoded v2 column block. size is
-// the entry's budget charge — len(data) for bytes, the decoded column
-// footprint for cols (larger than the varint-packed meta section it
-// came from, which is the point: lookups skip the varint decode).
+// cacheEnt is one cached section, in the one field its section uses.
+// size is its budget charge: the bytes the value holds.
 type cacheEnt struct {
 	key  blockKey
-	data []byte
-	cols *colBlock
 	size int64
+	data []byte   // secPayload
+	meta *metaSec // secMeta
+	u64  []uint64 // secStamps, secTimes
+	u32  []uint32 // secTIDs, secPayOff
 }
 
-// blockCache is the store-wide decompressed-block LRU. A nil *blockCache
-// is a valid always-miss cache (caching disabled).
+// blockCache is the store-wide LRU. A nil *blockCache is a valid
+// always-miss cache (caching disabled) that counts nothing.
 type blockCache struct {
-	mu           sync.Mutex
-	max          int64
-	size         int64
-	lru          *list.List                 // front = most recently used
-	m            map[blockKey]*list.Element // value: *cacheEnt
-	hits, misses uint64
+	mu   sync.Mutex
+	max  int64
+	size int64
+	lru  *list.List                 // front = most recently used
+	m    map[blockKey]*list.Element // value: *cacheEnt
+	cacheCounters
+}
+
+// cacheCounters are the cache's counters per class: lookups served,
+// lookups that had to produce the value (an inflate, or for a column a
+// decode), and resident bytes.
+type cacheCounters struct {
+	hits, misses [numClasses]uint64
+	resident     [numClasses]int64
 }
 
 func newBlockCache(max int64) *blockCache {
@@ -67,32 +125,16 @@ func (bc *blockCache) get(k blockKey) *cacheEnt {
 	defer bc.mu.Unlock()
 	if el, ok := bc.m[k]; ok {
 		bc.lru.MoveToFront(el)
-		bc.hits++
+		bc.hits[k.sec.class()]++
 		return el.Value.(*cacheEnt)
 	}
-	bc.misses++
+	bc.misses[k.sec.class()]++
 	return nil
 }
 
-// lookup returns the cached decompressed payload, or nil on a miss.
-func (bc *blockCache) lookup(k blockKey) []byte {
-	if ent := bc.get(k); ent != nil {
-		return ent.data
-	}
-	return nil
-}
-
-// lookupCols returns the cached decoded column block, or nil on a miss.
-func (bc *blockCache) lookupCols(k blockKey) *colBlock {
-	if ent := bc.get(k); ent != nil {
-		return ent.cols
-	}
-	return nil
-}
-
-// put caches ent and evicts past the budget, oldest first. Two cursors
-// racing on the same miss both inflate; the first insert wins and the
-// loser's buffer is simply not cached.
+// put caches ent and evicts past the budget, oldest first. Two scans
+// racing on the same miss both produce the value; the first insert wins
+// and the loser's copy is simply not cached.
 func (bc *blockCache) put(ent *cacheEnt) {
 	if bc == nil || ent.size > bc.max {
 		return
@@ -104,85 +146,108 @@ func (bc *blockCache) put(ent *cacheEnt) {
 	}
 	bc.m[ent.key] = bc.lru.PushFront(ent)
 	bc.size += ent.size
+	bc.resident[ent.key.sec.class()] += ent.size
 	for bc.size > bc.max {
 		el := bc.lru.Back()
 		old := el.Value.(*cacheEnt)
 		bc.lru.Remove(el)
 		delete(bc.m, old.key)
 		bc.size -= old.size
+		bc.resident[old.key.sec.class()] -= old.size
 	}
 }
 
-// insert caches data (taking read-only ownership).
-func (bc *blockCache) insert(k blockKey, data []byte) {
-	bc.put(&cacheEnt{key: k, data: data, size: int64(len(data))})
-}
-
-func (bc *blockCache) counters() (hits, misses uint64) {
+func (bc *blockCache) classCounters() cacheCounters {
 	if bc == nil {
-		return 0, 0
+		return cacheCounters{}
 	}
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
-	return bc.hits, bc.misses
+	return bc.cacheCounters
 }
 
-// inflateCached returns block b of cold file name decompressed, through
-// the cache. The returned buffer is shared and read-only; callers decode
-// from it but never write to it.
+// sections reports section reads served from the cache and section reads
+// that had to inflate. Column lookups are in neither: a column is
+// decoded from a cached meta section, and that lookup was counted.
+func (c cacheCounters) sections() (hits, misses uint64) {
+	return c.hits[classMeta] + c.hits[classPayload], c.misses[classMeta] + c.misses[classPayload]
+}
+
+// inflateCached returns a section of block b of cold file name
+// decompressed, through the cache: a v1 block's frames, or a v2 block's
+// payload section. The returned buffer is shared and read-only.
 func (st *Store) inflateCached(name string, f io.ReaderAt, b *coldBlock) ([]byte, error) {
-	k := blockKey{name: name, off: b.off}
-	if data := st.bcache.lookup(k); data != nil {
-		return data, nil
+	k := blockKey{name: name, off: b.off, sec: secPayload}
+	if ent := st.bcache.get(k); ent != nil {
+		return ent.data, nil
 	}
 	// Fresh destination buffer on every miss: it becomes the immutable
 	// cached copy (or dies young if another inflate won the race).
-	_, out, err := inflateBlock(f, b, nil, make([]byte, 0, b.rawLen))
+	var out []byte
+	var err error
+	if b.v2 != nil {
+		_, out, err = inflatePayV2(f, b, nil, make([]byte, 0, b.v2.payRawLen))
+	} else {
+		_, out, err = inflateBlock(f, b, nil, make([]byte, 0, b.rawLen))
+	}
 	if err != nil {
 		return nil, err
 	}
-	st.bcache.insert(k, out)
+	st.bcache.put(&cacheEnt{key: k, data: out, size: int64(len(out))})
 	return out, nil
 }
 
-// columnsCached returns a v2 block's meta section decoded into columns,
-// through the cache. The cache holds the *decoded* colBlock, not the
-// inflated meta bytes: repeated queries over a warm cold tier skip both
-// the DEFLATE inflate and the per-row varint/delta/dictionary decode
-// (the latter dominated repeated cold scans when the bytes were cached
-// instead). Sections get distinct keys within the block: the meta
-// section is keyed at the block offset, the payload section at the
-// payload's own file offset — so a metadata-only query never forces the
-// payload into the cache. The returned colBlock is shared and
-// immutable; callers read its columns but never write to them.
-func (st *Store) columnsCached(name string, f io.ReaderAt, b *coldBlock) (*colBlock, error) {
-	k := blockKey{name: name, off: b.off}
-	if cb := st.bcache.lookupCols(k); cb != nil {
-		return cb, nil
+// metaCached returns a v2 block's meta section, inflated and validated,
+// through the cache. The checksum of the compressed bytes is verified
+// before the inflate and the whole section structurally after it
+// (parseMeta), so whatever the cache holds can be trusted by every
+// later reader; a section that fails either is never cached.
+func (st *Store) metaCached(name string, f io.ReaderAt, b *coldBlock) (*metaSec, error) {
+	k := blockKey{name: name, off: b.off, sec: secMeta}
+	if ent := st.bcache.get(k); ent != nil {
+		return ent.meta, nil
 	}
-	_, meta, err := inflateMetaV2(f, b, nil, make([]byte, 0, b.v2.metaRawLen))
+	_, raw, err := inflateMetaV2(f, b, nil, make([]byte, 0, b.v2.metaRawLen))
 	if err != nil {
 		return nil, err
 	}
-	cb := new(colBlock)
-	if err := decodeColumns(meta, b, cb); err != nil {
+	m, err := parseMeta(raw, b)
+	if err != nil {
 		return nil, err
 	}
-	st.bcache.put(&cacheEnt{key: k, cols: cb, size: cb.memSize()})
-	return cb, nil
+	st.bcache.put(&cacheEnt{key: k, meta: m, size: int64(len(raw))})
+	return m, nil
 }
 
-// inflatePayCached returns a v2 block's decompressed payload section
-// through the cache.
-func (st *Store) inflatePayCached(name string, f io.ReaderAt, b *coldBlock) ([]byte, error) {
-	k := blockKey{name: name, off: b.off + b.v2.metaLen}
-	if data := st.bcache.lookup(k); data != nil {
-		return data, nil
+// wide64Cached returns the stamp or time column of a v2 block decoded,
+// through the cache; a miss decodes it from the block's meta section m.
+func (st *Store) wide64Cached(name string, b *coldBlock, m *metaSec, sec section) []uint64 {
+	k := blockKey{name: name, off: b.off, sec: sec}
+	if ent := st.bcache.get(k); ent != nil {
+		return ent.u64
 	}
-	_, out, err := inflatePayV2(f, b, nil, make([]byte, 0, b.v2.payRawLen))
-	if err != nil {
-		return nil, err
+	var col []uint64
+	if sec == secStamps {
+		col = m.stamps(b)
+	} else {
+		col = m.times(b)
 	}
-	st.bcache.insert(k, out)
-	return out, nil
+	st.bcache.put(&cacheEnt{key: k, u64: col, size: int64(8 * len(col))})
+	return col
+}
+
+// wide32Cached is wide64Cached for the TID and payload-offset columns.
+func (st *Store) wide32Cached(name string, b *coldBlock, m *metaSec, sec section) []uint32 {
+	k := blockKey{name: name, off: b.off, sec: sec}
+	if ent := st.bcache.get(k); ent != nil {
+		return ent.u32
+	}
+	var col []uint32
+	if sec == secTIDs {
+		col = m.tids()
+	} else {
+		col = m.payOffsets()
+	}
+	st.bcache.put(&cacheEnt{key: k, u32: col, size: int64(4 * len(col))})
+	return col
 }

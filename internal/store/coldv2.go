@@ -13,11 +13,12 @@
 //
 // The split is the point: predicates over header fields decide from the
 // block header alone (no I/O past the directory scan), then from the
-// decoded meta columns — and only the rows that survive pay for payload
-// bytes. A query that matches nothing in a block never inflates either
-// section; a metadata-only query (or aggregate) never inflates the
-// payload section at all. v1 blocks remain fully readable; the freeze
-// path emits v2.
+// meta section, one column at a time — the byte-wide columns in place,
+// a varint column decoded only for a query that names it — and only the
+// rows that survive pay for payload bytes. A query that matches nothing
+// in a block never inflates either section; a metadata-only query (or
+// aggregate) never inflates the payload section at all. v1 blocks
+// remain fully readable; the freeze path emits v2.
 package store
 
 import (
@@ -194,9 +195,156 @@ func decodeBlockHeaderV2(src []byte) (b coldBlock, err error) {
 	return b, nil
 }
 
-// colBlock is a decoded v2 meta section: one slice per column, row i of
-// every slice describing event i. payOff is the payload-column prefix
-// sum (payOff[i]..payOff[i+1] bounds row i's payload).
+// metaSec is a v2 block's inflated meta section, validated once and
+// then read in place. The byte-wide columns are sub-slices of raw; the
+// varint columns are located (each starts where the previous one was
+// found to end) but not decoded: the scan decodes one on the first
+// query that reads it and caches it as an entry of its own
+// (blockcache.go). A metaSec is immutable once parseMeta returns it.
+type metaSec struct {
+	raw []byte
+	// cores, catIdx and levels hold one byte per row; catIdx[i] indexes
+	// dict, the block's category dictionary.
+	cores, catIdx, levels, dict []uint8
+	// Offsets into raw of the varint columns after the stamps, which
+	// start at 0.
+	tsOff, tidOff, plenOff int
+}
+
+// parseMeta validates an inflated meta section against its block header
+// and locates its columns. Everything a later decode relies on is
+// checked here: each column holds exactly the header's count of
+// well-formed values, category indices fall inside the dictionary, TIDs
+// fit 32 bits, payload lengths are legal and sum to the payload
+// section's size, and nothing trails the last column. Any metaSec this
+// returns, and so any cached one, can be decoded without a further
+// check.
+func parseMeta(raw []byte, b *coldBlock) (*metaSec, error) {
+	v, count := b.v2, int(b.meta.count)
+	m := &metaSec{raw: raw}
+	pos := 0
+	fail := func(col string) error {
+		return fmt.Errorf("%w: v2 meta column %s truncated", tracer.ErrCorrupt, col)
+	}
+	// varints steps over count varints no larger than max and returns
+	// their sum.
+	varints := func(max uint64) (sum uint64, ok bool) {
+		for i := 0; i < count; i++ {
+			u, n := binary.Uvarint(raw[pos:])
+			if n <= 0 || u > max {
+				return 0, false
+			}
+			pos += n
+			sum += u
+		}
+		return sum, true
+	}
+	// column steps over an n-byte column.
+	column := func(n int) []uint8 {
+		if n > len(raw)-pos {
+			return nil
+		}
+		pos += n
+		return raw[pos-n : pos : pos]
+	}
+	// Stamps and timestamps are zigzag deltas: any 64-bit value is legal.
+	if _, ok := varints(^uint64(0)); !ok {
+		return nil, fail("stamp")
+	}
+	m.tsOff = pos
+	if _, ok := varints(^uint64(0)); !ok {
+		return nil, fail("time")
+	}
+	if m.cores = column(count); m.cores == nil {
+		return nil, fail("core")
+	}
+	// Categories: the dictionary values, then one index byte per row.
+	if m.dict = column(v.dictSize); m.dict == nil && v.dictSize > 0 {
+		return nil, fail("category dictionary")
+	}
+	if m.catIdx = column(count); m.catIdx == nil {
+		return nil, fail("category")
+	}
+	for _, idx := range m.catIdx {
+		if int(idx) >= len(m.dict) {
+			return nil, fmt.Errorf("%w: v2 category index %d outside dictionary of %d", tracer.ErrCorrupt, idx, len(m.dict))
+		}
+	}
+	m.tidOff = pos
+	if _, ok := varints(uint64(^uint32(0))); !ok {
+		return nil, fail("tid")
+	}
+	if m.levels = column(count); m.levels == nil {
+		return nil, fail("level")
+	}
+	m.plenOff = pos
+	payTotal, ok := varints(tracer.MaxPayload)
+	if !ok {
+		return nil, fail("payload length")
+	}
+	if pos != len(raw) {
+		return nil, fmt.Errorf("%w: v2 meta section has %d trailing bytes", tracer.ErrCorrupt, len(raw)-pos)
+	}
+	if payTotal != uint64(v.payRawLen) {
+		return nil, fmt.Errorf("%w: v2 payload lengths sum to %d, header says %d", tracer.ErrCorrupt, payTotal, v.payRawLen)
+	}
+	return m, nil
+}
+
+// rows is the block's row count.
+func (m *metaSec) rows() int { return len(m.cores) }
+
+// stamps decodes the stamp column: zigzag deltas anchored at the block
+// header's base, so the first value costs as little as any other.
+func (m *metaSec) stamps(b *coldBlock) []uint64 {
+	return decodeDeltas(m.raw, int64(b.meta.baseStamp), m.rows())
+}
+
+// times decodes the timestamp column, anchored at the header's minTS.
+func (m *metaSec) times(b *coldBlock) []uint64 {
+	return decodeDeltas(m.raw[m.tsOff:], int64(b.meta.minTS), m.rows())
+}
+
+func decodeDeltas(src []byte, prev int64, count int) []uint64 {
+	dst := make([]uint64, count)
+	pos := 0
+	for i := range dst {
+		d, n := binary.Varint(src[pos:])
+		pos += n
+		prev += d
+		dst[i] = uint64(prev)
+	}
+	return dst
+}
+
+// tids decodes the TID column.
+func (m *metaSec) tids() []uint32 {
+	dst := make([]uint32, m.rows())
+	pos := m.tidOff
+	for i := range dst {
+		u, n := binary.Uvarint(m.raw[pos:])
+		pos += n
+		dst[i] = uint32(u)
+	}
+	return dst
+}
+
+// payOffsets decodes the payload-length column into its prefix sum:
+// row i's payload is bytes [off[i], off[i+1]) of the payload section.
+func (m *metaSec) payOffsets() []uint32 {
+	dst := make([]uint32, m.rows()+1)
+	pos := m.plenOff
+	var total uint32
+	for i := range dst[1:] {
+		u, n := binary.Uvarint(m.raw[pos:])
+		pos += n
+		total += uint32(u)
+		dst[i+1] = total
+	}
+	return dst
+}
+
+// colBlock is the writer's pending rows, one slice per column.
 type colBlock struct {
 	stamps []uint64
 	ts     []uint64
@@ -205,133 +353,6 @@ type colBlock struct {
 	tids   []uint32
 	levels []uint8
 	plens  []uint32
-	payOff []uint32
-}
-
-// memSize is the decoded footprint, charged against the block-cache
-// budget when the colBlock is cached in place of its meta bytes.
-func (cb *colBlock) memSize() int64 {
-	return int64(8*len(cb.stamps) + 8*len(cb.ts) + len(cb.cores) +
-		len(cb.cats) + 4*len(cb.tids) + len(cb.levels) +
-		4*len(cb.plens) + 4*len(cb.payOff))
-}
-
-// decodeColumns parses the inflated meta section into cb, reusing its
-// slices. Every column is validated against the header's row count and
-// the payload prefix sum against payRawLen, so a decoded colBlock is
-// structurally trustworthy.
-func decodeColumns(meta []byte, b *coldBlock, cb *colBlock) error {
-	v := b.v2
-	count := int(b.meta.count)
-	cb.stamps = grow64(cb.stamps, count)
-	cb.ts = grow64(cb.ts, count)
-	cb.cores = grow8(cb.cores, count)
-	cb.cats = grow8(cb.cats, count)
-	cb.tids = grow32(cb.tids, count)
-	cb.levels = grow8(cb.levels, count)
-	cb.plens = grow32(cb.plens, count)
-	cb.payOff = grow32(cb.payOff, count+1)
-	pos := 0
-	fail := func(col string) error {
-		return fmt.Errorf("%w: v2 meta column %s truncated", tracer.ErrCorrupt, col)
-	}
-	// Stamps and timestamps: zigzag deltas anchored at the header's
-	// base/min, so the first value costs as little as any other.
-	prev := int64(b.meta.baseStamp)
-	for i := 0; i < count; i++ {
-		d, n := binary.Varint(meta[pos:])
-		if n <= 0 {
-			return fail("stamp")
-		}
-		pos += n
-		prev += d
-		cb.stamps[i] = uint64(prev)
-	}
-	prev = int64(b.meta.minTS)
-	for i := 0; i < count; i++ {
-		d, n := binary.Varint(meta[pos:])
-		if n <= 0 {
-			return fail("time")
-		}
-		pos += n
-		prev += d
-		cb.ts[i] = uint64(prev)
-	}
-	if pos+count > len(meta) {
-		return fail("core")
-	}
-	copy(cb.cores, meta[pos:pos+count])
-	pos += count
-	// Categories: the dictionary values, then one index byte per row.
-	if pos+v.dictSize > len(meta) {
-		return fail("category dictionary")
-	}
-	dict := meta[pos : pos+v.dictSize]
-	pos += v.dictSize
-	if pos+count > len(meta) {
-		return fail("category")
-	}
-	for i := 0; i < count; i++ {
-		idx := int(meta[pos+i])
-		if idx >= len(dict) {
-			return fmt.Errorf("%w: v2 category index %d outside dictionary of %d", tracer.ErrCorrupt, idx, len(dict))
-		}
-		cb.cats[i] = dict[idx]
-	}
-	pos += count
-	for i := 0; i < count; i++ {
-		u, n := binary.Uvarint(meta[pos:])
-		if n <= 0 || u > uint64(^uint32(0)) {
-			return fail("tid")
-		}
-		pos += n
-		cb.tids[i] = uint32(u)
-	}
-	if pos+count > len(meta) {
-		return fail("level")
-	}
-	copy(cb.levels, meta[pos:pos+count])
-	pos += count
-	var payTotal uint64
-	for i := 0; i < count; i++ {
-		u, n := binary.Uvarint(meta[pos:])
-		if n <= 0 || u > tracer.MaxPayload {
-			return fail("payload length")
-		}
-		pos += n
-		cb.plens[i] = uint32(u)
-		cb.payOff[i] = uint32(payTotal)
-		payTotal += u
-	}
-	cb.payOff[count] = uint32(payTotal)
-	if pos != len(meta) {
-		return fmt.Errorf("%w: v2 meta section has %d trailing bytes", tracer.ErrCorrupt, len(meta)-pos)
-	}
-	if payTotal != uint64(v.payRawLen) {
-		return fmt.Errorf("%w: v2 payload lengths sum to %d, header says %d", tracer.ErrCorrupt, payTotal, v.payRawLen)
-	}
-	return nil
-}
-
-func grow64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func grow32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	return s[:n]
-}
-
-func grow8(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	return s[:n]
 }
 
 // coldWriterV2 streams decoded events into a v2 cold file under
@@ -344,7 +365,7 @@ type coldWriterV2 struct {
 	off        int64
 	blockBytes int
 
-	cols     colBlock // pending rows, columns only (payOff unused)
+	cols     colBlock // pending rows
 	pay      []byte
 	frameRaw int64 // frame-equivalent raw bytes pending
 
@@ -398,7 +419,7 @@ func (w *coldWriterV2) add(frame []byte, e *tracer.Entry) error {
 }
 
 // encodeMeta renders the pending columns into the meta-section layout
-// decodeColumns parses.
+// parseMeta validates.
 func (w *coldWriterV2) encodeMeta() (dictSize int) {
 	buf := w.scratch[:0]
 	var tmp [binary.MaxVarintLen64]byte

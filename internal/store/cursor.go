@@ -107,7 +107,17 @@ func (c *compiled) matchMeta(m *segmentMeta, v2 *blockV2) bool {
 	if c.pred == nil {
 		return true
 	}
-	bm := btql.Meta{
+	bm := c.summary(m, v2)
+	return c.pred.MatchMeta(&bm)
+}
+
+// summary renders a run's metadata as the predicate reads it. Without
+// a predicate nobody does.
+func (c *compiled) summary(m *segmentMeta, v2 *blockV2) (bm btql.Meta) {
+	if c.pred == nil {
+		return bm
+	}
+	bm = btql.Meta{
 		MinStamp: m.baseStamp, MaxStamp: m.maxStamp,
 		MinTS: m.minTS, MaxTS: m.maxTS,
 		CoreBits: m.coreBits, CatBits: m.catBits,
@@ -117,7 +127,7 @@ func (c *compiled) matchMeta(m *segmentMeta, v2 *blockV2) bool {
 		bm.MinTID, bm.MaxTID = v2.minTID, v2.maxTID
 		bm.TIDMay = v2.mayContainTID
 	}
-	return c.pred.MatchMeta(&bm)
+	return bm
 }
 
 // matchSegment reports whether the segment can contain matching records.
@@ -143,6 +153,40 @@ func (c *compiled) matchRaw(stamp, ts uint64, core uint8, tid uint32, cat, level
 		return false
 	}
 	return c.pred == nil || c.pred.MatchHeader(stamp, ts, core, tid, cat, level)
+}
+
+// selectColumns is matchRaw over a whole v2 block, one column at a time:
+// it leaves in sel the rows of bc the query selects. Each rung costs one
+// pass over the one column it tests, and a rung the block header already
+// decides — a hull the block lies inside — costs nothing, so its column
+// is not fetched either. Like matchRaw it is exact for payload-free
+// predicates and otherwise leaves some rows unsure (sel.Exact).
+func (c *compiled) selectColumns(bc *blockCols, sel *btql.Selection) {
+	m := &bc.b.meta
+	sel.Reset(bc.n)
+	if c.q.MinStamp > m.baseStamp || (c.q.MaxStamp > 0 && c.q.MaxStamp < m.maxStamp) {
+		sel.AndRange(bc.Stamps(), c.q.MinStamp, orUnbounded(c.q.MaxStamp))
+	}
+	if c.q.MinTS > m.minTS || (c.q.MaxTS > 0 && c.q.MaxTS < m.maxTS) {
+		sel.AndRange(bc.Times(), c.q.MinTS, orUnbounded(c.q.MaxTS))
+	}
+	if !c.anyCore {
+		sel.AndSet(bc.m.cores[:bc.n], nil, &c.coreSet)
+	}
+	if !c.anyCat {
+		sel.AndSet(bc.m.catIdx[:bc.n], bc.m.dict, &c.catSet)
+	}
+	if c.pred != nil {
+		c.pred.Select(bc, sel)
+	}
+}
+
+// orUnbounded maps the Query's "0 = no upper bound" to the largest value.
+func orUnbounded(hi uint64) uint64 {
+	if hi == 0 {
+		return ^uint64(0)
+	}
+	return hi
 }
 
 // Cursor streams store records, oldest segment first, in append order.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 
@@ -121,9 +122,19 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_store_cold_raw_bytes_total", "uncompressed bytes frozen into cold files", o.coldRawBytes.Load())
 	e.Counter("btrace_store_compactor_errors_total", "background compactor tick failures", o.compactorErrors.Load())
 	e.Counter("btrace_store_orphans_removed_total", "unrecognized files removed at open", o.orphansRemoved.Load())
-	hits, misses := o.bcache.counters()
-	e.Counter("btrace_store_block_cache_hits_total", "cold block reads served from the decompressed-block cache", hits)
-	e.Counter("btrace_store_block_cache_misses_total", "cold block reads that had to inflate", misses)
+	cc := o.bcache.classCounters()
+	hits, misses := cc.sections()
+	e.Counter("btrace_store_block_cache_hits_total", "cold section reads served from the block cache", hits)
+	e.Counter("btrace_store_block_cache_misses_total", "cold section reads that had to inflate", misses)
+	// The same by what was looked up. A column miss is a decode from a
+	// cached meta section, not an inflate, so the unlabelled pair above
+	// is the meta and payload rows only.
+	for class, name := range classNames {
+		label := fmt.Sprintf("{section=%q}", name)
+		e.Counter("btrace_store_block_cache_hits_total"+label, "block cache lookups served, by section", cc.hits[class])
+		e.Counter("btrace_store_block_cache_misses_total"+label, "block cache lookups that had to inflate (meta, payload) or decode (column), by section", cc.misses[class])
+		e.Gauge("btrace_store_block_cache_bytes"+label, "bytes resident in the block cache, by section", float64(cc.resident[class]))
+	}
 	e.Counter("btrace_store_blocks_pruned_total", "cold blocks skipped on header metadata alone", o.blocksPruned.Load())
 	e.Counter("btrace_store_payload_skips_total", "columnar blocks scanned without inflating the payload column", o.payloadSkips.Load())
 	e.Counter("btrace_store_recovered_truncations_total", "torn segment tails truncated at open", o.recoveredTruncations.Load())

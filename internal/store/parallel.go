@@ -23,6 +23,8 @@
 package store
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -58,6 +60,19 @@ func (ck *pchunk) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8
 		Stamp: stamp, TS: ts, Core: core, TID: tid,
 		Category: cat, Level: level, Payload: payload,
 	})
+}
+
+// rows materialises the selected rows of a v2 block: the one place a
+// cold row becomes an entry, after the selection has decided it is
+// wanted.
+func (ck *pchunk) rows(c *blockCols, idx []int32, pay []byte) {
+	stamps, ts, tids, m := c.Stamps(), c.Times(), c.TIDs(), c.m
+	for _, i := range idx {
+		ck.entries = append(ck.entries, tracer.Entry{
+			Stamp: stamps[i], TS: ts[i], Core: m.cores[i], TID: tids[i],
+			Category: m.dict[m.catIdx[i]], Level: m.levels[i], Payload: c.payload(pay, i),
+		})
+	}
 }
 
 func (ck *pchunk) reset() {
@@ -452,9 +467,7 @@ func (c *PCursor) runStream(ps *pstream) {
 			for more && err == nil {
 				more, err = s.step(ck)
 			}
-			sort.Slice(ck.entries, func(i, j int) bool {
-				return ck.entries[i].Stamp < ck.entries[j].Stamp
-			})
+			sortByStamp(ck.entries)
 		}
 		c.release()
 		if err != nil {
@@ -478,6 +491,18 @@ func (c *PCursor) runStream(ps *pstream) {
 			c.pool.put(ck)
 			return
 		}
+	}
+}
+
+// sortByStamp orders es by stamp. Entries of equal stamp keep no
+// particular order, as under the sort.Slice this replaces (neither sort
+// is stable); what changed is the cost: no reflection-based swapper, and
+// no sort at all when es is already in order — the common case for a
+// segment whose only disorder is two clients' batches interleaving.
+func sortByStamp(es []tracer.Entry) {
+	byStamp := func(a, b tracer.Entry) int { return cmp.Compare(a.Stamp, b.Stamp) }
+	if !slices.IsSortedFunc(es, byStamp) {
+		slices.SortFunc(es, byStamp)
 	}
 }
 

@@ -370,7 +370,7 @@ func FuzzColdBlockV2Decode(f *testing.F) {
 	f.Add(append([]byte(nil), hdr...), short[:len(short)/2])
 	f.Fuzz(func(t *testing.T, h, m []byte) {
 		if b, err := decodeBlockHeaderV2(h); err == nil && b.meta.count <= 1<<16 {
-			var cb colBlock
+			var cb decodedCols
 			if derr := decodeColumns(m, &b, &cb); derr == nil {
 				checkColumns(t, &b, &cb)
 			}
@@ -379,17 +379,42 @@ func FuzzColdBlockV2Decode(f *testing.F) {
 		// column decoder is exercised even when the fuzzed header fails
 		// its CRC (as almost all mutations do).
 		b := seedBlock
-		var cb colBlock
+		var cb decodedCols
 		if err := decodeColumns(m, &b, &cb); err == nil {
 			checkColumns(t, &b, &cb)
 		}
 	})
 }
 
+// decodedCols is a v2 meta section with every column decoded.
+type decodedCols struct {
+	colBlock
+	payOff []uint32
+}
+
+// decodeColumns runs the read path's two steps over an inflated meta
+// section — parseMeta's validation, then each column's decoder — the
+// way a scan that reads every column does.
+func decodeColumns(meta []byte, b *coldBlock, cb *decodedCols) error {
+	m, err := parseMeta(meta, b)
+	if err != nil {
+		return err
+	}
+	cb.stamps, cb.ts, cb.tids, cb.payOff = m.stamps(b), m.times(b), m.tids(), m.payOffsets()
+	cb.cores, cb.levels = m.cores, m.levels
+	cb.cats = make([]uint8, m.rows())
+	cb.plens = make([]uint32, m.rows())
+	for i := range cb.cats {
+		cb.cats[i] = m.dict[m.catIdx[i]]
+		cb.plens[i] = cb.payOff[i+1] - cb.payOff[i]
+	}
+	return nil
+}
+
 // checkColumns asserts the structural contract a successful
 // decodeColumns promises: every column row-count matches the header,
 // and the payload prefix sum is monotonic and bounded.
-func checkColumns(t *testing.T, b *coldBlock, cb *colBlock) {
+func checkColumns(t *testing.T, b *coldBlock, cb *decodedCols) {
 	t.Helper()
 	n := int(b.meta.count)
 	if len(cb.stamps) != n || len(cb.ts) != n || len(cb.cores) != n ||

@@ -8,6 +8,16 @@
 // steps it into a rowSink — a chunk of entries for the cursors, the
 // aggregators for Aggregate. What differs between the surfaces is
 // sequencing (append order vs stamp merge vs fold), never the ladder.
+//
+// The two walkers differ in when a row comes into being. The frame
+// walker meets whole rows, so it tests them one at a time
+// (compiled.matchRaw on the raw header words). The column walker
+// materialises late: it first reduces the block to a selection — hull,
+// masks and predicate evaluated one column at a time
+// (compiled.selectColumns), each rung touching only the column it
+// names — and only then, and only for a non-empty selection, fetches
+// what the sink reads of the selected rows. A column nobody names is
+// never decoded, and so never cached (blockcache.go).
 package store
 
 import (
@@ -15,6 +25,7 @@ import (
 	"io"
 	"sort"
 
+	"btrace/internal/btql"
 	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
 )
@@ -28,7 +39,7 @@ const scanSpanBytes = 256 << 10
 // that passed the compiled query: the header match and, when the
 // predicate has one, the payload test.
 type rowSink interface {
-	// payloads reports whether row needs payload bytes. A sink that
+	// payloads reports whether the sink needs payload bytes. A sink that
 	// answers false gets them only when the predicate itself had to read
 	// them; header-only scans then never decode a record body nor
 	// inflate a v2 payload section.
@@ -37,7 +48,13 @@ type rowSink interface {
 	// into. Payloads of rows emitted until the next span call alias it,
 	// so a sink that keeps rows owns the buffer's lifetime.
 	span(n int) []byte
+	// row takes one row from the frame walker.
 	row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte)
+	// rows takes the selected rows idx (ascending, non-empty) of a v2
+	// block from the column walker, and reads from c the columns it
+	// wants of them. pay is the block's payload section, nil when nobody
+	// needed it.
+	rows(c *blockCols, idx []int32, pay []byte)
 }
 
 // segSnap is the immutable snapshot of one segment a scan runs against,
@@ -95,6 +112,10 @@ type segScan struct {
 	// cut reports the ordered early exit: a stamp past MaxStamp was seen
 	// in an ordered segment, so nothing later in it can match.
 	cut bool
+	// The column walker's per-block state, reused from block to block.
+	cols blockCols
+	sel  btql.Selection
+	idx  []int32
 }
 
 // openScan opens sn's file for one pass of q. A segment that retention
@@ -274,58 +295,147 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 	return pos, nil
 }
 
-// columns is the column walker over one v2 block. The decoded meta
-// columns come through the block cache and are filtered without
-// touching the payload section; that section is inflated only when a
-// surviving row has payload bytes somebody will read — the sink, or the
-// predicate. A block whose candidate set is empty or payload-free, and
-// any header-only scan, never touches its compressed payload. Row
-// payloads alias the cached payload buffer, which the GC keeps alive
-// for as long as any row does.
+// blockCols is the column walker's view of one v2 block: the rows under
+// evaluation and, fetched through the block cache the first time
+// somebody asks, its columns. It is what the predicate kernels
+// (btql.Columns) and the sinks read from, so what a query costs a block
+// is the columns its predicate and its sink name.
+type blockCols struct {
+	s *segScan
+	b *coldBlock
+	m *metaSec
+	n int // rows under evaluation: the block's, less the MaxStamp cut
+	// sum is the block header as the predicate sees it.
+	sum btql.Meta
+
+	stamps, ts   []uint64
+	tids, payOff []uint32
+}
+
+func (c *blockCols) Summary() *btql.Meta { return &c.sum }
+
+func (c *blockCols) Stamps() []uint64 {
+	if c.stamps == nil {
+		c.stamps = c.s.st.wide64Cached(c.s.sn.name, c.b, c.m, secStamps)
+	}
+	return c.stamps[:c.n]
+}
+
+func (c *blockCols) Times() []uint64 {
+	if c.ts == nil {
+		c.ts = c.s.st.wide64Cached(c.s.sn.name, c.b, c.m, secTimes)
+	}
+	return c.ts[:c.n]
+}
+
+func (c *blockCols) TIDs() []uint32 {
+	if c.tids == nil {
+		c.tids = c.s.st.wide32Cached(c.s.sn.name, c.b, c.m, secTIDs)
+	}
+	return c.tids[:c.n]
+}
+
+// Bytes returns a byte-wide column in place in the cached meta section;
+// categories come as indices into the block's dictionary.
+func (c *blockCols) Bytes(f btql.Field) (col, dict []uint8) {
+	switch f {
+	case btql.FCore:
+		return c.m.cores[:c.n], nil
+	case btql.FCategory:
+		return c.m.catIdx[:c.n], c.m.dict
+	default:
+		return c.m.levels[:c.n], nil
+	}
+}
+
+// payOffsets returns the payload prefix sum: row i's payload is bytes
+// [off[i], off[i+1]) of the payload section.
+func (c *blockCols) payOffsets() []uint32 {
+	if c.payOff == nil {
+		c.payOff = c.s.st.wide32Cached(c.s.sn.name, c.b, c.m, secPayOff)
+	}
+	return c.payOff
+}
+
+// payload returns row i's bytes of the payload section pay, nil for a
+// row without any. The slice aliases pay — shared block-cache memory —
+// read-only; the GC keeps it alive for as long as any row does.
+func (c *blockCols) payload(pay []byte, i int32) []byte {
+	if pay == nil {
+		return nil
+	}
+	off := c.payOffsets()
+	if lo, hi := off[i], off[i+1]; hi > lo {
+		return pay[lo:hi:hi]
+	}
+	return nil
+}
+
+// columns is the column walker over one v2 block. The block's inflated
+// meta section comes through the block cache; the query is evaluated
+// over it one column at a time into a selection, decoding only the wide
+// columns its filters name; and what remains of the rows is then handed
+// to the sink in one call. The payload section is inflated only when a
+// selected row has payload bytes somebody will read — the sink, or a
+// payload predicate, which then settles the rows the selection left
+// unsure. A block whose selection is empty or payload-free, and any
+// header-only scan, never touches its compressed payload.
 func (s *segScan) columns(b *coldBlock, dst rowSink) error {
 	sn, q := s.sn, s.q
-	cb, err := s.st.columnsCached(sn.name, s.f, b)
+	m, err := s.st.metaCached(sn.name, s.f, b)
 	if err != nil {
 		return err
 	}
-	count := int(b.meta.count)
+	c := &s.cols
+	*c = blockCols{s: s, b: b, m: m, n: m.rows(), sum: q.summary(&b.meta, b.v2)}
 	if max := q.q.MaxStamp; sn.ordered && max > 0 && b.meta.maxStamp > max {
 		// The MaxStamp cut: an ordered segment's stamp column is sorted.
-		count = sort.Search(count, func(i int) bool { return cb.stamps[i] > max })
+		stamps := c.Stamps()
+		c.n = sort.Search(c.n, func(i int) bool { return stamps[i] > max })
 		s.cut = true
 	}
-	predPay := q.pred != nil && q.pred.NeedsPayload()
-	needPay := false
-	if predPay || dst.payloads() {
-		for i := 0; i < count && !needPay; i++ {
-			needPay = cb.plens[i] > 0 &&
-				q.matchRaw(cb.stamps[i], cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i])
-		}
+	q.selectColumns(c, &s.sel)
+	if cap(s.idx) < c.n {
+		s.idx = make([]int32, 0, m.rows())
 	}
+	idx := s.sel.Rows(s.idx[:0])
 	var pay []byte
-	if needPay {
-		if pay, err = s.st.inflatePayCached(sn.name, s.f, b); err != nil {
-			return err
+	unsure := !s.sel.Exact()
+	if b.v2.payLen > 0 {
+		if (unsure || dst.payloads()) && c.anyPayload(idx) {
+			if pay, err = s.st.inflateCached(sn.name, s.f, b); err != nil {
+				return err
+			}
+		} else {
+			s.st.obs.payloadSkips.Add(1)
 		}
-	} else if b.v2.payLen > 0 {
-		s.st.obs.payloadSkips.Add(1)
 	}
-	for i := 0; i < count; i++ {
-		stamp, ts, core, tid, cat, level := cb.stamps[i], cb.ts[i], cb.cores[i], cb.tids[i], cb.cats[i], cb.levels[i]
-		if !q.matchRaw(stamp, ts, core, tid, cat, level) {
-			continue
-		}
-		var payload []byte
-		if needPay && cb.plens[i] > 0 {
-			payload = pay[cb.payOff[i]:cb.payOff[i+1]:cb.payOff[i+1]]
-		}
-		if predPay {
-			e := tracer.Entry{Stamp: stamp, TS: ts, Core: core, TID: tid, Category: cat, Level: level, Payload: payload}
-			if !q.pred.Match(&e) {
-				continue
+	if unsure {
+		k := 0
+		for _, i := range idx {
+			if s.sel.Sure(i) || q.pred.MatchRow(c, i, c.payload(pay, i)) {
+				idx[k] = i
+				k++
 			}
 		}
-		dst.row(stamp, ts, core, tid, cat, level, payload)
+		idx = idx[:k]
+	}
+	if len(idx) > 0 {
+		dst.rows(c, idx, pay)
 	}
 	return nil
+}
+
+// anyPayload reports whether any of rows idx has payload bytes.
+func (c *blockCols) anyPayload(idx []int32) bool {
+	if len(idx) == 0 {
+		return false
+	}
+	off := c.payOffsets()
+	for _, i := range idx {
+		if off[i+1] > off[i] {
+			return true
+		}
+	}
+	return false
 }

@@ -28,9 +28,11 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -147,8 +149,8 @@ type Stats struct {
 	ColdRawBytes     uint64 // raw frame bytes those blocks held
 	CompactorErrors  uint64 // background compactor ticks that failed
 
-	BlockCacheHits   uint64 // cold block reads served from the cache
-	BlockCacheMisses uint64 // cold block reads that had to inflate
+	BlockCacheHits   uint64 // cold section reads served from the cache
+	BlockCacheMisses uint64 // cold section reads that had to inflate
 
 	BlocksPruned uint64 // cold blocks skipped on header metadata alone
 	PayloadSkips uint64 // v2 blocks scanned without inflating the payload column
@@ -285,11 +287,17 @@ func OpenBackend(be backend.Backend, cfg Config) (*Store, error) {
 	// Ascending seq; at equal seq the cold file sorts first, so the
 	// leftover rule below sees the committed freeze result before the
 	// stale source it covers.
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].seq != entries[j].seq {
-			return entries[i].seq < entries[j].seq
+	slices.SortFunc(entries, func(a, b entry) int {
+		switch {
+		case a.seq != b.seq:
+			return cmp.Compare(a.seq, b.seq)
+		case a.cold == b.cold:
+			return 0
+		case a.cold:
+			return -1
+		default:
+			return 1
 		}
-		return entries[i].cold && !entries[j].cold
 	})
 	for i, en := range entries {
 		last := i == len(entries)-1
@@ -806,7 +814,7 @@ func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s := st.stats
-	s.BlockCacheHits, s.BlockCacheMisses = st.bcache.counters()
+	s.BlockCacheHits, s.BlockCacheMisses = st.bcache.classCounters().sections()
 	s.BlocksPruned = st.obs.blocksPruned.Load()
 	s.PayloadSkips = st.obs.payloadSkips.Load()
 	return s

@@ -6,11 +6,7 @@
 // single stamp-ordered producer.
 package store
 
-import (
-	"sort"
-
-	"btrace/internal/tracer"
-)
+import "btrace/internal/tracer"
 
 // Tracer adapts a Store to tracer.Tracer. Unlike the in-memory tracers
 // it persists every write; ReadAll and cursors read back from disk.
@@ -67,7 +63,7 @@ func (t *Tracer) ReadAll() ([]tracer.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(es, func(i, j int) bool { return es[i].Stamp < es[j].Stamp })
+	sortByStamp(es)
 	return es, nil
 }
 
