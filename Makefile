@@ -100,7 +100,8 @@ bench:
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
 	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate)' -benchmem -benchtime $(BENCHTIME); \
-	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorIngest' -benchmem -benchtime $(BENCHTIME); } \
+	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorIngest' -benchmem -benchtime $(BENCHTIME); \
+	   $(GO) test ./cmd/btrace-serve -run '^$$' -bench 'BenchmarkServeIngest' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_store.json
 	@echo "wrote BENCH_store.json"
 	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkObsOverhead/record' -benchmem -benchtime $(OBS_RECORD_BENCHTIME); \
@@ -111,7 +112,9 @@ bench:
 
 # Compare freshly produced BENCH_*.json against the committed baselines
 # (taken from HEAD): >30% ns/op regressions fail, and the read-path / obs
-# fast paths must stay allocation-free. The -max-ratio rules enforce the
+# fast paths and the single-store /ingest path (pooled batch → decode →
+# drain → append, BenchmarkServeIngest/single) must stay allocation-free.
+# The -max-ratio rules enforce the
 # storage contracts within the fresh run itself (hardware-independent):
 # the wide query over the majority-cold store must stay within 2x of the
 # identical all-hot query, a selective BTQL query with predicate
@@ -127,5 +130,5 @@ benchdiff:
 	@for f in BENCH_readpath.json BENCH_store.json BENCH_obs.json; do \
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
-	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/idle,BenchmarkExportCSV' \
+	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/idle,BenchmarkExportCSV,BenchmarkServeIngest/single' \
 	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline'

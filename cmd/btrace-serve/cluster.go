@@ -15,11 +15,11 @@ import (
 	"btrace/internal/store/backend"
 )
 
-// clusterGateEvery is how often the cluster's shared overload gate is
-// re-evaluated against the worst store pressure across the shard fleet.
-// The single-store pipeline evaluates per supervisor step; the cluster's
-// gate has no step loop of its own, so a ticker stands in.
-const clusterGateEvery = 250 * time.Millisecond
+// gateEvery is how often the cluster's shared overload gate is
+// re-evaluated against the worst store pressure across the shard fleet,
+// and how often the single-store drain evaluates its gate while no
+// batch arrives (with traffic it evaluates once per batch).
+const gateEvery = 250 * time.Millisecond
 
 // shardNamePattern constrains operator-supplied shard names: they become
 // directory names under the cluster root.
@@ -122,7 +122,7 @@ func newClusterPipeline(cfg clusterConfig) (*clusterPipeline, error) {
 // path's.
 func (p *clusterPipeline) gateLoop() {
 	defer close(p.done)
-	t := time.NewTicker(clusterGateEvery)
+	t := time.NewTicker(gateEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -3,8 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,25 +12,21 @@ import (
 
 	"btrace/internal/collect"
 	"btrace/internal/live"
+	"btrace/internal/obs"
 	"btrace/internal/overload"
 	"btrace/internal/store"
-	"btrace/internal/tracer"
 )
 
-// maxIngestBody caps a single POST /ingest payload. At 32 bytes minimum
-// per wire record this is well over 100k events — a batch, not a bulk
-// import; larger uploads should be split.
-const maxIngestBody = 4 << 20
-
-// ingestQueueDepth is the number of accepted-but-unprocessed batches the
+// ingestQueueDepth is the number of accepted-but-unapplied batches the
 // pipeline holds before /ingest starts answering 429. The bound is the
-// server-side backpressure: beyond it the client is told to slow down
-// instead of the queue growing without limit.
+// server-side backpressure, also while the store is failing: beyond it
+// the client is told to slow down instead of memory growing.
 const ingestQueueDepth = 256
 
-// ingestIdleSleep is how long the pipeline goroutine sleeps when the
-// queue is empty before polling again.
-const ingestIdleSleep = 2 * time.Millisecond
+// appendAttempts is the drain's append budget per batch. The queue
+// behind a held batch is the backpressure, so the budget stays small: a
+// dead store should answer 429s, not stall.
+const appendAttempts = 3
 
 // ingestConfig carries the overload-control flags into the pipeline.
 type ingestConfig struct {
@@ -81,168 +77,177 @@ func (cfg ingestConfig) gateConfig() (overload.Config, error) {
 	return gcfg, nil
 }
 
-// ingestTrigger fires a dump for every non-empty admitted batch: the
-// ingest path has no windowing semantics of its own, so each accepted
-// batch goes straight to the durable store.
-type ingestTrigger struct{}
-
-func (ingestTrigger) Observe(es []tracer.Entry) string {
-	if len(es) > 0 {
-		return "ingest"
-	}
-	return ""
-}
-func (ingestTrigger) Name() string { return "ingest" }
-
-// tenantBatch is one accepted /ingest batch with its resolved tenant:
-// the queue carries the tenant alongside the events so the gate's
-// per-tenant attribution happens in the supervisor goroutine, where the
-// gate is legal to touch.
-type tenantBatch struct {
-	tenant string
-	es     []tracer.Entry
-}
-
-// queuePoller adapts the ingest queue to collect.FalliblePoller: each
-// poll drains at most one batch, without blocking, and never fails. It
-// labels the gate with the batch's tenant before handing the events
-// over — Poll runs inside Supervisor.Step, the gate's single goroutine.
-type queuePoller struct {
-	q    chan tenantBatch
-	gate *overload.Gate
-}
-
-func (p queuePoller) Poll() ([]tracer.Entry, uint64, error) {
-	select {
-	case b := <-p.q:
-		p.gate.SetTenant(b.tenant)
-		return b.es, 0, nil
-	default:
-		return nil, 0, nil
-	}
-}
-
-// ingestPipeline owns the POST /ingest delivery path: a bounded queue of
-// decoded batches drained by a supervised collector running in StoreSink
-// mode behind an adaptive overload gate. HTTP handlers touch only the
-// queue, the atomic counters and the mutex-protected snapshots — the
-// Supervisor itself stays single-goroutine, as its contract requires.
+// ingestPipeline owns the single-store POST /ingest delivery path: a
+// bounded queue of decoded batches and one goroutine that blocks on it
+// and runs verify → gate → append on each, then releases the batch. A
+// 202 is an enqueue; the cluster path (cluster.go) acks a quorum
+// instead. HTTP handlers touch only the queue, the rejected counter and
+// the mutex-protected snapshot — verifier and gate are single-goroutine
+// by contract and belong to the drain.
 type ingestPipeline struct {
-	queue chan tenantBatch
+	queue chan *ingestBatch
 	gate  *overload.Gate
-	sup   *collect.Supervisor
+	ver   *collect.Verifier
 	st    *store.Store
+	// sink is st; the failure-path tests substitute a flaky one.
+	sink collect.DumpStore
 
-	stop     chan struct{}
-	stopOnce sync.Once
+	// admit orders enqueues against Close: once closed is set nothing
+	// more enters the queue, so closing it is safe and everything that
+	// was answered 202 is in front of the drain's exit.
+	admit    sync.RWMutex
+	closed   bool
 	done     chan struct{}
-	accepted atomic.Uint64 // events accepted into the queue
-	rejected atomic.Uint64 // batches refused with 429 (queue full)
+	rejected atomic.Uint64 // batches refused with 429
 
-	// mu guards the snapshots the run loop publishes after every step so
-	// /readyz never calls into the Supervisor from a second goroutine.
+	// stats and sinkFailed belong to the drain goroutine, which mirrors
+	// them to /metrics under the btrace_collect_* names the supervisor
+	// exported here before: a poll is a batch taken off the queue, a
+	// dump a batch with something to append, a dropped spill a batch the
+	// store refused for good.
+	stats      collect.SupervisorStats
+	sinkFailed bool
+	obs        *collect.StatsMirror
+	depthObs   uint64 // registry id of the queue-depth gauge
+
+	// mu guards the snapshot the drain publishes after every batch, so
+	// /readyz never reads gate or drain state from a second goroutine.
 	mu     sync.Mutex
 	health collect.HealthReport
 	tier   overload.Tier
 }
 
-// newIngestPipeline wires the gate and supervisor over st and starts the
+// newIngestPipeline wires verifier and gate over st and starts the
 // drain goroutine.
 func newIngestPipeline(st *store.Store, cfg ingestConfig) (*ingestPipeline, error) {
 	gcfg, err := cfg.gateConfig()
 	if err != nil {
 		return nil, err
 	}
+	queue := make(chan *ingestBatch, ingestQueueDepth)
 	p := &ingestPipeline{
-		queue: make(chan tenantBatch, ingestQueueDepth),
+		queue: queue,
 		gate:  overload.NewGate(gcfg),
-		st:    st,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	sup, err := collect.NewSupervisor(collect.SupervisorConfig{
-		Source:    queuePoller{p.queue, p.gate},
-		Triggers:  []collect.Trigger{ingestTrigger{}},
-		Store:     st,
-		StoreSink: true,
-		Overload:  p.gate,
 		// The queue multiplexes independent clients: their batches
 		// interleave arbitrarily, so only per-thread stamp order is an
-		// invariant. Without this, interleaved batches are quarantined
-		// around the gate — persisted, but invisible to live tail,
-		// sampling and rate limits.
-		SourceUnordered: true,
-	})
-	if err != nil {
-		return nil, err
+		// invariant. An ordered verifier would quarantine interleaved
+		// batches around the gate — persisted, but invisible to live
+		// tail, sampling and rate limits.
+		ver:  collect.NewUnorderedVerifier(),
+		st:   st,
+		sink: st,
+		done: make(chan struct{}),
+		obs:  collect.NewStatsMirror(),
 	}
-	p.sup = sup
+	p.depthObs = obs.Default().Register(func(e *obs.Emitter) {
+		e.Gauge("btrace_ingest_queue_depth", "accepted batches waiting for the ingest drain", float64(len(queue)))
+	})
 	go p.run()
 	return p, nil
 }
 
-// run is the pipeline goroutine: it steps the supervisor, publishes the
-// health/tier snapshot, and sleeps briefly when the queue is dry.
+// run is the drain goroutine. It blocks on the queue — an accepted
+// batch is applied as soon as the previous one is, with no poll
+// interval in between — and returns once Close has closed the queue and
+// everything in it has been applied or counted.
 func (p *ingestPipeline) run() {
 	defer close(p.done)
+	// No traffic must not mean no evaluations: a tier that engaged has
+	// to be able to cool down while clients heed /readyz and stay away.
+	idle := time.NewTicker(gateEvery)
+	defer idle.Stop()
 	for {
 		select {
-		case <-p.stop:
-			// Drain what was already accepted, then flush pending and
-			// spilled dumps, before the store is closed behind us. Errors
-			// are reflected in the final snapshot's SinkFailed.
-			for len(p.queue) > 0 {
-				p.sup.Step()
+		case b, ok := <-p.queue:
+			if !ok {
+				return
 			}
-			p.sup.Flush()
-			p.snapshot()
-			return
-		default:
+			p.apply(b)
+		case <-idle.C:
+			p.gate.Evaluate(overload.Pressure{Store: p.st.Pressure()})
 		}
-		p.sup.Step()
-		p.snapshot()
-		if len(p.queue) == 0 {
-			select {
-			case <-p.stop:
-				continue // let the stop branch above run the flush
-			case <-time.After(ingestIdleSleep):
-			}
-		}
+		h := collect.HealthReport{SinkFailed: p.sinkFailed}
+		p.obs.Publish(p.stats, h)
+		p.mu.Lock()
+		p.health, p.tier = h, p.gate.Tier()
+		p.mu.Unlock()
 	}
 }
 
-func (p *ingestPipeline) snapshot() {
-	h := p.sup.Health()
-	t := p.gate.Tier()
-	p.mu.Lock()
-	p.health, p.tier = h, t
-	p.mu.Unlock()
+// apply runs one batch through verify → gate → append and releases it.
+// A failed append is retried while the batch is held — the queue
+// filling up behind it is what tells clients to back off — and a batch
+// the store refuses for good is counted, event-exact, as dropped: every
+// event answered 202 ends up applied or in
+// btrace_collect_spill_dropped_events_total.
+func (p *ingestPipeline) apply(b *ingestBatch) {
+	defer b.release()
+	p.stats.Polls++
+	clean, quarantined, _ := p.ver.Check(b.es)
+	p.stats.Quarantined += uint64(len(quarantined))
+	p.gate.SetTenant(b.tenant)
+	p.gate.Evaluate(overload.Pressure{Store: p.st.Pressure()})
+	// Quarantined entries are evidence, never shed: they bypass the gate
+	// (and so the live tail) and are persisted with the batch.
+	es := append(p.gate.Filter(clean), quarantined...)
+	if len(es) == 0 {
+		return
+	}
+	p.stats.Dumps++
+	for attempt := 0; attempt < appendAttempts; attempt++ {
+		if err := p.sink.AppendEntries(es); err == nil {
+			p.stats.DumpsWritten++
+			p.sinkFailed = false
+			return
+		}
+		p.stats.SinkErrors++
+		if p.st.WriteErr() != nil {
+			// Sticky write-path failure: the disk is gone, retrying
+			// cannot help, and /readyz already says so.
+			p.sinkFailed = true
+			break
+		}
+	}
+	p.stats.SpillDropped++
+	p.stats.SpillDroppedEvents += uint64(len(es))
 }
 
-// Close stops the drain goroutine, flushing whatever is queued or
-// spilled into the store first. Safe to call more than once.
+// Close stops intake, waits for the drain to apply (or count as
+// dropped) everything that was accepted, and returns. The store must
+// stay open until then. Safe to call more than once.
 func (p *ingestPipeline) Close() {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.admit.Lock()
+	if !p.closed {
+		p.closed = true
+		close(p.queue)
+		obs.Default().Unregister(p.depthObs)
+	}
+	p.admit.Unlock()
 	<-p.done
 }
 
-// enqueue offers one decoded batch to the pipeline without blocking.
-func (p *ingestPipeline) enqueue(tenant string, es []tracer.Entry) bool {
-	select {
-	case p.queue <- tenantBatch{tenant: tenant, es: es}:
-		p.accepted.Add(uint64(len(es)))
-		return true
-	default:
-		p.rejected.Add(1)
-		return false
+// enqueue offers one decoded batch to the drain without blocking. On
+// true the drain owns b; on false (queue full, or closing) the caller
+// still does.
+func (p *ingestPipeline) enqueue(b *ingestBatch) bool {
+	p.admit.RLock()
+	defer p.admit.RUnlock()
+	if !p.closed {
+		select {
+		case p.queue <- b:
+			return true
+		default:
+		}
 	}
+	p.rejected.Add(1)
+	return false
 }
 
 // notReadyReasons returns why the ingest path should refuse traffic —
 // empty when it is ready. The conditions mirror DESIGN.md "Overload
-// control": a dead store write path, a wedged or permanently failing
-// pipeline, and the full-drop shedding tier (at which nearly every
-// accepted event would be discarded anyway).
+// control": a dead store write path, a drain whose appends fail for
+// good, and the full-drop shedding tier (at which nearly every accepted
+// event would be discarded anyway).
 func (p *ingestPipeline) notReadyReasons() []string {
 	var reasons []string
 	if err := p.st.WriteErr(); err != nil {
@@ -251,9 +256,6 @@ func (p *ingestPipeline) notReadyReasons() []string {
 	p.mu.Lock()
 	h, tier := p.health, p.tier
 	p.mu.Unlock()
-	if h.SourceWedged {
-		reasons = append(reasons, "ingest pipeline wedged")
-	}
 	if h.SinkFailed {
 		reasons = append(reasons, "store sink in permanent failure")
 	}
@@ -271,7 +273,7 @@ func (p *ingestPipeline) notReadyReasons() []string {
 // per-tenant drop attribution on /metrics. Responses: 202 with the
 // accepted count, 429 when the queue is full (client should back off
 // and retry), 503 when quorum is unavailable, 400 for malformed
-// payloads.
+// payloads, 413 for oversized ones.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.ingest == nil && s.cluster == nil {
 		http.Error(w, "ingest requires a durable store (start with -store)",
@@ -283,93 +285,70 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBody+1))
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+	b := batchPool.Get().(*ingestBatch)
+	if status, msg := b.fill(r); status != 0 {
+		b.release()
+		http.Error(w, msg, status)
 		return
 	}
-	if len(body) > maxIngestBody {
-		http.Error(w, fmt.Sprintf("payload exceeds %d bytes", maxIngestBody),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	recs, truncated := tracer.DecodeAll(body)
-	if truncated {
-		http.Error(w, "corrupt or truncated record stream", http.StatusBadRequest)
-		return
-	}
-	var es []tracer.Entry
-	for _, rec := range recs {
-		if rec.Kind == tracer.KindEvent {
-			es = append(es, rec.Event)
-		}
-	}
-	if len(es) == 0 {
-		http.Error(w, "no event records in payload", http.StatusBadRequest)
-		return
-	}
-	tenant := r.Header.Get(tenantHeader)
+	// The 202 bodies are built by hand, byte for byte what json.Encoder
+	// wrote for the maps they used to be (keys sorted). The buffers
+	// escape through w.Write, so each is sized to its body.
 	if s.cluster != nil {
 		// Cluster mode: synchronous quorum-ack. A 202 means every event
 		// was either durably replicated or attributably dropped by quota
 		// or gate policy; only a failed quorum asks the client to retry.
-		res := s.cluster.d.Ingest(tenant, es)
+		res := s.cluster.d.Ingest(b.tenant, b.es)
+		b.release()
 		if res.Refused == res.Seen {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "replica quorum unavailable", http.StatusServiceUnavailable)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]any{
-			"tenant":       res.Tenant,
-			"accepted":     res.Seen,
-			"acked":        res.Acked,
-			"throttled":    res.Throttled,
-			"gate_dropped": res.GateDropped,
-			"refused":      res.Refused,
-		})
+		var buf [160]byte
+		out := appendJSONInt(append(buf[:0], '{'), "accepted", res.Seen)
+		out = appendJSONInt(append(out, ','), "acked", res.Acked)
+		out = appendJSONInt(append(out, ','), "gate_dropped", res.GateDropped)
+		out = appendJSONInt(append(out, ','), "refused", res.Refused)
+		out = appendJSONString(append(out, `,"tenant":`...), res.Tenant)
+		out = appendJSONInt(append(out, ','), "throttled", res.Throttled)
+		writeAccepted(w, append(out, "}\n"...))
 		return
 	}
-	if !s.ingest.enqueue(tenant, es) {
+	accepted := len(b.es)
+	if !s.ingest.enqueue(b) {
+		b.release()
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "ingest queue full", http.StatusTooManyRequests)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	var buf [24]byte
+	writeAccepted(w, append(appendJSONInt(append(buf[:0], '{'), "accepted", accepted), "}\n"...))
+}
+
+var jsonContentType = []string{"application/json"}
+
+func writeAccepted(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]any{"accepted": len(es)})
+	w.Write(body)
 }
 
-// handleHealthz is the liveness probe: the process is up and serving.
-// It deliberately checks nothing else — liveness failing triggers
-// restarts, and restarting does not fix an overloaded store.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
+// appendJSONInt appends `"key":v`.
+func appendJSONInt(dst []byte, key string, v int) []byte {
+	dst = append(append(append(dst, '"'), key...), `":`...)
+	return strconv.AppendInt(dst, int64(v), 10)
 }
 
-// handleReadyz is the readiness probe: 200 while the server can do
-// useful work, 503 with one reason per line while it cannot. Without an
-// ingest pipeline the server is a read-only dashboard and is always
-// ready once it is serving.
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.cluster != nil {
-		if reasons := s.cluster.d.NotReadyReasons(); len(reasons) > 0 {
-			http.Error(w, strings.Join(reasons, "\n"), http.StatusServiceUnavailable)
-			return
+// appendJSONString appends s as encoding/json would: verbatim between
+// quotes when it is plain ASCII with nothing json escapes (every tenant
+// name in practice), through json.Marshal otherwise.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
 		}
-		io.WriteString(w, "ok\n")
-		return
 	}
-	if s.ingest == nil {
-		io.WriteString(w, "ok (dashboard only, no ingest pipeline)\n")
-		return
-	}
-	if reasons := s.ingest.notReadyReasons(); len(reasons) > 0 {
-		http.Error(w, strings.Join(reasons, "\n"), http.StatusServiceUnavailable)
-		return
-	}
-	io.WriteString(w, "ok\n")
+	return append(append(append(dst, '"'), s...), '"')
 }

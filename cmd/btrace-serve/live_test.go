@@ -25,8 +25,20 @@ func liveServer(t *testing.T, hubCfg live.Config) (*httptest.Server, *live.Hub) 
 	return ts, hub
 }
 
-// sseFrame is one decoded trace event plus the stream position it
-// arrived at, collected by readLiveStamps.
+// waitSubscribed blocks until a /live subscription has landed:
+// Subscribe happens inside the handler, racing the POSTs that follow.
+func waitSubscribed(t *testing.T, hub *live.Hub) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for hub.Subscribers() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("subscription never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// readLiveStamps collects the next want trace events off an SSE stream.
 func readLiveStamps(t *testing.T, resp *http.Response, want int) []tracer.Entry {
 	t.Helper()
 	sr := live.NewStreamReader(resp.Body)
@@ -115,15 +127,7 @@ func TestLiveTenantScoping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	// Wait for the subscription to land before publishing: Subscribe
-	// happens inside the handler, racing the POSTs below.
-	deadline := time.Now().Add(5 * time.Second)
-	for hub.Subscribers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSubscribed(t, hub)
 
 	for i, tenant := range []string{"alpha", "beta"} {
 		es := []tracer.Entry{{Stamp: uint64(100 + i), TS: 5, TID: 1, Level: 1}}
@@ -160,13 +164,7 @@ func TestLiveInterleavedClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for hub.Subscribers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSubscribed(t, hub)
 
 	batches := [][]tracer.Entry{
 		{{Stamp: 100, TS: 10, TID: 9, Category: 1, Level: 1},

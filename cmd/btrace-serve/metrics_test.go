@@ -58,12 +58,11 @@ func scrape(t *testing.T, srv *server) map[string]float64 {
 // TestMetricsEndToEnd drives real traffic through all three instrumented
 // subsystems — a tracer's block lifecycle, a supervised collector, and a
 // durable store — then scrapes /metrics and checks that every subsystem's
-// series are present and that the counters moved with the traffic.
+// series are present and that the counters moved with the traffic; the
+// Go runtime's own GC and allocation series and the ingest queue gauge
+// ride along.
 func TestMetricsEndToEnd(t *testing.T) {
-	srv, err := newServer(0.005, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := newIngestServer(t, ingestConfig{SampleRate: 1})
 	before := scrape(t, srv)
 
 	// Core + collect: record events and pump them through a supervisor.
@@ -122,6 +121,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`btrace_store_append_ns_bucket{le="+Inf"}`,
 		"btrace_store_fsync_ns_count",
 		"btrace_store_seals_total",
+		"btrace_ingest_queue_depth",
+		"go_gc_cycles_total",
+		"go_gc_cpu_seconds_total",
+		"go_memstats_alloc_bytes_total",
+		"go_memstats_heap_live_bytes",
 	} {
 		if _, ok := after[name]; !ok {
 			t.Errorf("series %s missing from /metrics", name)
@@ -139,6 +143,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if got := after["btrace_store_appends_total"] - before["btrace_store_appends_total"]; got < 2 {
 		t.Errorf("store appends moved by %v, want >= 2", got)
+	}
+	// The test allocated (a tracer, a store) between the scrapes, and a
+	// forced cycle must show up as one.
+	if got := after["go_memstats_alloc_bytes_total"] - before["go_memstats_alloc_bytes_total"]; got < 1<<20 {
+		t.Errorf("allocated bytes moved by %v, want at least the tracer's 1 MiB buffer", got)
+	}
+	runtime.GC()
+	if got := scrape(t, srv)["go_gc_cycles_total"] - after["go_gc_cycles_total"]; got < 1 {
+		t.Errorf("GC cycles moved by %v across runtime.GC(), want >= 1", got)
 	}
 	// The closed store folded into retired totals: its counters persist,
 	// its per-instance gauge contribution is gone or reduced to other

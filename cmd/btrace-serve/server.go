@@ -398,3 +398,36 @@ pre { background: #f6f6f6; padding: 1rem; overflow-x: auto; font-size: 12px; lin
 {{range .Links}}<p><a href="{{.Href}}">{{.Label}}</a></p>{{end}}
 <p class="meta">tracers: {{range .Tracers}}{{.}} {{end}}| workloads: {{range .Workloads}}{{.}} {{end}}</p>
 </body></html>`
+
+// handleHealthz is the liveness probe: the process is up and serving.
+// It deliberately checks nothing else — liveness failing triggers
+// restarts, and restarting does not fix an overloaded store.
+func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	io.WriteString(w, "ok\n")
+}
+
+// handleReadyz is the readiness probe: 200 while the server can do
+// useful work, 503 with one reason per line while it cannot. Without an
+// ingest pipeline the server is a read-only dashboard and is always
+// ready once it is serving.
+func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if s.cluster != nil {
+		if reasons := s.cluster.d.NotReadyReasons(); len(reasons) > 0 {
+			http.Error(w, strings.Join(reasons, "\n"), http.StatusServiceUnavailable)
+			return
+		}
+		io.WriteString(w, "ok\n")
+		return
+	}
+	if s.ingest == nil {
+		io.WriteString(w, "ok (dashboard only, no ingest pipeline)\n")
+		return
+	}
+	if reasons := s.ingest.notReadyReasons(); len(reasons) > 0 {
+		http.Error(w, strings.Join(reasons, "\n"), http.StatusServiceUnavailable)
+		return
+	}
+	io.WriteString(w, "ok\n")
+}

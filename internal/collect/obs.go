@@ -7,14 +7,14 @@ import (
 )
 
 // supObs mirrors SupervisorStats (plus the health gauges) into obs
-// primitives. The Supervisor itself is single-goroutine and keeps its
-// stats as a plain struct; once per Step/Flush it folds the accumulated
-// deltas into these atomic counters so the /metrics scraper can read
-// them concurrently without racing the pipeline.
+// primitives. A pipeline is single-goroutine and keeps its stats as a
+// plain struct; once per step it folds the accumulated deltas into
+// these atomic counters (StatsMirror.Publish) so the /metrics scraper
+// can read them concurrently without racing the pipeline.
 //
 // Like bufCounters in internal/core, supObs is allocated separately from
-// the Supervisor and is what the registry's collector closure captures,
-// keeping the Supervisor finalizable; its finalizer folds these counters
+// its owner and is what the registry's collector closure captures,
+// keeping the owner finalizable; the finalizer folds these counters
 // into the retired totals.
 type supObs struct {
 	polls            *obs.Counter
@@ -112,26 +112,37 @@ func (o *supObs) collect(e *obs.Emitter) {
 	e.Gauge("btrace_collect_supervisors", "live supervised pipelines", 1)
 }
 
-// publishObs folds the stat deltas accumulated since the last publish
-// into the process-wide counters and refreshes the health gauges. Called
-// once per Step and per Flush — the supervisor's slow path, never the
-// per-event path.
-func (s *Supervisor) publishObs() {
-	o := s.obs
-	o.addDeltas(s.stats, s.published)
-	s.published = s.stats
-	o.pendingDumps.Set(int64(len(s.pending)))
-	o.spilledDumps.Set(int64(len(s.spill)))
-	o.sourceWedged.SetBool(s.sourceWedged)
-	o.sinkFailed.SetBool(s.sinkFailed)
+// StatsMirror publishes one pipeline's SupervisorStats and HealthReport
+// as the btrace_collect_* series of the process-wide registry. The
+// Supervisor owns one; btrace-serve's ingest drain — a plain loop with
+// the same counters to report — owns another, so the series names live
+// in one place. Publish is for the pipeline's single goroutine.
+type StatsMirror struct {
+	obs       *supObs
+	published SupervisorStats
 }
 
-// registerObs wires the supervisor's counters into the process-wide
-// registry; the finalizer folds them into the retired totals when the
-// Supervisor becomes unreachable. The collector closure captures only
-// the counters, never s, so registration does not defeat the finalizer.
-func (s *Supervisor) registerObs() {
+// NewStatsMirror registers a mirror; the finalizer folds its counters
+// into the retired totals when the mirror (and so its owner) becomes
+// unreachable. The collector closure captures only the counters, never
+// the mirror, so registration does not defeat the finalizer.
+func NewStatsMirror() *StatsMirror {
+	m := &StatsMirror{obs: newSupObs()}
 	reg := obs.Default()
-	id := reg.Register(s.obs.collect)
-	runtime.SetFinalizer(s, func(*Supervisor) { reg.Fold(id) })
+	id := reg.Register(m.obs.collect)
+	runtime.SetFinalizer(m, func(*StatsMirror) { reg.Fold(id) })
+	return m
+}
+
+// Publish folds the stat deltas accumulated since the last call into
+// the counters and refreshes the health gauges. Once per step — the
+// pipeline's slow path, never the per-event path.
+func (m *StatsMirror) Publish(cur SupervisorStats, h HealthReport) {
+	o := m.obs
+	o.addDeltas(cur, m.published)
+	m.published = cur
+	o.pendingDumps.Set(int64(h.PendingDumps))
+	o.spilledDumps.Set(int64(h.SpilledDumps))
+	o.sourceWedged.SetBool(h.SourceWedged)
+	o.sinkFailed.SetBool(h.SinkFailed)
 }

@@ -259,10 +259,8 @@ type Supervisor struct {
 	resizeErrors []error
 
 	stats SupervisorStats
-	// published is the stats snapshot last folded into obs; the delta is
-	// published once per Step/Flush (see publishObs).
-	published SupervisorStats
-	obs       *supObs
+	// obs republishes stats and Health once per Step/Flush.
+	obs *StatsMirror
 }
 
 // NewSupervisor creates a supervised pipeline.
@@ -318,9 +316,8 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		col: col,
 		ver: NewVerifier(),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
-		obs: newSupObs(),
+		obs: NewStatsMirror(),
 	}
-	s.registerObs()
 	s.ver.unordered = cfg.SourceUnordered
 	if cfg.Cursor != nil {
 		s.batch = make([]tracer.Entry, cfg.BatchSize)
@@ -744,6 +741,9 @@ func (s *Supervisor) Health() HealthReport {
 
 // Stats returns a snapshot of the pipeline counters.
 func (s *Supervisor) Stats() SupervisorStats { return s.stats }
+
+// publishObs republishes the counters and health gauges for /metrics.
+func (s *Supervisor) publishObs() { s.obs.Publish(s.stats, s.Health()) }
 
 // ResizeErrors returns errors from adaptive Resize attempts (surfaced
 // rather than retried blindly; the policy re-evaluates on later polls).

@@ -57,20 +57,24 @@ func NewUnorderedVerifier() *Verifier {
 }
 
 // Check splits a polled batch into clean entries and quarantined ones,
-// with one violation description per quarantined entry.
+// with one violation description per quarantined entry. It filters in
+// place: clean is a prefix of es's backing array (the caller hands es
+// over, as the Poller contract already says), so a batch with nothing
+// to quarantine — every batch of a healthy source — allocates nothing.
+// Quarantined entries are copied out before their slot is reused.
 func (v *Verifier) Check(es []tracer.Entry) (clean, quarantined []tracer.Entry, violations []string) {
-	clean = es[:0:0]
+	clean = es[:0]
 	for i := range es {
-		e := es[i]
-		if reason := v.check(&e); reason != "" {
-			quarantined = append(quarantined, e)
+		e := &es[i]
+		if reason := v.check(e); reason != "" {
+			quarantined = append(quarantined, *e)
 			violations = append(violations, reason)
 			v.quarantined++
 			continue
 		}
 		v.lastStamp = e.Stamp
 		v.perThread[e.TID] = e.Stamp
-		clean = append(clean, e)
+		clean = append(clean, *e)
 		v.checked++
 	}
 	return clean, quarantined, violations

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"slices"
 	"testing"
 
 	"btrace/internal/tracer"
@@ -46,5 +47,91 @@ func TestVerifierUnorderedSource(t *testing.T) {
 	if len(quarantined) != 3 || len(violations) != 3 {
 		t.Fatalf("unordered verifier quarantined %d with %d violations, want 3/3",
 			len(quarantined), len(violations))
+	}
+}
+
+// TestVerifierCheckInPlace pins the in-place contract: clean order, the
+// quarantined set and the violations are what a copying Check produced,
+// clean shares es's backing array, and a batch with nothing to
+// quarantine allocates nothing.
+func TestVerifierCheckInPlace(t *testing.T) {
+	e := func(stamp uint64, tid uint32) tracer.Entry {
+		return tracer.Entry{Stamp: stamp, TS: stamp, TID: tid, Category: 1, Payload: []byte{byte(stamp)}}
+	}
+	cases := []struct {
+		name       string
+		unordered  bool
+		in         []tracer.Entry
+		clean      []uint64
+		quarantine []uint64
+		violations []string
+	}{
+		{name: "all clean", in: []tracer.Entry{e(1, 1), e(2, 2), e(3, 1)}, clean: []uint64{1, 2, 3}},
+		{
+			name:  "ordered: duplicate, regression, zero stamp",
+			in:    []tracer.Entry{e(5, 1), e(5, 2), e(6, 1), e(4, 3), {TID: 9}, e(7, 2)},
+			clean: []uint64{5, 6, 7}, quarantine: []uint64{5, 4, 0},
+			violations: []string{
+				"stamp 5: duplicate of previous entry",
+				"stamp 4: out of order after 6",
+				"zero logic stamp",
+			},
+		},
+		{
+			name: "unordered: only per-thread order", unordered: true,
+			in:    []tracer.Entry{e(65, 2), e(1, 1), e(64, 2), e(2, 1), e(66, 2)},
+			clean: []uint64{65, 1, 2, 66}, quarantine: []uint64{64},
+			violations: []string{"stamp 64: thread 2 not strictly increasing after 65"},
+		},
+		{
+			name:  "first entry quarantined",
+			in:    []tracer.Entry{{TID: 1}, e(1, 1), e(2, 1)},
+			clean: []uint64{1, 2}, quarantine: []uint64{0},
+			violations: []string{"zero logic stamp"},
+		},
+	}
+	stamps := func(es []tracer.Entry) []uint64 {
+		var out []uint64
+		for _, e := range es {
+			out = append(out, e.Stamp)
+		}
+		return out
+	}
+	for _, tc := range cases {
+		v := NewVerifier()
+		v.unordered = tc.unordered
+		clean, quarantined, violations := v.Check(tc.in)
+		if !slices.Equal(stamps(clean), tc.clean) {
+			t.Errorf("%s: clean %v, want %v", tc.name, stamps(clean), tc.clean)
+		}
+		if !slices.Equal(stamps(quarantined), tc.quarantine) {
+			t.Errorf("%s: quarantined %v, want %v", tc.name, stamps(quarantined), tc.quarantine)
+		}
+		if !slices.Equal(violations, tc.violations) {
+			t.Errorf("%s: violations %q, want %q", tc.name, violations, tc.violations)
+		}
+		if len(clean) > 0 && &clean[0] != &tc.in[0] {
+			t.Errorf("%s: clean does not share es's backing array", tc.name)
+		}
+		for _, c := range clean {
+			if len(c.Payload) != 1 || c.Payload[0] != byte(c.Stamp) {
+				t.Errorf("%s: stamp %d carries payload %v after compaction", tc.name, c.Stamp, c.Payload)
+			}
+		}
+	}
+
+	v := NewUnorderedVerifier()
+	batch := make([]tracer.Entry, 256)
+	next := uint64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := range batch {
+			next++
+			batch[i] = tracer.Entry{Stamp: next, TS: next, TID: uint32(i % 16)}
+		}
+		if clean, _, _ := v.Check(batch); len(clean) != len(batch) {
+			t.Fatalf("clean batch: %d of %d passed", len(clean), len(batch))
+		}
+	}); allocs != 0 {
+		t.Errorf("Check on a clean batch: %v allocs/op, want 0", allocs)
 	}
 }

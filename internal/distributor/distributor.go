@@ -217,8 +217,11 @@ func (f *fanout) route(si, i int, e *tracer.Entry) {
 
 // Ingest admits and fans out one tenant batch, blocking until every
 // event resolved (quorum reached, or retries and hedges exhausted).
-// Safe for concurrent use. The entries are shared read-only with the
-// shards until the call returns; nothing retains es past it.
+// Safe for concurrent use. Ingest consumes es: verifier, quota and gate
+// filter it in place (no per-batch copy), and the surviving entries are
+// shared read-only with the shards until the call returns. Nothing
+// retains es, nor a payload it points at, past the call — the caller
+// may recycle both as soon as it has the Result.
 func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	if tenant == "" {
 		tenant = d.cfg.DefaultTenant
@@ -234,7 +237,8 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	res.Throttled = throttled
 	res.GateDropped = len(kept) - len(admitted)
 	// Quarantined entries are evidence, never shed: they bypass quota
-	// and gate and are replicated with the batch.
+	// and gate and are replicated with the batch (appended into the room
+	// the in-place filters left in es).
 	d.obs.quarantined.Add(uint64(len(quarantined)))
 	admitted = append(admitted, quarantined...)
 

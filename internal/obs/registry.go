@@ -91,8 +91,13 @@ func NewRegistry() *Registry {
 }
 
 // defaultRegistry is the process-wide registry every subsystem registers
-// into and /metrics renders.
-var defaultRegistry = NewRegistry()
+// into and /metrics renders. It starts with one source of its own: the
+// Go runtime's GC and allocation accounting (runtime.go).
+var defaultRegistry = func() *Registry {
+	r := NewRegistry()
+	r.Register(collectRuntime)
+	return r
+}()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }

@@ -287,3 +287,22 @@ func DecodeAll(src []byte) (recs []Record, truncated bool) {
 	}
 	return recs, len(src) != 0
 }
+
+// DecodeEvents is DecodeAll for consumers that want only the events:
+// it appends the KindEvent records of src to dst, skipping structural
+// records, with the same truncated verdict. Payloads alias src, so with
+// a dst that has room it allocates nothing — the server ingest path
+// decodes a pooled body into a pooled slice with it.
+func DecodeEvents(dst []Entry, src []byte) (es []Entry, truncated bool) {
+	for len(src) >= Align {
+		r, err := DecodeRecord(src)
+		if err != nil {
+			return dst, true
+		}
+		if r.Kind == KindEvent {
+			dst = append(dst, r.Event)
+		}
+		src = src[r.Size:]
+	}
+	return dst, len(src) != 0
+}

@@ -268,3 +268,29 @@ func TestStatsString(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeEventsNoAlloc: decoding into a slice with room allocates
+// nothing — payloads alias the source — and structural records are
+// skipped.
+func TestDecodeEventsNoAlloc(t *testing.T) {
+	src := make([]byte, 0, 64<<10)
+	rec := make([]byte, EventWireSize(64))
+	src = append(src, rec[:EncodeBlockHeader(rec, 1)]...)
+	for i := 0; i < 256; i++ {
+		n, err := EncodeEvent(rec, &Entry{Stamp: uint64(i + 1), TID: uint32(i % 8), Payload: rec[:i%64]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src = append(src, rec[:n]...)
+	}
+	src = append(src, rec[:EncodeDummy(rec, 24)]...)
+	dst := make([]Entry, 0, 256)
+	if allocs := testing.AllocsPerRun(100, func() {
+		es, truncated := DecodeEvents(dst[:0], src)
+		if truncated || len(es) != 256 {
+			t.Fatalf("decoded %d events (truncated=%v), want 256", len(es), truncated)
+		}
+	}); allocs != 0 {
+		t.Errorf("DecodeEvents: %v allocs/op, want 0", allocs)
+	}
+}

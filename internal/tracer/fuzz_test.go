@@ -85,3 +85,50 @@ func FuzzDecodeAll(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeEvents is the differential check for the event-only
+// decoder: on arbitrary bytes it must return exactly the events
+// DecodeAll returns (structural records skipped, payloads aliasing the
+// input) with the same truncated verdict, and leave dst's prefix alone.
+func FuzzDecodeEvents(f *testing.F) {
+	buf := make([]byte, 512)
+	off := EncodeBlockHeader(buf, 1)
+	n, _ := EncodeEvent(buf[off:], &Entry{Stamp: 2, TS: 3, TID: 4, Payload: []byte("payload")})
+	off += n
+	off += EncodeDummy(buf[off:], 32)
+	n, _ = EncodeEvent(buf[off:], &Entry{Stamp: 5, Core: 1, Category: 2, Level: 3})
+	off += n
+	off += EncodeSkip(buf[off:], 9)
+	f.Add(append([]byte(nil), buf[:off]...))
+	f.Add(append([]byte(nil), buf[:off-5]...))
+	f.Add([]byte{1, 2, 3})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, wantTrunc := DecodeAll(data)
+		var want []Entry
+		for _, r := range recs {
+			if r.Kind == KindEvent {
+				want = append(want, r.Event)
+			}
+		}
+		sentinel := Entry{Stamp: ^uint64(0)}
+		got, trunc := DecodeEvents([]Entry{sentinel}, data)
+		if trunc != wantTrunc {
+			t.Fatalf("truncated %v, DecodeAll says %v", trunc, wantTrunc)
+		}
+		if len(got) != len(want)+1 || got[0].Stamp != sentinel.Stamp {
+			t.Fatalf("decoded %d events after the prefix, want %d", len(got)-1, len(want))
+		}
+		for i, w := range want {
+			g := got[i+1]
+			if g.Stamp != w.Stamp || g.TS != w.TS || g.Core != w.Core || g.TID != w.TID ||
+				g.Category != w.Category || g.Level != w.Level || !bytes.Equal(g.Payload, w.Payload) {
+				t.Fatalf("event %d: %+v, want %+v", i, g, w)
+			}
+			if len(g.Payload) > 0 && &g.Payload[0] != &w.Payload[0] {
+				t.Fatalf("event %d: payload does not alias the input", i)
+			}
+		}
+	})
+}
