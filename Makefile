@@ -95,7 +95,7 @@ OBS_RECORD_BENCHTIME ?= 200000x
 bench:
 	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkReadPath' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test . -run '^$$' -bench 'BenchmarkWritePathStampBatch' -benchmem -benchtime $(BENCHTIME); \
-	   $(GO) test ./internal/live -run '^$$' -bench 'BenchmarkLiveFanout' -benchmem -benchtime $(BENCHTIME); \
+	   $(GO) test ./internal/live -run '^$$' -bench 'BenchmarkLive(Fanout|SSE)' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/export -run '^$$' -bench 'BenchmarkExportCSV' -benchmem -benchtime $(OBS_RECORD_BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
@@ -130,5 +130,5 @@ benchdiff:
 	@for f in BENCH_readpath.json BENCH_store.json BENCH_obs.json; do \
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
-	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/idle,BenchmarkExportCSV,BenchmarkServeIngest/single' \
+	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkServeIngest/single' \
 	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline'

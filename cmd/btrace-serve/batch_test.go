@@ -39,12 +39,7 @@ func TestMain(m *testing.M) {
 func TestIngestOwnershipConcurrentTenants(t *testing.T) {
 	const posts, perPost = 64, 16
 	ts, hub := liveServer(t, live.Config{})
-	resp, err := http.Get(ts.URL + "/live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	waitSubscribed(t, hub)
+	resp := openLive(t, hub, ts.URL+"/live", "")
 
 	payload := func(stamp uint64, tenant string) []byte {
 		return []byte(fmt.Sprintf("%s stamp=%06d tail", tenant, stamp))

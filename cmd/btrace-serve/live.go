@@ -17,6 +17,11 @@ const liveHeartbeat = 15 * time.Second
 // liveBatch sizes the per-drain read from the subscriber's ring.
 const liveBatch = 256
 
+// liveBufKeep is the largest encode buffer a connection keeps between
+// drains; a drain of large payloads gets a bigger one for that write
+// only.
+const liveBufKeep = 256 << 10
+
 // handleLive serves GET /live: a Server-Sent-Events stream of admitted
 // ingest events, filtered by the /store/query parameter shapes
 // (min_ts, max_ts, cores, categories, tids) and scoped to the
@@ -24,6 +29,12 @@ const liveBatch = 256
 // single-operator dashboard view). Slow subscribers see their loss as
 // missed events; a subscriber that falls EvictAfterMissed behind gets
 // a terminal evicted event. 503 when the subscriber cap is reached.
+//
+// The 200 is flushed only after Hub.Subscribe returned, so for a client
+// the response headers arriving is the subscription barrier: anything
+// it posts to /ingest afterwards is offered to this subscriber. Each
+// drain of the ring is encoded into one per-connection buffer and goes
+// out as one Write and one Flush.
 func (s *server) handleLive(w http.ResponseWriter, r *http.Request) {
 	if s.live == nil {
 		http.Error(w, "live tail requires an ingest path (start btrace-serve with -store)",
@@ -67,46 +78,49 @@ func (s *server) handleLive(w http.ResponseWriter, r *http.Request) {
 	// heartbeats instead.
 	rc := http.NewResponseController(w)
 	rc.SetWriteDeadline(time.Time{})
+	flusher.Flush()
 
 	heartbeat := time.NewTicker(liveHeartbeat)
 	defer heartbeat.Stop()
 	batch := make([]tracer.Entry, liveBatch)
+	var buf []byte
 	for {
 		n, missed, err := sub.Next(batch)
+		buf = buf[:0]
 		// Loss first: the missed events precede the buffered ones.
 		if missed > 0 {
-			if werr := live.EncodeMissed(w, missed); werr != nil {
+			buf = live.AppendMissed(buf, missed)
+		}
+		for i := range batch[:n] {
+			buf = live.AppendFrame(buf, &batch[i])
+		}
+		if errors.Is(err, live.ErrEvicted) {
+			buf = live.AppendEvicted(buf, sub.Stats().Missed)
+		}
+		if len(buf) == 0 && err == nil {
+			// Idle: park until the hub signals, the client leaves, or the
+			// heartbeat fires.
+			select {
+			case <-r.Context().Done():
 				return
+			case <-sub.Notify():
+				continue
+			case <-heartbeat.C:
+				buf = append(buf, live.Keepalive...)
 			}
 		}
-		for i := 0; i < n; i++ {
-			if werr := live.EncodeFrame(w, &batch[i]); werr != nil {
+		if len(buf) > 0 {
+			sub.CountWrite(len(buf))
+			if _, werr := w.Write(buf); werr != nil {
 				return
+			}
+			flusher.Flush()
+			if cap(buf) > liveBufKeep {
+				buf = nil
 			}
 		}
 		if err != nil {
-			if errors.Is(err, live.ErrEvicted) {
-				live.EncodeEvicted(w, sub.Stats().Missed)
-				flusher.Flush()
-			}
 			return
-		}
-		if n > 0 || missed > 0 {
-			flusher.Flush()
-			continue
-		}
-		// Idle: park until the hub signals, the client leaves, or the
-		// heartbeat fires.
-		flusher.Flush()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-sub.Notify():
-		case <-heartbeat.C:
-			if _, werr := w.Write([]byte(": keepalive\n\n")); werr != nil {
-				return
-			}
-			flusher.Flush()
 		}
 	}
 }

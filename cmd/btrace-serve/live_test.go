@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"btrace/internal/live"
 	"btrace/internal/tracer"
@@ -25,17 +24,30 @@ func liveServer(t *testing.T, hubCfg live.Config) (*httptest.Server, *live.Hub) 
 	return ts, hub
 }
 
-// waitSubscribed blocks until a /live subscription has landed:
-// Subscribe happens inside the handler, racing the POSTs that follow.
-func waitSubscribed(t *testing.T, hub *live.Hub) {
+// openLive opens a /live stream. handleLive flushes the 200 only after
+// Hub.Subscribe returned, so the response arriving is the subscription
+// barrier: no waiting, the subscriber is attached.
+func openLive(t *testing.T, hub *live.Hub, url, tenant string) *http.Response {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for hub.Subscribers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
+	req, err := http.NewRequest("GET", url, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if tenant != "" {
+		req.Header.Set(tenantHeader, tenant)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/live status %d", resp.StatusCode)
+	}
+	if n := hub.Subscribers(); n != 1 {
+		t.Fatalf("%d subscribers once /live answered, want 1", n)
+	}
+	return resp
 }
 
 // readLiveStamps collects the next want trace events off an SSE stream.
@@ -67,16 +79,14 @@ func readLiveStamps(t *testing.T, resp *http.Response, want int) []tracer.Entry 
 // payloads intact — the full admitted-batch fan-out path through the
 // gate hook, the hub, and the SSE encoder.
 func TestLiveTailEndToEnd(t *testing.T) {
-	ts, _ := liveServer(t, live.Config{})
+	ts, hub := liveServer(t, live.Config{})
+	writes := func() float64 {
+		_, body := get(t, ts.URL+"/metrics")
+		return parseProm(t, body)["btrace_live_sse_writes_total"]
+	}
 
-	resp, err := http.Get(ts.URL + "/live?tids=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/live status %d", resp.StatusCode)
-	}
+	resp := openLive(t, hub, ts.URL+"/live?tids=7", "")
+	before := writes()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("Content-Type %q", ct)
 	}
@@ -113,6 +123,11 @@ func TestLiveTailEndToEnd(t *testing.T) {
 			t.Fatalf("frame %d payload %v", i, e.Payload)
 		}
 	}
+	// One admitted batch is one drain of the ring, and a drain is one
+	// write to the socket however many frames it carries.
+	if n := writes() - before; n != 1 {
+		t.Fatalf("%d frames went out in %v socket writes, want 1", len(got), n)
+	}
 }
 
 // TestLiveTenantScoping: a subscription carrying X-Btrace-Tenant sees
@@ -120,14 +135,7 @@ func TestLiveTailEndToEnd(t *testing.T) {
 func TestLiveTenantScoping(t *testing.T) {
 	ts, hub := liveServer(t, live.Config{})
 
-	req, _ := http.NewRequest("GET", ts.URL+"/live", nil)
-	req.Header.Set(tenantHeader, "beta")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	waitSubscribed(t, hub)
+	resp := openLive(t, hub, ts.URL+"/live", "beta")
 
 	for i, tenant := range []string{"alpha", "beta"} {
 		es := []tracer.Entry{{Stamp: uint64(100 + i), TS: 5, TID: 1, Level: 1}}
@@ -159,12 +167,7 @@ func TestLiveTenantScoping(t *testing.T) {
 func TestLiveInterleavedClients(t *testing.T) {
 	ts, hub := liveServer(t, live.Config{})
 
-	resp, err := http.Get(ts.URL + "/live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	waitSubscribed(t, hub)
+	resp := openLive(t, hub, ts.URL+"/live", "")
 
 	batches := [][]tracer.Entry{
 		{{Stamp: 100, TS: 10, TID: 9, Category: 1, Level: 1},

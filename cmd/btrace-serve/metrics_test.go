@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
@@ -10,6 +12,7 @@ import (
 
 	"btrace"
 	"btrace/internal/collect"
+	"btrace/internal/live"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
@@ -60,10 +63,32 @@ func scrape(t *testing.T, srv *server) map[string]float64 {
 // durable store — then scrapes /metrics and checks that every subsystem's
 // series are present and that the counters moved with the traffic; the
 // Go runtime's own GC and allocation series and the ingest queue gauge
-// ride along.
+// ride along, and so do the two costs beside the write path: what a
+// /live stream wrote in how many socket writes, and how long the
+// freezer took over the bytes it froze.
 func TestMetricsEndToEnd(t *testing.T) {
-	srv, _ := newIngestServer(t, ingestConfig{SampleRate: 1})
+	hub := live.NewHub(live.Config{})
+	srv, _ := newIngestServer(t, ingestConfig{SampleRate: 1, Hub: hub})
+	srv.attachLive(hub)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 	before := scrape(t, srv)
+
+	// Live: one subscriber, one posted batch, read to its last frame —
+	// the handler counts a write before making it, so the counters cover
+	// every byte the client has seen.
+	stream := openLive(t, hub, ts.URL+"/live", "")
+	posted := []tracer.Entry{{Stamp: 1, TS: 1, TID: 1, Level: 1}, {Stamp: 2, TS: 2, TID: 1, Level: 1, Payload: []byte("tail")}}
+	post, err := http.Post(ts.URL+"/ingest", "application/octet-stream", bytes.NewReader(encodeEvents(t, posted)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post.Body.Close()
+	readLiveStamps(t, stream, len(posted))
+	var frames int
+	for i := range posted {
+		frames += len(live.AppendFrame(nil, &posted[i]))
+	}
 
 	// Core + collect: record events and pump them through a supervisor.
 	tr, err := btrace.Open(btrace.Config{Cores: 2, BufferBytes: 1 << 20})
@@ -96,13 +121,22 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// there folds its gauge series away.
 	defer runtime.KeepAlive(sup)
 
-	// Store: append, seal, close.
-	st, err := store.Open(t.TempDir(), store.Config{})
+	// Store: append, seal, freeze, close.
+	st, err := store.Open(t.TempDir(), store.Config{ColdAfterNs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendEntries([]tracer.Entry{{Stamp: 1, TS: 1}, {Stamp: 2, TS: 2}}); err != nil {
 		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendEntries([]tracer.Entry{{Stamp: 3, TS: 1 << 30}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := st.CompactCold(); err != nil || n != 1 {
+		t.Fatalf("CompactCold froze %d segments (%v), want the sealed one", n, err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -121,6 +155,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`btrace_store_append_ns_bucket{le="+Inf"}`,
 		"btrace_store_fsync_ns_count",
 		"btrace_store_seals_total",
+		"btrace_store_freeze_seconds_total",
+		"btrace_live_sse_bytes_total",
+		"btrace_live_sse_writes_total",
 		"btrace_ingest_queue_depth",
 		"go_gc_cycles_total",
 		"go_gc_cpu_seconds_total",
@@ -143,6 +180,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if got := after["btrace_store_appends_total"] - before["btrace_store_appends_total"]; got < 2 {
 		t.Errorf("store appends moved by %v, want >= 2", got)
+	}
+	moved := func(name string) float64 { return after[name] - before[name] }
+	if got := moved("btrace_live_sse_bytes_total"); got < float64(frames) {
+		t.Errorf("sse bytes moved by %v, want at least the %d the two frames take", got, frames)
+	}
+	if got := moved("btrace_live_sse_writes_total"); got < 1 {
+		t.Errorf("sse writes moved by %v, want >= 1", got)
+	}
+	if moved("btrace_store_cold_raw_bytes_total") <= 0 || moved("btrace_store_freeze_seconds_total") <= 0 {
+		t.Errorf("froze %v raw bytes in %v s, want both to move", moved("btrace_store_cold_raw_bytes_total"), moved("btrace_store_freeze_seconds_total"))
 	}
 	// The test allocated (a tracer, a store) between the scrapes, and a
 	// forced cycle must show up as one.

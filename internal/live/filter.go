@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -25,47 +26,61 @@ type Filter struct {
 	TIDs              []uint32
 }
 
-// Match reports whether an admitted event published under tenant
-// passes the filter. The slices are small operator-supplied lists, so
-// membership is a linear scan — no allocation, no map.
-func (f *Filter) Match(tenant string, e *tracer.Entry) bool {
-	if f.Tenant != "" && tenant != f.Tenant {
-		return false
-	}
-	if e.TS < f.MinTS {
-		return false
-	}
-	if f.MaxTS != 0 && e.TS > f.MaxTS {
-		return false
-	}
-	if len(f.Cores) > 0 && !containsU8(f.Cores, e.Core) {
-		return false
-	}
-	if len(f.Categories) > 0 && !containsU8(f.Categories, e.Category) {
-		return false
-	}
-	if len(f.TIDs) > 0 {
-		ok := false
-		for _, t := range f.TIDs {
-			if t == e.TID {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+// matcher is a Filter compiled for the publish path, where it runs once
+// per event per subscriber: the two uint8 lists become 256-bit sets (an
+// empty list is the full set, so membership is one shift and mask with
+// no "any" branch) and the TID list a sorted slice, binary-searched.
+type matcher struct {
+	tenant       string
+	minTS, maxTS uint64
+	cores, cats  [4]uint64
+	tids         []uint32 // sorted; empty = all
 }
 
-func containsU8(xs []uint8, x uint8) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
+func (f *Filter) compile() matcher {
+	m := matcher{
+		tenant: f.Tenant,
+		minTS:  f.MinTS,
+		maxTS:  f.MaxTS,
+		cores:  bitset(f.Cores),
+		cats:   bitset(f.Categories),
+		tids:   slices.Clone(f.TIDs),
 	}
-	return false
+	if m.maxTS == 0 {
+		m.maxTS = ^uint64(0)
+	}
+	slices.Sort(m.tids)
+	return m
+}
+
+func bitset(xs []uint8) (set [4]uint64) {
+	if len(xs) == 0 {
+		return [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	}
+	for _, x := range xs {
+		set[x>>6] |= 1 << (x & 63)
+	}
+	return set
+}
+
+// tenantOK is the per-batch half of the filter: a batch is published
+// under one tenant, so offer asks once, not per event.
+func (m *matcher) tenantOK(tenant string) bool {
+	return m.tenant == "" || m.tenant == tenant
+}
+
+// entry is the per-event half.
+func (m *matcher) entry(e *tracer.Entry) bool {
+	if e.TS < m.minTS || e.TS > m.maxTS ||
+		m.cores[e.Core>>6]>>(e.Core&63)&1 == 0 ||
+		m.cats[e.Category>>6]>>(e.Category&63)&1 == 0 {
+		return false
+	}
+	if len(m.tids) == 0 {
+		return true
+	}
+	_, ok := slices.BinarySearch(m.tids, e.TID)
+	return ok
 }
 
 // maxFilterList bounds the comma lists a request may send: a filter is

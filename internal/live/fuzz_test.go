@@ -2,6 +2,8 @@ package live
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/url"
 	"testing"
 
@@ -35,17 +37,41 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("accepted oversized filter list: %+v", filter)
 		}
 		// An accepted filter must be safe to evaluate.
-		filter.Match("tenant", &tracer.Entry{TS: filter.MinTS, TID: 1, Category: 1})
+		m := filter.compile()
+		_ = m.tenantOK("tenant") && m.entry(&tracer.Entry{TS: filter.MinTS, TID: 1, Category: 1})
 	})
 }
 
-// FuzzFrameRoundTrip checks the SSE codec both ways: any entry must
-// survive encode → stream-read → decode byte-exact, and the stream
-// reader must never panic on the bytes the encoder produced.
+// referenceFrame is the encoder AppendFrame replaced, kept as the
+// definition of the wire bytes: encoding/json over the Frame struct the
+// client decodes into, framed with fmt.
+func referenceFrame(e *tracer.Entry) []byte {
+	data, err := json.Marshal(Frame{
+		Stamp:    e.Stamp,
+		TS:       e.TS,
+		Core:     e.Core,
+		TID:      e.TID,
+		Category: e.Category,
+		Level:    e.Level,
+		Payload:  e.Payload,
+	})
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "event: %s\ndata: %s\n\n", EventTrace, data)
+	return buf.Bytes()
+}
+
+// FuzzFrameRoundTrip checks the SSE codec both ways: AppendFrame must
+// write exactly the reference encoder's bytes (after whatever dst
+// already held), and any entry must survive encode → stream-read →
+// decode byte-exact without the stream reader panicking.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(3), uint32(4), uint8(5), uint8(1), []byte("payload"))
 	f.Add(uint64(0), uint64(0), uint8(0), uint32(0), uint8(0), uint8(0), []byte(nil))
 	f.Add(^uint64(0), ^uint64(0), ^uint8(0), ^uint32(0), ^uint8(0), ^uint8(0), []byte{0, 255, 10, 13})
+	f.Add(uint64(7), uint64(8), uint8(9), uint32(10), uint8(11), uint8(2), []byte("<&>\u2028\"\\"))
 	f.Fuzz(func(t *testing.T, stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte) {
 		if len(payload) > tracer.MaxPayload {
 			payload = payload[:tracer.MaxPayload]
@@ -54,9 +80,16 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			Stamp: stamp, TS: ts, Core: core, TID: tid,
 			Category: cat, Level: level, Payload: payload,
 		}
+		want := referenceFrame(&in)
+		if got := AppendFrame([]byte("prefix"), &in); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("AppendFrame:\n got %q\nwant prefix+%q", got, want)
+		}
 		var buf bytes.Buffer
 		if err := EncodeFrame(&buf, &in); err != nil {
 			t.Fatalf("encode: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("EncodeFrame:\n got %q\nwant %q", buf.Bytes(), want)
 		}
 		ev, data, err := NewStreamReader(&buf).Next()
 		if err != nil || ev != EventTrace {

@@ -13,9 +13,10 @@
 // or throttled.
 //
 // Delivery is lossy by design, and the loss is accounted, never
-// silent: each subscriber owns a bounded ring; when the ring is full
-// the oldest undelivered event is overwritten and the subscriber's
-// missed count increments, reusing the tracer.Cursor missed semantics.
+// silent: each subscriber owns a ring bounded in events and in payload
+// bytes; when either bound is hit the oldest undelivered event is
+// overwritten and the subscriber's missed count increments, reusing the
+// tracer.Cursor missed semantics.
 // The accounting identity
 //
 //	delivered + missed == matched
@@ -50,7 +51,9 @@ var (
 // Config shapes a Hub. Zero values select the documented defaults.
 type Config struct {
 	// BufferEvents is each subscriber's ring capacity in events
-	// (default 4096).
+	// (default 4096). It also sets the ring's payload budget,
+	// BufferEvents × 1 KiB: a ring over it overwrites oldest exactly as
+	// a ring out of slots does.
 	BufferEvents int
 	// MaxSubscribers bounds concurrent subscriptions; Subscribe beyond
 	// it returns ErrSubscribers (default 64).
@@ -61,6 +64,17 @@ type Config struct {
 	// events to missed, so the accounting identity survives it.
 	EvictAfterMissed uint64
 }
+
+const (
+	// ringBytesPerEvent scales a ring's payload-byte budget off
+	// Config.BufferEvents (4 MiB at the default), so a stuck subscriber
+	// holds a few MiB of other people's payloads, not BufferEvents ×
+	// tracer.MaxPayload.
+	ringBytesPerEvent = 1 << 10
+	// maxRetainedPayload is the largest payload backing array a slot
+	// keeps for reuse once its event is delivered or overwritten.
+	maxRetainedPayload = 4 << 10
+)
 
 func (c Config) withDefaults() Config {
 	if c.BufferEvents <= 0 {
@@ -103,10 +117,11 @@ func NewHub(cfg Config) *Hub {
 }
 
 // Publish offers one admitted batch to every subscriber. The entries
-// are borrowed (overload.Config.Admitted contract): anything retained
-// is deep-copied into the subscriber's ring here. Never blocks on a
-// subscriber; a full ring overwrites oldest and counts missed. Safe
-// for concurrent use, and safe on a nil Hub (no-op).
+// are borrowed (overload.Config.Admitted contract): what a subscriber
+// keeps is copied into its ring slots here, payload bytes included, so
+// the caller may reuse es and everything it points at on return. Never
+// blocks on a subscriber; a full ring overwrites oldest and counts
+// missed. Safe for concurrent use, and safe on a nil Hub (no-op).
 func (h *Hub) Publish(tenant string, es []tracer.Entry) {
 	if h == nil || len(es) == 0 {
 		return
@@ -146,8 +161,9 @@ func (h *Hub) Subscribe(f Filter) (*Sub, error) {
 	}
 	sub := &Sub{
 		hub:    h,
-		filter: f,
+		match:  f.compile(),
 		ring:   make([]tracer.Entry, h.cfg.BufferEvents),
+		budget: h.cfg.BufferEvents * ringBytesPerEvent,
 		notify: make(chan struct{}, 1),
 	}
 	h.subs[sub] = struct{}{}
@@ -197,12 +213,17 @@ type SubStats struct {
 // the hub's Publish side is synchronized internally.
 type Sub struct {
 	hub    *Hub
-	filter Filter
+	match  matcher // immutable after Subscribe
+	budget int     // payload bytes the ring may buffer
 
-	mu   sync.Mutex
-	ring []tracer.Entry // fixed capacity, overwrite-oldest
-	head int            // index of oldest buffered entry
-	cnt  int            // buffered entries
+	mu    sync.Mutex
+	ring  []tracer.Entry // fixed capacity, overwrite-oldest; slots own their payload arrays
+	head  int            // index of oldest buffered entry
+	cnt   int            // buffered entries
+	bytes int            // payload bytes of the buffered entries
+	// lent[i] is the payload array batch[i] of the last Next pointed at:
+	// the caller's until the next call, a slot's again after it.
+	lent [][]byte
 
 	matched   uint64
 	delivered uint64
@@ -214,11 +235,14 @@ type Sub struct {
 	notify chan struct{}
 }
 
-// offer pushes the filter-matching subset of es into the ring,
-// overwriting oldest on overflow. Returns how many matched and how
-// many were newly missed. Called with the hub lock held (publish
-// order), takes the sub lock for the ring.
+// offer copies the filter-matching subset of es into the ring,
+// overwriting oldest while it is out of slots or over its byte budget.
+// Returns how many matched and how many were newly missed. Called with
+// the hub lock held (publish order), takes the sub lock for the ring.
 func (s *Sub) offer(tenant string, es []tracer.Entry) (matched int, missed uint64) {
+	if !s.match.tenantOK(tenant) {
+		return 0, 0
+	}
 	s.mu.Lock()
 	if s.closed || s.evicted {
 		s.mu.Unlock()
@@ -227,28 +251,24 @@ func (s *Sub) offer(tenant string, es []tracer.Entry) (matched int, missed uint6
 	before := s.pending
 	for i := range es {
 		e := &es[i]
-		if !s.filter.Match(tenant, e) {
+		if !s.match.entry(e) {
 			continue
 		}
 		matched++
-		if s.cnt == len(s.ring) {
-			// Full: the oldest undelivered event is the one to give up —
-			// the subscriber is behind, and newest-first is what a live
-			// tail wants to stay current.
-			s.head = (s.head + 1) % len(s.ring)
-			s.cnt--
-			s.pending++
-			s.missed++
+		// Full: the oldest undelivered event is the one to give up — the
+		// subscriber is behind, and newest-first is what a live tail
+		// wants to stay current. The newest event is always kept, so the
+		// byte bound is the budget or one payload, whichever is larger.
+		for s.cnt == len(s.ring) || (s.cnt > 0 && s.bytes+len(e.Payload) > s.budget) {
+			s.dropOldest()
 		}
-		slot := &s.ring[(s.head+s.cnt)%len(s.ring)]
+		slot := &s.ring[s.wrap(s.head+s.cnt)]
+		buf := slot.Payload
 		*slot = *e
-		if len(e.Payload) > 0 {
-			// Deep-copy the payload: the published slice may alias a
-			// decode arena that is reused after Publish returns.
-			slot.Payload = append([]byte(nil), e.Payload...)
-		} else {
-			slot.Payload = nil
-		}
+		// The published payload may alias a decode arena that is reused
+		// after Publish returns: copy it, into the array the slot owns.
+		slot.Payload = append(buf[:0], e.Payload...)
+		s.bytes += len(e.Payload)
 		s.cnt++
 	}
 	s.matched += uint64(matched)
@@ -262,6 +282,36 @@ func (s *Sub) offer(tenant string, es []tracer.Entry) (matched int, missed uint6
 		}
 	}
 	return matched, missed
+}
+
+// dropOldest gives up the oldest buffered event, counted as missed.
+// Called with the sub lock held.
+func (s *Sub) dropOldest() {
+	slot := &s.ring[s.head]
+	s.bytes -= len(slot.Payload)
+	slot.Payload = recycle(slot.Payload)
+	s.head = s.wrap(s.head + 1)
+	s.cnt--
+	s.pending++
+	s.missed++
+}
+
+// wrap folds a ring index that has run at most one lap past the end
+// (a compare, where % is a division per event per subscriber).
+func (s *Sub) wrap(i int) int {
+	if i >= len(s.ring) {
+		i -= len(s.ring)
+	}
+	return i
+}
+
+// recycle readies a payload array for its next event, or drops one too
+// large to keep.
+func recycle(b []byte) []byte {
+	if cap(b) > maxRetainedPayload {
+		return nil
+	}
+	return b[:0]
 }
 
 // evictable reports whether the subscriber crossed the eviction
@@ -280,7 +330,7 @@ func (s *Sub) evict() {
 	s.pending += uint64(s.cnt)
 	s.missed += uint64(s.cnt)
 	s.hub.obs.missed.Add(uint64(s.cnt))
-	s.cnt, s.head = 0, 0
+	s.cnt, s.head, s.bytes = 0, 0, 0
 	s.evicted = true
 	s.mu.Unlock()
 	select {
@@ -292,9 +342,10 @@ func (s *Sub) evict() {
 // Next implements tracer.Cursor: it fills batch with buffered events
 // (oldest first), reports the missed count accumulated since the last
 // call, and returns ErrEvicted once the hub has dropped the
-// subscriber (after handing over the final missed tally). The entries
-// handed out are owned copies, but per the Cursor contract callers
-// must treat them as valid only until the next call.
+// subscriber (after handing over the final missed tally). Per the
+// Cursor contract the entries are valid only until the next call, and
+// here that is load-bearing: their payloads are the ring's own arrays,
+// lent for that long and written by Publish afterwards.
 func (s *Sub) Next(batch []tracer.Entry) (int, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,11 +359,18 @@ func (s *Sub) Next(batch []tracer.Entry) (int, uint64, error) {
 		s.pending = missed
 		return 0, 0, nil
 	}
+	if len(s.lent) < len(batch) {
+		s.lent = append(s.lent, make([][]byte, len(batch)-len(s.lent))...)
+	}
 	n := 0
 	for n < len(batch) && s.cnt > 0 {
-		batch[n] = s.ring[s.head]
-		s.ring[s.head] = tracer.Entry{} // release the payload reference
-		s.head = (s.head + 1) % len(s.ring)
+		slot := &s.ring[s.head]
+		batch[n] = *slot
+		s.bytes -= len(slot.Payload)
+		// Swap, not copy: the slot takes back the array the previous
+		// call lent at this position and lends out its own.
+		slot.Payload, s.lent[n] = recycle(s.lent[n]), slot.Payload
+		s.head = s.wrap(s.head + 1)
 		s.cnt--
 		n++
 	}
@@ -335,7 +393,7 @@ func (s *Sub) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.cnt, s.head = 0, 0
+	s.cnt, s.head, s.bytes = 0, 0, 0
 	s.mu.Unlock()
 	s.hub.detach(s)
 	return nil
@@ -345,6 +403,15 @@ func (s *Sub) Close() error {
 // an eviction) may be waiting: the SSE handler parks on it between
 // drains instead of polling.
 func (s *Sub) Notify() <-chan struct{} { return s.notify }
+
+// CountWrite records one socket write of n bytes on this subscriber's
+// stream, so /metrics shows bytes — and, against delivered, events —
+// per write. Call it before the write: a client that has read the bytes
+// then finds them counted.
+func (s *Sub) CountWrite(n int) {
+	s.hub.obs.sseBytes.Add(uint64(n))
+	s.hub.obs.sseWrites.Add(1)
+}
 
 // Stats returns the subscriber's accounting snapshot.
 func (s *Sub) Stats() SubStats {

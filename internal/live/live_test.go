@@ -362,11 +362,34 @@ func TestFilterMatch(t *testing.T) {
 		{"category out", Filter{Categories: []uint8{4}}, "", false},
 		{"tid in", Filter{TIDs: []uint32{41, 42}}, "", true},
 		{"tid out", Filter{TIDs: []uint32{41}}, "", false},
+		// The compiled list is sorted and binary-searched; the request's
+		// order and duplicates must not matter.
+		{"tid in long unsorted list", Filter{TIDs: []uint32{900, 7, 42, 13, 800, 1, 42, 55, 3, 99, 12}}, "", true},
+		{"tid out of long list", Filter{TIDs: []uint32{900, 7, 43, 13, 800, 1, 41, 55, 3, 99, 12}}, "", false},
+		{"core set spans all four words", Filter{Cores: []uint8{0, 64, 128, 255, 2}}, "", true},
+		{"category 255 only", Filter{Categories: []uint8{255}}, "", false},
+		{"every list at once", Filter{Tenant: "a", MinTS: 1, MaxTS: 100, Cores: []uint8{2}, Categories: []uint8{3}, TIDs: []uint32{42}}, "a", true},
+	}
+	// match is what Sub.offer does with the compiled filter.
+	match := func(f Filter, tenant string, e *tracer.Entry) bool {
+		m := f.compile()
+		return m.tenantOK(tenant) && m.entry(e)
 	}
 	for _, c := range cases {
-		if got := c.f.Match(c.tenant, &e); got != c.want {
-			t.Errorf("%s: Match = %v, want %v", c.name, got, c.want)
+		if got := match(c.f, c.tenant, &e); got != c.want {
+			t.Errorf("%s: match = %v, want %v", c.name, got, c.want)
 		}
+	}
+	// The uint8 sets at their edges.
+	edge := tracer.Entry{Core: 255, Category: 0}
+	if !match(Filter{Cores: []uint8{255}, Categories: []uint8{0}}, "", &edge) {
+		t.Error("core 255 / category 0 not matched by a filter naming them")
+	}
+	// Compiling must not reorder the caller's slice.
+	f := Filter{TIDs: []uint32{9, 3, 7}}
+	f.compile()
+	if f.TIDs[0] != 9 || f.TIDs[1] != 3 || f.TIDs[2] != 7 {
+		t.Errorf("compile sorted the caller's TIDs: %v", f.TIDs)
 	}
 }
 

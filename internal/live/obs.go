@@ -20,6 +20,8 @@ type hubObs struct {
 	subscribed  *obs.Counter // subscriptions accepted
 	rejected    *obs.Counter // subscriptions refused at the cap
 	evictedSubs *obs.Counter // subscribers evicted for falling behind
+	sseBytes    *obs.Counter // bytes subscribers' streams wrote (Sub.CountWrite)
+	sseWrites   *obs.Counter // socket writes those bytes went out in
 
 	subscribers obs.Gauge // currently attached subscribers
 }
@@ -33,6 +35,8 @@ func newHubObs() *hubObs {
 		subscribed:  obs.NewCounter(0),
 		rejected:    obs.NewCounter(0),
 		evictedSubs: obs.NewCounter(0),
+		sseBytes:    obs.NewCounter(0),
+		sseWrites:   obs.NewCounter(0),
 	}
 }
 
@@ -46,6 +50,8 @@ func (o *hubObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_live_subscriptions_total", "live subscriptions accepted", o.subscribed.Load())
 	e.Counter("btrace_live_rejected_total", "live subscriptions refused at the subscriber cap", o.rejected.Load())
 	e.Counter("btrace_live_evicted_total", "live subscribers evicted for falling behind", o.evictedSubs.Load())
+	e.Counter("btrace_live_sse_bytes_total", "bytes written to /live streams", o.sseBytes.Load())
+	e.Counter("btrace_live_sse_writes_total", "socket writes on /live streams (one per non-empty drain or keepalive)", o.sseWrites.Load())
 	e.Gauge("btrace_live_subscribers", "currently attached live subscribers", float64(o.subscribers.Load()))
 }
 

@@ -52,6 +52,12 @@ func (e *Emitter) Counter(name, help string, v uint64) {
 	e.samples = append(e.samples, Sample{Name: name, Help: help, Kind: KindCounter, Value: float64(v)})
 }
 
+// CounterSeconds emits a monotonic counter accumulated in nanoseconds
+// as seconds, the unit Prometheus names a duration total in.
+func (e *Emitter) CounterSeconds(name, help string, ns uint64) {
+	e.samples = append(e.samples, Sample{Name: name, Help: help, Kind: KindCounter, Value: float64(ns) / 1e9})
+}
+
 // Gauge emits an instantaneous value sample.
 func (e *Emitter) Gauge(name, help string, v float64) {
 	e.samples = append(e.samples, Sample{Name: name, Help: help, Kind: KindGauge, Value: v})

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"sync"
 
 	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
@@ -360,6 +361,13 @@ type colBlock struct {
 // flushed as one block each time their frame-equivalent raw size
 // reaches blockBytes (the sizing rule v1 files were written under, so
 // ColdBlockBytes means the same thing in both formats).
+//
+// A Store keeps one writer for all its freeze runs (they are serialized
+// by freezeMu) and begin points it at the next file: the column,
+// payload, meta, compressed-section and header buffers keep the
+// capacity earlier blocks grew them to. Nothing a buffer held survives
+// into the next block's bytes, so what is written is the same whether
+// the buffers are fresh or reused.
 type coldWriterV2 struct {
 	f          backend.File
 	off        int64
@@ -375,16 +383,21 @@ type coldWriterV2 struct {
 
 	scratch  []byte // meta-section encode buffer
 	comp     bytes.Buffer
-	blocks   []coldBlock
+	hdr      [blockHeaderV2Size]byte
+	blocks   []coldBlock // handed to the committed segment, so not reused
 	fileMeta segmentMeta
 	rawTotal int64
 }
 
-func newColdWriterV2(f backend.File, blockBytes int) *coldWriterV2 {
+// begin starts a new cold file on f, discarding whatever an aborted run
+// left pending.
+func (w *coldWriterV2) begin(f backend.File, blockBytes int) {
 	if blockBytes <= 0 {
 		blockBytes = defaultColdBlockBytes
 	}
-	return &coldWriterV2{f: f, off: headerSize, blockBytes: blockBytes}
+	w.f, w.off, w.blockBytes = f, headerSize, blockBytes
+	w.blocks, w.fileMeta, w.rawTotal = nil, segmentMeta{}, 0
+	w.resetBlock()
 }
 
 // add appends one event. frame is its row-tier framing, used only for
@@ -439,7 +452,8 @@ func (w *coldWriterV2) encodeMeta() (dictSize int) {
 	for i := range dictIdx {
 		dictIdx[i] = -1
 	}
-	var dict []uint8
+	var dictBuf [256]uint8
+	dict := dictBuf[:0]
 	for _, cat := range w.cols.cats {
 		if dictIdx[cat] < 0 {
 			dictIdx[cat] = int16(len(dict))
@@ -461,17 +475,31 @@ func (w *coldWriterV2) encodeMeta() (dictSize int) {
 	return len(dict)
 }
 
-// deflate compresses src into w.comp (reset first).
+// flateWriters recycles DEFLATE compressors across blocks, freeze runs
+// and stores, as flateReaders does for the read side: a flate.Writer is
+// over a megabyte of tables that NewWriter allocates and zeroes, and a
+// block needs two. Reset restores exactly the state NewWriter builds,
+// so a section compresses to the same bytes through either. The pool
+// holds as many writers as freezes run at once — one per store with a
+// cold tier — and the GC empties it when none does.
+var flateWriters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.BestSpeed) // errs only on a bad level
+	return fw
+}}
+
+// deflate compresses src into w.comp (reset first). The compressor goes
+// back pointing at nothing: the pool outlives the store w sits in.
 func (w *coldWriterV2) deflate(src []byte) error {
 	w.comp.Reset()
-	fw, err := flate.NewWriter(&w.comp, flate.BestSpeed)
-	if err != nil {
-		return err
+	fw := flateWriters.Get().(*flate.Writer)
+	fw.Reset(&w.comp)
+	_, err := fw.Write(src)
+	if err == nil {
+		err = fw.Close()
 	}
-	if _, err := fw.Write(src); err != nil {
-		return err
-	}
-	return fw.Close()
+	fw.Reset(nil)
+	flateWriters.Put(fw)
+	return err
 }
 
 // flush compresses and writes the pending block: meta section, payload
@@ -515,16 +543,20 @@ func (w *coldWriterV2) flush() error {
 		meta:    w.blockMeta,
 		v2:      v,
 	}
-	hdr := make([]byte, blockHeaderV2Size)
-	encodeBlockHeaderV2(hdr, &b)
-	if _, err := w.f.WriteAt(hdr, w.off); err != nil {
+	encodeBlockHeaderV2(w.hdr[:], &b)
+	if _, err := w.f.WriteAt(w.hdr[:], w.off); err != nil {
 		return err
 	}
 	w.off = metaOff + b.compLen
 	w.blocks = append(w.blocks, b)
 	mergeMeta(&w.fileMeta, &w.blockMeta)
 	w.rawTotal += w.frameRaw
-	// Reset the pending state for the next block.
+	w.resetBlock()
+	return nil
+}
+
+// resetBlock empties the pending block, keeping its buffers.
+func (w *coldWriterV2) resetBlock() {
 	w.cols.stamps = w.cols.stamps[:0]
 	w.cols.ts = w.cols.ts[:0]
 	w.cols.cores = w.cols.cores[:0]
@@ -537,7 +569,6 @@ func (w *coldWriterV2) flush() error {
 	w.blockMeta = segmentMeta{}
 	w.minTID, w.maxTID = 0, 0
 	w.bloom = [bloomBytes]byte{}
-	return nil
 }
 
 // finish flushes the last block, writes the sealed file header (shared

@@ -261,6 +261,7 @@ func (st *Store) CompactCold() (int, error) {
 // the file in. Returns the number of segments consumed (0 if the run
 // was invalidated and nothing was committed).
 func (st *Store) freezeRun(run []*segment) (int, error) {
+	start := time.Now()
 	for _, s := range run {
 		if !s.sealed || s.isCold() {
 			return 0, nil
@@ -278,7 +279,9 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 		st.be.Remove(tmpName)
 		return 0, e
 	}
-	w := newColdWriterV2(tmp, st.cfg.ColdBlockBytes)
+	w := &st.coldW
+	w.begin(tmp, st.cfg.ColdBlockBytes)
+	defer func() { w.f = nil }() // the writer is kept for its buffers, not the file
 	srcSizes := make(map[uint64]int64, len(run))
 	for _, s := range run {
 		if err := st.freezeSource(w, s); err != nil {
@@ -339,6 +342,7 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 	st.stats.ColdBlocksBuilt += uint64(len(blocks))
 	st.stats.ColdBytesWritten += uint64(size)
 	st.stats.ColdRawBytes += uint64(rawTotal)
+	st.stats.FreezeNs += uint64(time.Since(start))
 	st.publishObsLocked()
 	names := make([]string, 0, len(run))
 	for _, s := range run {

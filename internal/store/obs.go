@@ -33,6 +33,7 @@ type storeObs struct {
 	coldBlocks       *obs.Counter
 	coldBytesWritten *obs.Counter
 	coldRawBytes     *obs.Counter
+	freezeNs         *obs.Counter
 	compactorErrors  *obs.Counter
 	orphansRemoved   *obs.Counter
 
@@ -90,6 +91,7 @@ func newStoreObs() *storeObs {
 		coldBlocks:           obs.NewCounter(1),
 		coldBytesWritten:     obs.NewCounter(1),
 		coldRawBytes:         obs.NewCounter(1),
+		freezeNs:             obs.NewCounter(1),
 		compactorErrors:      obs.NewCounter(1),
 		orphansRemoved:       obs.NewCounter(1),
 		recoveredTruncations: obs.NewCounter(1),
@@ -120,6 +122,7 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_store_cold_blocks_total", "compressed cold blocks built", o.coldBlocks.Load())
 	e.Counter("btrace_store_cold_bytes_written_total", "compressed bytes written to cold files", o.coldBytesWritten.Load())
 	e.Counter("btrace_store_cold_raw_bytes_total", "uncompressed bytes frozen into cold files", o.coldRawBytes.Load())
+	e.CounterSeconds("btrace_store_freeze_seconds_total", "wall time spent building committed cold files (per frozen MB: over cold_raw_bytes_total)", o.freezeNs.Load())
 	e.Counter("btrace_store_compactor_errors_total", "background compactor tick failures", o.compactorErrors.Load())
 	e.Counter("btrace_store_orphans_removed_total", "unrecognized files removed at open", o.orphansRemoved.Load())
 	cc := o.bcache.classCounters()
@@ -181,6 +184,7 @@ func (st *Store) publishObsLocked() {
 	o.coldBlocks.Add(cur.ColdBlocksBuilt - last.ColdBlocksBuilt)
 	o.coldBytesWritten.Add(cur.ColdBytesWritten - last.ColdBytesWritten)
 	o.coldRawBytes.Add(cur.ColdRawBytes - last.ColdRawBytes)
+	o.freezeNs.Add(cur.FreezeNs - last.FreezeNs)
 	o.compactorErrors.Add(cur.CompactorErrors - last.CompactorErrors)
 	o.orphansRemoved.Add(cur.OrphansRemoved - last.OrphansRemoved)
 	st.published = cur

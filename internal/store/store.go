@@ -147,6 +147,7 @@ type Stats struct {
 	ColdBlocksBuilt  uint64 // blocks written into cold files
 	ColdBytesWritten uint64 // compressed bytes written to the cold tier
 	ColdRawBytes     uint64 // raw frame bytes those blocks held
+	FreezeNs         uint64 // wall time spent building the committed cold files
 	CompactorErrors  uint64 // background compactor ticks that failed
 
 	BlockCacheHits   uint64 // cold section reads served from the cache
@@ -196,9 +197,12 @@ type Store struct {
 	// — the background ticker plus a foreground call — could select the
 	// same run and clobber each other's tmp file).
 	freezeMu sync.Mutex
-	lock     io.Closer  // held backend lock, released by Close
-	segs     []*segment // ascending seq; the last may be active
-	active   backend.File
+	// coldW is the freezer's writer, kept between runs for its buffers;
+	// only a freeze pass (freezeMu) touches it.
+	coldW  coldWriterV2
+	lock   io.Closer  // held backend lock, released by Close
+	segs   []*segment // ascending seq; the last may be active
+	active backend.File
 	// parked holds sealed files whose fsync is deferred to the next
 	// commit window (drainParked); bounded by maxParkedSeals.
 	parked  []parkedSeal

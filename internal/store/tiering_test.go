@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"testing"
 
 	"btrace/internal/tracer"
@@ -443,5 +444,128 @@ func TestBlockCacheDisabled(t *testing.T) {
 	}
 	if s := st.Stats(); s.BlockCacheHits != 0 || s.BlockCacheMisses != 0 {
 		t.Fatalf("disabled cache recorded activity: %+v", s)
+	}
+}
+
+// freezeWith freezes the store's sealed row segments into a file of the
+// given name through w, the way freezeRun drives the writer, and
+// returns the file's bytes.
+func freezeWith(t *testing.T, st *Store, w *coldWriterV2, name string) []byte {
+	t.Helper()
+	f, err := st.be.Create(name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w.begin(f, 4<<10)
+	st.mu.Lock()
+	run := append([]*segment(nil), st.segs...)
+	st.mu.Unlock()
+	var covers uint64
+	for _, s := range run {
+		if !s.sealed || s.isCold() {
+			continue
+		}
+		if err := st.freezeSource(w, s); err != nil {
+			t.Fatalf("freezeSource %s: %v", s.name, err)
+		}
+		covers = s.coversThrough
+	}
+	if err := w.finish(covers); err != nil {
+		t.Fatal(err)
+	}
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, size)
+	if _, err := f.ReadAt(raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestFreezeDeterministicThroughReusedWriter: the freezer keeps one
+// writer per store and takes its compressors from a pool, and neither
+// may show in the output — the same sealed segments freeze to the same
+// bytes through a fresh writer, through one that already wrote a file,
+// and through one an aborted run left half-filled. (That those bytes
+// are also the parent format's is TestColdFileBytesPinned; that v1
+// files still read back beside them is TestColdV1V2MixedDirectory.)
+func TestFreezeDeterministicThroughReusedWriter(t *testing.T) {
+	st, err := Open(t.TempDir(), Config{SegmentBytes: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sealEvery(t, st, 1, 1200, 100)
+
+	fresh := freezeWith(t, st, new(coldWriterV2), "fresh.tmp")
+	var w coldWriterV2
+	first := freezeWith(t, st, &w, "first.tmp")
+	// An aborted run: rows pending, a block written, no finish.
+	f, err := st.be.Create("aborted.tmp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.begin(f, 1<<10)
+	for s := uint64(5000); s < 5100; s++ {
+		e := mkEntry(s)
+		if err := w.add(make([]byte, FrameSize(&e)), &e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+	if len(w.blocks) == 0 || w.blockMeta.count == 0 {
+		t.Fatalf("aborted run left %d blocks, %d pending rows; want both non-zero", len(w.blocks), w.blockMeta.count)
+	}
+	again := freezeWith(t, st, &w, "again.tmp")
+
+	if len(fresh) <= headerSize {
+		t.Fatalf("froze nothing: %d bytes", len(fresh))
+	}
+	if !bytes.Equal(first, fresh) {
+		t.Fatal("the same segments froze to different bytes the second time (pooled compressor)")
+	}
+	if !bytes.Equal(again, fresh) {
+		t.Fatal("a reused writer wrote different bytes than a fresh one")
+	}
+}
+
+// TestColdWriterFlushAllocs: after the first block has sized the
+// writer's buffers, flushing a block allocates its directory entry and
+// little else — no compressor, no header, no column regrowth.
+func TestColdWriterFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the compressor pool drops entries under -race")
+	}
+	st, err := Open(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	f, err := st.be.Create("allocs.tmp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	es := benchEntries(512)
+	frame := make([]byte, FrameSize(&es[0]))
+	var w coldWriterV2
+	w.begin(f, 1<<30) // only the explicit flush below cuts a block
+	block := func() {
+		for i := range es {
+			if err := w.add(frame, &es[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block()
+	w.blocks = make([]coldBlock, 0, 64) // the directory grows by design; keep it out of the count
+	if got := testing.AllocsPerRun(20, block); got > 2 {
+		t.Fatalf("flush allocates %.0f objects per block, want <= 2", got)
 	}
 }
