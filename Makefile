@@ -17,8 +17,12 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 	  echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# bench/ is a module of its own (the root ./... skips it) that compiles
+# against internal/ APIs: vetting it here means moving a type it imports
+# fails locally, not only on the CI runner.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 test:
 	$(GO) test ./...
@@ -43,10 +47,10 @@ SHORT ?=
 chaos:
 	$(GO) test $(SHORT) -v -run 'TestChaos' ./internal/faults/
 
-# The overload storm scenario on its own: oversubscribed producers and a
-# wedged store drive the adaptive gate through two full
+# The overload storm scenario on its own: an oversubscribed producer and
+# a wedged store drive internal/ingest's admission through two full
 # engage → degrade → recover cycles, checking the tier trajectory, the
-# event-exact accounting identity and the per-step work bound (in step
+# event-exact accounting identity and the per-batch work bound (in
 # counts; the wall-clock form is a benchdiff ratio rule). Honors -short
 # (make overload-stress SHORT=-short).
 overload-stress:

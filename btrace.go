@@ -330,6 +330,16 @@ func (r *Reader) Snapshot() []Event {
 // mode a collector daemon uses to follow a live trace without ever
 // blocking producers. The slice is freshly allocated and caller-owned;
 // steady-state collectors should prefer Next, which reuses its arena.
+//
+// Poll drains the same cursor Next and Events read through, so the three
+// share one delivery watermark.
 func (r *Reader) Poll() (events []Event, missed uint64) {
-	return r.r.Poll()
+	batch := make([]Event, 1024)
+	for {
+		n, m, _ := r.Next(batch)
+		events, missed = tracer.CloneEntries(events, batch[:n]), missed+m
+		if n < len(batch) {
+			return events, missed
+		}
+	}
 }

@@ -120,6 +120,8 @@ func (f *flakySink) AppendEntries(es []tracer.Entry) error {
 	return f.st.AppendEntries(es)
 }
 
+func (f *flakySink) WriteErr() error { return f.st.WriteErr() }
+
 // TestIngestDrainFailurePath: the plain drain's three outcomes for a
 // failed append — retried within the budget and applied; budget
 // exhausted and counted dropped, event-exact, once; sticky store

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"btrace/internal/distributor"
+	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/store/backend"
@@ -35,7 +36,7 @@ type clusterConfig struct {
 	Replication int
 	// Overrides are the parsed per-tenant quota overrides
 	// (-tenant-overrides).
-	Overrides map[string]distributor.TenantLimit
+	Overrides map[string]ingest.TenantLimit
 	// Store is the per-shard store configuration template; Backend is
 	// ignored (each shard gets its own).
 	Store store.Config
@@ -49,7 +50,7 @@ type clusterConfig struct {
 // clusterPipeline owns the distributed ingest tier inside btrace-serve:
 // N in-process replicated shards under one directory root, fronted by
 // the consistent-hash distributor, plus the background gate evaluation
-// the single-store path gets from its supervisor loop.
+// the single-store path gets from its drain loop.
 type clusterPipeline struct {
 	cfg clusterConfig
 	d   *distributor.Distributor

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"btrace/internal/btql"
-	"btrace/internal/distributor"
+	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/tracer"
 )
@@ -17,7 +17,7 @@ import (
 // newClusterServer builds a server in cluster mode over a temp root.
 func newClusterServer(t *testing.T, shards, rf int, overrides string) *server {
 	t.Helper()
-	ov, err := distributor.ParseOverrides(overrides)
+	ov, err := ingest.ParseOverrides(overrides)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"btrace/internal/collect"
+	"btrace/internal/ingest"
 	"btrace/internal/live"
 	"btrace/internal/obs"
 	"btrace/internal/overload"
@@ -28,7 +29,7 @@ const ingestQueueDepth = 256
 // dead store should answer 429s, not stall.
 const appendAttempts = 3
 
-// ingestConfig carries the overload-control flags into the pipeline.
+// ingestConfig carries the admission flags into the pipeline.
 type ingestConfig struct {
 	// SampleRate is the head-sampling keep-rate floor (-sample-rate).
 	SampleRate float64
@@ -42,6 +43,9 @@ type ingestConfig struct {
 	// false the gate still samples and rate-limits, but never escalates
 	// past TierNone.
 	Shed bool
+	// Overrides are the parsed per-tenant quota overrides
+	// (-tenant-overrides).
+	Overrides map[string]ingest.TenantLimit
 	// Hub, when set, receives every admitted batch via the gate's
 	// Admitted hook — the /live fan-out. Both the single-store pipeline
 	// and the cluster distributor build their gate through gateConfig,
@@ -79,26 +83,25 @@ func (cfg ingestConfig) gateConfig() (overload.Config, error) {
 
 // ingestPipeline owns the single-store POST /ingest delivery path: a
 // bounded queue of decoded batches and one goroutine that blocks on it
-// and runs verify → gate → append on each, then releases the batch. A
-// 202 is an enqueue; the cluster path (cluster.go) acks a quorum
-// instead. HTTP handlers touch only the queue, the rejected counter and
-// the mutex-protected snapshot — verifier and gate are single-goroutine
-// by contract and belong to the drain.
+// and runs internal/ingest's admit → append on each, then releases the
+// batch. A 202 is an enqueue; the cluster path (cluster.go) acks a
+// quorum instead. HTTP handlers touch only the queue, the rejected
+// counter and the mutex-protected snapshot.
 type ingestPipeline struct {
 	queue chan *ingestBatch
-	gate  *overload.Gate
-	ver   *collect.Verifier
+	adm   *ingest.Admission
 	st    *store.Store
 	// sink is st; the failure-path tests substitute a flaky one.
-	sink collect.DumpStore
+	sink ingest.Sink
 
 	// admit orders enqueues against Close: once closed is set nothing
 	// more enters the queue, so closing it is safe and everything that
 	// was answered 202 is in front of the drain's exit.
-	admit    sync.RWMutex
-	closed   bool
-	done     chan struct{}
-	rejected atomic.Uint64 // batches refused with 429
+	admit     sync.RWMutex
+	closed    bool
+	done      chan struct{}
+	rejected  atomic.Uint64 // batches refused with 429
+	throttled atomic.Uint64 // events dropped by a tenant quota override
 
 	// stats and sinkFailed belong to the drain goroutine, which mirrors
 	// them to /metrics under the btrace_collect_* names the supervisor
@@ -108,16 +111,16 @@ type ingestPipeline struct {
 	stats      collect.SupervisorStats
 	sinkFailed bool
 	obs        *collect.StatsMirror
-	depthObs   uint64 // registry id of the queue-depth gauge
+	queueObs   uint64 // registry id of the btrace_ingest_* series
 
 	// mu guards the snapshot the drain publishes after every batch, so
-	// /readyz never reads gate or drain state from a second goroutine.
+	// /readyz never reads drain state from a second goroutine.
 	mu     sync.Mutex
 	health collect.HealthReport
 	tier   overload.Tier
 }
 
-// newIngestPipeline wires verifier and gate over st and starts the
+// newIngestPipeline wires the admission stage over st and starts the
 // drain goroutine.
 func newIngestPipeline(st *store.Store, cfg ingestConfig) (*ingestPipeline, error) {
 	gcfg, err := cfg.gateConfig()
@@ -127,20 +130,15 @@ func newIngestPipeline(st *store.Store, cfg ingestConfig) (*ingestPipeline, erro
 	queue := make(chan *ingestBatch, ingestQueueDepth)
 	p := &ingestPipeline{
 		queue: queue,
-		gate:  overload.NewGate(gcfg),
-		// The queue multiplexes independent clients: their batches
-		// interleave arbitrarily, so only per-thread stamp order is an
-		// invariant. An ordered verifier would quarantine interleaved
-		// batches around the gate — persisted, but invisible to live
-		// tail, sampling and rate limits.
-		ver:  collect.NewUnorderedVerifier(),
-		st:   st,
-		sink: st,
-		done: make(chan struct{}),
-		obs:  collect.NewStatsMirror(),
+		adm:   ingest.NewAdmission(gcfg, cfg.Overrides),
+		st:    st,
+		sink:  st,
+		done:  make(chan struct{}),
+		obs:   collect.NewStatsMirror(),
 	}
-	p.depthObs = obs.Default().Register(func(e *obs.Emitter) {
+	p.queueObs = obs.Default().Register(func(e *obs.Emitter) {
 		e.Gauge("btrace_ingest_queue_depth", "accepted batches waiting for the ingest drain", float64(len(queue)))
+		e.Counter("btrace_ingest_events_throttled_total", "events dropped by per-tenant quota overrides", p.throttled.Load())
 	})
 	go p.run()
 	return p, nil
@@ -164,50 +162,43 @@ func (p *ingestPipeline) run() {
 			}
 			p.apply(b)
 		case <-idle.C:
-			p.gate.Evaluate(overload.Pressure{Store: p.st.Pressure()})
+			p.adm.Evaluate(overload.Pressure{Store: p.st.Pressure()})
 		}
 		h := collect.HealthReport{SinkFailed: p.sinkFailed}
 		p.obs.Publish(p.stats, h)
 		p.mu.Lock()
-		p.health, p.tier = h, p.gate.Tier()
+		p.health, p.tier = h, p.adm.Tier()
 		p.mu.Unlock()
 	}
 }
 
-// apply runs one batch through verify → gate → append and releases it.
-// A failed append is retried while the batch is held — the queue
-// filling up behind it is what tells clients to back off — and a batch
-// the store refuses for good is counted, event-exact, as dropped: every
-// event answered 202 ends up applied or in
-// btrace_collect_spill_dropped_events_total.
+// apply runs one batch through admit → append and releases it. A
+// failed append is retried while the batch is held — the queue filling
+// up behind it is what tells clients to back off — and a batch the
+// store refuses for good is counted, event-exact, as dropped: every
+// event answered 202 ends up applied, attributed to the quota or the
+// gate, or in btrace_collect_spill_dropped_events_total.
 func (p *ingestPipeline) apply(b *ingestBatch) {
 	defer b.release()
 	p.stats.Polls++
-	clean, quarantined, _ := p.ver.Check(b.es)
-	p.stats.Quarantined += uint64(len(quarantined))
-	p.gate.SetTenant(b.tenant)
-	p.gate.Evaluate(overload.Pressure{Store: p.st.Pressure()})
-	// Quarantined entries are evidence, never shed: they bypass the gate
-	// (and so the live tail) and are persisted with the batch.
-	es := append(p.gate.Filter(clean), quarantined...)
+	p.adm.Evaluate(overload.Pressure{Store: p.st.Pressure()})
+	es, c := p.adm.Admit(b.tenant, b.es)
+	p.stats.Quarantined += uint64(c.Quarantined)
+	p.throttled.Add(uint64(c.Throttled))
 	if len(es) == 0 {
 		return
 	}
 	p.stats.Dumps++
-	for attempt := 0; attempt < appendAttempts; attempt++ {
-		if err := p.sink.AppendEntries(es); err == nil {
-			p.stats.DumpsWritten++
-			p.sinkFailed = false
-			return
-		}
-		p.stats.SinkErrors++
-		if p.st.WriteErr() != nil {
-			// Sticky write-path failure: the disk is gone, retrying
-			// cannot help, and /readyz already says so.
-			p.sinkFailed = true
-			break
-		}
+	tries, err := ingest.Append(p.sink, es, appendAttempts)
+	if err == nil {
+		p.stats.SinkErrors += uint64(tries - 1)
+		p.stats.DumpsWritten++
+		p.sinkFailed = false
+		return
 	}
+	p.stats.SinkErrors += uint64(tries)
+	// A sticky write-path failure is what /readyz reports as permanent.
+	p.sinkFailed = p.sink.WriteErr() != nil
 	p.stats.SpillDropped++
 	p.stats.SpillDroppedEvents += uint64(len(es))
 }
@@ -217,13 +208,18 @@ func (p *ingestPipeline) apply(b *ingestBatch) {
 // stay open until then. Safe to call more than once.
 func (p *ingestPipeline) Close() {
 	p.admit.Lock()
-	if !p.closed {
+	first := !p.closed
+	if first {
 		p.closed = true
 		close(p.queue)
-		obs.Default().Unregister(p.depthObs)
 	}
 	p.admit.Unlock()
 	<-p.done
+	if first {
+		// Fold, not unregister: the depth gauge goes with the queue, the
+		// throttled count stays in the process totals.
+		obs.Default().Fold(p.queueObs)
+	}
 }
 
 // enqueue offers one decoded batch to the drain without blocking. On

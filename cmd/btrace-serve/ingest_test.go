@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
@@ -117,6 +118,38 @@ func TestIngestEndToEnd(t *testing.T) {
 	}
 	if got := st.Events(); got != 3 {
 		t.Fatalf("store holds %d events after Close, want 3", got)
+	}
+}
+
+// TestIngestTenantOverrideOverHTTP is the single-store twin of
+// TestClusterTenantOverrideOverHTTP: -tenant-overrides holds the named
+// tenant to its quota here too, and /metrics attributes what it dropped.
+func TestIngestTenantOverrideOverHTTP(t *testing.T) {
+	overrides, err := ingest.ParseOverrides("limited=1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newIngestServer(t, ingestConfig{SampleRate: 1, Overrides: overrides})
+	const throttled = "btrace_ingest_events_throttled_total"
+	before := scrape(t, srv)[throttled]
+	es := make([]tracer.Entry, 6)
+	for i := range es {
+		es[i] = tracer.Entry{Stamp: uint64(i + 1), TS: 1000, TID: 9, Category: 1, Level: 1}
+	}
+	req := httptest.NewRequest("POST", "/ingest", bytes.NewReader(encodeEvents(t, es)))
+	req.Header.Set(tenantHeader, "limited")
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != 202 {
+		t.Fatalf("/ingest status %d: %s", rec.Code, rec.Body.String())
+	}
+	srv.ingest.Close()
+	qrec := httpGet(t, srv, "/store/query")
+	if rows := strings.Count(qrec.Body.String(), "\n"); qrec.Code != 200 || rows != 1 {
+		t.Fatalf("/store/query: status %d, %d rows, want the 1 event the quota admits:\n%s", qrec.Code, rows, qrec.Body.String())
+	}
+	if got := scrape(t, srv)[throttled] - before; got != 5 {
+		t.Fatalf("%s moved by %v, want 5", throttled, got)
 	}
 }
 

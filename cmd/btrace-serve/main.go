@@ -18,7 +18,7 @@ import (
 	"syscall"
 	"time"
 
-	"btrace/internal/distributor"
+	"btrace/internal/ingest"
 	"btrace/internal/live"
 	"btrace/internal/store"
 	"btrace/internal/store/backend"
@@ -45,7 +45,7 @@ func main() {
 	shed := flag.Bool("shed", true, "enable tiered load shedding on the ingest path")
 	shards := flag.Int("shards", 0, "run a replicated in-process cluster of this many store shards under the -store root (0 = single store)")
 	replication := flag.Int("replication", 2, "replicas per stream key in cluster mode (quorum-acked)")
-	tenantOverrides := flag.String("tenant-overrides", "", "per-tenant ingest quotas, e.g. alpha=1000,beta=500:2000 (events/sec of virtual time[:burst])")
+	tenantOverrides := flag.String("tenant-overrides", "", "per-tenant ingest quotas in either mode, e.g. alpha=1000,beta=500:2000 (events/sec of virtual time[:burst])")
 	liveBuffer := flag.Int("live-buffer", 0, "per-subscriber /live ring capacity in events (0 = default 4096)")
 	liveSubscribers := flag.Int("live-subscribers", 0, "max concurrent /live subscribers (0 = default 64)")
 	liveMaxMissed := flag.Uint64("live-max-missed", 0, "missed-event count at which a slow /live subscriber is evicted (0 = default 65536)")
@@ -73,11 +73,17 @@ func main() {
 			EvictAfterMissed: *liveMaxMissed,
 		})
 	}
+	overrides, err := ingest.ParseOverrides(*tenantOverrides)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "btrace-serve:", err)
+		os.Exit(2)
+	}
 	icfg := ingestConfig{
 		SampleRate: *sampleRate,
 		RateLimit:  *rateLimit,
 		RateBurst:  *rateBurst,
 		Shed:       *shed,
+		Overrides:  overrides,
 		Hub:        hub,
 	}
 	scfg := store.Config{
@@ -94,11 +100,6 @@ func main() {
 		objectBackend = true
 	default:
 		fmt.Fprintf(os.Stderr, "btrace-serve: -backend must be local or object, got %q\n", *backendKind)
-		os.Exit(2)
-	}
-	overrides, err := distributor.ParseOverrides(*tenantOverrides)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "btrace-serve:", err)
 		os.Exit(2)
 	}
 

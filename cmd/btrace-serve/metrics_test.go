@@ -107,9 +107,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	r := tr.NewReader()
 	defer r.Close()
-	sup, err := collect.NewSupervisor(collect.SupervisorConfig{
-		Source: collect.Fallible(pollerFunc(r.Poll)),
-	})
+	sup, err := collect.NewSupervisor(collect.SupervisorConfig{Cursor: readerCursor{r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +206,14 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// pollerFunc adapts a Poll closure to collect.Poller.
-type pollerFunc func() ([]tracer.Entry, uint64)
+// readerCursor adapts the public Reader to tracer.Cursor: Next is the
+// Reader's own, Close gains the error return.
+type readerCursor struct{ *btrace.Reader }
 
-func (f pollerFunc) Poll() ([]tracer.Entry, uint64) { return f() }
+func (c readerCursor) Close() error {
+	c.Reader.Close()
+	return nil
+}
 
 // TestPprofEndpoints checks the pprof surface responds on the private mux.
 func TestPprofEndpoints(t *testing.T) {

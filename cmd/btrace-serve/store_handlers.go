@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"btrace/internal/btql"
 	"btrace/internal/export"
+	"btrace/internal/live"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
@@ -87,14 +87,16 @@ func (s *server) handleStoreSegments(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseStoreQuery builds a store.Query from request parameters:
-// min_stamp, max_stamp, min_ts, max_ts, cores, categories (comma
-// lists), limit — plus ?q=, a BTQL expression whose filter stage is
-// compiled into the query's predicate (ANDed with the field filters)
+// min_stamp, max_stamp, min_ts, max_ts, cores, categories (ranges and
+// comma lists through /live's parsers, so both endpoints bound and
+// reject alike), limit — plus ?q=, a BTQL expression whose filter stage
+// is compiled into the query's predicate (ANDed with the field filters)
 // and whose optional aggregate stage is returned alongside.
 func parseStoreQuery(r *http.Request) (store.Query, *btql.AggSpec, error) {
 	var q store.Query
 	var agg *btql.AggSpec
-	if src := r.URL.Query().Get("q"); src != "" {
+	v := r.URL.Query()
+	if src := v.Get("q"); src != "" {
 		bq, err := btql.Parse(src)
 		if err != nil {
 			return q, nil, err
@@ -104,61 +106,29 @@ func parseStoreQuery(r *http.Request) (store.Query, *btql.AggSpec, error) {
 		}
 		agg = bq.Agg
 	}
-	get := func(name string) (uint64, bool, error) {
-		v := r.URL.Query().Get(name)
-		if v == "" {
-			return 0, false, nil
-		}
-		u, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return 0, false, fmt.Errorf("bad %s %q", name, v)
-		}
-		return u, true, nil
-	}
 	var err error
-	if q.MinStamp, _, err = get("min_stamp"); err != nil {
+	if q.MinStamp, q.MaxStamp, err = live.ParseRange(v, "min_stamp", "max_stamp"); err != nil {
 		return q, nil, err
 	}
-	if q.MaxStamp, _, err = get("max_stamp"); err != nil {
+	if q.MinTS, q.MaxTS, err = live.ParseRange(v, "min_ts", "max_ts"); err != nil {
 		return q, nil, err
 	}
-	if q.MinTS, _, err = get("min_ts"); err != nil {
+	if q.Cores, err = live.ParseList[uint8](v, "cores"); err != nil {
 		return q, nil, err
 	}
-	if q.MaxTS, _, err = get("max_ts"); err != nil {
+	if q.Categories, err = live.ParseList[uint8](v, "categories"); err != nil {
 		return q, nil, err
 	}
-	parseList := func(name string) ([]uint8, error) {
-		v := r.URL.Query().Get(name)
-		if v == "" {
-			return nil, nil
-		}
-		var out []uint8
-		for _, part := range strings.Split(v, ",") {
-			u, err := strconv.ParseUint(strings.TrimSpace(part), 10, 8)
-			if err != nil {
-				return nil, fmt.Errorf("bad %s element %q", name, part)
-			}
-			out = append(out, uint8(u))
-		}
-		return out, nil
-	}
-	if q.Cores, err = parseList("cores"); err != nil {
-		return q, nil, err
-	}
-	if q.Categories, err = parseList("categories"); err != nil {
-		return q, nil, err
-	}
-	limit, ok, err := get("limit")
-	if err != nil {
-		return q, nil, err
-	}
+	limitArg := v.Get("limit")
+	limit, err := strconv.ParseUint(limitArg, 10, 64)
 	switch {
+	case limitArg != "" && err != nil:
+		return q, nil, fmt.Errorf("bad limit %q", limitArg)
 	case agg != nil:
 		// An aggregate is defined over every match; the stream the limit
 		// guards is never materialized.
 		q.Limit = 0
-	case !ok:
+	case limitArg == "":
 		q.Limit = defaultQueryEvents
 	case limit == 0 || limit > maxQueryEvents:
 		return q, nil, fmt.Errorf("limit must be in [1, %d]", maxQueryEvents)

@@ -113,6 +113,10 @@ func TestStoreQueryEndpoint(t *testing.T) {
 		"?limit=0",
 		"?limit=99999999",
 		"?format=xml",
+		// The bounds /live enforces, through the same parsers.
+		"?min_stamp=10&max_stamp=9",
+		"?min_ts=10&max_ts=9",
+		"?categories=" + strings.Repeat("1,", 256) + "1",
 	} {
 		if code, _ := get(t, ts.URL+"/store/query"+q); code != http.StatusBadRequest {
 			t.Errorf("query %s: status %d, want 400", q, code)

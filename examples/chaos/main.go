@@ -1,6 +1,6 @@
 // Chaos: provoke the failures the paper's availability mechanisms exist
 // for — a preemption storm inside the allocate→confirm window, a writer
-// frozen holding unconfirmed bytes, a flaky poll source and a dump sink
+// frozen holding unconfirmed bytes, a flaky trace cursor and a dump sink
 // that dies — and watch the tracer and the supervised collector absorb
 // them. Every fault is planned from one seed: rerun with the same -seed
 // and the exact same schedule is injected.
@@ -102,14 +102,13 @@ func supervisedPipeline(in *faults.Injector) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := b.NewReader()
-	defer r.Close()
-	src := in.FlakyPoller(r, 0.3, 0.4) // 30% failed polls, 40% torn batches
+	src := in.FlakyCursor(b.NewCursor(), 0.3, 0.4) // 30% failed reads, 40% torn batches
+	defer src.Close()
 	var dst bytes.Buffer
 	sink := in.FlakySink(&dst, 2, 6) // 2 transient failures, dead after 6 writes
 
 	s, err := collect.NewSupervisor(collect.SupervisorConfig{
-		Source:   src,
+		Cursor:   src,
 		Triggers: []collect.Trigger{&collect.LossDetector{Tolerance: 8}},
 		Sink:     sink,
 		Resizer:  b,

@@ -34,7 +34,7 @@ func main() {
 	reader := tr.NewReader()
 	defer reader.Close()
 	daemon, err := collect.New(collect.Config{
-		Source:   pollAdapter{reader},
+		Source:   readerCursor{reader},
 		Triggers: []collect.Trigger{&collect.Watchdog{Category: catFreeze, TimeoutNs: 20e9}},
 		// Keep enough rolling context to span the whole timeout window.
 		MaxWindowEvents: 500_000,
@@ -113,10 +113,14 @@ func main() {
 	}
 }
 
-// pollAdapter adapts the public Reader to the collector's Poller.
-type pollAdapter struct{ r *btrace.Reader }
+// readerCursor adapts the public Reader to the collector's cursor
+// source: Next is the Reader's own (btrace.Event is an alias of
+// tracer.Entry), Close gains the error return.
+type readerCursor struct{ *btrace.Reader }
 
-func (p pollAdapter) Poll() ([]tracer.Entry, uint64) {
-	// btrace.Event is an alias of tracer.Entry, so no conversion is needed.
-	return p.r.Poll()
+func (c readerCursor) Close() error {
+	c.Reader.Close()
+	return nil
 }
+
+var _ tracer.Cursor = readerCursor{}

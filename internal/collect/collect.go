@@ -17,13 +17,6 @@ import (
 	"btrace/internal/tracer"
 )
 
-// Poller is the incremental trace source (satisfied by core.Reader).
-type Poller interface {
-	// Poll returns events newer than the previous call, oldest first,
-	// and the count of events lost to overwrite between calls.
-	Poll() ([]tracer.Entry, uint64)
-}
-
 // Trigger inspects newly collected events and decides whether to fire.
 // Implementations are driven by a single collector goroutine.
 type Trigger interface {
@@ -169,7 +162,9 @@ type Dump struct {
 
 // Collector follows a trace source and dumps on triggers.
 type Collector struct {
-	src      Poller
+	src tracer.Cursor
+	// batch is the reusable read buffer Step hands to the cursor.
+	batch    []tracer.Entry
 	triggers []Trigger
 	loss     *LossDetector
 	// window is the rolling context kept for dumps.
@@ -183,8 +178,8 @@ type Collector struct {
 
 // Config configures a Collector.
 type Config struct {
-	// Source is the incremental trace source.
-	Source Poller
+	// Source is the incremental trace source (core.Buffer.NewCursor).
+	Source tracer.Cursor
 	// Triggers fire dumps. A LossDetector among them additionally
 	// receives the per-poll missed counts.
 	Triggers []Trigger
@@ -209,43 +204,41 @@ func New(cfg Config) (*Collector, error) {
 	return c, nil
 }
 
-// Step polls once, feeds the triggers, and returns a Dump if any fired
-// (nil otherwise).
+// stepBatch sizes the reads of Step.
+const stepBatch = 512
+
+// Step follows the source up to where it is now — batch after batch
+// until a read comes back short — feeding the triggers, and returns the
+// Dump of the first batch on which any fired (nil otherwise; what is
+// left unread is the next Step's). A healthy source is assumed: a read
+// error ends the step like an empty read.
 func (c *Collector) Step() *Dump {
-	es, missed := c.src.Poll()
-	return c.Ingest(es, missed)
+	if c.batch == nil {
+		c.batch = make([]tracer.Entry, stepBatch)
+	}
+	for {
+		n, missed, _ := c.src.Next(c.batch)
+		if d := c.Ingest(c.batch[:n], missed); d != nil || n < len(c.batch) {
+			return d
+		}
+	}
 }
 
-// Ingest feeds one poll's worth of events (and its missed count) through
+// Ingest feeds one read's worth of events (and its missed count) through
 // the window and triggers, returning a Dump if any trigger fired. It is
-// the poll-free half of Step, used by Supervisor, which obtains events
-// from a fallible source with its own retry policy. All triggers that
-// fire on the same batch contribute to the dump reason — a watchdog and
-// a rate spike firing together are both reported.
+// the read-free half of Step, used by Supervisor, which reads a fallible
+// source with its own retry policy. All triggers that fire on the same
+// batch contribute to the dump reason — a watchdog and a rate spike
+// firing together are both reported.
 //
-// Ingest takes ownership of es (the Poller contract hands over fresh
-// slices). For batches borrowed from a cursor arena, use IngestShared.
+// es is borrowed (the tracer.Cursor ownership contract: entries and
+// payloads are only valid until the next Next call). Triggers observe
+// the batch in place; what enters the rolling window is deep-copied.
 func (c *Collector) Ingest(es []tracer.Entry, missed uint64) *Dump {
-	return c.ingest(es, missed, false)
-}
-
-// IngestShared is Ingest for borrowed batches (the tracer.Cursor
-// ownership contract: entries and payloads are only valid until the next
-// Next call). Triggers observe the batch in place; what enters the
-// rolling window is deep-copied.
-func (c *Collector) IngestShared(es []tracer.Entry, missed uint64) *Dump {
-	return c.ingest(es, missed, true)
-}
-
-func (c *Collector) ingest(es []tracer.Entry, missed uint64, shared bool) *Dump {
 	c.polls++
 	c.missed += missed
 
-	if shared {
-		c.window = tracer.CloneEntries(c.window, es)
-	} else {
-		c.window = append(c.window, es...)
-	}
+	c.window = tracer.CloneEntries(c.window, es)
 	if over := len(c.window) - c.maxWindow; over > 0 {
 		c.window = append(c.window[:0], c.window[over:]...)
 	}
@@ -269,7 +262,7 @@ func (c *Collector) ingest(es []tracer.Entry, missed uint64, shared bool) *Dump 
 	return dump
 }
 
-// Stats returns (polls performed, events missed across all polls).
+// Stats returns (reads ingested, events missed across all of them).
 func (c *Collector) Stats() (polls, missed uint64) { return c.polls, c.missed }
 
 // WriteTo serializes a dump's events as consecutive wire records (the

@@ -9,24 +9,27 @@ import (
 	"btrace/internal/tracer"
 )
 
-// fakePoller replays scripted polls.
-type fakePoller struct {
+// fakeCursor replays scripted reads, one per Next (each must fit the
+// batch it is handed).
+type fakeCursor struct {
 	polls  [][]tracer.Entry
 	missed []uint64
 	i      int
 }
 
-func (f *fakePoller) Poll() ([]tracer.Entry, uint64) {
+func (f *fakeCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	if f.i >= len(f.polls) {
-		return nil, 0
+		return 0, 0, nil
 	}
-	es, m := f.polls[f.i], uint64(0)
+	n, m := copy(batch, f.polls[f.i]), uint64(0)
 	if f.i < len(f.missed) {
 		m = f.missed[f.i]
 	}
 	f.i++
-	return es, m
+	return n, m, nil
 }
+
+func (f *fakeCursor) Close() error { return nil }
 
 func ev(stamp, ts uint64, cat uint8) tracer.Entry {
 	return tracer.Entry{Stamp: stamp, TS: ts, Category: cat}
@@ -36,7 +39,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil source: expected error")
 	}
-	c, err := New(Config{Source: &fakePoller{}})
+	c, err := New(Config{Source: &fakeCursor{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +112,7 @@ func TestLossDetector(t *testing.T) {
 }
 
 func TestCollectorStepAndDump(t *testing.T) {
-	src := &fakePoller{
+	src := &fakeCursor{
 		polls: [][]tracer.Entry{
 			{ev(1, 0, 7), ev(2, 1e9, 1)},
 			{ev(3, 2e9, 1)},
@@ -151,7 +154,7 @@ func TestCollectorStepAndDump(t *testing.T) {
 }
 
 func TestCollectorLossDump(t *testing.T) {
-	src := &fakePoller{
+	src := &fakeCursor{
 		polls:  [][]tracer.Entry{{ev(10, 0, 1)}},
 		missed: []uint64{100},
 	}
@@ -170,7 +173,7 @@ func TestCollectorLossDump(t *testing.T) {
 // the same poll both appear in the dump reason (the first-trigger-wins
 // bug lost one of the signals).
 func TestCollectorAllReasonsReported(t *testing.T) {
-	src := &fakePoller{
+	src := &fakeCursor{
 		polls: [][]tracer.Entry{
 			{ev(1, 0, 7)},
 			// Category 7 silent for 30 s AND category 2 bursting.
@@ -242,7 +245,7 @@ func TestCollectorWindowBound(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		es = append(es, ev(uint64(i), uint64(i), 1))
 	}
-	src := &fakePoller{polls: [][]tracer.Entry{es, {ev(101, 200e9, 1), ev(102, 201e9, 7)}, {ev(103, 230e9, 1)}}}
+	src := &fakeCursor{polls: [][]tracer.Entry{es, {ev(101, 200e9, 1), ev(102, 201e9, 7)}, {ev(103, 230e9, 1)}}}
 	c, err := New(Config{
 		Source:          src,
 		Triggers:        []Trigger{&Watchdog{Category: 7, TimeoutNs: 20e9}},
@@ -286,16 +289,16 @@ func TestDumpWriteTo(t *testing.T) {
 }
 
 // TestCollectorAgainstLiveBuffer wires the collector to a real BTrace
-// reader: end-to-end silent-defect detection over a live buffer.
+// cursor: end-to-end silent-defect detection over a live buffer.
 func TestCollectorAgainstLiveBuffer(t *testing.T) {
 	b, err := core.New(core.Options{Cores: 2, BlockSize: 256, ActiveBlocks: 4, Ratio: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := b.NewReader()
-	defer r.Close()
+	cur := b.NewCursor()
+	defer cur.Close()
 	c, err := New(Config{
-		Source:   r,
+		Source:   cur,
 		Triggers: []Trigger{&Watchdog{Category: 9, TimeoutNs: 10e9}},
 	})
 	if err != nil {

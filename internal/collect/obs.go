@@ -29,7 +29,6 @@ type supObs struct {
 	spilled            *obs.Counter
 	spillDropped       *obs.Counter
 	spillDroppedEvents *obs.Counter
-	spillPersisted     *obs.Counter
 
 	grows   *obs.Counter
 	shrinks *obs.Counter
@@ -56,7 +55,6 @@ func newSupObs() *supObs {
 		spilled:            obs.NewCounter(1),
 		spillDropped:       obs.NewCounter(1),
 		spillDroppedEvents: obs.NewCounter(1),
-		spillPersisted:     obs.NewCounter(1),
 		grows:              obs.NewCounter(1),
 		shrinks:            obs.NewCounter(1),
 		quarantined:        obs.NewCounter(1),
@@ -79,7 +77,6 @@ func (o *supObs) addDeltas(cur, last SupervisorStats) {
 	o.spilled.Add(cur.Spilled - last.Spilled)
 	o.spillDropped.Add(cur.SpillDropped - last.SpillDropped)
 	o.spillDroppedEvents.Add(cur.SpillDroppedEvents - last.SpillDroppedEvents)
-	o.spillPersisted.Add(cur.SpillPersisted - last.SpillPersisted)
 	o.grows.Add(cur.Grows - last.Grows)
 	o.shrinks.Add(cur.Shrinks - last.Shrinks)
 	o.quarantined.Add(cur.Quarantined - last.Quarantined)
@@ -100,7 +97,6 @@ func (o *supObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_collect_spilled_total", "dumps diverted to the in-memory spill ring", o.spilled.Load())
 	e.Counter("btrace_collect_spill_dropped_total", "spilled dumps evicted and lost", o.spillDropped.Load())
 	e.Counter("btrace_collect_spill_dropped_events_total", "events inside dropped spill dumps", o.spillDroppedEvents.Load())
-	e.Counter("btrace_collect_spill_persisted_total", "evicted dumps persisted to the durable store", o.spillPersisted.Load())
 	e.Counter("btrace_collect_grows_total", "adaptive buffer grow operations", o.grows.Load())
 	e.Counter("btrace_collect_shrinks_total", "adaptive buffer shrink operations", o.shrinks.Load())
 	e.Counter("btrace_collect_quarantined_total", "entries rejected by the verifier", o.quarantined.Load())

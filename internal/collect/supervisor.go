@@ -19,11 +19,9 @@ package collect
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 
-	"btrace/internal/overload"
 	"btrace/internal/tracer"
 )
 
@@ -31,50 +29,6 @@ import (
 // the dump immediately instead of burning its retry budget. Sinks signal
 // it by returning an error wrapping ErrPermanent.
 var ErrPermanent = errors.New("collect: permanent sink failure")
-
-// DumpStore is the durable sink mode's persistence surface (satisfied by
-// store.Store). When the in-memory spill ring overflows, evicted dumps
-// are appended to the store instead of being dropped.
-type DumpStore interface {
-	// AppendEntries durably stages a dump's events.
-	AppendEntries(es []tracer.Entry) error
-}
-
-// asyncAppender is the non-blocking staging surface a DumpStore may
-// additionally offer (store.Store does). The spill path prefers it:
-// eviction then costs one arena copy instead of a wait for the write
-// goroutine, so a slow disk cannot stall the poll loop. Errors the
-// async path defers surface on the store's own Sync/Close.
-type asyncAppender interface {
-	AppendEntriesAsync(es []tracer.Entry) error
-}
-
-// writeHealth is the sticky-error surface a DumpStore may offer
-// (store.Store does). The spill path consults it around asynchronous
-// staging: staging into a write path that has already failed must count
-// the dump dropped, not persisted — the bytes will never reach disk.
-type writeHealth interface {
-	WriteErr() error
-}
-
-// FalliblePoller is an incremental trace source whose polls can fail —
-// the realistic form of Poller a supervised pipeline consumes.
-type FalliblePoller interface {
-	// Poll returns events newer than the previous successful call, the
-	// count of events lost to overwrite, and an error if the poll failed
-	// (in which case no events are consumed from the source).
-	Poll() ([]tracer.Entry, uint64, error)
-}
-
-// Fallible adapts an infallible Poller to FalliblePoller.
-func Fallible(p Poller) FalliblePoller { return infallible{p} }
-
-type infallible struct{ p Poller }
-
-func (a infallible) Poll() ([]tracer.Entry, uint64, error) {
-	es, missed := a.p.Poll()
-	return es, missed, nil
-}
 
 // Resizer is the traced buffer's resize surface (satisfied by
 // core.Buffer): Ratio reports the current data-blocks-per-metadata-block
@@ -87,18 +41,14 @@ type Resizer interface {
 // SupervisorConfig configures a Supervisor. Zero values select the
 // documented defaults.
 type SupervisorConfig struct {
-	// Source is the fallible trace source. Exactly one of Source and
-	// Cursor must be set.
-	Source FalliblePoller
-	// Cursor is the streaming trace source: each step consumes at most
+	// Cursor is the trace source (required): each step consumes at most
 	// BatchSize events through the cursor's reusable arena, so the
 	// pipeline's per-step memory stays bounded no matter how far the
 	// source runs ahead. Batches are borrowed per the tracer.Cursor
 	// contract; the supervisor deep-copies only what it retains (window
-	// and quarantine).
+	// and quarantine). A failed Next consumes nothing from the source.
 	Cursor tracer.Cursor
-	// BatchSize bounds the events consumed per step in Cursor mode
-	// (default 512).
+	// BatchSize bounds the events consumed per step (default 512).
 	BatchSize int
 	// Triggers fire dumps, as in Config. A LossDetector among them also
 	// receives per-poll missed counts and sets the loss tolerance the
@@ -143,37 +93,8 @@ type SupervisorConfig struct {
 	ShrinkAfter int
 
 	// SpillCapacity bounds the in-memory spill ring (default 16 dumps);
-	// beyond it the oldest spilled dump is dropped and counted — unless
-	// Store is set, in which case it is persisted instead.
+	// beyond it the oldest spilled dump is dropped and counted.
 	SpillCapacity int
-
-	// Store, when set, enables the durable sink mode: dumps evicted from
-	// the spill ring are appended to the store (counted as
-	// SpillPersisted) rather than dropped (SpillDropped). A store append
-	// failure falls back to dropping, so a broken disk cannot wedge the
-	// pipeline.
-	Store DumpStore
-
-	// StoreSink makes the Store the primary dump destination: triggered
-	// dumps are delivered to it synchronously from stepSink, with the
-	// same retry budget, backoff and spill fallback an io.Writer sink
-	// gets. Requires Store; mutually exclusive with Sink.
-	StoreSink bool
-
-	// Overload, when set, is the adaptive overload gate applied to every
-	// verified batch before ingest. The supervisor feeds it the pressure
-	// signals the pipeline already tracks — spill ring fill, per-poll
-	// loss rate, and the store's write-path latencies — once per poll.
-	Overload *overload.Gate
-
-	// SourceUnordered marks the source as a multiplex of independent
-	// producers (the HTTP /ingest queue: concurrent clients' batches
-	// interleave arbitrarily). The verifier then checks only per-thread
-	// stamp order and structural soundness — the global total-order
-	// invariant belongs to single tracer readout streams and would
-	// quarantine legitimate interleaved traffic here, diverting it
-	// around the overload gate and the live fan-out.
-	SourceUnordered bool
 }
 
 // SupervisorStats counts everything the pipeline absorbed.
@@ -183,17 +104,15 @@ type SupervisorStats struct {
 	PollBackoffSteps uint64 // steps skipped waiting out poll backoff
 	EventsMissed     uint64 // events lost to overwrite between polls
 
-	Dumps          uint64 // dumps produced by triggers
-	DumpsWritten   uint64 // dumps fully delivered to the sink
-	SinkErrors     uint64 // failed sink writes
-	SinkBackoff    uint64 // steps skipped waiting out sink backoff
-	Spilled        uint64 // dumps diverted to the spill ring
-	SpillDropped   uint64 // spilled dumps evicted by the ring bound and lost
-	SpillPersisted uint64 // evicted dumps persisted to the durable store
+	Dumps        uint64 // dumps produced by triggers
+	DumpsWritten uint64 // dumps fully delivered to the sink
+	SinkErrors   uint64 // failed sink writes
+	SinkBackoff  uint64 // steps skipped waiting out sink backoff
+	Spilled      uint64 // dumps diverted to the spill ring
+	SpillDropped uint64 // spilled dumps evicted by the ring bound and lost
 	// SpillDroppedEvents counts the events (quarantined included) inside
 	// dropped dumps, making loss accounting event-exact: every event the
-	// pipeline accepted is eventually delivered, persisted, or counted
-	// here.
+	// pipeline accepted is eventually delivered or counted here.
 	SpillDroppedEvents uint64
 
 	Grows   uint64 // adaptive Resize grow operations
@@ -235,7 +154,7 @@ type Supervisor struct {
 	col *Collector
 	ver *Verifier
 	rng *rand.Rand
-	// batch is the reusable read buffer of Cursor mode.
+	// batch is the reusable read buffer handed to the cursor.
 	batch []tracer.Entry
 
 	// Quarantine accumulated since the last dump, attached to the next one.
@@ -265,20 +184,6 @@ type Supervisor struct {
 
 // NewSupervisor creates a supervised pipeline.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
-	if cfg.Source == nil && cfg.Cursor == nil {
-		return nil, fmt.Errorf("collect: nil source")
-	}
-	if cfg.Source != nil && cfg.Cursor != nil {
-		return nil, fmt.Errorf("collect: both Source and Cursor set")
-	}
-	if cfg.StoreSink {
-		if cfg.Store == nil {
-			return nil, fmt.Errorf("collect: StoreSink requires Store")
-		}
-		if cfg.Sink != nil {
-			return nil, fmt.Errorf("collect: StoreSink is mutually exclusive with Sink")
-		}
-	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 512
 	}
@@ -303,8 +208,11 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.SpillCapacity == 0 {
 		cfg.SpillCapacity = 16
 	}
+	// The inner Collector validates the source and is only ever driven
+	// through Ingest: the supervisor reads the cursor itself, with its own
+	// retry policy.
 	col, err := New(Config{
-		Source:          noPoller{},
+		Source:          cfg.Cursor,
 		Triggers:        cfg.Triggers,
 		MaxWindowEvents: cfg.MaxWindowEvents,
 	})
@@ -312,15 +220,12 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		return nil, err
 	}
 	s := &Supervisor{
-		cfg: cfg,
-		col: col,
-		ver: NewVerifier(),
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		obs: NewStatsMirror(),
-	}
-	s.ver.unordered = cfg.SourceUnordered
-	if cfg.Cursor != nil {
-		s.batch = make([]tracer.Entry, cfg.BatchSize)
+		cfg:   cfg,
+		col:   col,
+		ver:   NewVerifier(),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		batch: make([]tracer.Entry, cfg.BatchSize),
+		obs:   NewStatsMirror(),
 	}
 	if col.loss != nil {
 		s.lossTol = col.loss.Tolerance
@@ -333,12 +238,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	}
 	return s, nil
 }
-
-// noPoller backs the inner Collector, which the Supervisor only drives
-// through Ingest.
-type noPoller struct{}
-
-func (noPoller) Poll() ([]tracer.Entry, uint64) { return nil, 0 }
 
 // backoffAfter computes the backoff (in steps) after the n-th consecutive
 // failure: base*2^(n-1) capped at max, plus up to one base step of
@@ -372,21 +271,10 @@ func (s *Supervisor) stepPoll() *Dump {
 		s.stats.PollBackoffSteps++
 		return nil
 	}
-	var (
-		es     []tracer.Entry
-		missed uint64
-		err    error
-		// shared marks es as borrowed from the cursor's arena (valid only
-		// until the next Next call): retained copies must be deep.
-		shared bool
-	)
-	if s.cfg.Cursor != nil {
-		var n int
-		n, missed, err = s.cfg.Cursor.Next(s.batch)
-		es, shared = s.batch[:n], true
-	} else {
-		es, missed, err = s.cfg.Source.Poll()
-	}
+	// es is borrowed from the cursor's arena (valid only until the next
+	// Next call): everything retained below is a deep copy.
+	n, missed, err := s.cfg.Cursor.Next(s.batch)
+	es := s.batch[:n]
 	if err != nil {
 		s.stats.PollErrors++
 		s.consecPollErrs++
@@ -416,30 +304,13 @@ func (s *Supervisor) stepPoll() *Dump {
 	}
 
 	clean, quarantined, violations := s.ver.Check(es)
-	if shared {
-		s.quarantined = tracer.CloneEntries(s.quarantined, quarantined)
-	} else {
-		s.quarantined = append(s.quarantined, quarantined...)
-	}
+	s.quarantined = tracer.CloneEntries(s.quarantined, quarantined)
 	s.violations = append(s.violations, violations...)
 	s.stats.Quarantined += uint64(len(quarantined))
 
-	// Overload control sits between verification and ingest: quarantined
-	// entries already left the batch (they are evidence, never shed), and
-	// whatever the gate admits is what the window and triggers see.
-	if g := s.cfg.Overload; g != nil {
-		g.Evaluate(s.pressure(len(clean), missed))
-		clean = g.Filter(clean)
-	}
-
 	s.adaptCapacity(missed)
 
-	var dump *Dump
-	if shared {
-		dump = s.col.IngestShared(clean, missed)
-	} else {
-		dump = s.col.Ingest(clean, missed)
-	}
+	dump := s.col.Ingest(clean, missed)
 	if dump == nil {
 		return nil
 	}
@@ -448,25 +319,10 @@ func (s *Supervisor) stepPoll() *Dump {
 	s.quarantined = nil
 	s.violations = nil
 	s.stats.Dumps++
-	if s.cfg.Sink != nil || s.cfg.StoreSink {
+	if s.cfg.Sink != nil {
 		s.pending = append(s.pending, &pendingDump{dump: dump})
 	}
 	return dump
-}
-
-// pressure assembles the overload controller's input vector from the
-// signals the pipeline already tracks.
-func (s *Supervisor) pressure(polled int, missed uint64) overload.Pressure {
-	p := overload.Pressure{
-		SpillFill: float64(len(s.spill)) / float64(s.cfg.SpillCapacity),
-	}
-	if total := missed + uint64(polled); total > 0 {
-		p.LossRate = float64(missed) / float64(total)
-	}
-	if ps, ok := s.cfg.Store.(overload.PressureSource); ok {
-		p.Store = ps.Pressure()
-	}
-	return p
 }
 
 // adaptCapacity implements graceful degradation under loss pressure:
@@ -514,16 +370,12 @@ func (s *Supervisor) adaptCapacity(missed uint64) {
 // stepSink drains pending dumps to the sink, honoring backoff, the retry
 // budget and permanent-failure spilling.
 func (s *Supervisor) stepSink() {
-	if (s.cfg.Sink == nil && !s.cfg.StoreSink) || len(s.pending) == 0 {
+	if s.cfg.Sink == nil || len(s.pending) == 0 {
 		return
 	}
 	if s.sinkBackoff > 0 {
 		s.sinkBackoff--
 		s.stats.SinkBackoff++
-		return
-	}
-	if s.cfg.StoreSink {
-		s.stepStoreSink()
 		return
 	}
 	for len(s.pending) > 0 {
@@ -564,94 +416,19 @@ func (s *Supervisor) stepSink() {
 	}
 }
 
-// stepStoreSink delivers pending dumps to the durable store — the
-// StoreSink analogue of the io.Writer drain loop above. Delivery is the
-// synchronous AppendEntries (delivered means applied); a sticky
-// write-path failure is the store's ErrPermanent: everything pending
-// spills at once rather than burning the retry budget against a disk
-// that is gone.
-func (s *Supervisor) stepStoreSink() {
-	wh, _ := s.cfg.Store.(writeHealth)
-	for len(s.pending) > 0 {
-		p := s.pending[0]
-		p.attempts++
-		if err := s.cfg.Store.AppendEntries(dumpEntries(p.dump)); err != nil {
-			s.stats.SinkErrors++
-			if wh != nil && wh.WriteErr() != nil {
-				s.sinkFailed = true
-				for _, q := range s.pending {
-					s.spillDump(q.dump)
-				}
-				s.pending = s.pending[:0]
-				return
-			}
-			if p.attempts >= s.cfg.SinkRetryBudget {
-				s.spillDump(p.dump)
-				s.pending = s.pending[1:]
-			}
-			s.sinkBackoff = s.backoffAfter(p.attempts)
-			return
-		}
-		s.sinkFailed = false
-		s.stats.DumpsWritten++
-		s.pending = s.pending[1:]
-	}
-}
-
 // spillDump appends a dump to the bounded in-memory spill ring, evicting
-// the oldest when full. With a durable store configured, evicted dumps
-// are persisted instead of dropped. Each evicted dump is counted exactly
-// once — persisted or dropped, never both — and drops are additionally
-// counted event-exact in SpillDroppedEvents.
+// the oldest when full. Each evicted dump is counted dropped exactly
+// once, and its events event-exact in SpillDroppedEvents.
 func (s *Supervisor) spillDump(d *Dump) {
 	s.spill = append(s.spill, d)
 	s.stats.Spilled++
 	if over := len(s.spill) - s.cfg.SpillCapacity; over > 0 {
 		for _, old := range s.spill[:over] {
-			if s.cfg.Store != nil && s.persistDump(old) {
-				s.stats.SpillPersisted++
-			} else {
-				s.stats.SpillDropped++
-				s.stats.SpillDroppedEvents += uint64(len(old.Events) + len(old.Quarantined))
-			}
+			s.stats.SpillDropped++
+			s.stats.SpillDroppedEvents += uint64(len(old.Events) + len(old.Quarantined))
 		}
 		s.spill = append(s.spill[:0], s.spill[over:]...)
 	}
-}
-
-// dumpEntries merges a dump's clean and quarantined entries (nothing the
-// verifier flagged is silently lost) into the slice handed to the store
-// — one append per dump, so the persisted/dropped split always reflects
-// a single outcome.
-func dumpEntries(d *Dump) []tracer.Entry {
-	if len(d.Quarantined) == 0 {
-		return d.Events
-	}
-	es := make([]tracer.Entry, 0, len(d.Events)+len(d.Quarantined))
-	return append(append(es, d.Events...), d.Quarantined...)
-}
-
-// persistDump writes a dump's events to the durable store, reporting
-// whether the dump may be counted persisted. The async staging path
-// returns before the write applies, so a nil error from it is not
-// enough: if the write path was already dead before staging — or died
-// while we staged — the bytes will never reach disk, and counting the
-// dump persisted would double-book it against the store's own failure
-// accounting. Checking WriteErr on both sides of the stage closes that
-// window: a dump is persisted, or it is dropped, never both.
-func (s *Supervisor) persistDump(d *Dump) bool {
-	es := dumpEntries(d)
-	wh, _ := s.cfg.Store.(writeHealth)
-	if aa, ok := s.cfg.Store.(asyncAppender); ok {
-		if wh != nil && wh.WriteErr() != nil {
-			return false
-		}
-		if aa.AppendEntriesAsync(es) != nil {
-			return false
-		}
-		return wh == nil || wh.WriteErr() == nil
-	}
-	return s.cfg.Store.AppendEntries(es) == nil
 }
 
 // Flush synchronously attempts to deliver every pending and spilled dump
@@ -659,9 +436,6 @@ func (s *Supervisor) persistDump(d *Dump) bool {
 // returns the first delivery error (spilled dumps stay in the ring on
 // failure).
 func (s *Supervisor) Flush() error {
-	if s.cfg.StoreSink {
-		return s.flushToStore()
-	}
 	if s.cfg.Sink == nil {
 		return nil
 	}
@@ -688,31 +462,6 @@ func (s *Supervisor) Flush() error {
 			return err
 		}
 		if _, err := s.cfg.Sink.Write(buf.Bytes()); err != nil {
-			s.stats.SinkErrors++
-			return err
-		}
-		s.stats.DumpsWritten++
-		s.spill = s.spill[1:]
-	}
-	s.sinkFailed = false
-	return nil
-}
-
-// flushToStore is Flush for StoreSink mode: deliver every pending and
-// spilled dump to the store synchronously, ignoring backoff. Undelivered
-// dumps stay queued on failure.
-func (s *Supervisor) flushToStore() error {
-	defer s.publishObs()
-	for len(s.pending) > 0 {
-		if err := s.cfg.Store.AppendEntries(dumpEntries(s.pending[0].dump)); err != nil {
-			s.stats.SinkErrors++
-			return err
-		}
-		s.stats.DumpsWritten++
-		s.pending = s.pending[1:]
-	}
-	for len(s.spill) > 0 {
-		if err := s.cfg.Store.AppendEntries(dumpEntries(s.spill[0])); err != nil {
 			s.stats.SinkErrors++
 			return err
 		}

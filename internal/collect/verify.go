@@ -34,9 +34,9 @@ type Verifier struct {
 	lastStamp uint64
 	perThread map[uint32]uint64
 	// unordered drops the cross-thread total-order checks: the stream is
-	// a multiplex of independent producers (SupervisorConfig
-	// .SourceUnordered), where batches interleave arbitrarily and only
-	// per-thread order is an invariant.
+	// a multiplex of independent producers (NewUnorderedVerifier), where
+	// batches interleave arbitrarily and only per-thread order is an
+	// invariant.
 	unordered bool
 
 	checked     uint64
@@ -59,8 +59,8 @@ func NewUnorderedVerifier() *Verifier {
 // Check splits a polled batch into clean entries and quarantined ones,
 // with one violation description per quarantined entry. It filters in
 // place: clean is a prefix of es's backing array (the caller hands es
-// over, as the Poller contract already says), so a batch with nothing
-// to quarantine — every batch of a healthy source — allocates nothing.
+// over), so a batch with nothing to quarantine — every batch of a
+// healthy source — allocates nothing.
 // Quarantined entries are copied out before their slot is reused.
 func (v *Verifier) Check(es []tracer.Entry) (clean, quarantined []tracer.Entry, violations []string) {
 	clean = es[:0]

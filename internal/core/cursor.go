@@ -11,8 +11,8 @@ import (
 // polling of a busy buffer performs zero per-poll heap allocations once
 // the arena has warmed up to the buffer's retained size.
 //
-// Delivery matches Reader.Poll semantics: events are handed out oldest
-// first by logic stamp, each event exactly once (per this cursor), and
+// Delivery is incremental: events are handed out oldest first by logic
+// stamp, each event exactly once (per this cursor), and
 // the missed count is the stamp gap between the last delivered event and
 // the first newly visible one — events that were overwritten before the
 // cursor could observe them.

@@ -66,8 +66,7 @@ func TestCursorReportsMissed(t *testing.T) {
 	if missed == 0 {
 		t.Fatal("expected missed events after overrun")
 	}
-	// Continuity: missed + delivered accounts for every written stamp,
-	// matching Poll's accounting.
+	// Continuity: missed + delivered accounts for every written stamp.
 	if first != 5+missed+1 {
 		t.Fatalf("first delivered %d, missed %d", first, missed)
 	}
@@ -196,53 +195,10 @@ func TestCursorConcurrentPayloadIntegrity(t *testing.T) {
 	}
 }
 
-// BenchmarkReadPathPoll is the slice-snapshot baseline the streaming
-// refactor replaces: each poll re-materializes the readout and allocates
-// O(events).
-func BenchmarkReadPathPoll(b *testing.B) {
-	benchReadPath(b, func(buf *Buffer) func() int {
-		r := buf.NewReader()
-		b.Cleanup(r.Close)
-		return func() int {
-			es, _ := r.Poll()
-			n := 0
-			for i := range es {
-				n += len(es[i].Payload)
-			}
-			return n
-		}
-	})
-}
-
-// BenchmarkReadPathCursor is the streaming replacement: the same
-// workload consumed through the arena-backed cursor.
+// BenchmarkReadPathCursor measures steady-state incremental consumption
+// through the arena-backed cursor: every iteration writes a fresh burst
+// and drains it. benchdiff holds it to 0 allocs/op.
 func BenchmarkReadPathCursor(b *testing.B) {
-	benchReadPath(b, func(buf *Buffer) func() int {
-		cur := buf.NewCursor()
-		b.Cleanup(func() { cur.Close() })
-		batch := make([]tracer.Entry, 512)
-		return func() int {
-			n := 0
-			for {
-				k, _, err := cur.Next(batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if k == 0 {
-					return n
-				}
-				for i := 0; i < k; i++ {
-					n += len(batch[i].Payload)
-				}
-			}
-		}
-	})
-}
-
-// benchReadPath measures steady-state incremental consumption: every
-// iteration writes a fresh burst and drains it, so both variants decode
-// the same traffic and differ only in their allocation discipline.
-func benchReadPath(b *testing.B, mk func(*Buffer) func() int) {
 	buf, err := New(Options{Cores: 4, BlockSize: 4096, ActiveBlocks: 64, Ratio: 8})
 	if err != nil {
 		b.Fatal(err)
@@ -258,8 +214,25 @@ func benchReadPath(b *testing.B, mk func(*Buffer) func() int) {
 			}
 		}
 	}
-	read := mk(buf)
-	// Warm up the consumer (and the cursor's arena) before measuring.
+	cur := buf.NewCursor()
+	b.Cleanup(func() { cur.Close() })
+	batch := make([]tracer.Entry, 512)
+	read := func() int {
+		n := 0
+		for {
+			k, _, err := cur.Next(batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if k == 0 {
+				return n
+			}
+			for i := 0; i < k; i++ {
+				n += len(batch[i].Payload)
+			}
+		}
+	}
+	// Warm up the cursor's arena before measuring.
 	writeBurst(2000)
 	read()
 	b.ReportAllocs()

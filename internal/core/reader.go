@@ -22,8 +22,6 @@ type Reader struct {
 	epoch atomic.Uint64
 	// scratch is the reusable block copy buffer.
 	scratch []byte
-	// lastPolled is the highest stamp delivered by Poll.
-	lastPolled uint64
 }
 
 // NewReader registers and returns a consumer for b.

@@ -23,7 +23,7 @@ import (
 	"strings"
 	"sync"
 
-	"btrace/internal/collect"
+	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/ring"
 	"btrace/internal/store"
@@ -48,7 +48,7 @@ type Config struct {
 	// overload.DefaultTenant).
 	DefaultTenant string
 	// Overrides are the per-tenant quota overrides (-tenant-overrides).
-	Overrides map[string]TenantLimit
+	Overrides map[string]ingest.TenantLimit
 	// Gate configures the shared overload gate applied after the tenant
 	// quota and before replication.
 	Gate overload.Config
@@ -118,13 +118,9 @@ type Stats struct {
 type Distributor struct {
 	cfg Config
 
-	// admit serializes the verifier, the tenant limiter and the overload
-	// gate — all single-goroutine by contract. Held only for in-memory
-	// filtering, never across shard I/O.
-	admit    sync.Mutex
-	verifier *collect.Verifier
-	gate     *overload.Gate
-	limiter  *tenantLimiter
+	// adm is the admission policy, applied once per batch before
+	// replication.
+	adm *ingest.Admission
 
 	// topo guards the ring pointer, the shard table and targets. Lookups
 	// take the read side; topology changes the write side.
@@ -155,12 +151,10 @@ func New(shards []Shard, cfg Config) (*Distributor, error) {
 		return nil, fmt.Errorf("distributor: %w", err)
 	}
 	d := &Distributor{
-		cfg:      cfg,
-		verifier: collect.NewUnorderedVerifier(),
-		gate:     overload.NewGate(cfg.Gate),
-		limiter:  newTenantLimiter(cfg.Overrides),
-		shards:   table,
-		obs:      newDistObs(),
+		cfg:    cfg,
+		adm:    ingest.NewAdmission(cfg.Gate, cfg.Overrides),
+		shards: table,
+		obs:    newDistObs(),
 	}
 	d.setRingLocked(r)
 	d.obs.shards.Set(int64(len(table)))
@@ -226,21 +220,11 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	if tenant == "" {
 		tenant = d.cfg.DefaultTenant
 	}
-	res := Result{Tenant: tenant, Seen: len(es)}
-
-	d.admit.Lock()
-	clean, quarantined, _ := d.verifier.Check(es)
-	kept, throttled := d.limiter.filter(tenant, clean)
-	d.gate.SetTenant(tenant)
-	admitted := d.gate.Filter(kept)
-	d.admit.Unlock()
-	res.Throttled = throttled
-	res.GateDropped = len(kept) - len(admitted)
-	// Quarantined entries are evidence, never shed: they bypass quota
-	// and gate and are replicated with the batch (appended into the room
-	// the in-place filters left in es).
-	d.obs.quarantined.Add(uint64(len(quarantined)))
-	admitted = append(admitted, quarantined...)
+	// Quarantined entries come back with the admitted ones and are
+	// replicated with the batch.
+	admitted, c := d.adm.Admit(tenant, es)
+	res := Result{Tenant: tenant, Seen: c.Seen, Throttled: c.Throttled, GateDropped: c.GateDropped}
+	d.obs.quarantined.Add(uint64(c.Quarantined))
 
 	r, targets := d.topology()
 	rf := r.RF()
@@ -750,25 +734,13 @@ func (d *Distributor) Stats() Stats {
 }
 
 // GateStats snapshots the shared gate's counters.
-func (d *Distributor) GateStats() overload.Stats {
-	d.admit.Lock()
-	defer d.admit.Unlock()
-	return d.gate.Stats()
-}
+func (d *Distributor) GateStats() overload.Stats { return d.adm.GateStats() }
 
 // TenantStats snapshots the gate's per-tenant attribution table.
-func (d *Distributor) TenantStats() map[string]overload.TenantStats {
-	d.admit.Lock()
-	defer d.admit.Unlock()
-	return d.gate.TenantStats()
-}
+func (d *Distributor) TenantStats() map[string]overload.TenantStats { return d.adm.TenantStats() }
 
 // GateTier returns the gate's engaged shedding tier.
-func (d *Distributor) GateTier() overload.Tier {
-	d.admit.Lock()
-	defer d.admit.Unlock()
-	return d.gate.Tier()
-}
+func (d *Distributor) GateTier() overload.Tier { return d.adm.Tier() }
 
 // EvaluateGate feeds the gate one pressure observation assembled from
 // the worst store signals across the shard fleet — overload anywhere in
@@ -787,9 +759,7 @@ func (d *Distributor) EvaluateGate() {
 			p.Store.FsyncNs = sp.FsyncNs
 		}
 	}
-	d.admit.Lock()
-	d.gate.Evaluate(p)
-	d.admit.Unlock()
+	d.adm.Evaluate(p)
 }
 
 // NotReadyReasons reports why the cluster should refuse traffic — empty

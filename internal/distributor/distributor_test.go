@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/store/backend"
@@ -159,7 +160,7 @@ func TestDistributorRefusesWithoutQuorum(t *testing.T) {
 }
 
 func TestDistributorTenantOverrides(t *testing.T) {
-	overrides, err := ParseOverrides("limited=1:1")
+	overrides, err := ingest.ParseOverrides("limited=1:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestDistributorTenantOverrides(t *testing.T) {
 }
 
 func TestDistributorResultIdentity(t *testing.T) {
-	overrides, _ := ParseOverrides("q=10:10")
+	overrides, _ := ingest.ParseOverrides("q=10:10")
 	d, _ := newTestCluster(t, 3, Config{Replication: 2, Gate: gateOff(), Overrides: overrides, RecordStamps: true})
 	res := d.Ingest("q", events(64, 1, 1, 2, 3))
 	if got := res.Throttled + res.GateDropped + res.Acked + res.Refused; got != res.Seen {

@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"btrace/internal/collect"
+	"btrace/internal/ingest"
 	"btrace/internal/ring"
 	"btrace/internal/store"
 	"btrace/internal/store/backend"
@@ -60,7 +60,7 @@ func (s *spyShard) deliveries() []delivery {
 
 // newSpyCluster builds n spied shards (shard-00…) and a distributor
 // over them; wrap, when set, is shard i's fault-injection seam.
-func newSpyCluster(t *testing.T, n int, cfg Config, wrap func(i int) func(collect.DumpStore) collect.DumpStore) (*Distributor, []*spyShard) {
+func newSpyCluster(t *testing.T, n int, cfg Config, wrap func(i int) func(ingest.Sink) ingest.Sink) (*Distributor, []*spyShard) {
 	t.Helper()
 	spies := make([]*spyShard, n)
 	shards := make([]Shard, n)
@@ -268,7 +268,7 @@ func TestFanoutPerShardUnderFaults(t *testing.T) {
 // holdStore parks its first append until released, pinning one delivery
 // in flight.
 type holdStore struct {
-	collect.DumpStore
+	ingest.Sink
 	armed   atomic.Bool
 	entered chan struct{}
 	release chan struct{}
@@ -279,7 +279,7 @@ func (h *holdStore) AppendEntries(es []tracer.Entry) error {
 		close(h.entered)
 		<-h.release
 	}
-	return h.DumpStore.AppendEntries(es)
+	return h.Sink.AppendEntries(es)
 }
 
 // TestKillDuringInflightDelivery kills a shard while one delivery is
@@ -291,12 +291,12 @@ func TestKillDuringInflightDelivery(t *testing.T) {
 	hold := &holdStore{entered: make(chan struct{}), release: make(chan struct{})}
 	hold.armed.Store(true)
 	d, spies := newSpyCluster(t, 4, Config{Replication: 2, HedgeLimit: 2, Gate: gateOff(), RecordStamps: true},
-		func(i int) func(collect.DumpStore) collect.DumpStore {
+		func(i int) func(ingest.Sink) ingest.Sink {
 			if i != 1 {
 				return nil
 			}
-			return func(ds collect.DumpStore) collect.DumpStore {
-				hold.DumpStore = ds
+			return func(ds ingest.Sink) ingest.Sink {
+				hold.Sink = ds
 				return hold
 			}
 		})

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"btrace/internal/collect"
+	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
@@ -56,7 +56,7 @@ type LocalConfig struct {
 	Store *store.Store
 	// WrapStore, when set, wraps the store as seen by deliveries — the
 	// fault-injection seam (queries still read the unwrapped store).
-	WrapStore func(collect.DumpStore) collect.DumpStore
+	WrapStore func(ingest.Sink) ingest.Sink
 }
 
 // applyAttempts is the shard-local append budget per delivery. The
@@ -73,7 +73,7 @@ const applyAttempts = 2
 type LocalShard struct {
 	name string
 	st   *store.Store
-	sink collect.DumpStore // st, or WrapStore(st)
+	sink ingest.Sink // st, or WrapStore(st)
 
 	// down fails new deliveries and queries fast; inflight lets Kill and
 	// Close wait out the deliveries that were already applying.
@@ -109,16 +109,10 @@ func (s *LocalShard) Ingest(es []tracer.Entry) error {
 	if s.down.Load() {
 		return ErrShardDown
 	}
-	var err error
-	for attempt := 0; attempt < applyAttempts; attempt++ {
-		if err = s.sink.AppendEntries(es); err == nil {
-			return nil
-		}
-		if s.st.WriteErr() != nil {
-			break // sticky write-path failure: the disk is gone, retrying cannot help
-		}
+	if _, err := ingest.Append(s.sink, es, applyAttempts); err != nil {
+		return fmt.Errorf("%w: %s: %v", errNotApplied, s.name, err)
 	}
-	return fmt.Errorf("%w: %s: %v", errNotApplied, s.name, err)
+	return nil
 }
 
 // Query opens a cursor over the shard's durable store. A killed shard

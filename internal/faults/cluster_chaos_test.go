@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"testing"
 
-	"btrace/internal/collect"
 	"btrace/internal/distributor"
 	"btrace/internal/faults"
+	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/store/backend"
@@ -45,7 +45,7 @@ func TestChaosClusterShardKill(t *testing.T) {
 			Store: st,
 			// Every shard's sink rolls the same injected dice: a cluster
 			// of flaky disks, not one bad apple.
-			WrapStore: func(ds collect.DumpStore) collect.DumpStore {
+			WrapStore: func(ds ingest.Sink) ingest.Sink {
 				f := in.FlakyStore(ds, 0.02)
 				flaky[idx] = f
 				return f
@@ -57,7 +57,7 @@ func TestChaosClusterShardKill(t *testing.T) {
 		locals[i] = sh
 		shards[i] = sh
 	}
-	overrides, err := distributor.ParseOverrides("noisy=100:10")
+	overrides, err := ingest.ParseOverrides("noisy=100:10")
 	if err != nil {
 		t.Fatal(err)
 	}

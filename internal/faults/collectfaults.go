@@ -1,6 +1,6 @@
-// Collection-pipeline faults: flaky poll sources and dump sinks. These
+// Collection-pipeline faults: flaky trace cursors and dump sinks. These
 // wrap the real source/sink and inject the transport failures a daemon
-// collector sees in production — failed polls, torn (partial) batches,
+// collector sees in production — failed reads, torn (partial) batches,
 // transiently or permanently failing dump writes — without ever losing
 // events themselves: everything held back by a fault is delivered once
 // the fault clears, so any loss observed downstream is the pipeline's.
@@ -19,37 +19,40 @@ import (
 // ErrInjected marks every transient error produced by this package.
 var ErrInjected = errors.New("faults: injected failure")
 
-// FlakyPoller wraps a collect.Poller as a collect.FalliblePoller whose
-// polls fail with probability ErrProb and, when they succeed, are torn
-// (only a prefix of the batch is delivered; the rest arrives on the next
-// successful poll) with probability TearProb. Wedge switches the source
-// to permanent failure until Heal — the frozen-source scenario the
-// supervisor's self-watchdog must detect.
-type FlakyPoller struct {
+// FlakyCursor wraps a tracer.Cursor whose reads fail with probability
+// ErrProb and, when they succeed, are torn (only a prefix of the batch
+// is delivered; the rest arrives on the next successful read) with
+// probability TearProb. Wedge switches the source to permanent failure
+// until Heal — the frozen-source scenario the supervisor's self-watchdog
+// must detect. Its hooks are named "poller", "poller/err" and
+// "poller/tear"; a hook's name seeds its schedule, so the names are part
+// of what a seed reproduces.
+type FlakyCursor struct {
 	in  *Injector
-	src collect.Poller
+	src tracer.Cursor
 
-	// ErrProb is the probability that a poll fails.
+	// ErrProb is the probability that a read fails.
 	ErrProb float64
-	// TearProb is the probability that a successful poll is torn.
+	// TearProb is the probability that a successful read is torn.
 	TearProb float64
 
-	mu            sync.Mutex
-	wedged        bool
-	pending       []tracer.Entry
-	pendingMissed uint64
-	polls         uint64
-	failures      uint64
-	tears         uint64
+	mu     sync.Mutex
+	wedged bool
+	// pending is what a tear held back: deep copies, since the source
+	// reuses its arena on the next read (the cursor ownership contract).
+	pending  []tracer.Entry
+	polls    uint64
+	failures uint64
+	tears    uint64
 }
 
-// FlakyPoller wraps src with the given fault probabilities.
-func (in *Injector) FlakyPoller(src collect.Poller, errProb, tearProb float64) *FlakyPoller {
-	return &FlakyPoller{in: in, src: src, ErrProb: errProb, TearProb: tearProb}
+// FlakyCursor wraps src with the given fault probabilities.
+func (in *Injector) FlakyCursor(src tracer.Cursor, errProb, tearProb float64) *FlakyCursor {
+	return &FlakyCursor{in: in, src: src, ErrProb: errProb, TearProb: tearProb}
 }
 
-// Wedge makes every subsequent poll fail until Heal.
-func (f *FlakyPoller) Wedge() {
+// Wedge makes every subsequent read fail until Heal.
+func (f *FlakyCursor) Wedge() {
 	f.mu.Lock()
 	f.wedged = true
 	f.mu.Unlock()
@@ -57,45 +60,50 @@ func (f *FlakyPoller) Wedge() {
 }
 
 // Heal clears a Wedge.
-func (f *FlakyPoller) Heal() {
+func (f *FlakyCursor) Heal() {
 	f.mu.Lock()
 	f.wedged = false
 	f.mu.Unlock()
 	f.in.record("poller", "heal")
 }
 
-// Poll implements collect.FalliblePoller. A failed poll consumes nothing
-// from the underlying source.
-func (f *FlakyPoller) Poll() ([]tracer.Entry, uint64, error) {
+// Next implements tracer.Cursor. A failed read consumes nothing from
+// the underlying source.
+func (f *FlakyCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.polls++
 	if f.wedged {
 		f.failures++
-		return nil, 0, fmt.Errorf("%w: poller wedged", ErrInjected)
+		return 0, 0, fmt.Errorf("%w: poller wedged", ErrInjected)
 	}
 	if f.in.decide("poller/err", f.ErrProb) {
 		f.failures++
-		return nil, 0, fmt.Errorf("%w: poll error", ErrInjected)
+		return 0, 0, fmt.Errorf("%w: poll error", ErrInjected)
 	}
-	es, missed := f.src.Poll()
-	// Prepend what an earlier tear held back; its missed count is owed too.
-	if len(f.pending) > 0 || f.pendingMissed > 0 {
-		es = append(append([]tracer.Entry(nil), f.pending...), es...)
-		missed += f.pendingMissed
-		f.pending, f.pendingMissed = nil, 0
+	// What an earlier tear held back goes first; the source fills the
+	// room that is left.
+	n := copy(batch, f.pending)
+	m, missed, err := f.src.Next(batch[n:])
+	if err != nil {
+		return 0, 0, err
 	}
-	if len(es) > 1 && f.in.decide("poller/tear", f.TearProb) {
+	f.pending = f.pending[n:]
+	n += m
+	if n > 1 && f.in.decide("poller/tear", f.TearProb) {
 		f.tears++
-		cut := len(es) / 2
-		f.pending = append([]tracer.Entry(nil), es[cut:]...)
-		es = es[:cut]
+		cut := n / 2
+		f.pending = append(tracer.CloneEntries(nil, batch[cut:n]), f.pending...)
+		n = cut
 	}
-	return es, missed, nil
+	return n, missed, nil
 }
 
-// Stats returns (polls attempted, injected failures, torn batches).
-func (f *FlakyPoller) Stats() (polls, failures, tears uint64) {
+// Close closes the underlying cursor.
+func (f *FlakyCursor) Close() error { return f.src.Close() }
+
+// Stats returns (reads attempted, injected failures, torn batches).
+func (f *FlakyCursor) Stats() (polls, failures, tears uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.polls, f.failures, f.tears
@@ -151,5 +159,5 @@ func (s *FlakySink) Stats() (writes, failures uint64) {
 	return s.writes, s.failures
 }
 
-var _ collect.FalliblePoller = (*FlakyPoller)(nil)
+var _ tracer.Cursor = (*FlakyCursor)(nil)
 var _ io.Writer = (*FlakySink)(nil)

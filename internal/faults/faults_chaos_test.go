@@ -345,12 +345,12 @@ func batchesOf(n, k int) [][]tracer.Entry {
 // event loss and zero lost dumps.
 func TestChaosSupervisorFlakySource(t *testing.T) {
 	const batches, per = 40, 3
-	src := &scriptedPoller{polls: batchesOf(batches, per)}
+	src := &scriptedCursor{polls: batchesOf(batches, per)}
 	in := faults.New(chaosSeed)
-	fp := in.FlakyPoller(src, 0.4, 0.5)
+	fp := in.FlakyCursor(src, 0.4, 0.5)
 	var sinkBuf bytes.Buffer
 	s, err := collect.NewSupervisor(collect.SupervisorConfig{
-		Source:   fp,
+		Cursor:   fp,
 		Triggers: []collect.Trigger{fireAlways{}},
 		Sink:     &sinkBuf,
 		Seed:     chaosSeed,
@@ -396,12 +396,12 @@ func TestChaosSupervisorFlakySource(t *testing.T) {
 // the spill ring — degraded, but nothing silently dropped.
 func TestChaosSupervisorSinkFailures(t *testing.T) {
 	t.Run("transient", func(t *testing.T) {
-		src := &scriptedPoller{polls: batchesOf(6, 2)}
+		src := &scriptedCursor{polls: batchesOf(6, 2)}
 		in := faults.New(chaosSeed)
 		var dst bytes.Buffer
 		sink := in.FlakySink(&dst, 3, 0)
 		s, err := collect.NewSupervisor(collect.SupervisorConfig{
-			Source:   collect.Fallible(src),
+			Cursor:   src,
 			Triggers: []collect.Trigger{fireAlways{}},
 			Sink:     sink,
 			Seed:     chaosSeed,
@@ -425,12 +425,12 @@ func TestChaosSupervisorSinkFailures(t *testing.T) {
 	})
 
 	t.Run("permanent", func(t *testing.T) {
-		src := &scriptedPoller{polls: batchesOf(8, 2)}
+		src := &scriptedCursor{polls: batchesOf(8, 2)}
 		in := faults.New(chaosSeed)
 		var dst bytes.Buffer
 		sink := in.FlakySink(&dst, 0, 2) // 2 writes succeed, then it dies
 		s, err := collect.NewSupervisor(collect.SupervisorConfig{
-			Source:   collect.Fallible(src),
+			Cursor:   src,
 			Triggers: []collect.Trigger{fireAlways{}},
 			Sink:     sink,
 			Seed:     chaosSeed,
@@ -464,10 +464,10 @@ func TestChaosAdaptiveResizeRealBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := b.NewReader()
-	defer r.Close()
+	cur := b.NewCursor()
+	defer cur.Close()
 	s, err := collect.NewSupervisor(collect.SupervisorConfig{
-		Source:      collect.Fallible(r),
+		Cursor:      cur,
 		Triggers:    []collect.Trigger{&collect.LossDetector{Tolerance: 4}},
 		Resizer:     b,
 		MaxRatio:    8,
@@ -526,13 +526,13 @@ func TestChaosAdaptiveResizeRealBuffer(t *testing.T) {
 // identical pipeline counters; a different seed plans differently.
 func TestChaosDeterministicSchedules(t *testing.T) {
 	run := func(seed int64) (map[string][]string, collect.SupervisorStats) {
-		src := &scriptedPoller{polls: batchesOf(40, 2)}
+		src := &scriptedCursor{polls: batchesOf(40, 2)}
 		in := faults.New(seed)
-		fp := in.FlakyPoller(src, 0.3, 0.5)
+		fp := in.FlakyCursor(src, 0.3, 0.5)
 		var dst bytes.Buffer
 		sink := in.FlakySink(&dst, 2, 30)
 		s, err := collect.NewSupervisor(collect.SupervisorConfig{
-			Source:   fp,
+			Cursor:   fp,
 			Triggers: []collect.Trigger{fireAlways{}},
 			Sink:     sink,
 			Seed:     seed,

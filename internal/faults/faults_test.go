@@ -13,19 +13,41 @@ import (
 	"btrace/internal/tracer"
 )
 
-// scriptedPoller replays fixed batches (a collect.Poller).
-type scriptedPoller struct {
+// scriptedCursor replays fixed batches, one per Next (as far as the
+// reader's batch has room), handing each entry
+// a payload out of an arena it scribbles over on the following call —
+// the cursor ownership contract at its most hostile: whoever retains a
+// borrowed payload reads garbage (see payloadOK).
+type scriptedCursor struct {
 	polls [][]tracer.Entry
-	i     int
+	rest  []tracer.Entry // what of the current batch the last read had no room for
+	arena []byte
 }
 
-func (s *scriptedPoller) Poll() ([]tracer.Entry, uint64) {
-	if s.i >= len(s.polls) {
-		return nil, 0
+func (s *scriptedCursor) Next(batch []tracer.Entry) (int, uint64, error) {
+	for i := range s.arena {
+		s.arena[i] = 0xEE
 	}
-	es := s.polls[s.i]
-	s.i++
-	return es, 0
+	s.arena = s.arena[:0]
+	if len(s.rest) == 0 && len(s.polls) > 0 && len(batch) > 0 {
+		s.rest, s.polls = s.polls[0], s.polls[1:]
+	}
+	n := copy(batch, s.rest)
+	s.rest = s.rest[n:]
+	for i := range batch[:n] {
+		at := len(s.arena)
+		s.arena = append(s.arena, byte(batch[i].Stamp), byte(batch[i].Stamp>>8))
+		batch[i].Payload = s.arena[at:len(s.arena):len(s.arena)]
+	}
+	return n, 0, nil
+}
+
+func (s *scriptedCursor) Close() error { return nil }
+
+// payloadOK reports whether e still carries the payload scriptedCursor
+// gave it.
+func payloadOK(e tracer.Entry) bool {
+	return len(e.Payload) == 2 && e.Payload[0] == byte(e.Stamp) && e.Payload[1] == byte(e.Stamp>>8)
 }
 
 func entries(stamps ...uint64) []tracer.Entry {
@@ -36,14 +58,15 @@ func entries(stamps ...uint64) []tracer.Entry {
 	return es
 }
 
-// TestFlakyPollerDeterministicSchedule: the same seed plans the same
+// TestFlakyCursorDeterministicSchedule: the same seed plans the same
 // fault schedule; a different seed plans a different one.
-func TestFlakyPollerDeterministicSchedule(t *testing.T) {
+func TestFlakyCursorDeterministicSchedule(t *testing.T) {
 	run := func(seed int64) []string {
 		in := faults.New(seed)
-		f := in.FlakyPoller(&scriptedPoller{}, 0.5, 0)
+		f := in.FlakyCursor(&scriptedCursor{}, 0.5, 0)
+		batch := make([]tracer.Entry, 8)
 		for i := 0; i < 64; i++ {
-			f.Poll()
+			f.Next(batch)
 		}
 		return in.Schedule("poller/err")
 	}
@@ -59,24 +82,29 @@ func TestFlakyPollerDeterministicSchedule(t *testing.T) {
 	}
 }
 
-// TestFlakyPollerNeverLosesEvents: whatever mix of errors and tears is
+// TestFlakyCursorNeverLosesEvents: whatever mix of errors and tears is
 // injected, every source event is eventually delivered exactly once, in
-// order.
-func TestFlakyPollerNeverLosesEvents(t *testing.T) {
-	src := &scriptedPoller{polls: [][]tracer.Entry{
+// order — also when the batch is too small for what a tear held back,
+// and although the source reuses its arena under the held-back half.
+func TestFlakyCursorNeverLosesEvents(t *testing.T) {
+	src := &scriptedCursor{polls: [][]tracer.Entry{
 		entries(1, 2, 3, 4),
 		entries(5, 6),
 		entries(7, 8, 9, 10, 11),
 	}}
 	in := faults.New(7)
-	f := in.FlakyPoller(src, 0.3, 0.8)
+	f := in.FlakyCursor(src, 0.3, 0.8)
 	var got []uint64
+	batch := make([]tracer.Entry, 4) // the third read's 5 events do not fit
 	for i := 0; i < 200 && len(got) < 11; i++ {
-		es, _, err := f.Poll()
+		n, _, err := f.Next(batch)
 		if err != nil {
 			continue
 		}
-		for _, e := range es {
+		for _, e := range batch[:n] {
+			if !payloadOK(e) {
+				t.Fatalf("stamp %d delivered with payload %x: a torn half kept a borrowed slice", e.Stamp, e.Payload)
+			}
 			got = append(got, e.Stamp)
 		}
 	}
@@ -90,18 +118,19 @@ func TestFlakyPollerNeverLosesEvents(t *testing.T) {
 	}
 }
 
-func TestFlakyPollerWedgeHeal(t *testing.T) {
-	src := &scriptedPoller{polls: [][]tracer.Entry{entries(1)}}
+func TestFlakyCursorWedgeHeal(t *testing.T) {
+	src := &scriptedCursor{polls: [][]tracer.Entry{entries(1)}}
 	in := faults.New(1)
-	f := in.FlakyPoller(src, 0, 0)
+	f := in.FlakyCursor(src, 0, 0)
+	batch := make([]tracer.Entry, 8)
 	f.Wedge()
-	if _, _, err := f.Poll(); !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("wedged poll: %v", err)
+	if _, _, err := f.Next(batch); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("wedged read: %v", err)
 	}
 	f.Heal()
-	es, _, err := f.Poll()
-	if err != nil || len(es) != 1 {
-		t.Fatalf("healed poll: %v %v", es, err)
+	n, _, err := f.Next(batch)
+	if err != nil || n != 1 {
+		t.Fatalf("healed read: %d %v", n, err)
 	}
 	if sched := in.Schedule("poller"); !reflect.DeepEqual(sched, []string{"wedge", "heal"}) {
 		t.Fatalf("schedule: %v", sched)

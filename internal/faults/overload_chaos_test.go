@@ -3,44 +3,31 @@ package faults_test
 import (
 	"testing"
 
-	"btrace/internal/collect"
 	"btrace/internal/faults"
+	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/store"
-	"btrace/internal/tracer"
 )
 
-// fireNonEmpty fires a dump for every non-empty admitted batch, so each
-// event the gate admits is immediately on the delivery path — what makes
-// the end-to-end accounting identity checkable with no events stranded
-// in the rolling window.
-type fireNonEmpty struct{}
-
-func (fireNonEmpty) Observe(es []tracer.Entry) string {
-	if len(es) > 0 {
-		return "batch"
-	}
-	return ""
-}
-func (fireNonEmpty) Name() string { return "burst" }
-
-// TestChaosOverloadStorm drives the full adaptive-overload loop through
-// two engage→degrade→recover cycles: an oversubscribed producer floods
-// the collector while the durable store's write path is wedged, then
-// both heal. Asserted, per DESIGN.md "Overload control":
+// TestChaosOverloadStorm drives the admission policy (internal/ingest)
+// through two engage→degrade→recover cycles: an oversubscribed producer
+// floods it while the durable store's write path is wedged, then both
+// heal. Each batch goes BurstSource → Admit → Append, as on a server,
+// with the gate's pressure fed from the source's loss rate — no clock
+// anywhere. Asserted, per DESIGN.md "Overload control":
 //
 //   - the tier machine escalates to the full-drop tier under each storm,
 //     steps back monotonically during each calm (no flapping), and ends
 //     fully disengaged;
 //   - the event-exact accounting identity holds: every event the source
-//     produced is either durably stored or attributed to exactly one
-//     overload/spill counter — nothing is silently lost;
-//   - the work a step does stays bounded under storm, in step counts
-//     (the wall-clock form of the bound — storm within 2× of baseline —
-//     is BenchmarkRecordUnderOverload's, gated by benchdiff): a wedged
-//     store is attempted at most once per step, and once the full-drop
-//     tier has engaged a storm step hands on no more events than a calm
-//     one.
+//     produced is durably stored, or attributed to exactly one quota,
+//     gate or refused-append counter — nothing is silently lost;
+//   - the work a batch costs stays bounded under storm, in counts (the
+//     wall-clock form of the bound — storm within 2× of baseline — is
+//     BenchmarkRecordUnderOverload's, gated by benchdiff): a wedged
+//     store is attempted at most the append budget per batch, and once
+//     the full-drop tier has engaged a storm batch admits no more events
+//     than a calm one.
 func TestChaosOverloadStorm(t *testing.T) {
 	in := faults.New(chaosSeed)
 	st, err := store.Open(t.TempDir(), store.Config{})
@@ -59,47 +46,33 @@ func TestChaosOverloadStorm(t *testing.T) {
 		Categories:   []uint8{1, 2, 3},
 		PayloadBytes: 32,
 	})
-	gate := overload.NewGate(overload.Config{
+	adm := ingest.NewAdmission(overload.Config{
 		MinSampleRate:     0.25,
 		EngagePressure:    0.6,
 		DisengagePressure: 0.3,
 		EngageAfter:       2,
 		CooldownEvals:     4,
-	})
-	sup, err := collect.NewSupervisor(collect.SupervisorConfig{
-		Source:          src,
-		Triggers:        []collect.Trigger{fireNonEmpty{}},
-		Store:           fst,
-		StoreSink:       true,
-		Overload:        gate,
-		SinkRetryBudget: 1,
-		BackoffMax:      1,
-		// The ring must absorb every storm dump without evicting: any
-		// SpillDropped here would be the pipeline losing data it had
-		// already accepted.
-		SpillCapacity: 256,
-		Seed:          chaosSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, nil)
+	const attempts = 2
 
 	type sample struct {
 		storm bool
 		tier  overload.Tier
 	}
 	var (
-		trajectory        []sample
-		reachedFull       int
-		quietSteps, steps int
-		// Per-step work, in counts: events admitted past the gate and
-		// store append attempts.
+		trajectory            []sample
+		reachedFull           int
+		quietBatches, batches int
+		// Event-exact outcomes the gate does not count itself.
+		quarantined, throttled, refused uint64
+		// Per-batch work, in counts: events admitted and store append
+		// attempts.
 		calmAdmitted, shedAdmitted, stormAppends uint64
 	)
-	for quietSteps < 30 {
+	for quietBatches < 30 {
 		storming := src.Storming()
 		if src.Quiet() {
-			quietSteps++
+			quietBatches++
 		}
 		// The store's write path fails exactly while the producer storms.
 		if storming {
@@ -107,31 +80,40 @@ func TestChaosOverloadStorm(t *testing.T) {
 		} else {
 			fst.Heal()
 		}
-		admitted0 := gate.Stats().Admitted
+		es, missed := src.Batch()
+		var p overload.Pressure
+		if total := missed + uint64(len(es)); total > 0 {
+			p.LossRate = float64(missed) / float64(total)
+		}
+		adm.Evaluate(p)
 		appends0, _, _ := fst.Stats()
-		sup.Step()
-		admitted := gate.Stats().Admitted - admitted0
+		admitted, c := adm.Admit("", es)
+		quarantined += uint64(c.Quarantined)
+		throttled += uint64(c.Throttled)
+		if len(admitted) > 0 {
+			if _, err := ingest.Append(fst, admitted, attempts); err != nil {
+				refused += uint64(len(admitted))
+			}
+		}
 		appends, _, _ := fst.Stats()
+		tier := adm.Tier()
 		switch {
 		case !storming:
-			calmAdmitted = max(calmAdmitted, admitted)
-		case gate.Tier() == overload.TierStream:
-			shedAdmitted = max(shedAdmitted, admitted)
+			calmAdmitted = max(calmAdmitted, uint64(len(admitted)))
+		case tier == overload.TierStream:
+			shedAdmitted = max(shedAdmitted, uint64(len(admitted)))
 		}
 		if storming {
 			stormAppends = max(stormAppends, appends-appends0)
 		}
-		trajectory = append(trajectory, sample{storm: storming, tier: gate.Tier()})
-		if storming && gate.Tier() == overload.TierStream {
+		trajectory = append(trajectory, sample{storm: storming, tier: tier})
+		if storming && tier == overload.TierStream {
 			reachedFull++
 		}
-		steps++
-		if steps > 10_000 {
+		batches++
+		if batches > 10_000 {
 			t.Fatal("scenario failed to quiesce")
 		}
-	}
-	if err := sup.Flush(); err != nil {
-		t.Fatalf("flush after heal: %v", err)
 	}
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
@@ -144,8 +126,8 @@ func TestChaosOverloadStorm(t *testing.T) {
 	if reachedFull == 0 {
 		t.Error("storm never drove the gate to the full-drop tier")
 	}
-	if gate.Tier() != overload.TierNone {
-		t.Errorf("tier after recovery: %v, want none", gate.Tier())
+	if tier := adm.Tier(); tier != overload.TierNone {
+		t.Errorf("tier after recovery: %v, want none", tier)
 	}
 	for i := 1; i < len(trajectory); i++ {
 		prev, cur := trajectory[i-1], trajectory[i]
@@ -153,56 +135,53 @@ func TestChaosOverloadStorm(t *testing.T) {
 			continue // phase boundary
 		}
 		if cur.storm && cur.tier < prev.tier {
-			t.Fatalf("step %d: tier released mid-storm (%v -> %v)", i, prev.tier, cur.tier)
+			t.Fatalf("batch %d: tier released mid-storm (%v -> %v)", i, prev.tier, cur.tier)
 		}
 		if !cur.storm && cur.tier > prev.tier {
-			t.Fatalf("step %d: tier engaged mid-calm (%v -> %v)", i, prev.tier, cur.tier)
+			t.Fatalf("batch %d: tier engaged mid-calm (%v -> %v)", i, prev.tier, cur.tier)
 		}
 	}
-	gs := gate.Stats()
+	gs := adm.GateStats()
 	if gs.TierEngagements != gs.TierReleases {
 		t.Errorf("engagements %d != releases %d after full recovery", gs.TierEngagements, gs.TierReleases)
 	}
 
 	// Event-exact accounting identity. Everything the source produced was
 	// seen by the gate (the verifier quarantines nothing from a
-	// well-formed source), and every seen event is durably stored or
-	// attributed to exactly one drop counter.
-	ss := sup.Stats()
-	if ss.Quarantined != 0 {
-		t.Fatalf("verifier quarantined %d well-formed events", ss.Quarantined)
+	// well-formed source, and no tenant has a quota here), and every seen
+	// event is durably stored or attributed to exactly one counter.
+	if quarantined != 0 {
+		t.Fatalf("verifier quarantined %d well-formed events", quarantined)
 	}
 	produced := src.Produced()
 	if gs.Seen != produced {
 		t.Fatalf("gate saw %d of %d produced events", gs.Seen, produced)
 	}
 	_, stored, _ := fst.Stats()
-	accounted := stored + gs.SampledOut + gs.ThrottledCategory + gs.ThrottledStream +
-		gs.ShedCategory + gs.ShedStream + ss.SpillDroppedEvents
+	if got := st.Events(); got != stored {
+		t.Fatalf("store holds %d events, the sink applied %d", got, stored)
+	}
+	accounted := stored + throttled + gs.SampledOut + gs.ThrottledCategory + gs.ThrottledStream +
+		gs.ShedCategory + gs.ShedStream + refused
 	if accounted != produced {
-		t.Fatalf("accounting identity broken: produced %d, accounted %d (stored %d, gate %+v, supervisor %+v)",
-			produced, accounted, stored, gs, ss)
+		t.Fatalf("accounting identity broken: produced %d, accounted %d (stored %d, throttled %d, refused %d, gate %+v)",
+			produced, accounted, stored, throttled, refused, gs)
 	}
-	if ss.SpillDropped != 0 || ss.SpillDroppedEvents != 0 {
-		t.Errorf("pipeline dropped accepted data: %+v", ss)
-	}
-	h := sup.Health()
-	if h.PendingDumps != 0 || h.SpilledDumps != 0 {
-		t.Errorf("undelivered dumps after flush: %+v", h)
+	if refused == 0 {
+		t.Error("the wedged store never refused a batch: the failure path went unexercised")
 	}
 	if gs.PayloadShedEvents == 0 {
 		t.Error("payload tier never engaged its shedding")
 	}
 
-	// Bounded work per step: the pipeline never spins on the wedged
-	// store (SinkRetryBudget 1: one attempt, then spill), and at the
-	// full-drop tier an 8× oversubscribed step hands on no more than a
-	// calm step does.
-	if stormAppends > 1 {
-		t.Errorf("a storm step attempted the wedged store %d times, want at most 1", stormAppends)
+	// Bounded work per batch: a wedged store costs the append budget and
+	// no more, and at the full-drop tier an 8× oversubscribed batch hands
+	// on no more than a calm one does.
+	if stormAppends > attempts {
+		t.Errorf("a storm batch attempted the wedged store %d times, want at most %d", stormAppends, attempts)
 	}
 	if shedAdmitted > calmAdmitted {
-		t.Errorf("a full-drop storm step admitted %d events, a calm step at most %d", shedAdmitted, calmAdmitted)
+		t.Errorf("a full-drop storm batch admitted %d events, a calm batch at most %d", shedAdmitted, calmAdmitted)
 	}
 
 	// The injected schedule is part of the scenario's reproducible plan.

@@ -1,34 +1,34 @@
 // Overload-storm faults: an oversubscribed producer and a flaky durable
 // store. Together they form the chaos suite's overload schedule — calm
 // phases where the pipeline keeps up alternating with storm phases where
-// the source floods it and the store's write path fails — so the
-// collector's adaptive overload control (internal/overload) can be
-// driven through whole engage → degrade → recover cycles
-// deterministically.
+// the source floods it and the store's write path fails — so the ingest
+// path's adaptive overload control (internal/ingest over
+// internal/overload) can be driven through whole engage → degrade →
+// recover cycles deterministically.
 package faults
 
 import (
 	"fmt"
 	"sync"
 
-	"btrace/internal/collect"
+	"btrace/internal/ingest"
 	"btrace/internal/tracer"
 )
 
 // BurstConfig shapes a BurstSource's deterministic load schedule.
 type BurstConfig struct {
-	// CalmPerPoll / StormPerPoll are the events returned per poll in the
+	// CalmPerPoll / StormPerPoll are the events per batch in the
 	// respective phase (defaults 4 and 64).
 	CalmPerPoll  int
 	StormPerPoll int
-	// CalmPolls / StormPolls are the phase lengths in polls (defaults 16
-	// each). A cycle is one calm phase followed by one storm phase.
+	// CalmPolls / StormPolls are the phase lengths in batches (defaults
+	// 16 each). A cycle is one calm phase followed by one storm phase.
 	CalmPolls  int
 	StormPolls int
 	// Cycles is the number of calm→storm cycles; after the last the
-	// source goes quiet (empty polls) forever (default 1).
+	// source goes quiet (empty batches) forever (default 1).
 	Cycles int
-	// StormMissed is the per-poll missed count reported during storms —
+	// StormMissed is the per-batch missed count reported during storms —
 	// the overwrite loss an oversubscribed ring exhibits (default
 	// 3×StormPerPoll, so the storm loss rate reads 0.75).
 	StormMissed uint64
@@ -74,13 +74,13 @@ func (c BurstConfig) withDefaults() BurstConfig {
 	return c
 }
 
-// BurstSource is a deterministic collect.FalliblePoller alternating calm
-// and storm phases per its BurstConfig. Every entry it produces is
-// well-formed for the supervisor's Verifier — unique globally increasing
-// stamps, monotonic timestamps, non-zero everything — so any loss
-// observed downstream is the overload machinery's own doing, never the
-// source's. Phase transitions are recorded in the injector's "burst"
-// schedule.
+// BurstSource is a deterministic batch producer alternating calm and
+// storm phases per its BurstConfig — the shape of an oversubscribed
+// client posting to a server. Every entry it produces is well-formed for
+// the admission Verifier — unique globally increasing stamps, monotonic
+// timestamps, non-zero everything — so any loss observed downstream is
+// the overload machinery's own doing, never the source's. Phase
+// transitions are recorded in the injector's "burst" schedule.
 type BurstSource struct {
 	in  *Injector
 	cfg BurstConfig
@@ -99,7 +99,7 @@ func (in *Injector) BurstSource(cfg BurstConfig) *BurstSource {
 	return &BurstSource{in: in, cfg: cfg, stamp: 1, ts: cfg.StartTS}
 }
 
-// phaseAt maps a poll index to (storming, quiet).
+// phaseAt maps a batch index to (storming, quiet).
 func (s *BurstSource) phaseAt(poll int) (storm, quiet bool) {
 	cycle := s.cfg.CalmPolls + s.cfg.StormPolls
 	if poll >= s.cfg.Cycles*cycle {
@@ -108,8 +108,10 @@ func (s *BurstSource) phaseAt(poll int) (storm, quiet bool) {
 	return poll%cycle >= s.cfg.CalmPolls, false
 }
 
-// Poll implements collect.FalliblePoller; it never fails.
-func (s *BurstSource) Poll() ([]tracer.Entry, uint64, error) {
+// Batch returns the schedule's next batch — freshly allocated, the
+// caller's to filter in place — and the events the source lost to
+// overwrite while producing it.
+func (s *BurstSource) Batch() ([]tracer.Entry, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	storm, quiet := s.phaseAt(s.polls)
@@ -119,7 +121,7 @@ func (s *BurstSource) Poll() ([]tracer.Entry, uint64, error) {
 			s.storming = false
 			s.in.record("burst", fmt.Sprintf("quiet#%d", s.polls-1))
 		}
-		return nil, 0, nil
+		return nil, 0
 	}
 	if storm != s.storming {
 		s.storming = storm
@@ -149,10 +151,10 @@ func (s *BurstSource) Poll() ([]tracer.Entry, uint64, error) {
 		s.ts += s.cfg.TSStepNs
 	}
 	s.produced += uint64(n)
-	return es, missed, nil
+	return es, missed
 }
 
-// Storming reports whether the next poll falls in a storm phase.
+// Storming reports whether the next batch falls in a storm phase.
 func (s *BurstSource) Storming() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -175,15 +177,15 @@ func (s *BurstSource) Produced() uint64 {
 	return s.produced
 }
 
-// FlakyStore wraps a collect.DumpStore with injected append failures:
+// FlakyStore wraps an ingest.Sink with injected append failures:
 // probabilistic ones via ErrProb and a deterministic Wedge/Heal switch —
-// the flaky disk under an overload storm. It deliberately implements
-// only the synchronous AppendEntries surface (no async staging, no
-// WriteErr), so a supervisor driving it exercises its retry-budget and
-// spill paths rather than the fast-fail ones.
+// the flaky disk under an overload storm. Injected failures are
+// transient: WriteErr reports only the wrapped store's own sticky
+// failure, so ingest.Append against a wedged FlakyStore burns its retry
+// budget rather than failing fast.
 type FlakyStore struct {
 	in  *Injector
-	dst collect.DumpStore
+	dst ingest.Sink
 
 	// ErrProb is the probability that an append fails.
 	ErrProb float64
@@ -196,7 +198,7 @@ type FlakyStore struct {
 }
 
 // FlakyStore wraps dst with the given failure probability.
-func (in *Injector) FlakyStore(dst collect.DumpStore, errProb float64) *FlakyStore {
+func (in *Injector) FlakyStore(dst ingest.Sink, errProb float64) *FlakyStore {
 	return &FlakyStore{in: in, dst: dst, ErrProb: errProb}
 }
 
@@ -223,7 +225,7 @@ func (f *FlakyStore) Heal() {
 	}
 }
 
-// AppendEntries implements collect.DumpStore. A failed append consumes
+// AppendEntries implements ingest.Sink. A failed append consumes
 // nothing.
 func (f *FlakyStore) AppendEntries(es []tracer.Entry) error {
 	f.mu.Lock()
@@ -244,6 +246,9 @@ func (f *FlakyStore) AppendEntries(es []tracer.Entry) error {
 	return nil
 }
 
+// WriteErr implements ingest.Sink: the wrapped store's sticky failure.
+func (f *FlakyStore) WriteErr() error { return f.dst.WriteErr() }
+
 // Stats returns (append attempts, events appended, injected failures).
 func (f *FlakyStore) Stats() (appends, events, failures uint64) {
 	f.mu.Lock()
@@ -251,7 +256,4 @@ func (f *FlakyStore) Stats() (appends, events, failures uint64) {
 	return f.appends, f.events, f.failures
 }
 
-var (
-	_ collect.FalliblePoller = (*BurstSource)(nil)
-	_ collect.DumpStore      = (*FlakyStore)(nil)
-)
+var _ ingest.Sink = (*FlakyStore)(nil)

@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"btrace/internal/collect"
 	"btrace/internal/distributor"
 	"btrace/internal/faults"
+	"btrace/internal/ingest"
 	"btrace/internal/live"
 	"btrace/internal/overload"
 	"btrace/internal/store"
@@ -48,7 +48,7 @@ func TestChaosVultureContinuous(t *testing.T) {
 		sh, err := distributor.NewLocalShard(distributor.LocalConfig{
 			Name:  fmt.Sprintf("shard-%02d", i),
 			Store: st,
-			WrapStore: func(ds collect.DumpStore) collect.DumpStore {
+			WrapStore: func(ds ingest.Sink) ingest.Sink {
 				f := in.FlakyStore(ds, 0.01)
 				flaky[idx] = f
 				return f

@@ -1,4 +1,4 @@
-package distributor
+package ingest
 
 import (
 	"fmt"
@@ -103,7 +103,7 @@ func (b *vbucket) take(nowNs uint64, rate, burst float64) bool {
 // tenantLimiter applies per-tenant quota overrides ahead of the shared
 // gate: a tenant with an override draws every event from its bucket,
 // tenants without one pass through untouched. Driven under the
-// distributor's admission lock, so no locking of its own.
+// Admission's lock, so no locking of its own.
 type tenantLimiter struct {
 	limits  map[string]TenantLimit
 	buckets map[string]*vbucket

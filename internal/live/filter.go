@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math/bits"
 	"net/url"
 	"slices"
 	"strconv"
@@ -89,31 +90,40 @@ const maxFilterList = 256
 
 // ParseQuery builds a Filter from /live request parameters: min_ts,
 // max_ts, cores, categories (comma-separated uint8 lists) and tids
-// (comma-separated uint32 list) — the same shapes /store/query takes.
-// Tenant scoping comes from the request header, not the query string,
-// so it is not parsed here.
+// (comma-separated uint32 list) — the same shapes /store/query takes,
+// through the same two parsers. Tenant scoping comes from the request
+// header, not the query string, so it is not parsed here.
 func ParseQuery(v url.Values) (Filter, error) {
 	var f Filter
 	var err error
-	if f.MinTS, err = parseU64(v, "min_ts"); err != nil {
+	if f.MinTS, f.MaxTS, err = ParseRange(v, "min_ts", "max_ts"); err != nil {
 		return f, err
 	}
-	if f.MaxTS, err = parseU64(v, "max_ts"); err != nil {
+	if f.Cores, err = ParseList[uint8](v, "cores"); err != nil {
 		return f, err
 	}
-	if f.MaxTS != 0 && f.MaxTS < f.MinTS {
-		return f, fmt.Errorf("max_ts %d below min_ts %d", f.MaxTS, f.MinTS)
-	}
-	if f.Cores, err = parseU8List(v, "cores"); err != nil {
+	if f.Categories, err = ParseList[uint8](v, "categories"); err != nil {
 		return f, err
 	}
-	if f.Categories, err = parseU8List(v, "categories"); err != nil {
-		return f, err
-	}
-	if f.TIDs, err = parseU32List(v, "tids"); err != nil {
+	if f.TIDs, err = ParseList[uint32](v, "tids"); err != nil {
 		return f, err
 	}
 	return f, nil
+}
+
+// ParseRange parses an inclusive [lo, hi] pair of uint64 parameters,
+// each 0 (unbounded) when absent, and rejects a bounded hi below lo.
+func ParseRange(v url.Values, loName, hiName string) (lo, hi uint64, err error) {
+	if lo, err = parseU64(v, loName); err != nil {
+		return 0, 0, err
+	}
+	if hi, err = parseU64(v, hiName); err != nil {
+		return 0, 0, err
+	}
+	if hi != 0 && hi < lo {
+		return 0, 0, fmt.Errorf("%s %d below %s %d", hiName, hi, loName, lo)
+	}
+	return lo, hi, nil
 }
 
 func parseU64(v url.Values, name string) (uint64, error) {
@@ -128,7 +138,9 @@ func parseU64(v url.Values, name string) (uint64, error) {
 	return u, nil
 }
 
-func parseU8List(v url.Values, name string) ([]uint8, error) {
+// ParseList parses a comma-separated list of at most maxFilterList
+// unsigned integers that fit T; an absent parameter is the empty list.
+func ParseList[T uint8 | uint32](v url.Values, name string) ([]T, error) {
 	s := v.Get(name)
 	if s == "" {
 		return nil, nil
@@ -137,33 +149,13 @@ func parseU8List(v url.Values, name string) ([]uint8, error) {
 	if len(parts) > maxFilterList {
 		return nil, fmt.Errorf("%s: more than %d elements", name, maxFilterList)
 	}
-	out := make([]uint8, 0, len(parts))
+	out := make([]T, 0, len(parts))
 	for _, part := range parts {
-		u, err := strconv.ParseUint(strings.TrimSpace(part), 10, 8)
+		u, err := strconv.ParseUint(strings.TrimSpace(part), 10, bits.Len64(uint64(^T(0))))
 		if err != nil {
 			return nil, fmt.Errorf("bad %s element %q", name, part)
 		}
-		out = append(out, uint8(u))
-	}
-	return out, nil
-}
-
-func parseU32List(v url.Values, name string) ([]uint32, error) {
-	s := v.Get(name)
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) > maxFilterList {
-		return nil, fmt.Errorf("%s: more than %d elements", name, maxFilterList)
-	}
-	out := make([]uint32, 0, len(parts))
-	for _, part := range parts {
-		u, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad %s element %q", name, part)
-		}
-		out = append(out, uint32(u))
+		out = append(out, T(u))
 	}
 	return out, nil
 }

@@ -1,10 +1,10 @@
-// Package overload is the collector's adaptive overload-control
+// Package overload is the ingest path's adaptive overload-control
 // subsystem: production tracing must degrade gracefully under load, not
 // wedge the traced system (the XTrace non-invasive production framing)
 // — and every event it gives up must stay attributable (the
-// event-cap/truncation-counter idiom). A Gate sits between the
-// supervisor's verifier and its ingest step and makes one decision per
-// event, in a fixed order:
+// event-cap/truncation-counter idiom). A Gate sits inside
+// ingest.Admission, between the verifier and the append, and makes one
+// decision per event, in a fixed order:
 //
 //  1. tiered load shedding — under sustained pressure the controller
 //     escalates through three tiers (drop payload bytes → drop
@@ -28,8 +28,8 @@
 // holds exactly at all times (payload-stripped events count as admitted;
 // only their bytes are recorded as shed).
 //
-// A Gate, like the Supervisor that drives it, is owned by a single
-// goroutine; the obs mirror (obs.go) republishes its counters for
+// A Gate is single-goroutine by contract (ingest.Admission holds a lock
+// around it); the obs mirror (obs.go) republishes its counters for
 // concurrent /metrics scrapes.
 package overload
 
@@ -85,20 +85,14 @@ type StorePressure struct {
 	Failed bool
 }
 
-// PressureSource is the optional surface a DumpStore may implement to
-// feed the controller its backpressure signals (store.Store does).
-type PressureSource interface {
-	Pressure() StorePressure
-}
-
-// Pressure is one evaluation's input vector. The supervisor assembles
-// it from the signals the pipeline already exports: spill ring depth,
-// per-poll loss, and the store's write-path latencies.
+// Pressure is one evaluation's input vector. Whoever drives the gate
+// assembles it from the signals it can see: the store's (or the shard
+// fleet's worst) write-path latencies, a source's loss rate.
 type Pressure struct {
-	// SpillFill is the spill ring's occupancy in [0, 1].
+	// SpillFill is a bounded hand-off buffer's occupancy in [0, 1].
 	SpillFill float64
-	// LossRate is the fraction of events lost to overwrite in the most
-	// recent poll: missed / (missed + polled), in [0, 1].
+	// LossRate is the fraction of events the source lost to overwrite
+	// in its most recent read: missed / (missed + read), in [0, 1].
 	LossRate float64
 	// Store carries the durable store's signals (zero when no store).
 	Store StorePressure
@@ -290,9 +284,9 @@ func (s Stats) dropped() uint64 {
 		s.ShedCategory + s.ShedStream
 }
 
-// Gate is the overload-control decision point. It is driven by the
-// single supervisor goroutine; consistency of the concurrent /metrics
-// view comes from the obs mirror, not from locks here.
+// Gate is the overload-control decision point. It is driven by one
+// goroutine at a time; consistency of the concurrent /metrics view comes
+// from the obs mirror, not from locks here.
 type Gate struct {
 	cfg Config
 	ctl controller
@@ -330,8 +324,8 @@ func NewGate(cfg Config) *Gate {
 	return g
 }
 
-// Evaluate feeds one pressure observation to the controller. Call it
-// once per supervisor step, before Filter.
+// Evaluate feeds one pressure observation to the controller: once per
+// batch before Filter, and on a timer while no batch arrives.
 func (g *Gate) Evaluate(p Pressure) {
 	score := p.score(g.cfg.AppendBudgetNs, g.cfg.FsyncBudgetNs)
 	g.stats.Evaluations++

@@ -94,14 +94,14 @@ type pipeline struct {
 }
 
 // appendPipelined is the producer side of the write path: encode es
-// into the staging arena under pipe.mu, wake the writer, and (when wait
-// is set) block until the batch is applied — and, when sync is set,
-// until the group commit covering it has fsynced.
+// into the staging arena under pipe.mu, wake the writer, and block until
+// the batch is applied — and, when sync is set, until the group commit
+// covering it has fsynced.
 //
 // An entry that cannot encode (oversized payload) fails the batch at
 // that entry; the frames staged before it still go out, matching the
 // historical partial-batch semantics.
-func (st *Store) appendPipelined(es []tracer.Entry, sync, wait bool) error {
+func (st *Store) appendPipelined(es []tracer.Entry, sync bool) error {
 	if len(es) == 0 {
 		return nil
 	}
@@ -149,13 +149,11 @@ func (st *Store) appendPipelined(es []tracer.Entry, sync, wait bool) error {
 	st.obs.stagedBytes.Set(int64(len(p.buf)))
 	p.wcond.Signal()
 	var err error
-	if wait {
-		for (p.written < t || (sync && p.synced < t)) && p.err == nil {
-			p.cond.Wait()
-		}
-		if p.written < t || (sync && p.synced < t) {
-			err = p.err
-		}
+	for (p.written < t || (sync && p.synced < t)) && p.err == nil {
+		p.cond.Wait()
+	}
+	if p.written < t || (sync && p.synced < t) {
+		err = p.err
 	}
 	p.mu.Unlock()
 	elapsed := uint64(time.Since(start))

@@ -536,23 +536,14 @@ func (st *Store) activeSeg() *segment {
 // SyncEveryAppend is set, otherwise at the next seal, Sync, or
 // CommitEvery/CommitBytes window.
 func (st *Store) Append(e *tracer.Entry) error {
-	return st.appendPipelined([]tracer.Entry{*e}, st.cfg.SyncEveryAppend, true)
+	return st.appendPipelined([]tracer.Entry{*e}, st.cfg.SyncEveryAppend)
 }
 
 // AppendEntries stages a batch of events; the writer goroutine drains
-// it with one write per segment stretch — the bulk path the collector's
-// spill and the replay dump use.
+// it with one write per segment stretch — the bulk path the ingest
+// paths and the replay dump use.
 func (st *Store) AppendEntries(es []tracer.Entry) error {
-	return st.appendPipelined(es, st.cfg.SyncEveryAppend, true)
-}
-
-// AppendEntriesAsync stages a batch without waiting for it to reach the
-// segment files: the call returns once the batch is in the staging
-// arena (blocking only on MaxStagedBytes backpressure). Write errors
-// surface on a later append, Sync or Close. The collector's spill path
-// uses it so a slow disk cannot stall the poll loop.
-func (st *Store) AppendEntriesAsync(es []tracer.Entry) error {
-	return st.appendPipelined(es, false, false)
+	return st.appendPipelined(es, st.cfg.SyncEveryAppend)
 }
 
 // newSegmentLocked creates and activates a fresh segment file.
