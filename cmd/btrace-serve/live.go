@@ -2,9 +2,11 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
+	"btrace/internal/btql"
 	"btrace/internal/live"
 	"btrace/internal/tracer"
 )
@@ -23,10 +25,11 @@ const liveBatch = 256
 const liveBufKeep = 256 << 10
 
 // handleLive serves GET /live: a Server-Sent-Events stream of admitted
-// ingest events, filtered by the /store/query parameter shapes
-// (min_ts, max_ts, cores, categories, tids) and scoped to the
-// X-Btrace-Tenant header when one is sent (absent = all tenants, the
-// single-operator dashboard view). Slow subscribers see their loss as
+// ingest events, filtered by the parameters /store/query takes
+// (btql.ParseParams: q and the field parameters; an aggregate stage is
+// a 400, a tail is a stream) and scoped to the X-Btrace-Tenant header
+// when one is sent (absent = all tenants, the single-operator dashboard
+// view). Slow subscribers see their loss as
 // missed events; a subscriber that falls EvictAfterMissed behind gets
 // a terminal evicted event. 503 when the subscriber cap is reached.
 //
@@ -46,12 +49,15 @@ func (s *server) handleLive(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	filter, err := live.ParseQuery(r.URL.Query())
+	q, err := btql.ParseParams(r.URL.Query())
+	if err == nil && q.Agg != nil {
+		err = fmt.Errorf("/live streams events: q takes a filter, not an aggregate (%s)", q.Agg)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	filter.Tenant = r.Header.Get(tenantHeader)
+	filter := live.Filter{Tenant: r.Header.Get(tenantHeader), Pred: q.Predicate()}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported by this connection", http.StatusInternalServerError)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -130,6 +131,49 @@ func TestLiveTailEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLiveTailBTQL: /live takes the filter parameters /store/query
+// takes — q= (the tail has the payload, so payload matches work live)
+// and the stamp window beside it — not only the field lists.
+func TestLiveTailBTQL(t *testing.T) {
+	ts, hub := liveServer(t, live.Config{})
+	matched := func() float64 {
+		_, body := get(t, ts.URL+"/metrics")
+		return parseProm(t, body)["btrace_live_matched_total"]
+	}
+	before := matched()
+	resp := openLive(t, hub, ts.URL+"/live?min_stamp=5&max_stamp=12&q="+
+		url.QueryEscape(`payload contains "gc" && tid in (7, 8)`), "")
+	var es []tracer.Entry
+	for i := 1; i <= 20; i++ {
+		e := tracer.Entry{Stamp: uint64(i), TS: uint64(1000 + i), TID: uint32(7 + i%2), Category: 1, Level: 2, Payload: []byte("alloc")}
+		if i%2 == 1 {
+			e.Payload = []byte("gc pause")
+		}
+		if i == 5 {
+			e.TID = 9
+		}
+		es = append(es, e)
+	}
+	post, err := http.Post(ts.URL+"/ingest", "application/octet-stream", bytes.NewReader(encodeEvents(t, es)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post.Body.Close()
+	if post.StatusCode != http.StatusAccepted {
+		t.Fatalf("/ingest status %d", post.StatusCode)
+	}
+	// Odd stamps in [5, 12] say "gc"; of 5, 7, 9, 11, stamp 5 is on tid 9.
+	got := readLiveStamps(t, resp, 3)
+	for i, want := range []uint64{7, 9, 11} {
+		if got[i].Stamp != want || !bytes.Contains(got[i].Payload, []byte("gc")) {
+			t.Fatalf("frame %d: stamp %d payload %q, want stamp %d", i, got[i].Stamp, got[i].Payload, want)
+		}
+	}
+	if n := matched() - before; n != 3 {
+		t.Fatalf("the filter matched %v of 20 events, want 3", n)
+	}
+}
+
 // TestLiveTenantScoping: a subscription carrying X-Btrace-Tenant sees
 // only that tenant's admitted events; one without the header sees all.
 func TestLiveTenantScoping(t *testing.T) {
@@ -208,6 +252,17 @@ func TestLiveRequestValidation(t *testing.T) {
 	}
 	if rec := httpGet(t, srv, "/live?tids=notanumber"); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad tids: status %d, want 400", rec.Code)
+	}
+	if rec := httpGet(t, srv, "/live?min_stamp=5&max_stamp=1"); rec.Code != http.StatusBadRequest {
+		t.Errorf("inverted stamp window: status %d, want 400", rec.Code)
+	}
+	if rec := httpGet(t, srv, "/live?q="+url.QueryEscape("category ==")); rec.Code != http.StatusBadRequest {
+		t.Errorf("malformed q: status %d, want 400", rec.Code)
+	}
+	// A tail is a stream of events: there is nothing to aggregate over.
+	if rec := httpGet(t, srv, "/live?q="+url.QueryEscape("category == 2 | count()")); rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "aggregate") {
+		t.Errorf("q with an aggregate stage: status %d body %q, want a 400 that says why", rec.Code, rec.Body.String())
 	}
 	if rec := httpPost(t, srv, "/live", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /live: status %d, want 405", rec.Code)

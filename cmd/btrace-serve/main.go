@@ -1,9 +1,16 @@
-// Command btrace-serve runs a local dashboard for the benchmark harness:
-// it regenerates the paper's tables and figures on demand and renders
-// them in the browser, runs ad-hoc replays, and exports readouts as
-// Chrome trace JSON for chrome://tracing / Perfetto.
+// Command btrace-serve is the trace server. With -store (one durable
+// segment store, or with -shards a replicated ring of them under that
+// root) it takes wire records on POST /ingest through the shared
+// admission path (verify, tenant quotas, the overload gate), answers
+// /store/query — BTQL and the field parameters, one predicate — over the
+// tiered store, streams admitted events on /live (SSE), runs the
+// background compactor and freezer, and exposes /ring, /metrics,
+// /readyz and /debug/pprof. Without -store it is the benchmark
+// harness's dashboard alone: the paper's tables and figures regenerated
+// on demand, ad-hoc replays, and readouts exported as Chrome trace JSON
+// for chrome://tracing / Perfetto.
 //
-//	btrace-serve -addr localhost:8321
+//	btrace-serve -addr localhost:8321 -store ./trace-store
 package main
 
 import (

@@ -8,7 +8,6 @@ import (
 
 	"btrace/internal/btql"
 	"btrace/internal/export"
-	"btrace/internal/live"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
@@ -86,39 +85,19 @@ func (s *server) handleStoreSegments(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// parseStoreQuery builds a store.Query from request parameters:
-// min_stamp, max_stamp, min_ts, max_ts, cores, categories (ranges and
-// comma lists through /live's parsers, so both endpoints bound and
-// reject alike), limit — plus ?q=, a BTQL expression whose filter stage
-// is compiled into the query's predicate (ANDed with the field filters)
-// and whose optional aggregate stage is returned alongside.
+// parseStoreQuery builds a store.Query from request parameters: the
+// filter parameters /live shares (btql.ParseParams: q and the field
+// parameters, compiled into the query's one predicate) and limit. The
+// aggregate stage of ?q=, if it has one, is returned alongside.
 func parseStoreQuery(r *http.Request) (store.Query, *btql.AggSpec, error) {
 	var q store.Query
-	var agg *btql.AggSpec
 	v := r.URL.Query()
-	if src := v.Get("q"); src != "" {
-		bq, err := btql.Parse(src)
-		if err != nil {
-			return q, nil, err
-		}
-		if bq.Filter != nil {
-			q.Pred = bq.Predicate()
-		}
-		agg = bq.Agg
-	}
-	var err error
-	if q.MinStamp, q.MaxStamp, err = live.ParseRange(v, "min_stamp", "max_stamp"); err != nil {
+	bq, err := btql.ParseParams(v)
+	if err != nil {
 		return q, nil, err
 	}
-	if q.MinTS, q.MaxTS, err = live.ParseRange(v, "min_ts", "max_ts"); err != nil {
-		return q, nil, err
-	}
-	if q.Cores, err = live.ParseList[uint8](v, "cores"); err != nil {
-		return q, nil, err
-	}
-	if q.Categories, err = live.ParseList[uint8](v, "categories"); err != nil {
-		return q, nil, err
-	}
+	q.Pred = bq.Predicate()
+	agg := bq.Agg
 	limitArg := v.Get("limit")
 	limit, err := strconv.ParseUint(limitArg, 10, 64)
 	switch {

@@ -25,6 +25,7 @@ func storeServer(t *testing.T, n int) (*httptest.Server, *store.Store) {
 			Stamp:    uint64(i + 1),
 			TS:       uint64(1000 + i),
 			Core:     uint8(i % 4),
+			TID:      uint32(i % 5),
 			Category: uint8(i % 3),
 			Level:    1,
 		}
@@ -106,9 +107,25 @@ func TestStoreQueryEndpoint(t *testing.T) {
 		t.Fatalf("chrome events: %d", len(parsed.TraceEvents))
 	}
 
+	// tids= filters here as it does on /live: it is `tid in (…)`, by
+	// another spelling, and ANDs with the rest.
+	code, body = get(t, ts.URL+"/store/query?format=csv&tids=1,3")
+	if code != http.StatusOK || strings.Count(body, "\n") != 1+8 { // stamps 2,4,7,9,12,14,17,19
+		t.Fatalf("tids=1,3: %d, want the header and 8 rows:\n%s", code, body)
+	}
+	if _, sugar := get(t, ts.URL+"/store/query?format=csv&q="+url.QueryEscape("tid in (1, 3)")); sugar != body {
+		t.Fatalf("q=tid in (1, 3) and tids=1,3 differ:\n%s\n%s", sugar, body)
+	}
+	code, body = get(t, ts.URL+"/store/query?format=csv&tids=1,3&cores=1&min_stamp=3")
+	if code != http.StatusOK || strings.Count(body, "\n") != 1+1 || !strings.Contains(body, "\n14,") {
+		t.Fatalf("tids=1,3&cores=1&min_stamp=3: %d, want stamp 14 alone:\n%s", code, body)
+	}
+
 	// Parameter validation.
 	for _, q := range []string{
 		"?min_stamp=zebra",
+		"?tids=1,x",
+		"?tids=" + strings.Repeat("1,", 256) + "1",
 		"?cores=1,999",
 		"?limit=0",
 		"?limit=99999999",

@@ -10,13 +10,17 @@
 //	stamp >= 1000 && stamp < 2000 | count()
 //	category == 3 | rate(10ms)
 //	time < 1s | topk(5, tid)
+//	tid in (4096, 4097) && core in (0, 1)
 //
-// Queries parse to a typed AST (Expr) and compile to a Predicate that can be
-// evaluated at three fidelities, matching the store's pruning ladder:
+// Queries parse to a typed AST (Expr) and compile to a Predicate, the one
+// event filter the server has, evaluated at four fidelities that match the
+// store's pruning ladder and the live tail's admit hook:
 //
 //   - MatchMeta: against file/block summaries (min/max ranges, presence
 //     bitmaps, TID blooms) — tri-state, false means provably no match, so a
 //     whole file or block can be skipped without touching its bytes.
+//   - Select: against a block held by column — one pass per column a leaf
+//     names, into a tri-state row selection (columns.go).
 //   - MatchHeader: against a decoded event header (no payload) — exact for
 //     payload-free predicates, conservative otherwise.
 //   - Match: against a full tracer.Entry — always exact.
@@ -92,6 +96,13 @@ type Cmp struct {
 	Val   uint64
 }
 
+// InList is `field in (v, …)`: the field's value is one of at most
+// MaxInList literals. An empty list matches nothing.
+type InList struct {
+	Field Field
+	Vals  []uint64
+}
+
 // PayloadMatch is `payload contains "s"` (Prefix false) or
 // `payload prefix "s"` (Prefix true).
 type PayloadMatch struct {
@@ -103,6 +114,7 @@ func (*And) isExpr()          {}
 func (*Or) isExpr()           {}
 func (*Not) isExpr()          {}
 func (*Cmp) isExpr()          {}
+func (*InList) isExpr()       {}
 func (*PayloadMatch) isExpr() {}
 
 // String renders the expression fully parenthesized; Parse(e.String())
@@ -113,6 +125,19 @@ func (e *Not) String() string { return "!" + e.X.String() }
 
 func (e *Cmp) String() string {
 	return fmt.Sprintf("(%s %s %d)", e.Field, e.Op, e.Val)
+}
+
+func (e *InList) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "(%s in (", e.Field)
+	for i, v := range e.Vals {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%d", v)
+	}
+	b.WriteString("))")
+	return b.String()
 }
 
 func (e *PayloadMatch) String() string {
@@ -150,6 +175,52 @@ func quoteNeedle(s string) string {
 	}
 	b.WriteByte('"')
 	return b.String()
+}
+
+// Between, In and AllOf build a filter from the field form of a request
+// (store.Query, live.Filter, the HTTP field parameters) without going
+// through text. They own that form's conventions — a zero bound is no
+// bound, an empty list is no restriction — and a nil Expr is the filter
+// that matches everything.
+
+// Between is lo <= f <= hi; a zero lo or hi leaves that side open.
+func Between(f Field, lo, hi uint64) Expr {
+	var lower, upper Expr
+	if lo != 0 {
+		lower = &Cmp{Field: f, Op: OpGe, Val: lo}
+	}
+	if hi != 0 {
+		upper = &Cmp{Field: f, Op: OpLe, Val: hi}
+	}
+	return AllOf(lower, upper)
+}
+
+// In is `f in (vals…)`, or nil for an empty list. vals is copied.
+func In[T uint8 | uint32](f Field, vals []T) Expr {
+	if len(vals) == 0 {
+		return nil
+	}
+	e := &InList{Field: f, Vals: make([]uint64, len(vals))}
+	for i, v := range vals {
+		e.Vals[i] = uint64(v)
+	}
+	return e
+}
+
+// AllOf is the conjunction of its non-nil arguments, nil when there are
+// none.
+func AllOf(es ...Expr) Expr {
+	var all Expr
+	for _, e := range es {
+		switch {
+		case e == nil:
+		case all == nil:
+			all = e
+		default:
+			all = &And{L: all, R: e}
+		}
+	}
+	return all
 }
 
 // AggKind selects the aggregate operator of a query.

@@ -1,8 +1,11 @@
 package btql
 
 import (
+	"fmt"
 	"math/rand"
+	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
 	"btrace/internal/tracer"
@@ -30,6 +33,10 @@ func TestParseBasics(t *testing.T) {
 		{`payload contains "oom"`, `(payload contains "oom")`},
 		{`payload prefix "GC"`, `(payload prefix "GC")`},
 		{"time >= 5ms && time < 1s", "((time >= 5000000) && (time < 1000000000))"},
+		{"tid in (7)", "(tid in (7))"},
+		{"core in (0,1 , 255) && !(tid in (3, 3, 1))", "((core in (0, 1, 255)) && !(tid in (3, 3, 1)))"},
+		{"time in (5ms, 1s)", "(time in (5000000, 1000000000))"},
+		{"tid in ()", "(tid in ())"},
 		{"a_core_like_field == 1", ""}, // unknown field
 	}
 	for _, c := range cases {
@@ -87,10 +94,20 @@ func TestParseErrors(t *testing.T) {
 		"category = 2", "category &", "(core == 1", "{core == 1",
 		`payload contains oom`, `payload == "x"`, "core == ", "core == 99999999999999999999999",
 		"!!", "core == 5msx", `payload contains "unterminated`,
+		"tid in", "tid in 1", "tid in (1", "tid in (1 2)", "tid in (1,)", "tid in (,1)",
+		`tid in ("x")`, "payload in (1)", "in (1)",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q): expected error", bad)
 		}
+	}
+	// An in list is capped, and the error says at what.
+	list := func(n int) string { return "tid in (" + strings.TrimSuffix(strings.Repeat("9,", n), ",") + ")" }
+	if _, err := Parse(list(MaxInList)); err != nil {
+		t.Errorf("a %d-value in list: %v", MaxInList, err)
+	}
+	if _, err := Parse(list(MaxInList + 1)); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxInList)) {
+		t.Errorf("a %d-value in list: error %v, want one naming the cap %d", MaxInList+1, err, MaxInList)
 	}
 }
 
@@ -114,6 +131,14 @@ func TestMatchEntry(t *testing.T) {
 		{`payload contains "pause"`, true},
 		{`payload contains "oom"`, false},
 		{"level <= 1 && payload contains \"12ms\"", true},
+		{"tid in (1, 4096, 9)", true},
+		{"tid in (1, 4095, 4097)", false},
+		{"tid in ()", false},
+		{"!(tid in ())", true},
+		{"core in (2) && category in (0, 3, 255) && level in (1)", true},
+		{"core in (3, 258)", false}, // 258 is not core 2
+		{"stamp in (100, 18446744073709551615) && time in (5us)", true},
+		{`tid in (4096) && payload contains "oom" || category in (3)`, true},
 	}
 	for _, c := range cases {
 		p := mustParse(t, c.src).Predicate()
@@ -128,38 +153,75 @@ func TestMatchEntry(t *testing.T) {
 	}
 }
 
+// TestBoundsAndMasks: the stamp hull a predicate reports (the store's
+// sparse seek and ordered cut read it), and what used to be exported
+// beside it as core/category masks — the presence-bitmap pruning
+// MatchMeta now does with them itself.
 func TestBoundsAndMasks(t *testing.T) {
-	p := mustParse(t, "stamp >= 100 && stamp < 200 && category == 2").Predicate()
-	if lo, hi := p.StampBounds(); lo != 100 || hi != 199 {
-		t.Fatalf("stamp bounds [%d,%d]", lo, hi)
+	bounds := []struct {
+		src    string
+		lo, hi uint64
+	}{
+		{"stamp >= 100 && stamp < 200 && category == 2", 100, 199},
+		// Or widens; a branch without the field unconstrains the hull.
+		{"stamp >= 100 || category == 2", 0, ^uint64(0)},
+		{"stamp >= 100 && stamp <= 300 || stamp == 500", 100, 500},
+		{"stamp in (40, 7, 19) && stamp > 5", 7, 40},
+		{"stamp in ()", 0, ^uint64(0)},
+		{"!(stamp < 100)", 0, ^uint64(0)}, // negations are not looked into
+		{"stamp != 5", 0, ^uint64(0)},
+		{"stamp > 10 && stamp < 5", 11, 11}, // contradictory: an empty probe point
+		{"time >= 100", 0, ^uint64(0)},      // another field's range
 	}
-	if m := p.CatMask(); m != 1<<2 {
-		t.Fatalf("cat mask %#x", m)
-	}
-	if m := p.CoreMask(); m != ^uint64(0) {
-		t.Fatalf("core mask should be unconstrained, got %#x", m)
-	}
-	// Or widens; a branch without the field unconstrains the hull.
-	p = mustParse(t, "stamp >= 100 || category == 2").Predicate()
-	if lo, hi := p.StampBounds(); lo != 0 || hi != ^uint64(0) {
-		t.Fatalf("or bounds [%d,%d]", lo, hi)
-	}
-	p = mustParse(t, "core == 1 || core == 3").Predicate()
-	if m := p.CoreMask(); m != (1<<1)|(1<<3) {
-		t.Fatalf("core mask %#x", m)
-	}
-	// Values >= 63 collapse onto bit 63.
-	p = mustParse(t, "core == 200").Predicate()
-	if m := p.CoreMask(); m != 1<<63 {
-		t.Fatalf("clamped core mask %#x", m)
-	}
-	if !p.NeedsPayload() {
-		p2 := mustParse(t, `payload contains "x"`).Predicate()
-		if !p2.NeedsPayload() {
-			t.Fatal("payload predicate must need payload")
+	for _, c := range bounds {
+		if lo, hi := mustParse(t, c.src).Predicate().StampBounds(); lo != c.lo || hi != c.hi {
+			t.Errorf("StampBounds(%q) = [%d,%d], want [%d,%d]", c.src, lo, hi, c.lo, c.hi)
 		}
 	}
+	if lo, hi := Compile(Between(FStamp, 7, 0)).StampBounds(); lo != 7 || hi != ^uint64(0) {
+		t.Errorf("Between(stamp, 7, 0) bounds [%d,%d]", lo, hi)
+	}
+
+	masks := []struct {
+		src       string
+		core, cat uint64 // presence bitmaps of the run
+		want      bool
+	}{
+		{"category == 2", 1, 1 << 2, true},
+		{"category == 2", 1, 1<<1 | 1<<3, false},
+		{"core == 1 || core == 3", 1<<1 | 1<<5, 1, true},
+		{"core == 1 || core == 3", 1<<2 | 1<<5, 1, false},
+		{"core in (1, 3)", 1<<2 | 1<<5, 1, false},
+		{"core in (1, 3)", 1 << 3, 1, true},
+		// Values >= 63 collapse onto bit 63.
+		{"core == 200", 1 << 63, 1, true},
+		{"core == 200", 1 << 62, 1, false},
+		{"core in (5, 200)", 1 << 63, 1, true},
+		{"core in (5, 62)", 1 << 63, 1, false},
+		{"!(core in (5, 62))", 1 << 63, 1, true},
+		{"!(core >= 63)", 1 << 63, 1, false}, // every value under the bit passes
+		{"!(core >= 64)", 1 << 63, 1, true},  // 63 itself does not
+		{"category != 2", 1, 1 << 2, false},
+		{"category in (2, 3) && core in (0)", 1, 1 << 3, true},
+		{"category in (2, 3) && core in (1)", 1, 1 << 3, false},
+		{"core == 7", 0, 1, true}, // no summary: never prune on it
+	}
+	for _, c := range masks {
+		m := Meta{MinStamp: 1, MaxStamp: 2, MinTS: 1, MaxTS: 2, CoreBits: c.core, CatBits: c.cat}
+		if got := mustParse(t, c.src).Predicate().MatchMeta(&m); got != c.want {
+			t.Errorf("MatchMeta(%q) over cores %#x cats %#x = %v, want %v", c.src, c.core, c.cat, got, c.want)
+		}
+	}
+	if mustParse(t, "category in (1) && tid in (2)").Predicate().NeedsPayload() ||
+		!mustParse(t, `tid in (2) && !(payload contains "x")`).Predicate().NeedsPayload() {
+		t.Fatal("NeedsPayload must be set by payload matches and by nothing else")
+	}
 }
+
+// tidSet is an exact stand-in for a block's TID bloom.
+type tidSet map[uint32]bool
+
+func (s tidSet) MayContainTID(tid uint32) bool { return s[tid] }
 
 func TestMatchMeta(t *testing.T) {
 	m := Meta{
@@ -168,7 +230,7 @@ func TestMatchMeta(t *testing.T) {
 		CoreBits: 1<<0 | 1<<1,
 		CatBits:  1 << 2,
 		HasTID:   true, MinTID: 50, MaxTID: 90,
-		TIDMay: func(tid uint32) bool { return tid == 60 },
+		TIDs: tidSet{60: true},
 	}
 	cases := []struct {
 		src  string
@@ -194,6 +256,18 @@ func TestMatchMeta(t *testing.T) {
 		{"!(stamp >= 150)", true},              // some events may be below 150
 		{"stamp > 200 || category == 2", true}, // one branch maybe
 		{"stamp > 200 && level == 7", false},   // one branch provably empty
+		{"tid != 70", true},                    // the bloom proves it of every event
+		{"!(tid != 70)", false},
+		{"tid in (60)", true},
+		{"tid in (10, 60, 95)", true},
+		{"tid in (10, 70, 95)", false}, // each member vetoed: range, bloom, range
+		{"tid in (70, 80)", false},     // in range, both bloomed out
+		{"!(tid in (70, 80))", true},   // a proven miss negates to a proven match
+		{"stamp in (99, 201)", false},  // both outside the hull
+		{"stamp in (99, 150)", true},   //
+		{"time in (1500) || tid in ()", true},
+		{"tid in ()", false},
+		{"level in (9)", true}, // no level summary: maybe
 	}
 	for _, c := range cases {
 		p := mustParse(t, c.src).Predicate()
@@ -208,6 +282,19 @@ func TestMatchMeta(t *testing.T) {
 	}
 	if Compile(mustParse(t, "core == 10").Filter).MatchMeta(&m2) {
 		t.Fatal("core 10 cannot hide under bit 63")
+	}
+	// A run of one value is decided outright, so its negation prunes.
+	one := Meta{MinStamp: 5, MaxStamp: 5, MinTS: 1, MaxTS: 2, HasTID: true, MinTID: 9, MaxTID: 9}
+	for src, want := range map[string]bool{
+		"!(stamp in (4, 5))": false, "!(tid in (9))": false, "!(tid in (8))": true, "!(stamp == 5)": false,
+	} {
+		if got := mustParse(t, src).Predicate().MatchMeta(&one); got != want {
+			t.Errorf("MatchMeta(%q) over a single-valued run = %v, want %v", src, got, want)
+		}
+	}
+	// Without a TID summary a row-tier segment is never pruned on TIDs.
+	if !mustParse(t, "tid in (1, 2)").Predicate().MatchMeta(&m2) {
+		t.Fatal("tid list pruned a run that has no TID summary")
 	}
 }
 
@@ -224,6 +311,10 @@ func TestMetaNeverPrunesMatches(t *testing.T) {
 		"!(category == 0) && level >= 2",
 		"stamp < 100 || (tid > 1000 && core != 0)",
 		`payload contains "z" && category == 1`,
+		"tid in (12345, 7, 19999, 3000)",
+		"core in (0, 63, 64, 79) && !(category in (1, 2))",
+		"stamp in (10, 500, 999) || time in (100000)",
+		"!(tid in (5, 6) || level in (0, 1))",
 	}
 	for _, src := range queries {
 		p := mustParse(t, src).Predicate()
@@ -231,7 +322,7 @@ func TestMetaNeverPrunesMatches(t *testing.T) {
 			n := 1 + rng.Intn(32)
 			ents := make([]tracer.Entry, n)
 			m := Meta{MinStamp: ^uint64(0), MinTS: ^uint64(0), HasTID: true, MinTID: ^uint32(0)}
-			tids := map[uint32]bool{}
+			tids := tidSet{}
 			for i := range ents {
 				e := &ents[i]
 				e.Stamp = uint64(rng.Intn(1000))
@@ -241,10 +332,10 @@ func TestMetaNeverPrunesMatches(t *testing.T) {
 				e.Category = uint8(rng.Intn(4))
 				e.Level = uint8(rng.Intn(4))
 				e.Payload = []byte("az")[:rng.Intn(3)]
-				m.MinStamp = min64(m.MinStamp, e.Stamp)
-				m.MaxStamp = max64(m.MaxStamp, e.Stamp)
-				m.MinTS = min64(m.MinTS, e.TS)
-				m.MaxTS = max64(m.MaxTS, e.TS)
+				m.MinStamp = min(m.MinStamp, e.Stamp)
+				m.MaxStamp = max(m.MaxStamp, e.Stamp)
+				m.MinTS = min(m.MinTS, e.TS)
+				m.MaxTS = max(m.MaxTS, e.TS)
 				cb := e.Core
 				if cb > 63 {
 					cb = 63
@@ -259,9 +350,12 @@ func TestMetaNeverPrunesMatches(t *testing.T) {
 				}
 				tids[e.TID] = true
 			}
-			m.TIDMay = func(tid uint32) bool { return tids[tid] }
+			m.TIDs = tids
 			anyMatch := false
 			for i := range ents {
+				if got, want := p.Match(&ents[i]), refMatch(p.expr, &ents[i]); got != want {
+					t.Fatalf("%q: Match(%+v) = %v, the AST says %v", src, ents[i], got, want)
+				}
 				if p.Match(&ents[i]) {
 					anyMatch = true
 					e := &ents[i]
@@ -338,6 +432,7 @@ func TestQueryStringRoundTrip(t *testing.T) {
 		"stamp >= 1 | count()",
 		"| rate(10ms)",
 		"level < 3 | topk(4, core)",
+		"tid in (3, 1, 3) && !(core in ()) | count()",
 	} {
 		q := mustParse(t, src)
 		q2, err := Parse(q.String())
@@ -347,5 +442,124 @@ func TestQueryStringRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(q, q2) {
 			t.Fatalf("round trip changed AST: %q vs %q", q, q2)
 		}
+	}
+}
+
+// TestConstructors: Between, In and AllOf own the request shapes'
+// conventions — a zero bound is no bound, an empty list no restriction,
+// nil the filter that matches everything — and In copies its argument.
+func TestConstructors(t *testing.T) {
+	str := func(e Expr) string {
+		if e == nil {
+			return "<nil>"
+		}
+		return e.String()
+	}
+	tids := []uint32{9, 3, 7}
+	in := In(FTID, tids)
+	cases := []struct {
+		got  Expr
+		want string
+	}{
+		{Between(FStamp, 0, 0), "<nil>"},
+		{Between(FStamp, 5, 0), "(stamp >= 5)"},
+		{Between(FTime, 0, 9), "(time <= 9)"},
+		{Between(FTime, 5, 9), "((time >= 5) && (time <= 9))"},
+		{In(FCore, []uint8(nil)), "<nil>"},
+		{In(FCore, []uint8{}), "<nil>"},
+		{In(FCore, []uint8{255, 0}), "(core in (255, 0))"},
+		{in, "(tid in (9, 3, 7))"},
+		{AllOf(), "<nil>"},
+		{AllOf(nil, nil), "<nil>"},
+		{AllOf(nil, in, nil), "(tid in (9, 3, 7))"},
+		{AllOf(Between(FStamp, 1, 0), nil, in, &Not{in}), "(((stamp >= 1) && (tid in (9, 3, 7))) && !(tid in (9, 3, 7)))"},
+	}
+	for _, c := range cases {
+		if got := str(c.got); got != c.want {
+			t.Errorf("built %s, want %s", got, c.want)
+		}
+		if c.got != nil {
+			if q, err := Parse(c.got.String()); err != nil || !reflect.DeepEqual(q.Filter, c.got) {
+				t.Errorf("%s does not parse back to itself: %v, %v", c.got, q, err)
+			}
+		}
+	}
+	tids[0] = 1
+	if in.String() != "(tid in (9, 3, 7))" {
+		t.Errorf("In aliases its argument: %s", in)
+	}
+	// Compiling sorts a copy, never the expression's own list.
+	Compile(in)
+	if in.String() != "(tid in (9, 3, 7))" {
+		t.Errorf("Compile reordered the expression: %s", in)
+	}
+
+	// Narrow: fields go in front, a nil receiver is the match-all
+	// predicate, and a predicate nothing is added to is used as it is.
+	p := mustParse(t, "core == 1").Predicate()
+	if p.Narrow() != p || p.Narrow(nil, Between(FStamp, 0, 0)) != p {
+		t.Error("Narrow recompiled a predicate it added nothing to")
+	}
+	if got := str(p.Narrow(in).Expr()); got != "((tid in (9, 3, 7)) && (core == 1))" {
+		t.Errorf("Narrow built %s", got)
+	}
+	var none *Predicate
+	if none.Expr() != nil || none.Narrow().Expr() != nil || !none.Narrow().Match(&tracer.Entry{}) {
+		t.Error("a nil predicate must narrow to match-all")
+	}
+	if got := str(none.Narrow(in).Expr()); got != in.String() {
+		t.Errorf("nil.Narrow built %s", got)
+	}
+}
+
+// TestParseParams: the field parameters are a second spelling of BTQL.
+// (The accept/reject cases are /live's former TestParseQuery's.)
+func TestParseParams(t *testing.T) {
+	parse := func(raw string) (*Query, error) {
+		v, err := url.ParseQuery(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ParseParams(v)
+	}
+	for raw, want := range map[string]string{
+		"": "",
+		"min_ts=10&max_ts=20&cores=0,1&categories=2,+3&tids=7,8,9": "(((((time >= 10) && (time <= 20)) && (core in (0, 1))) && (category in (2, 3))) && (tid in (7, 8, 9)))",
+		"min_stamp=5":             "(stamp >= 5)",
+		"max_stamp=9&min_stamp=0": "(stamp <= 9)",
+		"max_stamp=0&max_ts=0":    "",
+		"q=core+%3D%3D+1":         "(core == 1)",
+		"q=core+%3D%3D+1+%7C+count()&tids=4&min_stamp=2": "(((stamp >= 2) && (tid in (4))) && (core == 1)) | count()",
+		"q=%7C+rate(1ms)&cores=3":                        "(core in (3)) | rate(1000000ns)",
+		"limit=5&workers=2&format=csv":                   "", // not filter parameters
+	} {
+		q, err := parse(raw)
+		if err != nil {
+			t.Errorf("ParseParams(%q): %v", raw, err)
+			continue
+		}
+		if got := q.String(); got != want {
+			t.Errorf("ParseParams(%q) = %s, want %s", raw, got, want)
+		}
+	}
+	for _, bad := range []string{
+		"min_ts=banana",
+		"max_ts=-1",
+		"cores=256",
+		"categories=1,,2",
+		"tids=4294967296",
+		"min_ts=5&max_ts=4",
+		"min_stamp=5&max_stamp=4",
+		"q=core+%3D+1",
+		"q=tid+in+(1",
+		"tids=" + strings.Repeat("1,", MaxInList) + "1",
+		"cores=" + strings.Repeat(",", 1<<16),
+	} {
+		if _, err := parse(bad); err == nil {
+			t.Errorf("ParseParams(%q) accepted bad input", bad)
+		}
+	}
+	if q, err := parse("tids=" + strings.TrimSuffix(strings.Repeat("1,", MaxInList), ",")); err != nil || len(q.Filter.(*InList).Vals) != MaxInList {
+		t.Errorf("a %d-element list: %v", MaxInList, err)
 	}
 }

@@ -3,6 +3,7 @@ package btql
 import (
 	"bytes"
 	"math/bits"
+	"slices"
 )
 
 // Column-at-a-time evaluation. A columnar store holds a block of events
@@ -137,30 +138,10 @@ func (s *Selection) and(b bitmap) {
 	s.free = append(s.free, b)
 }
 
-// AndRange keeps the rows whose col value lies in [lo, hi].
-func (s *Selection) AndRange(col []uint64, lo, hi uint64) {
-	b := s.alloc()
-	selectRange(b, col, lo, hi)
-	s.and(b)
-}
-
-// AndSet keeps the rows whose col value is in set; with a non-nil dict
-// the column holds indices into it and set is over the dictionary's
-// values.
-func (s *Selection) AndSet(col, dict []uint8, set *[256]bool) {
-	b := s.alloc()
-	selectSet(b, col, dict, set)
-	s.and(b)
-}
-
 // selectRange sets dst to the rows with lo <= col[i] <= hi. The test is
 // one unsigned compare per row, and the loop has no data-dependent
 // branch.
 func selectRange[T uint32 | uint64](dst bitmap, col []T, lo, hi uint64) {
-	if lo > hi {
-		clear(dst)
-		return
-	}
 	width := hi - lo
 	for w := range dst {
 		var word uint64
@@ -199,74 +180,26 @@ func selectSet(dst bitmap, col, dict []uint8, set *[256]bool) {
 	}
 }
 
-// kernel is one node of a predicate compiled for column evaluation:
-// the expression node plus what its leaf loop needs, worked out once per
-// query rather than once per block.
-type kernel struct {
-	expr Expr
-	l, r *kernel // And, Or: both; Not: l
-	// A Cmp over a wide column (stamp, time, tid) is the range test
-	// lo <= x <= hi, negated for !=; lo > hi is the empty range.
-	lo, hi uint64
-	neg    bool
-	// A Cmp over a byte-wide column is a truth table over its values.
-	set [256]bool
-}
-
-func compileKernel(e Expr) *kernel {
-	k := &kernel{expr: e}
-	switch e := e.(type) {
-	case *And:
-		k.l, k.r = compileKernel(e.L), compileKernel(e.R)
-	case *Or:
-		k.l, k.r = compileKernel(e.L), compileKernel(e.R)
-	case *Not:
-		k.l = compileKernel(e.X)
-	case *Cmp:
-		switch e.Field {
-		case FCore, FCategory, FLevel:
-			for v := range k.set {
-				k.set[v] = cmpU64(uint64(v), e.Op, e.Val)
+// selectList sets dst to the rows whose col value is in vals, which is
+// sorted: a binary search per row.
+func selectList[T uint32 | uint64](dst bitmap, col []T, vals []uint64) {
+	for w := range dst {
+		var word uint64
+		for j, x := range col[w*64 : min(w*64+64, len(col))] {
+			if _, ok := slices.BinarySearch(vals, uint64(x)); ok {
+				word |= 1 << uint(j)
 			}
-		default:
-			k.lo, k.hi, k.neg = cmpRange(e.Op, e.Val)
 		}
-	}
-	return k
-}
-
-// cmpRange turns `x op v` into the range test lo <= x <= hi, negated
-// when neg is set.
-func cmpRange(op CmpOp, v uint64) (lo, hi uint64, neg bool) {
-	const top = ^uint64(0)
-	switch op {
-	case OpEq:
-		return v, v, false
-	case OpNe:
-		return v, v, true
-	case OpLt:
-		if v == 0 {
-			return 1, 0, false
-		}
-		return 0, v - 1, false
-	case OpLe:
-		return 0, v, false
-	case OpGt:
-		if v == top {
-			return 1, 0, false
-		}
-		return v + 1, top, false
-	default: // OpGe
-		return v, top, false
+		dst[w] = word
 	}
 }
 
 // Select ANDs the predicate into sel, one column of c at a time.
 func (p *Predicate) Select(c Columns, sel *Selection) {
-	if p.expr == nil || sel.may.empty() {
+	if p.kern == nil || sel.may.empty() {
 		return
 	}
-	yes, may := p.kern.eval(c, sel)
+	yes, may := p.kern.columns(c, sel)
 	for w := range may {
 		sel.yes[w] &= yes[w]
 		sel.may[w] &= may[w]
@@ -274,78 +207,77 @@ func (p *Predicate) Select(c Columns, sel *Selection) {
 	sel.free = append(sel.free, yes, may)
 }
 
-// eval returns the node's proven-match and not-proven-miss bitmaps over
-// c's rows, both owned by the caller (to be returned to s.free). And
-// and Or skip their right side, and so its columns, when the left side
-// has already settled every row.
-func (k *kernel) eval(c Columns, s *Selection) (yes, may bitmap) {
-	switch e := k.expr.(type) {
-	case *And:
-		yes, may = k.l.eval(c, s)
+// columns returns the node's proven-match and not-proven-miss bitmaps
+// over c's rows, both owned by the caller (to be returned to s.free).
+// And and Or skip their right side, and so its columns, when the left
+// side has already settled every row.
+func (k *kernel) columns(c Columns, s *Selection) (yes, may bitmap) {
+	switch k.op {
+	case kAnd:
+		yes, may = k.l.columns(c, s)
 		if may.empty() {
 			return yes, may
 		}
-		ry, rm := k.r.eval(c, s)
+		ry, rm := k.r.columns(c, s)
 		for w := range may {
 			yes[w] &= ry[w]
 			may[w] &= rm[w]
 		}
 		s.free = append(s.free, ry, rm)
 		return yes, may
-	case *Or:
-		yes, may = k.l.eval(c, s)
+	case kOr:
+		yes, may = k.l.columns(c, s)
 		if yes.full(s.n) {
 			return yes, may
 		}
-		ry, rm := k.r.eval(c, s)
+		ry, rm := k.r.columns(c, s)
 		for w := range may {
 			yes[w] |= ry[w]
 			may[w] |= rm[w]
 		}
 		s.free = append(s.free, ry, rm)
 		return yes, may
-	case *Not:
+	case kNot:
 		// A negation flips proofs and leaves doubt alone.
-		may, yes = k.l.eval(c, s)
+		may, yes = k.l.columns(c, s)
 		for w := range may {
 			yes[w], may[w] = ^yes[w], ^may[w]
 		}
 		yes.trim(s.n)
 		may.trim(s.n)
 		return yes, may
-	case *Cmp:
-		yes, may = s.alloc(), s.alloc()
-		switch evalMeta(e, c.Summary()) {
-		case triYes:
-			yes.fill(s.n)
-		case triNo:
-			clear(yes)
-		default:
-			k.compare(e.Field, c, yes, s.n)
-		}
-		copy(may, yes)
-		return yes, may
-	default: // PayloadMatch: nothing is known until a payload is read
+	case kPayload: // nothing is known until a payload is read
 		yes, may = s.alloc(), s.alloc()
 		clear(yes)
 		may.fill(s.n)
 		return yes, may
 	}
+	// A leaf the block's summary decides does not ask for its column.
+	yes, may = s.alloc(), s.alloc()
+	switch k.meta(c.Summary()) {
+	case triYes:
+		yes.fill(s.n)
+	case triNo:
+		clear(yes)
+	default:
+		k.compare(c, yes, s.n)
+	}
+	copy(may, yes)
+	return yes, may
 }
 
 // compare is the leaf loop: one pass over the one column the leaf names.
-func (k *kernel) compare(f Field, c Columns, dst bitmap, n int) {
-	switch f {
+func (k *kernel) compare(c Columns, dst bitmap, n int) {
+	switch k.field {
 	case FStamp:
-		selectRange(dst, c.Stamps(), k.lo, k.hi)
+		selectWide(dst, c.Stamps(), k)
 	case FTime:
-		selectRange(dst, c.Times(), k.lo, k.hi)
+		selectWide(dst, c.Times(), k)
 	case FTID:
-		selectRange(dst, c.TIDs(), k.lo, k.hi)
+		selectWide(dst, c.TIDs(), k)
 	default:
-		col, dict := c.Bytes(f)
+		col, dict := c.Bytes(k.field)
 		selectSet(dst, col, dict, &k.set)
-		return
 	}
 	if k.neg {
 		for w := range dst {
@@ -355,40 +287,46 @@ func (k *kernel) compare(f Field, c Columns, dst bitmap, n int) {
 	}
 }
 
+func selectWide[T uint32 | uint64](dst bitmap, col []T, k *kernel) {
+	if k.op == kList {
+		selectList(dst, col, k.vals)
+	} else {
+		selectRange(dst, col, k.lo, k.hi)
+	}
+}
+
 // MatchRow evaluates the predicate exactly on row i of c, whose payload
 // the caller supplies: the second look at a row Select left unsure.
 func (p *Predicate) MatchRow(c Columns, i int32, payload []byte) bool {
-	return p.expr == nil || evalRow(p.expr, c, i, payload)
+	return p.kern == nil || p.kern.row(c, i, payload)
 }
 
-func evalRow(e Expr, c Columns, i int32, payload []byte) bool {
-	switch e := e.(type) {
-	case *And:
-		return evalRow(e.L, c, i, payload) && evalRow(e.R, c, i, payload)
-	case *Or:
-		return evalRow(e.L, c, i, payload) || evalRow(e.R, c, i, payload)
-	case *Not:
-		return !evalRow(e.X, c, i, payload)
-	case *Cmp:
-		var x uint64
-		switch e.Field {
-		case FStamp:
-			x = c.Stamps()[i]
-		case FTime:
-			x = c.Times()[i]
-		case FTID:
-			x = uint64(c.TIDs()[i])
-		default:
-			col, dict := c.Bytes(e.Field)
-			if x = uint64(col[i]); dict != nil {
-				x = uint64(dict[col[i]])
-			}
-		}
-		return cmpU64(x, e.Op, e.Val)
-	case *PayloadMatch:
-		return e.match(payload)
+func (k *kernel) row(c Columns, i int32, payload []byte) bool {
+	switch k.op {
+	case kAnd:
+		return k.l.row(c, i, payload) && k.r.row(c, i, payload)
+	case kOr:
+		return k.l.row(c, i, payload) || k.r.row(c, i, payload)
+	case kNot:
+		return !k.l.row(c, i, payload)
+	case kPayload:
+		return k.pm.match(payload)
 	}
-	return false
+	var x uint64
+	switch k.field {
+	case FStamp:
+		x = c.Stamps()[i]
+	case FTime:
+		x = c.Times()[i]
+	case FTID:
+		x = uint64(c.TIDs()[i])
+	default:
+		col, dict := c.Bytes(k.field)
+		if x = uint64(col[i]); dict != nil {
+			x = uint64(dict[col[i]])
+		}
+	}
+	return k.test(x)
 }
 
 func (e *PayloadMatch) match(payload []byte) bool {

@@ -63,10 +63,53 @@ func columnsOf(es []tracer.Entry, summarise bool) *sliceCols {
 	return c
 }
 
-// TestSelectMatchesHeaderEvaluation: Select is evalHeader by column.
-// Row for row, may is "not proven to miss", yes is "proven to match",
-// and MatchRow settles the rest the way Match does — for blocks of
-// every size around a word boundary, with and without a summary.
+// The reference the compiled kernels are held to: the expression tree
+// walked node by node, one comparison at a time — the evaluators Match
+// and MatchHeader used to be.
+
+func refMatch(e Expr, ev *tracer.Entry) bool { return refEval(e, ev, true) == triYes }
+
+// refEval is tri-state so that without the payload (exact unset) a
+// payload match is a maybe and a negation leaves it one.
+func refEval(e Expr, ev *tracer.Entry, exact bool) tri {
+	switch e := e.(type) {
+	case nil:
+		return triYes
+	case *And:
+		return triAnd(refEval(e.L, ev, exact), refEval(e.R, ev, exact))
+	case *Or:
+		return triOr(refEval(e.L, ev, exact), refEval(e.R, ev, exact))
+	case *Not:
+		return triNot(refEval(e.X, ev, exact))
+	case *Cmp:
+		return triBool(cmpU64(refField(e.Field, ev), e.Op, e.Val))
+	case *InList:
+		for _, v := range e.Vals {
+			if refField(e.Field, ev) == v {
+				return triYes
+			}
+		}
+		return triNo
+	case *PayloadMatch:
+		if !exact {
+			return triMaybe
+		}
+		return triBool(e.match(ev.Payload))
+	}
+	panic("unknown node")
+}
+
+func refField(f Field, ev *tracer.Entry) uint64 {
+	return [...]uint64{FStamp: ev.Stamp, FTime: ev.TS, FCore: uint64(ev.Core), FTID: uint64(ev.TID),
+		FCategory: uint64(ev.Category), FLevel: uint64(ev.Level)}[f]
+}
+
+// TestSelectMatchesHeaderEvaluation: Select is header evaluation by
+// column. Row for row, may is "not proven to miss", yes is "proven to
+// match", and MatchRow settles the rest the way Match does — for blocks
+// of every size around a word boundary, with and without a summary —
+// and Match, MatchHeader and MatchRow are what walking the expression
+// says.
 func TestSelectMatchesHeaderEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var randExpr func(depth int) Expr
@@ -84,7 +127,14 @@ func TestSelectMatchesHeaderEvaluation(t *testing.T) {
 		if rng.Intn(5) == 0 {
 			return &PayloadMatch{Prefix: rng.Intn(2) == 0, Needle: "ab"}
 		}
-		vals := []uint64{0, 1, 2, 3, 4, 63, 64, 200, 255, 256, 70_000, 1 << 40, ^uint64(0)}
+		vals := []uint64{0, 1, 2, 3, 4, 63, 64, 200, 255, 256, 35_000, 70_000, 1 << 40, 2 << 40, ^uint64(0)}
+		if rng.Intn(3) == 0 {
+			in := &InList{Field: Field(rng.Intn(6)), Vals: make([]uint64, rng.Intn(5))}
+			for i := range in.Vals {
+				in.Vals[i] = vals[rng.Intn(len(vals))]
+			}
+			return in
+		}
 		return &Cmp{Field: Field(rng.Intn(6)), Op: CmpOp(rng.Intn(6)), Val: vals[rng.Intn(len(vals))]}
 	}
 	for round := 0; round < 300; round++ {
@@ -110,7 +160,13 @@ func TestSelectMatchesHeaderEvaluation(t *testing.T) {
 		rows := sel.Rows(nil)
 		for i := range es {
 			e := &es[i]
-			h := evalHeader(p.expr, e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level)
+			h := refEval(p.expr, e, false)
+			if p.MatchHeader(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level) != (h != triNo) {
+				t.Fatalf("round %d, %v, %+v: MatchHeader disagrees with the expression (%d)", round, p.expr, e, h)
+			}
+			if got := p.MatchRow(c, int32(i), e.Payload); got != refMatch(p.expr, e) || got != p.Match(e) {
+				t.Fatalf("round %d, %v, row %d (%+v): MatchRow %v, Match %v, the expression %v", round, p.expr, i, e, got, p.Match(e), refMatch(p.expr, e))
+			}
 			selected := len(rows) > 0 && rows[0] == int32(i)
 			if selected {
 				rows = rows[1:]

@@ -1,6 +1,10 @@
 package btql
 
-import "btrace/internal/tracer"
+import (
+	"slices"
+
+	"btrace/internal/tracer"
+)
 
 // Meta summarizes a file or block for pruning. The store fills it from
 // segment headers (row tier) or v2 block headers (cold tier); zero-valued
@@ -14,52 +18,85 @@ type Meta struct {
 	// TID summaries exist only for v2 cold blocks.
 	HasTID         bool
 	MinTID, MaxTID uint32
-	// TIDMay reports whether a TID may be present (bloom filter probe).
-	// nil means no membership information beyond the min/max range.
-	TIDMay func(uint32) bool
+	// TIDs reports whether a TID may be present (a bloom filter probe:
+	// false is a proof of absence). nil means no membership information
+	// beyond the min/max range.
+	TIDs interface{ MayContainTID(uint32) bool }
+}
+
+// hull returns the range of values the summary allows for wide field f;
+// ok is false when it has none to prune on (no TID summary, or a
+// malformed one).
+func (m *Meta) hull(f Field) (lo, hi uint64, ok bool) {
+	switch f {
+	case FStamp:
+		lo, hi = m.MinStamp, m.MaxStamp
+	case FTime:
+		lo, hi = m.MinTS, m.MaxTS
+	default: // FTID
+		if !m.HasTID {
+			return 0, 0, false
+		}
+		lo, hi = uint64(m.MinTID), uint64(m.MaxTID)
+	}
+	return lo, hi, lo <= hi
+}
+
+// lacksTID is the bloom veto: TID v, a value inside the hull, is provably
+// not among the summarized events.
+func (m *Meta) lacksTID(f Field, v uint64) bool {
+	return f == FTID && m.TIDs != nil && !m.TIDs.MayContainTID(uint32(v))
 }
 
 // Predicate is a compiled filter. It is immutable and safe for concurrent
 // use by any number of cursors.
 type Predicate struct {
-	expr         Expr    // nil matches everything
-	kern         *kernel // expr compiled for column evaluation (columns.go)
+	expr Expr    // nil matches everything
+	kern *kernel // expr compiled; every fidelity evaluates this
+	// conj is kern's top-level && chain, flattened: the per-event
+	// fidelities are one loop over it that stops at the first miss.
+	conj         []*kernel
 	needsPayload bool
-
-	// Extracted hulls and value masks, for folding into store.Query so the
-	// existing segment/sparse-index pruning benefits from BTQL bounds even
-	// before MatchMeta runs. Max bounds of ^uint64(0) mean unbounded.
+	// minStamp/maxStamp is the stamp hull; ^uint64(0) is unbounded above.
 	minStamp, maxStamp uint64
-	minTS, maxTS       uint64
-	coreMask, catMask  uint64 // bit min(v,63); ^uint64(0) = unconstrained
 }
 
 // Compile lowers a filter expression to a Predicate. A nil expression
 // compiles to the match-all predicate.
 func Compile(e Expr) *Predicate {
-	p := &Predicate{
-		expr:     e,
-		maxStamp: ^uint64(0), maxTS: ^uint64(0),
-		coreMask: ^uint64(0), catMask: ^uint64(0),
-	}
+	p := &Predicate{expr: e, maxStamp: ^uint64(0)}
 	if e == nil {
 		return p
 	}
 	p.kern = compileKernel(e)
-	p.needsPayload = needsPayload(e)
-	p.minStamp, p.maxStamp = boundsOf(e, FStamp)
-	p.minTS, p.maxTS = boundsOf(e, FTime)
-	if s := valueSet(e, FCore); s != nil {
-		p.coreMask = maskOf(s)
-	}
-	if s := valueSet(e, FCategory); s != nil {
-		p.catMask = maskOf(s)
-	}
+	p.conj = p.kern.conjuncts(nil)
+	p.needsPayload = p.kern.needsPayload()
+	p.minStamp, p.maxStamp = p.kern.bounds(FStamp)
 	return p
 }
 
 // Predicate compiles q's filter stage.
 func (q *Query) Predicate() *Predicate { return Compile(q.Filter) }
+
+// Expr returns the filter p was compiled from; nil, the match-all
+// filter, for a nil p too.
+func (p *Predicate) Expr() Expr {
+	if p == nil {
+		return nil
+	}
+	return p.expr
+}
+
+// Narrow returns the predicate of p's filter ANDed behind es: how a
+// request's field form and its ?q= become the one predicate evaluated.
+// p may be nil, and is returned as it is when es adds nothing.
+func (p *Predicate) Narrow(es ...Expr) *Predicate {
+	fields := AllOf(es...)
+	if fields == nil && p != nil {
+		return p
+	}
+	return Compile(AllOf(fields, p.Expr()))
+}
 
 // NeedsPayload reports whether exact evaluation requires the event payload.
 func (p *Predicate) NeedsPayload() bool { return p.needsPayload }
@@ -68,91 +105,181 @@ func (p *Predicate) NeedsPayload() bool { return p.needsPayload }
 // (hi == ^uint64(0) means unbounded above).
 func (p *Predicate) StampBounds() (lo, hi uint64) { return p.minStamp, p.maxStamp }
 
-// TimeBounds returns the [lo, hi] hull for event timestamps.
-func (p *Predicate) TimeBounds() (lo, hi uint64) { return p.minTS, p.maxTS }
+// Match evaluates the predicate exactly against a full entry. (Split so
+// that it inlines: match-all, what a live subscriber without a filter
+// holds, then costs its caller a length check per event.)
+func (p *Predicate) Match(e *tracer.Entry) bool { return len(p.conj) == 0 || p.matchEntry(e) }
 
-// CoreMask returns the presence-bitmap mask of cores the predicate can
-// match (bit min(core,63)); ^uint64(0) when unconstrained.
-func (p *Predicate) CoreMask() uint64 { return p.coreMask }
-
-// CatMask is CoreMask for categories.
-func (p *Predicate) CatMask() uint64 { return p.catMask }
-
-// Match evaluates the predicate exactly against a full entry.
-func (p *Predicate) Match(e *tracer.Entry) bool {
-	if p.expr == nil {
-		return true
-	}
-	return evalEntry(p.expr, e)
+// matchEntry is the header test and, for a predicate with payload
+// matches, the exact walk behind it.
+func (p *Predicate) matchEntry(e *tracer.Entry) bool {
+	return p.MatchHeader(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level) && (!p.needsPayload ||
+		p.kern.event(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level, e.Payload, true) == triYes)
 }
 
 // MatchHeader evaluates against header fields only. Payload predicates
 // evaluate to "maybe" (true), so a false return is exact ("provably no")
 // while true may still need a payload re-check when NeedsPayload.
+//
+// It is one flat loop over the conjuncts. It runs per row of a hot-tier
+// scan and per admitted event per live subscriber, so a conjunct that
+// is a leaf — what the field form of a request lowers to — is tested in
+// line, on what the kernel precomputed, without a call; ||, ! and
+// payload matches take the tri-state walk.
 func (p *Predicate) MatchHeader(stamp, ts uint64, core uint8, tid uint32, cat, level uint8) bool {
-	if p.expr == nil {
-		return true
+	for _, k := range p.conj {
+		x := headerField(k.field, stamp, ts, core, tid, cat, level)
+		var ok bool
+		switch k.op {
+		case kRange:
+			ok = (x-k.lo <= k.hi-k.lo) != k.neg
+		case kSet:
+			ok = k.set[uint8(x)]
+		case kList:
+			_, ok = slices.BinarySearch(k.vals, x)
+		default:
+			ok = k.event(stamp, ts, core, tid, cat, level, nil, false) != triNo
+		}
+		if !ok {
+			return false
+		}
 	}
-	return evalHeader(p.expr, stamp, ts, core, tid, cat, level) != triNo
+	return true
+}
+
+// headerField picks field f out of one event's header.
+func headerField(f Field, stamp, ts uint64, core uint8, tid uint32, cat, level uint8) uint64 {
+	switch f {
+	case FStamp:
+		return stamp
+	case FTime:
+		return ts
+	case FCore:
+		return uint64(core)
+	case FTID:
+		return uint64(tid)
+	case FCategory:
+		return uint64(cat)
+	default:
+		return uint64(level)
+	}
 }
 
 // MatchMeta evaluates against a file/block summary. False means the
 // summarized range provably contains no matching event and can be skipped.
+// Like MatchHeader it stops at the first conjunct that says so: a
+// window query meets most of a block directory only to veto it on the
+// stamp hull.
 func (p *Predicate) MatchMeta(m *Meta) bool {
-	if p.expr == nil {
-		return true
+	for _, k := range p.conj {
+		if k.meta(m) == triNo {
+			return false
+		}
 	}
-	return evalMeta(p.expr, m) != triNo
+	return true
 }
 
-func needsPayload(e Expr) bool {
+// tri is a three-valued truth: triNo is a proof of non-match, triYes a
+// proof of match, triMaybe neither. The distinction keeps Not sound: a
+// negation only flips proofs, never guesses. The values are ordered so
+// that && is the minimum, || the maximum and ! the reflection.
+type tri uint8
+
+const (
+	triNo tri = iota
+	triMaybe
+	triYes
+)
+
+func triNot(t tri) tri { return triYes - t }
+
+func triAnd(a, b tri) tri { return min(a, b) }
+
+func triOr(a, b tri) tri { return max(a, b) }
+
+func triBool(b bool) tri {
+	if b {
+		return triYes
+	}
+	return triNo
+}
+
+// kop is what a kernel node does.
+type kop uint8
+
+const (
+	kAnd kop = iota
+	kOr
+	kNot
+	kPayload // payload contains/prefix
+	kRange   // Cmp over a wide field (stamp, time, tid)
+	kSet     // Cmp or InList over a byte-wide field (core, category, level)
+	kList    // InList over a wide field
+)
+
+// kernel is one node of a compiled predicate: the expression node with
+// what evaluating it needs — per event, per column and per summary —
+// worked out once per query.
+type kernel struct {
+	op    kop
+	l, r  *kernel       // kAnd, kOr: both; kNot: l
+	pm    *PayloadMatch // kPayload
+	field Field         // leaves: the field tested
+	// kRange is the test lo <= x <= hi, negated when neg is set (!=, and
+	// the comparisons nothing satisfies: the negated full range).
+	lo, hi uint64
+	neg    bool
+	// kSet is a truth table over the field's values. any and all are
+	// the table as a summary's presence bitmap sees it (bit min(v,63)):
+	// the bits some value of passes under, and those every value does.
+	set      [256]bool
+	any, all uint64
+	// kList is membership in vals, sorted and without duplicates.
+	vals []uint64
+}
+
+func compileKernel(e Expr) *kernel {
 	switch e := e.(type) {
 	case *And:
-		return needsPayload(e.L) || needsPayload(e.R)
+		return &kernel{op: kAnd, l: compileKernel(e.L), r: compileKernel(e.R)}
 	case *Or:
-		return needsPayload(e.L) || needsPayload(e.R)
+		return &kernel{op: kOr, l: compileKernel(e.L), r: compileKernel(e.R)}
 	case *Not:
-		return needsPayload(e.X)
+		return &kernel{op: kNot, l: compileKernel(e.X)}
 	case *PayloadMatch:
-		return true
-	default:
-		return false
-	}
-}
-
-// ---- exact evaluation ----
-
-func evalEntry(e Expr, ev *tracer.Entry) bool {
-	switch e := e.(type) {
-	case *And:
-		return evalEntry(e.L, ev) && evalEntry(e.R, ev)
-	case *Or:
-		return evalEntry(e.L, ev) || evalEntry(e.R, ev)
-	case *Not:
-		return !evalEntry(e.X, ev)
+		return &kernel{op: kPayload, pm: e}
 	case *Cmp:
-		return cmpU64(fieldValue(e.Field, ev), e.Op, e.Val)
-	case *PayloadMatch:
-		return e.match(ev.Payload)
+		if byteWide(e.Field) {
+			return setKernel(e.Field, func(v uint64) bool { return cmpU64(v, e.Op, e.Val) })
+		}
+		k := &kernel{op: kRange, field: e.Field}
+		k.lo, k.hi, k.neg = cmpRange(e.Op, e.Val)
+		return k
+	case *InList:
+		vals := slices.Clone(e.Vals)
+		slices.Sort(vals)
+		vals = slices.Compact(vals)
+		if byteWide(e.Field) {
+			return setKernel(e.Field, func(v uint64) bool { _, ok := slices.BinarySearch(vals, v); return ok })
+		}
+		return &kernel{op: kList, field: e.Field, vals: vals}
 	}
-	return false
+	panic("btql: unknown expression node")
 }
 
-func fieldValue(f Field, ev *tracer.Entry) uint64 {
-	switch f {
-	case FStamp:
-		return ev.Stamp
-	case FTime:
-		return ev.TS
-	case FCore:
-		return uint64(ev.Core)
-	case FTID:
-		return uint64(ev.TID)
-	case FCategory:
-		return uint64(ev.Category)
-	default: // FLevel
-		return uint64(ev.Level)
+func byteWide(f Field) bool { return f == FCore || f == FCategory || f == FLevel }
+
+func setKernel(f Field, in func(uint64) bool) *kernel {
+	k := &kernel{op: kSet, field: f, all: ^uint64(0)}
+	for v := range k.set {
+		k.set[v] = in(uint64(v))
+		if bit := uint64(1) << min(v, 63); k.set[v] {
+			k.any |= bit
+		} else {
+			k.all &^= bit
+		}
 	}
+	return k
 }
 
 func cmpU64(x uint64, op CmpOp, v uint64) bool {
@@ -172,316 +299,168 @@ func cmpU64(x uint64, op CmpOp, v uint64) bool {
 	}
 }
 
-// ---- tri-state evaluation (header and metadata fidelities) ----
-
-// tri is a three-valued truth: triNo is a proof of non-match, triYes a
-// proof of match, triMaybe neither. The distinction keeps Not sound: a
-// negation only flips proofs, never guesses.
-type tri uint8
-
-const (
-	triNo tri = iota
-	triMaybe
-	triYes
-)
-
-func triNot(t tri) tri {
-	switch t {
-	case triNo:
-		return triYes
-	case triYes:
-		return triNo
-	default:
-		return triMaybe
-	}
-}
-
-func triAnd(a, b tri) tri {
-	if a == triNo || b == triNo {
-		return triNo
-	}
-	if a == triYes && b == triYes {
-		return triYes
-	}
-	return triMaybe
-}
-
-func triOr(a, b tri) tri {
-	if a == triYes || b == triYes {
-		return triYes
-	}
-	if a == triNo && b == triNo {
-		return triNo
-	}
-	return triMaybe
-}
-
-func triBool(b bool) tri {
-	if b {
-		return triYes
-	}
-	return triNo
-}
-
-func evalHeader(e Expr, stamp, ts uint64, core uint8, tid uint32, cat, level uint8) tri {
-	switch e := e.(type) {
-	case *And:
-		return triAnd(evalHeader(e.L, stamp, ts, core, tid, cat, level),
-			evalHeader(e.R, stamp, ts, core, tid, cat, level))
-	case *Or:
-		return triOr(evalHeader(e.L, stamp, ts, core, tid, cat, level),
-			evalHeader(e.R, stamp, ts, core, tid, cat, level))
-	case *Not:
-		return triNot(evalHeader(e.X, stamp, ts, core, tid, cat, level))
-	case *Cmp:
-		var x uint64
-		switch e.Field {
-		case FStamp:
-			x = stamp
-		case FTime:
-			x = ts
-		case FCore:
-			x = uint64(core)
-		case FTID:
-			x = uint64(tid)
-		case FCategory:
-			x = uint64(cat)
-		default:
-			x = uint64(level)
-		}
-		return triBool(cmpU64(x, e.Op, e.Val))
-	case *PayloadMatch:
-		return triMaybe
-	}
-	return triMaybe
-}
-
-func evalMeta(e Expr, m *Meta) tri {
-	switch e := e.(type) {
-	case *And:
-		return triAnd(evalMeta(e.L, m), evalMeta(e.R, m))
-	case *Or:
-		return triOr(evalMeta(e.L, m), evalMeta(e.R, m))
-	case *Not:
-		return triNot(evalMeta(e.X, m))
-	case *Cmp:
-		switch e.Field {
-		case FStamp:
-			return rangeTri(m.MinStamp, m.MaxStamp, e.Op, e.Val)
-		case FTime:
-			return rangeTri(m.MinTS, m.MaxTS, e.Op, e.Val)
-		case FCore:
-			return bitsTri(m.CoreBits, e.Op, e.Val)
-		case FCategory:
-			return bitsTri(m.CatBits, e.Op, e.Val)
-		case FTID:
-			if !m.HasTID {
-				return triMaybe
-			}
-			t := rangeTri(uint64(m.MinTID), uint64(m.MaxTID), e.Op, e.Val)
-			// The bloom can veto equality probes the range alone can't.
-			if t != triNo && e.Op == OpEq && m.TIDMay != nil &&
-				e.Val <= uint64(^uint32(0)) && !m.TIDMay(uint32(e.Val)) {
-				return triNo
-			}
-			return t
-		default: // FLevel: no summary kept
-			return triMaybe
-		}
-	case *PayloadMatch:
-		return triMaybe
-	}
-	return triMaybe
-}
-
-// rangeTri evaluates `x op v` over all x in [lo, hi]: triYes if every value
-// satisfies it, triNo if none does.
-func rangeTri(lo, hi uint64, op CmpOp, v uint64) tri {
-	if lo > hi {
-		return triMaybe // malformed/unknown summary: never prune on it
-	}
-	var any, all bool
+// cmpRange turns `x op v` into the range test lo <= x <= hi, negated
+// when neg is set.
+func cmpRange(op CmpOp, v uint64) (lo, hi uint64, neg bool) {
+	const top = ^uint64(0)
 	switch op {
 	case OpEq:
-		any = lo <= v && v <= hi
-		all = lo == v && hi == v
+		return v, v, false
 	case OpNe:
-		any = !(lo == v && hi == v)
-		all = v < lo || v > hi
+		return v, v, true
 	case OpLt:
-		any = lo < v
-		all = hi < v
+		if v == 0 {
+			return 0, top, true
+		}
+		return 0, v - 1, false
 	case OpLe:
-		any = lo <= v
-		all = hi <= v
+		return 0, v, false
 	case OpGt:
-		any = hi > v
-		all = lo > v
+		if v == top {
+			return 0, top, true
+		}
+		return v + 1, top, false
 	default: // OpGe
-		any = hi >= v
-		all = lo >= v
+		return v, top, false
 	}
-	if !any {
-		return triNo
-	}
-	if all {
-		return triYes
-	}
-	return triMaybe
 }
 
-// bitsTri evaluates a comparison over a presence bitmap where bit b<63
-// asserts value b is present and bit 63 asserts some value in [63,255] is.
-func bitsTri(bits uint64, op CmpOp, v uint64) tri {
-	if bits == 0 {
-		return triMaybe // no summary
+// conjuncts appends the operands of k's top-level && chain to dst.
+func (k *kernel) conjuncts(dst []*kernel) []*kernel {
+	if k.op != kAnd {
+		return append(dst, k)
 	}
-	var any, all bool
-	all = true
-	for b := uint(0); b < 64; b++ {
-		if bits&(1<<b) == 0 {
-			continue
-		}
-		var sAny, sAll bool
-		if b < 63 {
-			sAny = cmpU64(uint64(b), op, v)
-			sAll = sAny
-		} else {
-			// Bit 63 covers values 63..255.
-			switch rangeTri(63, 255, op, v) {
-			case triYes:
-				sAny, sAll = true, true
-			case triNo:
-				sAny, sAll = false, false
-			default:
-				sAny, sAll = true, false
-			}
-		}
-		any = any || sAny
-		all = all && sAll
-	}
-	if !any {
-		return triNo
-	}
-	if all {
-		return triYes
-	}
-	return triMaybe
+	return k.r.conjuncts(k.l.conjuncts(dst))
 }
 
-// ---- bounds and value-set extraction ----
+func (k *kernel) needsPayload() bool {
+	return k != nil && (k.op == kPayload || k.l.needsPayload() || k.r.needsPayload())
+}
 
-// boundsOf returns the hull [lo, hi] of values field f can take under e.
-// Unconstrained sides come back as 0 / ^uint64(0).
-func boundsOf(e Expr, f Field) (lo, hi uint64) {
-	switch e := e.(type) {
-	case *And:
-		l1, h1 := boundsOf(e.L, f)
-		l2, h2 := boundsOf(e.R, f)
-		lo, hi = max64(l1, l2), min64(h1, h2)
-		if lo > hi { // contradictory: collapse to an empty probe point
-			return lo, lo
+// bounds returns the hull [lo, hi] of values wide field f can take under
+// k. Unconstrained sides come back as 0 / ^uint64(0).
+func (k *kernel) bounds(f Field) (lo, hi uint64) {
+	switch {
+	case k.op == kAnd:
+		l1, h1 := k.l.bounds(f)
+		l2, h2 := k.r.bounds(f)
+		if lo, hi = max(l1, l2), min(h1, h2); lo > hi {
+			return lo, lo // contradictory: collapse to an empty probe point
 		}
 		return lo, hi
-	case *Or:
-		l1, h1 := boundsOf(e.L, f)
-		l2, h2 := boundsOf(e.R, f)
-		return min64(l1, l2), max64(h1, h2)
-	case *Cmp:
-		if e.Field != f {
-			return 0, ^uint64(0)
-		}
-		switch e.Op {
-		case OpEq:
-			return e.Val, e.Val
-		case OpLt:
-			if e.Val == 0 {
-				return 0, 0 // unsatisfiable; [0,0] is still sound
-			}
-			return 0, e.Val - 1
-		case OpLe:
-			return 0, e.Val
-		case OpGt:
-			if e.Val == ^uint64(0) {
-				return e.Val, e.Val
-			}
-			return e.Val + 1, ^uint64(0)
-		case OpGe:
-			return e.Val, ^uint64(0)
-		default: // OpNe constrains nothing hull-wise
-			return 0, ^uint64(0)
-		}
-	default: // Not, PayloadMatch: conservative
+	case k.op == kOr:
+		l1, h1 := k.l.bounds(f)
+		l2, h2 := k.r.bounds(f)
+		return min(l1, l2), max(h1, h2)
+	case k.op == kRange && k.field == f && !k.neg:
+		return k.lo, k.hi
+	case k.op == kList && k.field == f && len(k.vals) > 0:
+		return k.vals[0], k.vals[len(k.vals)-1]
+	default: // Not, negated ranges, other fields: conservative
 		return 0, ^uint64(0)
 	}
 }
 
-// valueSet returns the set of byte values f may take under e, or nil when
-// unconstrained. Sound for pruning: the true match set is a subset.
-func valueSet(e Expr, f Field) *[256]bool {
-	switch e := e.(type) {
-	case *And:
-		l, r := valueSet(e.L, f), valueSet(e.R, f)
-		if l == nil {
-			return r
+// event is the truth of k on one event. With exact unset the payload is
+// not there to look at and a payload match is a maybe; with it set the
+// result never is one.
+func (k *kernel) event(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte, exact bool) tri {
+	switch k.op {
+	case kAnd:
+		if l := k.l.event(stamp, ts, core, tid, cat, level, payload, exact); l != triNo {
+			return triAnd(l, k.r.event(stamp, ts, core, tid, cat, level, payload, exact))
 		}
-		if r == nil {
-			return l
+		return triNo
+	case kOr:
+		if l := k.l.event(stamp, ts, core, tid, cat, level, payload, exact); l != triYes {
+			return triOr(l, k.r.event(stamp, ts, core, tid, cat, level, payload, exact))
 		}
-		var s [256]bool
-		for i := range s {
-			s[i] = l[i] && r[i]
+		return triYes
+	case kNot:
+		return triNot(k.l.event(stamp, ts, core, tid, cat, level, payload, exact))
+	case kPayload:
+		if !exact {
+			return triMaybe
 		}
-		return &s
-	case *Or:
-		l, r := valueSet(e.L, f), valueSet(e.R, f)
-		if l == nil || r == nil {
-			return nil
-		}
-		var s [256]bool
-		for i := range s {
-			s[i] = l[i] || r[i]
-		}
-		return &s
-	case *Cmp:
-		if e.Field != f {
-			return nil
-		}
-		var s [256]bool
-		for i := range s {
-			s[i] = cmpU64(uint64(i), e.Op, e.Val)
-		}
-		return &s
-	default: // Not, PayloadMatch: conservative
-		return nil
+		return triBool(k.pm.match(payload))
+	}
+	return triBool(k.test(headerField(k.field, stamp, ts, core, tid, cat, level)))
+}
+
+// test is leaf k on one value of its field.
+func (k *kernel) test(x uint64) bool {
+	switch k.op {
+	case kSet:
+		return k.set[uint8(x)]
+	case kList:
+		_, ok := slices.BinarySearch(k.vals, x)
+		return ok
+	default: // kRange
+		return (x-k.lo <= k.hi-k.lo) != k.neg
 	}
 }
 
-// maskOf collapses a byte-value set to the store's bit-min(v,63) bitmap.
-func maskOf(s *[256]bool) uint64 {
-	var m uint64
-	for v := 0; v < 256; v++ {
-		if s[v] {
-			b := v
-			if b > 63 {
-				b = 63
+// meta is the truth of k over every event a summary covers: triYes if
+// all of them satisfy it, triNo if none can.
+func (k *kernel) meta(m *Meta) tri {
+	switch k.op {
+	case kAnd:
+		return triAnd(k.l.meta(m), k.r.meta(m))
+	case kOr:
+		return triOr(k.l.meta(m), k.r.meta(m))
+	case kNot:
+		return triNot(k.l.meta(m))
+	case kSet:
+		bits := m.CatBits
+		if k.field == FCore {
+			bits = m.CoreBits
+		}
+		switch {
+		case bits == 0 || k.field == FLevel: // no summary kept
+		case bits&k.any == 0:
+			return triNo
+		case bits&^k.all == 0:
+			return triYes
+		}
+	case kRange:
+		lo, hi, ok := m.hull(k.field)
+		t := triMaybe
+		switch {
+		case !ok:
+			return triMaybe
+		case hi < k.lo || k.hi < lo:
+			t = triNo
+		case k.lo <= lo && hi <= k.hi:
+			t = triYes
+		case k.lo == k.hi && m.lacksTID(k.field, k.lo):
+			// The bloom can veto equality probes the range alone can't.
+			t = triNo
+		}
+		if k.neg {
+			t = triNot(t)
+		}
+		return t
+	case kList:
+		// Member by member: the hull vetoes those outside it, the bloom
+		// those inside.
+		lo, hi, ok := m.hull(k.field)
+		if !ok {
+			return triMaybe
+		}
+		i, _ := slices.BinarySearch(k.vals, lo)
+		for _, v := range k.vals[i:] {
+			if v > hi {
+				break
 			}
-			m |= 1 << uint(b)
+			if m.lacksTID(k.field, v) {
+				continue
+			}
+			if lo == hi {
+				return triYes
+			}
+			return triMaybe
 		}
+		return triNo
 	}
-	return m
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return triMaybe // kPayload, and summaries that do not decide
 }

@@ -2,7 +2,10 @@ package btql
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"btrace/internal/tracer"
 )
 
 // FuzzBTQLParse checks that Parse never panics on arbitrary input, and that
@@ -18,6 +21,11 @@ func FuzzBTQLParse(f *testing.F) {
 	f.Add(`payload prefix "\"\\\n"`)
 	f.Add("core == 18446744073709551615")
 	f.Add("")
+	f.Add("tid in (1)")
+	f.Add("core in (0,1,255)")
+	f.Add("tid in ()")
+	f.Add("tid in (" + strings.Repeat("7, ", 299) + "7)")
+	f.Add(`!(tid in (1,2)) || payload contains "x"`)
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := Parse(src)
 		if err != nil {
@@ -34,5 +42,6 @@ func FuzzBTQLParse(f *testing.F) {
 		p := Compile(q.Filter)
 		p.MatchMeta(&Meta{MinStamp: 0, MaxStamp: ^uint64(0), MaxTS: ^uint64(0)})
 		p.MatchHeader(1, 2, 3, 4, 5, 6)
+		p.Match(&tracer.Entry{Stamp: 1, TS: 2, Core: 3, TID: 4, Category: 5, Level: 6, Payload: []byte("x")})
 	})
 }

@@ -8,6 +8,7 @@ package btql
 //	andExpr  := unary ( '&&' unary )*
 //	unary    := '!' unary | '(' orExpr ')' | pred
 //	pred     := field cmpOp number
+//	          | field 'in' '(' ( number ( ',' number )* )? ')'
 //	          | 'payload' ('contains'|'prefix') string
 //	field    := 'stamp' | 'time' | 'core' | 'tid' | 'category' | 'level'
 //	cmpOp    := '==' | '!=' | '<' | '<=' | '>' | '>='
@@ -28,6 +29,10 @@ const (
 	// maxTopK bounds topk fan-out so one query cannot hold an unbounded
 	// value table.
 	maxTopK = 1024
+	// MaxInList bounds the members of an `in (…)` list and of a
+	// comma-list request parameter: a filter is a selection, not a
+	// payload.
+	MaxInList = 256
 )
 
 var fieldByName = map[string]Field{
@@ -199,6 +204,9 @@ func (p *parser) parsePred() (Expr, error) {
 		}
 		return &PayloadMatch{Prefix: prefix, Needle: needle}, nil
 	}
+	if p.tok.kind == tIdent && p.tok.text == "in" {
+		return p.parseInList(f)
+	}
 	var op CmpOp
 	switch p.tok.kind {
 	case tEq:
@@ -227,6 +235,42 @@ func (p *parser) parsePred() (Expr, error) {
 		return nil, err
 	}
 	return &Cmp{Field: f, Op: op, Val: v}, nil
+}
+
+// parseInList parses the `( v, … )` of `f in (…)`; the lookahead is the
+// `in`.
+func (p *parser) parseInList(f Field) (Expr, error) {
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	if p.tok.kind != tLParen {
+		return nil, errAt(p.tok.pos, "expected '(' after 'in'")
+	}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	e := &InList{Field: f}
+	for p.tok.kind != tRParen {
+		if len(e.Vals) > 0 {
+			if p.tok.kind != tComma {
+				return nil, errAt(p.tok.pos, "expected ',' or ')'")
+			}
+			if err := p.advance(); err != nil {
+				return nil, err
+			}
+		}
+		if p.tok.kind != tNumber {
+			return nil, errAt(p.tok.pos, "expected number")
+		}
+		if len(e.Vals) == MaxInList {
+			return nil, errAt(p.tok.pos, "in list longer than %d values", MaxInList)
+		}
+		e.Vals = append(e.Vals, p.tok.num)
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+	}
+	return e, p.advance()
 }
 
 func (p *parser) parseAgg() (*AggSpec, error) {

@@ -5,14 +5,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/url"
+	"strconv"
+	"strings"
 	"testing"
 
+	"btrace/internal/btql"
 	"btrace/internal/tracer"
 )
 
-// FuzzParseQuery throws arbitrary query strings at the /live parameter
-// parser: it must never panic, and every accepted filter must satisfy
-// its own invariants (bounded lists, ordered time window).
+// FuzzParseQuery throws arbitrary query strings at /live's parameter
+// surface — btql.ParseParams, the parser /store/query shares — and on
+// through what the handler does with the result: it must never panic,
+// an accepted parameter set must hold the parser's bounds (capped
+// lists, ordered windows), and the filter it compiles to must be safe
+// to subscribe with and publish through.
 func FuzzParseQuery(f *testing.F) {
 	f.Add("min_ts=10&max_ts=20&cores=0,1&categories=2,3&tids=7,8,9")
 	f.Add("cores=256")
@@ -20,25 +26,54 @@ func FuzzParseQuery(f *testing.F) {
 	f.Add("tids=" + string(make([]byte, 300)))
 	f.Add("categories=1,,2&min_ts=banana")
 	f.Add("%gh&%ij")
+	f.Add("q=tid+in+(7,8)+%26%26+payload+contains+%22x%22&min_stamp=3&max_stamp=9")
+	f.Add("q=category+%3D%3D+2+%7C+count()")
+	f.Add("tids=" + strings.Repeat("1,", 300))
+	h := NewHub(Config{BufferEvents: 4})
+	es := []tracer.Entry{{Stamp: 5, TS: 10, TID: 7, Category: 2, Payload: []byte("x")}, {Stamp: 6, TS: 20, Core: 1, TID: 8}}
 	f.Fuzz(func(t *testing.T, raw string) {
 		v, err := url.ParseQuery(raw)
 		if err != nil {
 			return
 		}
-		filter, err := ParseQuery(v)
+		q, err := btql.ParseParams(v)
 		if err != nil {
 			return
 		}
-		if filter.MaxTS != 0 && filter.MaxTS < filter.MinTS {
-			t.Fatalf("accepted inverted time window: %+v", filter)
+		var bound func(e btql.Expr)
+		bound = func(e btql.Expr) {
+			switch e := e.(type) {
+			case *btql.And:
+				bound(e.L)
+				bound(e.R)
+			case *btql.Or:
+				bound(e.L)
+				bound(e.R)
+			case *btql.Not:
+				bound(e.X)
+			case *btql.InList:
+				if len(e.Vals) > btql.MaxInList {
+					t.Fatalf("accepted a %d-member list: %q", len(e.Vals), raw)
+				}
+			}
 		}
-		if len(filter.Cores) > maxFilterList || len(filter.Categories) > maxFilterList ||
-			len(filter.TIDs) > maxFilterList {
-			t.Fatalf("accepted oversized filter list: %+v", filter)
+		bound(q.Filter)
+		for _, r := range [][2]string{{"min_ts", "max_ts"}, {"min_stamp", "max_stamp"}} {
+			lo, _ := strconv.ParseUint(v.Get(r[0]), 10, 64)
+			if hi, _ := strconv.ParseUint(v.Get(r[1]), 10, 64); hi != 0 && hi < lo {
+				t.Fatalf("accepted inverted window %s=%d %s=%d", r[0], lo, r[1], hi)
+			}
 		}
 		// An accepted filter must be safe to evaluate.
-		m := filter.compile()
-		_ = m.tenantOK("tenant") && m.entry(&tracer.Entry{TS: filter.MinTS, TID: 1, Category: 1})
+		sub, err := h.Subscribe(Filter{Tenant: "tenant", Pred: q.Predicate()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		h.Publish("tenant", es)
+		if st := sub.Stats(); st.Matched > uint64(len(es)) {
+			t.Fatalf("matched %d of %d events", st.Matched, len(es))
+		}
 	})
 }
 

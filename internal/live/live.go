@@ -35,6 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"btrace/internal/btql"
 	"btrace/internal/tracer"
 )
 
@@ -153,6 +154,7 @@ func (h *Hub) Publish(tenant string, es []tracer.Entry) {
 // Subscribe attaches a new subscriber with the given filter. The
 // returned Sub implements tracer.Cursor; the caller must Close it.
 func (h *Hub) Subscribe(f Filter) (*Sub, error) {
+	pred := f.predicate() // compiled before the lock Publish takes
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(h.subs) >= h.cfg.MaxSubscribers {
@@ -161,7 +163,8 @@ func (h *Hub) Subscribe(f Filter) (*Sub, error) {
 	}
 	sub := &Sub{
 		hub:    h,
-		match:  f.compile(),
+		tenant: f.Tenant,
+		pred:   pred,
 		ring:   make([]tracer.Entry, h.cfg.BufferEvents),
 		budget: h.cfg.BufferEvents * ringBytesPerEvent,
 		notify: make(chan struct{}, 1),
@@ -213,8 +216,9 @@ type SubStats struct {
 // the hub's Publish side is synchronized internally.
 type Sub struct {
 	hub    *Hub
-	match  matcher // immutable after Subscribe
-	budget int     // payload bytes the ring may buffer
+	tenant string          // "" = every tenant's batches
+	pred   *btql.Predicate // the filter's event half; immutable
+	budget int             // payload bytes the ring may buffer
 
 	mu    sync.Mutex
 	ring  []tracer.Entry // fixed capacity, overwrite-oldest; slots own their payload arrays
@@ -240,7 +244,7 @@ type Sub struct {
 // Returns how many matched and how many were newly missed. Called with
 // the hub lock held (publish order), takes the sub lock for the ring.
 func (s *Sub) offer(tenant string, es []tracer.Entry) (matched int, missed uint64) {
-	if !s.match.tenantOK(tenant) {
+	if s.tenant != "" && s.tenant != tenant {
 		return 0, 0
 	}
 	s.mu.Lock()
@@ -251,7 +255,7 @@ func (s *Sub) offer(tenant string, es []tracer.Entry) (matched int, missed uint6
 	before := s.pending
 	for i := range es {
 		e := &es[i]
-		if !s.match.entry(e) {
+		if !s.pred.Match(e) {
 			continue
 		}
 		matched++

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net/url"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"btrace/internal/btql"
 	"btrace/internal/tracer"
 )
 
@@ -370,10 +372,16 @@ func TestFilterMatch(t *testing.T) {
 		{"category 255 only", Filter{Categories: []uint8{255}}, "", false},
 		{"every list at once", Filter{Tenant: "a", MinTS: 1, MaxTS: 100, Cores: []uint8{2}, Categories: []uint8{3}, TIDs: []uint32{42}}, "a", true},
 	}
-	// match is what Sub.offer does with the compiled filter.
+	// match is what Hub.Publish does with the filter: Sub.offer itself,
+	// on a batch of one.
 	match := func(f Filter, tenant string, e *tracer.Entry) bool {
-		m := f.compile()
-		return m.tenantOK(tenant) && m.entry(e)
+		sub, err := NewHub(Config{BufferEvents: 1}).Subscribe(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		matched, _ := sub.offer(tenant, []tracer.Entry{*e})
+		return matched == 1
 	}
 	for _, c := range cases {
 		if got := match(c.f, c.tenant, &e); got != c.want {
@@ -387,42 +395,150 @@ func TestFilterMatch(t *testing.T) {
 	}
 	// Compiling must not reorder the caller's slice.
 	f := Filter{TIDs: []uint32{9, 3, 7}}
-	f.compile()
+	f.predicate()
 	if f.TIDs[0] != 9 || f.TIDs[1] != 3 || f.TIDs[2] != 7 {
-		t.Errorf("compile sorted the caller's TIDs: %v", f.TIDs)
+		t.Errorf("compiling sorted the caller's TIDs: %v", f.TIDs)
+	}
+	// Pred is ANDed with the fields, and sees the payload.
+	pred := func(src string) *btql.Predicate {
+		q, err := btql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q.Predicate()
+	}
+	e.Payload = []byte("gc pause")
+	for _, c := range []struct {
+		name string
+		f    Filter
+		want bool
+	}{
+		{"pred alone", Filter{Pred: pred(`payload contains "pause" && stamp == 5`)}, true},
+		{"pred misses", Filter{Pred: pred(`payload contains "oom"`)}, false},
+		{"pred and fields", Filter{TIDs: []uint32{42}, Pred: pred("level == 1")}, true},
+		{"fields veto pred", Filter{TIDs: []uint32{41}, Pred: pred("level == 1")}, false},
+		{"pred vetoes fields", Filter{TIDs: []uint32{42}, Pred: pred("level == 2")}, false},
+	} {
+		if got := match(c.f, "", &e); got != c.want {
+			t.Errorf("%s: match = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
-func TestParseQuery(t *testing.T) {
-	v, err := url.ParseQuery("min_ts=10&max_ts=20&cores=0,1&categories=2,+3&tids=7,8,9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := ParseQuery(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.MinTS != 10 || f.MaxTS != 20 {
-		t.Fatalf("ts bounds %d..%d", f.MinTS, f.MaxTS)
-	}
-	if len(f.Cores) != 2 || len(f.Categories) != 2 || len(f.TIDs) != 3 {
-		t.Fatalf("lists parsed wrong: %+v", f)
-	}
+// refMatcher is the filter evaluator Sub.offer had before the fields
+// were lowered to a btql.Predicate, kept as what the lowering is pinned
+// to: 256-bit sets for the two uint8 lists (an empty list is the full
+// set), a sorted TID list, MaxTS 0 unbounded.
+type refMatcher struct {
+	minTS, maxTS uint64
+	cores, cats  [4]uint64
+	tids         []uint32 // sorted; empty = all
+}
 
-	for _, bad := range []string{
-		"min_ts=banana",
-		"max_ts=-1",
-		"cores=256",
-		"categories=1,,2",
-		"tids=4294967296",
-		"min_ts=5&max_ts=4",
-	} {
-		v, err := url.ParseQuery(bad)
-		if err != nil {
-			continue
+func refCompile(f *Filter) refMatcher {
+	bitset := func(xs []uint8) (set [4]uint64) {
+		if len(xs) == 0 {
+			return [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 		}
-		if _, err := ParseQuery(v); err == nil {
-			t.Errorf("ParseQuery(%q) accepted bad input", bad)
+		for _, x := range xs {
+			set[x>>6] |= 1 << (x & 63)
+		}
+		return set
+	}
+	m := refMatcher{minTS: f.MinTS, maxTS: f.MaxTS, cores: bitset(f.Cores), cats: bitset(f.Categories), tids: slices.Clone(f.TIDs)}
+	if m.maxTS == 0 {
+		m.maxTS = ^uint64(0)
+	}
+	slices.Sort(m.tids)
+	return m
+}
+
+func (m *refMatcher) entry(e *tracer.Entry) bool {
+	if e.TS < m.minTS || e.TS > m.maxTS ||
+		m.cores[e.Core>>6]>>(e.Core&63)&1 == 0 ||
+		m.cats[e.Category>>6]>>(e.Category&63)&1 == 0 {
+		return false
+	}
+	if len(m.tids) == 0 {
+		return true
+	}
+	_, ok := slices.BinarySearch(m.tids, e.TID)
+	return ok
+}
+
+// tidSet is an exact stand-in for a cold block's TID bloom.
+type tidSet map[uint32]bool
+
+func (s tidSet) MayContainTID(tid uint32) bool { return s[tid] }
+
+// TestFilterLoweringMatchesMatcher: random field combinations against
+// random runs of entries. The lowered predicate's Match and MatchHeader
+// are the old matcher's verdict event for event, and its MatchMeta —
+// what the same parameters cost a /store/query — never prunes a run
+// that holds a match, with and without the TID range and bloom a cold
+// block's header carries.
+func TestFilterLoweringMatchesMatcher(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	// Byte-wide values sit on and around the presence bitmaps' bit 63.
+	u8 := func() uint8 { return []uint8{0, 1, 2, 63, 64, 200, 255}[rng.Intn(7)] }
+	u8s := func() []uint8 {
+		xs := make([]uint8, rng.Intn(4))
+		for i := range xs {
+			xs[i] = u8()
+		}
+		return xs
+	}
+	for round := 0; round < 2000; round++ {
+		var f Filter
+		if rng.Intn(2) == 0 {
+			f.MinTS = uint64(rng.Intn(1200))
+		}
+		if rng.Intn(2) == 0 {
+			f.MaxTS = f.MinTS + uint64(rng.Intn(600))
+		}
+		if rng.Intn(2) == 0 {
+			f.Cores = u8s()
+		}
+		if rng.Intn(2) == 0 {
+			f.Categories = u8s()
+		}
+		if rng.Intn(2) == 0 {
+			f.TIDs = make([]uint32, rng.Intn(40))
+			for i := range f.TIDs {
+				f.TIDs[i] = uint32(rng.Intn(60)) << uint(rng.Intn(3)*8)
+			}
+		}
+		ref, p := refCompile(&f), f.predicate()
+
+		es := make([]tracer.Entry, 1+rng.Intn(24))
+		sum := btql.Meta{MinStamp: 1, MaxStamp: uint64(len(es)), MinTS: ^uint64(0), HasTID: round%2 == 0, MinTID: ^uint32(0)}
+		tids := tidSet{}
+		held := false
+		for i := range es {
+			e := &es[i]
+			*e = tracer.Entry{
+				Stamp: uint64(i + 1), TS: uint64(rng.Intn(1500)), Core: u8(), Category: u8(),
+				TID: uint32(rng.Intn(60)) << uint(rng.Intn(3)*8), Level: uint8(rng.Intn(4)),
+			}
+			sum.MinTS, sum.MaxTS = min(sum.MinTS, e.TS), max(sum.MaxTS, e.TS)
+			sum.MinTID, sum.MaxTID = min(sum.MinTID, e.TID), max(sum.MaxTID, e.TID)
+			sum.CoreBits |= 1 << min(e.Core, 63)
+			sum.CatBits |= 1 << min(e.Category, 63)
+			tids[e.TID] = true
+			want := ref.entry(e)
+			held = held || want
+			if got := p.Match(e); got != want {
+				t.Fatalf("round %d: %+v on %+v: Match = %v, the matcher says %v (lowered to %v)", round, f, *e, got, want, p.Expr())
+			}
+			if got := p.MatchHeader(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level); got != want {
+				t.Fatalf("round %d: %+v on %+v: MatchHeader = %v, the matcher says %v", round, f, *e, got, want)
+			}
+		}
+		if round%4 == 0 {
+			sum.TIDs = tids
+		}
+		if held && !p.MatchMeta(&sum) {
+			t.Fatalf("round %d: %+v (lowered to %v) prunes a run holding a match: %+v", round, f, p.Expr(), sum)
 		}
 	}
 }

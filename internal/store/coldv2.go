@@ -80,8 +80,9 @@ func bloomAdd(b *[bloomBytes]byte, tid uint32) {
 	}
 }
 
-// mayContainTID is the bloom probe: false is a proof of absence.
-func (v *blockV2) mayContainTID(tid uint32) bool {
+// MayContainTID is the bloom probe: false is a proof of absence. (It is
+// btql.Meta's TIDs.)
+func (v *blockV2) MayContainTID(tid uint32) bool {
 	h1, h2 := bloomHash(tid)
 	for i := uint64(0); i < bloomK; i++ {
 		bit := (h1 + i*h2) % bloomBits

@@ -27,97 +27,48 @@ type Query struct {
 	// Limit caps the number of delivered events (0 = unlimited).
 	Limit int
 	// Pred is an optional compiled BTQL predicate, ANDed with the field
-	// filters above. Its stamp/time bounds and core/category masks are
-	// folded into the pruning ladder at compile time; its exact form is
-	// evaluated per record (including payload matches).
+	// filters above.
 	Pred *btql.Predicate
 }
 
-// compiled is the evaluated form of a Query: bitmap masks for segment
-// pruning plus exact membership sets for record filtering. The BTQL
-// predicate's derived bounds and masks are folded in, so every pruning
-// site (files, blocks, raw headers) benefits without knowing about it.
+// compiled is the evaluated form of a Query: its field filters lowered
+// to BTQL and ANDed with Pred, so that one predicate is all a pruning
+// site — files, blocks, raw headers, columns — ever asks.
 type compiled struct {
-	q        Query
-	coreMask uint64 // union of bit min(core,63); ^0 when unrestricted
-	catMask  uint64
-	coreSet  [256]bool
-	catSet   [256]bool
-	anyCore  bool
-	anyCat   bool
-	pred     *btql.Predicate
+	pred  *btql.Predicate
+	limit int // 0 = unlimited
+	// minStamp/maxStamp is pred's stamp hull (maxStamp ^0 = unbounded):
+	// where the sparse seek into an ordered segment starts, and the
+	// stamp past which scanning one stops.
+	minStamp, maxStamp uint64
 }
 
 func compile(q Query) *compiled {
-	c := &compiled{q: q, anyCore: len(q.Cores) == 0, anyCat: len(q.Categories) == 0, pred: q.Pred}
-	c.coreMask, c.catMask = ^uint64(0), ^uint64(0)
-	if !c.anyCore {
-		c.coreMask = 0
-		for _, core := range q.Cores {
-			c.coreMask |= 1 << min(uint(core), 63)
-			c.coreSet[core] = true
-		}
-	}
-	if !c.anyCat {
-		c.catMask = 0
-		for _, cat := range q.Categories {
-			c.catMask |= 1 << min(uint(cat), 63)
-			c.catSet[cat] = true
-		}
-	}
-	if p := c.pred; p != nil {
-		// Tighten the range bounds with the predicate's hull. The Query
-		// encodes "unbounded above" as 0 where the predicate uses ^0.
-		if lo, hi := p.StampBounds(); true {
-			c.q.MinStamp = max(c.q.MinStamp, lo)
-			if hi != ^uint64(0) && (c.q.MaxStamp == 0 || hi < c.q.MaxStamp) {
-				c.q.MaxStamp = hi
-			}
-		}
-		if lo, hi := p.TimeBounds(); true {
-			c.q.MinTS = max(c.q.MinTS, lo)
-			if hi != ^uint64(0) && (c.q.MaxTS == 0 || hi < c.q.MaxTS) {
-				c.q.MaxTS = hi
-			}
-		}
-		c.coreMask &= p.CoreMask()
-		c.catMask &= p.CatMask()
-	}
+	c := &compiled{limit: q.Limit, pred: q.Pred.Narrow(
+		btql.Between(btql.FStamp, q.MinStamp, q.MaxStamp),
+		btql.Between(btql.FTime, q.MinTS, q.MaxTS),
+		btql.In(btql.FCore, q.Cores),
+		btql.In(btql.FCategory, q.Categories))}
+	c.minStamp, c.maxStamp = c.pred.StampBounds()
 	return c
 }
 
 // matchMeta is the hull test of the file and block rungs: whether a
 // run of records summarised by m can contain a match. v2, when the run
 // is a columnar block, adds the TID range and bloom filter its header
-// carries, which veto TID equality predicates without touching the
+// carries, which veto TID membership predicates without touching the
 // block bytes.
 func (c *compiled) matchMeta(m *segmentMeta, v2 *blockV2) bool {
 	if m.count == 0 {
 		return false
 	}
-	if c.q.MinStamp > m.maxStamp || (c.q.MaxStamp > 0 && c.q.MaxStamp < m.baseStamp) {
-		return false
-	}
-	if c.q.MinTS > m.maxTS || (c.q.MaxTS > 0 && c.q.MaxTS < m.minTS) {
-		return false
-	}
-	if c.coreMask&m.coreBits == 0 || c.catMask&m.catBits == 0 {
-		return false
-	}
-	if c.pred == nil {
-		return true
-	}
-	bm := c.summary(m, v2)
+	bm := summary(m, v2)
 	return c.pred.MatchMeta(&bm)
 }
 
-// summary renders a run's metadata as the predicate reads it. Without
-// a predicate nobody does.
-func (c *compiled) summary(m *segmentMeta, v2 *blockV2) (bm btql.Meta) {
-	if c.pred == nil {
-		return bm
-	}
-	bm = btql.Meta{
+// summary renders a run's metadata as the predicate reads it.
+func summary(m *segmentMeta, v2 *blockV2) btql.Meta {
+	bm := btql.Meta{
 		MinStamp: m.baseStamp, MaxStamp: m.maxStamp,
 		MinTS: m.minTS, MaxTS: m.maxTS,
 		CoreBits: m.coreBits, CatBits: m.catBits,
@@ -125,7 +76,7 @@ func (c *compiled) summary(m *segmentMeta, v2 *blockV2) (bm btql.Meta) {
 	if v2 != nil {
 		bm.HasTID = true
 		bm.MinTID, bm.MaxTID = v2.minTID, v2.maxTID
-		bm.TIDMay = v2.mayContainTID
+		bm.TIDs = v2
 	}
 	return bm
 }
@@ -135,59 +86,6 @@ func (c *compiled) matchSegment(m *segmentMeta) bool { return c.matchMeta(m, nil
 
 // matchColdBlock is matchSegment for one cold block's directory entry.
 func (c *compiled) matchColdBlock(b *coldBlock) bool { return c.matchMeta(&b.meta, b.v2) }
-
-// matchRaw evaluates the query on fields lifted straight from a raw
-// record header or a block's columns, so a scan can reject a row before
-// paying its checksum and decode. It is exact for payload-free
-// predicates and conservative (may return true) when the predicate
-// needs the payload — the scan re-checks with Predicate.Match once it
-// has the bytes when NeedsPayload reports true.
-func (c *compiled) matchRaw(stamp, ts uint64, core uint8, tid uint32, cat, level uint8) bool {
-	if stamp < c.q.MinStamp || (c.q.MaxStamp > 0 && stamp > c.q.MaxStamp) {
-		return false
-	}
-	if ts < c.q.MinTS || (c.q.MaxTS > 0 && ts > c.q.MaxTS) {
-		return false
-	}
-	if !(c.anyCore || c.coreSet[core]) || !(c.anyCat || c.catSet[cat]) {
-		return false
-	}
-	return c.pred == nil || c.pred.MatchHeader(stamp, ts, core, tid, cat, level)
-}
-
-// selectColumns is matchRaw over a whole v2 block, one column at a time:
-// it leaves in sel the rows of bc the query selects. Each rung costs one
-// pass over the one column it tests, and a rung the block header already
-// decides — a hull the block lies inside — costs nothing, so its column
-// is not fetched either. Like matchRaw it is exact for payload-free
-// predicates and otherwise leaves some rows unsure (sel.Exact).
-func (c *compiled) selectColumns(bc *blockCols, sel *btql.Selection) {
-	m := &bc.b.meta
-	sel.Reset(bc.n)
-	if c.q.MinStamp > m.baseStamp || (c.q.MaxStamp > 0 && c.q.MaxStamp < m.maxStamp) {
-		sel.AndRange(bc.Stamps(), c.q.MinStamp, orUnbounded(c.q.MaxStamp))
-	}
-	if c.q.MinTS > m.minTS || (c.q.MaxTS > 0 && c.q.MaxTS < m.maxTS) {
-		sel.AndRange(bc.Times(), c.q.MinTS, orUnbounded(c.q.MaxTS))
-	}
-	if !c.anyCore {
-		sel.AndSet(bc.m.cores[:bc.n], nil, &c.coreSet)
-	}
-	if !c.anyCat {
-		sel.AndSet(bc.m.catIdx[:bc.n], bc.m.dict, &c.catSet)
-	}
-	if c.pred != nil {
-		c.pred.Select(bc, sel)
-	}
-}
-
-// orUnbounded maps the Query's "0 = no upper bound" to the largest value.
-func orUnbounded(hi uint64) uint64 {
-	if hi == 0 {
-		return ^uint64(0)
-	}
-	return hi
-}
 
 // Cursor streams store records, oldest segment first, in append order.
 // When the store is fed in stamp order (the collector-pipeline
@@ -248,7 +146,7 @@ func (c *Cursor) Next(batch []tracer.Entry) (int, uint64, error) {
 		n      int
 		missed uint64
 	)
-	for n < len(batch) && (c.q.q.Limit <= 0 || c.delivered < c.q.q.Limit) {
+	for n < len(batch) && (c.q.limit <= 0 || c.delivered < c.q.limit) {
 		if c.pos < len(c.ck.entries) {
 			e := c.ck.entries[c.pos]
 			c.pos++
@@ -365,10 +263,8 @@ func (c *Cursor) openNext() (missed uint64, ok bool) {
 		// and the block rung skip the delivered prefix like any other
 		// stamp lower bound.
 		q := c.q
-		if dedupe && c.lastStamp+1 > q.q.MinStamp {
-			floored := *c.q
-			floored.q.MinStamp = c.lastStamp + 1
-			q = &floored
+		if dedupe && c.lastStamp+1 > q.minStamp {
+			q = compile(Query{MinStamp: c.lastStamp + 1, Limit: q.limit, Pred: q.pred})
 		}
 		// Sparse seek: skip straight to the stamp lower bound when the
 		// segment is ordered. (A cold segment's block directory replaces
@@ -376,7 +272,7 @@ func (c *Cursor) openNext() (missed uint64, ok bool) {
 		start := int64(headerSize)
 		if seg.isCold() {
 			start = 0
-		} else if seekStamp := q.q.MinStamp; seg.meta.ordered && seekStamp > 0 && len(seg.sparse) > 0 {
+		} else if seekStamp := q.minStamp; seg.meta.ordered && seekStamp > 0 && len(seg.sparse) > 0 {
 			lo := sort.Search(len(seg.sparse), func(i int) bool {
 				return seg.sparse[i].stamp >= seekStamp
 			})

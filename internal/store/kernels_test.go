@@ -18,10 +18,30 @@ import (
 	"btrace/internal/tracer"
 )
 
-// The column walker against the row-at-a-time reading it replaced:
-// compiled.matchRaw on every row of every block, then Predicate.Match on
-// the rows it lets through. The fixture is built to be unkind to
-// bitmaps and dictionaries.
+// The column walker against the row-at-a-time reading it replaced: the
+// query's field filters checked inline and its predicate's MatchHeader
+// on every row of every block, then Predicate.Match on the rows they
+// let through. The fixture is built to be unkind to bitmaps and
+// dictionaries.
+
+// refMatchRaw is the reference the lowering of a Query's field filters
+// (compile) is pinned to: the checks the frame walker made inline, one
+// compare per bound, before there was one predicate — zero upper bounds
+// unbounded, empty lists unrestricted — and then the query's own
+// predicate on the header.
+func refMatchRaw(q *Query, e *tracer.Entry) bool {
+	if e.Stamp < q.MinStamp || (q.MaxStamp > 0 && e.Stamp > q.MaxStamp) {
+		return false
+	}
+	if e.TS < q.MinTS || (q.MaxTS > 0 && e.TS > q.MaxTS) {
+		return false
+	}
+	if len(q.Cores) > 0 && !slices.Contains(q.Cores, e.Core) ||
+		len(q.Categories) > 0 && !slices.Contains(q.Categories, e.Category) {
+		return false
+	}
+	return q.Pred == nil || q.Pred.MatchHeader(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level)
+}
 
 // kernelFixture freezes four segments into a cold file each and leaves
 // a fifth hot. Even segments are stamp-ordered, odd ones shuffled; each
@@ -113,10 +133,11 @@ func coldSnaps(st *Store) []segSnap {
 
 // checkColumnWalker runs q's column walker over every cold block of st
 // and holds it to the row-by-row oracle over the same block decoded
-// whole: the selection is exactly the rows matchRaw passes, the rows
-// emitted exactly those that also pass Predicate.Match, in order, field
-// for field, and the aggregate sink counts as many. A block the block
-// rung would have pruned must select nothing.
+// whole: the selection is exactly the rows refMatchRaw passes (and the
+// lowered predicate's MatchHeader, which the frame walker asks), the
+// rows emitted exactly those that also pass Predicate.Match, in order,
+// field for field, and the aggregate sink counts as many. A block the
+// block rung would have pruned must select nothing.
 func checkColumnWalker(t testing.TB, st *Store, q Query) {
 	t.Helper()
 	cq := compile(q)
@@ -148,11 +169,19 @@ func checkColumnWalker(t testing.TB, st *Store, q Query) {
 					Stamp: cb.stamps[r], TS: cb.ts[r], Core: cb.cores[r], TID: cb.tids[r],
 					Category: cb.cats[r], Level: cb.levels[r], Payload: pay[cb.payOff[r]:cb.payOff[r+1]],
 				}
-				if !cq.matchRaw(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level) {
+				raw := refMatchRaw(&q, &e)
+				if got := cq.pred.MatchHeader(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level); got != raw {
+					t.Fatalf("%s block %d row %d (%+v): lowered MatchHeader = %v, the field checks say %v", sn.name, bi, r, e, got, raw)
+				}
+				exact := raw && (q.Pred == nil || q.Pred.Match(&e))
+				if got := cq.pred.Match(&e); got != exact {
+					t.Fatalf("%s block %d row %d (%+v): lowered Match = %v, the field checks say %v", sn.name, bi, r, e, got, exact)
+				}
+				if !raw {
 					continue
 				}
 				wantSel = append(wantSel, int32(r))
-				if cq.pred == nil || cq.pred.Match(&e) {
+				if exact {
 					want = append(want, e)
 				}
 			}
@@ -165,7 +194,7 @@ func checkColumnWalker(t testing.TB, st *Store, q Query) {
 				t.Fatalf("%s block %d: %v", sn.name, bi, err)
 			}
 			if got := s.sel.Rows(nil); !slices.Equal(got, wantSel) {
-				t.Fatalf("%s block %d (%d rows, ordered=%v): selection differs from matchRaw:\n got %v\nwant %v",
+				t.Fatalf("%s block %d (%d rows, ordered=%v): selection differs from the field checks:\n got %v\nwant %v",
 					sn.name, bi, b.meta.count, sn.ordered, got, wantSel)
 			}
 			if len(ck.entries) != len(want) {
@@ -192,8 +221,8 @@ func checkColumnWalker(t testing.TB, st *Store, q Query) {
 }
 
 // randExpr draws a predicate over all six header fields, all six
-// operators, &&, || and !, with payload matches as leaves at any depth
-// (so under ! too). Constants come from the fixture's value ranges, off
+// operators and in lists, &&, || and !, with payload matches as leaves
+// at any depth (so under ! too). Constants come from the fixture's value ranges, off
 // by one now and then, so that comparisons land on and beside real
 // values.
 func randExpr(rng *rand.Rand, es []tracer.Entry, depth int) btql.Expr {
@@ -210,18 +239,28 @@ func randExpr(rng *rand.Rand, es []tracer.Entry, depth int) btql.Expr {
 	if rng.Intn(6) == 0 {
 		return &btql.PayloadMatch{Prefix: rng.Intn(2) == 0, Needle: []string{"alloc", "oom", "x #1", ""}[rng.Intn(4)]}
 	}
-	e := es[rng.Intn(len(es))]
 	f := btql.Field(rng.Intn(6))
-	val := [...]uint64{e.Stamp, e.TS, uint64(e.Core), uint64(e.TID), uint64(e.Category), uint64(e.Level)}[f]
-	switch rng.Intn(8) {
-	case 0:
-		val++
-	case 1:
-		val--
-	case 2:
-		val = []uint64{0, 63, 64, 255, 256, 1 << 32, ^uint64(0)}[rng.Intn(7)]
+	val := func() uint64 {
+		e := es[rng.Intn(len(es))]
+		val := [...]uint64{e.Stamp, e.TS, uint64(e.Core), uint64(e.TID), uint64(e.Category), uint64(e.Level)}[f]
+		switch rng.Intn(8) {
+		case 0:
+			val++
+		case 1:
+			val--
+		case 2:
+			val = []uint64{0, 63, 64, 255, 256, 1 << 32, ^uint64(0)}[rng.Intn(7)]
+		}
+		return val
 	}
-	return &btql.Cmp{Field: f, Op: btql.CmpOp(rng.Intn(6)), Val: val}
+	if rng.Intn(4) == 0 {
+		in := &btql.InList{Field: f, Vals: make([]uint64, rng.Intn(6))}
+		for i := range in.Vals {
+			in.Vals[i] = val()
+		}
+		return in
+	}
+	return &btql.Cmp{Field: f, Op: btql.CmpOp(rng.Intn(6)), Val: val()}
 }
 
 func TestColumnKernelsMatchRowOracle(t *testing.T) {
@@ -262,6 +301,7 @@ func TestColumnKernelsMatchRowOracle(t *testing.T) {
 	for _, src := range []string{
 		`category == 100`, `category != 70 && tid >= 65536`, `!(payload contains "oom") && core > 63`,
 		`tid == 16777215 || level < 1`, `!(category == 11 || payload prefix "alloc")`,
+		`tid in (5, 70000, 16777215) && category in (100, 17, 3)`, `!(tid in (6, 65536)) && core in (0, 255)`,
 	} {
 		q := Query{Pred: predOf(t, src)}
 		var want []uint64
@@ -292,6 +332,7 @@ func FuzzColumnKernels(f *testing.F) {
 		"category == 2 && time >= 5ms", `payload contains "oom" || !(core == 0)`,
 		"{ stamp >= 1100 && stamp < 2000 }", "tid == 65536", `!(payload prefix "alloc") && category >= 64`,
 		"core == 18446744073709551615", "level != 0 || tid < 6",
+		"tid in (5, 65536, 16777215) && !(category in (11, 64))", `stamp in (1100, 1101, 1102) || core in (63, 64) && payload contains "oom"`,
 	} {
 		f.Add(src, lo+300, hi-300)
 	}

@@ -205,7 +205,7 @@ func (c *PCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	// their chunks go back to the pool.
 	c.recycleRetired()
 	var missed uint64
-	if c.q.q.Limit > 0 && c.delivered >= c.q.q.Limit {
+	if c.q.limit > 0 && c.delivered >= c.q.limit {
 		if c.streams != nil {
 			c.abortRound()
 		}
@@ -356,9 +356,9 @@ func (c *PCursor) snapshot() ([]segSnap, uint64) {
 		if low == 0 {
 			low = s.seq
 		}
-		if !resumed && s.meta.ordered && c.q.q.MinStamp > 0 && len(s.sparse) > 0 {
+		if !resumed && s.meta.ordered && c.q.minStamp > 0 && len(s.sparse) > 0 {
 			lo := sort.Search(len(s.sparse), func(i int) bool {
-				return s.sparse[i].stamp >= c.q.q.MinStamp
+				return s.sparse[i].stamp >= c.q.minStamp
 			})
 			if lo > 0 && s.sparse[lo-1].off > start {
 				start = s.sparse[lo-1].off
@@ -544,7 +544,7 @@ func (c *PCursor) advanceStream(ps *pstream) bool {
 func (c *PCursor) mergeHeap(batch []tracer.Entry) (int, error) {
 	n := 0
 	for n < len(batch) {
-		if c.q.q.Limit > 0 && c.delivered >= c.q.q.Limit {
+		if c.q.limit > 0 && c.delivered >= c.q.limit {
 			c.abortRound()
 			return n, nil
 		}
@@ -577,7 +577,7 @@ func (c *PCursor) mergeHeap(batch []tracer.Entry) (int, error) {
 func (c *PCursor) mergeConcat(batch []tracer.Entry) (int, error) {
 	n := 0
 	for n < len(batch) {
-		if c.q.q.Limit > 0 && c.delivered >= c.q.q.Limit {
+		if c.q.limit > 0 && c.delivered >= c.q.limit {
 			c.abortRound()
 			return n, nil
 		}
@@ -592,8 +592,8 @@ func (c *PCursor) mergeConcat(batch []tracer.Entry) (int, error) {
 			}
 		}
 		k := copy(batch[n:], ps.cur.entries[ps.idx:])
-		if c.q.q.Limit > 0 {
-			if rem := c.q.q.Limit - c.delivered; k > rem {
+		if c.q.limit > 0 {
+			if rem := c.q.limit - c.delivered; k > rem {
 				k = rem
 			}
 		}

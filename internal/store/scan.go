@@ -11,12 +11,12 @@
 //
 // The two walkers differ in when a row comes into being. The frame
 // walker meets whole rows, so it tests them one at a time
-// (compiled.matchRaw on the raw header words). The column walker
-// materialises late: it first reduces the block to a selection — hull,
-// masks and predicate evaluated one column at a time
-// (compiled.selectColumns), each rung touching only the column it
-// names — and only then, and only for a non-empty selection, fetches
-// what the sink reads of the selected rows. A column nobody names is
+// (Predicate.MatchHeader on the raw header words). The column walker
+// materialises late: it first reduces the block to a selection — the
+// predicate evaluated one column at a time (Predicate.Select), each
+// leaf touching only the column it names — and only then, and only for
+// a non-empty selection, fetches what the sink reads of the selected
+// rows. A column nobody names is
 // never decoded, and so never cached (blockcache.go).
 package store
 
@@ -177,7 +177,7 @@ func (s *segScan) stepBlock(dst rowSink) (more bool, err error) {
 	sn, q := s.sn, s.q
 	for s.off < sn.bound {
 		b := &sn.blocks[s.off]
-		if sn.ordered && q.q.MaxStamp > 0 && b.meta.baseStamp > q.q.MaxStamp {
+		if sn.ordered && b.meta.baseStamp > q.maxStamp {
 			s.cut = true // every later block starts later still
 			break
 		}
@@ -230,11 +230,11 @@ func (s *segScan) inflatedFrames(b *coldBlock, dst rowSink) error {
 // pass — unless s.verify asks for the checksum up front.
 func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 	q := s.q
-	var maxStamp uint64 // ordered early exit bound, 0 = none
+	maxStamp := ^uint64(0) // ordered early exit bound
 	if s.sn.ordered {
-		maxStamp = q.q.MaxStamp
+		maxStamp = q.maxStamp
 	}
-	predPay := q.pred != nil && q.pred.NeedsPayload()
+	predPay := q.pred.NeedsPayload()
 	decode := predPay || dst.payloads()
 	pos := 0
 	for pos+tracer.Align <= len(buf) {
@@ -262,14 +262,14 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 		}
 		pos += frame
 		stamp := le64(rec[8:])
-		if maxStamp > 0 && stamp > maxStamp {
+		if stamp > maxStamp {
 			s.cut = true
 			break
 		}
 		ts, w3 := le64(rec[16:]), le64(rec[24:])
 		core, tid := uint8(w3>>56), uint32(w3>>32)&0xFFFFFF
 		cat, level := uint8(w3>>24), uint8(w3>>16)
-		if !q.matchRaw(stamp, ts, core, tid, cat, level) {
+		if !q.pred.MatchHeader(stamp, ts, core, tid, cat, level) {
 			continue
 		}
 		if !s.verify {
@@ -283,7 +283,7 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 			if err := decodeEventTo(rec, &e); err != nil {
 				return 0, err
 			}
-			// matchRaw is conservative for payload predicates; finish the
+			// MatchHeader is conservative for payload predicates; finish the
 			// job now that the payload is decoded.
 			if predPay && !q.pred.Match(&e) {
 				continue
@@ -387,14 +387,15 @@ func (s *segScan) columns(b *coldBlock, dst rowSink) error {
 		return err
 	}
 	c := &s.cols
-	*c = blockCols{s: s, b: b, m: m, n: m.rows(), sum: q.summary(&b.meta, b.v2)}
-	if max := q.q.MaxStamp; sn.ordered && max > 0 && b.meta.maxStamp > max {
+	*c = blockCols{s: s, b: b, m: m, n: m.rows(), sum: summary(&b.meta, b.v2)}
+	if max := q.maxStamp; sn.ordered && b.meta.maxStamp > max {
 		// The MaxStamp cut: an ordered segment's stamp column is sorted.
 		stamps := c.Stamps()
 		c.n = sort.Search(c.n, func(i int) bool { return stamps[i] > max })
 		s.cut = true
 	}
-	q.selectColumns(c, &s.sel)
+	s.sel.Reset(c.n)
+	q.pred.Select(c, &s.sel)
 	if cap(s.idx) < c.n {
 		s.idx = make([]int32, 0, m.rows())
 	}

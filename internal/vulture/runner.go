@@ -451,7 +451,7 @@ func (v *runner) fetchStamps(ctx context.Context, ref batchRef, workers int, btq
 	}
 	var u string
 	if btql {
-		src := fmt.Sprintf("stamp >= %d && stamp <= %d && tid == %d", ref.lo, ref.hi, ref.tid)
+		src := fmt.Sprintf("stamp >= %d && stamp <= %d && %s", ref.lo, ref.hi, v.tidFilter(ref))
 		u = fmt.Sprintf("%s/store/query?workers=%d&limit=%d&format=csv&q=%s",
 			v.cfg.BaseURL, workers, limit, url.QueryEscape(src))
 	} else {
@@ -471,6 +471,17 @@ func (v *runner) fetchStamps(ctx context.Context, ref batchRef, workers int, btq
 		time.Sleep(200 * time.Millisecond)
 	}
 	return nil, lastErr
+}
+
+// tidFilter spells "the writer's thread" for a BTQL read: every other
+// batch as an in list, beside a thread id no writer uses, so that the
+// soak holds `in` to the ack contract on every surface it holds `==`
+// to.
+func (v *runner) tidFilter(ref batchRef) string {
+	if n := ref.hi - ref.lo + 1; ref.hi/n%2 == 0 {
+		return fmt.Sprintf("tid in (%d, %d)", ref.tid, v.cfg.TIDBase+uint32(v.cfg.Writers))
+	}
+	return fmt.Sprintf("tid == %d", ref.tid)
 }
 
 // checkCount holds a server-side `... | count()` over [ref.lo, ref.hi]
@@ -502,7 +513,7 @@ func (v *runner) checkCount(ctx context.Context, surface string, ref batchRef) {
 // fetchCount runs one BTQL count() aggregate over the range, retrying
 // transient failures.
 func (v *runner) fetchCount(ctx context.Context, ref batchRef) (uint64, error) {
-	src := fmt.Sprintf("stamp >= %d && stamp <= %d && tid == %d | count()", ref.lo, ref.hi, ref.tid)
+	src := fmt.Sprintf("stamp >= %d && stamp <= %d && %s | count()", ref.lo, ref.hi, v.tidFilter(ref))
 	u := v.cfg.BaseURL + "/store/query?q=" + url.QueryEscape(src)
 	var lastErr error
 	for attempt := 0; attempt < readRetries; attempt++ {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +28,8 @@ type stubStore struct {
 	hub    *live.Hub
 	// mutate rewrites the sorted stamp list a query would return.
 	mutate func([]uint64) []uint64
+	// queries is the ?q= of every /store/query served.
+	queries []string
 }
 
 func newStub(t *testing.T) (*stubStore, *httptest.Server) {
@@ -70,23 +73,19 @@ func (st *stubStore) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (st *stubStore) handleQuery(w http.ResponseWriter, r *http.Request) {
-	lo, _ := strconv.ParseUint(r.URL.Query().Get("min_stamp"), 10, 64)
-	hi := ^uint64(0)
-	if v := r.URL.Query().Get("max_stamp"); v != "" {
-		hi, _ = strconv.ParseUint(v, 10, 64)
+	// The real thing's parameter parser, and its one predicate — pushed
+	// into a scan there, run over a map here.
+	bq, err := btql.ParseParams(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	var bq *btql.Query
-	if src := r.URL.Query().Get("q"); src != "" {
-		var err error
-		if bq, err = btql.Parse(src); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
+	pred := bq.Predicate()
 	st.mu.Lock()
+	st.queries = append(st.queries, r.URL.Query().Get("q"))
 	var stamps []uint64
-	for s := range st.events {
-		if s >= lo && s <= hi {
+	for s, e := range st.events {
+		if pred.Match(&e) {
 			stamps = append(stamps, s)
 		}
 	}
@@ -95,23 +94,7 @@ func (st *stubStore) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if st.mutate != nil {
 		stamps = st.mutate(stamps)
 	}
-	if bq != nil && bq.Filter != nil {
-		// The real thing pushes the predicate into the scan; the stub
-		// evaluates it post-hoc, after mutate, so an injected corruption
-		// is visible on the BTQL surfaces too.
-		pred := bq.Predicate()
-		out := stamps[:0]
-		st.mu.Lock()
-		for _, s := range stamps {
-			e := st.events[s]
-			if pred.Match(&e) {
-				out = append(out, s)
-			}
-		}
-		st.mu.Unlock()
-		stamps = out
-	}
-	if bq != nil && bq.Agg != nil {
+	if bq.Agg != nil {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"query":%q,"result":{"kind":"count","events":%d}}`,
 			r.URL.Query().Get("q"), len(stamps))
@@ -127,12 +110,12 @@ func (st *stubStore) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (st *stubStore) handleLive(w http.ResponseWriter, r *http.Request) {
-	f, err := live.ParseQuery(r.URL.Query())
+	q, err := btql.ParseParams(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sub, err := st.hub.Subscribe(f)
+	sub, err := st.hub.Subscribe(live.Filter{Pred: q.Predicate()})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -180,7 +163,7 @@ func quickCfg(url string) RunnerConfig {
 // TestRunnerCleanServer: a faithful store yields a clean report on
 // every surface, with the strict live accounting balancing exactly.
 func TestRunnerCleanServer(t *testing.T) {
-	_, ts := newStub(t)
+	st, ts := newStub(t)
 	cfg := quickCfg(ts.URL)
 	cfg.Live = true
 	cfg.StrictLive = true
@@ -203,6 +186,17 @@ func TestRunnerCleanServer(t *testing.T) {
 	if rep.LiveDelivered+rep.LiveMissed < rep.EventsAcked {
 		t.Fatalf("live accounting short: delivered %d + missed %d < acked %d",
 			rep.LiveDelivered, rep.LiveMissed, rep.EventsAcked)
+	}
+	// The BTQL reads spell the writer's thread both ways.
+	var eq, in bool
+	st.mu.Lock()
+	for _, q := range st.queries {
+		eq = eq || strings.Contains(q, "tid == ")
+		in = in || strings.Contains(q, "tid in (")
+	}
+	st.mu.Unlock()
+	if !eq || !in {
+		t.Fatalf("BTQL reads sent tid == (%v) and tid in (%v), want both", eq, in)
 	}
 }
 
