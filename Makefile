@@ -33,8 +33,9 @@ race:
 	$(GO) test -race ./internal/...
 
 # The store's parallel-cursor stress test under the race detector:
-# concurrent appenders, short- and long-lived parallel cursors and
-# retention all racing mid-scan. -short keeps a double run CI-sized.
+# concurrent appenders, parallel cursors (full passes reopened back to
+# back, and partial drains ending in Close) and retention all racing
+# mid-scan. -short keeps a double run CI-sized.
 race-stress:
 	$(GO) test -race -short -count 2 -run 'TestStoreParallelStress' ./internal/store
 
@@ -104,7 +105,7 @@ bench:
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
 	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate)' -benchmem -benchtime $(BENCHTIME); \
-	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorIngest' -benchmem -benchtime $(BENCHTIME); \
+	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributor(Ingest|Query)' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./cmd/btrace-serve -run '^$$' -bench 'BenchmarkServeIngest' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_store.json
 	@echo "wrote BENCH_store.json"

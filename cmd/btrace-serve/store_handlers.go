@@ -123,8 +123,9 @@ func parseStoreQuery(r *http.Request) (store.Query, *btql.AggSpec, error) {
 const maxQueryWorkers = 32
 
 // requestWorkers resolves the scan-pool size for one /store/query:
-// ?workers=0 forces the sequential cursor, ?workers=N a pool of N
-// (capped), and an absent parameter falls back to the operator default.
+// ?workers=0 forces the sequential cursor (on a cluster, one scan worker
+// per shard), ?workers=N a pool of N (capped), and an absent parameter
+// falls back to the operator default.
 func requestWorkers(r *http.Request, def int) (int, error) {
 	v := r.URL.Query().Get("workers")
 	if v == "" {
@@ -139,10 +140,12 @@ func requestWorkers(r *http.Request, def int) (int, error) {
 
 // handleStoreQuery streams the matching slice of the durable trace in
 // the requested format (text, csv or chrome), through the same cursor
-// contract every in-memory exporter uses. ?workers= picks the scan
-// surface per request: 0 the sequential cursor, N a parallel pool —
-// both must yield the identical stamp-ordered stream (btrace-vulture
-// continuously cross-checks that equivalence).
+// contract every in-memory exporter uses. On a single store ?workers=
+// picks the scan surface per request: 0 the sequential cursor (append
+// order), N a parallel pool (stamp order) — over a store fed in stamp
+// order both must yield the identical stream (btrace-vulture
+// continuously cross-checks that equivalence). On a cluster every value
+// reads the same merged snapshot, 0 meaning one scan worker per shard.
 func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil && s.cluster == nil {
 		http.Error(w, "no trace store configured (start btrace-serve with -store)", http.StatusNotFound)
@@ -167,12 +170,7 @@ func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	case s.cluster != nil:
 		// Cluster mode: fan out to every healthy shard and k-way-merge
 		// the replicas back to one stamp-ordered copy each.
-		if workers > 0 {
-			cur, err = s.cluster.d.QueryParallel(q, workers)
-		} else {
-			cur, err = s.cluster.d.Query(q)
-		}
-		if err != nil {
+		if cur, err = s.cluster.d.Query(q, workers); err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
@@ -207,8 +205,10 @@ func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 // serveStoreAggregate answers a BTQL query whose pipeline ends in an
 // aggregate stage: the result is one JSON document, not an event
 // stream. Single-node execution is columnar (cold v2 blocks feed the
-// aggregators without materializing events); cluster execution streams
-// the merged replica-deduplicated cursor through the same aggregators.
+// aggregators without materializing events); cluster execution folds
+// the merged replica-deduplicated cursor, which adds one 512-entry batch
+// per shard to what each shard's snapshot scan holds (up to three spans
+// per segment, a whole segment where it is unordered).
 func (s *server) serveStoreAggregate(w http.ResponseWriter, r *http.Request, q store.Query, agg *btql.AggSpec) {
 	specs := []btql.AggSpec{*agg}
 	var (

@@ -11,14 +11,17 @@ import (
 // down per shard: with replication every event lives on RF shards, so
 // folding per-shard partial aggregates together would observe it RF
 // times. Running the aggregators behind the merge cursor's dedup keeps
-// each stamp counted exactly once, at the cost of streaming the
-// matching events through the distributor — the single-node columnar
-// fast path still applies inside each shard's cursor scan. Query.Limit
-// is ignored: an aggregate is defined over every match. missed reports
-// events retention deleted under the pass, as the cursors do.
+// each stamp counted exactly once. The merge adds one mergeBatch of
+// entries per shard to what the shards' scans hold themselves — a
+// store.PCursor each, up to three decoded spans per segment of its
+// snapshot, a whole segment where replicated delivery left it unordered
+// — so the pass is bounded by the segments that match, not by a
+// constant. Query.Limit is ignored: an aggregate is defined over every
+// match. missed reports events retention deleted under the pass, as the
+// cursors do.
 func (d *Distributor) Aggregate(q store.Query, specs []btql.AggSpec) (results []btql.Result, missed uint64, err error) {
 	q.Limit = 0
-	cur, err := d.Query(q)
+	cur, err := d.Query(q, 0)
 	if err != nil {
 		return nil, 0, err
 	}

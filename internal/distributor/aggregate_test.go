@@ -1,6 +1,7 @@
 package distributor
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"btrace/internal/btql"
@@ -54,5 +55,54 @@ func TestDistributorAggregateDeduplicatesReplicas(t *testing.T) {
 	}
 	if got[0].Events != 500 {
 		t.Fatalf("count after shard kill = %d, want 500", got[0].Events)
+	}
+}
+
+// TestDistributorAggregateWhileAppending: each shard answers for its own
+// snapshot, taken at its own moment, and the merge's dedup still counts
+// every stamp once — a count() taken beside a writer is at least what
+// was acked before it started, at most what had been submitted when it
+// returned, and on the quiet cluster exactly the acked stamps.
+func TestDistributorAggregateWhileAppending(t *testing.T) {
+	d, _ := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
+	const perBatch = 64
+	var submitted, acked atomic.Uint64 // stamps 1..n, all of them acked
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			from := acked.Load() + 1
+			submitted.Store(from + perBatch - 1)
+			if res := d.Ingest("", events(perBatch, from, 30, 31, 32, 33, 34)); res.Acked != perBatch {
+				t.Errorf("acked %d of %d", res.Acked, perBatch)
+				return
+			}
+			acked.Store(from + perBatch - 1)
+		}
+	}()
+	count := func() uint64 {
+		t.Helper()
+		got, missed, err := d.Aggregate(store.Query{}, []btql.AggSpec{{Kind: btql.AggCount}})
+		if err != nil || missed != 0 {
+			t.Fatalf("Aggregate: missed=%d err=%v", missed, err)
+		}
+		return got[0].Events
+	}
+	for i := 0; i < 20; i++ {
+		lo := acked.Load()
+		n := count()
+		if hi := submitted.Load(); n < lo || n > hi {
+			t.Fatalf("count() = %d beside a writer, want within [%d acked before, %d submitted after]", n, lo, hi)
+		}
+	}
+	close(stop)
+	<-done
+	if n := count(); n != acked.Load() || n == 0 {
+		t.Fatalf("count() = %d on the quiet cluster, want the %d acked stamps", n, acked.Load())
 	}
 }

@@ -123,7 +123,8 @@ type Distributor struct {
 	adm *ingest.Admission
 
 	// topo guards the ring pointer, the shard table and targets. Lookups
-	// take the read side; topology changes the write side.
+	// take the read side, Ingest for its whole call; topology changes the
+	// write side.
 	topo   sync.RWMutex
 	ring   *ring.Ring
 	shards map[string]Shard
@@ -226,7 +227,13 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	res := Result{Tenant: tenant, Seen: c.Seen, Throttled: c.Throttled, GateDropped: c.GateDropped}
 	d.obs.quarantined.Add(uint64(c.Quarantined))
 
-	r, targets := d.topology()
+	// Held until every delivery has resolved: a topology change waits for
+	// the Ingests the old ring routed, so when AddShard or DrainShard
+	// starts its rebalancing scan nothing placed by the old ring is still
+	// on its way to a shard the scan has already read.
+	d.topo.RLock()
+	defer d.topo.RUnlock()
+	r, targets := d.ring, d.targets
 	rf := r.RF()
 	width := min(rf+d.cfg.HedgeLimit, len(targets))
 	need := uint8(quorum(rf))
@@ -343,14 +350,6 @@ func (d *Distributor) deliver(sh Shard, es []tracer.Entry) error {
 	return err
 }
 
-// topology returns the current ring and the shards in its index order;
-// in-flight operations keep the topology they started with.
-func (d *Distributor) topology() (*ring.Ring, []Shard) {
-	d.topo.RLock()
-	defer d.topo.RUnlock()
-	return d.ring, d.targets
-}
-
 // setRingLocked swaps the ring and re-derives targets from the shard
 // table. Callers hold topo for writing (or own d exclusively).
 func (d *Distributor) setRingLocked(r *ring.Ring) {
@@ -362,50 +361,17 @@ func (d *Distributor) setRingLocked(r *ring.Ring) {
 	d.ring, d.targets = r, targets
 }
 
-// ParallelQuerier is the optional shard surface for worker-pool scans:
-// shards backed by a local store expose Store.QueryParallel through
-// it, and QueryParallel uses it when the caller asks for workers.
-type ParallelQuerier interface {
-	QueryParallel(q store.Query, workers int) (tracer.Cursor, error)
-}
-
-// Query fans q out across every healthy shard and k-way-merges the
-// results into one stamp-ordered, replica-deduplicated cursor. q.Limit
-// applies to the merged stream (each shard holds a subset, so a
-// per-shard cursor's first Limit entries always cover the merged
-// stream's first Limit stamps).
-func (d *Distributor) Query(q store.Query) (tracer.Cursor, error) {
-	return d.query(q, 0)
-}
-
-// QueryParallel is Query with per-shard worker-pool scans: each shard
-// that implements ParallelQuerier scans its segments with up to
-// workers goroutines; the rest fall back to their sequential cursor.
-// The merged result is identical to Query's — same stamps, same order
-// — which is exactly what makes the two surfaces cross-verifiable.
-func (d *Distributor) QueryParallel(q store.Query, workers int) (tracer.Cursor, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return d.query(q, workers)
-}
-
-func (d *Distributor) query(q store.Query, workers int) (tracer.Cursor, error) {
-	d.topo.RLock()
-	shards := make([]Shard, 0, len(d.shards))
-	for _, sh := range d.shards {
-		shards = append(shards, sh)
-	}
-	d.topo.RUnlock()
+// Query fans q out across every healthy shard — each scanning its
+// segments with up to workers goroutines, at least one — and
+// k-way-merges the shards' stamp-ordered runs into one stamp-ordered,
+// replica-deduplicated cursor. q.Limit applies to the merged stream
+// alone: a shard's duplicates of one stamp must not use up its share.
+func (d *Distributor) Query(q store.Query, workers int) (tracer.Cursor, error) {
+	limit := q.Limit
+	q.Limit = 0
 	var curs []tracer.Cursor
-	for _, sh := range shards {
-		var cur tracer.Cursor
-		var err error
-		if pq, ok := sh.(ParallelQuerier); ok && workers > 0 {
-			cur, err = pq.QueryParallel(q, workers)
-		} else {
-			cur, err = sh.Query(q)
-		}
+	for _, sh := range d.Shards() {
+		cur, err := sh.Query(q, workers)
 		if err != nil {
 			continue // dead replica: its data lives on its peers
 		}
@@ -414,7 +380,7 @@ func (d *Distributor) query(q store.Query, workers int) (tracer.Cursor, error) {
 	if len(curs) == 0 {
 		return nil, fmt.Errorf("distributor: no healthy shards")
 	}
-	return NewMergeCursor(curs, q.Limit), nil
+	return NewMergeCursor(curs, limit), nil
 }
 
 // Shards returns the current shard set, sorted by name.
@@ -486,7 +452,7 @@ func (d *Distributor) AddShard(sh Shard) (DrainReport, error) {
 	batch := make([]tracer.Entry, drainBatch)
 	picked := make([]tracer.Entry, 0, drainBatch)
 	for _, peer := range peers {
-		cur, err := peer.Query(store.Query{})
+		cur, err := peer.Scan()
 		if err != nil {
 			// An unreadable peer cannot ship its ranges; the newcomer
 			// still serves new writes, and the peer's replicas keep the
@@ -591,11 +557,12 @@ func (d *Distributor) DrainShard(name string) (Shard, DrainReport, error) {
 	}
 	// Swap the ring first: from here on, writes route around the
 	// draining shard while its data stays queryable until the scan is
-	// done.
+	// done. Taking topo for writing waited out the Ingests the old ring
+	// routed, so the scan below sees everything the shard ever acked.
 	d.setRingLocked(newRing)
 	d.topo.Unlock()
 
-	cur, err := sh.Query(store.Query{})
+	cur, err := sh.Scan()
 	if err != nil {
 		// Shard unreadable (e.g. killed): fall back to crash-removal.
 		d.finishRemove(name)
@@ -776,8 +743,9 @@ func (d *Distributor) NotReadyReasons() []string {
 			reasons = append(reasons, fmt.Sprintf("shard %s down or write path failed", sh.Name()))
 		}
 	}
-	r, _ := d.topology()
-	rf := r.RF()
+	d.topo.RLock()
+	rf := d.ring.RF()
+	d.topo.RUnlock()
 	if healthy < quorum(rf) {
 		reasons = append(reasons, fmt.Sprintf("only %d healthy shards, quorum needs %d", healthy, quorum(rf)))
 	}

@@ -3,6 +3,9 @@ package distributor
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"btrace/internal/ingest"
@@ -101,7 +104,7 @@ func TestDistributorReplicatesToQuorum(t *testing.T) {
 
 	// The merged query view deduplicates the replicas back to one copy
 	// each, in stamp order, payloads intact.
-	cur, err := d.Query(store.Query{})
+	cur, err := d.Query(store.Query{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,7 @@ func TestDistributorHedgesAroundDeadReplica(t *testing.T) {
 	}
 	// And the acked events must be fully readable without the dead
 	// shard.
-	cur, err := d.Query(store.Query{})
+	cur, err := d.Query(store.Query{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +238,7 @@ func TestDrainShardMovesOnlyMovedRanges(t *testing.T) {
 	victim.Close()
 
 	// The full stream must remain readable from the survivors.
-	cur, err := d.Query(store.Query{})
+	cur, err := d.Query(store.Query{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +282,7 @@ func TestAddShardRoutesNewWrites(t *testing.T) {
 		t.Fatalf("post-add ingest: %+v", res)
 	}
 	// Old and new events both remain fully queryable across the ring.
-	cur, err := d.Query(store.Query{})
+	cur, err := d.Query(store.Query{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +322,7 @@ func TestAddDrainRemoveLosesNothing(t *testing.T) {
 	if _, err := d.RemoveShard("shard-02"); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := d.Query(store.Query{})
+	cur, err := d.Query(store.Query{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +364,93 @@ func TestKilledShardRefuses(t *testing.T) {
 	if err := sh.Ingest(events(10, 100, 7)); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("ingest after kill: %v, want ErrShardDown", err)
 	}
-	if _, err := sh.Query(store.Query{}); !errors.Is(err, ErrShardDown) {
+	if _, err := sh.Query(store.Query{}, 0); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("query after kill: %v, want ErrShardDown", err)
 	}
 	if sh.Healthy() {
 		t.Fatal("killed shard reports healthy")
+	}
+}
+
+// TestRebalanceUnderWritesKeepsEveryOwnerWhole joins one shard and
+// drains another while writers are being acked, then holds the cluster
+// to the topology invariant the rebalancing scans exist for: every owner
+// the final ring names for a key holds every acked event of that key.
+// An Ingest routed by the old ring that lands on a shard after the scan
+// has read it would leave its event one replica short.
+func TestRebalanceUnderWritesKeepsEveryOwnerWhole(t *testing.T) {
+	d, locals := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff(), RecordStamps: true})
+	tids := make([]uint32, 32)
+	for i := range tids {
+		tids[i] = uint32(200 + i)
+	}
+	const writers, perBatch = 3, 16
+	var (
+		next  atomic.Uint64
+		stop  atomic.Bool
+		wg    sync.WaitGroup
+		acked [writers]map[uint64]uint32 // stamp → TID
+	)
+	for w := range acked {
+		acked[w] = make(map[uint64]uint32)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				es := events(perBatch, next.Add(perBatch)-perBatch+1, tids...)
+				tidOf := make(map[uint64]uint32, perBatch)
+				for i := range es {
+					tidOf[es[i].Stamp] = es[i].TID
+				}
+				for _, s := range d.Ingest("", es).AckedStamps {
+					acked[w][s] = tidOf[s]
+				}
+			}
+		}()
+	}
+	waitFor := func(stamps uint64) {
+		for next.Load() < stamps {
+			runtime.Gosched()
+		}
+	}
+
+	waitFor(2000)
+	extra := newTestShard(t, "shard-99")
+	if rep, err := d.AddShard(extra); err != nil || rep.Failed != 0 {
+		t.Fatalf("AddShard under writes: %+v, %v", rep, err)
+	}
+	waitFor(next.Load() + 2000)
+	victim, rep, err := d.DrainShard("shard-01")
+	if err != nil || rep.Failed != 0 {
+		t.Fatalf("DrainShard under writes: %+v, %v", rep, err)
+	}
+	waitFor(next.Load() + 500)
+	stop.Store(true)
+	wg.Wait()
+	victim.Close()
+
+	held := make(map[string]map[uint64]bool)
+	for _, sh := range append(locals, extra) {
+		if sh == victim {
+			continue
+		}
+		held[sh.Name()] = make(map[uint64]bool)
+		for _, e := range drainAll(t, sh.st.Query(store.Query{})) {
+			held[sh.Name()][e.Stamp] = true
+		}
+	}
+	total := 0
+	for w := range acked {
+		total += len(acked[w])
+		for stamp, tid := range acked[w] {
+			for _, owner := range d.ring.Lookup(streamKey(tid)) {
+				if !held[owner][stamp] {
+					t.Fatalf("acked stamp %d (tid %d) is missing on its owner %s", stamp, tid, owner)
+				}
+			}
+		}
+	}
+	if total < 4500 {
+		t.Fatalf("writers got %d events acked, want the rebalances to have run under load", total)
 	}
 }

@@ -394,7 +394,7 @@ func TestKillDuringInflightDelivery(t *testing.T) {
 		}
 	}
 	// Nothing acked is lost: the survivors serve every acked stamp.
-	cur, err := d.Query(store.Query{})
+	cur, err := d.Query(store.Query{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,91 +1,44 @@
 package distributor
 
-import (
-	"sort"
-
-	"btrace/internal/tracer"
-)
+import "btrace/internal/tracer"
 
 // mergeBatch is the per-source read granularity of the merge cursor.
 const mergeBatch = 512
 
-// mergeSource wraps one shard cursor. Replicated delivery applies owner
-// groups to a shard in arrival order, so the shard's durable stream is
-// an interleaving of stamp-sorted runs rather than one globally sorted
-// sequence (store cursors replay append order). The source therefore
-// materializes and sorts its matching stream once, on first use; the
-// k-way merge then runs over genuinely ordered inputs.
+// mergeSource is one shard cursor and the batch the merge last read off
+// it. The entries in buf borrow the cursor's memory until its next Next.
 type mergeSource struct {
-	cur    tracer.Cursor
-	es     []tracer.Entry
-	i      int
-	loaded bool
-	err    error
+	cur  tracer.Cursor
+	buf  []tracer.Entry
+	i, n int   // buf[i:n] is unread
+	done bool  // the cursor drained or failed; buf[i:n] is all that is left
+	err  error // surfaces once the merged stream drains
 }
 
-// load drains the cursor, clones the entries out of its arena, sorts
-// by stamp and collapses same-shard duplicates. With a limit, only the
-// smallest limit entries are retained after the collapse: every slot of
-// a truncated prefix must hold a distinct stamp, or the merged stream
-// could come up short of limit even though more distinct stamps exist
-// past the cut. Deduped, the union of per-source first-L prefixes
-// always covers the merged first-L entries.
-func (s *mergeSource) load(missed *uint64, limit int) {
-	s.loaded = true
-	batch := make([]tracer.Entry, mergeBatch)
-	for {
-		n, m, err := s.cur.Next(batch)
-		*missed += m
-		if n > 0 {
-			s.es = tracer.CloneEntries(s.es, batch[:n])
-		}
-		if err != nil {
-			// Keep the readable prefix; the error surfaces once the
-			// merged stream drains.
-			s.err = err
-			break
-		}
-		if n == 0 {
-			break
-		}
+// refill reads the source's next batch if the last one is used up.
+func (s *mergeSource) refill(missed *uint64) {
+	if s.i < s.n || s.done {
+		return
 	}
-	sort.SliceStable(s.es, func(i, j int) bool { return s.es[i].Stamp < s.es[j].Stamp })
-	uniq := s.es[:0]
-	for i := range s.es {
-		if i > 0 && s.es[i].Stamp == s.es[i-1].Stamp {
-			continue
-		}
-		uniq = append(uniq, s.es[i])
-	}
-	s.es = uniq
-	if limit > 0 && len(s.es) > limit {
-		s.es = s.es[:limit]
-	}
+	n, m, err := s.cur.Next(s.buf)
+	*missed += m
+	s.i, s.n = 0, n
+	// A failed source keeps the prefix it could read.
+	s.err, s.done = err, err != nil || n == 0
 }
 
-// head returns the source's current entry, or nil when drained.
-func (s *mergeSource) head(missed *uint64, limit int) *tracer.Entry {
-	if !s.loaded {
-		s.load(missed, limit)
-	}
-	if s.i >= len(s.es) {
-		return nil
-	}
-	return &s.es[s.i]
-}
-
-// MergeCursor k-way-merges shard cursors into one stamp-ordered stream,
-// deduplicating equal stamps: with replication every event exists on RF
-// shards, so duplicates are the normal case, and the globally-unique-
-// stamp invariant (enforced at collection by the Verifier) makes the
-// stamp the identity to collapse on. Sorting per source also makes
-// same-shard duplicates (a spilled dump retried cross-replica, then
-// flushed on graceful close) adjacent, so they collapse too.
+// MergeCursor k-way-merges shard cursors, each a stamp-ordered run
+// (Shard.Query), into one stamp-ordered stream, deduplicating equal
+// stamps: with replication every event exists on RF shards, so
+// duplicates are the normal case, and the globally-unique-stamp
+// invariant (enforced at collection by the Verifier) makes the stamp
+// the identity to collapse on. Same-shard duplicates (a spilled dump
+// retried cross-replica, then flushed on graceful close) are adjacent
+// in their run, so they collapse too.
 //
-// Each source holds its shard's matching stream in memory; callers
-// bound that with Query.Limit (the serve endpoints cap query sizes).
-// Entries returned by Next stay valid until Close — stricter than the
-// tracer.Cursor contract requires.
+// The merge streams: it holds one mergeBatch of entries per source and
+// nothing else, whatever the query matches. What a source holds to
+// produce its run is the source's own cost (see LocalShard.Query).
 type MergeCursor struct {
 	srcs    []*mergeSource
 	limit   int // 0 = unlimited
@@ -104,34 +57,45 @@ type MergeCursor struct {
 func NewMergeCursor(curs []tracer.Cursor, limit int) *MergeCursor {
 	m := &MergeCursor{limit: limit}
 	for _, c := range curs {
-		m.srcs = append(m.srcs, &mergeSource{cur: c})
+		m.srcs = append(m.srcs, &mergeSource{cur: c, buf: make([]tracer.Entry, mergeBatch)})
 	}
 	return m
 }
 
-// Next fills batch with the next merged entries.
+// Next fills batch with the next merged entries. A source whose batch
+// runs out ends the output batch early: it is read again only by the
+// next call, so the payloads this call hands out — borrowed from the
+// shard cursors — stay valid for as long as the contract promises.
 func (m *MergeCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	if m.closed || len(batch) == 0 {
 		return 0, m.takeMissed(), nil
 	}
 	out := 0
-	for out < len(batch) {
-		if m.limit > 0 && m.emitted >= m.limit {
-			break
+	room := func() bool { return m.limit == 0 || m.emitted < m.limit }
+	for dry := true; dry && out == 0 && room(); {
+		// Nothing this call has handed out yet borrows from any source.
+		for _, s := range m.srcs {
+			s.refill(&m.missed)
 		}
-		src := m.minSource()
-		if src == nil {
-			break
+		dry = false
+		for out < len(batch) && room() {
+			src := m.minSource()
+			if src == nil {
+				break
+			}
+			e := src.buf[src.i]
+			src.i++
+			if !m.started || e.Stamp != m.last { // else a replica duplicate
+				m.started, m.last = true, e.Stamp
+				batch[out] = e
+				out++
+				m.emitted++
+			}
+			if src.i == src.n && !src.done {
+				dry = true
+				break
+			}
 		}
-		e := src.es[src.i]
-		src.i++
-		if m.started && e.Stamp == m.last {
-			continue // replica duplicate
-		}
-		m.started, m.last = true, e.Stamp
-		batch[out] = e
-		out++
-		m.emitted++
 	}
 	if out == 0 {
 		for _, s := range m.srcs {
@@ -147,14 +111,9 @@ func (m *MergeCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 // linear scan: the fan-in is the shard count, small by construction.
 func (m *MergeCursor) minSource() *mergeSource {
 	var best *mergeSource
-	var bestStamp uint64
 	for _, s := range m.srcs {
-		h := s.head(&m.missed, m.limit)
-		if h == nil {
-			continue
-		}
-		if best == nil || h.Stamp < bestStamp {
-			best, bestStamp = s, h.Stamp
+		if s.i < s.n && (best == nil || s.buf[s.i].Stamp < best.buf[best.i].Stamp) {
+			best = s
 		}
 	}
 	return best
@@ -166,7 +125,7 @@ func (m *MergeCursor) takeMissed() uint64 {
 	return v
 }
 
-// Close closes every source cursor and releases the buffered streams.
+// Close closes every source cursor.
 func (m *MergeCursor) Close() error {
 	if m.closed {
 		return nil
@@ -177,7 +136,6 @@ func (m *MergeCursor) Close() error {
 		if err := s.cur.Close(); err != nil && first == nil {
 			first = err
 		}
-		s.es = nil
 	}
 	return first
 }

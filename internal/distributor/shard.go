@@ -33,8 +33,15 @@ type Shard interface {
 	// apply later. es is only valid for the duration of the call. Safe
 	// for concurrent use.
 	Ingest(es []tracer.Entry) error
-	// Query opens a stamp-ordered cursor over the shard's durable store.
-	Query(q store.Query) (tracer.Cursor, error)
+	// Query opens a cursor over a point-in-time snapshot of the shard's
+	// durable store, in stamp order, scanned by up to workers goroutines
+	// (at least one).
+	Query(q store.Query, workers int) (tracer.Cursor, error)
+	// Scan opens the store's following cursor over everything the shard
+	// holds: append order, one block decoded at a time, and it reads on
+	// into what is applied during the scan until its first empty Next.
+	// What AddShard and DrainShard re-place from.
+	Scan() (tracer.Cursor, error)
 	// Healthy reports whether the shard is accepting work.
 	Healthy() bool
 	Segments() []store.SegmentInfo
@@ -115,23 +122,25 @@ func (s *LocalShard) Ingest(es []tracer.Entry) error {
 	return nil
 }
 
-// Query opens a cursor over the shard's durable store. A killed shard
-// refuses: its data is intact on the backend but unavailable, exactly
-// like a dead process's disk.
-func (s *LocalShard) Query(q store.Query) (tracer.Cursor, error) {
+// Query opens a snapshot cursor over the shard's durable store. A
+// killed shard refuses: its data is intact on the backend but
+// unavailable, exactly like a dead process's disk. The sorted run costs
+// what a store.PCursor holds: every segment of the snapshot is scanned
+// up to three 256 KiB spans ahead of the merge, and a segment that
+// concurrent deliveries left unordered is decoded and sorted whole.
+func (s *LocalShard) Query(q store.Query, workers int) (tracer.Cursor, error) {
 	if !s.Healthy() {
 		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)
 	}
-	return s.st.Query(q), nil
+	return s.st.QueryParallel(q, max(workers, 1)), nil
 }
 
-// QueryParallel opens a worker-pool cursor over the shard's durable
-// store (distributor.ParallelQuerier); same refusal rule as Query.
-func (s *LocalShard) QueryParallel(q store.Query, workers int) (tracer.Cursor, error) {
+// Scan opens the store's sequential cursor; same refusal rule as Query.
+func (s *LocalShard) Scan() (tracer.Cursor, error) {
 	if !s.Healthy() {
 		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)
 	}
-	return s.st.QueryParallel(q, workers), nil
+	return s.st.Query(store.Query{}), nil
 }
 
 // Healthy reports whether the shard accepts work: alive and with a

@@ -46,15 +46,13 @@ func (st *Store) Aggregate(q Query, specs []btql.AggSpec) (results []btql.Result
 	for i := range specs {
 		sink.aggs[i] = specs[i].New()
 	}
-	// The pass covers exactly what the first round of a parallel cursor
-	// would — same snapshot, same file-rung pruning (never of a segment
-	// still growing, whose metadata may lag its bytes), same retention
-	// accounting — folded in place, segment by segment, instead of
-	// merged.
-	pc := st.QueryParallel(q, 1)
-	snaps, missed := pc.snapshot()
+	// The pass covers exactly what a parallel cursor would — same
+	// snapshot, same file-rung pruning — folded in place, segment by
+	// segment, instead of merged.
+	cq := compile(q)
+	snaps := st.snapshot(cq)
 	for i := range snaps {
-		s, m, err := st.openScan(pc.q, &snaps[i], false)
+		s, m, err := st.openScan(cq, &snaps[i], false)
 		missed += m
 		if err != nil {
 			return nil, missed, err

@@ -15,8 +15,9 @@ package store
 
 import "fmt"
 
-// Compact merges adjacent runs of small sealed segments, as selected by
-// the strategy. It returns the number of source segments consumed.
+// Compact merges adjacent runs of small sealed segments
+// (selectMergeRunLocked). It returns the number of source segments
+// consumed.
 func (st *Store) Compact() (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -26,12 +27,10 @@ func (st *Store) Compact() (int, error) {
 	merged := 0
 	from := 0
 	for {
-		view := st.blocklistLocked()
-		start, n := st.cfg.Strategy.MergeRun(view[from:], st.strategyCfgLocked())
+		start, n := st.selectMergeRunLocked(from)
 		if n < 2 {
 			break
 		}
-		start += from
 		if err := st.mergeRunLocked(start, n); err != nil {
 			if merged > 0 {
 				st.stats.Compactions++

@@ -6,9 +6,9 @@
 //	cold  — row segments compressed into block files (CompactCold,
 //	        cold.go)
 //
-// A pluggable Strategy picks what moves, polling the store's blocklist
-// (the per-segment view snapshot); the compactor goroutine runs a merge
-// + freeze pass every Config.CompactInterval. Every transition is
+// selectMergeRunLocked and selectFreezeRunLocked pick what moves; the
+// compactor goroutine runs a merge + freeze pass every
+// Config.CompactInterval. Every transition is
 // atomic: the result is written to a .tmp name, fsynced, renamed in
 // (the commit point), and only then are the sources deleted. A crash at
 // any boundary leaves either the sources or the committed result, never
@@ -28,67 +28,21 @@ import (
 	"btrace/internal/tracer"
 )
 
-// SegmentView is one blocklist entry: the public, strategy-facing
-// summary of a segment.
-type SegmentView struct {
-	Seq           uint64
-	CoversThrough uint64
-	Tier          Tier
-	Sealed        bool
-	Ordered       bool
-	Bytes         int64 // committed backend bytes (compressed for cold)
-	RawBytes      int64 // uncompressed equivalent
-	Blocks        int
-	Events        uint64
-	BaseStamp     uint64
-	MaxStamp      uint64
-	MinTS         uint64
-	MaxTS         uint64
-}
-
-// StrategyConfig is the store state a Strategy decides against.
-type StrategyConfig struct {
-	SegmentBytes  int64
-	ColdAfterNs   uint64
-	ColdFileBytes int64
-	// NewestTS is the newest event timestamp across all segments; freeze
-	// ages are measured against it (virtual time, like retention).
-	NewestTS uint64
-}
-
-// Strategy selects tier transitions from the blocklist. Implementations
-// must be pure functions of their arguments (they are called under the
-// store lock).
-type Strategy interface {
-	// MergeRun picks the next run view[start:start+n] of row segments to
-	// merge into one (hot/compacted → compacted). n < 2 means nothing to
-	// merge.
-	MergeRun(view []SegmentView, cfg StrategyConfig) (start, n int)
-	// FreezeRun picks the next run view[start:start+n] of sealed row
-	// segments to compress into one cold file. n < 1 means nothing to
-	// freeze.
-	FreezeRun(view []SegmentView, cfg StrategyConfig) (start, n int)
-}
-
-// DefaultStrategy merges runs of adjacent small sealed row segments
-// (each under SegmentBytes/2, merged body within SegmentBytes) and
-// freezes sealed row segments older than ColdAfterNs, packing adjacent
-// ones into cold files of up to ColdFileBytes raw bytes.
-type DefaultStrategy struct{}
-
-// MergeRun implements Strategy with the historical Compact selection.
-func (DefaultStrategy) MergeRun(view []SegmentView, cfg StrategyConfig) (start, n int) {
-	small := cfg.SegmentBytes / 2
-	for i := 0; i < len(view); i++ {
+// selectMergeRunLocked picks the next run st.segs[start:start+n], at or
+// after from, of row segments to merge into one (hot/compacted →
+// compacted): adjacent sealed segments, each under SegmentBytes/2, whose
+// merged body stays within SegmentBytes. n < 2 means nothing to merge.
+func (st *Store) selectMergeRunLocked(from int) (start, n int) {
+	small := st.cfg.SegmentBytes / 2
+	for i := from; i < len(st.segs); i++ {
 		var total int64
 		run := 0
-		for j := i; j < len(view); j++ {
-			s := &view[j]
-			if !s.Sealed || s.Tier == TierCold || s.Bytes >= small {
+		for _, s := range st.segs[i:] {
+			if !s.sealed || s.isCold() || s.size >= small {
 				break
 			}
-			body := s.Bytes - headerSize
-			if run > 0 && total+body+headerSize > cfg.SegmentBytes {
+			body := s.size - headerSize
+			if run > 0 && total+body+headerSize > st.cfg.SegmentBytes {
 				break
 			}
 			total += body
@@ -101,85 +55,44 @@ func (DefaultStrategy) MergeRun(view []SegmentView, cfg StrategyConfig) (start, 
 	return 0, 0
 }
 
-// FreezeRun implements Strategy: the leftmost run of sealed, non-empty
-// row segments whose newest timestamp trails NewestTS by more than
-// ColdAfterNs, extended while the run's raw bytes fit ColdFileBytes.
-// ColdAfterNs == 0 disables freezing.
-func (DefaultStrategy) FreezeRun(view []SegmentView, cfg StrategyConfig) (start, n int) {
-	if cfg.ColdAfterNs == 0 {
-		return 0, 0
+// selectFreezeRunLocked picks the next sealed row segments to compress
+// into one cold file: the leftmost run of non-empty ones whose newest
+// timestamp trails the store's newest (virtual time, like retention) by
+// more than ColdAfterNs, extended while the run's raw bytes fit
+// ColdFileBytes. ColdAfterNs == 0 disables freezing.
+func (st *Store) selectFreezeRunLocked() []*segment {
+	after := st.cfg.ColdAfterNs
+	if after == 0 {
+		return nil
 	}
-	eligible := func(s *SegmentView) bool {
-		return s.Sealed && s.Tier != TierCold && s.Events > 0 &&
-			s.MaxTS+cfg.ColdAfterNs <= cfg.NewestTS
+	var newest uint64
+	for _, s := range st.segs {
+		if s.meta.count > 0 && s.meta.maxTS > newest {
+			newest = s.meta.maxTS
+		}
 	}
-	for i := 0; i < len(view); i++ {
-		if !eligible(&view[i]) {
+	eligible := func(s *segment) bool {
+		return s.sealed && !s.isCold() && s.meta.count > 0 && s.meta.maxTS+after <= newest
+	}
+	for i, s := range st.segs {
+		if !eligible(s) {
 			continue
 		}
 		var raw int64
 		run := 0
-		for j := i; j < len(view); j++ {
-			if !eligible(&view[j]) {
+		for _, s := range st.segs[i:] {
+			if !eligible(s) || run > 0 && raw+s.rawSize > st.cfg.ColdFileBytes {
 				break
 			}
-			if run > 0 && raw+view[j].RawBytes > cfg.ColdFileBytes {
-				break
-			}
-			raw += view[j].RawBytes
+			raw += s.rawSize
 			run++
 		}
-		return i, run
+		return append([]*segment(nil), st.segs[i:i+run]...)
 	}
-	return 0, 0
+	return nil
 }
 
-// blocklistLocked renders the per-segment view the strategies poll.
-func (st *Store) blocklistLocked() []SegmentView {
-	view := make([]SegmentView, 0, len(st.segs))
-	for _, s := range st.segs {
-		view = append(view, SegmentView{
-			Seq:           s.seq,
-			CoversThrough: s.coversThrough,
-			Tier:          s.tier,
-			Sealed:        s.sealed,
-			Ordered:       s.meta.ordered,
-			Bytes:         s.size,
-			RawBytes:      s.rawSize,
-			Blocks:        len(s.blocks),
-			Events:        s.meta.count,
-			BaseStamp:     s.meta.baseStamp,
-			MaxStamp:      s.meta.maxStamp,
-			MinTS:         s.meta.minTS,
-			MaxTS:         s.meta.maxTS,
-		})
-	}
-	return view
-}
-
-func (st *Store) strategyCfgLocked() StrategyConfig {
-	cfg := StrategyConfig{
-		SegmentBytes:  st.cfg.SegmentBytes,
-		ColdAfterNs:   st.cfg.ColdAfterNs,
-		ColdFileBytes: st.cfg.ColdFileBytes,
-	}
-	for _, s := range st.segs {
-		if s.meta.count > 0 && s.meta.maxTS > cfg.NewestTS {
-			cfg.NewestTS = s.meta.maxTS
-		}
-	}
-	return cfg
-}
-
-// Blocklist returns the compactor's view of every segment, oldest
-// first — what a Strategy polls, exported for inspection tooling.
-func (st *Store) Blocklist() []SegmentView {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.blocklistLocked()
-}
-
-// TierStat aggregates one tier of the blocklist.
+// TierStat aggregates one tier of the store's segments.
 type TierStat struct {
 	Tier     string `json:"tier"`
 	Segments int    `json:"segments"`
@@ -218,7 +131,7 @@ func (st *Store) CompactTick() error {
 }
 
 // CompactCold freezes aged sealed row segments into compressed cold
-// block files, as selected by the strategy. It returns the number of
+// block files (selectFreezeRunLocked). It returns the number of
 // row segments consumed. Passes are serialized: run selection and the
 // commit happen under st.mu but the compression I/O between them does
 // not, so concurrent passes could otherwise freeze the same run twice.
@@ -232,14 +145,11 @@ func (st *Store) CompactCold() (int, error) {
 			st.mu.Unlock()
 			return frozen, ErrClosed
 		}
-		start, n := st.cfg.Strategy.FreezeRun(st.blocklistLocked(), st.strategyCfgLocked())
-		if n < 1 {
-			st.mu.Unlock()
+		run := st.selectFreezeRunLocked()
+		st.mu.Unlock()
+		if len(run) == 0 {
 			return frozen, nil
 		}
-		run := make([]*segment, n)
-		copy(run, st.segs[start:start+n])
-		st.mu.Unlock()
 		fn, err := st.freezeRun(run)
 		frozen += fn
 		if err != nil {
@@ -282,7 +192,6 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 	w := &st.coldW
 	w.begin(tmp, st.cfg.ColdBlockBytes)
 	defer func() { w.f = nil }() // the writer is kept for its buffers, not the file
-	srcSizes := make(map[uint64]int64, len(run))
 	for _, s := range run {
 		if err := st.freezeSource(w, s); err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
@@ -295,7 +204,6 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 			}
 			return abort(err)
 		}
-		srcSizes[s.seq] = s.size
 	}
 	if err := w.finish(last.coversThrough); err != nil {
 		return abort(err)
@@ -332,7 +240,6 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 		sealed:        true,
 		meta:          fileMeta,
 		blocks:        blocks,
-		srcSizes:      srcSizes,
 	}
 	i := st.segIndexLocked(run[0])
 	st.segs[i] = cold

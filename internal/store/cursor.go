@@ -7,8 +7,6 @@
 package store
 
 import (
-	"sort"
-
 	"btrace/internal/btql"
 	"btrace/internal/tracer"
 )
@@ -266,21 +264,7 @@ func (c *Cursor) openNext() (missed uint64, ok bool) {
 		if dedupe && c.lastStamp+1 > q.minStamp {
 			q = compile(Query{MinStamp: c.lastStamp + 1, Limit: q.limit, Pred: q.pred})
 		}
-		// Sparse seek: skip straight to the stamp lower bound when the
-		// segment is ordered. (A cold segment's block directory replaces
-		// the sparse index: the block rung vetoes blocks below the bound.)
-		start := int64(headerSize)
-		if seg.isCold() {
-			start = 0
-		} else if seekStamp := q.minStamp; seg.meta.ordered && seekStamp > 0 && len(seg.sparse) > 0 {
-			lo := sort.Search(len(seg.sparse), func(i int) bool {
-				return seg.sparse[i].stamp >= seekStamp
-			})
-			if lo > 0 {
-				start = seg.sparse[lo-1].off
-			}
-		}
-		c.snap = snapOf(seg, start)
+		c.snap = snapOf(seg, q.minStamp)
 		c.st.mu.Unlock()
 
 		scan, _, _ := c.st.openScan(q, &c.snap, true)

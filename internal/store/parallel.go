@@ -1,8 +1,9 @@
-// Parallel pruned queries. QueryParallel answers the same tracer.Cursor
-// contract as the sequential Cursor, but scans the surviving segments
+// Parallel pruned queries. QueryParallel answers one pass over one
+// point-in-time snapshot of the store — what Aggregate folds, delivered
+// as entries in global stamp order — scanning the surviving segments
 // with a bounded worker pool feeding a k-way merge by stamp:
 //
-//   - Prune first: the per-round snapshot drops sealed segments whose
+//   - Prune first: the snapshot (Store.snapshot) drops segments whose
 //     header metadata (stamp/time min-max, core and category bitsets)
 //     cannot match the query, without ever opening their files.
 //   - One goroutine per surviving segment steps the shared scan (scan.go)
@@ -12,20 +13,19 @@
 //     the segments' stamp ranges are disjoint and ordered — the common
 //     sealed-rotation layout — which is a straight copy per chunk).
 //
-// Rounds are incremental like the sequential cursor: a round snapshots
-// the committed state, drains it, and records per-segment resume
-// offsets; a later Next starts a new round from those offsets, so
-// appends landing between calls are picked up and nothing is delivered
-// twice. Entries handed out borrow chunk buffers that stay valid until
-// the next Next or Close, matching the cursor ownership contract, and
-// `missed` is the same upper bound the sequential cursor reports when
-// retention laps the reader.
+// The snapshot is taken by the first Next. Events appended after it
+// belong to a later cursor; once the pass has delivered its last entry
+// (or Query.Limit of them) Next answers (0, 0, nil) until Close.
+// Following the store as it grows is the sequential Cursor's job.
+// Entries handed out borrow chunk buffers that stay valid until the
+// next Next or Close, matching the cursor ownership contract, and
+// `missed` bounds the snapshot events a retention, merge or freeze pass
+// deleted before their stream could open them.
 package store
 
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"btrace/internal/tracer"
@@ -88,8 +88,8 @@ func (ck *pchunk) reset() {
 // Aggregate pass.
 var globalChunks = sync.Pool{New: func() any { return new(pchunk) }}
 
-// chunkPool recycles chunks (and their buffers) across spans and
-// rounds. Streams and the merge touch it concurrently.
+// chunkPool recycles chunks (and their buffers) across spans. Streams
+// and the merge touch it concurrently.
 type chunkPool struct {
 	mu   sync.Mutex
 	free []*pchunk
@@ -114,25 +114,15 @@ func (p *chunkPool) put(ck *pchunk) {
 	p.mu.Unlock()
 }
 
-// pmark is one segment's cross-round resume mark. For row segments off
-// is a byte offset; for cold segments it is a block index — the cold
-// flag records which, so a tier transition between rounds is detected
-// instead of misread.
-type pmark struct {
-	off  int64
-	cold bool
-}
-
 // pstream is one segment's scan: a goroutine filling ch, plus the
-// merge's view of the current chunk. missed/endOff/err are written by
-// the goroutine before ch closes and read by the merge only after the
-// close (or after wg.Wait), which orders them.
+// merge's view of the current chunk. missed/err are written by the
+// goroutine before ch closes and read by the merge only after the close
+// (or after wg.Wait), which orders them.
 type pstream struct {
 	snap segSnap
 	ch   chan *pchunk
 
 	missed uint64
-	endOff int64 // resume offset for the next round
 	err    error
 
 	cur *pchunk
@@ -143,14 +133,15 @@ type pstream struct {
 // the sequential Cursor it is not safe for concurrent use by multiple
 // goroutines (the store itself is).
 type PCursor struct {
-	st      *Store
-	q       *compiled
-	workers int
+	st *Store
+	q  *compiled
 
 	sem  chan struct{}
 	pool chunkPool
 
-	// Round state; streams == nil between rounds.
+	// The pass; streams is nil before the first Next starts it and again
+	// once it has ended.
+	started bool
 	streams []*pstream
 	h       []*pstream // min-heap by head stamp (general path)
 	concat  bool       // disjoint-ordered fast path: consume streams in order
@@ -158,10 +149,6 @@ type PCursor struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 
-	// Cross-round state.
-	progress      map[uint64]pmark // seq -> next unread offset/block
-	lowSeq        uint64           // lowest not-fully-consumed seq
-	seenRetired   uint64
 	pendingMissed uint64
 	delivered     int
 	retired       []*pchunk // chunks whose entries the caller borrowed last Next
@@ -175,22 +162,7 @@ func (st *Store) QueryParallel(q Query, workers int) *PCursor {
 	if workers <= 0 {
 		workers = DefaultQueryWorkers
 	}
-	c := &PCursor{
-		st:       st,
-		q:        compile(q),
-		workers:  workers,
-		sem:      make(chan struct{}, workers),
-		progress: make(map[uint64]pmark),
-	}
-	st.mu.Lock()
-	c.seenRetired = st.retiredEvents
-	if len(st.segs) > 0 {
-		c.lowSeq = st.segs[0].seq
-	} else {
-		c.lowSeq = st.nextSeq
-	}
-	st.mu.Unlock()
-	return c
+	return &PCursor{st: st, q: compile(q), sem: make(chan struct{}, workers)}
 }
 
 // Next implements tracer.Cursor.
@@ -204,18 +176,12 @@ func (c *PCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	// Entries handed out by the previous Next are invalid from here on;
 	// their chunks go back to the pool.
 	c.recycleRetired()
-	var missed uint64
-	if c.q.limit > 0 && c.delivered >= c.q.limit {
-		if c.streams != nil {
-			c.abortRound()
-		}
-		return 0, 0, nil
+	if !c.started {
+		c.started = true
+		c.start()
 	}
 	if c.streams == nil {
-		missed += c.startRound()
-		if c.streams == nil {
-			return 0, missed, nil
-		}
+		return 0, 0, nil
 	}
 	var n int
 	var err error
@@ -224,20 +190,18 @@ func (c *PCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	} else {
 		n, err = c.mergeHeap(batch)
 	}
-	missed += c.pendingMissed
+	missed := c.pendingMissed
 	c.pendingMissed = 0
 	return n, missed, err
 }
 
-// startRound snapshots the committed store state and launches one scan
-// goroutine per surviving segment. Returns events missed to retention
-// since the previous round. On return c.streams is nil if there is
-// nothing to scan.
-func (c *PCursor) startRound() (missed uint64) {
-	snaps, m := c.snapshot()
-	missed = m
+// start snapshots the committed store state and launches one scan
+// goroutine per surviving segment. On return c.streams is nil if there
+// is nothing to scan.
+func (c *PCursor) start() {
+	snaps := c.st.snapshot(c.q)
 	if len(snaps) == 0 {
-		return missed
+		return
 	}
 	c.done = make(chan struct{})
 	c.streams = make([]*pstream, 0, len(snaps))
@@ -245,20 +209,13 @@ func (c *PCursor) startRound() (missed uint64) {
 	// strictly increasing across segments — rotation's natural layout.
 	c.concat = true
 	for i := range snaps {
-		if !snaps[i].ordered {
-			c.concat = false
-			break
-		}
-		if i > 0 && snaps[i-1].maxStamp >= snaps[i].baseStamp {
+		if !snaps[i].ordered || i > 0 && snaps[i-1].maxStamp >= snaps[i].baseStamp {
 			c.concat = false
 			break
 		}
 	}
-	c.ci = 0
-	c.h = c.h[:0]
 	for i := range snaps {
 		ps := &pstream{snap: snaps[i], ch: make(chan *pchunk, 1)}
-		ps.endOff = snaps[i].start
 		c.streams = append(c.streams, ps)
 		c.wg.Add(1)
 		go c.runStream(ps)
@@ -274,183 +231,21 @@ func (c *PCursor) startRound() (missed uint64) {
 			c.down(i)
 		}
 	}
-	return missed
-}
-
-// snapshot captures, under st.mu, the per-segment scan ranges for one
-// round: retention-missed accounting, header-metadata pruning, merged-
-// coverage resume rules and the sparse first-visit seek all happen
-// here, so stream goroutines never touch live segments.
-func (c *PCursor) snapshot() ([]segSnap, uint64) {
-	st := c.st
-	var missed uint64
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.maxRetiredSeq < c.lowSeq {
-		// Deletions (if any) were all behind us; forget them.
-		c.seenRetired = st.retiredEvents
-	} else if st.retiredEvents > c.seenRetired {
-		// Retention lapped the cursor.
-		missed += st.retiredEvents - c.seenRetired
-		c.seenRetired = st.retiredEvents
-	}
-	var snaps []segSnap
-	low := uint64(0)
-	for _, s := range st.segs {
-		if s.isCold() {
-			sn, m, live := c.snapshotCold(s)
-			missed += m
-			if !live {
-				continue
-			}
-			if low == 0 {
-				low = s.seq
-			}
-			snaps = append(snaps, sn)
-			continue
-		}
-		start := int64(headerSize)
-		resumed := false
-		if mk, ok := c.progress[s.seq]; ok && !mk.cold {
-			start, resumed = mk.off, true
-		}
-		if s.coversThrough > s.seq {
-			// A compacted segment subsumes seqs we may have partially
-			// read from the pre-merge sources. The merged file keeps the
-			// first source's frames as a byte-identical prefix, so a
-			// resume offset recorded against s.seq itself stays valid —
-			// but progress inside any other source cannot be translated.
-			tainted := false
-			for k := range c.progress {
-				if k > s.seq && k <= s.coversThrough {
-					tainted = true
-					break
-				}
-			}
-			if tainted {
-				if start < s.size {
-					// The un-resumable remainder is bounded by the
-					// segment's count; surface it rather than skipping
-					// silently (same upper bound the sequential cursor
-					// reports for unordered merges).
-					missed += s.meta.count
-				}
-				c.progress[s.seq] = pmark{off: s.size}
-				for k := range c.progress {
-					if k > s.seq && k <= s.coversThrough {
-						delete(c.progress, k)
-					}
-				}
-				continue
-			}
-		}
-		if start >= s.size && s.sealed {
-			continue // fully consumed and immutable
-		}
-		if !c.q.matchSegment(&s.meta) && s.sealed {
-			// Prune without opening the file — the header metadata rules
-			// out every record.
-			c.progress[s.seq] = pmark{off: s.size}
-			continue
-		}
-		if low == 0 {
-			low = s.seq
-		}
-		if !resumed && s.meta.ordered && c.q.minStamp > 0 && len(s.sparse) > 0 {
-			lo := sort.Search(len(s.sparse), func(i int) bool {
-				return s.sparse[i].stamp >= c.q.minStamp
-			})
-			if lo > 0 && s.sparse[lo-1].off > start {
-				start = s.sparse[lo-1].off
-			}
-		}
-		snaps = append(snaps, snapOf(s, start))
-	}
-	if low == 0 {
-		low = st.nextSeq
-	}
-	c.lowSeq = low
-	return snaps, missed
-}
-
-// snapshotCold resolves one cold segment against the progress map.
-// Returns its snapshot when the round should scan it (live), or folds
-// it into progress/missed accounting when it should not.
-//
-// A freeze between rounds invalidates byte-offset marks recorded
-// against the row sources: block indices and byte offsets do not
-// translate. Three cases, mirroring the merged-segment rules:
-//   - every source was fully consumed → skip the cold segment whole;
-//   - nothing was delivered from any source → rescan from block 0
-//     (no duplication possible);
-//   - partial consumption → the remainder cannot be resumed without
-//     re-delivery; skip it and surface the segment's count through
-//     missed (the same upper bound used for unordered merges).
-func (c *PCursor) snapshotCold(s *segment) (sn segSnap, missed uint64, live bool) {
-	consumed := pmark{off: int64(len(s.blocks)), cold: true}
-	start := int64(0)
-	if mk, ok := c.progress[s.seq]; ok && mk.cold {
-		start = mk.off
-	}
-	stale, delivered := false, false
-	for k, mk := range c.progress {
-		if mk.cold || k < s.seq || k > s.coversThrough {
-			continue
-		}
-		stale = true
-		if mk.off > headerSize {
-			delivered = true
-		}
-	}
-	if stale {
-		fully := len(s.srcSizes) > 0
-		for seq, size := range s.srcSizes {
-			if mk, ok := c.progress[seq]; !ok || mk.cold || mk.off < size {
-				fully = false
-				break
-			}
-		}
-		for k, mk := range c.progress {
-			if !mk.cold && k >= s.seq && k <= s.coversThrough {
-				delete(c.progress, k)
-			}
-		}
-		switch {
-		case fully:
-			c.progress[s.seq] = consumed
-			return sn, 0, false
-		case !delivered:
-			start = 0 // fresh scan: nothing was ever delivered
-		default:
-			c.progress[s.seq] = consumed
-			return sn, s.meta.count, false
-		}
-	}
-	if start >= int64(len(s.blocks)) {
-		return sn, 0, false // fully consumed (cold is always sealed)
-	}
-	if !c.q.matchSegment(&s.meta) {
-		c.progress[s.seq] = consumed
-		return sn, 0, false
-	}
-	return snapOf(s, start), 0, true
 }
 
 // runStream steps the shared scan over one segment snapshot, sending
 // each step's chunk to the merge. A semaphore permit is held only
 // across the read+decode, never across a channel send, so a blocked
-// merge cannot starve other streams of scan slots. ps.endOff only ever
-// advances past steps that succeeded.
+// merge cannot starve other streams of scan slots.
 func (c *PCursor) runStream(ps *pstream) {
 	defer c.wg.Done()
 	defer close(ps.ch)
 	sn := &ps.snap
 	s, missed, err := c.st.openScan(c.q, sn, false)
 	if s == nil {
-		if ps.err = err; err == nil {
-			// Retention won the race to the file.
-			ps.missed, ps.endOff = missed, sn.bound
-		}
+		// A failed open, or (err == nil) the file was deleted under the
+		// snapshot and missed bounds what it held.
+		ps.missed, ps.err = missed, err
 		return
 	}
 	defer s.f.Close()
@@ -461,9 +256,9 @@ func (c *PCursor) runStream(ps *pstream) {
 		ck := c.pool.get()
 		more, err = s.step(ck)
 		if !sn.ordered {
-			// The whole remaining range (bounded by SegmentBytes) becomes
-			// one chunk sorted by stamp, so the merge can treat every
-			// stream as stamp-ordered.
+			// The whole range (bounded by SegmentBytes) becomes one chunk
+			// sorted by stamp, so the merge can treat every stream as
+			// stamp-ordered.
 			for more && err == nil {
 				more, err = s.step(ck)
 			}
@@ -474,12 +269,6 @@ func (c *PCursor) runStream(ps *pstream) {
 			c.pool.put(ck)
 			ps.err = err
 			return
-		}
-		ps.endOff = s.off
-		if s.cut && sn.sealed {
-			// Ordered early exit on an immutable segment: nothing later
-			// can ever match; mark it fully consumed.
-			ps.endOff = sn.bound
 		}
 		if len(ck.entries) == 0 {
 			c.pool.put(ck)
@@ -545,11 +334,11 @@ func (c *PCursor) mergeHeap(batch []tracer.Entry) (int, error) {
 	n := 0
 	for n < len(batch) {
 		if c.q.limit > 0 && c.delivered >= c.q.limit {
-			c.abortRound()
+			c.abort()
 			return n, nil
 		}
 		if len(c.h) == 0 {
-			return n, c.finishRound()
+			return n, c.finish()
 		}
 		ps := c.h[0]
 		batch[n] = ps.cur.entries[ps.idx]
@@ -578,11 +367,11 @@ func (c *PCursor) mergeConcat(batch []tracer.Entry) (int, error) {
 	n := 0
 	for n < len(batch) {
 		if c.q.limit > 0 && c.delivered >= c.q.limit {
-			c.abortRound()
+			c.abort()
 			return n, nil
 		}
 		if c.ci >= len(c.streams) {
-			return n, c.finishRound()
+			return n, c.finish()
 		}
 		ps := c.streams[c.ci]
 		if ps.cur == nil || ps.idx >= len(ps.cur.entries) {
@@ -604,9 +393,9 @@ func (c *PCursor) mergeConcat(batch []tracer.Entry) (int, error) {
 	return n, nil
 }
 
-// finishRound records every stream's resume offset and surfaces the
-// first stream error. Every stream has already closed its channel.
-func (c *PCursor) finishRound() error {
+// finish ends a pass whose streams have all closed their channels, and
+// surfaces the first stream error.
+func (c *PCursor) finish() error {
 	var err error
 	c.wg.Wait()
 	for _, ps := range c.streams {
@@ -614,21 +403,18 @@ func (c *PCursor) finishRound() error {
 			c.retired = append(c.retired, ps.cur)
 			ps.cur = nil
 		}
-		c.progress[ps.snap.seq] = pmark{off: ps.endOff, cold: ps.snap.cold}
 		if ps.err != nil && err == nil {
 			err = ps.err
 		}
 	}
 	close(c.done)
-	c.streams = nil
-	c.h = c.h[:0]
+	c.streams, c.h = nil, nil
 	return err
 }
 
-// abortRound cancels the in-flight streams (Limit reached or Close) and
-// records the offsets they reached. Chunks that never made it to the
-// caller go straight back to the pool.
-func (c *PCursor) abortRound() {
+// abort cancels the in-flight streams (Limit reached or Close). Chunks
+// that never made it to the caller go straight back to the pool.
+func (c *PCursor) abort() {
 	close(c.done)
 	for _, ps := range c.streams {
 		for ck := range ps.ch {
@@ -641,10 +427,8 @@ func (c *PCursor) abortRound() {
 			c.pool.put(ps.cur)
 			ps.cur = nil
 		}
-		c.progress[ps.snap.seq] = pmark{off: ps.endOff, cold: ps.snap.cold}
 	}
-	c.streams = nil
-	c.h = c.h[:0]
+	c.streams, c.h = nil, nil
 }
 
 func (c *PCursor) recycleRetired() {
@@ -685,7 +469,7 @@ func (c *PCursor) Close() error {
 	}
 	c.closed = true
 	if c.streams != nil {
-		c.abortRound()
+		c.abort()
 	}
 	c.recycleRetired()
 	for _, ck := range c.pool.free {

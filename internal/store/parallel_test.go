@@ -14,7 +14,7 @@ import (
 )
 
 // drainParallel fully drains a parallel cursor: a Next returning 0 means
-// a whole round over every segment yielded nothing new.
+// the pass over its snapshot is over.
 func drainParallel(t *testing.T, c *PCursor, batch int) ([]tracer.Entry, uint64) {
 	t.Helper()
 	var out []tracer.Entry
@@ -153,9 +153,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelIncremental checks the round contract: appends landing
-// after a full drain are delivered by the next Next, exactly once.
-func TestParallelIncremental(t *testing.T) {
+// TestParallelCursorIsSnapshot checks the snapshot contract: the first
+// Next fixes what the cursor answers for. Events appended after it are
+// not delivered by that cursor, however long it is kept, and are
+// delivered by a new one.
+func TestParallelCursorIsSnapshot(t *testing.T) {
 	st, err := Open(t.TempDir(), Config{SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -167,61 +169,132 @@ func TestParallelIncremental(t *testing.T) {
 	}
 	pc := st.QueryParallel(Query{}, 2)
 	defer pc.Close()
-	got, _ := drainParallel(t, pc, 64)
-	if len(got) != 100 {
-		t.Fatalf("first drain delivered %d entries, want 100", len(got))
+	// Opened before the append below but first read after it: the
+	// snapshot is the first Next's, not QueryParallel's.
+	late := st.QueryParallel(Query{}, 2)
+	defer late.Close()
+	buf := make([]tracer.Entry, 16)
+	n, missed, err := pc.Next(buf)
+	if n != 16 || missed != 0 || err != nil {
+		t.Fatalf("first Next = (%d, %d, %v), want (16, 0, nil)", n, missed, err)
 	}
 	appendRange(t, st, 101, 105)
 	if err := st.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	buf := make([]tracer.Entry, 64)
-	n, missed, err := pc.Next(buf)
-	if err != nil {
-		t.Fatalf("Next: %v", err)
+	rest, missed := drainParallel(t, pc, 64)
+	if len(rest) != 84 || missed != 0 {
+		t.Fatalf("rest of the pass: %d entries (missed %d), want 84 (0)", len(rest), missed)
 	}
-	if n != 5 || missed != 0 {
-		t.Fatalf("incremental Next: n=%d missed=%d, want n=5 missed=0", n, missed)
+	for i, e := range rest {
+		if e.Stamp != uint64(17+i) {
+			t.Fatalf("entry %d: stamp %d, want %d", 16+i, e.Stamp, 17+i)
+		}
 	}
-	for i := 0; i < n; i++ {
-		if buf[i].Stamp != uint64(101+i) {
-			t.Fatalf("incremental entry %d stamp %d, want %d", i, buf[i].Stamp, 101+i)
+	if n, missed, err := pc.Next(buf); n != 0 || missed != 0 || err != nil {
+		t.Fatalf("Next after the pass = (%d, %d, %v), want (0, 0, nil)", n, missed, err)
+	}
+	for name, c := range map[string]*PCursor{"late": late, "new": st.QueryParallel(Query{}, 2)} {
+		es, missed := drainParallel(t, c, 64)
+		c.Close()
+		if len(es) != 105 || missed != 0 {
+			t.Fatalf("%s cursor: %d entries (missed %d), want 105 (0)", name, len(es), missed)
 		}
 	}
 }
 
-// TestParallelCursorMissedOnRetention mirrors the sequential cursor's
-// retention test: retention lapping an open parallel cursor must surface
-// through missed, never silently.
+// TestParallelNoSpuriousMissed: whatever the store does to segments a
+// finished pass has already delivered — merge them, freeze them, retire
+// them — the extra Next every drain loop makes reports nothing, so
+// delivered + missed == matched holds for the query.
+func TestParallelNoSpuriousMissed(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		after func(t *testing.T, st *Store)
+	}{
+		{"Compact", Config{SegmentBytes: 1 << 20}, func(t *testing.T, st *Store) {
+			if n, err := st.Compact(); err != nil || n != 4 {
+				t.Fatalf("Compact = (%d, %v), want 4 sources merged", n, err)
+			}
+		}},
+		{"CompactCold", tierCfg(), func(t *testing.T, st *Store) {
+			sealEvery(t, st, 401, 410, 10) // newer data: the delivered segments age out
+			if n, err := st.CompactCold(); err != nil || n < 4 {
+				t.Fatalf("CompactCold = (%d, %v), want the 4 delivered segments frozen", n, err)
+			}
+		}},
+		{"Retention", Config{SegmentBytes: 1 << 20, MaxBytes: 64 << 10}, func(t *testing.T, st *Store) {
+			sealEvery(t, st, 401, 4000, 400)
+			if st.Stats().EventsRetired < 400 {
+				t.Fatalf("retention retired %d events, want the 400 delivered ones gone", st.Stats().EventsRetired)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open(t.TempDir(), tc.cfg)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer st.Close()
+			sealEvery(t, st, 1, 400, 100)
+			pc := st.QueryParallel(Query{}, 2)
+			defer pc.Close()
+			es, missed := drainParallel(t, pc, 64)
+			if len(es) != 400 || missed != 0 {
+				t.Fatalf("drain: %d events (missed %d), want 400 (0)", len(es), missed)
+			}
+			tc.after(t, st)
+			if n, missed, err := pc.Next(make([]tracer.Entry, 64)); n != 0 || missed != 0 || err != nil {
+				t.Fatalf("Next after the pass = (%d, %d, %v), want (0, 0, nil)", n, missed, err)
+			}
+		})
+	}
+}
+
+// TestParallelCursorMissedOnRetention: retention deleting segments out
+// from under a pass must surface through missed, never silently — every
+// event of the snapshot is delivered exactly once or counted.
 func TestParallelCursorMissedOnRetention(t *testing.T) {
-	st, err := Open(t.TempDir(), Config{SegmentBytes: 4 << 10, MaxBytes: 64 << 10})
+	st, err := Open(t.TempDir(), Config{SegmentBytes: 4 << 10})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer st.Close()
-	appendRange(t, st, 1, 100)
+	appendRange(t, st, 1, 2000)
 	if err := st.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 	pc := st.QueryParallel(Query{}, 2)
 	defer pc.Close()
-	first, _ := drainParallel(t, pc, 64)
-	if len(first) == 0 {
-		t.Fatal("first drain empty")
+	buf := make([]tracer.Entry, 8)
+	n, missed, err := pc.Next(buf)
+	if n == 0 || err != nil {
+		t.Fatalf("first Next = (%d, %d, %v)", n, missed, err)
 	}
-	// Blow well past the byte budget so retention retires segments the
-	// cursor has not seen yet.
-	appendRange(t, st, 101, 4000)
+	first := tracer.CloneEntries(nil, buf[:n])
+	// Impose a byte budget far below what is stored and blow past it, so
+	// retention retires segments of the snapshot mid-pass.
+	st.mu.Lock()
+	st.cfg.MaxBytes = 64 << 10
+	st.mu.Unlock()
+	appendRange(t, st, 2001, 4000)
 	if err := st.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	rest, missed := drainParallel(t, pc, 64)
-	total := uint64(len(first)+len(rest)) + missed
-	if total < 4000 {
-		t.Fatalf("delivered %d + missed %d under-reports 4000 appended", len(first)+len(rest), missed)
+	if st.Stats().EventsRetired == 0 {
+		t.Fatal("retention retired nothing")
+	}
+	rest, m := drainParallel(t, pc, 64)
+	missed += m
+	if total := uint64(len(first)+len(rest)) + missed; total < 2000 {
+		t.Fatalf("delivered %d + missed %d under-reports the 2000 of the snapshot", len(first)+len(rest), missed)
 	}
 	seen := make(map[uint64]bool, len(first)+len(rest))
 	for _, e := range append(first, rest...) {
+		if e.Stamp > 2000 {
+			t.Fatalf("stamp %d delivered: appended after the snapshot", e.Stamp)
+		}
 		if seen[e.Stamp] {
 			t.Fatalf("stamp %d delivered twice", e.Stamp)
 		}
@@ -229,8 +302,47 @@ func TestParallelCursorMissedOnRetention(t *testing.T) {
 	}
 }
 
+// pollingTracer reads a store the way a polling client does: through
+// snapshot cursors, a new one above the last stamp delivered whenever
+// the current pass is over. For a store fed in stamp order that
+// composes into the following cursor the conformance suite expects.
+type pollingTracer struct{ *Tracer }
+
+func (t pollingTracer) NewCursor() tracer.Cursor {
+	return &pollingCursor{st: t.Store(), cur: t.Store().QueryParallel(Query{}, 4)}
+}
+
+func (t pollingTracer) ReadAll() ([]tracer.Entry, error) {
+	cur := t.NewCursor()
+	defer cur.Close()
+	return tracer.Drain(cur, 1024)
+}
+
+type pollingCursor struct {
+	st   *Store
+	cur  *PCursor
+	last uint64
+}
+
+func (c *pollingCursor) Next(batch []tracer.Entry) (int, uint64, error) {
+	n, missed, err := c.cur.Next(batch)
+	if n == 0 && err == nil {
+		c.cur.Close()
+		c.cur = c.st.QueryParallel(Query{MinStamp: c.last + 1}, 4)
+		var m uint64
+		n, m, err = c.cur.Next(batch)
+		missed += m
+	}
+	if n > 0 {
+		c.last = batch[n-1].Stamp
+	}
+	return n, missed, err
+}
+
+func (c *pollingCursor) Close() error { return c.cur.Close() }
+
 // TestStoreParallelTracerConformance runs the repository-wide tracer
-// conformance suite with parallel cursors switched on: the cursor/batch
+// conformance suite over parallel snapshot cursors: the cursor/batch
 // contract must hold regardless of which read path answers it.
 func TestStoreParallelTracerConformance(t *testing.T) {
 	tracertest.Run(t, tracertest.Config{
@@ -239,21 +351,20 @@ func TestStoreParallelTracerConformance(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			tr.UseParallelQueries(4)
-			return tr, nil
+			return pollingTracer{tr}, nil
 		},
 	})
 }
 
-// TestStoreParallelStress races appenders, short-lived and long-lived
-// parallel cursors, and retention against each other. Meant to run under
-// -race. Invariants checked:
+// TestStoreParallelStress races appenders, parallel cursors — full
+// passes reopened back to back, and partial drains ending in Close — and
+// retention against each other. Meant to run under -race. Invariants
+// checked, per pass:
 //
-//   - within one Next batch, stamps are non-decreasing (each batch comes
-//     from a single stamp-merged round);
-//   - no stamp is ever delivered twice to the same cursor;
-//   - delivered + missed never under-reports the total appended: every
-//     event a cursor did not see must be covered by its missed tally.
+//   - stamps are non-decreasing from the first entry to the last;
+//   - no stamp is delivered twice;
+//   - delivered + missed accounts for the snapshot: it lies between what
+//     the store held just before the pass's first Next and just after.
 func TestStoreParallelStress(t *testing.T) {
 	const (
 		writers   = 4
@@ -272,11 +383,6 @@ func TestStoreParallelStress(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer st.Close()
-
-	// The long-lived cursor exists before any write and incrementally
-	// drains while writers and retention churn underneath it.
-	main := st.QueryParallel(Query{}, 3)
-	defer main.Close()
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -301,7 +407,7 @@ func TestStoreParallelStress(t *testing.T) {
 	}
 
 	// Short-lived cursors: partial drains ending in Close exercise the
-	// round-abort path while scans are in flight.
+	// abort path while scans are in flight.
 	var readerWG sync.WaitGroup
 	readerWG.Add(1)
 	go func() {
@@ -309,43 +415,65 @@ func TestStoreParallelStress(t *testing.T) {
 		buf := make([]tracer.Entry, 256)
 		for !stop.Load() {
 			pc := st.QueryParallel(Query{Limit: 700}, 2)
-			for rounds := 0; rounds < 3; rounds++ {
+			var last uint64
+			for calls := 0; calls < 3; calls++ {
 				n, _, err := pc.Next(buf)
 				if err != nil || n == 0 {
 					break
 				}
-				for i := 1; i < n; i++ {
-					if buf[i].Stamp < buf[i-1].Stamp {
-						t.Errorf("short cursor: stamps regress within a batch: %d after %d", buf[i].Stamp, buf[i-1].Stamp)
+				for _, e := range buf[:n] {
+					if e.Stamp < last {
+						t.Errorf("short cursor: stamps regress: %d after %d", e.Stamp, last)
 						pc.Close()
 						return
 					}
+					last = e.Stamp
 				}
 			}
 			pc.Close()
 		}
 	}()
 
-	seen := make(map[uint64]bool)
-	var delivered, missed uint64
+	// held is what a store holds: appended less retired. Both counters
+	// only grow, so readings taken around a moment bound it from both
+	// sides.
+	held := func(appended, retired uint64) uint64 { return appended - min(appended, retired) }
 	buf := make([]tracer.Entry, 512)
-	drainOnce := func() bool {
-		n, m, err := main.Next(buf)
-		missed += m
-		if err != nil {
-			t.Fatalf("main cursor Next: %v", err)
-		}
-		for i := 0; i < n; i++ {
-			if i > 0 && buf[i].Stamp < buf[i-1].Stamp {
-				t.Fatalf("main cursor: stamps regress within a batch: %d after %d", buf[i].Stamp, buf[i-1].Stamp)
+	var passes, delivered, missed uint64
+	pass := func() {
+		before := st.Stats()
+		pc := st.QueryParallel(Query{}, 3)
+		defer pc.Close()
+		var n, m uint64
+		var last uint64
+		var after Stats
+		for first := true; ; first = false {
+			k, mm, err := pc.Next(buf)
+			if err != nil {
+				t.Fatalf("pass %d: Next: %v", passes, err)
 			}
-			if seen[buf[i].Stamp] {
-				t.Fatalf("stamp %#x delivered twice", buf[i].Stamp)
+			if first {
+				after = st.Stats() // the snapshot lies between before and after
 			}
-			seen[buf[i].Stamp] = true
+			m += mm
+			if k == 0 {
+				break
+			}
+			for _, e := range buf[:k] {
+				// Stamps are unique, so strictly increasing is both the
+				// order and the no-duplicates invariant.
+				if e.Stamp <= last {
+					t.Fatalf("pass %d: stamp %#x after %#x", passes, e.Stamp, last)
+				}
+				last = e.Stamp
+			}
+			n += uint64(k)
 		}
-		delivered += uint64(n)
-		return n > 0
+		lo, hi := held(before.Appends, after.EventsRetired), held(after.Appends, before.EventsRetired)
+		if n+m < lo || n+m > hi {
+			t.Fatalf("pass %d: delivered %d + missed %d outside the snapshot's [%d, %d]", passes, n, m, lo, hi)
+		}
+		passes, delivered, missed = passes+1, delivered+n, missed+m
 	}
 
 	writersDone := make(chan struct{})
@@ -355,7 +483,7 @@ func TestStoreParallelStress(t *testing.T) {
 		case <-writersDone:
 			draining = false
 		default:
-			drainOnce()
+			pass()
 		}
 	}
 	stop.Store(true)
@@ -366,12 +494,9 @@ func TestStoreParallelStress(t *testing.T) {
 	if err := st.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	// One full quiet round picks up everything still on disk.
-	for drainOnce() {
+	pass() // over a store nobody appends to
+	if total := uint64(writers * batches * batchSize); st.Stats().Appends != total {
+		t.Fatalf("appended %d of %d", st.Stats().Appends, total)
 	}
-	total := uint64(writers * batches * batchSize)
-	if delivered+missed < total {
-		t.Fatalf("delivered %d + missed %d under-reports %d appended", delivered, missed, total)
-	}
-	t.Logf("delivered=%d missed=%d total=%d", delivered, missed, total)
+	t.Logf("passes=%d delivered=%d missed=%d", passes, delivered, missed)
 }

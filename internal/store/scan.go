@@ -61,11 +61,10 @@ type rowSink interface {
 // taken under st.mu. A scan only ever touches the snapshot, never the
 // live *segment (which the writer goroutine keeps mutating).
 type segSnap struct {
-	seq  uint64
 	name string
 	// start/bound are byte offsets for row segments, block indices for
 	// cold ones.
-	start     int64 // first byte/block to scan (resume offset or seek)
+	start     int64 // first byte/block to scan
 	bound     int64 // committed bytes / block count at snapshot time
 	count     uint64
 	baseStamp uint64
@@ -77,12 +76,12 @@ type segSnap struct {
 	blocks []coldBlock
 }
 
-// snapOf captures s for a scan starting at start. Caller holds st.mu.
-func snapOf(s *segment, start int64) segSnap {
+// snapOf captures s for a scan of the stamps from minStamp up. Caller
+// holds st.mu.
+func snapOf(s *segment, minStamp uint64) segSnap {
 	sn := segSnap{
-		seq:       s.seq,
 		name:      s.name,
-		start:     start,
+		start:     headerSize,
 		bound:     s.size,
 		count:     s.meta.count,
 		baseStamp: s.meta.baseStamp,
@@ -91,9 +90,34 @@ func snapOf(s *segment, start int64) segSnap {
 		sealed:    s.sealed,
 	}
 	if s.isCold() {
-		sn.cold, sn.bound, sn.blocks = true, int64(len(s.blocks)), s.blocks
+		// The block directory stands in for the sparse index: the block
+		// rung vetoes the blocks below the bound.
+		sn.cold, sn.start, sn.bound, sn.blocks = true, 0, int64(len(s.blocks)), s.blocks
+	} else if s.meta.ordered && minStamp > 0 && len(s.sparse) > 0 {
+		// Sparse seek: skip straight to the stamp lower bound.
+		lo := sort.Search(len(s.sparse), func(i int) bool { return s.sparse[i].stamp >= minStamp })
+		if lo > 0 {
+			sn.start = s.sparse[lo-1].off
+		}
 	}
 	return sn
+}
+
+// snapshot captures, under st.mu, the segments one pass of q has to
+// read, oldest first: the point in time QueryParallel and Aggregate
+// answer for. The file rung runs here — a segment whose header metadata
+// rules out every record is dropped without its file being opened — so
+// the scans that follow never touch live segments.
+func (st *Store) snapshot(q *compiled) []segSnap {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var snaps []segSnap
+	for _, s := range st.segs {
+		if q.matchSegment(&s.meta) {
+			snaps = append(snaps, snapOf(s, q.minStamp))
+		}
+	}
+	return snaps
 }
 
 // segScan is one pass of a compiled query over one segment snapshot.
@@ -106,8 +130,7 @@ type segScan struct {
 	// than only the ones the query selects. The sequential cursor sets
 	// it: it is the reference the other surfaces are checked against.
 	verify bool
-	// off is the next unread byte (row segment) or block (cold segment);
-	// drivers persist it as their resume mark.
+	// off is the next unread byte (row segment) or block (cold segment).
 	off int64
 	// cut reports the ordered early exit: a stamp past MaxStamp was seen
 	// in an ordered segment, so nothing later in it can match.
@@ -171,8 +194,7 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 // for v2 the TID range and bloom — before any byte of the block is
 // read, and an ordered segment is cut at the first block that starts
 // past MaxStamp. The first survivor is decoded by column (v2) or by
-// frame walk over its inflated bytes (v1). Cold segments are immutable,
-// so block indices are stable resume marks.
+// frame walk over its inflated bytes (v1).
 func (s *segScan) stepBlock(dst rowSink) (more bool, err error) {
 	sn, q := s.sn, s.q
 	for s.off < sn.bound {

@@ -177,11 +177,6 @@ type segment struct {
 	// blocks is the cold tier's block directory (immutable once built);
 	// nil for row tiers.
 	blocks []coldBlock
-	// srcSizes maps each frozen source seq to its committed size, letting
-	// a parallel cursor that fully consumed the sources resume past the
-	// cold segment without re-delivery. In-process only (nil after
-	// reopen, when no such cursor can exist).
-	srcSizes map[uint64]int64
 }
 
 func (s *segment) isCold() bool { return s.tier == TierCold }

@@ -103,9 +103,6 @@ type Config struct {
 	// spares repeated cold queries from re-inflating the same blocks
 	// (default 32 MiB; negative disables caching).
 	ColdCacheBytes int64
-	// Strategy overrides tier-transition selection (nil selects
-	// DefaultStrategy).
-	Strategy Strategy
 }
 
 func (c Config) withDefaults() Config {
@@ -123,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ColdCacheBytes == 0 {
 		c.ColdCacheBytes = defaultColdCacheBytes
-	}
-	if c.Strategy == nil {
-		c.Strategy = DefaultStrategy{}
 	}
 	return c
 }
@@ -214,8 +208,8 @@ type Store struct {
 	published Stats
 	obs       *storeObs
 	obsID     uint64
-	// retiredEvents / maxRetiredSeq feed the cursors' missed accounting
-	// when retention laps a reader.
+	// retiredEvents / maxRetiredSeq feed the sequential cursor's missed
+	// accounting when retention laps it.
 	retiredEvents uint64
 	maxRetiredSeq uint64
 

@@ -13,9 +13,6 @@ import "btrace/internal/tracer"
 type Tracer struct {
 	st     *Store
 	budget int
-	// queryWorkers > 0 routes cursors through QueryParallel with that
-	// many scan workers; 0 keeps the sequential cursor.
-	queryWorkers int
 }
 
 // NewTracer opens a store-backed tracer in dir with a total on-disk
@@ -34,15 +31,6 @@ func NewTracer(dir string, totalBytes int) (*Tracer, error) {
 
 // Store returns the underlying store.
 func (t *Tracer) Store() *Store { return t.st }
-
-// UseParallelQueries makes NewCursor and ReadAll scan segments with a
-// parallel pruned cursor (workers <= 0 selects DefaultQueryWorkers).
-func (t *Tracer) UseParallelQueries(workers int) {
-	if workers <= 0 {
-		workers = DefaultQueryWorkers
-	}
-	t.queryWorkers = workers
-}
 
 // Name implements tracer.Tracer.
 func (t *Tracer) Name() string { return "store" }
@@ -68,12 +56,7 @@ func (t *Tracer) ReadAll() ([]tracer.Entry, error) {
 }
 
 // NewCursor implements tracer.CursorSource.
-func (t *Tracer) NewCursor() tracer.Cursor {
-	if t.queryWorkers > 0 {
-		return t.st.QueryParallel(Query{}, t.queryWorkers)
-	}
-	return t.st.NewCursor()
-}
+func (t *Tracer) NewCursor() tracer.Cursor { return t.st.NewCursor() }
 
 // TotalBytes implements tracer.Tracer.
 func (t *Tracer) TotalBytes() int { return t.budget }
