@@ -100,7 +100,6 @@ type Cursor struct {
 	cur     *segment
 	snap    segSnap
 	scan    *segScan
-	dedupe  bool // entered a merged segment: drop stamps <= lastStamp
 
 	// ck holds the rows of the span or cold block scanned last, drained
 	// by pos. Hot rows alias ck's span buffer; cold rows alias the
@@ -108,7 +107,9 @@ type Cursor struct {
 	ck  *pchunk
 	pos int
 
-	lastStamp   uint64
+	// passedMax is the newest stamp of the segment passed last, read or
+	// skipped: the floor for resuming inside an ordered merge of it.
+	passedMax   uint64
 	seenRetired uint64
 	delivered   int
 	arena       []byte
@@ -148,9 +149,6 @@ func (c *Cursor) Next(batch []tracer.Entry) (int, uint64, error) {
 		if c.pos < len(c.ck.entries) {
 			e := c.ck.entries[c.pos]
 			c.pos++
-			if c.dedupe && e.Stamp <= c.lastStamp {
-				continue
-			}
 			// Re-home the payload in the cursor's arena: the chunk's span
 			// buffer is recycled by the next step, and a cold row aliases
 			// shared cache memory the entry must not pin past this batch.
@@ -162,9 +160,6 @@ func (c *Cursor) Next(batch []tracer.Entry) (int, uint64, error) {
 			batch[n] = e
 			n++
 			c.delivered++
-			if e.Stamp > c.lastStamp {
-				c.lastStamp = e.Stamp
-			}
 			continue
 		}
 		if c.scan == nil {
@@ -190,16 +185,21 @@ func (c *Cursor) Next(batch []tracer.Entry) (int, uint64, error) {
 		if more {
 			continue
 		}
-		if c.scan.cut || c.snap.sealed {
+		if c.snap.sealed {
 			// Segment exhausted for good: move on. The rows still in ck do
 			// not need its file.
 			c.scan.f.Close()
 			c.scan = nil
-			c.nextSeq = c.cur.coversThrough + 1
+			c.nextSeq, c.passedMax = c.cur.coversThrough+1, c.snap.maxStamp
 			c.cur = nil
-		} else if len(c.ck.entries) == 0 {
-			// Active segment, nothing new committed yet.
-			break
+			continue
+		}
+		// The active segment. A stamp past MaxStamp ends this call, not
+		// the segment: a writer that reserved lower stamps may yet append
+		// them here, and then it is no longer ordered.
+		c.scan.cut = false
+		if len(c.ck.entries) == 0 {
+			break // nothing new committed yet
 		}
 	}
 	return n, missed, nil
@@ -228,7 +228,12 @@ func (c *Cursor) openNext() (missed uint64, ok bool) {
 		case idx >= 0 && c.st.segs[idx].coversThrough >= c.nextSeq:
 			// A merged segment subsumes the seq we wanted. Its prefix was
 			// already delivered from the pre-merge sources: re-read it
-			// only if we can drop duplicates by stamp.
+			// only if stamps tell the two apart. In an ordered merge
+			// they do — what came after the source passed last is what
+			// lies above that source's newest stamp. (The newest stamp
+			// *delivered* is no such floor: with interleaving writers it
+			// may come from a segment outside the merge, above stamps
+			// inside it that were never read.)
 			seg = c.st.segs[idx]
 			if seg.meta.ordered {
 				dedupe = true
@@ -239,9 +244,8 @@ func (c *Cursor) openNext() (missed uint64, ok bool) {
 				// the segment's count is an upper bound on what the
 				// cursor never saw — rather than skipping silently.
 				missed += seg.meta.count
-				next := seg.coversThrough + 1
+				c.nextSeq, c.passedMax = seg.coversThrough+1, seg.meta.maxStamp
 				c.st.mu.Unlock()
-				c.nextSeq = next
 				continue
 			}
 		case idx+1 < len(c.st.segs):
@@ -251,18 +255,17 @@ func (c *Cursor) openNext() (missed uint64, ok bool) {
 			return missed, false
 		}
 		if !c.q.matchSegment(&seg.meta) && seg.sealed {
-			next := seg.coversThrough + 1
+			c.nextSeq, c.passedMax = seg.coversThrough+1, seg.meta.maxStamp
 			c.st.mu.Unlock()
-			c.nextSeq = next
 			continue
 		}
-		// With dedupe on, everything at or below lastStamp is a duplicate:
-		// fold that floor into this segment's query, so the sparse seek
-		// and the block rung skip the delivered prefix like any other
-		// stamp lower bound.
+		// With dedupe on, everything at or below passedMax is a
+		// duplicate: fold that floor into this segment's query, so the
+		// sparse seek and the block rung skip the delivered prefix like
+		// any other stamp lower bound.
 		q := c.q
-		if dedupe && c.lastStamp+1 > q.minStamp {
-			q = compile(Query{MinStamp: c.lastStamp + 1, Limit: q.limit, Pred: q.pred})
+		if dedupe && c.passedMax+1 > q.minStamp {
+			q = compile(Query{MinStamp: c.passedMax + 1, Limit: q.limit, Pred: q.pred})
 		}
 		c.snap = snapOf(seg, q.minStamp)
 		c.st.mu.Unlock()
@@ -271,39 +274,36 @@ func (c *Cursor) openNext() (missed uint64, ok bool) {
 		if scan == nil {
 			// Deleted between lookup and open (retention race): retry the
 			// loop, which will re-observe the retirement counters.
-			c.nextSeq = seg.coversThrough + 1
+			c.nextSeq, c.passedMax = seg.coversThrough+1, c.snap.maxStamp
 			continue
 		}
 		c.scan = scan
 		c.cur = seg
-		c.dedupe = dedupe
 		return missed, true
 	}
 }
 
-// refreshBound re-reads the committed extent of the current segment. For
-// a segment no longer in the store (sealed then compacted away while we
-// hold its file), the held inode is immutable: its own size is final.
+// refreshBound re-reads the committed extent of the current segment
+// from its *segment, whose size only moves under st.mu and is final once
+// sealed — also when a merge, a freeze or retention has since dropped
+// the segment from the store (they only take sealed ones) and the
+// cursor reads on from the file it holds. The last bound the cursor saw
+// is no substitute: whatever was appended between that refresh and the
+// seal would be passed over without a word.
 func (c *Cursor) refreshBound() {
 	c.st.mu.Lock()
+	c.snap.bound = c.cur.size
+	c.snap.sealed = c.cur.sealed
+	c.snap.ordered = c.cur.meta.ordered
+	c.snap.maxStamp = c.cur.meta.maxStamp
 	idx := c.st.findSeqLocked(c.cur.seq)
-	if idx >= 0 && c.st.segs[idx] == c.cur {
-		c.snap.bound = c.cur.size
-		c.snap.sealed = c.cur.sealed
-		c.snap.ordered = c.cur.meta.ordered
-		c.st.mu.Unlock()
-		return
-	}
+	live := idx >= 0 && c.st.segs[idx] == c.cur
 	c.st.mu.Unlock()
-	// The segment left the store while we hold its file. Its committed
-	// size is final, but the inode of a preallocated segment may still
-	// carry a zeroed tail if it was dropped before the seal finalize
-	// trimmed it — keep the last committed bound rather than trusting
-	// the file size past it.
-	if size, err := c.scan.f.Size(); err == nil && size < c.snap.bound {
-		c.snap.bound = size
+	if !live {
+		// Gone from the store, so it will never grow again — sealed, or
+		// the active segment a Reset deleted.
+		c.snap.sealed = true
 	}
-	c.snap.sealed = true
 }
 
 // Close implements tracer.Cursor.

@@ -204,44 +204,59 @@ func TestColdStampPruningSkipsCorruptBlocks(t *testing.T) {
 	}
 }
 
-// copyDir copies the regular files of src into a fresh temp directory.
-func copyDir(t *testing.T, src string) string {
+// copyDir copies the regular files of the src directories into a fresh
+// temp directory.
+func copyDir(t *testing.T, srcs ...string) string {
 	t.Helper()
 	dst := t.TempDir()
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range ents {
-		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+	for _, src := range srcs {
+		ents, err := os.ReadDir(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
+		for _, ent := range ents {
+			data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return dst
 }
 
-// TestColdV1V2MixedDirectory: a store directory holding both legacy v1
-// (frame-preserving) and v2 (columnar) cold files — the state of a
-// deployment upgraded mid-retention — answers every query and aggregate
-// identically to an all-hot reference store.
+// TestColdV1V2MixedDirectory: a store directory holding cold files of
+// every format version — legacy v1 (frame-preserving), v2 (columnar,
+// one payload section) and what the freezer writes today — the state of
+// a deployment upgraded mid-retention — answers every query and
+// aggregate identically to an all-hot reference store, and keeps
+// freezing.
 //
-// Nothing writes v1 any more, so the v1 half is a committed directory:
+// Nothing writes v1 or v2 any more, so those are committed directories,
+// each written by the last commit that had the writer:
 // testdata/cold-v1 is what sealEvery(1..600, 100) + CompactCold left
-// under tierCfg() at the last commit that had a v1 writer (stamps 1–500
-// frozen into one v1 cold file, 501–600 still a row segment).
+// under tierCfg() (stamps 1–500 frozen into one v1 cold file, 501–600
+// still a row segment); testdata/cold-v2 is what reopening that
+// directory and running sealEvery(601..1200, 100) + CompactCold added
+// to it (stamps 501–1100 frozen into one v2 cold file, 1101–1200 a row
+// segment), so the two share a directory: the v1 file of the first, and
+// everything of the second.
 func TestColdV1V2MixedDirectory(t *testing.T) {
-	st, err := Open(copyDir(t, filepath.Join("testdata", "cold-v1")), tierCfg())
+	dir := copyDir(t, filepath.Join("testdata", "cold-v1"), filepath.Join("testdata", "cold-v2"))
+	// cold-v2's cold file replaced this row segment.
+	if err := os.Remove(filepath.Join(dir, "seg-00000006.seg")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, tierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sealEvery(t, st, 601, 1200, 100)
+	sealEvery(t, st, 1201, 1800, 100)
 	if _, err := st.CompactCold(); err != nil {
-		t.Fatalf("CompactCold (v2): %v", err)
+		t.Fatalf("CompactCold: %v", err)
 	}
 	versions := map[int]int{}
 	for _, b := range st.ColdBlocks() {
@@ -250,13 +265,14 @@ func TestColdV1V2MixedDirectory(t *testing.T) {
 	if versions[1] == 0 || versions[2] == 0 {
 		t.Fatalf("directory is not mixed: %v", versions)
 	}
+	const events = 1800
 
 	ref, err := Open(t.TempDir(), Config{SegmentBytes: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	appendRange(t, ref, 1, 1200)
+	appendRange(t, ref, 1, events)
 	if err := ref.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +288,7 @@ func TestColdV1V2MixedDirectory(t *testing.T) {
 		{"all", Query{}},
 		{"fields", Query{MinStamp: 150, Cores: []uint8{1, 2}}},
 		{"header-pred", Query{Pred: predOf(t, `category == 2 && core != 3`)}},
-		{"stamp-pred", Query{Pred: predOf(t, `stamp >= 200 && stamp <= 700`)}},
+		{"stamp-pred", Query{Pred: predOf(t, `stamp >= 200 && stamp <= 1300`)}},
 		{"payload-pred", Query{Pred: predOf(t, `payload contains "payload-77"`)}},
 	} {
 		got := drainStore(t, st, tc.q)

@@ -688,6 +688,112 @@ func TestCursorMissedOnUnorderedMerge(t *testing.T) {
 	}
 }
 
+// drainFollowing reads cur until a Next delivers nothing, returning the
+// stamps in delivery order and the missed total.
+func drainFollowing(t *testing.T, cur tracer.Cursor) (stamps []uint64, missed uint64) {
+	t.Helper()
+	batch := make([]tracer.Entry, 16)
+	for {
+		n, m, err := cur.Next(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		missed += m
+		if n == 0 {
+			return stamps, missed
+		}
+		for _, e := range batch[:n] {
+			stamps = append(stamps, e.Stamp)
+		}
+	}
+}
+
+// TestCursorResumesInsideOrderedMerge: the floor for resuming inside an
+// ordered merged segment is the newest stamp of the source passed last,
+// not the newest stamp delivered — with interleaving writers the latter
+// can come from a segment outside the merge and sit above stamps inside
+// it that the cursor has yet to read. (Found by TestStoreModel.)
+func TestCursorResumesInsideOrderedMerge(t *testing.T) {
+	st, err := Open(t.TempDir(), Config{SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	appendRange(t, st, 100, 150) // more than half a segment: no merge takes it
+	st.Seal()
+	appendRange(t, st, 1, 10) // a writer that reserved its stamps earlier
+	st.Seal()
+	cur := st.Query(Query{})
+	defer cur.Close()
+	if got, _ := drainFollowing(t, cur); len(got) != 61 {
+		t.Fatalf("first drain: %d events, want 61", len(got))
+	}
+	appendRange(t, st, 11, 20)
+	st.Seal()
+	if n, err := st.Compact(); err != nil || n != 2 {
+		t.Fatalf("Compact = (%d, %v), want the two small segments merged", n, err)
+	}
+	if segs := st.Segments(); len(segs) != 2 || !segs[1].Ordered {
+		t.Fatalf("setup: want an ordered merge behind the first segment, got %+v", segs)
+	}
+	got, missed := drainFollowing(t, cur)
+	if uint64(len(got))+missed < 10 || len(got) > 0 && got[0] != 11 {
+		t.Fatalf("after the merge: delivered %v, missed %d, want stamps 11..20 (or as many missed)", got, missed)
+	}
+}
+
+// TestCursorReadsTailSealedBehindIt: a following cursor parked in the
+// active segment must still deliver what was appended to it before it
+// was sealed and frozen away — the segment's final size, not the bound
+// of the cursor's last visit. (Found by TestStoreModel.)
+func TestCursorReadsTailSealedBehindIt(t *testing.T) {
+	st, err := Open(t.TempDir(), tierCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	appendRange(t, st, 1, 10)
+	st.Seal()
+	appendRange(t, st, 11, 15)
+	cur := st.Query(Query{})
+	defer cur.Close()
+	if got, _ := drainFollowing(t, cur); len(got) != 15 {
+		t.Fatalf("first drain: %d events, want 15", len(got))
+	}
+	appendRange(t, st, 16, 20) // lands in the segment the cursor is parked in
+	st.Seal()
+	appendRange(t, st, 21, 30) // newer timestamps: everything sealed is now cold-eligible
+	if n, err := st.CompactCold(); err != nil || n != 2 {
+		t.Fatalf("CompactCold = (%d, %v), want both sealed segments frozen", n, err)
+	}
+	got, missed := drainFollowing(t, cur)
+	if missed != 0 || len(got) != 15 || got[0] != 16 {
+		t.Fatalf("after the freeze: delivered %v, missed %d, want stamps 16..30", got, missed)
+	}
+}
+
+// TestCursorCutLeavesActiveSegmentOpen: a stamp past MaxStamp ends an
+// ordered segment for good only once it is sealed. In the active one a
+// writer that reserved lower stamps can still append matches. (Found by
+// TestStoreModel.)
+func TestCursorCutLeavesActiveSegmentOpen(t *testing.T) {
+	st, err := Open(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	appendRange(t, st, 200, 205)
+	cur := st.Query(Query{MaxStamp: 203})
+	defer cur.Close()
+	if got, _ := drainFollowing(t, cur); len(got) != 4 {
+		t.Fatalf("first drain: %v, want stamps 200..203", got)
+	}
+	appendRange(t, st, 1, 5)
+	if got, missed := drainFollowing(t, cur); len(got) != 5 || missed != 0 {
+		t.Fatalf("after the late writer: delivered %v, missed %d, want stamps 1..5", got, missed)
+	}
+}
+
 // TestStoreTracerConformance runs the repository-wide tracer conformance
 // suite against the store-backed tracer: the cursor/batch contract must
 // hold against disk exactly as it does against memory.
