@@ -97,6 +97,9 @@ vulture-soak:
 # export benchmark's op is one ~70ns row and runs at that count too.
 BENCHTIME ?= 2000x
 OBS_RECORD_BENCHTIME ?= 200000x
+# The store benchmarks whose op is tens of milliseconds (a payload-heavy
+# cold drain, ordering 65 536 entries) run at a count of their own.
+STORE_SLOW_BENCHTIME ?= 300x
 bench:
 	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkReadPath' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test . -run '^$$' -bench 'BenchmarkWritePathStampBatch' -benchmem -benchtime $(BENCHTIME); \
@@ -105,6 +108,7 @@ bench:
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
 	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate)' -benchmem -benchtime $(BENCHTIME); \
+	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkColdSelect|BenchmarkRunMerge' -benchmem -benchtime $(STORE_SLOW_BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributor(Ingest|Query)' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./cmd/btrace-serve -run '^$$' -bench 'BenchmarkServeIngest' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_store.json
@@ -126,9 +130,15 @@ bench:
 # pushdown must beat the full-scan-and-filter baseline by at least 5x,
 # the header-only count() aggregate must run in at most a fifth of the
 # time of that same full scan (it decodes one wide column, builds no
-# entries and inflates no payloads), RF=2 ingest over 4 shards must stay within 4x of direct single-shard
-# ingest (2x of it is the second copy), and the overload gate under
-# storm within 2x of its baseline.
+# entries and inflates no payloads), a cache-less cold query that wants
+# one row in a thousand with its payload must cost at most 0.3x of the
+# one that wants every row (it inflates the payload chunks its rows live
+# in, one in eight, not every block's whole payload section), RF=2
+# ingest over 4 shards must stay within 4x of direct single-shard
+# ingest (2x of it is the second copy), the overload gate under
+# storm within 2x of its baseline, and the instrumented record fast path
+# within 1.1x of the DisableStats one (the "<2 %" self-observability
+# contract, with room for timer noise).
 # CI runs the same comparison on every push (bench-smoke job).
 benchdiff:
 	@mkdir -p .benchbase
@@ -136,4 +146,4 @@ benchdiff:
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
 	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkServeIngest/single' \
-	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline'
+	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'

@@ -110,19 +110,20 @@ func runBlocks(path string) error {
 		return nil
 	}
 	tb := report.NewTable("cold blocks",
-		"file", "blk", "ver", "events", "stamps", "tids", "dict", "bloom", "meta", "payload", "comp", "raw", "ratio")
+		"file", "blk", "ver", "events", "stamps", "tids", "dict", "bloom", "meta", "payload", "chunks", "comp", "raw", "ratio")
 	for _, b := range infos {
-		tids, dict, bloom, meta, pay := "-", "-", "-", "-", "-"
-		if b.Version == 2 {
+		tids, dict, bloom, meta, pay, chunks := "-", "-", "-", "-", "-", "-"
+		if b.Version >= 2 { // columnar
 			tids = fmt.Sprintf("%d..%d", b.MinTID, b.MaxTID)
 			dict = fmt.Sprintf("%d", b.DictSize)
 			bloom = fmt.Sprintf("%.0f%%", 100*b.BloomFill)
 			meta = report.HumanBytes(uint64(b.MetaBytes))
 			pay = report.HumanBytes(uint64(b.PayBytes))
+			chunks = fmt.Sprintf("%d x %d rows", b.PayChunks, b.ChunkRows)
 		}
 		tb.AddRow(b.File, b.Index, b.Version, b.Events,
 			fmt.Sprintf("%d..%d", b.BaseStamp, b.MaxStamp),
-			tids, dict, bloom, meta, pay,
+			tids, dict, bloom, meta, pay, chunks,
 			report.HumanBytes(uint64(b.CompBytes)), report.HumanBytes(uint64(b.RawBytes)),
 			fmt.Sprintf("%.2fx", float64(b.RawBytes)/float64(b.CompBytes)))
 	}
@@ -260,9 +261,37 @@ func renderStoreTiers(st *store.Store, shard string) {
 		}
 		return name + " " + shard
 	}
-	tb := report.NewTable(label("blocklist"), "seq", "file", "tier", "sealed", "bytes", "raw", "blocks", "events", "stamps")
+	// A cold file's format: its blocks' version, and from v3 on how the
+	// payload section is cut ("v3 128r x 2346" — 2346 payload chunks of
+	// 128 rows; v2's is one stream per block; a file may mix versions).
+	formats := map[string]map[string]int{} // file → format → payload chunks
+	for _, b := range st.ColdBlocks() {
+		f := fmt.Sprintf("v%d", b.Version)
+		if b.Version >= 3 {
+			f += fmt.Sprintf(" %dr", b.ChunkRows)
+		}
+		if formats[b.File] == nil {
+			formats[b.File] = map[string]int{}
+		}
+		formats[b.File][f] += b.PayChunks
+	}
+	describe := func(file string) string {
+		var parts []string
+		for f, chunks := range formats[file] {
+			if strings.Contains(f, " ") {
+				f += fmt.Sprintf(" x %d", chunks)
+			}
+			parts = append(parts, f)
+		}
+		if len(parts) == 0 {
+			return "rows"
+		}
+		sort.Strings(parts)
+		return strings.Join(parts, ", ")
+	}
+	tb := report.NewTable(label("blocklist"), "seq", "file", "tier", "sealed", "format", "bytes", "raw", "blocks", "events", "stamps")
 	for _, s := range st.Segments() {
-		tb.AddRow(s.Seq, s.File, s.Tier, s.Sealed, report.HumanBytes(uint64(s.Bytes)),
+		tb.AddRow(s.Seq, s.File, s.Tier, s.Sealed, describe(s.File), report.HumanBytes(uint64(s.Bytes)),
 			report.HumanBytes(uint64(s.RawBytes)), s.Blocks, s.Events,
 			fmt.Sprintf("%d..%d", s.BaseStamp, s.MaxStamp))
 	}

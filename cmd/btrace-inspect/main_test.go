@@ -179,8 +179,8 @@ func coldStoreDir(t *testing.T) string {
 		t.Fatalf("CompactCold froze %d segments: %v", n, err)
 	}
 	infos := st.ColdBlocks()
-	if len(infos) == 0 || infos[0].Version != 2 {
-		t.Fatalf("expected v2 cold blocks, got %+v", infos)
+	if len(infos) == 0 || infos[0].Version != 3 {
+		t.Fatalf("expected v3 cold blocks, got %+v", infos)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

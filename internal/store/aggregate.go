@@ -1,14 +1,15 @@
 // One-shot aggregate execution. BTQL aggregates (count, rate, topk)
 // consume only header fields, so Aggregate drives the shared scan
 // (scan.go) with a sink that builds no entries and wants no payloads.
-// A v2 cold block hands it its selection in one call, and each
+// A columnar cold block hands it its selection in one call, and each
 // aggregator reads only the columns it is over: count() is the
 // selection's size plus a min/max over the selected times, rate buckets
 // those times, topk counts its one field — so a count() never causes a
 // stamp or TID column to be decoded, let alone cached. v1 blocks and
 // row segments feed it row by row from the raw header words. A record
-// body is decoded, and the payload section of a v2 block inflated, only
-// when the predicate itself inspects payload bytes.
+// body is decoded, and a payload chunk of a columnar block inflated,
+// only when the predicate itself inspects payload bytes — and then only
+// the chunks holding a row the header fields left undecided.
 package store
 
 import "btrace/internal/btql"
@@ -29,7 +30,7 @@ func (a *aggSink) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8
 	}
 }
 
-func (a *aggSink) rows(c *blockCols, idx []int32, _ []byte) {
+func (a *aggSink) rows(c *blockCols, idx []int32) {
 	for _, ag := range a.aggs {
 		ag.ObserveColumns(c, idx)
 	}

@@ -1,6 +1,11 @@
 package store
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -215,6 +220,134 @@ func BenchmarkColdQuery(b *testing.B) {
 		if n == 0 {
 			b.Fatal("query returned no records")
 		}
+	}
+}
+
+// benchColdSelectEvents sizes BenchmarkColdSelect's fixture.
+const benchColdSelectEvents = 25_000
+
+// benchColdSelectStore is benchColdStore's shape at a quarter of the
+// size — all but the newest segment frozen, nine 2 900-row blocks of 23
+// chunks — with the block cache off and payloads
+// that cost something to inflate: 64–127 bytes of hex per event,
+// compressing about 2x, where benchEntries' one 16-byte constant
+// compresses to nothing and leaves a cold read all meta section.
+func benchColdSelectStore(b *testing.B) *Store {
+	b.Helper()
+	es := benchEntries(benchColdSelectEvents)
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := range es {
+		p := make([]byte, 0, 128)
+		for n := 64 + i%64; len(p) < n; {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			p = strconv.AppendUint(p, x, 16)
+		}
+		es[i].Payload = p
+	}
+	st, err := Open(b.TempDir(), Config{SegmentBytes: 256 << 10, ColdAfterNs: 1, ColdCacheBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.AppendEntries(es); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.CompactCold(); err != nil {
+		b.Fatal(err)
+	}
+	if ts := st.TierStats(); ts[TierCold].Events < benchColdSelectEvents*4/5 {
+		b.Fatalf("fixture is not mostly cold: %+v", ts)
+	}
+	return st
+}
+
+// BenchmarkColdSelect is the chunk rung's benchmark: two materialising
+// queries over a mostly-cold, payload-heavy fixture with the block
+// cache off, so every op pays for exactly the bytes it reads. dense
+// drains every row, payloads included: every payload chunk of every
+// block is inflated. sparse wants one row in 1000 (a stamp list, which
+// prunes no block — each holds a few members — and skips no meta
+// section), payloads included: it inflates the chunks those rows live
+// in, one in eight, where before format v3 it inflated every block's
+// whole payload section as dense does. inflated-B/op is the raw payload
+// bytes each op inflated; cmd/benchdiff gates sparse at <= 0.3x of
+// dense within-run.
+func BenchmarkColdSelect(b *testing.B) {
+	var list []string
+	for s := 500; s <= benchColdSelectEvents; s += 1000 {
+		list = append(list, strconv.Itoa(s))
+	}
+	for _, tc := range []struct {
+		name string
+		src  string
+		want int
+	}{
+		{"sparse", "stamp in (" + strings.Join(list, ", ") + ")", len(list)},
+		{"dense", "stamp >= 1", benchColdSelectEvents},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			st := benchColdSelectStore(b)
+			defer st.Close()
+			pred := benchParse(b, tc.src).Predicate()
+			batch := make([]tracer.Entry, 512)
+			base := st.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n := drainCursor(b, st.Query(Query{Pred: pred}), batch); n != tc.want {
+					b.Fatalf("query matched %d events, want %d", n, tc.want)
+				}
+			}
+			b.StopTimer()
+			after := st.Stats()
+			b.ReportMetric(float64(after.PayloadInflatedBytes-base.PayloadInflatedBytes)/float64(b.N), "inflated-B/op")
+			b.ReportMetric(float64(after.PayloadChunksSkipped-base.PayloadChunksSkipped)/float64(b.N), "chunks-skipped/op")
+		})
+	}
+}
+
+// BenchmarkRunMerge orders 65 536 entries the way PCursor.runStream
+// orders an unordered segment's rows: sorted is the early return (one
+// pass, no copy), interleaved-2 what an unordered segment is — two
+// writers' 256-event batches interleaving — and random the degenerate
+// input, runs of two. interleaved-2-pdqsort is the slices.SortFunc the
+// merge replaced, on the same input.
+func BenchmarkRunMerge(b *testing.B) {
+	shapes := runShapes(65_536, rand.New(rand.NewSource(21)))
+	byStamp := func(x, y tracer.Entry) int { return cmp.Compare(x.Stamp, y.Stamp) }
+	for _, tc := range []struct {
+		name, shape string
+		sort        func(rm *runMerger, es []tracer.Entry) []tracer.Entry
+	}{
+		{"sorted", "sorted", (*runMerger).sort},
+		{"interleaved-2", "interleaved-2", (*runMerger).sort},
+		{"random", "random", (*runMerger).sort},
+		{"interleaved-2-pdqsort", "interleaved-2", func(_ *runMerger, es []tracer.Entry) []tracer.Entry {
+			slices.SortFunc(es, byStamp)
+			return es
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			in := shapes[tc.shape]
+			es := make([]tracer.Entry, len(in))
+			var rm runMerger
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				// The merge hands back its other buffer: refill whichever
+				// is the input this time.
+				es = append(es[:0], in...)
+				b.StartTimer()
+				es = tc.sort(&rm, es)
+			}
+			if !slices.IsSortedFunc(es, byStamp) {
+				b.Fatal("output is not in stamp order")
+			}
+		})
 	}
 }
 

@@ -1,4 +1,4 @@
-// Block cache: cold queries pay a DEFLATE inflate per section touched,
+// Block cache: cold queries pay a DEFLATE inflate per stream touched,
 // and a varint decode per wide column read, which would make every
 // repeated analytical query over the cold tier redo the same work. The
 // store keeps one bounded LRU, shared by all cursors (sequential and
@@ -6,24 +6,31 @@
 // form the scan consumes it, each an entry of its own, created the first
 // time a query needs it:
 //
-//	meta     a v2 block's inflated, validated meta section (*metaSec,
-//	         ≈10 B/event). The byte-wide columns — core, category index,
-//	         level — are read from it in place.
-//	column   one decoded wide column of a v2 block: stamps or times
-//	         (8 B/event), TIDs or payload offsets (4 B/event). Decoded
-//	         from the block's cached meta section, never from disk.
-//	payload  a v2 block's inflated payload section, or a whole inflated
-//	         v1 block (frames, payloads included).
+//	meta     a columnar block's inflated, validated meta section
+//	         (*metaSec, ≈10 B/event), chunk directory included. The
+//	         byte-wide columns — core, category index, level — are read
+//	         from it in place.
+//	column   one decoded wide column of a columnar block: stamps or
+//	         times (8 B/event), TIDs or payload offsets (4 B/event).
+//	         Decoded from the block's cached meta section, never from
+//	         disk.
+//	payload  one inflated payload chunk of a columnar block — the
+//	         payloads of 128 rows in v3; a v2 block's one stream is its
+//	         chunk 0 — or a whole inflated v1 block (frames, payloads
+//	         included).
 //
 // What a query caches is therefore what it reads: `category == C |
 // count()` leaves meta sections and time columns behind (the result
-// carries min/max time), a wide materialising scan leaves everything,
-// and the second such scan finds every column decoded. Nothing is
-// cached on behalf of a query that did not ask for it.
+// carries min/max time), a selective materialising query leaves the
+// chunks its rows live in and not their neighbours, a wide
+// materialising scan leaves everything, and the second such scan finds
+// every column decoded. Nothing is cached on behalf of a query that did
+// not ask for it — which is also what the budget buys: chunks somebody
+// read, not sections somebody was forced to inflate to get at one row.
 //
 // Ownership: every cached value is immutable from the moment it is
 // inserted. Scans alias them (entries handed to callers may point into a
-// cached payload section) and never write to them, which is what lets
+// cached payload chunk) and never write to them, which is what lets
 // any number of concurrent scans share one copy without a lock held
 // past the lookup; eviction only drops the cache's reference — a value
 // still aliased by a live cursor stays valid until the GC collects it.
@@ -48,7 +55,7 @@ const (
 	secTimes
 	secTIDs
 	secPayOff
-	secPayload // also a whole v1 block
+	secPayload // one payload chunk; also a whole v1 block
 )
 
 // cacheClass groups sections for the counters: one inflate each for
@@ -74,16 +81,18 @@ func (s section) class() cacheClass {
 	return classColumn
 }
 
-// blockKey identifies one section of one cold block: the file it lives
-// in, the block's offset (unique within the file), and the section.
+// blockKey identifies one cacheable part of one cold block: the file it
+// lives in, the block's offset (unique within the file), the section,
+// and for secPayload the chunk of it (0 elsewhere).
 type blockKey struct {
-	name string
-	off  int64
-	sec  section
+	name  string
+	off   int64
+	sec   section
+	chunk int32
 }
 
-// cacheEnt is one cached section, in the one field its section uses.
-// size is its budget charge: the bytes the value holds.
+// cacheEnt is one cached part, in the one field its section uses. size
+// is its budget charge: the bytes the value holds.
 type cacheEnt struct {
 	key  blockKey
 	size int64
@@ -173,23 +182,15 @@ func (c cacheCounters) sections() (hits, misses uint64) {
 	return c.hits[classMeta] + c.hits[classPayload], c.misses[classMeta] + c.misses[classPayload]
 }
 
-// inflateCached returns a section of block b of cold file name
-// decompressed, through the cache: a v1 block's frames, or a v2 block's
-// payload section. The returned buffer is shared and read-only.
+// inflateCached returns the frames of v1 block b of cold file name
+// decompressed, through the cache. The returned buffer is shared and
+// read-only.
 func (st *Store) inflateCached(name string, f io.ReaderAt, b *coldBlock) ([]byte, error) {
 	k := blockKey{name: name, off: b.off, sec: secPayload}
 	if ent := st.bcache.get(k); ent != nil {
 		return ent.data, nil
 	}
-	// Fresh destination buffer on every miss: it becomes the immutable
-	// cached copy (or dies young if another inflate won the race).
-	var out []byte
-	var err error
-	if b.v2 != nil {
-		_, out, err = inflatePayV2(f, b, nil, make([]byte, 0, b.v2.payRawLen))
-	} else {
-		_, out, err = inflateBlock(f, b, nil, make([]byte, 0, b.rawLen))
-	}
+	out, err := readInflate(f, b.off, b.compLen, b.rawLen, b.crc)
 	if err != nil {
 		return nil, err
 	}
@@ -197,17 +198,17 @@ func (st *Store) inflateCached(name string, f io.ReaderAt, b *coldBlock) ([]byte
 	return out, nil
 }
 
-// metaCached returns a v2 block's meta section, inflated and validated,
-// through the cache. The checksum of the compressed bytes is verified
-// before the inflate and the whole section structurally after it
-// (parseMeta), so whatever the cache holds can be trusted by every
+// metaCached returns a columnar block's meta section, inflated and
+// validated, through the cache. The checksum of the compressed bytes is
+// verified before the inflate and the whole section structurally after
+// it (parseMeta), so whatever the cache holds can be trusted by every
 // later reader; a section that fails either is never cached.
 func (st *Store) metaCached(name string, f io.ReaderAt, b *coldBlock) (*metaSec, error) {
 	k := blockKey{name: name, off: b.off, sec: secMeta}
 	if ent := st.bcache.get(k); ent != nil {
 		return ent.meta, nil
 	}
-	_, raw, err := inflateMetaV2(f, b, nil, make([]byte, 0, b.v2.metaRawLen))
+	raw, err := readInflate(f, b.off, b.v2.metaLen, b.v2.metaRawLen, b.v2.metaCRC)
 	if err != nil {
 		return nil, err
 	}
@@ -215,11 +216,81 @@ func (st *Store) metaCached(name string, f io.ReaderAt, b *coldBlock) (*metaSec,
 	if err != nil {
 		return nil, err
 	}
-	st.bcache.put(&cacheEnt{key: k, meta: m, size: int64(len(raw))})
+	st.bcache.put(&cacheEnt{key: k, meta: m, size: int64(len(raw) + 4*(len(m.chunkOff)+len(m.chunkRaw)+len(m.chunkCRC)))})
 	return m, nil
 }
 
-// wide64Cached returns the stamp or time column of a v2 block decoded,
+// getChunks looks up payload chunks need of the block k names, under
+// one lock: pay[c] is set for the ones resident, the others are
+// appended to miss.
+func (bc *blockCache) getChunks(k blockKey, need []int32, pay [][]byte, miss []int32) []int32 {
+	if bc == nil {
+		return append(miss, need...)
+	}
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	for _, c := range need {
+		k.chunk = c
+		if el, ok := bc.m[k]; ok {
+			bc.lru.MoveToFront(el)
+			bc.hits[classPayload]++
+			pay[c] = el.Value.(*cacheEnt).data
+		} else {
+			bc.misses[classPayload]++
+			miss = append(miss, c)
+		}
+	}
+	return miss
+}
+
+// chunksCached makes payload chunks need (ascending) of columnar block
+// b resident in pay, through the cache. The misses are read with one
+// ReadAt per run of chunks adjacent on disk; each chunk's compressed
+// bytes are checksummed before it is inflated, into a buffer sized from
+// the validated directory, and each is cached as an entry of its own. A
+// chunk that fails is never cached and fails the call. miss is scratch;
+// it is returned for reuse.
+func (st *Store) chunksCached(name string, f io.ReaderAt, b *coldBlock, m *metaSec, need []int32, pay [][]byte, miss []int32) ([]int32, error) {
+	k := blockKey{name: name, off: b.off, sec: secPayload}
+	miss = st.bcache.getChunks(k, need, pay, miss[:0])
+	base := b.off + b.v2.metaLen // the payload section follows the meta section
+	var chunks, bytes uint64
+	defer func() {
+		st.obs.chunksInflated.Add(chunks)
+		st.obs.inflatedBytes.Add(bytes)
+	}()
+	for i := 0; i < len(miss); {
+		// The run: chunks whose compressed bytes follow one another (an
+		// empty chunk between two takes no room and is never needed).
+		j, lo, hi := i+1, m.chunkOff[miss[i]], m.chunkOff[miss[i]+1]
+		for j < len(miss) && m.chunkOff[miss[j]] == hi {
+			hi = m.chunkOff[miss[j]+1]
+			j++
+		}
+		comp, err := readComp(f, base+int64(lo), int64(hi-lo))
+		if err != nil {
+			return miss, err
+		}
+		for ; i < j; i++ {
+			c := miss[i]
+			raw := int64(m.chunkRaw[c+1] - m.chunkRaw[c])
+			out, err := inflate((*comp)[m.chunkOff[c]-lo:m.chunkOff[c+1]-lo], raw, m.chunkCRC[c])
+			if err != nil {
+				compBufs.Put(comp)
+				return miss, err
+			}
+			k.chunk = c
+			st.bcache.put(&cacheEnt{key: k, data: out, size: raw})
+			pay[c] = out
+			chunks++
+			bytes += uint64(raw)
+		}
+		compBufs.Put(comp)
+	}
+	return miss, nil
+}
+
+// wide64Cached returns the stamp or time column of a columnar block decoded,
 // through the cache; a miss decodes it from the block's meta section m.
 func (st *Store) wide64Cached(name string, b *coldBlock, m *metaSec, sec section) []uint64 {
 	k := blockKey{name: name, off: b.off, sec: sec}

@@ -1,11 +1,14 @@
 // Cold tier: a cold file (col-%08d.blk) is a frozen, compressed copy of
-// one or more sealed row segments. This file holds what the two block
-// formats share plus the read side of v1, the frame-preserving format:
-// each v1 block's payload decompresses to exactly the CRC-framed records
-// the row segments held, so the scan's frame walk, checksum
-// verification and decode run unchanged over inflated bytes. v1 is
-// read-only — the freeze path writes columnar v2 blocks (coldv2.go) —
-// and pinned by the directory in testdata/cold-v1.
+// one or more sealed row segments. This file holds what the block
+// formats share — the file header, the directory scan, reading and
+// inflating one checksummed DEFLATE stream — plus the read side of v1,
+// the frame-preserving format: each v1 block's payload decompresses to
+// exactly the CRC-framed records the row segments held, so the scan's
+// frame walk, checksum verification and decode run unchanged over
+// inflated bytes. The freeze path writes columnar v3 blocks (coldv2.go);
+// v1 and v2 are read-only, pinned by the directories in
+// testdata/cold-v1 and testdata/cold-v2. A file may hold blocks of any
+// mix of versions: the per-block magic is what versions a block.
 //
 //	offset 0    file header (88 bytes, same layout as a segment header
 //	            but coldMagic; always written sealed — cold files only
@@ -45,12 +48,12 @@ const (
 // coldBlock is one block's directory entry: where its compressed
 // payload lives and what it can contain.
 type coldBlock struct {
-	off     int64  // file offset of the compressed bytes (v2: meta section)
-	compLen int64  // total compressed length (v2: meta + payload sections)
-	rawLen  int64  // decompressed frame bytes (v2: frame-equivalent accounting)
+	off     int64  // file offset of the compressed bytes (columnar: meta section)
+	compLen int64  // total compressed length (columnar: meta + payload sections)
+	rawLen  int64  // decompressed frame bytes (columnar: frame-equivalent accounting)
 	crc     uint32 // v1 only: crc32c of the compressed payload
 	meta    segmentMeta
-	v2      *blockV2 // nil for v1 blocks
+	v2      *blockV2 // the columnar formats' (v2, v3) extension; nil for v1 blocks
 }
 
 // decodeBlockHeader parses and validates one v1 block header. Layout:
@@ -114,7 +117,7 @@ func scanColdFile(f backend.ReadFile, size int64, s *segment) (ignored int64, er
 		}
 		var b coldBlock
 		var hdrLen int64
-		if le64(want[0:]) == blockMagic2 {
+		if m := le64(want[0:]); m == blockMagic2 || m == blockMagic3 {
 			b2, berr := decodeBlockHeaderV2(want)
 			if berr != nil {
 				return size - off, nil
@@ -139,58 +142,72 @@ func scanColdFile(f backend.ReadFile, size int64, s *segment) (ignored int64, er
 	return size - off, nil
 }
 
-// flateReaders recycles DEFLATE decompressors across blocks, queries and
-// cursors; Reset avoids the allocation-heavy NewReader per block.
-var flateReaders = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+// inflater is a DEFLATE decompressor with the reader it is fed from.
+// They are recycled across blocks, queries and cursors: Reset avoids the
+// allocation-heavy NewReader per stream, and a v3 block is one stream
+// per payload chunk.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
 
-// inflateSection reads, checksums and decompresses one contiguous
-// DEFLATE section (a v1 block payload, or a v2 meta or payload
-// section). comp is the compressed-bytes scratch buffer and dst the
-// output buffer; both are grown as needed and returned for reuse. The
-// compressed bytes are checksummed before inflating — pruned blocks and
-// skipped sections never pay either cost.
-func inflateSection(f io.ReaderAt, off, compLen, rawLen int64, crc uint32, comp, dst []byte) (newComp, out []byte, err error) {
-	if int64(cap(comp)) < compLen {
-		comp = make([]byte, compLen)
-	} else {
-		comp = comp[:compLen]
+var inflaters = sync.Pool{New: func() any { return &inflater{fr: flate.NewReader(nil)} }}
+
+// compBufs recycles the buffers compressed bytes are read into. They die
+// at the end of the inflate that reads them, whatever becomes of its
+// output.
+var compBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readComp reads the n compressed bytes at off into a pooled buffer.
+// The caller hands the buffer back with compBufs.Put once it has
+// inflated them.
+func readComp(f io.ReaderAt, off, n int64) (*[]byte, error) {
+	buf := compBufs.Get().(*[]byte)
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
 	}
-	if _, err := f.ReadAt(comp, off); err != nil {
-		return comp, dst[:0], err
+	*buf = (*buf)[:n]
+	if _, err := f.ReadAt(*buf, off); err != nil {
+		compBufs.Put(buf)
+		return nil, err
 	}
+	return buf, nil
+}
+
+// inflate checksums one DEFLATE stream (a v1 block, a meta section, a
+// payload chunk) and decompresses it into a buffer of its own, rawLen
+// bytes long — a length the caller has validated. The compressed bytes
+// are checksummed before inflating, so corrupt input never reaches the
+// decompressor, and pruned blocks, skipped sections and skipped chunks
+// pay for neither.
+func inflate(comp []byte, rawLen int64, crc uint32) ([]byte, error) {
 	if crc32.Checksum(comp, castagnoli) != crc {
-		return comp, dst[:0], fmt.Errorf("%w: cold section checksum mismatch", tracer.ErrCorrupt)
+		return nil, fmt.Errorf("%w: cold section checksum mismatch", tracer.ErrCorrupt)
 	}
-	if int64(cap(dst)) < rawLen {
-		dst = make([]byte, rawLen)
-	} else {
-		dst = dst[:rawLen]
+	// A fresh destination every time: it becomes an immutable cached
+	// copy (or dies young when the cache is off or lost the race).
+	dst := make([]byte, rawLen)
+	in := inflaters.Get().(*inflater)
+	in.src.Reset(comp)
+	defer func() {
+		in.src.Reset(nil) // comp goes back to a pool of its own
+		inflaters.Put(in)
+	}()
+	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, err
 	}
-	fr := flateReaders.Get().(io.ReadCloser)
-	defer flateReaders.Put(fr)
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
-		return comp, dst[:0], err
+	if _, err := io.ReadFull(in.fr, dst); err != nil {
+		return nil, fmt.Errorf("%w: cold section inflate: %v", tracer.ErrCorrupt, err)
 	}
-	if _, err := io.ReadFull(fr, dst); err != nil {
-		return comp, dst[:0], fmt.Errorf("%w: cold section inflate: %v", tracer.ErrCorrupt, err)
-	}
-	return comp, dst, nil
+	return dst, nil
 }
 
-// inflateBlock decompresses a v1 block's frame payload.
-func inflateBlock(f io.ReaderAt, b *coldBlock, comp, dst []byte) (newComp, out []byte, err error) {
-	return inflateSection(f, b.off, b.compLen, b.rawLen, b.crc, comp, dst)
-}
-
-// inflateMetaV2 decompresses a v2 block's meta section.
-func inflateMetaV2(f io.ReaderAt, b *coldBlock, comp, dst []byte) (newComp, out []byte, err error) {
-	v := b.v2
-	return inflateSection(f, b.off, v.metaLen, v.metaRawLen, v.metaCRC, comp, dst)
-}
-
-// inflatePayV2 decompresses a v2 block's payload section, which sits
-// directly after the meta section.
-func inflatePayV2(f io.ReaderAt, b *coldBlock, comp, dst []byte) (newComp, out []byte, err error) {
-	v := b.v2
-	return inflateSection(f, b.off+v.metaLen, v.payLen, v.payRawLen, v.payCRC, comp, dst)
+// readInflate is readComp then inflate, for a stream read on its own.
+func readInflate(f io.ReaderAt, off, compLen, rawLen int64, crc uint32) ([]byte, error) {
+	comp, err := readComp(f, off, compLen)
+	if err != nil {
+		return nil, err
+	}
+	defer compBufs.Put(comp)
+	return inflate(*comp, rawLen, crc)
 }

@@ -1,13 +1,14 @@
 // Cold-block introspection: the per-block directory metadata, exposed
-// for offline tooling (btrace-inspect -blocks). The same numbers the
-// query planner prunes on — column min/max, TID range, bloom fill,
-// section sizes — rendered for an operator deciding whether a store's
-// blocks actually prune well under their workload.
+// for offline tooling (btrace-inspect -blocks, -tiers). The same
+// numbers the query planner prunes on — column min/max, TID range,
+// bloom fill, section sizes, payload chunking — rendered for an
+// operator deciding whether a store's blocks actually prune well under
+// their workload.
 package store
 
 // ColdBlockInfo describes one cold block as its directory header
 // records it. Version 1 blocks carry the shared fields only; the
-// columnar extras are v2.
+// columnar extras are v2 and v3.
 type ColdBlockInfo struct {
 	Seq     uint64 `json:"seq"`
 	File    string `json:"file"`
@@ -15,7 +16,7 @@ type ColdBlockInfo struct {
 	Version int    `json:"version"`
 	Events  uint64 `json:"events"`
 
-	CompBytes int64 `json:"comp_bytes"` // compressed (v2: both sections)
+	CompBytes int64 `json:"comp_bytes"` // compressed (columnar: both sections)
 	RawBytes  int64 `json:"raw_bytes"`  // frame-equivalent decompressed size
 
 	BaseStamp uint64 `json:"base_stamp"`
@@ -26,15 +27,19 @@ type ColdBlockInfo struct {
 	CatBits   uint64 `json:"cat_bits"`
 	Ordered   bool   `json:"ordered"`
 
-	// v2 (columnar) only.
-	MetaBytes    int64   `json:"meta_bytes,omitempty"` // compressed meta section
-	MetaRawBytes int64   `json:"meta_raw_bytes,omitempty"`
-	PayBytes     int64   `json:"pay_bytes,omitempty"` // compressed payload section
-	PayRawBytes  int64   `json:"pay_raw_bytes,omitempty"`
-	DictSize     int     `json:"dict_size,omitempty"` // category dictionary entries
-	MinTID       uint32  `json:"min_tid,omitempty"`
-	MaxTID       uint32  `json:"max_tid,omitempty"`
-	BloomFill    float64 `json:"bloom_fill,omitempty"` // TID bloom set-bit ratio
+	// Columnar (v2, v3) only.
+	MetaBytes    int64 `json:"meta_bytes,omitempty"` // compressed meta section
+	MetaRawBytes int64 `json:"meta_raw_bytes,omitempty"`
+	PayBytes     int64 `json:"pay_bytes,omitempty"` // compressed payload section, all chunks
+	PayRawBytes  int64 `json:"pay_raw_bytes,omitempty"`
+	// The payload section is PayChunks DEFLATE streams of ChunkRows rows
+	// each (v2: one stream over all the block's rows).
+	ChunkRows int     `json:"chunk_rows,omitempty"`
+	PayChunks int     `json:"pay_chunks,omitempty"`
+	DictSize  int     `json:"dict_size,omitempty"` // category dictionary entries
+	MinTID    uint32  `json:"min_tid,omitempty"`
+	MaxTID    uint32  `json:"max_tid,omitempty"`
+	BloomFill float64 `json:"bloom_fill,omitempty"` // TID bloom set-bit ratio
 }
 
 // ColdBlocks returns every cold block's directory metadata, oldest
@@ -59,9 +64,10 @@ func (st *Store) ColdBlocks() []ColdBlockInfo {
 				Ordered: b.meta.ordered,
 			}
 			if v := b.v2; v != nil {
-				info.Version = 2
+				info.Version = v.version
 				info.MetaBytes, info.MetaRawBytes = v.metaLen, v.metaRawLen
 				info.PayBytes, info.PayRawBytes = v.payLen, v.payRawLen
+				info.ChunkRows, info.PayChunks = v.chunkRows, v.payChunks(b.meta.count)
 				info.DictSize = v.dictSize
 				info.MinTID, info.MaxTID = v.minTID, v.maxTID
 				info.BloomFill = v.bloomFill()

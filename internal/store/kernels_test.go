@@ -132,14 +132,19 @@ func coldSnaps(st *Store) []segSnap {
 }
 
 // checkColumnWalker runs q's column walker over every cold block of st
-// and holds it to the row-by-row oracle over the same block decoded
-// whole: the selection is exactly the rows refMatchRaw passes (and the
+// and holds it to the row-by-row oracle over the same block's meta
+// section decoded whole, each row's payload taken from es, the entries
+// that went in: the selection is exactly the rows refMatchRaw passes (and the
 // lowered predicate's MatchHeader, which the frame walker asks), the
 // rows emitted exactly those that also pass Predicate.Match, in order,
 // field for field, and the aggregate sink counts as many. A block the
 // block rung would have pruned must select nothing.
-func checkColumnWalker(t testing.TB, st *Store, q Query) {
+func checkColumnWalker(t testing.TB, st *Store, es []tracer.Entry, q Query) {
 	t.Helper()
+	payloads := make(map[uint64][]byte, len(es))
+	for i := range es {
+		payloads[es[i].Stamp] = es[i].Payload
+	}
 	cq := compile(q)
 	for _, sn := range coldSnaps(st) {
 		s, _, err := st.openScan(cq, &sn, false)
@@ -148,7 +153,7 @@ func checkColumnWalker(t testing.TB, st *Store, q Query) {
 		}
 		for bi := range sn.blocks {
 			b := &sn.blocks[bi]
-			_, raw, err := inflateMetaV2(s.f, b, nil, nil)
+			raw, err := readInflate(s.f, b.off, b.v2.metaLen, b.v2.metaRawLen, b.v2.metaCRC)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,18 +161,15 @@ func checkColumnWalker(t testing.TB, st *Store, q Query) {
 			if err := decodeColumns(raw, b, &cb); err != nil {
 				t.Fatal(err)
 			}
-			var pay []byte
-			if b.v2.payLen > 0 {
-				if _, pay, err = inflatePayV2(s.f, b, nil, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
 			var wantSel []int32
 			var want []tracer.Entry
 			for r := range cb.stamps {
 				e := tracer.Entry{
 					Stamp: cb.stamps[r], TS: cb.ts[r], Core: cb.cores[r], TID: cb.tids[r],
-					Category: cb.cats[r], Level: cb.levels[r], Payload: pay[cb.payOff[r]:cb.payOff[r+1]],
+					Category: cb.cats[r], Level: cb.levels[r], Payload: payloads[cb.stamps[r]],
+				}
+				if int(cb.payOff[r+1]-cb.payOff[r]) != len(e.Payload) {
+					t.Fatalf("%s block %d row %d: payload length column says %d, the entry had %d", sn.name, bi, r, cb.payOff[r+1]-cb.payOff[r], len(e.Payload))
 				}
 				raw := refMatchRaw(&q, &e)
 				if got := cq.pred.MatchHeader(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level); got != raw {
@@ -292,7 +294,7 @@ func TestColumnKernelsMatchRowOracle(t *testing.T) {
 		if rng.Intn(5) == 0 {
 			q.Categories = []uint8{11, 100, uint8(rng.Intn(256))}
 		}
-		checkColumnWalker(t, st, q)
+		checkColumnWalker(t, st, es, q)
 		if t.Failed() {
 			t.Fatalf("query %d: %+v pred %v", i, q, q.Pred)
 		}
@@ -361,7 +363,7 @@ func FuzzColumnKernels(f *testing.F) {
 		if bq.Filter != nil {
 			q.Pred = bq.Predicate()
 		}
-		checkColumnWalker(t, st, q)
+		checkColumnWalker(t, st, es, q)
 	})
 }
 
@@ -410,35 +412,48 @@ func TestCountAggregateCacheFootprint(t *testing.T) {
 }
 
 // TestColdFileBytesPinned: this fixture's cold file, byte for byte, as
-// the freezer wrote it before the read path learnt late
-// materialisation. The on-disk format is not the read path's to change.
-// (The bytes include DEFLATE streams, so the digest also pins
+// the commit that introduced format v3 wrote it. The on-disk format is
+// not the read path's to change, nor a refactor of the writer's. (The
+// bytes include DEFLATE streams, so the digest also pins
 // compress/flate's BestSpeed output; should a toolchain ever change
 // that, regenerate it from a checkout of this commit under the new
-// toolchain.)
+// toolchain. The v2 bytes this test pinned before live on as
+// testdata/cold-v2.)
 func TestColdFileBytesPinned(t *testing.T) {
-	const want = "f3a7f5e23befda9db669d288d9da214630a01ee3e7fd1f964d99c6f94489ec51"
-	dir := t.TempDir()
-	st, err := Open(dir, tierCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealEvery(t, st, 1, 1200, 100)
-	if err := st.CompactTick(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "col-*.blk"))
-	if err != nil || len(names) != 1 {
-		t.Fatalf("cold files %v (%v), want exactly one", names, err)
-	}
-	raw, err := os.ReadFile(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
-		t.Fatalf("%s: %d bytes, sha256 %s, want %s", filepath.Base(names[0]), len(raw), got, want)
+	for _, tc := range []struct {
+		name       string
+		blockBytes int // 4 KiB: 74-row blocks of one chunk; 32 KiB: ~590 rows, five chunks
+		want       string
+	}{
+		{"one-chunk-blocks", 4 << 10, "5282dd78652891d1c41816b31b8d1c3c7c12c6ed80a76c17ef3507bbf29a7597"},
+		{"five-chunk-blocks", 32 << 10, "00d72578761dab7dc7b647afc7a2dcc9f4a1d22657b0908a2f310d7030fa351f"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := tierCfg()
+			cfg.ColdBlockBytes = tc.blockBytes
+			st, err := Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealEvery(t, st, 1, 1200, 100)
+			if err := st.CompactTick(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			names, err := filepath.Glob(filepath.Join(dir, "col-*.blk"))
+			if err != nil || len(names) != 1 {
+				t.Fatalf("cold files %v (%v), want exactly one", names, err)
+			}
+			raw, err := os.ReadFile(names[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != tc.want {
+				t.Fatalf("%s: %d bytes, sha256 %s, want %s", filepath.Base(names[0]), len(raw), got, tc.want)
+			}
+		})
 	}
 }

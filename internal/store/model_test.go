@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -237,12 +238,7 @@ func (m *storeModel) drain(what string, cur tracer.Cursor, batch int) (es []trac
 
 // byStamp reorders indices into all by ascending stamp.
 func (m *storeModel) byStamp(idx []int) []int {
-	slices.SortFunc(idx, func(a, b int) int {
-		if m.all[a].Stamp < m.all[b].Stamp {
-			return -1
-		}
-		return 1
-	})
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(m.all[a].Stamp, m.all[b].Stamp) })
 	return idx
 }
 
@@ -572,7 +568,14 @@ func TestStoreModel(t *testing.T) {
 
 // FuzzStoreModel runs arbitrary programs. A failure found here — or a
 // failing seed's printed program, dropped into
-// testdata/fuzz/FuzzStoreModel — minimises with go test -fuzz.
+// testdata/fuzz/FuzzStoreModel — minimises with
+//
+//	go test ./internal/store -run '^$' -fuzz FuzzStoreModel -fuzzminimizetime 200x
+//
+// (bounded, because the store's background goroutines make coverage
+// vary from run to run and the minimiser chases every variation for its
+// default minute). The two committed entries are the programs that
+// found the following-cursor bugs fixed alongside this test.
 func FuzzStoreModel(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(modelProgram(seed))

@@ -45,10 +45,17 @@ type storeObs struct {
 
 	// blocksPruned/payloadSkips advance on the read path too (cursors
 	// and query workers increment them directly, like bcache's hits):
-	// cold blocks rejected on header metadata alone, and v2 blocks whose
-	// rows were scanned without ever inflating the payload column.
-	blocksPruned *obs.Counter
-	payloadSkips *obs.Counter
+	// cold blocks rejected on header metadata alone, and columnar blocks
+	// whose rows were scanned without inflating a payload byte. The
+	// chunk rung below them: payload chunks (and the raw bytes in them)
+	// a scan had to inflate, and chunks of scanned blocks it left alone
+	// because no row it wanted a payload byte of lives there. A chunk
+	// served from the block cache is in neither.
+	blocksPruned   *obs.Counter
+	payloadSkips   *obs.Counter
+	chunksInflated *obs.Counter
+	chunksSkipped  *obs.Counter
+	inflatedBytes  *obs.Counter
 
 	recoveredTruncations *obs.Counter
 	tornBytesDropped     *obs.Counter
@@ -101,6 +108,9 @@ func newStoreObs() *storeObs {
 		groupCommits:         obs.NewCounter(1),
 		blocksPruned:         obs.NewCounter(1),
 		payloadSkips:         obs.NewCounter(1),
+		chunksInflated:       obs.NewCounter(1),
+		chunksSkipped:        obs.NewCounter(1),
+		inflatedBytes:        obs.NewCounter(1),
 		appendNs:             obs.NewHistogram(obs.LatencyBounds),
 		fsyncNs:              obs.NewHistogram(obs.LatencyBounds),
 		batchEvents:          obs.NewHistogram(obs.SizeBounds),
@@ -140,6 +150,9 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	}
 	e.Counter("btrace_store_blocks_pruned_total", "cold blocks skipped on header metadata alone", o.blocksPruned.Load())
 	e.Counter("btrace_store_payload_skips_total", "columnar blocks scanned without inflating the payload column", o.payloadSkips.Load())
+	e.Counter("btrace_store_payload_chunks_inflated_total", "payload chunks of columnar blocks inflated (block cache misses)", o.chunksInflated.Load())
+	e.Counter("btrace_store_payload_chunks_skipped_total", "payload chunks of scanned columnar blocks left compressed: no selected row needed a byte of them", o.chunksSkipped.Load())
+	e.Counter("btrace_store_payload_inflated_bytes_total", "raw payload bytes produced by inflating chunks", o.inflatedBytes.Load())
 	e.Counter("btrace_store_recovered_truncations_total", "torn segment tails truncated at open", o.recoveredTruncations.Load())
 	e.Counter("btrace_store_torn_bytes_dropped_total", "bytes cut by recovery truncations", o.tornBytesDropped.Load())
 	e.Counter("btrace_store_leftover_segments_total", "interrupted-compaction leftovers deleted at open", o.leftoverSegments.Load())

@@ -6,12 +6,18 @@
 //   - Prune first: the snapshot (Store.snapshot) drops segments whose
 //     header metadata (stamp/time min-max, core and category bitsets)
 //     cannot match the query, without ever opening their files.
-//   - One goroutine per surviving segment steps the shared scan (scan.go)
-//     into chunks it streams over a channel; a semaphore of `workers`
-//     permits bounds how many are inside a read+decode at once.
-//   - The merge pops streams by head stamp (or concatenates them when
-//     the segments' stamp ranges are disjoint and ordered — the common
-//     sealed-rotation layout — which is a straight copy per chunk).
+//   - One goroutine per surviving segment opens its file at once and
+//     then steps the shared scan (scan.go) into chunks it streams over a
+//     channel; a semaphore of `workers` permits bounds how many are
+//     inside a read+decode at once.
+//   - The merge takes the segments in order of their smallest stamp and
+//     admits one only when that stamp is due, popping the admitted
+//     streams by head stamp and copying whole stretches; a segment
+//     starts decoding `workers` places ahead of its admission. Where
+//     stamp ranges are disjoint — the common sealed-rotation layout —
+//     one stream is in the merge at a time and it is a straight copy
+//     per chunk; what a pass holds goes by how many segments overlap,
+//     not by how many it reads or whether one of them is unordered.
 //
 // The snapshot is taken by the first Next. Events appended after it
 // belong to a later cursor; once the pass has delivered its last entry
@@ -49,7 +55,9 @@ func (ck *pchunk) span(n int) []byte {
 	// Entries already in the chunk alias the current buffer (a second
 	// span of an unordered segment): leave it to them and the GC.
 	if len(ck.entries) > 0 || cap(ck.data) < n {
-		ck.data = make([]byte, n)
+		// Never smaller than a full span: a segment's short last span
+		// must not leave a buffer the next full one cannot use.
+		ck.data = make([]byte, n, max(n, scanSpanBytes))
 	}
 	ck.data = ck.data[:n]
 	return ck.data
@@ -62,20 +70,59 @@ func (ck *pchunk) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8
 	})
 }
 
-// rows materialises the selected rows of a v2 block: the one place a
-// cold row becomes an entry, after the selection has decided it is
-// wanted.
-func (ck *pchunk) rows(c *blockCols, idx []int32, pay []byte) {
+// rows materialises the selected rows of a columnar block: the one
+// place a cold row becomes an entry, after the selection has decided it
+// is wanted.
+func (ck *pchunk) rows(c *blockCols, idx []int32) {
 	stamps, ts, tids, m := c.Stamps(), c.Times(), c.TIDs(), c.m
 	for _, i := range idx {
 		ck.entries = append(ck.entries, tracer.Entry{
 			Stamp: stamps[i], TS: ts[i], Core: m.cores[i], TID: tids[i],
-			Category: m.dict[m.catIdx[i]], Level: m.levels[i], Payload: c.payload(pay, i),
+			Category: m.dict[m.catIdx[i]], Level: m.levels[i], Payload: c.payload(i),
 		})
 	}
 }
 
+// thinRows is the step result below which a stream copies rows out of
+// the span they were scanned in instead of handing the span on: a span
+// of 90-byte records holds six times as many, so what is copied is
+// small beside what was scanned and what is handed on is mostly used.
+const thinRows = 512
+
+// take appends copies of es, payloads and all, for as long as the
+// payloads fit the chunk's buffer — which they always do when the chunk
+// is empty — and returns the entries left over. Rows already in the
+// chunk alias the buffer, so it cannot grow under them.
+func (ck *pchunk) take(es []tracer.Entry) []tracer.Entry {
+	if len(ck.entries) == 0 {
+		need := 0
+		for i := range es {
+			need += len(es[i].Payload)
+		}
+		if cap(ck.data) < need {
+			ck.data = make([]byte, 0, max(need, scanSpanBytes))
+		}
+	}
+	for i, e := range es {
+		if len(ck.data)+len(e.Payload) > cap(ck.data) {
+			return es[i:]
+		}
+		at := len(ck.data)
+		ck.data = append(ck.data, e.Payload...)
+		if e.Payload != nil {
+			e.Payload = ck.data[at:len(ck.data):len(ck.data)]
+		}
+		ck.entries = append(ck.entries, e)
+	}
+	return nil
+}
+
+// reset empties the chunk for reuse. The entries are zeroed, not only
+// truncated: a pooled chunk must not pin, through payloads nobody can
+// reach any more, the span buffers of an unordered segment it once held
+// or cold chunks the block cache has since evicted.
 func (ck *pchunk) reset() {
+	clear(ck.entries)
 	ck.entries = ck.entries[:0]
 	ck.data = ck.data[:0]
 }
@@ -95,11 +142,29 @@ type chunkPool struct {
 	free []*pchunk
 }
 
-func (p *chunkPool) get() *pchunk {
+// get hands out the free chunk whose span buffer fits n bytes most
+// closely — the smallest that holds them, else the largest there is —
+// so the chunk that has held an unordered segment whole goes to the
+// next such segment and not to a 256 KiB span. The free list is a
+// handful of chunks.
+func (p *chunkPool) get(n int) *pchunk {
 	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		ck := p.free[n-1]
-		p.free = p.free[:n-1]
+	best := -1
+	for i, ck := range p.free {
+		if best < 0 {
+			best = i
+			continue
+		}
+		have, cur := cap(ck.data), cap(p.free[best].data)
+		if have >= n && (cur < n || have < cur) || have < n && cur < n && have > cur {
+			best = i
+		}
+	}
+	if best >= 0 {
+		ck := p.free[best]
+		last := len(p.free) - 1
+		p.free[best] = p.free[last]
+		p.free = p.free[:last]
 		p.mu.Unlock()
 		return ck
 	}
@@ -121,6 +186,9 @@ func (p *chunkPool) put(ck *pchunk) {
 type pstream struct {
 	snap segSnap
 	ch   chan *pchunk
+	// gate holds the scan back, file open, until the merge is within
+	// `workers` segments of needing it.
+	gate chan struct{}
 
 	missed uint64
 	err    error
@@ -140,12 +208,13 @@ type PCursor struct {
 	pool chunkPool
 
 	// The pass; streams is nil before the first Next starts it and again
-	// once it has ended.
+	// once it has ended. streams is in baseStamp order: [0, next) have
+	// been admitted to the merge, [0, ungated) are free to scan.
 	started bool
 	streams []*pstream
-	h       []*pstream // min-heap by head stamp (general path)
-	concat  bool       // disjoint-ordered fast path: consume streams in order
-	ci      int
+	next    int
+	ungated int
+	h       []*pstream // min-heap of admitted streams by head stamp
 	done    chan struct{}
 	wg      sync.WaitGroup
 
@@ -183,60 +252,63 @@ func (c *PCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	if c.streams == nil {
 		return 0, 0, nil
 	}
-	var n int
-	var err error
-	if c.concat {
-		n, err = c.mergeConcat(batch)
-	} else {
-		n, err = c.mergeHeap(batch)
-	}
+	n, err := c.merge(batch)
 	missed := c.pendingMissed
 	c.pendingMissed = 0
 	return n, missed, err
 }
 
 // start snapshots the committed store state and launches one scan
-// goroutine per surviving segment. On return c.streams is nil if there
-// is nothing to scan.
+// goroutine per surviving segment, each held at its gate. On return
+// c.streams is nil if there is nothing to scan.
 func (c *PCursor) start() {
 	snaps := c.st.snapshot(c.q)
 	if len(snaps) == 0 {
 		return
 	}
+	// baseStamp is a floor on every stamp a segment holds, so in this
+	// order a segment is not needed before the merge has reached its
+	// baseStamp. Rotation's layout is in this order already.
+	slices.SortStableFunc(snaps, func(a, b segSnap) int { return cmp.Compare(a.baseStamp, b.baseStamp) })
 	c.done = make(chan struct{})
 	c.streams = make([]*pstream, 0, len(snaps))
-	// Concat fast path: every stream ordered and the stamp ranges
-	// strictly increasing across segments — rotation's natural layout.
-	c.concat = true
 	for i := range snaps {
-		if !snaps[i].ordered || i > 0 && snaps[i-1].maxStamp >= snaps[i].baseStamp {
-			c.concat = false
-			break
-		}
-	}
-	for i := range snaps {
-		ps := &pstream{snap: snaps[i], ch: make(chan *pchunk, 1)}
+		ps := &pstream{snap: snaps[i], ch: make(chan *pchunk, 1), gate: make(chan struct{})}
 		c.streams = append(c.streams, ps)
 		c.wg.Add(1)
 		go c.runStream(ps)
 	}
-	if !c.concat {
-		// Load every stream's head and heapify.
-		for _, ps := range c.streams {
-			if c.advanceStream(ps) {
-				c.h = append(c.h, ps)
-			}
+}
+
+// admit moves the next stream into the merge and lets the scans
+// `workers` places past it begin.
+func (c *PCursor) admit() {
+	ps := c.streams[c.next]
+	c.next++
+	for c.ungated < min(c.next+cap(c.sem), len(c.streams)) {
+		close(c.streams[c.ungated].gate)
+		c.ungated++
+	}
+	if !c.advanceStream(ps) {
+		return
+	}
+	c.h = append(c.h, ps)
+	for i := len(c.h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if c.headStamp(up) <= c.headStamp(i) {
+			break
 		}
-		for i := len(c.h)/2 - 1; i >= 0; i-- {
-			c.down(i)
-		}
+		c.h[up], c.h[i] = c.h[i], c.h[up]
+		i = up
 	}
 }
 
 // runStream steps the shared scan over one segment snapshot, sending
-// each step's chunk to the merge. A semaphore permit is held only
-// across the read+decode, never across a channel send, so a blocked
-// merge cannot starve other streams of scan slots.
+// each step's chunk to the merge. The file is opened at once — what a
+// retention, merge or freeze pass deletes after that the stream still
+// reads — and the first step waits for the gate. A semaphore permit is
+// held only across the read+decode, never across a channel send, so a
+// blocked merge cannot starve other streams of scan slots.
 func (c *PCursor) runStream(ps *pstream) {
 	defer c.wg.Done()
 	defer close(ps.ch)
@@ -249,11 +321,44 @@ func (c *PCursor) runStream(ps *pstream) {
 		return
 	}
 	defer s.f.Close()
+	select {
+	case <-ps.gate:
+	case <-c.done:
+		return
+	}
+	// thin gathers the rows of sparse steps, their payloads copied out of
+	// the spans they were found in.
+	var thin *pchunk
+	defer func() {
+		if thin != nil {
+			c.pool.put(thin)
+		}
+	}()
+	send := func(ck *pchunk) bool {
+		select {
+		case ps.ch <- ck:
+			return true
+		case <-c.done:
+			c.pool.put(ck)
+			return false
+		}
+	}
 	for more := true; more; {
 		if !c.acquire() {
 			return
 		}
-		ck := c.pool.get()
+		span := s.spanBytes()
+		ck := c.pool.get(int(span))
+		if span > 0 {
+			// Room for every row of the span at the segment's average row
+			// size — an eighth more when it has to be made, so that it fits
+			// the next span too: append growing the slice instead would
+			// leave each buffer it outgrew to the collector, and what a
+			// pass holds would go by when the collector last ran.
+			if rows := int(uint64(span) * sn.count / uint64(sn.bound-headerSize)); cap(ck.entries) < rows {
+				ck.entries = slices.Grow(ck.entries, rows+rows/8)
+			}
+		}
 		more, err = s.step(ck)
 		if !sn.ordered {
 			// The whole range (bounded by SegmentBytes) becomes one chunk
@@ -262,7 +367,9 @@ func (c *PCursor) runStream(ps *pstream) {
 			for more && err == nil {
 				more, err = s.step(ck)
 			}
-			sortByStamp(ck.entries)
+			rm := runMergers.Get().(*runMerger)
+			ck.entries = rm.sort(ck.entries)
+			runMergers.Put(rm)
 		}
 		c.release()
 		if err != nil {
@@ -270,29 +377,144 @@ func (c *PCursor) runStream(ps *pstream) {
 			ps.err = err
 			return
 		}
-		if len(ck.entries) == 0 {
-			c.pool.put(ck)
+		if len(ck.entries) >= thinRows {
+			// Rows before it go first.
+			if thin != nil && !send(thin) {
+				thin = nil
+				c.pool.put(ck)
+				return
+			}
+			thin = nil
+			if !send(ck) {
+				return
+			}
 			continue
 		}
-		select {
-		case ps.ch <- ck:
-		case <-c.done:
-			c.pool.put(ck)
-			return
+		// A few rows must not hold a span buffer, or the cold chunks they
+		// alias, until the caller has let go of them: a selective query
+		// would hold a span for every handful of matches. Copy them out
+		// and scan the next span into the same chunk.
+		for rest := ck.entries; len(rest) > 0; {
+			if thin == nil {
+				thin = c.pool.get(0)
+			}
+			if rest = thin.take(rest); len(thin.entries) >= thinRows || len(rest) > 0 {
+				if !send(thin) {
+					thin = nil
+					c.pool.put(ck)
+					return
+				}
+				thin = nil
+			}
 		}
+		c.pool.put(ck)
+	}
+	if thin != nil {
+		send(thin)
+		thin = nil
 	}
 }
 
-// sortByStamp orders es by stamp. Entries of equal stamp keep no
-// particular order, as under the sort.Slice this replaces (neither sort
-// is stable); what changed is the cost: no reflection-based swapper, and
-// no sort at all when es is already in order — the common case for a
-// segment whose only disorder is two clients' batches interleaving.
-func sortByStamp(es []tracer.Entry) {
-	byStamp := func(a, b tracer.Entry) int { return cmp.Compare(a.Stamp, b.Stamp) }
-	if !slices.IsSortedFunc(es, byStamp) {
-		slices.SortFunc(es, byStamp)
+// runMerger orders entries by stamp by merging their natural runs. An
+// unordered segment is not shuffled: its disorder is a few writers'
+// batches interleaving, so it is a handful of long ascending runs, and
+// merging k runs of n entries is O(n log k) moves of whole stretches
+// where a comparison sort pays O(n log n) compares of 56-byte entries.
+// It keeps the output buffer and the run table between calls.
+type runMerger struct {
+	spare []tracer.Entry
+	runs  []stampRun
+}
+
+// runMergers recycles mergers across segments, cursors and stores. A
+// merge trades buffers with the chunk it orders — the chunk leaves with
+// the merger's spare, the merger keeps the chunk's old entries slice —
+// so a chunk in flight holds one entries slice, as it did when it was
+// sorted in place, and the second one exists once per scan worker at
+// work, not once per chunk.
+var runMergers = sync.Pool{New: func() any { return new(runMerger) }}
+
+// stampRun is es[lo:hi], ascending by stamp; lo moves up as the merge
+// consumes it.
+type stampRun struct{ lo, hi int }
+
+// sort returns es ordered by stamp — es itself when it already is, else
+// the merger's spare buffer, es taking its place. Entries of equal
+// stamp come out in no particular order.
+func (rm *runMerger) sort(es []tracer.Entry) []tracer.Entry {
+	// One pass finds the maximal ascending runs.
+	runs, lo := rm.runs[:0], 0
+	for i := 1; i < len(es); i++ {
+		if es[i].Stamp < es[i-1].Stamp {
+			runs, lo = append(runs, stampRun{lo, i}), i
+		}
 	}
+	if lo == 0 {
+		return es // in order already: the common case costs the one pass
+	}
+	runs = append(runs, stampRun{lo, len(es)})
+	rm.runs = runs // keeps what the table grew to
+	// A min-heap of runs by head stamp. The smallest run gives up the
+	// stretch that stays at or below the next-smallest head — found by
+	// galloping, as stretches are long when runs are few — in one copy.
+	head := func(i int) uint64 { return es[runs[i].lo].Stamp }
+	down := func(i int) {
+		for {
+			m := 2*i + 1
+			if m >= len(runs) {
+				return
+			}
+			if r := m + 1; r < len(runs) && head(r) < head(m) {
+				m = r
+			}
+			if head(i) <= head(m) {
+				return
+			}
+			runs[i], runs[m] = runs[m], runs[i]
+			i = m
+		}
+	}
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := rm.spare[:0]
+	if cap(out) < len(es) {
+		// With room to spare, as the slice it trades places with was
+		// made: the two keep changing hands, and each must fit the next
+		// segment.
+		out = make([]tracer.Entry, 0, len(es)+len(es)/8)
+	}
+	for len(runs) > 1 {
+		next := head(1)
+		if len(runs) > 2 {
+			next = min(next, head(2))
+		}
+		r := &runs[0]
+		run := es[r.lo:r.hi]
+		// Gallop to a bound on the stretch, then bisect inside it.
+		hi := 1
+		for hi < len(run) && run[hi].Stamp <= next {
+			hi *= 2
+		}
+		lo, hi := hi/2, min(hi, len(run))
+		for lo < hi {
+			if mid := (lo + hi) / 2; run[mid].Stamp <= next {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		out = append(out, run[:lo]...)
+		if r.lo += lo; r.lo == r.hi {
+			runs[0] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+		down(0)
+	}
+	out = append(out, es[runs[0].lo:runs[0].hi]...)
+	clear(es) // the spare pins no payload
+	rm.spare = es[:0]
+	return out
 }
 
 func (c *PCursor) acquire() bool {
@@ -328,67 +550,56 @@ func (c *PCursor) advanceStream(ps *pstream) bool {
 	}
 }
 
-// mergeHeap delivers in global stamp order by popping the stream with
-// the smallest head stamp.
-func (c *PCursor) mergeHeap(batch []tracer.Entry) (int, error) {
+// merge delivers in global stamp order: the admitted stream with the
+// smallest head gives up, in one copy, the stretch that stays at or
+// below every other stamp still to come — the other heads and the
+// baseStamp of the next stream not yet admitted. Entries of equal stamp
+// come out in no particular order.
+func (c *PCursor) merge(batch []tracer.Entry) (int, error) {
 	n := 0
 	for n < len(batch) {
 		if c.q.limit > 0 && c.delivered >= c.q.limit {
 			c.abort()
 			return n, nil
+		}
+		for c.next < len(c.streams) && (len(c.h) == 0 || c.streams[c.next].snap.baseStamp <= c.headStamp(0)) {
+			c.admit()
 		}
 		if len(c.h) == 0 {
 			return n, c.finish()
 		}
+		bound := ^uint64(0)
+		if c.next < len(c.streams) {
+			bound = c.streams[c.next].snap.baseStamp
+		}
+		for i := 1; i < min(len(c.h), 3); i++ {
+			bound = min(bound, c.headStamp(i))
+		}
 		ps := c.h[0]
-		batch[n] = ps.cur.entries[ps.idx]
-		ps.idx++
-		n++
-		c.delivered++
-		if ps.idx >= len(ps.cur.entries) {
-			if !c.advanceStream(ps) {
-				last := len(c.h) - 1
-				c.h[0] = c.h[last]
-				c.h = c.h[:last]
-				if len(c.h) > 1 {
-					c.down(0)
+		es := ps.cur.entries[ps.idx:]
+		es = es[:min(len(es), len(batch)-n)]
+		if c.q.limit > 0 {
+			es = es[:min(len(es), c.q.limit-c.delivered)]
+		}
+		if es[len(es)-1].Stamp > bound {
+			// The head itself is at or below bound, so k >= 1.
+			k, _ := slices.BinarySearchFunc(es, bound, func(e tracer.Entry, b uint64) int {
+				if e.Stamp <= b {
+					return -1
 				}
-				continue
-			}
+				return 1
+			})
+			es = es[:k]
+		}
+		n += copy(batch[n:], es)
+		ps.idx += len(es)
+		c.delivered += len(es)
+		if ps.idx >= len(ps.cur.entries) && !c.advanceStream(ps) {
+			last := len(c.h) - 1
+			c.h[0] = c.h[last]
+			c.h = c.h[:last]
 		}
 		c.down(0)
-	}
-	return n, nil
-}
-
-// mergeConcat is the disjoint-ordered fast path: streams are consumed
-// whole, in segment order, with bulk copies per chunk.
-func (c *PCursor) mergeConcat(batch []tracer.Entry) (int, error) {
-	n := 0
-	for n < len(batch) {
-		if c.q.limit > 0 && c.delivered >= c.q.limit {
-			c.abort()
-			return n, nil
-		}
-		if c.ci >= len(c.streams) {
-			return n, c.finish()
-		}
-		ps := c.streams[c.ci]
-		if ps.cur == nil || ps.idx >= len(ps.cur.entries) {
-			if !c.advanceStream(ps) {
-				c.ci++
-				continue
-			}
-		}
-		k := copy(batch[n:], ps.cur.entries[ps.idx:])
-		if c.q.limit > 0 {
-			if rem := c.q.limit - c.delivered; k > rem {
-				k = rem
-			}
-		}
-		n += k
-		ps.idx += k
-		c.delivered += k
 	}
 	return n, nil
 }

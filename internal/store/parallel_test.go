@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"cmp"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,7 +70,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("fixture does not span the tiers: %+v", ts)
 	}
 	for _, b := range st.ColdBlocks() {
-		if b.Version != 2 {
+		if b.Version != 3 {
 			t.Fatalf("fixture froze a v%d block", b.Version)
 		}
 	}
@@ -499,4 +502,228 @@ func TestStoreParallelStress(t *testing.T) {
 		t.Fatalf("appended %d of %d", st.Stats().Appends, total)
 	}
 	t.Logf("passes=%d delivered=%d missed=%d", passes, delivered, missed)
+}
+
+// runShapes builds the inputs the run merge meets and might meet: what
+// an unordered segment really is (a few writers' batches interleaving),
+// and the shapes that degenerate it.
+func runShapes(n int, rng *rand.Rand) map[string][]tracer.Entry {
+	mk := func(stamps []uint64) []tracer.Entry {
+		es := make([]tracer.Entry, len(stamps))
+		for i, s := range stamps {
+			es[i] = tracer.Entry{Stamp: s, TS: uint64(i)} // TS remembers the input position
+		}
+		return es
+	}
+	// interleaved(w): w writers reserve 256-stamp batches round-robin and
+	// append them in a shuffled order, a window of 2w batches at a time.
+	interleaved := func(w int) []uint64 {
+		var batches [][]uint64
+		for s := uint64(1); len(batches)*256 < n; s += 256 {
+			b := make([]uint64, 256)
+			for i := range b {
+				b[i] = s + uint64(i)
+			}
+			batches = append(batches, b)
+		}
+		for lo := 0; lo < len(batches); lo += 2 * w {
+			win := batches[lo:min(lo+2*w, len(batches))]
+			rng.Shuffle(len(win), func(i, j int) { win[i], win[j] = win[j], win[i] })
+		}
+		return slices.Concat(batches...)[:n]
+	}
+	seq := func(f func(i int) uint64) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	return map[string][]tracer.Entry{
+		"sorted":         mk(seq(func(i int) uint64 { return uint64(i + 1) })),
+		"interleaved-2":  mk(interleaved(2)),
+		"interleaved-3":  mk(interleaved(3)),
+		"reversed":       mk(seq(func(i int) uint64 { return uint64(n - i) })),
+		"all-equal":      mk(seq(func(int) uint64 { return 7 })),
+		"random":         mk(seq(func(int) uint64 { return uint64(rng.Intn(n)) })),
+		"sawtooth":       mk(seq(func(i int) uint64 { return uint64(i%5)*1000 + uint64(i/5) })),
+		"two-equal-runs": mk(seq(func(i int) uint64 { return uint64(i % (n/2 + 1)) })),
+	}
+}
+
+// TestRunMergeMatchesSort holds the run merge to slices.SortFunc over
+// every shape at sizes around the edges: the same stamps in ascending
+// order, every input entry exactly once (equal stamps in any order),
+// the already-sorted input returned as it came, and the merger reusable
+// from call to call.
+func TestRunMergeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var rm runMerger // one merger across all cases: buffers carry over
+	for _, n := range []int{0, 1, 2, 3, 255, 256, 257, 5000} {
+		for name, es := range runShapes(n, rng) {
+			want := slices.Clone(es)
+			slices.SortStableFunc(want, func(a, b tracer.Entry) int { return cmp.Compare(a.Stamp, b.Stamp) })
+			in := slices.Clone(es)
+			got := rm.sort(in)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%d: %d entries out, %d in", name, n, len(got), len(want))
+			}
+			seen := make([]bool, n)
+			for i := range got {
+				if got[i].Stamp != want[i].Stamp {
+					t.Fatalf("%s/%d: entry %d has stamp %d, sorted input has %d", name, n, i, got[i].Stamp, want[i].Stamp)
+				}
+				if pos := got[i].TS; seen[pos] || es[pos].Stamp != got[i].Stamp {
+					t.Fatalf("%s/%d: entry %d (input position %d) duplicated or altered", name, n, i, pos)
+				}
+				seen[got[i].TS] = true
+			}
+			if sorted := slices.IsSortedFunc(es, func(a, b tracer.Entry) int { return cmp.Compare(a.Stamp, b.Stamp) }); sorted && n > 0 && &got[0] != &in[0] {
+				t.Fatalf("%s/%d: sorted input was copied", name, n)
+			}
+		}
+	}
+}
+
+// TestParallelHoldsWhatOverlaps pins what a pass keeps in memory: the
+// chunks of the segments the merge is in and of the `workers` next ones,
+// however many segments the snapshot has and whether or not one of them
+// is unordered — an unordered segment used to cost every segment a
+// chunk before the first row was out. Every chunk a cursor has made is
+// in its pool or retired when the pass ends.
+func TestParallelHoldsWhatOverlaps(t *testing.T) {
+	const segs, per = 40, 100
+	for _, unordered := range []bool{false, true} {
+		st, err := Open(t.TempDir(), Config{SegmentBytes: 32 << 10})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		for k := uint64(0); k < segs; k++ {
+			from, to := k*per+1, (k+1)*per
+			if unordered && (k == 3 || k == 20) {
+				// Two writers' batches landing out of turn.
+				appendRange(t, st, from+per/2, to)
+				appendRange(t, st, from, from+per/2-1)
+			} else {
+				appendRange(t, st, from, to)
+			}
+			if err := st.Seal(); err != nil {
+				t.Fatalf("Seal: %v", err)
+			}
+		}
+		var unord int
+		for _, s := range st.Segments() {
+			if !s.Ordered {
+				unord++
+			}
+		}
+		if want := map[bool]int{false: 0, true: 2}[unordered]; unord != want {
+			t.Fatalf("fixture has %d unordered segments, want %d", unord, want)
+		}
+		for _, workers := range []int{1, 4} {
+			pc := st.QueryParallel(Query{}, workers)
+			got, missed := drainParallel(t, pc, 64)
+			if missed != 0 || len(got) != segs*per {
+				t.Fatalf("unordered=%v workers=%d: %d entries, missed %d", unordered, workers, len(got), missed)
+			}
+			for i := range got {
+				if got[i].Stamp != uint64(i+1) {
+					t.Fatalf("unordered=%v workers=%d: entry %d has stamp %d", unordered, workers, i, got[i].Stamp)
+				}
+				checkEntry(t, got[i])
+			}
+			// A stream holds at most a chunk in the merge, one in its
+			// channel, one being scanned and one gathering thin rows.
+			made := len(pc.pool.free) + len(pc.retired)
+			if limit := 4 * (workers + 2); made > limit {
+				t.Errorf("unordered=%v workers=%d: the pass made %d chunks over %d segments, want at most %d", unordered, workers, made, segs, limit)
+			}
+			pc.Close()
+		}
+		st.Close()
+	}
+}
+
+// TestParallelThinRowsLeaveTheirSpan: a selective query's matches are
+// copied out of the spans they were found in, so one batch of them does
+// not hold a 256 KiB span apiece until the next Next.
+func TestParallelThinRowsLeaveTheirSpan(t *testing.T) {
+	st, err := Open(t.TempDir(), Config{SegmentBytes: 4 << 20})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer st.Close()
+	const n = 60_000 // a dozen spans in one segment
+	for s := uint64(1); s <= n; s += 5000 {
+		appendRange(t, st, s, s+4999)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if segs := st.Segments(); len(segs) != 1 || segs[0].Bytes < 8*scanSpanBytes {
+		t.Fatalf("fixture: %d segments, first %d bytes", len(segs), segs[0].Bytes)
+	}
+	// One row in 105: some forty to a span.
+	q := Query{Pred: predOf(t, `tid == 3 && category == 2 && level == 1`)}
+	want := drainStore(t, st, q)
+	pc := st.QueryParallel(q, 1)
+	defer pc.Close()
+	batch := make([]tracer.Entry, 4096)
+	k, _, err := pc.Next(batch)
+	if err != nil || k != len(want) || k < 400 {
+		t.Fatalf("Next: %d entries, want all %d in one batch: %v", k, len(want), err)
+	}
+	for i := range want {
+		if batch[i].Stamp != want[i].Stamp {
+			t.Fatalf("entry %d: stamp %d, want %d", i, batch[i].Stamp, want[i].Stamp)
+		}
+		checkEntry(t, batch[i])
+	}
+	held := len(pc.retired)
+	for _, ps := range pc.streams {
+		if ps.cur != nil {
+			held++
+		}
+	}
+	if held > 2 {
+		t.Fatalf("the batch holds %d chunks for %d rows out of a dozen spans", held, k)
+	}
+}
+
+// TestChunkTake: rows are copied while their payloads fit the buffer the
+// rows before them alias, and an empty chunk takes everything.
+func TestChunkTake(t *testing.T) {
+	src := []tracer.Entry{
+		{Stamp: 1, Payload: []byte("abcd")},
+		{Stamp: 2},
+		{Stamp: 3, Payload: []byte("efghij")},
+		{Stamp: 4, Payload: []byte("k")},
+	}
+	ck := &pchunk{data: make([]byte, 0, 8)}
+	if rest := ck.take(src[:2]); rest != nil || len(ck.entries) != 2 {
+		t.Fatalf("took %d, left %d", len(ck.entries), len(rest))
+	}
+	held := &ck.data[:1][0]
+	src[0].Payload[0] = 'X' // the copy does not alias its source
+	if string(ck.entries[0].Payload) != "abcd" || ck.entries[1].Payload != nil {
+		t.Fatalf("copied %q and %v", ck.entries[0].Payload, ck.entries[1].Payload)
+	}
+	// Six more bytes do not fit behind the four, and the buffer must not
+	// move under the rows that alias it.
+	rest := ck.take(src[2:])
+	if len(rest) != 2 || rest[0].Stamp != 3 || len(ck.entries) != 2 || &ck.data[:1][0] != held {
+		t.Fatalf("took %d, left %d", len(ck.entries), len(rest))
+	}
+	ck.reset()
+	if rest = ck.take(rest); rest != nil || len(ck.entries) != 2 || string(ck.entries[0].Payload) != "efghij" || string(ck.entries[1].Payload) != "k" {
+		t.Fatalf("after reset: %d entries, %d left", len(ck.entries), len(rest))
+	}
+	if &ck.data[:1][0] != held {
+		t.Fatalf("seven bytes did not fit the eight-byte buffer")
+	}
+	ck.reset()
+	big := []tracer.Entry{{Stamp: 5, Payload: bytes.Repeat([]byte("z"), 100)}}
+	if rest = ck.take(big); rest != nil || string(ck.entries[0].Payload) != string(big[0].Payload) {
+		t.Fatalf("an empty chunk must take any row")
+	}
 }

@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"btrace/internal/btql"
@@ -262,8 +264,8 @@ func TestColdV1V2MixedDirectory(t *testing.T) {
 	for _, b := range st.ColdBlocks() {
 		versions[b.Version]++
 	}
-	if versions[1] == 0 || versions[2] == 0 {
-		t.Fatalf("directory is not mixed: %v", versions)
+	if versions[1] == 0 || versions[2] == 0 || versions[3] == 0 {
+		t.Fatalf("directory does not hold every format version: %v", versions)
 	}
 	const events = 1800
 
@@ -314,14 +316,99 @@ func TestColdV1V2MixedDirectory(t *testing.T) {
 	}
 }
 
-// FuzzColdBlockV2Decode throws arbitrary bytes at the v2 block header
-// and column decoders: they must never panic or accept structurally
-// inconsistent columns, whatever the bytes claim.
+// seedColumnarBlock returns the first columnar block of st's cold tier
+// as the fuzzers' starting point: its directory entry, its on-disk
+// header and its inflated meta section.
+func seedColumnarBlock(f *testing.F, st *Store) (seed coldBlock, hdr, meta []byte) {
+	f.Helper()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, s := range st.segs {
+		if !s.isCold() || len(s.blocks) == 0 || s.blocks[0].v2 == nil {
+			continue
+		}
+		b := &s.blocks[0]
+		raw, err := os.ReadFile(filepath.Join(st.loc, s.name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		hdr = raw[b.off-blockHeaderV2Size : b.off]
+		meta, err = io.ReadAll(flate.NewReader(bytes.NewReader(raw[b.off : b.off+b.v2.metaLen])))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed, err = decodeBlockHeaderV2(hdr)
+		if err != nil {
+			f.Fatalf("seed header does not decode: %v", err)
+		}
+		return seed, hdr, meta
+	}
+	f.Fatal("no columnar block to seed from")
+	return
+}
+
+// fuzzColumnarDecode throws arbitrary bytes at the columnar block header
+// and the meta-section decoders, chunk directory included: they must
+// never panic, never size an allocation off a length they have not
+// validated, and never accept structurally inconsistent columns,
+// whatever the bytes claim.
+func fuzzColumnarDecode(f *testing.F, seed coldBlock, hdr, meta []byte) {
+	f.Add(append([]byte(nil), hdr...), append([]byte(nil), meta...))
+	f.Add(append([]byte(nil), hdr...), []byte{})
+	f.Add([]byte{}, append([]byte(nil), meta...))
+	f.Add(append([]byte(nil), hdr...), meta[:len(meta)/2])
+	f.Add(append([]byte(nil), hdr...), meta[:len(meta)-1])
+	f.Add(append([]byte(nil), hdr...), append(append([]byte(nil), meta...), 0))
+	f.Fuzz(func(t *testing.T, h, m []byte) {
+		if b, err := decodeBlockHeaderV2(h); err == nil && b.meta.count <= 1<<16 {
+			var cb decodedCols
+			if derr := decodeColumns(m, &b, &cb); derr == nil {
+				checkColumns(t, &b, &cb)
+			}
+		}
+		// The meta bytes also run against the known-good header, so the
+		// column decoder is exercised even when the fuzzed header fails
+		// its CRC (as almost all mutations do).
+		b := seed
+		var cb decodedCols
+		if err := decodeColumns(m, &b, &cb); err == nil {
+			checkColumns(t, &b, &cb)
+		}
+	})
+}
+
+// FuzzColdBlockV2Decode fuzzes the decoders from a v2 block: the first
+// of the committed testdata/cold-v2 directory, as nothing writes v2 any
+// more.
 func FuzzColdBlockV2Decode(f *testing.F) {
-	// Seed with a real block: its on-disk header and inflated meta
-	// section, so the fuzzer starts from valid structure.
 	dir := f.TempDir()
-	st, err := Open(dir, Config{SegmentBytes: 32 << 10, ColdAfterNs: 1, ColdBlockBytes: 4 << 10})
+	for _, name := range []string{"col-00000006.blk", "seg-00000012.seg"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "cold-v2", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			f.Fatal(err)
+		}
+	}
+	st, err := Open(dir, tierCfg())
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, hdr, meta := seedColumnarBlock(f, st)
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	if seed.v2.version != 2 {
+		f.Fatalf("testdata/cold-v2 holds a v%d block", seed.v2.version)
+	}
+	fuzzColumnarDecode(f, seed, hdr, meta)
+}
+
+// FuzzColdBlockV3Decode fuzzes the decoders from a v3 block of three
+// payload chunks, so the chunk directory is part of what mutates.
+func FuzzColdBlockV3Decode(f *testing.F) {
+	st, err := Open(f.TempDir(), Config{SegmentBytes: 32 << 10, ColdAfterNs: 1, ColdBlockBytes: 16 << 10})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -346,66 +433,21 @@ func FuzzColdBlockV2Decode(f *testing.F) {
 	if _, err := st.CompactCold(); err != nil {
 		f.Fatal(err)
 	}
-	var hdr, meta []byte
-	st.mu.Lock()
-	for _, s := range st.segs {
-		if !s.isCold() || len(s.blocks) == 0 || s.blocks[0].v2 == nil {
-			continue
-		}
-		b := &s.blocks[0]
-		raw, err := os.ReadFile(filepath.Join(st.loc, s.name))
-		if err != nil {
-			st.mu.Unlock()
-			f.Fatal(err)
-		}
-		hdr = raw[b.off-blockHeaderV2Size : b.off]
-		fr := flate.NewReader(bytes.NewReader(raw[b.off : b.off+b.v2.metaLen]))
-		meta, err = io.ReadAll(fr)
-		if err != nil {
-			st.mu.Unlock()
-			f.Fatal(err)
-		}
-		break
-	}
-	st.mu.Unlock()
+	seed, hdr, meta := seedColumnarBlock(f, st)
 	if err := st.Close(); err != nil {
 		f.Fatal(err)
 	}
-	if hdr == nil {
-		f.Fatal("no v2 block to seed from")
+	if v := seed.v2; v.version != 3 || v.payChunks(seed.meta.count) < 3 {
+		f.Fatalf("seed is a v%d block of %d chunks, want v3 and at least 3", v.version, v.payChunks(seed.meta.count))
 	}
-	seedBlock, err := decodeBlockHeaderV2(hdr)
-	if err != nil {
-		f.Fatalf("seed header does not decode: %v", err)
-	}
-
-	f.Add(append([]byte(nil), hdr...), append([]byte(nil), meta...))
-	f.Add(append([]byte(nil), hdr...), []byte{})
-	f.Add([]byte{}, append([]byte(nil), meta...))
-	short := append([]byte(nil), meta...)
-	f.Add(append([]byte(nil), hdr...), short[:len(short)/2])
-	f.Fuzz(func(t *testing.T, h, m []byte) {
-		if b, err := decodeBlockHeaderV2(h); err == nil && b.meta.count <= 1<<16 {
-			var cb decodedCols
-			if derr := decodeColumns(m, &b, &cb); derr == nil {
-				checkColumns(t, &b, &cb)
-			}
-		}
-		// The meta bytes also run against the known-good header, so the
-		// column decoder is exercised even when the fuzzed header fails
-		// its CRC (as almost all mutations do).
-		b := seedBlock
-		var cb decodedCols
-		if err := decodeColumns(m, &b, &cb); err == nil {
-			checkColumns(t, &b, &cb)
-		}
-	})
+	fuzzColumnarDecode(f, seed, hdr, meta)
 }
 
-// decodedCols is a v2 meta section with every column decoded.
+// decodedCols is a columnar meta section with every column decoded.
 type decodedCols struct {
 	colBlock
 	payOff []uint32
+	m      *metaSec
 }
 
 // decodeColumns runs the read path's two steps over an inflated meta
@@ -416,6 +458,7 @@ func decodeColumns(meta []byte, b *coldBlock, cb *decodedCols) error {
 	if err != nil {
 		return err
 	}
+	cb.m = m
 	cb.stamps, cb.ts, cb.tids, cb.payOff = m.stamps(b), m.times(b), m.tids(), m.payOffsets()
 	cb.cores, cb.levels = m.cores, m.levels
 	cb.cats = make([]uint8, m.rows())
@@ -429,7 +472,9 @@ func decodeColumns(meta []byte, b *coldBlock, cb *decodedCols) error {
 
 // checkColumns asserts the structural contract a successful
 // decodeColumns promises: every column row-count matches the header,
-// and the payload prefix sum is monotonic and bounded.
+// the payload prefix sum is monotonic and bounded, and the chunk
+// directory tiles both the compressed payload section and the raw
+// payloads, chunk boundaries on row boundaries.
 func checkColumns(t *testing.T, b *coldBlock, cb *decodedCols) {
 	t.Helper()
 	n := int(b.meta.count)
@@ -447,4 +492,193 @@ func checkColumns(t *testing.T, b *coldBlock, cb *decodedCols) {
 	if int64(cb.payOff[n]) != b.v2.payRawLen {
 		t.Fatalf("payload prefix sum %d != payRawLen %d", cb.payOff[n], b.v2.payRawLen)
 	}
+	m, chunks := cb.m, b.v2.payChunks(b.meta.count)
+	if chunks == 0 {
+		if len(m.chunkCRC) != 0 {
+			t.Fatalf("a block without payloads has a directory of %d chunks", len(m.chunkCRC))
+		}
+		return
+	}
+	if len(m.chunkCRC) != chunks || len(m.chunkOff) != chunks+1 || len(m.chunkRaw) != chunks+1 ||
+		int64(m.chunkOff[chunks]) != b.v2.payLen || int64(m.chunkRaw[chunks]) != b.v2.payRawLen {
+		t.Fatalf("chunk directory of %d entries (ends %d packed, %d raw) does not tile %d chunks of %d packed, %d raw bytes",
+			len(m.chunkCRC), m.chunkOff[len(m.chunkOff)-1], m.chunkRaw[len(m.chunkRaw)-1], chunks, b.v2.payLen, b.v2.payRawLen)
+	}
+	for k := 0; k < chunks; k++ {
+		row := min(k*b.v2.chunkRows, n)
+		if m.chunkOff[k+1] < m.chunkOff[k] || m.chunkRaw[k] != cb.payOff[row] ||
+			(m.chunkOff[k+1] == m.chunkOff[k]) != (m.chunkRaw[k+1] == m.chunkRaw[k]) {
+			t.Fatalf("chunk %d: packed [%d,%d) raw from %d, rows from %d start at payload byte %d",
+				k, m.chunkOff[k], m.chunkOff[k+1], m.chunkRaw[k], row, cb.payOff[row])
+		}
+	}
+}
+
+// coldChunk locates one payload chunk of a v3 block on disk, with the
+// stamps of the rows whose payloads it holds.
+type coldChunk struct {
+	path     string
+	key      blockKey
+	off, len int64
+	stamps   []uint64
+}
+
+// coldChunksV3 snapshots the on-disk layout of every payload chunk of
+// st's v3 blocks, read from each block's chunk directory.
+func coldChunksV3(t *testing.T, st *Store) []coldChunk {
+	t.Helper()
+	var out []coldChunk
+	for _, sn := range coldSnaps(st) {
+		f, err := st.be.OpenRead(sn.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sn.blocks {
+			b := &sn.blocks[i]
+			if b.v2 == nil || b.v2.version != 3 {
+				continue
+			}
+			m, err := st.metaCached(sn.name, f, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stamps := m.stamps(b)
+			for k := range m.chunkCRC {
+				lo := k * b.v2.chunkRows
+				out = append(out, coldChunk{
+					path: filepath.Join(st.loc, sn.name),
+					key:  blockKey{name: sn.name, off: b.off, sec: secPayload, chunk: int32(k)},
+					off:  b.off + b.v2.metaLen + int64(m.chunkOff[k]), len: int64(m.chunkOff[k+1] - m.chunkOff[k]),
+					stamps: stamps[lo:min(lo+b.v2.chunkRows, len(stamps))],
+				})
+			}
+		}
+		f.Close()
+	}
+	return out
+}
+
+// TestColdChunkCorruption is the proof by corruption for the chunk
+// rung. A selective query's rows live in a few payload chunks; with
+// every OTHER chunk of the cold tier corrupted on disk the query still
+// answers exactly, payload bytes included — those chunks are never
+// read, let alone inflated — and what it cached is the chunks it read.
+// With a chunk a selected row lives in corrupted, the query fails with
+// tracer.ErrCorrupt on every surface that wants the payload, the chunk
+// is not cached, and a header-only aggregate over the same rows, which
+// wants no payload, still answers.
+func TestColdChunkCorruption(t *testing.T) {
+	cfg := tierCfg()
+	cfg.ColdBlockBytes = 32 << 10 // ~590-row blocks: five chunks each
+	const wanted = `stamp in (77, 400, 401, 1033)`
+	selected := map[uint64]bool{77: true, 400: true, 401: true, 1033: true}
+	holds := func(c coldChunk) bool {
+		return slices.ContainsFunc(c.stamps, func(s uint64) bool { return selected[s] })
+	}
+	// build freezes stamps 1..1200 and corrupts the chunks pick says to.
+	build := func(t *testing.T, pick func(coldChunk) bool) (st *Store, corrupted []coldChunk) {
+		dir := t.TempDir()
+		st, err := Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealEvery(t, st, 1, 1300, 100)
+		if _, err := st.CompactCold(); err != nil {
+			t.Fatal(err)
+		}
+		chunks := coldChunksV3(t, st)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range chunks {
+			if c.len > 0 && pick(c) {
+				flipByte(t, c.path, c.off+c.len/2)
+				corrupted = append(corrupted, c)
+			}
+		}
+		if len(corrupted) == 0 || len(corrupted) == len(chunks) {
+			t.Fatalf("corrupted %d of %d chunks; the fixture separates nothing", len(corrupted), len(chunks))
+		}
+		if st, err = Open(dir, cfg); err != nil { // recovery reads directory headers only
+			t.Fatalf("Open after chunk corruption: %v", err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st, corrupted
+	}
+	cached := func(st *Store, c coldChunk) bool {
+		st.bcache.mu.Lock()
+		defer st.bcache.mu.Unlock()
+		_, ok := st.bcache.m[c.key]
+		return ok
+	}
+	count := []btql.AggSpec{{Kind: btql.AggCount}}
+
+	t.Run("unselected chunks are never read", func(t *testing.T) {
+		st, corrupted := build(t, func(c coldChunk) bool { return !holds(c) })
+		q := Query{Pred: predOf(t, wanted)}
+		for round := 0; round < 2; round++ { // cold, then from the cache
+			es := drainStore(t, st, q)
+			pc := st.QueryParallel(q, 2)
+			pes, missed := drainParallel(t, pc, 3)
+			pc.Close()
+			if len(es) != len(selected) || missed != 0 || !reflect.DeepEqual(es, pes) {
+				t.Fatalf("round %d: Query returned %d events, QueryParallel %d (missed %d), want %d", round, len(es), len(pes), missed, len(selected))
+			}
+			for _, e := range es {
+				if !selected[e.Stamp] || !reflect.DeepEqual(e, mkEntry(e.Stamp)) {
+					t.Fatalf("round %d: event %+v, want %+v", round, e, mkEntry(e.Stamp))
+				}
+			}
+		}
+		for _, c := range corrupted {
+			if cached(st, c) {
+				t.Fatalf("chunk %+v holds no selected row, yet it is cached", c.key)
+			}
+		}
+		s := st.Stats()
+		if s.PayloadChunksInflated != 3 || s.PayloadChunksSkipped == 0 || s.PayloadInflatedBytes == 0 {
+			t.Fatalf("four rows in three chunks, read four times: inflated %d chunks (%d B), skipped %d; want 3 inflated once",
+				s.PayloadChunksInflated, s.PayloadInflatedBytes, s.PayloadChunksSkipped)
+		}
+		// The corruption was real: a scan that wants every payload meets it.
+		cur := st.Query(Query{})
+		defer cur.Close()
+		if _, err := tracer.Drain(cur, 64); !errors.Is(err, tracer.ErrCorrupt) {
+			t.Fatalf("full scan over corrupted chunks: %v, want ErrCorrupt", err)
+		}
+	})
+
+	t.Run("a selected chunk fails the query and is not cached", func(t *testing.T) {
+		st, corrupted := build(t, func(c coldChunk) bool { return slices.Contains(c.stamps, 400) })
+		q := Query{Pred: predOf(t, wanted)}
+		for round := 0; round < 2; round++ {
+			cur := st.Query(q)
+			_, err := tracer.Drain(cur, 64)
+			cur.Close()
+			if !errors.Is(err, tracer.ErrCorrupt) {
+				t.Fatalf("round %d: Query over a corrupt selected chunk: %v, want ErrCorrupt", round, err)
+			}
+			pc := st.QueryParallel(q, 2)
+			_, err = tracer.Drain(pc, 64)
+			pc.Close()
+			if !errors.Is(err, tracer.ErrCorrupt) {
+				t.Fatalf("round %d: QueryParallel over a corrupt selected chunk: %v, want ErrCorrupt", round, err)
+			}
+			if _, _, err := st.Aggregate(Query{Pred: predOf(t, wanted+` && payload contains "payload-4"`)}, count); !errors.Is(err, tracer.ErrCorrupt) {
+				t.Fatalf("round %d: payload-predicate aggregate over a corrupt selected chunk: %v, want ErrCorrupt", round, err)
+			}
+			if cached(st, corrupted[0]) {
+				t.Fatalf("round %d: the corrupt chunk was cached", round)
+			}
+		}
+		// Its neighbours are fine, and a query that wants no payload byte
+		// of it does not care.
+		if es := drainStore(t, st, Query{Pred: predOf(t, `stamp == 77 || stamp == 1033`)}); len(es) != 2 {
+			t.Fatalf("rows in intact chunks: %d events, want 2", len(es))
+		}
+		res, missed, err := st.Aggregate(q, count)
+		if err != nil || missed != 0 || res[0].Events != uint64(len(selected)) {
+			t.Fatalf("header-only aggregate: %+v, missed %d, err %v; want %d", res, missed, err, len(selected))
+		}
+	})
 }

@@ -1,6 +1,6 @@
 // The one scan. This file is the only place on the read path that knows
 // how a segment's bytes become rows: the block rung over a cold
-// segment's directory, the column walker over a v2 block, and the frame
+// segment's directory, the column walker over a columnar block, and the frame
 // walker over CRC-framed records (a span of a row segment, or an
 // inflated v1 block). The sequential Cursor, the parallel PCursor and
 // Store.Aggregate are drivers: each takes segment snapshots (the file
@@ -16,8 +16,9 @@
 // predicate evaluated one column at a time (Predicate.Select), each
 // leaf touching only the column it names — and only then, and only for
 // a non-empty selection, fetches what the sink reads of the selected
-// rows. A column nobody names is
-// never decoded, and so never cached (blockcache.go).
+// rows: the columns it names and the payload chunks those rows live
+// in. A column nobody names is never decoded, a chunk nobody reads
+// never inflated, and so neither is ever cached (blockcache.go).
 package store
 
 import (
@@ -42,7 +43,7 @@ type rowSink interface {
 	// payloads reports whether the sink needs payload bytes. A sink that
 	// answers false gets them only when the predicate itself had to read
 	// them; header-only scans then never decode a record body nor
-	// inflate a v2 payload section.
+	// inflate a payload chunk of a columnar block.
 	payloads() bool
 	// span returns an n-byte buffer to read a row segment's next span
 	// into. Payloads of rows emitted until the next span call alias it,
@@ -50,11 +51,11 @@ type rowSink interface {
 	span(n int) []byte
 	// row takes one row from the frame walker.
 	row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte)
-	// rows takes the selected rows idx (ascending, non-empty) of a v2
-	// block from the column walker, and reads from c the columns it
-	// wants of them. pay is the block's payload section, nil when nobody
-	// needed it.
-	rows(c *blockCols, idx []int32, pay []byte)
+	// rows takes the selected rows idx (ascending, non-empty) of a
+	// columnar block from the column walker, and reads from c the
+	// columns it wants of them — c.payload(i) for a row's payload bytes,
+	// which are there for a sink that asked for payloads.
+	rows(c *blockCols, idx []int32)
 }
 
 // segSnap is the immutable snapshot of one segment a scan runs against,
@@ -136,9 +137,11 @@ type segScan struct {
 	// in an ordered segment, so nothing later in it can match.
 	cut bool
 	// The column walker's per-block state, reused from block to block.
-	cols blockCols
-	sel  btql.Selection
-	idx  []int32
+	cols       blockCols
+	sel        btql.Selection
+	idx        []int32
+	pay        [][]byte // cols.pay's backing
+	need, miss []int32  // payload chunks wanted, and of those not cached
 }
 
 // openScan opens sn's file for one pass of q. A segment that retention
@@ -165,14 +168,9 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 	if s.sn.cold {
 		return s.stepBlock(dst)
 	}
-	want := s.sn.bound - s.off
+	want := s.spanBytes()
 	if want <= 0 {
 		return false, nil
-	}
-	// An unordered segment is read whole: its driver sorts the rows, so
-	// they must all alias one buffer.
-	if s.sn.ordered && want > scanSpanBytes {
-		want = scanSpanBytes
 	}
 	buf := dst.span(int(want))
 	n, rerr := s.f.ReadAt(buf, s.off)
@@ -189,12 +187,27 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 	return used > 0 && !s.cut && s.off < s.sn.bound, nil
 }
 
+// spanBytes is the size of the span the next step of a row segment
+// reads; a cold segment's rows alias block-cache memory, not a span.
+func (s *segScan) spanBytes() int64 {
+	if s.sn.cold {
+		return 0
+	}
+	want := s.sn.bound - s.off
+	// An unordered segment is read whole: its driver sorts the rows, so
+	// they must all alias one buffer.
+	if s.sn.ordered && want > scanSpanBytes {
+		want = scanSpanBytes
+	}
+	return want
+}
+
 // stepBlock is the block rung: directory entries are vetoed on their
 // header metadata — stamp/time hulls, core and category bitmaps, and
-// for v2 the TID range and bloom — before any byte of the block is
-// read, and an ordered segment is cut at the first block that starts
-// past MaxStamp. The first survivor is decoded by column (v2) or by
-// frame walk over its inflated bytes (v1).
+// for the columnar formats the TID range and bloom — before any byte of
+// the block is read, and an ordered segment is cut at the first block
+// that starts past MaxStamp. The first survivor is decoded by column
+// (v2, v3) or by frame walk over its inflated bytes (v1).
 func (s *segScan) stepBlock(dst rowSink) (more bool, err error) {
 	sn, q := s.sn, s.q
 	for s.off < sn.bound {
@@ -317,8 +330,8 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 	return pos, nil
 }
 
-// blockCols is the column walker's view of one v2 block: the rows under
-// evaluation and, fetched through the block cache the first time
+// blockCols is the column walker's view of one columnar block: the rows
+// under evaluation and, fetched through the block cache the first time
 // somebody asks, its columns. It is what the predicate kernels
 // (btql.Columns) and the sinks read from, so what a query costs a block
 // is the columns its predicate and its sink name.
@@ -332,6 +345,15 @@ type blockCols struct {
 
 	stamps, ts   []uint64
 	tids, payOff []uint32
+	// pay holds the block's payload chunks by index, nil for one nobody
+	// needed; all of it is nil when nobody needed any. chunk is the one
+	// payload resolved a row through last — rows come in ascending
+	// order, so the next row's is usually the same — holding the bytes
+	// from raw offset chunkBase on of rows [chunkLo, chunkHi).
+	pay              [][]byte
+	chunk            []byte
+	chunkBase        uint32
+	chunkLo, chunkHi int32
 }
 
 func (c *blockCols) Summary() *btql.Meta { return &c.sum }
@@ -371,7 +393,7 @@ func (c *blockCols) Bytes(f btql.Field) (col, dict []uint8) {
 }
 
 // payOffsets returns the payload prefix sum: row i's payload is bytes
-// [off[i], off[i+1]) of the payload section.
+// [off[i], off[i+1]) of the concatenated payloads.
 func (c *blockCols) payOffsets() []uint32 {
 	if c.payOff == nil {
 		c.payOff = c.s.st.wide32Cached(c.s.sn.name, c.b, c.m, secPayOff)
@@ -379,29 +401,39 @@ func (c *blockCols) payOffsets() []uint32 {
 	return c.payOff
 }
 
-// payload returns row i's bytes of the payload section pay, nil for a
-// row without any. The slice aliases pay — shared block-cache memory —
-// read-only; the GC keeps it alive for as long as any row does.
-func (c *blockCols) payload(pay []byte, i int32) []byte {
-	if pay == nil {
+// payload returns row i's payload bytes, resolved through the chunk the
+// row lives in; nil for a row without any, and for every row when no
+// chunk was fetched. The slice aliases the chunk — shared block-cache
+// memory — read-only; the GC keeps it alive for as long as any row
+// does. Asking for a row whose chunk fetchChunks was not told about is
+// a bug, and panics.
+func (c *blockCols) payload(i int32) []byte {
+	if c.pay == nil {
 		return nil
 	}
-	off := c.payOffsets()
-	if lo, hi := off[i], off[i+1]; hi > lo {
-		return pay[lo:hi:hi]
+	lo, hi := c.payOff[i], c.payOff[i+1] // fetchChunks decoded the column
+	if hi == lo {
+		return nil
 	}
-	return nil
+	if i < c.chunkLo || i >= c.chunkHi {
+		rows := int32(c.b.v2.chunkRows)
+		k := i / rows
+		c.chunk, c.chunkBase = c.pay[k], c.m.chunkRaw[k]
+		c.chunkLo, c.chunkHi = k*rows, (k+1)*rows
+	}
+	return c.chunk[lo-c.chunkBase : hi-c.chunkBase : hi-c.chunkBase]
 }
 
-// columns is the column walker over one v2 block. The block's inflated
-// meta section comes through the block cache; the query is evaluated
-// over it one column at a time into a selection, decoding only the wide
-// columns its filters name; and what remains of the rows is then handed
-// to the sink in one call. The payload section is inflated only when a
-// selected row has payload bytes somebody will read — the sink, or a
-// payload predicate, which then settles the rows the selection left
-// unsure. A block whose selection is empty or payload-free, and any
-// header-only scan, never touches its compressed payload.
+// columns is the column walker over one columnar block. The block's
+// inflated meta section comes through the block cache; the query is
+// evaluated over it one column at a time into a selection, decoding
+// only the wide columns its filters name; and what remains of the rows
+// is then handed to the sink in one call. Payload bytes are fetched a
+// chunk at a time, and only the chunks holding a payload byte somebody
+// will read: a selected row's when the sink keeps payloads, a row's the
+// selection left unsure when a payload predicate has yet to settle it.
+// A block whose selection is empty or payload-free, and any header-only
+// scan, never touches its compressed payload.
 func (s *segScan) columns(b *coldBlock, dst rowSink) error {
 	sn, q := s.sn, s.q
 	m, err := s.st.metaCached(sn.name, s.f, b)
@@ -422,21 +454,16 @@ func (s *segScan) columns(b *coldBlock, dst rowSink) error {
 		s.idx = make([]int32, 0, m.rows())
 	}
 	idx := s.sel.Rows(s.idx[:0])
-	var pay []byte
 	unsure := !s.sel.Exact()
-	if b.v2.payLen > 0 {
-		if (unsure || dst.payloads()) && c.anyPayload(idx) {
-			if pay, err = s.st.inflateCached(sn.name, s.f, b); err != nil {
-				return err
-			}
-		} else {
-			s.st.obs.payloadSkips.Add(1)
+	if len(m.chunkCRC) > 0 { // the block has a payload section
+		if err := s.fetchChunks(c, idx, unsure, dst.payloads()); err != nil {
+			return err
 		}
 	}
 	if unsure {
 		k := 0
 		for _, i := range idx {
-			if s.sel.Sure(i) || q.pred.MatchRow(c, i, c.payload(pay, i)) {
+			if s.sel.Sure(i) || q.pred.MatchRow(c, i, c.payload(i)) {
 				idx[k] = i
 				k++
 			}
@@ -444,21 +471,41 @@ func (s *segScan) columns(b *coldBlock, dst rowSink) error {
 		idx = idx[:k]
 	}
 	if len(idx) > 0 {
-		dst.rows(c, idx, pay)
+		dst.rows(c, idx)
 	}
 	return nil
 }
 
-// anyPayload reports whether any of rows idx has payload bytes.
-func (c *blockCols) anyPayload(idx []int32) bool {
-	if len(idx) == 0 {
-		return false
-	}
-	off := c.payOffsets()
-	for _, i := range idx {
-		if off[i+1] > off[i] {
-			return true
+// fetchChunks maps rows idx to the payload chunks that hold a byte
+// somebody will read — every row's if the sink keeps payloads, else
+// only those of the rows a payload predicate has yet to settle — and
+// makes those chunks, and no others, resident in c.pay.
+func (s *segScan) fetchChunks(c *blockCols, idx []int32, unsure, keep bool) error {
+	m, obs := c.m, s.st.obs
+	need := s.need[:0]
+	if (unsure || keep) && len(idx) > 0 {
+		off, rows := c.payOffsets(), int32(c.b.v2.chunkRows)
+		next := int32(0) // first row past the chunk marked last
+		for _, i := range idx {
+			if i >= next && off[i+1] > off[i] && (keep || !s.sel.Sure(i)) {
+				k := i / rows
+				need, next = append(need, k), (k+1)*rows
+			}
 		}
 	}
-	return false
+	s.need = need
+	n := len(m.chunkCRC)
+	obs.chunksSkipped.Add(uint64(n - len(need)))
+	if len(need) == 0 {
+		obs.payloadSkips.Add(1)
+		return nil
+	}
+	if cap(s.pay) < n {
+		s.pay = make([][]byte, n)
+	}
+	c.pay = s.pay[:n]
+	clear(c.pay)
+	var err error
+	s.miss, err = s.st.chunksCached(s.sn.name, s.f, c.b, m, need, c.pay, s.miss)
+	return err
 }

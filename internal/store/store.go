@@ -148,7 +148,12 @@ type Stats struct {
 	BlockCacheMisses uint64 // cold section reads that had to inflate
 
 	BlocksPruned uint64 // cold blocks skipped on header metadata alone
-	PayloadSkips uint64 // v2 blocks scanned without inflating the payload column
+	PayloadSkips uint64 // columnar blocks scanned without inflating a payload byte
+	// The chunk rung: payload chunks a scan inflated and the raw bytes
+	// that produced, and chunks of scanned blocks no wanted row lives in.
+	PayloadChunksInflated uint64
+	PayloadChunksSkipped  uint64
+	PayloadInflatedBytes  uint64
 
 	RecoveredTruncations uint64 // segments truncated at open (torn tails)
 	TornBytesDropped     uint64 // bytes cut by those truncations
@@ -806,6 +811,9 @@ func (st *Store) Stats() Stats {
 	s.BlockCacheHits, s.BlockCacheMisses = st.bcache.classCounters().sections()
 	s.BlocksPruned = st.obs.blocksPruned.Load()
 	s.PayloadSkips = st.obs.payloadSkips.Load()
+	s.PayloadChunksInflated = st.obs.chunksInflated.Load()
+	s.PayloadChunksSkipped = st.obs.chunksSkipped.Load()
+	s.PayloadInflatedBytes = st.obs.inflatedBytes.Load()
 	return s
 }
 

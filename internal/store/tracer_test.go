@@ -1,6 +1,8 @@
 // Tracer adapter: exposes a Store through the tracer.Tracer interface so
 // the tracertest conformance suite — the contract every in-memory tracer
-// in this repository satisfies — also runs against disk. Retention by
+// in this repository satisfies — also runs against disk
+// (TestStoreTracerConformance, TestStoreParallelTracerConformance). It
+// has no other caller, so it lives with them. Retention by
 // MaxBytes stands in for overwrite-oldest: deleting whole oldest
 // segments keeps the newest records and never opens interior gaps for a
 // single stamp-ordered producer.
@@ -51,8 +53,8 @@ func (t *Tracer) ReadAll() ([]tracer.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	sortByStamp(es)
-	return es, nil
+	var rm runMerger
+	return rm.sort(es), nil
 }
 
 // NewCursor implements tracer.CursorSource.
