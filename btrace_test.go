@@ -179,7 +179,10 @@ func TestWriteNow(t *testing.T) {
 	if err := w.WriteNow(Event{Category: 1}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Millisecond)
+	// The second event is written once the monotonic clock WriteNow
+	// reads has been seen to move, however coarse it is.
+	for t0 := time.Now(); time.Since(t0) <= 0; {
+	}
 	if err := w.WriteNow(Event{Category: 1}); err != nil {
 		t.Fatal(err)
 	}

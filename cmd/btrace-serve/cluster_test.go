@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"btrace/internal/btql"
+	"btrace/internal/distributor"
 	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/tracer"
@@ -223,10 +224,14 @@ func TestClusterModeOffSurface(t *testing.T) {
 	}
 }
 
-// TestClusterBTQLAggregate: a ?q= aggregate in cluster mode runs over the
-// merged replica-deduplicated stream — RF copies must not inflate counts.
+// TestClusterBTQLAggregate: a ?q= aggregate in cluster mode is folded on
+// the shards, each counting the threads it is first owner of, and over
+// the merged replica-deduplicated stream once a shard is down — RF
+// copies must not inflate counts either way, and /metrics says which
+// path answered and why.
 func TestClusterBTQLAggregate(t *testing.T) {
 	srv := newClusterServer(t, 4, 2, "")
+	before := scrape(t, srv)
 	body := encodeEvents(t, clusterEvents(60, 1))
 	req := httptest.NewRequest("POST", "/ingest", strings.NewReader(string(body)))
 	req.Header.Set(tenantHeader, "acme")
@@ -260,5 +265,29 @@ func TestClusterBTQLAggregate(t *testing.T) {
 	}
 	if resp.Result.Events != 8 {
 		t.Fatalf("tid == 52 counted %d events, want 8", resp.Result.Events)
+	}
+
+	srv.cluster.d.Shards()[0].(*distributor.LocalShard).Kill()
+	qrec = httpGet(t, srv, "/store/query?q="+url.QueryEscape(`category == 1 | count()`))
+	if err := json.Unmarshal(qrec.Body.Bytes(), &resp); err != nil || qrec.Code != 200 {
+		t.Fatalf("aggregate with a shard down: status %d, %v", qrec.Code, err)
+	}
+	if resp.Result.Events != 60 {
+		t.Fatalf("with a shard down the aggregate counted %d events, want 60", resp.Result.Events)
+	}
+	after := scrape(t, srv)
+	for series, want := range map[string]float64{
+		`btrace_distributor_aggregates_total{path="pushdown"}`:             2,
+		`btrace_distributor_aggregates_total{path="merged"}`:               1,
+		`btrace_distributor_aggregate_fallbacks_total{reason="unhealthy"}`: 1,
+		`btrace_distributor_aggregate_fallbacks_total{reason="mismatch"}`:  0,
+		`btrace_distributor_aggregate_fallbacks_total{reason="error"}`:     0,
+	} {
+		if _, ok := after[series]; !ok {
+			t.Errorf("series %s missing from /metrics", series)
+		}
+		if got := after[series] - before[series]; got != want {
+			t.Errorf("%s moved by %v, want %v", series, got, want)
+		}
 	}
 }

@@ -11,8 +11,10 @@ import (
 	"testing"
 
 	"btrace"
+	"btrace/internal/btql"
 	"btrace/internal/collect"
 	"btrace/internal/live"
+	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
@@ -65,7 +67,8 @@ func scrape(t *testing.T, srv *server) map[string]float64 {
 // Go runtime's own GC and allocation series and the ingest queue gauge
 // ride along, and so do the two costs beside the write path: what a
 // /live stream wrote in how many socket writes, and how long the
-// freezer took over the bytes it froze.
+// freezer took over the bytes it froze — and, from a cluster beside the
+// server, which path answers its aggregates.
 func TestMetricsEndToEnd(t *testing.T) {
 	hub := live.NewHub(live.Config{})
 	srv, _ := newIngestServer(t, ingestConfig{SampleRate: 1, Hub: hub})
@@ -140,6 +143,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Distributor: a two-shard cluster answers one aggregate.
+	cp, err := newClusterPipeline(clusterConfig{Dir: t.TempDir(), Shards: 2, Replication: 2, Gate: overload.Config{MinSampleRate: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	if _, _, err := cp.d.Aggregate(store.Query{}, []btql.AggSpec{{Kind: btql.AggCount}}); err != nil {
+		t.Fatal(err)
+	}
+
 	after := scrape(t, srv)
 
 	// Every subsystem must expose its series.
@@ -157,6 +170,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"btrace_live_sse_bytes_total",
 		"btrace_live_sse_writes_total",
 		"btrace_ingest_queue_depth",
+		`btrace_distributor_aggregates_total{path="pushdown"}`,
+		`btrace_distributor_aggregates_total{path="merged"}`,
+		`btrace_distributor_aggregate_fallbacks_total{reason="unhealthy"}`,
+		`btrace_distributor_aggregate_fallbacks_total{reason="mismatch"}`,
+		`btrace_distributor_aggregate_fallbacks_total{reason="error"}`,
 		"go_gc_cycles_total",
 		"go_gc_cpu_seconds_total",
 		"go_memstats_alloc_bytes_total",
@@ -185,6 +203,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if got := moved("btrace_live_sse_writes_total"); got < 1 {
 		t.Errorf("sse writes moved by %v, want >= 1", got)
+	}
+	if got := moved(`btrace_distributor_aggregates_total{path="pushdown"}`); got < 1 {
+		t.Errorf("aggregates answered by the shards moved by %v, want >= 1", got)
 	}
 	if moved("btrace_store_cold_raw_bytes_total") <= 0 || moved("btrace_store_freeze_seconds_total") <= 0 {
 		t.Errorf("froze %v raw bytes in %v s, want both to move", moved("btrace_store_cold_raw_bytes_total"), moved("btrace_store_freeze_seconds_total"))

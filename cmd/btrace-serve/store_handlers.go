@@ -205,10 +205,16 @@ func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 // serveStoreAggregate answers a BTQL query whose pipeline ends in an
 // aggregate stage: the result is one JSON document, not an event
 // stream. Single-node execution is columnar (cold v2 blocks feed the
-// aggregators without materializing events); cluster execution folds
-// the merged replica-deduplicated cursor, which adds one 512-entry batch
-// per shard to what each shard's snapshot scan holds (up to three spans
-// per segment, a whole segment where it is unordered).
+// aggregators without materializing events). Cluster execution is the
+// same header-only pass on every shard, one span buffer in all: each
+// shard counts the threads it is first owner of and only the partial
+// answers are added up. When the shards' copies do not verify (a shard
+// down, a replica behind, a join in progress) the distributor folds
+// the merged replica-deduplicated cursor instead, which adds one
+// 512-entry batch per shard to what each shard's snapshot scan holds
+// (up to three spans per segment in the merge, a whole segment where it
+// is unordered); btrace_distributor_aggregates_total{path=…} and
+// …_aggregate_fallbacks_total{reason=…} say which and why.
 func (s *server) serveStoreAggregate(w http.ResponseWriter, r *http.Request, q store.Query, agg *btql.AggSpec) {
 	specs := []btql.AggSpec{*agg}
 	var (

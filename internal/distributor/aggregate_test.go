@@ -9,9 +9,10 @@ import (
 )
 
 // Replication is the trap for cluster aggregation: every event lives on
-// RF shards, so any per-shard aggregate fold would count it RF times.
-// The executor runs behind the merge cursor's dedup, so the totals must
-// come out replica-free.
+// RF shards, so adding the shards' own counts up would count it RF
+// times. Each shard counts only the threads it is first owner of, and
+// with a shard down the executor runs behind the merge cursor's dedup,
+// so the totals must come out replica-free either way.
 func TestDistributorAggregateDeduplicatesReplicas(t *testing.T) {
 	d, locals := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
 	res := d.Ingest("", events(500, 1, 30, 31, 32, 33))
@@ -58,16 +59,17 @@ func TestDistributorAggregateDeduplicatesReplicas(t *testing.T) {
 	}
 }
 
-// TestDistributorAggregateWhileAppending: each shard answers for its own
-// snapshot, taken at its own moment, and the merge's dedup still counts
-// every stamp once — a count() taken beside a writer is at least what
-// was acked before it started, at most what had been submitted when it
-// returned, and on the quiet cluster exactly the acked stamps.
+// TestDistributorAggregateWhileAppending: the shards answer for
+// snapshots taken between two deliveries, so a count() taken beside a
+// writer is at least what was acked before it started, at most what had
+// been submitted when it returned, it is answered by the shards' own
+// folds — no batch is caught on one replica and not the other — and on
+// the quiet cluster it is exactly the acked stamps.
 func TestDistributorAggregateWhileAppending(t *testing.T) {
 	d, _ := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
 	const perBatch = 64
 	var submitted, acked atomic.Uint64 // stamps 1..n, all of them acked
-	stop, done := make(chan struct{}), make(chan struct{})
+	stop, done, first := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
 		for {
@@ -78,11 +80,18 @@ func TestDistributorAggregateWhileAppending(t *testing.T) {
 			}
 			from := acked.Load() + 1
 			submitted.Store(from + perBatch - 1)
-			if res := d.Ingest("", events(perBatch, from, 30, 31, 32, 33, 34)); res.Acked != perBatch {
+			res := d.Ingest("", events(perBatch, from, 30, 31, 32, 33, 34))
+			if res.Acked == perBatch {
+				acked.Store(from + perBatch - 1)
+			} else {
 				t.Errorf("acked %d of %d", res.Acked, perBatch)
+			}
+			if from == 1 {
+				close(first) // the first ack: the counts below have something to count
+			}
+			if res.Acked != perBatch {
 				return
 			}
-			acked.Store(from + perBatch - 1)
 		}
 	}()
 	count := func() uint64 {
@@ -93,6 +102,7 @@ func TestDistributorAggregateWhileAppending(t *testing.T) {
 		}
 		return got[0].Events
 	}
+	<-first
 	for i := 0; i < 20; i++ {
 		lo := acked.Load()
 		n := count()
@@ -104,5 +114,9 @@ func TestDistributorAggregateWhileAppending(t *testing.T) {
 	<-done
 	if n := count(); n != acked.Load() || n == 0 {
 		t.Fatalf("count() = %d on the quiet cluster, want the %d acked stamps", n, acked.Load())
+	}
+	if o := d.obs; o.aggPushdown.Load() != 21 || o.aggMerged.Load() != 0 {
+		t.Fatalf("%d counts answered by the shards, %d by the merged fold (%d mismatches): want all 21 pushed down, the cut keeps a batch in flight out of the snapshots",
+			o.aggPushdown.Load(), o.aggMerged.Load(), o.aggFallbacks[fallbackMismatch].Load())
 	}
 }

@@ -3,8 +3,10 @@ package distributor
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"btrace/internal/btql"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/store/backend"
@@ -97,6 +99,57 @@ func BenchmarkDistributorIngest(b *testing.B) {
 	})
 }
 
+// benchHeap is the live heap, with the chunk pools emptied.
+func benchHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second empties the pools' victim caches
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// benchStarts returns the first stamps of the batches that make up the
+// 64 Ki-event stream, in stamp order and as two writers taking turns
+// half the stamp range apart would deliver them.
+func benchStarts() (inOrder, interleaved []uint64) {
+	for s := uint64(1); s <= benchScanEvents; s += benchBatch {
+		inOrder = append(inOrder, s)
+	}
+	for i, half := 0, len(inOrder)/2; i < half; i++ {
+		interleaved = append(interleaved, inOrder[i], inOrder[half+i])
+	}
+	return inOrder, interleaved
+}
+
+// benchCluster is a 4-shard RF=2 cluster fed the batches starting at
+// the given stamps, in that order; closed when the benchmark ends.
+func benchCluster(b *testing.B, starts []uint64) *Distributor {
+	b.Helper()
+	locals := make([]Shard, 4)
+	for i := range locals {
+		st, err := store.OpenBackend(backend.NewObject(), store.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh, err := NewLocalShard(LocalConfig{Name: fmt.Sprintf("shard-%02d", i), Store: st})
+		if err != nil {
+			b.Fatal(err)
+		}
+		locals[i] = sh
+	}
+	d, err := New(locals, Config{Replication: 2, Gate: overload.Config{MinSampleRate: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { d.Close() })
+	for _, s := range starts {
+		if res := d.Ingest("bench", benchEvents(s)); res.Acked != benchBatch {
+			b.Fatalf("acked %d of %d events", res.Acked, benchBatch)
+		}
+	}
+	return d
+}
+
 // benchScanEvents is the size of the stream BenchmarkDistributorQuery
 // scans: 64 Ki events, far past the handlers' default limit, so what a
 // read buffers beyond its batches shows in B/op.
@@ -109,8 +162,9 @@ const benchScanEvents = 64 << 10
 // stamp order, so every segment is ordered and the shards' scans stream
 // chunk by chunk; merged-4xrf2-interleaved is fed by two writers taking
 // turns, half the stamp range apart, so every segment is unordered and
-// overlaps its neighbours: each shard scan decodes and sorts whole
-// segments and holds them all at once, which is what B/op shows.
+// overlaps its neighbours: each shard scan decodes such a segment whole
+// and merges it by its sorted runs, holding it for as long as it is in
+// the merge, which is what live-B shows.
 func BenchmarkDistributorQuery(b *testing.B) {
 	drain := func(b *testing.B, query func() (tracer.Cursor, error)) {
 		b.Helper()
@@ -144,14 +198,7 @@ func BenchmarkDistributorQuery(b *testing.B) {
 		// B/op is what a read allocates once the chunk pools are warm, not
 		// what it holds: live-B is the heap halfway through one more drain
 		// over the heap before it.
-		heap := func() uint64 {
-			var ms runtime.MemStats
-			runtime.GC()
-			runtime.GC() // the second empties the pools' victim caches
-			runtime.ReadMemStats(&ms)
-			return ms.HeapAlloc
-		}
-		before := heap()
+		before := benchHeap()
 		cur, err := query()
 		if err != nil {
 			b.Fatal(err)
@@ -163,44 +210,15 @@ func BenchmarkDistributorQuery(b *testing.B) {
 			}
 			total += n
 		}
-		held := heap()
+		held := benchHeap()
 		cur.Close()
 		b.ReportMetric(float64(max(held, before)-before), "live-B")
 	}
 
-	// merged drains the cluster after feeding it the batches starting at
-	// the given stamps, in that order.
+	inOrder, interleaved := benchStarts()
 	merged := func(b *testing.B, starts []uint64) {
-		locals := make([]Shard, 4)
-		for i := range locals {
-			st, err := store.OpenBackend(backend.NewObject(), store.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sh, err := NewLocalShard(LocalConfig{Name: fmt.Sprintf("shard-%02d", i), Store: st})
-			if err != nil {
-				b.Fatal(err)
-			}
-			locals[i] = sh
-		}
-		d, err := New(locals, Config{Replication: 2, Gate: overload.Config{MinSampleRate: 1}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer d.Close()
-		for _, s := range starts {
-			if res := d.Ingest("bench", benchEvents(s)); res.Acked != benchBatch {
-				b.Fatalf("acked %d of %d events", res.Acked, benchBatch)
-			}
-		}
+		d := benchCluster(b, starts)
 		drain(b, func() (tracer.Cursor, error) { return d.Query(store.Query{}, 0) })
-	}
-	var inOrder, interleaved []uint64
-	for s := uint64(1); s <= benchScanEvents; s += benchBatch {
-		inOrder = append(inOrder, s)
-	}
-	for i, half := 0, len(inOrder)/2; i < half; i++ {
-		interleaved = append(interleaved, inOrder[i], inOrder[half+i])
 	}
 
 	b.Run("merged-4xrf2", func(b *testing.B) { merged(b, inOrder) })
@@ -222,5 +240,74 @@ func BenchmarkDistributorQuery(b *testing.B) {
 			}
 		}
 		drain(b, func() (tracer.Cursor, error) { return sh.Query(store.Query{}, 0) })
+	})
+}
+
+// BenchmarkDistributorAggregate measures a cluster aggregate over
+// BenchmarkDistributorQuery's fixtures: the same 64 Ki events on four
+// shards at RF=2, which the merged read decodes twice over, merges and
+// deduplicates on every core, and which an aggregate folds where they
+// lie — each shard one header-only pass over its own segments, one
+// shard after the other — against the same fold on one store holding
+// the stream once: every event is folded on RF shards, so RF times
+// direct-1shard is the floor. Every op must be answered by the shards'
+// partials. live-B is the heap one more call grows by with the chunk
+// pools emptied and the collector off: everything the call allocated,
+// so an upper bound on what it held at any moment — the call cannot be
+// stopped halfway the way a drain can.
+func BenchmarkDistributorAggregate(b *testing.B) {
+	inOrder, interleaved := benchStarts()
+	count := []btql.AggSpec{{Kind: btql.AggCount}}
+	topk := []btql.AggSpec{{Kind: btql.AggTopK, K: 4, Field: btql.FTID}}
+	type aggregator interface {
+		Aggregate(store.Query, []btql.AggSpec) ([]btql.Result, uint64, error)
+	}
+	run := func(b *testing.B, on aggregator, specs []btql.AggSpec) {
+		aggregate := func() {
+			res, missed, err := on.Aggregate(store.Query{}, specs)
+			if err != nil || missed != 0 || res[0].Events != benchScanEvents {
+				b.Fatalf("aggregate over %d events: %+v, missed %d, %v", benchScanEvents, res, missed, err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			aggregate()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N*benchScanEvents)/b.Elapsed().Seconds(), "events/s")
+
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		before := benchHeap()
+		aggregate()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(max(ms.HeapAlloc, before)-before), "live-B")
+	}
+	cluster := func(specs []btql.AggSpec, starts []uint64) func(*testing.B) {
+		return func(b *testing.B) {
+			d := benchCluster(b, starts)
+			run(b, d, specs)
+			if o := d.obs; o.aggMerged.Load() != 0 {
+				b.Fatalf("%d of %d aggregates fell back to the merged fold", o.aggMerged.Load(), o.aggMerged.Load()+o.aggPushdown.Load())
+			}
+		}
+	}
+	b.Run("count-4xrf2", cluster(count, inOrder))
+	b.Run("count-4xrf2-interleaved", cluster(count, interleaved))
+	b.Run("topk-tid-4xrf2", cluster(topk, inOrder))
+	b.Run("topk-tid-4xrf2-interleaved", cluster(topk, interleaved))
+	b.Run("direct-1shard", func(b *testing.B) {
+		st, err := store.OpenBackend(backend.NewObject(), store.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		for _, s := range inOrder {
+			if err := st.AppendEntries(benchEvents(s)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run(b, st, count)
 	})
 }

@@ -1,6 +1,7 @@
 package distributor
 
 import (
+	"fmt"
 	"runtime"
 
 	"btrace/internal/obs"
@@ -24,12 +25,18 @@ type distObs struct {
 	hedges        *obs.Counter
 	drainMoved    *obs.Counter
 
+	// Aggregates answered by the shards' partials, by the merged fold,
+	// and why the latter (keyed by the fallback* reasons).
+	aggPushdown  *obs.Counter
+	aggMerged    *obs.Counter
+	aggFallbacks map[string]*obs.Counter
+
 	shards      obs.Gauge
 	replication obs.Gauge
 }
 
 func newDistObs() *distObs {
-	return &distObs{
+	o := &distObs{
 		batches:       obs.NewCounter(4),
 		seen:          obs.NewCounter(4),
 		throttled:     obs.NewCounter(4),
@@ -41,7 +48,14 @@ func newDistObs() *distObs {
 		retries:       obs.NewCounter(4),
 		hedges:        obs.NewCounter(4),
 		drainMoved:    obs.NewCounter(4),
+		aggPushdown:   obs.NewCounter(1),
+		aggMerged:     obs.NewCounter(1),
+		aggFallbacks:  make(map[string]*obs.Counter),
 	}
+	for _, reason := range fallbackReasons {
+		o.aggFallbacks[reason] = obs.NewCounter(1)
+	}
+	return o
 }
 
 // collect emits the distributor's series; runs under the registry lock
@@ -62,6 +76,12 @@ func (o *distObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_distributor_replica_retries_total", "replica delivery re-attempts", o.retries.Load())
 	e.Counter("btrace_distributor_hedges_total", "deliveries hedged to a non-owner candidate", o.hedges.Load())
 	e.Counter("btrace_distributor_drain_moved_events_total", "events re-placed by shard drains", o.drainMoved.Load())
+	const byPath = "aggregate queries answered, by path: folded on the shards, or over the merged event stream"
+	e.Counter(`btrace_distributor_aggregates_total{path="pushdown"}`, byPath, o.aggPushdown.Load())
+	e.Counter(`btrace_distributor_aggregates_total{path="merged"}`, byPath, o.aggMerged.Load())
+	for _, reason := range fallbackReasons {
+		e.Counter(fmt.Sprintf("btrace_distributor_aggregate_fallbacks_total{reason=%q}", reason), "aggregate queries the shards could not answer, by reason: a shard down or draining, replica fingerprints that do not add up, a failed shard fold", o.aggFallbacks[reason].Load())
+	}
 	e.Gauge("btrace_distributor_shards", "shards in the ring", float64(o.shards.Load()))
 	e.Gauge("btrace_distributor_replication", "configured replication factor", float64(o.replication.Load()))
 }

@@ -37,6 +37,11 @@ type Shard interface {
 	// durable store, in stamp order, scanned by up to workers goroutines
 	// (at least one).
 	Query(q store.Query, workers int) (tracer.Cursor, error)
+	// AggSnapshot fixes, now, what a header-only aggregate pass over q
+	// will read of the shard's durable store; the pass itself
+	// (store.AggSnapshot.Fold) runs whenever the caller gets to it. The
+	// distributor takes every shard's between two deliveries.
+	AggSnapshot(q store.Query) (*store.AggSnapshot, error)
 	// Scan opens the store's following cursor over everything the shard
 	// holds: append order, one block decoded at a time, and it reads on
 	// into what is applied during the scan until its first empty Next.
@@ -125,14 +130,24 @@ func (s *LocalShard) Ingest(es []tracer.Entry) error {
 // Query opens a snapshot cursor over the shard's durable store. A
 // killed shard refuses: its data is intact on the backend but
 // unavailable, exactly like a dead process's disk. The sorted run costs
-// what a store.PCursor holds: every segment of the snapshot is scanned
-// up to three 256 KiB spans ahead of the merge, and a segment that
-// concurrent deliveries left unordered is decoded and sorted whole.
+// what a store.PCursor holds: a segment is scanned once its stamps are
+// due, up to three 256 KiB spans ahead of the merge, and a segment that
+// concurrent deliveries left unordered is held whole while it is in the
+// merge and merged by its sorted runs.
 func (s *LocalShard) Query(q store.Query, workers int) (tracer.Cursor, error) {
 	if !s.Healthy() {
 		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)
 	}
 	return s.st.QueryParallel(q, max(workers, 1)), nil
+}
+
+// AggSnapshot snapshots the store for an aggregate pass; same refusal
+// rule as Query.
+func (s *LocalShard) AggSnapshot(q store.Query) (*store.AggSnapshot, error) {
+	if !s.Healthy() {
+		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)
+	}
+	return s.st.AggregateSnapshot(q), nil
 }
 
 // Scan opens the store's sequential cursor; same refusal rule as Query.

@@ -81,6 +81,81 @@ func TestAggregateAcrossTiers(t *testing.T) {
 	}
 }
 
+// TestFoldUnderOwnership: a fold given an Ownership counts only the
+// rows of the threads it is told it counts, fingerprints every row of a
+// thread it owns under the slot that counts it, and only tallies the
+// rows of threads it does not own — on every tier, against the same
+// split made row by row over the ordinary cursor.
+func TestFoldUnderOwnership(t *testing.T) {
+	st, err := Open(t.TempDir(), tierCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sealEvery(t, st, 1, 1200, 100)
+	if err := st.CompactTick(); err != nil {
+		t.Fatalf("CompactTick: %v", err)
+	}
+	appendRange(t, st, 1201, 1300) // hot tail, unsealed
+
+	// Three slots, this store in slot 1: a thread's rows are counted by
+	// slot tid%4, and slot 3 stands for "not an owner".
+	const self, slots = 1, 3
+	countedBy := func(tid uint32) int {
+		if x := int(tid % 4); x < slots {
+			return x
+		}
+		return -1
+	}
+	specs := []btql.AggSpec{
+		{Kind: btql.AggCount},
+		{Kind: btql.AggRate, WindowNs: 100_000},
+		{Kind: btql.AggTopK, K: 3, Field: btql.FTID},
+		{Kind: btql.AggTopK, K: 3, Field: btql.FCategory},
+	}
+	for _, q := range []Query{
+		{},
+		{Pred: predOf(t, `category == 2 && core != 3`)},
+		{Pred: predOf(t, `payload contains "payload-7"`), MinStamp: 150},
+	} {
+		part, err := st.AggregateSnapshot(q).Fold(specs, &Ownership{Self: self, Slots: slots, CountedBy: countedBy})
+		if err != nil || part.Missed != 0 {
+			t.Fatalf("Fold: missed %d, %v", part.Missed, err)
+		}
+		wantAggs := make([]*btql.Aggregator, len(specs))
+		for i := range specs {
+			wantAggs[i] = specs[i].New()
+		}
+		wantHeld := make([]Fingerprint, slots)
+		var wantForeign uint64
+		es := drainStore(t, st, q)
+		for i := range es {
+			switch x := countedBy(es[i].TID); {
+			case x < 0:
+				wantForeign++
+			default:
+				wantHeld[x].add(es[i].Stamp)
+				if x == self {
+					for _, a := range wantAggs {
+						a.ObserveEntry(&es[i])
+					}
+				}
+			}
+		}
+		for i := range specs {
+			if got, want := part.Aggs[i].Result(), wantAggs[i].Result(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("spec %d: fold counted %+v, want %+v", i, got, want)
+			}
+		}
+		if !reflect.DeepEqual(part.Held, wantHeld) || part.Foreign != wantForeign {
+			t.Fatalf("fold holds %+v and %d foreign rows, want %+v and %d", part.Held, part.Foreign, wantHeld, wantForeign)
+		}
+		if wantForeign == 0 || wantHeld[0].Rows == 0 || wantHeld[self].Rows == 0 {
+			t.Fatalf("fixture leaves a role empty: held %+v, foreign %d", wantHeld, wantForeign)
+		}
+	}
+}
+
 // TestAggregateColumnarSkips pins the executor's I/O discipline: a
 // header-only aggregate never inflates v2 payload sections, and a
 // predicate no block can satisfy prunes on metadata alone.
