@@ -133,7 +133,11 @@ bench:
 # entries and inflates no payloads), a cache-less cold query that wants
 # one row in a thousand with its payload must cost at most 0.3x of the
 # one that wants every row (it inflates the payload chunks its rows live
-# in, one in eight, not every block's whole payload section), RF=2
+# in, one in eight, not every block's whole payload section) and the
+# same query read for payload lengths only — what a CSV or Chrome export
+# asks for — at most 0.65x of that again (it inflates no chunk at all;
+# what is left is the blocks' meta sections and columns, which with the
+# cache off both pay and which is half of the sparse row), RF=2
 # ingest over 4 shards must stay within 4x of direct single-shard
 # ingest (2x of it is the second copy), a count() over the same cluster
 # within 3x of the count() over one store holding the stream once (2x
@@ -150,4 +154,4 @@ benchdiff:
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
 	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkServeIngest/single' \
-	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'
+	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkColdSelect/sparse-lengths<=0.65*BenchmarkColdSelect/sparse,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'

@@ -135,11 +135,20 @@ func runBlocks(path string) error {
 // aggregate executes columnar (cold v2 blocks never materialize events,
 // and payload sections stay compressed unless the predicate inspects
 // payloads) and prints its JSON result; a plain filter streams the
-// matching events in the chosen format.
+// matching events in the chosen format, which is also what the scan is
+// asked for: only text prints payload bytes, so every other format
+// reads payload lengths alone (store.Query.LengthsOnly).
 func runQuery(path, src, format string) error {
 	bq, err := btql.Parse(src)
 	if err != nil {
 		return err
+	}
+	if format == "" {
+		format = "summary"
+	}
+	needsPayload, ok := export.NeedsPayload(format)
+	if !ok && format != "summary" {
+		return fmt.Errorf("unknown format %q (summary|text|chrome|csv)", format)
 	}
 	st, err := openStoreDir(path, "-query")
 	if err != nil {
@@ -162,6 +171,7 @@ func runQuery(path, src, format string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(results[0])
 	}
+	q.LengthsOnly = !needsPayload
 	cur := st.Query(q)
 	defer cur.Close()
 	es, err := tracer.Drain(cur, 1024)
@@ -169,7 +179,7 @@ func runQuery(path, src, format string) error {
 		return err
 	}
 	switch format {
-	case "", "summary":
+	case "summary":
 		var span float64
 		if len(es) > 0 {
 			span = float64(es[len(es)-1].TS-es[0].TS) / 1e9
@@ -180,10 +190,8 @@ func runQuery(path, src, format string) error {
 		return export.Text(os.Stdout, es)
 	case "csv":
 		return export.CSV(os.Stdout, es)
-	case "chrome":
+	default: // "chrome": the format was checked before the store was opened
 		return export.ChromeTrace(os.Stdout, es)
-	default:
-		return fmt.Errorf("unknown format %q (summary|text|chrome|csv)", format)
 	}
 }
 

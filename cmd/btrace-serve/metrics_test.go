@@ -167,6 +167,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"btrace_store_fsync_ns_count",
 		"btrace_store_seals_total",
 		"btrace_store_freeze_seconds_total",
+		`btrace_store_reads_total{payload="bytes"}`,
+		`btrace_store_reads_total{payload="lengths"}`,
+		`btrace_store_reads_total{payload="none"}`,
+		"btrace_serve_query_aborts_total",
 		"btrace_live_sse_bytes_total",
 		"btrace_live_sse_writes_total",
 		"btrace_ingest_queue_depth",

@@ -8,6 +8,7 @@ import (
 
 	"btrace/internal/btql"
 	"btrace/internal/export"
+	"btrace/internal/obs"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
@@ -138,14 +139,45 @@ func requestWorkers(r *http.Request, def int) (int, error) {
 	return int(u), nil
 }
 
+// queryAborts counts the /store/query responses cut off after their
+// headers were out: an export that failed mid-stream (a corrupt
+// segment, a client that went away).
+var queryAborts = obs.NewCounter(1)
+
+func init() {
+	obs.Default().Register(func(e *obs.Emitter) {
+		e.Counter("btrace_serve_query_aborts_total", "/store/query responses aborted mid-stream: the export failed after the headers were out", queryAborts.Load())
+	})
+}
+
+// startedWriter notes whether the response has begun: until its first
+// Write a failed export can still be answered with a status.
+type startedWriter struct {
+	http.ResponseWriter
+	started bool
+}
+
+func (w *startedWriter) Write(p []byte) (int, error) {
+	w.started = true
+	return w.ResponseWriter.Write(p)
+}
+
 // handleStoreQuery streams the matching slice of the durable trace in
 // the requested format (text, csv or chrome), through the same cursor
-// contract every in-memory exporter uses. On a single store ?workers=
-// picks the scan surface per request: 0 the sequential cursor (append
-// order), N a parallel pool (stamp order) — over a store fed in stamp
-// order both must yield the identical stream (btrace-vulture
-// continuously cross-checks that equivalence). On a cluster every value
-// reads the same merged snapshot, 0 meaning one scan worker per shard.
+// contract every in-memory exporter uses. The format is the read's
+// projection, fixed before the cursor is opened: csv and chrome print a
+// payload's size and text its bytes (export.NeedsPayload), so only a
+// text export makes the scan read, inflate or copy payloads. On a
+// single store ?workers= picks the scan surface per request: 0 the
+// sequential cursor (append order), N a parallel pool (stamp order) —
+// over a store fed in stamp order both must yield the identical stream
+// (btrace-vulture continuously cross-checks that equivalence). On a
+// cluster every value reads the same merged snapshot, 0 meaning one
+// scan worker per shard.
+//
+// An export that fails once the response has begun aborts the
+// connection instead of returning: a clean end of the body would tell
+// the client the truncated stream is the whole answer.
 func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil && s.cluster == nil {
 		http.Error(w, "no trace store configured (start btrace-serve with -store)", http.StatusNotFound)
@@ -165,6 +197,16 @@ func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 		s.serveStoreAggregate(w, r, q, agg)
 		return
 	}
+	format := r.URL.Query().Get("format")
+	if format == "" {
+		format = "text"
+	}
+	needs, ok := export.NeedsPayload(format)
+	if !ok {
+		http.Error(w, fmt.Sprintf("unknown format %q (text|csv|chrome)", format), http.StatusBadRequest)
+		return
+	}
+	q.LengthsOnly = !needs
 	var cur tracer.Cursor
 	switch {
 	case s.cluster != nil:
@@ -180,25 +222,27 @@ func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 		cur = s.store.Query(q)
 	}
 	defer cur.Close()
+	out := &startedWriter{ResponseWriter: w}
 	batch := make([]tracer.Entry, 1024)
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "text":
+	switch format {
+	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _, err = export.TextCursor(w, cur, batch)
+		_, _, err = export.TextCursor(out, cur, batch)
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
-		_, _, err = export.CSVCursor(w, cur, batch)
+		_, _, err = export.CSVCursor(out, cur, batch)
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="btrace-store-query.json"`)
-		_, _, err = export.ChromeTraceCursor(w, cur, batch)
-	default:
-		http.Error(w, fmt.Sprintf("unknown format %q (text|csv|chrome)", format), http.StatusBadRequest)
-		return
+		_, _, err = export.ChromeTraceCursor(out, cur, batch)
 	}
-	if err != nil {
-		// Headers are gone; the best we can do is cut the stream short.
-		return
+	switch {
+	case err == nil:
+	case !out.started:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	default:
+		queryAborts.Inc()
+		panic(http.ErrAbortHandler)
 	}
 }
 

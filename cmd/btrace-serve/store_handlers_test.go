@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -199,5 +205,162 @@ func TestStoreQueryBTQL(t *testing.T) {
 		if code, _ := get(t, ts.URL+"/store/query?q="+esc(bad)); code != http.StatusBadRequest {
 			t.Errorf("q=%s: status %d, want 400", bad, code)
 		}
+	}
+}
+
+// sealedStoreServer serves a store of two sealed segments of n events
+// each, stamps from 1, every payload "s<stamp>".
+func sealedStoreServer(t *testing.T, n int, cfg store.Config) (*httptest.Server, *server, *store.Store) {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	for _, start := range []uint64{1, uint64(n) + 1} {
+		if err := st.AppendEntries(clusterEvents(n, start)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := newServer(0.005, st, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts, srv, st
+}
+
+// TestStoreQueryAbortsFailedExport: an export that fails after the
+// response has begun must not end as a clean 200 — the client has to
+// see the body break off, not a complete-looking prefix of it — and one
+// that fails before its first byte is a 500. A flipped payload byte in
+// a sealed segment fails the frame checksum of the row it belongs to,
+// which a length-only read (csv, chrome) verifies like any other.
+func TestStoreQueryAbortsFailedExport(t *testing.T) {
+	const n = 3000
+	ts, srv, st := sealedStoreServer(t, n, store.Config{})
+	segs := st.Segments()
+	if len(segs) < 2 || !segs[1].Sealed {
+		t.Fatalf("fixture: %+v", segs)
+	}
+	flip := func(seg store.SegmentInfo, stamp int) {
+		t.Helper()
+		path := filepath.Join(st.Dir(), seg.File)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(img, []byte(fmt.Sprintf("s%d", stamp)))
+		if at < 0 {
+			t.Fatalf("payload of stamp %d not in %s", stamp, seg.File)
+		}
+		img[at] ^= 0x40
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole := map[string]int{}
+	for _, format := range []string{"text", "csv", "chrome"} {
+		_, body := get(t, ts.URL+"/store/query?workers=0&format="+format)
+		whole[format] = len(body)
+	}
+
+	// Mid-stream: the second segment is corrupt, the first streams out.
+	flip(segs[1], n+n/2)
+	before := scrape(t, srv)["btrace_serve_query_aborts_total"]
+	var aborted float64
+	for _, format := range []string{"text", "csv", "chrome"} {
+		for _, workers := range []string{"0", "2"} {
+			resp, err := http.Get(ts.URL + "/store/query?format=" + format + "&workers=" + workers)
+			if err != nil {
+				t.Fatalf("%s workers=%s: %v", format, workers, err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s workers=%s: status %d, want the 200 the stream began with", format, workers, resp.StatusCode)
+			}
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s workers=%s: body read ended with %v after %d bytes, want io.ErrUnexpectedEOF", format, workers, err, len(body))
+			}
+			if len(body) == 0 || len(body) >= whole[format] {
+				t.Errorf("%s workers=%s: %d bytes of a %d-byte export arrived", format, workers, len(body), whole[format])
+			}
+			aborted++
+		}
+	}
+	if got := scrape(t, srv)["btrace_serve_query_aborts_total"] - before; got != aborted {
+		t.Errorf("btrace_serve_query_aborts_total moved by %v over %v aborted exports", got, aborted)
+	}
+
+	// Before the first byte: the first row read is corrupt.
+	flip(segs[0], 1)
+	for _, format := range []string{"text", "csv"} {
+		if code, body := get(t, ts.URL+"/store/query?workers=0&format="+format); code != http.StatusInternalServerError || !strings.Contains(body, "corrupt") {
+			t.Errorf("%s over a corrupt first row: %d %q, want a 500 naming the corruption", format, code, body)
+		}
+	}
+}
+
+// TestStoreQueryProjection: the format picks what the scan reads. Over a
+// cold window a CSV or Chrome export inflates no payload chunk and
+// leaves none in the block cache; the same window as text does both;
+// btrace_store_reads_total says which kind of read each was, and an
+// unknown format is refused before any read is opened.
+func TestStoreQueryProjection(t *testing.T) {
+	ts, srv, st := sealedStoreServer(t, 2000, store.Config{ColdAfterNs: 1})
+	if err := st.AppendEntries(clusterEvents(10, 1<<20)); err != nil { // a newer tail: everything sealed is cold-eligible
+		t.Fatal(err)
+	}
+	if froze, err := st.CompactCold(); err != nil || froze == 0 {
+		t.Fatalf("CompactCold froze %d segments: %v", froze, err)
+	}
+	const (
+		inflated = "btrace_store_payload_inflated_bytes_total"
+		resident = `btrace_store_block_cache_bytes{section="payload"}`
+		lengths  = `btrace_store_reads_total{payload="lengths"}`
+		bytesRd  = `btrace_store_reads_total{payload="bytes"}`
+		none     = `btrace_store_reads_total{payload="none"}`
+	)
+	window := "&min_stamp=500&max_stamp=3500"
+	last := scrape(t, srv)
+	moved := func() map[string]float64 {
+		now := scrape(t, srv)
+		d := map[string]float64{}
+		for _, k := range []string{inflated, resident, lengths, bytesRd, none} {
+			d[k] = now[k] - last[k]
+		}
+		last = now
+		return d
+	}
+	for _, q := range []string{"format=csv&workers=0", "format=csv&workers=2", "format=chrome&workers=0", "format=chrome&workers=2"} {
+		if code, body := get(t, ts.URL+"/store/query?"+q+window); code != http.StatusOK || strings.Count(body, "\n") < 1 {
+			t.Fatalf("%s: %d", q, code)
+		}
+		if d := moved(); d[inflated] != 0 || d[resident] != 0 || d[lengths] != 1 || d[bytesRd] != 0 {
+			t.Errorf("%s: moved %v, want one length-only read and no payload inflated or cached", q, d)
+		}
+	}
+	if code, body := get(t, ts.URL+"/store/query?format=text"+window); code != http.StatusOK || strings.Count(body, "\n") != 3001 {
+		t.Fatalf("text: %d, %d lines", code, strings.Count(body, "\n"))
+	}
+	if d := moved(); d[inflated] <= 0 || d[resident] <= 0 || d[bytesRd] != 1 || d[lengths] != 0 {
+		t.Errorf("text: moved %v, want one payload-bytes read that inflated and cached chunks", d)
+	}
+	if code, _ := get(t, ts.URL+"/store/query?q="+url.QueryEscape("stamp >= 1 | count()")); code != http.StatusOK {
+		t.Fatalf("count(): %d", code)
+	}
+	if d := moved(); d[none] != 1 || d[lengths] != 0 || d[bytesRd] != 0 {
+		t.Errorf("count(): moved %v, want one read that asked nothing of the payload", d)
+	}
+	if code, _ := get(t, ts.URL+"/store/query?format=xml"); code != http.StatusBadRequest {
+		t.Fatalf("format=xml: %d", code)
+	}
+	if d := moved(); d[lengths] != 0 || d[bytesRd] != 0 {
+		t.Errorf("format=xml opened a read before it was refused: %v", d)
 	}
 }

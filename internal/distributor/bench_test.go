@@ -164,7 +164,10 @@ const benchScanEvents = 64 << 10
 // turns, half the stamp range apart, so every segment is unordered and
 // overlaps its neighbours: each shard scan decodes such a segment whole
 // and merges it by its sorted runs, holding it for as long as it is in
-// the merge, which is what live-B shows.
+// the merge, which is what live-B shows — unless the read asks for
+// payload lengths only (-lengths: Query.LengthsOnly, a CSV or Chrome
+// export), when nothing aliases a span and each shard scans through
+// one span buffer per worker.
 func BenchmarkDistributorQuery(b *testing.B) {
 	drain := func(b *testing.B, query func() (tracer.Cursor, error)) {
 		b.Helper()
@@ -216,13 +219,14 @@ func BenchmarkDistributorQuery(b *testing.B) {
 	}
 
 	inOrder, interleaved := benchStarts()
-	merged := func(b *testing.B, starts []uint64) {
+	merged := func(b *testing.B, starts []uint64, q store.Query) {
 		d := benchCluster(b, starts)
-		drain(b, func() (tracer.Cursor, error) { return d.Query(store.Query{}, 0) })
+		drain(b, func() (tracer.Cursor, error) { return d.Query(q, 0) })
 	}
 
-	b.Run("merged-4xrf2", func(b *testing.B) { merged(b, inOrder) })
-	b.Run("merged-4xrf2-interleaved", func(b *testing.B) { merged(b, interleaved) })
+	b.Run("merged-4xrf2", func(b *testing.B) { merged(b, inOrder, store.Query{}) })
+	b.Run("merged-4xrf2-interleaved", func(b *testing.B) { merged(b, interleaved, store.Query{}) })
+	b.Run("merged-4xrf2-interleaved-lengths", func(b *testing.B) { merged(b, interleaved, store.Query{LengthsOnly: true}) })
 
 	b.Run("direct-1shard", func(b *testing.B) {
 		st, err := store.OpenBackend(backend.NewObject(), store.Config{})

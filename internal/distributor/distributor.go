@@ -366,6 +366,9 @@ func (d *Distributor) setRingLocked(r *ring.Ring) {
 // k-way-merges the shards' stamp-ordered runs into one stamp-ordered,
 // replica-deduplicated cursor. q.Limit applies to the merged stream
 // alone: a shard's duplicates of one stamp must not use up its share.
+// The rest of q goes to every shard as it is — q.LengthsOnly included,
+// so a CSV or Chrome export of the cluster reads no payload byte on any
+// shard (the merge borrows entries and never looks inside a payload).
 func (d *Distributor) Query(q store.Query, workers int) (tracer.Cursor, error) {
 	limit := q.Limit
 	q.Limit = 0

@@ -1,9 +1,12 @@
 package distributor
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 
+	"btrace/internal/btql"
+	"btrace/internal/export"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
@@ -107,6 +110,99 @@ func TestLocalShardQueryStampOrdered(t *testing.T) {
 		}
 		if got = drainAll(t, cur); len(got) != 5 || got[0].Stamp != 1 || got[4].Stamp != 5 {
 			t.Fatalf("workers=%d limit=5: got %d events from stamp %d", workers, len(got), got[0].Stamp)
+		}
+	}
+}
+
+// TestLengthOnlyMatchesFull is the cluster leg of the store's test of
+// that name: Distributor.Query hands the projection to every shard, and
+// over a 4×RF2 cluster fed by two interleaving writers (so the shards'
+// segments are unordered) the CSV and Chrome bodies of a
+// Query.LengthsOnly read are byte for byte those of a full-payload
+// read, whatever the shards' scan pools, with and without a payload
+// predicate.
+func TestLengthOnlyMatchesFull(t *testing.T) {
+	d, locals := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
+	for s := uint64(1); s <= 4000; s += 400 {
+		// The second writer's batch lands first.
+		for _, start := range []uint64{s + 200, s} {
+			if res := d.Ingest("", events(200, start, 30, 31, 32, 33, 34, 35, 36)); res.Acked != 200 {
+				t.Fatalf("acked %d of 200", res.Acked)
+			}
+		}
+	}
+	for _, sh := range locals {
+		if segs := sh.Segments(); len(segs) == 0 || segs[0].Ordered {
+			t.Fatalf("fixture: %s holds no unordered segment: %+v", sh.Name(), segs)
+		}
+	}
+	needle, err := btql.Parse(`payload contains "e7"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := func(q store.Query, workers int) (csv, chrome bytes.Buffer) {
+		for i, w := range []*bytes.Buffer{&csv, &chrome} {
+			cur, err := d.Query(q, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				_, _, err = export.CSVCursor(w, cur, make([]tracer.Entry, 300))
+			} else {
+				_, _, err = export.ChromeTraceCursor(w, cur, make([]tracer.Entry, 300))
+			}
+			cur.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return csv, chrome
+	}
+	for name, q := range map[string]store.Query{
+		"all":     {},
+		"window":  {MinStamp: 777, MaxStamp: 3210, Limit: 1500},
+		"payload": {Pred: needle.Predicate()},
+	} {
+		for _, workers := range []int{0, 1, 4} {
+			wantCSV, wantChrome := bodies(q, workers)
+			if rows := bytes.Count(wantCSV.Bytes(), []byte("\n")) - 1; rows < 100 {
+				t.Fatalf("%s: the full read matched %d rows", name, rows)
+			}
+			q.LengthsOnly = true
+			gotCSV, gotChrome := bodies(q, workers)
+			q.LengthsOnly = false
+			if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
+				t.Errorf("%s workers=%d: CSV under the projection differs (%d vs %d bytes)", name, workers, gotCSV.Len(), wantCSV.Len())
+			}
+			if !bytes.Equal(gotChrome.Bytes(), wantChrome.Bytes()) {
+				t.Errorf("%s workers=%d: Chrome under the projection differs (%d vs %d bytes)", name, workers, gotChrome.Len(), wantChrome.Len())
+			}
+		}
+	}
+	// The projection reached the shards: no merged entry carries a byte.
+	cur, err := d.Query(store.Query{LengthsOnly: true}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	batch := make([]tracer.Entry, 512)
+	zero := &tracer.LengthOnly(1)[0]
+	for total := 0; ; {
+		n, _, err := cur.Next(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			if total != 4000 {
+				t.Fatalf("length-only read delivered %d of 4000 events", total)
+			}
+			break
+		}
+		total += n
+		for _, e := range batch[:n] {
+			if len(e.Payload) == 0 || &e.Payload[0] != zero {
+				t.Fatalf("stamp %d carries payload bytes %q", e.Stamp, e.Payload)
+			}
 		}
 	}
 }

@@ -133,7 +133,8 @@ func (s *LocalShard) Ingest(es []tracer.Entry) error {
 // what a store.PCursor holds: a segment is scanned once its stamps are
 // due, up to three 256 KiB spans ahead of the merge, and a segment that
 // concurrent deliveries left unordered is held whole while it is in the
-// merge and merged by its sorted runs.
+// merge and merged by its sorted runs — its entries only, and `workers`
+// spans in all, when q.LengthsOnly says the caller reads no payload byte.
 func (s *LocalShard) Query(q store.Query, workers int) (tracer.Cursor, error) {
 	if !s.Healthy() {
 		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)

@@ -10,7 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
+	"math/bits"
 
 	"btrace/internal/tracer"
 	"btrace/internal/workload"
@@ -66,15 +66,27 @@ func ChromeTrace(w io.Writer, es []tracer.Entry) error {
 const csvHeader = "stamp,ts_ns,core,tid,category,level,payload_bytes\n"
 
 // csvWriter renders entries as CSV rows. Every field is a decimal or an
-// atrace category name, none of which can need quoting, so a row is
-// appended digit by digit into one reused buffer instead of going
-// through encoding/csv's per-field strings and quoting checks; the
-// bytes are what encoding/csv would have written (the tests hold it to
-// that, header included).
+// atrace category name, none of which can need quoting, so rows are
+// appended digit by digit straight into the bufio.Writer's own free
+// space instead of going through encoding/csv's per-field strings and
+// quoting checks, or a row buffer that is then copied; the bytes are
+// what encoding/csv would have written (the tests hold it to that,
+// header included).
 type csvWriter struct {
-	bw  *bufio.Writer
-	row []byte
+	bw *bufio.Writer
 }
+
+// maxCSVRow bounds one row: the six decimals at their widest (two
+// uint64, a uint32, two uint8, a payload length), the longest category
+// name, six commas and the newline. It is far below a bufio.Writer's
+// buffer, so a flushed writer always has room for a row.
+var maxCSVRow = func() int {
+	name := len(workload.Category(workload.NumCategories).Name())
+	for c := workload.Category(0); c < workload.NumCategories; c++ {
+		name = max(name, len(c.Name()))
+	}
+	return 20 + 20 + 10 + 3 + 3 + 5 + name + 6 + 1
+}()
 
 // newCSVWriter starts a CSV document on w: it writes the header row.
 func newCSVWriter(w io.Writer) (*csvWriter, error) {
@@ -83,30 +95,78 @@ func newCSVWriter(w io.Writer) (*csvWriter, error) {
 	return cw, err
 }
 
-// rows writes one row per entry.
+// rows writes one row per entry: as many as fit are formatted in place
+// in the writer's free space and committed with one Write, which finds
+// them where it would have copied them to.
 func (cw *csvWriter) rows(es []tracer.Entry) error {
-	for i := range es {
-		e := &es[i]
-		b := strconv.AppendUint(cw.row[:0], e.Stamp, 10)
-		b = append(b, ',')
-		b = strconv.AppendUint(b, e.TS, 10)
-		b = append(b, ',')
-		b = strconv.AppendUint(b, uint64(e.Core), 10)
-		b = append(b, ',')
-		b = strconv.AppendUint(b, uint64(e.TID), 10)
-		b = append(b, ',')
-		b = append(b, workload.Category(e.Category).Name()...)
-		b = append(b, ',')
-		b = strconv.AppendUint(b, uint64(e.Level), 10)
-		b = append(b, ',')
-		b = strconv.AppendUint(b, uint64(len(e.Payload)), 10)
-		b = append(b, '\n')
-		cw.row = b
-		if _, err := cw.bw.Write(b); err != nil {
+	bw := cw.bw
+	for len(es) > 0 {
+		if bw.Available() < maxCSVRow {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		b := bw.AvailableBuffer()
+		for len(es) > 0 && cap(b)-len(b) >= maxCSVRow {
+			e := &es[0]
+			es = es[1:]
+			b = append(appendDecimal(b, e.Stamp), ',')
+			b = append(appendDecimal(b, e.TS), ',')
+			b = append(appendDecimal(b, uint64(e.Core)), ',')
+			b = append(appendDecimal(b, uint64(e.TID)), ',')
+			b = append(b, workload.Category(e.Category).Name()...)
+			b = append(b, ',')
+			b = append(appendDecimal(b, uint64(e.Level)), ',')
+			b = append(appendDecimal(b, uint64(len(e.Payload))), '\n')
+		}
+		if _, err := bw.Write(b); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// digitPairs is "00" "01" … "99".
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// appendDecimal appends v in base 10, as strconv.AppendUint does,
+// writing the digits two at a time into place: the digit count is known
+// up front (1233/4096 approximates log10 2 closely enough for 64 bits),
+// so nothing is formatted into a scratch array and copied. b must have
+// room for the digits (at most 20).
+func appendDecimal(b []byte, v uint64) []byte {
+	n := bits.Len64(v) * 1233 >> 12
+	if v >= pow10[n] {
+		n++
+	}
+	n = max(n, 1) // "0"
+	b = b[:len(b)+n]
+	i := len(b)
+	for v >= 100 {
+		q := v / 100
+		r := (v - q*100) * 2
+		i -= 2
+		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
+		v = q
+	}
+	if v >= 10 {
+		b[i-2], b[i-1] = digitPairs[2*v], digitPairs[2*v+1]
+	} else {
+		b[i-1] = byte('0' + v)
+	}
+	return b
 }
 
 // CSV writes es as comma-separated rows with a header.

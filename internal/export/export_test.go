@@ -130,6 +130,63 @@ func TestCSV(t *testing.T) {
 	}
 }
 
+// TestAppendDecimal holds the in-place decimal append to strconv at
+// every digit-count boundary: powers of ten and of two, and their
+// neighbours.
+func TestAppendDecimal(t *testing.T) {
+	vals := []uint64{0, ^uint64(0)}
+	for p := uint64(1); ; p *= 10 {
+		vals = append(vals, p-1, p, p+1)
+		if p > ^uint64(0)/10 {
+			break
+		}
+	}
+	for s := 0; s < 64; s++ {
+		vals = append(vals, uint64(1)<<s-1, uint64(1)<<s, uint64(1)<<s+1)
+	}
+	for _, v := range vals {
+		got := appendDecimal(make([]byte, 0, 32), v)
+		if want := strconv.AppendUint(nil, v, 10); string(got) != string(want) {
+			t.Fatalf("appendDecimal(%d) = %q, want %q", v, got, want)
+		}
+	}
+	prefix := append(make([]byte, 0, 32), "x,"...)
+	if got := string(appendDecimal(prefix, 1905)); got != "x,1905" {
+		t.Fatalf("appendDecimal after a prefix: %q", got)
+	}
+}
+
+// TestCSVRowsAcrossFlushes: rows are formatted in the bufio.Writer's
+// free space, so a document many buffers long, read in batches that do
+// not line up with them, must still be the bytes encoding/csv writes.
+func TestCSVRowsAcrossFlushes(t *testing.T) {
+	var es []tracer.Entry
+	for i := 0; i < 5000; i++ {
+		es = append(es, tracer.Entry{
+			Stamp: uint64(i) * 1_000_003, TS: ^uint64(0) - uint64(i), Core: uint8(i), TID: uint32(i * 7919),
+			Category: uint8(i % 40), Level: uint8(i % 4), Payload: make([]byte, i%300),
+		})
+	}
+	var got bytes.Buffer
+	if _, _, err := CSVCursor(&got, &sliceCursor{es: es}, make([]tracer.Entry, 333)); err != nil {
+		t.Fatal(err)
+	}
+	if want := csvReference(t, es); got.String() != want {
+		t.Fatalf("CSV of %d rows differs from encoding/csv (%d vs %d bytes)", len(es), got.Len(), len(want))
+	}
+}
+
+func TestNeedsPayload(t *testing.T) {
+	for format, want := range map[string][2]bool{
+		"text": {true, true}, "csv": {false, true}, "chrome": {false, true},
+		"": {false, false}, "xml": {false, false}, "summary": {false, false},
+	} {
+		if needs, ok := NeedsPayload(format); needs != want[0] || ok != want[1] {
+			t.Errorf("NeedsPayload(%q) = %v, %v, want %v", format, needs, ok, want)
+		}
+	}
+}
+
 func TestText(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Text(&buf, sample()); err != nil {

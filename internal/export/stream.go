@@ -160,6 +160,22 @@ func (d *Decoder) DecodeInto(dst []tracer.Entry) ([]tracer.Entry, error) {
 	}
 }
 
+// NeedsPayload reports whether the named stream format — "text", "csv"
+// or "chrome", the names of TextCursor, CSVCursor and ChromeTraceCursor
+// — prints payload bytes. CSV and Chrome print a payload's size alone,
+// so a reader feeding them may ask its source for lengths only
+// (store.Query.LengthsOnly) and hand over tracer.LengthOnly payloads.
+// ok is false for a name that is none of the three.
+func NeedsPayload(format string) (needs, ok bool) {
+	switch format {
+	case "text":
+		return true, true
+	case "csv", "chrome":
+		return false, true
+	}
+	return false, false
+}
+
 // TextCursor streams c through batch to w in the Text format, never
 // materializing the full trace. It returns the event count and the total
 // missed count the cursor reported.

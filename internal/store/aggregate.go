@@ -178,7 +178,7 @@ type Partial struct {
 // Fold runs the pass: one header-only scan over the snapshot, one span
 // buffer. With own nil every matching row is counted.
 func (p *AggSnapshot) Fold(specs []btql.AggSpec, own *Ownership) (part Partial, err error) {
-	agg := &aggSink{aggs: make([]*btql.Aggregator, len(specs)), buf: globalChunks.Get().(*pchunk)}
+	agg := &aggSink{aggs: make([]*btql.Aggregator, len(specs)), buf: newChunk(false)}
 	defer globalChunks.Put(agg.buf)
 	for i := range specs {
 		agg.aggs[i] = specs[i].New()
@@ -190,6 +190,7 @@ func (p *AggSnapshot) Fold(specs []btql.AggSpec, own *Ownership) (part Partial, 
 		sink = owned
 	}
 	part.Aggs = agg.aggs
+	p.st.obs.reads[readNone].Inc()
 	for i := range p.snaps {
 		s, m, err := p.st.openScan(p.q, &p.snaps[i], false)
 		part.Missed += m

@@ -275,19 +275,28 @@ func benchColdSelectStore(b *testing.B) *Store {
 // in, one in eight, where before format v3 it inflated every block's
 // whole payload section as dense does. inflated-B/op is the raw payload
 // bytes each op inflated; cmd/benchdiff gates sparse at <= 0.3x of
-// dense within-run.
+// dense within-run. The -lengths rows are the same two queries read for
+// payload lengths only (Query.LengthsOnly, what a CSV or Chrome export
+// asks for): they inflate nothing (the benchmark fails if they do), and
+// sparse-lengths is gated at <= 0.65x of sparse — with the cache off
+// the two share the meta sections and columns of all nine blocks, which
+// is half of what sparse costs.
 func BenchmarkColdSelect(b *testing.B) {
 	var list []string
 	for s := 500; s <= benchColdSelectEvents; s += 1000 {
 		list = append(list, strconv.Itoa(s))
 	}
+	sparse := "stamp in (" + strings.Join(list, ", ") + ")"
 	for _, tc := range []struct {
-		name string
-		src  string
-		want int
+		name    string
+		src     string
+		want    int
+		lengths bool
 	}{
-		{"sparse", "stamp in (" + strings.Join(list, ", ") + ")", len(list)},
-		{"dense", "stamp >= 1", benchColdSelectEvents},
+		{"sparse", sparse, len(list), false},
+		{"dense", "stamp >= 1", benchColdSelectEvents, false},
+		{"sparse-lengths", sparse, len(list), true},
+		{"dense-lengths", "stamp >= 1", benchColdSelectEvents, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			st := benchColdSelectStore(b)
@@ -298,12 +307,15 @@ func BenchmarkColdSelect(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if n := drainCursor(b, st.Query(Query{Pred: pred}), batch); n != tc.want {
+				if n := drainCursor(b, st.Query(Query{Pred: pred, LengthsOnly: tc.lengths}), batch); n != tc.want {
 					b.Fatalf("query matched %d events, want %d", n, tc.want)
 				}
 			}
 			b.StopTimer()
 			after := st.Stats()
+			if tc.lengths && after.PayloadInflatedBytes != base.PayloadInflatedBytes {
+				b.Fatalf("a length-only read inflated %d payload bytes", after.PayloadInflatedBytes-base.PayloadInflatedBytes)
+			}
 			b.ReportMetric(float64(after.PayloadInflatedBytes-base.PayloadInflatedBytes)/float64(b.N), "inflated-B/op")
 			b.ReportMetric(float64(after.PayloadChunksSkipped-base.PayloadChunksSkipped)/float64(b.N), "chunks-skipped/op")
 		})

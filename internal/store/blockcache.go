@@ -23,10 +23,14 @@
 // count()` leaves meta sections and time columns behind (the result
 // carries min/max time), a selective materialising query leaves the
 // chunks its rows live in and not their neighbours, a wide
-// materialising scan leaves everything, and the second such scan finds
+// materialising scan that keeps payload bytes (a text export) leaves
+// everything, one that reads their lengths only (Query.LengthsOnly: a
+// CSV or Chrome export) leaves meta sections and columns, the payload
+// offsets among them, and no chunk — and the second such scan finds
 // every column decoded. Nothing is cached on behalf of a query that did
 // not ask for it — which is also what the budget buys: chunks somebody
-// read, not sections somebody was forced to inflate to get at one row.
+// read, not sections somebody was forced to inflate to get at one row,
+// nor payloads an exporter was handed and never printed.
 //
 // Ownership: every cached value is immutable from the moment it is
 // inserted. Scans alias them (entries handed to callers may point into a

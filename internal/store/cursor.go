@@ -27,6 +27,13 @@ type Query struct {
 	// Pred is an optional compiled BTQL predicate, ANDed with the field
 	// filters above.
 	Pred *btql.Predicate
+	// LengthsOnly is the read's projection: the caller looks at the
+	// length of each entry's Payload and never at its bytes (a CSV or
+	// Chrome export). The cursor then reads, inflates, copies and keeps
+	// alive no payload byte the predicate itself did not need: entries
+	// carry tracer.LengthOnly payloads, of the right length and
+	// unspecified contents. Aggregates read no payload and ignore it.
+	LengthsOnly bool
 }
 
 // compiled is the evaluated form of a Query: its field filters lowered
@@ -35,6 +42,9 @@ type Query struct {
 type compiled struct {
 	pred  *btql.Predicate
 	limit int // 0 = unlimited
+	// lengths is Query.LengthsOnly: what the entry sinks of this query
+	// answer payloads() with.
+	lengths bool
 	// minStamp/maxStamp is pred's stamp hull (maxStamp ^0 = unbounded):
 	// where the sparse seek into an ordered segment starts, and the
 	// stamp past which scanning one stops.
@@ -42,13 +52,21 @@ type compiled struct {
 }
 
 func compile(q Query) *compiled {
-	c := &compiled{limit: q.Limit, pred: q.Pred.Narrow(
+	c := &compiled{limit: q.Limit, lengths: q.LengthsOnly, pred: q.Pred.Narrow(
 		btql.Between(btql.FStamp, q.MinStamp, q.MaxStamp),
 		btql.Between(btql.FTime, q.MinTS, q.MaxTS),
 		btql.In(btql.FCore, q.Cores),
 		btql.In(btql.FCategory, q.Categories))}
 	c.minStamp, c.maxStamp = c.pred.StampBounds()
 	return c
+}
+
+// readClass is the cursor's row of btrace_store_reads_total.
+func (c *compiled) readClass() int {
+	if c.lengths {
+		return readLengths
+	}
+	return readBytes
 }
 
 // matchMeta is the hull test of the file and block rungs: whether a
@@ -125,7 +143,8 @@ func (st *Store) Query(q Query) *Cursor {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	c := &Cursor{st: st, q: compile(q), nextSeq: 1, seenRetired: st.retiredEvents}
-	c.ck = globalChunks.Get().(*pchunk)
+	c.ck = newChunk(c.q.lengths)
+	st.obs.reads[c.q.readClass()].Inc()
 	if len(st.segs) > 0 {
 		c.nextSeq = st.segs[0].seq
 	}
@@ -152,7 +171,8 @@ func (c *Cursor) Next(batch []tracer.Entry) (int, uint64, error) {
 			// Re-home the payload in the cursor's arena: the chunk's span
 			// buffer is recycled by the next step, and a cold row aliases
 			// shared cache memory the entry must not pin past this batch.
-			if len(e.Payload) > 0 {
+			// A length-only payload aliases neither.
+			if len(e.Payload) > 0 && !c.q.lengths {
 				off := len(c.arena)
 				c.arena = append(c.arena, e.Payload...)
 				e.Payload = c.arena[off:len(c.arena):len(c.arena)]
@@ -265,7 +285,7 @@ func (c *Cursor) openNext() (missed uint64, ok bool) {
 		// any other stamp lower bound.
 		q := c.q
 		if dedupe && c.passedMax+1 > q.minStamp {
-			q = compile(Query{MinStamp: c.passedMax + 1, Limit: q.limit, Pred: q.pred})
+			q = compile(Query{MinStamp: c.passedMax + 1, Limit: q.limit, Pred: q.pred, LengthsOnly: q.lengths})
 		}
 		c.snap = snapOf(seg, q.minStamp)
 		c.st.mu.Unlock()

@@ -33,6 +33,10 @@ import (
 //     ascending stamps out of that snapshot's matches, and delivered +
 //     missed covers them all.
 //
+// Either cursor may be asked for payload lengths alone
+// (Query.LengthsOnly): the same contracts, the payloads held to the
+// oracle's lengths and to carrying no byte of the store's.
+//
 // A sequence is a byte string (a program): every choice the interpreter
 // makes is drawn from it, so the seeded test and FuzzStoreModel run the
 // same thing, a failure prints its program as a corpus entry, and the
@@ -193,18 +197,31 @@ func (m *storeModel) randQuery(limit bool) (Query, string) {
 	if limit && rng.Intn(4) == 0 {
 		q.Limit = 1 + rng.Intn(40)
 	}
-	return q, fmt.Sprintf("{stamp %d..%d ts %d..%d cores %v cats %v limit %d pred %v}",
-		q.MinStamp, q.MaxStamp, q.MinTS, q.MaxTS, q.Cores, q.Categories, q.Limit, q.Pred.Expr())
+	// Drawn last, and from rng, so the programs of the committed corpus
+	// make the choices they made before there was a projection.
+	q.LengthsOnly = rng.Intn(3) == 0
+	return q, fmt.Sprintf("{stamp %d..%d ts %d..%d cores %v cats %v limit %d lengths %v pred %v}",
+		q.MinStamp, q.MaxStamp, q.MinTS, q.MaxTS, q.Cores, q.Categories, q.Limit, q.LengthsOnly, q.Pred.Expr())
 }
 
-func sameEntry(a, b *tracer.Entry) bool {
-	return a.Stamp == b.Stamp && a.TS == b.TS && a.Core == b.Core && a.TID == b.TID &&
-		a.Category == b.Category && a.Level == b.Level && bytes.Equal(a.Payload, b.Payload)
+// sameEntry reports whether a cursor's entry is the oracle's: field for
+// field, or under Query.LengthsOnly header for header with a payload of
+// the oracle's length.
+func sameEntry(got, want *tracer.Entry, lengths bool) bool {
+	if lengths {
+		if len(got.Payload) != len(want.Payload) {
+			return false
+		}
+	} else if !bytes.Equal(got.Payload, want.Payload) {
+		return false
+	}
+	return got.Stamp == want.Stamp && got.TS == want.TS && got.Core == want.Core && got.TID == want.TID &&
+		got.Category == want.Category && got.Level == want.Level
 }
 
 // checkExact holds a drain at rest to the oracle: got is exactly the
 // events all[want...], in that order.
-func (m *storeModel) checkExact(what string, got []tracer.Entry, missed uint64, want []int) {
+func (m *storeModel) checkExact(what string, got []tracer.Entry, missed uint64, want []int, lengths bool) {
 	m.t.Helper()
 	if missed != 0 {
 		m.failf("%s: missed %d with nothing deleted under it", what, missed)
@@ -213,14 +230,15 @@ func (m *storeModel) checkExact(what string, got []tracer.Entry, missed uint64, 
 		m.failf("%s: %d events, oracle says %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if w := &m.all[want[i]]; !sameEntry(&got[i], w) {
+		if w := &m.all[want[i]]; !sameEntry(&got[i], w, lengths) {
 			m.failf("%s: event %d is %+v, oracle says %+v", what, i, got[i], *w)
 		}
 	}
 }
 
-// drain reads cur until a Next delivers nothing.
-func (m *storeModel) drain(what string, cur tracer.Cursor, batch int) (es []tracer.Entry, missed uint64) {
+// drain reads cur until a Next delivers nothing. A length-only cursor
+// must hand out no payload byte of the store's.
+func (m *storeModel) drain(what string, cur tracer.Cursor, batch int, lengths bool) (es []tracer.Entry, missed uint64) {
 	m.t.Helper()
 	buf := make([]tracer.Entry, batch)
 	for {
@@ -231,6 +249,11 @@ func (m *storeModel) drain(what string, cur tracer.Cursor, batch int) (es []trac
 		}
 		if n == 0 {
 			return es, missed
+		}
+		for i := range buf[:n] {
+			if lengths && !zeroBacked(buf[i].Payload) {
+				m.failf("%s: stamp %d of a length-only read carries payload bytes %q", what, buf[i].Stamp, buf[i].Payload)
+			}
 		}
 		es = tracer.CloneEntries(es, buf[:n])
 	}
@@ -253,17 +276,17 @@ func limited(idx []int, limit int) []int {
 // oracle's answer for q.
 func (m *storeModel) readSeq(q Query, name string) {
 	cur := m.st.Query(q)
-	got, missed := m.drain("Query"+name, cur, 1+m.p.intn(90))
+	got, missed := m.drain("Query"+name, cur, 1+m.p.intn(90), q.LengthsOnly)
 	cur.Close()
-	m.checkExact("Query"+name, got, missed, limited(m.matches(&q, m.gone, len(m.all)), q.Limit))
+	m.checkExact("Query"+name, got, missed, limited(m.matches(&q, m.gone, len(m.all)), q.Limit), q.LengthsOnly)
 }
 
 func (m *storeModel) readPar(q Query, name string, workers int) {
 	what := fmt.Sprintf("QueryParallel(%d)%s", workers, name)
 	cur := m.st.QueryParallel(q, workers)
-	got, missed := m.drain(what, cur, 1+m.p.intn(90))
+	got, missed := m.drain(what, cur, 1+m.p.intn(90), q.LengthsOnly)
 	cur.Close()
-	m.checkExact(what, got, missed, limited(m.byStamp(m.matches(&q, m.gone, len(m.all))), q.Limit))
+	m.checkExact(what, got, missed, limited(m.byStamp(m.matches(&q, m.gone, len(m.all))), q.Limit), q.LengthsOnly)
 }
 
 func (m *storeModel) readAgg(q Query, name string) {
@@ -295,7 +318,7 @@ func (m *storeModel) poll(f *follower, done bool) {
 	if f.par != nil {
 		cur = f.par
 	}
-	got, missed := m.drain(f.name, cur, 1+m.p.intn(40))
+	got, missed := m.drain(f.name, cur, 1+m.p.intn(40), f.q.LengthsOnly)
 	f.missed += missed
 	upto := f.upto
 	if f.seq != nil {
@@ -304,10 +327,11 @@ func (m *storeModel) poll(f *follower, done bool) {
 	for i := range got {
 		e := &got[i]
 		j, ok := m.pos[e.Stamp]
-		if !ok || j < f.from || j >= upto || !sameEntry(e, &m.all[j]) {
+		if !ok || j < f.from || j >= upto || !sameEntry(e, &m.all[j], f.q.LengthsOnly) {
 			m.failf("%s delivered %+v, which is not an event it could see", f.name, *e)
 		}
-		if !refMatchRaw(&f.q, e) || f.q.Pred != nil && !f.q.Pred.Match(e) {
+		// The oracle's copy: a length-only entry has no bytes to match.
+		if w := &m.all[j]; !refMatchRaw(&f.q, w) || f.q.Pred != nil && !f.q.Pred.Match(w) {
 			m.failf("%s delivered %+v, which its query rejects", f.name, *e)
 		}
 		if f.seen[e.Stamp] {
@@ -487,7 +511,7 @@ func (m *storeModel) step(writers int) {
 			}
 			if n == 1 {
 				j, ok := m.pos[one[0].Stamp]
-				if !ok || !sameEntry(&one[0], &m.all[j]) {
+				if !ok || !sameEntry(&one[0], &m.all[j], q.LengthsOnly) {
 					m.failf("%s delivered %+v, which nobody appended", f.name, one[0])
 				}
 				f.seen[one[0].Stamp], f.last = true, int(one[0].Stamp)
@@ -541,8 +565,11 @@ func runStoreModel(t testing.TB, prog []byte) {
 	m.readSeq(Query{}, " (final)")
 	m.readPar(Query{}, " (final)", 4)
 	m.readAgg(Query{}, " (final)")
+	m.readSeq(Query{LengthsOnly: true}, " (final, lengths)")
+	m.readPar(Query{LengthsOnly: true}, " (final, lengths)", 4)
 	if pred := btql.Compile(&btql.PayloadMatch{Needle: "oom"}); len(m.all) > 0 {
 		m.readPar(Query{Pred: pred}, " (final, payload)", 1)
+		m.readPar(Query{Pred: pred, LengthsOnly: true}, " (final, payload, lengths)", 1)
 		m.readAgg(Query{Pred: pred}, " (final, payload)")
 	}
 }

@@ -43,6 +43,12 @@ type storeObs struct {
 	// finalizable; Fold's final collect captures the closing values.
 	bcache *blockCache
 
+	// reads counts read passes by what they asked of the payload: a
+	// cursor its bytes or (Query.LengthsOnly) their lengths, an aggregate
+	// nothing. Beside inflatedBytes it says which kind of reader is the
+	// one paying for inflates.
+	reads [len(readNames)]*obs.Counter
+
 	// blocksPruned/payloadSkips advance on the read path too (cursors
 	// and query workers increment them directly, like bcache's hits):
 	// cold blocks rejected on header metadata alone, and columnar blocks
@@ -84,8 +90,18 @@ type storeObs struct {
 	tierBytes    [3]obs.Gauge
 }
 
+// The payload label of btrace_store_reads_total, indexing storeObs.reads.
+const (
+	readBytes = iota
+	readLengths
+	readNone
+)
+
+var readNames = [...]string{readBytes: "bytes", readLengths: "lengths", readNone: "none"}
+
 func newStoreObs() *storeObs {
 	return &storeObs{
+		reads:                [len(readNames)]*obs.Counter{obs.NewCounter(1), obs.NewCounter(1), obs.NewCounter(1)},
 		appends:              obs.NewCounter(1),
 		bytesAppended:        obs.NewCounter(1),
 		seals:                obs.NewCounter(1),
@@ -147,6 +163,9 @@ func (o *storeObs) collect(e *obs.Emitter) {
 		e.Counter("btrace_store_block_cache_hits_total"+label, "block cache lookups served, by section", cc.hits[class])
 		e.Counter("btrace_store_block_cache_misses_total"+label, "block cache lookups that had to inflate (meta, payload) or decode (column), by section", cc.misses[class])
 		e.Gauge("btrace_store_block_cache_bytes"+label, "bytes resident in the block cache, by section", float64(cc.resident[class]))
+	}
+	for class, name := range readNames {
+		e.Counter(fmt.Sprintf("btrace_store_reads_total{payload=%q}", name), "read passes by what they asked of the payload: a cursor its bytes or only their lengths, an aggregate none", o.reads[class].Load())
 	}
 	e.Counter("btrace_store_blocks_pruned_total", "cold blocks skipped on header metadata alone", o.blocksPruned.Load())
 	e.Counter("btrace_store_payload_skips_total", "columnar blocks scanned without inflating the payload column", o.payloadSkips.Load())

@@ -18,6 +18,13 @@
 //     one stream is in the merge at a time and it is a straight copy
 //     per chunk; what a pass holds goes by how many segments overlap,
 //     not by how many it reads or whether one of them is unordered.
+//   - A pass that keeps payload bytes hands each span on with the rows
+//     that alias it, and reads an unordered segment whole, because its
+//     rows are sorted together and must alias one buffer. A length-only
+//     pass (Query.LengthsOnly) has rows that alias nothing: every span,
+//     of ordered and unordered segments alike, is at most scanSpanBytes
+//     and is read through the scan permit's own buffer, so the pass
+//     holds `workers` span buffers however many chunks are in flight.
 //
 // The snapshot is taken by the first Next. Events appended after it
 // belong to a later cursor; once the pass has delivered its last entry
@@ -43,13 +50,25 @@ const DefaultQueryWorkers = 4
 
 // pchunk is the entry sink of the shared scan: one decoded batch, in
 // flight from a stream to the merge (PCursor) or being drained in place
-// (Cursor). Hot entries' payloads alias data.
+// (Cursor). Hot entries' payloads alias data — unless the query reads
+// payload lengths only (lengths, set by whoever took the chunk from the
+// pool): then every payload is a tracer.LengthOnly one and no entry
+// aliases anything.
 type pchunk struct {
 	entries []tracer.Entry
 	data    []byte
+	lengths bool
 }
 
-func (ck *pchunk) payloads() bool { return true }
+// newChunk takes a chunk from the global pool for a query that keeps
+// payload bytes, or only their lengths.
+func newChunk(lengths bool) *pchunk {
+	ck := globalChunks.Get().(*pchunk)
+	ck.lengths = lengths
+	return ck
+}
+
+func (ck *pchunk) payloads() bool { return !ck.lengths }
 
 func (ck *pchunk) span(n int) []byte {
 	// Entries already in the chunk alias the current buffer (a second
@@ -75,13 +94,37 @@ func (ck *pchunk) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8
 // is wanted.
 func (ck *pchunk) rows(c *blockCols, idx []int32) {
 	stamps, ts, tids, m := c.Stamps(), c.Times(), c.TIDs(), c.m
+	// A length comes from the payload-offset column, whatever chunks a
+	// payload predicate had fetched; a block without a payload section
+	// has none to look up.
+	var lens []uint32
+	if ck.lengths && len(m.chunkCRC) > 0 {
+		lens = c.payOffsets()
+	}
 	for _, i := range idx {
-		ck.entries = append(ck.entries, tracer.Entry{
+		e := tracer.Entry{
 			Stamp: stamps[i], TS: ts[i], Core: m.cores[i], TID: tids[i],
-			Category: m.dict[m.catIdx[i]], Level: m.levels[i], Payload: c.payload(i),
-		})
+			Category: m.dict[m.catIdx[i]], Level: m.levels[i],
+		}
+		if lens != nil {
+			e.Payload = tracer.LengthOnly(int(lens[i+1] - lens[i]))
+		} else {
+			e.Payload = c.payload(i) // nil where no chunk was fetched
+		}
+		ck.entries = append(ck.entries, e)
 	}
 }
+
+// spanSink is an entry chunk whose spans are read through another
+// chunk's buffer: the sink of a length-only parallel pass, whose rows
+// alias no span, so that a span buffer belongs to a scan permit and not
+// to every chunk in flight.
+type spanSink struct {
+	*pchunk
+	buf *pchunk
+}
+
+func (s spanSink) span(n int) []byte { return s.buf.span(n) }
 
 // thinRows is the step result below which a stream copies rows out of
 // the span they were scanned in instead of handing the span on: a span
@@ -92,8 +135,13 @@ const thinRows = 512
 // take appends copies of es, payloads and all, for as long as the
 // payloads fit the chunk's buffer — which they always do when the chunk
 // is empty — and returns the entries left over. Rows already in the
-// chunk alias the buffer, so it cannot grow under them.
+// chunk alias the buffer, so it cannot grow under them. Length-only
+// payloads alias nothing and are taken as they are.
 func (ck *pchunk) take(es []tracer.Entry) []tracer.Entry {
+	if ck.lengths {
+		ck.entries = append(ck.entries, es...)
+		return nil
+	}
 	if len(ck.entries) == 0 {
 		need := 0
 		for i := range es {
@@ -138,8 +186,9 @@ var globalChunks = sync.Pool{New: func() any { return new(pchunk) }}
 // chunkPool recycles chunks (and their buffers) across spans. Streams
 // and the merge touch it concurrently.
 type chunkPool struct {
-	mu   sync.Mutex
-	free []*pchunk
+	lengths bool // the cursor's projection, for chunks new to the pool
+	mu      sync.Mutex
+	free    []*pchunk
 }
 
 // get hands out the free chunk whose span buffer fits n bytes most
@@ -169,7 +218,7 @@ func (p *chunkPool) get(n int) *pchunk {
 		return ck
 	}
 	p.mu.Unlock()
-	return globalChunks.Get().(*pchunk)
+	return newChunk(p.lengths)
 }
 
 func (p *chunkPool) put(ck *pchunk) {
@@ -204,7 +253,10 @@ type PCursor struct {
 	st *Store
 	q  *compiled
 
-	sem  chan struct{}
+	// sem holds the scan permits, `workers` of them. A permit is also a
+	// span buffer — a pooled chunk used for nothing else, made on first
+	// use — which a length-only pass reads every span through.
+	sem  chan *pchunk
 	pool chunkPool
 
 	// The pass; streams is nil before the first Next starts it and again
@@ -231,7 +283,13 @@ func (st *Store) QueryParallel(q Query, workers int) *PCursor {
 	if workers <= 0 {
 		workers = DefaultQueryWorkers
 	}
-	return &PCursor{st: st, q: compile(q), sem: make(chan struct{}, workers)}
+	c := &PCursor{st: st, q: compile(q), sem: make(chan *pchunk, workers)}
+	for i := 0; i < workers; i++ {
+		c.sem <- nil
+	}
+	c.pool.lengths = c.q.lengths
+	st.obs.reads[c.q.readClass()].Inc()
+	return c
 }
 
 // Next implements tracer.Cursor.
@@ -344,34 +402,48 @@ func (c *PCursor) runStream(ps *pstream) {
 		}
 	}
 	for more := true; more; {
-		if !c.acquire() {
+		buf, ok := c.acquire()
+		if !ok {
 			return
 		}
-		span := s.spanBytes()
+		span := s.spanBytes(!c.q.lengths)
 		ck := c.pool.get(int(span))
+		var sink rowSink = ck
+		if c.q.lengths {
+			if buf == nil {
+				buf = newChunk(true)
+			}
+			sink = spanSink{ck, buf}
+		}
 		if span > 0 {
 			// Room for every row of the span at the segment's average row
 			// size — an eighth more when it has to be made, so that it fits
 			// the next span too: append growing the slice instead would
 			// leave each buffer it outgrew to the collector, and what a
 			// pass holds would go by when the collector last ran.
-			if rows := int(uint64(span) * sn.count / uint64(sn.bound-headerSize)); cap(ck.entries) < rows {
+			// An unordered segment's chunk takes what is left of it, in
+			// however many spans.
+			bytes := span
+			if !sn.ordered {
+				bytes = sn.bound - s.off
+			}
+			if rows := int(uint64(bytes) * sn.count / uint64(sn.bound-headerSize)); cap(ck.entries) < rows {
 				ck.entries = slices.Grow(ck.entries, rows+rows/8)
 			}
 		}
-		more, err = s.step(ck)
+		more, err = s.step(sink)
 		if !sn.ordered {
 			// The whole range (bounded by SegmentBytes) becomes one chunk
 			// sorted by stamp, so the merge can treat every stream as
 			// stamp-ordered.
 			for more && err == nil {
-				more, err = s.step(ck)
+				more, err = s.step(sink)
 			}
 			rm := runMergers.Get().(*runMerger)
 			ck.entries = rm.sort(ck.entries)
 			runMergers.Put(rm)
 		}
-		c.release()
+		c.release(buf)
 		if err != nil {
 			c.pool.put(ck)
 			ps.err = err
@@ -517,16 +589,16 @@ func (rm *runMerger) sort(es []tracer.Entry) []tracer.Entry {
 	return out
 }
 
-func (c *PCursor) acquire() bool {
+func (c *PCursor) acquire() (buf *pchunk, ok bool) {
 	select {
-	case c.sem <- struct{}{}:
-		return true
+	case buf = <-c.sem:
+		return buf, true
 	case <-c.done:
-		return false
+		return nil, false
 	}
 }
 
-func (c *PCursor) release() { <-c.sem }
+func (c *PCursor) release(buf *pchunk) { c.sem <- buf }
 
 // advanceStream makes ps.cur/idx reference the stream's next
 // undelivered entry, blocking for the scanner when needed. false means
@@ -687,6 +759,12 @@ func (c *PCursor) Close() error {
 		globalChunks.Put(ck)
 	}
 	c.pool.free = nil
+	// No stream is left to hold a permit.
+	for range cap(c.sem) {
+		if buf := <-c.sem; buf != nil {
+			globalChunks.Put(buf)
+		}
+	}
 	return nil
 }
 

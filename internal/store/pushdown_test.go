@@ -229,6 +229,23 @@ func copyDir(t *testing.T, srcs ...string) string {
 	return dst
 }
 
+// openV1V2Directory opens a copy of the two committed directories as
+// one store: a v1 cold file (stamps 1–500), a v2 one (501–1100) and a
+// row segment (1101–1200).
+func openV1V2Directory(t *testing.T) *Store {
+	t.Helper()
+	dir := copyDir(t, filepath.Join("testdata", "cold-v1"), filepath.Join("testdata", "cold-v2"))
+	// cold-v2's cold file replaced this row segment.
+	if err := os.Remove(filepath.Join(dir, "seg-00000006.seg")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, tierCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestColdV1V2MixedDirectory: a store directory holding cold files of
 // every format version — legacy v1 (frame-preserving), v2 (columnar,
 // one payload section) and what the freezer writes today — the state of
@@ -246,15 +263,7 @@ func copyDir(t *testing.T, srcs ...string) string {
 // segment), so the two share a directory: the v1 file of the first, and
 // everything of the second.
 func TestColdV1V2MixedDirectory(t *testing.T) {
-	dir := copyDir(t, filepath.Join("testdata", "cold-v1"), filepath.Join("testdata", "cold-v2"))
-	// cold-v2's cold file replaced this row segment.
-	if err := os.Remove(filepath.Join(dir, "seg-00000006.seg")); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir, tierCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openV1V2Directory(t)
 	defer st.Close()
 	sealEvery(t, st, 1201, 1800, 100)
 	if _, err := st.CompactCold(); err != nil {

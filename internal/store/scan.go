@@ -19,6 +19,22 @@
 // rows: the columns it names and the payload chunks those rows live
 // in. A column nobody names is never decoded, a chunk nobody reads
 // never inflated, and so neither is ever cached (blockcache.go).
+//
+// What the sink reads of a payload is the read's projection, and both
+// walkers ask it the same question (rowSink.payloads). A sink that
+// keeps payload bytes — a cursor feeding a text export, a rebalancing
+// scan — gets them: a row of the frame walker aliases the span it was
+// found in, a row of the column walker the cached chunk it lives in. A
+// sink that does not — the aggregators, and a cursor under
+// Query.LengthsOnly, which a CSV or Chrome export sets because it
+// prints sizes — gets a payload's length and none of its bytes
+// (tracer.LengthOnly): the frame walker takes it from header word 3
+// and the column walker's sink from the payload-offset column, so no
+// record body is decoded, no chunk read, inflated or cached, and no row
+// keeps a span or a chunk alive. Every check stays: the frame checksum
+// of each delivered row, the header's payload-length bound, each meta
+// section's checksum. Payload bytes are read then only for the
+// predicate's sake, and only where the header fields left it unsure.
 package store
 
 import (
@@ -40,21 +56,26 @@ const scanSpanBytes = 256 << 10
 // that passed the compiled query: the header match and, when the
 // predicate has one, the payload test.
 type rowSink interface {
-	// payloads reports whether the sink needs payload bytes. A sink that
-	// answers false gets them only when the predicate itself had to read
-	// them; header-only scans then never decode a record body nor
-	// inflate a payload chunk of a columnar block.
+	// payloads reports whether the sink keeps payload bytes. For a sink
+	// that answers false the scan reads them only when the predicate
+	// itself has to: it never decodes a record body nor inflates a
+	// payload chunk of a columnar block on the sink's behalf, and what
+	// it hands over aliases neither a span nor the block cache.
 	payloads() bool
 	// span returns an n-byte buffer to read a row segment's next span
-	// into. Payloads of rows emitted until the next span call alias it,
-	// so a sink that keeps rows owns the buffer's lifetime.
+	// into. For a sink that keeps payload bytes, the payloads of rows
+	// emitted until the next span call alias it, so the sink owns the
+	// buffer's lifetime; for one that does not, nothing does.
 	span(n int) []byte
-	// row takes one row from the frame walker.
+	// row takes one row from the frame walker: with the payload's bytes
+	// for a sink that keeps them, else with a tracer.LengthOnly payload
+	// of the row's length.
 	row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte)
 	// rows takes the selected rows idx (ascending, non-empty) of a
 	// columnar block from the column walker, and reads from c the
 	// columns it wants of them — c.payload(i) for a row's payload bytes,
-	// which are there for a sink that asked for payloads.
+	// which are there for a sink that keeps payloads; one that does not
+	// has c.payOffsets() for their lengths.
 	rows(c *blockCols, idx []int32)
 }
 
@@ -168,7 +189,7 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 	if s.sn.cold {
 		return s.stepBlock(dst)
 	}
-	want := s.spanBytes()
+	want := s.spanBytes(dst.payloads())
 	if want <= 0 {
 		return false, nil
 	}
@@ -188,15 +209,17 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 }
 
 // spanBytes is the size of the span the next step of a row segment
-// reads; a cold segment's rows alias block-cache memory, not a span.
-func (s *segScan) spanBytes() int64 {
+// reads into a sink that keeps payload bytes, or does not; a cold
+// segment's rows alias block-cache memory, not a span.
+func (s *segScan) spanBytes(keep bool) int64 {
 	if s.sn.cold {
 		return 0
 	}
 	want := s.sn.bound - s.off
-	// An unordered segment is read whole: its driver sorts the rows, so
-	// they must all alias one buffer.
-	if s.sn.ordered && want > scanSpanBytes {
+	// An unordered segment whose payloads are kept is read whole: its
+	// driver sorts the rows, so they must all alias one buffer. Rows that
+	// alias nothing sort as well from one span after another.
+	if (s.sn.ordered || !keep) && want > scanSpanBytes {
 		want = scanSpanBytes
 	}
 	return want
@@ -269,8 +292,7 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 	if s.sn.ordered {
 		maxStamp = q.maxStamp
 	}
-	predPay := q.pred.NeedsPayload()
-	decode := predPay || dst.payloads()
+	predPay, keep := q.pred.NeedsPayload(), dst.payloads()
 	pos := 0
 	for pos+tracer.Align <= len(buf) {
 		_, recSize, perr := tracer.PeekRecord(buf[pos:])
@@ -313,7 +335,7 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 			}
 		}
 		var payload []byte
-		if decode {
+		if predPay || keep {
 			var e tracer.Entry
 			if err := decodeEventTo(rec, &e); err != nil {
 				return 0, err
@@ -324,6 +346,14 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 				continue
 			}
 			payload = e.Payload
+		}
+		if !keep {
+			// The length is in the header; the row aliases nothing of buf.
+			plen, err := payloadLen(rec)
+			if err != nil {
+				return 0, err
+			}
+			payload = tracer.LengthOnly(plen)
 		}
 		dst.row(stamp, ts, core, tid, cat, level, payload)
 	}
@@ -432,8 +462,9 @@ func (c *blockCols) payload(i int32) []byte {
 // chunk at a time, and only the chunks holding a payload byte somebody
 // will read: a selected row's when the sink keeps payloads, a row's the
 // selection left unsure when a payload predicate has yet to settle it.
-// A block whose selection is empty or payload-free, and any header-only
-// scan, never touches its compressed payload.
+// A block whose selection is empty or payload-free, and any scan whose
+// sink keeps no payload bytes (an aggregate, a length-only cursor) under
+// a predicate that reads none, never touches its compressed payload.
 func (s *segScan) columns(b *coldBlock, dst rowSink) error {
 	sn, q := s.sn, s.q
 	m, err := s.st.metaCached(sn.name, s.f, b)

@@ -355,13 +355,9 @@ func scanSegment(f backend.File, size int64, s *segment) (valid int64, err error
 // lifetime. src must be exactly the record (the caller has already run
 // PeekRecord and checkFrame).
 func decodeEventTo(src []byte, e *tracer.Entry) error {
-	if len(src) < tracer.EventHeaderSize {
-		return fmt.Errorf("%w: short event", tracer.ErrCorrupt)
-	}
-	w0 := le64(src)
-	size := int(uint32(w0))
-	if tracer.Kind(w0>>56) != tracer.KindEvent || size < tracer.EventHeaderSize || size > len(src) {
-		return fmt.Errorf("%w: kind %d size %d of %d", tracer.ErrCorrupt, uint8(w0>>56), size, len(src))
+	plen, err := payloadLen(src)
+	if err != nil {
+		return err
 	}
 	e.Stamp = le64(src[8:])
 	e.TS = le64(src[16:])
@@ -370,15 +366,31 @@ func decodeEventTo(src []byte, e *tracer.Entry) error {
 	e.TID = uint32(w3>>32) & 0xFFFFFF
 	e.Category = uint8(w3 >> 24)
 	e.Level = uint8(w3 >> 16)
-	plen := int(uint16(w3))
-	if tracer.EventHeaderSize+plen > size {
-		return fmt.Errorf("%w: payload length %d exceeds record size %d", tracer.ErrCorrupt, plen, size)
-	}
 	e.Payload = nil
 	if plen > 0 {
 		e.Payload = src[tracer.EventHeaderSize : tracer.EventHeaderSize+plen : tracer.EventHeaderSize+plen]
 	}
 	return nil
+}
+
+// payloadLen validates the KindEvent record at the start of src — its
+// kind, that its size fits src and its payload the size — and returns
+// the payload length its header carries: every check decodeEventTo
+// makes, for a reader that wants no payload byte.
+func payloadLen(src []byte) (int, error) {
+	if len(src) < tracer.EventHeaderSize {
+		return 0, fmt.Errorf("%w: short event", tracer.ErrCorrupt)
+	}
+	w0 := le64(src)
+	size := int(uint32(w0))
+	if tracer.Kind(w0>>56) != tracer.KindEvent || size < tracer.EventHeaderSize || size > len(src) {
+		return 0, fmt.Errorf("%w: kind %d size %d of %d", tracer.ErrCorrupt, uint8(w0>>56), size, len(src))
+	}
+	plen := int(uint16(le64(src[24:])))
+	if tracer.EventHeaderSize+plen > size {
+		return 0, fmt.Errorf("%w: payload length %d exceeds record size %d", tracer.ErrCorrupt, plen, size)
+	}
+	return plen, nil
 }
 
 // chunkReader reads a file sequentially through one reusable buffer,

@@ -96,6 +96,22 @@ func EventWireSize(payloadLen int) int {
 	return EventHeaderSize + (payloadLen+Align-1)/Align*Align
 }
 
+// lengthOnly backs every payload LengthOnly hands out. Nobody writes it.
+var lengthOnly [MaxPayload]byte
+
+// LengthOnly returns a payload that has an event's length and none of
+// its bytes: n <= MaxPayload bytes of one shared read-only buffer, nil
+// for n == 0. A reader that was asked for payload lengths alone fills
+// Entry.Payload with it, so len, WireSize and every exporter that
+// prints sizes stay correct without the event body being read, copied
+// or kept alive. The contents are unspecified and must not be written.
+func LengthOnly(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	return lengthOnly[:n:n]
+}
+
 // Errors returned by encoding and tracer implementations.
 var (
 	// ErrTooLarge reports an entry that cannot fit the target buffer or
