@@ -107,7 +107,7 @@ bench:
 	   $(GO) test ./internal/export -run '^$$' -bench 'BenchmarkExportCSV' -benchmem -benchtime $(OBS_RECORD_BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
-	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate)' -benchmem -benchtime $(BENCHTIME); \
+	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate|AggregateRepeat)' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkColdSelect|BenchmarkRunMerge' -benchmem -benchtime $(STORE_SLOW_BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributor(Ingest|Query|Aggregate)' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./cmd/btrace-serve -run '^$$' -bench 'BenchmarkServeIngest' -benchmem -benchtime $(BENCHTIME); } \
@@ -130,7 +130,10 @@ bench:
 # pushdown must beat the full-scan-and-filter baseline by at least 5x,
 # the header-only count() aggregate must run in at most a fifth of the
 # time of that same full scan (it decodes one wide column, builds no
-# entries and inflates no payloads), a cache-less cold query that wants
+# entries and inflates no payloads; every timed run is a first fold, the
+# partials of the one before dropped), the same aggregate asked again at
+# most a tenth of that (the sealed segments' partials come out of the
+# block cache; no file is opened), a cache-less cold query that wants
 # one row in a thousand with its payload must cost at most 0.3x of the
 # one that wants every row (it inflates the payload chunks its rows live
 # in, one in eight, not every block's whole payload section) and the
@@ -147,11 +150,12 @@ bench:
 # storm within 2x of its baseline, and the instrumented record fast path
 # within 1.1x of the DisableStats one (the "<2 %" self-observability
 # contract, with room for timer noise).
-# CI runs the same comparison on every push (bench-smoke job).
+# CI runs this target on every push (bench-smoke job): the rules live
+# here and nowhere else.
 benchdiff:
 	@mkdir -p .benchbase
 	@for f in BENCH_readpath.json BENCH_store.json BENCH_obs.json; do \
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
 	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkServeIngest/single' \
-	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkColdSelect/sparse-lengths<=0.65*BenchmarkColdSelect/sparse,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'
+	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregateRepeat<=0.1*BenchmarkQueryAggregate,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkColdSelect/sparse-lengths<=0.65*BenchmarkColdSelect/sparse,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'

@@ -170,6 +170,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`btrace_store_reads_total{payload="bytes"}`,
 		`btrace_store_reads_total{payload="lengths"}`,
 		`btrace_store_reads_total{payload="none"}`,
+		`btrace_store_block_cache_hits_total{section="partial"}`,
+		`btrace_store_block_cache_misses_total{section="partial"}`,
+		`btrace_store_block_cache_bytes{section="partial"}`,
 		"btrace_serve_query_aborts_total",
 		"btrace_live_sse_bytes_total",
 		"btrace_live_sse_writes_total",

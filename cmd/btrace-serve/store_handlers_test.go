@@ -364,3 +364,62 @@ func TestStoreQueryProjection(t *testing.T) {
 		t.Errorf("format=xml opened a read before it was refused: %v", d)
 	}
 }
+
+// TestStoreQueryAggregatePartials: /metrics shows a repeated aggregate
+// being served. The first count() folds every sealed segment (a partial
+// miss each, no hit) and leaves their partials in the block cache; the
+// second is handed each of them and folds only the active segment; both
+// are reads that asked nothing of the payload, and the unlabelled
+// hit/miss pair — sections inflated or not — is moved by neither's
+// partials.
+func TestStoreQueryAggregatePartials(t *testing.T) {
+	ts, srv, st := sealedStoreServer(t, 2000, store.Config{ColdAfterNs: 1})
+	if err := st.AppendEntries(clusterEvents(10, 1<<20)); err != nil { // an active tail; the first sealed segment is cold-eligible
+		t.Fatal(err)
+	}
+	if froze, err := st.CompactCold(); err != nil || froze == 0 {
+		t.Fatalf("CompactCold froze %d segments: %v", froze, err)
+	}
+	var sealed float64
+	for _, s := range st.Segments() {
+		if s.Sealed {
+			sealed++
+		}
+	}
+	if sealed < 1 || int(sealed) != len(st.Segments())-1 {
+		t.Fatalf("fixture: %+v", st.Segments())
+	}
+	const (
+		hits     = `btrace_store_block_cache_hits_total{section="partial"}`
+		misses   = `btrace_store_block_cache_misses_total{section="partial"}`
+		resident = `btrace_store_block_cache_bytes{section="partial"}`
+		none     = `btrace_store_reads_total{payload="none"}`
+		allHits  = "btrace_store_block_cache_hits_total"
+		allMiss  = "btrace_store_block_cache_misses_total"
+	)
+	last := scrape(t, srv)
+	moved := func() map[string]float64 {
+		now := scrape(t, srv)
+		d := map[string]float64{}
+		for _, k := range []string{hits, misses, resident, none, allHits, allMiss} {
+			d[k] = now[k] - last[k]
+		}
+		last = now
+		return d
+	}
+	count := ts.URL + "/store/query?q=" + url.QueryEscape("category == 1 | count()")
+	code, first := get(t, count)
+	if code != http.StatusOK {
+		t.Fatalf("count(): %d", code)
+	}
+	if d := moved(); d[misses] != sealed || d[hits] != 0 || d[resident] <= 0 || d[none] != 1 || d[allMiss] <= 0 {
+		t.Errorf("first count(): moved %v, want %v partial misses, no hit, one payload-free read and the cold sections inflated", d, sealed)
+	}
+	code, second := get(t, count)
+	if code != http.StatusOK || second != first {
+		t.Fatalf("second count(): %d %q, want %q", code, second, first)
+	}
+	if d := moved(); d[hits] != sealed || d[misses] != 0 || d[resident] != 0 || d[none] != 1 || d[allHits] != 0 || d[allMiss] != 0 {
+		t.Errorf("second count(): moved %v, want %v partial hits, no miss, one payload-free read and no section looked up", d, sealed)
+	}
+}

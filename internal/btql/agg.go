@@ -2,6 +2,7 @@ package btql
 
 import (
 	"sort"
+	"unsafe"
 
 	"btrace/internal/tracer"
 )
@@ -121,6 +122,12 @@ func (a *Aggregator) Merge(b *Aggregator) {
 	for k, v := range b.vals {
 		a.vals[k] += v
 	}
+}
+
+// Size is the memory a holds, for a cache that charges for what it
+// keeps: the struct, and 16 B a rate bucket or counted topk value.
+func (a *Aggregator) Size() int64 {
+	return int64(unsafe.Sizeof(*a)) + 16*int64(len(a.buckets)+len(a.vals))
 }
 
 // Bucket is one rate(window) time bucket.

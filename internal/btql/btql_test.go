@@ -563,3 +563,94 @@ func TestParseParams(t *testing.T) {
 		t.Errorf("a %d-element list: %v", MaxInList, err)
 	}
 }
+
+// TestResidual: the stamp and time comparisons of the top-level && chain
+// are taken out of the text when the summary's hulls imply them and
+// reported when a hull straddles one; everything else is the text,
+// which reads back as the filter it is.
+func TestResidual(t *testing.T) {
+	// Stamps 100..200, times 5000..9000.
+	m := &Meta{MinStamp: 100, MaxStamp: 200, MinTS: 5000, MaxTS: 9000}
+	point := &Meta{MinStamp: 7, MaxStamp: 7, MinTS: 70, MaxTS: 70}
+	cases := []struct {
+		src  string
+		m    *Meta
+		rest string
+		ok   bool
+	}{
+		{"", m, "", true},
+		{"category == 2", m, "(category == 2)", true},
+		// Implied: dropped.
+		{"stamp >= 100", m, "", true},
+		{"stamp >= 1 && stamp <= 200", m, "", true},
+		{"stamp > 99 && stamp < 201", m, "", true},
+		{"time >= 5000 && time <= 9000", m, "", true},
+		{"time > 4999 && time < 9001 && category == 2", m, "(category == 2)", true},
+		{"stamp == 7 && time == 70", point, "", true},
+		{"stamp != 99", m, "", true},
+		{`stamp >= 1 && category == 2 && time < 1s && payload contains "x" && stamp <= 500`, m, `((category == 2) && (payload contains "x"))`, true},
+		{"category == 2 && (tid == 5 || core in (1, 2))", m, "((category == 2) && ((tid == 5) || (core in (1, 2))))", true},
+		// Straddled: reported.
+		{"stamp >= 101", m, "", false},
+		{"stamp > 100", m, "", false},
+		{"stamp <= 199", m, "", false},
+		{"stamp < 200", m, "", false},
+		{"stamp == 150", m, "", false},
+		{"stamp != 150", m, "", false},
+		{"time >= 5001 && category == 2", m, "", false},
+		{"time < 9000", m, "", false},
+		{"stamp >= 1 && time == 6000", m, "", false},
+		// Ruled out (MatchMeta prunes such a summary): not implied either.
+		{"stamp > 200", m, "", false},
+		// A range that is not a conjunct of the chain stays in the text,
+		// whatever the hulls say of it.
+		{"stamp >= 150 || category == 2", m, "((stamp >= 150) || (category == 2))", true},
+		{"!(stamp >= 150)", m, "!(stamp >= 150)", true},
+		{"!(time < 1) && stamp <= 200", m, "!(time < 1)", true},
+		{"stamp in (150, 160)", m, "(stamp in (150, 160))", true},
+		{"category == 2 && (stamp >= 150 && tid == 5 || level == 1)", m, "((category == 2) && (((stamp >= 150) && (tid == 5)) || (level == 1)))", true},
+		// Only the stamp and the time: a tid range is no hull of a segment's.
+		{"tid >= 5 && stamp >= 1", m, "(tid >= 5)", true},
+	}
+	for _, tc := range cases {
+		p := mustParse(t, tc.src).Predicate()
+		rest, ok := p.Residual(tc.m)
+		if ok != tc.ok || rest != tc.rest {
+			t.Errorf("Residual(%q) = %q, %v; want %q, %v", tc.src, rest, ok, tc.rest, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		// The text is a filter: it reads back as itself, and has the same
+		// residual.
+		back := mustParse(t, rest)
+		if got := (&Query{Filter: back.Filter}).String(); got != rest {
+			t.Errorf("Parse(%q) reads back as %q", rest, got)
+		}
+		if r2, ok2 := back.Predicate().Residual(tc.m); r2 != rest || !ok2 {
+			t.Errorf("the residual of %q has residual %q, %v", rest, r2, ok2)
+		}
+	}
+
+	// The field form of a request (Between, as store.Query's and
+	// live.Filter's bounds are lowered) is its BTQL spelling.
+	var none *Predicate
+	for _, tc := range []struct {
+		p    *Predicate
+		rest string
+		ok   bool
+	}{
+		{none, "", true},
+		{Compile(nil), "", true},
+		{none.Narrow(Between(FStamp, 1, 200), Between(FTime, 0, 9000)), "", true},
+		{none.Narrow(Between(FStamp, 150, 0)), "", false},
+		{none.Narrow(Between(FTime, 0, 8999)), "", false},
+		{mustParse(t, "category == 2").Predicate().Narrow(Between(FStamp, 100, 200), In(FCore, []uint8{1})),
+			"((core in (1)) && (category == 2))", true},
+	} {
+		if rest, ok := tc.p.Residual(m); rest != tc.rest || ok != tc.ok {
+			t.Errorf("Residual(%v) = %q, %v; want %q, %v", tc.p.Expr(), rest, ok, tc.rest, tc.ok)
+		}
+	}
+}

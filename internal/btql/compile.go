@@ -59,6 +59,11 @@ type Predicate struct {
 	needsPayload bool
 	// minStamp/maxStamp is the stamp hull; ^uint64(0) is unbounded above.
 	minStamp, maxStamp uint64
+	// The residual's two halves (Residual): the conjuncts that compare
+	// the stamp or the time with a literal, and the canonical text of the
+	// other conjuncts, "" when there are none.
+	ranges []*kernel
+	rest   string
 }
 
 // Compile lowers a filter expression to a Predicate. A nil expression
@@ -72,7 +77,27 @@ func Compile(e Expr) *Predicate {
 	p.conj = p.kern.conjuncts(nil)
 	p.needsPayload = p.kern.needsPayload()
 	p.minStamp, p.maxStamp = p.kern.bounds(FStamp)
+	var rest []Expr
+	for i, c := range conjunctExprs(e, nil) { // p.conj's expressions, in its order
+		if cmp, ok := c.(*Cmp); ok && (cmp.Field == FStamp || cmp.Field == FTime) {
+			p.ranges = append(p.ranges, p.conj[i])
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	if r := AllOf(rest...); r != nil {
+		p.rest = r.String()
+	}
 	return p
+}
+
+// conjunctExprs appends the operands of e's top-level && chain to dst:
+// kernel.conjuncts over the expression.
+func conjunctExprs(e Expr, dst []Expr) []Expr {
+	if and, ok := e.(*And); ok {
+		return conjunctExprs(and.R, conjunctExprs(and.L, dst))
+	}
+	return append(dst, e)
 }
 
 // Predicate compiles q's filter stage.
@@ -104,6 +129,27 @@ func (p *Predicate) NeedsPayload() bool { return p.needsPayload }
 // StampBounds returns the [lo, hi] hull the predicate allows for stamps
 // (hi == ^uint64(0) means unbounded above).
 func (p *Predicate) StampBounds() (lo, hi uint64) { return p.minStamp, p.maxStamp }
+
+// Residual is what is left of p's filter over the events m summarises
+// once the comparisons of the stamp and of the time in its top-level &&
+// chain are taken out: the canonical text of the other conjuncts, which
+// Parse reads back ("" when there are none, and for a nil p). ok says
+// whether m's stamp and time hulls imply every comparison taken out, so
+// that over those events the text alone selects what p does; it is
+// false when a hull straddles one (some of the events may pass it, some
+// not) or rules one out. A range inside an ||, a ! or an `in` list is
+// not taken out: it stays in the text.
+func (p *Predicate) Residual(m *Meta) (rest string, ok bool) {
+	if p == nil {
+		return "", true
+	}
+	for _, k := range p.ranges {
+		if k.meta(m) != triYes {
+			return "", false
+		}
+	}
+	return p.rest, true
+}
 
 // Match evaluates the predicate exactly against a full entry. (Split so
 // that it inlines: match-all, what a live subscriber without a filter

@@ -255,10 +255,12 @@ func BenchmarkDistributorQuery(b *testing.B) {
 // shard after the other — against the same fold on one store holding
 // the stream once: every event is folded on RF shards, so RF times
 // direct-1shard is the floor. Every op must be answered by the shards'
-// partials. live-B is the heap one more call grows by with the chunk
-// pools emptied and the collector off: everything the call allocated,
-// so an upper bound on what it held at any moment — the call cannot be
-// stopped halfway the way a drain can.
+// partials, and every op folds: an owned fold never reads the block
+// cache's per-segment partials, and direct-1shard's store has no block
+// cache to keep any in. live-B is the heap one more call grows by with
+// the chunk pools emptied and the collector off: everything the call
+// allocated, so an upper bound on what it held at any moment — the call
+// cannot be stopped halfway the way a drain can.
 func BenchmarkDistributorAggregate(b *testing.B) {
 	inOrder, interleaved := benchStarts()
 	count := []btql.AggSpec{{Kind: btql.AggCount}}
@@ -302,7 +304,7 @@ func BenchmarkDistributorAggregate(b *testing.B) {
 	b.Run("topk-tid-4xrf2", cluster(topk, inOrder))
 	b.Run("topk-tid-4xrf2-interleaved", cluster(topk, interleaved))
 	b.Run("direct-1shard", func(b *testing.B) {
-		st, err := store.OpenBackend(backend.NewObject(), store.Config{})
+		st, err := store.OpenBackend(backend.NewObject(), store.Config{ColdCacheBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,9 +19,32 @@
 // stores' partial answers up without counting an event once per replica
 // (internal/distributor/aggregate.go). The sink of that fold is a
 // second type: the pass of a single store runs the code it always ran.
+//
+// A sealed segment is immutable, so what an aggregate makes of one is
+// worked out once. A single store's fold takes the segments of its
+// snapshot three ways. An interior segment — sealed, and every stamp
+// and time bound of the query holding for all of its rows by the
+// header's hulls — is folded into aggregators of its own, which are
+// cached (blockcache.go, the partial entries) under the segment and the
+// query's residual there, the filter less those bounds, and merged into
+// the running total; the next fold that asks the same of it merges the
+// cached aggregators and neither opens nor reads the file. So `stamp >=
+// 1 && stamp <= N | count()`, a dashboard's sliding window and the bare
+// query share the entries of every segment they all cover whole. A
+// boundary segment — sealed, but a bound cuts through its hull — is
+// scanned by every fold and cached by none: the window that made it
+// moves on, and would leave an entry nobody asks for again. The active
+// segment, and one sealed only after the snapshot, are scanned up to
+// the snapshot's bound, as they always were. A fold under an Ownership
+// runs none of this: what it counts depends on a ring the store does
+// not know, and no key names.
 package store
 
-import "btrace/internal/btql"
+import (
+	"unsafe"
+
+	"btrace/internal/btql"
+)
 
 // aggSink is the header-only sink of the shared scan.
 type aggSink struct {
@@ -176,13 +199,22 @@ type Partial struct {
 }
 
 // Fold runs the pass: one header-only scan over the snapshot, one span
-// buffer. With own nil every matching row is counted.
-func (p *AggSnapshot) Fold(specs []btql.AggSpec, own *Ownership) (part Partial, err error) {
-	agg := &aggSink{aggs: make([]*btql.Aggregator, len(specs)), buf: newChunk(false)}
+// buffer. With own nil every matching row is counted, and an interior
+// segment — sealed, no bound of the query cutting through it — is
+// scanned by the first fold that asks this aggregate of it and merged
+// from the block cache by those after (partial); boundary segments and
+// the active one are scanned every time, and so is everything under an
+// Ownership or in a store without a block cache.
+func (p *AggSnapshot) Fold(specs []btql.AggSpec, own *Ownership) (Partial, error) {
+	return p.fold(specs, own, own == nil && p.st.bcache != nil)
+}
+
+// fold is Fold; partials says whether sealed segments go through the
+// block cache (tests fold without, for the answer the cache must not
+// change).
+func (p *AggSnapshot) fold(specs []btql.AggSpec, own *Ownership, partials bool) (part Partial, err error) {
+	agg := &aggSink{aggs: newAggs(specs), buf: newChunk(false)}
 	defer globalChunks.Put(agg.buf)
-	for i := range specs {
-		agg.aggs[i] = specs[i].New()
-	}
 	var sink rowSink = agg
 	var owned *ownedSink
 	if own != nil {
@@ -191,19 +223,26 @@ func (p *AggSnapshot) Fold(specs []btql.AggSpec, own *Ownership) (part Partial, 
 	}
 	part.Aggs = agg.aggs
 	p.st.obs.reads[readNone].Inc()
+	var specKey string
+	if partials {
+		for i := range specs {
+			specKey += " | " + specs[i].String()
+		}
+	}
 	for i := range p.snaps {
-		s, m, err := p.st.openScan(p.q, &p.snaps[i], false)
+		sn := &p.snaps[i]
+		var m uint64
+		if rest, ok := p.residual(sn); ok && partials {
+			var aggs []*btql.Aggregator
+			if aggs, m, err = p.partial(sn, rest+specKey, specs, agg.buf); err == nil {
+				for j, a := range aggs {
+					agg.aggs[j].Merge(a)
+				}
+			}
+		} else {
+			m, err = p.scan(sn, sink)
+		}
 		part.Missed += m
-		if err != nil {
-			return part, err
-		}
-		if s == nil {
-			continue
-		}
-		for more := true; more && err == nil; {
-			more, err = s.step(sink)
-		}
-		s.f.Close()
 		if err != nil {
 			return part, err
 		}
@@ -212,6 +251,67 @@ func (p *AggSnapshot) Fold(specs []btql.AggSpec, own *Ownership) (part Partial, 
 		part.Held, part.Foreign = owned.held, owned.foreign
 	}
 	return part, nil
+}
+
+func newAggs(specs []btql.AggSpec) []*btql.Aggregator {
+	aggs := make([]*btql.Aggregator, len(specs))
+	for i := range specs {
+		aggs[i] = specs[i].New()
+	}
+	return aggs
+}
+
+// scan folds segment sn into sink. missed is the snapshot's count of a
+// segment retention deleted before it could be opened.
+func (p *AggSnapshot) scan(sn *segSnap, sink rowSink) (missed uint64, err error) {
+	s, missed, err := p.st.openScan(p.q, sn, false)
+	if s == nil {
+		return missed, err
+	}
+	for more := true; more && err == nil; {
+		more, err = s.step(sink)
+	}
+	s.f.Close()
+	return 0, err
+}
+
+// residual is the query as sealed segment sn sees it (btql.Residual by
+// the segment's header hulls): the filter less the stamp and time bounds
+// that hold for every row of sn. ok is false for a segment that is not
+// sealed — its rows are not all there yet — and for a boundary segment,
+// one a bound cuts through: both are scanned by every fold.
+func (p *AggSnapshot) residual(sn *segSnap) (rest string, ok bool) {
+	if !sn.sealed {
+		return "", false
+	}
+	return p.q.pred.Residual(&btql.Meta{MinStamp: sn.baseStamp, MaxStamp: sn.maxStamp, MinTS: sn.minTS, MaxTS: sn.maxTS})
+}
+
+// partial returns the fold of specs over interior segment sn through
+// the block cache, under the segment's name and sealed extent (why the
+// two say what its rows are, and why nothing ever invalidates an entry:
+// blockcache.go) and agg, the residual and the specs spelled out. The
+// first fold to ask scans the segment into aggregators of its own —
+// every check a scan makes is made — and caches them; later ones are
+// handed the same aggregators, to merge from and never into. Nothing is
+// cached of a scan that failed or found the file gone. buf is the
+// caller's span buffer.
+func (p *AggSnapshot) partial(sn *segSnap, agg string, specs []btql.AggSpec, buf *pchunk) (aggs []*btql.Aggregator, missed uint64, err error) {
+	st := p.st
+	k := blockKey{name: sn.name, off: sn.bound, sec: secPartial, agg: agg}
+	if ent := st.bcache.get(k); ent != nil {
+		return ent.aggs, 0, nil
+	}
+	aggs = newAggs(specs)
+	if missed, err = p.scan(sn, &aggSink{aggs: aggs, buf: buf}); missed != 0 || err != nil {
+		return nil, missed, err
+	}
+	size := int64(unsafe.Sizeof(cacheEnt{}))
+	for _, a := range aggs {
+		size += a.Size()
+	}
+	st.bcache.put(&cacheEnt{key: k, aggs: aggs, size: size})
+	return aggs, 0, nil
 }
 
 // Aggregate executes specs in one streaming pass over the records

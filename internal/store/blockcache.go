@@ -18,19 +18,42 @@
 //	         payloads of 128 rows in v3; a v2 block's one stream is its
 //	         chunk 0 — or a whole inflated v1 block (frames, payloads
 //	         included).
+//	partial  one sealed segment's fold of one aggregate: the
+//	         aggregators, one per spec, that a scan of the whole segment
+//	         — row or cold — left (aggregate.go). Charged the structs and
+//	         16 B a rate bucket or counted topk value: a count() is
+//	         ≈ 230 B a segment. Merged from, never into.
 //
 // What a query caches is therefore what it reads: `category == C |
 // count()` leaves meta sections and time columns behind (the result
-// carries min/max time), a selective materialising query leaves the
-// chunks its rows live in and not their neighbours, a wide
-// materialising scan that keeps payload bytes (a text export) leaves
-// everything, one that reads their lengths only (Query.LengthsOnly: a
-// CSV or Chrome export) leaves meta sections and columns, the payload
-// offsets among them, and no chunk — and the second such scan finds
-// every column decoded. Nothing is cached on behalf of a query that did
-// not ask for it — which is also what the budget buys: chunks somebody
-// read, not sections somebody was forced to inflate to get at one row,
-// nor payloads an exporter was handed and never printed.
+// carries min/max time) and a partial per sealed segment, a selective
+// materialising query leaves the chunks its rows live in and not their
+// neighbours, a wide materialising scan that keeps payload bytes (a
+// text export) leaves everything, one that reads their lengths only
+// (Query.LengthsOnly: a CSV or Chrome export) leaves meta sections and
+// columns, the payload offsets among them, and no chunk — and the
+// second such scan finds every column decoded. Nothing is cached on
+// behalf of a query that did not ask for it — which is also what the
+// budget buys: chunks somebody read, not sections somebody was forced
+// to inflate to get at one row, nor payloads an exporter was handed and
+// never printed.
+//
+// A partial stands for all of the above at once: a fold that finds one
+// looks up no section of the segment, and opens no file. It is the one
+// kind that is not of a cold block, and its key shows why none of the
+// kinds needs invalidating. The others are keyed by a cold file's name,
+// and within one life of a store a cold file is written once under a
+// name never given out again. A row segment's name is: a merge keeps
+// its first source's, with the other sources' frames appended behind
+// that source's own — so a partial is keyed by name and sealed extent
+// (bytes of a row segment, blocks of a cold one), which between them
+// say what the rows are. Merges, freezes and retention take a name out
+// of the snapshots that follow, or change its extent; the entries left
+// behind are never asked for and age out of the LRU. Store.Reset is the
+// exception — it restarts the numbering, so the next life repeats this
+// one's names, cold ones too — and empties the cache (reset). Folds
+// under an Ownership (the cluster's pushdown) and stores opened without
+// a cache bypass partials altogether.
 //
 // Ownership: every cached value is immutable from the moment it is
 // inserted. Scans alias them (entries handed to callers may point into a
@@ -43,7 +66,10 @@ package store
 import (
 	"container/list"
 	"io"
+	"slices"
 	"sync"
+
+	"btrace/internal/btql"
 )
 
 // defaultColdCacheBytes is the block-cache budget when
@@ -60,20 +86,23 @@ const (
 	secTIDs
 	secPayOff
 	secPayload // one payload chunk; also a whole v1 block
+	secPartial // one sealed segment's fold of one aggregate
 )
 
 // cacheClass groups sections for the counters: one inflate each for
-// meta and payload, one decode for a column.
+// meta and payload, one decode for a column, one segment fold for a
+// partial.
 type cacheClass uint8
 
 const (
 	classMeta cacheClass = iota
 	classColumn
 	classPayload
+	classPartial
 	numClasses
 )
 
-var classNames = [numClasses]string{"meta", "column", "payload"}
+var classNames = [numClasses]string{"meta", "column", "payload", "partial"}
 
 func (s section) class() cacheClass {
 	switch s {
@@ -81,18 +110,24 @@ func (s section) class() cacheClass {
 		return classMeta
 	case secPayload:
 		return classPayload
+	case secPartial:
+		return classPartial
 	}
 	return classColumn
 }
 
 // blockKey identifies one cacheable part of one cold block: the file it
 // lives in, the block's offset (unique within the file), the section,
-// and for secPayload the chunk of it (0 elsewhere).
+// and for secPayload the chunk of it (0 elsewhere). A secPartial is a
+// whole sealed segment's: off is the segment's sealed extent (segSnap's
+// bound) and agg the aggregate folded over it, residual filter and
+// specs (AggSnapshot.fold); agg is empty elsewhere.
 type blockKey struct {
 	name  string
 	off   int64
 	sec   section
 	chunk int32
+	agg   string
 }
 
 // cacheEnt is one cached part, in the one field its section uses. size
@@ -100,10 +135,11 @@ type blockKey struct {
 type cacheEnt struct {
 	key  blockKey
 	size int64
-	data []byte   // secPayload
-	meta *metaSec // secMeta
-	u64  []uint64 // secStamps, secTimes
-	u32  []uint32 // secTIDs, secPayOff
+	data []byte             // secPayload
+	meta *metaSec           // secMeta
+	u64  []uint64           // secStamps, secTimes
+	u32  []uint32           // secTIDs, secPayOff
+	aggs []*btql.Aggregator // secPartial: one per spec, merged from, never into
 }
 
 // blockCache is the store-wide LRU. A nil *blockCache is a valid
@@ -161,12 +197,34 @@ func (bc *blockCache) put(ent *cacheEnt) {
 	bc.size += ent.size
 	bc.resident[ent.key.sec.class()] += ent.size
 	for bc.size > bc.max {
-		el := bc.lru.Back()
-		old := el.Value.(*cacheEnt)
-		bc.lru.Remove(el)
-		delete(bc.m, old.key)
-		bc.size -= old.size
-		bc.resident[old.key.sec.class()] -= old.size
+		bc.remove(bc.lru.Back())
+	}
+}
+
+// remove drops one entry. Caller holds bc.mu.
+func (bc *blockCache) remove(el *list.Element) {
+	ent := bc.lru.Remove(el).(*cacheEnt)
+	delete(bc.m, ent.key)
+	bc.size -= ent.size
+	bc.resident[ent.key.sec.class()] -= ent.size
+}
+
+// reset drops the entries of the given classes — every entry when none
+// is given — and leaves the hit and miss counters, which are monotonic,
+// alone. Store.Reset calls it: the next life's files take the names of
+// this one's.
+func (bc *blockCache) reset(classes ...cacheClass) {
+	if bc == nil {
+		return
+	}
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	for el := bc.lru.Front(); el != nil; {
+		next := el.Next()
+		if len(classes) == 0 || slices.Contains(classes, el.Value.(*cacheEnt).key.sec.class()) {
+			bc.remove(el)
+		}
+		el = next
 	}
 }
 
@@ -181,7 +239,8 @@ func (bc *blockCache) classCounters() cacheCounters {
 
 // sections reports section reads served from the cache and section reads
 // that had to inflate. Column lookups are in neither: a column is
-// decoded from a cached meta section, and that lookup was counted.
+// decoded from a cached meta section, and that lookup was counted. Nor
+// are partials: a partial served is sections never looked up.
 func (c cacheCounters) sections() (hits, misses uint64) {
 	return c.hits[classMeta] + c.hits[classPayload], c.misses[classMeta] + c.misses[classPayload]
 }

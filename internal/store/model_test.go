@@ -31,7 +31,10 @@ import (
 //     (the first Limit of them) and folds exactly them. A parallel
 //     cursor whose snapshot was taken before other operations delivers
 //     ascending stamps out of that snapshot's matches, and delivered +
-//     missed covers them all.
+//     missed covers them all. An aggregate answers the same asked again
+//     (the second answer comes out of the block cache's partials), the
+//     same folded without them, and the oracle's answer of the moment
+//     when it is re-asked after whatever the program did next.
 //
 // Either cursor may be asked for payload lengths alone
 // (Query.LengthsOnly): the same contracts, the payloads held to the
@@ -115,6 +118,15 @@ type storeModel struct {
 	// pending is each writer's reserved, unappended batch.
 	pending   [3][]tracer.Entry
 	followers []*follower
+	// asked is the last aggregates the program drew, re-asked after every
+	// operation that moves segments about.
+	asked []askedAgg
+}
+
+type askedAgg struct {
+	q     Query
+	specs []btql.AggSpec
+	name  string
 }
 
 func (m *storeModel) logf(format string, args ...any) {
@@ -294,19 +306,52 @@ func (m *storeModel) readAgg(q Query, name string) {
 		{Kind: btql.AggCount},
 		{Kind: btql.AggTopK, K: 1 + m.p.intn(4), Field: []btql.Field{btql.FTID, btql.FCategory, btql.FCore}[m.p.intn(3)]},
 	}
-	got, missed, err := m.st.Aggregate(q, specs)
-	if err != nil || missed != 0 {
-		m.failf("Aggregate%s: missed %d, err %v", name, missed, err)
-	}
 	q.Limit = 0 // an aggregate is over every match
+	m.checkAgg(q, specs, name)
+	if m.asked = append(m.asked, askedAgg{q, specs, name}); len(m.asked) > 4 {
+		m.asked = m.asked[1:]
+	}
+}
+
+// checkAgg holds q | specs to the oracle three ways: asked, asked again,
+// and folded without the block cache's partials.
+func (m *storeModel) checkAgg(q Query, specs []btql.AggSpec, name string) {
+	want := make([]btql.Result, len(specs))
+	matches := m.matches(&q, m.gone, len(m.all))
 	for i, spec := range specs {
 		ref := spec.New()
-		for _, j := range m.matches(&q, m.gone, len(m.all)) {
+		for _, j := range matches {
 			ref.ObserveEntry(&m.all[j])
 		}
-		if want := ref.Result(); fmt.Sprint(got[i]) != fmt.Sprint(want) {
-			m.failf("Aggregate%s: %s is %+v, oracle says %+v", name, want.Kind, got[i], want)
+		want[i] = ref.Result()
+	}
+	check := func(how string, got []btql.Result, missed uint64, err error) {
+		if err != nil || missed != 0 {
+			m.failf("Aggregate%s%s: missed %d, err %v", name, how, missed, err)
 		}
+		for i := range want {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				m.failf("Aggregate%s%s: %s is %+v, oracle says %+v", name, how, want[i].Kind, got[i], want[i])
+			}
+		}
+	}
+	for _, how := range []string{"", ", asked again"} {
+		got, missed, err := m.st.Aggregate(q, specs)
+		check(how, got, missed, err)
+	}
+	part, err := m.st.AggregateSnapshot(q).fold(specs, nil, false)
+	got := make([]btql.Result, len(part.Aggs))
+	for i, a := range part.Aggs {
+		got[i] = a.Result()
+	}
+	check(", folded without partials", got, part.Missed, err)
+}
+
+// reask asks the remembered aggregates again, after op. It draws nothing
+// from the program.
+func (m *storeModel) reask(op string) {
+	for _, a := range m.asked {
+		m.checkAgg(a.q, a.specs, fmt.Sprintf("%s (re-asked after %s)", a.name, op))
 	}
 }
 
@@ -407,18 +452,21 @@ func (m *storeModel) step(writers int) {
 		if err := m.st.Seal(); err != nil {
 			m.failf("Seal: %v", err)
 		}
+		m.reask("seal")
 	case op < 15:
 		n, err := m.st.Compact()
 		m.logf("compact: merged %d", n)
 		if err != nil {
 			m.failf("Compact: %v", err)
 		}
+		m.reask("compact")
 	case op < 18:
 		n, err := m.st.CompactCold()
 		m.logf("freeze: froze %d", n)
 		if err != nil {
 			m.failf("CompactCold: %v", err)
 		}
+		m.reask("freeze")
 	case op < 19: // retention takes the oldest one or two sealed segments
 		segs, k := m.st.Segments(), 1+p.intn(2)
 		var total, cut int64
@@ -444,6 +492,7 @@ func (m *storeModel) step(writers int) {
 		if uint64(m.gone-before) != events {
 			m.failf("retention retired %d events, the segment list said %d", m.gone-before, events)
 		}
+		m.reask("retention")
 	case op < 20:
 		m.logf("reopen")
 		m.closeFollowers()
@@ -452,6 +501,7 @@ func (m *storeModel) step(writers int) {
 		}
 		m.open(m.be.inner)
 		m.settle()
+		m.reask("reopen")
 	case op < 21: // crash somewhere inside a compactor pass
 		m.closeFollowers()
 		m.st.maint.waitIdle()
@@ -472,6 +522,7 @@ func (m *storeModel) step(writers int) {
 		m.settle()
 		// Recovery is exactly-once: everything is there, nothing twice.
 		m.readSeq(Query{}, " after crash")
+		m.reask("crash")
 	case op < 24:
 		q, desc := m.randQuery(true)
 		m.logf("Query %s", desc)

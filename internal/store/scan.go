@@ -91,9 +91,12 @@ type segSnap struct {
 	count     uint64
 	baseStamp uint64
 	maxStamp  uint64
-	ordered   bool
-	sealed    bool
-	cold      bool
+	// minTS/maxTS is the header's time hull: with the stamps', what a
+	// fold asks the query's residual over the segment by (aggregate.go).
+	minTS, maxTS uint64
+	ordered      bool
+	sealed       bool
+	cold         bool
 	// blocks shares the cold segment's immutable block directory.
 	blocks []coldBlock
 }
@@ -108,6 +111,8 @@ func snapOf(s *segment, minStamp uint64) segSnap {
 		count:     s.meta.count,
 		baseStamp: s.meta.baseStamp,
 		maxStamp:  s.meta.maxStamp,
+		minTS:     s.meta.minTS,
+		maxTS:     s.meta.maxTS,
 		ordered:   s.meta.ordered,
 		sealed:    s.sealed,
 	}

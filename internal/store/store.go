@@ -146,6 +146,10 @@ type Stats struct {
 
 	BlockCacheHits   uint64 // cold section reads served from the cache
 	BlockCacheMisses uint64 // cold section reads that had to inflate
+	// Sealed segments an aggregate was handed from the block cache
+	// already folded, and those it had to scan (and cached the fold of).
+	AggPartialHits   uint64
+	AggPartialMisses uint64
 
 	BlocksPruned uint64 // cold blocks skipped on header metadata alone
 	PayloadSkips uint64 // columnar blocks scanned without inflating a payload byte
@@ -765,6 +769,9 @@ func (st *Store) Reset() error {
 	}
 	st.segs = nil
 	st.nextSeq = 1
+	// The next life's files take this one's names: nothing cached under
+	// a name may outlive it.
+	st.bcache.reset()
 	// The obs counters stay put — process-lifetime series are monotonic
 	// even across a store Reset; only the publish baseline restarts.
 	st.stats = Stats{}
@@ -808,7 +815,9 @@ func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s := st.stats
-	s.BlockCacheHits, s.BlockCacheMisses = st.bcache.classCounters().sections()
+	cc := st.bcache.classCounters()
+	s.BlockCacheHits, s.BlockCacheMisses = cc.sections()
+	s.AggPartialHits, s.AggPartialMisses = cc.hits[classPartial], cc.misses[classPartial]
 	s.BlocksPruned = st.obs.blocksPruned.Load()
 	s.PayloadSkips = st.obs.payloadSkips.Load()
 	s.PayloadChunksInflated = st.obs.chunksInflated.Load()

@@ -23,13 +23,18 @@ func mkEntry(stamp uint64) tracer.Entry {
 	}
 }
 
-func appendRange(t *testing.T, st *Store, from, to uint64) {
-	t.Helper()
+// mkRange is mkEntry over the stamps from..to.
+func mkRange(from, to uint64) []tracer.Entry {
 	var es []tracer.Entry
 	for s := from; s <= to; s++ {
 		es = append(es, mkEntry(s))
 	}
-	if err := st.AppendEntries(es); err != nil {
+	return es
+}
+
+func appendRange(t *testing.T, st *Store, from, to uint64) {
+	t.Helper()
+	if err := st.AppendEntries(mkRange(from, to)); err != nil {
 		t.Fatalf("AppendEntries: %v", err)
 	}
 }
