@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race race-stress tier1 chaos overload-stress compaction-chaos cluster-chaos vulture-soak bench benchdiff
+.PHONY: all build fmt vet test race race-stress tier1 tier1-contended chaos overload-stress compaction-chaos cluster-chaos vulture-soak bench benchdiff
 
 all: tier1
 
@@ -40,6 +40,17 @@ race-stress:
 	$(GO) test -race -short -count 2 -run 'TestStoreParallelStress' ./internal/store
 
 tier1: build fmt vet test race
+
+# ROADMAP item 8's deterministic tier-1, scoped to the packages the
+# admission and durability paths live in: their tests three times over
+# while two busy loops compete for the CPUs. A test that leans on the
+# clock or on scheduling luck fails here before it flakes elsewhere.
+CONTENDED_PKGS = ./internal/overload/... ./internal/ingest/... ./internal/store/... \
+	./internal/distributor/... ./internal/ring/... ./cmd/btrace-serve/...
+tier1-contended:
+	@pids=; for i in 1 2; do sh -c 'while :; do :; done' & pids="$$pids $$!"; done; \
+	trap 'kill $$pids' EXIT; \
+	$(GO) test -count 3 $(CONTENDED_PKGS)
 
 # The chaos suite: every DESIGN.md invariant under injected preemption
 # storms, stalled writers, hotplug-during-resize, and poll/sink failures.

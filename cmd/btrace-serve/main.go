@@ -58,15 +58,8 @@ func main() {
 	liveMaxMissed := flag.Uint64("live-max-missed", 0, "missed-event count at which a slow /live subscriber is evicted (0 = default 65536)")
 	flag.Parse()
 
-	// The operator flag gets the same hard validation as the request
-	// parameter: a non-positive or >1 scale is a misconfiguration, not a
-	// bigger experiment.
-	if *scale <= 0 || *scale > 1 {
-		fmt.Fprintf(os.Stderr, "btrace-serve: -scale must be in (0, 1], got %v\n", *scale)
-		os.Exit(2)
-	}
-	if *sampleRate <= 0 || *sampleRate > 1 {
-		fmt.Fprintf(os.Stderr, "btrace-serve: -sample-rate must be in (0, 1], got %v\n", *sampleRate)
+	if err := checkFlags(*scale, *sampleRate, *rateLimit, *rateBurst, *shards); err != nil {
+		fmt.Fprintln(os.Stderr, "btrace-serve:", err)
 		os.Exit(2)
 	}
 
@@ -213,4 +206,27 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkFlags refuses the numeric flag values that mean nothing instead
+// of reading them as some other setting. The operator's -scale gets the
+// same hard validation as the request parameter: a non-positive or >1
+// scale is a misconfiguration, not a bigger experiment. Negative rates,
+// bursts and shard counts are refused rather than run as unlimited, as
+// the default burst and as a single store. Every comparison is written
+// so that NaN fails it.
+func checkFlags(scale, sampleRate, rateLimit, rateBurst float64, shards int) error {
+	switch {
+	case !(scale > 0 && scale <= 1):
+		return fmt.Errorf("-scale must be in (0, 1], got %v", scale)
+	case !(sampleRate > 0 && sampleRate <= 1):
+		return fmt.Errorf("-sample-rate must be in (0, 1], got %v", sampleRate)
+	case !(rateLimit >= 0):
+		return fmt.Errorf("-rate-limit must be >= 0, got %v", rateLimit)
+	case !(rateBurst >= 0):
+		return fmt.Errorf("-rate-burst must be >= 0, got %v", rateBurst)
+	case shards < 0:
+		return fmt.Errorf("-shards must be >= 0, got %d", shards)
+	}
+	return nil
 }

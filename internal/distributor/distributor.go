@@ -35,18 +35,12 @@ type Config struct {
 	// Replication is the replica count per stream key (default 2,
 	// clamped to the shard count by the ring).
 	Replication int
-	// VNodes is the ring's virtual nodes per shard (default
-	// ring.DefaultVNodes).
-	VNodes int
 	// Retries is the delivery attempts per replica before the replica
 	// counts as failed (default 2).
 	Retries int
 	// HedgeLimit is how many extra ring candidates beyond the owner set
 	// a failed quorum may hedge to (default 1).
 	HedgeLimit int
-	// DefaultTenant names batches that arrive without a tenant (default
-	// overload.DefaultTenant).
-	DefaultTenant string
 	// Overrides are the per-tenant quota overrides (-tenant-overrides).
 	Overrides map[string]ingest.TenantLimit
 	// Gate configures the shared overload gate applied after the tenant
@@ -68,9 +62,6 @@ func (c Config) withDefaults() Config {
 		c.HedgeLimit = 0
 	} else if c.HedgeLimit == 0 {
 		c.HedgeLimit = 1
-	}
-	if c.DefaultTenant == "" {
-		c.DefaultTenant = overload.DefaultTenant
 	}
 	return c
 }
@@ -147,7 +138,7 @@ func New(shards []Shard, cfg Config) (*Distributor, error) {
 		table[sh.Name()] = sh
 		names = append(names, sh.Name())
 	}
-	r, err := ring.New(names, ring.Config{Replicas: cfg.Replication, VNodes: cfg.VNodes})
+	r, err := ring.New(names, ring.Config{Replicas: cfg.Replication})
 	if err != nil {
 		return nil, fmt.Errorf("distributor: %w", err)
 	}
@@ -219,7 +210,7 @@ func (f *fanout) route(si, i int, e *tracer.Entry) {
 // may recycle both as soon as it has the Result.
 func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	if tenant == "" {
-		tenant = d.cfg.DefaultTenant
+		tenant = overload.DefaultTenant
 	}
 	// Quarantined entries come back with the admitted ones and are
 	// replicated with the batch.
@@ -669,7 +660,7 @@ func (d *Distributor) Info() Info {
 	}
 	d.topo.RUnlock()
 	own := r.Ownership()
-	info := Info{Replication: r.RF(), VNodes: r.VNodes()}
+	info := Info{Replication: r.RF(), VNodes: ring.DefaultVNodes}
 	for _, sh := range shards {
 		info.Shards = append(info.Shards, ShardInfo{
 			Name:      sh.Name(),

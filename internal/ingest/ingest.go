@@ -86,9 +86,8 @@ func (a *Admission) Admit(tenant string, es []tracer.Entry) ([]tracer.Entry, Cou
 	return append(admitted, quarantined...), c
 }
 
-// Evaluate feeds the gate's controller one pressure observation. The
-// caller assembles the vector from what it can see: the store's (or the
-// shard fleet's worst) write-path signals, a source's loss rate.
+// Evaluate feeds the gate's controller one pressure observation: the
+// store's (or the shard fleet's worst) write-path signals.
 func (a *Admission) Evaluate(p overload.Pressure) {
 	a.mu.Lock()
 	a.gate.Evaluate(p)

@@ -56,7 +56,7 @@ func TestAdmitQuarantineBypassesQuotaAndGate(t *testing.T) {
 			}
 			a := NewAdmission(tc.gate, overrides)
 			for i := 0; i < tc.hot; i++ {
-				a.Evaluate(overload.Pressure{LossRate: 1})
+				a.Evaluate(overload.Pressure{Store: overload.StorePressure{Failed: true}})
 			}
 			// Four clean entries at one instant (the quota's burst decides
 			// among them), then a zero stamp and a per-thread regression,

@@ -5,13 +5,14 @@ import (
 	"strconv"
 	"strings"
 
+	"btrace/internal/overload"
 	"btrace/internal/tracer"
 )
 
-// TenantLimit is one tenant's ingest quota override: a token bucket on
-// virtual time (the event stream's own TS clock), matching the overload
-// gate's limiter semantics so replayed and live traffic behave the
-// same. The zero value means "no quota".
+// TenantLimit is one tenant's ingest quota override: an overload.Bucket
+// on virtual time (the event stream's own TS clock), the gate's own
+// limiter, so replayed and live traffic behave the same. The zero value
+// means "no quota".
 type TenantLimit struct {
 	// RatePerSec is the refill rate in events per second of virtual
 	// time; 0 disables the quota.
@@ -72,45 +73,17 @@ func ParseOverrides(s string) (map[string]TenantLimit, error) {
 	return out, nil
 }
 
-// vbucket is a token bucket on virtual time, the same latching-clock
-// semantics as the overload gate's buckets: out-of-order timestamps
-// never refill and never drain.
-type vbucket struct {
-	tokens float64
-	lastNs uint64
-	primed bool
-}
-
-func (b *vbucket) take(nowNs uint64, rate, burst float64) bool {
-	if !b.primed {
-		b.tokens = burst
-		b.lastNs = nowNs
-		b.primed = true
-	} else if nowNs > b.lastNs {
-		b.tokens += float64(nowNs-b.lastNs) * rate / 1e9
-		if b.tokens > burst {
-			b.tokens = burst
-		}
-		b.lastNs = nowNs
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
-}
-
 // tenantLimiter applies per-tenant quota overrides ahead of the shared
 // gate: a tenant with an override draws every event from its bucket,
 // tenants without one pass through untouched. Driven under the
 // Admission's lock, so no locking of its own.
 type tenantLimiter struct {
 	limits  map[string]TenantLimit
-	buckets map[string]*vbucket
+	buckets map[string]*overload.Bucket
 }
 
 func newTenantLimiter(overrides map[string]TenantLimit) *tenantLimiter {
-	l := &tenantLimiter{limits: make(map[string]TenantLimit), buckets: make(map[string]*vbucket)}
+	l := &tenantLimiter{limits: make(map[string]TenantLimit), buckets: make(map[string]*overload.Bucket)}
 	for name, lim := range overrides {
 		l.limits[name] = lim.withDefaults()
 	}
@@ -126,12 +99,12 @@ func (l *tenantLimiter) filter(tenant string, es []tracer.Entry) ([]tracer.Entry
 	}
 	b := l.buckets[tenant]
 	if b == nil {
-		b = &vbucket{}
+		b = &overload.Bucket{}
 		l.buckets[tenant] = b
 	}
 	out := es[:0]
 	for i := range es {
-		if b.take(es[i].TS, lim.RatePerSec, lim.Burst) {
+		if b.Take(es[i].TS, lim.RatePerSec, lim.Burst) {
 			out = append(out, es[i])
 		}
 	}

@@ -48,7 +48,7 @@ func TestGateAdmittedHook(t *testing.T) {
 	// full-drop tier so the whole batch is shed.
 	g.SetTenant("")
 	for i := 0; i < 100; i++ {
-		g.Evaluate(Pressure{SpillFill: 1})
+		g.Evaluate(at(1))
 	}
 	if g.Tier() != TierStream {
 		t.Fatalf("tier %v, want TierStream", g.Tier())

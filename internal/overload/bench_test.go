@@ -56,10 +56,7 @@ func benchFilter(b *testing.B, g *Gate) {
 func BenchmarkRecordUnderOverload(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
 		// Quiet gate: no pressure, generous limits — every event admitted.
-		g := NewGate(Config{
-			RatePerSec:       1 << 30,
-			StreamRatePerSec: 1 << 30,
-		})
+		g := NewGate(Config{RatePerSec: 1 << 30})
 		benchFilter(b, g)
 	})
 	b.Run("storm", func(b *testing.B) {
@@ -67,16 +64,14 @@ func BenchmarkRecordUnderOverload(b *testing.B) {
 		// buckets throttle, and the tier machine escalates to category
 		// shedding — the expensive decision paths all run.
 		g := NewGate(Config{
-			MinSampleRate:    0.1,
-			RatePerSec:       200_000,
-			Burst:            64,
-			StreamRatePerSec: 50_000,
-			StreamBurst:      16,
-			EngageAfter:      2,
-			CooldownEvals:    4,
+			MinSampleRate: 0.1,
+			RatePerSec:    200_000,
+			Burst:         64,
+			EngageAfter:   2,
+			CooldownEvals: 4,
 		})
 		for i := 0; i < 4; i++ {
-			g.Evaluate(Pressure{SpillFill: 1})
+			g.Evaluate(at(1))
 		}
 		if g.Tier() != TierCategory {
 			// Two escalations from 4 hot evaluations at EngageAfter=2.

@@ -1,31 +1,24 @@
 package overload
 
-// bucket is a token bucket refilled on virtual time: capacity burst,
+// Bucket is a token bucket refilled on virtual time: capacity burst,
 // refill rate tokens/second of the event stream's own TS clock, so the
 // limiter behaves identically under replayed and live time. The zero
-// value is a bucket that has never seen time; its first take fills it
-// to burst (a fresh stream gets its full burst allowance).
-type bucket struct {
+// value is a bucket that has never seen time; its first Take fills it
+// to burst. The gate's per-category limits and internal/ingest's
+// per-tenant quotas both draw from it. Not safe for concurrent use.
+type Bucket struct {
 	tokens float64
 	lastNs uint64
 	primed bool
 }
 
-// reset re-arms the bucket at full burst as of nowNs (used when a
-// recycled bucket is handed to a new stream).
-func (b *bucket) reset(nowNs uint64, burst float64) {
-	b.tokens = burst
-	b.lastNs = nowNs
-	b.primed = true
-}
-
-// take refills by the virtual time elapsed since the last take and
+// Take refills by the virtual time elapsed since the last take and
 // spends one token if available. Out-of-order timestamps never refill
 // (the clock latches forward only) and never drain: a late event draws
 // against the bucket's current state.
-func (b *bucket) take(nowNs uint64, rate, burst float64) bool {
+func (b *Bucket) Take(nowNs uint64, rate, burst float64) bool {
 	if !b.primed {
-		b.reset(nowNs, burst)
+		b.tokens, b.lastNs, b.primed = burst, nowNs, true
 	} else if nowNs > b.lastNs {
 		b.tokens += float64(nowNs-b.lastNs) * rate / 1e9
 		if b.tokens > burst {

@@ -24,7 +24,6 @@ type gateObs struct {
 
 	sampledOut        *obs.Counter
 	throttledCategory *obs.Counter
-	throttledStream   *obs.Counter
 	shedCategory      *obs.Counter
 	shedStream        *obs.Counter
 
@@ -42,7 +41,6 @@ type gateObs struct {
 	pressureMilli    obs.Gauge
 	sampleRateMilli  obs.Gauge
 	sampleRateLowMil obs.Gauge
-	activeStreams    obs.Gauge
 
 	// tenants mirrors the gate's per-tenant attribution table. The map
 	// is the one piece of gateObs written by the pipeline goroutine and
@@ -65,7 +63,6 @@ func newGateObs() *gateObs {
 		admitted:          obs.NewCounter(1),
 		sampledOut:        obs.NewCounter(1),
 		throttledCategory: obs.NewCounter(1),
-		throttledStream:   obs.NewCounter(1),
 		shedCategory:      obs.NewCounter(1),
 		shedStream:        obs.NewCounter(1),
 		payloadShedEvents: obs.NewCounter(1),
@@ -83,7 +80,6 @@ func (o *gateObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_overload_admitted_total", "events admitted by the overload gate", o.admitted.Load())
 	e.Counter("btrace_overload_sampled_out_total", "events dropped by head sampling", o.sampledOut.Load())
 	e.Counter("btrace_overload_throttled_category_total", "events dropped by a category token bucket", o.throttledCategory.Load())
-	e.Counter("btrace_overload_throttled_stream_total", "events dropped by a stream token bucket", o.throttledStream.Load())
 	e.Counter("btrace_overload_shed_category_total", "events shed at the category tier", o.shedCategory.Load())
 	e.Counter("btrace_overload_shed_stream_total", "events shed at the stream tier", o.shedStream.Load())
 	e.Counter("btrace_overload_payload_shed_events_total", "admitted events whose payload was stripped", o.payloadShedEvents.Load())
@@ -95,7 +91,6 @@ func (o *gateObs) collect(e *obs.Emitter) {
 	e.Gauge("btrace_overload_pressure", "smoothed pressure score", float64(o.pressureMilli.Load())/1000)
 	e.Gauge("btrace_overload_sample_rate", "current keep rate for normal-priority events", float64(o.sampleRateMilli.Load())/1000)
 	e.Gauge("btrace_overload_sample_rate_low", "current keep rate for low-priority events", float64(o.sampleRateLowMil.Load())/1000)
-	e.Gauge("btrace_overload_streams", "per-stream token buckets tracked", float64(o.activeStreams.Load()))
 	e.Gauge("btrace_overload_gates", "live overload gates", 1)
 	o.tenantMu.Lock()
 	for name, t := range o.tenants {
@@ -117,7 +112,6 @@ func (g *Gate) publishObs() {
 	o.admitted.Add(cur.Admitted - last.Admitted)
 	o.sampledOut.Add(cur.SampledOut - last.SampledOut)
 	o.throttledCategory.Add(cur.ThrottledCategory - last.ThrottledCategory)
-	o.throttledStream.Add(cur.ThrottledStream - last.ThrottledStream)
 	o.shedCategory.Add(cur.ShedCategory - last.ShedCategory)
 	o.shedStream.Add(cur.ShedStream - last.ShedStream)
 	o.payloadShedEvents.Add(cur.PayloadShedEvents - last.PayloadShedEvents)
@@ -132,7 +126,6 @@ func (g *Gate) publishObs() {
 	normal, low := g.SampleRates()
 	o.sampleRateMilli.Set(int64(normal * 1000))
 	o.sampleRateLowMil.Set(int64(low * 1000))
-	o.activeStreams.Set(int64(len(g.streams)))
 	g.publishTenantObs()
 }
 

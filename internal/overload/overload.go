@@ -8,22 +8,22 @@
 //
 //  1. tiered load shedding — under sustained pressure the controller
 //     escalates through three tiers (drop payload bytes → drop
-//     low-priority categories → drop whole streams) and steps back down
-//     only after a hysteresis cool-down, so the system never flaps
-//     across the engage boundary;
+//     low-priority events → drop everything) and steps back down only
+//     after a hysteresis cool-down, so the system never flaps across the
+//     engage boundary;
 //  2. head sampling — per-category keep rates fall smoothly from 1.0
 //     toward Config.MinSampleRate as smoothed pressure rises, using a
 //     deterministic credit accumulator (exactly ⌈r·n⌉ of n events pass
 //     at rate r, evenly spread);
-//  3. token buckets — hard per-category and per-stream rate limits with
-//     configurable burst, refilled on the events' own virtual
-//     timestamps so replayed and live time behave identically.
+//  3. token buckets — a hard per-category rate limit with configurable
+//     burst, refilled on the events' own virtual timestamps so replayed
+//     and live time behave identically.
 //
 // Every sampling, throttle and shed decision increments a dedicated
 // counter, so the accounting identity
 //
-//	Seen == Admitted + SampledOut + ThrottledCategory + ThrottledStream
-//	        + ShedCategory + ShedStream
+//	Seen == Admitted + SampledOut + ThrottledCategory + ShedCategory
+//	        + ShedStream
 //
 // holds exactly at all times (payload-stripped events count as admitted;
 // only their bytes are recorded as shed).
@@ -48,11 +48,10 @@ const (
 	// TierPayload strips payload bytes from admitted events: the event
 	// (header, stamp, identity) survives, its body does not.
 	TierPayload
-	// TierCategory drops events in low-priority categories entirely.
+	// TierCategory drops low-priority events entirely.
 	TierCategory
-	// TierStream drops whole streams: every event is shed except those
-	// Config.Critical exempts. This is the full-drop tier a readiness
-	// probe should report as not-ready.
+	// TierStream drops whole streams: every event is shed. This is the
+	// full-drop tier a readiness probe should report as not-ready.
 	TierStream
 )
 
@@ -70,9 +69,9 @@ func (t Tier) String() string {
 	}
 }
 
-// StorePressure is the durable store's contribution to the pressure
-// vector: the write path's recent latencies and staging occupancy
-// (store.Store.Pressure exports it).
+// StorePressure is the durable store's write-path signals, the gate's
+// one pressure input: recent latencies, staging occupancy and the
+// sticky failure bit (store.Store.Pressure exports it).
 type StorePressure struct {
 	// AppendNs is a recent average (EWMA) of append stage+apply latency.
 	AppendNs uint64
@@ -85,45 +84,41 @@ type StorePressure struct {
 	Failed bool
 }
 
-// Pressure is one evaluation's input vector. Whoever drives the gate
-// assembles it from the signals it can see: the store's (or the shard
-// fleet's worst) write-path latencies, a source's loss rate.
+// Pressure is one evaluation's input: the store's (or the shard fleet's
+// worst) write-path signals.
 type Pressure struct {
-	// SpillFill is a bounded hand-off buffer's occupancy in [0, 1].
-	SpillFill float64
-	// LossRate is the fraction of events the source lost to overwrite
-	// in its most recent read: missed / (missed + read), in [0, 1].
-	LossRate float64
 	// Store carries the durable store's signals (zero when no store).
 	Store StorePressure
 }
 
-// Score collapses the vector to a scalar in [0, 1]: the worst channel
-// wins, because any single saturated resource is overload regardless of
-// how idle the others are. Latencies normalize against the configured
-// budgets.
-func (p Pressure) score(appendBudgetNs, fsyncBudgetNs uint64) float64 {
-	s := p.SpillFill
-	if p.LossRate > s {
-		s = p.LossRate
-	}
-	if p.Store.StagedFill > s {
-		s = p.Store.StagedFill
-	}
-	if v := float64(p.Store.AppendNs) / float64(appendBudgetNs); v > s {
+// The latency budgets the store's signals normalize against: a latency
+// at budget reads as pressure 1.0. The append budget is per event.
+const (
+	appendBudgetNs = 1_000_000
+	fsyncBudgetNs  = 20_000_000
+)
+
+// score collapses the store's signals to a scalar in [0, 1]: the worst
+// signal wins, because any single saturated resource is overload
+// regardless of how idle the others are.
+func (p Pressure) score() float64 {
+	s := p.Store.StagedFill
+	if v := float64(p.Store.AppendNs) / appendBudgetNs; v > s {
 		s = v
 	}
-	if v := float64(p.Store.FsyncNs) / float64(fsyncBudgetNs); v > s {
+	if v := float64(p.Store.FsyncNs) / fsyncBudgetNs; v > s {
 		s = v
 	}
-	if p.Store.Failed {
-		s = 1
-	}
-	if s > 1 {
+	if p.Store.Failed || s > 1 {
 		s = 1
 	}
 	return s
 }
+
+// lowPriority reports whether an event is shed at TierCategory and
+// sampled at the faster-decaying low rate: detail level ≥ 3, the
+// paper's most verbose level.
+func lowPriority(level uint8) bool { return level >= 3 }
 
 // Config configures a Gate. Zero values select the documented defaults.
 type Config struct {
@@ -141,15 +136,6 @@ type Config struct {
 	// Burst is the per-category bucket capacity (default 2×RatePerSec,
 	// minimum 1).
 	Burst float64
-	// StreamRatePerSec is the per-stream (per-TID) token refill rate
-	// (0 = no stream rate limit).
-	StreamRatePerSec float64
-	// StreamBurst is the per-stream bucket capacity (default
-	// 2×StreamRatePerSec, minimum 1).
-	StreamBurst float64
-	// MaxStreams bounds the per-stream bucket table; beyond it the
-	// stalest stream's bucket is recycled (default 1024).
-	MaxStreams int
 
 	// EngagePressure is the score at or above which an evaluation counts
 	// toward escalation (default 0.75).
@@ -171,12 +157,6 @@ type Config struct {
 	// unsmoothed).
 	Smoothing float64
 
-	// AppendBudgetNs and FsyncBudgetNs normalize the store latencies to
-	// pressure: a latency at budget reads as pressure 1.0 (defaults
-	// 1 ms and 20 ms).
-	AppendBudgetNs uint64
-	FsyncBudgetNs  uint64
-
 	// Admitted, when set, receives every non-empty admitted batch at the
 	// end of Filter, labeled with the tenant the batch was attributed to
 	// — the post-gate fan-out seam live-tail subscriptions hang off.
@@ -185,15 +165,6 @@ type Config struct {
 	// retains, and it runs on the gate's driving goroutine, so it must
 	// not block.
 	Admitted func(tenant string, es []tracer.Entry)
-
-	// LowPriority classifies events shed at TierCategory. The default
-	// treats detail level ≥ 3 (the paper's most verbose level) as low
-	// priority.
-	LowPriority func(category, level uint8) bool
-	// Critical exempts events from TierStream's full drop (and from
-	// sampling and rate limits — a watchdog heartbeat must never be the
-	// event the tracer dropped). Default: nothing is critical.
-	Critical func(category, level uint8) bool
 }
 
 func (c Config) withDefaults() Config {
@@ -211,15 +182,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RatePerSec > 0 && c.Burst < 1 {
 		c.Burst = 1
-	}
-	if c.StreamBurst <= 0 {
-		c.StreamBurst = 2 * c.StreamRatePerSec
-	}
-	if c.StreamRatePerSec > 0 && c.StreamBurst < 1 {
-		c.StreamBurst = 1
-	}
-	if c.MaxStreams <= 0 {
-		c.MaxStreams = 1024
 	}
 	if c.EngagePressure <= 0 {
 		c.EngagePressure = 0.75
@@ -239,25 +201,13 @@ func (c Config) withDefaults() Config {
 	if c.Smoothing <= 0 || c.Smoothing > 1 {
 		c.Smoothing = 0.5
 	}
-	if c.AppendBudgetNs == 0 {
-		c.AppendBudgetNs = 1_000_000
-	}
-	if c.FsyncBudgetNs == 0 {
-		c.FsyncBudgetNs = 20_000_000
-	}
-	if c.LowPriority == nil {
-		c.LowPriority = func(_, level uint8) bool { return level >= 3 }
-	}
-	if c.Critical == nil {
-		c.Critical = func(_, _ uint8) bool { return false }
-	}
 	return c
 }
 
 // Stats counts every decision the gate made. The accounting identity
 //
-//	Seen == Admitted + SampledOut + ThrottledCategory + ThrottledStream
-//	        + ShedCategory + ShedStream
+//	Seen == Admitted + SampledOut + ThrottledCategory + ShedCategory
+//	        + ShedStream
 //
 // holds exactly after every Filter call.
 type Stats struct {
@@ -266,7 +216,6 @@ type Stats struct {
 
 	SampledOut        uint64 // events dropped by head sampling
 	ThrottledCategory uint64 // events dropped by a category token bucket
-	ThrottledStream   uint64 // events dropped by a stream token bucket
 	ShedCategory      uint64 // events dropped at TierCategory
 	ShedStream        uint64 // events dropped at TierStream
 
@@ -280,8 +229,7 @@ type Stats struct {
 
 // dropped returns the total events the gate refused.
 func (s Stats) dropped() uint64 {
-	return s.SampledOut + s.ThrottledCategory + s.ThrottledStream +
-		s.ShedCategory + s.ShedStream
+	return s.SampledOut + s.ThrottledCategory + s.ShedCategory + s.ShedStream
 }
 
 // Gate is the overload-control decision point. It is driven by one
@@ -295,9 +243,7 @@ type Gate struct {
 	// sampling: acc += rate; admit and spend 1 when acc ≥ 1).
 	sampleAcc [256]float64
 	// catBuckets holds the per-category token buckets, allocated lazily.
-	catBuckets [256]bucket
-	// streams holds the per-TID buckets, bounded by MaxStreams.
-	streams map[uint32]*bucket
+	catBuckets [256]Bucket
 
 	stats Stats
 	// published is the stats snapshot last folded into obs.
@@ -315,9 +261,8 @@ type Gate struct {
 // NewGate creates a Gate.
 func NewGate(cfg Config) *Gate {
 	g := &Gate{
-		cfg:     cfg.withDefaults(),
-		streams: make(map[uint32]*bucket),
-		obs:     newGateObs(),
+		cfg: cfg.withDefaults(),
+		obs: newGateObs(),
 	}
 	g.ctl.init(&g.cfg)
 	g.registerObs()
@@ -327,9 +272,8 @@ func NewGate(cfg Config) *Gate {
 // Evaluate feeds one pressure observation to the controller: once per
 // batch before Filter, and on a timer while no batch arrives.
 func (g *Gate) Evaluate(p Pressure) {
-	score := p.score(g.cfg.AppendBudgetNs, g.cfg.FsyncBudgetNs)
 	g.stats.Evaluations++
-	engaged, released := g.ctl.evaluate(score)
+	engaged, released := g.ctl.evaluate(p.score())
 	if engaged {
 		g.stats.TierEngagements++
 	}
@@ -342,10 +286,6 @@ func (g *Gate) Evaluate(p Pressure) {
 // Tier returns the currently engaged shedding tier.
 func (g *Gate) Tier() Tier { return g.ctl.tier }
 
-// SmoothedPressure returns the EWMA-smoothed pressure score driving the
-// sampling rates.
-func (g *Gate) SmoothedPressure() float64 { return g.ctl.smoothed }
-
 // SampleRates returns the current keep rates for normal- and
 // low-priority events.
 func (g *Gate) SampleRates() (normal, low float64) {
@@ -356,7 +296,7 @@ func (g *Gate) SampleRates() (normal, low float64) {
 func (g *Gate) Stats() Stats { return g.stats }
 
 // sampleRate maps smoothed pressure to a keep rate in
-// [MinSampleRate, 1]. Low-priority categories decay twice as fast: the
+// [MinSampleRate, 1]. Low-priority events decay twice as fast: the
 // first detail to give up is the detail worth the least.
 func (g *Gate) sampleRate(low bool) float64 {
 	p := g.ctl.smoothed
@@ -388,16 +328,11 @@ func (g *Gate) Filter(es []tracer.Entry) []tracer.Entry {
 	for i := range es {
 		e := &es[i]
 		g.stats.Seen++
-		if g.cfg.Critical(e.Category, e.Level) {
-			g.stats.Admitted++
-			out = append(out, *e)
-			continue
-		}
 		if tier >= TierStream {
 			g.stats.ShedStream++
 			continue
 		}
-		if tier >= TierCategory && g.cfg.LowPriority(e.Category, e.Level) {
+		if tier >= TierCategory && lowPriority(e.Level) {
 			g.stats.ShedCategory++
 			continue
 		}
@@ -406,12 +341,8 @@ func (g *Gate) Filter(es []tracer.Entry) []tracer.Entry {
 			continue
 		}
 		if g.cfg.RatePerSec > 0 &&
-			!g.catBuckets[e.Category].take(e.TS, g.cfg.RatePerSec, g.cfg.Burst) {
+			!g.catBuckets[e.Category].Take(e.TS, g.cfg.RatePerSec, g.cfg.Burst) {
 			g.stats.ThrottledCategory++
-			continue
-		}
-		if g.cfg.StreamRatePerSec > 0 && !g.streamTake(e.TID, e.TS) {
-			g.stats.ThrottledStream++
 			continue
 		}
 		if tier >= TierPayload && len(e.Payload) > 0 {
@@ -438,7 +369,7 @@ func (g *Gate) Filter(es []tracer.Entry) []tracer.Entry {
 // per-category credit accumulator: deterministic, and exact over any
 // window (rate r admits ⌈r·n⌉ of n events).
 func (g *Gate) sampleAdmit(e *tracer.Entry) bool {
-	r := g.sampleRate(g.cfg.LowPriority(e.Category, e.Level))
+	r := g.sampleRate(lowPriority(e.Level))
 	if r >= 1 {
 		return true
 	}
@@ -450,41 +381,3 @@ func (g *Gate) sampleAdmit(e *tracer.Entry) bool {
 	g.sampleAcc[e.Category] = acc
 	return false
 }
-
-// streamTake draws from the per-stream bucket, creating (or recycling)
-// it as needed within the MaxStreams bound.
-func (g *Gate) streamTake(tid uint32, ts uint64) bool {
-	b, ok := g.streams[tid]
-	if !ok {
-		if len(g.streams) >= g.cfg.MaxStreams {
-			b = g.evictStalestStream()
-		} else {
-			b = &bucket{}
-		}
-		b.reset(ts, g.cfg.StreamBurst)
-		g.streams[tid] = b
-	}
-	return b.take(ts, g.cfg.StreamRatePerSec, g.cfg.StreamBurst)
-}
-
-// evictStalestStream removes and returns the bucket whose last refill
-// is oldest in virtual time — the stream most likely gone.
-func (g *Gate) evictStalestStream() *bucket {
-	var (
-		stalest   uint32
-		oldest    uint64
-		found     bool
-		victimBkt *bucket
-	)
-	for tid, b := range g.streams {
-		if !found || b.lastNs < oldest {
-			found, oldest, stalest, victimBkt = true, b.lastNs, tid, b
-		}
-	}
-	delete(g.streams, stalest)
-	return victimBkt
-}
-
-// ActiveStreams returns the number of per-stream buckets currently
-// tracked.
-func (g *Gate) ActiveStreams() int { return len(g.streams) }

@@ -27,20 +27,23 @@ func mkBatch(start uint64, n int, stepNs uint64, cats []uint8, payload int) []tr
 	return es
 }
 
+// at is the pressure observation whose score is s (a staging fill;
+// scores above 1 clamp).
+func at(s float64) Pressure { return Pressure{Store: StorePressure{StagedFill: s}} }
+
 // pressurize drives the controller with a constant score for n
 // evaluations.
 func pressurize(g *Gate, score float64, n int) {
 	for i := 0; i < n; i++ {
-		g.Evaluate(Pressure{SpillFill: score})
+		g.Evaluate(at(score))
 	}
 }
 
 func checkIdentity(t *testing.T, s Stats) {
 	t.Helper()
-	if got := s.Admitted + s.dropped(); got != s.Seen {
-		t.Fatalf("accounting identity broken: seen=%d admitted=%d sampled=%d thrCat=%d thrStream=%d shedCat=%d shedStream=%d (sum %d)",
-			s.Seen, s.Admitted, s.SampledOut, s.ThrottledCategory, s.ThrottledStream,
-			s.ShedCategory, s.ShedStream, got)
+	if got := s.Admitted + s.SampledOut + s.ThrottledCategory + s.ShedCategory + s.ShedStream; got != s.Seen {
+		t.Fatalf("accounting identity broken: seen=%d admitted=%d sampled=%d thrCat=%d shedCat=%d shedStream=%d (sum %d)",
+			s.Seen, s.Admitted, s.SampledOut, s.ThrottledCategory, s.ShedCategory, s.ShedStream, got)
 	}
 }
 
@@ -139,99 +142,60 @@ func TestCategoryTokenBucket(t *testing.T) {
 	checkIdentity(t, g.Stats())
 }
 
-// TestStreamTokenBucketAndEviction: per-stream buckets limit each TID
-// independently and the table stays within MaxStreams by recycling the
-// stalest bucket.
-func TestStreamTokenBucketAndEviction(t *testing.T) {
-	g := NewGate(Config{StreamRatePerSec: 1000, StreamBurst: 2, MaxStreams: 4})
-	var es []tracer.Entry
-	for tid := uint32(1); tid <= 6; tid++ {
-		for k := 0; k < 5; k++ {
-			es = append(es, tracer.Entry{
-				Stamp: uint64(len(es) + 1), TS: uint64(tid) * 1000, TID: tid, Category: 1, Level: 1,
-			})
-		}
-	}
-	out := g.Filter(es)
-	// Each of the 6 streams gets its burst of 2.
-	if len(out) != 12 {
-		t.Fatalf("admitted %d, want 12 (burst 2 × 6 streams)", len(out))
-	}
-	if s := g.Stats(); s.ThrottledStream != 18 {
-		t.Fatalf("stream-throttled %d, want 18", s.ThrottledStream)
-	}
-	if g.ActiveStreams() > 4 {
-		t.Fatalf("stream table grew to %d, bound is 4", g.ActiveStreams())
-	}
-	checkIdentity(t, g.Stats())
-}
-
 // forceTier escalates the controller to the requested tier.
 func forceTier(t *testing.T, g *Gate, want Tier) {
 	t.Helper()
 	for i := 0; i < 100 && g.Tier() < want; i++ {
-		g.Evaluate(Pressure{SpillFill: 1})
+		g.Evaluate(at(1))
 	}
 	if g.Tier() != want {
 		t.Fatalf("could not reach tier %v (at %v)", want, g.Tier())
 	}
 }
 
-// TestShedTiersInOrder: payload stripping, then low-priority category
-// drops, then whole-stream drops — with critical events exempt
-// throughout.
+// TestShedTiersInOrder: payload stripping, then low-priority drops,
+// then every event.
 func TestShedTiersInOrder(t *testing.T) {
-	critical := func(cat, _ uint8) bool { return cat == 9 }
-	// 120 events: categories cycle {1,2,3,9} (period 4), levels cycle
-	// 1..3 (period 3), so every (category, level) pairing occurs. Per
-	// batch: 30 critical (cat 9), 30 non-critical at level 3.
+	// 120 events with levels cycling 1..3: 40 of them low priority.
 	mk := func() []tracer.Entry {
-		return mkBatch(1, 120, 1000, []uint8{1, 2, 3, 9}, 8)
+		return mkBatch(1, 120, 1000, []uint8{1, 2, 3}, 8)
 	}
 
-	g := NewGate(Config{MinSampleRate: 1, Critical: critical, EngageAfter: 1, CooldownEvals: 1})
+	g := NewGate(Config{MinSampleRate: 1, EngageAfter: 1, CooldownEvals: 1})
 	forceTier(t, g, TierPayload)
 	out := g.Filter(mk())
 	if len(out) != 120 {
 		t.Fatalf("payload tier dropped events: %d of 120", len(out))
 	}
-	s := g.Stats()
-	// The 90 non-critical events lose their payloads; critical keep theirs.
-	if s.PayloadShedEvents != 90 || s.PayloadShedBytes != 90*8 {
+	if s := g.Stats(); s.PayloadShedEvents != 120 || s.PayloadShedBytes != 120*8 {
 		t.Fatalf("payload shed accounting: %+v", s)
 	}
 	for _, e := range out {
-		if e.Category != 9 && e.Payload != nil {
-			t.Fatal("non-critical payload survived the payload tier")
-		}
-		if e.Category == 9 && len(e.Payload) != 8 {
-			t.Fatal("critical payload was stripped")
+		if e.Payload != nil {
+			t.Fatal("a payload survived the payload tier")
 		}
 	}
 
 	forceTier(t, g, TierCategory)
 	out = g.Filter(mk())
-	if len(out) != 90 {
-		t.Fatalf("category tier admitted %d, want 90 (120 − 30 low-priority)", len(out))
+	if len(out) != 80 {
+		t.Fatalf("category tier admitted %d, want 80 (120 − 40 low-priority)", len(out))
 	}
-	if shed := g.Stats().ShedCategory; shed != 30 {
-		t.Fatalf("category tier shed %d, want 30", shed)
+	if shed := g.Stats().ShedCategory; shed != 40 {
+		t.Fatalf("category tier shed %d, want 40", shed)
 	}
 	for _, e := range out {
-		if e.Category != 9 && e.Level >= 3 {
+		if e.Level >= 3 {
 			t.Fatal("low-priority event survived the category tier")
 		}
 	}
 
 	forceTier(t, g, TierStream)
-	out = g.Filter(mk())
-	if len(out) != 30 {
-		t.Fatalf("stream tier admitted %d, want only the 30 critical events", len(out))
+	if out = g.Filter(mk()); len(out) != 0 {
+		t.Fatalf("stream tier admitted %d events, want none", len(out))
 	}
-	for _, e := range out {
-		if e.Category != 9 {
-			t.Fatal("non-critical event survived the stream tier")
-		}
+	if shed := g.Stats().ShedStream; shed != 120 {
+		t.Fatalf("stream tier shed %d, want 120", shed)
 	}
 	checkIdentity(t, g.Stats())
 }
@@ -312,7 +276,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 	// the score stays below the band.
 	prev := g.Tier()
 	for i := 0; i < 3*cfg.CooldownEvals; i++ {
-		g.Evaluate(Pressure{SpillFill: 0.1})
+		g.Evaluate(at(0.1))
 		if cur := g.Tier(); cur > prev {
 			t.Fatalf("tier rose from %v to %v during recovery", prev, cur)
 		} else {
@@ -333,18 +297,16 @@ func TestHysteresisNoFlap(t *testing.T) {
 // after every batch.
 func TestAccountingIdentityUnderChurn(t *testing.T) {
 	g := NewGate(Config{
-		MinSampleRate:    0.2,
-		RatePerSec:       100,
-		Burst:            5,
-		StreamRatePerSec: 50,
-		StreamBurst:      2,
-		EngageAfter:      2,
-		CooldownEvals:    3,
+		MinSampleRate: 0.2,
+		RatePerSec:    100,
+		Burst:         5,
+		EngageAfter:   2,
+		CooldownEvals: 3,
 	})
 	rng := rand.New(rand.NewSource(42))
 	var stamp uint64 = 1
 	for round := 0; round < 200; round++ {
-		g.Evaluate(Pressure{SpillFill: rng.Float64()})
+		g.Evaluate(at(rng.Float64()))
 		n := 1 + rng.Intn(64)
 		es := mkBatch(stamp, n, uint64(1+rng.Intn(50_000)), []uint8{1, 2, 3, 4}, rng.Intn(32))
 		stamp += uint64(n)
@@ -357,24 +319,23 @@ func TestAccountingIdentityUnderChurn(t *testing.T) {
 	}
 }
 
-// TestPressureScore: the scalar takes the worst channel and latencies
-// normalize against their budgets.
+// TestPressureScore: the scalar takes the worst store signal, latencies
+// normalize against their budgets, and a failed write path is 1.
 func TestPressureScore(t *testing.T) {
-	const ab, fb = 1_000_000, 20_000_000
 	cases := []struct {
-		p    Pressure
+		p    StorePressure
 		want float64
 	}{
-		{Pressure{}, 0},
-		{Pressure{SpillFill: 0.5}, 0.5},
-		{Pressure{SpillFill: 0.2, LossRate: 0.7}, 0.7},
-		{Pressure{Store: StorePressure{AppendNs: 500_000}}, 0.5},
-		{Pressure{Store: StorePressure{FsyncNs: 40_000_000}}, 1},
-		{Pressure{Store: StorePressure{Failed: true}}, 1},
-		{Pressure{SpillFill: 3}, 1},
+		{StorePressure{}, 0},
+		{StorePressure{StagedFill: 0.5}, 0.5},
+		{StorePressure{StagedFill: 0.2, AppendNs: 700_000}, 0.7},
+		{StorePressure{AppendNs: 500_000}, 0.5},
+		{StorePressure{FsyncNs: 40_000_000}, 1},
+		{StorePressure{Failed: true}, 1},
+		{StorePressure{StagedFill: 3}, 1},
 	}
 	for i, c := range cases {
-		if got := c.p.score(ab, fb); got != c.want {
+		if got := (Pressure{Store: c.p}).score(); got != c.want {
 			t.Fatalf("case %d: score %v, want %v", i, got, c.want)
 		}
 	}

@@ -3,6 +3,7 @@ package overload
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"btrace/internal/obs"
@@ -83,16 +84,22 @@ func TestTenantTableBounded(t *testing.T) {
 	}
 }
 
+// tenantObsRuns names each TestTenantObsSeries run's tenant: a series
+// outlives its gate (the registry folds it into the process totals), so
+// under -count a reused name would read its predecessors' events too.
+var tenantObsRuns atomic.Int32
+
 func TestTenantObsSeries(t *testing.T) {
+	tenant := fmt.Sprintf("acme-%d", tenantObsRuns.Add(1))
 	g := NewGate(Config{MinSampleRate: 1})
-	g.SetTenant("acme")
+	g.SetTenant(tenant)
 	g.Filter(tenantBatch(5, 1))
 
 	var sb strings.Builder
 	if err := obs.Default().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `btrace_overload_tenant_seen_total{tenant="acme"} 5`
+	want := fmt.Sprintf(`btrace_overload_tenant_seen_total{tenant=%q} 5`, tenant)
 	if !strings.Contains(sb.String(), want) {
 		t.Fatalf("metrics output missing %q", want)
 	}

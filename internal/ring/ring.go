@@ -5,9 +5,9 @@
 // key) — no coordinator state, no rebalancing journal.
 //
 // The ring hashes each shard onto many virtual nodes (points on a
-// 64-bit circle). A key is owned by the first VNodes-many distinct
-// shards encountered walking clockwise from the key's hash: index 0 is
-// the primary, indexes 1..RF-1 the replicas. Virtual nodes give two
+// 64-bit circle). A key is owned by the first RF distinct shards
+// encountered walking clockwise from the key's hash: index 0 is the
+// primary, indexes 1..RF-1 the replicas. Virtual nodes give two
 // properties the distributor depends on:
 //
 //   - balance: with the default 1024 points per shard, every shard owns
@@ -30,9 +30,9 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the default number of virtual nodes per shard. At
-// 1024 points the arc-length balance across shards stays within ~10% of
-// fair share for any realistic shard count.
+// DefaultVNodes is the number of virtual nodes per shard. At 1024
+// points the arc-length balance across shards stays within ~10% of fair
+// share for any realistic shard count.
 const DefaultVNodes = 1024
 
 // Config shapes a Ring.
@@ -40,17 +40,11 @@ type Config struct {
 	// Replicas is the replication factor: how many distinct shards own
 	// each key (default 2, clamped to the shard count).
 	Replicas int
-	// VNodes is the number of virtual nodes per shard (default
-	// DefaultVNodes).
-	VNodes int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
 	}
 	return c
 }
@@ -89,9 +83,9 @@ func New(shards []string, cfg Config) (*Ring, error) {
 		}
 	}
 	r := &Ring{cfg: cfg, shards: sorted}
-	r.points = make([]point, 0, len(sorted)*cfg.VNodes)
+	r.points = make([]point, 0, len(sorted)*DefaultVNodes)
 	for si, name := range sorted {
-		for v := 0; v < cfg.VNodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			h := hash64(name + "#" + strconv.Itoa(v))
 			r.points = append(r.points, point{hash: h, shard: int32(si)})
 		}
@@ -152,9 +146,6 @@ func (r *Ring) RF() int {
 	}
 	return r.cfg.Replicas
 }
-
-// VNodes returns the virtual nodes per shard.
-func (r *Ring) VNodes() int { return r.cfg.VNodes }
 
 // Lookup returns the RF distinct shards owning key, primary first.
 func (r *Ring) Lookup(key string) []string { return r.LookupN(key, r.RF()) }

@@ -8,9 +8,9 @@
 // writer goroutine swaps the arena out (producers refill the spare
 // immediately) and drains it with one WriteAt per segment stretch.
 // Durability is a group commit: one fsync covers every byte applied
-// since the previous commit window. SyncEveryAppend waiters, Sync
-// callers, CommitEvery ticks and the CommitBytes threshold all
-// piggyback on the same fsync instead of paying one each. Seal
+// since the previous commit window. Sync callers, CommitEvery ticks and
+// the CommitBytes threshold all piggyback on the same fsync instead of
+// paying one each. Seal
 // finalization — header rewrite, preallocation trim, retention — runs
 // on the maintenance goroutine, so rotation costs the append path
 // nothing but a queue push; the sealed file's own fsync is deferred to
@@ -43,6 +43,10 @@ const maxSealBacklog = 64
 // goroutine drains them itself, so the window of sealed-but-not-durable
 // data stays bounded even when no commit policy is configured.
 const maxParkedSeals = 64
+
+// maxStagedBytes bounds the staging arena: producers block once this
+// many encoded bytes await the writer goroutine.
+const maxStagedBytes = 8 << 20
 
 // parkedSeal is a sealed segment file awaiting its deferred fsync.
 type parkedSeal struct {
@@ -80,7 +84,7 @@ type pipeline struct {
 	written uint64
 	synced  uint64
 
-	syncWant   uint64 // newest ticket with a waiter demanding durability
+	syncWant   uint64 // newest ticket a Sync caller demands durability for
 	forceSync  bool   // Sync(): run a commit even with no new bytes
 	flushNow   bool   // CommitEvery timer fired with bytes outstanding
 	timerArmed bool
@@ -95,20 +99,19 @@ type pipeline struct {
 
 // appendPipelined is the producer side of the write path: encode es
 // into the staging arena under pipe.mu, wake the writer, and block until
-// the batch is applied — and, when sync is set, until the group commit
-// covering it has fsynced.
+// the batch is applied.
 //
 // An entry that cannot encode (oversized payload) fails the batch at
 // that entry; the frames staged before it still go out, matching the
 // historical partial-batch semantics.
-func (st *Store) appendPipelined(es []tracer.Entry, sync bool) error {
+func (st *Store) appendPipelined(es []tracer.Entry) error {
 	if len(es) == 0 {
 		return nil
 	}
 	start := time.Now()
 	p := &st.pipe
 	p.mu.Lock()
-	for int64(len(p.buf)) >= st.cfg.MaxStagedBytes && p.err == nil && !p.closed {
+	for len(p.buf) >= maxStagedBytes && p.err == nil && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
@@ -143,25 +146,21 @@ func (st *Store) appendPipelined(es []tracer.Entry, sync bool) error {
 	}
 	p.staged++
 	t := p.staged
-	if sync && p.syncWant < t {
-		p.syncWant = t
-	}
 	st.obs.stagedBytes.Set(int64(len(p.buf)))
 	p.wcond.Signal()
 	var err error
-	for (p.written < t || (sync && p.synced < t)) && p.err == nil {
+	for p.written < t && p.err == nil {
 		p.cond.Wait()
 	}
-	if p.written < t || (sync && p.synced < t) {
+	if p.written < t {
 		err = p.err
 	}
 	p.mu.Unlock()
 	elapsed := uint64(time.Since(start))
 	st.obs.appendNs.Observe(elapsed)
-	// The pressure EWMA normalizes per event: the overload gate's
-	// AppendBudgetNs is a per-event budget, and a call's latency grows
-	// with its batch size — one large AppendEntries is throughput, not
-	// overload.
+	// The pressure EWMA normalizes per event: the overload gate's append
+	// budget is per event, and a call's latency grows with its batch
+	// size — one large AppendEntries is throughput, not overload.
 	if n := uint64(len(es)); n > 0 {
 		per := elapsed / n
 		if per == 0 {
@@ -571,7 +570,7 @@ func (st *Store) finalizeSeal(j sealJob) error {
 // commit window (Sync, Seal, Close) or the maxParkedSeals cap asks for
 // durability.
 func (st *Store) syncPolicyActive() bool {
-	return st.cfg.SyncEveryAppend || st.cfg.CommitEvery > 0 || st.cfg.CommitBytes > 0
+	return st.cfg.CommitEvery > 0 || st.cfg.CommitBytes > 0
 }
 
 // drainParked fsyncs and closes every sealed file parked since the last

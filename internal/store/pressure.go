@@ -1,5 +1,5 @@
 // Backpressure export: the write path's health signals, distilled for
-// the collector's overload controller (internal/overload). The store
+// the ingest path's overload gate (internal/overload). The store
 // already measures its append and fsync latencies for /metrics; here
 // they are additionally folded into cheap EWMAs so a per-step consumer
 // gets a recent average without walking histogram buckets.
@@ -67,7 +67,7 @@ func (st *Store) noteFsync(d uint64) {
 func (st *Store) Pressure() overload.StorePressure {
 	p := &st.pipe
 	p.mu.Lock()
-	fill := float64(len(p.buf)) / float64(st.cfg.MaxStagedBytes)
+	fill := float64(len(p.buf)) / maxStagedBytes
 	failed := p.err != nil || p.closed
 	p.mu.Unlock()
 	if fill > 1 {

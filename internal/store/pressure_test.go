@@ -95,7 +95,7 @@ func TestEwmaDecaysWhenIdle(t *testing.T) {
 // TestPressureAppendLatencyPerEvent: the pressure EWMA is normalized
 // per event, so one large AppendEntries call (whose wall time grows
 // with the batch) reads as throughput, not as an overload signal
-// blowing the per-event AppendBudgetNs.
+// blowing the gate's per-event append budget.
 func TestPressureAppendLatencyPerEvent(t *testing.T) {
 	st, err := Open(t.TempDir(), Config{})
 	if err != nil {

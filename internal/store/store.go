@@ -62,23 +62,15 @@ type Config struct {
 	// newest timestamp trails the store's newest timestamp by more than
 	// this are deleted (0 = unlimited).
 	MaxAgeNs uint64
-	// SyncEveryAppend makes every append batch wait for the group commit
-	// covering it: when Append returns, the batch is fsynced. Off by
-	// default: the durability point is the seal (rotation), a Sync call,
-	// or the CommitEvery/CommitBytes window, matching the paper's
-	// dump-then-analyze workflow. Concurrent appenders share one fsync
-	// per commit window instead of paying one each.
-	SyncEveryAppend bool
 	// CommitEvery bounds how long applied-but-unsynced bytes may sit
 	// before a group commit fsyncs them (0 = no timer; durability then
-	// comes from seals, Sync, SyncEveryAppend or CommitBytes).
+	// comes from seals, Sync or CommitBytes). With neither commit policy
+	// set the durability point is the seal (rotation) or a Sync call,
+	// matching the paper's dump-then-analyze workflow.
 	CommitEvery time.Duration
 	// CommitBytes triggers a group commit once this many bytes have been
 	// applied since the previous commit (0 = no byte threshold).
 	CommitBytes int64
-	// MaxStagedBytes bounds the staging arena; producers block once this
-	// many encoded bytes await the writer goroutine (default 8 MiB).
-	MaxStagedBytes int64
 
 	// Backend overrides the storage backend. nil selects the local
 	// directory backend over Open's dir argument.
@@ -108,9 +100,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 1 << 20
-	}
-	if c.MaxStagedBytes <= 0 {
-		c.MaxStagedBytes = 8 << 20
 	}
 	if c.ColdBlockBytes <= 0 {
 		c.ColdBlockBytes = defaultColdBlockBytes
@@ -535,18 +524,17 @@ func (st *Store) activeSeg() *segment {
 }
 
 // Append stages one event. The write is visible to cursors as soon as
-// Append returns; it is durable at the group commit covering it when
-// SyncEveryAppend is set, otherwise at the next seal, Sync, or
+// Append returns; it is durable at the next seal, Sync, or
 // CommitEvery/CommitBytes window.
 func (st *Store) Append(e *tracer.Entry) error {
-	return st.appendPipelined([]tracer.Entry{*e}, st.cfg.SyncEveryAppend)
+	return st.appendPipelined([]tracer.Entry{*e})
 }
 
 // AppendEntries stages a batch of events; the writer goroutine drains
 // it with one write per segment stretch — the bulk path the ingest
 // paths and the replay dump use.
 func (st *Store) AppendEntries(es []tracer.Entry) error {
-	return st.appendPipelined(es, st.cfg.SyncEveryAppend)
+	return st.appendPipelined(es)
 }
 
 // newSegmentLocked creates and activates a fresh segment file.

@@ -45,8 +45,14 @@ func (t *Tracer) Write(_ tracer.Proc, e *tracer.Entry) error {
 
 // ReadAll implements tracer.Tracer: a full drain of the store, sorted by
 // stamp (segments hold append order, which concurrent producers
-// interleave arbitrarily).
+// interleave arbitrarily). It first waits for retention to catch up with
+// the writes (Sync): retention runs on the maintenance goroutine, and a
+// drain racing it loses a segment mid-pass — a `missed` to a cursor, an
+// interior gap to the conformance suite, on a loaded machine only.
 func (t *Tracer) ReadAll() ([]tracer.Entry, error) {
+	if err := t.st.Sync(); err != nil {
+		return nil, err
+	}
 	cur := t.NewCursor()
 	defer cur.Close()
 	es, err := tracer.Drain(cur, 1024)
