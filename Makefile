@@ -42,11 +42,12 @@ race-stress:
 tier1: build fmt vet test race
 
 # ROADMAP item 8's deterministic tier-1, scoped to the packages the
-# admission and durability paths live in: their tests three times over
-# while two busy loops compete for the CPUs. A test that leans on the
-# clock or on scheduling luck fails here before it flakes elsewhere.
+# admission, durability and read paths live in: their tests three times
+# over while two busy loops compete for the CPUs. A test that leans on
+# the clock or on scheduling luck fails here before it flakes elsewhere.
 CONTENDED_PKGS = ./internal/overload/... ./internal/ingest/... ./internal/store/... \
-	./internal/distributor/... ./internal/ring/... ./cmd/btrace-serve/...
+	./internal/distributor/... ./internal/ring/... ./cmd/btrace-serve/... \
+	./internal/vulture/... ./cmd/btrace-inspect/...
 tier1-contended:
 	@pids=; for i in 1 2; do sh -c 'while :; do :; done' & pids="$$pids $$!"; done; \
 	trap 'kill $$pids' EXIT; \
@@ -90,7 +91,7 @@ cluster-chaos:
 
 # Continuous-verification soak: boot a real 4-shard RF=2 btrace-serve,
 # run btrace-vulture against it (known stamped writes read back through
-# /live, sequential and parallel /store/query, and the cold tier), and
+# /live, one-worker and parallel /store/query, and the cold tier), and
 # drain a shard mid-soak. Fails on any acked-stamp loss, duplication or
 # mis-ordering. Honors -short (make vulture-soak SHORT=-short, ~30s).
 vulture-soak:

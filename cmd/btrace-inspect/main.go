@@ -335,7 +335,7 @@ func load(path string) ([]tracer.Entry, error) {
 			fmt.Fprintf(os.Stderr, "warning: recovered %d torn segment tail(s), dropped %d byte(s)\n",
 				s.RecoveredTruncations, s.TornBytesDropped)
 		}
-		cur := st.NewCursor()
+		cur := st.Query(store.Query{})
 		defer cur.Close()
 		return tracer.Drain(cur, 1024)
 	}

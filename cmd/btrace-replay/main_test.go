@@ -51,7 +51,7 @@ func TestRunReplayPersistsToStore(t *testing.T) {
 	if st.Events() == 0 {
 		t.Fatal("store holds no events after -store replay")
 	}
-	cur := st.NewCursor()
+	cur := st.Query(store.Query{})
 	defer cur.Close()
 	es, err := tracer.Drain(cur, 1024)
 	if err != nil {

@@ -292,9 +292,9 @@ func TestLiveRequestValidation(t *testing.T) {
 	}
 }
 
-// TestStoreQueryWorkersParam: ?workers= switches /store/query between
-// the sequential and parallel scan surfaces, and both return the same
-// stream; out-of-range values are rejected.
+// TestStoreQueryWorkersParam: ?workers= sizes /store/query's scan pool
+// — 0 is one worker — and every size returns the same stream;
+// out-of-range values are rejected.
 func TestStoreQueryWorkersParam(t *testing.T) {
 	ts, _ := storeServer(t, 50)
 	var bodies []string
@@ -313,7 +313,7 @@ func TestStoreQueryWorkersParam(t *testing.T) {
 		bodies = append(bodies, body)
 	}
 	if bodies[0] != bodies[1] || bodies[1] != bodies[2] {
-		t.Fatal("sequential, parallel and default surfaces disagree")
+		t.Fatal("one-worker, parallel and default reads disagree")
 	}
 	if code, _ := get(t, ts.URL+"/store/query?workers=99"); code != http.StatusBadRequest {
 		t.Fatalf("workers=99: status %d, want 400", code)

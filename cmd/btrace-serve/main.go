@@ -39,7 +39,7 @@ func main() {
 	addr := flag.String("addr", "localhost:8321", "listen address")
 	scale := flag.Float64("scale", 0.02, "default volume fraction for experiments, in (0, 1]")
 	storeDir := flag.String("store", "", "durable trace store directory to serve via /store/query and /store/segments")
-	queryWorkers := flag.Int("query-workers", store.DefaultQueryWorkers, "parallel scan workers for /store/query (0 = sequential cursor)")
+	queryWorkers := flag.Int("query-workers", store.DefaultQueryWorkers, "scan workers for a /store/query without ?workers=, in [0, 32] (0 = one scan worker)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "store segment roll size in bytes (0 = default 1MiB)")
 	commitEvery := flag.Duration("commit-every", 0, "store group-commit interval (0 = fsync only on demand)")
 	commitBytes := flag.Int64("commit-bytes", 0, "store group-commit byte threshold (0 = no byte trigger)")
@@ -58,7 +58,7 @@ func main() {
 	liveMaxMissed := flag.Uint64("live-max-missed", 0, "missed-event count at which a slow /live subscriber is evicted (0 = default 65536)")
 	flag.Parse()
 
-	if err := checkFlags(*scale, *sampleRate, *rateLimit, *rateBurst, *shards); err != nil {
+	if err := checkFlags(*scale, *sampleRate, *rateLimit, *rateBurst, *shards, *queryWorkers); err != nil {
 		fmt.Fprintln(os.Stderr, "btrace-serve:", err)
 		os.Exit(2)
 	}
@@ -213,9 +213,10 @@ func main() {
 // same hard validation as the request parameter: a non-positive or >1
 // scale is a misconfiguration, not a bigger experiment. Negative rates,
 // bursts and shard counts are refused rather than run as unlimited, as
-// the default burst and as a single store. Every comparison is written
-// so that NaN fails it.
-func checkFlags(scale, sampleRate, rateLimit, rateBurst float64, shards int) error {
+// the default burst and as a single store, and -query-workers is held to
+// the range ?workers= is. Every comparison is written so that NaN fails
+// it.
+func checkFlags(scale, sampleRate, rateLimit, rateBurst float64, shards, queryWorkers int) error {
 	switch {
 	case !(scale > 0 && scale <= 1):
 		return fmt.Errorf("-scale must be in (0, 1], got %v", scale)
@@ -227,6 +228,8 @@ func checkFlags(scale, sampleRate, rateLimit, rateBurst float64, shards int) err
 		return fmt.Errorf("-rate-burst must be >= 0, got %v", rateBurst)
 	case shards < 0:
 		return fmt.Errorf("-shards must be >= 0, got %d", shards)
+	case queryWorkers < 0 || queryWorkers > maxQueryWorkers:
+		return fmt.Errorf("-query-workers must be in [0, %d], got %d", maxQueryWorkers, queryWorkers)
 	}
 	return nil
 }

@@ -63,8 +63,8 @@ type server struct {
 	// store is the durable trace store served by /store/*; nil when the
 	// server runs without one.
 	store *store.Store
-	// queryWorkers sizes the parallel scan pool /store/query uses; zero
-	// or negative falls back to the sequential cursor.
+	// queryWorkers sizes the scan pool of a /store/query that names no
+	// ?workers=, in [0, maxQueryWorkers]; zero means one worker.
 	queryWorkers int
 	// ingest is the POST /ingest delivery pipeline; nil when the server
 	// runs without a store (attachIngest wires it after construction).

@@ -124,9 +124,8 @@ func parseStoreQuery(r *http.Request) (store.Query, *btql.AggSpec, error) {
 const maxQueryWorkers = 32
 
 // requestWorkers resolves the scan-pool size for one /store/query:
-// ?workers=0 forces the sequential cursor (on a cluster, one scan worker
-// per shard), ?workers=N a pool of N (capped), and an absent parameter
-// falls back to the operator default.
+// ?workers=N a pool of N (capped; 0 reads as one worker, per shard on a
+// cluster), and an absent parameter falls back to the operator default.
 func requestWorkers(r *http.Request, def int) (int, error) {
 	v := r.URL.Query().Get("workers")
 	if v == "" {
@@ -167,13 +166,11 @@ func (w *startedWriter) Write(p []byte) (int, error) {
 // contract every in-memory exporter uses. The format is the read's
 // projection, fixed before the cursor is opened: csv and chrome print a
 // payload's size and text its bytes (export.NeedsPayload), so only a
-// text export makes the scan read, inflate or copy payloads. On a
-// single store ?workers= picks the scan surface per request: 0 the
-// sequential cursor (append order), N a parallel pool (stamp order) —
-// over a store fed in stamp order both must yield the identical stream
-// (btrace-vulture continuously cross-checks that equivalence). On a
-// cluster every value reads the same merged snapshot, 0 meaning one
-// scan worker per shard.
+// text export makes the scan read, inflate or copy payloads. Every read
+// is one stamp-ordered snapshot pass; ?workers= sizes its scan pool only,
+// 0 meaning one worker — per shard on a cluster, whose shards' passes a
+// merge deduplicates into one stream — so every value yields the
+// identical stream (btrace-vulture continuously cross-checks that).
 //
 // An export that fails once the response has begun aborts the
 // connection instead of returning: a clean end of the body would tell
@@ -208,18 +205,15 @@ func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	q.LengthsOnly = !needs
 	var cur tracer.Cursor
-	switch {
-	case s.cluster != nil:
+	if s.cluster != nil {
 		// Cluster mode: fan out to every healthy shard and k-way-merge
 		// the replicas back to one stamp-ordered copy each.
 		if cur, err = s.cluster.d.Query(q, workers); err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-	case workers > 0:
-		cur = s.store.QueryParallel(q, workers)
-	default:
-		cur = s.store.Query(q)
+	} else {
+		cur = s.store.QueryParallel(q, max(workers, 1))
 	}
 	defer cur.Close()
 	out := &startedWriter{ResponseWriter: w}

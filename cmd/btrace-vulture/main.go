@@ -1,7 +1,7 @@
 // Command btrace-vulture continuously verifies a running btrace-serve:
 // it writes known stamped traces through POST /ingest and reads every
 // acked stamp back through each query surface — the /live tail, the
-// sequential and parallel /store/query cursors, the BTQL filter and
+// one-worker and parallel /store/query reads, the BTQL filter and
 // count() pipelines, and the cold columnar tier — and exits non-zero
 // if any acked stamp was lost, duplicated or delivered out of order. CI runs it as a soak gate (make vulture-soak);
 // operators can point it at a live deployment as a canary.

@@ -179,13 +179,14 @@ func verified(parts []store.Partial, rf int) bool {
 // aggregateMerged folds the aggregators over the merged stream of every
 // healthy shard's events (Query), behind the merge cursor's dedup: what
 // Aggregate answers with when the shards' parts do not verify, and what
-// the tests hold the pushdown against. The merge adds one mergeBatch of
-// entries per shard to what the shards' scans hold themselves — a
-// store.PCursor each, up to three decoded spans per segment of its
-// snapshot, a whole segment where replicated delivery left it unordered
-// — so the pass is bounded by the segments that match, not by a
-// constant.
+// the tests hold the pushdown against. No aggregator reads a payload
+// byte, so the stream is read for payload lengths only. The merge adds
+// one mergeBatch of entries per shard to what the shards' scans hold
+// themselves — a store.PCursor each, up to three spans per segment of
+// its snapshot, an unordered segment's entries and one span buffer —
+// so the pass is bounded by the segments that match, not by a constant.
 func (d *Distributor) aggregateMerged(q store.Query, specs []btql.AggSpec) (results []btql.Result, missed uint64, err error) {
+	q.LengthsOnly = true
 	cur, err := d.Query(q, 0)
 	if err != nil {
 		return nil, 0, err

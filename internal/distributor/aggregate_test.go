@@ -1,10 +1,13 @@
 package distributor
 
 import (
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"btrace/internal/btql"
+	"btrace/internal/obs"
 	"btrace/internal/store"
 )
 
@@ -118,5 +121,60 @@ func TestDistributorAggregateWhileAppending(t *testing.T) {
 	if o := d.obs; o.aggPushdown.Load() != 21 || o.aggMerged.Load() != 0 {
 		t.Fatalf("%d counts answered by the shards, %d by the merged fold (%d mismatches): want all 21 pushed down, the cut keeps a batch in flight out of the snapshots",
 			o.aggPushdown.Load(), o.aggMerged.Load(), o.aggFallbacks[fallbackMismatch].Load())
+	}
+}
+
+// TestAggregateMergedReadsLengths: no aggregator reads a payload byte,
+// so the merged fold a shard failure forces asks every shard for
+// payload lengths only — btrace_store_reads_total{payload="lengths"}
+// moves once per healthy shard, {payload="bytes"} not at all — and
+// answers what the pushdown answered on the clean cluster, also under a
+// payload predicate, which the shards' scans still evaluate.
+func TestAggregateMergedReadsLengths(t *testing.T) {
+	d, locals := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
+	if res := d.Ingest("", events(500, 1, 30, 31, 32, 33)); res.Acked != 500 {
+		t.Fatalf("acked %d of 500", res.Acked)
+	}
+	needle, err := btql.Parse(`payload contains "e7"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []btql.AggSpec{{Kind: btql.AggCount}, {Kind: btql.AggTopK, K: 2, Field: btql.FTID}}
+	queries := []store.Query{{}, {Pred: needle.Predicate()}}
+	want := make([][]btql.Result, len(queries))
+	for i, q := range queries {
+		if want[i], _, err = d.Aggregate(q, specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := d.obs.aggPushdown.Load(); n != 2 || d.obs.aggMerged.Load() != 0 {
+		t.Fatalf("clean cluster: %d pushdown, %d merged", n, d.obs.aggMerged.Load())
+	}
+
+	locals[1].Kill()
+	reads := func(payload string) float64 {
+		return obs.Default().Snapshot().Value(fmt.Sprintf("btrace_store_reads_total{payload=%q}", payload))
+	}
+	for i, q := range queries {
+		bytes, lengths := reads("bytes"), reads("lengths")
+		got, missed, err := d.Aggregate(q, specs)
+		if err != nil || missed != 0 {
+			t.Fatalf("query %d: Aggregate with a shard down: missed %d, err %v", i, missed, err)
+		}
+		if moved := reads("bytes") - bytes; moved != 0 {
+			t.Errorf("query %d: the merged fold made %v payload-keeping reads", i, moved)
+		}
+		if moved := reads("lengths") - lengths; moved != 3 {
+			t.Errorf("query %d: the merged fold made %v length-only reads, want one per healthy shard (3)", i, moved)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("query %d: merged fold %+v, pushdown %+v", i, got, want[i])
+		}
+	}
+	if n := d.obs.aggFallbacks[fallbackUnhealthy].Load(); n != 2 || d.obs.aggMerged.Load() != 2 {
+		t.Fatalf("%d unhealthy fallbacks, %d merged folds, want both asks to fall back", n, d.obs.aggMerged.Load())
+	}
+	if want[1][0].Events == 0 {
+		t.Fatal("the payload predicate matched nothing")
 	}
 }

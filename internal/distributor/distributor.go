@@ -219,9 +219,9 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	d.obs.quarantined.Add(uint64(c.Quarantined))
 
 	// Held until every delivery has resolved: a topology change waits for
-	// the Ingests the old ring routed, so when AddShard or DrainShard
-	// starts its rebalancing scan nothing placed by the old ring is still
-	// on its way to a shard the scan has already read.
+	// the Ingests the old ring routed, so the snapshot AddShard or
+	// DrainShard copies from, taken after its ring swap, holds everything
+	// the old ring placed.
 	d.topo.RLock()
 	defer d.topo.RUnlock()
 	r, targets := d.ring, d.targets
@@ -399,11 +399,13 @@ func (d *Distributor) Shard(name string) Shard {
 // AddShard joins a shard to the ring and rebalances: new writes to the
 // moved hash ranges route to it immediately, and the historical events
 // of those ranges are copied over from their old owners before AddShard
-// returns. The copy is what keeps the topology invariant — every owner
-// in ring.Lookup(key) possesses key's acked events — true across joins;
-// DrainShard relies on it when it skips owners that "already" hold a
-// key, so a join without rebalance would silently leave the moved
-// ranges one replica short and a later drain+crash could lose them.
+// returns, out of one snapshot per peer taken after the ring swap (which
+// waited out every Ingest the old ring routed). The copy is what keeps
+// the topology invariant — every owner in ring.Lookup(key) possesses
+// key's acked events — true across joins; DrainShard relies on it when
+// it skips owners that "already" hold a key, so a join without
+// rebalance would silently leave the moved ranges one replica short and
+// a later drain+crash could lose them.
 func (d *Distributor) AddShard(sh Shard) (DrainReport, error) {
 	var rep DrainReport
 	name := sh.Name()
@@ -446,7 +448,7 @@ func (d *Distributor) AddShard(sh Shard) (DrainReport, error) {
 	batch := make([]tracer.Entry, drainBatch)
 	picked := make([]tracer.Entry, 0, drainBatch)
 	for _, peer := range peers {
-		cur, err := peer.Scan()
+		cur, err := peer.Query(store.Query{}, 1)
 		if err != nil {
 			// An unreadable peer cannot ship its ranges; the newcomer
 			// still serves new writes, and the peer's replicas keep the
@@ -550,13 +552,13 @@ func (d *Distributor) DrainShard(name string) (Shard, DrainReport, error) {
 		return nil, rep, err
 	}
 	// Swap the ring first: from here on, writes route around the
-	// draining shard while its data stays queryable until the scan is
+	// draining shard while its data stays queryable until the copy is
 	// done. Taking topo for writing waited out the Ingests the old ring
-	// routed, so the scan below sees everything the shard ever acked.
+	// routed, so the snapshot below holds everything the shard ever acked.
 	d.setRingLocked(newRing)
 	d.topo.Unlock()
 
-	cur, err := sh.Scan()
+	cur, err := sh.Query(store.Query{}, 1)
 	if err != nil {
 		// Shard unreadable (e.g. killed): fall back to crash-removal.
 		d.finishRemove(name)

@@ -14,8 +14,8 @@ import (
 // The cluster read surface must not depend on how hard each shard
 // scans: whatever ?workers= asks for, the merged, deduplicated stream
 // has to be the same — btrace-vulture cross-checks that continuously —
-// and it has to be what the shards' sequential store cursors hold, the
-// reference the parallel scan is checked against.
+// and it has to be what the shards' own one-worker store reads hold,
+// deduplicated and sorted here: the reference without the merge.
 func TestDistributorQueryParallelMatchesSequential(t *testing.T) {
 	d, locals := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
 	res := d.Ingest("", events(500, 1, 30, 31, 32, 33, 34))
@@ -36,7 +36,7 @@ func TestDistributorQueryParallelMatchesSequential(t *testing.T) {
 	}
 	sort.Slice(seq, func(i, j int) bool { return seq[i].Stamp < seq[j].Stamp })
 	if len(seq) != 401 {
-		t.Fatalf("sequential cursors hold %d distinct events, want 401", len(seq))
+		t.Fatalf("the shards' reads hold %d distinct events, want 401", len(seq))
 	}
 
 	for _, workers := range []int{0, 1, 4} {
@@ -46,11 +46,11 @@ func TestDistributorQueryParallelMatchesSequential(t *testing.T) {
 		}
 		par := drainAll(t, cur)
 		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d events, sequential %d", workers, len(par), len(seq))
+			t.Fatalf("workers=%d: %d events, the shards' reads %d", workers, len(par), len(seq))
 		}
 		for i := range seq {
 			if seq[i].Stamp != par[i].Stamp {
-				t.Fatalf("workers=%d: divergence at %d: sequential stamp %d, merged %d",
+				t.Fatalf("workers=%d: divergence at %d: the shards' stamp %d, merged %d",
 					workers, i, seq[i].Stamp, par[i].Stamp)
 			}
 			if string(seq[i].Payload) != string(par[i].Payload) {

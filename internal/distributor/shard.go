@@ -42,11 +42,6 @@ type Shard interface {
 	// (store.AggSnapshot.Fold) runs whenever the caller gets to it. The
 	// distributor takes every shard's between two deliveries.
 	AggSnapshot(q store.Query) (*store.AggSnapshot, error)
-	// Scan opens the store's following cursor over everything the shard
-	// holds: append order, one block decoded at a time, and it reads on
-	// into what is applied during the scan until its first empty Next.
-	// What AddShard and DrainShard re-place from.
-	Scan() (tracer.Cursor, error)
 	// Healthy reports whether the shard is accepting work.
 	Healthy() bool
 	Segments() []store.SegmentInfo
@@ -149,14 +144,6 @@ func (s *LocalShard) AggSnapshot(q store.Query) (*store.AggSnapshot, error) {
 		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)
 	}
 	return s.st.AggregateSnapshot(q), nil
-}
-
-// Scan opens the store's sequential cursor; same refusal rule as Query.
-func (s *LocalShard) Scan() (tracer.Cursor, error) {
-	if !s.Healthy() {
-		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)
-	}
-	return s.st.Query(store.Query{}), nil
 }
 
 // Healthy reports whether the shard accepts work: alive and with a

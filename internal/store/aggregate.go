@@ -264,7 +264,7 @@ func newAggs(specs []btql.AggSpec) []*btql.Aggregator {
 // scan folds segment sn into sink. missed is the snapshot's count of a
 // segment retention deleted before it could be opened.
 func (p *AggSnapshot) scan(sn *segSnap, sink rowSink) (missed uint64, err error) {
-	s, missed, err := p.st.openScan(p.q, sn, false)
+	s, missed, err := p.st.openScan(p.q, sn)
 	if s == nil {
 		return missed, err
 	}

@@ -202,21 +202,20 @@ func TestAggregateColumnarSkips(t *testing.T) {
 }
 
 // TestCorruptFrameFailsEverySurface: one byte of rot in a hot segment
-// has to surface as ErrCorrupt from the sequential cursor, the parallel
+// has to surface as ErrCorrupt from the one-worker cursor, the parallel
 // cursor and the aggregate executor alike, never as a silently wrong
 // answer. Two places a surface could look away: the tail magic of a
 // frame its predicate does not select (the magic is what keeps the
 // frame walk itself honest, so it is checked on every frame stepped
 // over), and the checksum of a frame it does select. The checksum of a
-// pruned frame is the sequential cursor's job alone: it is the
-// reference surface and verifies every frame it walks, where the other
-// two defer the CRC to candidates.
+// pruned frame is deferred with its decode: a read that selects the
+// frame meets it, one that prunes it never hands out the corrupt bytes.
 func TestCorruptFrameFailsEverySurface(t *testing.T) {
 	first := mkEntry(1) // category 1: `category == 2` never selects it
 	for _, tc := range []struct {
-		name    string
-		off     int  // byte to flip, relative to the first frame
-		seqOnly bool // only the sequential cursor is required to notice
+		name   string
+		off    int  // byte to flip, relative to the first frame
+		pruned bool // the filtered read never checks the flipped frame
 	}{
 		// Byte 6 of frame 1's 8-byte tail sits in the magic half.
 		{"magic of a pruned frame", first.WireSize() + 6, false},
@@ -240,14 +239,19 @@ func TestCorruptFrameFailsEverySurface(t *testing.T) {
 			flipByte(t, path, int64(headerSize+tc.off))
 
 			q := Query{Pred: predOf(t, `category == 2`)}
+			if tc.pruned {
+				// The filtered read is whole without the frame; the read
+				// that selects it fails.
+				if es := drainStore(t, st, q); len(es) != 20 {
+					t.Errorf("filtered read over the pruned frame: %d events, want 20", len(es))
+				}
+				q = Query{}
+			}
 			cur := st.Query(q)
 			_, err = tracer.Drain(cur, 64)
 			cur.Close()
 			if !errors.Is(err, tracer.ErrCorrupt) {
 				t.Errorf("Query: err = %v, want ErrCorrupt", err)
-			}
-			if tc.seqOnly {
-				return
 			}
 			pc := st.QueryParallel(q, 2)
 			_, err = tracer.Drain(pc, 64)

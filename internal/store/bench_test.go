@@ -132,7 +132,7 @@ func drainCursor(b *testing.B, cur tracer.Cursor, batch []tracer.Entry) int {
 	return n
 }
 
-// BenchmarkStoreQueryWide is the sequential baseline for
+// BenchmarkStoreQueryWide is the one-worker row beside
 // BenchmarkStoreQueryParallel: one category filter drained across every
 // segment of the fixture, per-op = one full query.
 func BenchmarkStoreQueryWide(b *testing.B) {
@@ -142,7 +142,7 @@ func BenchmarkStoreQueryWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := drainCursor(b, st.Query(Query{Categories: []uint8{2}}), batch)
+		n := drainCursor(b, st.QueryParallel(Query{Categories: []uint8{2}}, 1), batch)
 		if n == 0 {
 			b.Fatal("query returned no records")
 		}

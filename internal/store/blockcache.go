@@ -1,8 +1,8 @@
 // Block cache: cold queries pay a DEFLATE inflate per stream touched,
 // and a varint decode per wide column read, which would make every
 // repeated analytical query over the cold tier redo the same work. The
-// store keeps one bounded LRU, shared by all cursors (sequential and
-// parallel) and by Aggregate, of what those steps produce — each in the
+// store keeps one bounded LRU, shared by every cursor and by
+// Aggregate, of what those steps produce — each in the
 // form the scan consumes it, each an entry of its own, created the first
 // time a query needs it:
 //

@@ -15,7 +15,7 @@ import (
 )
 
 // TestObjectBackendConformance runs the store's core flows — append,
-// rotation, merge, freeze, reopen, sequential and parallel queries —
+// rotation, merge, freeze, reopen, one-worker and parallel queries —
 // over the in-process object backend, checking the Backend contract is
 // sufficient for everything the local path does.
 func TestObjectBackendConformance(t *testing.T) {
@@ -350,7 +350,7 @@ func TestCommitBytesGroupCommit(t *testing.T) {
 }
 
 // TestStoreCompactorStress races the background compactor (1ms ticks)
-// against live appends, explicit seals, parallel and sequential queries,
+// against live appends, explicit seals, parallel and one-worker queries,
 // aggregates and byte-budget retention. Run under -race via
 // `make compaction-chaos`. The assertion is structural: no write-path
 // error, no query corruption error, newest data still readable at the
@@ -362,7 +362,7 @@ func TestStoreCompactorStress(t *testing.T) {
 	const (
 		wantBatches = 100 // appended batches of 32 events
 		wantDrains  = 5   // complete passes per reader
-		readers     = 3   // parallel cursor, sequential cursor, aggregate
+		readers     = 3   // parallel cursor, one-worker cursor, aggregate
 	)
 	st, err := Open(t.TempDir(), Config{
 		SegmentBytes:    8 << 10,

@@ -147,7 +147,7 @@ func checkColumnWalker(t testing.TB, st *Store, es []tracer.Entry, q Query) {
 	}
 	cq := compile(q)
 	for _, sn := range coldSnaps(st) {
-		s, _, err := st.openScan(cq, &sn, false)
+		s, _, err := st.openScan(cq, &sn)
 		if err != nil || s == nil {
 			t.Fatalf("openScan %s: %v", sn.name, err)
 		}

@@ -16,29 +16,25 @@ import (
 
 // The model-based store test: a random sequence of everything a store
 // can be asked to do — appends from interleaving writers, seals, merges,
-// freezes, retention, reopens, crashes, and reads on all three surfaces
-// with random queries — run against the real store and an in-memory
-// oracle side by side. The oracle is the list of events in append order
-// and the two read contracts:
+// freezes, retention, reopens, crashes, and reads on both surfaces with
+// random queries — run against the real store and an in-memory oracle
+// side by side. The oracle is the list of events in append order and
+// the one read contract:
 //
-//   - Query follows in append order. A fresh cursor drained at rest
-//     delivers exactly the live matches, in append order (the first
-//     Limit of them). One held open across other operations delivers a
-//     subsequence of the matches in append order, each once, and
-//     delivered + missed covers them all.
-//   - QueryParallel and Aggregate are snapshots in stamp order. A pass
-//     run at rest delivers exactly the live matches by ascending stamp
-//     (the first Limit of them) and folds exactly them. A parallel
-//     cursor whose snapshot was taken before other operations delivers
-//     ascending stamps out of that snapshot's matches, and delivered +
-//     missed covers them all. An aggregate answers the same asked again
-//     (the second answer comes out of the block cache's partials), the
-//     same folded without them, and the oracle's answer of the moment
-//     when it is re-asked after whatever the program did next.
+//   - A cursor (Query, QueryParallel at any worker count) and Aggregate
+//     are snapshots in stamp order. A pass run at rest delivers exactly
+//     the live matches by ascending stamp (the first Limit of them) and
+//     folds exactly them. A cursor whose snapshot was taken before other
+//     operations delivers ascending stamps out of that snapshot's
+//     matches, and delivered + missed covers them all. An aggregate
+//     answers the same asked again (the second answer comes out of the
+//     block cache's partials), the same folded without them, and the
+//     oracle's answer of the moment when it is re-asked after whatever
+//     the program did next.
 //
-// Either cursor may be asked for payload lengths alone
-// (Query.LengthsOnly): the same contracts, the payloads held to the
-// oracle's lengths and to carrying no byte of the store's.
+// A cursor may be asked for payload lengths alone (Query.LengthsOnly):
+// the same contract, the payloads held to the oracle's lengths and to
+// carrying no byte of the store's.
 //
 // A sequence is a byte string (a program): every choice the interpreter
 // makes is drawn from it, so the seeded test and FuzzStoreModel run the
@@ -93,13 +89,11 @@ func modelEntry(stamp uint64, bare bool) tracer.Entry {
 type follower struct {
 	name string
 	q    Query
-	seq  *Cursor
 	par  *PCursor
-	// What the cursor may deliver: for seq the matches of all[from:],
-	// growing with the appends; for par those of all[from:upto], its
+	// What the cursor may deliver: the matches of all[from:upto], its
 	// snapshot.
 	from, upto int
-	last       int // all-index (seq) or stamp (par) of the last delivery
+	last       int // stamp of the last delivery
 	seen       map[uint64]bool
 	missed     uint64
 }
@@ -284,15 +278,8 @@ func limited(idx []int, limit int) []int {
 	return idx
 }
 
-// readSeq, readPar and readAgg each hold one surface, at rest, to the
-// oracle's answer for q.
-func (m *storeModel) readSeq(q Query, name string) {
-	cur := m.st.Query(q)
-	got, missed := m.drain("Query"+name, cur, 1+m.p.intn(90), q.LengthsOnly)
-	cur.Close()
-	m.checkExact("Query"+name, got, missed, limited(m.matches(&q, m.gone, len(m.all)), q.Limit), q.LengthsOnly)
-}
-
+// readPar and readAgg each hold one surface, at rest, to the oracle's
+// answer for q.
 func (m *storeModel) readPar(q Query, name string, workers int) {
 	what := fmt.Sprintf("QueryParallel(%d)%s", workers, name)
 	cur := m.st.QueryParallel(q, workers)
@@ -356,23 +343,16 @@ func (m *storeModel) reask(op string) {
 }
 
 // poll drains what a held cursor has to give and checks it against the
-// bounds its contract promises. done closes it and checks that
-// delivered + missed covers everything it could have seen.
-func (m *storeModel) poll(f *follower, done bool) {
-	var cur tracer.Cursor = f.seq
-	if f.par != nil {
-		cur = f.par
-	}
-	got, missed := m.drain(f.name, cur, 1+m.p.intn(40), f.q.LengthsOnly)
+// bounds its contract promises: a snapshot pass that delivers nothing
+// is over, so poll closes it and checks that delivered + missed covers
+// everything it could have seen.
+func (m *storeModel) poll(f *follower) {
+	got, missed := m.drain(f.name, f.par, 1+m.p.intn(40), f.q.LengthsOnly)
 	f.missed += missed
-	upto := f.upto
-	if f.seq != nil {
-		upto = len(m.all)
-	}
 	for i := range got {
 		e := &got[i]
 		j, ok := m.pos[e.Stamp]
-		if !ok || j < f.from || j >= upto || !sameEntry(e, &m.all[j], f.q.LengthsOnly) {
+		if !ok || j < f.from || j >= f.upto || !sameEntry(e, &m.all[j], f.q.LengthsOnly) {
 			m.failf("%s delivered %+v, which is not an event it could see", f.name, *e)
 		}
 		// The oracle's copy: a length-only entry has no bytes to match.
@@ -383,23 +363,13 @@ func (m *storeModel) poll(f *follower, done bool) {
 			m.failf("%s delivered stamp %d twice", f.name, e.Stamp)
 		}
 		f.seen[e.Stamp] = true
-		order := j // append order
-		if f.par != nil {
-			order = int(e.Stamp)
-		}
-		if order <= f.last {
+		if int(e.Stamp) <= f.last {
 			m.failf("%s delivered stamp %d out of order", f.name, e.Stamp)
 		}
-		f.last = order
+		f.last = int(e.Stamp)
 	}
-	if f.par != nil {
-		done = true // a snapshot pass that delivers nothing is over
-	}
-	if !done {
-		return
-	}
-	cur.Close()
-	if want := len(m.matches(&f.q, f.from, upto)); uint64(len(f.seen))+f.missed < uint64(want) {
+	f.par.Close()
+	if want := len(m.matches(&f.q, f.from, f.upto)); uint64(len(f.seen))+f.missed < uint64(want) {
 		m.failf("%s delivered %d and missed %d of %d matches", f.name, len(f.seen), f.missed, want)
 	}
 	m.followers = slices.DeleteFunc(m.followers, func(x *follower) bool { return x == f })
@@ -407,7 +377,7 @@ func (m *storeModel) poll(f *follower, done bool) {
 
 func (m *storeModel) closeFollowers() {
 	for len(m.followers) > 0 {
-		m.poll(m.followers[0], true)
+		m.poll(m.followers[0])
 	}
 }
 
@@ -521,12 +491,12 @@ func (m *storeModel) step(writers int) {
 		m.open(image)
 		m.settle()
 		// Recovery is exactly-once: everything is there, nothing twice.
-		m.readSeq(Query{}, " after crash")
+		m.readPar(Query{}, " after crash", 1)
 		m.reask("crash")
 	case op < 24:
 		q, desc := m.randQuery(true)
 		m.logf("Query %s", desc)
-		m.readSeq(q, "")
+		m.readPar(q, "", 1)
 	case op < 27:
 		q, desc := m.randQuery(true)
 		workers := []int{1, 4}[p.intn(2)]
@@ -539,34 +509,28 @@ func (m *storeModel) step(writers int) {
 	case op < 31: // hold a cursor open, or poll one
 		if k := p.intn(3); k < len(m.followers) {
 			f := m.followers[k]
-			done := p.intn(4) == 0
-			m.logf("poll %s (close: %v)", f.name, done)
-			m.poll(f, done)
+			m.logf("poll %s", f.name)
+			m.poll(f)
 			return
 		}
 		q, desc := m.randQuery(false)
 		f := &follower{q: q, from: m.gone, upto: len(m.all), last: -1, seen: map[uint64]bool{}}
-		if p.intn(2) == 0 {
-			f.name = fmt.Sprintf("follower %d (Query)", len(m.ops))
-			f.seq = m.st.Query(q)
-		} else {
-			// The first Next takes the snapshot; a one-entry batch leaves
-			// the rest of the pass for later.
-			workers := []int{1, 4}[p.intn(2)]
-			f.name = fmt.Sprintf("follower %d (QueryParallel(%d))", len(m.ops), workers)
-			f.par = m.st.QueryParallel(q, workers)
-			var one [1]tracer.Entry
-			n, missed, err := f.par.Next(one[:])
-			if err != nil || missed != 0 {
-				m.failf("%s: first Next: missed %d, err %v", f.name, missed, err)
+		// The first Next takes the snapshot; a one-entry batch leaves the
+		// rest of the pass for later.
+		workers := []int{1, 4}[p.intn(2)]
+		f.name = fmt.Sprintf("follower %d (QueryParallel(%d))", len(m.ops), workers)
+		f.par = m.st.QueryParallel(q, workers)
+		var one [1]tracer.Entry
+		n, missed, err := f.par.Next(one[:])
+		if err != nil || missed != 0 {
+			m.failf("%s: first Next: missed %d, err %v", f.name, missed, err)
+		}
+		if n == 1 {
+			j, ok := m.pos[one[0].Stamp]
+			if !ok || !sameEntry(&one[0], &m.all[j], q.LengthsOnly) {
+				m.failf("%s delivered %+v, which nobody appended", f.name, one[0])
 			}
-			if n == 1 {
-				j, ok := m.pos[one[0].Stamp]
-				if !ok || !sameEntry(&one[0], &m.all[j], q.LengthsOnly) {
-					m.failf("%s delivered %+v, which nobody appended", f.name, one[0])
-				}
-				f.seen[one[0].Stamp], f.last = true, int(one[0].Stamp)
-			}
+			f.seen[one[0].Stamp], f.last = true, int(one[0].Stamp)
 		}
 		m.logf("open %s %s", f.name, desc)
 		m.followers = append(m.followers, f)
@@ -600,7 +564,7 @@ func runStoreModel(t testing.TB, prog []byte) {
 		m.step(writers)
 	}
 	// Whatever the program left: every reserved batch lands, every held
-	// cursor is settled, and the three surfaces agree with the oracle on
+	// cursor is settled, and both surfaces agree with the oracle on
 	// everything — hot tail, merged runs and cold files alike.
 	for w := range m.pending {
 		if m.pending[w] != nil {
@@ -613,10 +577,10 @@ func runStoreModel(t testing.TB, prog []byte) {
 	if testing.Verbose() {
 		t.Logf("%d ops, %d events (%d retired), tiers %+v", len(m.ops), len(m.all), m.gone, m.st.TierStats())
 	}
-	m.readSeq(Query{}, " (final)")
+	m.readPar(Query{}, " (final)", 1)
 	m.readPar(Query{}, " (final)", 4)
 	m.readAgg(Query{}, " (final)")
-	m.readSeq(Query{LengthsOnly: true}, " (final, lengths)")
+	m.readPar(Query{LengthsOnly: true}, " (final, lengths)", 1)
 	m.readPar(Query{LengthsOnly: true}, " (final, lengths)", 4)
 	if pred := btql.Compile(&btql.PayloadMatch{Needle: "oom"}); len(m.all) > 0 {
 		m.readPar(Query{Pred: pred}, " (final, payload)", 1)
@@ -652,8 +616,8 @@ func TestStoreModel(t *testing.T) {
 //
 // (bounded, because the store's background goroutines make coverage
 // vary from run to run and the minimiser chases every variation for its
-// default minute). The two committed entries are the programs that
-// found the following-cursor bugs fixed alongside this test.
+// default minute). The two committed follower-* entries are programs
+// that once found silent-loss bugs.
 func FuzzStoreModel(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(modelProgram(seed))

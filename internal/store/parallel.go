@@ -1,7 +1,8 @@
-// Parallel pruned queries. QueryParallel answers one pass over one
-// point-in-time snapshot of the store — what Aggregate folds, delivered
-// as entries in global stamp order — scanning the surviving segments
-// with a bounded worker pool feeding a k-way merge by stamp:
+// Pruned queries: the store's one read implementation. QueryParallel
+// answers one pass over one point-in-time snapshot of the store — what
+// Aggregate folds, delivered as entries in global stamp order —
+// scanning the surviving segments with a bounded worker pool feeding a
+// k-way merge by stamp; Query is the same pass with one worker:
 //
 //   - Prune first: the snapshot (Store.snapshot) drops segments whose
 //     header metadata (stamp/time min-max, core and category bitsets)
@@ -29,7 +30,6 @@
 // The snapshot is taken by the first Next. Events appended after it
 // belong to a later cursor; once the pass has delivered its last entry
 // (or Query.Limit of them) Next answers (0, 0, nil) until Close.
-// Following the store as it grows is the sequential Cursor's job.
 // Entries handed out borrow chunk buffers that stay valid until the
 // next Next or Close, matching the cursor ownership contract, and
 // `missed` bounds the snapshot events a retention, merge or freeze pass
@@ -49,8 +49,7 @@ import (
 const DefaultQueryWorkers = 4
 
 // pchunk is the entry sink of the shared scan: one decoded batch, in
-// flight from a stream to the merge (PCursor) or being drained in place
-// (Cursor). Hot entries' payloads alias data — unless the query reads
+// flight from a stream to the merge. Hot entries' payloads alias data — unless the query reads
 // payload lengths only (lengths, set by whoever took the chunk from the
 // pool): then every payload is a tracer.LengthOnly one and no entry
 // aliases anything.
@@ -246,9 +245,8 @@ type pstream struct {
 	idx int
 }
 
-// PCursor is a parallel query cursor. It implements tracer.Cursor. Like
-// the sequential Cursor it is not safe for concurrent use by multiple
-// goroutines (the store itself is).
+// PCursor is a query cursor. It implements tracer.Cursor. It is not
+// safe for concurrent use by multiple goroutines (the store itself is).
 type PCursor struct {
 	st *Store
 	q  *compiled
@@ -291,6 +289,9 @@ func (st *Store) QueryParallel(q Query, workers int) *PCursor {
 	st.obs.reads[c.q.readClass()].Inc()
 	return c
 }
+
+// Query returns a one-worker cursor over the records matching q.
+func (st *Store) Query(q Query) *PCursor { return st.QueryParallel(q, 1) }
 
 // Next implements tracer.Cursor.
 func (c *PCursor) Next(batch []tracer.Entry) (int, uint64, error) {
@@ -371,7 +372,7 @@ func (c *PCursor) runStream(ps *pstream) {
 	defer c.wg.Done()
 	defer close(ps.ch)
 	sn := &ps.snap
-	s, missed, err := c.st.openScan(c.q, sn, false)
+	s, missed, err := c.st.openScan(c.q, sn)
 	if s == nil {
 		// A failed open, or (err == nil) the file was deleted under the
 		// snapshot and missed bounds what it held.

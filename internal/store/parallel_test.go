@@ -40,13 +40,14 @@ func drainParallel(t *testing.T, c *PCursor, batch int) ([]tracer.Entry, uint64)
 	}
 }
 
-// TestParallelMatchesSequential is the equivalence table of the three
-// scan surfaces. Over a store holding every tier at once — a frozen v2
-// run, a compacted run, sealed hot segments and an unsealed tail — the
-// parallel cursor must deliver exactly the sequential cursor's result
-// set, and Aggregate must equal a brute-force fold of that drain, for a
-// spread of queries: field filters, the segment-pruning ones, BTQL
-// header and payload predicates, limits.
+// TestParallelMatchesSequential is the equivalence table of the scan
+// surfaces. Over a store holding every tier at once — a frozen v3 run, a
+// compacted run, sealed hot segments and an unsealed tail — Query (one
+// scan worker) must deliver exactly a brute-force reading of the
+// fixture, QueryParallel at one and four workers exactly Query's result,
+// and Aggregate a brute-force fold of that drain, for a spread of
+// queries: field filters, the segment-pruning ones, BTQL header and
+// payload predicates, limits.
 func TestParallelMatchesSequential(t *testing.T) {
 	st, err := Open(t.TempDir(), tierCfg())
 	if err != nil {
@@ -79,10 +80,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{Kind: btql.AggCount},
 		{Kind: btql.AggTopK, K: 3, Field: btql.FTID},
 	}
-	// keep is the brute-force reading of each query, so the sequential
-	// cursor — the reference the other two surfaces are compared against,
-	// which runs the same scan they do — is itself checked against
-	// something that shares no code with it.
+	// keep is the brute-force reading of each query, so Query — the drain
+	// the other surfaces are compared against, which runs the same scan
+	// they do — is itself checked against something that shares no code
+	// with it.
 	queries := []struct {
 		q    Query
 		keep func(e *tracer.Entry) bool
@@ -110,11 +111,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 		if len(oracle) == 0 || len(want) != len(oracle) {
-			t.Fatalf("query %d: sequential cursor returned %d entries, brute force %d", qi, len(want), len(oracle))
+			t.Fatalf("query %d: Query returned %d entries, brute force %d", qi, len(want), len(oracle))
 		}
 		for i := range want {
 			if want[i].Stamp != oracle[i] {
-				t.Fatalf("query %d: sequential entry %d stamp %d, brute force %d", qi, i, want[i].Stamp, oracle[i])
+				t.Fatalf("query %d: Query entry %d stamp %d, brute force %d", qi, i, want[i].Stamp, oracle[i])
 			}
 			checkEntry(t, want[i])
 		}
@@ -305,48 +306,10 @@ func TestParallelCursorMissedOnRetention(t *testing.T) {
 	}
 }
 
-// pollingTracer reads a store the way a polling client does: through
-// snapshot cursors, a new one above the last stamp delivered whenever
-// the current pass is over. For a store fed in stamp order that
-// composes into the following cursor the conformance suite expects.
-type pollingTracer struct{ *Tracer }
-
-func (t pollingTracer) NewCursor() tracer.Cursor {
-	return &pollingCursor{st: t.Store(), cur: t.Store().QueryParallel(Query{}, 4)}
-}
-
-func (t pollingTracer) ReadAll() ([]tracer.Entry, error) {
-	cur := t.NewCursor()
-	defer cur.Close()
-	return tracer.Drain(cur, 1024)
-}
-
-type pollingCursor struct {
-	st   *Store
-	cur  *PCursor
-	last uint64
-}
-
-func (c *pollingCursor) Next(batch []tracer.Entry) (int, uint64, error) {
-	n, missed, err := c.cur.Next(batch)
-	if n == 0 && err == nil {
-		c.cur.Close()
-		c.cur = c.st.QueryParallel(Query{MinStamp: c.last + 1}, 4)
-		var m uint64
-		n, m, err = c.cur.Next(batch)
-		missed += m
-	}
-	if n > 0 {
-		c.last = batch[n-1].Stamp
-	}
-	return n, missed, err
-}
-
-func (c *pollingCursor) Close() error { return c.cur.Close() }
-
 // TestStoreParallelTracerConformance runs the repository-wide tracer
-// conformance suite over parallel snapshot cursors: the cursor/batch
-// contract must hold regardless of which read path answers it.
+// conformance suite over the adapter's snapshot cursors with four scan
+// workers (TestStoreTracerConformance runs it with one): the
+// cursor/batch contract must hold whatever the pool size.
 func TestStoreParallelTracerConformance(t *testing.T) {
 	tracertest.Run(t, tracertest.Config{
 		New: func(totalBytes, cores, threads int) (tracer.Tracer, error) {
@@ -354,7 +317,8 @@ func TestStoreParallelTracerConformance(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return pollingTracer{tr}, nil
+			tr.workers = 4
+			return tr, nil
 		},
 	})
 }

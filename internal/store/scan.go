@@ -2,12 +2,12 @@
 // how a segment's bytes become rows: the block rung over a cold
 // segment's directory, the column walker over a columnar block, and the frame
 // walker over CRC-framed records (a span of a row segment, or an
-// inflated v1 block). The sequential Cursor, the parallel PCursor and
-// Store.Aggregate are drivers: each takes segment snapshots (the file
-// rung, matchSegment, runs there), opens a segScan per snapshot, and
-// steps it into a rowSink — a chunk of entries for the cursors, the
-// aggregators for Aggregate. What differs between the surfaces is
-// sequencing (append order vs stamp merge vs fold), never the ladder.
+// inflated v1 block). The cursor PCursor and Store.Aggregate are its two
+// drivers: each takes segment snapshots (the file rung, matchSegment,
+// runs there), opens a segScan per snapshot, and steps it into a
+// rowSink — a chunk of entries for the cursor, the aggregators for
+// Aggregate. What differs between them is sequencing (stamp merge vs
+// fold), never the ladder.
 //
 // The two walkers differ in when a row comes into being. The frame
 // walker meets whole rows, so it tests them one at a time
@@ -22,8 +22,8 @@
 //
 // What the sink reads of a payload is the read's projection, and both
 // walkers ask it the same question (rowSink.payloads). A sink that
-// keeps payload bytes — a cursor feeding a text export, a rebalancing
-// scan — gets them: a row of the frame walker aliases the span it was
+// keeps payload bytes — a cursor feeding a text export or a rebalancing
+// copy — gets them: a row of the frame walker aliases the span it was
 // found in, a row of the column walker the cached chunk it lives in. A
 // sink that does not — the aggregators, and a cursor under
 // Query.LengthsOnly, which a CSV or Chrome export sets because it
@@ -153,10 +153,6 @@ type segScan struct {
 	q  *compiled
 	sn *segSnap
 	f  backend.ReadFile
-	// verify makes the frame walker checksum every frame it walks rather
-	// than only the ones the query selects. The sequential cursor sets
-	// it: it is the reference the other surfaces are checked against.
-	verify bool
 	// off is the next unread byte (row segment) or block (cold segment).
 	off int64
 	// cut reports the ordered early exit: a stamp past MaxStamp was seen
@@ -173,7 +169,7 @@ type segScan struct {
 // openScan opens sn's file for one pass of q. A segment that retention
 // deleted between snapshot and open is not an error: s is nil and
 // missed bounds what the pass lost (the snapshot's event count).
-func (st *Store) openScan(q *compiled, sn *segSnap, verify bool) (s *segScan, missed uint64, err error) {
+func (st *Store) openScan(q *compiled, sn *segSnap) (s *segScan, missed uint64, err error) {
 	f, err := st.be.OpenRead(sn.name)
 	if err != nil {
 		if backend.IsNotExist(err) {
@@ -181,15 +177,14 @@ func (st *Store) openScan(q *compiled, sn *segSnap, verify bool) (s *segScan, mi
 		}
 		return nil, 0, err
 	}
-	return &segScan{st: st, q: q, sn: sn, f: f, verify: verify, off: sn.start}, 0, nil
+	return &segScan{st: st, q: q, sn: sn, f: f, off: sn.start}, 0, nil
 }
 
 // step scans the segment's next unit — one span of a row segment, or
 // the next cold block the query cannot rule out — into dst. more
-// reports whether another step can make progress against the current
-// sn.bound; when it is false, s.cut tells a driver of a growing segment
-// whether that is final. A failed step consumes nothing: s.off stays
-// put, though dst may hold rows that preceded the failure.
+// reports whether another step can make progress against sn.bound. A
+// failed step consumes nothing: s.off stays put, though dst may hold
+// rows that preceded the failure.
 func (s *segScan) step(dst rowSink) (more bool, err error) {
 	if s.sn.cold {
 		return s.stepBlock(dst)
@@ -290,7 +285,8 @@ func (s *segScan) inflatedFrames(b *coldBlock, dst rowSink) error {
 // keeps the walk itself honest; the checksum and the decode are
 // deferred until the raw header words say the query wants the record,
 // so a pruned frame costs three loads and a mask test instead of a CRC
-// pass — unless s.verify asks for the checksum up front.
+// pass. Checking every frame is recovery's and the compactor's job: they
+// read whole files.
 func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 	q := s.q
 	maxStamp := ^uint64(0) // ordered early exit bound
@@ -312,11 +308,7 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 			break
 		}
 		rec, tail := buf[pos:pos+recSize], buf[pos+recSize:pos+frame]
-		if s.verify {
-			if err := checkFrame(rec, tail); err != nil {
-				return 0, err
-			}
-		} else if magic := uint32(le64(tail) >> 32); magic != frameMagic {
+		if magic := uint32(le64(tail) >> 32); magic != frameMagic {
 			return 0, fmt.Errorf("%w: bad frame magic %#x", tracer.ErrCorrupt, magic)
 		}
 		if recSize < tracer.EventHeaderSize {
@@ -334,10 +326,8 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 		if !q.pred.MatchHeader(stamp, ts, core, tid, cat, level) {
 			continue
 		}
-		if !s.verify {
-			if err := checkFrame(rec, tail); err != nil {
-				return 0, err
-			}
+		if err := checkFrame(rec, tail); err != nil {
+			return 0, err
 		}
 		var payload []byte
 		if predPay || keep {

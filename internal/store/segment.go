@@ -350,7 +350,7 @@ func scanSegment(f backend.File, size int64, s *segment) (valid int64, err error
 
 // decodeEventTo decodes the KindEvent record at the start of src
 // directly into *e, skipping tracer.Record entirely — the by-value
-// Record/Entry moves in DecodeRecord dominate sequential query profiles
+// Record/Entry moves in DecodeRecord dominate row-scan query profiles
 // (~24% duffcopy). The payload aliases src; the caller owns src's
 // lifetime. src must be exactly the record (the caller has already run
 // PeekRecord and checkFrame).

@@ -206,10 +206,6 @@ type Store struct {
 	published Stats
 	obs       *storeObs
 	obsID     uint64
-	// retiredEvents / maxRetiredSeq feed the sequential cursor's missed
-	// accounting when retention laps it.
-	retiredEvents uint64
-	maxRetiredSeq uint64
 
 	// ewmaAppend / ewmaFsync are recent-latency averages exported to the
 	// overload controller via Pressure (see pressure.go).
@@ -593,10 +589,6 @@ func (st *Store) retireOldestLocked() {
 	st.segs = st.segs[1:]
 	st.stats.SegmentsDeleted++
 	st.stats.EventsRetired += s.meta.count
-	st.retiredEvents += s.meta.count
-	if s.coversThrough > st.maxRetiredSeq {
-		st.maxRetiredSeq = s.coversThrough
-	}
 }
 
 // Sync makes every previously staged append durable: it drains the
@@ -764,7 +756,6 @@ func (st *Store) Reset() error {
 	// even across a store Reset; only the publish baseline restarts.
 	st.stats = Stats{}
 	st.published = Stats{}
-	st.retiredEvents, st.maxRetiredSeq = 0, 0
 	st.publishObsLocked()
 	return firstErr
 }

@@ -370,63 +370,39 @@ func TestRetentionByAge(t *testing.T) {
 	}
 }
 
-func TestCursorFollowsAppends(t *testing.T) {
+// TestCursorMissedOnRetention: retention deleting segments of a
+// one-worker pass's snapshot mid-pass surfaces through missed, never
+// silently — every event of the snapshot is delivered exactly once or
+// counted, and nothing appended after it is delivered.
+func TestCursorMissedOnRetention(t *testing.T) {
 	st, err := Open(t.TempDir(), Config{SegmentBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	appendRange(t, st, 1, 10)
-	cur := st.Query(Query{})
-	defer cur.Close()
-	batch := make([]tracer.Entry, 64)
-	n, _, err := cur.Next(batch)
-	if err != nil || n != 10 {
-		t.Fatalf("first Next = (%d, %v), want 10", n, err)
-	}
-	if n, _, _ := cur.Next(batch); n != 0 {
-		t.Fatalf("drained cursor returned %d", n)
-	}
-	// Appends spanning a rotation must all be picked up exactly once.
-	appendRange(t, st, 11, 60)
-	var got []uint64
-	for {
-		n, _, err := cur.Next(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		for i := 0; i < n; i++ {
-			got = append(got, batch[i].Stamp)
-		}
-	}
-	if len(got) != 50 {
-		t.Fatalf("follow-up read delivered %d events, want 50", len(got))
-	}
-	for i, s := range got {
-		if s != uint64(11+i) {
-			t.Fatalf("follow-up event %d: stamp %d", i, s)
-		}
-	}
-}
-
-func TestCursorMissedOnRetention(t *testing.T) {
-	st, err := Open(t.TempDir(), Config{SegmentBytes: 1 << 10, MaxBytes: 4 << 10})
-	if err != nil {
+	appendRange(t, st, 1, 2000)
+	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	cur := st.Query(Query{})
 	defer cur.Close()
-	appendRange(t, st, 1, 2000)       // far past the byte bound: oldest retired
+	batch := make([]tracer.Entry, 128)
+	n, missed, err := cur.Next(batch) // the snapshot: 1..2000
+	if err != nil || n != len(batch) {
+		t.Fatalf("first Next = (%d, %d, %v)", n, missed, err)
+	}
+	last := batch[n-1].Stamp
+	st.mu.Lock()
+	st.cfg.MaxBytes = 4 << 10 // far below what is stored: the oldest go
+	st.mu.Unlock()
+	appendRange(t, st, 2001, 4000)
 	if err := st.Sync(); err != nil { // wait for background retention
 		t.Fatal(err)
 	}
-	var total int
-	var missed uint64
-	batch := make([]tracer.Entry, 128)
+	if st.Stats().EventsRetired == 0 {
+		t.Fatal("retention retired nothing")
+	}
+	total := n
 	for {
 		n, m, err := cur.Next(batch)
 		if err != nil {
@@ -436,13 +412,16 @@ func TestCursorMissedOnRetention(t *testing.T) {
 		if n == 0 {
 			break
 		}
+		for _, e := range batch[:n] {
+			if e.Stamp <= last || e.Stamp > 2000 {
+				t.Fatalf("stamp %d after %d: out of order, repeated or past the snapshot", e.Stamp, last)
+			}
+			last = e.Stamp
+		}
 		total += n
 	}
-	if missed == 0 {
-		t.Fatal("cursor reported no missed events despite retention")
-	}
 	if total+int(missed) < 2000 {
-		t.Fatalf("delivered %d + missed %d < 2000 written", total, missed)
+		t.Fatalf("delivered %d + missed %d < the 2000 of the snapshot", total, missed)
 	}
 }
 
@@ -648,10 +627,10 @@ func TestRecoveryTornHeader(t *testing.T) {
 	}
 }
 
-// TestCursorMissedOnUnorderedMerge: when compaction merges segments into
-// an unordered result under a cursor, the undelivered remainder cannot
-// be resumed by stamp — the cursor must report it through missed, not
-// skip it silently.
+// TestCursorMissedOnUnorderedMerge: compaction merging a pass's
+// segments into an unordered result under it neither loses nor repeats
+// anything — the pass reads on from the files its snapshot opened, in
+// stamp order, and reports nothing missed.
 func TestCursorMissedOnUnorderedMerge(t *testing.T) {
 	st, err := Open(t.TempDir(), Config{SegmentBytes: 64 << 10})
 	if err != nil {
@@ -666,9 +645,13 @@ func TestCursorMissedOnUnorderedMerge(t *testing.T) {
 	cur := st.Query(Query{})
 	defer cur.Close()
 	batch := make([]tracer.Entry, 10)
-	n, _, err := cur.Next(batch) // drains exactly the first segment
-	if err != nil || n != 10 {
-		t.Fatalf("first Next = (%d, %v), want 10", n, err)
+	n, _, err := cur.Next(batch) // 1..4, then both segments' 5..7
+	if err != nil || n != 10 || batch[n-1].Stamp != 7 {
+		t.Fatalf("first Next = (%d, %v), want 10 events ending at stamp 7", n, err)
+	}
+	got := []uint64{}
+	for _, e := range batch[:n] {
+		got = append(got, e.Stamp)
 	}
 	if _, err := st.Compact(); err != nil {
 		t.Fatal(err)
@@ -677,25 +660,17 @@ func TestCursorMissedOnUnorderedMerge(t *testing.T) {
 	if len(segs) != 1 || segs[0].Ordered {
 		t.Fatalf("setup: want one unordered merged segment, got %+v", segs)
 	}
-	var missed uint64
-	for {
-		n, m, err := cur.Next(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		missed += m
-		if n == 0 {
-			break
-		}
-	}
-	if missed < 4 {
-		t.Fatalf("missed = %d, want >= 4 (the second segment's events)", missed)
+	rest, missed := drainStamps(t, cur)
+	got = append(got, rest...)
+	want := []uint64{1, 2, 3, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 10}
+	if missed != 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("delivered %v, missed %d; want %v", got, missed, want)
 	}
 }
 
-// drainFollowing reads cur until a Next delivers nothing, returning the
+// drainStamps reads cur until a Next delivers nothing, returning the
 // stamps in delivery order and the missed total.
-func drainFollowing(t *testing.T, cur tracer.Cursor) (stamps []uint64, missed uint64) {
+func drainStamps(t *testing.T, cur tracer.Cursor) (stamps []uint64, missed uint64) {
 	t.Helper()
 	batch := make([]tracer.Entry, 16)
 	for {
@@ -713,11 +688,19 @@ func drainFollowing(t *testing.T, cur tracer.Cursor) (stamps []uint64, missed ui
 	}
 }
 
-// TestCursorResumesInsideOrderedMerge: the floor for resuming inside an
-// ordered merged segment is the newest stamp of the source passed last,
-// not the newest stamp delivered — with interleaving writers the latter
-// can come from a segment outside the merge and sit above stamps inside
-// it that the cursor has yet to read. (Found by TestStoreModel.)
+// stampRange is from..to.
+func stampRange(from, to uint64) []uint64 {
+	var out []uint64
+	for s := from; s <= to; s++ {
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestCursorResumesInsideOrderedMerge: a pass whose snapshot holds a
+// segment that an ordered merge takes away mid-pass delivers the rest of
+// that segment from the file it opened, and not what the merge brought
+// in from after the snapshot.
 func TestCursorResumesInsideOrderedMerge(t *testing.T) {
 	st, err := Open(t.TempDir(), Config{SegmentBytes: 4 << 10})
 	if err != nil {
@@ -730,8 +713,9 @@ func TestCursorResumesInsideOrderedMerge(t *testing.T) {
 	st.Seal()
 	cur := st.Query(Query{})
 	defer cur.Close()
-	if got, _ := drainFollowing(t, cur); len(got) != 61 {
-		t.Fatalf("first drain: %d events, want 61", len(got))
+	batch := make([]tracer.Entry, 5)
+	if n, _, err := cur.Next(batch); err != nil || n != 5 || batch[4].Stamp != 5 {
+		t.Fatalf("first Next = (%d, %v), want stamps 1..5", n, err)
 	}
 	appendRange(t, st, 11, 20)
 	st.Seal()
@@ -741,16 +725,19 @@ func TestCursorResumesInsideOrderedMerge(t *testing.T) {
 	if segs := st.Segments(); len(segs) != 2 || !segs[1].Ordered {
 		t.Fatalf("setup: want an ordered merge behind the first segment, got %+v", segs)
 	}
-	got, missed := drainFollowing(t, cur)
-	if uint64(len(got))+missed < 10 || len(got) > 0 && got[0] != 11 {
-		t.Fatalf("after the merge: delivered %v, missed %d, want stamps 11..20 (or as many missed)", got, missed)
+	got, missed := drainStamps(t, cur)
+	if want := append(stampRange(6, 10), stampRange(100, 150)...); missed != 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after the merge: delivered %v, missed %d, want stamps 6..10 and 100..150", got, missed)
+	}
+	if got, _ := drainStamps(t, st.Query(Query{})); len(got) != 71 {
+		t.Fatalf("a new pass: %d events, want 71", len(got))
 	}
 }
 
-// TestCursorReadsTailSealedBehindIt: a following cursor parked in the
-// active segment must still deliver what was appended to it before it
-// was sealed and frozen away — the segment's final size, not the bound
-// of the cursor's last visit. (Found by TestStoreModel.)
+// TestCursorReadsTailSealedBehindIt: a pass over the active segment
+// reads it up to the bound its snapshot took — not what is appended to
+// it afterwards, which belongs to a later pass — also once the segment
+// has been sealed and frozen away under it.
 func TestCursorReadsTailSealedBehindIt(t *testing.T) {
 	st, err := Open(t.TempDir(), tierCfg())
 	if err != nil {
@@ -762,25 +749,30 @@ func TestCursorReadsTailSealedBehindIt(t *testing.T) {
 	appendRange(t, st, 11, 15)
 	cur := st.Query(Query{})
 	defer cur.Close()
-	if got, _ := drainFollowing(t, cur); len(got) != 15 {
-		t.Fatalf("first drain: %d events, want 15", len(got))
+	batch := make([]tracer.Entry, 12)
+	if n, _, err := cur.Next(batch); err != nil || n != 12 {
+		t.Fatalf("first Next = (%d, %v), want stamps 1..12", n, err)
 	}
-	appendRange(t, st, 16, 20) // lands in the segment the cursor is parked in
+	appendRange(t, st, 16, 20) // lands in the segment the pass is reading
 	st.Seal()
 	appendRange(t, st, 21, 30) // newer timestamps: everything sealed is now cold-eligible
 	if n, err := st.CompactCold(); err != nil || n != 2 {
 		t.Fatalf("CompactCold = (%d, %v), want both sealed segments frozen", n, err)
 	}
-	got, missed := drainFollowing(t, cur)
-	if missed != 0 || len(got) != 15 || got[0] != 16 {
-		t.Fatalf("after the freeze: delivered %v, missed %d, want stamps 16..30", got, missed)
+	got, missed := drainStamps(t, cur)
+	if missed != 0 || fmt.Sprint(got) != fmt.Sprint(stampRange(13, 15)) {
+		t.Fatalf("after the freeze: delivered %v, missed %d, want stamps 13..15", got, missed)
+	}
+	if got, missed := drainStamps(t, st.Query(Query{MinStamp: 16})); missed != 0 || fmt.Sprint(got) != fmt.Sprint(stampRange(16, 30)) {
+		t.Fatalf("a new pass above it: delivered %v, missed %d, want stamps 16..30", got, missed)
 	}
 }
 
-// TestCursorCutLeavesActiveSegmentOpen: a stamp past MaxStamp ends an
-// ordered segment for good only once it is sealed. In the active one a
-// writer that reserved lower stamps can still append matches. (Found by
-// TestStoreModel.)
+// TestCursorCutLeavesActiveSegmentOpen: the MaxStamp cut ends an ordered
+// segment's scan early, and is judged by the segment as the snapshot
+// found it. Once a writer that reserved lower stamps has appended them
+// to the active segment it is no longer ordered, and the next pass finds
+// them.
 func TestCursorCutLeavesActiveSegmentOpen(t *testing.T) {
 	st, err := Open(t.TempDir(), Config{})
 	if err != nil {
@@ -790,18 +782,23 @@ func TestCursorCutLeavesActiveSegmentOpen(t *testing.T) {
 	appendRange(t, st, 200, 205)
 	cur := st.Query(Query{MaxStamp: 203})
 	defer cur.Close()
-	if got, _ := drainFollowing(t, cur); len(got) != 4 {
-		t.Fatalf("first drain: %v, want stamps 200..203", got)
+	if got, _ := drainStamps(t, cur); fmt.Sprint(got) != fmt.Sprint(stampRange(200, 203)) {
+		t.Fatalf("first pass: %v, want stamps 200..203", got)
 	}
 	appendRange(t, st, 1, 5)
-	if got, missed := drainFollowing(t, cur); len(got) != 5 || missed != 0 {
-		t.Fatalf("after the late writer: delivered %v, missed %d, want stamps 1..5", got, missed)
+	if got, missed := drainStamps(t, cur); len(got) != 0 || missed != 0 {
+		t.Fatalf("the finished pass delivered %v, missed %d", got, missed)
+	}
+	want := append(stampRange(1, 5), stampRange(200, 203)...)
+	if got, missed := drainStamps(t, st.Query(Query{MaxStamp: 203})); missed != 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after the late writer: delivered %v, missed %d, want %v", got, missed, want)
 	}
 }
 
 // TestStoreTracerConformance runs the repository-wide tracer conformance
-// suite against the store-backed tracer: the cursor/batch contract must
-// hold against disk exactly as it does against memory.
+// suite against the store-backed tracer, whose cursors are one-worker
+// snapshot passes: the cursor/batch contract must hold against disk
+// exactly as it does against memory.
 func TestStoreTracerConformance(t *testing.T) {
 	tracertest.Run(t, tracertest.Config{
 		New: func(totalBytes, cores, threads int) (tracer.Tracer, error) {

@@ -62,7 +62,7 @@ func TestFreezeBuildsColdTier(t *testing.T) {
 	// Both cursors must read transparently across all tiers.
 	es := drainStore(t, st, Query{})
 	if len(es) != n {
-		t.Fatalf("sequential drain across tiers: %d events, want %d", len(es), n)
+		t.Fatalf("one-worker drain across tiers: %d events, want %d", len(es), n)
 	}
 	for i, e := range es {
 		if e.Stamp != uint64(i+1) {
@@ -179,7 +179,7 @@ func TestColdPruningSkipsDecompression(t *testing.T) {
 	q := Query{MaxStamp: bad.meta.baseStamp - 1}
 	want := int(bad.meta.baseStamp - 1)
 	if es := drainStore(t, st, q); len(es) != want {
-		t.Fatalf("pruned sequential query: %d events, want %d", len(es), want)
+		t.Fatalf("pruned one-worker query: %d events, want %d", len(es), want)
 	}
 	pc := st.QueryParallel(q, 2)
 	if pes, _ := drainParallel(t, pc, 64); len(pes) != want {
@@ -192,7 +192,7 @@ func TestColdPruningSkipsDecompression(t *testing.T) {
 	_, err = tracer.Drain(cur, 64)
 	cur.Close()
 	if err == nil {
-		t.Fatal("sequential query over corrupt block succeeded")
+		t.Fatal("one-worker query over corrupt block succeeded")
 	}
 	pc = st.QueryParallel(Query{}, 2)
 	buf := make([]tracer.Entry, 64)
@@ -210,7 +210,7 @@ func TestColdPruningSkipsDecompression(t *testing.T) {
 }
 
 // TestColdQueryFilters mirrors TestQueryFilters over a majority-cold
-// store: filtered queries agree between the sequential and parallel
+// store: filtered queries agree between the one-worker and parallel
 // cursors and with the expected predicate.
 func TestColdQueryFilters(t *testing.T) {
 	st, err := Open(t.TempDir(), tierCfg())
@@ -246,7 +246,7 @@ func TestColdQueryFilters(t *testing.T) {
 			want = tc.q.Limit
 		}
 		if es := drainStore(t, st, tc.q); len(es) != want {
-			t.Fatalf("query %d sequential: %d events, want %d", qi, len(es), want)
+			t.Fatalf("query %d one-worker: %d events, want %d", qi, len(es), want)
 		}
 		pc := st.QueryParallel(tc.q, 3)
 		pes, _ := drainParallel(t, pc, 64)
@@ -337,7 +337,7 @@ func TestParallelCursorAcrossFreeze(t *testing.T) {
 
 // TestBlockCacheServesRepeatedColdQueries checks the decompressed-block
 // cache end to end: the first cold scan misses and fills it, repeat
-// scans (sequential and parallel alike) hit without inflating again,
+// scans (one-worker and parallel alike) hit without inflating again,
 // the resident size respects the configured budget, and a negative
 // budget disables caching entirely.
 func TestBlockCacheServesRepeatedColdQueries(t *testing.T) {

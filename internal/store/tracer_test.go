@@ -1,11 +1,11 @@
 // Tracer adapter: exposes a Store through the tracer.Tracer interface so
 // the tracertest conformance suite — the contract every in-memory tracer
 // in this repository satisfies — also runs against disk
-// (TestStoreTracerConformance, TestStoreParallelTracerConformance). It
-// has no other caller, so it lives with them. Retention by
-// MaxBytes stands in for overwrite-oldest: deleting whole oldest
-// segments keeps the newest records and never opens interior gaps for a
-// single stamp-ordered producer.
+// (TestStoreTracerConformance, TestStoreParallelTracerConformance: one
+// scan worker and four). It has no other caller, so it lives with them.
+// Retention by MaxBytes stands in for overwrite-oldest: deleting whole
+// oldest segments keeps the newest records and never opens interior
+// gaps for a single stamp-ordered producer.
 package store
 
 import "btrace/internal/tracer"
@@ -15,6 +15,8 @@ import "btrace/internal/tracer"
 type Tracer struct {
 	st     *Store
 	budget int
+	// workers sizes each snapshot pass of the adapter's cursors.
+	workers int
 }
 
 // NewTracer opens a store-backed tracer in dir with a total on-disk
@@ -28,7 +30,7 @@ func NewTracer(dir string, totalBytes int) (*Tracer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tracer{st: st, budget: totalBytes}, nil
+	return &Tracer{st: st, budget: totalBytes, workers: 1}, nil
 }
 
 // Store returns the underlying store.
@@ -43,11 +45,10 @@ func (t *Tracer) Write(_ tracer.Proc, e *tracer.Entry) error {
 	return t.st.Append(e)
 }
 
-// ReadAll implements tracer.Tracer: a full drain of the store, sorted by
-// stamp (segments hold append order, which concurrent producers
-// interleave arbitrarily). It first waits for retention to catch up with
-// the writes (Sync): retention runs on the maintenance goroutine, and a
-// drain racing it loses a segment mid-pass — a `missed` to a cursor, an
+// ReadAll implements tracer.Tracer: a full drain of the store, in stamp
+// order. It first waits for retention to catch up with the writes
+// (Sync): retention runs on the maintenance goroutine, and a drain
+// racing it loses a segment mid-pass — a `missed` to a cursor, an
 // interior gap to the conformance suite, on a loaded machine only.
 func (t *Tracer) ReadAll() ([]tracer.Entry, error) {
 	if err := t.st.Sync(); err != nil {
@@ -55,16 +56,41 @@ func (t *Tracer) ReadAll() ([]tracer.Entry, error) {
 	}
 	cur := t.NewCursor()
 	defer cur.Close()
-	es, err := tracer.Drain(cur, 1024)
-	if err != nil {
-		return nil, err
-	}
-	var rm runMerger
-	return rm.sort(es), nil
+	return tracer.Drain(cur, 1024)
 }
 
-// NewCursor implements tracer.CursorSource.
-func (t *Tracer) NewCursor() tracer.Cursor { return t.st.NewCursor() }
+// NewCursor implements tracer.CursorSource. It reads the store the way
+// a polling client does: through snapshot passes, a new one above the
+// last stamp delivered whenever the current pass is over. For a store
+// fed in stamp order that composes into the following cursor the
+// conformance suite expects.
+func (t *Tracer) NewCursor() tracer.Cursor {
+	return &pollingCursor{st: t.st, workers: t.workers, cur: t.st.QueryParallel(Query{}, t.workers)}
+}
+
+type pollingCursor struct {
+	st      *Store
+	workers int
+	cur     *PCursor
+	last    uint64
+}
+
+func (c *pollingCursor) Next(batch []tracer.Entry) (int, uint64, error) {
+	n, missed, err := c.cur.Next(batch)
+	if n == 0 && err == nil {
+		c.cur.Close()
+		c.cur = c.st.QueryParallel(Query{MinStamp: c.last + 1}, c.workers)
+		var m uint64
+		n, m, err = c.cur.Next(batch)
+		missed += m
+	}
+	if n > 0 {
+		c.last = batch[n-1].Stamp
+	}
+	return n, missed, err
+}
+
+func (c *pollingCursor) Close() error { return c.cur.Close() }
 
 // TotalBytes implements tracer.Tracer.
 func (t *Tracer) TotalBytes() int { return t.budget }

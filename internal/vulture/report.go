@@ -1,7 +1,7 @@
 // Package vulture continuously verifies a running btrace-serve: it
 // writes known stamped traces through POST /ingest and reads every
 // acked stamp back through each query surface — the /live tail, the
-// sequential and parallel /store/query cursors, the BTQL filter and
+// one-worker and parallel /store/query reads, the BTQL filter and
 // count() pipelines, and (once segments have aged into it) the cold
 // columnar tier — alerting on loss, duplication or mis-ordering. The name follows the SRE tradition of "vulture"
 // processes that circle a storage system probing for silently dropped

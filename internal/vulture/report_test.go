@@ -7,13 +7,13 @@ import (
 
 func TestVerifyRangeClean(t *testing.T) {
 	r := NewReport()
-	if !r.VerifyRange("sequential", 10, 14, []uint64{10, 11, 12, 13, 14}) {
+	if !r.VerifyRange("one-worker", 10, 14, []uint64{10, 11, 12, 13, 14}) {
 		t.Fatal("clean range reported dirty")
 	}
 	if r.Failed() {
 		t.Fatal("clean report Failed()")
 	}
-	s := r.Surfaces()["sequential"]
+	s := r.Surfaces()["one-worker"]
 	if s.Checks != 1 || s.Events != 5 || !s.clean() {
 		t.Fatalf("stats %+v", s)
 	}
@@ -72,7 +72,7 @@ func TestObserveLiveOrdering(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewReport()
 	r.Add(&r.EventsAcked, 42)
-	r.VerifyRange("sequential", 1, 2, []uint64{1}) // one lost
+	r.VerifyRange("one-worker", 1, 2, []uint64{1}) // one lost
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -80,8 +80,8 @@ func TestWritePrometheus(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"btrace_vulture_events_acked_total 42",
-		`btrace_vulture_loss_total{surface="sequential"} 1`,
-		"# VIOLATION sequential[loss]",
+		`btrace_vulture_loss_total{surface="one-worker"} 1`,
+		"# VIOLATION one-worker[loss]",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)

@@ -345,8 +345,8 @@ func (v *runner) post(ctx context.Context, body []byte, lo, hi uint64, admitted 
 }
 
 // verifyWarm drains the pending queue: each acked range, once settled,
-// is read back through the sequential and parallel /store/query
-// surfaces; ranges then move on to the cold queue.
+// is read back through the one-worker (?workers=0) and parallel
+// /store/query surfaces; ranges then move on to the cold queue.
 func (v *runner) verifyWarm(ctx context.Context, pending <-chan batchRef, cold chan<- batchRef) {
 	for ref := range pending {
 		if wait := time.Until(ref.acked.Add(v.cfg.Settle)); wait > 0 {
@@ -356,7 +356,7 @@ func (v *runner) verifyWarm(ctx context.Context, pending <-chan batchRef, cold c
 				return
 			}
 		}
-		v.checkRange(ctx, "sequential", ref, 0, false)
+		v.checkRange(ctx, "one-worker", ref, 0, false)
 		v.checkRange(ctx, "parallel", ref, v.cfg.QueryWorkers, false)
 		if v.cfg.BTQL {
 			v.checkRange(ctx, "btql", ref, 0, true)

@@ -178,7 +178,7 @@ func TestRunnerCleanServer(t *testing.T) {
 		t.Fatalf("nothing written: %+v", rep)
 	}
 	surfaces := rep.Surfaces()
-	for _, name := range []string{"sequential", "parallel", "btql", "btql-count", "live"} {
+	for _, name := range []string{"one-worker", "parallel", "btql", "btql-count", "live"} {
 		if surfaces[name].Events == 0 {
 			t.Fatalf("surface %s never verified anything: %+v", name, surfaces)
 		}
@@ -220,7 +220,7 @@ func TestRunnerDetectsLoss(t *testing.T) {
 	if !rep.Failed() {
 		t.Fatal("lossy store passed verification")
 	}
-	if s := rep.Surfaces()["sequential"]; s.Loss == 0 {
+	if s := rep.Surfaces()["one-worker"]; s.Loss == 0 {
 		t.Fatalf("loss not attributed: %+v", rep.Surfaces())
 	}
 }
