@@ -45,7 +45,7 @@ func main() {
 	case *blocks:
 		err = runBlocks(flag.Arg(0))
 	case *query != "":
-		err = runQuery(flag.Arg(0), *query, *format)
+		err = runQuery(os.Stdout, flag.Arg(0), *query, *format)
 	default:
 		err = run(flag.Arg(0), *maxGaps, *format)
 	}
@@ -131,14 +131,16 @@ func runBlocks(path string) error {
 	return nil
 }
 
-// runQuery executes a BTQL query against a store directory. A pipeline
-// aggregate executes columnar (cold v2 blocks never materialize events,
-// and payload sections stay compressed unless the predicate inspects
-// payloads) and prints its JSON result; a plain filter streams the
-// matching events in the chosen format, which is also what the scan is
-// asked for: only text prints payload bytes, so every other format
-// reads payload lengths alone (store.Query.LengthsOnly).
-func runQuery(path, src, format string) error {
+// runQuery executes a BTQL query against a store directory and writes
+// the answer to w. A pipeline aggregate executes columnar (cold v2
+// blocks never materialize events, and payload sections stay compressed
+// unless the predicate inspects payloads) and prints its JSON result; a
+// plain filter streams the matching events in the chosen format, one
+// 1024-event batch at a time, which is also what the scan is asked for:
+// only text prints payload bytes, so every other format reads payload
+// lengths alone (store.Query.LengthsOnly). summary counts the matches
+// and the time between the first and the last as they pass.
+func runQuery(w io.Writer, path, src, format string) error {
 	bq, err := btql.Parse(src)
 	if err != nil {
 		return err
@@ -167,32 +169,43 @@ func runQuery(path, src, format string) error {
 		if missed > 0 {
 			fmt.Fprintf(os.Stderr, "warning: %d event(s) deleted by retention during the pass\n", missed)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(results[0])
 	}
 	q.LengthsOnly = !needsPayload
 	cur := st.Query(q)
 	defer cur.Close()
-	es, err := tracer.Drain(cur, 1024)
-	if err != nil {
+	batch := make([]tracer.Entry, 1024)
+	if format == "summary" {
+		var n int
+		var first, last uint64
+		for e, err := range tracer.Events(cur, batch) {
+			if err != nil {
+				return err
+			}
+			if n == 0 {
+				first = e.TS
+			}
+			last = e.TS
+			n++
+		}
+		_, err = fmt.Fprintf(w, "%d events match %q (%.3fs span)\n", n, src, float64(last-first)/1e9)
 		return err
 	}
+	bw := bufio.NewWriter(w)
 	switch format {
-	case "summary":
-		var span float64
-		if len(es) > 0 {
-			span = float64(es[len(es)-1].TS-es[0].TS) / 1e9
-		}
-		fmt.Printf("%d events match %q (%.3fs span)\n", len(es), src, span)
-		return nil
 	case "text":
-		return export.Text(os.Stdout, es)
+		_, _, err = export.TextCursor(bw, cur, batch)
 	case "csv":
-		return export.CSV(os.Stdout, es)
+		_, _, err = export.CSVCursor(bw, cur, batch)
 	default: // "chrome": the format was checked before the store was opened
-		return export.ChromeTrace(os.Stdout, es)
+		_, _, err = export.ChromeTraceCursor(bw, cur, batch)
 	}
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // clusterShards detects a cluster root: the shard-* subdirectories a

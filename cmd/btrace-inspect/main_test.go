@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"btrace/internal/btql"
+	"btrace/internal/export"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
@@ -146,15 +151,16 @@ func TestInspectTiersClusterRoot(t *testing.T) {
 }
 
 // coldStoreDir builds a store directory with a frozen (columnar) cold
-// tier: one aged segment compacted cold, one fresh row segment on top.
-func coldStoreDir(t *testing.T) string {
+// tier: n events in one aged segment compacted cold, one fresh row
+// segment on top.
+func coldStoreDir(t *testing.T, n uint64) string {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Config{ColdAfterNs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(1); i <= 200; i++ {
+	for i := uint64(1); i <= n; i++ {
 		e := tracer.Entry{
 			Stamp: i, TS: i * 1e6, Core: uint8(i % 4), TID: 100 + uint32(i%3),
 			Category: uint8(1 + i%3), Level: 1,
@@ -168,7 +174,7 @@ func coldStoreDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	// A much newer event ages the sealed segment past ColdAfterNs.
-	e := tracer.Entry{Stamp: 1000, TS: 10e9, Category: 1, Level: 1}
+	e := tracer.Entry{Stamp: n + 800, TS: 10e9, Category: 1, Level: 1}
 	if err := st.Append(&e); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +197,7 @@ func coldStoreDir(t *testing.T) string {
 // TestInspectBlocks: -blocks renders the cold tier's per-block columnar
 // metadata and rejects plain readout files.
 func TestInspectBlocks(t *testing.T) {
-	dir := coldStoreDir(t)
+	dir := coldStoreDir(t, 200)
 	if err := runBlocks(dir); err != nil {
 		t.Fatalf("-blocks: %v", err)
 	}
@@ -208,7 +214,7 @@ func TestInspectBlocks(t *testing.T) {
 // TestInspectQuery: -query runs BTQL filters and aggregates against a
 // store directory with a cold columnar tier.
 func TestInspectQuery(t *testing.T) {
-	dir := coldStoreDir(t)
+	dir := coldStoreDir(t, 200)
 	for _, src := range []string{
 		`category == 2`,
 		`tid == 101 && stamp <= 50`,
@@ -216,20 +222,98 @@ func TestInspectQuery(t *testing.T) {
 		`stamp >= 10 | count()`,
 		`time >= 0 | topk(2, core)`,
 	} {
-		if err := runQuery(dir, src, "summary"); err != nil {
+		if err := runQuery(io.Discard, dir, src, "summary"); err != nil {
 			t.Fatalf("-query %q: %v", src, err)
 		}
 	}
 	for _, format := range []string{"text", "csv", "chrome"} {
-		if err := runQuery(dir, `core == 1`, format); err != nil {
+		if err := runQuery(io.Discard, dir, `core == 1`, format); err != nil {
 			t.Fatalf("-query format %s: %v", format, err)
 		}
 	}
-	if err := runQuery(dir, `core ==`, "summary"); err == nil {
+	if err := runQuery(io.Discard, dir, `core ==`, "summary"); err == nil {
 		t.Error("malformed query: expected error")
 	}
-	if err := runQuery(dir, `core == 1`, "xml"); err == nil {
+	if err := runQuery(io.Discard, dir, `core == 1`, "xml"); err == nil {
 		t.Error("unknown format: expected error")
+	}
+}
+
+// TestInspectQueryStreams: a filter's matches stream out batch by batch
+// in every format, and what streams out is what draining every match
+// and exporting the slice wrote — text and CSV byte for byte, Chrome's
+// traceEvents array byte for byte with a metadata object that also
+// carries the missed count. The match set spans three batches.
+func TestInspectQueryStreams(t *testing.T) {
+	const src = `core != 3`
+	dir := coldStoreDir(t, 3000)
+	drained := func(lengthsOnly bool) []tracer.Entry {
+		t.Helper()
+		st, err := store.Open(dir, store.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		bq, err := btql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := st.Query(store.Query{Pred: bq.Predicate(), LengthsOnly: lengthsOnly})
+		defer cur.Close()
+		es, err := tracer.Drain(cur, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return es
+	}
+	es := drained(false)
+	if len(es) <= 2*1024 {
+		t.Fatalf("fixture: %d matches, want more than two batches", len(es))
+	}
+	run := func(format string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := runQuery(&out, dir, src, format); err != nil {
+			t.Fatalf("-format %s: %v", format, err)
+		}
+		return out.String()
+	}
+
+	want := fmt.Sprintf("%d events match %q (%.3fs span)\n", len(es), src, float64(es[len(es)-1].TS-es[0].TS)/1e9)
+	if got := run("summary"); got != want {
+		t.Errorf("summary %q, want %q", got, want)
+	}
+	var text, csv, chrome bytes.Buffer
+	if err := export.Text(&text, es); err != nil {
+		t.Fatal(err)
+	}
+	lengths := drained(true)
+	if err := export.CSV(&csv, lengths); err != nil {
+		t.Fatal(err)
+	}
+	if err := export.ChromeTrace(&chrome, lengths); err != nil {
+		t.Fatal(err)
+	}
+	if got := run("text"); got != text.String() {
+		t.Errorf("text: %d bytes differ from the drained export's %d", len(got), text.Len())
+	}
+	if got := run("csv"); got != csv.String() {
+		t.Errorf("csv: %d bytes differ from the drained export's %d", len(got), csv.Len())
+	}
+	events := func(doc string) string {
+		t.Helper()
+		end := strings.Index(doc, `],"metadata":`)
+		if end < 0 {
+			t.Fatalf("no traceEvents array in %.80q", doc)
+		}
+		return doc[:end]
+	}
+	got := run("chrome")
+	if events(got) != events(chrome.String()) {
+		t.Error("chrome: the traceEvents array differs from the drained export's")
+	}
+	if meta := fmt.Sprintf(`"event-count":%d,"missed":0}}`, len(es)); !strings.HasSuffix(got, meta+"\n") {
+		t.Errorf("chrome metadata %q, want it to end %q", got[len(events(got)):], meta)
 	}
 }
 

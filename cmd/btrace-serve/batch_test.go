@@ -133,7 +133,7 @@ func TestIngestDrainFailurePath(t *testing.T) {
 		{Stamp: 2, TS: 20, TID: 7, Category: 1, Level: 1},
 		{Stamp: 3, TS: 30, TID: 7, Category: 2, Level: 2},
 	})
-	const dropped = "btrace_collect_spill_dropped_events_total"
+	const dropped = "btrace_ingest_dropped_events_total"
 	post := func(t *testing.T, srv *server) {
 		t.Helper()
 		if rec := httpPost(t, srv, "/ingest", body); rec.Code != 202 {
@@ -151,8 +151,8 @@ func TestIngestDrainFailurePath(t *testing.T) {
 			t.Fatalf("store holds %d events after %d append calls, want 3 after %d",
 				st.Events(), sink.calls, appendAttempts)
 		}
-		if s := srv.ingest.stats; s.SinkErrors != appendAttempts-1 || s.DumpsWritten != 1 || s.SpillDroppedEvents != 0 {
-			t.Fatalf("stats %+v", s)
+		if p := srv.ingest; p.appendRetries.Load() != appendAttempts-1 || p.droppedBatches.Load() != 0 {
+			t.Fatalf("%d retries, %d batches dropped; want %d and 0", p.appendRetries.Load(), p.droppedBatches.Load(), appendAttempts-1)
 		}
 	})
 
@@ -162,8 +162,9 @@ func TestIngestDrainFailurePath(t *testing.T) {
 		before := scrape(t, srv)[dropped]
 		post(t, srv)
 		srv.ingest.Close()
-		if s := srv.ingest.stats; s.SinkErrors != appendAttempts || s.SpillDropped != 1 || s.SpillDroppedEvents != 3 {
-			t.Fatalf("stats %+v", s)
+		if p := srv.ingest; p.appendRetries.Load() != appendAttempts-1 || p.droppedBatches.Load() != 1 || p.droppedEvents.Load() != 3 {
+			t.Fatalf("%d retries, %d batches (%d events) dropped; want %d, 1 (3)",
+				p.appendRetries.Load(), p.droppedBatches.Load(), p.droppedEvents.Load(), appendAttempts-1)
 		}
 		if got := scrape(t, srv)[dropped] - before; got != 3 {
 			t.Fatalf("%s moved by %v, want 3", dropped, got)
@@ -184,8 +185,9 @@ func TestIngestDrainFailurePath(t *testing.T) {
 		}
 		post(t, srv) // still a 202: the ack is an enqueue
 		srv.ingest.Close()
-		if s := srv.ingest.stats; s.SinkErrors != 1 || s.SpillDroppedEvents != 3 {
-			t.Fatalf("stats %+v, want one append attempt and 3 events dropped", s)
+		if p := srv.ingest; p.appendRetries.Load() != 0 || p.droppedEvents.Load() != 3 || p.storeFailed.Load() != 1 {
+			t.Fatalf("%d retries, %d events dropped, store failed %d; want one append attempt, 3 dropped, 1",
+				p.appendRetries.Load(), p.droppedEvents.Load(), p.storeFailed.Load())
 		}
 		rec := httpGet(t, srv, "/readyz")
 		if rec.Code != 503 || !strings.Contains(rec.Body.String(), "store write path failed") ||

@@ -33,10 +33,7 @@ func newClusterServer(t *testing.T, shards, rf int, overrides string) *server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cp.Close() })
-	srv, err := newServer(0.005, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(nil, 0)
 	srv.attachCluster(cp)
 	return srv
 }
@@ -214,10 +211,7 @@ func TestClusterTenantOverrideOverHTTP(t *testing.T) {
 // TestClusterModeOffSurface: without -shards the cluster endpoints
 // explain themselves instead of 404ing silently.
 func TestClusterModeOffSurface(t *testing.T) {
-	srv, err := newServer(0.005, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := newIngestServer(t, ingestConfig{SampleRate: 1})
 	rec := httpGet(t, srv, "/ring")
 	if rec.Code != 404 || !strings.Contains(rec.Body.String(), "-shards") {
 		t.Fatalf("/ring without cluster: status %d body %q", rec.Code, rec.Body.String())

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"btrace/internal/collect"
 	"btrace/internal/ingest"
 	"btrace/internal/live"
 	"btrace/internal/obs"
@@ -86,7 +85,7 @@ func (cfg ingestConfig) gateConfig() (overload.Config, error) {
 // and runs internal/ingest's admit → append on each, then releases the
 // batch. A 202 is an enqueue; the cluster path (cluster.go) acks a
 // quorum instead. HTTP handlers touch only the queue, the rejected
-// counter and the mutex-protected snapshot.
+// counter, the storeFailed gauge and the mutex-protected tier.
 type ingestPipeline struct {
 	queue chan *ingestBatch
 	adm   *ingest.Admission
@@ -103,21 +102,22 @@ type ingestPipeline struct {
 	rejected  atomic.Uint64 // batches refused with 429
 	throttled atomic.Uint64 // events dropped by a tenant quota override
 
-	// stats and sinkFailed belong to the drain goroutine, which mirrors
-	// them to /metrics under the btrace_collect_* names the supervisor
-	// exported here before: a poll is a batch taken off the queue, a
-	// dump a batch with something to append, a dropped spill a batch the
-	// store refused for good.
-	stats      collect.SupervisorStats
-	sinkFailed bool
-	obs        *collect.StatsMirror
-	queueObs   uint64 // registry id of the btrace_ingest_* series
+	// The drain's counters, published as btrace_ingest_*: batches taken
+	// off the queue, append attempts beyond a batch's first, and the
+	// batches (and their events) the store refused for good.
+	batches        atomic.Uint64
+	appendRetries  atomic.Uint64
+	droppedBatches atomic.Uint64
+	droppedEvents  atomic.Uint64
+	// storeFailed is 1 while the last refused batch met a sticky
+	// write-path failure; /readyz reports it as permanent.
+	storeFailed obs.Gauge
+	obsID       uint64 // registry id of the btrace_ingest_* series
 
-	// mu guards the snapshot the drain publishes after every batch, so
-	// /readyz never reads drain state from a second goroutine.
-	mu     sync.Mutex
-	health collect.HealthReport
-	tier   overload.Tier
+	// mu guards the tier the drain publishes after every batch, so
+	// /readyz never reads the gate from a second goroutine.
+	mu   sync.Mutex
+	tier overload.Tier
 }
 
 // newIngestPipeline wires the admission stage over st and starts the
@@ -134,11 +134,15 @@ func newIngestPipeline(st *store.Store, cfg ingestConfig) (*ingestPipeline, erro
 		st:    st,
 		sink:  st,
 		done:  make(chan struct{}),
-		obs:   collect.NewStatsMirror(),
 	}
-	p.queueObs = obs.Default().Register(func(e *obs.Emitter) {
+	p.obsID = obs.Default().Register(func(e *obs.Emitter) {
 		e.Gauge("btrace_ingest_queue_depth", "accepted batches waiting for the ingest drain", float64(len(queue)))
+		e.Counter("btrace_ingest_batches_total", "batches the ingest drain took off the queue", p.batches.Load())
+		e.Counter("btrace_ingest_append_retries_total", "store append attempts beyond a batch's first", p.appendRetries.Load())
+		e.Counter("btrace_ingest_dropped_batches_total", "accepted batches the store refused for good", p.droppedBatches.Load())
+		e.Counter("btrace_ingest_dropped_events_total", "events inside dropped batches", p.droppedEvents.Load())
 		e.Counter("btrace_ingest_events_throttled_total", "events dropped by per-tenant quota overrides", p.throttled.Load())
+		e.Gauge("btrace_ingest_store_failed", "1 while the store's write path has failed for good", float64(p.storeFailed.Load()))
 	})
 	go p.run()
 	return p, nil
@@ -164,10 +168,9 @@ func (p *ingestPipeline) run() {
 		case <-idle.C:
 			p.adm.Evaluate(overload.Pressure{Store: p.st.Pressure()})
 		}
-		h := collect.HealthReport{SinkFailed: p.sinkFailed}
-		p.obs.Publish(p.stats, h)
+		tier := p.adm.Tier()
 		p.mu.Lock()
-		p.health, p.tier = h, p.adm.Tier()
+		p.tier = tier
 		p.mu.Unlock()
 	}
 }
@@ -177,30 +180,26 @@ func (p *ingestPipeline) run() {
 // up behind it is what tells clients to back off — and a batch the
 // store refuses for good is counted, event-exact, as dropped: every
 // event answered 202 ends up applied, attributed to the quota or the
-// gate, or in btrace_collect_spill_dropped_events_total.
+// gate, or in btrace_ingest_dropped_events_total.
 func (p *ingestPipeline) apply(b *ingestBatch) {
 	defer b.release()
-	p.stats.Polls++
+	p.batches.Add(1)
 	p.adm.Evaluate(overload.Pressure{Store: p.st.Pressure()})
 	es, c := p.adm.Admit(b.tenant, b.es)
-	p.stats.Quarantined += uint64(c.Quarantined)
 	p.throttled.Add(uint64(c.Throttled))
 	if len(es) == 0 {
 		return
 	}
-	p.stats.Dumps++
 	tries, err := ingest.Append(p.sink, es, appendAttempts)
+	p.appendRetries.Add(uint64(tries - 1))
 	if err == nil {
-		p.stats.SinkErrors += uint64(tries - 1)
-		p.stats.DumpsWritten++
-		p.sinkFailed = false
+		p.storeFailed.Set(0)
 		return
 	}
-	p.stats.SinkErrors += uint64(tries)
 	// A sticky write-path failure is what /readyz reports as permanent.
-	p.sinkFailed = p.sink.WriteErr() != nil
-	p.stats.SpillDropped++
-	p.stats.SpillDroppedEvents += uint64(len(es))
+	p.storeFailed.SetBool(p.sink.WriteErr() != nil)
+	p.droppedBatches.Add(1)
+	p.droppedEvents.Add(uint64(len(es)))
 }
 
 // Close stops intake, waits for the drain to apply (or count as
@@ -216,9 +215,9 @@ func (p *ingestPipeline) Close() {
 	p.admit.Unlock()
 	<-p.done
 	if first {
-		// Fold, not unregister: the depth gauge goes with the queue, the
-		// throttled count stays in the process totals.
-		obs.Default().Fold(p.queueObs)
+		// Fold, not unregister: the gauges go with the queue, the
+		// counters stay in the process totals.
+		obs.Default().Fold(p.obsID)
 	}
 }
 
@@ -249,12 +248,12 @@ func (p *ingestPipeline) notReadyReasons() []string {
 	if err := p.st.WriteErr(); err != nil {
 		reasons = append(reasons, "store write path failed: "+err.Error())
 	}
-	p.mu.Lock()
-	h, tier := p.health, p.tier
-	p.mu.Unlock()
-	if h.SinkFailed {
+	if p.storeFailed.Load() != 0 {
 		reasons = append(reasons, "store sink in permanent failure")
 	}
+	p.mu.Lock()
+	tier := p.tier
+	p.mu.Unlock()
 	if tier >= overload.TierStream {
 		reasons = append(reasons, "overload shedding at full-drop tier")
 	}
@@ -271,11 +270,6 @@ func (p *ingestPipeline) notReadyReasons() []string {
 // and retry), 503 when quorum is unavailable, 400 for malformed
 // payloads, 413 for oversized ones.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.ingest == nil && s.cluster == nil {
-		http.Error(w, "ingest requires a durable store (start with -store)",
-			http.StatusServiceUnavailable)
-		return
-	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)

@@ -43,26 +43,6 @@ func httpPost(t *testing.T, srv *server, path string, body []byte) *httptest.Res
 	return rec
 }
 
-// TestProbesDashboardOnly: without an ingest pipeline the server is live
-// and ready (it is a working read-only dashboard), and /ingest explains
-// what is missing instead of 404ing.
-func TestProbesDashboardOnly(t *testing.T) {
-	srv, err := newServer(0.005, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := httpGet(t, srv, "/healthz"); rec.Code != 200 {
-		t.Errorf("/healthz status %d", rec.Code)
-	}
-	rec := httpGet(t, srv, "/readyz")
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "dashboard only") {
-		t.Errorf("/readyz status %d body %q", rec.Code, rec.Body.String())
-	}
-	if rec := httpPost(t, srv, "/ingest", nil); rec.Code != 503 {
-		t.Errorf("/ingest without store: status %d, want 503", rec.Code)
-	}
-}
-
 // newIngestServer builds a server over a fresh store with a live ingest
 // pipeline; cleanup stops the pipeline before the store closes, like
 // main does.
@@ -78,10 +58,7 @@ func newIngestServer(t *testing.T, cfg ingestConfig) (*server, *store.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ing.Close)
-	srv, err := newServer(0.005, st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(st, 0)
 	srv.attachIngest(ing)
 	return srv, st
 }
@@ -175,10 +152,7 @@ func TestIngestRejectsBadPayloads(t *testing.T) {
 // goroutine, one-slot queue) answers 429 with Retry-After instead of
 // queuing without bound.
 func TestIngestQueueFullBackpressure(t *testing.T) {
-	srv, err := newServer(0.005, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(nil, 0)
 	srv.attachIngest(&ingestPipeline{queue: make(chan *ingestBatch, 1)})
 	body := encodeEvents(t, []tracer.Entry{{Stamp: 1, TS: 10, TID: 7, Category: 1, Level: 1}})
 	if rec := httpPost(t, srv, "/ingest", body); rec.Code != 202 {
@@ -203,10 +177,7 @@ func TestReadyzReportsOverloadAndStoreFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(0.005, st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(st, 0)
 	// A hand-built pipeline (no goroutine) lets the test set snapshot
 	// state deterministically.
 	p := &ingestPipeline{st: st}
@@ -224,15 +195,13 @@ func TestReadyzReportsOverloadAndStoreFailure(t *testing.T) {
 	}
 	p.mu.Lock()
 	p.tier = overload.TierNone
-	p.health.SinkFailed = true
 	p.mu.Unlock()
+	p.storeFailed.SetBool(true)
 	rec = httpGet(t, srv, "/readyz")
 	if rec.Code != 503 || !strings.Contains(rec.Body.String(), "permanent failure") {
 		t.Errorf("sink failed: status %d body %q", rec.Code, rec.Body.String())
 	}
-	p.mu.Lock()
-	p.health.SinkFailed = false
-	p.mu.Unlock()
+	p.storeFailed.SetBool(false)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,10 @@ const liveBufKeep = 256 << 10
 // ingest events, filtered by the parameters /store/query takes
 // (btql.ParseParams: q and the field parameters; an aggregate stage is
 // a 400, a tail is a stream) and scoped to the X-Btrace-Tenant header
-// when one is sent (absent = all tenants, the single-operator dashboard
-// view). Slow subscribers see their loss as
-// missed events; a subscriber that falls EvictAfterMissed behind gets
-// a terminal evicted event. 503 when the subscriber cap is reached.
+// when one is sent (absent = all tenants, the single-operator view).
+// Slow subscribers see their loss as missed events; a subscriber that
+// falls EvictAfterMissed behind gets a terminal evicted event. 503 when
+// the subscriber cap is reached.
 //
 // The 200 is flushed only after Hub.Subscribe returned, so for a client
 // the response headers arriving is the subscription barrier: anything
@@ -39,11 +39,6 @@ const liveBufKeep = 256 << 10
 // drain of the ring is encoded into one per-connection buffer and goes
 // out as one Write and one Flush.
 func (s *server) handleLive(w http.ResponseWriter, r *http.Request) {
-	if s.live == nil {
-		http.Error(w, "live tail requires an ingest path (start btrace-serve with -store)",
-			http.StatusNotFound)
-		return
-	}
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)

@@ -280,16 +280,6 @@ func TestLiveRequestValidation(t *testing.T) {
 		t.Errorf("over cap: status %d Retry-After %q, want 503 with Retry-After",
 			rec.Code, rec.Header().Get("Retry-After"))
 	}
-
-	// Without a hub (dashboard-only) the endpoint explains what to start.
-	bare, err := newServer(0.005, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := httpGet(t, bare, "/live"); rec.Code != http.StatusNotFound ||
-		!strings.Contains(rec.Body.String(), "-store") {
-		t.Errorf("/live without hub: status %d body %q", rec.Code, rec.Body.String())
-	}
 }
 
 // TestStoreQueryWorkersParam: ?workers= sizes /store/query's scan pool

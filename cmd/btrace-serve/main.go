@@ -1,14 +1,13 @@
-// Command btrace-serve is the trace server. With -store (one durable
-// segment store, or with -shards a replicated ring of them under that
-// root) it takes wire records on POST /ingest through the shared
-// admission path (verify, tenant quotas, the overload gate), answers
-// /store/query — BTQL and the field parameters, one predicate — over the
-// tiered store, streams admitted events on /live (SSE), runs the
-// background compactor and freezer, and exposes /ring, /metrics,
-// /readyz and /debug/pprof. Without -store it is the benchmark
-// harness's dashboard alone: the paper's tables and figures regenerated
-// on demand, ad-hoc replays, and readouts exported as Chrome trace JSON
-// for chrome://tracing / Perfetto.
+// Command btrace-serve is the trace server. It runs over one durable
+// segment store, or with -shards over a replicated ring of them under
+// the -store root, which it requires. It takes wire records on POST
+// /ingest through the shared admission path (verify, tenant quotas, the
+// overload gate), answers /store/query — BTQL and the field parameters,
+// one predicate — over the tiered store, streams admitted events on
+// /live (SSE), runs the background compactor and freezer, and exposes
+// /ring, /metrics, /readyz and /debug/pprof. The paper's tables and
+// figures, replays and readout exports are the harness's own commands:
+// btrace-bench, btrace-replay and btrace-inspect.
 //
 //	btrace-serve -addr localhost:8321 -store ./trace-store
 package main
@@ -37,8 +36,7 @@ const drainDeadline = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", "localhost:8321", "listen address")
-	scale := flag.Float64("scale", 0.02, "default volume fraction for experiments, in (0, 1]")
-	storeDir := flag.String("store", "", "durable trace store directory to serve via /store/query and /store/segments")
+	storeDir := flag.String("store", "", "durable trace store directory (required; with -shards, the cluster root)")
 	queryWorkers := flag.Int("query-workers", store.DefaultQueryWorkers, "scan workers for a /store/query without ?workers=, in [0, 32] (0 = one scan worker)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "store segment roll size in bytes (0 = default 1MiB)")
 	commitEvery := flag.Duration("commit-every", 0, "store group-commit interval (0 = fsync only on demand)")
@@ -58,21 +56,18 @@ func main() {
 	liveMaxMissed := flag.Uint64("live-max-missed", 0, "missed-event count at which a slow /live subscriber is evicted (0 = default 65536)")
 	flag.Parse()
 
-	if err := checkFlags(*scale, *sampleRate, *rateLimit, *rateBurst, *shards, *queryWorkers); err != nil {
+	if err := checkFlags(*storeDir, *sampleRate, *rateLimit, *rateBurst, *shards, *queryWorkers); err != nil {
 		fmt.Fprintln(os.Stderr, "btrace-serve:", err)
 		os.Exit(2)
 	}
 
-	// The live hub exists whenever an ingest path does: it is the
-	// post-gate fan-out both pipelines publish admitted batches to.
-	var hub *live.Hub
-	if *storeDir != "" {
-		hub = live.NewHub(live.Config{
-			BufferEvents:     *liveBuffer,
-			MaxSubscribers:   *liveSubscribers,
-			EvictAfterMissed: *liveMaxMissed,
-		})
-	}
+	// The live hub is the post-gate fan-out both pipelines publish
+	// admitted batches to.
+	hub := live.NewHub(live.Config{
+		BufferEvents:     *liveBuffer,
+		MaxSubscribers:   *liveSubscribers,
+		EvictAfterMissed: *liveMaxMissed,
+	})
 	overrides, err := ingest.ParseOverrides(*tenantOverrides)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "btrace-serve:", err)
@@ -103,24 +98,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	var (
-		ts      *store.Store
-		cluster *clusterPipeline
-	)
-	switch {
-	case *shards > 0:
-		// Cluster mode: N replicated shards under the -store root, fronted
-		// by the consistent-hash distributor.
-		if *storeDir == "" {
-			fmt.Fprintln(os.Stderr, "btrace-serve: -shards requires -store (the cluster root directory)")
-			os.Exit(2)
-		}
+	// One boot fork: a shard ring under the -store root, fronted by the
+	// consistent-hash distributor, or a single store with its own ingest
+	// drain. Deferred closes run in reverse, so a drain stops (with a
+	// final flush) before its store closes.
+	var srv *server
+	if *shards > 0 {
 		gcfg, err := icfg.gateConfig()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "btrace-serve:", err)
 			os.Exit(2)
 		}
-		cluster, err = newClusterPipeline(clusterConfig{
+		cluster, err := newClusterPipeline(clusterConfig{
 			Dir:           *storeDir,
 			Shards:        *shards,
 			Replication:   *replication,
@@ -135,49 +124,36 @@ func main() {
 		}
 		defer cluster.Close()
 		log.Printf("btrace-serve: %s under %s", cluster.d, *storeDir)
-	case *storeDir != "":
-		var err error
+		srv = newServer(nil, *queryWorkers)
+		srv.attachCluster(cluster)
+	} else {
 		if objectBackend {
 			scfg.Backend = backend.NewObject()
 		}
-		if ts, err = store.Open(*storeDir, scfg); err != nil {
+		ts, err := store.Open(*storeDir, scfg)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "btrace-serve: open store:", err)
 			os.Exit(1)
 		}
 		defer ts.Close()
 		log.Printf("btrace-serve: store %s (%d segments, %d events)",
 			ts.Dir(), len(ts.Segments()), ts.Events())
-	}
-
-	srv, err := newServer(*scale, ts, *queryWorkers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "btrace-serve:", err)
-		os.Exit(1)
-	}
-	if cluster != nil {
-		srv.attachCluster(cluster)
-	}
-	if hub != nil {
-		srv.attachLive(hub)
-	}
-	// With a single store attached the server also accepts traffic on
-	// POST /ingest, behind the adaptive overload gate. The pipeline is
-	// stopped (with a final flush) before the deferred store Close runs.
-	if ts != nil {
 		ing, err := newIngestPipeline(ts, icfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "btrace-serve: ingest:", err)
 			os.Exit(1)
 		}
 		defer ing.Close()
+		srv = newServer(ts, *queryWorkers)
 		srv.attachIngest(ing)
 	}
+	srv.attachLive(hub)
 	hs := &http.Server{
 		Addr:    *addr,
 		Handler: srv,
 		// A wedged or malicious client must not pin a serving goroutine
-		// forever; experiment regeneration is CPU-bound and can be slow,
-		// so the write timeout is generous but finite.
+		// forever; a large export can take a while, so the write timeout
+		// is generous but finite (/live lifts it per stream).
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
 		WriteTimeout:      2 * time.Minute,
@@ -208,18 +184,16 @@ func main() {
 	}
 }
 
-// checkFlags refuses the numeric flag values that mean nothing instead
-// of reading them as some other setting. The operator's -scale gets the
-// same hard validation as the request parameter: a non-positive or >1
-// scale is a misconfiguration, not a bigger experiment. Negative rates,
-// bursts and shard counts are refused rather than run as unlimited, as
-// the default burst and as a single store, and -query-workers is held to
-// the range ?workers= is. Every comparison is written so that NaN fails
-// it.
-func checkFlags(scale, sampleRate, rateLimit, rateBurst float64, shards, queryWorkers int) error {
+// checkFlags refuses a server with no store and the numeric flag values
+// that mean nothing, instead of reading them as some other setting.
+// Negative rates, bursts and shard counts are refused rather than run as
+// unlimited, as the default burst and as a single store, and
+// -query-workers is held to the range ?workers= is. Every comparison is
+// written so that NaN fails it.
+func checkFlags(storeDir string, sampleRate, rateLimit, rateBurst float64, shards, queryWorkers int) error {
 	switch {
-	case !(scale > 0 && scale <= 1):
-		return fmt.Errorf("-scale must be in (0, 1], got %v", scale)
+	case storeDir == "":
+		return errors.New("-store is required (the store directory, or with -shards the cluster root)")
 	case !(sampleRate > 0 && sampleRate <= 1):
 		return fmt.Errorf("-sample-rate must be in (0, 1], got %v", sampleRate)
 	case !(rateLimit >= 0):

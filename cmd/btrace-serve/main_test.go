@@ -10,22 +10,22 @@ import (
 // boundaries it accepts.
 func TestCheckFlags(t *testing.T) {
 	type flags struct {
-		scale, sampleRate, rateLimit, rateBurst float64
-		shards, queryWorkers                    int
+		storeDir                         string
+		sampleRate, rateLimit, rateBurst float64
+		shards, queryWorkers             int
 	}
-	def := flags{scale: 0.02, sampleRate: 0.05, queryWorkers: 4}
+	def := flags{storeDir: "trace-store", sampleRate: 0.05, queryWorkers: 4}
 	for _, tc := range []struct {
 		name string
 		mod  func(*flags)
 		want string // substring of the error; "" = accepted
 	}{
 		{"defaults", func(*flags) {}, ""},
-		{"boundaries", func(f *flags) { f.scale, f.sampleRate, f.rateLimit, f.rateBurst, f.shards = 1, 1, 50000, 1, 4 }, ""},
+		{"boundaries", func(f *flags) { f.sampleRate, f.rateLimit, f.rateBurst, f.shards = 1, 50000, 1, 4 }, ""},
 		{"query-workers 0", func(f *flags) { f.queryWorkers = 0 }, ""},
 		{"query-workers 32", func(f *flags) { f.queryWorkers = 32 }, ""},
-		{"scale 0", func(f *flags) { f.scale = 0 }, "-scale must be in (0, 1], got 0"},
-		{"scale 2", func(f *flags) { f.scale = 2 }, "-scale must be in (0, 1]"},
-		{"scale NaN", func(f *flags) { f.scale = math.NaN() }, "-scale must be in (0, 1]"},
+		{"no store", func(f *flags) { f.storeDir = "" }, "-store is required"},
+		{"no store, cluster", func(f *flags) { f.storeDir, f.shards = "", 4 }, "-store is required"},
 		{"sample-rate 0", func(f *flags) { f.sampleRate = 0 }, "-sample-rate must be in (0, 1]"},
 		{"rate-limit -5", func(f *flags) { f.rateLimit = -5 }, "-rate-limit must be >= 0, got -5"},
 		{"rate-limit NaN", func(f *flags) { f.rateLimit = math.NaN() }, "-rate-limit must be >= 0"},
@@ -36,7 +36,7 @@ func TestCheckFlags(t *testing.T) {
 	} {
 		f := def
 		tc.mod(&f)
-		err := checkFlags(f.scale, f.sampleRate, f.rateLimit, f.rateBurst, f.shards, f.queryWorkers)
+		err := checkFlags(f.storeDir, f.sampleRate, f.rateLimit, f.rateBurst, f.shards, f.queryWorkers)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -12,7 +13,6 @@ import (
 
 	"btrace"
 	"btrace/internal/btql"
-	"btrace/internal/collect"
 	"btrace/internal/live"
 	"btrace/internal/overload"
 	"btrace/internal/store"
@@ -60,15 +60,16 @@ func scrape(t *testing.T, srv *server) map[string]float64 {
 	return parseProm(t, rec.Body.String())
 }
 
-// TestMetricsEndToEnd drives real traffic through all three instrumented
-// subsystems — a tracer's block lifecycle, a supervised collector, and a
-// durable store — then scrapes /metrics and checks that every subsystem's
-// series are present and that the counters moved with the traffic; the
-// Go runtime's own GC and allocation series and the ingest queue gauge
-// ride along, and so do the two costs beside the write path: what a
-// /live stream wrote in how many socket writes, and how long the
-// freezer took over the bytes it froze — and, from a cluster beside the
-// server, which path answers its aggregates.
+// TestMetricsEndToEnd drives real traffic through the instrumented
+// subsystems — a tracer's block lifecycle and a durable store — then
+// scrapes /metrics and checks that every subsystem's series are present
+// and that the counters moved with the traffic; the Go runtime's own GC
+// and allocation series and the ingest queue gauge ride along, and so do
+// the two costs beside the write path: what a /live stream wrote in how
+// many socket writes, and how long the freezer took over the bytes it
+// froze — and, from a cluster beside the server, which path answers its
+// aggregates. (A Supervisor's btrace_collect_* series are
+// internal/collect's to test: nothing in this server runs one.)
 func TestMetricsEndToEnd(t *testing.T) {
 	hub := live.NewHub(live.Config{})
 	srv, _ := newIngestServer(t, ingestConfig{SampleRate: 1, Hub: hub})
@@ -93,7 +94,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		frames += len(live.AppendFrame(nil, &posted[i]))
 	}
 
-	// Core + collect: record events and pump them through a supervisor.
+	// Core: record events.
 	tr, err := btrace.Open(btrace.Config{Cores: 2, BufferBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -108,19 +109,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := tr.NewReader()
-	defer r.Close()
-	sup, err := collect.NewSupervisor(collect.SupervisorConfig{Cursor: readerCursor{r}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		sup.Step()
-	}
-	// The supervisor's obs collector retires via finalizer; keep the
-	// supervisor reachable past the scrape or a GC between here and
-	// there folds its gauge series away.
-	defer runtime.KeepAlive(sup)
+	// The buffer's obs collector retires via finalizer; keep the tracer
+	// reachable past the scrape or a GC between here and there folds its
+	// gauge series away.
+	defer runtime.KeepAlive(tr)
 
 	// Store: append, seal, freeze, close.
 	st, err := store.Open(t.TempDir(), store.Config{ColdAfterNs: 1})
@@ -160,8 +152,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"btrace_core_writes_total",
 		"btrace_core_written_bytes_total",
 		"btrace_core_capacity_bytes",
-		"btrace_collect_polls_total",
-		"btrace_collect_pending_dumps",
 		"btrace_store_appends_total",
 		`btrace_store_append_ns_bucket{le="+Inf"}`,
 		"btrace_store_fsync_ns_count",
@@ -198,9 +188,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if got := after["btrace_core_writes_total"] - before["btrace_core_writes_total"]; got < writes {
 		t.Errorf("core writes moved by %v, want >= %d", got, writes)
 	}
-	if got := after["btrace_collect_polls_total"] - before["btrace_collect_polls_total"]; got < 3 {
-		t.Errorf("collector polls moved by %v, want >= 3", got)
-	}
 	if got := after["btrace_store_appends_total"] - before["btrace_store_appends_total"]; got < 2 {
 		t.Errorf("store appends moved by %v, want >= 2", got)
 	}
@@ -234,21 +221,98 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// readerCursor adapts the public Reader to tracer.Cursor: Next is the
-// Reader's own, Close gains the error return.
-type readerCursor struct{ *btrace.Reader }
+// TestMetricsIngestSeries: the server reports what its own paths do.
+// The single-store drain's btrace_ingest_* series move with posted
+// traffic, a failed append and a dropped batch included; the one
+// btrace_collect_* series left is the verifier's quarantine count, which
+// ingest.Admission emits once in either mode and which moves by exactly
+// the entries posted that fail verification.
+func TestMetricsIngestSeries(t *testing.T) {
+	const quarantined = "btrace_collect_quarantined_total"
+	collectSeries := func(m map[string]float64) []string {
+		var names []string
+		for name := range m {
+			if strings.HasPrefix(name, "btrace_collect_") && name != quarantined {
+				names = append(names, name)
+			}
+		}
+		return names
+	}
+	// Two events of thread 9 fail verification: a stamp below the
+	// thread's last, and stamp 0.
+	withQuarantine := func(tid uint32) []byte {
+		return encodeEvents(t, []tracer.Entry{
+			{Stamp: 10, TS: 10, TID: tid, Level: 1}, {Stamp: 11, TS: 11, TID: tid, Level: 1},
+			{Stamp: 5, TS: 12, TID: tid, Level: 1}, {Stamp: 0, TS: 13, TID: tid, Level: 1},
+			{Stamp: 12, TS: 14, TID: tid, Level: 1},
+		})
+	}
 
-func (c readerCursor) Close() error {
-	c.Reader.Close()
-	return nil
+	srv, st := newIngestServer(t, ingestConfig{SampleRate: 1})
+	// The first batch exhausts the append budget and is dropped; the
+	// second is applied on its second attempt.
+	srv.ingest.sink = &flakySink{st: st, failures: appendAttempts + 1}
+	before := scrape(t, srv)
+	for i, body := range [][]byte{withQuarantine(9), encodeEvents(t, clusterEvents(4, 100))} {
+		if rec := httpPost(t, srv, "/ingest", body); rec.Code != 202 {
+			t.Fatalf("post %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	open := scrape(t, srv)
+	srv.ingest.Close()
+	after := scrape(t, srv)
+	for _, name := range []string{"btrace_ingest_queue_depth", "btrace_ingest_store_failed"} {
+		if _, ok := open[name]; !ok {
+			t.Errorf("series %s missing while the drain runs", name)
+		}
+	}
+	for name, want := range map[string]float64{
+		"btrace_ingest_batches_total":          2,
+		"btrace_ingest_append_retries_total":   appendAttempts,
+		"btrace_ingest_dropped_batches_total":  1,
+		"btrace_ingest_dropped_events_total":   5,
+		"btrace_ingest_events_throttled_total": 0,
+		quarantined:                            2,
+	} {
+		if _, ok := after[name]; !ok {
+			t.Errorf("series %s missing", name)
+		}
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s moved by %v, want %v", name, got, want)
+		}
+	}
+	if names := collectSeries(after); len(names) > 0 {
+		t.Errorf("a server with no supervisor exports %v", names)
+	}
+
+	// Cluster mode: the distributor's Admission counts it, once, and /ring
+	// reads the same count.
+	cluster := newClusterServer(t, 2, 2, "")
+	before = scrape(t, cluster)
+	if rec := httpPost(t, cluster, "/ingest", withQuarantine(9)); rec.Code != 202 {
+		t.Fatalf("cluster post: status %d: %s", rec.Code, rec.Body.String())
+	}
+	after = scrape(t, cluster)
+	if got := after[quarantined] - before[quarantined]; got != 2 {
+		t.Errorf("cluster: %s moved by %v, want 2", quarantined, got)
+	}
+	if names := collectSeries(after); len(names) > 0 {
+		t.Errorf("cluster: a server with no supervisor exports %v", names)
+	}
+	var ring struct {
+		Stats struct{ Quarantined uint64 } `json:"stats"`
+	}
+	if err := json.Unmarshal(httpGet(t, cluster, "/ring").Body.Bytes(), &ring); err != nil {
+		t.Fatal(err)
+	}
+	if ring.Stats.Quarantined != 2 {
+		t.Errorf("/ring stats.Quarantined = %d, want 2", ring.Stats.Quarantined)
+	}
 }
 
 // TestPprofEndpoints checks the pprof surface responds on the private mux.
 func TestPprofEndpoints(t *testing.T) {
-	srv, err := newServer(0.005, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(nil, 0)
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

@@ -65,10 +65,6 @@ func (s *server) handleStoreSegments(w http.ResponseWriter, r *http.Request) {
 		s.handleClusterSegments(w, r)
 		return
 	}
-	if s.store == nil {
-		http.Error(w, "no trace store configured (start btrace-serve with -store)", http.StatusNotFound)
-		return
-	}
 	segs := s.store.Segments()
 	resp := struct {
 		Dir      string              `json:"dir"`
@@ -176,10 +172,6 @@ func (w *startedWriter) Write(p []byte) (int, error) {
 // connection instead of returning: a clean end of the body would tell
 // the client the truncated stream is the whole answer.
 func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil && s.cluster == nil {
-		http.Error(w, "no trace store configured (start btrace-serve with -store)", http.StatusNotFound)
-		return
-	}
 	q, agg, err := parseStoreQuery(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -39,23 +39,23 @@ func storeServer(t *testing.T, n int) (*httptest.Server, *store.Store) {
 			t.Fatal(err)
 		}
 	}
-	srv, err := newServer(0.005, st, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newServer(st, 2))
 	t.Cleanup(ts.Close)
 	return ts, st
 }
 
-func TestStoreEndpointsWithoutStore(t *testing.T) {
-	ts := testServer(t) // no store configured
-	for _, path := range []string{"/store/segments", "/store/query"} {
-		if code, body := get(t, ts.URL+path); code != http.StatusNotFound ||
-			!strings.Contains(body, "-store") {
-			t.Errorf("%s without store: %d %q", path, code, body)
-		}
+func get(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
 }
 
 func TestStoreSegmentsEndpoint(t *testing.T) {
@@ -225,10 +225,7 @@ func sealedStoreServer(t *testing.T, n int, cfg store.Config) (*httptest.Server,
 			t.Fatal(err)
 		}
 	}
-	srv, err := newServer(0.005, st, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(st, 2)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, srv, st

@@ -309,8 +309,6 @@ func init() {
 	})
 }
 
-// NewCursor implements tracer.CursorSource. BBQ's read path is a
+// NewCursor implements tracer.Tracer. BBQ's read path is a
 // quiescent snapshot, so the generic stamp-resume adapter applies.
 func (q *Queue) NewCursor() tracer.Cursor { return tracer.NewSnapshotCursor(q.ReadAll) }
-
-var _ tracer.CursorSource = (*Queue)(nil)

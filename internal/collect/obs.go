@@ -9,7 +9,7 @@ import (
 // supObs mirrors SupervisorStats (plus the health gauges) into obs
 // primitives. A pipeline is single-goroutine and keeps its stats as a
 // plain struct; once per step it folds the accumulated deltas into
-// these atomic counters (StatsMirror.Publish) so the /metrics scraper
+// these atomic counters (statsMirror.publish) so the /metrics scraper
 // can read them concurrently without racing the pipeline.
 //
 // Like bufCounters in internal/core, supObs is allocated separately from
@@ -108,32 +108,30 @@ func (o *supObs) collect(e *obs.Emitter) {
 	e.Gauge("btrace_collect_supervisors", "live supervised pipelines", 1)
 }
 
-// StatsMirror publishes one pipeline's SupervisorStats and HealthReport
-// as the btrace_collect_* series of the process-wide registry. The
-// Supervisor owns one; btrace-serve's ingest drain — a plain loop with
-// the same counters to report — owns another, so the series names live
-// in one place. Publish is for the pipeline's single goroutine.
-type StatsMirror struct {
+// statsMirror publishes one Supervisor's SupervisorStats and
+// HealthReport as the btrace_collect_* series of the process-wide
+// registry. publish is for the pipeline's single goroutine.
+type statsMirror struct {
 	obs       *supObs
 	published SupervisorStats
 }
 
-// NewStatsMirror registers a mirror; the finalizer folds its counters
+// newStatsMirror registers a mirror; the finalizer folds its counters
 // into the retired totals when the mirror (and so its owner) becomes
 // unreachable. The collector closure captures only the counters, never
 // the mirror, so registration does not defeat the finalizer.
-func NewStatsMirror() *StatsMirror {
-	m := &StatsMirror{obs: newSupObs()}
+func newStatsMirror() *statsMirror {
+	m := &statsMirror{obs: newSupObs()}
 	reg := obs.Default()
 	id := reg.Register(m.obs.collect)
-	runtime.SetFinalizer(m, func(*StatsMirror) { reg.Fold(id) })
+	runtime.SetFinalizer(m, func(*statsMirror) { reg.Fold(id) })
 	return m
 }
 
-// Publish folds the stat deltas accumulated since the last call into
+// publish folds the stat deltas accumulated since the last call into
 // the counters and refreshes the health gauges. Once per step — the
 // pipeline's slow path, never the per-event path.
-func (m *StatsMirror) Publish(cur SupervisorStats, h HealthReport) {
+func (m *statsMirror) publish(cur SupervisorStats, h HealthReport) {
 	o := m.obs
 	o.addDeltas(cur, m.published)
 	m.published = cur

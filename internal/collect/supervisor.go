@@ -179,7 +179,7 @@ type Supervisor struct {
 
 	stats SupervisorStats
 	// obs republishes stats and Health once per Step/Flush.
-	obs *StatsMirror
+	obs *statsMirror
 }
 
 // NewSupervisor creates a supervised pipeline.
@@ -225,7 +225,7 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		ver:   NewVerifier(),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		batch: make([]tracer.Entry, cfg.BatchSize),
-		obs:   NewStatsMirror(),
+		obs:   newStatsMirror(),
 	}
 	if col.loss != nil {
 		s.lossTol = col.loss.Tolerance
@@ -492,7 +492,7 @@ func (s *Supervisor) Health() HealthReport {
 func (s *Supervisor) Stats() SupervisorStats { return s.stats }
 
 // publishObs republishes the counters and health gauges for /metrics.
-func (s *Supervisor) publishObs() { s.obs.Publish(s.stats, s.Health()) }
+func (s *Supervisor) publishObs() { s.obs.publish(s.stats, s.Health()) }
 
 // ResizeErrors returns errors from adaptive Resize attempts (surfaced
 // rather than retried blindly; the policy re-evaluates on later polls).

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"btrace/internal/obs"
 	"btrace/internal/tracer"
 )
 
@@ -65,6 +67,33 @@ func TestNewSupervisorValidation(t *testing.T) {
 	if s.cfg.PollRetryBudget != 8 || s.cfg.SinkRetryBudget != 8 ||
 		s.cfg.BackoffBase != 1 || s.cfg.BackoffMax != 64 || s.cfg.SpillCapacity != 16 {
 		t.Fatalf("defaults not applied: %+v", s.cfg)
+	}
+}
+
+// TestSupervisorMetrics: a supervisor republishes its stats and health
+// as the btrace_collect_* series of the process-wide registry on every
+// step.
+func TestSupervisorMetrics(t *testing.T) {
+	before := obs.Default().Snapshot()
+	src := &scriptedSource{steps: []scriptedPoll{{es: []tracer.Entry{ev(1, 0, 1), ev(2, 1, 1)}}}}
+	s, err := NewSupervisor(SupervisorConfig{Cursor: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		s.Step()
+	}
+	after := obs.Default().Snapshot()
+	// The mirror retires via finalizer; keep the supervisor reachable
+	// past the snapshot or a GC in between folds its gauges away.
+	runtime.KeepAlive(s)
+	for _, name := range []string{"btrace_collect_polls_total", "btrace_collect_pending_dumps", "btrace_collect_supervisors"} {
+		if _, ok := after.Get(name); !ok {
+			t.Errorf("series %s missing", name)
+		}
+	}
+	if got := after.Value("btrace_collect_polls_total") - before.Value("btrace_collect_polls_total"); got < 3 {
+		t.Errorf("polls moved by %v over 3 steps, want >= 3", got)
 	}
 }
 

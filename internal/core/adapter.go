@@ -16,14 +16,11 @@ func (Adapter) Name() string { return TracerName }
 // TotalBytes implements tracer.Tracer: the live capacity budget.
 func (a Adapter) TotalBytes() int { return a.Buffer.Capacity() }
 
-// NewCursor implements tracer.CursorSource with the core's native
+// NewCursor implements tracer.Tracer with the core's native
 // arena-backed cursor.
 func (a Adapter) NewCursor() tracer.Cursor { return a.Buffer.NewCursor() }
 
-var (
-	_ tracer.Tracer       = Adapter{}
-	_ tracer.CursorSource = Adapter{}
-)
+var _ tracer.Tracer = Adapter{}
 
 func init() {
 	tracer.Register(TracerName, func(totalBytes, cores, threads int) (tracer.Tracer, error) {

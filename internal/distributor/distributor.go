@@ -216,7 +216,6 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	// replicated with the batch.
 	admitted, c := d.adm.Admit(tenant, es)
 	res := Result{Tenant: tenant, Seen: c.Seen, Throttled: c.Throttled, GateDropped: c.GateDropped}
-	d.obs.quarantined.Add(uint64(c.Quarantined))
 
 	// Held until every delivery has resolved: a topology change waits for
 	// the Ingests the old ring routed, so the snapshot AddShard or
@@ -688,7 +687,7 @@ func (d *Distributor) Stats() Stats {
 		GateDropped:   o.gateDropped.Load(),
 		Acked:         o.acked.Load(),
 		Refused:       o.refused.Load(),
-		Quarantined:   o.quarantined.Load(),
+		Quarantined:   d.adm.Quarantined(),
 		ReplicaErrors: o.replicaErrors.Load(),
 		Retries:       o.retries.Load(),
 		Hedges:        o.hedges.Load(),

@@ -19,7 +19,6 @@ type distObs struct {
 	acked       *obs.Counter
 	refused     *obs.Counter
 
-	quarantined   *obs.Counter
 	replicaErrors *obs.Counter
 	retries       *obs.Counter
 	hedges        *obs.Counter
@@ -43,7 +42,6 @@ func newDistObs() *distObs {
 		gateDropped:   obs.NewCounter(4),
 		acked:         obs.NewCounter(4),
 		refused:       obs.NewCounter(4),
-		quarantined:   obs.NewCounter(4),
 		replicaErrors: obs.NewCounter(4),
 		retries:       obs.NewCounter(4),
 		hedges:        obs.NewCounter(4),
@@ -67,11 +65,6 @@ func (o *distObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_distributor_events_gate_dropped_total", "events dropped by the shared overload gate", o.gateDropped.Load())
 	e.Counter("btrace_distributor_events_acked_total", "events durably applied on a replica quorum", o.acked.Load())
 	e.Counter("btrace_distributor_events_refused_total", "events that failed quorum after retries and hedging", o.refused.Load())
-	// The front-door verifier stands where the shard collectors' stood, so
-	// its count keeps their series; a refused delivery retains nothing, so
-	// the cluster path never spills.
-	e.Counter("btrace_collect_quarantined_total", "entries rejected by the verifier", o.quarantined.Load())
-	e.Counter("btrace_collect_spilled_total", "dumps diverted to the in-memory spill ring", 0)
 	e.Counter("btrace_distributor_replica_errors_total", "replica deliveries that failed after retries", o.replicaErrors.Load())
 	e.Counter("btrace_distributor_replica_retries_total", "replica delivery re-attempts", o.retries.Load())
 	e.Counter("btrace_distributor_hedges_total", "deliveries hedged to a non-owner candidate", o.hedges.Load())

@@ -245,8 +245,6 @@ func init() {
 	})
 }
 
-// NewCursor implements tracer.CursorSource. ftrace's read path is a
+// NewCursor implements tracer.Tracer. ftrace's read path is a
 // quiescent snapshot, so the generic stamp-resume adapter applies.
 func (t *Tracer) NewCursor() tracer.Cursor { return tracer.NewSnapshotCursor(t.ReadAll) }
-
-var _ tracer.CursorSource = (*Tracer)(nil)

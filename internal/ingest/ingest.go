@@ -13,9 +13,11 @@
 package ingest
 
 import (
+	"runtime"
 	"sync"
 
 	"btrace/internal/collect"
+	"btrace/internal/obs"
 	"btrace/internal/overload"
 	"btrace/internal/tracer"
 )
@@ -29,6 +31,8 @@ type Admission struct {
 	ver     *collect.Verifier
 	limiter *tenantLimiter
 	gate    *overload.Gate
+	// quarantined counts the entries the verifier flagged.
+	quarantined *obs.Counter
 }
 
 // NewAdmission builds the admission stage. The verifier is unordered: a
@@ -37,11 +41,22 @@ type Admission struct {
 // ordered verifier would quarantine legitimate interleaved traffic
 // around the gate and the live tail.
 func NewAdmission(gate overload.Config, overrides map[string]TenantLimit) *Admission {
-	return &Admission{
-		ver:     collect.NewUnorderedVerifier(),
-		limiter: newTenantLimiter(overrides),
-		gate:    overload.NewGate(gate),
+	a := &Admission{
+		ver:         collect.NewUnorderedVerifier(),
+		limiter:     newTenantLimiter(overrides),
+		gate:        overload.NewGate(gate),
+		quarantined: obs.NewCounter(1),
 	}
+	// Both server modes run an Admission, so this is the one place a
+	// server emits the series. It keeps the name a Supervisor's verifier
+	// count uses, which the benchmark reads. The closure captures the
+	// counter, never a, so the finalizer can fold it.
+	q, reg := a.quarantined, obs.Default()
+	id := reg.Register(func(e *obs.Emitter) {
+		e.Counter("btrace_collect_quarantined_total", "entries rejected by the verifier", q.Load())
+	})
+	runtime.SetFinalizer(a, func(*Admission) { reg.Fold(id) })
+	return a
 }
 
 // Counts is one Admit call's event-exact accounting:
@@ -81,6 +96,9 @@ func (a *Admission) Admit(tenant string, es []tracer.Entry) ([]tracer.Entry, Cou
 	admitted := a.gate.Filter(kept)
 	a.mu.Unlock()
 	c.Quarantined = len(quarantined)
+	if c.Quarantined > 0 { // the common batch leaves the shared counter alone
+		a.quarantined.Add(uint64(c.Quarantined))
+	}
 	c.Throttled = throttled
 	c.GateDropped = len(kept) - len(admitted)
 	return append(admitted, quarantined...), c
@@ -100,6 +118,9 @@ func (a *Admission) Tier() overload.Tier {
 	defer a.mu.Unlock()
 	return a.gate.Tier()
 }
+
+// Quarantined returns how many entries the verifier has flagged.
+func (a *Admission) Quarantined() uint64 { return a.quarantined.Load() }
 
 // GateStats snapshots the gate's counters.
 func (a *Admission) GateStats() overload.Stats {

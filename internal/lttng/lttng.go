@@ -301,8 +301,6 @@ func init() {
 	})
 }
 
-// NewCursor implements tracer.CursorSource. LTTng's read path is a
+// NewCursor implements tracer.Tracer. LTTng's read path is a
 // quiescent snapshot, so the generic stamp-resume adapter applies.
 func (t *Tracer) NewCursor() tracer.Cursor { return tracer.NewSnapshotCursor(t.ReadAll) }
-
-var _ tracer.CursorSource = (*Tracer)(nil)

@@ -355,36 +355,24 @@ func worker(cfg *Config, coreID int, events []workload.Event, th *sim.Thread,
 	}
 }
 
-// RetainedStamps reads the tracer back and returns the retained stamps in
-// ascending order. Tracers that can mint streaming cursors are drained
-// through one reused batch — only the stamps are retained, never the full
-// event slice; the rest fall back to ReadAll.
+// RetainedStamps reads the tracer back through its cursor and returns
+// the retained stamps in ascending order. One batch is reused throughout:
+// only the stamps are retained, never the full event slice.
 func RetainedStamps(tr tracer.Tracer) ([]uint64, error) {
-	if cs, ok := tr.(tracer.CursorSource); ok {
-		cur := cs.NewCursor()
-		defer cur.Close()
-		batch := make([]tracer.Entry, 512)
-		var out []uint64
-		for {
-			n, _, err := cur.Next(batch)
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				return out, nil
-			}
-			for i := 0; i < n; i++ {
-				out = append(out, batch[i].Stamp)
-			}
+	cur := tr.NewCursor()
+	defer cur.Close()
+	batch := make([]tracer.Entry, 512)
+	var out []uint64
+	for {
+		n, _, err := cur.Next(batch)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			return out, nil
+		}
+		for i := 0; i < n; i++ {
+			out = append(out, batch[i].Stamp)
 		}
 	}
-	es, err := tr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, len(es))
-	for i := range es {
-		out[i] = es[i].Stamp
-	}
-	return out, nil
 }

@@ -333,17 +333,18 @@ func TestAggregatePartials(t *testing.T) {
 // events held when the ask began and those appended when it ended, less
 // what retention took. Run under -race.
 func TestAggregatePartialsConcurrent(t *testing.T) {
+	rounds := 60
+	if testing.Short() {
+		rounds = 20
+	}
 	cfg := tierCfg()
-	cfg.MaxBytes = 64 << 10
+	// Retention must fire however many rounds run: 64 KiB at 60.
+	cfg.MaxBytes = int64(rounds) * 64 << 10 / 60
 	st, err := Open(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rounds := 60
-	if testing.Short() {
-		rounds = 20
-	}
 	// Stamps up to appended are in the store; none past reserved is.
 	var mu sync.Mutex
 	var appended, reserved uint64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"btrace/internal/export"
@@ -271,11 +272,6 @@ func TestLengthOnlyHoldsWorkerSpans(t *testing.T) {
 			t.Fatalf("fixture: segment %+v is ordered or shorter than two spans", s)
 		}
 	}
-	// Chunks other tests left in the global pool come with buffers of
-	// their own; start from none.
-	for ck := globalChunks.Get().(*pchunk); cap(ck.data) > 0 || cap(ck.entries) > 0; {
-		ck = globalChunks.Get().(*pchunk)
-	}
 	// held sums the span buffers of everything a finished pass made.
 	held := func(pc *PCursor) (total, largest int) {
 		cks := append(append([]*pchunk(nil), pc.pool.free...), pc.retired...)
@@ -292,6 +288,13 @@ func TestLengthOnlyHoldsWorkerSpans(t *testing.T) {
 		return total, largest
 	}
 	for _, workers := range []int{1, 4} {
+		// Chunks other tests, or the pass before, left in the global pool
+		// come with buffers of their own; start from none. Get cannot
+		// reach another P's private slot, so draining by Get leaves some
+		// behind: two collections empty a sync.Pool, victim cache
+		// included.
+		runtime.GC()
+		runtime.GC()
 		pc := st.QueryParallel(Query{LengthsOnly: true}, workers)
 		got, missed := drainParallel(t, pc, 512)
 		if missed != 0 || len(got) != segs*per {

@@ -59,7 +59,7 @@ func (t *Tracer) ReadAll() ([]tracer.Entry, error) {
 	return tracer.Drain(cur, 1024)
 }
 
-// NewCursor implements tracer.CursorSource. It reads the store the way
+// NewCursor implements tracer.Tracer. It reads the store the way
 // a polling client does: through snapshot passes, a new one above the
 // last stamp delivered whenever the current pass is over. For a store
 // fed in stamp order that composes into the following cursor the
@@ -111,7 +111,4 @@ func (t *Tracer) Reset() { t.st.Reset() }
 // Close seals and closes the underlying store.
 func (t *Tracer) Close() error { return t.st.Close() }
 
-var (
-	_ tracer.Tracer       = (*Tracer)(nil)
-	_ tracer.CursorSource = (*Tracer)(nil)
-)
+var _ tracer.Tracer = (*Tracer)(nil)

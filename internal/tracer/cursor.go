@@ -33,14 +33,6 @@ type Cursor interface {
 	Close() error
 }
 
-// CursorSource is implemented by tracers that can mint streaming
-// cursors. BTrace's core buffer and all four baseline tracers satisfy
-// it; consumers (collect.Supervisor, internal/export, internal/replay)
-// prefer it over Tracer.ReadAll.
-type CursorSource interface {
-	NewCursor() Cursor
-}
-
 // Events returns a Go iterator over c, reading through batch (which
 // sizes the per-call read; it must be non-empty). The yielded *Entry is
 // borrowed — valid only for that iteration step — per the Cursor

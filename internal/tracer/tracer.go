@@ -28,6 +28,12 @@ type Tracer interface {
 	// own Reader type.
 	ReadAll() ([]Entry, error)
 
+	// NewCursor mints a streaming cursor over the retained events: the
+	// bounded, incremental read that consumers prefer over ReadAll.
+	// BTrace's core has a native arena-backed one; the baselines wrap
+	// their quiescent snapshots in a SnapshotCursor.
+	NewCursor() Cursor
+
 	// TotalBytes returns the total buffer budget the tracer was
 	// configured with, in bytes.
 	TotalBytes() int

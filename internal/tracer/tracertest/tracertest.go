@@ -223,17 +223,6 @@ func testConcurrent(t *testing.T, cfg Config) {
 	}
 }
 
-// newCursor requires the tracer to implement tracer.CursorSource — every
-// tracer in this repository must expose the streaming read path.
-func newCursor(t *testing.T, tr tracer.Tracer) tracer.Cursor {
-	t.Helper()
-	cs, ok := tr.(tracer.CursorSource)
-	if !ok {
-		t.Fatalf("%s does not implement tracer.CursorSource", tr.Name())
-	}
-	return cs.NewCursor()
-}
-
 func testCursorMatchesReadAll(t *testing.T, cfg Config) {
 	tr := newTracer(t, cfg)
 	p := &tracer.FixedProc{CoreID: 0, TID: 1}
@@ -248,7 +237,7 @@ func testCursorMatchesReadAll(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatalf("ReadAll: %v", err)
 	}
-	cur := newCursor(t, tr)
+	cur := tr.NewCursor()
 	defer cur.Close()
 	// A batch smaller than the readout forces delivery across Next calls.
 	got, err := tracer.Drain(cur, 7)
@@ -282,7 +271,7 @@ func testCursorIncremental(t *testing.T, cfg Config) {
 		}
 	}
 	write(1, 10)
-	cur := newCursor(t, tr)
+	cur := tr.NewCursor()
 	defer cur.Close()
 	got, err := tracer.Drain(cur, 64)
 	if err != nil {
