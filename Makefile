@@ -41,17 +41,13 @@ race-stress:
 
 tier1: build fmt vet test race
 
-# ROADMAP item 8's deterministic tier-1, scoped to the packages the
-# admission, durability and read paths live in: their tests three times
+# ROADMAP item 8's deterministic tier-1: every tier-1 test five times
 # over while two busy loops compete for the CPUs. A test that leans on
 # the clock or on scheduling luck fails here before it flakes elsewhere.
-CONTENDED_PKGS = ./internal/overload/... ./internal/ingest/... ./internal/store/... \
-	./internal/distributor/... ./internal/ring/... ./cmd/btrace-serve/... \
-	./internal/vulture/... ./cmd/btrace-inspect/...
 tier1-contended:
 	@pids=; for i in 1 2; do sh -c 'while :; do :; done' & pids="$$pids $$!"; done; \
 	trap 'kill $$pids' EXIT; \
-	$(GO) test -count 3 $(CONTENDED_PKGS)
+	$(GO) test -count 5 ./...
 
 # The chaos suite: every DESIGN.md invariant under injected preemption
 # storms, stalled writers, hotplug-during-resize, and poll/sink failures.

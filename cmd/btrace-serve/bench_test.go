@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
@@ -120,7 +119,7 @@ func BenchmarkServeIngest(b *testing.B) {
 	b.Run("cluster-4xrf2", func(b *testing.B) {
 		cp, err := newClusterPipeline(clusterConfig{
 			Dir: b.TempDir(), Shards: 4, Replication: 2, Store: scfg,
-			Gate: overload.Config{MinSampleRate: 1},
+			Ingest: ingestConfig{SampleRate: 1},
 		})
 		if err != nil {
 			b.Fatal(err)

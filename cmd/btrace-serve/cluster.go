@@ -11,7 +11,6 @@ import (
 
 	"btrace/internal/distributor"
 	"btrace/internal/ingest"
-	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/store/backend"
 )
@@ -34,17 +33,15 @@ type clusterConfig struct {
 	Shards int
 	// Replication is the replica count per stream key (-replication).
 	Replication int
-	// Overrides are the parsed per-tenant quota overrides
-	// (-tenant-overrides).
-	Overrides map[string]ingest.TenantLimit
+	// Ingest configures the distributor's admission: the gate, the
+	// tenant quotas and the live hub, as on a single store.
+	Ingest ingestConfig
 	// Store is the per-shard store configuration template; Backend is
 	// ignored (each shard gets its own).
 	Store store.Config
 	// ObjectBackend gives every shard an in-process volatile backend
 	// (-backend object).
 	ObjectBackend bool
-	// Gate configures the shared overload gate.
-	Gate overload.Config
 }
 
 // clusterPipeline owns the distributed ingest tier inside btrace-serve:
@@ -91,6 +88,10 @@ func newClusterPipeline(cfg clusterConfig) (*clusterPipeline, error) {
 	if cfg.Replication < 1 || cfg.Replication > cfg.Shards {
 		return nil, fmt.Errorf("replication %d out of [1, %d shards]", cfg.Replication, cfg.Shards)
 	}
+	gcfg, err := cfg.Ingest.gateConfig()
+	if err != nil {
+		return nil, err
+	}
 	shards := make([]distributor.Shard, 0, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := cfg.openShard(fmt.Sprintf("shard-%02d", i))
@@ -104,8 +105,9 @@ func newClusterPipeline(cfg clusterConfig) (*clusterPipeline, error) {
 	}
 	d, err := distributor.New(shards, distributor.Config{
 		Replication: cfg.Replication,
-		Overrides:   cfg.Overrides,
-		Gate:        cfg.Gate,
+		Overrides:   cfg.Ingest.Overrides,
+		Gate:        gcfg,
+		Publish:     cfg.Ingest.Hub.Publish,
 	})
 	if err != nil {
 		for _, prev := range shards {
@@ -196,9 +198,9 @@ func (s *server) handleRing(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		resp := struct {
 			distributor.Info
-			Stats   distributor.Stats               `json:"stats"`
-			Tenants map[string]overload.TenantStats `json:"tenants"`
-			Tier    string                          `json:"overload_tier"`
+			Stats   distributor.Stats             `json:"stats"`
+			Tenants map[string]ingest.TenantStats `json:"tenants"`
+			Tier    string                        `json:"overload_tier"`
 		}{
 			Info:    s.cluster.d.Info(),
 			Stats:   s.cluster.d.Stats(),

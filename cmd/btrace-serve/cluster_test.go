@@ -11,7 +11,6 @@ import (
 	"btrace/internal/btql"
 	"btrace/internal/distributor"
 	"btrace/internal/ingest"
-	"btrace/internal/overload"
 	"btrace/internal/tracer"
 )
 
@@ -26,8 +25,7 @@ func newClusterServer(t *testing.T, shards, rf int, overrides string) *server {
 		Dir:         t.TempDir(),
 		Shards:      shards,
 		Replication: rf,
-		Overrides:   ov,
-		Gate:        overload.Config{MinSampleRate: 1},
+		Ingest:      ingestConfig{SampleRate: 1, Overrides: ov},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +92,7 @@ func TestClusterIngestQueryEndToEnd(t *testing.T) {
 			Events uint64
 		}
 		Events  uint64
-		Tenants map[string]overload.TenantStats
+		Tenants map[string]ingest.TenantStats
 	}
 	if err := json.NewDecoder(srec.Body).Decode(&segs); err != nil {
 		t.Fatal(err)

@@ -45,10 +45,10 @@ type ingestConfig struct {
 	// Overrides are the parsed per-tenant quota overrides
 	// (-tenant-overrides).
 	Overrides map[string]ingest.TenantLimit
-	// Hub, when set, receives every admitted batch via the gate's
-	// Admitted hook — the /live fan-out. Both the single-store pipeline
-	// and the cluster distributor build their gate through gateConfig,
-	// so one field covers both ingest paths.
+	// Hub, when set, receives every admitted batch from the Admission —
+	// the /live fan-out. Both the single-store pipeline and the cluster
+	// distributor are built from an ingestConfig, so one field covers
+	// both ingest paths.
 	Hub *live.Hub
 }
 
@@ -74,9 +74,6 @@ func (cfg ingestConfig) gateConfig() (overload.Config, error) {
 		// keep working.
 		gcfg.EngagePressure = 2
 	}
-	if cfg.Hub != nil {
-		gcfg.Admitted = cfg.Hub.Publish
-	}
 	return gcfg, nil
 }
 
@@ -85,7 +82,7 @@ func (cfg ingestConfig) gateConfig() (overload.Config, error) {
 // and runs internal/ingest's admit → append on each, then releases the
 // batch. A 202 is an enqueue; the cluster path (cluster.go) acks a
 // quorum instead. HTTP handlers touch only the queue, the rejected
-// counter, the storeFailed gauge and the mutex-protected tier.
+// counter, the storeFailed gauge and the Admission, which locks itself.
 type ingestPipeline struct {
 	queue chan *ingestBatch
 	adm   *ingest.Admission
@@ -113,11 +110,6 @@ type ingestPipeline struct {
 	// write-path failure; /readyz reports it as permanent.
 	storeFailed obs.Gauge
 	obsID       uint64 // registry id of the btrace_ingest_* series
-
-	// mu guards the tier the drain publishes after every batch, so
-	// /readyz never reads the gate from a second goroutine.
-	mu   sync.Mutex
-	tier overload.Tier
 }
 
 // newIngestPipeline wires the admission stage over st and starts the
@@ -130,7 +122,7 @@ func newIngestPipeline(st *store.Store, cfg ingestConfig) (*ingestPipeline, erro
 	queue := make(chan *ingestBatch, ingestQueueDepth)
 	p := &ingestPipeline{
 		queue: queue,
-		adm:   ingest.NewAdmission(gcfg, cfg.Overrides),
+		adm:   ingest.NewAdmission(gcfg, cfg.Overrides, cfg.Hub.Publish),
 		st:    st,
 		sink:  st,
 		done:  make(chan struct{}),
@@ -168,10 +160,6 @@ func (p *ingestPipeline) run() {
 		case <-idle.C:
 			p.adm.Evaluate(overload.Pressure{Store: p.st.Pressure()})
 		}
-		tier := p.adm.Tier()
-		p.mu.Lock()
-		p.tier = tier
-		p.mu.Unlock()
 	}
 }
 
@@ -251,10 +239,7 @@ func (p *ingestPipeline) notReadyReasons() []string {
 	if p.storeFailed.Load() != 0 {
 		reasons = append(reasons, "store sink in permanent failure")
 	}
-	p.mu.Lock()
-	tier := p.tier
-	p.mu.Unlock()
-	if tier >= overload.TierStream {
+	if p.adm.Tier() >= overload.TierStream {
 		reasons = append(reasons, "overload shedding at full-drop tier")
 	}
 	return reasons

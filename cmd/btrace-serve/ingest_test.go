@@ -178,24 +178,28 @@ func TestReadyzReportsOverloadAndStoreFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newServer(st, 0)
-	// A hand-built pipeline (no goroutine) lets the test set snapshot
-	// state deterministically.
-	p := &ingestPipeline{st: st}
+	// A hand-built pipeline (no goroutine) whose gate moves one tier per
+	// evaluation lets the test drive the tier deterministically.
+	p := &ingestPipeline{st: st, adm: ingest.NewAdmission(overload.Config{EngageAfter: 1, CooldownEvals: 1}, nil, nil)}
 	srv.attachIngest(p)
+	evaluate := func(failed bool) {
+		for range overload.TierStream {
+			p.adm.Evaluate(overload.Pressure{Store: overload.StorePressure{Failed: failed}})
+		}
+	}
 
 	if rec := httpGet(t, srv, "/readyz"); rec.Code != 200 {
 		t.Fatalf("healthy: /readyz status %d", rec.Code)
 	}
-	p.mu.Lock()
-	p.tier = overload.TierStream
-	p.mu.Unlock()
+	evaluate(true)
 	rec := httpGet(t, srv, "/readyz")
 	if rec.Code != 503 || !strings.Contains(rec.Body.String(), "full-drop tier") {
 		t.Errorf("full-drop tier: status %d body %q", rec.Code, rec.Body.String())
 	}
-	p.mu.Lock()
-	p.tier = overload.TierNone
-	p.mu.Unlock()
+	evaluate(false)
+	if rec := httpGet(t, srv, "/readyz"); rec.Code != 200 {
+		t.Fatalf("released: /readyz status %d %q", rec.Code, rec.Body.String())
+	}
 	p.storeFailed.SetBool(true)
 	rec = httpGet(t, srv, "/readyz")
 	if rec.Code != 503 || !strings.Contains(rec.Body.String(), "permanent failure") {

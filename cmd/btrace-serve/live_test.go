@@ -13,7 +13,7 @@ import (
 )
 
 // liveServer builds a single-store ingest server with a live hub wired
-// through the gate's Admitted hook, served over a real listener (SSE
+// through the Admission's live publish, served over a real listener (SSE
 // needs a streaming connection, which ResponseRecorder cannot provide).
 func liveServer(t *testing.T, hubCfg live.Config) (*httptest.Server, *live.Hub) {
 	t.Helper()

@@ -104,19 +104,13 @@ func main() {
 	// final flush) before its store closes.
 	var srv *server
 	if *shards > 0 {
-		gcfg, err := icfg.gateConfig()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "btrace-serve:", err)
-			os.Exit(2)
-		}
 		cluster, err := newClusterPipeline(clusterConfig{
 			Dir:           *storeDir,
 			Shards:        *shards,
 			Replication:   *replication,
-			Overrides:     overrides,
+			Ingest:        icfg,
 			Store:         scfg,
 			ObjectBackend: objectBackend,
-			Gate:          gcfg,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "btrace-serve: cluster:", err)

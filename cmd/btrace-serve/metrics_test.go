@@ -14,7 +14,6 @@ import (
 	"btrace"
 	"btrace/internal/btql"
 	"btrace/internal/live"
-	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
@@ -136,7 +135,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 
 	// Distributor: a two-shard cluster answers one aggregate.
-	cp, err := newClusterPipeline(clusterConfig{Dir: t.TempDir(), Shards: 2, Replication: 2, Gate: overload.Config{MinSampleRate: 1}})
+	cp, err := newClusterPipeline(clusterConfig{Dir: t.TempDir(), Shards: 2, Replication: 2, Ingest: ingestConfig{SampleRate: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,8 @@ func (s *server) attachIngest(p *ingestPipeline) { s.ingest = p }
 func (s *server) attachCluster(p *clusterPipeline) { s.cluster = p }
 
 // attachLive hands the server the hub its /live endpoint subscribes
-// against; main wires the same hub into the ingest gate's Admitted hook.
+// against; main hands the same hub to the ingest Admission, which
+// publishes every admitted batch to it.
 func (s *server) attachLive(h *live.Hub) { s.live = h }
 
 // handleHealthz is the liveness probe: the process is up and serving.

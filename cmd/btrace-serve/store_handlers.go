@@ -8,8 +8,8 @@ import (
 
 	"btrace/internal/btql"
 	"btrace/internal/export"
+	"btrace/internal/ingest"
 	"btrace/internal/obs"
-	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
@@ -28,13 +28,13 @@ type shardSegments struct {
 
 // handleClusterSegments is /store/segments in cluster mode: the same
 // operator view, broken down per shard, with fleet totals and the
-// per-tenant attribution the gate knows about.
+// admission's per-tenant attribution.
 func (s *server) handleClusterSegments(w http.ResponseWriter, r *http.Request) {
 	resp := struct {
-		Shards  []shardSegments                 `json:"shards"`
-		Bytes   int64                           `json:"bytes"`
-		Events  uint64                          `json:"events"`
-		Tenants map[string]overload.TenantStats `json:"tenants"`
+		Shards  []shardSegments               `json:"shards"`
+		Bytes   int64                         `json:"bytes"`
+		Events  uint64                        `json:"events"`
+		Tenants map[string]ingest.TenantStats `json:"tenants"`
 	}{Tenants: s.cluster.d.TenantStats()}
 	for _, sh := range s.cluster.d.Shards() {
 		resp.Shards = append(resp.Shards, shardSegments{

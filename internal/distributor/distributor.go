@@ -12,8 +12,7 @@
 // Placement is deliberately tenant-agnostic: the stream key is the TID
 // alone, because durable events do not carry a tenant and drain must be
 // able to re-derive every key from the store. Tenancy drives quotas and
-// accounting (see internal/overload's tenant attribution), never
-// placement.
+// accounting (internal/ingest's tenant table), never placement.
 package distributor
 
 import (
@@ -46,6 +45,10 @@ type Config struct {
 	// Gate configures the shared overload gate applied after the tenant
 	// quota and before replication.
 	Gate overload.Config
+	// Publish, when set, receives every non-empty admitted batch under
+	// its tenant, before replication (the /live fan-out,
+	// live.Hub.Publish; see ingest.NewAdmission for its contract).
+	Publish func(tenant string, es []tracer.Entry)
 	// RecordStamps makes Ingest return the acked/refused stamp sets —
 	// the chaos tests' accounting hook; off in production paths.
 	RecordStamps bool
@@ -144,7 +147,7 @@ func New(shards []Shard, cfg Config) (*Distributor, error) {
 	}
 	d := &Distributor{
 		cfg:    cfg,
-		adm:    ingest.NewAdmission(cfg.Gate, cfg.Overrides),
+		adm:    ingest.NewAdmission(cfg.Gate, cfg.Overrides, cfg.Publish),
 		shards: table,
 		obs:    newDistObs(),
 	}
@@ -209,13 +212,10 @@ func (f *fanout) route(si, i int, e *tracer.Entry) {
 // retains es, nor a payload it points at, past the call — the caller
 // may recycle both as soon as it has the Result.
 func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
-	if tenant == "" {
-		tenant = overload.DefaultTenant
-	}
 	// Quarantined entries come back with the admitted ones and are
 	// replicated with the batch.
 	admitted, c := d.adm.Admit(tenant, es)
-	res := Result{Tenant: tenant, Seen: c.Seen, Throttled: c.Throttled, GateDropped: c.GateDropped}
+	res := Result{Tenant: c.Tenant, Seen: c.Seen, Throttled: c.Throttled, GateDropped: c.GateDropped}
 
 	// Held until every delivery has resolved: a topology change waits for
 	// the Ingests the old ring routed, so the snapshot AddShard or
@@ -698,8 +698,8 @@ func (d *Distributor) Stats() Stats {
 // GateStats snapshots the shared gate's counters.
 func (d *Distributor) GateStats() overload.Stats { return d.adm.GateStats() }
 
-// TenantStats snapshots the gate's per-tenant attribution table.
-func (d *Distributor) TenantStats() map[string]overload.TenantStats { return d.adm.TenantStats() }
+// TenantStats snapshots the admission's per-tenant attribution.
+func (d *Distributor) TenantStats() map[string]ingest.TenantStats { return d.adm.TenantStats() }
 
 // GateTier returns the gate's engaged shedding tier.
 func (d *Distributor) GateTier() overload.Tier { return d.adm.Tier() }

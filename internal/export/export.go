@@ -7,7 +7,6 @@ package export
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
@@ -26,41 +25,24 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeFile is the top-level Chrome trace JSON object.
-type chromeFile struct {
-	TraceEvents []chromeEvent  `json:"traceEvents"`
-	Metadata    map[string]any `json:"metadata,omitempty"`
+// ChromeTrace writes es as Chrome trace-event JSON: ChromeTraceCursor
+// over the slice, so a drained readout and a streamed one are the same
+// document.
+func ChromeTrace(w io.Writer, es []tracer.Entry) error {
+	_, _, err := ChromeTraceCursor(w, &sliceCursor{es: es}, make([]tracer.Entry, 256))
+	return err
 }
 
-// ChromeTrace writes es as Chrome trace-event JSON. Events render as
-// instant events ("ph":"i") named by their category, grouped by core
-// (pid) and thread (tid).
-func ChromeTrace(w io.Writer, es []tracer.Entry) error {
-	file := chromeFile{
-		TraceEvents: make([]chromeEvent, 0, len(es)),
-		Metadata: map[string]any{
-			"tracer":      "btrace",
-			"event-count": len(es),
-		},
-	}
-	for i := range es {
-		e := &es[i]
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
-			Name: workload.Category(e.Category).Name(),
-			Ph:   "i",
-			TS:   float64(e.TS) / 1e3,
-			PID:  int(e.Core),
-			TID:  int(e.TID),
-			Args: map[string]any{
-				"stamp": e.Stamp,
-				"level": e.Level,
-				"bytes": e.WireSize(),
-			},
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(file)
+// sliceCursor hands out a slice's entries, in order, and then its end.
+type sliceCursor struct{ es []tracer.Entry }
+
+func (c *sliceCursor) Next(batch []tracer.Entry) (int, uint64, error) {
+	n := copy(batch, c.es)
+	c.es = c.es[n:]
+	return n, 0, nil
 }
+
+func (c *sliceCursor) Close() error { return nil }
 
 // csvHeader is the column set shared by CSV and CSVCursor.
 const csvHeader = "stamp,ts_ns,core,tid,category,level,payload_bytes\n"

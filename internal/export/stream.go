@@ -197,9 +197,11 @@ func CSVCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (events int, 
 }
 
 // ChromeTraceCursor streams c through batch to w as Chrome trace-event
-// JSON: the traceEvents array is emitted incrementally, one event at a
-// time, and the metadata object (including the final event count) is
-// appended once the cursor is exhausted.
+// JSON: events render as instant events ("ph":"i") named by their
+// category, grouped by core (pid) and thread (tid). The traceEvents
+// array is emitted incrementally, one event at a time, and the metadata
+// object (including the final event and missed counts) is appended once
+// the cursor is exhausted.
 func ChromeTraceCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (events int, missed uint64, err error) {
 	if _, err := io.WriteString(w, `{"traceEvents":[`); err != nil {
 		return 0, 0, err

@@ -156,27 +156,25 @@ func TestDecoderRejectsOversizedRecord(t *testing.T) {
 	}
 }
 
-type sliceCursor struct {
-	es   []tracer.Entry
-	idx  int
+// missCursor is a sliceCursor that reports miss missed events on its
+// first read.
+type missCursor struct {
+	sliceCursor
 	miss uint64
 }
 
-func (c *sliceCursor) Next(batch []tracer.Entry) (int, uint64, error) {
-	n := copy(batch, c.es[c.idx:])
-	c.idx += n
+func (c *missCursor) Next(batch []tracer.Entry) (int, uint64, error) {
+	n, _, err := c.sliceCursor.Next(batch)
 	m := c.miss
 	c.miss = 0
-	return n, m, nil
+	return n, m, err
 }
-
-func (c *sliceCursor) Close() error { return nil }
 
 func TestEncoderFromCursor(t *testing.T) {
 	es := sampleEntries()
 	var fromCursor, fromBatch bytes.Buffer
 	events, missed, err := NewEncoder(&fromCursor).FromCursor(
-		&sliceCursor{es: es, miss: 7}, make([]tracer.Entry, 2))
+		&missCursor{sliceCursor: sliceCursor{es: es}, miss: 7}, make([]tracer.Entry, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +219,10 @@ func TestCursorExportersMatchSliceExporters(t *testing.T) {
 		t.Fatal("TextCursor output differs from Text")
 	}
 
-	var chrome bytes.Buffer
+	var sliceChrome, chrome bytes.Buffer
+	if err := ChromeTrace(&sliceChrome, es); err != nil {
+		t.Fatal(err)
+	}
 	events, _, err := ChromeTraceCursor(&chrome, &sliceCursor{es: es}, batch)
 	if err != nil {
 		t.Fatal(err)
@@ -230,11 +231,14 @@ func TestCursorExportersMatchSliceExporters(t *testing.T) {
 		t.Fatalf("ChromeTraceCursor wrote %d events, want %d", events, len(es))
 	}
 	out := chrome.String()
+	if out != sliceChrome.String() {
+		t.Fatalf("ChromeTraceCursor output differs:\n%s\nvs\n%s", out, sliceChrome.String())
+	}
 	if !strings.HasPrefix(out, `{"traceEvents":[`) || !strings.Contains(out, `"event-count":5`) {
 		t.Fatalf("unexpected Chrome JSON: %s", out)
 	}
 	// Must be valid JSON even when the batch boundary falls mid-array, and
-	// carry the same number of array elements as the slice encoder.
+	// carry one array element per event.
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}

@@ -52,7 +52,7 @@ func TestChaosOverloadStorm(t *testing.T) {
 		DisengagePressure: 0.3,
 		EngageAfter:       2,
 		CooldownEvals:     4,
-	}, nil)
+	}, nil, nil)
 	const attempts = 2
 
 	type sample struct {

@@ -66,7 +66,8 @@ func TestChaosVultureContinuous(t *testing.T) {
 		Replication:  2,
 		HedgeLimit:   2,
 		Retries:      2,
-		Gate:         overload.Config{MinSampleRate: 1, Admitted: hub.Publish},
+		Gate:         overload.Config{MinSampleRate: 1},
+		Publish:      hub.Publish,
 		RecordStamps: true,
 	})
 	if err != nil {

@@ -4,56 +4,63 @@
 // and the distributor in front of the shard ring — and nothing else
 // knows it:
 //
-//	verify → tenant quota → overload gate → (quarantined re-appended) → bounded-retry append
+//	tenant row → verify → quota → overload gate → live publish → (quarantined re-appended) → bounded-retry append
 //
-// Admission is the filtering half, Append the delivery half. The
-// device-side collector (internal/collect) is the other end of the
+// Admission is the filtering half, Append the delivery half. Tenancy
+// lives here and nowhere else: each tenant is one row of a bounded
+// table (tenant.go) holding its verifier, its quota and its attribution.
+// The device-side collector (internal/collect) is the other end of the
 // contract: it follows a tracer and dumps windows; it neither gates nor
 // stores.
 package ingest
 
 import (
 	"runtime"
-	"sync"
 
-	"btrace/internal/collect"
 	"btrace/internal/obs"
 	"btrace/internal/overload"
 	"btrace/internal/tracer"
 )
 
-// Admission is the verifier, the tenant limiter and the overload gate —
-// all single-goroutine by contract — behind one lock, so any number of
+// Admission is the tenant table and the overload gate — all
+// single-goroutine by contract — behind one lock, so any number of
 // request goroutines may call it. The lock is held only for in-memory
-// filtering, never across store I/O.
+// filtering and the live publish, never across store I/O.
 type Admission struct {
-	mu      sync.Mutex
-	ver     *collect.Verifier
-	limiter *tenantLimiter
-	gate    *overload.Gate
-	// quarantined counts the entries the verifier flagged.
+	// tenantTable holds the lock and the tenant rows; its TenantStats is
+	// Admission's.
+	*tenantTable
+	gate *overload.Gate
+	// publish, when set, receives every non-empty admitted batch under
+	// its tenant (the /live fan-out, live.Hub.Publish).
+	publish func(tenant string, es []tracer.Entry)
+	// quarantined counts the entries the verifiers flagged.
 	quarantined *obs.Counter
 }
 
-// NewAdmission builds the admission stage. The verifier is unordered: a
-// server multiplexes independent clients, whose batches interleave
-// arbitrarily, so only per-thread stamp order is an invariant — an
-// ordered verifier would quarantine legitimate interleaved traffic
-// around the gate and the live tail.
-func NewAdmission(gate overload.Config, overrides map[string]TenantLimit) *Admission {
+// NewAdmission builds the admission stage. Each tenant's verifier is
+// unordered: a server multiplexes independent clients, whose batches
+// interleave arbitrarily, so only per-thread stamp order is an invariant
+// — an ordered verifier would quarantine legitimate interleaved traffic
+// around the gate and the live tail. publish may be nil; it is called
+// under the lock with a slice that aliases the caller's batch, so it
+// must copy what it keeps and must not block.
+func NewAdmission(gate overload.Config, overrides map[string]TenantLimit, publish func(tenant string, es []tracer.Entry)) *Admission {
 	a := &Admission{
-		ver:         collect.NewUnorderedVerifier(),
-		limiter:     newTenantLimiter(overrides),
+		tenantTable: newTenantTable(overrides),
 		gate:        overload.NewGate(gate),
+		publish:     publish,
 		quarantined: obs.NewCounter(1),
 	}
 	// Both server modes run an Admission, so this is the one place a
-	// server emits the series. It keeps the name a Supervisor's verifier
-	// count uses, which the benchmark reads. The closure captures the
-	// counter, never a, so the finalizer can fold it.
-	q, reg := a.quarantined, obs.Default()
+	// server emits these series. The quarantine count keeps the name a
+	// Supervisor's verifier count uses, which the benchmark reads. The
+	// closure captures the counter and the table, never a, so the
+	// finalizer can fold them.
+	q, t, reg := a.quarantined, a.tenantTable, obs.Default()
 	id := reg.Register(func(e *obs.Emitter) {
 		e.Counter("btrace_collect_quarantined_total", "entries rejected by the verifier", q.Load())
+		t.collect(e)
 	})
 	runtime.SetFinalizer(a, func(*Admission) { reg.Fold(id) })
 	return a
@@ -66,6 +73,9 @@ func NewAdmission(gate overload.Config, overrides map[string]TenantLimit) *Admis
 // where admitted is the slice Admit returned, Quarantined of which
 // bypassed quota and gate.
 type Counts struct {
+	// Tenant is the tenant the batch was admitted as: the caller's, or
+	// DefaultTenant for none.
+	Tenant string
 	// Seen is the batch size offered.
 	Seen int
 	// Quarantined entries failed verification; they are in the returned
@@ -79,28 +89,33 @@ type Counts struct {
 }
 
 // Admit runs one tenant batch through verify → quota → gate, filtering
-// es in place (the returned slice aliases it; no per-batch copy), and
-// attributes the gate's decisions to tenant ("" is the default tenant).
-// Quarantined entries are evidence, never shed: they bypass quota and
-// gate — and so the gate's Admitted hook, the live tail — and are
-// re-appended after the admitted ones, into the room the filters left.
+// es in place (the returned slice aliases it; no per-batch copy), books
+// the gate's decisions to the tenant's row and publishes what it
+// admitted under the tenant's own name, even when the row it is booked
+// to is TenantOverflow. Quarantined entries are evidence, never shed:
+// they bypass quota, gate and the live tail, and are re-appended after
+// the admitted ones, into the room the filters left.
 func (a *Admission) Admit(tenant string, es []tracer.Entry) ([]tracer.Entry, Counts) {
 	if tenant == "" {
-		tenant = overload.DefaultTenant
+		tenant = DefaultTenant
 	}
-	c := Counts{Seen: len(es)}
+	c := Counts{Tenant: tenant, Seen: len(es)}
 	a.mu.Lock()
-	clean, quarantined, _ := a.ver.Check(es)
-	kept, throttled := a.limiter.filter(tenant, clean)
-	a.gate.SetTenant(tenant)
+	r := a.row(tenant)
+	clean, quarantined, _ := r.ver.Check(es)
+	kept := r.throttle(clean)
 	admitted := a.gate.Filter(kept)
+	c.Quarantined, c.Throttled, c.GateDropped = len(quarantined), len(clean)-len(kept), len(kept)-len(admitted)
+	r.Seen += uint64(len(kept))
+	r.Admitted += uint64(len(admitted))
+	r.Dropped += uint64(c.GateDropped)
+	if a.publish != nil && len(admitted) > 0 {
+		a.publish(tenant, admitted)
+	}
 	a.mu.Unlock()
-	c.Quarantined = len(quarantined)
 	if c.Quarantined > 0 { // the common batch leaves the shared counter alone
 		a.quarantined.Add(uint64(c.Quarantined))
 	}
-	c.Throttled = throttled
-	c.GateDropped = len(kept) - len(admitted)
 	return append(admitted, quarantined...), c
 }
 
@@ -119,7 +134,7 @@ func (a *Admission) Tier() overload.Tier {
 	return a.gate.Tier()
 }
 
-// Quarantined returns how many entries the verifier has flagged.
+// Quarantined returns how many entries the verifiers have flagged.
 func (a *Admission) Quarantined() uint64 { return a.quarantined.Load() }
 
 // GateStats snapshots the gate's counters.
@@ -127,13 +142,6 @@ func (a *Admission) GateStats() overload.Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.gate.Stats()
-}
-
-// TenantStats snapshots the gate's per-tenant attribution table.
-func (a *Admission) TenantStats() map[string]overload.TenantStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.gate.TenantStats()
 }
 
 // Sink is the durable store as the delivery half sees it (store.Store

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"btrace/internal/obs"
 	"btrace/internal/overload"
 	"btrace/internal/tracer"
 )
@@ -23,8 +24,8 @@ func batch(tid uint32, first uint64, n int) []tracer.Entry {
 
 // TestAdmitQuarantineBypassesQuotaAndGate: a quarantined entry is
 // evidence — whatever the quota and the gate do to the rest of the
-// batch, it comes back (last), and neither the gate's counters nor its
-// Admitted hook (the live tail) ever see it.
+// batch, it comes back (last), and neither the gate's counters nor the
+// live tail ever see it.
 func TestAdmitQuarantineBypassesQuotaAndGate(t *testing.T) {
 	const bad = 9 // category of the entries the verifier must quarantine
 	fullDrop := overload.Config{MinSampleRate: 1, EngagePressure: 0.5, EngageAfter: 1}
@@ -45,16 +46,15 @@ func TestAdmitQuarantineBypassesQuotaAndGate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var published []uint8
-			tc.gate.Admitted = func(_ string, es []tracer.Entry) {
-				for i := range es {
-					published = append(published, es[i].Category)
-				}
-			}
 			overrides, err := ParseOverrides(tc.overrides)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := NewAdmission(tc.gate, overrides)
+			a := NewAdmission(tc.gate, overrides, func(_ string, es []tracer.Entry) {
+				for i := range es {
+					published = append(published, es[i].Category)
+				}
+			})
 			for i := 0; i < tc.hot; i++ {
 				a.Evaluate(overload.Pressure{Store: overload.StorePressure{Failed: true}})
 			}
@@ -67,7 +67,7 @@ func TestAdmitQuarantineBypassesQuotaAndGate(t *testing.T) {
 			}
 			es = append(es, tracer.Entry{TID: 7, Category: bad}, tracer.Entry{Stamp: 2, TID: 7, Category: bad})
 			out, c := a.Admit("acme", es)
-			if c != tc.want || len(out) != tc.wantOut {
+			if tc.want.Tenant = "acme"; c != tc.want || len(out) != tc.wantOut {
 				t.Fatalf("counts %+v with %d entries out, want %+v with %d", c, len(out), tc.want, tc.wantOut)
 			}
 			if c.Seen != c.Throttled+c.GateDropped+len(out) {
@@ -90,34 +90,52 @@ func TestAdmitQuarantineBypassesQuotaAndGate(t *testing.T) {
 // TestAdmitDefaultTenant: a batch without a tenant is the default
 // tenant's, for the quota as for the attribution.
 func TestAdmitDefaultTenant(t *testing.T) {
-	overrides, err := ParseOverrides(overload.DefaultTenant + "=1:2")
+	overrides, err := ParseOverrides(DefaultTenant + "=1:2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAdmission(overload.Config{MinSampleRate: 1}, overrides)
+	a := NewAdmission(overload.Config{MinSampleRate: 1}, overrides, nil)
 	es := batch(1, 1, 5)
 	for i := range es {
 		es[i].TS = 1000
 	}
 	out, c := a.Admit("", es)
-	if len(out) != 2 || c.Throttled != 3 {
+	if len(out) != 2 || c.Throttled != 3 || c.Tenant != DefaultTenant {
 		t.Fatalf("%d admitted, counts %+v, want the burst of 2 and 3 throttled", len(out), c)
 	}
-	if ts := a.TenantStats()[overload.DefaultTenant]; ts.Seen != 2 || ts.Admitted != 2 {
+	if ts := a.TenantStats()[DefaultTenant]; ts.Seen != 2 || ts.Admitted != 2 {
 		t.Fatalf("default tenant attribution %+v", ts)
 	}
 }
 
 // TestAdmitConcurrentTenants: N goroutines admit under N tenants at
-// once (run under -race); every batch's counts are exact and each
-// tenant is attributed its own events and nobody else's.
+// once while /metrics and the tenant table are read (run under -race);
+// every batch's counts are exact, each tenant is attributed its own
+// events and nobody else's, and the live publish saw every admitted one.
 func TestAdmitConcurrentTenants(t *testing.T) {
 	const tenants, batches, per = 8, 50, 16
 	overrides, err := ParseOverrides("t0=1:1") // one tenant throttled, seven not
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAdmission(overload.Config{MinSampleRate: 1}, overrides)
+	published := 0 // written under the Admission's lock
+	a := NewAdmission(overload.Config{MinSampleRate: 1}, overrides, func(_ string, es []tracer.Entry) {
+		published += len(es)
+	})
+	done := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				obs.Default().Snapshot()
+				a.TenantStats()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	throttled := make([]int, tenants)
 	for g := 0; g < tenants; g++ {
@@ -139,6 +157,8 @@ func TestAdmitConcurrentTenants(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(done)
+	<-scraped
 	if throttled[0] == 0 {
 		t.Error("t0's quota never throttled")
 	}
@@ -154,8 +174,8 @@ func TestAdmitConcurrentTenants(t *testing.T) {
 		}
 		seen += ts.Seen
 	}
-	if gs := a.GateStats(); gs.Seen != seen || gs.Admitted != seen {
-		t.Errorf("gate stats %+v, tenants sum to %d", gs, seen)
+	if gs := a.GateStats(); gs.Seen != seen || gs.Admitted != seen || uint64(published) != seen {
+		t.Errorf("gate stats %+v, %d published, tenants sum to %d", gs, published, seen)
 	}
 }
 

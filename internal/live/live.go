@@ -5,12 +5,12 @@
 // after the fact — the online-consumer scenario WOOTdroid argues
 // whole-system tracing must serve (see PAPERS.md).
 //
-// The hub hangs off the overload gate's post-admission seam
-// (overload.Config.Admitted): both the single-store ingest pipeline and
-// the cluster distributor filter every batch through a Gate, so one
+// The hub hangs off the end of admission (ingest.NewAdmission's publish
+// argument): both the single-store ingest pipeline and the cluster
+// distributor admit every batch through an ingest.Admission, so one
 // hook covers both pipelines, and live subscribers see exactly the
-// events the gate admitted — never events that were shed, sampled out
-// or throttled.
+// events the gate admitted — never events that were shed, sampled out,
+// throttled or quarantined.
 //
 // Delivery is lossy by design, and the loss is accounted, never
 // silent: each subscriber owns a ring bounded in events and in payload
@@ -117,12 +117,13 @@ func NewHub(cfg Config) *Hub {
 	return h
 }
 
-// Publish offers one admitted batch to every subscriber. The entries
-// are borrowed (overload.Config.Admitted contract): what a subscriber
-// keeps is copied into its ring slots here, payload bytes included, so
-// the caller may reuse es and everything it points at on return. Never
-// blocks on a subscriber; a full ring overwrites oldest and counts
-// missed. Safe for concurrent use, and safe on a nil Hub (no-op).
+// Publish offers one admitted batch, published under tenant, to every
+// subscriber. The entries are borrowed (the ingest.NewAdmission publish
+// contract): what a subscriber keeps is copied into its ring slots
+// here, payload bytes included, so the caller may reuse es and
+// everything it points at on return. Never blocks on a subscriber; a
+// full ring overwrites oldest and counts missed. Safe for concurrent
+// use, and safe on a nil Hub (no-op).
 func (h *Hub) Publish(tenant string, es []tracer.Entry) {
 	if h == nil || len(es) == 0 {
 		return

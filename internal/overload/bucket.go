@@ -4,8 +4,8 @@ package overload
 // refill rate tokens/second of the event stream's own TS clock, so the
 // limiter behaves identically under replayed and live time. The zero
 // value is a bucket that has never seen time; its first Take fills it
-// to burst. The gate's per-category limits and internal/ingest's
-// per-tenant quotas both draw from it. Not safe for concurrent use.
+// to burst. The gate's per-category limits and internal/ingest's quota
+// overrides both draw from it. Not safe for concurrent use.
 type Bucket struct {
 	tokens float64
 	lastNs uint64

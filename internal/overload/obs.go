@@ -1,9 +1,7 @@
 package overload
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 
 	"btrace/internal/obs"
 )
@@ -41,20 +39,6 @@ type gateObs struct {
 	pressureMilli    obs.Gauge
 	sampleRateMilli  obs.Gauge
 	sampleRateLowMil obs.Gauge
-
-	// tenants mirrors the gate's per-tenant attribution table. The map
-	// is the one piece of gateObs written by the pipeline goroutine and
-	// read by the scraper, so it carries its own lock; the counters
-	// inside stay atomic like every other counter here.
-	tenantMu sync.Mutex
-	tenants  map[string]*tenantObs
-}
-
-// tenantObs is one tenant's mirrored counters.
-type tenantObs struct {
-	seen     *obs.Counter
-	admitted *obs.Counter
-	dropped  *obs.Counter
 }
 
 func newGateObs() *gateObs {
@@ -92,14 +76,6 @@ func (o *gateObs) collect(e *obs.Emitter) {
 	e.Gauge("btrace_overload_sample_rate", "current keep rate for normal-priority events", float64(o.sampleRateMilli.Load())/1000)
 	e.Gauge("btrace_overload_sample_rate_low", "current keep rate for low-priority events", float64(o.sampleRateLowMil.Load())/1000)
 	e.Gauge("btrace_overload_gates", "live overload gates", 1)
-	o.tenantMu.Lock()
-	for name, t := range o.tenants {
-		label := fmt.Sprintf("{tenant=%q}", name)
-		e.Counter("btrace_overload_tenant_seen_total"+label, "events offered to the gate, by tenant", t.seen.Load())
-		e.Counter("btrace_overload_tenant_admitted_total"+label, "events admitted by the gate, by tenant", t.admitted.Load())
-		e.Counter("btrace_overload_tenant_dropped_total"+label, "events the gate refused, by tenant", t.dropped.Load())
-	}
-	o.tenantMu.Unlock()
 }
 
 // publishObs folds the stat deltas accumulated since the last publish
@@ -126,40 +102,6 @@ func (g *Gate) publishObs() {
 	normal, low := g.SampleRates()
 	o.sampleRateMilli.Set(int64(normal * 1000))
 	o.sampleRateLowMil.Set(int64(low * 1000))
-	g.publishTenantObs()
-}
-
-// publishTenantObs folds per-tenant stat deltas into the mirrored
-// counters, creating series lazily as tenants appear. The gate's table
-// is bounded (MaxTenants plus the overflow bucket), so the series set
-// is too.
-func (g *Gate) publishTenantObs() {
-	if len(g.tenants) == 0 {
-		return
-	}
-	o := g.obs
-	o.tenantMu.Lock()
-	if o.tenants == nil {
-		o.tenants = make(map[string]*tenantObs)
-	}
-	for name, cur := range g.tenants {
-		t := o.tenants[name]
-		if t == nil {
-			t = &tenantObs{seen: obs.NewCounter(1), admitted: obs.NewCounter(1), dropped: obs.NewCounter(1)}
-			o.tenants[name] = t
-		}
-		last := g.publishedTenants[name]
-		t.seen.Add(cur.Seen - last.Seen)
-		t.admitted.Add(cur.Admitted - last.Admitted)
-		t.dropped.Add(cur.Dropped - last.Dropped)
-	}
-	o.tenantMu.Unlock()
-	if g.publishedTenants == nil {
-		g.publishedTenants = make(map[string]TenantStats)
-	}
-	for name, cur := range g.tenants {
-		g.publishedTenants[name] = *cur
-	}
 }
 
 // registerObs wires the gate's counters into the process-wide registry;

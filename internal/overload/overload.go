@@ -156,15 +156,6 @@ type Config struct {
 	// before it drives sampling rates, in (0, 1] (default 0.5; 1 =
 	// unsmoothed).
 	Smoothing float64
-
-	// Admitted, when set, receives every non-empty admitted batch at the
-	// end of Filter, labeled with the tenant the batch was attributed to
-	// — the post-gate fan-out seam live-tail subscriptions hang off.
-	// The slice is borrowed (it aliases Filter's input, whose payloads
-	// may live in a reusable arena): the hook must copy anything it
-	// retains, and it runs on the gate's driving goroutine, so it must
-	// not block.
-	Admitted func(tenant string, es []tracer.Entry)
 }
 
 func (c Config) withDefaults() Config {
@@ -227,11 +218,6 @@ type Stats struct {
 	TierReleases    uint64 // tier releases (t → t−1)
 }
 
-// dropped returns the total events the gate refused.
-func (s Stats) dropped() uint64 {
-	return s.SampledOut + s.ThrottledCategory + s.ShedCategory + s.ShedStream
-}
-
 // Gate is the overload-control decision point. It is driven by one
 // goroutine at a time; consistency of the concurrent /metrics view comes
 // from the obs mirror, not from locks here.
@@ -249,13 +235,6 @@ type Gate struct {
 	// published is the stats snapshot last folded into obs.
 	published Stats
 	obs       *gateObs
-
-	// tenant names the owner of the batches currently being filtered
-	// (see SetTenant); tenants is the bounded attribution table and
-	// publishedTenants the snapshot last folded into obs.
-	tenant           string
-	tenants          map[string]*TenantStats
-	publishedTenants map[string]TenantStats
 }
 
 // NewGate creates a Gate.
@@ -322,7 +301,6 @@ func (g *Gate) Filter(es []tracer.Entry) []tracer.Entry {
 	if len(es) == 0 {
 		return es
 	}
-	before := g.stats
 	tier := g.ctl.tier
 	out := es[:0]
 	for i := range es {
@@ -353,15 +331,7 @@ func (g *Gate) Filter(es []tracer.Entry) []tracer.Entry {
 		g.stats.Admitted++
 		out = append(out, *e)
 	}
-	g.attributeTenant(before)
 	g.publishObs()
-	if g.cfg.Admitted != nil && len(out) > 0 {
-		tenant := g.tenant
-		if tenant == "" {
-			tenant = DefaultTenant
-		}
-		g.cfg.Admitted(tenant, out)
-	}
 	return out
 }
 
