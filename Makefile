@@ -127,11 +127,12 @@ bench:
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_obs.json
 	@echo "wrote BENCH_obs.json"
 
-# Compare freshly produced BENCH_*.json against the committed baselines
-# (taken from HEAD): >30% ns/op regressions fail, and the read-path / obs
-# fast paths and the single-store /ingest path (pooled batch → decode →
-# drain → append, BenchmarkServeIngest/single) must stay allocation-free.
-# The -max-ratio rules enforce the
+# Check freshly produced BENCH_*.json against the contracts one run can
+# show, and note its ns/op, MB/s and custom-metric deltas against the
+# committed baselines (taken from HEAD) without failing on them. The
+# read-path / obs fast paths and the single-store /ingest path (pooled
+# batch → decode → drain → append, BenchmarkServeIngest/single) must stay
+# allocation-free. The -max-ratio rules enforce the
 # storage contracts within the fresh run itself (hardware-independent):
 # the wide query over the majority-cold store must stay within 2x of the
 # identical all-hot query, a selective BTQL query with predicate

@@ -1,19 +1,21 @@
-// Command benchdiff compares two sets of bench2json files and fails when
-// performance regressed past the allowed envelope. CI's bench-smoke job
-// copies the committed BENCH_*.json baselines aside, regenerates them
-// with `make bench`, and runs benchdiff to gate the push:
+// Command benchdiff checks a fresh set of bench2json files against the
+// contracts one run can show, and notes how it moved against a baseline
+// set. CI's bench-smoke job copies the committed BENCH_*.json baselines
+// aside, regenerates them with `make bench`, and runs benchdiff to gate
+// the push:
 //
-//	benchdiff -old .benchbase -new . -max-regress 30 \
+//	benchdiff -old .benchbase -new . \
 //	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*' \
 //	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel'
 //
-// A benchmark fails the gate if its ns/op grew by more than -max-regress
-// percent over the baseline, or if its name matches a -zero-allocs
-// pattern and its allocs/op is not zero (the read-path and obs fast-path
-// contracts). Benchmarks present on only one side are reported but never
-// fail: baselines recorded on different hardware drift, so the absolute
-// numbers are advisory — the allocation contract and gross regressions
-// are what the gate enforces.
+// A benchmark fails the gate if its name matches a -zero-allocs pattern
+// and its allocs/op is not zero (the read-path and obs fast-path
+// contracts). Its ns/op, MB/s and custom metrics are compared with the
+// baseline's as notes, each marked better or worse, and never fail: a
+// baseline is recorded at another moment, often on other hardware and
+// at another iteration count, so one run's distance from it says how the
+// numbers moved, not that the code regressed. Benchmarks present on only
+// one side are noted the same way.
 //
 // -max-ratio rules gate one benchmark against another within the same
 // fresh run ("A<=k*B": A's ns/op may not exceed k times B's). Both sides
@@ -28,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -52,26 +55,32 @@ type File struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: notes go to stdout, failures to stderr, and the
+// result is the exit status — 0, 1 when a contract fails, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		oldDir     = flag.String("old", "", "directory with baseline BENCH_*.json files")
-		newDir     = flag.String("new", ".", "directory with freshly generated BENCH_*.json files")
-		maxRegress = flag.Float64("max-regress", 30, "maximum allowed ns/op regression in percent")
-		minNs      = flag.Float64("min-ns", 1000, "baselines below this ns/op are reported but exempt from the regression gate (timing noise dominates)")
-		zeroAllocs = flag.String("zero-allocs", "", "comma-separated name regexes that must stay at 0 allocs/op")
-		maxRatio   = flag.String("max-ratio", "", "comma-separated 'A<=k*B' rules: benchmark A's ns/op must stay within k times B's, both from the new run")
+		oldDir     = fs.String("old", "", "directory with baseline BENCH_*.json files")
+		newDir     = fs.String("new", ".", "directory with freshly generated BENCH_*.json files")
+		zeroAllocs = fs.String("zero-allocs", "", "comma-separated name regexes that must stay at 0 allocs/op")
+		maxRatio   = fs.String("max-ratio", "", "comma-separated 'A<=k*B' rules: benchmark A's ns/op must stay within k times B's, both from the new run")
 	)
-	flag.Parse()
-	if *oldDir == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -old directory required")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	names := flag.Args()
+	if *oldDir == "" {
+		fmt.Fprintln(stderr, "benchdiff: -old directory required")
+		return 2
+	}
+	names := fs.Args()
 	if len(names) == 0 {
 		matches, err := filepath.Glob(filepath.Join(*newDir, "BENCH_*.json"))
 		if err != nil || len(matches) == 0 {
-			fmt.Fprintln(os.Stderr, "benchdiff: no BENCH_*.json files found in", *newDir)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "benchdiff: no BENCH_*.json files found in", *newDir)
+			return 2
 		}
 		for _, m := range matches {
 			names = append(names, filepath.Base(m))
@@ -79,16 +88,16 @@ func main() {
 	}
 	zeroRes, err := compilePatterns(*zeroAllocs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
 	}
 	ratios, err := parseRatios(*maxRatio)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
 	}
 
-	var failures []string
+	var notes, failures []string
 	fresh := map[string]Benchmark{}
 	for _, name := range names {
 		newFile, err := load(filepath.Join(*newDir, name))
@@ -102,21 +111,27 @@ func main() {
 		oldFile, err := load(filepath.Join(*oldDir, name))
 		if err != nil {
 			// No baseline (first commit of this file): allocation
-			// contracts still apply, regressions cannot.
-			fmt.Printf("%s: no baseline (%v); checking allocation contracts only\n", name, err)
+			// contracts still apply, notes cannot.
+			notes = append(notes, fmt.Sprintf("%s: no baseline (%v); checking allocation contracts only", name, err))
 			oldFile = &File{}
 		}
-		failures = append(failures, diff(name, oldFile, newFile, *maxRegress, *minNs, zeroRes)...)
+		n, f := diff(name, oldFile, newFile, zeroRes)
+		notes, failures = append(notes, n...), append(failures, f...)
 	}
-	failures = append(failures, checkRatios(ratios, fresh)...)
+	n, f := checkRatios(ratios, fresh)
+	notes, failures = append(notes, n...), append(failures, f...)
 
+	for _, n := range notes {
+		fmt.Fprintln(stdout, n)
+	}
 	if len(failures) > 0 {
 		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "FAIL:", f)
+			fmt.Fprintln(stderr, "FAIL:", f)
 		}
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("benchdiff: all benchmarks within the allowed envelope")
+	fmt.Fprintln(stdout, "benchdiff: every allocation and ratio contract holds")
+	return 0
 }
 
 func load(path string) (*File, error) {
@@ -180,11 +195,11 @@ func parseRatios(s string) ([]ratioRule, error) {
 	return rules, nil
 }
 
-// checkRatios evaluates the -max-ratio rules against the fresh run. A
-// missing benchmark is a failure: a contract that silently stops being
-// measured is worse than one that fails.
-func checkRatios(rules []ratioRule, fresh map[string]Benchmark) []string {
-	var failures []string
+// checkRatios evaluates the -max-ratio rules against the fresh run,
+// returning a note per rule and the failures. A missing benchmark is a
+// failure: a contract that silently stops being measured is worse than
+// one that fails.
+func checkRatios(rules []ratioRule, fresh map[string]Benchmark) (notes, failures []string) {
 	for _, r := range rules {
 		nb, nok := fresh[r.num]
 		db, dok := fresh[r.den]
@@ -202,9 +217,9 @@ func checkRatios(rules []ratioRule, fresh map[string]Benchmark) []string {
 				fmt.Sprintf("ratio: %s is %.2fx of %s (%.0f vs %.0f ns/op), limit %gx",
 					r.num, ratio, r.den, nb.NsPerOp, db.NsPerOp, r.limit))
 		}
-		fmt.Printf("ratio: %s / %s = %.2fx, limit %gx [%s]\n", r.num, r.den, ratio, r.limit, verdict)
+		notes = append(notes, fmt.Sprintf("ratio: %s / %s = %.2fx, limit %gx [%s]", r.num, r.den, ratio, r.limit, verdict))
 	}
-	return failures
+	return notes, failures
 }
 
 // canonical strips the trailing -GOMAXPROCS suffix go test appends to
@@ -224,15 +239,17 @@ func sortedKeys(m map[string]float64) []string {
 	return keys
 }
 
-// diff compares one file pair and returns the gate failures.
-func diff(file string, oldF, newF *File, maxRegress, minNs float64, zeroRes []*regexp.Regexp) []string {
+// diff compares one file pair: the notes on how each benchmark moved
+// against the baseline, and the allocation-contract failures.
+func diff(file string, oldF, newF *File, zeroRes []*regexp.Regexp) (notes, failures []string) {
 	old := make(map[string]Benchmark, len(oldF.Benchmarks))
 	for _, b := range oldF.Benchmarks {
 		old[canonical(b.Name)] = b
 	}
-	var failures []string
+	fresh := make(map[string]bool, len(newF.Benchmarks))
 	for _, nb := range newF.Benchmarks {
 		name := canonical(nb.Name)
+		fresh[name] = true
 		for _, re := range zeroRes {
 			if re.MatchString(name) && nb.AllocsPerOp != 0 {
 				failures = append(failures,
@@ -241,88 +258,46 @@ func diff(file string, oldF, newF *File, maxRegress, minNs float64, zeroRes []*r
 		}
 		ob, ok := old[name]
 		if !ok {
-			fmt.Printf("%s: %s is new (%.0f ns/op), no baseline to compare\n", file, name, nb.NsPerOp)
+			notes = append(notes, fmt.Sprintf("%s: %s is new (%.0f ns/op), no baseline to compare", file, name, nb.NsPerOp))
 			continue
 		}
-		if ob.NsPerOp <= 0 {
-			continue
+		if ob.NsPerOp > 0 {
+			notes = append(notes, note(file, name, "ns/op", ob.NsPerOp, nb.NsPerOp))
 		}
-		change := (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp * 100
-		verdict := "ok"
-		switch {
-		case ob.NsPerOp < minNs:
-			// Sub-threshold baselines swing far more than any real
-			// regression on shared runners; the allocation contract
-			// above is the enforceable edge for them.
-			verdict = "untimed (below -min-ns)"
-		case change > maxRegress:
-			verdict = "REGRESSION"
-			failures = append(failures,
-				fmt.Sprintf("%s: %s regressed %.1f%% (%.0f -> %.0f ns/op), limit %.0f%%",
-					file, name, change, ob.NsPerOp, nb.NsPerOp, maxRegress))
-		}
-		fmt.Printf("%s: %s %+.1f%% ns/op (%.0f -> %.0f) [%s]\n",
-			file, name, change, ob.NsPerOp, nb.NsPerOp, verdict)
-		// Custom-metric gate: units reported via b.ReportMetric. Units
-		// containing "/s" (the distributor's events/s) are rates — a drop
-		// past the envelope fails, growth is an improvement. Everything
-		// else (the overload benchmark's p99-ns record latency) is
-		// latency-like — growth fails. Same noise floor as ns/op.
+		// Units reported via b.ReportMetric, in name order.
 		for _, unit := range sortedKeys(nb.Metrics) {
-			nv := nb.Metrics[unit]
-			ov, has := ob.Metrics[unit]
-			if !has || ov <= 0 {
-				continue
+			if ov := ob.Metrics[unit]; ov > 0 {
+				notes = append(notes, note(file, name, unit, ov, nb.Metrics[unit]))
 			}
-			mchange := (nv - ov) / ov * 100
-			// A rate's own magnitude says nothing about timing noise, so
-			// its noise floor is the benchmark's ns/op (like the MB/s
-			// gate); a ns-valued metric is its own floor.
-			bad, floor := mchange, ov
-			if strings.Contains(unit, "/s") {
-				bad, floor = -mchange, ob.NsPerOp
-			}
-			mv := "ok"
-			switch {
-			case floor < minNs:
-				mv = "untimed (below -min-ns)"
-			case bad > maxRegress:
-				mv = "REGRESSION"
-				failures = append(failures,
-					fmt.Sprintf("%s: %s %s regressed %.1f%% (%.1f -> %.1f), limit %.0f%%",
-						file, name, unit, mchange, ov, nv, maxRegress))
-			}
-			fmt.Printf("%s: %s %+.1f%% %s (%.1f -> %.1f) [%s]\n",
-				file, name, mchange, unit, ov, nv, mv)
 		}
-		// Throughput gate: benchmarks that report MB/s (the store append
-		// and query paths) also fail when the rate drops past the
-		// envelope. Derived from the same timing as ns/op, so the same
-		// noise floor applies.
-		if ob.MBPerSec > 0 && nb.MBPerSec > 0 && ob.NsPerOp >= minNs {
-			drop := (ob.MBPerSec - nb.MBPerSec) / ob.MBPerSec * 100
-			tv := "ok"
-			if drop > maxRegress {
-				tv = "REGRESSION"
-				failures = append(failures,
-					fmt.Sprintf("%s: %s throughput dropped %.1f%% (%.1f -> %.1f MB/s), limit %.0f%%",
-						file, name, drop, ob.MBPerSec, nb.MBPerSec, maxRegress))
-			}
-			fmt.Printf("%s: %s %+.1f%% MB/s (%.1f -> %.1f) [%s]\n",
-				file, name, -drop, ob.MBPerSec, nb.MBPerSec, tv)
+		if ob.MBPerSec > 0 && nb.MBPerSec > 0 {
+			notes = append(notes, note(file, name, "MB/s", ob.MBPerSec, nb.MBPerSec))
 		}
 	}
 	for _, ob := range oldF.Benchmarks {
-		found := false
-		for _, nb := range newF.Benchmarks {
-			if canonical(nb.Name) == canonical(ob.Name) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Printf("%s: %s disappeared from the new run\n", file, canonical(ob.Name))
+		if name := canonical(ob.Name); !fresh[name] {
+			notes = append(notes, fmt.Sprintf("%s: %s disappeared from the new run", file, name))
 		}
 	}
-	return failures
+	return notes, failures
+}
+
+// note is one metric's move against its baseline ov > 0. A unit with
+// "/s" in it (MB/s, the distributor's events/s) is a rate, worse when it
+// falls; every other unit (ns/op, the overload benchmark's p99-ns) is
+// worse when it grows.
+func note(file, name, unit string, ov, nv float64) string {
+	change := (nv - ov) / ov * 100
+	worse := change > 0
+	if strings.Contains(unit, "/s") {
+		worse = change < 0
+	}
+	verdict := "better"
+	switch {
+	case change == 0:
+		verdict = "same"
+	case worse:
+		verdict = "worse"
+	}
+	return fmt.Sprintf("%s: %s %+.1f%% %s (%.1f -> %.1f) [%s]", file, name, change, unit, ov, nv, verdict)
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,20 +12,38 @@ func bench(name string, ns, allocs float64) Benchmark {
 	return Benchmark{Name: name, NsPerOp: ns, AllocsPerOp: allocs}
 }
 
+// hasNote reports whether some note contains every one of parts.
+func hasNote(notes []string, parts ...string) bool {
+	for _, n := range notes {
+		all := true
+		for _, p := range parts {
+			all = all && strings.Contains(n, p)
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
 func TestDiffPassesWithinEnvelope(t *testing.T) {
 	oldF := &File{Benchmarks: []Benchmark{bench("BenchmarkX-8", 100, 0)}}
 	newF := &File{Benchmarks: []Benchmark{bench("BenchmarkX-4", 120, 0)}}
-	if f := diff("f.json", oldF, newF, 30, 0, nil); len(f) != 0 {
-		t.Fatalf("unexpected failures: %v", f)
+	notes, f := diff("f.json", oldF, newF, nil)
+	if len(f) != 0 || !hasNote(notes, "BenchmarkX +20.0% ns/op") {
+		t.Fatalf("failures %v, notes %v", f, notes)
 	}
 }
 
+// TestDiffFlagsRegression: a slower row is a note marked worse, not a
+// failure — one run against a baseline from another moment cannot tell
+// a regression from the box's speed.
 func TestDiffFlagsRegression(t *testing.T) {
 	oldF := &File{Benchmarks: []Benchmark{bench("BenchmarkX", 100, 0)}}
-	newF := &File{Benchmarks: []Benchmark{bench("BenchmarkX", 131, 0)}}
-	f := diff("f.json", oldF, newF, 30, 0, nil)
-	if len(f) != 1 || !strings.Contains(f[0], "regressed 31.0%") {
-		t.Fatalf("want one regression failure, got %v", f)
+	newF := &File{Benchmarks: []Benchmark{bench("BenchmarkX", 331, 0)}}
+	notes, f := diff("f.json", oldF, newF, nil)
+	if len(f) != 0 || !hasNote(notes, "+231.0% ns/op (100.0 -> 331.0) [worse]") {
+		t.Fatalf("want one worse note and no failure, got failures %v, notes %v", f, notes)
 	}
 }
 
@@ -36,7 +57,7 @@ func TestDiffZeroAllocContract(t *testing.T) {
 		bench("BenchmarkObsOverhead/record-instrumented-8", 50, 1),
 		bench("BenchmarkOther", 50, 7),
 	}}
-	f := diff("f.json", &File{}, newF, 30, 0, res)
+	_, f := diff("f.json", &File{}, newF, res)
 	if len(f) != 2 {
 		t.Fatalf("want 2 allocation failures, got %v", f)
 	}
@@ -47,21 +68,6 @@ func TestDiffZeroAllocContract(t *testing.T) {
 	}
 }
 
-func TestDiffMinNsExemptsNoisyBenchmarks(t *testing.T) {
-	// A 3x slowdown on a 50 ns baseline is shared-runner noise, not a
-	// regression; the same slowdown on a 5000 ns baseline fails.
-	oldF := &File{Benchmarks: []Benchmark{
-		bench("BenchmarkFast", 50, 0), bench("BenchmarkSlow", 5000, 0),
-	}}
-	newF := &File{Benchmarks: []Benchmark{
-		bench("BenchmarkFast", 150, 0), bench("BenchmarkSlow", 15000, 0),
-	}}
-	f := diff("f.json", oldF, newF, 30, 1000, nil)
-	if len(f) != 1 || !strings.Contains(f[0], "BenchmarkSlow") {
-		t.Fatalf("want only BenchmarkSlow to fail, got %v", f)
-	}
-}
-
 func benchMB(name string, ns, mb float64) Benchmark {
 	return Benchmark{Name: name, NsPerOp: ns, MBPerSec: mb}
 }
@@ -69,23 +75,23 @@ func benchMB(name string, ns, mb float64) Benchmark {
 func TestDiffFlagsThroughputDrop(t *testing.T) {
 	oldF := &File{Benchmarks: []Benchmark{benchMB("BenchmarkStoreAppendConcurrent", 30000, 900)}}
 	newF := &File{Benchmarks: []Benchmark{benchMB("BenchmarkStoreAppendConcurrent", 31000, 500)}}
-	f := diff("f.json", oldF, newF, 30, 1000, nil)
-	if len(f) != 1 || !strings.Contains(f[0], "throughput dropped 44.4%") {
-		t.Fatalf("want one throughput failure, got %v", f)
+	notes, f := diff("f.json", oldF, newF, nil)
+	if len(f) != 0 || !hasNote(notes, "-44.4% MB/s", "[worse]") {
+		t.Fatalf("want one worse MB/s note and no failure, got failures %v, notes %v", f, notes)
 	}
 }
 
 func TestDiffThroughputWithinEnvelopePasses(t *testing.T) {
 	oldF := &File{Benchmarks: []Benchmark{benchMB("BenchmarkStoreAppendConcurrent", 30000, 900)}}
 	newF := &File{Benchmarks: []Benchmark{benchMB("BenchmarkStoreAppendConcurrent", 32000, 800)}}
-	if f := diff("f.json", oldF, newF, 30, 1000, nil); len(f) != 0 {
+	if _, f := diff("f.json", oldF, newF, nil); len(f) != 0 {
 		t.Fatalf("unexpected failures: %v", f)
 	}
 }
 
 func TestDiffThroughputGateSkipsMissingAndNoisy(t *testing.T) {
-	// A baseline without MB/s (or below the noise floor) never triggers
-	// the throughput gate, even on a large drop.
+	// A baseline without MB/s gets no MB/s note; a fast benchmark's
+	// large drop is noted like any other. Neither fails.
 	oldF := &File{Benchmarks: []Benchmark{
 		bench("BenchmarkNoRate", 5000, 0),
 		benchMB("BenchmarkNoisy", 50, 900),
@@ -94,16 +100,21 @@ func TestDiffThroughputGateSkipsMissingAndNoisy(t *testing.T) {
 		benchMB("BenchmarkNoRate", 5000, 100),
 		benchMB("BenchmarkNoisy", 50, 100),
 	}}
-	if f := diff("f.json", oldF, newF, 30, 1000, nil); len(f) != 0 {
+	notes, f := diff("f.json", oldF, newF, nil)
+	if len(f) != 0 {
 		t.Fatalf("unexpected failures: %v", f)
+	}
+	if hasNote(notes, "BenchmarkNoRate", "MB/s") || !hasNote(notes, "BenchmarkNoisy", "-88.9% MB/s") {
+		t.Fatalf("notes %v", notes)
 	}
 }
 
 func TestDiffNewAndVanishedBenchmarksDoNotFail(t *testing.T) {
 	oldF := &File{Benchmarks: []Benchmark{bench("BenchmarkGone", 10, 0)}}
 	newF := &File{Benchmarks: []Benchmark{bench("BenchmarkFresh", 10, 0)}}
-	if f := diff("f.json", oldF, newF, 30, 0, nil); len(f) != 0 {
-		t.Fatalf("unexpected failures: %v", f)
+	notes, f := diff("f.json", oldF, newF, nil)
+	if len(f) != 0 || !hasNote(notes, "BenchmarkFresh is new") || !hasNote(notes, "BenchmarkGone disappeared") {
+		t.Fatalf("failures %v, notes %v", f, notes)
 	}
 }
 
@@ -129,14 +140,15 @@ func benchMetric(name string, ns float64, unit string, v float64) Benchmark {
 func TestDiffFlagsCustomMetricRegression(t *testing.T) {
 	oldF := &File{Benchmarks: []Benchmark{benchMetric("BenchmarkRecordUnderOverload/storm", 2000, "p99-ns", 2000)}}
 	newF := &File{Benchmarks: []Benchmark{benchMetric("BenchmarkRecordUnderOverload/storm", 2100, "p99-ns", 3000)}}
-	f := diff("f.json", oldF, newF, 30, 1000, nil)
-	if len(f) != 1 || !strings.Contains(f[0], "p99-ns regressed 50.0%") {
-		t.Fatalf("want one p99-ns failure, got %v", f)
+	notes, f := diff("f.json", oldF, newF, nil)
+	if len(f) != 0 || !hasNote(notes, "+50.0% p99-ns (2000.0 -> 3000.0) [worse]") {
+		t.Fatalf("want one worse p99-ns note and no failure, got failures %v, notes %v", f, notes)
 	}
 }
 
 func TestDiffCustomMetricWithinEnvelopeAndNoiseFloor(t *testing.T) {
-	// Within the envelope: passes. Below -min-ns: exempt even at 3x.
+	// A custom metric 20% or 3x past its baseline: a note, never a
+	// failure.
 	oldF := &File{Benchmarks: []Benchmark{
 		benchMetric("BenchmarkA", 2000, "p99-ns", 2000),
 		benchMetric("BenchmarkB", 2000, "p99-ns", 200),
@@ -145,14 +157,15 @@ func TestDiffCustomMetricWithinEnvelopeAndNoiseFloor(t *testing.T) {
 		benchMetric("BenchmarkA", 2000, "p99-ns", 2400),
 		benchMetric("BenchmarkB", 2000, "p99-ns", 600),
 	}}
-	if f := diff("f.json", oldF, newF, 30, 1000, nil); len(f) != 0 {
-		t.Fatalf("unexpected failures: %v", f)
+	notes, f := diff("f.json", oldF, newF, nil)
+	if len(f) != 0 || !hasNote(notes, "BenchmarkA +20.0% p99-ns") || !hasNote(notes, "BenchmarkB +200.0% p99-ns") {
+		t.Fatalf("failures %v, notes %v", f, notes)
 	}
 }
 
 // TestDiffRateMetricDirection: metrics whose unit contains "/s" (the
-// distributor's events/s) are rates — a drop past the envelope fails,
-// growth never does.
+// distributor's events/s) are rates — a drop is noted worse, growth
+// better.
 func TestDiffRateMetricDirection(t *testing.T) {
 	oldF := &File{Benchmarks: []Benchmark{
 		benchMetric("BenchmarkDistributorIngest/rf2", 50000, "events/s", 100000),
@@ -162,26 +175,67 @@ func TestDiffRateMetricDirection(t *testing.T) {
 		benchMetric("BenchmarkDistributorIngest/rf2", 50000, "events/s", 60000),
 		benchMetric("BenchmarkDistributorIngest/direct", 50000, "events/s", 200000),
 	}}
-	f := diff("f.json", oldF, newF, 30, 1000, nil)
-	if len(f) != 1 || !strings.Contains(f[0], "rf2 events/s regressed -40.0%") {
-		t.Fatalf("want one rate-drop failure, got %v", f)
-	}
-}
-
-// TestDiffRateMetricNoiseFloorUsesNsPerOp: a rate from a sub-floor
-// benchmark is exempt regardless of the rate's magnitude.
-func TestDiffRateMetricNoiseFloorUsesNsPerOp(t *testing.T) {
-	oldF := &File{Benchmarks: []Benchmark{benchMetric("BenchmarkNoisy", 50, "events/s", 2e6)}}
-	newF := &File{Benchmarks: []Benchmark{benchMetric("BenchmarkNoisy", 50, "events/s", 1e5)}}
-	if f := diff("f.json", oldF, newF, 30, 1000, nil); len(f) != 0 {
-		t.Fatalf("sub-floor rate drop must not fail, got %v", f)
+	notes, f := diff("f.json", oldF, newF, nil)
+	if len(f) != 0 ||
+		!hasNote(notes, "rf2 -40.0% events/s", "[worse]") ||
+		!hasNote(notes, "direct +100.0% events/s", "[better]") {
+		t.Fatalf("failures %v, notes %v", f, notes)
 	}
 }
 
 func TestDiffCustomMetricMissingBaselineIgnored(t *testing.T) {
 	oldF := &File{Benchmarks: []Benchmark{bench("BenchmarkA", 2000, 0)}}
 	newF := &File{Benchmarks: []Benchmark{benchMetric("BenchmarkA", 2000, "p99-ns", 9999)}}
-	if f := diff("f.json", oldF, newF, 30, 1000, nil); len(f) != 0 {
-		t.Fatalf("metric without baseline must not fail, got %v", f)
+	notes, f := diff("f.json", oldF, newF, nil)
+	if len(f) != 0 || hasNote(notes, "p99-ns") {
+		t.Fatalf("metric without baseline: failures %v, notes %v", f, notes)
+	}
+}
+
+// TestRunExitStatus drives the command over files on disk: a row far
+// slower than its baseline exits 0 and prints its note; an allocation
+// contract broken, a ratio rule exceeded or a ratio rule whose benchmark
+// is missing exits 1.
+func TestRunExitStatus(t *testing.T) {
+	write := func(t *testing.T, dir string, bs ...Benchmark) {
+		t.Helper()
+		data, err := json.Marshal(File{Benchmarks: bs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "BENCH_x.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldDir := t.TempDir()
+	write(t, oldDir, bench("BenchmarkA", 100, 0), bench("BenchmarkB", 100, 0))
+	for _, tc := range []struct {
+		name     string
+		fresh    []Benchmark
+		args     []string
+		want     int
+		wantNote string // substring of stdout
+	}{
+		{name: "regressed row", fresh: []Benchmark{bench("BenchmarkA", 300, 0), bench("BenchmarkB", 100, 0)},
+			want: 0, wantNote: "BenchmarkA +200.0% ns/op (100.0 -> 300.0) [worse]"},
+		{name: "allocation contract", fresh: []Benchmark{bench("BenchmarkA", 100, 1), bench("BenchmarkB", 100, 0)},
+			args: []string{"-zero-allocs", "BenchmarkA"}, want: 1},
+		{name: "ratio rule", fresh: []Benchmark{bench("BenchmarkA", 300, 0), bench("BenchmarkB", 100, 0)},
+			args: []string{"-max-ratio", "BenchmarkA<=2*BenchmarkB"}, want: 1, wantNote: "= 3.00x, limit 2x [REGRESSION]"},
+		{name: "missing rule benchmark", fresh: []Benchmark{bench("BenchmarkA", 100, 0)},
+			args: []string{"-max-ratio", "BenchmarkA<=2*BenchmarkB"}, want: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newDir := t.TempDir()
+			write(t, newDir, tc.fresh...)
+			var stdout, stderr strings.Builder
+			args := append([]string{"-old", oldDir, "-new", newDir}, tc.args...)
+			if got := run(args, &stdout, &stderr); got != tc.want {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", got, tc.want, stdout.String(), stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tc.wantNote) {
+				t.Fatalf("stdout lacks %q:\n%s", tc.wantNote, stdout.String())
+			}
+		})
 	}
 }

@@ -122,11 +122,13 @@ func (f *flakySink) AppendEntries(es []tracer.Entry) error {
 
 func (f *flakySink) WriteErr() error { return f.st.WriteErr() }
 
-// TestIngestDrainFailurePath: the plain drain's three outcomes for a
-// failed append — retried within the budget and applied; budget
-// exhausted and counted dropped, event-exact, once; sticky store
-// failure failed fast, counted, and reported by /readyz — with Close
-// returning only after the accepted batch was applied or counted.
+// TestIngestDrainFailurePath: the plain drain's outcomes for a failed
+// append — a refused batch is tried once and counted dropped,
+// event-exact, while the batch behind it is applied; a sink that refuses
+// every append exhausts each batch's one-attempt budget and counts it
+// dropped once; a sticky store failure is counted the same way and
+// reported by /readyz — with Close returning only after the accepted
+// batches were applied or counted.
 func TestIngestDrainFailurePath(t *testing.T) {
 	body := encodeEvents(t, []tracer.Entry{
 		{Stamp: 1, TS: 10, TID: 7, Category: 1, Level: 1, Payload: []byte("a")},
@@ -134,37 +136,43 @@ func TestIngestDrainFailurePath(t *testing.T) {
 		{Stamp: 3, TS: 30, TID: 7, Category: 2, Level: 2},
 	})
 	const dropped = "btrace_ingest_dropped_events_total"
-	post := func(t *testing.T, srv *server) {
+	post := func(t *testing.T, srv *server, body []byte) {
 		t.Helper()
 		if rec := httpPost(t, srv, "/ingest", body); rec.Code != 202 {
 			t.Fatalf("/ingest status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
 
-	t.Run("transient failure is retried while the batch is held", func(t *testing.T) {
+	t.Run("a refused batch is tried once and dropped once", func(t *testing.T) {
 		srv, st := newIngestServer(t, ingestConfig{SampleRate: 1})
-		sink := &flakySink{st: st, failures: appendAttempts - 1}
+		sink := &flakySink{st: st, failures: 1}
 		srv.ingest.sink = sink
-		post(t, srv)
+		before := scrape(t, srv)[dropped]
+		post(t, srv, body)
+		post(t, srv, encodeEvents(t, clusterEvents(4, 100)))
 		srv.ingest.Close()
-		if st.Events() != 3 || sink.calls != appendAttempts {
-			t.Fatalf("store holds %d events after %d append calls, want 3 after %d",
-				st.Events(), sink.calls, appendAttempts)
+		if p := srv.ingest; sink.calls != 2 || p.droppedBatches.Load() != 1 || p.droppedEvents.Load() != 3 {
+			t.Fatalf("%d append calls, %d batches (%d events) dropped; want 2, 1 (3)",
+				sink.calls, p.droppedBatches.Load(), p.droppedEvents.Load())
 		}
-		if p := srv.ingest; p.appendRetries.Load() != appendAttempts-1 || p.droppedBatches.Load() != 0 {
-			t.Fatalf("%d retries, %d batches dropped; want %d and 0", p.appendRetries.Load(), p.droppedBatches.Load(), appendAttempts-1)
+		if got := scrape(t, srv)[dropped] - before; got != 3 {
+			t.Fatalf("%s moved by %v, want 3", dropped, got)
+		}
+		if st.Events() != 4 {
+			t.Fatalf("store holds %d events, want the second batch's 4", st.Events())
 		}
 	})
 
 	t.Run("exhausted budget counts the batch dropped once", func(t *testing.T) {
 		srv, st := newIngestServer(t, ingestConfig{SampleRate: 1})
-		srv.ingest.sink = &flakySink{st: st, failures: 1 << 30}
+		sink := &flakySink{st: st, failures: 1 << 30}
+		srv.ingest.sink = sink
 		before := scrape(t, srv)[dropped]
-		post(t, srv)
+		post(t, srv, body)
 		srv.ingest.Close()
-		if p := srv.ingest; p.appendRetries.Load() != appendAttempts-1 || p.droppedBatches.Load() != 1 || p.droppedEvents.Load() != 3 {
-			t.Fatalf("%d retries, %d batches (%d events) dropped; want %d, 1 (3)",
-				p.appendRetries.Load(), p.droppedBatches.Load(), p.droppedEvents.Load(), appendAttempts-1)
+		if p := srv.ingest; sink.calls != 1 || p.droppedBatches.Load() != 1 || p.droppedEvents.Load() != 3 {
+			t.Fatalf("%d append calls, %d batches (%d events) dropped; want 1, 1 (3)",
+				sink.calls, p.droppedBatches.Load(), p.droppedEvents.Load())
 		}
 		if got := scrape(t, srv)[dropped] - before; got != 3 {
 			t.Fatalf("%s moved by %v, want 3", dropped, got)
@@ -180,18 +188,21 @@ func TestIngestDrainFailurePath(t *testing.T) {
 
 	t.Run("sticky store failure fails fast and turns readyz 503", func(t *testing.T) {
 		srv, st := newIngestServer(t, ingestConfig{SampleRate: 1})
+		sink := &flakySink{st: st}
+		srv.ingest.sink = sink
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		post(t, srv) // still a 202: the ack is an enqueue
+		post(t, srv, body) // still a 202: the ack is an enqueue
+		if m := scrape(t, srv); m["btrace_ingest_store_failed"] != 1 {
+			t.Fatalf("btrace_ingest_store_failed = %v, want 1", m["btrace_ingest_store_failed"])
+		}
 		srv.ingest.Close()
-		if p := srv.ingest; p.appendRetries.Load() != 0 || p.droppedEvents.Load() != 3 || p.storeFailed.Load() != 1 {
-			t.Fatalf("%d retries, %d events dropped, store failed %d; want one append attempt, 3 dropped, 1",
-				p.appendRetries.Load(), p.droppedEvents.Load(), p.storeFailed.Load())
+		if p := srv.ingest; sink.calls != 1 || p.droppedEvents.Load() != 3 {
+			t.Fatalf("%d append calls, %d events dropped; want 1 and 3", sink.calls, p.droppedEvents.Load())
 		}
 		rec := httpGet(t, srv, "/readyz")
-		if rec.Code != 503 || !strings.Contains(rec.Body.String(), "store write path failed") ||
-			!strings.Contains(rec.Body.String(), "permanent failure") {
+		if rec.Code != 503 || !strings.Contains(rec.Body.String(), "store write path failed") {
 			t.Fatalf("/readyz status %d body %q", rec.Code, rec.Body.String())
 		}
 		// Closed means closed: a late post is refused, not lost.

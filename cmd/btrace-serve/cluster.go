@@ -12,7 +12,6 @@ import (
 	"btrace/internal/distributor"
 	"btrace/internal/ingest"
 	"btrace/internal/store"
-	"btrace/internal/store/backend"
 )
 
 // gateEvery is how often the cluster's shared overload gate is
@@ -36,12 +35,9 @@ type clusterConfig struct {
 	// Ingest configures the distributor's admission: the gate, the
 	// tenant quotas and the live hub, as on a single store.
 	Ingest ingestConfig
-	// Store is the per-shard store configuration template; Backend is
-	// ignored (each shard gets its own).
+	// Store is the per-shard store configuration template; each shard
+	// opens it over its own directory.
 	Store store.Config
-	// ObjectBackend gives every shard an in-process volatile backend
-	// (-backend object).
-	ObjectBackend bool
 }
 
 // clusterPipeline owns the distributed ingest tier inside btrace-serve:
@@ -64,11 +60,7 @@ type clusterPipeline struct {
 // openShard opens one shard's store under the cluster root and wraps it
 // in a LocalShard.
 func (cfg clusterConfig) openShard(name string) (*distributor.LocalShard, error) {
-	scfg := cfg.Store
-	if cfg.ObjectBackend {
-		scfg.Backend = backend.NewObject()
-	}
-	st, err := store.Open(filepath.Join(cfg.Dir, name), scfg)
+	st, err := store.Open(filepath.Join(cfg.Dir, name), cfg.Store)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", name, err)
 	}

@@ -31,7 +31,7 @@ func newClusterServer(t *testing.T, shards, rf int, overrides string) *server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cp.Close() })
-	srv := newServer(nil, 0)
+	srv := newServer(nil)
 	srv.attachCluster(cp)
 	return srv
 }

@@ -23,21 +23,14 @@ import (
 // the client is told to slow down instead of memory growing.
 const ingestQueueDepth = 256
 
-// appendAttempts is the drain's append budget per batch. The queue
-// behind a held batch is the backpressure, so the budget stays small: a
-// dead store should answer 429s, not stall.
-const appendAttempts = 3
-
 // ingestConfig carries the admission flags into the pipeline.
 type ingestConfig struct {
 	// SampleRate is the head-sampling keep-rate floor (-sample-rate).
 	SampleRate float64
 	// RateLimit is the per-category token refill rate in events per
-	// second of virtual time; 0 disables the bucket (-rate-limit).
+	// second of virtual time, with a burst of twice that; 0 disables the
+	// bucket (-rate-limit).
 	RateLimit float64
-	// RateBurst is the bucket capacity; 0 defaults to 2×RateLimit
-	// (-rate-burst).
-	RateBurst float64
 	// Shed enables the tiered load-shedding controller (-shed). When
 	// false the gate still samples and rate-limits, but never escalates
 	// past TierNone.
@@ -66,7 +59,6 @@ func (cfg ingestConfig) gateConfig() (overload.Config, error) {
 	gcfg := overload.Config{
 		MinSampleRate: cfg.SampleRate,
 		RatePerSec:    cfg.RateLimit,
-		Burst:         cfg.RateBurst,
 	}
 	if !cfg.Shed {
 		// A score can never exceed 1, so an engage threshold above it
@@ -79,15 +71,16 @@ func (cfg ingestConfig) gateConfig() (overload.Config, error) {
 
 // ingestPipeline owns the single-store POST /ingest delivery path: a
 // bounded queue of decoded batches and one goroutine that blocks on it
-// and runs internal/ingest's admit → append on each, then releases the
-// batch. A 202 is an enqueue; the cluster path (cluster.go) acks a
-// quorum instead. HTTP handlers touch only the queue, the rejected
-// counter, the storeFailed gauge and the Admission, which locks itself.
+// and runs internal/ingest's admit, then one store append, on each, and
+// releases the batch. A 202 is an enqueue; the cluster path (cluster.go)
+// acks a quorum instead. HTTP handlers touch only the queue, the
+// rejected counter and the Admission, which locks itself.
 type ingestPipeline struct {
 	queue chan *ingestBatch
 	adm   *ingest.Admission
 	st    *store.Store
-	// sink is st; the failure-path tests substitute a flaky one.
+	// sink is st; the failure-path tests substitute a flaky one. Its
+	// WriteErr is /readyz's and btrace_ingest_store_failed's.
 	sink ingest.Sink
 
 	// admit orders enqueues against Close: once closed is set nothing
@@ -100,16 +93,12 @@ type ingestPipeline struct {
 	throttled atomic.Uint64 // events dropped by a tenant quota override
 
 	// The drain's counters, published as btrace_ingest_*: batches taken
-	// off the queue, append attempts beyond a batch's first, and the
-	// batches (and their events) the store refused for good.
+	// off the queue, and the batches (and their events) the store
+	// refused.
 	batches        atomic.Uint64
-	appendRetries  atomic.Uint64
 	droppedBatches atomic.Uint64
 	droppedEvents  atomic.Uint64
-	// storeFailed is 1 while the last refused batch met a sticky
-	// write-path failure; /readyz reports it as permanent.
-	storeFailed obs.Gauge
-	obsID       uint64 // registry id of the btrace_ingest_* series
+	obsID          uint64 // registry id of the btrace_ingest_* series
 }
 
 // newIngestPipeline wires the admission stage over st and starts the
@@ -128,13 +117,16 @@ func newIngestPipeline(st *store.Store, cfg ingestConfig) (*ingestPipeline, erro
 		done:  make(chan struct{}),
 	}
 	p.obsID = obs.Default().Register(func(e *obs.Emitter) {
+		failed := 0.0
+		if p.sink.WriteErr() != nil {
+			failed = 1
+		}
 		e.Gauge("btrace_ingest_queue_depth", "accepted batches waiting for the ingest drain", float64(len(queue)))
 		e.Counter("btrace_ingest_batches_total", "batches the ingest drain took off the queue", p.batches.Load())
-		e.Counter("btrace_ingest_append_retries_total", "store append attempts beyond a batch's first", p.appendRetries.Load())
-		e.Counter("btrace_ingest_dropped_batches_total", "accepted batches the store refused for good", p.droppedBatches.Load())
+		e.Counter("btrace_ingest_dropped_batches_total", "accepted batches the store refused", p.droppedBatches.Load())
 		e.Counter("btrace_ingest_dropped_events_total", "events inside dropped batches", p.droppedEvents.Load())
 		e.Counter("btrace_ingest_events_throttled_total", "events dropped by per-tenant quota overrides", p.throttled.Load())
-		e.Gauge("btrace_ingest_store_failed", "1 while the store's write path has failed for good", float64(p.storeFailed.Load()))
+		e.Gauge("btrace_ingest_store_failed", "1 while the store's write path has failed for good", failed)
 	})
 	go p.run()
 	return p, nil
@@ -163,12 +155,11 @@ func (p *ingestPipeline) run() {
 	}
 }
 
-// apply runs one batch through admit → append and releases it. A
-// failed append is retried while the batch is held — the queue filling
-// up behind it is what tells clients to back off — and a batch the
-// store refuses for good is counted, event-exact, as dropped: every
-// event answered 202 ends up applied, attributed to the quota or the
-// gate, or in btrace_ingest_dropped_events_total.
+// apply runs one batch through admit → append and releases it. The
+// append is tried once — a store's refusals are sticky — and a refused
+// batch is counted, event-exact, as dropped: every event answered 202
+// ends up applied, attributed to the quota or the gate, or in
+// btrace_ingest_dropped_events_total.
 func (p *ingestPipeline) apply(b *ingestBatch) {
 	defer b.release()
 	p.batches.Add(1)
@@ -178,14 +169,9 @@ func (p *ingestPipeline) apply(b *ingestBatch) {
 	if len(es) == 0 {
 		return
 	}
-	tries, err := ingest.Append(p.sink, es, appendAttempts)
-	p.appendRetries.Add(uint64(tries - 1))
-	if err == nil {
-		p.storeFailed.Set(0)
+	if p.sink.AppendEntries(es) == nil {
 		return
 	}
-	// A sticky write-path failure is what /readyz reports as permanent.
-	p.storeFailed.SetBool(p.sink.WriteErr() != nil)
 	p.droppedBatches.Add(1)
 	p.droppedEvents.Add(uint64(len(es)))
 }
@@ -228,16 +214,12 @@ func (p *ingestPipeline) enqueue(b *ingestBatch) bool {
 
 // notReadyReasons returns why the ingest path should refuse traffic —
 // empty when it is ready. The conditions mirror DESIGN.md "Overload
-// control": a dead store write path, a drain whose appends fail for
-// good, and the full-drop shedding tier (at which nearly every accepted
-// event would be discarded anyway).
+// control": a dead store write path and the full-drop shedding tier (at
+// which nearly every accepted event would be discarded anyway).
 func (p *ingestPipeline) notReadyReasons() []string {
 	var reasons []string
-	if err := p.st.WriteErr(); err != nil {
+	if err := p.sink.WriteErr(); err != nil {
 		reasons = append(reasons, "store write path failed: "+err.Error())
-	}
-	if p.storeFailed.Load() != 0 {
-		reasons = append(reasons, "store sink in permanent failure")
 	}
 	if p.adm.Tier() >= overload.TierStream {
 		reasons = append(reasons, "overload shedding at full-drop tier")

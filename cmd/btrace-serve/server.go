@@ -27,9 +27,6 @@ type server struct {
 	// store is the durable trace store served by /store/*; nil in cluster
 	// mode.
 	store *store.Store
-	// queryWorkers sizes the scan pool of a /store/query that names no
-	// ?workers=, in [0, maxQueryWorkers]; zero means one worker.
-	queryWorkers int
 	// ingest is the single-store POST /ingest delivery pipeline
 	// (attachIngest wires it after construction).
 	ingest *ingestPipeline
@@ -42,11 +39,10 @@ type server struct {
 	live *live.Hub
 }
 
-func newServer(st *store.Store, queryWorkers int) *server {
+func newServer(st *store.Store) *server {
 	s := &server{
-		mux:          http.NewServeMux(),
-		store:        st,
-		queryWorkers: queryWorkers,
+		mux:   http.NewServeMux(),
+		store: st,
 	}
 	s.mux.HandleFunc("/store/segments", s.handleStoreSegments)
 	s.mux.HandleFunc("/store/query", s.handleStoreQuery)

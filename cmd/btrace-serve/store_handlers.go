@@ -121,11 +121,11 @@ const maxQueryWorkers = 32
 
 // requestWorkers resolves the scan-pool size for one /store/query:
 // ?workers=N a pool of N (capped; 0 reads as one worker, per shard on a
-// cluster), and an absent parameter falls back to the operator default.
-func requestWorkers(r *http.Request, def int) (int, error) {
+// cluster), and an absent parameter is store.DefaultQueryWorkers.
+func requestWorkers(r *http.Request) (int, error) {
 	v := r.URL.Query().Get("workers")
 	if v == "" {
-		return def, nil
+		return store.DefaultQueryWorkers, nil
 	}
 	u, err := strconv.ParseUint(v, 10, 16)
 	if err != nil || u > maxQueryWorkers {
@@ -177,7 +177,7 @@ func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	workers, err := requestWorkers(r, s.queryWorkers)
+	workers, err := requestWorkers(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -39,7 +39,7 @@ func storeServer(t *testing.T, n int) (*httptest.Server, *store.Store) {
 			t.Fatal(err)
 		}
 	}
-	ts := httptest.NewServer(newServer(st, 2))
+	ts := httptest.NewServer(newServer(st))
 	t.Cleanup(ts.Close)
 	return ts, st
 }
@@ -225,7 +225,7 @@ func sealedStoreServer(t *testing.T, n int, cfg store.Config) (*httptest.Server,
 			t.Fatal(err)
 		}
 	}
-	srv := newServer(st, 2)
+	srv := newServer(st)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, srv, st

@@ -170,18 +170,17 @@ func (c *diffCluster) move() string {
 		c.ingest()
 		return "ingest"
 	case p < 52:
-		// Refused deliveries on one or two healthy shards: four appends is
-		// one delivery's whole budget (Retries × applyAttempts), so the
-		// next batch routed there is hedged, or refused with a copy left
-		// on whoever did apply it — the hedge candidate alone, when both
-		// owners refused.
+		// Refused deliveries on one or two healthy shards: a delivery is
+		// one append, so each of the next one or two batches routed there
+		// is hedged, or refused with a copy left on whoever did apply it
+		// — the hedge candidate alone, when both owners refused.
 		up := c.up()
 		c.rng.Shuffle(len(up), func(i, j int) { up[i], up[j] = up[j], up[i] })
 		up = up[:min(len(up), 1+c.rng.Intn(2))]
 		var fired int64
 		for _, sh := range up {
 			fired -= c.faults[sh.Name()].fired.Load()
-			c.faults[sh.Name()].failNext.Store(int64(4 * (1 + c.rng.Intn(2))))
+			c.faults[sh.Name()].failNext.Store(int64(1 + c.rng.Intn(2)))
 		}
 		c.ingest()
 		for _, sh := range up {

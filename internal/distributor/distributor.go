@@ -4,10 +4,10 @@
 // once — before replication, so every replica sees the identical
 // post-gate stream — and fans the admitted events out to the RF shard
 // replicas the consistent-hash ring names for each, one delivery per
-// destination shard, with retry and hedging on replica failure and
-// quorum-ack semantics: an event is acknowledged only when a majority
-// of its replica set durably applied it, which is what makes killing
-// any single shard lose nothing that was acknowledged.
+// destination shard, with hedging on replica failure and quorum-ack
+// semantics: an event is acknowledged only when a majority of its
+// replica set durably applied it, which is what makes killing any
+// single shard lose nothing that was acknowledged.
 //
 // Placement is deliberately tenant-agnostic: the stream key is the TID
 // alone, because durable events do not carry a tenant and drain must be
@@ -34,9 +34,6 @@ type Config struct {
 	// Replication is the replica count per stream key (default 2,
 	// clamped to the shard count by the ring).
 	Replication int
-	// Retries is the delivery attempts per replica before the replica
-	// counts as failed (default 2).
-	Retries int
 	// HedgeLimit is how many extra ring candidates beyond the owner set
 	// a failed quorum may hedge to (default 1).
 	HedgeLimit int
@@ -57,9 +54,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Replication <= 0 {
 		c.Replication = 2
-	}
-	if c.Retries <= 0 {
-		c.Retries = 2
 	}
 	if c.HedgeLimit < 0 {
 		c.HedgeLimit = 0
@@ -102,8 +96,7 @@ type Stats struct {
 	Acked         uint64
 	Refused       uint64
 	Quarantined   uint64 // entries the front-door verifier flagged (replicated, never shed)
-	ReplicaErrors uint64 // failed deliveries (after per-replica retries)
-	Retries       uint64 // per-replica delivery re-attempts
+	ReplicaErrors uint64 // failed deliveries
 	Hedges        uint64 // deliveries diverted to a non-owner candidate
 	DrainMoved    uint64 // events re-placed by DrainShard
 }
@@ -205,12 +198,12 @@ func (f *fanout) route(si, i int, e *tracer.Entry) {
 }
 
 // Ingest admits and fans out one tenant batch, blocking until every
-// event resolved (quorum reached, or retries and hedges exhausted).
-// Safe for concurrent use. Ingest consumes es: verifier, quota and gate
-// filter it in place (no per-batch copy), and the surviving entries are
-// shared read-only with the shards until the call returns. Nothing
-// retains es, nor a payload it points at, past the call — the caller
-// may recycle both as soon as it has the Result.
+// event resolved (quorum reached, or hedges exhausted). Safe for
+// concurrent use. Ingest consumes es: verifier, quota and gate filter it
+// in place (no per-batch copy), and the surviving entries are shared
+// read-only with the shards until the call returns. Nothing retains es,
+// nor a payload it points at, past the call — the caller may recycle
+// both as soon as it has the Result.
 func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	// Quarantined entries come back with the admitted ones and are
 	// replicated with the batch.
@@ -324,19 +317,15 @@ func (d *Distributor) deliverRound(targets []Shard, f *fanout) int {
 	return applied
 }
 
-// deliver writes a batch to one shard, retrying within the per-replica
-// budget.
+// deliver writes a batch to one shard, once: every error a shard
+// returns is one a second try would meet again (a dead shard, a sticky
+// store failure), so a refused delivery counts as a replica error and
+// the next hedge candidate is the recovery.
 func (d *Distributor) deliver(sh Shard, es []tracer.Entry) error {
-	var err error
-	for attempt := 0; attempt < d.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			d.obs.retries.Add(1)
-		}
-		if err = sh.Ingest(es); err == nil {
-			return nil
-		}
+	err := sh.Ingest(es)
+	if err != nil {
+		d.obs.replicaErrors.Add(1)
 	}
-	d.obs.replicaErrors.Add(1)
 	return err
 }
 
@@ -520,8 +509,8 @@ type DrainReport struct {
 	// Moved is the events redelivered to new owners (an event moving to
 	// two new owners counts twice).
 	Moved int
-	// Failed is redeliveries that did not apply even after retries; the
-	// events remain readable from the drained key's surviving replicas.
+	// Failed is redeliveries that did not apply; the events remain
+	// readable from the drained key's surviving replicas.
 	Failed int
 	// Targets lists the shards that received moved ranges.
 	Targets []string
@@ -689,7 +678,6 @@ func (d *Distributor) Stats() Stats {
 		Refused:       o.refused.Load(),
 		Quarantined:   d.adm.Quarantined(),
 		ReplicaErrors: o.replicaErrors.Load(),
-		Retries:       o.retries.Load(),
 		Hedges:        o.hedges.Load(),
 		DrainMoved:    o.drainMoved.Load(),
 	}

@@ -101,13 +101,13 @@ func shardStamps(t *testing.T, sh *LocalShard) map[uint64]bool {
 
 // TestFanoutPerShardUnderFaults pins the write path's shape against a
 // per-event reference model: one delivery per destination shard per
-// round, quorum decided per event, hedges only for the events that need
-// them, and exact refusal when the hedge candidate is down too.
+// round — a failing replica included, which is tried once — quorum
+// decided per event, hedges only for the events that need them, and
+// exact refusal when the hedge candidate is down too.
 func TestFanoutPerShardUnderFaults(t *testing.T) {
 	const (
 		nShards = 4
 		rf      = 2
-		retries = 2
 		width   = rf + 1 // HedgeLimit 1
 	)
 	names := make([]string, nShards)
@@ -146,7 +146,7 @@ func TestFanoutPerShardUnderFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d, spies := newSpyCluster(t, nShards, Config{
-				Replication: rf, HedgeLimit: 1, Retries: retries, Gate: gateOff(), RecordStamps: true,
+				Replication: rf, HedgeLimit: 1, Gate: gateOff(), RecordStamps: true,
 			}, nil)
 			down := make(map[string]bool)
 			for _, sp := range spies {
@@ -161,7 +161,7 @@ func TestFanoutPerShardUnderFaults(t *testing.T) {
 			// shards event i goes to in a round.
 			acks := make([]int, len(es))
 			wantCalls := make(map[string]int)
-			wantHedges, wantRetries := 0, 0
+			wantHedges, wantErrors := 0, 0
 			play := func(hedge bool, route func(i int) []string) {
 				hit := make(map[string][]int)
 				for i := range es {
@@ -170,12 +170,11 @@ func TestFanoutPerShardUnderFaults(t *testing.T) {
 					}
 				}
 				for name, idx := range hit {
+					wantCalls[name]++
 					if down[name] {
-						wantCalls[name] += retries
-						wantRetries += retries - 1
+						wantErrors++
 						continue
 					}
-					wantCalls[name]++
 					if hedge {
 						wantHedges++
 					}
@@ -216,8 +215,8 @@ func TestFanoutPerShardUnderFaults(t *testing.T) {
 				t.Errorf("acked %d refused %d, model says %d and %d", res.Acked, res.Refused, len(wantAcked), len(wantRefused))
 			}
 			st := d.Stats()
-			if int(st.Hedges) != wantHedges || int(st.Retries) != wantRetries {
-				t.Errorf("hedges %d retries %d, model says %d and %d", st.Hedges, st.Retries, wantHedges, wantRetries)
+			if int(st.Hedges) != wantHedges || int(st.ReplicaErrors) != wantErrors {
+				t.Errorf("hedges %d replica errors %d, model says %d and %d", st.Hedges, st.ReplicaErrors, wantHedges, wantErrors)
 			}
 			total := 0
 			for _, sp := range spies {

@@ -32,9 +32,9 @@ func (s *mergeSource) refill(missed *uint64) {
 // stamps: with replication every event exists on RF shards, so
 // duplicates are the normal case, and the globally-unique-stamp
 // invariant (enforced at collection by the Verifier) makes the stamp
-// the identity to collapse on. Same-shard duplicates (a spilled dump
-// retried cross-replica, then flushed on graceful close) are adjacent
-// in their run, so they collapse too.
+// the identity to collapse on. Same-shard duplicates (a refused batch
+// the client posted again, on a replica that had applied it the first
+// time) are adjacent in their run, so they collapse too.
 //
 // The merge streams: it holds one mergeBatch of entries per source and
 // nothing else, whatever the query matches. What a source holds to

@@ -20,7 +20,6 @@ type distObs struct {
 	refused     *obs.Counter
 
 	replicaErrors *obs.Counter
-	retries       *obs.Counter
 	hedges        *obs.Counter
 	drainMoved    *obs.Counter
 
@@ -43,7 +42,6 @@ func newDistObs() *distObs {
 		acked:         obs.NewCounter(4),
 		refused:       obs.NewCounter(4),
 		replicaErrors: obs.NewCounter(4),
-		retries:       obs.NewCounter(4),
 		hedges:        obs.NewCounter(4),
 		drainMoved:    obs.NewCounter(4),
 		aggPushdown:   obs.NewCounter(1),
@@ -64,9 +62,8 @@ func (o *distObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_distributor_events_throttled_total", "events dropped by per-tenant quota overrides", o.throttled.Load())
 	e.Counter("btrace_distributor_events_gate_dropped_total", "events dropped by the shared overload gate", o.gateDropped.Load())
 	e.Counter("btrace_distributor_events_acked_total", "events durably applied on a replica quorum", o.acked.Load())
-	e.Counter("btrace_distributor_events_refused_total", "events that failed quorum after retries and hedging", o.refused.Load())
-	e.Counter("btrace_distributor_replica_errors_total", "replica deliveries that failed after retries", o.replicaErrors.Load())
-	e.Counter("btrace_distributor_replica_retries_total", "replica delivery re-attempts", o.retries.Load())
+	e.Counter("btrace_distributor_events_refused_total", "events that failed quorum after hedging", o.refused.Load())
+	e.Counter("btrace_distributor_replica_errors_total", "replica deliveries that failed", o.replicaErrors.Load())
 	e.Counter("btrace_distributor_hedges_total", "deliveries hedged to a non-owner candidate", o.hedges.Load())
 	e.Counter("btrace_distributor_drain_moved_events_total", "events re-placed by shard drains", o.drainMoved.Load())
 	const byPath = "aggregate queries answered, by path: folded on the shards, or over the merged event stream"

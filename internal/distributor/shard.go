@@ -12,13 +12,12 @@ import (
 	"btrace/internal/tracer"
 )
 
-// Shard errors the distributor's retry/hedge logic keys on.
+// Shard errors the distributor's hedge logic keys on.
 var (
 	// ErrShardDown reports delivery to a shard that is no longer running
 	// (killed, closed, or removed).
 	ErrShardDown = errors.New("distributor: shard down")
-	// errNotApplied reports a delivery the shard's store refused even
-	// after the shard-local retries.
+	// errNotApplied reports a delivery the shard's store refused.
 	errNotApplied = errors.New("distributor: delivery not applied")
 )
 
@@ -66,12 +65,6 @@ type LocalConfig struct {
 	WrapStore func(ingest.Sink) ingest.Sink
 }
 
-// applyAttempts is the shard-local append budget per delivery. The
-// distributor owns cross-replica retry and hedging; the local budget
-// stays small so a dead store answers fast instead of burning
-// wall-clock per delivery.
-const applyAttempts = 2
-
 // LocalShard is an in-process replica over one store: many of them in
 // one process make a cluster that is testable and chaos-able without
 // networking. A delivery is a synchronous append on the caller's
@@ -106,17 +99,16 @@ func NewLocalShard(cfg LocalConfig) (*LocalShard, error) {
 
 func (s *LocalShard) Name() string { return s.name }
 
-// Ingest appends one batch to the shard's store, retrying within the
-// shard-local budget. Nil means applied; an error means the delivery
-// does not count and nothing of it is retained to apply later — the
-// distributor's hedge is the retry.
+// Ingest appends one batch to the shard's store, once. Nil means
+// applied; an error means the delivery does not count and nothing of it
+// is retained to apply later — the distributor's hedge is the recovery.
 func (s *LocalShard) Ingest(es []tracer.Entry) error {
 	s.inflight.RLock()
 	defer s.inflight.RUnlock()
 	if s.down.Load() {
 		return ErrShardDown
 	}
-	if _, err := ingest.Append(s.sink, es, applyAttempts); err != nil {
+	if err := s.sink.AppendEntries(es); err != nil {
 		return fmt.Errorf("%w: %s: %v", errNotApplied, s.name, err)
 	}
 	return nil

@@ -66,7 +66,6 @@ func TestChaosClusterShardKill(t *testing.T) {
 		// Walk the whole ring when owners fail: with one shard dead and
 		// another wedged the remaining two must still form a quorum.
 		HedgeLimit:   2,
-		Retries:      2,
 		Gate:         overload.Config{MinSampleRate: 1},
 		Overrides:    overrides,
 		RecordStamps: true,

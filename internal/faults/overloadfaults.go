@@ -181,8 +181,9 @@ func (s *BurstSource) Produced() uint64 {
 // probabilistic ones via ErrProb and a deterministic Wedge/Heal switch —
 // the flaky disk under an overload storm. Injected failures are
 // transient: WriteErr reports only the wrapped store's own sticky
-// failure, so ingest.Append against a wedged FlakyStore burns its retry
-// budget rather than failing fast.
+// failure, and the next append may succeed. No caller retries one: the
+// drain counts the batch dropped, and a cluster delivery goes straight
+// to its hedge candidate.
 type FlakyStore struct {
 	in  *Injector
 	dst ingest.Sink

@@ -65,7 +65,6 @@ func TestChaosVultureContinuous(t *testing.T) {
 	d, err := distributor.New(shards, distributor.Config{
 		Replication:  2,
 		HedgeLimit:   2,
-		Retries:      2,
 		Gate:         overload.Config{MinSampleRate: 1},
 		Publish:      hub.Publish,
 		RecordStamps: true,

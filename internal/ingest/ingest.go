@@ -4,9 +4,10 @@
 // and the distributor in front of the shard ring — and nothing else
 // knows it:
 //
-//	tenant row → verify → quota → overload gate → live publish → (quarantined re-appended) → bounded-retry append
+//	tenant row → verify → quota → overload gate → live publish → (quarantined re-appended) → one Sink append
 //
-// Admission is the filtering half, Append the delivery half. Tenancy
+// Admission is the filtering half; the caller appends what it admits to
+// a Sink once, and counts a refused batch instead of retrying it. Tenancy
 // lives here and nowhere else: each tenant is one row of a bounded
 // table (tenant.go) holding its verifier, its quota and its attribution.
 // The device-side collector (internal/collect) is the other end of the
@@ -144,27 +145,15 @@ func (a *Admission) GateStats() overload.Stats {
 	return a.gate.Stats()
 }
 
-// Sink is the durable store as the delivery half sees it (store.Store
+// Sink is the durable store as the delivery side sees it (store.Store
 // satisfies it; fault injectors wrap it).
 type Sink interface {
-	// AppendEntries durably stages a batch; nil means applied.
+	// AppendEntries durably stages a batch; nil means applied, and a
+	// refused batch leaves nothing behind for the sink to apply later.
+	// A store's refusals are sticky (its write path is gone), so a
+	// caller tries a batch once.
 	AppendEntries(es []tracer.Entry) error
 	// WriteErr reports a sticky write-path failure: once non-nil, no
 	// later append can succeed.
 	WriteErr() error
-}
-
-// Append delivers es to sink within a budget of attempts, stopping
-// early on a sticky write-path failure — the disk is gone, retrying
-// cannot help. It returns the attempts made and the last error; nil
-// means applied, and a refused batch leaves nothing behind for the sink
-// to apply later.
-func Append(sink Sink, es []tracer.Entry, attempts int) (tries int, err error) {
-	for tries < attempts {
-		tries++
-		if err = sink.AppendEntries(es); err == nil || sink.WriteErr() != nil {
-			break
-		}
-	}
-	return tries, err
 }

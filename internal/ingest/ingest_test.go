@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -176,67 +175,5 @@ func TestAdmitConcurrentTenants(t *testing.T) {
 	}
 	if gs := a.GateStats(); gs.Seen != seen || gs.Admitted != seen || uint64(published) != seen {
 		t.Errorf("gate stats %+v, %d published, tenants sum to %d", gs, published, seen)
-	}
-}
-
-// scriptedSink fails its first failures appends transiently; dead makes
-// the failure sticky.
-type scriptedSink struct {
-	failures int
-	dead     bool
-	calls    int
-	applied  int
-}
-
-var errAppend = errors.New("injected append failure")
-
-func (s *scriptedSink) AppendEntries(es []tracer.Entry) error {
-	s.calls++
-	if s.dead || s.calls <= s.failures {
-		return errAppend
-	}
-	s.applied += len(es)
-	return nil
-}
-
-func (s *scriptedSink) WriteErr() error {
-	if s.dead {
-		return errAppend
-	}
-	return nil
-}
-
-// TestAppendBudget: a batch is applied, or refused exactly once — within
-// the attempt budget, and after a single attempt against a sink whose
-// write path is gone for good.
-func TestAppendBudget(t *testing.T) {
-	es := batch(1, 1, 3)
-	for _, tc := range []struct {
-		name      string
-		sink      scriptedSink
-		wantTries int
-		wantErr   bool
-	}{
-		{name: "healthy", wantTries: 1},
-		{name: "heals within the budget", sink: scriptedSink{failures: 2}, wantTries: 3},
-		{name: "budget exhausted", sink: scriptedSink{failures: 1 << 30}, wantTries: 3, wantErr: true},
-		{name: "dead sink fails fast", sink: scriptedSink{dead: true}, wantTries: 1, wantErr: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sink := tc.sink
-			tries, err := Append(&sink, es, 3)
-			if tries != tc.wantTries || (err != nil) != tc.wantErr || sink.calls != tries {
-				t.Fatalf("tries %d (sink saw %d) err %v, want %d tries, error %v", tries, sink.calls, err, tc.wantTries, tc.wantErr)
-			}
-			// Refused means nothing of the batch was applied, and so it
-			// is the caller's to count, once.
-			want := len(es)
-			if tc.wantErr {
-				want = 0
-			}
-			if sink.applied != want {
-				t.Fatalf("sink applied %d events, want %d", sink.applied, want)
-			}
-		})
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -259,93 +260,78 @@ func TestCompactionChaosTierBoundaries(t *testing.T) {
 	t.Logf("verified %d crash points across merge and freeze boundaries", len(sb.snaps))
 }
 
-// TestCommitBytesGroupCommit: with CommitBytes the only durability
-// trigger — no timer, no Sync, no seal — appends under the threshold
-// commit nothing, and the append that crosses it starts one group
-// commit whose fsync covers every byte applied so far: the crash image
-// the backend records at that fsync reopens to every event.
-func TestCommitBytesGroupCommit(t *testing.T) {
-	const threshold = 16 << 10
-	sb := &snapBackend{inner: backend.NewObject()}
-	st, err := Open("", Config{Backend: sb, CommitBytes: threshold})
+// failOnceBackend is an object backend whose files fail the first
+// WriteAt after arm; writes counts every WriteAt that reached a file.
+type failOnceBackend struct {
+	*backend.Object
+	armed  atomic.Bool
+	writes atomic.Int64
+}
+
+var errWriteInjected = errors.New("injected write failure")
+
+func (b *failOnceBackend) Create(name string, pre int64) (backend.File, error) {
+	f, err := b.Object.Create(name, pre)
+	if err != nil {
+		return nil, err
+	}
+	return &failOnceFile{File: f, b: b}, nil
+}
+
+type failOnceFile struct {
+	backend.File
+	b *failOnceBackend
+}
+
+func (f *failOnceFile) WriteAt(p []byte, off int64) (int, error) {
+	f.b.writes.Add(1)
+	if f.b.armed.CompareAndSwap(true, false) {
+		return 0, errWriteInjected
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestAppendFailureIsSticky is why no ingest path retries an append: a
+// write that fails once leaves the write path failed for good, so a
+// second try could only meet the same error. The append that meets the
+// failure fails; WriteErr and Pressure report it from then on; the next
+// append fails without reaching the backend; and a closed store answers
+// ErrClosed on both.
+func TestAppendFailureIsSticky(t *testing.T) {
+	be := &failOnceBackend{Object: backend.NewObject()}
+	st, err := Open("", Config{Backend: be})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	sb.arm(true)
-
-	// fsyncs returns the labels and crash images of the fsyncs so far.
-	fsyncs := func() (labels []string, images []*backend.Object) {
-		sb.mu.Lock()
-		defer sb.mu.Unlock()
-		for i, l := range sb.labels {
-			if strings.HasPrefix(l, "sync ") {
-				labels, images = append(labels, l), append(images, sb.snaps[i])
-			}
-		}
-		return labels, images
-	}
-	var n uint64
-	appendBytes := func(bytes int) {
-		var es []tracer.Entry
-		for b := 0; b < bytes; {
-			n++
-			es = append(es, mkEntry(n))
-			b += FrameSize(&es[len(es)-1])
-		}
-		if err := st.AppendEntries(es); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	appendBytes(threshold / 2)
-	if s, _ := fsyncs(); st.obs.groupCommits.Load() != 0 || len(s) != 0 {
-		t.Fatalf("under the threshold: %d group commits, fsyncs %v", st.obs.groupCommits.Load(), s)
-	}
-	appendBytes(threshold / 2)
-
-	// The crossing append returns once applied; its commit follows.
-	// Wait for it on the pipeline's own condition variable; the timer
-	// only turns a missing commit into a failure instead of a hang.
-	p := &st.pipe
-	timedOut := false
-	timer := time.AfterFunc(10*time.Second, func() {
-		p.mu.Lock()
-		timedOut = true
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer timer.Stop()
-	p.mu.Lock()
-	for p.synced < p.staged && p.err == nil && !timedOut {
-		p.cond.Wait()
-	}
-	werr, late := p.err, timedOut
-	p.mu.Unlock()
-	if werr != nil || late {
-		t.Fatalf("no group commit after crossing CommitBytes (err %v)", werr)
-	}
-	if c := st.obs.groupCommits.Load(); c != 1 {
-		t.Fatalf("crossing the threshold ran %d group commits, want 1", c)
-	}
-	s, images := fsyncs()
-	if len(s) != 1 || s[0] != "sync "+segName(1) {
-		t.Fatalf("fsyncs %v, want the active segment's once", s)
-	}
-	st2, err := Open("", Config{Backend: images[0]})
-	if err != nil {
+	if err := st.AppendEntries([]tracer.Entry{mkEntry(1)}); err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	es := drainStore(t, st2, Query{})
-	if uint64(len(es)) != n {
-		t.Fatalf("crash image at the commit holds %d events, want %d", len(es), n)
+	be.armed.Store(true)
+	if err := st.AppendEntries([]tracer.Entry{mkEntry(2)}); !errors.Is(err, errWriteInjected) {
+		t.Fatalf("append over the failing write: %v, want the injected error", err)
 	}
-	for i, e := range es {
-		if e.Stamp != uint64(i+1) {
-			t.Fatalf("event %d: stamp %d", i, e.Stamp)
-		}
-		checkEntry(t, e)
+	if err := st.WriteErr(); !errors.Is(err, errWriteInjected) {
+		t.Fatalf("WriteErr after the failure: %v", err)
+	}
+	if !st.Pressure().Failed {
+		t.Fatal("Pressure().Failed unset after the failure")
+	}
+	writes := be.writes.Load()
+	if err := st.AppendEntries([]tracer.Entry{mkEntry(3)}); !errors.Is(err, errWriteInjected) {
+		t.Fatalf("append after the failure: %v, want the same error again", err)
+	}
+	if got := be.writes.Load(); got != writes {
+		t.Fatalf("append after the failure reached the backend (%d writes, was %d)", got, writes)
+	}
+	if err := st.WriteErr(); !errors.Is(err, errWriteInjected) || !st.Pressure().Failed {
+		t.Fatalf("WriteErr %v, Pressure().Failed %v after a second refusal", err, st.Pressure().Failed)
+	}
+	st.Close() // its error is the failed write path's
+	if err := st.AppendEntries([]tracer.Entry{mkEntry(4)}); err != ErrClosed {
+		t.Fatalf("append after Close: %v, want ErrClosed", err)
+	}
+	if err := st.WriteErr(); err != ErrClosed {
+		t.Fatalf("WriteErr after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -8,9 +8,8 @@
 // writer goroutine swaps the arena out (producers refill the spare
 // immediately) and drains it with one WriteAt per segment stretch.
 // Durability is a group commit: one fsync covers every byte applied
-// since the previous commit window. Sync callers, CommitEvery ticks and
-// the CommitBytes threshold all piggyback on the same fsync instead of
-// paying one each. Seal
+// since the previous commit window. Sync callers and CommitEvery ticks
+// piggyback on the same fsync instead of paying one each. Seal
 // finalization — header rewrite, preallocation trim, retention — runs
 // on the maintenance goroutine, so rotation costs the append path
 // nothing but a queue push; the sealed file's own fsync is deferred to
@@ -262,10 +261,7 @@ func (st *Store) wantSyncLocked() bool {
 	if p.forceSync || p.flushNow {
 		return true
 	}
-	if p.syncWant > p.synced {
-		return true
-	}
-	return st.cfg.CommitBytes > 0 && p.unsynced >= st.cfg.CommitBytes
+	return p.syncWant > p.synced
 }
 
 // writerLoop drains the staging arena, executes rotation requests and
@@ -531,10 +527,12 @@ func (st *Store) finalizeSeal(j sealJob) error {
 	if serr := j.f.Seal(); err == nil && serr != nil {
 		err = serr
 	}
-	if st.syncPolicyActive() {
-		// A commit policy is running: fsync the sealed file here, off the
+	if st.cfg.CommitEvery > 0 {
+		// A commit timer is running: fsync the sealed file here, off the
 		// writer's critical path, so commit windows find it already
-		// durable instead of paying the fsync serially.
+		// durable instead of paying the fsync serially. Without one its
+		// fsync is parked until a commit window (Sync, Seal, Close) or the
+		// maxParkedSeals cap asks for durability.
 		start := time.Now()
 		serr := j.f.Sync()
 		st.noteFsync(uint64(time.Since(start)))
@@ -562,15 +560,6 @@ func (st *Store) finalizeSeal(j sealJob) error {
 		}
 	}
 	return err
-}
-
-// syncPolicyActive reports whether the store has a standing durability
-// policy. With one active, sealed files are fsynced eagerly on the
-// maintenance goroutine; without one, their fsync is parked until a
-// commit window (Sync, Seal, Close) or the maxParkedSeals cap asks for
-// durability.
-func (st *Store) syncPolicyActive() bool {
-	return st.cfg.CommitEvery > 0 || st.cfg.CommitBytes > 0
 }
 
 // drainParked fsyncs and closes every sealed file parked since the last

@@ -81,16 +81,17 @@ func (st *Store) Pressure() overload.StorePressure {
 	}
 }
 
-// WriteErr peeks the write path's sticky error without appending:
-// non-nil means every later append will fail until the store is
-// reopened (ErrClosed once the store is closed). Consumers that stage
-// asynchronous appends use it to learn the path is dead before — or
-// instead of — the next append's error.
+// WriteErr peeks the write path's sticky error without appending — the
+// error the next append would return: non-nil means every later append
+// will fail until the store is reopened (ErrClosed once the store is
+// closed, whatever failed before). Consumers that stage asynchronous
+// appends use it to learn the path is dead before — or instead of — the
+// next append's error.
 func (st *Store) WriteErr() error {
 	p := &st.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed && p.err == nil {
+	if p.closed {
 		return ErrClosed
 	}
 	return p.err

@@ -63,14 +63,10 @@ type Config struct {
 	// this are deleted (0 = unlimited).
 	MaxAgeNs uint64
 	// CommitEvery bounds how long applied-but-unsynced bytes may sit
-	// before a group commit fsyncs them (0 = no timer; durability then
-	// comes from seals, Sync or CommitBytes). With neither commit policy
-	// set the durability point is the seal (rotation) or a Sync call,
+	// before a group commit fsyncs them. With 0 there is no timer, and
+	// the durability point is the seal (rotation) or a Sync call,
 	// matching the paper's dump-then-analyze workflow.
 	CommitEvery time.Duration
-	// CommitBytes triggers a group commit once this many bytes have been
-	// applied since the previous commit (0 = no byte threshold).
-	CommitBytes int64
 
 	// Backend overrides the storage backend. nil selects the local
 	// directory backend over Open's dir argument.
@@ -520,8 +516,8 @@ func (st *Store) activeSeg() *segment {
 }
 
 // Append stages one event. The write is visible to cursors as soon as
-// Append returns; it is durable at the next seal, Sync, or
-// CommitEvery/CommitBytes window.
+// Append returns; it is durable at the next seal, Sync, or CommitEvery
+// window.
 func (st *Store) Append(e *tracer.Entry) error {
 	return st.appendPipelined([]tracer.Entry{*e})
 }
