@@ -124,6 +124,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err := st.Seal(); err != nil {
 		t.Fatal(err)
 	}
+	// Two CSV-style reads of the sealed segment: the build of its header
+	// set, a read of the set.
+	for range 2 {
+		cur := st.QueryParallel(store.Query{LengthsOnly: true}, 1)
+		if es, err := tracer.Drain(cur, 16); err != nil || len(es) != 2 {
+			t.Fatalf("length-only read: %d events, %v", len(es), err)
+		}
+		cur.Close()
+	}
 	if err := st.AppendEntries([]tracer.Entry{{Stamp: 3, TS: 1 << 30}}); err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +171,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`btrace_store_block_cache_hits_total{section="partial"}`,
 		`btrace_store_block_cache_misses_total{section="partial"}`,
 		`btrace_store_block_cache_bytes{section="partial"}`,
+		`btrace_store_block_cache_hits_total{section="headers"}`,
+		`btrace_store_block_cache_misses_total{section="headers"}`,
+		`btrace_store_block_cache_bytes{section="headers"}`,
 		"btrace_serve_query_aborts_total",
 		"btrace_live_sse_bytes_total",
 		"btrace_live_sse_writes_total",
@@ -196,6 +208,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if got := moved("btrace_live_sse_writes_total"); got < 1 {
 		t.Errorf("sse writes moved by %v, want >= 1", got)
+	}
+	if h, m := moved(`btrace_store_block_cache_hits_total{section="headers"}`), moved(`btrace_store_block_cache_misses_total{section="headers"}`); h < 1 || m < 1 {
+		t.Errorf("header sets served %v reads and were built %v times, want >= 1 each", h, m)
 	}
 	if got := moved(`btrace_distributor_aggregates_total{path="pushdown"}`); got < 1 {
 		t.Errorf("aggregates answered by the shards moved by %v, want >= 1", got)

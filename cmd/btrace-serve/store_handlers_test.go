@@ -11,8 +11,12 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"btrace/internal/btql"
 	"btrace/internal/store"
@@ -236,10 +240,15 @@ func sealedStoreServer(t *testing.T, n int, cfg store.Config) (*httptest.Server,
 // see the body break off, not a complete-looking prefix of it — and one
 // that fails before its first byte is a 500. A flipped payload byte in
 // a sealed segment fails the frame checksum of the row it belongs to,
-// which a length-only read (csv, chrome) verifies like any other.
+// which a length-only read (csv, chrome) verifies like any other. The
+// store has no block cache, so every export walks the frames: a header
+// set admitted before the flip would serve csv and chrome from what it
+// verified then (store/blockcache.go). A segment's CSV is several of
+// the CSV writer's 64 KiB buffers, so its rows reach the client before
+// the next segment fails.
 func TestStoreQueryAbortsFailedExport(t *testing.T) {
-	const n = 3000
-	ts, srv, st := sealedStoreServer(t, n, store.Config{})
+	const n = 8000
+	ts, srv, st := sealedStoreServer(t, n, store.Config{ColdCacheBytes: -1})
 	segs := st.Segments()
 	if len(segs) < 2 || !segs[1].Sealed {
 		t.Fatalf("fixture: %+v", segs)
@@ -418,5 +427,40 @@ func TestStoreQueryAggregatePartials(t *testing.T) {
 	}
 	if d := moved(); d[hits] != sealed || d[misses] != 0 || d[resident] != 0 || d[none] != 1 || d[allHits] != 0 || d[allMiss] != 0 {
 		t.Errorf("second count(): moved %v, want %v partial hits, no miss, one payload-free read and no section looked up", d, sealed)
+	}
+}
+
+// TestStoreQueryOneRowAllocs: a one-row CSV query — tail-mixed's
+// freshness probe, polled until a batch is visible — takes its 64 KiB CSV
+// writer from a pool, so what it allocates is its 1024-entry export
+// batch and a little more, not the writer's buffer on top; and it
+// allocates less often than with bufio's default writer (73 times).
+func TestStoreQueryOneRowAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("under -race sync.Pool drops what is Put at random")
+	}
+	_, st := storeServer(t, 100)
+	srv := newServer(st)
+	req := httptest.NewRequest(http.MethodGet, "/store/query?format=csv&min_stamp=50&max_stamp=50&workers=0&limit=1", nil)
+	run := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || strings.Count(rec.Body.String(), "\n") != 2 {
+			t.Fatalf("%d %q", rec.Code, rec.Body.String())
+		}
+	}
+	allocs := testing.AllocsPerRun(200, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 200
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	batch := uint64(1024 * unsafe.Sizeof(tracer.Entry{}))
+	t.Logf("%.0f allocations, %d B", allocs, bytes)
+	if allocs >= 73 || bytes > batch+32<<10 {
+		t.Fatalf("a one-row CSV query allocates %.0f times, %d B (its batch is %d B)", allocs, bytes, batch)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sync"
 
 	"btrace/internal/tracer"
 	"btrace/internal/workload"
@@ -70,11 +71,30 @@ var maxCSVRow = func() int {
 	return 20 + 20 + 10 + 3 + 3 + 5 + name + 6 + 1
 }()
 
+// csvBufferBytes is the CSV writer's buffer. A large export reaches w in
+// 64 KiB writes — over HTTP one chunk each, where bufio's default 4 KiB
+// made sixteen.
+const csvBufferBytes = 64 << 10
+
+// csvWriters pools the writers and their buffers: a one-row export (a
+// freshness probe, hundreds a second) must not allocate and zero 64 KiB.
+var csvWriters = sync.Pool{New: func() any {
+	return &csvWriter{bw: bufio.NewWriterSize(nil, csvBufferBytes)}
+}}
+
 // newCSVWriter starts a CSV document on w: it writes the header row.
+// The writer comes from the pool; release returns it.
 func newCSVWriter(w io.Writer) (*csvWriter, error) {
-	cw := &csvWriter{bw: bufio.NewWriter(w)}
+	cw := csvWriters.Get().(*csvWriter)
+	cw.bw.Reset(w)
 	_, err := cw.bw.WriteString(csvHeader)
 	return cw, err
+}
+
+// release drops whatever is unflushed, and w, and pools the writer.
+func (cw *csvWriter) release() {
+	cw.bw.Reset(nil)
+	csvWriters.Put(cw)
 }
 
 // rows writes one row per entry: as many as fit are formatted in place
@@ -154,6 +174,7 @@ func appendDecimal(b []byte, v uint64) []byte {
 // CSV writes es as comma-separated rows with a header.
 func CSV(w io.Writer, es []tracer.Entry) error {
 	cw, err := newCSVWriter(w)
+	defer cw.release()
 	if err != nil {
 		return err
 	}

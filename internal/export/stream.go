@@ -186,6 +186,7 @@ func TextCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (events int,
 // CSVCursor streams c through batch to w as CSV with one header row.
 func CSVCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (events int, missed uint64, err error) {
 	cw, err := newCSVWriter(w)
+	defer cw.release()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -210,6 +210,8 @@ func TestAggregateColumnarSkips(t *testing.T) {
 // over), and the checksum of a frame it does select. The checksum of a
 // pruned frame is deferred with its decode: a read that selects the
 // frame meets it, one that prunes it never hands out the corrupt bytes.
+// The walk that builds a sealed segment's header set is the exception:
+// it checks every frame, because the set stands for all of them.
 func TestCorruptFrameFailsEverySurface(t *testing.T) {
 	first := mkEntry(1) // category 1: `category == 2` never selects it
 	for _, tc := range []struct {
@@ -262,6 +264,41 @@ func TestCorruptFrameFailsEverySurface(t *testing.T) {
 			res, _, err := st.Aggregate(q, []btql.AggSpec{{Kind: btql.AggCount}})
 			if !errors.Is(err, tracer.ErrCorrupt) {
 				t.Errorf("Aggregate: result %+v, err = %v, want ErrCorrupt", res, err)
+			}
+		})
+		// A sealed segment read for lengths only: the walk that would build
+		// its header set checks every frame, pruned ones too, so the flip
+		// fails it whichever frame it is in, and nothing is cached — the
+		// next walk fails again.
+		t.Run(tc.name+", sealed, length-only", func(t *testing.T) {
+			st, err := Open(t.TempDir(), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			appendRange(t, st, 1, 100)
+			if err := st.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			q := Query{Pred: predOf(t, `category == 2`), LengthsOnly: true}
+			if es := drainStore(t, st, Query{Pred: q.Pred}); len(es) != 20 { // keeps payloads: builds no set
+				t.Fatalf("before the flip: %d events, want 20", len(es))
+			}
+			st.mu.Lock()
+			path := filepath.Join(st.loc, st.segs[0].name)
+			st.mu.Unlock()
+			flipByte(t, path, int64(headerSize+tc.off))
+			for walk := 0; walk < 2; walk++ {
+				pc := st.QueryParallel(q, 2)
+				_, err = tracer.Drain(pc, 64)
+				pc.Close()
+				if !errors.Is(err, tracer.ErrCorrupt) {
+					t.Errorf("walk %d: err = %v, want ErrCorrupt", walk, err)
+				}
+				// One build attempted per walk, none admitted.
+				if c := st.bcache.classCounters(); c.misses[classHeaders] != uint64(walk+1) || c.resident[classHeaders] != 0 || c.hits[classHeaders] != 0 {
+					t.Errorf("walk %d: header-set counters %+v", walk, c)
+				}
 			}
 		})
 	}

@@ -363,6 +363,94 @@ func BenchmarkRunMerge(b *testing.B) {
 	}
 }
 
+// hotTailStore builds BenchmarkHotTailExport's fixture, the hot tier a
+// served store is left with by two writers whose 256-event batches drift
+// ~40 k stamps apart: batch k comes from writer k%2, and writer 1 runs
+// 78 of its batches ahead of writer 0, so nearly every 1 MiB segment
+// holds two stamp ranges far apart, is unordered (a run per batch) and
+// overlaps its neighbours; the newest is active. Payloads are 16–79
+// bytes. It returns the newest stamp.
+func hotTailStore(b *testing.B, cacheBytes int64) (*Store, uint64) {
+	b.Helper()
+	const batches, ahead, per = 640, 78, 256
+	st, err := Open(b.TempDir(), Config{SegmentBytes: 1 << 20, ColdCacheBytes: cacheBytes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 80)
+	for i := range payload {
+		payload[i] = byte('a' + i%26)
+	}
+	es := make([]tracer.Entry, per)
+	send := func(k int) {
+		for i := range es {
+			s := uint64(k*per + i + 1)
+			es[i] = tracer.Entry{
+				Stamp: s, TS: 40_000_000_000 + s*1000, Core: uint8(s % 8), TID: 1000 + uint32(k%2*64) + uint32(s%64),
+				Category: uint8(s % 20), Level: uint8(1 + s%3), Payload: payload[:16+(k*7+i*13)%64],
+			}
+		}
+		if err := st.AppendEntries(es); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for j := 0; 2*j < batches; j++ {
+		if k := 2*j + 1; j < ahead && k < batches {
+			send(k) // writer 1 pulls ahead
+		}
+		send(2 * j)
+		if k := 2*(j+ahead) + 1; k < batches {
+			send(k)
+		}
+	}
+	if err := st.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	return st, batches * per
+}
+
+// BenchmarkHotTailExport is query-tiered's scan class in process: a
+// length-only read (what a CSV export asks for) of the newest 65 536
+// stamps over hotTailStore, at 4 scan workers, through a 1024-entry
+// batch. Eight unordered sealed segments and the active one hold them.
+// walk is a store without a block cache: each read walks the segments'
+// frames, checks the rows it selects and sorts every segment's rows.
+// cached reads the sets its warm-up built and no file byte.
+// cmd/benchdiff gates cached at <= 0.5x of walk within-run.
+func BenchmarkHotTailExport(b *testing.B) {
+	for _, cached := range []bool{false, true} {
+		name, cacheBytes := "walk", int64(-1)
+		if cached {
+			name, cacheBytes = "cached", 0
+		}
+		b.Run(name, func(b *testing.B) {
+			st, newest := hotTailStore(b, cacheBytes)
+			defer st.Close()
+			const rows = 1 << 16
+			q := Query{MinStamp: newest - rows + 1, Limit: rows, LengthsOnly: true}
+			batch := make([]tracer.Entry, 1024)
+			read := func() {
+				if n := drainCursor(b, st.QueryParallel(q, 4), batch); n != rows {
+					b.Fatalf("read %d rows, want %d", n, rows)
+				}
+			}
+			read() // a header set per sealed segment, with the cache
+			base := st.bcache.classCounters().hits[classHeaders]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read()
+			}
+			b.StopTimer()
+			hits := st.bcache.classCounters().hits[classHeaders] - base
+			if cached == (hits == 0) {
+				b.Fatalf("%d reads were served %d header sets (cached: %v)", b.N, hits, cached)
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "sets/op")
+		})
+	}
+}
+
 // selectiveBTQL is the benchmark query: a stamp range covering the
 // newest ~10% of the fixture, narrowed to one TID. Its compiled hull
 // prunes most cold blocks on the directory metadata alone, and the

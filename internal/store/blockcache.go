@@ -23,6 +23,12 @@
 //	         — row or cold — left (aggregate.go). Charged the structs and
 //	         16 B a rate bucket or counted topk value: a count() is
 //	         ≈ 230 B a segment. Merged from, never into.
+//	headers  one sealed row segment's frame headers — stamp, time and
+//	         header word 3 (core, TID, category, level, payload length),
+//	         24 B a row — stably sorted by stamp: what a length-only
+//	         cursor reads of the segment (scan.go, the header walker).
+//	         Every frame of the extent passed the magic, checksum and
+//	         length-bound checks before the set was built.
 //
 // What a query caches is therefore what it reads: `category == C |
 // count()` leaves meta sections and time columns behind (the result
@@ -31,29 +37,39 @@
 // neighbours, a wide materialising scan that keeps payload bytes (a
 // text export) leaves everything, one that reads their lengths only
 // (Query.LengthsOnly: a CSV or Chrome export) leaves meta sections and
-// columns, the payload offsets among them, and no chunk — and the
-// second such scan finds every column decoded. Nothing is cached on
+// columns, the payload offsets among them, and no chunk, and the header
+// set of every sealed row segment it reads whole — and the second such
+// scan finds every column decoded and every set built. Nothing is cached on
 // behalf of a query that did not ask for it — which is also what the
 // budget buys: chunks somebody read, not sections somebody was forced
 // to inflate to get at one row, nor payloads an exporter was handed and
 // never printed.
 //
 // A partial stands for all of the above at once: a fold that finds one
-// looks up no section of the segment, and opens no file. It is the one
-// kind that is not of a cold block, and its key shows why none of the
-// kinds needs invalidating. The others are keyed by a cold file's name,
-// and within one life of a store a cold file is written once under a
-// name never given out again. A row segment's name is: a merge keeps
-// its first source's, with the other sources' frames appended behind
-// that source's own — so a partial is keyed by name and sealed extent
-// (bytes of a row segment, blocks of a cold one), which between them
-// say what the rows are. Merges, freezes and retention take a name out
-// of the snapshots that follow, or change its extent; the entries left
-// behind are never asked for and age out of the LRU. Store.Reset is the
-// exception — it restarts the numbering, so the next life repeats this
-// one's names, cold ones too — and empties the cache (reset). Folds
-// under an Ownership (the cluster's pushdown) and stores opened without
-// a cache bypass partials altogether.
+// looks up no section of the segment, and opens no file. A header set
+// is a row segment's frames less their payloads: a cursor that finds
+// one still opens the file, and reads none of it. These two are the
+// kinds that are not of a cold block, and their keys show why none of
+// the kinds needs invalidating. The others are keyed by a cold file's
+// name, and within one life of a store a cold file is written once
+// under a name never given out again. A row segment's name is: a merge
+// keeps its first source's, with the other sources' frames appended
+// behind that source's own — so a partial and a header set are keyed by
+// name and sealed extent (bytes of a row segment, blocks of a cold one),
+// which between them say what the rows are. Merges, freezes and
+// retention take a name out of the snapshots that follow, or change its
+// extent; the entries left behind are never asked for and age out of
+// the LRU. Store.Reset is the exception — it restarts the numbering, so
+// the next life repeats this one's names, cold ones too — and empties
+// the cache (reset). Folds under an Ownership (the cluster's pushdown)
+// and stores opened without a cache bypass partials altogether; stores
+// without a cache keep no header sets.
+//
+// A header set is needed by a length-only cursor pass that would read
+// the sealed extent from its first frame to its end, with no ordered
+// cut: it builds the set instead. A point query that seeks into an
+// ordered segment or stops before its end never builds one, and
+// aggregates never walk for one: their partials serve them.
 //
 // Ownership: every cached value is immutable from the moment it is
 // inserted. Scans alias them (entries handed to callers may point into a
@@ -87,11 +103,12 @@ const (
 	secPayOff
 	secPayload // one payload chunk; also a whole v1 block
 	secPartial // one sealed segment's fold of one aggregate
+	secHeaders // one sealed row segment's frame headers
 )
 
 // cacheClass groups sections for the counters: one inflate each for
 // meta and payload, one decode for a column, one segment fold for a
-// partial.
+// partial, one verified walk of a sealed row segment for a header set.
 type cacheClass uint8
 
 const (
@@ -99,10 +116,11 @@ const (
 	classColumn
 	classPayload
 	classPartial
+	classHeaders
 	numClasses
 )
 
-var classNames = [numClasses]string{"meta", "column", "payload", "partial"}
+var classNames = [numClasses]string{"meta", "column", "payload", "partial", "headers"}
 
 func (s section) class() cacheClass {
 	switch s {
@@ -112,16 +130,19 @@ func (s section) class() cacheClass {
 		return classPayload
 	case secPartial:
 		return classPartial
+	case secHeaders:
+		return classHeaders
 	}
 	return classColumn
 }
 
 // blockKey identifies one cacheable part of one cold block: the file it
 // lives in, the block's offset (unique within the file), the section,
-// and for secPayload the chunk of it (0 elsewhere). A secPartial is a
-// whole sealed segment's: off is the segment's sealed extent (segSnap's
-// bound) and agg the aggregate folded over it, residual filter and
-// specs (AggSnapshot.fold); agg is empty elsewhere.
+// and for secPayload the chunk of it (0 elsewhere). A secPartial or a
+// secHeaders is a whole sealed segment's: off is the segment's sealed
+// extent (segSnap's bound), and for a partial agg is the aggregate
+// folded over it, residual filter and specs (AggSnapshot.fold); agg is
+// empty elsewhere.
 type blockKey struct {
 	name  string
 	off   int64
@@ -140,6 +161,7 @@ type cacheEnt struct {
 	u64  []uint64           // secStamps, secTimes
 	u32  []uint32           // secTIDs, secPayOff
 	aggs []*btql.Aggregator // secPartial: one per spec, merged from, never into
+	hdrs []hdrRow           // secHeaders
 }
 
 // blockCache is the store-wide LRU. A nil *blockCache is a valid
@@ -154,8 +176,8 @@ type blockCache struct {
 }
 
 // cacheCounters are the cache's counters per class: lookups served,
-// lookups that had to produce the value (an inflate, or for a column a
-// decode), and resident bytes.
+// lookups that had to produce the value (an inflate, for a column a
+// decode, for a header set a build), and resident bytes.
 type cacheCounters struct {
 	hits, misses [numClasses]uint64
 	resident     [numClasses]int64
@@ -185,7 +207,7 @@ func (bc *blockCache) get(k blockKey) *cacheEnt {
 // racing on the same miss both produce the value; the first insert wins
 // and the loser's copy is simply not cached.
 func (bc *blockCache) put(ent *cacheEnt) {
-	if bc == nil || ent.size > bc.max {
+	if !bc.fits(ent.size) {
 		return
 	}
 	bc.mu.Lock()
@@ -210,7 +232,7 @@ func (bc *blockCache) remove(el *list.Element) {
 }
 
 // reset drops the entries of the given classes — every entry when none
-// is given — and leaves the hit and miss counters, which are monotonic,
+// is given; it leaves the hit and miss counters, which are monotonic,
 // alone. Store.Reset calls it: the next life's files take the names of
 // this one's.
 func (bc *blockCache) reset(classes ...cacheClass) {
@@ -226,6 +248,30 @@ func (bc *blockCache) reset(classes ...cacheClass) {
 		}
 		el = next
 	}
+}
+
+// fits reports whether an entry of size bytes could be cached at all.
+func (bc *blockCache) fits(size int64) bool { return bc != nil && size <= bc.max }
+
+// headerSet looks up the header set of the sealed row segment k names.
+// A resident set is a hit. Otherwise build reports, for a pass that
+// would walk the segment whole, that the caller builds the set — the
+// miss — and admits it with put.
+func (bc *blockCache) headerSet(k blockKey, whole bool) (rows []hdrRow, build bool) {
+	if bc == nil {
+		return nil, false
+	}
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	if el, ok := bc.m[k]; ok {
+		bc.lru.MoveToFront(el)
+		bc.hits[classHeaders]++
+		return el.Value.(*cacheEnt).hdrs, false
+	}
+	if whole {
+		bc.misses[classHeaders]++
+	}
+	return nil, whole
 }
 
 func (bc *blockCache) classCounters() cacheCounters {

@@ -34,7 +34,12 @@ import (
 //
 // A cursor may be asked for payload lengths alone (Query.LengthsOnly):
 // the same contract, the payloads held to the oracle's lengths and to
-// carrying no byte of the store's.
+// carrying no byte of the store's. Such a read is asked again until a
+// sealed row segment's header set serves it — the first pass builds
+// the segments' sets, the second reads them — so
+// every answer a header set gives is held to the oracle too, across
+// seals, merges (a name reused, its extent grown), freezes, retention
+// and Reset (a second life that repeats the first's names).
 //
 // A sequence is a byte string (a program): every choice the interpreter
 // makes is drawn from it, so the seeded test and FuzzStoreModel run the
@@ -51,12 +56,19 @@ func (p *modelProg) more() bool { return p.pos < len(p.b) }
 
 // intn draws a choice in [0, n). An exhausted program answers 0.
 func (p *modelProg) intn(n int) int {
+	v, _ := p.intnRest(n)
+	return v
+}
+
+// intnRest is intn that also returns what the choice left of its byte:
+// the quotient, for a rare choice that draws no byte of its own.
+func (p *modelProg) intnRest(n int) (v, rest int) {
 	if !p.more() {
-		return 0
+		return 0, 0
 	}
-	v := int(p.b[p.pos])
+	b := int(p.b[p.pos])
 	p.pos++
-	return v % n
+	return b % n, b / n
 }
 
 // rng draws the seed of a generator for choices too many to spell out
@@ -115,6 +127,8 @@ type storeModel struct {
 	// asked is the last aggregates the program drew, re-asked after every
 	// operation that moves segments about.
 	asked []askedAgg
+	// headerReads counts the reads header sets served.
+	headerReads uint64
 }
 
 type askedAgg struct {
@@ -279,13 +293,24 @@ func limited(idx []int, limit int) []int {
 }
 
 // readPar and readAgg each hold one surface, at rest, to the oracle's
-// answer for q.
+// answer for q. A length-only read is asked twice unless a header set
+// served the first ask: the first builds the sets, the second reads them.
 func (m *storeModel) readPar(q Query, name string, workers int) {
 	what := fmt.Sprintf("QueryParallel(%d)%s", workers, name)
-	cur := m.st.QueryParallel(q, workers)
-	got, missed := m.drain(what, cur, 1+m.p.intn(90), q.LengthsOnly)
-	cur.Close()
-	m.checkExact(what, got, missed, limited(m.byStamp(m.matches(&q, m.gone, len(m.all))), q.Limit), q.LengthsOnly)
+	batch := 1 + m.p.intn(90)
+	want := limited(m.byStamp(m.matches(&q, m.gone, len(m.all))), q.Limit)
+	for ask := 0; ask < 2; ask++ {
+		hits := m.st.bcache.classCounters().hits[classHeaders]
+		cur := m.st.QueryParallel(q, workers)
+		got, missed := m.drain(what, cur, batch, q.LengthsOnly)
+		cur.Close()
+		m.checkExact(what, got, missed, want, q.LengthsOnly)
+		if served := m.st.bcache.classCounters().hits[classHeaders] - hits; !q.LengthsOnly || served > 0 {
+			m.headerReads += served
+			return
+		}
+		what = fmt.Sprintf("QueryParallel(%d)%s, asked again", workers, name)
+	}
 }
 
 func (m *storeModel) readAgg(q Query, name string) {
@@ -398,7 +423,7 @@ func (m *storeModel) appendBatch(w int) {
 // step runs one operation of the program.
 func (m *storeModel) step(writers int) {
 	p := m.p
-	switch op := p.intn(32); {
+	switch op, rest := p.intnRest(32); {
 	case op < 10: // a writer reserves a batch of stamps, or appends the one it holds
 		w := p.intn(writers)
 		if m.pending[w] == nil {
@@ -534,6 +559,17 @@ func (m *storeModel) step(writers int) {
 		}
 		m.logf("open %s %s", f.name, desc)
 		m.followers = append(m.followers, f)
+	case rest == 7: // one op in 256, drawn from the sync byte's high bits
+		// The store starts a second life: the next segments take the
+		// first life's names. The held cursors are settled first — a
+		// snapshot of the first life's names is not readable in the second.
+		m.logf("reset")
+		m.closeFollowers()
+		if err := m.st.Reset(); err != nil {
+			m.failf("Reset: %v", err)
+		}
+		m.settle()
+		m.reask("reset")
 	default:
 		m.logf("sync")
 		if err := m.st.Sync(); err != nil {
@@ -545,8 +581,8 @@ func (m *storeModel) step(writers int) {
 // runStoreModel interprets prog. The first bytes pick the store's shape:
 // segment and block sizes (blocks of one payload chunk and of several),
 // the block cache (default, starved, off) and how many writers
-// interleave.
-func runStoreModel(t testing.TB, prog []byte) {
+// interleave. It returns the reads header sets served.
+func runStoreModel(t testing.TB, prog []byte) uint64 {
 	m := &storeModel{t: t, p: &modelProg{b: prog}, pos: map[uint64]int{}}
 	p := m.p
 	m.cfg = Config{
@@ -575,7 +611,7 @@ func runStoreModel(t testing.TB, prog []byte) {
 	m.closeFollowers()
 	m.logf("final reads")
 	if testing.Verbose() {
-		t.Logf("%d ops, %d events (%d retired), tiers %+v", len(m.ops), len(m.all), m.gone, m.st.TierStats())
+		t.Logf("%d ops, %d events (%d retired), tiers %+v, %d reads from header sets", len(m.ops), len(m.all), m.gone, m.st.TierStats(), m.headerReads)
 	}
 	m.readPar(Query{}, " (final)", 1)
 	m.readPar(Query{}, " (final)", 4)
@@ -587,6 +623,7 @@ func runStoreModel(t testing.TB, prog []byte) {
 		m.readPar(Query{Pred: pred, LengthsOnly: true}, " (final, payload, lengths)", 1)
 		m.readAgg(Query{Pred: pred}, " (final, payload)")
 	}
+	return m.headerReads
 }
 
 // modelProgram is seed's program: uniform bytes, which step's weights
@@ -597,14 +634,19 @@ func modelProgram(seed int64) []byte {
 	return prog
 }
 
-// TestStoreModel runs 32 seeded programs (4 under -short).
+// TestStoreModel runs 32 seeded programs (4 under -short), among which
+// header sets must have served some reads.
 func TestStoreModel(t *testing.T) {
 	seeds := 32
 	if testing.Short() {
 		seeds = 4
 	}
+	var served uint64
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { runStoreModel(t, modelProgram(seed)) })
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { served += runStoreModel(t, modelProgram(seed)) })
+	}
+	if served == 0 && !t.Failed() {
+		t.Fatal("no read was served from a header set")
 	}
 }
 

@@ -26,6 +26,10 @@
 //     of ordered and unordered segments alike, is at most scanSpanBytes
 //     and is read through the scan permit's own buffer, so the pass
 //     holds `workers` span buffers however many chunks are in flight.
+//     Under a predicate that reads no payload byte it reads a sealed
+//     row segment from the block cache's header set once there is one
+//     (scan.go): no file bytes, and rows already in stamp order, so an
+//     unordered segment is neither held whole nor sorted.
 //
 // The snapshot is taken by the first Next. Events appended after it
 // belong to a later cursor; once the pass has delivered its last entry
@@ -233,6 +237,7 @@ func (p *chunkPool) put(ck *pchunk) {
 // (or after wg.Wait), which orders them.
 type pstream struct {
 	snap segSnap
+	ord  int // place in the cursor's streams: the merge's order at equal stamps
 	ch   chan *pchunk
 	// gate holds the scan back, file open, until the merge is within
 	// `workers` segments of needing it.
@@ -332,7 +337,7 @@ func (c *PCursor) start() {
 	c.done = make(chan struct{})
 	c.streams = make([]*pstream, 0, len(snaps))
 	for i := range snaps {
-		ps := &pstream{snap: snaps[i], ch: make(chan *pchunk, 1), gate: make(chan struct{})}
+		ps := &pstream{snap: snaps[i], ord: i, ch: make(chan *pchunk, 1), gate: make(chan struct{})}
 		c.streams = append(c.streams, ps)
 		c.wg.Add(1)
 		go c.runStream(ps)
@@ -354,7 +359,7 @@ func (c *PCursor) admit() {
 	c.h = append(c.h, ps)
 	for i := len(c.h) - 1; i > 0; {
 		up := (i - 1) / 2
-		if c.headStamp(up) <= c.headStamp(i) {
+		if !c.less(i, up) {
 			break
 		}
 		c.h[up], c.h[i] = c.h[i], c.h[up]
@@ -384,6 +389,9 @@ func (c *PCursor) runStream(ps *pstream) {
 	case <-ps.gate:
 	case <-c.done:
 		return
+	}
+	if c.q.lengths && !c.q.pred.NeedsPayload() {
+		s.headers()
 	}
 	// thin gathers the rows of sparse steps, their payloads copied out of
 	// the spans they were found in.
@@ -431,12 +439,14 @@ func (c *PCursor) runStream(ps *pstream) {
 			if rows := int(uint64(bytes) * sn.count / uint64(sn.bound-headerSize)); cap(ck.entries) < rows {
 				ck.entries = slices.Grow(ck.entries, rows+rows/8)
 			}
+		} else if s.hdrs != nil || s.build {
+			ck.entries = slices.Grow(ck.entries, hdrStepRows)
 		}
 		more, err = s.step(sink)
-		if !sn.ordered {
+		if !sn.ordered && s.hdrs == nil {
 			// The whole range (bounded by SegmentBytes) becomes one chunk
 			// sorted by stamp, so the merge can treat every stream as
-			// stamp-ordered.
+			// stamp-ordered. A header set is in stamp order already.
 			for more && err == nil {
 				more, err = s.step(sink)
 			}
@@ -512,8 +522,10 @@ var runMergers = sync.Pool{New: func() any { return new(runMerger) }}
 type stampRun struct{ lo, hi int }
 
 // sort returns es ordered by stamp — es itself when it already is, else
-// the merger's spare buffer, es taking its place. Entries of equal
-// stamp come out in no particular order.
+// the merger's spare buffer, es taking its place. The order is stable:
+// entries of equal stamp keep their order in es, as they do in a header
+// set (scan.go), so a segment's rows come out the same whichever walker
+// read them.
 func (rm *runMerger) sort(es []tracer.Entry) []tracer.Entry {
 	// One pass finds the maximal ascending runs.
 	runs, lo := rm.runs[:0], 0
@@ -527,25 +539,39 @@ func (rm *runMerger) sort(es []tracer.Entry) []tracer.Entry {
 	}
 	runs = append(runs, stampRun{lo, len(es)})
 	rm.runs = runs // keeps what the table grew to
-	// A min-heap of runs by head stamp. The smallest run gives up the
-	// stretch that stays at or below the next-smallest head — found by
-	// galloping, as stretches are long when runs are few — in one copy.
+	// A min-heap of runs by head stamp, and at equal heads by position in
+	// es (runs are disjoint, so lo orders them). The smallest run gives up
+	// the stretch that stays below the next-smallest head, or at it when
+	// that run comes later in es — found by galloping, as stretches are
+	// long when runs are few — in one copy.
 	head := func(i int) uint64 { return es[runs[i].lo].Stamp }
+	before := func(i, j int) bool {
+		return head(i) < head(j) || head(i) == head(j) && runs[i].lo < runs[j].lo
+	}
 	down := func(i int) {
 		for {
 			m := 2*i + 1
 			if m >= len(runs) {
 				return
 			}
-			if r := m + 1; r < len(runs) && head(r) < head(m) {
+			if r := m + 1; r < len(runs) && before(r, m) {
 				m = r
 			}
-			if head(i) <= head(m) {
+			if !before(m, i) {
 				return
 			}
 			runs[i], runs[m] = runs[m], runs[i]
 			i = m
 		}
+	}
+	// last is the highest stamp run 0 may give up before run i's head:
+	// that head, or one less when run i comes first in es (then the heap
+	// order puts its head above run 0's).
+	last := func(i int) uint64 {
+		if runs[i].lo < runs[0].lo {
+			return head(i) - 1
+		}
+		return head(i)
 	}
 	for i := len(runs)/2 - 1; i >= 0; i-- {
 		down(i)
@@ -558,9 +584,9 @@ func (rm *runMerger) sort(es []tracer.Entry) []tracer.Entry {
 		out = make([]tracer.Entry, 0, len(es)+len(es)/8)
 	}
 	for len(runs) > 1 {
-		next := head(1)
+		next := last(1)
 		if len(runs) > 2 {
-			next = min(next, head(2))
+			next = min(next, last(2))
 		}
 		r := &runs[0]
 		run := es[r.lo:r.hi]
@@ -627,7 +653,10 @@ func (c *PCursor) advanceStream(ps *pstream) bool {
 // smallest head gives up, in one copy, the stretch that stays at or
 // below every other stamp still to come — the other heads and the
 // baseStamp of the next stream not yet admitted. Entries of equal stamp
-// come out in no particular order.
+// come out stream by stream in snapshot order (pstream.ord), each
+// stream's in its own order, so the answer does not depend on where
+// chunks or batches happen to end: a stream that comes before the top
+// one in that order stops the top's stretch below its head.
 func (c *PCursor) merge(batch []tracer.Entry) (int, error) {
 	n := 0
 	for n < len(batch) {
@@ -645,10 +674,14 @@ func (c *PCursor) merge(batch []tracer.Entry) (int, error) {
 		if c.next < len(c.streams) {
 			bound = c.streams[c.next].snap.baseStamp
 		}
-		for i := 1; i < min(len(c.h), 3); i++ {
-			bound = min(bound, c.headStamp(i))
-		}
 		ps := c.h[0]
+		for i := 1; i < min(len(c.h), 3); i++ {
+			s := c.headStamp(i)
+			if c.h[i].ord < ps.ord {
+				s-- // the heap order puts s above the top's head
+			}
+			bound = min(bound, s)
+		}
 		es := ps.cur.entries[ps.idx:]
 		es = es[:min(len(es), len(batch)-n)]
 		if c.q.limit > 0 {
@@ -730,10 +763,10 @@ func (c *PCursor) down(i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < len(c.h) && c.headStamp(r) < c.headStamp(l) {
+		if r := l + 1; r < len(c.h) && c.less(r, l) {
 			m = r
 		}
-		if c.headStamp(i) <= c.headStamp(m) {
+		if !c.less(m, i) {
 			return
 		}
 		c.h[i], c.h[m] = c.h[m], c.h[i]
@@ -744,6 +777,12 @@ func (c *PCursor) down(i int) {
 func (c *PCursor) headStamp(i int) uint64 {
 	ps := c.h[i]
 	return ps.cur.entries[ps.idx].Stamp
+}
+
+// less is the heap order: by head stamp, then by snapshot order.
+func (c *PCursor) less(i, j int) bool {
+	a, b := c.headStamp(i), c.headStamp(j)
+	return a < b || a == b && c.h[i].ord < c.h[j].ord
 }
 
 // Close implements tracer.Cursor.

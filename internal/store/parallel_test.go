@@ -515,10 +515,11 @@ func runShapes(n int, rng *rand.Rand) map[string][]tracer.Entry {
 	}
 }
 
-// TestRunMergeMatchesSort holds the run merge to slices.SortFunc over
-// every shape at sizes around the edges: the same stamps in ascending
-// order, every input entry exactly once (equal stamps in any order),
-// the already-sorted input returned as it came, and the merger reusable
+// TestRunMergeMatchesSort holds the run merge to slices.SortStableFunc
+// over every shape at sizes around the edges: the same entries in the
+// same order, equal stamps in input order — which is what lets a header
+// set, sorted once, stand in for the rows a walk sorts — the
+// already-sorted input returned as it came, and the merger reusable
 // from call to call.
 func TestRunMergeMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -534,8 +535,9 @@ func TestRunMergeMatchesSort(t *testing.T) {
 			}
 			seen := make([]bool, n)
 			for i := range got {
-				if got[i].Stamp != want[i].Stamp {
-					t.Fatalf("%s/%d: entry %d has stamp %d, sorted input has %d", name, n, i, got[i].Stamp, want[i].Stamp)
+				if got[i].Stamp != want[i].Stamp || got[i].TS != want[i].TS {
+					t.Fatalf("%s/%d: entry %d is input position %d (stamp %d), a stable sort has %d (stamp %d)",
+						name, n, i, got[i].TS, got[i].Stamp, want[i].TS, want[i].Stamp)
 				}
 				if pos := got[i].TS; seen[pos] || es[pos].Stamp != got[i].Stamp {
 					t.Fatalf("%s/%d: entry %d (input position %d) duplicated or altered", name, n, i, pos)

@@ -248,9 +248,11 @@ func TestLengthOnlyInflatesNothing(t *testing.T) {
 // span is read through a scan permit's buffer, so the pass makes at
 // most `workers` of them, none longer than a span, and no chunk it
 // sends to the merge owns one — where a pass that keeps payloads holds
-// every unordered segment in its merge whole.
+// every unordered segment in its merge whole. The store has no block
+// cache: with one, the first length-only pass would build the sealed
+// segments' header sets and the next read them, through no span at all.
 func TestLengthOnlyHoldsWorkerSpans(t *testing.T) {
-	st, err := Open(t.TempDir(), Config{SegmentBytes: 1 << 20})
+	st, err := Open(t.TempDir(), Config{SegmentBytes: 1 << 20, ColdCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

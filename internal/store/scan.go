@@ -1,16 +1,17 @@
 // The one scan. This file is the only place on the read path that knows
 // how a segment's bytes become rows: the block rung over a cold
-// segment's directory, the column walker over a columnar block, and the frame
-// walker over CRC-framed records (a span of a row segment, or an
-// inflated v1 block). The cursor PCursor and Store.Aggregate are its two
+// segment's directory, the column walker over a columnar block, the
+// frame walker over CRC-framed records (a span of a row segment, or an
+// inflated v1 block), and the header walker over a sealed row segment's
+// header set. The cursor PCursor and Store.Aggregate are its two
 // drivers: each takes segment snapshots (the file rung, matchSegment,
 // runs there), opens a segScan per snapshot, and steps it into a
 // rowSink — a chunk of entries for the cursor, the aggregators for
 // Aggregate. What differs between them is sequencing (stamp merge vs
 // fold), never the ladder.
 //
-// The two walkers differ in when a row comes into being. The frame
-// walker meets whole rows, so it tests them one at a time
+// The frame and column walkers differ in when a row comes into being.
+// The frame walker meets whole rows, so it tests them one at a time
 // (Predicate.MatchHeader on the raw header words). The column walker
 // materialises late: it first reduces the block to a selection — the
 // predicate evaluated one column at a time (Predicate.Select), each
@@ -35,12 +36,28 @@
 // of each delivered row, the header's payload-length bound, each meta
 // section's checksum. Payload bytes are read then only for the
 // predicate's sake, and only where the header fields left it unsure.
+//
+// A cursor that reads lengths only, under a predicate that reads no
+// payload byte, needs nothing of a sealed row segment but its frame
+// headers, and a sealed segment never changes. So when such a cursor
+// would walk one whole, it builds the segment's header set instead and
+// the block cache keeps it (blockcache.go, the headers kind): every frame
+// checked — tail magic, checksum, record kind and payload-length bound,
+// selected or not — and the headers sorted by stamp, stably. From then
+// on the header walker reads the set instead of the file: a binary
+// search to the query's lowest stamp, MatchHeader per row, a stop past
+// its highest, in steps of hdrStepRows rows, already in stamp order.
+// There a delivered row's checksum is the one the build checked: the
+// contract of the cold tier, whose cache holds values verified once.
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"btrace/internal/btql"
 	"btrace/internal/store/backend"
@@ -51,6 +68,20 @@ import (
 // one frame walk. Must exceed maxRecordSize+tailSize so a frame always
 // fits a span.
 const scanSpanBytes = 256 << 10
+
+// hdrStepRows bounds the header-set rows one step of the header walker
+// examines: a span's worth of small records.
+const hdrStepRows = 4096
+
+// hdrRow is one frame's header as a header set keeps it: the stamp, the
+// time and header word 3 — core, TID, category, level and payload
+// length, packed as the record carries them.
+type hdrRow struct{ stamp, ts, w3 uint64 }
+
+// splitW3 unpacks header word 3.
+func splitW3(w3 uint64) (core uint8, tid uint32, cat, level uint8) {
+	return uint8(w3 >> 56), uint32(w3>>32) & 0xFFFFFF, uint8(w3 >> 24), uint8(w3 >> 16)
+}
 
 // rowSink consumes the rows a scan selects. It is called only for rows
 // that passed the compiled query: the header match and, when the
@@ -164,6 +195,13 @@ type segScan struct {
 	idx        []int32
 	pay        [][]byte // cols.pay's backing
 	need, miss []int32  // payload chunks wanted, and of those not cached
+	// The header walker's state (headers): hdrs is the segment's header
+	// set once this pass has it, hpos the next row. hk keys the set;
+	// build says the next step builds it.
+	hk    blockKey
+	hdrs  []hdrRow
+	hpos  int
+	build bool
 }
 
 // openScan opens sn's file for one pass of q. A segment that retention
@@ -180,14 +218,59 @@ func (st *Store) openScan(q *compiled, sn *segSnap) (s *segScan, missed uint64, 
 	return &segScan{st: st, q: q, sn: sn, f: f, off: sn.start}, 0, nil
 }
 
-// step scans the segment's next unit — one span of a row segment, or
-// the next cold block the query cannot rule out — into dst. more
-// reports whether another step can make progress against sn.bound. A
-// failed step consumes nothing: s.off stays put, though dst may hold
-// rows that preceded the failure.
+// headers readies the header walker, for a cursor pass that reads
+// payload lengths only under a predicate that reads no payload byte. It
+// applies to a sealed row segment: a resident header set is walked
+// instead of the file; otherwise a pass that would walk the segment
+// whole — from its first frame to its sealed end, with no ordered cut —
+// builds the set (blockcache.go, admission). A set the cache's budget
+// could not hold is never built.
+func (s *segScan) headers() {
+	sn := s.sn
+	if !sn.sealed || sn.cold {
+		return
+	}
+	whole := sn.start == headerSize && (!sn.ordered || s.q.maxStamp >= sn.maxStamp) &&
+		s.st.bcache.fits(hdrSetSize(int(sn.count)))
+	s.hk = blockKey{name: sn.name, off: sn.bound, sec: secHeaders}
+	rows, build := s.st.bcache.headerSet(s.hk, whole)
+	if rows != nil {
+		s.seekHeaders(rows)
+	}
+	s.build = build
+}
+
+// hdrSetSize is a header set's budget charge: its rows and its entry.
+func hdrSetSize(rows int) int64 {
+	return int64(unsafe.Sizeof(cacheEnt{})) + int64(unsafe.Sizeof(hdrRow{}))*int64(rows)
+}
+
+// seekHeaders starts the header walker over rows at the query's lowest
+// stamp.
+func (s *segScan) seekHeaders(rows []hdrRow) {
+	s.hdrs = rows
+	s.hpos = sort.Search(len(rows), func(i int) bool { return rows[i].stamp >= s.q.minStamp })
+}
+
+// step scans the segment's next unit — one span of a row segment, the
+// next rows of its header set, or the next cold block the query cannot
+// rule out — into dst. more reports whether another step can make
+// progress against sn.bound. A failed step consumes nothing: s.off
+// stays put, though dst may hold rows that preceded the failure.
 func (s *segScan) step(dst rowSink) (more bool, err error) {
 	if s.sn.cold {
 		return s.stepBlock(dst)
+	}
+	if s.build {
+		rows, err := s.buildHeaders(dst)
+		if err != nil {
+			return false, err
+		}
+		s.build = false
+		s.seekHeaders(rows)
+	}
+	if s.hdrs != nil {
+		return s.stepHeaders(dst), nil
 	}
 	want := s.spanBytes(dst.payloads())
 	if want <= 0 {
@@ -208,11 +291,82 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 	return used > 0 && !s.cut && s.off < s.sn.bound, nil
 }
 
+// buildHeaders is the header walker's first step over a segment it
+// would walk whole and has no set of. It reads the sealed extent span by span and checks
+// every frame the way the frame walker checks a row it delivers — tail
+// magic, checksum, record kind, payload-length bound — whether or not
+// the query wants the row, and returns the headers stably sorted by
+// stamp. A walk that verified every frame up to the sealed end admits
+// them to the block cache; one that fails caches nothing.
+func (s *segScan) buildHeaders(dst rowSink) ([]hdrRow, error) {
+	sn := s.sn
+	rows := make([]hdrRow, 0, sn.count)
+	off := int64(headerSize)
+	for off < sn.bound {
+		buf := dst.span(int(min(sn.bound-off, scanSpanBytes)))
+		n, rerr := s.f.ReadAt(buf, off)
+		if rerr != nil && rerr != io.EOF {
+			return nil, rerr
+		}
+		pos := 0
+		for pos+tracer.Align <= n {
+			_, recSize, err := tracer.PeekRecord(buf[pos:n])
+			if err != nil {
+				return nil, err
+			}
+			frame := recSize + tailSize
+			if recSize > maxRecordSize || pos+frame > n {
+				break // the next span rereads it
+			}
+			rec := buf[pos : pos+recSize]
+			if err := checkFrame(rec, buf[pos+recSize:pos+frame]); err != nil {
+				return nil, err
+			}
+			if _, err := payloadLen(rec); err != nil {
+				return nil, err
+			}
+			rows = append(rows, hdrRow{stamp: le64(rec[8:]), ts: le64(rec[16:]), w3: le64(rec[24:])})
+			pos += frame
+		}
+		if pos == 0 {
+			break // the end of the segment as far as this pass can see
+		}
+		off += int64(pos)
+	}
+	slices.SortStableFunc(rows, func(a, b hdrRow) int { return cmp.Compare(a.stamp, b.stamp) })
+	if off == sn.bound {
+		s.st.bcache.put(&cacheEnt{key: s.hk, hdrs: rows, size: hdrSetSize(len(rows))})
+	}
+	return rows, nil
+}
+
+// stepHeaders is the header walker: the next hdrStepRows rows of the
+// header set, tested by MatchHeader and handed over with a payload of
+// the row's length, up to the first stamp past the query's highest.
+func (s *segScan) stepHeaders(dst rowSink) (more bool) {
+	q := s.q
+	end := min(len(s.hdrs), s.hpos+hdrStepRows)
+	for _, r := range s.hdrs[s.hpos:end] {
+		if r.stamp > q.maxStamp {
+			s.cut = true
+			s.hpos = len(s.hdrs)
+			return false
+		}
+		core, tid, cat, level := splitW3(r.w3)
+		if q.pred.MatchHeader(r.stamp, r.ts, core, tid, cat, level) {
+			dst.row(r.stamp, r.ts, core, tid, cat, level, tracer.LengthOnly(int(uint16(r.w3))))
+		}
+	}
+	s.hpos = end
+	return end < len(s.hdrs)
+}
+
 // spanBytes is the size of the span the next step of a row segment
 // reads into a sink that keeps payload bytes, or does not; a cold
-// segment's rows alias block-cache memory, not a span.
+// segment's rows alias block-cache memory, and a header set's alias
+// nothing, not a span.
 func (s *segScan) spanBytes(keep bool) int64 {
-	if s.sn.cold {
+	if s.sn.cold || s.hdrs != nil || s.build {
 		return 0
 	}
 	want := s.sn.bound - s.off
@@ -320,9 +474,8 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 			s.cut = true
 			break
 		}
-		ts, w3 := le64(rec[16:]), le64(rec[24:])
-		core, tid := uint8(w3>>56), uint32(w3>>32)&0xFFFFFF
-		cat, level := uint8(w3>>24), uint8(w3>>16)
+		ts := le64(rec[16:])
+		core, tid, cat, level := splitW3(le64(rec[24:]))
 		if !q.pred.MatchHeader(stamp, ts, core, tid, cat, level) {
 			continue
 		}

@@ -87,9 +87,11 @@ type Config struct {
 	// size and keeping frozen data spread over enough files for parallel
 	// queries (default 4 × SegmentBytes).
 	ColdFileBytes int64
-	// ColdCacheBytes bounds the shared decompressed-block cache that
-	// spares repeated cold queries from re-inflating the same blocks
-	// (default 32 MiB; negative disables caching).
+	// ColdCacheBytes bounds the shared block cache that spares repeated
+	// cold queries from re-inflating the same blocks, repeated aggregates
+	// from refolding sealed segments and repeated length-only reads from
+	// rewalking sealed row segments (default 32 MiB; negative disables
+	// caching).
 	ColdCacheBytes int64
 }
 
