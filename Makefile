@@ -28,7 +28,7 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrent packages (the tracer core, simulator, fault
-# injector and collector pipeline all exercise real concurrency).
+# injector, admission and stores all exercise real concurrency).
 race:
 	$(GO) test -race ./internal/...
 
@@ -50,8 +50,9 @@ tier1-contended:
 	$(GO) test -count 5 ./...
 
 # The chaos suite: every DESIGN.md invariant under injected preemption
-# storms, stalled writers, hotplug-during-resize, and poll/sink failures.
-# Honors -short (make chaos SHORT=-short) for a quick pass.
+# storms, stalled writers and hotplug-during-resize; the overload storm,
+# shard kill and vulture scenarios over flaky stores; and the injector's
+# one-seed-one-plan determinism. Honors -short (make chaos SHORT=-short).
 SHORT ?=
 chaos:
 	$(GO) test $(SHORT) -v -run 'TestChaos' ./internal/faults/

@@ -67,8 +67,8 @@ func scrape(t *testing.T, srv *server) map[string]float64 {
 // the two costs beside the write path: what a /live stream wrote in how
 // many socket writes, and how long the freezer took over the bytes it
 // froze — and, from a cluster beside the server, which path answers its
-// aggregates. (A Supervisor's btrace_collect_* series are
-// internal/collect's to test: nothing in this server runs one.)
+// aggregates. (The one btrace_collect_* series a server emits, the
+// admission verifier's quarantine count, is TestMetricsIngestSeries'.)
 func TestMetricsEndToEnd(t *testing.T) {
 	hub := live.NewHub(live.Config{})
 	srv, _ := newIngestServer(t, ingestConfig{SampleRate: 1, Hub: hub})

@@ -151,13 +151,6 @@ type Dump struct {
 	Reason string
 	// Events is the retained window at the time of the dump.
 	Events []tracer.Entry
-	// Quarantined holds entries the readout Verifier rejected instead of
-	// letting them corrupt the window (empty unless a Supervisor with
-	// verification produced the dump).
-	Quarantined []tracer.Entry
-	// Violations describes, one per quarantined entry, which invariant
-	// each rejected entry broke.
-	Violations []string
 }
 
 // Collector follows a trace source and dumps on triggers.
@@ -208,61 +201,54 @@ func New(cfg Config) (*Collector, error) {
 const stepBatch = 512
 
 // Step follows the source up to where it is now — batch after batch
-// until a read comes back short — feeding the triggers, and returns the
-// Dump of the first batch on which any fired (nil otherwise; what is
-// left unread is the next Step's). A healthy source is assumed: a read
-// error ends the step like an empty read.
+// until a read comes back short — feeding the window and the triggers,
+// and returns the Dump of the first batch on which any fired (nil
+// otherwise; what is left unread is the next Step's). All triggers that
+// fire on the same batch contribute to the dump reason — a watchdog and
+// a rate spike firing together are both reported. A healthy source is
+// assumed: a read error ends the step like an empty read.
+//
+// A batch is borrowed (the tracer.Cursor ownership contract: entries and
+// payloads are only valid until the next Next call). Triggers observe it
+// in place; what enters the rolling window is deep-copied.
 func (c *Collector) Step() *Dump {
 	if c.batch == nil {
 		c.batch = make([]tracer.Entry, stepBatch)
 	}
 	for {
 		n, missed, _ := c.src.Next(c.batch)
-		if d := c.Ingest(c.batch[:n], missed); d != nil || n < len(c.batch) {
-			return d
+		es := c.batch[:n]
+		c.polls++
+		c.missed += missed
+
+		c.window = tracer.CloneEntries(c.window, es)
+		if over := len(c.window) - c.maxWindow; over > 0 {
+			c.window = append(c.window[:0], c.window[over:]...)
+		}
+
+		var reasons []string
+		if c.loss != nil && missed > 0 {
+			if r := c.loss.ObserveMissed(missed); r != "" {
+				reasons = append(reasons, c.loss.Name()+": "+r)
+			}
+		}
+		for _, t := range c.triggers {
+			if r := t.Observe(es); r != "" {
+				reasons = append(reasons, t.Name()+": "+r)
+			}
+		}
+		if len(reasons) > 0 {
+			dump := &Dump{Reason: strings.Join(reasons, "; "), Events: append([]tracer.Entry(nil), c.window...)}
+			c.window = c.window[:0] // a dumped window is consumed
+			return dump
+		}
+		if n < len(c.batch) {
+			return nil
 		}
 	}
 }
 
-// Ingest feeds one read's worth of events (and its missed count) through
-// the window and triggers, returning a Dump if any trigger fired. It is
-// the read-free half of Step, used by Supervisor, which reads a fallible
-// source with its own retry policy. All triggers that fire on the same
-// batch contribute to the dump reason — a watchdog and a rate spike
-// firing together are both reported.
-//
-// es is borrowed (the tracer.Cursor ownership contract: entries and
-// payloads are only valid until the next Next call). Triggers observe
-// the batch in place; what enters the rolling window is deep-copied.
-func (c *Collector) Ingest(es []tracer.Entry, missed uint64) *Dump {
-	c.polls++
-	c.missed += missed
-
-	c.window = tracer.CloneEntries(c.window, es)
-	if over := len(c.window) - c.maxWindow; over > 0 {
-		c.window = append(c.window[:0], c.window[over:]...)
-	}
-
-	var reasons []string
-	if c.loss != nil && missed > 0 {
-		if r := c.loss.ObserveMissed(missed); r != "" {
-			reasons = append(reasons, c.loss.Name()+": "+r)
-		}
-	}
-	for _, t := range c.triggers {
-		if r := t.Observe(es); r != "" {
-			reasons = append(reasons, t.Name()+": "+r)
-		}
-	}
-	if len(reasons) == 0 {
-		return nil
-	}
-	dump := &Dump{Reason: strings.Join(reasons, "; "), Events: append([]tracer.Entry(nil), c.window...)}
-	c.window = c.window[:0] // a dumped window is consumed
-	return dump
-}
-
-// Stats returns (reads ingested, events missed across all of them).
+// Stats returns (source reads, events missed across all of them).
 func (c *Collector) Stats() (polls, missed uint64) { return c.polls, c.missed }
 
 // WriteTo serializes a dump's events as consecutive wire records (the

@@ -10,18 +10,30 @@ import (
 )
 
 // fakeCursor replays scripted reads, one per Next (each must fit the
-// batch it is handed).
+// batch it is handed), giving every entry a one-byte payload (its stamp)
+// out of an arena it scribbles over on the following call — the cursor
+// ownership contract at its most hostile: whoever kept a borrowed
+// payload reads 0xEE.
 type fakeCursor struct {
 	polls  [][]tracer.Entry
 	missed []uint64
 	i      int
+	arena  []byte
 }
 
 func (f *fakeCursor) Next(batch []tracer.Entry) (int, uint64, error) {
+	for i := range f.arena {
+		f.arena[i] = 0xEE
+	}
 	if f.i >= len(f.polls) {
 		return 0, 0, nil
 	}
 	n, m := copy(batch, f.polls[f.i]), uint64(0)
+	f.arena = make([]byte, n)
+	for i := range batch[:n] {
+		f.arena[i] = byte(batch[i].Stamp)
+		batch[i].Payload = f.arena[i : i+1 : i+1]
+	}
 	if f.i < len(f.missed) {
 		m = f.missed[f.i]
 	}
@@ -139,9 +151,15 @@ func TestCollectorStepAndDump(t *testing.T) {
 	if !strings.Contains(d.Reason, "watchdog(cat=7)") {
 		t.Fatalf("reason: %s", d.Reason)
 	}
-	// The dump contains the full rolling context (all 4 events).
+	// The dump contains the full rolling context (all 4 events), deep
+	// copies that outlive the reads they arrived in.
 	if len(d.Events) != 4 {
 		t.Fatalf("dump has %d events, want 4", len(d.Events))
+	}
+	for _, e := range d.Events {
+		if len(e.Payload) != 1 || e.Payload[0] != byte(e.Stamp) {
+			t.Fatalf("stamp %d: payload %x (the window kept a borrowed slice)", e.Stamp, e.Payload)
+		}
 	}
 	// The window resets after a dump.
 	if d2 := c.Step(); d2 != nil {

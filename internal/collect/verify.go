@@ -1,9 +1,10 @@
 // Readout verification: DESIGN.md's quiescence invariants, promoted to
-// runtime checks over the live polled stream. The tracer core panics on
-// protocol violations it can prove are its own accounting bugs; the
-// collector, by contrast, consumes readouts that may be torn by faulty
-// transports, so it quarantines inconsistent entries (reporting them in
-// the next Dump) rather than panicking.
+// runtime checks over a live stream. The tracer core panics on protocol
+// violations it can prove are its own accounting bugs; a verifier's
+// caller, by contrast, consumes batches that may be torn by faulty
+// transports or malformed by clients, so Check hands inconsistent
+// entries back to it, quarantined with one violation each, rather than
+// panicking.
 package collect
 
 import (
@@ -29,7 +30,8 @@ import (
 // (independent clients POSTing to /ingest) has no cross-thread order to
 // verify, only the per-thread and structural invariants.
 //
-// A Verifier is driven by a single collector goroutine.
+// A Verifier is not safe for concurrent use: ingest.Admission calls it
+// under its own lock.
 type Verifier struct {
 	lastStamp uint64
 	perThread map[uint32]uint64

@@ -4,8 +4,8 @@ import "fmt"
 
 // VerifyReport is the result of Buffer.Verify: the DESIGN.md quiescence
 // invariants checked at runtime, with violations reported instead of
-// panicking, so a supervising collector can quarantine a suspect buffer
-// and keep running.
+// panicking, so a caller (the chaos suite, a collector) can examine a
+// suspect buffer and keep running.
 type VerifyReport struct {
 	// Violations describes every invariant breach found; empty means the
 	// buffer is consistent.

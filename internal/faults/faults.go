@@ -1,12 +1,14 @@
-// Package faults is a deterministic, seed-driven fault injector for the
-// BTrace simulation and collection pipeline. The paper's production
-// deployment (§2.1, §6) runs the tracer behind watchdog daemons because
-// real devices misbehave — threads freeze mid-write, drivers stall, CPUs
-// hot-unplug — and the algorithm's availability mechanisms (block
-// skipping, out-of-order confirmation, implicit reclaiming) exist
-// precisely to survive those events. This package *provokes* them on
-// demand so the chaos suite can assert every DESIGN.md invariant under
-// each scenario.
+// Package faults is a deterministic, seed-driven fault injector for two
+// targets: the BTrace tracer on the simulated SoC, and the trace
+// server's admission path. The paper's production deployment (§2.1, §6)
+// runs the tracer behind watchdog daemons because real devices misbehave
+// — threads freeze mid-write, drivers stall, CPUs hot-unplug — and the
+// algorithm's availability mechanisms (block skipping, out-of-order
+// confirmation, implicit reclaiming) exist precisely to survive those
+// events. PreemptStorm, Straggler and Hotplug *provoke* them on demand so
+// the chaos suite can assert every DESIGN.md invariant under each
+// scenario; BurstSource and FlakyStore (overloadfaults.go) flood
+// ingest.Admission and fail the store appends behind it.
 //
 // All decisions are drawn from per-hook PRNG streams derived from one
 // root seed, so the injected schedule of every hook is a deterministic
@@ -18,6 +20,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -28,6 +31,9 @@ import (
 	"btrace/internal/sim"
 	"btrace/internal/tracer"
 )
+
+// ErrInjected marks every failure an injected fault produces.
+var ErrInjected = errors.New("faults: injected failure")
 
 // Injector is the root of a fault plan. All sub-faults created from one
 // Injector share its seed and record their decisions in its per-hook

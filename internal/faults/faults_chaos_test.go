@@ -2,23 +2,24 @@
 // injected fault scenario with a fixed seed. The scenarios mirror the
 // production incidents the paper's availability mechanisms exist for
 // (§2.1, §3.4, §4.4, §6): preemption storms inside the allocate→confirm
-// window, writers frozen holding unconfirmed bytes, CPU hot-unplug racing
-// a Resize, and a collection daemon whose source and sink fail underneath
-// it. Runs under -short with scaled-down workloads.
+// window, writers frozen holding unconfirmed bytes, and CPU hot-unplug
+// racing a Resize — plus the determinism of the injector itself. Runs
+// under -short with scaled-down workloads.
 package faults_test
 
 import (
-	"bytes"
 	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"btrace/internal/collect"
 	"btrace/internal/core"
 	"btrace/internal/faults"
+	"btrace/internal/ingest"
+	"btrace/internal/overload"
 	"btrace/internal/sim"
+	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
 
@@ -313,253 +314,97 @@ func TestChaosHotplugDuringResize(t *testing.T) {
 	}
 }
 
-// fireAlways dumps on every non-empty ingest, so each delivered batch
-// becomes an observable dump.
-type fireAlways struct{}
+// TestChaosDeterministicSchedules: the acceptance bar for the injector —
+// one seed, one fault plan. Both targets run twice with the same seed: a
+// preemption storm over one simulated thread, driven sequentially, and a
+// calm/storm BurstSource admitted through ingest.Admission into a store
+// whose appends fail at random and are wedged while the source storms.
+// Every hook's schedule and the admission outcome — per-batch counts,
+// the gate's stats, events stored and refused — must be identical; seed+1
+// must plan a different append-failure schedule.
+func TestChaosDeterministicSchedules(t *testing.T) {
+	type outcome struct {
+		seen, quarantined, throttled, gateDropped int
+		gate                                      overload.Stats
+		stored, refused                           uint64
+	}
+	run := func(seed int64) (map[string][]string, outcome) {
+		in := faults.New(seed)
 
-func (fireAlways) Name() string { return "always" }
-func (fireAlways) Observe(es []tracer.Entry) string {
-	if len(es) == 0 {
-		return ""
-	}
-	return "batch"
-}
-
-// batchesOf builds n source batches of k consecutively stamped entries.
-func batchesOf(n, k int) [][]tracer.Entry {
-	var s uint64
-	out := make([][]tracer.Entry, n)
-	for i := range out {
-		b := make([]tracer.Entry, k)
-		for j := range b {
-			s++
-			b[j] = tracer.Entry{Stamp: s, TS: s}
-		}
-		out[i] = b
-	}
-	return out
-}
-
-// TestChaosSupervisorFlakySource: a source that errors and tears batches
-// under a supervised pipeline. Transient faults must be absorbed with zero
-// event loss and zero lost dumps.
-func TestChaosSupervisorFlakySource(t *testing.T) {
-	const batches, per = 40, 3
-	src := &scriptedCursor{polls: batchesOf(batches, per)}
-	in := faults.New(chaosSeed)
-	fp := in.FlakyCursor(src, 0.4, 0.5)
-	var sinkBuf bytes.Buffer
-	s, err := collect.NewSupervisor(collect.SupervisorConfig{
-		Cursor:   fp,
-		Triggers: []collect.Trigger{fireAlways{}},
-		Sink:     &sinkBuf,
-		Seed:     chaosSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var delivered []tracer.Entry
-	for i := 0; i < 400; i++ {
-		if d := s.Step(); d != nil {
-			delivered = append(delivered, d.Events...)
-		}
-	}
-	stats := s.Stats()
-	if stats.PollErrors == 0 {
-		t.Fatal("no poll errors injected")
-	}
-	// Zero event loss end to end: each dump consumes the window, so the
-	// dumps' concatenated events are every stamp the source ever produced,
-	// in order, exactly once.
-	if len(delivered) != batches*per {
-		t.Fatalf("dumps delivered %d events, want %d", len(delivered), batches*per)
-	}
-	for i, e := range delivered {
-		if e.Stamp != uint64(i+1) {
-			t.Fatalf("delivered[%d] stamp %d", i, e.Stamp)
-		}
-	}
-	// Zero lost dumps: everything produced was delivered to the sink.
-	if stats.Dumps == 0 || stats.DumpsWritten != stats.Dumps || stats.Spilled != 0 {
-		t.Fatalf("dump accounting: %+v", stats)
-	}
-	if h := s.Health(); h.SourceWedged || h.PendingDumps != 0 {
-		t.Fatalf("health: %+v", h)
-	}
-	if stats.Quarantined != 0 {
-		t.Fatalf("quarantined %d clean entries", stats.Quarantined)
-	}
-}
-
-// TestChaosSupervisorSinkFailures: transient sink failures are retried to
-// full delivery; a sink that dies permanently diverts every later dump to
-// the spill ring — degraded, but nothing silently dropped.
-func TestChaosSupervisorSinkFailures(t *testing.T) {
-	t.Run("transient", func(t *testing.T) {
-		src := &scriptedCursor{polls: batchesOf(6, 2)}
-		in := faults.New(chaosSeed)
-		var dst bytes.Buffer
-		sink := in.FlakySink(&dst, 3, 0)
-		s, err := collect.NewSupervisor(collect.SupervisorConfig{
-			Cursor:   src,
-			Triggers: []collect.Trigger{fireAlways{}},
-			Sink:     sink,
-			Seed:     chaosSeed,
-		})
+		m, err := sim.NewMachine(sim.Topology{Middle: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 100; i++ {
-			s.Step()
-		}
-		stats := s.Stats()
-		if stats.SinkErrors == 0 {
-			t.Fatal("no sink errors injected")
-		}
-		if stats.Dumps != 6 || stats.DumpsWritten != 6 || stats.Spilled != 0 {
-			t.Fatalf("transient sink not fully absorbed: %+v", stats)
-		}
-		if dst.Len() == 0 {
-			t.Fatal("nothing reached the sink")
-		}
-	})
-
-	t.Run("permanent", func(t *testing.T) {
-		src := &scriptedCursor{polls: batchesOf(8, 2)}
-		in := faults.New(chaosSeed)
-		var dst bytes.Buffer
-		sink := in.FlakySink(&dst, 0, 2) // 2 writes succeed, then it dies
-		s, err := collect.NewSupervisor(collect.SupervisorConfig{
-			Cursor:   src,
-			Triggers: []collect.Trigger{fireAlways{}},
-			Sink:     sink,
-			Seed:     chaosSeed,
-		})
+		th, err := m.NewThread(sim.ThreadConfig{ID: 0, Core: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 100; i++ {
-			s.Step()
+		th.SetFaultController(in.PreemptStorm(0.5))
+		th.Acquire()
+		for i := 0; i < 64; i++ {
+			th.MaybePreempt(tracer.PreemptBeforeCopy)
+			th.MaybePreempt(tracer.PreemptBeforeConfirm)
 		}
-		stats := s.Stats()
-		if !s.Health().SinkFailed {
-			t.Fatal("permanent sink failure not diagnosed")
-		}
-		if stats.Dumps != 8 || stats.DumpsWritten != 2 {
-			t.Fatalf("delivery accounting: %+v", stats)
-		}
-		// Graceful degradation: every undelivered dump is in the spill
-		// ring, none dropped.
-		if stats.Spilled != 6 || stats.SpillDropped != 0 || len(s.Spill()) != 6 {
-			t.Fatalf("spill accounting: %+v (ring %d)", stats, len(s.Spill()))
-		}
-	})
-}
+		th.Release()
 
-// TestChaosAdaptiveResizeRealBuffer drives the supervisor's graceful
-// degradation against a real core.Buffer: sustained loss pressure must
-// grow the traced buffer, and a quiet source must shrink it back.
-func TestChaosAdaptiveResizeRealBuffer(t *testing.T) {
-	b, err := core.New(core.Options{Cores: 1, BlockSize: 256, ActiveBlocks: 2, Ratio: 2, MaxRatio: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := b.NewCursor()
-	defer cur.Close()
-	s, err := collect.NewSupervisor(collect.SupervisorConfig{
-		Cursor:      cur,
-		Triggers:    []collect.Trigger{&collect.LossDetector{Tolerance: 4}},
-		Resizer:     b,
-		MaxRatio:    8,
-		GrowAfter:   2,
-		ShrinkAfter: 4,
-		Seed:        chaosSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p := &tracer.FixedProc{CoreID: 0, TID: 1}
-	var stamp uint64
-	burst := func(n int) {
-		for i := 0; i < n; i++ {
-			stamp++
-			if err := b.Write(p, &tracer.Entry{Stamp: stamp, TS: stamp, TID: 1, Payload: make([]byte, 8)}); err != nil {
-				t.Fatalf("write: %v", err)
+		st, err := store.Open(t.TempDir(), store.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		fst := in.FlakyStore(st, 0.3)
+		src := in.BurstSource(faults.BurstConfig{CalmPolls: 12, StormPolls: 8, Cycles: 2, Categories: []uint8{1, 2}})
+		adm := ingest.NewAdmission(overload.Config{EngagePressure: 0.6, DisengagePressure: 0.3, EngageAfter: 2}, nil, nil)
+		var o outcome
+		for !src.Quiet() {
+			if src.Storming() {
+				fst.Wedge()
+			} else {
+				fst.Heal()
+			}
+			es, missed := src.Batch()
+			var p overload.Pressure
+			if total := missed + uint64(len(es)); total > 0 {
+				p.Store.StagedFill = float64(missed) / float64(total)
+			}
+			adm.Evaluate(p)
+			admitted, c := adm.Admit("", es)
+			o.seen += c.Seen
+			o.quarantined += c.Quarantined
+			o.throttled += c.Throttled
+			o.gateDropped += c.GateDropped
+			if len(admitted) > 0 && fst.AppendEntries(admitted) != nil {
+				o.refused += uint64(len(admitted))
 			}
 		}
-	}
+		o.gate = adm.GateStats()
+		_, o.stored, _ = fst.Stats()
 
-	// Overrun the 1 KiB buffer between polls: sustained loss pressure.
-	for i := 0; i < 8; i++ {
-		burst(300)
-		s.Step()
-	}
-	stats := s.Stats()
-	if stats.Grows == 0 {
-		t.Fatalf("loss pressure never grew the buffer: %+v", stats)
-	}
-	grownRatio := b.Ratio()
-	if grownRatio <= 2 {
-		t.Fatalf("ratio %d after sustained loss", grownRatio)
-	}
-
-	// Source goes quiet: pressure subsides, the buffer shrinks back.
-	for i := 0; i < 32 && b.Ratio() > 2; i++ {
-		s.Step()
-	}
-	stats = s.Stats()
-	if stats.Shrinks == 0 || b.Ratio() != 2 {
-		t.Fatalf("pressure subsided but ratio %d (shrinks %d)", b.Ratio(), stats.Shrinks)
-	}
-	if errs := s.ResizeErrors(); len(errs) != 0 {
-		t.Fatalf("resize errors: %v", errs)
-	}
-	if !b.Verify().Ok() {
-		t.Fatalf("buffer inconsistent after adaptive resizing: %v", b.Verify().Violations)
-	}
-}
-
-// TestChaosDeterministicSchedules: the acceptance bar for the injector —
-// one seed, one fault plan. A full pipeline scenario run twice with the
-// same seed injects the identical schedule at every hook and produces
-// identical pipeline counters; a different seed plans differently.
-func TestChaosDeterministicSchedules(t *testing.T) {
-	run := func(seed int64) (map[string][]string, collect.SupervisorStats) {
-		src := &scriptedCursor{polls: batchesOf(40, 2)}
-		in := faults.New(seed)
-		fp := in.FlakyCursor(src, 0.3, 0.5)
-		var dst bytes.Buffer
-		sink := in.FlakySink(&dst, 2, 30)
-		s, err := collect.NewSupervisor(collect.SupervisorConfig{
-			Cursor:   fp,
-			Triggers: []collect.Trigger{fireAlways{}},
-			Sink:     sink,
-			Seed:     seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 250; i++ {
-			s.Step()
-		}
 		scheds := map[string][]string{}
 		for _, h := range in.Hooks() {
 			scheds[h] = in.Schedule(h)
 		}
-		return scheds, s.Stats()
+		return scheds, o
 	}
 
-	schedA, statsA := run(chaosSeed)
-	schedB, statsB := run(chaosSeed)
+	schedA, outA := run(chaosSeed)
+	for _, h := range []string{"storm/t0/before-copy", "storm/t0/before-confirm", "burst", "store", "store/err"} {
+		if len(schedA[h]) == 0 {
+			t.Fatalf("hook %s planned nothing: %v", h, schedA)
+		}
+	}
+	if outA.stored == 0 || outA.refused == 0 || outA.gate.Seen == 0 {
+		t.Fatalf("scenario did not exercise the store or the gate: %+v", outA)
+	}
+	schedB, outB := run(chaosSeed)
 	if !reflect.DeepEqual(schedA, schedB) {
 		t.Fatalf("same seed, different fault plans:\n%v\n%v", schedA, schedB)
 	}
-	if statsA != statsB {
-		t.Fatalf("same seed, different pipeline outcomes:\n%+v\n%+v", statsA, statsB)
+	if outA != outB {
+		t.Fatalf("same seed, different admission outcomes:\n%+v\n%+v", outA, outB)
 	}
 	schedC, _ := run(chaosSeed + 1)
-	if reflect.DeepEqual(schedA["poller/err"], schedC["poller/err"]) {
-		t.Fatalf("different seeds planned the same poll-error schedule: %v", schedA["poller/err"])
+	if reflect.DeepEqual(schedA["store/err"], schedC["store/err"]) {
+		t.Fatalf("different seeds planned the same append-failure schedule: %v", schedA["store/err"])
 	}
 }

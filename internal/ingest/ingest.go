@@ -54,10 +54,10 @@ func NewAdmission(gate overload.Config, overrides map[string]TenantLimit, publis
 		quarantined: obs.NewCounter(1),
 	}
 	// Both server modes run an Admission, so this is the one place a
-	// server emits these series. The quarantine count keeps the name a
-	// Supervisor's verifier count uses, which the benchmark reads. The
-	// closure captures the counter and the table, never a, so the
-	// finalizer can fold them.
+	// server emits these series. The quarantine count keeps the
+	// btrace_collect_ name the verifier's count has always had, which the
+	// benchmark reads. The closure captures the counter and the table,
+	// never a, so the finalizer can fold them.
 	q, t, reg := a.quarantined, a.tenantTable, obs.Default()
 	id := reg.Register(func(e *obs.Emitter) {
 		e.Counter("btrace_collect_quarantined_total", "entries rejected by the verifier", q.Load())

@@ -74,7 +74,7 @@ func (e *Emitter) Histogram(name, help string, h HistSnap) {
 type CollectFunc func(e *Emitter)
 
 // Registry aggregates metric sources. Multiple instances of one
-// subsystem (every open Buffer, Supervisor, Store) emit the same series
+// subsystem (every open Buffer, Admission, Store) emit the same series
 // names; Snapshot merges them by summing, so the rendered view is the
 // process-wide total. When an instance goes away it is folded: its final
 // counter and histogram values move into a retired accumulator so

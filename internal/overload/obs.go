@@ -12,7 +12,7 @@ import (
 // deltas into these atomic counters so the /metrics scraper can read
 // them concurrently without racing the pipeline.
 //
-// Like supObs in internal/collect, gateObs is allocated separately from
+// Like bufCounters in internal/core, gateObs is allocated separately from
 // the Gate and is what the registry's collector closure captures,
 // keeping the Gate finalizable; the finalizer folds these counters into
 // the retired totals.

@@ -29,7 +29,7 @@ func benchEntries(n int) []tracer.Entry {
 }
 
 // BenchmarkStoreAppend measures the durable append path in batches of
-// 512 (the supervisor's default cursor batch), rotation included.
+// 512 (the collector's cursor batch), rotation included.
 func BenchmarkStoreAppend(b *testing.B) {
 	const batch = 512
 	es := benchEntries(batch)
