@@ -112,6 +112,44 @@ func TestChainRoutesStall(t *testing.T) {
 	}
 }
 
+// countSink is an ingest.Sink that only counts what it is handed.
+type countSink struct{ events uint64 }
+
+func (s *countSink) AppendEntries(es []tracer.Entry) error { s.events += uint64(len(es)); return nil }
+func (s *countSink) WriteErr() error                       { return nil }
+
+// TestFlakyStoreDeterministicSchedule: one seed, one append-failure
+// schedule; a failed append reaches nothing below and is not sticky.
+func TestFlakyStoreDeterministicSchedule(t *testing.T) {
+	run := func(seed int64) []string {
+		in := faults.New(seed)
+		dst := &countSink{}
+		f := in.FlakyStore(dst, 0.5)
+		batch := make([]tracer.Entry, 8)
+		for i := 0; i < 64; i++ {
+			f.AppendEntries(batch)
+		}
+		appends, events, failures := f.Stats()
+		if appends != 64 || events != dst.events || events != (appends-failures)*8 {
+			t.Fatalf("appends=%d events=%d failures=%d sink=%d", appends, events, failures, dst.events)
+		}
+		if f.WriteErr() != nil {
+			t.Fatalf("injected failure turned sticky: %v", f.WriteErr())
+		}
+		return in.Schedule("store/err")
+	}
+	a, b := run(1), run(1)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different schedules:\n%v\n%v", a, b)
+	}
+	if len(a) == 0 {
+		t.Fatal("probability 0.5 over 64 appends fired nothing")
+	}
+	if c := run(2); reflect.DeepEqual(a, c) {
+		t.Fatalf("different seeds produced identical schedules: %v", a)
+	}
+}
+
 func TestHotplugRecordsSchedule(t *testing.T) {
 	m, _ := sim.NewMachine(sim.Topology{Middle: 2})
 	in := faults.New(1)
