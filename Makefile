@@ -102,8 +102,11 @@ vulture-soak:
 # the Options.DisableStats baseline (see DESIGN.md). The obs record
 # sub-benchmarks measure a single ~45ns Write, so they get their own
 # much higher iteration count (OBS_RECORD_BENCHTIME) — at BENCHTIME-scale
-# counts the timer granularity would swamp the <2% contract. The CSV
-# export benchmark's op is one ~70ns row and runs at that count too.
+# counts the timer granularity would swamp the <2% contract — and run
+# six times in one process (-count 6), so that their ratio rule can drop
+# the first pass, which pays for running first, and take the median of
+# the other five. The CSV export benchmark's op is one ~70ns row and runs
+# at OBS_RECORD_BENCHTIME too.
 BENCHTIME ?= 2000x
 OBS_RECORD_BENCHTIME ?= 200000x
 # The store benchmarks whose op is tens of milliseconds (a payload-heavy
@@ -122,7 +125,7 @@ bench:
 	   $(GO) test ./cmd/btrace-serve -run '^$$' -bench 'BenchmarkServeIngest' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_store.json
 	@echo "wrote BENCH_store.json"
-	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkObsOverhead/record' -benchmem -benchtime $(OBS_RECORD_BENCHTIME); \
+	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkObsOverhead/record' -benchmem -benchtime $(OBS_RECORD_BENCHTIME) -count 6; \
 	   $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkObsOverhead/read' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/overload -run '^$$' -bench 'BenchmarkRecordUnderOverload' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_obs.json
@@ -163,7 +166,8 @@ bench:
 # fingerprint per row), the overload gate under
 # storm within 2x of its baseline, and the instrumented record fast path
 # within 1.1x of the DisableStats one (the "<2 %" self-observability
-# contract, with room for timer noise).
+# contract, with room for timer noise; the median of the five passes
+# after the first, see bench).
 # CI runs this target on every push (bench-smoke job): the rules live
 # here and nowhere else.
 benchdiff:

@@ -23,7 +23,11 @@
 // comparison these ratios are hardware-independent contracts — e.g. the
 // cold-tier query staying within 2x of the all-hot query. A rule whose
 // benchmarks are missing from the run fails, so the contract cannot rot
-// away silently.
+// away silently. When both sides were run several times in one process
+// (go test -count N), the rule pairs their k-th rows into passes, drops
+// the first pass (its first row paid for starting the process) and holds
+// the median of the other passes' ratios to the limit, so neither the
+// first-run penalty nor a one-off outlier decides it.
 package main
 
 import (
@@ -98,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var notes, failures []string
-	fresh := map[string]Benchmark{}
+	fresh := map[string][]Benchmark{}
 	for _, name := range names {
 		newFile, err := load(filepath.Join(*newDir, name))
 		if err != nil {
@@ -106,7 +110,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		for _, b := range newFile.Benchmarks {
-			fresh[canonical(b.Name)] = b
+			name := canonical(b.Name)
+			fresh[name] = append(fresh[name], b)
 		}
 		oldFile, err := load(filepath.Join(*oldDir, name))
 		if err != nil {
@@ -195,31 +200,65 @@ func parseRatios(s string) ([]ratioRule, error) {
 	return rules, nil
 }
 
-// checkRatios evaluates the -max-ratio rules against the fresh run,
-// returning a note per rule and the failures. A missing benchmark is a
-// failure: a contract that silently stops being measured is worse than
-// one that fails.
-func checkRatios(rules []ratioRule, fresh map[string]Benchmark) (notes, failures []string) {
+// checkRatios evaluates the -max-ratio rules against the fresh run's
+// rows, in run order per name, returning a note per rule and the
+// failures. A missing benchmark is a failure: a contract that silently
+// stops being measured is worse than one that fails.
+func checkRatios(rules []ratioRule, fresh map[string][]Benchmark) (notes, failures []string) {
 	for _, r := range rules {
-		nb, nok := fresh[r.num]
-		db, dok := fresh[r.den]
-		if !nok || !dok || db.NsPerOp <= 0 {
+		num, den := fresh[r.num], fresh[r.den]
+		ratio, passes := passRatio(num, den)
+		if passes == 0 {
 			failures = append(failures,
 				fmt.Sprintf("ratio: %s<=%g*%s not measurable (missing benchmark in the new run)",
 					r.num, r.limit, r.den))
 			continue
 		}
-		ratio := nb.NsPerOp / db.NsPerOp
+		how := fmt.Sprintf("%.0f vs %.0f ns/op", num[0].NsPerOp, den[0].NsPerOp)
+		if passes > 1 {
+			how = fmt.Sprintf("median of %d passes after the first", passes-1)
+		}
 		verdict := "ok"
 		if ratio > r.limit {
 			verdict = "REGRESSION"
 			failures = append(failures,
-				fmt.Sprintf("ratio: %s is %.2fx of %s (%.0f vs %.0f ns/op), limit %gx",
-					r.num, ratio, r.den, nb.NsPerOp, db.NsPerOp, r.limit))
+				fmt.Sprintf("ratio: %s is %.2fx of %s (%s), limit %gx", r.num, ratio, r.den, how, r.limit))
 		}
-		notes = append(notes, fmt.Sprintf("ratio: %s / %s = %.2fx, limit %gx [%s]", r.num, r.den, ratio, r.limit, verdict))
+		note := fmt.Sprintf("ratio: %s / %s = %.2fx, limit %gx [%s]", r.num, r.den, ratio, r.limit, verdict)
+		if passes > 1 {
+			note += " (" + how + ")"
+		}
+		notes = append(notes, note)
 	}
 	return notes, failures
+}
+
+// passRatio is num's ns/op over den's. With one row a side it is the
+// plain ratio. With several, the k-th rows of both sides make pass k, and
+// the ratio is the median over every pass but the first. passes is 0 when
+// the rule cannot be measured.
+func passRatio(num, den []Benchmark) (ratio float64, passes int) {
+	passes = min(len(num), len(den))
+	if passes == 0 {
+		return 0, 0
+	}
+	ratios := make([]float64, 0, passes)
+	for k := 0; k < passes; k++ {
+		if den[k].NsPerOp <= 0 {
+			return 0, 0
+		}
+		ratios = append(ratios, num[k].NsPerOp/den[k].NsPerOp)
+	}
+	if passes == 1 {
+		return ratios[0], 1
+	}
+	rest := ratios[1:]
+	sort.Float64s(rest)
+	m := len(rest) / 2
+	if len(rest)%2 == 0 {
+		return (rest[m-1] + rest[m]) / 2, passes
+	}
+	return rest[m], passes
 }
 
 // canonical strips the trailing -GOMAXPROCS suffix go test appends to

@@ -192,6 +192,40 @@ func TestDiffCustomMetricMissingBaselineIgnored(t *testing.T) {
 	}
 }
 
+// TestCheckRatiosMedianOfPasses: a rule over sides that ran several
+// times (go test -count) drops the first pass and holds the median of
+// the others to the limit — a slow first row and a one-off outlier pass,
+// a side slow in most passes fails.
+func TestCheckRatiosMedianOfPasses(t *testing.T) {
+	rows := func(name string, ns ...float64) []Benchmark {
+		var out []Benchmark
+		for _, v := range ns {
+			out = append(out, bench(name, v, 0))
+		}
+		return out
+	}
+	rule := []ratioRule{{num: "BenchmarkA", den: "BenchmarkB", limit: 1.1}}
+	base := rows("BenchmarkB", 100, 100, 100, 100, 100, 100)
+	for _, tc := range []struct {
+		name  string
+		num   []Benchmark
+		ratio string
+		fail  bool
+	}{
+		{"first pass and an outlier slow", rows("BenchmarkA", 150, 101, 104, 200, 103, 100), "= 1.03x", false},
+		{"slow in most passes", rows("BenchmarkA", 100, 120, 104, 125, 112, 130), "= 1.20x", true},
+		{"even count of passes", rows("BenchmarkA", 100, 102, 104, 106, 140), "= 1.05x", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			den := base[:len(tc.num)]
+			notes, f := checkRatios(rule, map[string][]Benchmark{"BenchmarkA": tc.num, "BenchmarkB": den})
+			if (len(f) > 0) != tc.fail || !hasNote(notes, tc.ratio, "passes after the first") {
+				t.Fatalf("failures %v, notes %v; want %s, failing %v", f, notes, tc.ratio, tc.fail)
+			}
+		})
+	}
+}
+
 // TestRunExitStatus drives the command over files on disk: a row far
 // slower than its baseline exits 0 and prints its note; an allocation
 // contract broken, a ratio rule exceeded or a ratio rule whose benchmark

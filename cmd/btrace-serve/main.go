@@ -38,7 +38,7 @@ func main() {
 	storeDir := flag.String("store", "", "durable trace store directory (required; with -shards, the cluster root)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "store segment roll size in bytes (0 = default 1MiB)")
 	commitEvery := flag.Duration("commit-every", 0, "store group-commit interval (0 = fsync only on demand)")
-	compactInterval := flag.Duration("compact-interval", 0, "background compactor tick interval: merge + freeze pass (0 = no background compaction)")
+	compactInterval := flag.Duration("compact-interval", 0, "background compactor tick interval: one freeze pass of aged sealed segments into the cold tier (0 = no background compaction)")
 	coldAfter := flag.Duration("cold-after", 0, "age at which sealed segments are compressed into the cold tier, in virtual-time terms (0 = never freeze)")
 	sampleRate := flag.Float64("sample-rate", 0.05, "ingest head-sampling keep-rate floor under full overload, in (0, 1]")
 	rateLimit := flag.Float64("rate-limit", 0, "per-category ingest rate limit in events/sec of virtual time, with a burst of twice that (0 = unlimited)")

@@ -10,14 +10,14 @@
 //
 //   - Rename must be atomic with respect to a crash: after Rename
 //     returns, a reopened backend sees either the old name or the new
-//     one, never both, never a torn file. The store's tier transitions
-//     (segment merge, cold compression) all commit through one Rename.
+//     one, never both, never a torn file. The store's tier transition
+//     (cold compression) commits through one Rename.
 //   - Sync must make a file's bytes durable before it returns; the
 //     store orders every rename-commit after the Sync of the file being
 //     renamed in.
 //   - Remove of an open file must not invalidate existing handles
 //     (POSIX inode semantics): cursors keep reading a segment that
-//     retention or compaction deleted underneath them.
+//     retention or a freeze deleted underneath them.
 //   - Seal declares a file's contents final. A sealed file rejects
 //     further writes; object-store style backends use it as the
 //     put-on-seal commit point.

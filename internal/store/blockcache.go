@@ -52,14 +52,12 @@
 // kinds that are not of a cold block, and their keys show why none of
 // the kinds needs invalidating. The others are keyed by a cold file's
 // name, and within one life of a store a cold file is written once
-// under a name never given out again. A row segment's name is: a merge
-// keeps its first source's, with the other sources' frames appended
-// behind that source's own — so a partial and a header set are keyed by
-// name and sealed extent (bytes of a row segment, blocks of a cold one),
-// which between them say what the rows are. Merges, freezes and
-// retention take a name out of the snapshots that follow, or change its
-// extent; the entries left behind are never asked for and age out of
-// the LRU. Store.Reset is the exception — it restarts the numbering, so
+// under a name never given out again; a row segment's name is not given
+// out again either. A partial and a header set are keyed by name and
+// sealed extent (bytes of a row segment, blocks of a cold one), which
+// between them say what the rows are. Freezes and retention take a name
+// out of the snapshots that follow; the entries left behind are never
+// asked for and age out of the LRU. Store.Reset is the exception — it restarts the numbering, so
 // the next life repeats this one's names, cold ones too — and empties
 // the cache (reset). Folds under an Ownership (the cluster's pushdown)
 // and stores opened without a cache bypass partials altogether; stores

@@ -16,7 +16,7 @@ import (
 )
 
 // TestObjectBackendConformance runs the store's core flows — append,
-// rotation, merge, freeze, reopen, one-worker and parallel queries —
+// rotation, freeze, reopen, one-worker and parallel queries —
 // over the in-process object backend, checking the Backend contract is
 // sufficient for everything the local path does.
 func TestObjectBackendConformance(t *testing.T) {
@@ -168,7 +168,7 @@ func (f *snapFile) Seal() error {
 
 // TestCompactionChaosTierBoundaries is the crash-at-every-tier-boundary
 // acceptance test: with a store full of committed events, one compactor
-// pass (merge + freeze) runs over a snapshotting backend that records
+// pass (a freeze) runs over a snapshotting backend that records
 // the namespace after every single mutation. Reopening every snapshot
 // must recover exactly the committed events — each exactly once — no
 // matter where in a tier transition the "crash" landed.
@@ -181,7 +181,7 @@ func TestCompactionChaosTierBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 700
-	sealEvery(t, st, 1, n, 35) // ~20 small sealed segments: merge + freeze fodder
+	sealEvery(t, st, 1, n, 35) // ~20 small sealed segments: freeze fodder
 	sb.arm(true)
 	if err := st.CompactTick(); err != nil {
 		t.Fatalf("CompactTick: %v", err)
@@ -191,26 +191,24 @@ func TestCompactionChaosTierBoundaries(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.SegmentsCompacted == 0 || stats.SegmentsFrozen == 0 {
+	if stats.SegmentsFrozen == 0 {
 		t.Fatalf("pass crossed no tier boundary: %+v", stats)
 	}
-	// Guard the test's own coverage: the snapshots must include both
-	// commit points (rename to a row segment, rename to a cold file) and
-	// the post-commit source deletions.
-	var sawMerge, sawFreeze, sawRemove bool
+	// Guard the test's own coverage: the snapshots must include the
+	// commit point (rename to a cold file) and the post-commit source
+	// deletions.
+	var sawFreeze, sawRemove bool
 	for _, l := range sb.labels {
 		switch {
-		case strings.HasPrefix(l, "rename seg-"):
-			sawMerge = true
 		case strings.HasPrefix(l, "rename col-"):
 			sawFreeze = true
 		case strings.HasPrefix(l, "remove seg-"):
 			sawRemove = true
 		}
 	}
-	if !sawMerge || !sawFreeze || !sawRemove {
-		t.Fatalf("snapshots missed a boundary: merge=%v freeze=%v remove=%v (%d snaps)",
-			sawMerge, sawFreeze, sawRemove, len(sb.snaps))
+	if !sawFreeze || !sawRemove {
+		t.Fatalf("snapshots missed a boundary: freeze=%v remove=%v (%d snaps)",
+			sawFreeze, sawRemove, len(sb.snaps))
 	}
 
 	seen := make([]int, n+1)
@@ -257,7 +255,7 @@ func TestCompactionChaosTierBoundaries(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("verified %d crash points across merge and freeze boundaries", len(sb.snaps))
+	t.Logf("verified %d crash points across freeze boundaries", len(sb.snaps))
 }
 
 // failOnceBackend is an object backend whose files fail the first

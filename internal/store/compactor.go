@@ -1,17 +1,14 @@
-// Background compaction pipeline: ages data through the three tiers.
+// Background compaction pipeline: ages data through the two tiers.
 //
-//	hot   — row segments as rotation sealed them
-//	compacted — adjacent small sealed segments merged into one (Compact,
-//	        compact.go)
-//	cold  — row segments compressed into block files (CompactCold,
-//	        cold.go)
+//	hot  — row segments as rotation (or Seal/Close) sealed them
+//	cold — row segments compressed into block files (CompactCold,
+//	       cold.go)
 //
-// selectMergeRunLocked and selectFreezeRunLocked pick what moves; the
-// compactor goroutine runs a merge + freeze pass every
-// Config.CompactInterval. Every transition is
-// atomic: the result is written to a .tmp name, fsynced, renamed in
-// (the commit point), and only then are the sources deleted. A crash at
-// any boundary leaves either the sources or the committed result, never
+// selectFreezeRunLocked picks what moves; the compactor goroutine runs a
+// freeze pass every Config.CompactInterval. The transition is atomic:
+// the result is written to a .tmp name, fsynced, renamed in (the commit
+// point), and only then are the sources deleted. A crash at any
+// boundary leaves either the sources or the committed result, never
 // both live — recovery deletes the duplicate copy by seq coverage.
 //
 // Freezing does its compression I/O outside st.mu over the sealed,
@@ -27,33 +24,6 @@ import (
 
 	"btrace/internal/tracer"
 )
-
-// selectMergeRunLocked picks the next run st.segs[start:start+n], at or
-// after from, of row segments to merge into one (hot/compacted →
-// compacted): adjacent sealed segments, each under SegmentBytes/2, whose
-// merged body stays within SegmentBytes. n < 2 means nothing to merge.
-func (st *Store) selectMergeRunLocked(from int) (start, n int) {
-	small := st.cfg.SegmentBytes / 2
-	for i := from; i < len(st.segs); i++ {
-		var total int64
-		run := 0
-		for _, s := range st.segs[i:] {
-			if !s.sealed || s.isCold() || s.size >= small {
-				break
-			}
-			body := s.size - headerSize
-			if run > 0 && total+body+headerSize > st.cfg.SegmentBytes {
-				break
-			}
-			total += body
-			run++
-		}
-		if run >= 2 {
-			return i, run
-		}
-	}
-	return 0, 0
-}
 
 // selectFreezeRunLocked picks the next sealed row segments to compress
 // into one cold file: the leftmost run of non-empty ones whose newest
@@ -102,12 +72,12 @@ type TierStat struct {
 	Events   uint64 `json:"events"`
 }
 
-// TierStats returns per-tier aggregates (hot, compacted, cold — always
-// three entries, in lifecycle order).
+// TierStats returns per-tier aggregates (hot, cold — always two
+// entries, in lifecycle order).
 func (st *Store) TierStats() []TierStat {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := []TierStat{{Tier: TierHot.String()}, {Tier: TierCompacted.String()}, {Tier: TierCold.String()}}
+	out := []TierStat{{Tier: TierHot.String()}, {Tier: TierCold.String()}}
 	for _, s := range st.segs {
 		t := &out[s.tier]
 		t.Segments++
@@ -119,13 +89,10 @@ func (st *Store) TierStats() []TierStat {
 	return out
 }
 
-// CompactTick runs one full compactor pass: merge small sealed
-// segments, then freeze aged ones. The background goroutine calls it
-// every CompactInterval; tests and tooling call it directly.
+// CompactTick runs one compactor pass: a freeze of aged sealed
+// segments (CompactCold). The background goroutine calls it every
+// CompactInterval; tests and tooling call it directly.
 func (st *Store) CompactTick() error {
-	if _, err := st.Compact(); err != nil {
-		return err
-	}
 	_, err := st.CompactCold()
 	return err
 }

@@ -80,7 +80,7 @@ func drainAll(t *testing.T, st *Store, q Query, workers, batch int) ([]tracer.En
 
 // TestHeaderSetsMatchCachelessStore: a store with a block cache and one
 // without it, fed the same two colliding writers and put through the
-// same seals, merge, freeze, retention and Reset, answer every
+// same seals, freeze, retention and Reset, answer every
 // length-only read the same — row for row, rows of equal stamp in the
 // same order, missed included — when the cached store's answer comes
 // from building its segments' header sets and from reading them, at one
@@ -152,13 +152,6 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 			each("seal", (*Store).Seal)
 		}
 		check("small sealed segments", shift)
-		each("merge", func(s *Store) error {
-			if n, err := s.Compact(); err != nil || n == 0 {
-				return fmt.Errorf("merged %d, %v", n, err)
-			}
-			return nil
-		})
-		check("merged", shift)
 		for k := 0; k < 6; k++ {
 			c.pair(t, both, 64)
 		}

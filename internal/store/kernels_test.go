@@ -418,21 +418,22 @@ func TestCountAggregateCacheFootprint(t *testing.T) {
 }
 
 // TestColdFileBytesPinned: this fixture's cold file, byte for byte, as
-// the commit that introduced format v3 wrote it. The on-disk format is
-// not the read path's to change, nor a refactor of the writer's. (The
-// bytes include DEFLATE streams, so the digest also pins
-// compress/flate's BestSpeed output; should a toolchain ever change
-// that, regenerate it from a checkout of this commit under the new
-// toolchain. The v2 bytes this test pinned before live on as
-// testdata/cold-v2.)
+// the last commit that also merged row segments wrote it (the fixture
+// seals only full segments, which no merge ever took, so that commit
+// froze exactly what this one does). The on-disk format is not the read
+// path's to change, nor a refactor of the writer's. (The bytes include
+// DEFLATE streams, so the digest also pins compress/flate's BestSpeed
+// output; should a toolchain ever change that, regenerate it from a
+// checkout of this commit under the new toolchain. The v2 bytes this
+// test pinned before live on as testdata/cold-v2.)
 func TestColdFileBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		blockBytes int // 4 KiB: 74-row blocks of one chunk; 32 KiB: ~590 rows, five chunks
 		want       string
 	}{
-		{"one-chunk-blocks", 4 << 10, "5282dd78652891d1c41816b31b8d1c3c7c12c6ed80a76c17ef3507bbf29a7597"},
-		{"five-chunk-blocks", 32 << 10, "00d72578761dab7dc7b647afc7a2dcc9f4a1d22657b0908a2f310d7030fa351f"},
+		{"one-chunk-blocks", 4 << 10, "4560820efff606ca40388d194b213f03f455b935965b2311236a3957d0fa8e9f"},
+		{"five-chunk-blocks", 32 << 10, "4f3b9b6cab036b7057cd931a2317a802d6b2793f163c698336adee93e9a60997"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -442,7 +443,12 @@ func TestColdFileBytesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sealEvery(t, st, 1, 1200, 100)
+			// Rotation seals four full segments (583 rows each); the
+			// active one holds the newest time and stays hot.
+			appendRange(t, st, 1, 2400)
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
 			if err := st.CompactTick(); err != nil {
 				t.Fatal(err)
 			}

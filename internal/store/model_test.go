@@ -15,7 +15,7 @@ import (
 )
 
 // The model-based store test: a random sequence of everything a store
-// can be asked to do — appends from interleaving writers, seals, merges,
+// can be asked to do — appends from interleaving writers, seals,
 // freezes, retention, reopens, crashes, and reads on both surfaces with
 // random queries — run against the real store and an in-memory oracle
 // side by side. The oracle is the list of events in append order and
@@ -38,8 +38,8 @@ import (
 // sealed row segment's header set serves it — the first pass builds
 // the segments' sets, the second reads them — so
 // every answer a header set gives is held to the oracle too, across
-// seals, merges (a name reused, its extent grown), freezes, retention
-// and Reset (a second life that repeats the first's names).
+// seals, freezes, retention and Reset (a second life that repeats the
+// first's names).
 //
 // A sequence is a byte string (a program): every choice the interpreter
 // makes is drawn from it, so the seeded test and FuzzStoreModel run the
@@ -448,14 +448,7 @@ func (m *storeModel) step(writers int) {
 			m.failf("Seal: %v", err)
 		}
 		m.reask("seal")
-	case op < 15:
-		n, err := m.st.Compact()
-		m.logf("compact: merged %d", n)
-		if err != nil {
-			m.failf("Compact: %v", err)
-		}
-		m.reask("compact")
-	case op < 18:
+	case op < 18: // freeze; 13–14 were the row-segment merge, which drew no byte either
 		n, err := m.st.CompactCold()
 		m.logf("freeze: froze %d", n)
 		if err != nil {
@@ -601,7 +594,7 @@ func runStoreModel(t testing.TB, prog []byte) uint64 {
 	}
 	// Whatever the program left: every reserved batch lands, every held
 	// cursor is settled, and both surfaces agree with the oracle on
-	// everything — hot tail, merged runs and cold files alike.
+	// everything — hot tail, sealed segments and cold files alike.
 	for w := range m.pending {
 		if m.pending[w] != nil {
 			m.logf("writer %d appends %d events from stamp %d (flush)", w, len(m.pending[w]), m.pending[w][0].Stamp)

@@ -25,9 +25,6 @@ type storeObs struct {
 	segmentsDeleted *obs.Counter
 	eventsRetired   *obs.Counter
 
-	compactions       *obs.Counter
-	segmentsCompacted *obs.Counter
-
 	coldCompactions  *obs.Counter
 	segmentsFrozen   *obs.Counter
 	coldBlocks       *obs.Counter
@@ -86,8 +83,8 @@ type storeObs struct {
 	// stagedBytes is the staging arena's fill level at the last stage.
 	stagedBytes obs.Gauge
 	// Per-tier breakdowns of segments/sizeBytes, indexed by Tier.
-	tierSegments [3]obs.Gauge
-	tierBytes    [3]obs.Gauge
+	tierSegments [2]obs.Gauge
+	tierBytes    [2]obs.Gauge
 }
 
 // The payload label of btrace_store_reads_total, indexing storeObs.reads.
@@ -107,8 +104,6 @@ func newStoreObs() *storeObs {
 		seals:                obs.NewCounter(1),
 		segmentsDeleted:      obs.NewCounter(1),
 		eventsRetired:        obs.NewCounter(1),
-		compactions:          obs.NewCounter(1),
-		segmentsCompacted:    obs.NewCounter(1),
 		coldCompactions:      obs.NewCounter(1),
 		segmentsFrozen:       obs.NewCounter(1),
 		coldBlocks:           obs.NewCounter(1),
@@ -141,8 +136,6 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_store_seals_total", "segments sealed", o.seals.Load())
 	e.Counter("btrace_store_segments_deleted_total", "segments removed by retention", o.segmentsDeleted.Load())
 	e.Counter("btrace_store_events_retired_total", "events removed by retention", o.eventsRetired.Load())
-	e.Counter("btrace_store_compactions_total", "compaction passes that merged segments", o.compactions.Load())
-	e.Counter("btrace_store_segments_compacted_total", "source segments consumed by compaction", o.segmentsCompacted.Load())
 	e.Counter("btrace_store_cold_compactions_total", "freeze passes that built cold files", o.coldCompactions.Load())
 	e.Counter("btrace_store_segments_frozen_total", "row segments consumed by freezing", o.segmentsFrozen.Load())
 	e.Counter("btrace_store_cold_blocks_total", "compressed cold blocks built", o.coldBlocks.Load())
@@ -176,7 +169,7 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_store_payload_inflated_bytes_total", "raw payload bytes produced by inflating chunks", o.inflatedBytes.Load())
 	e.Counter("btrace_store_recovered_truncations_total", "torn segment tails truncated at open", o.recoveredTruncations.Load())
 	e.Counter("btrace_store_torn_bytes_dropped_total", "bytes cut by recovery truncations", o.tornBytesDropped.Load())
-	e.Counter("btrace_store_leftover_segments_total", "interrupted-compaction leftovers deleted at open", o.leftoverSegments.Load())
+	e.Counter("btrace_store_leftover_segments_total", "interrupted tier-transition leftovers deleted at open", o.leftoverSegments.Load())
 	e.Counter("btrace_store_headers_rebuilt_total", "corrupt headers rebuilt at open", o.headersRebuilt.Load())
 	e.Counter("btrace_store_group_commits_total", "write-pipeline group-commit fsync windows", o.groupCommits.Load())
 	e.Histogram("btrace_store_append_ns", "append batch stage+apply latency", o.appendNs.Snapshot())
@@ -188,8 +181,6 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Gauge("btrace_store_staged_bytes", "staging arena fill at last stage", float64(o.stagedBytes.Load()))
 	e.Gauge("btrace_store_tier_hot_segments", "segments in the hot tier", float64(o.tierSegments[TierHot].Load()))
 	e.Gauge("btrace_store_tier_hot_bytes", "bytes in the hot tier", float64(o.tierBytes[TierHot].Load()))
-	e.Gauge("btrace_store_tier_compacted_segments", "segments in the compacted tier", float64(o.tierSegments[TierCompacted].Load()))
-	e.Gauge("btrace_store_tier_compacted_bytes", "bytes in the compacted tier", float64(o.tierBytes[TierCompacted].Load()))
 	e.Gauge("btrace_store_tier_cold_segments", "cold block files", float64(o.tierSegments[TierCold].Load()))
 	e.Gauge("btrace_store_tier_cold_bytes", "compressed bytes in the cold tier", float64(o.tierBytes[TierCold].Load()))
 	e.Gauge("btrace_store_stores", "open stores", 1)
@@ -207,8 +198,6 @@ func (st *Store) publishObsLocked() {
 	o.seals.Add(cur.Seals - last.Seals)
 	o.segmentsDeleted.Add(cur.SegmentsDeleted - last.SegmentsDeleted)
 	o.eventsRetired.Add(cur.EventsRetired - last.EventsRetired)
-	o.compactions.Add(cur.Compactions - last.Compactions)
-	o.segmentsCompacted.Add(cur.SegmentsCompacted - last.SegmentsCompacted)
 	o.recoveredTruncations.Add(cur.RecoveredTruncations - last.RecoveredTruncations)
 	o.tornBytesDropped.Add(cur.TornBytesDropped - last.TornBytesDropped)
 	o.leftoverSegments.Add(cur.LeftoverSegments - last.LeftoverSegments)
@@ -225,7 +214,7 @@ func (st *Store) publishObsLocked() {
 
 	var size int64
 	var events uint64
-	var tierSegs, tierSize [3]int64
+	var tierSegs, tierSize [2]int64
 	for _, s := range st.segs {
 		size += s.size
 		events += s.meta.count

@@ -36,7 +36,7 @@
 // (or Query.Limit of them) Next answers (0, 0, nil) until Close.
 // Entries handed out borrow chunk buffers that stay valid until the
 // next Next or Close, matching the cursor ownership contract, and
-// `missed` bounds the snapshot events a retention, merge or freeze pass
+// `missed` bounds the snapshot events a retention or freeze pass
 // deleted before their stream could open them.
 package store
 
@@ -369,7 +369,7 @@ func (c *PCursor) admit() {
 
 // runStream steps the shared scan over one segment snapshot, sending
 // each step's chunk to the merge. The file is opened at once — what a
-// retention, merge or freeze pass deletes after that the stream still
+// retention or freeze pass deletes after that the stream still
 // reads — and the first step waits for the gate. A semaphore permit is
 // held only across the read+decode, never across a channel send, so a
 // blocked merge cannot starve other streams of scan slots.

@@ -41,9 +41,9 @@ func drainParallel(t *testing.T, c *PCursor, batch int) ([]tracer.Entry, uint64)
 }
 
 // TestParallelMatchesSequential is the equivalence table of the scan
-// surfaces. Over a store holding every tier at once — a frozen v3 run, a
-// compacted run, sealed hot segments and an unsealed tail — Query (one
-// scan worker) must deliver exactly a brute-force reading of the
+// surfaces. Over a store holding both tiers at once — a frozen v3 run,
+// small sealed hot segments, one sealed by rotation and an unsealed
+// tail — Query (one scan worker) must deliver exactly a brute-force reading of the
 // fixture, QueryParallel at one and four workers exactly Query's result,
 // and Aggregate a brute-force fold of that drain, for a spread of
 // queries: field filters, the segment-pruning ones, BTQL header and
@@ -59,15 +59,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("CompactCold: %v", err)
 	}
 	sealEvery(t, st, 801, 1400, 100)
-	if _, err := st.Compact(); err != nil { // the small sealed runs merge
-		t.Fatalf("Compact: %v", err)
-	}
 	appendRange(t, st, 1401, 2400) // rotates once by size, tail unsealed
 	if err := st.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 	ts := st.TierStats()
-	if ts[TierCold].Segments == 0 || ts[TierCompacted].Segments == 0 || ts[TierHot].Segments < 2 {
+	if ts[TierCold].Segments == 0 || ts[TierHot].Segments < 2 {
 		t.Fatalf("fixture does not span the tiers: %+v", ts)
 	}
 	for _, b := range st.ColdBlocks() {
@@ -208,8 +205,8 @@ func TestParallelCursorIsSnapshot(t *testing.T) {
 }
 
 // TestParallelNoSpuriousMissed: whatever the store does to segments a
-// finished pass has already delivered — merge them, freeze them, retire
-// them — the extra Next every drain loop makes reports nothing, so
+// finished pass has already delivered — freeze them, retire them — the
+// extra Next every drain loop makes reports nothing, so
 // delivered + missed == matched holds for the query.
 func TestParallelNoSpuriousMissed(t *testing.T) {
 	for _, tc := range []struct {
@@ -217,11 +214,6 @@ func TestParallelNoSpuriousMissed(t *testing.T) {
 		cfg   Config
 		after func(t *testing.T, st *Store)
 	}{
-		{"Compact", Config{SegmentBytes: 1 << 20}, func(t *testing.T, st *Store) {
-			if n, err := st.Compact(); err != nil || n != 4 {
-				t.Fatalf("Compact = (%d, %v), want 4 sources merged", n, err)
-			}
-		}},
 		{"CompactCold", tierCfg(), func(t *testing.T, st *Store) {
 			sealEvery(t, st, 401, 410, 10) // newer data: the delivered segments age out
 			if n, err := st.CompactCold(); err != nil || n < 4 {

@@ -109,10 +109,10 @@ func (b *countingBackend) take() map[string]int {
 
 // partialsFixture builds, and closes, a directory holding a sealed
 // segment of every kind a fold can meet: cold files of format v1
-// (stamps 1–500), v2 (501–1100) and v3 (1101–1700), a compacted row
-// segment (1701–2200), two hot ordered ones (2201–2300, 2301–2400) and
-// a hot one two writers interleaved (2401–2600, unordered). It returns
-// the directory and the entries in it.
+// (stamps 1–500), v2 (501–1100) and v3 (1101–1700), hot ordered row
+// segments (1701–1800, 1801–2200, 2201–2300, 2301–2400) and a hot one two
+// writers interleaved (2401–2600, unordered). It returns the directory
+// and the entries in it.
 func partialsFixture(t *testing.T) (string, []tracer.Entry) {
 	t.Helper()
 	st := openV1V2Directory(t)
@@ -120,10 +120,7 @@ func partialsFixture(t *testing.T) (string, []tracer.Entry) {
 	if _, err := st.CompactCold(); err != nil {
 		t.Fatal(err)
 	}
-	sealEvery(t, st, 1801, 2200, 100)
-	if n, err := st.Compact(); err != nil || n == 0 {
-		t.Fatalf("Compact: merged %d, %v", n, err)
-	}
+	sealEvery(t, st, 1801, 2200, 400)
 	sealEvery(t, st, 2201, 2400, 100)
 	mixed := mkRange(2401, 2600)
 	rand.New(rand.NewSource(24)).Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
@@ -141,7 +138,7 @@ func partialsFixture(t *testing.T) (string, []tracer.Entry) {
 		tiers[s.Tier] = true
 		unordered = unordered || !s.Ordered
 	}
-	if len(versions) != 3 || len(tiers) != 3 || !unordered || len(st.Segments()) != 7 {
+	if len(versions) != 3 || len(tiers) != 2 || !unordered || len(st.Segments()) != 8 {
 		t.Fatalf("fixture lacks a case: cold versions %v, tiers %v, unordered %v, segments %+v", versions, tiers, unordered, st.Segments())
 	}
 	if err := st.Close(); err != nil {
@@ -174,7 +171,7 @@ func openCounting(t *testing.T, dir string, cacheBytes int64) (*Store, *counting
 // (folding), the second time (from partials) and on a store without a
 // block cache; a repeat over a quiesced store opens the active segment
 // and the segments a window's bound cuts through, and nothing else; and
-// a merge or retention leaves nothing behind that a later fold finds.
+// a freeze or retention leaves nothing behind that a later fold finds.
 func TestAggregatePartials(t *testing.T) {
 	dir, all := partialsFixture(t)
 	st, be := openCounting(t, dir, 0)
@@ -183,7 +180,7 @@ func TestAggregatePartials(t *testing.T) {
 		appendRange(t, s, 2601, 2650) // the active segment
 	}
 	all = append(all, mkRange(2601, 2650)...)
-	active := st.Segments()[7].File
+	active := st.Segments()[8].File
 
 	specs := []btql.AggSpec{
 		{Kind: btql.AggCount},
@@ -285,20 +282,20 @@ func TestAggregatePartials(t *testing.T) {
 		}
 	}
 
-	// A merge keeps its first source's name: the partials of the three
-	// hot segments must not answer for the merged one.
+	// A freeze replaces the five hot segments with one cold file: their
+	// partials must not answer for it.
 	for _, s := range []*Store{st, bare} {
-		if n, err := s.Compact(); err != nil || n != 3 {
-			t.Fatalf("Compact: merged %d, %v; want the three hot segments", n, err)
+		if n, err := s.CompactCold(); err != nil || n != 5 {
+			t.Fatalf("CompactCold: froze %d, %v; want the five hot segments", n, err)
 		}
 	}
 	s0 := st.Stats()
 	ask(st, Query{}, specs[0])
 	s1 := st.Stats()
-	if hits, misses := s1.AggPartialHits-s0.AggPartialHits, s1.AggPartialMisses-s0.AggPartialMisses; hits != 4 || misses != 1 {
-		t.Fatalf("after the merge: %d partials served and %d folded, want 4 and 1 (the merged segment)", hits, misses)
+	if hits, misses := s1.AggPartialHits-s0.AggPartialHits, s1.AggPartialMisses-s0.AggPartialMisses; hits != 3 || misses != 1 {
+		t.Fatalf("after the freeze: %d partials served and %d folded, want 3 and 1 (the new cold file)", hits, misses)
 	}
-	check("after the merge")
+	check("after the freeze")
 
 	// Retention takes the v1 cold file: its partials are never asked for.
 	for _, s := range []*Store{st, bare} {
@@ -320,8 +317,8 @@ func TestAggregatePartials(t *testing.T) {
 	s0 = st.Stats()
 	ask(st, Query{}, specs[0])
 	s1 = st.Stats()
-	if hits, misses := s1.AggPartialHits-s0.AggPartialHits, s1.AggPartialMisses-s0.AggPartialMisses; hits != 4 || misses != 0 {
-		t.Fatalf("after retention: %d partials served and %d folded, want 4 and 0", hits, misses)
+	if hits, misses := s1.AggPartialHits-s0.AggPartialHits, s1.AggPartialMisses-s0.AggPartialMisses; hits != 3 || misses != 0 {
+		t.Fatalf("after retention: %d partials served and %d folded, want 3 and 0", hits, misses)
 	}
 	queries[4].q.Pred = predOf(t, `category != 4 && time >= 650000 && time < 2450500`)
 	check("after retention")

@@ -118,22 +118,46 @@ func (m *segmentMeta) observeStaged(se *stagedEntry) {
 	m.count++
 }
 
+// mergeMeta folds src into dst (append order: dst precedes src).
+func mergeMeta(dst, src *segmentMeta) {
+	if src.count == 0 {
+		return
+	}
+	if dst.count == 0 {
+		*dst = *src
+		return
+	}
+	// Ordered survives only if the concatenation stays non-decreasing.
+	dst.ordered = dst.ordered && src.ordered && src.baseStamp >= dst.maxStamp
+	if src.baseStamp < dst.baseStamp {
+		dst.baseStamp = src.baseStamp
+	}
+	if src.maxStamp > dst.maxStamp {
+		dst.maxStamp = src.maxStamp
+	}
+	if src.minTS < dst.minTS {
+		dst.minTS = src.minTS
+	}
+	if src.maxTS > dst.maxTS {
+		dst.maxTS = src.maxTS
+	}
+	dst.coreBits |= src.coreBits
+	dst.catBits |= src.catBits
+	dst.count += src.count
+}
+
 // indexEntry maps a stamp to the file offset of its frame.
 type indexEntry struct {
 	stamp uint64
 	off   int64
 }
 
-// Tier is a segment's place in the hot → compacted → cold lifecycle.
+// Tier is a segment's place in the hot → cold lifecycle.
 type Tier uint8
 
 const (
-	// TierHot is a row segment produced by rotation (possibly still
-	// active).
+	// TierHot is a row segment (possibly still active).
 	TierHot Tier = iota
-	// TierCompacted is a row segment produced by merging sealed hot
-	// segments (coversThrough > seq).
-	TierCompacted
 	// TierCold is a compressed block file produced by freezing row
 	// segments (see cold.go).
 	TierCold
@@ -143,8 +167,6 @@ func (t Tier) String() string {
 	switch t {
 	case TierHot:
 		return "hot"
-	case TierCompacted:
-		return "compacted"
 	case TierCold:
 		return "cold"
 	}
@@ -157,8 +179,10 @@ type segment struct {
 	seq  uint64
 	name string // backend file name (seg-%08d.seg or col-%08d.blk)
 	// coversThrough is the highest source seq this segment subsumes: its
-	// own seq normally, the last merged source's seq after compaction.
-	// Cursors use it to step over merged ranges without re-delivering.
+	// own seq for a row segment, the last frozen source's seq for a cold
+	// file. (Earlier versions also merged row segments, so a row segment
+	// may cover past its seq too.) Recovery deletes any later file it
+	// covers as a leftover of an interrupted transition.
 	coversThrough uint64
 	size          int64 // committed backend bytes (compressed size for cold)
 	// rawSize is the uncompressed equivalent (header + frame bytes);
@@ -207,15 +231,17 @@ func le64put(b []byte, v uint64) {
 //	[24:32) minTS       [32:40) maxTS
 //	[40:48) coreBits    [48:56) catBits
 //	[56:64) count
-//	[64:72) coversThrough (highest source seq this segment subsumes;
-//	        the segment's own seq unless it was produced by compaction)
+//	[64:72) coversThrough (highest source seq this file subsumes: a
+//	        row segment's own seq; a cold file's last frozen source)
 //	[72:80) flags (bit 0 = sealed, bit 1 = ordered)
 //	[80:88) crc32c of [0:80) in the low 32 bits
 //
-// coversThrough is what makes interrupted-compaction recovery precise:
-// the merged segment explicitly names the source seqs it consumed, so
-// Open deletes exactly those if a crash left them behind — never an
-// unrelated segment that merely repeats a stamp range.
+// coversThrough is what makes interrupted-freeze recovery precise: the
+// cold file explicitly names the source seqs it consumed, so Open
+// deletes exactly those if a crash left them behind — never an
+// unrelated segment that merely repeats a stamp range. (Row segments
+// that earlier versions merged carry a coversThrough past their seq;
+// recovery applies the same rule to them.)
 func encodeHeader(dst []byte, m *segmentMeta, coversThrough uint64, sealed bool) {
 	encodeHeaderMagic(dst, segMagic, m, coversThrough, sealed)
 }
@@ -244,7 +270,7 @@ func encodeHeaderMagic(dst []byte, magic uint64, m *segmentMeta, coversThrough u
 }
 
 // decodeHeader parses and validates a segment header, returning the
-// merge coverage and sealed flag. A header whose magic or checksum does
+// seq coverage and sealed flag. A header whose magic or checksum does
 // not match is reported as corrupt; the caller falls back to a full
 // scan.
 func decodeHeader(src []byte) (m segmentMeta, coversThrough uint64, sealed bool, err error) {

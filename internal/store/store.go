@@ -1,10 +1,9 @@
 // Package store implements the durable half of the deployment story: an
 // append-only, segmented trace store fed by tracer.Cursor streams. The
 // block buffer keeps the latest trace continuous in memory; the store is
-// where traces go to survive the process — collector dumps spill into it
-// instead of being dropped, and post-mortem queries ("what happened on
-// core 3 between t1 and t2") are answered from storage without replaying
-// a full export.
+// where traces go to survive the process, and post-mortem queries
+// ("what happened on core 3 between t1 and t2") are answered from
+// storage without replaying a full export.
 //
 // Layout: a store is a backend namespace (a local directory by default,
 // see internal/store/backend) of numbered files. Row segments
@@ -13,18 +12,16 @@
 // active; it rotates when it reaches Config.SegmentBytes. Sealed
 // segments are immutable, which is what makes retention (atomic
 // whole-file deletion, oldest first) and the tiering pipeline
-// crash-safe: data ages hot → compacted (merged sealed segments,
-// compact.go) → cold (compressed block files, col-%08d.blk, cold.go),
-// every transition committing through one write-new/fsync/rename/
-// delete-old sequence (compactor.go).
+// crash-safe: data ages hot → cold (compressed block files,
+// col-%08d.blk, cold.go), the transition committing through one
+// write-new/fsync/rename/delete-old sequence (compactor.go).
 //
 // Recovery invariant: reopening a store after a crash loses at most the
 // final torn record of the active segment. Every surviving record is
 // whole and checksummed; the scan truncates the file at the first frame
 // whose magic, checksum or decode fails. A crash at any tier boundary
-// leaves either the sources or the merged/frozen result — recovery
-// deletes exactly the duplicate copy, identified by seq coverage, never
-// both.
+// leaves either the sources or the frozen result — recovery deletes
+// exactly the duplicate copy, identified by seq coverage, never both.
 package store
 
 import (
@@ -72,8 +69,8 @@ type Config struct {
 	// directory backend over Open's dir argument.
 	Backend backend.Backend
 	// CompactInterval starts a background compactor goroutine that runs
-	// a merge + freeze pass (CompactTick) this often (0 = no background
-	// compaction; Compact/CompactCold stay available manually).
+	// a freeze pass (CompactTick) this often (0 = no background
+	// compaction; CompactCold stays available manually).
 	CompactInterval time.Duration
 	// ColdAfterNs is the freeze age threshold: sealed row segments whose
 	// newest timestamp trails the store's newest timestamp by more than
@@ -120,9 +117,6 @@ type Stats struct {
 	SegmentsDeleted uint64 // segments removed by retention
 	EventsRetired   uint64 // events removed by retention
 
-	Compactions       uint64 // compaction passes that merged something
-	SegmentsCompacted uint64 // source segments consumed by compaction
-
 	ColdCompactions  uint64 // freeze passes that produced a cold file
 	SegmentsFrozen   uint64 // row segments consumed by freezing
 	ColdBlocksBuilt  uint64 // blocks written into cold files
@@ -148,7 +142,7 @@ type Stats struct {
 
 	RecoveredTruncations uint64 // segments truncated at open (torn tails)
 	TornBytesDropped     uint64 // bytes cut by those truncations
-	LeftoverSegments     uint64 // interrupted-compaction leftovers deleted at open
+	LeftoverSegments     uint64 // interrupted tier-transition leftovers deleted at open
 	HeadersRebuilt       uint64 // corrupt headers rebuilt at open from a frame scan
 	OrphansRemoved       uint64 // unrecognized/temporary files removed at open
 }
@@ -305,10 +299,10 @@ func OpenBackend(be backend.Backend, cfg Config) (*Store, error) {
 			st.nextSeq = en.seq + 1
 		}
 	}
-	// A merged last segment may cover source seqs past its own file name
-	// (its sources were already deleted); never reissue a covered seq, or
-	// cursors would skip the new segment and a later recovery would
-	// mistake it for a compaction leftover.
+	// A last cold file (or a row segment an earlier version merged) may
+	// cover source seqs past its own file name (its sources were already
+	// deleted); never reissue a covered seq, or a later recovery would
+	// mistake the new segment for a leftover of that transition.
 	if s := st.lastSeg(); s != nil && s.coversThrough >= st.nextSeq {
 		st.nextSeq = s.coversThrough + 1
 	}
@@ -331,7 +325,8 @@ func parseName(name, pattern string, seq *uint64) bool {
 }
 
 // recoverSegment opens, scans and (if needed) truncates one row segment,
-// appending it to the store unless it is empty or a compaction leftover.
+// appending it to the store unless it is empty or a tier-transition
+// leftover.
 func (st *Store) recoverSegment(seq uint64, name string, last bool) error {
 	s := &segment{seq: seq, coversThrough: seq, name: name}
 	f, err := st.be.OpenRW(name)
@@ -415,20 +410,19 @@ func (st *Store) recoverSegment(seq uint64, name string, last bool) error {
 		return nil
 	}
 
-	// Interrupted tier-transition leftover: both merge and freeze rename
-	// the result — whose header names the source seqs it consumed via
-	// coversThrough — before deleting those sources. A source file that
-	// survived the crash is exactly a segment whose seq the previous
-	// recovered segment explicitly covers; nothing else is ever deleted,
-	// so independent runs that happen to repeat a stamp range coexist.
+	// Interrupted tier-transition leftover: a freeze renames the result
+	// — whose header names the source seqs it consumed via coversThrough
+	// — before deleting those sources (as did the row-segment merge of
+	// earlier versions, whose results reopen as hot segments). A source
+	// file that survived the crash is exactly a segment whose seq the
+	// previous recovered segment explicitly covers; nothing else is ever
+	// deleted, so independent runs that happen to repeat a stamp range
+	// coexist.
 	if prev := st.lastSeg(); prev != nil && prev.coversThrough >= seq {
 		f.Close()
 		st.be.Remove(name)
 		st.stats.LeftoverSegments++
 		return nil
-	}
-	if s.coversThrough > s.seq {
-		s.tier = TierCompacted
 	}
 
 	if !s.sealed && last {

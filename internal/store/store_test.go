@@ -425,123 +425,77 @@ func TestCursorMissedOnRetention(t *testing.T) {
 	}
 }
 
-func TestCompaction(t *testing.T) {
-	st, err := Open(t.TempDir(), Config{SegmentBytes: 64 << 10})
+// TestMergedV0Directory: a store directory written by a version that
+// still merged small sealed row segments opens, and recovery's seq
+// coverage rules still apply to it. testdata/merged-v0 is what the last
+// commit with the merge left after appendRange(1..50), Seal,
+// appendRange(51..100), Seal, a merge of those two (seg-1, whose header
+// covers seq 2), appendRange(101..150) and Close (seg-3) — with the
+// pre-merge seg-2 written back, as a crash between the merge's rename
+// and its source deletes would leave it.
+func TestMergedV0Directory(t *testing.T) {
+	golden := filepath.Join("testdata", "merged-v0")
+	cfg := Config{SegmentBytes: 64 << 10}
+	st, err := Open(copyDir(t, golden), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// Seal after every small batch to fabricate many small segments.
-	for s := uint64(1); s <= 200; s += 20 {
-		appendRange(t, st, s, s+19)
-		if err := st.Seal(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := len(st.Segments())
-	if before < 5 {
-		t.Fatalf("setup produced only %d segments", before)
-	}
-	merged, err := st.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged == 0 {
-		t.Fatal("compaction merged nothing")
-	}
-	after := st.Segments()
-	if len(after) >= before {
-		t.Fatalf("segments %d -> %d after compaction", before, len(after))
+	if n := st.Stats().LeftoverSegments; n != 1 {
+		t.Fatalf("LeftoverSegments = %d, want 1 (the covered seg-2)", n)
 	}
 	es := drainStore(t, st, Query{})
-	if len(es) != 200 {
-		t.Fatalf("post-compaction drain: %d events, want 200", len(es))
-	}
-	for i, e := range es {
-		if e.Stamp != uint64(i+1) {
-			t.Fatalf("post-compaction record %d: stamp %d", i, e.Stamp)
-		}
-		checkEntry(t, e)
-	}
-	// Queries still prune and seek correctly over the merged segment.
-	q := drainStore(t, st, Query{MinStamp: 50, MaxStamp: 60})
-	if len(q) != 11 {
-		t.Fatalf("post-compaction query: %d events, want 11", len(q))
-	}
-	// And the compacted store survives a reopen byte-for-byte.
-	dir := st.Dir()
-	st.Close()
-	re, err := Open(dir, Config{SegmentBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if es = drainStore(t, re, Query{}); len(es) != 200 {
-		t.Fatalf("reopened compacted store: %d events", len(es))
-	}
-}
-
-func TestCompactionLeftoverRecovery(t *testing.T) {
-	// Simulate a crash between compaction's rename and its source
-	// deletes: duplicate a merged segment's content as a later segment
-	// whose stamp range the merged one contains.
-	dir := t.TempDir()
-	st, err := Open(dir, Config{SegmentBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendRange(t, st, 1, 50)
-	st.Seal()
-	appendRange(t, st, 51, 100)
-	st.Seal()
-	if _, err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(st.Segments()); n != 1 {
-		t.Fatalf("expected 1 merged segment, got %d", n)
-	}
-	st.Close()
-
-	// Fabricate the leftover: a stale seg-2 holding records 51..100,
-	// already contained in the merged seg-1.
-	leftover, err := Open(t.TempDir(), Config{SegmentBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendRange(t, leftover, 51, 100)
-	leftover.Close()
-	src, err := os.ReadFile(filepath.Join(leftover.Dir(), "seg-00000001.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "seg-00000002.seg"), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := Open(dir, Config{SegmentBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.Stats().LeftoverSegments != 1 {
-		t.Fatalf("LeftoverSegments = %d, want 1", rec.Stats().LeftoverSegments)
-	}
-	es := drainStore(t, rec, Query{})
-	if len(es) != 100 {
-		t.Fatalf("recovered %d events, want 100 (no duplicates)", len(es))
+	if len(es) != 150 {
+		t.Fatalf("recovered %d events, want 150 (no duplicates)", len(es))
 	}
 	for i, e := range es {
 		if e.Stamp != uint64(i+1) {
 			t.Fatalf("record %d: stamp %d", i, e.Stamp)
 		}
+		checkEntry(t, e)
+	}
+	segs := st.Segments()
+	if len(segs) != 2 || segs[0].File != "seg-00000001.seg" || segs[0].Tier != "hot" || segs[0].Events != 100 {
+		t.Fatalf("segments %+v, want the merged seg-1 (100 events, hot) and seg-3", segs)
+	}
+
+	// With the merged segment last, the next one must not reuse the seq it
+	// covers: a later open would take a seq-2 segment for a leftover.
+	dir := copyDir(t, golden)
+	for _, name := range []string{"seg-00000002.seg", "seg-00000003.seg"} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRange(t, last, 101, 110)
+	if err := last.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if segs := re.Segments(); len(segs) != 2 || segs[1].Seq != 3 {
+		t.Fatalf("segments %+v, want the appended one at seq 3", segs)
+	}
+	if n := re.Stats().LeftoverSegments; n != 0 {
+		t.Fatalf("LeftoverSegments = %d after a reopen, want 0", n)
+	}
+	if got, missed := drainStamps(t, re.Query(Query{})); missed != 0 || fmt.Sprint(got) != fmt.Sprint(stampRange(1, 110)) {
+		t.Fatalf("after reopen: delivered %v, missed %d, want stamps 1..110", got, missed)
 	}
 }
 
 // TestReopenKeepsRepeatedStampRanges guards against over-eager leftover
 // detection: two runs whose stamp counters both start at 1 (replay
 // stamps are per-run) write overlapping stamp ranges into the same
-// directory, and reopening must keep both — only segments a merged
-// header explicitly covers are compaction leftovers.
+// directory, and reopening must keep both — only segments an earlier
+// file's header explicitly covers are tier-transition leftovers.
 func TestReopenKeepsRepeatedStampRanges(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Config{})
@@ -627,19 +581,19 @@ func TestRecoveryTornHeader(t *testing.T) {
 	}
 }
 
-// TestCursorMissedOnUnorderedMerge: compaction merging a pass's
-// segments into an unordered result under it neither loses nor repeats
-// anything — the pass reads on from the files its snapshot opened, in
-// stamp order, and reports nothing missed.
-func TestCursorMissedOnUnorderedMerge(t *testing.T) {
-	st, err := Open(t.TempDir(), Config{SegmentBytes: 64 << 10})
+// TestCursorMissedOnUnorderedFreeze: a freeze replacing a pass's
+// overlapping segments with one unordered cold file under it neither
+// loses nor repeats anything — the pass reads on from the files its
+// snapshot opened, in stamp order, and reports nothing missed.
+func TestCursorMissedOnUnorderedFreeze(t *testing.T) {
+	st, err := Open(t.TempDir(), tierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	appendRange(t, st, 1, 10)
 	st.Seal()
-	appendRange(t, st, 5, 8) // overlaps: the merge of both is unordered
+	appendRange(t, st, 5, 8) // overlaps: the freeze of both is unordered
 	st.Seal()
 
 	cur := st.Query(Query{})
@@ -653,12 +607,12 @@ func TestCursorMissedOnUnorderedMerge(t *testing.T) {
 	for _, e := range batch[:n] {
 		got = append(got, e.Stamp)
 	}
-	if _, err := st.Compact(); err != nil {
-		t.Fatal(err)
+	appendRange(t, st, 11, 11) // newer time: both sealed segments age out
+	if n, err := st.CompactCold(); err != nil || n != 2 {
+		t.Fatalf("CompactCold = (%d, %v), want both sealed segments frozen", n, err)
 	}
-	segs := st.Segments()
-	if len(segs) != 1 || segs[0].Ordered {
-		t.Fatalf("setup: want one unordered merged segment, got %+v", segs)
+	if segs := st.Segments(); len(segs) != 2 || segs[0].Tier != "cold" || segs[0].Ordered {
+		t.Fatalf("setup: want one unordered cold file, got %+v", segs)
 	}
 	rest, missed := drainStamps(t, cur)
 	got = append(got, rest...)
@@ -697,17 +651,17 @@ func stampRange(from, to uint64) []uint64 {
 	return out
 }
 
-// TestCursorResumesInsideOrderedMerge: a pass whose snapshot holds a
-// segment that an ordered merge takes away mid-pass delivers the rest of
-// that segment from the file it opened, and not what the merge brought
-// in from after the snapshot.
-func TestCursorResumesInsideOrderedMerge(t *testing.T) {
-	st, err := Open(t.TempDir(), Config{SegmentBytes: 4 << 10})
+// TestCursorResumesInsideFreeze: a pass whose snapshot holds a segment
+// that a freeze takes away mid-pass delivers the rest of that segment
+// from the file it opened, and not what the freeze brought into the
+// same cold file from after the snapshot.
+func TestCursorResumesInsideFreeze(t *testing.T) {
+	st, err := Open(t.TempDir(), tierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	appendRange(t, st, 100, 150) // more than half a segment: no merge takes it
+	appendRange(t, st, 100, 150)
 	st.Seal()
 	appendRange(t, st, 1, 10) // a writer that reserved its stamps earlier
 	st.Seal()
@@ -719,18 +673,19 @@ func TestCursorResumesInsideOrderedMerge(t *testing.T) {
 	}
 	appendRange(t, st, 11, 20)
 	st.Seal()
-	if n, err := st.Compact(); err != nil || n != 2 {
-		t.Fatalf("Compact = (%d, %v), want the two small segments merged", n, err)
+	appendRange(t, st, 200, 200) // newer time: every sealed segment ages out
+	if n, err := st.CompactCold(); err != nil || n != 3 {
+		t.Fatalf("CompactCold = (%d, %v), want the three sealed segments frozen", n, err)
 	}
-	if segs := st.Segments(); len(segs) != 2 || !segs[1].Ordered {
-		t.Fatalf("setup: want an ordered merge behind the first segment, got %+v", segs)
+	if segs := st.Segments(); len(segs) != 2 || segs[0].Tier != "cold" {
+		t.Fatalf("setup: want one cold file ahead of the active segment, got %+v", segs)
 	}
 	got, missed := drainStamps(t, cur)
 	if want := append(stampRange(6, 10), stampRange(100, 150)...); missed != 0 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("after the merge: delivered %v, missed %d, want stamps 6..10 and 100..150", got, missed)
+		t.Fatalf("after the freeze: delivered %v, missed %d, want stamps 6..10 and 100..150", got, missed)
 	}
-	if got, _ := drainStamps(t, st.Query(Query{})); len(got) != 71 {
-		t.Fatalf("a new pass: %d events, want 71", len(got))
+	if got, _ := drainStamps(t, st.Query(Query{})); len(got) != 72 {
+		t.Fatalf("a new pass: %d events, want 72", len(got))
 	}
 }
 

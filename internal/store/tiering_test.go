@@ -8,8 +8,7 @@ import (
 )
 
 // sealEvery appends [from,to] in runs of step events, sealing after each
-// run — manufacturing the small sealed segments the merge and freeze
-// strategies act on.
+// run — manufacturing the small sealed segments freezing acts on.
 func sealEvery(t *testing.T, st *Store, from, to, step uint64) {
 	t.Helper()
 	for s := from; s <= to; s += step {
