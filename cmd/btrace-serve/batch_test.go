@@ -24,7 +24,13 @@ import (
 // events back from a body that has been scribbled over, so anything
 // that kept a reference past its ownership reads garbage. Benchmarks
 // run without it; the scribble is not part of the path they measure.
+// Started with serveMainEnv set, the test binary is btrace-serve itself
+// (TestMetricsSeriesInventory's child).
 func TestMain(m *testing.M) {
+	if os.Getenv(serveMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
 	flag.Parse()
 	poisonReleased = flag.Lookup("test.bench").Value.String() == ""
 	os.Exit(m.Run())

@@ -150,7 +150,7 @@ func (p *ingestPipeline) run() {
 			}
 			p.apply(b)
 		case <-idle.C:
-			p.adm.Evaluate(overload.Pressure{Store: p.st.Pressure()})
+			p.adm.Evaluate(p.st.Pressure())
 		}
 	}
 }
@@ -163,7 +163,7 @@ func (p *ingestPipeline) run() {
 func (p *ingestPipeline) apply(b *ingestBatch) {
 	defer b.release()
 	p.batches.Add(1)
-	p.adm.Evaluate(overload.Pressure{Store: p.st.Pressure()})
+	p.adm.Evaluate(p.st.Pressure())
 	es, c := p.adm.Admit(b.tenant, b.es)
 	p.throttled.Add(uint64(c.Throttled))
 	if len(es) == 0 {

@@ -184,7 +184,7 @@ func TestReadyzReportsOverloadAndStoreFailure(t *testing.T) {
 	srv.attachIngest(p)
 	evaluate := func(failed bool) {
 		for range overload.TierStream {
-			p.adm.Evaluate(overload.Pressure{Store: overload.StorePressure{Failed: failed}})
+			p.adm.Evaluate(overload.StorePressure{Failed: failed})
 		}
 	}
 

@@ -40,9 +40,6 @@ type Verifier struct {
 	// batches interleave arbitrarily and only per-thread order is an
 	// invariant.
 	unordered bool
-
-	checked     uint64
-	quarantined uint64
 }
 
 // NewVerifier creates a Verifier with empty cursors.
@@ -71,13 +68,11 @@ func (v *Verifier) Check(es []tracer.Entry) (clean, quarantined []tracer.Entry, 
 		if reason := v.check(e); reason != "" {
 			quarantined = append(quarantined, *e)
 			violations = append(violations, reason)
-			v.quarantined++
 			continue
 		}
 		v.lastStamp = e.Stamp
 		v.perThread[e.TID] = e.Stamp
 		clean = append(clean, *e)
-		v.checked++
 	}
 	return clean, quarantined, violations
 }
@@ -103,9 +98,4 @@ func (v *Verifier) check(e *tracer.Entry) string {
 		return fmt.Sprintf("stamp %d: thread %d not strictly increasing after %d", e.Stamp, e.TID, last)
 	}
 	return ""
-}
-
-// Stats returns (entries accepted, entries quarantined) since creation.
-func (v *Verifier) Stats() (checked, quarantined uint64) {
-	return v.checked, v.quarantined
 }

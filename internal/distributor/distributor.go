@@ -683,9 +683,6 @@ func (d *Distributor) Stats() Stats {
 	}
 }
 
-// GateStats snapshots the shared gate's counters.
-func (d *Distributor) GateStats() overload.Stats { return d.adm.GateStats() }
-
 // TenantStats snapshots the admission's per-tenant attribution.
 func (d *Distributor) TenantStats() map[string]ingest.TenantStats { return d.adm.TenantStats() }
 
@@ -696,17 +693,17 @@ func (d *Distributor) GateTier() overload.Tier { return d.adm.Tier() }
 // the worst store signals across the shard fleet — overload anywhere in
 // the replica set is overload, since quorum writes wait for it.
 func (d *Distributor) EvaluateGate() {
-	var p overload.Pressure
+	var p overload.StorePressure
 	for _, sh := range d.Shards() {
 		sp := sh.Pressure()
-		if sp.StagedFill > p.Store.StagedFill {
-			p.Store.StagedFill = sp.StagedFill
+		if sp.StagedFill > p.StagedFill {
+			p.StagedFill = sp.StagedFill
 		}
-		if sp.AppendNs > p.Store.AppendNs {
-			p.Store.AppendNs = sp.AppendNs
+		if sp.AppendNs > p.AppendNs {
+			p.AppendNs = sp.AppendNs
 		}
-		if sp.FsyncNs > p.Store.FsyncNs {
-			p.Store.FsyncNs = sp.FsyncNs
+		if sp.FsyncNs > p.FsyncNs {
+			p.FsyncNs = sp.FsyncNs
 		}
 	}
 	d.adm.Evaluate(p)

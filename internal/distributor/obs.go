@@ -7,8 +7,9 @@ import (
 	"btrace/internal/obs"
 )
 
-// distObs mirrors the distributor's counters into obs primitives,
-// following the gateObs pattern: allocated separately from the
+// distObs is the one home of the distributor's counts: request
+// goroutines bump them concurrently, so they are obs primitives, and
+// Stats reads them here. It is allocated separately from the
 // Distributor so the registry's collector closure never pins it, with a
 // finalizer folding the series into retired totals.
 type distObs struct {
@@ -76,7 +77,7 @@ func (o *distObs) collect(e *obs.Emitter) {
 	e.Gauge("btrace_distributor_replication", "configured replication factor", float64(o.replication.Load()))
 }
 
-// registerObs wires the mirror into the process-wide registry; the
+// registerObs wires the counters into the process-wide registry; the
 // finalizer folds the series when the Distributor becomes unreachable
 // (tests build many).
 func (d *Distributor) registerObs() {

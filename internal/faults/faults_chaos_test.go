@@ -363,9 +363,9 @@ func TestChaosDeterministicSchedules(t *testing.T) {
 				fst.Heal()
 			}
 			es, missed := src.Batch()
-			var p overload.Pressure
+			var p overload.StorePressure
 			if total := missed + uint64(len(es)); total > 0 {
-				p.Store.StagedFill = float64(missed) / float64(total)
+				p.StagedFill = float64(missed) / float64(total)
 			}
 			adm.Evaluate(p)
 			admitted, c := adm.Admit("", es)

@@ -84,9 +84,9 @@ func TestChaosOverloadStorm(t *testing.T) {
 		// The gate reads the store's signals only. The source's loss rate
 		// stands in for the staging fill a wedged store backs up into:
 		// the same storm shape, with no clock in it.
-		var p overload.Pressure
+		var p overload.StorePressure
 		if total := missed + uint64(len(es)); total > 0 {
-			p.Store.StagedFill = float64(missed) / float64(total)
+			p.StagedFill = float64(missed) / float64(total)
 		}
 		adm.Evaluate(p)
 		appends0, _, _ := fst.Stats()

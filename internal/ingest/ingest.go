@@ -28,10 +28,9 @@ import (
 // request goroutines may call it. The lock is held only for in-memory
 // filtering and the live publish, never across store I/O.
 type Admission struct {
-	// tenantTable holds the lock and the tenant rows; its TenantStats is
-	// Admission's.
+	// tenantTable holds the lock, the tenant rows and the gate; its
+	// TenantStats is Admission's.
 	*tenantTable
-	gate *overload.Gate
 	// publish, when set, receives every non-empty admitted batch under
 	// its tenant (the /live fan-out, live.Hub.Publish).
 	publish func(tenant string, es []tracer.Entry)
@@ -48,8 +47,7 @@ type Admission struct {
 // must copy what it keeps and must not block.
 func NewAdmission(gate overload.Config, overrides map[string]TenantLimit, publish func(tenant string, es []tracer.Entry)) *Admission {
 	a := &Admission{
-		tenantTable: newTenantTable(overrides),
-		gate:        overload.NewGate(gate),
+		tenantTable: newTenantTable(overrides, overload.NewGate(gate)),
 		publish:     publish,
 		quarantined: obs.NewCounter(1),
 	}
@@ -122,7 +120,7 @@ func (a *Admission) Admit(tenant string, es []tracer.Entry) ([]tracer.Entry, Cou
 
 // Evaluate feeds the gate's controller one pressure observation: the
 // store's (or the shard fleet's worst) write-path signals.
-func (a *Admission) Evaluate(p overload.Pressure) {
+func (a *Admission) Evaluate(p overload.StorePressure) {
 	a.mu.Lock()
 	a.gate.Evaluate(p)
 	a.mu.Unlock()

@@ -55,7 +55,7 @@ func TestAdmitQuarantineBypassesQuotaAndGate(t *testing.T) {
 				}
 			})
 			for i := 0; i < tc.hot; i++ {
-				a.Evaluate(overload.Pressure{Store: overload.StorePressure{Failed: true}})
+				a.Evaluate(overload.StorePressure{Failed: true})
 			}
 			// Four clean entries at one instant (the quota's burst decides
 			// among them), then a zero stamp and a per-thread regression,
@@ -151,7 +151,7 @@ func TestAdmitConcurrentTenants(t *testing.T) {
 					return
 				}
 				throttled[g] += c.Throttled
-				a.Evaluate(overload.Pressure{})
+				a.Evaluate(overload.StorePressure{})
 			}
 		}()
 	}

@@ -129,21 +129,23 @@ func (r *tenantRow) throttle(es []tracer.Entry) []tracer.Entry {
 	return out
 }
 
-// tenantTable is the bounded tenant table and the one lock Admission
-// holds over it and the gate. It lives apart from the Admission so the
-// /metrics collector can read the rows without keeping the Admission
-// reachable (its finalizer folds the series).
+// tenantTable is the bounded tenant table, the overload gate and the
+// one lock Admission holds over both. It lives apart from the Admission
+// so the /metrics collector can read the rows and the gate's Stats
+// without keeping the Admission reachable (its finalizer folds the
+// series).
 type tenantTable struct {
 	mu   sync.Mutex
 	rows map[string]*tenantRow
 	// spare is how many more rows row may create.
 	spare int
+	gate  *overload.Gate
 }
 
 // newTenantTable creates the override tenants' rows and the overflow
 // row; an override named TenantOverflow puts the overflow under a quota.
-func newTenantTable(overrides map[string]TenantLimit) *tenantTable {
-	t := &tenantTable{rows: make(map[string]*tenantRow, len(overrides)+1), spare: MaxTenants}
+func newTenantTable(overrides map[string]TenantLimit, gate *overload.Gate) *tenantTable {
+	t := &tenantTable{rows: make(map[string]*tenantRow, len(overrides)+1), spare: MaxTenants, gate: gate}
 	for name, lim := range overrides {
 		t.rows[name] = newTenantRow(lim)
 	}
@@ -173,6 +175,10 @@ func (t *tenantTable) row(tenant string) *tenantRow {
 func (t *tenantTable) TenantStats() map[string]TenantStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.tenantStatsLocked()
+}
+
+func (t *tenantTable) tenantStatsLocked() map[string]TenantStats {
 	out := make(map[string]TenantStats, len(t.rows))
 	for name, r := range t.rows {
 		if r.Seen > 0 {
@@ -182,13 +188,42 @@ func (t *tenantTable) TenantStats() map[string]TenantStats {
 	return out
 }
 
-// collect emits the btrace_overload_tenant_* series, one set per tenant
-// in the TenantStats snapshot.
+// collect emits the gate's btrace_overload_* series from its Stats and
+// controller state, and the btrace_overload_tenant_* series, one set per
+// tenant in the TenantStats snapshot; all of it is read in one hold of
+// the lock that guards the gate and the rows.
 func (t *tenantTable) collect(e *obs.Emitter) {
-	for name, s := range t.TenantStats() {
+	t.mu.Lock()
+	g := t.gate
+	s, tier, pressure := g.Stats(), g.Tier(), g.Pressure()
+	normal, low := g.SampleRates()
+	tenants := t.tenantStatsLocked()
+	t.mu.Unlock()
+
+	e.Counter("btrace_overload_seen_total", "events offered to the overload gate", s.Seen)
+	e.Counter("btrace_overload_admitted_total", "events admitted by the overload gate", s.Admitted)
+	e.Counter("btrace_overload_sampled_out_total", "events dropped by head sampling", s.SampledOut)
+	e.Counter("btrace_overload_throttled_category_total", "events dropped by a category token bucket", s.ThrottledCategory)
+	e.Counter("btrace_overload_shed_category_total", "events shed at the category tier", s.ShedCategory)
+	e.Counter("btrace_overload_shed_stream_total", "events shed at the stream tier", s.ShedStream)
+	e.Counter("btrace_overload_payload_shed_events_total", "admitted events whose payload was stripped", s.PayloadShedEvents)
+	e.Counter("btrace_overload_payload_shed_bytes_total", "payload bytes stripped at the payload tier", s.PayloadShedBytes)
+	e.Counter("btrace_overload_evaluations_total", "controller pressure evaluations", s.Evaluations)
+	e.Counter("btrace_overload_tier_engagements_total", "shed tier escalations", s.TierEngagements)
+	e.Counter("btrace_overload_tier_releases_total", "shed tier releases", s.TierReleases)
+	e.Gauge("btrace_overload_shed_tier", "engaged shedding tier (0 none, 1 payload, 2 category, 3 stream)", float64(tier))
+	e.Gauge("btrace_overload_pressure", "smoothed pressure score", milli(pressure))
+	e.Gauge("btrace_overload_sample_rate", "current keep rate for normal-priority events", milli(normal))
+	e.Gauge("btrace_overload_sample_rate_low", "current keep rate for low-priority events", milli(low))
+	e.Gauge("btrace_overload_gates", "live overload gates", 1)
+	for name, s := range tenants {
 		label := fmt.Sprintf("{tenant=%q}", name)
 		e.Counter("btrace_overload_tenant_seen_total"+label, "events offered to the gate, by tenant", s.Seen)
 		e.Counter("btrace_overload_tenant_admitted_total"+label, "events admitted by the gate, by tenant", s.Admitted)
 		e.Counter("btrace_overload_tenant_dropped_total"+label, "events the gate refused, by tenant", s.Dropped)
 	}
 }
+
+// milli truncates a controller output in [0, 1] to the thousandths the
+// pressure and sample-rate gauges have always been published at.
+func milli(x float64) float64 { return float64(int64(x*1000)) / 1000 }

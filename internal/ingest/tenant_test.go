@@ -259,7 +259,7 @@ func TestGateAdmittedHook(t *testing.T) {
 	// Nothing admitted → no call. Drive the controller to the full-drop
 	// tier so the whole batch is shed.
 	for i := 0; i < 100; i++ {
-		a.Evaluate(overload.Pressure{Store: overload.StorePressure{Failed: true}})
+		a.Evaluate(overload.StorePressure{Failed: true})
 	}
 	if a.Tier() != overload.TierStream {
 		t.Fatalf("tier %v, want TierStream", a.Tier())

@@ -86,15 +86,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// SetBool stores 1 for true, 0 for false.
-func (g *Gauge) SetBool(b bool) {
-	if b {
-		g.v.Store(1)
-	} else {
-		g.v.Store(0)
-	}
-}
-
 // Add adds delta.
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 

@@ -28,9 +28,9 @@
 // holds exactly at all times (payload-stripped events count as admitted;
 // only their bytes are recorded as shed).
 //
-// A Gate is single-goroutine by contract (ingest.Admission holds a lock
-// around it); the obs mirror (obs.go) republishes its counters for
-// concurrent /metrics scrapes.
+// A Gate is single-goroutine by contract and keeps its counts in a
+// plain Stats: ingest.Admission holds a lock around it and emits its
+// btrace_overload_* series under that same lock.
 package overload
 
 import (
@@ -84,13 +84,6 @@ type StorePressure struct {
 	Failed bool
 }
 
-// Pressure is one evaluation's input: the store's (or the shard fleet's
-// worst) write-path signals.
-type Pressure struct {
-	// Store carries the durable store's signals (zero when no store).
-	Store StorePressure
-}
-
 // The latency budgets the store's signals normalize against: a latency
 // at budget reads as pressure 1.0. The append budget is per event.
 const (
@@ -101,15 +94,15 @@ const (
 // score collapses the store's signals to a scalar in [0, 1]: the worst
 // signal wins, because any single saturated resource is overload
 // regardless of how idle the others are.
-func (p Pressure) score() float64 {
-	s := p.Store.StagedFill
-	if v := float64(p.Store.AppendNs) / appendBudgetNs; v > s {
+func (p StorePressure) score() float64 {
+	s := p.StagedFill
+	if v := float64(p.AppendNs) / appendBudgetNs; v > s {
 		s = v
 	}
-	if v := float64(p.Store.FsyncNs) / fsyncBudgetNs; v > s {
+	if v := float64(p.FsyncNs) / fsyncBudgetNs; v > s {
 		s = v
 	}
-	if p.Store.Failed || s > 1 {
+	if p.Failed || s > 1 {
 		s = 1
 	}
 	return s
@@ -219,8 +212,8 @@ type Stats struct {
 }
 
 // Gate is the overload-control decision point. It is driven by one
-// goroutine at a time; consistency of the concurrent /metrics view comes
-// from the obs mirror, not from locks here.
+// goroutine at a time and takes no lock: its owner serialises every
+// call, Stats included.
 type Gate struct {
 	cfg Config
 	ctl controller
@@ -232,25 +225,19 @@ type Gate struct {
 	catBuckets [256]Bucket
 
 	stats Stats
-	// published is the stats snapshot last folded into obs.
-	published Stats
-	obs       *gateObs
 }
 
 // NewGate creates a Gate.
 func NewGate(cfg Config) *Gate {
-	g := &Gate{
-		cfg: cfg.withDefaults(),
-		obs: newGateObs(),
-	}
+	g := &Gate{cfg: cfg.withDefaults()}
 	g.ctl.init(&g.cfg)
-	g.registerObs()
 	return g
 }
 
-// Evaluate feeds one pressure observation to the controller: once per
-// batch before Filter, and on a timer while no batch arrives.
-func (g *Gate) Evaluate(p Pressure) {
+// Evaluate feeds one pressure observation — the store's, or the shard
+// fleet's worst, write-path signals — to the controller: once per batch
+// before Filter, and on a timer while no batch arrives.
+func (g *Gate) Evaluate(p StorePressure) {
 	g.stats.Evaluations++
 	engaged, released := g.ctl.evaluate(p.score())
 	if engaged {
@@ -259,11 +246,14 @@ func (g *Gate) Evaluate(p Pressure) {
 	if released {
 		g.stats.TierReleases++
 	}
-	g.publishObs()
 }
 
 // Tier returns the currently engaged shedding tier.
 func (g *Gate) Tier() Tier { return g.ctl.tier }
+
+// Pressure returns the smoothed pressure score that drives the sampling
+// rates.
+func (g *Gate) Pressure() float64 { return g.ctl.smoothed }
 
 // SampleRates returns the current keep rates for normal- and
 // low-priority events.
@@ -331,7 +321,6 @@ func (g *Gate) Filter(es []tracer.Entry) []tracer.Entry {
 		g.stats.Admitted++
 		out = append(out, *e)
 	}
-	g.publishObs()
 	return out
 }
 

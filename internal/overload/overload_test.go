@@ -29,7 +29,7 @@ func mkBatch(start uint64, n int, stepNs uint64, cats []uint8, payload int) []tr
 
 // at is the pressure observation whose score is s (a staging fill;
 // scores above 1 clamp).
-func at(s float64) Pressure { return Pressure{Store: StorePressure{StagedFill: s}} }
+func at(s float64) StorePressure { return StorePressure{StagedFill: s} }
 
 // pressurize drives the controller with a constant score for n
 // evaluations.
@@ -335,7 +335,7 @@ func TestPressureScore(t *testing.T) {
 		{StorePressure{StagedFill: 3}, 1},
 	}
 	for i, c := range cases {
-		if got := (Pressure{Store: c.p}).score(); got != c.want {
+		if got := c.p.score(); got != c.want {
 			t.Fatalf("case %d: score %v, want %v", i, got, c.want)
 		}
 	}

@@ -51,15 +51,13 @@
 // one still opens the file, and reads none of it. These two are the
 // kinds that are not of a cold block, and their keys show why none of
 // the kinds needs invalidating. The others are keyed by a cold file's
-// name, and within one life of a store a cold file is written once
-// under a name never given out again; a row segment's name is not given
-// out again either. A partial and a header set are keyed by name and
-// sealed extent (bytes of a row segment, blocks of a cold one), which
-// between them say what the rows are. Freezes and retention take a name
-// out of the snapshots that follow; the entries left behind are never
-// asked for and age out of the LRU. Store.Reset is the exception — it restarts the numbering, so
-// the next life repeats this one's names, cold ones too — and empties
-// the cache (reset). Folds under an Ownership (the cluster's pushdown)
+// name, and a cold file is written once under a name the store never
+// gives out again; a row segment's name is not given out again either.
+// A partial and a header set are keyed by name and sealed extent (bytes
+// of a row segment, blocks of a cold one), which between them say what
+// the rows are. Freezes and retention take a name out of the snapshots
+// that follow; the entries left behind are never asked for and age out
+// of the LRU. Folds under an Ownership (the cluster's pushdown)
 // and stores opened without a cache bypass partials altogether; stores
 // without a cache keep no header sets.
 //
@@ -80,7 +78,6 @@ package store
 import (
 	"container/list"
 	"io"
-	"slices"
 	"sync"
 
 	"btrace/internal/btql"
@@ -229,11 +226,10 @@ func (bc *blockCache) remove(el *list.Element) {
 	bc.resident[ent.key.sec.class()] -= ent.size
 }
 
-// reset drops the entries of the given classes — every entry when none
-// is given; it leaves the hit and miss counters, which are monotonic,
-// alone. Store.Reset calls it: the next life's files take the names of
-// this one's.
-func (bc *blockCache) reset(classes ...cacheClass) {
+// reset drops the entries of one class; it leaves the hit and miss
+// counters, which are monotonic, alone. No entry ever needs dropping:
+// benchmarks call it to start a pass cold.
+func (bc *blockCache) reset(class cacheClass) {
 	if bc == nil {
 		return
 	}
@@ -241,7 +237,7 @@ func (bc *blockCache) reset(classes ...cacheClass) {
 	defer bc.mu.Unlock()
 	for el := bc.lru.Front(); el != nil; {
 		next := el.Next()
-		if len(classes) == 0 || slices.Contains(classes, el.Value.(*cacheEnt).key.sec.class()) {
+		if el.Value.(*cacheEnt).key.sec.class() == class {
 			bc.remove(el)
 		}
 		el = next

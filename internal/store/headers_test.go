@@ -18,9 +18,7 @@ import (
 // colliding is two writers appending batches whose stamps collide:
 // writer 0 reserves the next n stamps, writer 1 the n stamps lag below
 // them, which writer 0 has already used. Rows of equal stamp differ in
-// TID, time and payload length, and a payload's length goes by its place
-// in the batch, so the same batches shifted by a constant make files of
-// the same sizes.
+// TID, time and payload length; shift offsets every stamp.
 type colliding struct {
 	next, shift uint64
 }
@@ -80,7 +78,7 @@ func drainAll(t *testing.T, st *Store, q Query, workers, batch int) ([]tracer.En
 
 // TestHeaderSetsMatchCachelessStore: a store with a block cache and one
 // without it, fed the same two colliding writers and put through the
-// same seals, freeze, retention and Reset, answer every
+// same seals, freeze and retention, answer every
 // length-only read the same — row for row, rows of equal stamp in the
 // same order, missed included — when the cached store's answer comes
 // from building its segments' header sets and from reading them, at one
@@ -110,13 +108,13 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 			t.Fatalf("after %s the two stores differ:\n%s\n%s", what, a, b)
 		}
 	}
-	check := func(when string, shift uint64) {
+	check := func(when string) {
 		t.Helper()
 		for _, q := range []Query{
 			{},
-			{MinStamp: shift + 300},
+			{MinStamp: 300},
 			{Pred: predOf(t, `tid == 101`)},
-			{Pred: predOf(t, fmt.Sprintf(`category == 2 && stamp >= %d`, shift+100)), MaxStamp: shift + 900},
+			{Pred: predOf(t, `category == 2 && stamp >= 100`), MaxStamp: 900},
 			{Limit: 150},
 			{Pred: predOf(t, `payload contains "7"`)},
 		} {
@@ -140,58 +138,45 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 			}
 		}
 	}
-	life := func(shift uint64) {
-		c := &colliding{shift: shift}
-		for k := 0; k < 12; k++ {
-			c.pair(t, both, 64)
-		}
+	c := &colliding{}
+	for k := 0; k < 12; k++ {
+		c.pair(t, both, 64)
+	}
+	each("seal", (*Store).Seal)
+	check("unordered sealed segments")
+	for k := 0; k < 4; k++ {
+		c.pair(t, both, 24)
 		each("seal", (*Store).Seal)
-		check("unordered sealed segments", shift)
-		for k := 0; k < 4; k++ {
-			c.pair(t, both, 24)
-			each("seal", (*Store).Seal)
+	}
+	check("small sealed segments")
+	for k := 0; k < 6; k++ {
+		c.pair(t, both, 64)
+	}
+	each("seal", (*Store).Seal)
+	each("freeze", func(s *Store) error {
+		if n, err := s.CompactCold(); err != nil || n == 0 {
+			return fmt.Errorf("froze %d, %v", n, err)
 		}
-		check("small sealed segments", shift)
-		for k := 0; k < 6; k++ {
-			c.pair(t, both, 64)
+		return nil
+	})
+	c.pair(t, both, 64) // the active segment
+	check("frozen")
+	each("retention", func(s *Store) error {
+		segs := s.Segments()
+		var total int64
+		for _, sg := range segs {
+			total += sg.Bytes
 		}
-		each("seal", (*Store).Seal)
-		each("freeze", func(s *Store) error {
-			if n, err := s.CompactCold(); err != nil || n == 0 {
-				return fmt.Errorf("froze %d, %v", n, err)
-			}
-			return nil
-		})
-		c.pair(t, both, 64) // the active segment
-		check("frozen", shift)
-		each("retention", func(s *Store) error {
-			segs := s.Segments()
-			var total int64
-			for _, sg := range segs {
-				total += sg.Bytes
-			}
-			s.mu.Lock()
-			s.cfg.MaxBytes = total - segs[0].Bytes
-			s.enforceRetentionLocked()
-			s.cfg.MaxBytes = 0
-			s.mu.Unlock()
-			return nil
-		})
-		check("retention", shift)
-	}
-	life(0)
-	first := st.bcache.classCounters()
-	if first.hits[classHeaders] == 0 || first.misses[classHeaders] == 0 {
-		t.Fatalf("no read was served from a header set: %+v", first)
-	}
-	// The second life repeats the first's names and extents.
-	each("reset", (*Store).Reset)
-	if c := st.bcache.classCounters(); c.resident[classHeaders] != 0 {
-		t.Fatalf("Reset left %d bytes of header sets", c.resident[classHeaders])
-	}
-	life(1 << 20)
-	if c := st.bcache.classCounters(); c.hits[classHeaders] == first.hits[classHeaders] {
-		t.Fatal("the second life was served from no header set")
+		s.mu.Lock()
+		s.cfg.MaxBytes = total - segs[0].Bytes
+		s.enforceRetentionLocked()
+		s.cfg.MaxBytes = 0
+		s.mu.Unlock()
+		return nil
+	})
+	check("retention")
+	if c := st.bcache.classCounters(); c.hits[classHeaders] == 0 || c.misses[classHeaders] == 0 {
+		t.Fatalf("no read was served from a header set: %+v", c)
 	}
 }
 
@@ -329,14 +314,6 @@ func TestHeaderSetAdmission(t *testing.T) {
 	}
 	if c := state(); c.hits[classHeaders] != uint64(len(sealed)) || c.misses[classHeaders] != uint64(len(sealed)) {
 		t.Fatalf("second export: %+v (want %d hits)", c, len(sealed))
-	}
-
-	// Reset forgets the sets: the next life's files take these names.
-	if err := st.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if c := state(); c.resident[classHeaders] != 0 {
-		t.Fatalf("Reset left %+v", c)
 	}
 
 	// A budget that holds no set: nothing is built.

@@ -38,8 +38,7 @@ import (
 // sealed row segment's header set serves it — the first pass builds
 // the segments' sets, the second reads them — so
 // every answer a header set gives is held to the oracle too, across
-// seals, freezes, retention and Reset (a second life that repeats the
-// first's names).
+// seals, freezes and retention.
 //
 // A sequence is a byte string (a program): every choice the interpreter
 // makes is drawn from it, so the seeded test and FuzzStoreModel run the
@@ -56,19 +55,12 @@ func (p *modelProg) more() bool { return p.pos < len(p.b) }
 
 // intn draws a choice in [0, n). An exhausted program answers 0.
 func (p *modelProg) intn(n int) int {
-	v, _ := p.intnRest(n)
-	return v
-}
-
-// intnRest is intn that also returns what the choice left of its byte:
-// the quotient, for a rare choice that draws no byte of its own.
-func (p *modelProg) intnRest(n int) (v, rest int) {
 	if !p.more() {
-		return 0, 0
+		return 0
 	}
 	b := int(p.b[p.pos])
 	p.pos++
-	return b % n, b / n
+	return b % n
 }
 
 // rng draws the seed of a generator for choices too many to spell out
@@ -423,7 +415,7 @@ func (m *storeModel) appendBatch(w int) {
 // step runs one operation of the program.
 func (m *storeModel) step(writers int) {
 	p := m.p
-	switch op, rest := p.intnRest(32); {
+	switch op := p.intn(32); {
 	case op < 10: // a writer reserves a batch of stamps, or appends the one it holds
 		w := p.intn(writers)
 		if m.pending[w] == nil {
@@ -552,17 +544,6 @@ func (m *storeModel) step(writers int) {
 		}
 		m.logf("open %s %s", f.name, desc)
 		m.followers = append(m.followers, f)
-	case rest == 7: // one op in 256, drawn from the sync byte's high bits
-		// The store starts a second life: the next segments take the
-		// first life's names. The held cursors are settled first — a
-		// snapshot of the first life's names is not readable in the second.
-		m.logf("reset")
-		m.closeFollowers()
-		if err := m.st.Reset(); err != nil {
-			m.failf("Reset: %v", err)
-		}
-		m.settle()
-		m.reask("reset")
 	default:
 		m.logf("sync")
 		if err := m.st.Sync(); err != nil {

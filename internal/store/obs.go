@@ -3,36 +3,26 @@ package store
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"btrace/internal/obs"
 )
 
-// storeObs mirrors the store's Stats (plus size/latency histograms and
-// instantaneous gauges) into obs primitives. The store keeps its stats
-// as a plain struct under st.mu; each public mutating operation folds
-// the accumulated deltas into these atomic counters on its way out, so
-// the /metrics scraper never needs st.mu and a collection pass can never
-// deadlock against Close.
+// storeObs is what the /metrics collector reads of a store. The counts
+// kept under st.mu live once, in st.stats: each public mutating
+// operation copies them into stats here on its way out, under a lock of
+// storeObs's own, so a scrape never needs st.mu and a collection pass
+// can never deadlock against Close. The counts the read path and the
+// writer bump concurrently live here, as obs primitives, and Stats()
+// reads those it reports; the gauges are refreshed with the copy.
 //
 // storeObs is allocated separately from the Store and is what the
 // registry's collector closure captures, keeping the Store finalizable.
 type storeObs struct {
-	appends       *obs.Counter
-	bytesAppended *obs.Counter
-	seals         *obs.Counter
-
-	segmentsDeleted *obs.Counter
-	eventsRetired   *obs.Counter
-
-	coldCompactions  *obs.Counter
-	segmentsFrozen   *obs.Counter
-	coldBlocks       *obs.Counter
-	coldBytesWritten *obs.Counter
-	coldRawBytes     *obs.Counter
-	freezeNs         *obs.Counter
-	compactorErrors  *obs.Counter
-	orphansRemoved   *obs.Counter
+	// mu guards stats, the copy of st.stats last published.
+	mu    sync.Mutex
+	stats Stats
 
 	// bcache is read live at collect time: its counters advance on the
 	// read path, which never runs publishObsLocked. Referencing the
@@ -59,11 +49,6 @@ type storeObs struct {
 	chunksInflated *obs.Counter
 	chunksSkipped  *obs.Counter
 	inflatedBytes  *obs.Counter
-
-	recoveredTruncations *obs.Counter
-	tornBytesDropped     *obs.Counter
-	leftoverSegments     *obs.Counter
-	headersRebuilt       *obs.Counter
 
 	// groupCommits counts write-pipeline commit windows: each is one
 	// fsync covering every batch staged since the previous window.
@@ -98,52 +83,38 @@ var readNames = [...]string{readBytes: "bytes", readLengths: "lengths", readNone
 
 func newStoreObs() *storeObs {
 	return &storeObs{
-		reads:                [len(readNames)]*obs.Counter{obs.NewCounter(1), obs.NewCounter(1), obs.NewCounter(1)},
-		appends:              obs.NewCounter(1),
-		bytesAppended:        obs.NewCounter(1),
-		seals:                obs.NewCounter(1),
-		segmentsDeleted:      obs.NewCounter(1),
-		eventsRetired:        obs.NewCounter(1),
-		coldCompactions:      obs.NewCounter(1),
-		segmentsFrozen:       obs.NewCounter(1),
-		coldBlocks:           obs.NewCounter(1),
-		coldBytesWritten:     obs.NewCounter(1),
-		coldRawBytes:         obs.NewCounter(1),
-		freezeNs:             obs.NewCounter(1),
-		compactorErrors:      obs.NewCounter(1),
-		orphansRemoved:       obs.NewCounter(1),
-		recoveredTruncations: obs.NewCounter(1),
-		tornBytesDropped:     obs.NewCounter(1),
-		leftoverSegments:     obs.NewCounter(1),
-		headersRebuilt:       obs.NewCounter(1),
-		groupCommits:         obs.NewCounter(1),
-		blocksPruned:         obs.NewCounter(1),
-		payloadSkips:         obs.NewCounter(1),
-		chunksInflated:       obs.NewCounter(1),
-		chunksSkipped:        obs.NewCounter(1),
-		inflatedBytes:        obs.NewCounter(1),
-		appendNs:             obs.NewHistogram(obs.LatencyBounds),
-		fsyncNs:              obs.NewHistogram(obs.LatencyBounds),
-		batchEvents:          obs.NewHistogram(obs.SizeBounds),
+		reads:          [len(readNames)]*obs.Counter{obs.NewCounter(1), obs.NewCounter(1), obs.NewCounter(1)},
+		groupCommits:   obs.NewCounter(1),
+		blocksPruned:   obs.NewCounter(1),
+		payloadSkips:   obs.NewCounter(1),
+		chunksInflated: obs.NewCounter(1),
+		chunksSkipped:  obs.NewCounter(1),
+		inflatedBytes:  obs.NewCounter(1),
+		appendNs:       obs.NewHistogram(obs.LatencyBounds),
+		fsyncNs:        obs.NewHistogram(obs.LatencyBounds),
+		batchEvents:    obs.NewHistogram(obs.SizeBounds),
 	}
 }
 
 // collect emits the store's series. It runs under the registry lock and
 // must not reference the Store (see type comment).
 func (o *storeObs) collect(e *obs.Emitter) {
-	e.Counter("btrace_store_appends_total", "events appended", o.appends.Load())
-	e.Counter("btrace_store_appended_bytes_total", "frame bytes appended", o.bytesAppended.Load())
-	e.Counter("btrace_store_seals_total", "segments sealed", o.seals.Load())
-	e.Counter("btrace_store_segments_deleted_total", "segments removed by retention", o.segmentsDeleted.Load())
-	e.Counter("btrace_store_events_retired_total", "events removed by retention", o.eventsRetired.Load())
-	e.Counter("btrace_store_cold_compactions_total", "freeze passes that built cold files", o.coldCompactions.Load())
-	e.Counter("btrace_store_segments_frozen_total", "row segments consumed by freezing", o.segmentsFrozen.Load())
-	e.Counter("btrace_store_cold_blocks_total", "compressed cold blocks built", o.coldBlocks.Load())
-	e.Counter("btrace_store_cold_bytes_written_total", "compressed bytes written to cold files", o.coldBytesWritten.Load())
-	e.Counter("btrace_store_cold_raw_bytes_total", "uncompressed bytes frozen into cold files", o.coldRawBytes.Load())
-	e.CounterSeconds("btrace_store_freeze_seconds_total", "wall time spent building committed cold files (per frozen MB: over cold_raw_bytes_total)", o.freezeNs.Load())
-	e.Counter("btrace_store_compactor_errors_total", "background compactor tick failures", o.compactorErrors.Load())
-	e.Counter("btrace_store_orphans_removed_total", "unrecognized files removed at open", o.orphansRemoved.Load())
+	o.mu.Lock()
+	s := o.stats
+	o.mu.Unlock()
+	e.Counter("btrace_store_appends_total", "events appended", s.Appends)
+	e.Counter("btrace_store_appended_bytes_total", "frame bytes appended", s.BytesAppended)
+	e.Counter("btrace_store_seals_total", "segments sealed", s.Seals)
+	e.Counter("btrace_store_segments_deleted_total", "segments removed by retention", s.SegmentsDeleted)
+	e.Counter("btrace_store_events_retired_total", "events removed by retention", s.EventsRetired)
+	e.Counter("btrace_store_cold_compactions_total", "freeze passes that built cold files", s.ColdCompactions)
+	e.Counter("btrace_store_segments_frozen_total", "row segments consumed by freezing", s.SegmentsFrozen)
+	e.Counter("btrace_store_cold_blocks_total", "compressed cold blocks built", s.ColdBlocksBuilt)
+	e.Counter("btrace_store_cold_bytes_written_total", "compressed bytes written to cold files", s.ColdBytesWritten)
+	e.Counter("btrace_store_cold_raw_bytes_total", "uncompressed bytes frozen into cold files", s.ColdRawBytes)
+	e.CounterSeconds("btrace_store_freeze_seconds_total", "wall time spent building committed cold files (per frozen MB: over cold_raw_bytes_total)", s.FreezeNs)
+	e.Counter("btrace_store_compactor_errors_total", "background compactor tick failures", s.CompactorErrors)
+	e.Counter("btrace_store_orphans_removed_total", "unrecognized files removed at open", s.OrphansRemoved)
 	cc := o.bcache.classCounters()
 	hits, misses := cc.sections()
 	e.Counter("btrace_store_block_cache_hits_total", "cold section reads served from the block cache", hits)
@@ -167,10 +138,10 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_store_payload_chunks_inflated_total", "payload chunks of columnar blocks inflated (block cache misses)", o.chunksInflated.Load())
 	e.Counter("btrace_store_payload_chunks_skipped_total", "payload chunks of scanned columnar blocks left compressed: no selected row needed a byte of them", o.chunksSkipped.Load())
 	e.Counter("btrace_store_payload_inflated_bytes_total", "raw payload bytes produced by inflating chunks", o.inflatedBytes.Load())
-	e.Counter("btrace_store_recovered_truncations_total", "torn segment tails truncated at open", o.recoveredTruncations.Load())
-	e.Counter("btrace_store_torn_bytes_dropped_total", "bytes cut by recovery truncations", o.tornBytesDropped.Load())
-	e.Counter("btrace_store_leftover_segments_total", "interrupted tier-transition leftovers deleted at open", o.leftoverSegments.Load())
-	e.Counter("btrace_store_headers_rebuilt_total", "corrupt headers rebuilt at open", o.headersRebuilt.Load())
+	e.Counter("btrace_store_recovered_truncations_total", "torn segment tails truncated at open", s.RecoveredTruncations)
+	e.Counter("btrace_store_torn_bytes_dropped_total", "bytes cut by recovery truncations", s.TornBytesDropped)
+	e.Counter("btrace_store_leftover_segments_total", "interrupted tier-transition leftovers deleted at open", s.LeftoverSegments)
+	e.Counter("btrace_store_headers_rebuilt_total", "corrupt headers rebuilt at open", s.HeadersRebuilt)
 	e.Counter("btrace_store_group_commits_total", "write-pipeline group-commit fsync windows", o.groupCommits.Load())
 	e.Histogram("btrace_store_append_ns", "append batch stage+apply latency", o.appendNs.Snapshot())
 	e.Histogram("btrace_store_fsync_ns", "fsync latency", o.fsyncNs.Snapshot())
@@ -186,31 +157,14 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Gauge("btrace_store_stores", "open stores", 1)
 }
 
-// publishObsLocked folds the stat deltas accumulated since the last
-// publish into the counters and refreshes the gauges from the live
-// segment list. Called with st.mu held, once per public mutating
-// operation — never per event.
+// publishObsLocked copies st.stats to the collector and refreshes the
+// gauges from the live segment list. Called with st.mu held, once per
+// public mutating operation — never per event.
 func (st *Store) publishObsLocked() {
 	o := st.obs
-	cur, last := st.stats, st.published
-	o.appends.Add(cur.Appends - last.Appends)
-	o.bytesAppended.Add(cur.BytesAppended - last.BytesAppended)
-	o.seals.Add(cur.Seals - last.Seals)
-	o.segmentsDeleted.Add(cur.SegmentsDeleted - last.SegmentsDeleted)
-	o.eventsRetired.Add(cur.EventsRetired - last.EventsRetired)
-	o.recoveredTruncations.Add(cur.RecoveredTruncations - last.RecoveredTruncations)
-	o.tornBytesDropped.Add(cur.TornBytesDropped - last.TornBytesDropped)
-	o.leftoverSegments.Add(cur.LeftoverSegments - last.LeftoverSegments)
-	o.headersRebuilt.Add(cur.HeadersRebuilt - last.HeadersRebuilt)
-	o.coldCompactions.Add(cur.ColdCompactions - last.ColdCompactions)
-	o.segmentsFrozen.Add(cur.SegmentsFrozen - last.SegmentsFrozen)
-	o.coldBlocks.Add(cur.ColdBlocksBuilt - last.ColdBlocksBuilt)
-	o.coldBytesWritten.Add(cur.ColdBytesWritten - last.ColdBytesWritten)
-	o.coldRawBytes.Add(cur.ColdRawBytes - last.ColdRawBytes)
-	o.freezeNs.Add(cur.FreezeNs - last.FreezeNs)
-	o.compactorErrors.Add(cur.CompactorErrors - last.CompactorErrors)
-	o.orphansRemoved.Add(cur.OrphansRemoved - last.OrphansRemoved)
-	st.published = cur
+	o.mu.Lock()
+	o.stats = st.stats
+	o.mu.Unlock()
 
 	var size int64
 	var events uint64

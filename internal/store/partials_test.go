@@ -32,58 +32,6 @@ func aggOracle(es []tracer.Entry, q Query, specs []btql.AggSpec) []btql.Result {
 	return out
 }
 
-// TestResetDropsBlockCache: Reset restarts the segment numbering, so
-// the second life's files take the first's names — and nothing cached
-// under a name in the first life may answer for it in the second.
-func TestResetDropsBlockCache(t *testing.T) {
-	st, err := Open(t.TempDir(), tierCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	specs := []btql.AggSpec{{Kind: btql.AggCount}, {Kind: btql.AggTopK, K: 3, Field: btql.FTID}}
-	life := func(from, to uint64) {
-		t.Helper()
-		sealEvery(t, st, from, to, 100)
-		if err := st.CompactTick(); err != nil {
-			t.Fatalf("CompactTick: %v", err)
-		}
-		want := mkRange(from, to)
-		if got := drainStore(t, st, Query{}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("life %d..%d: drained %d entries from stamp %d, want %d from %d",
-				from, to, len(got), got[0].Stamp, len(want), from)
-		}
-		for round := 0; round < 2; round++ {
-			got, missed, err := st.Aggregate(Query{}, specs)
-			if err != nil || missed != 0 {
-				t.Fatalf("Aggregate: missed %d, %v", missed, err)
-			}
-			if w := aggOracle(want, Query{}, specs); !reflect.DeepEqual(got, w) {
-				t.Fatalf("life %d..%d, aggregate %d: %+v, want %+v", from, to, round, got, w)
-			}
-		}
-	}
-	life(1, 1200)
-	before := st.bcache.classCounters()
-	if before.resident[classMeta] == 0 || before.resident[classPartial] == 0 || before.hits[classPartial] == 0 {
-		t.Fatalf("the first life left nothing to go stale: %+v", before)
-	}
-	if len(st.ColdBlocks()) == 0 {
-		t.Fatal("the first life froze nothing")
-	}
-	if err := st.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	after := st.bcache.classCounters()
-	if n := st.bcache.lru.Len(); n != 0 || len(st.bcache.m) != 0 || st.bcache.size != 0 || after.resident != [numClasses]int64{} {
-		t.Fatalf("Reset left %d entries, %d bytes (%v by class)", n, st.bcache.size, after.resident)
-	}
-	if after.hits != before.hits || after.misses != before.misses {
-		t.Fatalf("Reset moved the monotonic counters: %+v -> %+v", before, after)
-	}
-	life(5001, 6200)
-}
-
 // countingBackend counts OpenRead calls by file.
 type countingBackend struct {
 	backend.Backend

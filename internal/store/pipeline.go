@@ -224,12 +224,6 @@ func (m *maintenance) firstErr() error {
 	return m.err
 }
 
-func (m *maintenance) clearErr() {
-	m.mu.Lock()
-	m.err = nil
-	m.mu.Unlock()
-}
-
 // startPipeline wires the condition variables and launches the writer
 // and maintenance goroutines. Called by Open after the directory lock
 // is held and before recovery (the goroutines idle until work arrives,
@@ -563,7 +557,7 @@ func (st *Store) finalizeSeal(j sealJob) error {
 }
 
 // drainParked fsyncs and closes every sealed file parked since the last
-// commit window. Retired segments (deleted by retention or Reset) are
+// commit window. Retired segments (deleted by retention) are
 // closed without the fsync — their data is gone. Callers may race; the
 // snapshot-and-clear under st.mu hands each file to exactly one drainer.
 func (st *Store) drainParked() error {

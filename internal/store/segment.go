@@ -190,7 +190,7 @@ type segment struct {
 	rawSize int64
 	tier    Tier
 	sealed  bool
-	// retired marks a segment deleted by retention or Reset; a parked
+	// retired marks a segment deleted by retention; a parked
 	// seal fsync is skipped for it (the data is gone).
 	retired bool
 	meta    segmentMeta

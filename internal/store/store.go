@@ -192,12 +192,11 @@ type Store struct {
 	parked  []parkedSeal
 	nextSeq uint64
 	closed  bool
-	stats   Stats
-	// published is the stats snapshot last folded into obs; public
-	// mutating operations publish the delta on exit (see obs.go).
-	published Stats
-	obs       *storeObs
-	obsID     uint64
+	// stats is the one home of the counts kept under mu; public mutating
+	// operations publish a copy to obs on exit (see obs.go).
+	stats Stats
+	obs   *storeObs
+	obsID uint64
 
 	// ewmaAppend / ewmaFsync are recent-latency averages exported to the
 	// overload controller via Pressure (see pressure.go).
@@ -675,7 +674,7 @@ func (st *Store) Close() error {
 		st.lock.Close() // releases the backend store lock
 		st.lock = nil
 	}
-	// Publish the final deltas, then retire this store's counters into
+	// Publish the final counts, then retire this store's counters into
 	// the registry's folded totals (the collector never takes st.mu, so
 	// folding under it cannot deadlock).
 	st.publishObsLocked()
@@ -692,64 +691,6 @@ func (st *Store) Close() error {
 		err = st.maint.firstErr()
 	}
 	return err
-}
-
-// Reset deletes every segment and returns the store to its empty state
-// (clearing any sticky write-path error with it). Must not race appends
-// from other goroutines the caller still owns.
-func (st *Store) Reset() error {
-	p := &st.pipe
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	// Drain the writer so no staged batch lands after the wipe.
-	t := p.staged
-	p.wcond.Signal()
-	for p.written < t && p.err == nil {
-		p.cond.Wait()
-	}
-	p.buf, p.metas = p.buf[:0], p.metas[:0]
-	p.written, p.synced = p.staged, p.staged
-	p.err = nil
-	p.unsynced = 0
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	st.maint.waitIdle()
-	st.maint.clearErr()
-	// Parked seal files are about to be deleted: close them without the
-	// deferred fsync.
-	st.mu.Lock()
-	for _, ps := range st.parked {
-		ps.seg.retired = true
-	}
-	st.mu.Unlock()
-	st.drainParked()
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.active != nil {
-		st.active.Close()
-		st.active = nil
-	}
-	var firstErr error
-	for _, s := range st.segs {
-		if err := st.be.Remove(s.name); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	st.segs = nil
-	st.nextSeq = 1
-	// The next life's files take this one's names: nothing cached under
-	// a name may outlive it.
-	st.bcache.reset()
-	// The obs counters stay put — process-lifetime series are monotonic
-	// even across a store Reset; only the publish baseline restarts.
-	st.stats = Stats{}
-	st.published = Stats{}
-	st.publishObsLocked()
-	return firstErr
 }
 
 // Dir returns the store's backend location (the directory path for the

@@ -14,6 +14,7 @@ import "btrace/internal/tracer"
 // it persists every write; ReadAll and cursors read back from disk.
 type Tracer struct {
 	st     *Store
+	cfg    Config
 	budget int
 	// workers sizes each snapshot pass of the adapter's cursors.
 	workers int
@@ -23,14 +24,15 @@ type Tracer struct {
 // budget of totalBytes (enforced by retention, whole segments at a
 // time).
 func NewTracer(dir string, totalBytes int) (*Tracer, error) {
-	st, err := Open(dir, Config{
+	cfg := Config{
 		SegmentBytes: int64(totalBytes) / 8,
 		MaxBytes:     int64(totalBytes),
-	})
+	}
+	st, err := Open(dir, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Tracer{st: st, budget: totalBytes, workers: 1}, nil
+	return &Tracer{st: st, cfg: cfg, budget: totalBytes, workers: 1}, nil
 }
 
 // Store returns the underlying store.
@@ -105,8 +107,20 @@ func (t *Tracer) Stats() tracer.Stats {
 	}
 }
 
-// Reset implements tracer.Tracer.
-func (t *Tracer) Reset() { t.st.Reset() }
+// Reset implements tracer.Tracer: it closes the store, deletes its
+// files and opens a fresh store over the same backend. Should that
+// fail, the closed store stays and every later call reports it.
+func (t *Tracer) Reset() {
+	t.st.Close()
+	be := t.st.Backend()
+	names, _ := be.List("")
+	for _, name := range names {
+		be.Remove(name)
+	}
+	if st, err := OpenBackend(be, t.cfg); err == nil {
+		t.st = st
+	}
+}
 
 // Close seals and closes the underlying store.
 func (t *Tracer) Close() error { return t.st.Close() }
