@@ -7,9 +7,11 @@ package export
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/bits"
+	"strconv"
 	"sync"
 
 	"btrace/internal/tracer"
@@ -50,26 +52,28 @@ const csvHeader = "stamp,ts_ns,core,tid,category,level,payload_bytes\n"
 
 // csvWriter renders entries as CSV rows. Every field is a decimal or an
 // atrace category name, none of which can need quoting, so rows are
-// appended digit by digit straight into the bufio.Writer's own free
-// space instead of going through encoding/csv's per-field strings and
-// quoting checks, or a row buffer that is then copied; the bytes are
-// what encoding/csv would have written (the tests hold it to that,
-// header included).
+// written straight into the bufio.Writer's own free space instead of
+// going through encoding/csv's per-field strings and quoting checks, or
+// a row buffer that is then copied; the bytes are what encoding/csv
+// would have written (the tests hold it to that, header included).
+//
+// A row is written at offsets into that space, after one check that a
+// row fits: digits four at a time from quads, as whole words that may
+// run past the field and are overwritten by what follows, and the
+// category as a precomputed cell, comma included. stamp, ts and tid
+// keep the digits of their last value above 10^8, which a stamp-ordered
+// export's stamps and times rarely leave.
 type csvWriter struct {
-	bw *bufio.Writer
+	bw             *bufio.Writer
+	stamp, ts, tid csvColumn
 }
 
 // maxCSVRow bounds one row: the six decimals at their widest (two
 // uint64, a uint32, two uint8, a payload length), the longest category
-// name, six commas and the newline. It is far below a bufio.Writer's
-// buffer, so a flushed writer always has room for a row.
-var maxCSVRow = func() int {
-	name := len(workload.Category(workload.NumCategories).Name())
-	for c := workload.Category(0); c < workload.NumCategories; c++ {
-		name = max(name, len(c.Name()))
-	}
-	return 20 + 20 + 10 + 3 + 3 + 5 + name + 6 + 1
-}()
+// cell, six commas and the newline, and the whole words written past a
+// field's end (the widest is a category cell's). It is far below a
+// bufio.Writer's buffer, so a flushed writer always has room for a row.
+const maxCSVRow = 20 + 20 + 10 + 3 + 3 + 5 + catCellBytes + 6 + 1
 
 // csvBufferBytes is the CSV writer's buffer. A large export reaches w in
 // 64 KiB writes — over HTTP one chunk each, where bufio's default 4 KiB
@@ -97,79 +101,119 @@ func (cw *csvWriter) release() {
 	csvWriters.Put(cw)
 }
 
-// rows writes one row per entry: as many as fit are formatted in place
-// in the writer's free space and committed with one Write, which finds
-// them where it would have copied them to.
+// rows writes one row per entry, formatted in place in the writer's
+// free space; the rows that fit are committed with one Write, which
+// finds them where it would have copied them to.
 func (cw *csvWriter) rows(es []tracer.Entry) error {
 	bw := cw.bw
-	for len(es) > 0 {
-		if bw.Available() < maxCSVRow {
+	b := bw.AvailableBuffer()
+	b = b[:cap(b)]
+	p := 0
+	for i := range es {
+		if len(b)-p < maxCSVRow {
+			if _, err := bw.Write(b[:p]); err != nil {
+				return err
+			}
 			if err := bw.Flush(); err != nil {
 				return err
 			}
+			b = bw.AvailableBuffer()
+			b, p = b[:cap(b)], 0
 		}
-		b := bw.AvailableBuffer()
-		for len(es) > 0 && cap(b)-len(b) >= maxCSVRow {
-			e := &es[0]
-			es = es[1:]
-			b = append(appendDecimal(b, e.Stamp), ',')
-			b = append(appendDecimal(b, e.TS), ',')
-			b = append(appendDecimal(b, uint64(e.Core)), ',')
-			b = append(appendDecimal(b, uint64(e.TID)), ',')
-			b = append(b, workload.Category(e.Category).Name()...)
-			b = append(b, ',')
-			b = append(appendDecimal(b, uint64(e.Level)), ',')
-			b = append(appendDecimal(b, uint64(len(e.Payload))), '\n')
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
+		e := &es[i]
+		p = cw.stamp.put(b, p, e.Stamp)
+		b[p] = ','
+		p = cw.ts.put(b, p+1, e.TS)
+		b[p] = ','
+		p = putDecimal8(b, p+1, uint64(e.Core))
+		b[p] = ','
+		p = cw.tid.put(b, p+1, uint64(e.TID))
+		b[p] = ','
+		cell := &catCells[e.Category]
+		*(*[catCellBytes]byte)(b[p+1:]) = cell.b
+		p = putDecimal8(b, p+1+int(cell.n), uint64(e.Level))
+		b[p] = ','
+		p = putDecimal8(b, p+1, uint64(len(e.Payload)))
+		b[p] = '\n'
+		p++
 	}
-	return nil
+	_, err := bw.Write(b[:p])
+	return err
 }
 
-// digitPairs is "00" "01" … "99".
-const digitPairs = "00010203040506070809" +
-	"10111213141516171819" +
-	"20212223242526272829" +
-	"30313233343536373839" +
-	"40414243444546474849" +
-	"50515253545556575859" +
-	"60616263646566676869" +
-	"70717273747576777879" +
-	"80818283848586878889" +
-	"90919293949596979899"
-
-var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
-
-// appendDecimal appends v in base 10, as strconv.AppendUint does,
-// writing the digits two at a time into place: the digit count is known
-// up front (1233/4096 approximates log10 2 closely enough for 64 bits),
-// so nothing is formatted into a scratch array and copied. b must have
-// room for the digits (at most 20).
-func appendDecimal(b []byte, v uint64) []byte {
-	n := bits.Len64(v) * 1233 >> 12
-	if v >= pow10[n] {
-		n++
-	}
-	n = max(n, 1) // "0"
-	b = b[:len(b)+n]
-	i := len(b)
-	for v >= 100 {
-		q := v / 100
-		r := (v - q*100) * 2
-		i -= 2
-		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
-		v = q
-	}
-	if v >= 10 {
-		b[i-2], b[i-1] = digitPairs[2*v], digitPairs[2*v+1]
-	} else {
-		b[i-1] = byte('0' + v)
-	}
-	return b
+// csvColumn formats one numeric column, keeping hi's digits: the value
+// over 10^8 of the last value at or above 10^8 (0, which no such value
+// has, before the first).
+type csvColumn struct {
+	hi     uint64
+	n      int
+	digits [16]byte // hi's n digits: at most 12, as 2^64 < 10^20
 }
+
+// put writes v at b[p:] and returns the offset past it.
+func (c *csvColumn) put(b []byte, p int, v uint64) int {
+	if v < 1e8 {
+		return putDecimal8(b, p, v)
+	}
+	hi, lo := v/1e8, v%1e8
+	if hi != c.hi {
+		c.hi, c.n = hi, len(strconv.AppendUint(c.digits[:0], hi, 10))
+	}
+	*(*[16]byte)(b[p:]) = c.digits
+	p += c.n
+	binary.LittleEndian.PutUint32(b[p:], quads[lo/1e4])
+	binary.LittleEndian.PutUint32(b[p+4:], quads[lo%1e4])
+	return p + 8
+}
+
+// putDecimal8 writes v < 10^8 at b[p:] and returns the offset past it.
+// Each four-digit word is written whole, so up to three bytes past the
+// digits are overwritten.
+func putDecimal8(b []byte, p int, v uint64) int {
+	if v >= 1e4 {
+		p = putLead(b, p, v/1e4)
+		binary.LittleEndian.PutUint32(b[p:], quads[v%1e4])
+		return p + 4
+	}
+	return putLead(b, p, v)
+}
+
+// putLead writes v < 10^4 without leading zeros: its word shifted down
+// past them, which the zero bits of the word less "0000" count.
+func putLead(b []byte, p int, v uint64) int {
+	q := quads[v]
+	z := min(bits.TrailingZeros32(q^0x30303030)&^7, 24) // 0 has one digit
+	binary.LittleEndian.PutUint32(b[p:], q>>z)
+	return p + 4 - z>>3
+}
+
+// quads is "0000" … "9999", a number's four digits to a word, the first
+// in the lowest byte: the byte order binary.LittleEndian writes them in.
+var quads = func() (t [10000]uint32) {
+	for i := range t {
+		t[i] = uint32('0'+i/1000) | uint32('0'+i/100%10)<<8 | uint32('0'+i/10%10)<<16 | uint32('0'+i%10)<<24
+	}
+	return t
+}()
+
+// catCellBytes holds the longest category name and its comma.
+const catCellBytes = 24
+
+// catCells is every category value's CSV cell: its name and the comma
+// after it, n bytes of b.
+var catCells = func() (t [256]struct {
+	b [catCellBytes]byte
+	n uint8
+}) {
+	for c := range t {
+		cell := workload.Category(c).Name() + ","
+		if len(cell) > catCellBytes {
+			panic("export: category name " + cell + " overruns its CSV cell")
+		}
+		t[c].n = uint8(copy(t[c].b[:], cell))
+	}
+	return t
+}()
 
 // CSV writes es as comma-separated rows with a header.
 func CSV(w io.Writer, es []tracer.Entry) error {

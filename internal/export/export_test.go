@@ -2,9 +2,11 @@ package export
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,30 +132,165 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-// TestAppendDecimal holds the in-place decimal append to strconv at
-// every digit-count boundary: powers of ten and of two, and their
-// neighbours.
-func TestAppendDecimal(t *testing.T) {
-	vals := []uint64{0, ^uint64(0)}
+// boundaries returns every digit-count boundary up to max: 0 and max,
+// the powers of ten and of two at most max, and their neighbours.
+func boundaries(max uint64) []uint64 {
+	vals := []uint64{0, max}
+	add := func(p uint64) {
+		for _, v := range []uint64{p - 1, p, p + 1} {
+			if v <= max && v != 0 {
+				vals = append(vals, v)
+			}
+		}
+	}
 	for p := uint64(1); ; p *= 10 {
-		vals = append(vals, p-1, p, p+1)
+		add(p)
 		if p > ^uint64(0)/10 {
 			break
 		}
 	}
 	for s := 0; s < 64; s++ {
-		vals = append(vals, uint64(1)<<s-1, uint64(1)<<s, uint64(1)<<s+1)
+		add(uint64(1) << s)
 	}
-	for _, v := range vals {
-		got := appendDecimal(make([]byte, 0, 32), v)
-		if want := strconv.AppendUint(nil, v, 10); string(got) != string(want) {
-			t.Fatalf("appendDecimal(%d) = %q, want %q", v, got, want)
+	slices.Sort(vals)
+	return slices.Compact(vals)
+}
+
+// TestCSVColumns holds the row kernel to encoding/csv + strconv, column
+// by column: every numeric column at every digit-count boundary of its
+// type, rising and falling; stamps and times that cross a 10^8 window
+// in both directions, stay inside one, and alternate between two (the
+// columns' cached high digits); every category value, those past
+// NumCategories ("unknown") included; and documents of every case read
+// in batches of one, seven and 1000 rows.
+func TestCSVColumns(t *testing.T) {
+	base := tracer.Entry{Stamp: 1_234_567, TS: 40_000_000_000, Core: 3, TID: 4242, Category: 11, Level: 2, Payload: tracer.LengthOnly(33)}
+	column := func(set func(e *tracer.Entry, v uint64), vals []uint64) []tracer.Entry {
+		es := make([]tracer.Entry, 0, 2*len(vals))
+		for _, v := range vals {
+			e := base
+			set(&e, v)
+			es = append(es, e)
+		}
+		for i := len(vals) - 1; i >= 0; i-- {
+			es = append(es, es[i])
+		}
+		return es
+	}
+	var windows []uint64
+	for _, w := range []uint64{1, 2, 9, 10, 99, 400, 1e4, 123_456_789, ^uint64(0)/1e8 - 1} {
+		windows = append(windows, w*1e8-1, w*1e8, w*1e8+1, w*1e8+99_999_999, (w+1)*1e8, w*1e8+5)
+	}
+	windows = append(windows, ^uint64(0), ^uint64(0)-1e8, ^uint64(0), 1e8, 1e8-1, 0, 1e8)
+	var cats []uint64
+	for c := 0; c < 256; c++ {
+		cats = append(cats, uint64(c))
+	}
+	cases := map[string][]tracer.Entry{
+		"stamp":         column(func(e *tracer.Entry, v uint64) { e.Stamp = v }, boundaries(^uint64(0))),
+		"ts":            column(func(e *tracer.Entry, v uint64) { e.TS = v }, boundaries(^uint64(0))),
+		"core":          column(func(e *tracer.Entry, v uint64) { e.Core = uint8(v) }, boundaries(255)),
+		"tid":           column(func(e *tracer.Entry, v uint64) { e.TID = uint32(v) }, boundaries(1<<32-1)),
+		"category":      column(func(e *tracer.Entry, v uint64) { e.Category = uint8(v) }, cats),
+		"level":         column(func(e *tracer.Entry, v uint64) { e.Level = uint8(v) }, boundaries(255)),
+		"payload":       column(func(e *tracer.Entry, v uint64) { e.Payload = tracer.LengthOnly(int(v)) }, boundaries(tracer.MaxPayload)),
+		"stamp windows": column(func(e *tracer.Entry, v uint64) { e.Stamp = v }, windows),
+		"ts windows":    column(func(e *tracer.Entry, v uint64) { e.TS = v }, windows),
+		"tid windows":   column(func(e *tracer.Entry, v uint64) { e.TID = uint32(v) }, []uint64{1e8 - 1, 1e8, 42 * 1e8, 42*1e8 + 7, 1e8 + 3, 1<<32 - 1, 5}),
+		"widest": {{
+			Stamp: ^uint64(0), TS: ^uint64(0), Core: 255, TID: ^uint32(0), Category: 17, Level: 255,
+			Payload: tracer.LengthOnly(tracer.MaxPayload),
+		}},
+	}
+	for name, es := range cases {
+		want := csvReference(t, es)
+		for _, batch := range []int{1, 7, 1000} {
+			var got bytes.Buffer
+			if _, _, err := CSVCursor(&got, &sliceCursor{es: es}, make([]tracer.Entry, batch)); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want {
+				t.Fatalf("%s, batches of %d: CSV differs from encoding/csv:\n%s\nvs\n%s", name, batch, got.String(), want)
+			}
 		}
 	}
-	prefix := append(make([]byte, 0, 32), "x,"...)
-	if got := string(appendDecimal(prefix, 1905)); got != "x,1905" {
-		t.Fatalf("appendDecimal after a prefix: %q", got)
+}
+
+// TestCSVWriterReuse: a pooled writer keeps its columns' cached digits
+// from one document to the next, so a second document of smaller values
+// — and a third of the first's again — written by the same writer must
+// still be encoding/csv's bytes.
+func TestCSVWriterReuse(t *testing.T) {
+	big := []tracer.Entry{
+		{Stamp: 987_654_321_012, TS: 55_500_000_000, TID: 300_000_000, Category: 3},
+		{Stamp: 987_654_321_013, TS: 55_500_000_001, TID: 300_000_001, Category: 4},
 	}
+	small := []tracer.Entry{
+		{Stamp: 12, TS: 555_000_000, TID: 3, Category: 5},
+		{Stamp: 7, TS: 100_000_001, TID: 100_000_000, Category: 6},
+	}
+	cw := csvWriters.Get().(*csvWriter)
+	defer csvWriters.Put(cw)
+	for _, es := range [][]tracer.Entry{big, small, big} {
+		var got bytes.Buffer
+		cw.bw.Reset(&got)
+		if _, err := cw.bw.WriteString(csvHeader); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.rows(es); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want := csvReference(t, es); got.String() != want {
+			t.Fatalf("reused writer:\n%s\nvs\n%s", got.String(), want)
+		}
+	}
+}
+
+// FuzzCSVRows holds CSVCursor to encoding/csv + strconv over arbitrary
+// rows. Each row is 26 bytes: the stamp, time, core, TID, category,
+// level and payload length, and a byte whose low bits make the stamp
+// and the time the previous row's plus a small signed step instead —
+// the slowly moving columns the cached high digits are for, crossing
+// their 10^8 windows up and down. The batch is 1 to 1024 rows.
+func FuzzCSVRows(f *testing.F) {
+	row := func(stamp, ts uint64, tid uint32, cat, mode byte) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, stamp)
+		b = binary.LittleEndian.AppendUint64(b, ts)
+		b = append(b, 7)
+		b = binary.LittleEndian.AppendUint32(b, tid)
+		b = append(b, cat, 2, 0x10, 0x00, mode)
+		return b
+	}
+	f.Add(uint16(0), slices.Concat(row(1, 2, 3, 4, 0), row(^uint64(0), ^uint64(0), ^uint32(0), 255, 0)))
+	f.Add(uint16(332), slices.Concat(row(99_999_990, 199_999_999, 1e8, 0, 0), row(7, 0, 5, 19, 3), row(0xFFF0, 3, 9, 20, 3), row(0x10, 0x8000, 1, 1, 3)))
+	f.Fuzz(func(t *testing.T, batch uint16, data []byte) {
+		var es []tracer.Entry
+		var prev tracer.Entry
+		for ; len(data) >= 26 && len(es) < 4096; data = data[26:] {
+			e := tracer.Entry{
+				Stamp: binary.LittleEndian.Uint64(data), TS: binary.LittleEndian.Uint64(data[8:]),
+				Core: data[16], TID: binary.LittleEndian.Uint32(data[17:]), Category: data[21], Level: data[22],
+				Payload: tracer.LengthOnly(int(binary.LittleEndian.Uint16(data[23:]))),
+			}
+			if mode := data[25]; mode&1 != 0 {
+				e.Stamp = prev.Stamp + uint64(int64(int16(e.Stamp)))
+			}
+			if mode := data[25]; mode&2 != 0 {
+				e.TS = prev.TS + uint64(int64(int16(e.TS)))
+			}
+			es, prev = append(es, e), e
+		}
+		var got bytes.Buffer
+		if _, _, err := CSVCursor(&got, &sliceCursor{es: es}, make([]tracer.Entry, 1+int(batch)%1024)); err != nil {
+			t.Fatal(err)
+		}
+		if want := csvReference(t, es); got.String() != want {
+			t.Fatalf("CSV of %d rows differs from encoding/csv:\n%s\nvs\n%s", len(es), got.String(), want)
+		}
+	})
 }
 
 // TestCSVRowsAcrossFlushes: rows are formatted in the bufio.Writer's

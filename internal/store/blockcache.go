@@ -26,7 +26,7 @@
 //	headers  one sealed row segment's frame headers — stamp, time and
 //	         header word 3 (core, TID, category, level, payload length),
 //	         24 B a row — stably sorted by stamp: what a length-only
-//	         cursor reads of the segment (scan.go, the header walker).
+//	         cursor reads of the segment, in place (parallel.go).
 //	         Every frame of the extent passed the magic, checksum and
 //	         length-bound checks before the set was built.
 //

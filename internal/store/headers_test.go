@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io/fs"
 	"sync"
 	"testing"
 
@@ -55,9 +56,13 @@ func drainAll(t *testing.T, st *Store, q Query, workers, batch int) ([]tracer.En
 	t.Helper()
 	cur := st.QueryParallel(q, workers)
 	defer cur.Close()
+	return drainRest(t, cur, q, batch, nil, 0)
+}
+
+// drainRest drains what is left of cur's pass onto out and missed.
+func drainRest(t *testing.T, cur *PCursor, q Query, batch int, out []tracer.Entry, missed uint64) ([]tracer.Entry, uint64) {
+	t.Helper()
 	buf := make([]tracer.Entry, batch)
-	var out []tracer.Entry
-	var missed uint64
 	for {
 		n, m, err := cur.Next(buf)
 		missed += m
@@ -76,26 +81,49 @@ func drainAll(t *testing.T, st *Store, q Query, workers, batch int) ([]tracer.En
 	}
 }
 
+// vanishing is a backend on which one file can be made to have gone,
+// as retention leaves a file it deleted between a pass's snapshot and
+// the stream's open.
+type vanishing struct {
+	backend.Backend
+	gone string
+}
+
+func (b *vanishing) OpenRead(name string) (backend.ReadFile, error) {
+	if name == b.gone {
+		return nil, fmt.Errorf("open %s: %w", name, fs.ErrNotExist)
+	}
+	return b.Backend.OpenRead(name)
+}
+
 // TestHeaderSetsMatchCachelessStore: a store with a block cache and one
 // without it, fed the same two colliding writers and put through the
 // same seals, freeze and retention, answer every
 // length-only read the same — row for row, rows of equal stamp in the
 // same order, missed included — when the cached store's answer comes
-// from building its segments' header sets and from reading them, at one
-// scan worker or several and whatever the batch.
+// from building its segments' header sets and from reading them in
+// place, at one scan worker or several and whatever the batch: under
+// filters the sets' hulls imply (no row tested) beside TID and category
+// filters and a time bound that cuts through a set (every row tested),
+// under a limit that ends the pass inside a set, when the sets are
+// evicted halfway through a pass, and when a segment's file has gone
+// between the snapshot and the open.
 func TestHeaderSetsMatchCachelessStore(t *testing.T) {
-	cfg := Config{SegmentBytes: 16 << 10, ColdAfterNs: 600_000}
-	st, err := Open(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	open := func(cacheBytes int64) (*Store, *vanishing) {
+		lb, err := local.New(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		be := &vanishing{Backend: lb}
+		st, err := Open("", Config{Backend: be, SegmentBytes: 16 << 10, ColdAfterNs: 600_000, ColdCacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st, be
 	}
-	defer st.Close()
-	cfg.ColdCacheBytes = -1
-	bare, err := Open(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
+	st, stBE := open(0)
+	bare, bareBE := open(-1)
 	both := []*Store{st, bare}
 	each := func(what string, op func(s *Store) error) {
 		t.Helper()
@@ -115,7 +143,10 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 			{MinStamp: 300},
 			{Pred: predOf(t, `tid == 101`)},
 			{Pred: predOf(t, `category == 2 && stamp >= 100`), MaxStamp: 900},
+			{Pred: predOf(t, `tid == 100 && category == 3`)},
+			{MinStamp: 200, MaxTS: 700_003},
 			{Limit: 150},
+			{MinStamp: 300, Limit: 77},
 			{Pred: predOf(t, `payload contains "7"`)},
 		} {
 			q.LengthsOnly = true
@@ -123,8 +154,23 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("%s: %+v matches nothing", when, q)
 			}
-			for ask, shape := range [][2]int{{1, 7}, {4, 64}, {2, 333}} {
-				got, missed := drainAll(t, st, q, shape[0], shape[1])
+			// The last ask evicts every header set after its first batch.
+			for ask, shape := range [][2]int{{1, 7}, {4, 64}, {2, 333}, {1, 5}} {
+				var got []tracer.Entry
+				var missed uint64
+				if ask < 3 {
+					got, missed = drainAll(t, st, q, shape[0], shape[1])
+				} else {
+					cur := st.QueryParallel(q, shape[0])
+					buf := make([]tracer.Entry, shape[1])
+					n, m, err := cur.Next(buf)
+					if err != nil {
+						t.Fatalf("Next: %v", err)
+					}
+					st.bcache.reset(classHeaders)
+					got, missed = drainRest(t, cur, q, shape[1], tracer.CloneEntries(nil, buf[:n]), m)
+					cur.Close()
+				}
 				if len(got) != len(want) || missed != wantMissed {
 					t.Fatalf("%s, ask %d of %+v: %d rows, missed %d; the cache-less store: %d, %d", when, ask, q, len(got), missed, len(want), wantMissed)
 				}
@@ -175,6 +221,20 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 		return nil
 	})
 	check("retention")
+	// A sealed hot segment whose file has gone when the streams open it:
+	// both stores count its events missed.
+	var gone SegmentInfo
+	for _, sg := range st.Segments() {
+		if sg.Sealed && sg.Tier == "hot" {
+			gone = sg
+			break
+		}
+	}
+	stBE.gone, bareBE.gone = gone.File, gone.File
+	check("a file gone")
+	if _, missed := drainAll(t, st, Query{LengthsOnly: true}, 2, 64); gone.Events == 0 || missed != gone.Events {
+		t.Fatalf("with %s gone: missed %d, want its %d events", gone.File, missed, gone.Events)
+	}
 	if c := st.bcache.classCounters(); c.hits[classHeaders] == 0 || c.misses[classHeaders] == 0 {
 		t.Fatalf("no read was served from a header set: %+v", c)
 	}

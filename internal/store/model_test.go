@@ -36,9 +36,10 @@ import (
 // the same contract, the payloads held to the oracle's lengths and to
 // carrying no byte of the store's. Such a read is asked again until a
 // sealed row segment's header set serves it — the first pass builds
-// the segments' sets, the second reads them — so
-// every answer a header set gives is held to the oracle too, across
-// seals, freezes and retention.
+// the segments' sets, the second reads them in place — so every answer
+// a header set gives is held to the oracle too, across seals, freezes
+// and retention, and to the answer, missed included, of a store without
+// a block cache opened over a copy of the backend at that instant.
 //
 // A sequence is a byte string (a program): every choice the interpreter
 // makes is drawn from it, so the seeded test and FuzzStoreModel run the
@@ -286,7 +287,9 @@ func limited(idx []int, limit int) []int {
 
 // readPar and readAgg each hold one surface, at rest, to the oracle's
 // answer for q. A length-only read is asked twice unless a header set
-// served the first ask: the first builds the sets, the second reads them.
+// served the first ask: the first builds the sets, the second reads
+// them. An answer header sets served is also held to a cache-less
+// store's (cacheless).
 func (m *storeModel) readPar(q Query, name string, workers int) {
 	what := fmt.Sprintf("QueryParallel(%d)%s", workers, name)
 	batch := 1 + m.p.intn(90)
@@ -298,10 +301,38 @@ func (m *storeModel) readPar(q Query, name string, workers int) {
 		cur.Close()
 		m.checkExact(what, got, missed, want, q.LengthsOnly)
 		if served := m.st.bcache.classCounters().hits[classHeaders] - hits; !q.LengthsOnly || served > 0 {
+			if served > 0 {
+				m.cacheless(q, what, workers, batch, got, missed)
+			}
 			m.headerReads += served
 			return
 		}
 		what = fmt.Sprintf("QueryParallel(%d)%s, asked again", workers, name)
+	}
+}
+
+// cacheless opens a store without a block cache over a copy of the
+// backend and holds its answer to q — row for row, missed included — to
+// got and missed, what the store under test answered from header sets.
+func (m *storeModel) cacheless(q Query, what string, workers, batch int, got []tracer.Entry, missed uint64) {
+	m.t.Helper()
+	cfg := m.cfg
+	cfg.Backend, cfg.ColdCacheBytes = m.be.inner.Clone(), -1
+	bare, err := Open("", cfg)
+	if err != nil {
+		m.failf("%s: opening a cache-less copy: %v", what, err)
+	}
+	defer bare.Close()
+	cur := bare.QueryParallel(q, workers)
+	want, wantMissed := m.drain(what+" (cache-less copy)", cur, batch, true)
+	cur.Close()
+	if len(got) != len(want) || missed != wantMissed {
+		m.failf("%s: %d rows, missed %d; a cache-less copy: %d rows, missed %d", what, len(got), missed, len(want), wantMissed)
+	}
+	for i := range got {
+		if !sameEntry(&got[i], &want[i], true) {
+			m.failf("%s: row %d is %+v; a cache-less copy's is %+v", what, i, got[i], want[i])
+		}
 	}
 }
 

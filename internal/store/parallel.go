@@ -29,7 +29,9 @@
 //     Under a predicate that reads no payload byte it reads a sealed
 //     row segment from the block cache's header set once there is one
 //     (scan.go): no file bytes, and rows already in stamp order, so an
-//     unordered segment is neither held whole nor sorted.
+//     unordered segment is neither held whole nor sorted. The stream
+//     sends the set itself, and the merge writes its rows straight
+//     into the caller's batch.
 //
 // The snapshot is taken by the first Next. Events appended after it
 // belong to a later cursor; once the pass has delivered its last entry
@@ -43,8 +45,10 @@ package store
 import (
 	"cmp"
 	"slices"
+	"sort"
 	"sync"
 
+	"btrace/internal/btql"
 	"btrace/internal/tracer"
 )
 
@@ -57,10 +61,17 @@ const DefaultQueryWorkers = 4
 // payload lengths only (lengths, set by whoever took the chunk from the
 // pool): then every payload is a tracer.LengthOnly one and no entry
 // aliases anything.
+//
+// A chunk may instead carry a header set read in place (hdrs, entries
+// empty): its rows are those of hdrs that test matches, every one for a
+// nil test, and the first row of hdrs is one of them. The merge turns
+// them into entries as it writes them into the caller's batch.
 type pchunk struct {
 	entries []tracer.Entry
 	data    []byte
 	lengths bool
+	hdrs    []hdrRow
+	test    *btql.Predicate
 }
 
 // newChunk takes a chunk from the global pool for a query that keeps
@@ -72,6 +83,60 @@ func newChunk(lengths bool) *pchunk {
 }
 
 func (ck *pchunk) payloads() bool { return !ck.lengths }
+
+// count is the number of rows the merge steps through.
+func (ck *pchunk) count() int {
+	if ck.hdrs != nil {
+		return len(ck.hdrs)
+	}
+	return len(ck.entries)
+}
+
+func (ck *pchunk) stamp(i int) uint64 {
+	if ck.hdrs != nil {
+		return ck.hdrs[i].stamp
+	}
+	return ck.entries[i].Stamp
+}
+
+// nextMatch returns the first row of the header set from i on that the
+// chunk's test matches, or len(hdrs).
+func (ck *pchunk) nextMatch(i int) int {
+	if ck.test == nil {
+		return i
+	}
+	for ; i < len(ck.hdrs); i++ {
+		r := &ck.hdrs[i]
+		core, tid, cat, level := splitW3(r.w3)
+		if ck.test.MatchHeader(r.stamp, r.ts, core, tid, cat, level) {
+			break
+		}
+	}
+	return i
+}
+
+// setRows writes into dst the header set's matching rows from row i on,
+// up to the first stamp past bound, with payloads of the rows' lengths.
+// It returns how many it wrote and the next matching row.
+func (ck *pchunk) setRows(dst []tracer.Entry, i int, bound uint64) (n, next int) {
+	rows, test := ck.hdrs, ck.test
+	for n < len(dst) && i < len(rows) {
+		r := &rows[i]
+		if r.stamp > bound {
+			break
+		}
+		i++
+		core, tid, cat, level := splitW3(r.w3)
+		if test != nil && !test.MatchHeader(r.stamp, r.ts, core, tid, cat, level) {
+			continue
+		}
+		e := &dst[n]
+		e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level = r.stamp, r.ts, core, tid, cat, level
+		e.Payload = tracer.LengthOnly(int(uint16(r.w3)))
+		n++
+	}
+	return n, ck.nextMatch(i)
+}
 
 func (ck *pchunk) span(n int) []byte {
 	// Entries already in the chunk alias the current buffer (a second
@@ -171,11 +236,12 @@ func (ck *pchunk) take(es []tracer.Entry) []tracer.Entry {
 // reset empties the chunk for reuse. The entries are zeroed, not only
 // truncated: a pooled chunk must not pin, through payloads nobody can
 // reach any more, the span buffers of an unordered segment it once held
-// or cold chunks the block cache has since evicted.
+// or cold chunks the block cache has since evicted — nor a header set.
 func (ck *pchunk) reset() {
 	clear(ck.entries)
 	ck.entries = ck.entries[:0]
 	ck.data = ck.data[:0]
+	ck.hdrs, ck.test = nil, nil
 }
 
 // globalChunks backs every scan's chunks, so span buffers (up to
@@ -372,7 +438,9 @@ func (c *PCursor) admit() {
 // retention or freeze pass deletes after that the stream still
 // reads — and the first step waits for the gate. A semaphore permit is
 // held only across the read+decode, never across a channel send, so a
-// blocked merge cannot starve other streams of scan slots.
+// blocked merge cannot starve other streams of scan slots. A stream
+// that has the segment's header set, or builds it, sends the set
+// instead (sendSet).
 func (c *PCursor) runStream(ps *pstream) {
 	defer c.wg.Done()
 	defer close(ps.ch)
@@ -391,7 +459,10 @@ func (c *PCursor) runStream(ps *pstream) {
 		return
 	}
 	if c.q.lengths && !c.q.pred.NeedsPayload() {
-		s.headers()
+		if rows, build := s.headers(); rows != nil || build {
+			c.sendSet(ps, s, rows, build)
+			return
+		}
 	}
 	// thin gathers the rows of sparse steps, their payloads copied out of
 	// the spans they were found in.
@@ -439,14 +510,12 @@ func (c *PCursor) runStream(ps *pstream) {
 			if rows := int(uint64(bytes) * sn.count / uint64(sn.bound-headerSize)); cap(ck.entries) < rows {
 				ck.entries = slices.Grow(ck.entries, rows+rows/8)
 			}
-		} else if s.hdrs != nil || s.build {
-			ck.entries = slices.Grow(ck.entries, hdrStepRows)
 		}
 		more, err = s.step(sink)
-		if !sn.ordered && s.hdrs == nil {
+		if !sn.ordered {
 			// The whole range (bounded by SegmentBytes) becomes one chunk
 			// sorted by stamp, so the merge can treat every stream as
-			// stamp-ordered. A header set is in stamp order already.
+			// stamp-ordered.
 			for more && err == nil {
 				more, err = s.step(sink)
 			}
@@ -495,6 +564,53 @@ func (c *PCursor) runStream(ps *pstream) {
 	if thin != nil {
 		send(thin)
 		thin = nil
+	}
+}
+
+// sendSet sends the merge the stream's header set, cut to the query's
+// stamp bounds, as its one chunk: rows already in stamp order, which the
+// merge reads in place. With build it first builds the set, under a scan
+// permit and through the permit's span buffer. The merge tests no row
+// where the set's hulls — its stamps, cut to the query's bounds, and the
+// segment's times — imply every stamp and time comparison of the filter
+// and nothing else is left of it (btql.Residual).
+func (c *PCursor) sendSet(ps *pstream, s *segScan, rows []hdrRow, build bool) {
+	if build {
+		buf, ok := c.acquire()
+		if !ok {
+			return
+		}
+		if buf == nil {
+			buf = newChunk(true)
+		}
+		var err error
+		rows, err = s.buildHeaders(buf)
+		c.release(buf)
+		if err != nil {
+			ps.err = err
+			return
+		}
+	}
+	q, sn := c.q, s.sn
+	rows = rows[sort.Search(len(rows), func(i int) bool { return rows[i].stamp >= q.minStamp }):]
+	rows = rows[:sort.Search(len(rows), func(i int) bool { return rows[i].stamp > q.maxStamp })]
+	if len(rows) == 0 {
+		return
+	}
+	ck := c.pool.get(0)
+	ck.hdrs = rows
+	hull := btql.Meta{MinStamp: rows[0].stamp, MaxStamp: rows[len(rows)-1].stamp, MinTS: sn.minTS, MaxTS: sn.maxTS}
+	if rest, ok := q.pred.Residual(&hull); !ok || rest != "" {
+		ck.test = q.pred
+	}
+	if ck.hdrs = rows[ck.nextMatch(0):]; len(ck.hdrs) == 0 {
+		c.pool.put(ck)
+		return
+	}
+	select {
+	case ps.ch <- ck:
+	case <-c.done:
+		c.pool.put(ck)
 	}
 }
 
@@ -633,7 +749,7 @@ func (c *PCursor) release(buf *pchunk) { c.sem <- buf }
 func (c *PCursor) advanceStream(ps *pstream) bool {
 	for {
 		if ps.cur != nil {
-			if ps.idx < len(ps.cur.entries) {
+			if ps.idx < ps.cur.count() {
 				return true
 			}
 			c.retired = append(c.retired, ps.cur)
@@ -682,25 +798,32 @@ func (c *PCursor) merge(batch []tracer.Entry) (int, error) {
 			}
 			bound = min(bound, s)
 		}
-		es := ps.cur.entries[ps.idx:]
-		es = es[:min(len(es), len(batch)-n)]
+		room := len(batch) - n
 		if c.q.limit > 0 {
-			es = es[:min(len(es), c.q.limit-c.delivered)]
+			room = min(room, c.q.limit-c.delivered)
 		}
-		if es[len(es)-1].Stamp > bound {
-			// The head itself is at or below bound, so k >= 1.
-			k, _ := slices.BinarySearchFunc(es, bound, func(e tracer.Entry, b uint64) int {
-				if e.Stamp <= b {
-					return -1
-				}
-				return 1
-			})
-			es = es[:k]
+		// The head itself is at or below bound, so k >= 1.
+		k := 0
+		if ck := ps.cur; ck.hdrs != nil {
+			k, ps.idx = ck.setRows(batch[n:n+room], ps.idx, bound)
+		} else {
+			es := ck.entries[ps.idx:]
+			es = es[:min(len(es), room)]
+			if es[len(es)-1].Stamp > bound {
+				k, _ = slices.BinarySearchFunc(es, bound, func(e tracer.Entry, b uint64) int {
+					if e.Stamp <= b {
+						return -1
+					}
+					return 1
+				})
+				es = es[:k]
+			}
+			k = copy(batch[n:], es)
+			ps.idx += k
 		}
-		n += copy(batch[n:], es)
-		ps.idx += len(es)
-		c.delivered += len(es)
-		if ps.idx >= len(ps.cur.entries) && !c.advanceStream(ps) {
+		n += k
+		c.delivered += k
+		if ps.idx >= ps.cur.count() && !c.advanceStream(ps) {
 			last := len(c.h) - 1
 			c.h[0] = c.h[last]
 			c.h = c.h[:last]
@@ -776,7 +899,7 @@ func (c *PCursor) down(i int) {
 
 func (c *PCursor) headStamp(i int) uint64 {
 	ps := c.h[i]
-	return ps.cur.entries[ps.idx].Stamp
+	return ps.cur.stamp(ps.idx)
 }
 
 // less is the heap order: by head stamp, then by snapshot order.

@@ -1,14 +1,14 @@
 // The one scan. This file is the only place on the read path that knows
 // how a segment's bytes become rows: the block rung over a cold
-// segment's directory, the column walker over a columnar block, the
+// segment's directory, the column walker over a columnar block, and the
 // frame walker over CRC-framed records (a span of a row segment, or an
-// inflated v1 block), and the header walker over a sealed row segment's
-// header set. The cursor PCursor and Store.Aggregate are its two
-// drivers: each takes segment snapshots (the file rung, matchSegment,
-// runs there), opens a segScan per snapshot, and steps it into a
-// rowSink — a chunk of entries for the cursor, the aggregators for
-// Aggregate. What differs between them is sequencing (stamp merge vs
-// fold), never the ladder.
+// inflated v1 block). It also builds a sealed row segment's header set,
+// which the cursor's merge then reads in place (parallel.go). The
+// cursor PCursor and Store.Aggregate are its two drivers: each takes
+// segment snapshots (the file rung, matchSegment, runs there), opens a
+// segScan per snapshot, and steps it into a rowSink — a chunk of
+// entries for the cursor, the aggregators for Aggregate. What differs
+// between them is sequencing (stamp merge vs fold), never the ladder.
 //
 // The frame and column walkers differ in when a row comes into being.
 // The frame walker meets whole rows, so it tests them one at a time
@@ -44,11 +44,13 @@
 // the block cache keeps it (blockcache.go, the headers kind): every frame
 // checked — tail magic, checksum, record kind and payload-length bound,
 // selected or not — and the headers sorted by stamp, stably. From then
-// on the header walker reads the set instead of the file: a binary
-// search to the query's lowest stamp, MatchHeader per row, a stop past
-// its highest, in steps of hdrStepRows rows, already in stamp order.
-// There a delivered row's checksum is the one the build checked: the
-// contract of the cold tier, whose cache holds values verified once.
+// on the cursor reads the set instead of the file: the stream hands the
+// merge the set itself, cut by binary search to the query's stamp
+// bounds, and the merge tests each row with MatchHeader as it writes it
+// into the caller's batch — or tests none, where the set's hulls imply
+// the whole filter. There a delivered row's checksum is the one the
+// build checked: the contract of the cold tier, whose cache holds values
+// verified once.
 package store
 
 import (
@@ -68,10 +70,6 @@ import (
 // one frame walk. Must exceed maxRecordSize+tailSize so a frame always
 // fits a span.
 const scanSpanBytes = 256 << 10
-
-// hdrStepRows bounds the header-set rows one step of the header walker
-// examines: a span's worth of small records.
-const hdrStepRows = 4096
 
 // hdrRow is one frame's header as a header set keeps it: the stamp, the
 // time and header word 3 — core, TID, category, level and payload
@@ -195,13 +193,6 @@ type segScan struct {
 	idx        []int32
 	pay        [][]byte // cols.pay's backing
 	need, miss []int32  // payload chunks wanted, and of those not cached
-	// The header walker's state (headers): hdrs is the segment's header
-	// set once this pass has it, hpos the next row. hk keys the set;
-	// build says the next step builds it.
-	hk    blockKey
-	hdrs  []hdrRow
-	hpos  int
-	build bool
 }
 
 // openScan opens sn's file for one pass of q. A segment that retention
@@ -218,59 +209,39 @@ func (st *Store) openScan(q *compiled, sn *segSnap) (s *segScan, missed uint64, 
 	return &segScan{st: st, q: q, sn: sn, f: f, off: sn.start}, 0, nil
 }
 
-// headers readies the header walker, for a cursor pass that reads
-// payload lengths only under a predicate that reads no payload byte. It
-// applies to a sealed row segment: a resident header set is walked
-// instead of the file; otherwise a pass that would walk the segment
-// whole — from its first frame to its sealed end, with no ordered cut —
-// builds the set (blockcache.go, admission). A set the cache's budget
-// could not hold is never built.
-func (s *segScan) headers() {
+// headers looks up the header set of the segment, for a cursor pass
+// that reads payload lengths only under a predicate that reads no
+// payload byte. It applies to a sealed row segment: a resident set is
+// returned; otherwise build reports that the pass would walk the
+// segment whole — from its first frame to its sealed end, with no
+// ordered cut — and so builds the set (blockcache.go, admission). A set
+// the cache's budget could not hold is never built.
+func (s *segScan) headers() (rows []hdrRow, build bool) {
 	sn := s.sn
 	if !sn.sealed || sn.cold {
-		return
+		return nil, false
 	}
 	whole := sn.start == headerSize && (!sn.ordered || s.q.maxStamp >= sn.maxStamp) &&
 		s.st.bcache.fits(hdrSetSize(int(sn.count)))
-	s.hk = blockKey{name: sn.name, off: sn.bound, sec: secHeaders}
-	rows, build := s.st.bcache.headerSet(s.hk, whole)
-	if rows != nil {
-		s.seekHeaders(rows)
-	}
-	s.build = build
+	return s.st.bcache.headerSet(hdrKey(sn), whole)
 }
+
+// hdrKey keys a sealed row segment's header set.
+func hdrKey(sn *segSnap) blockKey { return blockKey{name: sn.name, off: sn.bound, sec: secHeaders} }
 
 // hdrSetSize is a header set's budget charge: its rows and its entry.
 func hdrSetSize(rows int) int64 {
 	return int64(unsafe.Sizeof(cacheEnt{})) + int64(unsafe.Sizeof(hdrRow{}))*int64(rows)
 }
 
-// seekHeaders starts the header walker over rows at the query's lowest
-// stamp.
-func (s *segScan) seekHeaders(rows []hdrRow) {
-	s.hdrs = rows
-	s.hpos = sort.Search(len(rows), func(i int) bool { return rows[i].stamp >= s.q.minStamp })
-}
-
-// step scans the segment's next unit — one span of a row segment, the
-// next rows of its header set, or the next cold block the query cannot
-// rule out — into dst. more reports whether another step can make
-// progress against sn.bound. A failed step consumes nothing: s.off
-// stays put, though dst may hold rows that preceded the failure.
+// step scans the segment's next unit — one span of a row segment, or
+// the next cold block the query cannot rule out — into dst. more
+// reports whether another step can make progress against sn.bound. A
+// failed step consumes nothing: s.off stays put, though dst may hold
+// rows that preceded the failure.
 func (s *segScan) step(dst rowSink) (more bool, err error) {
 	if s.sn.cold {
 		return s.stepBlock(dst)
-	}
-	if s.build {
-		rows, err := s.buildHeaders(dst)
-		if err != nil {
-			return false, err
-		}
-		s.build = false
-		s.seekHeaders(rows)
-	}
-	if s.hdrs != nil {
-		return s.stepHeaders(dst), nil
 	}
 	want := s.spanBytes(dst.payloads())
 	if want <= 0 {
@@ -291,19 +262,20 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 	return used > 0 && !s.cut && s.off < s.sn.bound, nil
 }
 
-// buildHeaders is the header walker's first step over a segment it
-// would walk whole and has no set of. It reads the sealed extent span by span and checks
-// every frame the way the frame walker checks a row it delivers — tail
-// magic, checksum, record kind, payload-length bound — whether or not
-// the query wants the row, and returns the headers stably sorted by
-// stamp. A walk that verified every frame up to the sealed end admits
-// them to the block cache; one that fails caches nothing.
-func (s *segScan) buildHeaders(dst rowSink) ([]hdrRow, error) {
+// buildHeaders builds the header set of a segment the pass would walk
+// whole and finds no set of, reading it through sp's span buffer. It
+// reads the sealed extent span by span and checks every frame the way
+// the frame walker checks a row it delivers — tail magic, checksum,
+// record kind, payload-length bound — whether or not the query wants
+// the row, and returns the headers stably sorted by stamp. A walk that
+// verified every frame up to the sealed end admits them to the block
+// cache; one that fails caches nothing.
+func (s *segScan) buildHeaders(sp *pchunk) ([]hdrRow, error) {
 	sn := s.sn
 	rows := make([]hdrRow, 0, sn.count)
 	off := int64(headerSize)
 	for off < sn.bound {
-		buf := dst.span(int(min(sn.bound-off, scanSpanBytes)))
+		buf := sp.span(int(min(sn.bound-off, scanSpanBytes)))
 		n, rerr := s.f.ReadAt(buf, off)
 		if rerr != nil && rerr != io.EOF {
 			return nil, rerr
@@ -335,38 +307,16 @@ func (s *segScan) buildHeaders(dst rowSink) ([]hdrRow, error) {
 	}
 	slices.SortStableFunc(rows, func(a, b hdrRow) int { return cmp.Compare(a.stamp, b.stamp) })
 	if off == sn.bound {
-		s.st.bcache.put(&cacheEnt{key: s.hk, hdrs: rows, size: hdrSetSize(len(rows))})
+		s.st.bcache.put(&cacheEnt{key: hdrKey(sn), hdrs: rows, size: hdrSetSize(len(rows))})
 	}
 	return rows, nil
 }
 
-// stepHeaders is the header walker: the next hdrStepRows rows of the
-// header set, tested by MatchHeader and handed over with a payload of
-// the row's length, up to the first stamp past the query's highest.
-func (s *segScan) stepHeaders(dst rowSink) (more bool) {
-	q := s.q
-	end := min(len(s.hdrs), s.hpos+hdrStepRows)
-	for _, r := range s.hdrs[s.hpos:end] {
-		if r.stamp > q.maxStamp {
-			s.cut = true
-			s.hpos = len(s.hdrs)
-			return false
-		}
-		core, tid, cat, level := splitW3(r.w3)
-		if q.pred.MatchHeader(r.stamp, r.ts, core, tid, cat, level) {
-			dst.row(r.stamp, r.ts, core, tid, cat, level, tracer.LengthOnly(int(uint16(r.w3))))
-		}
-	}
-	s.hpos = end
-	return end < len(s.hdrs)
-}
-
 // spanBytes is the size of the span the next step of a row segment
 // reads into a sink that keeps payload bytes, or does not; a cold
-// segment's rows alias block-cache memory, and a header set's alias
-// nothing, not a span.
+// segment's rows alias block-cache memory, not a span.
 func (s *segScan) spanBytes(keep bool) int64 {
-	if s.sn.cold || s.hdrs != nil || s.build {
+	if s.sn.cold {
 		return 0
 	}
 	want := s.sn.bound - s.off
