@@ -151,6 +151,19 @@ func (p *Predicate) Residual(m *Meta) (rest string, ok bool) {
 	return p.rest, true
 }
 
+// Rest is Residual's text alone, whatever the hulls: the canonical text
+// of the conjuncts of p's top-level && chain that do not compare the
+// stamp or the time with a literal, which Parse reads back; "" when
+// there are none, and for a nil p. Over any events, p selects what Rest
+// selects less what those comparisons rule out. The store keys what it
+// caches of a segment under a filter by it.
+func (p *Predicate) Rest() string {
+	if p == nil {
+		return ""
+	}
+	return p.rest
+}
+
 // Match evaluates the predicate exactly against a full entry. (Split so
 // that it inlines: match-all, what a live subscriber without a filter
 // holds, then costs its caller a length check per event.)

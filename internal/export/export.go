@@ -13,6 +13,7 @@ import (
 	"math/bits"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"btrace/internal/tracer"
 	"btrace/internal/workload"
@@ -58,22 +59,25 @@ const csvHeader = "stamp,ts_ns,core,tid,category,level,payload_bytes\n"
 // would have written (the tests hold it to that, header included).
 //
 // A row is written at offsets into that space, after one check that a
-// row fits: digits four at a time from quads, as whole words that may
-// run past the field and are overwritten by what follows, and the
-// category as a precomputed cell, comma included. stamp, ts and tid
-// keep the digits of their last value above 10^8, which a stamp-ordered
-// export's stamps and times rarely leave.
+// row fits, by whole-word stores that check no bound of their own
+// (store8, store64) and may run past the field, to be overwritten by
+// what follows: a number below 10^8 as one 8-byte word of digits, two quads
+// entries shifted past their leading zeros; core and level as a
+// precomputed cell, comma included, and the category as a longer one.
+// stamp, ts and tid keep the digits of their last value above 10^8,
+// which a stamp-ordered export's stamps and times rarely leave.
 type csvWriter struct {
 	bw             *bufio.Writer
 	stamp, ts, tid csvColumn
 }
 
-// maxCSVRow bounds one row: the six decimals at their widest (two
-// uint64, a uint32, two uint8, a payload length), the longest category
-// cell, six commas and the newline, and the whole words written past a
-// field's end (the widest is a category cell's). It is far below a
+// maxCSVRow bounds the bytes one row's stores reach past its start: the
+// widest row's text — two uint64 and a uint32 at their widest and their
+// commas, the core and level cells, the longest category cell, a
+// five-digit payload length and the newline — and the widest store past
+// the end of its text, a category cell's. It is far below a
 // bufio.Writer's buffer, so a flushed writer always has room for a row.
-const maxCSVRow = 20 + 20 + 10 + 3 + 3 + 5 + catCellBytes + 6 + 1
+const maxCSVRow = 2*(20+1) + 10 + 1 + 2*byteCellBytes + catCellBytes + 5 + 1 + catCellBytes
 
 // csvBufferBytes is the CSV writer's buffer. A large export reaches w in
 // 64 KiB writes — over HTTP one chunk each, where bufio's default 4 KiB
@@ -120,25 +124,43 @@ func (cw *csvWriter) rows(es []tracer.Entry) error {
 			b = bw.AvailableBuffer()
 			b, p = b[:cap(b)], 0
 		}
+		// Every store below lands in b[p:p+maxCSVRow].
+		r := unsafe.Add(unsafe.Pointer(unsafe.SliceData(b)), p)
 		e := &es[i]
-		p = cw.stamp.put(b, p, e.Stamp)
-		b[p] = ','
-		p = cw.ts.put(b, p+1, e.TS)
-		b[p] = ','
-		p = putDecimal8(b, p+1, uint64(e.Core))
-		b[p] = ','
-		p = cw.tid.put(b, p+1, uint64(e.TID))
-		b[p] = ','
-		cell := &catCells[e.Category]
-		*(*[catCellBytes]byte)(b[p+1:]) = cell.b
-		p = putDecimal8(b, p+1+int(cell.n), uint64(e.Level))
-		b[p] = ','
-		p = putDecimal8(b, p+1, uint64(len(e.Payload)))
-		b[p] = '\n'
-		p++
+		n := cw.stamp.put(r, 0, e.Stamp)
+		store8(r, n, ',')
+		n = cw.ts.put(r, n+1, e.TS)
+		store8(r, n, ',')
+		cell := &byteCells[e.Core]
+		*(*[byteCellBytes]byte)(unsafe.Add(r, n+1)) = cell.b
+		n += 1 + int(cell.n)
+		if v := uint64(e.TID); v < 1e8 {
+			n = putDecimal8(r, n, v)
+		} else {
+			n = cw.tid.put(r, n, v)
+		}
+		cat := &catCells[e.Category]
+		*(*[catCellBytes]byte)(unsafe.Add(r, n+1)) = cat.b
+		store8(r, n, ',')
+		n += 1 + int(cat.n)
+		cell = &byteCells[e.Level]
+		*(*[byteCellBytes]byte)(unsafe.Add(r, n)) = cell.b
+		n = putDecimal8(r, n+int(cell.n), uint64(len(e.Payload)))
+		store8(r, n, '\n')
+		p += n + 1
 	}
 	_, err := bw.Write(b[:p])
 	return err
+}
+
+// The row kernel's stores: at offset n from the row's start r, checking
+// no bound — the row's one room check covers every store it makes.
+// store64 writes w's bytes in little-endian order, the digits' order in
+// quads, on every platform.
+func store8(r unsafe.Pointer, n int, c byte) { *(*byte)(unsafe.Add(r, n)) = c }
+
+func store64(r unsafe.Pointer, n int, w uint64) {
+	binary.LittleEndian.PutUint64((*[8]byte)(unsafe.Add(r, n))[:], w)
 }
 
 // csvColumn formats one numeric column, keeping hi's digits: the value
@@ -150,41 +172,30 @@ type csvColumn struct {
 	digits [16]byte // hi's n digits: at most 12, as 2^64 < 10^20
 }
 
-// put writes v at b[p:] and returns the offset past it.
-func (c *csvColumn) put(b []byte, p int, v uint64) int {
+// put writes v at offset n of row r and returns the offset past it.
+func (c *csvColumn) put(r unsafe.Pointer, n int, v uint64) int {
 	if v < 1e8 {
-		return putDecimal8(b, p, v)
+		return putDecimal8(r, n, v)
 	}
 	hi, lo := v/1e8, v%1e8
 	if hi != c.hi {
 		c.hi, c.n = hi, len(strconv.AppendUint(c.digits[:0], hi, 10))
 	}
-	*(*[16]byte)(b[p:]) = c.digits
-	p += c.n
-	binary.LittleEndian.PutUint32(b[p:], quads[lo/1e4])
-	binary.LittleEndian.PutUint32(b[p+4:], quads[lo%1e4])
-	return p + 8
+	*(*[16]byte)(unsafe.Add(r, n)) = c.digits
+	n += c.n
+	store64(r, n, uint64(quads[lo/1e4])|uint64(quads[lo%1e4])<<32)
+	return n + 8
 }
 
-// putDecimal8 writes v < 10^8 at b[p:] and returns the offset past it.
-// Each four-digit word is written whole, so up to three bytes past the
-// digits are overwritten.
-func putDecimal8(b []byte, p int, v uint64) int {
-	if v >= 1e4 {
-		p = putLead(b, p, v/1e4)
-		binary.LittleEndian.PutUint32(b[p:], quads[v%1e4])
-		return p + 4
-	}
-	return putLead(b, p, v)
-}
-
-// putLead writes v < 10^4 without leading zeros: its word shifted down
-// past them, which the zero bits of the word less "0000" count.
-func putLead(b []byte, p int, v uint64) int {
-	q := quads[v]
-	z := min(bits.TrailingZeros32(q^0x30303030)&^7, 24) // 0 has one digit
-	binary.LittleEndian.PutUint32(b[p:], q>>z)
-	return p + 4 - z>>3
+// putDecimal8 writes v < 10^8 at offset n of row r and returns the
+// offset past it: its eight digits as one word, shifted down past the
+// leading zeros, which the zero bits of the word less "00000000" count.
+// Up to seven bytes past the digits are overwritten.
+func putDecimal8(r unsafe.Pointer, n int, v uint64) int {
+	w := uint64(quads[v/1e4]) | uint64(quads[v%1e4])<<32
+	z := min(bits.TrailingZeros64(w^0x3030303030303030)&^7, 56) // 0 has one digit
+	store64(r, n, w>>z)
+	return n + 8 - z>>3
 }
 
 // quads is "0000" … "9999", a number's four digits to a word, the first
@@ -192,6 +203,21 @@ func putLead(b []byte, p int, v uint64) int {
 var quads = func() (t [10000]uint32) {
 	for i := range t {
 		t[i] = uint32('0'+i/1000) | uint32('0'+i/100%10)<<8 | uint32('0'+i/10%10)<<16 | uint32('0'+i%10)<<24
+	}
+	return t
+}()
+
+// byteCellBytes holds a byte's decimal and its comma.
+const byteCellBytes = 4
+
+// byteCells is every byte value's CSV cell, for core and level: its
+// decimal and the comma after it, n bytes of b.
+var byteCells = func() (t [256]struct {
+	b [byteCellBytes]byte
+	n uint8
+}) {
+	for v := range t {
+		t[v].n = uint8(copy(t[v].b[:], strconv.Itoa(v)+","))
 	}
 	return t
 }()

@@ -1,11 +1,13 @@
 package export
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -162,7 +164,8 @@ func boundaries(max uint64) []uint64 {
 // in both directions, stay inside one, and alternate between two (the
 // columns' cached high digits); every category value, those past
 // NumCategories ("unknown") included; and documents of every case read
-// in batches of one, seven and 1000 rows.
+// in batches of one, seven and 1000 rows, the cases in a fixed order,
+// and then every case again through one writer.
 func TestCSVColumns(t *testing.T) {
 	base := tracer.Entry{Stamp: 1_234_567, TS: 40_000_000_000, Core: 3, TID: 4242, Category: 11, Level: 2, Payload: tracer.LengthOnly(33)}
 	column := func(set func(e *tracer.Entry, v uint64), vals []uint64) []tracer.Entry {
@@ -202,7 +205,11 @@ func TestCSVColumns(t *testing.T) {
 			Payload: tracer.LengthOnly(tracer.MaxPayload),
 		}},
 	}
-	for name, es := range cases {
+	// In a fixed order: writers are pooled, so which case's cached digits
+	// the next one starts from must not change from run to run.
+	names := slices.Sorted(maps.Keys(cases))
+	for _, name := range names {
+		es := cases[name]
 		want := csvReference(t, es)
 		for _, batch := range []int{1, 7, 1000} {
 			var got bytes.Buffer
@@ -212,6 +219,27 @@ func TestCSVColumns(t *testing.T) {
 			if got.String() != want {
 				t.Fatalf("%s, batches of %d: CSV differs from encoding/csv:\n%s\nvs\n%s", name, batch, got.String(), want)
 			}
+		}
+	}
+	// One writer through every case in turn, forwards and back: each
+	// document starts from the cached digits the one before it left.
+	cw := &csvWriter{bw: bufio.NewWriterSize(nil, csvBufferBytes)}
+	back := slices.Clone(names)
+	slices.Reverse(back)
+	for _, name := range append(names, back...) {
+		var got bytes.Buffer
+		cw.bw.Reset(&got)
+		if _, err := cw.bw.WriteString(csvHeader); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.rows(cases[name]); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want := csvReference(t, cases[name]); got.String() != want {
+			t.Fatalf("%s, one writer after the others: CSV differs from encoding/csv:\n%s\nvs\n%s", name, got.String(), want)
 		}
 	}
 }

@@ -172,10 +172,10 @@ func BenchmarkStoreQueryParallel(b *testing.B) {
 // every sealed segment except the newest is compressed into the cold
 // tier. The acceptance contract is enforced here: the cold tier must
 // shrink its raw bytes by at least 3x, or the fixture (and the paper
-// claim it backs) is broken.
-func benchColdStore(b *testing.B) *Store {
+// claim it backs) is broken. cacheBytes is Config.ColdCacheBytes.
+func benchColdStore(b *testing.B, cacheBytes int64) *Store {
 	b.Helper()
-	st, err := Open(b.TempDir(), Config{SegmentBytes: 512 << 10, ColdAfterNs: 1})
+	st, err := Open(b.TempDir(), Config{SegmentBytes: 512 << 10, ColdAfterNs: 1, ColdCacheBytes: cacheBytes})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func benchColdStore(b *testing.B) *Store {
 // contract (cold within 2x of all-hot, at >= 3x less disk) is gated by
 // cmd/benchdiff against BenchmarkStoreQueryParallel in BENCH_store.json.
 func BenchmarkColdQuery(b *testing.B) {
-	st := benchColdStore(b)
+	st := benchColdStore(b, 0)
 	defer st.Close()
 	batch := make([]tracer.Entry, 512)
 	b.ReportAllocs()
@@ -469,6 +469,64 @@ func BenchmarkHotTailExport(b *testing.B) {
 	}
 }
 
+// windowBTQL is BenchmarkWindowExport's query: the stamps from 20 001
+// to 80 000 of benchEntries(100_000) — cutting two cold files — of one
+// TID and one category, which 1 in 96 rows are.
+const windowBTQL = `stamp >= 20001 && stamp <= 80000 && tid == 7 && category == 1`
+
+// BenchmarkWindowExport is query-tiered's selective and cold classes in
+// process: windowBTQL read for payload lengths only (what a CSV export
+// asks for) over benchColdStore's mostly-cold fixture, at 4 scan
+// workers, through a 1024-entry batch, again and again. walk is a store
+// without a block cache: each read walks the window's cold blocks by
+// column, inflating their meta sections and decoding the TID, stamp and
+// time columns. cached reads the filtered sets (scan.go) its warm-up
+// built, one per cold file the window reaches, and opens no file.
+// cpu-ns/row is the process's CPU time over the timed reads per row
+// delivered, sets/op the sets each read was served. cmd/benchdiff gates
+// cached at <= 0.1x of walk within-run.
+func BenchmarkWindowExport(b *testing.B) {
+	want := 0
+	for s := uint64(20_001); s <= 80_000; s++ {
+		if s%32 == 7 && s%6 == 1 {
+			want++
+		}
+	}
+	for _, cached := range []bool{false, true} {
+		name, cacheBytes := "walk", int64(-1)
+		if cached {
+			name, cacheBytes = "cached", 0
+		}
+		b.Run(name, func(b *testing.B) {
+			st := benchColdStore(b, cacheBytes)
+			defer st.Close()
+			q := Query{Pred: benchParse(b, windowBTQL).Predicate(), LengthsOnly: true}
+			batch := make([]tracer.Entry, 1024)
+			read := func() {
+				if n := drainCursor(b, st.QueryParallel(q, 4), batch); n != want {
+					b.Fatalf("read %d rows, want %d", n, want)
+				}
+			}
+			read() // a filtered set per cold file, with the cache
+			base := st.bcache.classCounters().hits[classHeaders]
+			b.ReportAllocs()
+			b.ResetTimer()
+			cpu := processCPU()
+			for i := 0; i < b.N; i++ {
+				read()
+			}
+			cpu = processCPU() - cpu
+			b.StopTimer()
+			hits := st.bcache.classCounters().hits[classHeaders] - base
+			if cached == (hits == 0) {
+				b.Fatalf("%d reads were served %d sets (cached: %v)", b.N, hits, cached)
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "sets/op")
+			b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N*want), "cpu-ns/row")
+		})
+	}
+}
+
 // selectiveBTQL is the benchmark query: a stamp range covering the
 // newest ~10% of the fixture, narrowed to one TID. Its compiled hull
 // prunes most cold blocks on the directory metadata alone, and the
@@ -503,7 +561,7 @@ func benchParse(b *testing.B, src string) *btql.Query {
 // fixture (every block decompressed, payload sections included) and
 // evaluate the selective predicate row by row, grep-style.
 func BenchmarkQueryFullScan(b *testing.B) {
-	st := benchColdStore(b)
+	st := benchColdStore(b, 0)
 	defer st.Close()
 	pred := benchParse(b, selectiveBTQL).Predicate()
 	want := selectiveMatches()
@@ -542,7 +600,7 @@ func BenchmarkQueryFullScan(b *testing.B) {
 // cmd/benchdiff gates this at <= 0.2x of BenchmarkQueryFullScan
 // within-run (the paper-facing >= 5x claim).
 func BenchmarkQuerySelectiveBTQL(b *testing.B) {
-	st := benchColdStore(b)
+	st := benchColdStore(b, 0)
 	defer st.Close()
 	pred := benchParse(b, selectiveBTQL).Predicate()
 	want := selectiveMatches()
@@ -571,7 +629,7 @@ func BenchmarkQuerySelectiveBTQL(b *testing.B) {
 // the meta sections and columns stay — what a new aggregate finds in a
 // store that has served others.
 func benchAggregate(b *testing.B, first bool) {
-	st := benchColdStore(b)
+	st := benchColdStore(b, 0)
 	defer st.Close()
 	bq := benchParse(b, `core == 2 | count()`)
 	q := Query{Pred: bq.Predicate()}

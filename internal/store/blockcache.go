@@ -23,12 +23,19 @@
 //	         — row or cold — left (aggregate.go). Charged the structs and
 //	         16 B a rate bucket or counted topk value: a count() is
 //	         ≈ 230 B a segment. Merged from, never into.
-//	headers  one sealed row segment's frame headers — stamp, time and
-//	         header word 3 (core, TID, category, level, payload length),
-//	         24 B a row — stably sorted by stamp: what a length-only
-//	         cursor reads of the segment, in place (parallel.go).
-//	         Every frame of the extent passed the magic, checksum and
-//	         length-bound checks before the set was built.
+//	headers  one sealed segment's set (scan.go): rows as frame headers
+//	         keep them — stamp, time and header word 3 (core, TID,
+//	         category, level, payload length), 24 B a row — stably
+//	         sorted by stamp: what a length-only cursor reads of the
+//	         segment, in place (parallel.go). A row segment's header
+//	         set holds every frame's, each of which passed the magic,
+//	         checksum and length-bound checks before the set was built.
+//	         A cold segment's filtered set holds the rows that pass one
+//	         filter less its stamp and time comparisons, as the column
+//	         walker found them over every block; it is admitted only
+//	         if no larger than the segment's inflated meta sections,
+//	         and one that is larger leaves an empty entry in its place
+//	         that sends later passes to walk.
 //
 // What a query caches is therefore what it reads: `category == C |
 // count()` leaves meta sections and time columns behind (the result
@@ -39,33 +46,45 @@
 // (Query.LengthsOnly: a CSV or Chrome export) leaves meta sections and
 // columns, the payload offsets among them, and no chunk, and the header
 // set of every sealed row segment it reads whole — and the second such
-// scan finds every column decoded and every set built. Nothing is cached on
+// scan finds every column decoded and every set built; under a filter
+// such as `tid == T` it leaves a filtered set of every cold segment it
+// reads, and the second finds those. Nothing is cached on
 // behalf of a query that did not ask for it — which is also what the
 // budget buys: chunks somebody read, not sections somebody was forced
 // to inflate to get at one row, nor payloads an exporter was handed and
 // never printed.
 //
 // A partial stands for all of the above at once: a fold that finds one
-// looks up no section of the segment, and opens no file. A header set
-// is a row segment's frames less their payloads: a cursor that finds
-// one still opens the file, and reads none of it. These two are the
-// kinds that are not of a cold block, and their keys show why none of
-// the kinds needs invalidating. The others are keyed by a cold file's
-// name, and a cold file is written once under a name the store never
-// gives out again; a row segment's name is not given out again either.
-// A partial and a header set are keyed by name and sealed extent (bytes
-// of a row segment, blocks of a cold one), which between them say what
-// the rows are. Freezes and retention take a name out of the snapshots
-// that follow; the entries left behind are never asked for and age out
-// of the LRU. Folds under an Ownership (the cluster's pushdown)
-// and stores opened without a cache bypass partials altogether; stores
-// without a cache keep no header sets.
+// looks up no section of the segment, and opens no file. A set stands
+// for what a length-only cursor reads of a segment: a cursor that finds
+// one opens no file either, and a file deleted under its snapshot is
+// read from the set. These two are the kinds that are not of a cold
+// block, and their keys show why none of the kinds needs invalidating.
+// The others are keyed by a cold file's name, and a cold file is
+// written once under a name the store never gives out again; a row
+// segment's name is not given out again either. A partial and a set are
+// keyed by name and sealed extent (bytes of a row segment, blocks of a
+// cold one), which between them say what the rows are, and by the
+// filter they were folded or selected under (agg): a partial's residual
+// and specs, a filtered set's residual, none for a header set. Freezes
+// and retention take a name out of the snapshots that follow; the
+// entries left behind are never asked for and age out of the LRU. Folds
+// under an Ownership (the cluster's pushdown) and stores opened without
+// a cache bypass partials altogether; stores without a cache keep no
+// sets.
 //
 // A header set is needed by a length-only cursor pass that would read
 // the sealed extent from its first frame to its end, with no ordered
 // cut: it builds the set instead. A point query that seeks into an
 // ordered segment or stops before its end never builds one, and
-// aggregates never walk for one: their partials serve them.
+// aggregates never walk for one: their partials serve them. A filtered
+// set is built by the first length-only pass under its filter that
+// reads the cold segment at all, over every block whatever the pass's
+// window: the set serves the windows after it. Its admission bound —
+// the meta sections, ≈ 10 B a row, that a walk of the segment caches
+// anyway — keeps the set of a broad filter, a large share of the
+// segment's rows at 24 B each, from filling the cache, and needs no
+// knob.
 //
 // Ownership: every cached value is immutable from the moment it is
 // inserted. Scans alias them (entries handed to callers may point into a
@@ -135,9 +154,10 @@ func (s section) class() cacheClass {
 // lives in, the block's offset (unique within the file), the section,
 // and for secPayload the chunk of it (0 elsewhere). A secPartial or a
 // secHeaders is a whole sealed segment's: off is the segment's sealed
-// extent (segSnap's bound), and for a partial agg is the aggregate
-// folded over it, residual filter and specs (AggSnapshot.fold); agg is
-// empty elsewhere.
+// extent (segSnap's bound), and agg is, for a partial, the aggregate
+// folded over it, residual filter and specs (AggSnapshot.fold), and for
+// a filtered set its residual filter (compiled.setKey); agg is empty
+// elsewhere, a header set's included.
 type blockKey struct {
 	name  string
 	off   int64
@@ -157,6 +177,9 @@ type cacheEnt struct {
 	u32  []uint32           // secTIDs, secPayOff
 	aggs []*btql.Aggregator // secPartial: one per spec, merged from, never into
 	hdrs []hdrRow           // secHeaders
+	// walk marks, under a filtered set's key, a set too large to admit:
+	// secHeaders, hdrs nil.
+	walk bool
 }
 
 // blockCache is the store-wide LRU. A nil *blockCache is a valid
@@ -247,25 +270,27 @@ func (bc *blockCache) reset(class cacheClass) {
 // fits reports whether an entry of size bytes could be cached at all.
 func (bc *blockCache) fits(size int64) bool { return bc != nil && size <= bc.max }
 
-// headerSet looks up the header set of the sealed row segment k names.
-// A resident set is a hit. Otherwise build reports, for a pass that
-// would walk the segment whole, that the caller builds the set — the
-// miss — and admits it with put.
-func (bc *blockCache) headerSet(k blockKey, whole bool) (rows []hdrRow, build bool) {
+// headerSet looks up the set k names (scan.go, Store.headerSet). A
+// resident set is a hit; so is the entry a filtered set too large to
+// admit left in its place, which hands the caller no set and leaves it
+// to walk. Otherwise build reports whether the caller builds the set —
+// the miss — and admits it with put.
+func (bc *blockCache) headerSet(k blockKey, build bool) (rows []hdrRow, hit, builds bool) {
 	if bc == nil {
-		return nil, false
+		return nil, false, false
 	}
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
 	if el, ok := bc.m[k]; ok {
 		bc.lru.MoveToFront(el)
 		bc.hits[classHeaders]++
-		return el.Value.(*cacheEnt).hdrs, false
+		ent := el.Value.(*cacheEnt)
+		return ent.hdrs, !ent.walk, false
 	}
-	if whole {
+	if build {
 		bc.misses[classHeaders]++
 	}
-	return nil, whole
+	return nil, false, build
 }
 
 func (bc *blockCache) classCounters() cacheCounters {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"sync"
@@ -107,7 +108,8 @@ func (b *vanishing) OpenRead(name string) (backend.ReadFile, error) {
 // filters and a time bound that cuts through a set (every row tested),
 // under a limit that ends the pass inside a set, when the sets are
 // evicted halfway through a pass, and when a segment's file has gone
-// between the snapshot and the open.
+// between the snapshot and the open — missed without a set of it, read
+// from its set with one.
 func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 	open := func(cacheBytes int64) (*Store, *vanishing) {
 		lb, err := local.New(t.TempDir())
@@ -222,7 +224,7 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 	})
 	check("retention")
 	// A sealed hot segment whose file has gone when the streams open it:
-	// both stores count its events missed.
+	// with no set of it resident, both stores count its events missed.
 	var gone SegmentInfo
 	for _, sg := range st.Segments() {
 		if sg.Sealed && sg.Tier == "hot" {
@@ -230,10 +232,20 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 			break
 		}
 	}
+	all, _ := drainAll(t, st, Query{LengthsOnly: true}, 2, 64)
+	st.bcache.reset(classHeaders)
 	stBE.gone, bareBE.gone = gone.File, gone.File
 	check("a file gone")
 	if _, missed := drainAll(t, st, Query{LengthsOnly: true}, 2, 64); gone.Events == 0 || missed != gone.Events {
 		t.Fatalf("with %s gone: missed %d, want its %d events", gone.File, missed, gone.Events)
+	}
+	// A resident set stands for the rows: a stream that finds it opens no
+	// file, and the pass misses nothing.
+	stBE.gone = ""
+	drainAll(t, st, Query{LengthsOnly: true}, 2, 64)
+	stBE.gone = gone.File
+	if got, missed := drainAll(t, st, Query{LengthsOnly: true}, 2, 64); len(got) != len(all) || missed != 0 {
+		t.Fatalf("with %s gone and its set resident: %d rows, missed %d; want %d, 0", gone.File, len(got), missed, len(all))
 	}
 	if c := st.bcache.classCounters(); c.hits[classHeaders] == 0 || c.misses[classHeaders] == 0 {
 		t.Fatalf("no read was served from a header set: %+v", c)
@@ -284,7 +296,7 @@ func (f *countedFile) ReadAt(p []byte, off int64) (int, error) {
 
 // TestHeaderSetAdmission: a length-only cursor that would walk a sealed
 // row segment whole builds its header set instead, and the next such
-// pass opens each sealed file and reads none of it. Nothing else builds
+// pass opens no sealed file. Nothing else builds
 // one: a point query that seeks into an ordered segment or stops before
 // its end, an aggregate, a read that keeps payloads, a length-only read
 // under a payload predicate, and the active segment; and a set the
@@ -363,12 +375,12 @@ func TestHeaderSetAdmission(t *testing.T) {
 	if c := state(); c.misses[classHeaders] != uint64(len(sealed)) || c.hits[classHeaders] != 0 || c.resident[classHeaders] == 0 {
 		t.Fatalf("first export: %+v (want %d misses)", c, len(sealed))
 	}
-	// The second opens every sealed file and reads none of it.
+	// The second opens no sealed file.
 	be.take()
 	export()
 	opens, bytes := be.take()
 	for _, name := range sealed {
-		if opens[name] != 1 || bytes[name] != 0 {
+		if opens[name] != 0 || bytes[name] != 0 {
 			t.Errorf("second export: %s opened %d times, %d bytes read", name, opens[name], bytes[name])
 		}
 	}
@@ -383,5 +395,288 @@ func TestHeaderSetAdmission(t *testing.T) {
 	}
 	if c := state(); c.misses[classHeaders]+c.hits[classHeaders] != 0 {
 		t.Fatalf("starved cache: %+v", c)
+	}
+}
+
+// TestFilteredSetsMatchCachelessStore: a cold segment's filtered sets
+// (scan.go) change no answer. A store with a block cache and its
+// cache-less twin, fed the same ordered rows and two colliding writers'
+// and put through the same seal, freeze, retention and reopen, answer every
+// length-only read the same — row for row, rows of equal stamp in the
+// same order — the first ask of the cached store building its sets and
+// the second reading them, opening no cold file: under TID and category
+// filters, `in` lists of TIDs and of stamps (an `in` list is part of the
+// set's filter), windows whose stamp bounds cut a cold file and time
+// bounds that straddle one, at one scan worker and several. A set stands
+// for its rows: with it resident, a file gone between the snapshot and
+// the open is read from it and missed 0. No set is admitted that is
+// larger than its file's inflated meta sections. A corrupt meta section fails
+// every build that meets it, and caches nothing; a read whose window
+// skips the corrupt block still answers as the twin does.
+func TestFilteredSetsMatchCachelessStore(t *testing.T) {
+	type twin struct {
+		st *Store
+		be *vanishing
+		rc *readCounter
+	}
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	open := func(i int, cacheBytes int64) twin {
+		lb, err := local.New(dirs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := &readCounter{Backend: lb, opens: map[string]int{}, bytes: map[string]int{}}
+		be := &vanishing{Backend: rc}
+		st, err := Open("", Config{Backend: be, SegmentBytes: 16 << 10, ColdAfterNs: 300_000, ColdBlockBytes: 4 << 10, ColdFileBytes: 32 << 10, ColdCacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return twin{st, be, rc}
+	}
+	c, b := open(0, 0), open(1, -1)
+	both := func() []*Store { return []*Store{c.st, b.st} }
+	each := func(what string, op func(s *Store) error) {
+		t.Helper()
+		for _, s := range both() {
+			if err := op(s); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		if x, y := fmt.Sprint(c.st.Segments()), fmt.Sprint(b.st.Segments()); x != y {
+			t.Fatalf("after %s the two stores differ:\n%s\n%s", what, x, y)
+		}
+	}
+	same := func(what string, got, want []tracer.Entry) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			g, w := &got[i], &want[i]
+			if len(g.Payload) != len(w.Payload) || g.Stamp != w.Stamp || g.TS != w.TS ||
+				g.Core != w.Core || g.TID != w.TID || g.Category != w.Category || g.Level != w.Level {
+				t.Fatalf("%s: row %d is %+v, want %+v", what, i, *g, *w)
+			}
+		}
+	}
+	coldFiles := func() (names []string) {
+		for _, sg := range c.st.Segments() {
+			if sg.Tier == "cold" {
+				names = append(names, sg.File)
+			}
+		}
+		return names
+	}
+	// admitted reports whether cold file name has q's filtered set
+	// resident, and not the entry of one too large to admit.
+	admitted := func(name string, q Query) bool {
+		bc, rest := c.st.bcache, compile(q).pred.Rest()
+		bc.mu.Lock()
+		defer bc.mu.Unlock()
+		for k, el := range bc.m {
+			if k.name == name && k.sec == secHeaders && k.agg == rest {
+				return !el.Value.(*cacheEnt).walk
+			}
+		}
+		return false
+	}
+	queries := []Query{
+		{Pred: predOf(t, `tid == 3`)},
+		{Pred: predOf(t, `tid == 101`)},
+		{Pred: predOf(t, `category == 2`)},
+		{Pred: predOf(t, `tid in (1, 4, 100)`)},
+		{Pred: predOf(t, `stamp in (5, 77, 1234, 2100, 2301, 2600)`)},
+		{Pred: predOf(t, `tid == 4 && category == 3`), MinStamp: 333, MaxStamp: 1111},
+		{Pred: predOf(t, `stamp >= 700 && stamp <= 2200 && category == 1`)},
+		{Pred: predOf(t, `tid == 100 && time >= 2150003`)},
+		{Pred: predOf(t, `category == 4`), MinTS: 400_500, MaxTS: 2_300_000, Limit: 90},
+	}
+	check := func(when string) {
+		t.Helper()
+		hits := c.st.bcache.classCounters().hits[classHeaders]
+		for _, q := range queries {
+			q.LengthsOnly = true
+			want, wantMissed := drainAll(t, b.st, q, 1, 64)
+			if len(want) == 0 || wantMissed != 0 {
+				t.Fatalf("%s: %+v matches %d rows, missed %d", when, q, len(want), wantMissed)
+			}
+			for ask, shape := range [][2]int{{1, 7}, {4, 64}} {
+				var resident []string
+				for _, name := range coldFiles() {
+					if admitted(name, q) {
+						resident = append(resident, name)
+					}
+				}
+				c.rc.take()
+				got, missed := drainAll(t, c.st, q, shape[0], shape[1])
+				same(fmt.Sprintf("%s, ask %d of %+v", when, ask, q), got, want)
+				if missed != 0 {
+					t.Fatalf("%s, ask %d of %+v: missed %d", when, ask, q, missed)
+				}
+				opens, _ := c.rc.take()
+				for _, name := range resident {
+					if opens[name] != 0 {
+						t.Fatalf("%s, ask %d of %+v: %s, its set resident, opened %d times", when, ask, q, name, opens[name])
+					}
+				}
+			}
+		}
+		if c.st.bcache.classCounters().hits[classHeaders] == hits {
+			t.Fatalf("%s: no read was served from a set", when)
+		}
+	}
+
+	appendRange(t, c.st, 1, 1500)
+	appendRange(t, b.st, 1, 1500)
+	col := &colliding{shift: 2000}
+	for k := 0; k < 10; k++ {
+		col.pair(t, both(), 64)
+	}
+	each("seal", (*Store).Seal)
+	check("sealed")
+	each("freeze", func(s *Store) error {
+		if n, err := s.CompactCold(); err != nil || n == 0 {
+			return fmt.Errorf("froze %d, %v", n, err)
+		}
+		return nil
+	})
+	col.pair(t, both(), 64) // the active segment
+	unordered := false
+	for _, sg := range c.st.Segments() {
+		unordered = unordered || sg.Tier == "cold" && !sg.Ordered
+	}
+	if len(coldFiles()) < 4 || !unordered {
+		t.Fatalf("fixture: %+v", c.st.Segments())
+	}
+	check("frozen")
+	each("retention", func(s *Store) error {
+		segs := s.Segments()
+		var total int64
+		for _, sg := range segs {
+			total += sg.Bytes
+		}
+		s.mu.Lock()
+		s.cfg.MaxBytes = total - segs[0].Bytes
+		s.enforceRetentionLocked()
+		s.cfg.MaxBytes = 0
+		s.mu.Unlock()
+		return nil
+	})
+	check("retention")
+	for i, tw := range []*twin{&c, &b} {
+		if err := tw.st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		*tw = open(i, []int64{0, -1}[i])
+	}
+	check("reopened")
+
+	// Admission: no filtered set resident is larger than its file's
+	// inflated meta sections, and a filter that keeps more of a file than
+	// that — `tid == 101` of the colliding writers' — left the entry that
+	// sends later passes to walk.
+	meta := map[string]int64{}
+	c.st.mu.Lock()
+	for _, sg := range c.st.segs {
+		for i := range sg.blocks {
+			if v2 := sg.blocks[i].v2; v2 != nil {
+				meta[sg.name] += v2.metaRawLen
+			}
+		}
+	}
+	c.st.mu.Unlock()
+	walks := 0
+	c.st.bcache.mu.Lock()
+	for k, el := range c.st.bcache.m {
+		if ent := el.Value.(*cacheEnt); k.sec == secHeaders && k.agg != "" {
+			if ent.walk {
+				walks++
+			} else if ent.size > meta[k.name] {
+				t.Errorf("%s under %q: a %d-byte set admitted over %d bytes of meta sections", k.name, k.agg, ent.size, meta[k.name])
+			}
+		}
+	}
+	c.st.bcache.mu.Unlock()
+	if walks == 0 {
+		t.Error("no filtered set was too large to admit")
+	}
+
+	// The twin without a cache has no set to serve it: every ask opens
+	// the cold files it reads.
+	b.rc.take()
+	drainAll(t, b.st, Query{Pred: predOf(t, `tid == 3`), LengthsOnly: true}, 2, 64)
+	if opens, _ := b.rc.take(); opens[coldFiles()[0]] == 0 {
+		t.Fatalf("the cache-less store read %s without opening it", coldFiles()[0])
+	}
+
+	// With its set resident, a cold file gone under the snapshot is read
+	// from the set: its rows, missed 0.
+	q := Query{Pred: predOf(t, `tid == 3`), LengthsOnly: true}
+	want, _ := drainAll(t, c.st, q, 2, 64)
+	c.be.gone = coldFiles()[0]
+	got, missed := drainAll(t, c.st, q, 2, 64)
+	same("a file gone, its set resident", got, want)
+	if missed != 0 {
+		t.Fatalf("a file gone, its set resident: missed %d", missed)
+	}
+	c.be.gone = ""
+}
+
+// TestFilteredSetCorruptMeta: the build of a filtered set walks every
+// block of its cold segment, so a corrupt meta section fails it whatever
+// the pass reads; it caches nothing, and the next pass builds again. A
+// pass whose window the corrupt block lies outside answers as it did
+// before the corruption, from the walk of its window; one whose window
+// covers it fails with ErrCorrupt.
+func TestFilteredSetCorruptMeta(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, tierCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealEvery(t, st, 1, 1200, 300)
+	if err := st.CompactTick(); err != nil {
+		t.Fatal(err)
+	}
+	secs := coldSectionsV2(t, st)
+	var bad coldSection
+	for _, s := range secs {
+		if s.baseStamp > 100 && s.path == secs[0].path {
+			bad = s // a block of the first cold file past its first
+			break
+		}
+	}
+	if bad.path == "" {
+		t.Fatalf("fixture: %+v", secs)
+	}
+	inside := Query{Pred: predOf(t, `tid == 3`), MinStamp: bad.baseStamp, MaxStamp: bad.baseStamp + 10, LengthsOnly: true}
+	outside := Query{Pred: predOf(t, `tid == 3`), MaxStamp: bad.baseStamp - 1, LengthsOnly: true}
+	want := drainStore(t, st, outside)
+	if len(want) == 0 {
+		t.Fatal("the window before the corrupt block matches nothing")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, bad.path, bad.metaOff+bad.metaLen/2)
+	if st, err = Open(dir, tierCfg()); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for walk := 1; walk <= 2; walk++ {
+		got, missed := drainAll(t, st, outside, 2, 64)
+		if len(got) != len(want) || missed != 0 {
+			t.Fatalf("walk %d, outside the corrupt block: %d rows, missed %d; want %d", walk, len(got), missed, len(want))
+		}
+		cur := st.QueryParallel(inside, 2)
+		_, err := tracer.Drain(cur, 64)
+		cur.Close()
+		if !errors.Is(err, tracer.ErrCorrupt) {
+			t.Fatalf("walk %d, over the corrupt block: err = %v, want ErrCorrupt", walk, err)
+		}
+		if c := st.bcache.classCounters(); c.resident[classHeaders] != 0 || c.hits[classHeaders] != 0 || c.misses[classHeaders] != uint64(2*walk) {
+			t.Fatalf("walk %d: header-set counters %+v", walk, c)
+		}
 	}
 }

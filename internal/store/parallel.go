@@ -27,11 +27,13 @@
 //     and is read through the scan permit's own buffer, so the pass
 //     holds `workers` span buffers however many chunks are in flight.
 //     Under a predicate that reads no payload byte it reads a sealed
-//     row segment from the block cache's header set once there is one
-//     (scan.go): no file bytes, and rows already in stamp order, so an
-//     unordered segment is neither held whole nor sorted. The stream
-//     sends the set itself, and the merge writes its rows straight
-//     into the caller's batch.
+//     row segment from the block cache's header set once there is one,
+//     and a sealed cold segment, under a filter that is more than
+//     stamp and time bounds, from its filtered set (scan.go): no file
+//     opened, and rows already in stamp order, so an unordered segment
+//     is neither held whole nor sorted. The stream sends the set
+//     itself, and the merge writes its rows straight into the caller's
+//     batch.
 //
 // The snapshot is taken by the first Next. Events appended after it
 // belong to a later cursor; once the pass has delivered its last entry
@@ -62,9 +64,9 @@ const DefaultQueryWorkers = 4
 // pool): then every payload is a tracer.LengthOnly one and no entry
 // aliases anything.
 //
-// A chunk may instead carry a header set read in place (hdrs, entries
-// empty): its rows are those of hdrs that test matches, every one for a
-// nil test, and the first row of hdrs is one of them. The merge turns
+// A chunk may instead carry a set read in place (hdrs, entries empty):
+// its rows are those of hdrs that test matches, every one for a nil
+// test, and the first row of hdrs is one of them. The merge turns
 // them into entries as it writes them into the caller's batch.
 type pchunk struct {
 	entries []tracer.Entry
@@ -439,30 +441,63 @@ func (c *PCursor) admit() {
 // reads — and the first step waits for the gate. A semaphore permit is
 // held only across the read+decode, never across a channel send, so a
 // blocked merge cannot starve other streams of scan slots. A stream
-// that has the segment's header set, or builds it, sends the set
-// instead (sendSet).
+// that finds the segment's set (scan.go) resident opens no file: the
+// set stands for the rows, as they were at the snapshot. It sends the
+// set instead, as does one that builds it (sendSet).
 func (c *PCursor) runStream(ps *pstream) {
 	defer c.wg.Done()
 	defer close(ps.ch)
 	sn := &ps.snap
-	s, missed, err := c.st.openScan(c.q, sn)
-	if s == nil {
-		// A failed open, or (err == nil) the file was deleted under the
-		// snapshot and missed bounds what it held.
-		ps.missed, ps.err = missed, err
-		return
+	k, sets := c.q.setKey(sn)
+	var rows []hdrRow
+	var hit, build bool
+	if sets {
+		rows, hit, build = c.st.headerSet(c.q, sn, k)
 	}
-	defer s.f.Close()
+	var s *segScan
+	var err error
+	if !hit {
+		var missed uint64
+		if s, missed, err = c.st.openScan(c.q, sn); s == nil {
+			// A failed open, or (err == nil) the file was deleted under the
+			// snapshot and missed bounds what it held.
+			ps.missed, ps.err = missed, err
+			return
+		}
+		defer s.f.Close()
+	}
 	select {
 	case <-ps.gate:
 	case <-c.done:
 		return
 	}
-	if c.q.lengths && !c.q.pred.NeedsPayload() {
-		if rows, build := s.headers(); rows != nil || build {
-			c.sendSet(ps, s, rows, build)
+	if build {
+		buf, ok := c.acquire()
+		if !ok {
 			return
 		}
+		if buf == nil {
+			buf = newChunk(true)
+		}
+		if sn.cold {
+			rows, err = s.buildFiltered(k)
+		} else {
+			rows, err = s.buildHeaders(k, buf)
+		}
+		c.release(buf)
+		// A failed build caches nothing. A header set is built only by a
+		// pass that walks its segment whole, so the failure is the pass's;
+		// the pass a filtered set's build serves may read less of the
+		// segment than the build did, and walks that part instead, as a
+		// store without a cache would.
+		if hit = err == nil; !hit && !sn.cold {
+			ps.err = err
+			return
+		}
+	}
+	if hit {
+		c.sendSet(ps, k, rows)
+		return
 	}
 	// thin gathers the rows of sparse steps, their payloads copied out of
 	// the spans they were found in.
@@ -567,31 +602,15 @@ func (c *PCursor) runStream(ps *pstream) {
 	}
 }
 
-// sendSet sends the merge the stream's header set, cut to the query's
-// stamp bounds, as its one chunk: rows already in stamp order, which the
-// merge reads in place. With build it first builds the set, under a scan
-// permit and through the permit's span buffer. The merge tests no row
-// where the set's hulls — its stamps, cut to the query's bounds, and the
-// segment's times — imply every stamp and time comparison of the filter
-// and nothing else is left of it (btql.Residual).
-func (c *PCursor) sendSet(ps *pstream, s *segScan, rows []hdrRow, build bool) {
-	if build {
-		buf, ok := c.acquire()
-		if !ok {
-			return
-		}
-		if buf == nil {
-			buf = newChunk(true)
-		}
-		var err error
-		rows, err = s.buildHeaders(buf)
-		c.release(buf)
-		if err != nil {
-			ps.err = err
-			return
-		}
-	}
-	q, sn := c.q, s.sn
+// sendSet sends the merge the stream's set, cut to the query's stamp
+// bounds, as its one chunk: rows already in stamp order, which the merge
+// reads in place. The merge tests no row where the set's hulls — its
+// stamps, cut to the query's bounds, and the segment's times — imply
+// every stamp and time comparison of the filter and what is left of it
+// is the set's own filter (btql.Residual): none for a header set, k.agg
+// for a filtered one.
+func (c *PCursor) sendSet(ps *pstream, k blockKey, rows []hdrRow) {
+	q, sn := c.q, &ps.snap
 	rows = rows[sort.Search(len(rows), func(i int) bool { return rows[i].stamp >= q.minStamp }):]
 	rows = rows[:sort.Search(len(rows), func(i int) bool { return rows[i].stamp > q.maxStamp })]
 	if len(rows) == 0 {
@@ -600,7 +619,7 @@ func (c *PCursor) sendSet(ps *pstream, s *segScan, rows []hdrRow, build bool) {
 	ck := c.pool.get(0)
 	ck.hdrs = rows
 	hull := btql.Meta{MinStamp: rows[0].stamp, MaxStamp: rows[len(rows)-1].stamp, MinTS: sn.minTS, MaxTS: sn.maxTS}
-	if rest, ok := q.pred.Residual(&hull); !ok || rest != "" {
+	if rest, ok := q.pred.Residual(&hull); !ok || rest != k.agg {
 		ck.test = q.pred
 	}
 	if ck.hdrs = rows[ck.nextMatch(0):]; len(ck.hdrs) == 0 {

@@ -2,8 +2,8 @@
 // how a segment's bytes become rows: the block rung over a cold
 // segment's directory, the column walker over a columnar block, and the
 // frame walker over CRC-framed records (a span of a row segment, or an
-// inflated v1 block). It also builds a sealed row segment's header set,
-// which the cursor's merge then reads in place (parallel.go). The
+// inflated v1 block). It also builds a sealed segment's set, which the
+// cursor's merge then reads in place (parallel.go). The
 // cursor PCursor and Store.Aggregate are its two drivers: each takes
 // segment snapshots (the file rung, matchSegment, runs there), opens a
 // segScan per snapshot, and steps it into a rowSink — a chunk of
@@ -43,14 +43,21 @@
 // would walk one whole, it builds the segment's header set instead and
 // the block cache keeps it (blockcache.go, the headers kind): every frame
 // checked — tail magic, checksum, record kind and payload-length bound,
-// selected or not — and the headers sorted by stamp, stably. From then
-// on the cursor reads the set instead of the file: the stream hands the
+// selected or not — and the headers sorted by stamp, stably. Of a sealed
+// cold segment such a cursor needs no more than the rows that pass its
+// filter, and a filter asked once is asked again with another window:
+// so under a filter that keeps anything once its stamp and time
+// comparisons are taken out, the cursor builds the segment's filtered
+// set — the column walker's rows under that remainder, over every
+// block, kept in a header set's order and format — and the cache keeps
+// it under the remainder's text. From then on the cursor reads the set
+// instead of the file, which it does not open: the stream hands the
 // merge the set itself, cut by binary search to the query's stamp
 // bounds, and the merge tests each row with MatchHeader as it writes it
 // into the caller's batch — or tests none, where the set's hulls imply
-// the whole filter. There a delivered row's checksum is the one the
-// build checked: the contract of the cold tier, whose cache holds values
-// verified once.
+// the whole filter less the set's own. There a delivered row's checks
+// are the ones the build made: the contract of the cold tier, whose
+// cache holds values verified once.
 package store
 
 import (
@@ -79,6 +86,11 @@ type hdrRow struct{ stamp, ts, w3 uint64 }
 // splitW3 unpacks header word 3.
 func splitW3(w3 uint64) (core uint8, tid uint32, cat, level uint8) {
 	return uint8(w3 >> 56), uint32(w3>>32) & 0xFFFFFF, uint8(w3 >> 24), uint8(w3 >> 16)
+}
+
+// packW3 packs a row's fields as header word 3 carries them.
+func packW3(core uint8, tid uint32, cat, level uint8, plen int) uint64 {
+	return uint64(core)<<56 | uint64(tid&0xFFFFFF)<<32 | uint64(cat)<<24 | uint64(level)<<16 | uint64(uint16(plen))
 }
 
 // rowSink consumes the rows a scan selects. It is called only for rows
@@ -209,27 +221,43 @@ func (st *Store) openScan(q *compiled, sn *segSnap) (s *segScan, missed uint64, 
 	return &segScan{st: st, q: q, sn: sn, f: f, off: sn.start}, 0, nil
 }
 
-// headers looks up the header set of the segment, for a cursor pass
-// that reads payload lengths only under a predicate that reads no
-// payload byte. It applies to a sealed row segment: a resident set is
-// returned; otherwise build reports that the pass would walk the
-// segment whole — from its first frame to its sealed end, with no
-// ordered cut — and so builds the set (blockcache.go, admission). A set
-// the cache's budget could not hold is never built.
-func (s *segScan) headers() (rows []hdrRow, build bool) {
-	sn := s.sn
-	if !sn.sealed || sn.cold {
-		return nil, false
+// setKey names the set a pass of q reads snapshot sn through, if it
+// reads one: a cursor pass that reads payload lengths only, under a
+// predicate that reads no payload byte, over a sealed segment. A row
+// segment has one set, its header set: every frame's header. A cold
+// segment has one per filter, its filtered set: the rows that pass what
+// is left of q's filter once the stamp and time comparisons of its
+// top-level && chain are taken out (btql.Predicate.Rest), under which
+// the set is keyed; a filter of nothing else has none.
+func (q *compiled) setKey(sn *segSnap) (k blockKey, ok bool) {
+	if !q.lengths || q.pred.NeedsPayload() || !sn.sealed {
+		return k, false
 	}
-	whole := sn.start == headerSize && (!sn.ordered || s.q.maxStamp >= sn.maxStamp) &&
-		s.st.bcache.fits(hdrSetSize(int(sn.count)))
-	return s.st.bcache.headerSet(hdrKey(sn), whole)
+	k = blockKey{name: sn.name, off: sn.bound, sec: secHeaders}
+	if sn.cold {
+		k.agg = q.pred.Rest()
+		return k, k.agg != ""
+	}
+	return k, true
 }
 
-// hdrKey keys a sealed row segment's header set.
-func hdrKey(sn *segSnap) blockKey { return blockKey{name: sn.name, off: sn.bound, sec: secHeaders} }
+// headerSet looks up the set k names for a pass of q over sn. A resident
+// set is a hit: its rows, all of them (none for a filtered set no row
+// passes), the file unopened. Otherwise build reports that the pass
+// builds the set and admits it (blockcache.go) — the miss: a row
+// segment's when the pass would walk it whole, from its first frame to
+// its sealed end with no ordered cut, and a set the cache's budget could
+// hold; a cold segment's whenever the cache could hold an entry at all.
+func (st *Store) headerSet(q *compiled, sn *segSnap, k blockKey) (rows []hdrRow, hit, build bool) {
+	build = st.bcache.fits(hdrSetSize(0))
+	if !sn.cold {
+		build = sn.start == headerSize && (!sn.ordered || q.maxStamp >= sn.maxStamp) &&
+			st.bcache.fits(hdrSetSize(int(sn.count)))
+	}
+	return st.bcache.headerSet(k, build)
+}
 
-// hdrSetSize is a header set's budget charge: its rows and its entry.
+// hdrSetSize is a set's budget charge: its rows and its entry.
 func hdrSetSize(rows int) int64 {
 	return int64(unsafe.Sizeof(cacheEnt{})) + int64(unsafe.Sizeof(hdrRow{}))*int64(rows)
 }
@@ -262,15 +290,15 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 	return used > 0 && !s.cut && s.off < s.sn.bound, nil
 }
 
-// buildHeaders builds the header set of a segment the pass would walk
-// whole and finds no set of, reading it through sp's span buffer. It
+// buildHeaders builds the header set of a row segment the pass would
+// walk whole, reading it through sp's span buffer. It
 // reads the sealed extent span by span and checks every frame the way
 // the frame walker checks a row it delivers — tail magic, checksum,
 // record kind, payload-length bound — whether or not the query wants
 // the row, and returns the headers stably sorted by stamp. A walk that
 // verified every frame up to the sealed end admits them to the block
 // cache; one that fails caches nothing.
-func (s *segScan) buildHeaders(sp *pchunk) ([]hdrRow, error) {
+func (s *segScan) buildHeaders(k blockKey, sp *pchunk) ([]hdrRow, error) {
 	sn := s.sn
 	rows := make([]hdrRow, 0, sn.count)
 	off := int64(headerSize)
@@ -307,9 +335,74 @@ func (s *segScan) buildHeaders(sp *pchunk) ([]hdrRow, error) {
 	}
 	slices.SortStableFunc(rows, func(a, b hdrRow) int { return cmp.Compare(a.stamp, b.stamp) })
 	if off == sn.bound {
-		s.st.bcache.put(&cacheEnt{key: hdrKey(sn), hdrs: rows, size: hdrSetSize(len(rows))})
+		s.st.bcache.put(&cacheEnt{key: k, hdrs: rows, size: hdrSetSize(len(rows))})
 	}
 	return rows, nil
+}
+
+// buildFiltered builds the filtered set k names of a cold segment: the
+// column walker runs under the set's filter alone over every block from
+// block 0, so that every check a walk of the whole segment makes is
+// made, and its rows are kept as header rows, stably sorted by stamp —
+// a header set's order and format. A set no larger than the segment's
+// inflated meta sections, which any walk of it caches anyway, nor than
+// the cache's budget is admitted; another is not, and the entry left in
+// its place says so, so that later passes walk what they read instead
+// of building it again. A walk that fails caches nothing.
+func (s *segScan) buildFiltered(k blockKey) ([]hdrRow, error) {
+	pq, err := btql.Parse(k.agg)
+	if err != nil {
+		return nil, err
+	}
+	sn := s.sn
+	w := &segScan{st: s.st, q: &compiled{pred: pq.Predicate(), lengths: true, maxStamp: ^uint64(0)}, sn: sn, f: s.f}
+	var sink setSink
+	for more := true; more; {
+		if more, err = w.step(&sink); err != nil {
+			return nil, err
+		}
+	}
+	rows := sink.set
+	slices.SortStableFunc(rows, func(a, b hdrRow) int { return cmp.Compare(a.stamp, b.stamp) })
+	var meta int64
+	for i := range sn.blocks {
+		if v2 := sn.blocks[i].v2; v2 != nil {
+			meta += v2.metaRawLen
+		}
+	}
+	ent := &cacheEnt{key: k, hdrs: rows, size: hdrSetSize(len(rows))}
+	if ent.size > meta || !s.st.bcache.fits(ent.size) {
+		ent.hdrs, ent.walk, ent.size = nil, true, hdrSetSize(0)
+	}
+	s.st.bcache.put(ent)
+	return rows, nil
+}
+
+// setSink is the sink of a filtered set's build: the rows the scan
+// selects, as header rows. It reads payload lengths only.
+type setSink struct{ set []hdrRow }
+
+func (*setSink) payloads() bool { return false }
+
+func (*setSink) span(n int) []byte { return make([]byte, n) } // a cold scan reads no span
+
+func (k *setSink) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte) {
+	k.set = append(k.set, hdrRow{stamp, ts, packW3(core, tid, cat, level, len(payload))})
+}
+
+func (k *setSink) rows(c *blockCols, idx []int32) {
+	stamps, ts, tids, m := c.Stamps(), c.Times(), c.TIDs(), c.m
+	var lens []uint32
+	if len(m.chunkCRC) > 0 { // as pchunk.rows: no payload section, no lengths
+		lens = c.payOffsets()
+	}
+	for _, i := range idx {
+		plen := 0
+		if lens != nil {
+			plen = int(lens[i+1] - lens[i])
+		}
+		k.set = append(k.set, hdrRow{stamps[i], ts[i], packW3(m.cores[i], tids[i], m.dict[m.catIdx[i]], m.levels[i], plen)})
+	}
 }
 
 // spanBytes is the size of the span the next step of a row segment

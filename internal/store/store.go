@@ -87,8 +87,8 @@ type Config struct {
 	// ColdCacheBytes bounds the shared block cache that spares repeated
 	// cold queries from re-inflating the same blocks, repeated aggregates
 	// from refolding sealed segments and repeated length-only reads from
-	// rewalking sealed row segments (default 32 MiB; negative disables
-	// caching).
+	// rewalking sealed row segments, or cold ones under the same filter
+	// (default 32 MiB; negative disables caching).
 	ColdCacheBytes int64
 }
 
