@@ -121,7 +121,7 @@ bench:
 	   $(GO) test ./internal/export -run '^$$' -bench 'BenchmarkExportCSV' -benchmem -benchtime $(OBS_RECORD_BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
-	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate|AggregateRepeat)|BenchmarkHotTailExport|BenchmarkWindowExport' -benchmem -benchtime $(BENCHTIME); \
+	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query|Reopen)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate|AggregateRepeat)|BenchmarkHotTailExport|BenchmarkWindowExport' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkColdSelect|BenchmarkRunMerge' -benchmem -benchtime $(STORE_SLOW_BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributor(Ingest|Query)' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorAggregate' -benchmem -benchtime $(BENCHTIME) -count 6; \

@@ -2,8 +2,11 @@ package store
 
 import (
 	"errors"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"btrace/internal/btql"
@@ -203,28 +206,41 @@ func TestAggregateColumnarSkips(t *testing.T) {
 
 // TestCorruptFrameFailsEverySurface: one byte of rot in a hot segment
 // has to surface as ErrCorrupt from the one-worker cursor, the parallel
-// cursor and the aggregate executor alike, never as a silently wrong
-// answer. Two places a surface could look away: the tail magic of a
-// frame its predicate does not select (the magic is what keeps the
-// frame walk itself honest, so it is checked on every frame stepped
-// over), and the checksum of a frame it does select. The checksum of a
-// pruned frame is deferred with its decode: a read that selects the
-// frame meets it, one that prunes it never hands out the corrupt bytes.
-// The walk that builds a sealed segment's header set is the exception:
-// it checks every frame, because the set stands for all of them.
+// cursor, the aggregate executor and the freeze alike, never as a
+// silently wrong answer, and a reopen has to truncate the segment
+// exactly before the rotten frame. Two places a read could look away:
+// the tail magic of a frame its predicate does not select (the magic is
+// what keeps the frame walk itself honest, so it is checked on every
+// frame stepped over), and the checksum of a frame it does select. The
+// checksum of a pruned frame is deferred with its decode: a read that
+// selects the frame meets it, one that prunes it never hands out the
+// corrupt bytes. The walks that select every frame — a sealed segment's
+// header-set build, the freeze, recovery — check every frame, because
+// what they make stands for all of them. A record padded past the size
+// tracer.EncodeEvent gives its payload, under a checksum recomputed to
+// match, is refused by every surface too.
 func TestCorruptFrameFailsEverySurface(t *testing.T) {
 	first := mkEntry(1) // category 1: `category == 2` never selects it
 	for _, tc := range []struct {
 		name   string
-		off    int  // byte to flip, relative to the first frame
+		off    int  // byte to flip, relative to the first frame; -1 pads frame 2 instead
 		pruned bool // the filtered read never checks the flipped frame
+		frame  int  // the frame the rot is in (0-based)
 	}{
 		// Byte 6 of frame 1's 8-byte tail sits in the magic half.
-		{"magic of a pruned frame", first.WireSize() + 6, false},
+		{"magic of a pruned frame", first.WireSize() + 6, false, 0},
 		// Frame 2 holds stamp 2 (category 2); its first payload byte.
-		{"checksum of a selected frame", FrameSize(&first) + tracer.EventHeaderSize, false},
-		{"checksum of a pruned frame", tracer.EventHeaderSize, true},
+		{"checksum of a selected frame", FrameSize(&first) + tracer.EventHeaderSize, false, 1},
+		{"checksum of a pruned frame", tracer.EventHeaderSize, true, 0},
+		{"padded record", -1, false, 1},
 	} {
+		rot := func(t *testing.T, path string) {
+			if tc.off < 0 {
+				padFrame(t, path, tc.frame)
+			} else {
+				flipByte(t, path, int64(headerSize+tc.off))
+			}
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := Open(t.TempDir(), Config{})
 			if err != nil {
@@ -238,7 +254,7 @@ func TestCorruptFrameFailsEverySurface(t *testing.T) {
 			st.mu.Lock()
 			path := filepath.Join(st.loc, st.segs[0].name)
 			st.mu.Unlock()
-			flipByte(t, path, int64(headerSize+tc.off))
+			rot(t, path)
 
 			q := Query{Pred: predOf(t, `category == 2`)}
 			if tc.pruned {
@@ -287,7 +303,7 @@ func TestCorruptFrameFailsEverySurface(t *testing.T) {
 			st.mu.Lock()
 			path := filepath.Join(st.loc, st.segs[0].name)
 			st.mu.Unlock()
-			flipByte(t, path, int64(headerSize+tc.off))
+			rot(t, path)
 			for walk := 0; walk < 2; walk++ {
 				pc := st.QueryParallel(q, 2)
 				_, err = tracer.Drain(pc, 64)
@@ -301,5 +317,104 @@ func TestCorruptFrameFailsEverySurface(t *testing.T) {
 				}
 			}
 		})
+		// The freeze refuses the segment and leaves it as it was; a reopen
+		// cuts it exactly before the rotten frame, and the rows before that
+		// read back whole.
+		t.Run(tc.name+", freeze and reopen", func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, Config{ColdAfterNs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { st.Close() }()
+			appendRange(t, st, 1, 100)
+			if err := st.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			appendRange(t, st, 101, 110) // newer rows: the sealed segment has aged
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			st.mu.Lock()
+			name := st.segs[0].name
+			st.mu.Unlock()
+			path := filepath.Join(dir, name)
+			rot(t, path)
+			if n, err := st.CompactCold(); !errors.Is(err, tracer.ErrCorrupt) || n != 0 {
+				t.Errorf("CompactCold: %d frozen, err = %v, want ErrCorrupt", n, err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seg bool
+			for _, e := range ents {
+				seg = seg || e.Name() == name
+				if strings.HasPrefix(e.Name(), "col-") {
+					t.Errorf("failed freeze left %s", e.Name())
+				}
+			}
+			if !seg {
+				t.Errorf("failed freeze removed its source %s", name)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			valid := int64(headerSize)
+			for s := uint64(1); s <= uint64(tc.frame); s++ {
+				e := mkEntry(s)
+				valid += int64(FrameSize(&e))
+			}
+			if st, err = Open(dir, Config{}); err != nil {
+				t.Fatal(err)
+			}
+			if s := st.Stats(); s.RecoveredTruncations != 1 || s.TornBytesDropped != uint64(fi.Size()-valid) {
+				t.Errorf("reopen truncated %d segments by %d bytes, want 1 by %d", s.RecoveredTruncations, s.TornBytesDropped, fi.Size()-valid)
+			}
+			es := drainStore(t, st, Query{MaxStamp: 100})
+			if len(es) != tc.frame {
+				t.Fatalf("reopen kept %d rows of the segment, want %d", len(es), tc.frame)
+			}
+			for i := range es {
+				if es[i].Stamp != uint64(i+1) {
+					t.Fatalf("row %d: stamp %d", i, es[i].Stamp)
+				}
+				checkEntry(t, es[i])
+			}
+		})
+	}
+}
+
+// padFrame rewrites frame i of the segment file at path as a record one
+// tracer.Align unit longer than tracer.EncodeEvent writes for its
+// payload, zero-filled, under a tail whose checksum matches it: a frame
+// that every check but the record-size rule passes.
+func padFrame(t *testing.T, path string, i int) {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, size := headerSize, 0
+	for ; ; i-- {
+		if _, size, err = tracer.PeekRecord(img[off:]); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			break
+		}
+		off += size + tailSize
+	}
+	rec := append(append([]byte(nil), img[off:off+size]...), make([]byte, tracer.Align)...)
+	le64put(rec, le64(rec)+tracer.Align) // the size is word 0's low half
+	tail := make([]byte, tailSize)
+	le64put(tail, uint64(frameMagic)<<32|uint64(crc32.Checksum(rec, castagnoli)))
+	out := append(append(append(img[:off:off], rec...), tail...), img[off+size+tailSize:]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -536,10 +536,10 @@ func (w *coldWriterV2) begin(f backend.File, blockBytes int) {
 	w.resetBlock()
 }
 
-// add appends one event. frame is its row-tier framing, used only for
-// raw-size accounting; e's fields feed the columns (the payload bytes
-// are copied, so e may alias a transient read buffer).
-func (w *coldWriterV2) add(frame []byte, e *tracer.Entry) error {
+// add appends one event: its fields feed the columns (the payload bytes
+// are copied, so e may alias a transient read buffer), and its
+// row-tier frame size the raw-size accounting.
+func (w *coldWriterV2) add(e *tracer.Entry) error {
 	if w.blockMeta.count == 0 {
 		w.minTID, w.maxTID = e.TID, e.TID
 	} else {
@@ -550,7 +550,7 @@ func (w *coldWriterV2) add(frame []byte, e *tracer.Entry) error {
 			w.maxTID = e.TID
 		}
 	}
-	w.blockMeta.observe(e)
+	w.blockMeta.observe(e.Stamp, e.TS, e.Core, e.Category)
 	bloomAdd(&w.bloom, e.TID)
 	w.cols.stamps = append(w.cols.stamps, e.Stamp)
 	w.cols.ts = append(w.cols.ts, e.TS)
@@ -560,7 +560,7 @@ func (w *coldWriterV2) add(frame []byte, e *tracer.Entry) error {
 	w.cols.levels = append(w.cols.levels, e.Level)
 	w.cols.plens = append(w.cols.plens, uint32(len(e.Payload)))
 	w.pay = append(w.pay, e.Payload...)
-	w.frameRaw += int64(len(frame))
+	w.frameRaw += int64(FrameSize(e))
 	if w.frameRaw >= int64(w.blockBytes) {
 		return w.flush()
 	}

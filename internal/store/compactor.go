@@ -234,54 +234,53 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 }
 
 // freezeSource copies one source segment's frames into the cold sink,
-// verifying every frame's checksum on the way: recovery can no longer
+// walking them with the frame walker under a query that selects every
+// frame, so that each frame's tail magic, checksum, record kind and
+// record size are checked on the way: recovery can no longer
 // frame-scan the bytes once they are compressed, so freezing is the
-// last cheap moment to catch rot. Events are fully decoded before
-// handoff — the columnar writer needs every field, and decode failures
-// are freeze failures for the same reason checksum failures are.
+// last cheap moment to catch rot. A frame that fails a check, or a walk
+// that ends short of the sealed size, fails the freeze.
 func (st *Store) freezeSource(w *coldWriterV2, s *segment) error {
 	src, err := st.be.OpenRead(s.name)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
-	rd := chunkReader{f: src, off: headerSize, bound: s.size}
-	off := int64(headerSize)
-	for off < s.size {
-		head, err := rd.peek(tracer.Align)
-		if err != nil {
-			return err
-		}
-		if len(head) < tracer.Align {
-			return fmt.Errorf("store: freeze: short read in %s at %d", s.name, off)
-		}
-		_, recSize, perr := tracer.PeekRecord(head)
-		if perr != nil || recSize > maxRecordSize {
-			return fmt.Errorf("store: freeze: bad frame in %s at %d", s.name, off)
-		}
-		frame := recSize + tailSize
-		buf, err := rd.peek(frame)
-		if err != nil || len(buf) < frame {
-			return fmt.Errorf("store: freeze: torn frame in %s at %d", s.name, off)
-		}
-		if cerr := checkFrame(buf[:recSize], buf[recSize:frame]); cerr != nil {
-			return fmt.Errorf("store: freeze: %s at %d: %w", s.name, off, cerr)
-		}
-		if recSize < tracer.EventHeaderSize {
-			return fmt.Errorf("store: freeze: short event in %s at %d", s.name, off)
-		}
-		var e tracer.Entry
-		if derr := decodeEventTo(buf[:recSize], &e); derr != nil {
-			return fmt.Errorf("store: freeze: %s at %d: %w", s.name, off, derr)
-		}
-		if err := w.add(buf[:frame], &e); err != nil {
-			return err
-		}
-		rd.advance(frame)
-		off += int64(frame)
+	sink := freezeSink{w: w, buf: newChunk(false)}
+	defer globalChunks.Put(sink.buf)
+	end, err := st.walk(&everyFrame, wholeSnap(s.size), src, &sink)
+	switch {
+	case err != nil:
+		return fmt.Errorf("store: freeze: %s: %w", s.name, err)
+	case sink.err != nil:
+		return sink.err
+	case end != s.size:
+		return fmt.Errorf("%w: freeze: %s: frames end at %d of %d sealed bytes", tracer.ErrCorrupt, s.name, end, s.size)
 	}
 	return nil
 }
+
+// freezeSink hands the rows of a source segment's walk, payloads and
+// all, to the cold writer, which copies them; its spans are read
+// through buf. err is the writer's first failure; the rows after it are
+// dropped.
+type freezeSink struct {
+	w   *coldWriterV2
+	buf *pchunk
+	err error
+}
+
+func (*freezeSink) payloads() bool { return true }
+
+func (k *freezeSink) span(n int) []byte { return k.buf.span(n) }
+
+func (k *freezeSink) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte) {
+	if k.err == nil {
+		k.err = k.w.add(&tracer.Entry{Stamp: stamp, TS: ts, Core: core, TID: tid, Category: cat, Level: level, Payload: payload})
+	}
+}
+
+func (*freezeSink) rows(*blockCols, []int32) {} // a row segment has no columnar block
 
 // runIntactLocked reports whether the run still sits, in order and
 // uninterrupted, in the live segment list.

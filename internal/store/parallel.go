@@ -479,11 +479,7 @@ func (c *PCursor) runStream(ps *pstream) {
 		if buf == nil {
 			buf = newChunk(true)
 		}
-		if sn.cold {
-			rows, err = s.buildFiltered(k)
-		} else {
-			rows, err = s.buildHeaders(k, buf)
-		}
+		rows, err = s.buildSet(k, buf)
 		c.release(buf)
 		// A failed build caches nothing. A header set is built only by a
 		// pass that walks its segment whole, so the failure is the pass's;

@@ -435,7 +435,7 @@ func (st *Store) writeChunk(buf []byte, metas []stagedEntry) error {
 			if seg.meta.count%indexStride == 0 {
 				seg.sparse = append(seg.sparse, indexEntry{stamp: m.stamp, off: off})
 			}
-			seg.meta.observeStaged(m)
+			seg.meta.observe(m.stamp, m.ts, m.core, m.cat)
 			off += int64(m.size)
 			st.stats.Appends++
 			st.stats.BytesAppended += uint64(m.size)

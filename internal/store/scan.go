@@ -1,14 +1,18 @@
-// The one scan. This file is the only place on the read path that knows
-// how a segment's bytes become rows: the block rung over a cold
-// segment's directory, the column walker over a columnar block, and the
-// frame walker over CRC-framed records (a span of a row segment, or an
-// inflated v1 block). It also builds a sealed segment's set, which the
-// cursor's merge then reads in place (parallel.go). The
-// cursor PCursor and Store.Aggregate are its two drivers: each takes
-// segment snapshots (the file rung, matchSegment, runs there), opens a
-// segScan per snapshot, and steps it into a rowSink — a chunk of
-// entries for the cursor, the aggregators for Aggregate. What differs
-// between them is sequencing (stamp merge vs fold), never the ladder.
+// The one scan. This file is the only place in the store that knows how
+// a segment's bytes become rows: the block rung over a cold segment's
+// directory, the column walker over a columnar block, and the frame
+// walker over CRC-framed records (a span of a row segment, or an
+// inflated v1 block) — the only frame walk there is. The cursor PCursor
+// and Store.Aggregate are its read drivers: each takes segment
+// snapshots (the file rung, matchSegment, runs there), opens a segScan
+// per snapshot, and steps it into a rowSink — a chunk of entries for
+// the cursor, the aggregators for Aggregate. What differs between them
+// is sequencing (stamp merge vs fold), never the ladder. Three more
+// drive it over a whole segment, under a predicate that selects every
+// frame so that the walker checks each one: recovery (recoverySink,
+// segment.go), the freeze (freezeSink, compactor.go) and the build of a
+// sealed segment's set (buildSet), which the cursor's merge then reads
+// in place (parallel.go).
 //
 // The frame and column walkers differ in when a row comes into being.
 // The frame walker meets whole rows, so it tests them one at a time
@@ -290,87 +294,76 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 	return used > 0 && !s.cut && s.off < s.sn.bound, nil
 }
 
-// buildHeaders builds the header set of a row segment the pass would
-// walk whole, reading it through sp's span buffer. It
-// reads the sealed extent span by span and checks every frame the way
-// the frame walker checks a row it delivers — tail magic, checksum,
-// record kind, payload-length bound — whether or not the query wants
-// the row, and returns the headers stably sorted by stamp. A walk that
-// verified every frame up to the sealed end admits them to the block
-// cache; one that fails caches nothing.
-func (s *segScan) buildHeaders(k blockKey, sp *pchunk) ([]hdrRow, error) {
-	sn := s.sn
-	rows := make([]hdrRow, 0, sn.count)
-	off := int64(headerSize)
-	for off < sn.bound {
-		buf := sp.span(int(min(sn.bound-off, scanSpanBytes)))
-		n, rerr := s.f.ReadAt(buf, off)
-		if rerr != nil && rerr != io.EOF {
-			return nil, rerr
-		}
-		pos := 0
-		for pos+tracer.Align <= n {
-			_, recSize, err := tracer.PeekRecord(buf[pos:n])
-			if err != nil {
-				return nil, err
-			}
-			frame := recSize + tailSize
-			if recSize > maxRecordSize || pos+frame > n {
-				break // the next span rereads it
-			}
-			rec := buf[pos : pos+recSize]
-			if err := checkFrame(rec, buf[pos+recSize:pos+frame]); err != nil {
-				return nil, err
-			}
-			if _, err := payloadLen(rec); err != nil {
-				return nil, err
-			}
-			rows = append(rows, hdrRow{stamp: le64(rec[8:]), ts: le64(rec[16:]), w3: le64(rec[24:])})
-			pos += frame
-		}
-		if pos == 0 {
-			break // the end of the segment as far as this pass can see
-		}
-		off += int64(pos)
-	}
-	slices.SortStableFunc(rows, func(a, b hdrRow) int { return cmp.Compare(a.stamp, b.stamp) })
-	if off == sn.bound {
-		s.st.bcache.put(&cacheEnt{key: k, hdrs: rows, size: hdrSetSize(len(rows))})
-	}
-	return rows, nil
+// everyFrame is the query of a walk that selects every frame of a row
+// segment: recovery's and the freeze's (a header set's build parses the
+// same match-all filter from its key). The frame walker checks each
+// frame of such a walk as it checks a row it delivers: tail magic,
+// checksum, record kind and record size (payloadLen).
+var everyFrame = compiled{pred: btql.Compile(nil), maxStamp: ^uint64(0)}
+
+// wholeSnap is the snapshot of a walk over a row segment's frames from
+// the first to byte bound, the frame walk of recovery and the freeze.
+// It claims order only so that spanBytes reads it a span at a time: its
+// sinks consume each row as they take it, and under everyFrame no stamp
+// is past the query's bound, so nothing is cut.
+func wholeSnap(bound int64) *segSnap {
+	return &segSnap{start: headerSize, bound: bound, ordered: true}
 }
 
-// buildFiltered builds the filtered set k names of a cold segment: the
-// column walker runs under the set's filter alone over every block from
-// block 0, so that every check a walk of the whole segment makes is
-// made, and its rows are kept as header rows, stably sorted by stamp —
-// a header set's order and format. A set no larger than the segment's
-// inflated meta sections, which any walk of it caches anyway, nor than
-// the cache's budget is admitted; another is not, and the entry left in
-// its place says so, so that later passes walk what they read instead
-// of building it again. A walk that fails caches nothing.
-func (s *segScan) buildFiltered(k blockKey) ([]hdrRow, error) {
+// walk steps a pass of q over sn from sn.start into dst until it ends,
+// and returns where it ended: for a row segment the end of the last
+// whole span it walked, which is sn.bound when every frame up to it was
+// whole. A pass that fails returns the error of the step that failed;
+// dst has taken the rows before the failing frame, and no row after it.
+func (st *Store) walk(q *compiled, sn *segSnap, f backend.ReadFile, dst rowSink) (end int64, err error) {
+	s := &segScan{st: st, q: q, sn: sn, f: f, off: sn.start}
+	for more := true; more && err == nil; {
+		more, err = s.step(dst)
+	}
+	return s.off, err
+}
+
+// buildSet builds the set k names of sealed segment s.sn, reading a row
+// segment's spans through buf: the walker runs under the set's filter —
+// none for a row segment's header set, whose walk therefore checks
+// every frame — over the whole segment, from its first frame or block,
+// and its rows are kept as header rows, stably sorted by stamp. A row
+// segment's set is admitted to the block cache if the walk reached the
+// sealed end (headerSet checked that it fits). A cold segment's set no
+// larger than the segment's inflated meta sections, which any walk of
+// it caches anyway, nor than the cache's budget is admitted; another is
+// not, and the entry left in its place says so, so that later passes
+// walk what they read instead of building it again. A walk that fails
+// caches nothing.
+func (s *segScan) buildSet(k blockKey, buf *pchunk) ([]hdrRow, error) {
 	pq, err := btql.Parse(k.agg)
 	if err != nil {
 		return nil, err
 	}
 	sn := s.sn
-	w := &segScan{st: s.st, q: &compiled{pred: pq.Predicate(), lengths: true, maxStamp: ^uint64(0)}, sn: sn, f: s.f}
-	var sink setSink
-	for more := true; more; {
-		if more, err = w.step(&sink); err != nil {
-			return nil, err
-		}
+	sink := setSink{buf: buf}
+	if !sn.cold {
+		sink.set = make([]hdrRow, 0, sn.count)
+	}
+	end, err := s.st.walk(&compiled{pred: pq.Predicate(), maxStamp: ^uint64(0)}, sn, s.f, &sink)
+	if err != nil {
+		return nil, err
 	}
 	rows := sink.set
 	slices.SortStableFunc(rows, func(a, b hdrRow) int { return cmp.Compare(a.stamp, b.stamp) })
+	ent := &cacheEnt{key: k, hdrs: rows, size: hdrSetSize(len(rows))}
+	if !sn.cold {
+		if end == sn.bound {
+			s.st.bcache.put(ent)
+		}
+		return rows, nil
+	}
 	var meta int64
 	for i := range sn.blocks {
 		if v2 := sn.blocks[i].v2; v2 != nil {
 			meta += v2.metaRawLen
 		}
 	}
-	ent := &cacheEnt{key: k, hdrs: rows, size: hdrSetSize(len(rows))}
 	if ent.size > meta || !s.st.bcache.fits(ent.size) {
 		ent.hdrs, ent.walk, ent.size = nil, true, hdrSetSize(0)
 	}
@@ -378,13 +371,17 @@ func (s *segScan) buildFiltered(k blockKey) ([]hdrRow, error) {
 	return rows, nil
 }
 
-// setSink is the sink of a filtered set's build: the rows the scan
-// selects, as header rows. It reads payload lengths only.
-type setSink struct{ set []hdrRow }
+// setSink is the sink of a set's build: the rows the scan selects, as
+// header rows. It reads payload lengths only, and a row segment's spans
+// through buf.
+type setSink struct {
+	set []hdrRow
+	buf *pchunk
+}
 
 func (*setSink) payloads() bool { return false }
 
-func (*setSink) span(n int) []byte { return make([]byte, n) } // a cold scan reads no span
+func (k *setSink) span(n int) []byte { return k.buf.span(n) }
 
 func (k *setSink) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte) {
 	k.set = append(k.set, hdrRow{stamp, ts, packW3(core, tid, cat, level, len(payload))})
@@ -478,12 +475,13 @@ func (s *segScan) inflatedFrames(b *coldBlock, dst rowSink) error {
 
 // frames walks the whole CRC-framed records in buf and returns the
 // bytes they span; a trailing partial frame is left for the caller (the
-// next span rereads it). Every frame's tail magic is checked, which
-// keeps the walk itself honest; the checksum and the decode are
-// deferred until the raw header words say the query wants the record,
-// so a pruned frame costs three loads and a mask test instead of a CRC
-// pass. Checking every frame is recovery's and the compactor's job: they
-// read whole files.
+// next span rereads it). It is the only frame walk in the store. Every
+// frame's tail magic is checked, which keeps the walk itself honest;
+// the checksum and the decode are deferred until the raw header words
+// say the query wants the record, so a pruned frame costs three loads
+// and a mask test instead of a CRC pass. A walk that must check every
+// frame — recovery, the freeze, a header set's build — selects every
+// frame.
 func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 	q := s.q
 	maxStamp := ^uint64(0) // ordered early exit bound

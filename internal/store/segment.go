@@ -1,24 +1,25 @@
 // Segment file format and recovery. A segment is an append-only file of
 // CRC-framed wire records:
 //
-//	offset 0    header (80 bytes, rewritten in place when the segment seals)
-//	offset 80   frame*   where frame = wire record ++ 8-byte tail
+//	offset 0    header (88 bytes, rewritten in place when the segment seals)
+//	offset 88   frame*   where frame = wire record ++ 8-byte tail
 //
 // The wire record is exactly the repository's record format
-// (tracer.EncodeEvent); the tail packs crc32c(record) in its low 32 bits
-// and a frame magic in its high 32 bits, keeping every frame a multiple
-// of tracer.Align bytes. The tail is what makes crash recovery exact: a
-// torn append fails either the magic or the checksum, and the scan
-// truncates the file at the first frame that does — never mid-record,
-// never past a whole one.
+// (tracer.EncodeEvent), and exactly the size EncodeEvent gives its
+// payload length; the tail packs crc32c(record) in its low 32 bits and
+// a frame magic in its high 32 bits, keeping every frame a multiple of
+// tracer.Align bytes. The tail is what makes crash recovery exact: a
+// torn append fails either the magic or the checksum, and recovery —
+// the store's one frame walker (scan.go) stepped over every frame into
+// a recoverySink — truncates the file at the first frame that does,
+// never mid-record, never past a whole one. A read error is not a torn
+// frame: it fails Open, and nothing is truncated.
 package store
 
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 
-	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
 )
 
@@ -62,59 +63,32 @@ type segmentMeta struct {
 	ordered bool
 }
 
-func (m *segmentMeta) observe(e *tracer.Entry) {
+// observe folds one record into the summary: the one metadata rule of
+// the writer, the cold writer and recovery.
+func (m *segmentMeta) observe(stamp, ts uint64, core, cat uint8) {
 	if m.count == 0 {
-		m.baseStamp, m.maxStamp = e.Stamp, e.Stamp
-		m.minTS, m.maxTS = e.TS, e.TS
+		m.baseStamp, m.maxStamp = stamp, stamp
+		m.minTS, m.maxTS = ts, ts
 		m.ordered = true
 	} else {
-		if e.Stamp < m.maxStamp {
+		if stamp < m.maxStamp {
 			m.ordered = false
 		}
-		if e.Stamp > m.maxStamp {
-			m.maxStamp = e.Stamp
+		if stamp > m.maxStamp {
+			m.maxStamp = stamp
 		}
-		if e.Stamp < m.baseStamp {
-			m.baseStamp = e.Stamp
+		if stamp < m.baseStamp {
+			m.baseStamp = stamp
 		}
-		if e.TS < m.minTS {
-			m.minTS = e.TS
+		if ts < m.minTS {
+			m.minTS = ts
 		}
-		if e.TS > m.maxTS {
-			m.maxTS = e.TS
-		}
-	}
-	m.coreBits |= 1 << min(uint(e.Core), 63)
-	m.catBits |= 1 << min(uint(e.Category), 63)
-	m.count++
-}
-
-// observeStaged is observe for the writer goroutine's staged-frame
-// metadata (pipeline.go); the update rules must match observe exactly.
-func (m *segmentMeta) observeStaged(se *stagedEntry) {
-	if m.count == 0 {
-		m.baseStamp, m.maxStamp = se.stamp, se.stamp
-		m.minTS, m.maxTS = se.ts, se.ts
-		m.ordered = true
-	} else {
-		if se.stamp < m.maxStamp {
-			m.ordered = false
-		}
-		if se.stamp > m.maxStamp {
-			m.maxStamp = se.stamp
-		}
-		if se.stamp < m.baseStamp {
-			m.baseStamp = se.stamp
-		}
-		if se.ts < m.minTS {
-			m.minTS = se.ts
-		}
-		if se.ts > m.maxTS {
-			m.maxTS = se.ts
+		if ts > m.maxTS {
+			m.maxTS = ts
 		}
 	}
-	m.coreBits |= 1 << min(uint(se.core), 63)
-	m.catBits |= 1 << min(uint(se.cat), 63)
+	m.coreBits |= 1 << min(uint(core), 63)
+	m.catBits |= 1 << min(uint(cat), 63)
 	m.count++
 }
 
@@ -326,53 +300,32 @@ func checkFrame(rec, tail []byte) error {
 	return nil
 }
 
-// scanSegment walks every frame of f from the data start, rebuilding the
-// segment metadata and sparse index, and returns the offset of the first
-// byte that is not part of a whole, checksummed event frame — the exact
-// truncation point after a torn append. Scanning never trusts the
-// header's counters: after a crash they may describe a tail that was
-// never written (or one that was torn).
-func scanSegment(f backend.File, size int64, s *segment) (valid int64, err error) {
-	s.meta = segmentMeta{}
-	s.sparse = s.sparse[:0]
-
-	r := &chunkReader{f: f, off: headerSize}
-	off := int64(headerSize)
-	frame := 0
-	for {
-		head, err := r.peek(tracer.Align)
-		if err != nil || len(head) < tracer.Align {
-			return off, nil // clean end (or unreadable tail: truncate here)
-		}
-		_, recSize, perr := tracer.PeekRecord(head)
-		if perr != nil || recSize > maxRecordSize {
-			return off, nil
-		}
-		buf, err := r.peek(recSize + tailSize)
-		if err != nil || len(buf) < recSize+tailSize {
-			return off, nil // torn frame
-		}
-		if checkFrame(buf[:recSize], buf[recSize:recSize+tailSize]) != nil {
-			return off, nil
-		}
-		rec, derr := tracer.DecodeRecord(buf[:recSize])
-		if derr != nil || rec.Kind != tracer.KindEvent {
-			return off, nil // the store only ever appends event records
-		}
-		if frame%indexStride == 0 {
-			s.sparse = append(s.sparse, indexEntry{stamp: rec.Event.Stamp, off: off})
-		}
-		s.meta.observe(&rec.Event)
-		frame++
-		r.advance(recSize + tailSize)
-		off += int64(recSize + tailSize)
-		if off > size {
-			// Defensive: cannot happen with a truthful Stat, but never
-			// report more valid bytes than the file holds.
-			return size, nil
-		}
-	}
+// recoverySink is recovery's sink over the walk of every frame of a row
+// segment (Store.walk): it folds each row into the segment's metadata
+// and sparse index, and keeps off, the end of the last whole, checked
+// frame. A row's frame size follows from its payload length, because
+// payloadLen holds every record to tracer.EventWireSize. One sink
+// serves every segment Open recovers, so they share its span buffer.
+type recoverySink struct {
+	s   *segment
+	off int64
+	buf *pchunk
 }
+
+func (*recoverySink) payloads() bool { return false }
+
+func (r *recoverySink) span(n int) []byte { return r.buf.span(n) }
+
+func (r *recoverySink) row(stamp, ts uint64, core uint8, _ uint32, cat, _ uint8, payload []byte) {
+	s := r.s
+	if s.meta.count%indexStride == 0 {
+		s.sparse = append(s.sparse, indexEntry{stamp: stamp, off: r.off})
+	}
+	s.meta.observe(stamp, ts, core, cat)
+	r.off += int64(tracer.EventWireSize(len(payload)) + tailSize)
+}
+
+func (*recoverySink) rows(*blockCols, []int32) {} // a row segment has no columnar block
 
 // decodeEventTo decodes the KindEvent record at the start of src
 // directly into *e, skipping tracer.Record entirely — the by-value
@@ -400,79 +353,18 @@ func decodeEventTo(src []byte, e *tracer.Entry) error {
 }
 
 // payloadLen validates the KindEvent record at the start of src — its
-// kind, that its size fits src and its payload the size — and returns
-// the payload length its header carries: every check decodeEventTo
-// makes, for a reader that wants no payload byte.
+// kind, that its size fits src and is exactly the size
+// tracer.EncodeEvent writes for the payload length its header carries
+// — and returns that length: every check decodeEventTo makes, for a
+// reader that wants no payload byte.
 func payloadLen(src []byte) (int, error) {
 	if len(src) < tracer.EventHeaderSize {
 		return 0, fmt.Errorf("%w: short event", tracer.ErrCorrupt)
 	}
 	w0 := le64(src)
-	size := int(uint32(w0))
-	if tracer.Kind(w0>>56) != tracer.KindEvent || size < tracer.EventHeaderSize || size > len(src) {
-		return 0, fmt.Errorf("%w: kind %d size %d of %d", tracer.ErrCorrupt, uint8(w0>>56), size, len(src))
-	}
-	plen := int(uint16(le64(src[24:])))
-	if tracer.EventHeaderSize+plen > size {
-		return 0, fmt.Errorf("%w: payload length %d exceeds record size %d", tracer.ErrCorrupt, plen, size)
+	size, plen := int(uint32(w0)), int(uint16(le64(src[24:])))
+	if tracer.Kind(w0>>56) != tracer.KindEvent || size != tracer.EventWireSize(plen) || size > len(src) {
+		return 0, fmt.Errorf("%w: kind %d size %d, payload length %d, of %d", tracer.ErrCorrupt, uint8(w0>>56), size, plen, len(src))
 	}
 	return plen, nil
-}
-
-// chunkReader reads a file sequentially through one reusable buffer,
-// exposing peek/advance over frame boundaries without a syscall per
-// record.
-type chunkReader struct {
-	f   io.ReaderAt
-	off int64 // file offset of buf[0]
-	buf []byte
-	pos int // current position within buf
-	// bound (when > 0) caps what peek may read and cache: bytes at file
-	// offsets >= bound are not committed yet — in a preallocated segment
-	// they read as zeros until the writer fills them — so they must be
-	// re-read from the file after the bound advances, never cached.
-	bound int64
-}
-
-const chunkSize = 64 << 10
-
-// peek returns at least n bytes starting at the current position, or as
-// many as the file still holds.
-func (r *chunkReader) peek(n int) ([]byte, error) {
-	if r.pos > 0 && len(r.buf)-r.pos < n {
-		r.off += int64(r.pos)
-		r.buf = append(r.buf[:0], r.buf[r.pos:]...)
-		r.pos = 0
-	}
-	for len(r.buf)-r.pos < n {
-		want := n - (len(r.buf) - r.pos)
-		if want < chunkSize {
-			want = chunkSize
-		}
-		grow := len(r.buf)
-		if r.bound > 0 {
-			avail := r.bound - (r.off + int64(grow))
-			if avail <= 0 {
-				break
-			}
-			if int64(want) > avail {
-				want = int(avail)
-			}
-		}
-		r.buf = append(r.buf, make([]byte, want)...)
-		m, err := r.f.ReadAt(r.buf[grow:grow+want], r.off+int64(grow))
-		r.buf = r.buf[:grow+m]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return r.buf[r.pos:], err
-		}
-	}
-	return r.buf[r.pos:], nil
-}
-
-// advance consumes n bytes (which a prior peek must have made available).
-func (r *chunkReader) advance(n int) {
-	r.pos += n
 }

@@ -282,13 +282,16 @@ func OpenBackend(be backend.Backend, cfg Config) (*Store, error) {
 			return 1
 		}
 	})
+	// Every row segment's walk reads through the one span buffer.
+	rs := &recoverySink{buf: newChunk(false)}
+	defer globalChunks.Put(rs.buf)
 	for i, en := range entries {
 		last := i == len(entries)-1
 		var rerr error
 		if en.cold {
 			rerr = st.recoverCold(en.seq, en.name)
 		} else {
-			rerr = st.recoverSegment(en.seq, en.name, last)
+			rerr = st.recoverSegment(en.seq, en.name, last, rs)
 		}
 		if rerr != nil {
 			st.Close()
@@ -325,8 +328,9 @@ func parseName(name, pattern string, seq *uint64) bool {
 
 // recoverSegment opens, scans and (if needed) truncates one row segment,
 // appending it to the store unless it is empty or a tier-transition
-// leftover.
-func (st *Store) recoverSegment(seq uint64, name string, last bool) error {
+// leftover. rs is the walk's sink, shared by every segment Open
+// recovers.
+func (st *Store) recoverSegment(seq uint64, name string, last bool, rs *recoverySink) error {
 	s := &segment{seq: seq, coversThrough: seq, name: name}
 	f, err := st.be.OpenRW(name)
 	if err != nil {
@@ -349,26 +353,31 @@ func (st *Store) recoverSegment(seq uint64, name string, last bool) error {
 		return nil
 	}
 	hdr := make([]byte, headerSize)
-	headerOK := false
-	if _, err := f.ReadAt(hdr, 0); err == nil {
-		if _, covers, sealed, herr := decodeHeader(hdr); herr == nil {
-			headerOK = true
-			s.sealed = sealed
-			if covers > seq {
-				s.coversThrough = covers
-			}
-		}
-	}
-	// The frame scan never trusts the header — it rebuilds the metadata
-	// and finds the exact truncation point whether or not the header
-	// decoded. Frames are independently CRC-framed, so a torn in-place
-	// header rewrite (sealActiveLocked) costs the header alone, never
-	// the records behind it.
-	valid, err := scanSegment(f, size, s)
-	if err != nil {
+	if _, err := f.ReadAt(hdr, 0); err != nil && err != io.EOF {
 		f.Close()
 		return err
 	}
+	_, covers, sealed, herr := decodeHeader(hdr)
+	headerOK := herr == nil
+	if headerOK {
+		s.sealed = sealed
+		if covers > seq {
+			s.coversThrough = covers
+		}
+	}
+	// The frame walk never trusts the header — it rebuilds the metadata
+	// and finds the exact truncation point whether or not the header
+	// decoded. Frames are independently CRC-framed, so a torn in-place
+	// header rewrite (sealActiveLocked) costs the header alone, never
+	// the records behind it. Only a frame that fails its checks ends the
+	// valid prefix: a read error fails Open with the file as it was, for
+	// bytes that could not be read are not bytes known to be torn.
+	rs.s, rs.off = s, headerSize
+	if _, err := st.walk(&everyFrame, wholeSnap(size), f, rs); err != nil && !errors.Is(err, tracer.ErrCorrupt) {
+		f.Close()
+		return err
+	}
+	valid := rs.off
 	if valid < size {
 		if err := f.Truncate(valid); err != nil {
 			f.Close()

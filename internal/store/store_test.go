@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"btrace/internal/store/backend"
+	"btrace/internal/store/backend/local"
 	"btrace/internal/tracer"
 	"btrace/internal/tracer/tracertest"
 )
@@ -578,6 +582,79 @@ func TestRecoveryTornHeader(t *testing.T) {
 	}
 	if es = drainStore(t, re, Query{}); len(es) != 110 {
 		t.Fatalf("after rebuild + append: %d events, want 110", len(es))
+	}
+}
+
+// failingReads is a backend whose read-write handles fail every read
+// that reaches past byte after: a disk that cannot read part of a
+// segment at the moment recovery opens it.
+type failingReads struct {
+	backend.Backend
+	after int64
+}
+
+func (b *failingReads) OpenRW(name string) (backend.File, error) {
+	f, err := b.Backend.OpenRW(name)
+	if err != nil {
+		return nil, err
+	}
+	return &failingFile{File: f, after: b.after}, nil
+}
+
+type failingFile struct {
+	backend.File
+	after int64
+}
+
+func (f *failingFile) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > f.after {
+		return 0, errors.New("read error")
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestRecoveryReadErrorKeepsSegment: bytes recovery could not read are
+// not bytes it knows to be torn. A read error fails Open and leaves the
+// segment byte for byte as it was — nothing truncated, no header
+// rewritten — so that a reopen on a disk that reads again finds every
+// event.
+func TestRecoveryReadErrorKeepsSegment(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRange(t, st, 1, 1000)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "seg-00000001.seg")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := local.New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad, err := OpenBackend(&failingReads{Backend: lb, after: 4096}, Config{}); err == nil {
+		bad.Close()
+		t.Fatal("Open over a failing read succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("the failed Open changed the segment: %d bytes before, %d after", len(before), len(after))
+	}
+	re, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if es := drainStore(t, re, Query{}); len(es) != 1000 {
+		t.Fatalf("clean reopen read %d events, want 1000", len(es))
 	}
 }
 

@@ -518,7 +518,7 @@ func TestFreezeDeterministicThroughReusedWriter(t *testing.T) {
 	w.begin(f, 1<<10)
 	for s := uint64(5000); s < 5100; s++ {
 		e := mkEntry(s)
-		if err := w.add(make([]byte, FrameSize(&e)), &e); err != nil {
+		if err := w.add(&e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -557,12 +557,11 @@ func TestColdWriterFlushAllocs(t *testing.T) {
 	}
 	defer f.Close()
 	es := benchEntries(512)
-	frame := make([]byte, FrameSize(&es[0]))
 	var w coldWriterV2
 	w.begin(f, 1<<30) // only the explicit flush below cuts a block
 	block := func() {
 		for i := range es {
-			if err := w.add(frame, &es[i]); err != nil {
+			if err := w.add(&es[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
