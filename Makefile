@@ -35,9 +35,10 @@ race:
 # The store's parallel-cursor stress test under the race detector:
 # concurrent appenders, parallel cursors (full passes reopened back to
 # back, and partial drains ending in Close) and retention all racing
-# mid-scan. -short keeps a double run CI-sized.
+# mid-scan; and appenders racing Close, each batch all or nothing.
+# -short keeps a double run CI-sized.
 race-stress:
-	$(GO) test -race -short -count 2 -run 'TestStoreParallelStress' ./internal/store
+	$(GO) test -race -short -count 2 -run 'TestStoreParallelStress|TestAppendRacingClose' ./internal/store
 
 tier1: build fmt vet test race
 
@@ -137,9 +138,10 @@ bench:
 # Check freshly produced BENCH_*.json against the contracts one run can
 # show, and note its ns/op, MB/s and custom-metric deltas against the
 # committed baselines (taken from HEAD) without failing on them. The
-# read-path / obs fast paths and the single-store /ingest path (pooled
-# batch → decode → drain → append, BenchmarkServeIngest/single) must stay
-# allocation-free. The -max-ratio rules enforce the
+# read-path / obs fast paths, the store's append path (a pooled frame
+# buffer, alone and under eight appenders) and the single-store /ingest
+# path (pooled batch → decode → drain → append,
+# BenchmarkServeIngest/single) must stay allocation-free. The -max-ratio rules enforce the
 # storage contracts within the fresh run itself (hardware-independent):
 # the wide query over the majority-cold store must stay within 2x of the
 # identical all-hot query, a selective BTQL query with predicate
@@ -182,5 +184,5 @@ benchdiff:
 	@for f in BENCH_readpath.json BENCH_store.json BENCH_obs.json; do \
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
-	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkServeIngest/single' \
+	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkStoreAppend,BenchmarkStoreAppendConcurrent,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkServeIngest/single' \
 	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregateRepeat<=0.1*BenchmarkQueryAggregate,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkColdSelect/sparse-lengths<=0.65*BenchmarkColdSelect/sparse,BenchmarkHotTailExport/cached<=0.5*BenchmarkHotTailExport/walk,BenchmarkWindowExport/cached<=0.05*BenchmarkWindowExport/walk,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'

@@ -29,8 +29,8 @@ const maxPooledBatch = 1 << 20
 // It has exactly one owner at a time — the handler until the batch is
 // enqueued (or Distributor.Ingest returns), the drain goroutine after —
 // and the owner that finishes with it calls release. Nothing downstream
-// keeps a reference: the store's staging arena and live.Hub.Publish
-// copy what they retain.
+// keeps a reference: the store encodes its own frames and
+// live.Hub.Publish copies what it retains.
 type ingestBatch struct {
 	tenant string
 	body   []byte

@@ -49,8 +49,8 @@ func restamp(wire []byte, k int) {
 // BenchmarkServeIngest drives both /ingest paths from just below
 // net/http — a pooled batch filled from a generated body, decoded, then
 // enqueued and drained (single) or quorum-replicated (cluster) into
-// local-backend stores — in steady state, after the pool, the staging
-// arenas and the fan-out scratch have warmed up. single must stay at 0
+// local-backend stores — in steady state, after the pool, the stores'
+// frame buffers and the fan-out scratch have warmed up. single must stay at 0
 // allocs/op (benchdiff -zero-allocs): that is the gate that keeps the
 // per-batch garbage from coming back.
 func BenchmarkServeIngest(b *testing.B) {

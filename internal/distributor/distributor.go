@@ -696,9 +696,6 @@ func (d *Distributor) EvaluateGate() {
 	var p overload.StorePressure
 	for _, sh := range d.Shards() {
 		sp := sh.Pressure()
-		if sp.StagedFill > p.StagedFill {
-			p.StagedFill = sp.StagedFill
-		}
 		if sp.AppendNs > p.AppendNs {
 			p.AppendNs = sp.AppendNs
 		}

@@ -68,8 +68,8 @@ type LocalConfig struct {
 // LocalShard is an in-process replica over one store: many of them in
 // one process make a cluster that is testable and chaos-able without
 // networking. A delivery is a synchronous append on the caller's
-// goroutine; the store's own staging arena and group commit batch
-// concurrent deliveries.
+// goroutine, which encodes and writes the batch itself; concurrent
+// deliveries share the store's commits.
 type LocalShard struct {
 	name string
 	st   *store.Store

@@ -365,7 +365,7 @@ func TestChaosDeterministicSchedules(t *testing.T) {
 			es, missed := src.Batch()
 			var p overload.StorePressure
 			if total := missed + uint64(len(es)); total > 0 {
-				p.StagedFill = float64(missed) / float64(total)
+				p.AppendNs = missed * 1_000_000 / total
 			}
 			adm.Evaluate(p)
 			admitted, c := adm.Admit("", es)

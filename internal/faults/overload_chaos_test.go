@@ -82,11 +82,12 @@ func TestChaosOverloadStorm(t *testing.T) {
 		}
 		es, missed := src.Batch()
 		// The gate reads the store's signals only. The source's loss rate
-		// stands in for the staging fill a wedged store backs up into:
+		// stands in for the append latency a wedged store backs up into
+		// (1 ms per event, the gate's whole append budget, is pressure 1):
 		// the same storm shape, with no clock in it.
 		var p overload.StorePressure
 		if total := missed + uint64(len(es)); total > 0 {
-			p.StagedFill = float64(missed) / float64(total)
+			p.AppendNs = missed * 1_000_000 / total
 		}
 		adm.Evaluate(p)
 		appends0, _, _ := fst.Stats()

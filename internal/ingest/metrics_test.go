@@ -68,7 +68,8 @@ func TestOverloadSeriesReadGateStats(t *testing.T) {
 	}
 	evaluate := func(fill float64, want overload.Tier) {
 		t.Helper()
-		a.Evaluate(overload.StorePressure{StagedFill: fill})
+		// 1 ms per event is the gate's whole append budget: pressure 1.
+		a.Evaluate(overload.StorePressure{AppendNs: uint64(fill * 1_000_000)})
 		if got := a.Tier(); got != want {
 			t.Fatalf("after pressure %v: tier %v, want %v", fill, got, want)
 		}

@@ -70,15 +70,13 @@ func (t Tier) String() string {
 }
 
 // StorePressure is the durable store's write-path signals, the gate's
-// one pressure input: recent latencies, staging occupancy and the
-// sticky failure bit (store.Store.Pressure exports it).
+// one pressure input: recent latencies and the sticky failure bit
+// (store.Store.Pressure exports it).
 type StorePressure struct {
-	// AppendNs is a recent average (EWMA) of append stage+apply latency.
+	// AppendNs is a recent average (EWMA) of append latency per event.
 	AppendNs uint64
 	// FsyncNs is a recent average (EWMA) of fsync latency.
 	FsyncNs uint64
-	// StagedFill is the staging arena's occupancy in [0, 1].
-	StagedFill float64
 	// Failed reports a sticky write-path failure: the store accepts no
 	// more appends until reopened.
 	Failed bool
@@ -95,10 +93,7 @@ const (
 // signal wins, because any single saturated resource is overload
 // regardless of how idle the others are.
 func (p StorePressure) score() float64 {
-	s := p.StagedFill
-	if v := float64(p.AppendNs) / appendBudgetNs; v > s {
-		s = v
-	}
+	s := float64(p.AppendNs) / appendBudgetNs
 	if v := float64(p.FsyncNs) / fsyncBudgetNs; v > s {
 		s = v
 	}

@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -27,9 +28,11 @@ func mkBatch(start uint64, n int, stepNs uint64, cats []uint8, payload int) []tr
 	return es
 }
 
-// at is the pressure observation whose score is s (a staging fill;
-// scores above 1 clamp).
-func at(s float64) StorePressure { return StorePressure{StagedFill: s} }
+// at is the pressure observation whose score is s (an append latency
+// per event against its budget; scores above 1 clamp).
+func at(s float64) StorePressure {
+	return StorePressure{AppendNs: uint64(math.Round(s * appendBudgetNs))}
+}
 
 // pressurize drives the controller with a constant score for n
 // evaluations.
@@ -327,12 +330,12 @@ func TestPressureScore(t *testing.T) {
 		want float64
 	}{
 		{StorePressure{}, 0},
-		{StorePressure{StagedFill: 0.5}, 0.5},
-		{StorePressure{StagedFill: 0.2, AppendNs: 700_000}, 0.7},
+		{StorePressure{FsyncNs: 10_000_000}, 0.5},
+		{StorePressure{AppendNs: 200_000, FsyncNs: 14_000_000}, 0.7},
 		{StorePressure{AppendNs: 500_000}, 0.5},
 		{StorePressure{FsyncNs: 40_000_000}, 1},
 		{StorePressure{Failed: true}, 1},
-		{StorePressure{StagedFill: 3}, 1},
+		{StorePressure{AppendNs: 3_000_000}, 1},
 	}
 	for i, c := range cases {
 		if got := c.p.score(); got != c.want {

@@ -259,14 +259,19 @@ func TestCompactionChaosTierBoundaries(t *testing.T) {
 }
 
 // failOnceBackend is an object backend whose files fail the first
-// WriteAt after arm; writes counts every WriteAt that reached a file.
+// WriteAt after armed and the first Sync after syncArmed; writes counts
+// every WriteAt that reached a file.
 type failOnceBackend struct {
 	*backend.Object
-	armed  atomic.Bool
-	writes atomic.Int64
+	armed     atomic.Bool
+	syncArmed atomic.Bool
+	writes    atomic.Int64
 }
 
-var errWriteInjected = errors.New("injected write failure")
+var (
+	errWriteInjected = errors.New("injected write failure")
+	errSyncInjected  = errors.New("injected fsync failure")
+)
 
 func (b *failOnceBackend) Create(name string, pre int64) (backend.File, error) {
 	f, err := b.Object.Create(name, pre)
@@ -289,12 +294,43 @@ func (f *failOnceFile) WriteAt(p []byte, off int64) (int, error) {
 	return f.File.WriteAt(p, off)
 }
 
+func (f *failOnceFile) Sync() error {
+	if f.b.syncArmed.CompareAndSwap(true, false) {
+		return errSyncInjected
+	}
+	return f.File.Sync()
+}
+
+// checkSticky asserts that st's write path has failed with want for
+// good: WriteErr and Pressure report it, and the next append returns
+// it without reaching the backend.
+func checkSticky(t *testing.T, st *Store, be *failOnceBackend, stamp uint64, want error) {
+	t.Helper()
+	if err := st.WriteErr(); !errors.Is(err, want) {
+		t.Fatalf("WriteErr after the failure: %v, want %v", err, want)
+	}
+	if !st.Pressure().Failed {
+		t.Fatal("Pressure().Failed unset after the failure")
+	}
+	writes := be.writes.Load()
+	if err := st.AppendEntries([]tracer.Entry{mkEntry(stamp)}); !errors.Is(err, want) {
+		t.Fatalf("append after the failure: %v, want %v again", err, want)
+	}
+	if got := be.writes.Load(); got != writes {
+		t.Fatalf("append after the failure reached the backend (%d writes, was %d)", got, writes)
+	}
+	if err := st.WriteErr(); !errors.Is(err, want) || !st.Pressure().Failed {
+		t.Fatalf("WriteErr %v, Pressure().Failed %v after a second refusal", err, st.Pressure().Failed)
+	}
+}
+
 // TestAppendFailureIsSticky is why no ingest path retries an append: a
-// write that fails once leaves the write path failed for good, so a
-// second try could only meet the same error. The append that meets the
-// failure fails; WriteErr and Pressure report it from then on; the next
-// append fails without reaching the backend; and a closed store answers
-// ErrClosed on both.
+// write or a commit's fsync that fails once leaves the write path failed
+// for good, so a second try could only meet the same error. The call
+// that meets the failure fails (or, for the CommitEvery timer's commit,
+// nobody waits on it); WriteErr and Pressure report it from then on; the
+// next append fails without reaching the backend; and a closed store
+// answers ErrClosed on both.
 func TestAppendFailureIsSticky(t *testing.T) {
 	be := &failOnceBackend{Object: backend.NewObject()}
 	st, err := Open("", Config{Backend: be})
@@ -308,22 +344,7 @@ func TestAppendFailureIsSticky(t *testing.T) {
 	if err := st.AppendEntries([]tracer.Entry{mkEntry(2)}); !errors.Is(err, errWriteInjected) {
 		t.Fatalf("append over the failing write: %v, want the injected error", err)
 	}
-	if err := st.WriteErr(); !errors.Is(err, errWriteInjected) {
-		t.Fatalf("WriteErr after the failure: %v", err)
-	}
-	if !st.Pressure().Failed {
-		t.Fatal("Pressure().Failed unset after the failure")
-	}
-	writes := be.writes.Load()
-	if err := st.AppendEntries([]tracer.Entry{mkEntry(3)}); !errors.Is(err, errWriteInjected) {
-		t.Fatalf("append after the failure: %v, want the same error again", err)
-	}
-	if got := be.writes.Load(); got != writes {
-		t.Fatalf("append after the failure reached the backend (%d writes, was %d)", got, writes)
-	}
-	if err := st.WriteErr(); !errors.Is(err, errWriteInjected) || !st.Pressure().Failed {
-		t.Fatalf("WriteErr %v, Pressure().Failed %v after a second refusal", err, st.Pressure().Failed)
-	}
+	checkSticky(t, st, be, 3, errWriteInjected)
 	st.Close() // its error is the failed write path's
 	if err := st.AppendEntries([]tracer.Entry{mkEntry(4)}); err != ErrClosed {
 		t.Fatalf("append after Close: %v, want ErrClosed", err)
@@ -331,6 +352,135 @@ func TestAppendFailureIsSticky(t *testing.T) {
 	if err := st.WriteErr(); err != ErrClosed {
 		t.Fatalf("WriteErr after Close: %v, want ErrClosed", err)
 	}
+
+	t.Run("sync", func(t *testing.T) {
+		be := &failOnceBackend{Object: backend.NewObject()}
+		st, err := Open("", Config{Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if err := st.AppendEntries([]tracer.Entry{mkEntry(1)}); err != nil {
+			t.Fatal(err)
+		}
+		be.syncArmed.Store(true)
+		if err := st.Sync(); !errors.Is(err, errSyncInjected) {
+			t.Fatalf("Sync over the failing fsync: %v, want the injected error", err)
+		}
+		checkSticky(t, st, be, 2, errSyncInjected)
+		if err := st.Sync(); !errors.Is(err, errSyncInjected) {
+			t.Fatalf("Sync after the failure: %v, want the same error again", err)
+		}
+	})
+
+	t.Run("commit-timer", func(t *testing.T) {
+		be := &failOnceBackend{Object: backend.NewObject()}
+		st, err := Open("", Config{Backend: be, CommitEvery: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		be.syncArmed.Store(true)
+		if err := st.AppendEntries([]tracer.Entry{mkEntry(1)}); err != nil {
+			t.Fatal(err)
+		}
+		// The append armed the timer; its commit meets the failing fsync.
+		deadline := time.Now().Add(10 * time.Second)
+		for st.WriteErr() == nil {
+			if time.Now().After(deadline) {
+				t.Fatal("the CommitEvery commit never failed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		checkSticky(t, st, be, 2, errSyncInjected)
+	})
+}
+
+// TestAppendRacingClose: appends racing Close are each all or nothing.
+// Four appenders write numbered batches, Close runs once the first acks
+// are in, and the store is reopened: every batch that returned nil reads
+// back exactly once, and every batch that returned ErrClosed is wholly
+// absent.
+func TestAppendRacingClose(t *testing.T) {
+	const (
+		appenders = 4
+		batch     = 8
+	)
+	dir := t.TempDir()
+	st, err := Open(dir, Config{SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// results[a][b] is batch b of appender a's outcome.
+	var (
+		results [appenders][]error
+		acks    atomic.Int64
+		wg      sync.WaitGroup
+	)
+	stampOf := func(a, b, i int) uint64 { return uint64(a+1)<<32 | uint64(b*batch+i+1) }
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			es := make([]tracer.Entry, batch)
+			for b := 0; ; b++ {
+				for i := range es {
+					es[i] = mkEntry(stampOf(a, b, i))
+				}
+				err := st.AppendEntries(es)
+				results[a] = append(results[a], err)
+				if err != nil {
+					return
+				}
+				acks.Add(1)
+			}
+		}(a)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for acks.Load() < 2*appenders {
+		if time.Now().After(deadline) {
+			t.Fatal("appenders made no progress")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wg.Wait()
+
+	st, err = Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	seen := make(map[uint64]int)
+	for _, e := range drainStore(t, st, Query{}) {
+		checkEntry(t, e)
+		seen[e.Stamp]++
+	}
+	acked := 0
+	for a := range results {
+		for b, err := range results[a] {
+			want := 1
+			switch {
+			case err == nil:
+				acked++
+			case errors.Is(err, ErrClosed):
+				want = 0
+			default:
+				t.Fatalf("appender %d batch %d: %v", a, b, err)
+			}
+			for i := 0; i < batch; i++ {
+				if got := seen[stampOf(a, b, i)]; got != want {
+					t.Fatalf("appender %d batch %d (err %v) event %d read back %d times, want %d", a, b, err, i, got, want)
+				}
+			}
+		}
+	}
+	if len(seen) != acked*batch {
+		t.Fatalf("reopened store holds %d stamps, want the %d of %d acked batches", len(seen), acked*batch, acked)
+	}
+	t.Logf("%d batches acked before Close", acked)
 }
 
 // TestStoreCompactorStress races the background compactor (1ms ticks)

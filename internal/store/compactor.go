@@ -108,7 +108,7 @@ func (st *Store) CompactCold() (int, error) {
 	frozen := 0
 	for {
 		st.mu.Lock()
-		if st.closed {
+		if st.closed.Load() {
 			st.mu.Unlock()
 			return frozen, ErrClosed
 		}
@@ -186,7 +186,7 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 	}
 
 	st.mu.Lock()
-	if st.closed || !st.runIntactLocked(run) {
+	if st.closed.Load() || !st.runIntactLocked(run) {
 		st.mu.Unlock()
 		st.be.Remove(tmpName)
 		return 0, nil

@@ -13,8 +13,8 @@ import (
 // kept under st.mu live once, in st.stats: each public mutating
 // operation copies them into stats here on its way out, under a lock of
 // storeObs's own, so a scrape never needs st.mu and a collection pass
-// can never deadlock against Close. The counts the read path and the
-// writer bump concurrently live here, as obs primitives, and Stats()
+// can never deadlock against Close. The counts the read path and
+// appenders bump concurrently live here, as obs primitives, and Stats()
 // reads those it reports; the gauges are refreshed with the copy.
 //
 // storeObs is allocated separately from the Store and is what the
@@ -50,13 +50,14 @@ type storeObs struct {
 	chunksSkipped  *obs.Counter
 	inflatedBytes  *obs.Counter
 
-	// groupCommits counts write-pipeline commit windows: each is one
-	// fsync covering every batch staged since the previous window.
+	// groupCommits counts commits: each is one fsync of the active file
+	// covering every batch written since the previous commit.
 	groupCommits *obs.Counter
 
 	// appendNs and fsyncNs are the store's two latencies of record: how
-	// long a producer spends staging a batch and waiting for the writer
-	// to apply it, and how long each fsync stalls.
+	// long an append spends encoding and writing its batch (waits for
+	// the seal backlog and the store lock included), and how long each
+	// fsync stalls.
 	appendNs *obs.Histogram
 	fsyncNs  *obs.Histogram
 	// batchEvents is the AppendEntries batch-size distribution.
@@ -65,8 +66,6 @@ type storeObs struct {
 	segments  obs.Gauge
 	sizeBytes obs.Gauge
 	events    obs.Gauge
-	// stagedBytes is the staging arena's fill level at the last stage.
-	stagedBytes obs.Gauge
 	// Per-tier breakdowns of segments/sizeBytes, indexed by Tier.
 	tierSegments [2]obs.Gauge
 	tierBytes    [2]obs.Gauge
@@ -143,13 +142,12 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_store_leftover_segments_total", "interrupted tier-transition leftovers deleted at open", s.LeftoverSegments)
 	e.Counter("btrace_store_headers_rebuilt_total", "corrupt headers rebuilt at open", s.HeadersRebuilt)
 	e.Counter("btrace_store_group_commits_total", "write-pipeline group-commit fsync windows", o.groupCommits.Load())
-	e.Histogram("btrace_store_append_ns", "append batch stage+apply latency", o.appendNs.Snapshot())
+	e.Histogram("btrace_store_append_ns", "append batch encode+write latency", o.appendNs.Snapshot())
 	e.Histogram("btrace_store_fsync_ns", "fsync latency", o.fsyncNs.Snapshot())
 	e.Histogram("btrace_store_batch_events", "events per append batch", o.batchEvents.Snapshot())
 	e.Gauge("btrace_store_segments", "live segments", float64(o.segments.Load()))
 	e.Gauge("btrace_store_size_bytes", "total on-disk size", float64(o.sizeBytes.Load()))
 	e.Gauge("btrace_store_events", "events currently held", float64(o.events.Load()))
-	e.Gauge("btrace_store_staged_bytes", "staging arena fill at last stage", float64(o.stagedBytes.Load()))
 	e.Gauge("btrace_store_tier_hot_segments", "segments in the hot tier", float64(o.tierSegments[TierHot].Load()))
 	e.Gauge("btrace_store_tier_hot_bytes", "bytes in the hot tier", float64(o.tierBytes[TierHot].Load()))
 	e.Gauge("btrace_store_tier_cold_segments", "cold block files", float64(o.tierSegments[TierCold].Load()))

@@ -1,25 +1,28 @@
-// Write pipeline: the staging arena, the dedicated writer goroutine and
-// the background maintenance goroutine that together take the write
-// syscall, fsync and retention off the producers' critical path.
+// Write path: the appender encodes its batch outside the store lock and
+// writes it itself under st.mu; a background maintenance goroutine
+// takes seal finalization and retention off that path.
 //
-// Producers (Append/AppendEntries) encode frames into a double-buffered
-// staging arena under a short lock and wait for the writer to apply
-// them — visibility still means "readable by cursors" — while the
-// writer goroutine swaps the arena out (producers refill the spare
-// immediately) and drains it with one WriteAt per segment stretch.
-// Durability is a group commit: one fsync covers every byte applied
-// since the previous commit window. Sync callers and CommitEvery ticks
-// piggyback on the same fsync instead of paying one each. Seal
-// finalization — header rewrite, preallocation trim, retention — runs
-// on the maintenance goroutine, so rotation costs the append path
-// nothing but a queue push; the sealed file's own fsync is deferred to
-// the next commit window too (parked, bounded by maxParkedSeals), so a
-// store with no durability demand pays no fsync at all in steady state.
+// AppendEntries encodes frames into a pooled buffer with no lock held,
+// then takes st.mu and writes them with one WriteAt per segment stretch
+// (writeLocked); the batch is readable by cursors when the call
+// returns. Durability is a commit: one fsync of the active file covers
+// every batch written since the previous commit, by any appender. Sync,
+// Seal and the CommitEvery timer run commits. Seal finalization —
+// header rewrite, preallocation trim, retention — runs on the
+// maintenance goroutine, so rotation costs the append path nothing but
+// a queue push; with no CommitEvery the sealed file's own fsync is
+// deferred to the next commit too (parked, bounded by maxParkedSeals),
+// so a store with no durability demand pays no fsync at all in steady
+// state.
 //
-// Lock order: the writer takes pipe.mu, releases it, then takes st.mu
-// (writeChunk) — never both. rotateActiveLocked enqueues under st.mu →
-// maint.mu; the maintenance loop releases maint.mu before taking st.mu,
-// so there is no cycle.
+// A failed write or commit latches a sticky error: every later append,
+// Sync and Seal returns it. WriteErr and Pressure read it, and closed,
+// through atomics, so neither ever waits on a write or an fsync.
+//
+// Lock order: commitMu → maint.mu, commitMu → st.mu, st.mu → maint.mu
+// (rotateActiveLocked enqueues). The maintenance loop releases maint.mu
+// before taking st.mu, and an appender waits on the seal backlog with
+// no lock held, so there is no cycle.
 package store
 
 import (
@@ -32,9 +35,8 @@ import (
 )
 
 // maxSealBacklog caps how many rotated segments may await finalization
-// before the writer stalls. It bounds the maintenance queue without
-// ever making a producer wait on it directly (the writer waits, between
-// chunks, with no locks held).
+// before appenders stall. An appender waits on it before encoding, with
+// no lock held: the maintenance goroutine needs st.mu to make progress.
 const maxSealBacklog = 64
 
 // maxParkedSeals caps how many sealed files may sit with their fsync
@@ -43,18 +45,14 @@ const maxSealBacklog = 64
 // data stays bounded even when no commit policy is configured.
 const maxParkedSeals = 64
 
-// maxStagedBytes bounds the staging arena: producers block once this
-// many encoded bytes await the writer goroutine.
-const maxStagedBytes = 8 << 20
-
 // parkedSeal is a sealed segment file awaiting its deferred fsync.
 type parkedSeal struct {
 	seg *segment
 	f   backend.File
 }
 
-// stagedEntry is the per-frame metadata the writer needs to fold a
-// staged frame into segment metadata without re-decoding it.
+// stagedEntry is the per-frame metadata writeLocked needs to fold an
+// encoded frame into segment metadata without re-decoding it.
 type stagedEntry struct {
 	stamp uint64
 	ts    uint64
@@ -63,110 +61,80 @@ type stagedEntry struct {
 	cat   uint8
 }
 
-// pipeline is the staging half of the write path. All fields are
-// guarded by mu.
-type pipeline struct {
-	mu    sync.Mutex
-	cond  sync.Cond // producers and waiters: tickets advanced / space freed
-	wcond sync.Cond // writer: work arrived
-
-	// buf/metas is the arena producers stage into; spare* is the drained
-	// pair the writer hands back after each swap (double buffering).
-	buf        []byte
-	metas      []stagedEntry
-	spareBuf   []byte
-	spareMetas []stagedEntry
-
-	// Tickets. Each staged batch takes staged+1; a batch is visible once
-	// written >= its ticket and durable once synced >= its ticket.
-	staged  uint64
-	written uint64
-	synced  uint64
-
-	syncWant   uint64 // newest ticket a Sync caller demands durability for
-	forceSync  bool   // Sync(): run a commit even with no new bytes
-	flushNow   bool   // CommitEvery timer fired with bytes outstanding
-	timerArmed bool
-	unsynced   int64 // bytes applied since the last group commit
-
-	sealReqs  uint64 // rotations requested by Seal()
-	sealsDone uint64
-
-	err    error // sticky write-path failure; fails all later appends
-	closed bool
+// frameBuf is one append's encoding: its frames back to back and the
+// metadata of each. Pooled, so a steady append path allocates nothing.
+type frameBuf struct {
+	buf   []byte
+	metas []stagedEntry
 }
 
-// appendPipelined is the producer side of the write path: encode es
-// into the staging arena under pipe.mu, wake the writer, and block until
-// the batch is applied.
+// A fresh frameBuf is sized for a 512-event batch (the collector's
+// cursor batch) of small payloads, so it rarely grows at all.
+var framePool = sync.Pool{New: func() any {
+	return &frameBuf{buf: make([]byte, 0, 64<<10), metas: make([]stagedEntry, 0, 512)}
+}}
+
+// AppendEntries appends a batch of events with one write per segment
+// stretch — the bulk path the ingest paths and the replay dump use. The
+// batch is readable by cursors when it returns; it is durable at the
+// next commit (Sync, Seal, Close or the CommitEvery timer).
 //
 // An entry that cannot encode (oversized payload) fails the batch at
-// that entry; the frames staged before it still go out, matching the
-// historical partial-batch semantics.
-func (st *Store) appendPipelined(es []tracer.Entry) error {
+// that entry; the frames encoded before it are still written.
+func (st *Store) AppendEntries(es []tracer.Entry) error {
 	if len(es) == 0 {
 		return nil
 	}
-	start := time.Now()
-	p := &st.pipe
-	p.mu.Lock()
-	for len(p.buf) >= maxStagedBytes && p.err == nil && !p.closed {
-		p.cond.Wait()
-	}
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	if p.err != nil {
-		err := p.err
-		p.mu.Unlock()
+	if err := st.WriteErr(); err != nil {
 		return err
 	}
+	start := time.Now()
+	st.maint.waitBelow(maxSealBacklog)
+	fb := framePool.Get().(*frameBuf)
+	buf, metas := fb.buf[:0], fb.metas[:0]
 	var encErr error
-	staged := 0
 	for i := range es {
+		off := len(buf)
 		var err error
-		if p.buf, err = encodeFrame(p.buf, &es[i]); err != nil {
+		if buf, err = encodeFrame(buf, &es[i]); err != nil {
 			encErr = err
 			break
 		}
-		p.metas = append(p.metas, stagedEntry{
+		metas = append(metas, stagedEntry{
 			stamp: es[i].Stamp,
 			ts:    es[i].TS,
-			size:  uint32(FrameSize(&es[i])),
+			size:  uint32(len(buf) - off),
 			core:  es[i].Core,
 			cat:   es[i].Category,
 		})
-		staged++
 	}
-	if staged == 0 {
-		p.mu.Unlock()
+	fb.buf, fb.metas = buf, metas
+	if len(metas) == 0 {
+		framePool.Put(fb)
 		return encErr
 	}
-	p.staged++
-	t := p.staged
-	st.obs.stagedBytes.Set(int64(len(p.buf)))
-	p.wcond.Signal()
-	var err error
-	for p.written < t && p.err == nil {
-		p.cond.Wait()
+	st.mu.Lock()
+	err := st.WriteErr()
+	if err == nil {
+		if err = st.writeLocked(buf, metas); err != nil {
+			st.fail(err)
+		}
 	}
-	if p.written < t {
-		err = p.err
+	st.mu.Unlock()
+	framePool.Put(fb)
+	if err == nil && st.cfg.CommitEvery > 0 && st.commitArmed.CompareAndSwap(false, true) {
+		time.AfterFunc(st.cfg.CommitEvery, st.commitTick)
 	}
-	p.mu.Unlock()
 	elapsed := uint64(time.Since(start))
 	st.obs.appendNs.Observe(elapsed)
 	// The pressure EWMA normalizes per event: the overload gate's append
 	// budget is per event, and a call's latency grows with its batch
 	// size — one large AppendEntries is throughput, not overload.
-	if n := uint64(len(es)); n > 0 {
-		per := elapsed / n
-		if per == 0 {
-			per = 1
-		}
-		st.ewmaAppend.observe(per)
+	per := elapsed / uint64(len(es))
+	if per == 0 {
+		per = 1
 	}
+	st.ewmaAppend.observe(per)
 	st.obs.batchEvents.Observe(uint64(len(es)))
 	if encErr != nil {
 		return encErr
@@ -224,172 +192,49 @@ func (m *maintenance) firstErr() error {
 	return m.err
 }
 
-// startPipeline wires the condition variables and launches the writer
-// and maintenance goroutines. Called by Open after the directory lock
-// is held and before recovery (the goroutines idle until work arrives,
-// so recovery's lock-free segment mutation cannot race them).
-func (st *Store) startPipeline() {
-	st.pipe.cond.L = &st.pipe.mu
-	st.pipe.wcond.L = &st.pipe.mu
-	st.maint.cond.L = &st.maint.mu
-	st.writerWG.Add(1)
-	st.maintWG.Add(1)
-	go st.writerLoop()
-	go st.maintLoop()
-}
+// fail latches err as the write path's sticky error; the first one wins.
+func (st *Store) fail(err error) { st.werr.CompareAndSwap(nil, &err) }
 
-// hasWorkLocked reports whether the writer has anything to do. Called
-// with pipe.mu held.
-func (st *Store) hasWorkLocked() bool {
-	p := &st.pipe
-	return len(p.metas) > 0 || p.sealsDone < p.sealReqs || st.wantSyncLocked()
-}
-
-// wantSyncLocked reports whether a group commit should run now. Called
-// with pipe.mu held, only considered once the staging arena is drained.
-func (st *Store) wantSyncLocked() bool {
-	p := &st.pipe
-	if p.err != nil {
-		return false
+// commit makes every byte written so far durable: it waits out in-flight
+// seal finalizations, fsyncs the sealed files parked since the last
+// commit, then the active file. commitMu serializes commits, so no
+// commit returns while another still holds files parked before it.
+func (st *Store) commit() error {
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	if err := st.WriteErr(); err != nil {
+		return err
 	}
-	if p.forceSync || p.flushNow {
-		return true
-	}
-	return p.syncWant > p.synced
-}
-
-// writerLoop drains the staging arena, executes rotation requests and
-// runs group commits, in that priority order (a commit only runs once
-// everything staged before it has been applied, which is what lets a
-// single fsync cover every waiter's ticket).
-func (st *Store) writerLoop() {
-	defer st.writerWG.Done()
-	p := &st.pipe
-	p.mu.Lock()
-	for {
-		for !p.closed && !st.hasWorkLocked() {
-			p.wcond.Wait()
-		}
-		if p.err != nil {
-			// Dead write path: drop staged work so waiters fail fast
-			// rather than queueing behind a disk that is gone.
-			p.buf, p.metas = p.buf[:0], p.metas[:0]
-			p.sealsDone = p.sealReqs
-			p.forceSync, p.flushNow = false, false
-			p.cond.Broadcast()
-			if p.closed {
-				p.mu.Unlock()
-				return
-			}
-			p.wcond.Wait()
-			continue
-		}
-		if len(p.metas) > 0 {
-			buf, metas, t := p.buf, p.metas, p.staged
-			p.buf, p.metas = p.spareBuf[:0], p.spareMetas[:0]
-			st.obs.stagedBytes.Set(0)
-			p.cond.Broadcast() // arena empty again: unblock backpressured producers
-			p.mu.Unlock()
-			// Throttle on the seal backlog with no locks held; the
-			// maintenance goroutine needs st.mu to make progress.
-			st.maint.waitBelow(maxSealBacklog)
-			err := st.writeChunk(buf, metas)
-			p.mu.Lock()
-			p.spareBuf, p.spareMetas = buf, metas
-			if err != nil {
-				if p.err == nil {
-					p.err = err
-				}
-			} else {
-				p.written = t
-				p.unsynced += int64(len(buf))
-				if st.cfg.CommitEvery > 0 && !p.timerArmed {
-					p.timerArmed = true
-					time.AfterFunc(st.cfg.CommitEvery, st.commitTick)
-				}
-			}
-			p.cond.Broadcast()
-			continue
-		}
-		if p.sealsDone < p.sealReqs {
-			p.mu.Unlock()
-			st.mu.Lock()
-			err := st.rotateActiveLocked()
-			st.publishObsLocked()
-			st.mu.Unlock()
-			p.mu.Lock()
-			if err != nil && p.err == nil {
-				p.err = err
-			}
-			p.sealsDone++
-			p.cond.Broadcast()
-			continue
-		}
-		if st.wantSyncLocked() {
-			w := p.written
-			p.forceSync, p.flushNow = false, false
-			p.unsynced = 0
-			p.mu.Unlock()
-			// The commit must cover every byte applied so far: wait for
-			// in-flight seal finalizations, fsync the sealed files parked
-			// since the last window, then the active remainder with one
-			// fsync here.
-			st.maint.waitIdle()
-			err := st.drainParked()
-			if serr := st.syncActiveFile(); err == nil {
-				err = serr
-			}
-			if merr := st.maint.firstErr(); err == nil {
-				err = merr
-			}
-			st.obs.groupCommits.Add(1)
-			p.mu.Lock()
-			if err != nil && p.err == nil {
-				p.err = err
-			}
-			if p.synced < w {
-				p.synced = w
-			}
-			p.cond.Broadcast()
-			continue
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return
+	st.maint.waitIdle()
+	err := st.drainParked()
+	st.mu.Lock()
+	if st.active != nil {
+		if serr := st.syncActive(); err == nil {
+			err = serr
 		}
 	}
+	st.mu.Unlock()
+	if merr := st.maint.firstErr(); err == nil {
+		err = merr
+	}
+	st.obs.groupCommits.Add(1)
+	if err != nil {
+		st.fail(err)
+	}
+	return err
 }
 
-// commitTick is the CommitEvery timer callback: request a commit if
-// bytes accumulated since the last one.
+// commitTick is the CommitEvery timer callback, armed by the first
+// write after the previous tick.
 func (st *Store) commitTick() {
-	p := &st.pipe
-	p.mu.Lock()
-	p.timerArmed = false
-	if p.unsynced > 0 && !p.closed && p.err == nil {
-		p.flushNow = true
-		p.wcond.Signal()
-	}
-	p.mu.Unlock()
+	st.commitArmed.Store(false)
+	st.commit() // a failure is sticky: the next append returns it
 }
 
-// syncActiveFile fsyncs the active segment (if any) under st.mu.
-func (st *Store) syncActiveFile() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.active == nil {
-		return nil
-	}
-	return st.syncActive()
-}
-
-// writeChunk applies one drained staging arena to the segment files:
+// writeLocked writes one append's encoded frames to the segment files:
 // the longest run of frames that fits the active segment goes out in a
-// single WriteAt (the vectored write), rotating between runs exactly
-// like the historical locked append path did.
-func (st *Store) writeChunk(buf []byte, metas []stagedEntry) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// single WriteAt, rotating between runs. Called with st.mu held.
+func (st *Store) writeLocked(buf []byte, metas []stagedEntry) error {
 	pos := 0
 	for i := 0; i < len(metas); {
 		seg := st.activeSeg()
@@ -414,9 +259,7 @@ func (st *Store) writeChunk(buf []byte, metas []stagedEntry) error {
 		}
 		if runBytes == 0 {
 			// Nothing fit: rotate and retry the same frame.
-			if err := st.rotateActiveLocked(); err != nil {
-				return err
-			}
+			st.rotateActiveLocked()
 			continue
 		}
 		n, err := st.active.WriteAt(buf[pos:pos+runBytes], seg.size)
@@ -444,9 +287,7 @@ func (st *Store) writeChunk(buf []byte, metas []stagedEntry) error {
 		seg.size = off
 		seg.rawSize = off
 		if seg.size >= st.cfg.SegmentBytes {
-			if err := st.rotateActiveLocked(); err != nil {
-				return err
-			}
+			st.rotateActiveLocked()
 		}
 	}
 	st.publishObsLocked()
@@ -457,17 +298,16 @@ func (st *Store) writeChunk(buf []byte, metas []stagedEntry) error {
 // mark it sealed (it will never grow again, and cursors may treat its
 // size as final) and hand the header rewrite + fsync + close + retention
 // to the maintenance goroutine. Called with st.mu held.
-func (st *Store) rotateActiveLocked() error {
+func (st *Store) rotateActiveLocked() {
 	seg := st.activeSeg()
 	if seg == nil {
-		return nil
+		return
 	}
 	f := st.active
 	st.active = nil
 	seg.sealed = true
 	st.stats.Seals++
 	st.maint.enqueue(sealJob{seg: seg, f: f})
-	return nil
 }
 
 // maintLoop finalizes rotated segments off the append path.
@@ -523,10 +363,10 @@ func (st *Store) finalizeSeal(j sealJob) error {
 	}
 	if st.cfg.CommitEvery > 0 {
 		// A commit timer is running: fsync the sealed file here, off the
-		// writer's critical path, so commit windows find it already
-		// durable instead of paying the fsync serially. Without one its
-		// fsync is parked until a commit window (Sync, Seal, Close) or the
-		// maxParkedSeals cap asks for durability.
+		// append path, so commit windows find it already durable instead
+		// of paying the fsync serially. Without one its fsync is parked
+		// until a commit window (Sync, Seal, Close) or the maxParkedSeals
+		// cap asks for durability.
 		start := time.Now()
 		serr := j.f.Sync()
 		st.noteFsync(uint64(time.Since(start)))
@@ -587,8 +427,8 @@ func (st *Store) drainParked() error {
 }
 
 // stopMaintenance drains the maintenance queue and joins the goroutine.
-// Must only be called after the writer goroutine has exited (nothing
-// may enqueue concurrently).
+// Must only be called once the store is marked closed (nothing may
+// enqueue concurrently).
 func (st *Store) stopMaintenance() {
 	m := &st.maint
 	m.mu.Lock()

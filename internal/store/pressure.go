@@ -61,38 +61,28 @@ func (st *Store) noteFsync(d uint64) {
 }
 
 // Pressure reports the write path's current backpressure signals:
-// recent append and fsync latency averages, the staging arena's fill
-// fraction, and whether the write path has failed sticky. It is cheap
-// enough to call once per collector step.
+// recent append and fsync latency averages, and whether the write path
+// has failed sticky (or the store is closed). It takes no lock, so it
+// is cheap enough to call once per collector step and never waits on a
+// write or an fsync.
 func (st *Store) Pressure() overload.StorePressure {
-	p := &st.pipe
-	p.mu.Lock()
-	fill := float64(len(p.buf)) / maxStagedBytes
-	failed := p.err != nil || p.closed
-	p.mu.Unlock()
-	if fill > 1 {
-		fill = 1
-	}
 	return overload.StorePressure{
-		AppendNs:   st.ewmaAppend.load(),
-		FsyncNs:    st.ewmaFsync.load(),
-		StagedFill: fill,
-		Failed:     failed,
+		AppendNs: st.ewmaAppend.load(),
+		FsyncNs:  st.ewmaFsync.load(),
+		Failed:   st.WriteErr() != nil,
 	}
 }
 
 // WriteErr peeks the write path's sticky error without appending — the
 // error the next append would return: non-nil means every later append
 // will fail until the store is reopened (ErrClosed once the store is
-// closed, whatever failed before). Consumers that stage asynchronous
-// appends use it to learn the path is dead before — or instead of — the
-// next append's error.
+// closed, whatever failed before). It takes no lock.
 func (st *Store) WriteErr() error {
-	p := &st.pipe
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
+	if st.closed.Load() {
 		return ErrClosed
 	}
-	return p.err
+	if p := st.werr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }

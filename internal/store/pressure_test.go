@@ -13,7 +13,7 @@ func TestPressureAndWriteErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := st.Pressure(); p.Failed || p.StagedFill != 0 || p.AppendNs != 0 {
+	if p := st.Pressure(); p.Failed || p.AppendNs != 0 || p.FsyncNs != 0 {
 		t.Fatalf("fresh store pressure: %+v", p)
 	}
 	if err := st.WriteErr(); err != nil {
@@ -113,7 +113,7 @@ func TestPressureAppendLatencyPerEvent(t *testing.T) {
 	if p.AppendNs == 0 {
 		t.Fatalf("append latency EWMA not updated: %+v", p)
 	}
-	// Per-event staging cost is well under 100µs even on a slow CI
+	// Per-event append cost is well under 100µs even on a slow CI
 	// runner; the whole-batch latency (the old, wrong sample) is
 	// milliseconds for 8k events.
 	if p.AppendNs > 100_000 {

@@ -126,7 +126,7 @@ type rowSink interface {
 
 // segSnap is the immutable snapshot of one segment a scan runs against,
 // taken under st.mu. A scan only ever touches the snapshot, never the
-// live *segment (which the writer goroutine keeps mutating).
+// live *segment (which appends keep mutating).
 type segSnap struct {
 	name string
 	// start/bound are byte offsets for row segments, block indices for

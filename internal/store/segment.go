@@ -64,7 +64,7 @@ type segmentMeta struct {
 }
 
 // observe folds one record into the summary: the one metadata rule of
-// the writer, the cold writer and recovery.
+// the append path, the cold writer and recovery.
 func (m *segmentMeta) observe(stamp, ts uint64, core, cat uint8) {
 	if m.count == 0 {
 		m.baseStamp, m.maxStamp = stamp, stamp

@@ -33,6 +33,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"btrace/internal/obs"
@@ -59,10 +60,13 @@ type Config struct {
 	// newest timestamp trails the store's newest timestamp by more than
 	// this are deleted (0 = unlimited).
 	MaxAgeNs uint64
-	// CommitEvery bounds how long applied-but-unsynced bytes may sit
-	// before a group commit fsyncs them. With 0 there is no timer, and
-	// the durability point is the seal (rotation) or a Sync call,
-	// matching the paper's dump-then-analyze workflow.
+	// CommitEvery bounds how long written-but-unsynced bytes may sit
+	// before a commit fsyncs them; each rotated segment is then fsynced
+	// as it is finalized. With 0 there is no timer: nothing is durable
+	// until a Sync, Seal or Close, except that once more than
+	// maxParkedSeals rotated segments await their fsync the maintenance
+	// goroutine fsyncs them (never the active segment) — the paper's
+	// dump-then-analyze workflow.
 	CommitEvery time.Duration
 
 	// Backend overrides the storage backend. nil selects the local
@@ -148,21 +152,29 @@ type Stats struct {
 }
 
 // Store is a segmented trace store over a backend. All methods are safe
-// for concurrent use. Appends stage into an in-memory arena drained by a
-// dedicated writer goroutine; seal fsyncs and retention run on a
-// maintenance goroutine (see pipeline.go); tier transitions run on the
-// optional compactor goroutine (see compactor.go).
+// for concurrent use. An appender writes its own batch; seal fsyncs and
+// retention run on a maintenance goroutine (see pipeline.go); tier
+// transitions run on the optional compactor goroutine (see
+// compactor.go).
 type Store struct {
 	be  backend.Backend
 	loc string
 	cfg Config
 
-	// pipe and maint are the write pipeline's two queues; writerWG and
-	// maintWG join their goroutines at Close.
-	pipe     pipeline
-	maint    maintenance
-	writerWG sync.WaitGroup
-	maintWG  sync.WaitGroup
+	// maint is the seal finalization queue; maintWG joins its goroutine
+	// at Close.
+	maint   maintenance
+	maintWG sync.WaitGroup
+
+	// commitMu serializes commits (see commit). commitArmed is set while
+	// a CommitEvery timer is pending.
+	commitMu    sync.Mutex
+	commitArmed atomic.Bool
+	// werr is the write path's sticky error, nil until a write or a
+	// commit fails. closed is set, under mu, when Close begins. Both are
+	// read without a lock (WriteErr, Pressure).
+	werr   atomic.Pointer[error]
+	closed atomic.Bool
 
 	// compactStop/compactWG manage the background compactor goroutine
 	// (nil channel = not running); compactOnce makes stopping idempotent.
@@ -191,7 +203,6 @@ type Store struct {
 	// commit window (drainParked); bounded by maxParkedSeals.
 	parked  []parkedSeal
 	nextSeq uint64
-	closed  bool
 	// stats is the one home of the counts kept under mu; public mutating
 	// operations publish a copy to obs on exit (see obs.go).
 	stats Stats
@@ -235,10 +246,12 @@ func OpenBackend(be backend.Backend, cfg Config) (*Store, error) {
 	if st.lock, err = be.Lock(); err != nil {
 		return nil, err
 	}
-	// The pipeline goroutines idle until the first append/seal request,
-	// so starting them before recovery is safe — and it lets every error
-	// path below clean up through the one Close implementation.
-	st.startPipeline()
+	// The maintenance goroutine idles until the first rotation, so
+	// starting it before recovery is safe — and it lets every error path
+	// below clean up through the one Close implementation.
+	st.maint.cond.L = &st.maint.mu
+	st.maintWG.Add(1)
+	go st.maintLoop()
 	names, err := be.List("")
 	if err != nil {
 		st.Close()
@@ -519,18 +532,10 @@ func (st *Store) activeSeg() *segment {
 	return nil
 }
 
-// Append stages one event. The write is visible to cursors as soon as
-// Append returns; it is durable at the next seal, Sync, or CommitEvery
-// window.
+// Append appends one event. The write is visible to cursors as soon as
+// Append returns; it is durable at the next commit (see AppendEntries).
 func (st *Store) Append(e *tracer.Entry) error {
-	return st.appendPipelined([]tracer.Entry{*e})
-}
-
-// AppendEntries stages a batch of events; the writer goroutine drains
-// it with one write per segment stretch — the bulk path the ingest
-// paths and the replay dump use.
-func (st *Store) AppendEntries(es []tracer.Entry) error {
-	return st.appendPipelined(es)
+	return st.AppendEntries([]tracer.Entry{*e})
 }
 
 // newSegmentLocked creates and activates a fresh segment file.
@@ -591,94 +596,47 @@ func (st *Store) retireOldestLocked() {
 	st.stats.EventsRetired += s.meta.count
 }
 
-// Sync makes every previously staged append durable: it drains the
-// staging arena, forces a group commit (seal fsyncs included), and
-// waits for the maintenance queue — on return, all prior appends are
-// fsynced and retention is up to date.
-func (st *Store) Sync() error {
-	p := &st.pipe
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	t := p.staged
-	if p.syncWant < t {
-		p.syncWant = t
-	}
-	p.forceSync = true
-	p.wcond.Signal()
-	for (p.written < t || p.synced < t || p.forceSync) && p.err == nil {
-		p.cond.Wait()
-	}
-	err := p.err
-	p.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	st.maint.waitIdle()
-	if err := st.drainParked(); err != nil {
-		return err
-	}
-	return st.maint.firstErr()
-}
+// Sync makes every previous append durable: on return all of them,
+// and every segment sealed before, are fsynced, and retention is up to
+// date.
+func (st *Store) Sync() error { return st.commit() }
 
 // Seal seals the active segment (if any), making the store's entire
-// contents durable and immutable until the next append. It drains the
-// staging arena and the maintenance queue before returning.
+// contents durable and immutable until the next append.
 func (st *Store) Seal() error {
-	p := &st.pipe
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
+	st.mu.Lock()
+	err := st.WriteErr()
+	if err == nil {
+		st.rotateActiveLocked()
+		st.publishObsLocked()
 	}
-	t := p.staged
-	p.sealReqs++
-	want := p.sealReqs
-	p.wcond.Signal()
-	for (p.written < t || p.sealsDone < want) && p.err == nil {
-		p.cond.Wait()
-	}
-	err := p.err
-	p.mu.Unlock()
+	st.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	st.maint.waitIdle()
-	if err := st.drainParked(); err != nil {
-		return err
-	}
-	return st.maint.firstErr()
+	return st.commit()
 }
 
-// Close drains the pipeline, seals the active segment and closes the
-// store. Cursors opened before Close keep working over the sealed files
-// until their own Close.
+// Close seals the active segment, makes everything durable and closes
+// the store. An append that has not taken st.mu when Close does fails
+// with ErrClosed. Cursors opened before Close keep working over the
+// sealed files until their own Close.
 func (st *Store) Close() error {
 	st.stopCompactor() // no tier transition may straddle shutdown
-	p := &st.pipe
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	st.mu.Lock()
+	if st.closed.Load() {
+		st.mu.Unlock()
 		return nil
 	}
-	p.closed = true
-	p.wcond.Signal()
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	st.writerWG.Wait() // drains everything staged before it exits
-
-	st.mu.Lock()
-	rerr := st.rotateActiveLocked()
+	st.closed.Store(true)
+	st.rotateActiveLocked()
 	st.mu.Unlock()
-	st.stopMaintenance() // finalizes the last seal, joins the goroutine
-	if derr := st.drainParked(); rerr == nil {
-		rerr = derr // clean Close leaves everything durable
-	}
+	st.stopMaintenance()    // finalizes the last seal, joins the goroutine
+	st.commitMu.Lock()      // wait out a commit that is still draining
+	err := st.drainParked() // clean Close leaves everything durable
+	st.commitMu.Unlock()
 
 	st.mu.Lock()
-	st.closed = true
 	if st.lock != nil {
 		st.lock.Close() // releases the backend store lock
 		st.lock = nil
@@ -690,12 +648,9 @@ func (st *Store) Close() error {
 	st.mu.Unlock()
 	obs.Default().Fold(st.obsID)
 
-	err := rerr
-	p.mu.Lock()
-	if err == nil {
-		err = p.err
+	if p := st.werr.Load(); err == nil && p != nil {
+		err = *p
 	}
-	p.mu.Unlock()
 	if err == nil {
 		err = st.maint.firstErr()
 	}
