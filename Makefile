@@ -35,10 +35,12 @@ race:
 # The store's parallel-cursor stress test under the race detector:
 # concurrent appenders, parallel cursors (full passes reopened back to
 # back, and partial drains ending in Close) and retention all racing
-# mid-scan; and appenders racing Close, each batch all or nothing.
+# mid-scan; appenders racing Close, each batch all or nothing; and
+# commits racing rotations: Sync and Seal cover every segment rotated
+# before them, and a free-running appender cannot hold a Sync off.
 # -short keeps a double run CI-sized.
 race-stress:
-	$(GO) test -race -short -count 2 -run 'TestStoreParallelStress|TestAppendRacingClose' ./internal/store
+	$(GO) test -race -short -count 2 -run 'TestStoreParallelStress|TestAppendRacingClose|TestSyncCoversConcurrentRotations|TestCommitNotHeldOffByAppends' ./internal/store
 
 tier1: build fmt vet test race
 

@@ -290,19 +290,29 @@ func quorum(rf int) int { return rf/2 + 1 }
 
 // deliverRound delivers the round's non-empty sub-batches in parallel,
 // credits every applied one to its events' ack counts, and returns how
-// many applied.
+// many applied. The last delivery runs on the caller's goroutine: a
+// delivery encodes and writes on whatever goroutine runs it, and the
+// caller's stack has usually grown to that depth already, where a fresh
+// goroutine's must grow at the write.
 func (d *Distributor) deliverRound(targets []Shard, f *fanout) int {
 	var wg sync.WaitGroup
+	last := -1
 	for si := range targets {
 		f.applied[si] = false
 		if len(f.sub[si]) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f.applied[si] = d.deliver(targets[si], f.sub[si]) == nil
-		}()
+		if prev := last; prev >= 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f.applied[prev] = d.deliver(targets[prev], f.sub[prev]) == nil
+			}()
+		}
+		last = si
+	}
+	if last >= 0 {
+		f.applied[last] = d.deliver(targets[last], f.sub[last]) == nil
 	}
 	wg.Wait()
 	applied := 0

@@ -71,13 +71,12 @@ func BenchmarkStoreAppendConcurrent(b *testing.B) {
 	}
 	const parallelism = 8 // >= 8 goroutines even at GOMAXPROCS=1
 	appenders := parallelism * runtime.GOMAXPROCS(0)
-	// Each appender's batch, and the frame buffer each holds while it
-	// waits for the store lock, exist before the timed loop, as in a
-	// steady state: what is timed is the appends alone.
+	// Each appender's batch is built before the timed loop. The frame
+	// buffers are not: each appender's first append allocates one, and
+	// b.N amortizes it.
 	batches := make([][]tracer.Entry, appenders)
 	for g := range batches {
 		batches[g] = benchEntries(batch)
-		framePool.Put(framePool.New())
 	}
 	b.SetBytes(int64(batch * FrameSize(&batches[0][0])))
 	b.ReportAllocs()

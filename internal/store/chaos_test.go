@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -394,6 +395,220 @@ func TestAppendFailureIsSticky(t *testing.T) {
 		}
 		checkSticky(t, st, be, 2, errSyncInjected)
 	})
+}
+
+// syncLog is an object backend that stamps every write and fsync with
+// one logical clock, per file: lastWrite is the clock of the file's
+// latest WriteAt or Truncate, synced the clock at which its latest
+// completed Sync began (a Sync covers every write completed before it).
+type syncLog struct {
+	*backend.Object
+	mu        sync.Mutex
+	clock     uint64
+	lastWrite map[string]uint64
+	synced    map[string]uint64
+}
+
+func newSyncLog() *syncLog {
+	return &syncLog{Object: backend.NewObject(), lastWrite: map[string]uint64{}, synced: map[string]uint64{}}
+}
+
+func (b *syncLog) Create(name string, pre int64) (backend.File, error) {
+	f, err := b.Object.Create(name, pre)
+	if err != nil {
+		return nil, err
+	}
+	return &syncLogFile{File: f, b: b, name: name}, nil
+}
+
+func (b *syncLog) wrote(name string) {
+	b.mu.Lock()
+	b.clock++
+	b.lastWrite[name] = b.clock
+	b.mu.Unlock()
+}
+
+// written returns each file's lastWrite as of now.
+func (b *syncLog) written() map[string]uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return maps.Clone(b.lastWrite)
+}
+
+// unsynced names a file of before whose write there has no Sync covered
+// yet, or returns "".
+func (b *syncLog) unsynced(before map[string]uint64) string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for name, w := range before {
+		if b.synced[name] < w {
+			return fmt.Sprintf("%s (written at %d, synced at %d)", name, w, b.synced[name])
+		}
+	}
+	return ""
+}
+
+type syncLogFile struct {
+	backend.File
+	b    *syncLog
+	name string
+}
+
+func (f *syncLogFile) WriteAt(p []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(p, off)
+	f.b.wrote(f.name)
+	return n, err
+}
+
+func (f *syncLogFile) Truncate(size int64) error {
+	err := f.File.Truncate(size)
+	f.b.wrote(f.name)
+	return err
+}
+
+func (f *syncLogFile) Sync() error {
+	f.b.mu.Lock()
+	f.b.clock++
+	begin := f.b.clock
+	f.b.mu.Unlock()
+	err := f.File.Sync()
+	time.Sleep(20 * time.Microsecond) // an fsync takes a while; appends go on
+	f.b.mu.Lock()
+	f.b.synced[f.name] = max(f.b.synced[f.name], begin)
+	f.b.mu.Unlock()
+	return err
+}
+
+// TestSyncCoversConcurrentRotations holds Sync and Seal to their promise
+// while an appender keeps rotating 4 KiB segments under them: when
+// either returns, every file that held bytes written before the call
+// has been fsynced since those bytes — the active file, and every
+// segment rotated out before or during the commit, parked or not.
+func TestSyncCoversConcurrentRotations(t *testing.T) {
+	for _, every := range []time.Duration{0, time.Hour} {
+		t.Run(fmt.Sprintf("CommitEvery=%v", every), func(t *testing.T) {
+			be := newSyncLog()
+			st, err := Open("", Config{Backend: be, SegmentBytes: 4 << 10, CommitEvery: every})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			// Each token lets the appender write one 16-event batch; a
+			// 4 KiB segment holds about six.
+			tokens := make(chan struct{}, 64)
+			appendErr := make(chan error, 1)
+			go func() {
+				es := make([]tracer.Entry, 16)
+				stamp := uint64(1)
+				for range tokens {
+					for i := range es {
+						es[i] = mkEntry(stamp)
+						stamp++
+					}
+					if err := st.AppendEntries(es); err != nil {
+						appendErr <- err
+						return
+					}
+				}
+				appendErr <- nil
+			}()
+			rounds := 300
+			if testing.Short() {
+				rounds = 100
+			}
+			for i := 0; i < rounds; i++ {
+				// About two rotations' worth of batches, written while the
+				// commit below runs.
+				for range 12 {
+					tokens <- struct{}{}
+				}
+				before := be.written()
+				call, commit := "Sync", st.Sync
+				if i%4 == 3 {
+					call, commit = "Seal", st.Seal
+				}
+				if err := commit(); err != nil {
+					t.Fatalf("round %d: %s: %v", i, call, err)
+				}
+				if f := be.unsynced(before); f != "" {
+					t.Fatalf("round %d: %s returned with %s not fsynced", i, call, f)
+				}
+			}
+			close(tokens)
+			if err := <-appendErr; err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d rotations over %d commits", st.Stats().Seals, rounds)
+		})
+	}
+}
+
+// TestCommitNotHeldOffByAppends: a commit waits only for the rotations
+// that precede it. With the appender running free, 4 KiB segments and
+// each sealed file's fsync taking a while, the seal queue never runs
+// dry, yet every Sync returns.
+func TestCommitNotHeldOffByAppends(t *testing.T) {
+	be := newSyncLog()
+	st, err := Open("", Config{Backend: be, SegmentBytes: 4 << 10, CommitEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	stop := make(chan struct{})
+	appendErr := make(chan error, 1)
+	go func() {
+		es := make([]tracer.Entry, 16)
+		for stamp := uint64(1); ; {
+			select {
+			case <-stop:
+				appendErr <- nil
+				return
+			default:
+			}
+			for i := range es {
+				es[i] = mkEntry(stamp)
+				stamp++
+			}
+			if err := st.AppendEntries(es); err != nil {
+				appendErr <- err
+				return
+			}
+		}
+	}()
+	// Start once the seal queue is half full.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st.maint.mu.Lock()
+		backlog := st.maint.enqueued - st.maint.finalized
+		st.maint.mu.Unlock()
+		if backlog >= maxSealBacklog/2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("seal backlog stayed at %d", backlog)
+		}
+	}
+	synced := make(chan error)
+	go func() {
+		for range 20 {
+			if err := st.Sync(); err != nil {
+				synced <- err
+				return
+			}
+		}
+		synced <- nil
+	}()
+	select {
+	case err := <-synced:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("20 Syncs did not return in 30 s under a free-running appender")
+	}
+	close(stop)
+	if err := <-appendErr; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAppendRacingClose: appends racing Close are each all or nothing.

@@ -15,14 +15,15 @@
 // so a store with no durability demand pays no fsync at all in steady
 // state.
 //
-// A failed write or commit latches a sticky error: every later append,
-// Sync and Seal returns it. WriteErr and Pressure read it, and closed,
-// through atomics, so neither ever waits on a write or an fsync.
+// A failed write, commit or seal finalization latches a sticky error:
+// every later append, Sync and Seal returns it. WriteErr and Pressure
+// read it, and closed, through atomics, so neither ever waits on a
+// write or an fsync.
 //
-// Lock order: commitMu → maint.mu, commitMu → st.mu, st.mu → maint.mu
-// (rotateActiveLocked enqueues). The maintenance loop releases maint.mu
-// before taking st.mu, and an appender waits on the seal backlog with
-// no lock held, so there is no cycle.
+// Lock order: commitMu → drainMu → st.mu → maint.mu (rotateActiveLocked
+// enqueues; commit reads the rotation count). The maintenance loop
+// releases maint.mu before it takes drainMu or st.mu, and an appender
+// waits on the seal backlog with no lock held, so there is no cycle.
 package store
 
 import (
@@ -150,78 +151,91 @@ type sealJob struct {
 	f   backend.File
 }
 
-// maintenance is the background seal/retention worker's queue.
+// maintenance is the background seal/retention worker's queue. Jobs
+// finish in the order they were enqueued, so finalized >= n means the
+// first n rotations are finalized.
 type maintenance struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	queue   []sealJob
-	pending int // queued jobs plus the one mid-finalize
-	err     error
-	stopped bool
+	mu        sync.Mutex
+	cond      sync.Cond
+	queue     []sealJob
+	enqueued  uint64 // rotations ever handed over
+	finalized uint64 // of those, the ones finalized
+	stopped   bool
 }
 
 func (m *maintenance) enqueue(j sealJob) {
 	m.mu.Lock()
 	m.queue = append(m.queue, j)
-	m.pending++
+	m.enqueued++
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
-// waitIdle blocks until every enqueued seal has been finalized.
-func (m *maintenance) waitIdle() {
-	m.mu.Lock()
-	for m.pending > 0 {
-		m.cond.Wait()
-	}
-	m.mu.Unlock()
-}
-
-// waitBelow blocks until the backlog is under n jobs.
-func (m *maintenance) waitBelow(n int) {
-	m.mu.Lock()
-	for m.pending >= n {
-		m.cond.Wait()
-	}
-	m.mu.Unlock()
-}
-
-func (m *maintenance) firstErr() error {
+// rotations returns how many rotations have been enqueued so far.
+func (m *maintenance) rotations() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.err
+	return m.enqueued
+}
+
+// waitFinalized blocks until the first n rotations are finalized.
+func (m *maintenance) waitFinalized(n uint64) {
+	m.mu.Lock()
+	for m.finalized < n {
+		m.cond.Wait()
+	}
+	m.mu.Unlock()
+}
+
+// waitIdle blocks until every enqueued seal has been finalized.
+func (m *maintenance) waitIdle() { m.waitFinalized(m.rotations()) }
+
+// waitBelow blocks until the backlog is under n jobs.
+func (m *maintenance) waitBelow(n uint64) {
+	m.mu.Lock()
+	for m.enqueued-m.finalized >= n {
+		m.cond.Wait()
+	}
+	m.mu.Unlock()
 }
 
 // fail latches err as the write path's sticky error; the first one wins.
 func (st *Store) fail(err error) { st.werr.CompareAndSwap(nil, &err) }
 
-// commit makes every byte written so far durable: it waits out in-flight
-// seal finalizations, fsyncs the sealed files parked since the last
-// commit, then the active file. commitMu serializes commits, so no
-// commit returns while another still holds files parked before it.
+// commit makes every byte written before it began durable. Under st.mu
+// it fsyncs the active file and notes how many rotations precede it:
+// every earlier byte is then in that file or in a segment rotated out
+// before, so the commit waits for those rotations' finalizations (each
+// fsyncs or parks its file) and drains the parked files. Rotations
+// after that point are the next commit's, so a steady stream of appends
+// cannot hold a commit off. commitMu serializes commits.
 func (st *Store) commit() error {
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
 	if err := st.WriteErr(); err != nil {
 		return err
 	}
-	st.maint.waitIdle()
-	err := st.drainParked()
+	var err error
 	st.mu.Lock()
 	if st.active != nil {
-		if serr := st.syncActive(); err == nil {
-			err = serr
-		}
+		err = st.syncActive()
 	}
+	rotated := st.maint.rotations()
 	st.mu.Unlock()
-	if merr := st.maint.firstErr(); err == nil {
-		err = merr
+	st.maint.waitFinalized(rotated)
+	if derr := st.drainParked(); err == nil {
+		err = derr
 	}
 	st.obs.groupCommits.Add(1)
 	if err != nil {
 		st.fail(err)
 	}
-	return err
+	// A failed finalization or drain on the maintenance goroutine is
+	// latched before it counts as done, so it is seen here.
+	if p := st.werr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // commitTick is the CommitEvery timer callback, armed by the first
@@ -326,12 +340,11 @@ func (st *Store) maintLoop() {
 		job := m.queue[0]
 		m.queue = m.queue[1:]
 		m.mu.Unlock()
-		err := st.finalizeSeal(job)
-		m.mu.Lock()
-		m.pending--
-		if err != nil && m.err == nil {
-			m.err = err
+		if err := st.finalizeSeal(job); err != nil {
+			st.fail(err)
 		}
+		m.mu.Lock()
+		m.finalized++
 		m.cond.Broadcast()
 	}
 }
@@ -397,10 +410,14 @@ func (st *Store) finalizeSeal(j sealJob) error {
 }
 
 // drainParked fsyncs and closes every sealed file parked since the last
-// commit window. Retired segments (deleted by retention) are
-// closed without the fsync — their data is gone. Callers may race; the
-// snapshot-and-clear under st.mu hands each file to exactly one drainer.
+// commit window. Retired segments (deleted by retention) are closed
+// without the fsync — their data is gone. drainMu serializes drainers,
+// so when it returns every file parked before the call is fsynced, even
+// one a racing drainer took; a failure is latched before drainMu is
+// released.
 func (st *Store) drainParked() error {
+	st.drainMu.Lock()
+	defer st.drainMu.Unlock()
 	st.mu.Lock()
 	parked := st.parked
 	st.parked = nil
@@ -422,6 +439,9 @@ func (st *Store) drainParked() error {
 		if cerr := ps.f.Close(); err == nil {
 			err = cerr
 		}
+	}
+	if err != nil {
+		st.fail(err)
 	}
 	return err
 }

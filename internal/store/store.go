@@ -166,13 +166,15 @@ type Store struct {
 	maint   maintenance
 	maintWG sync.WaitGroup
 
-	// commitMu serializes commits (see commit). commitArmed is set while
-	// a CommitEvery timer is pending.
+	// commitMu serializes commits (see commit), drainMu drainers of the
+	// parked seals (see drainParked). commitArmed is set while a
+	// CommitEvery timer is pending.
 	commitMu    sync.Mutex
+	drainMu     sync.Mutex
 	commitArmed atomic.Bool
-	// werr is the write path's sticky error, nil until a write or a
-	// commit fails. closed is set, under mu, when Close begins. Both are
-	// read without a lock (WriteErr, Pressure).
+	// werr is the write path's sticky error, nil until a write, a
+	// commit or a seal finalization fails. closed is set, under mu, when
+	// Close begins. Both are read without a lock (WriteErr, Pressure).
 	werr   atomic.Pointer[error]
 	closed atomic.Bool
 
@@ -650,9 +652,6 @@ func (st *Store) Close() error {
 
 	if p := st.werr.Load(); err == nil && p != nil {
 		err = *p
-	}
-	if err == nil {
-		err = st.maint.firstErr()
 	}
 	return err
 }
