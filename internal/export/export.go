@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"unsafe"
@@ -57,17 +58,21 @@ const csvHeader = "stamp,ts_ns,core,tid,category,level,payload_bytes\n"
 // going through encoding/csv's per-field strings and quoting checks, or
 // a row buffer that is then copied; the bytes are what encoding/csv
 // would have written (the tests hold it to that, header included).
-//
-// A row is written at offsets into that space, after one check that a
-// row fits, by whole-word stores that check no bound of their own
-// (store8, store64) and may run past the field, to be overwritten by
-// what follows: a number below 10^8 as one 8-byte word of digits, two quads
-// entries shifted past their leading zeros; core and level as a
-// precomputed cell, comma included, and the category as a longer one.
-// stamp, ts and tid keep the digits of their last value above 10^8,
-// which a stamp-ordered export's stamps and times rarely leave.
 type csvWriter struct {
-	bw             *bufio.Writer
+	bw *bufio.Writer
+	csvRow
+}
+
+// csvRow is the row kernel. A row is written at offsets from its start,
+// after one check by the caller that a row fits, by whole-word stores
+// that check no bound of their own (store8, store64) and may run past
+// the field, to be overwritten by what follows: a number below 10^8 as
+// one 8-byte word of digits, two quads entries shifted past their
+// leading zeros; core and level as a precomputed cell, comma included,
+// and the category as a longer one. stamp, ts and tid keep the digits
+// of their last value above 10^8, which a stamp-ordered export's stamps
+// and times rarely leave.
+type csvRow struct {
 	stamp, ts, tid csvColumn
 }
 
@@ -124,33 +129,71 @@ func (cw *csvWriter) rows(es []tracer.Entry) error {
 			b = bw.AvailableBuffer()
 			b, p = b[:cap(b)], 0
 		}
-		// Every store below lands in b[p:p+maxCSVRow].
-		r := unsafe.Add(unsafe.Pointer(unsafe.SliceData(b)), p)
-		e := &es[i]
-		n := cw.stamp.put(r, 0, e.Stamp)
-		store8(r, n, ',')
-		n = cw.ts.put(r, n+1, e.TS)
-		store8(r, n, ',')
-		cell := &byteCells[e.Core]
-		*(*[byteCellBytes]byte)(unsafe.Add(r, n+1)) = cell.b
-		n += 1 + int(cell.n)
-		if v := uint64(e.TID); v < 1e8 {
-			n = putDecimal8(r, n, v)
-		} else {
-			n = cw.tid.put(r, n, v)
-		}
-		cat := &catCells[e.Category]
-		*(*[catCellBytes]byte)(unsafe.Add(r, n+1)) = cat.b
-		store8(r, n, ',')
-		n += 1 + int(cat.n)
-		cell = &byteCells[e.Level]
-		*(*[byteCellBytes]byte)(unsafe.Add(r, n)) = cell.b
-		n = putDecimal8(r, n+int(cell.n), uint64(len(e.Payload)))
-		store8(r, n, '\n')
-		p += n + 1
+		p += cw.put(unsafe.Add(unsafe.Pointer(unsafe.SliceData(b)), p), &es[i])
 	}
 	_, err := bw.Write(b[:p])
 	return err
+}
+
+// write writes the rows of es, or text, rows a cursor handed over
+// rendered already (csvRenderer's). Text larger than the free buffer
+// goes to w as it is, after what is buffered, and is not copied.
+func (cw *csvWriter) write(es []tracer.Entry, p []byte) error {
+	if p == nil {
+		return cw.rows(es)
+	}
+	if len(p) > cw.bw.Available() {
+		if err := cw.bw.Flush(); err != nil {
+			return err
+		}
+	}
+	_, err := cw.bw.Write(p) // an empty buffer hands a larger p straight to w
+	return err
+}
+
+// put writes e's row at r, where maxCSVRow bytes are free, and returns
+// its length.
+func (k *csvRow) put(r unsafe.Pointer, e *tracer.Entry) int {
+	n := k.stamp.put(r, 0, e.Stamp)
+	store8(r, n, ',')
+	n = k.ts.put(r, n+1, e.TS)
+	store8(r, n, ',')
+	cell := &byteCells[e.Core]
+	*(*[byteCellBytes]byte)(unsafe.Add(r, n+1)) = cell.b
+	n += 1 + int(cell.n)
+	if v := uint64(e.TID); v < 1e8 {
+		n = putDecimal8(r, n, v)
+	} else {
+		n = k.tid.put(r, n, v)
+	}
+	cat := &catCells[e.Category]
+	*(*[catCellBytes]byte)(unsafe.Add(r, n+1)) = cat.b
+	store8(r, n, ',')
+	n += 1 + int(cat.n)
+	cell = &byteCells[e.Level]
+	*(*[byteCellBytes]byte)(unsafe.Add(r, n)) = cell.b
+	n = putDecimal8(r, n+int(cell.n), uint64(len(e.Payload)))
+	store8(r, n, '\n')
+	return n + 1
+}
+
+// csvRenderer is the row kernel as a tracer.Renderer: what a store
+// renders a set of rows with once, and CSVCursor then writes as it is.
+type csvRenderer struct{}
+
+func (csvRenderer) Format() string { return "csv" }
+
+func (csvRenderer) AppendRows(dst []byte, ends []uint32, es []tracer.Entry) ([]byte, []uint32) {
+	var k csvRow
+	for i := range es {
+		if cap(dst)-len(dst) < maxCSVRow {
+			dst = slices.Grow(dst, maxCSVRow)
+		}
+		p := len(dst)
+		dst = dst[:p+k.put(unsafe.Add(unsafe.Pointer(unsafe.SliceData(dst)), p), &es[i])]
+		ends = append(ends, uint32(len(dst)))
+	}
+	return dst, ends
 }
 
 // The row kernel's stores: at offset n from the row's start r, checking

@@ -180,17 +180,20 @@ func NeedsPayload(format string) (needs, ok bool) {
 // materializing the full trace. It returns the event count and the total
 // missed count the cursor reported.
 func TextCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (events int, missed uint64, err error) {
-	return drainTo(c, batch, func(es []tracer.Entry) error { return Text(w, es) })
+	return drainTo(c, nil, batch, func(es []tracer.Entry, _ []byte) error { return Text(w, es) })
 }
 
 // CSVCursor streams c through batch to w as CSV with one header row.
+// A tracer.RenderCursor may hand over rows it holds rendered already
+// (a store's rendered sets): their text is written as it is, and every
+// other row rendered here by the same kernel, so the bytes are the same.
 func CSVCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (events int, missed uint64, err error) {
 	cw, err := newCSVWriter(w)
 	defer cw.release()
 	if err != nil {
 		return 0, 0, err
 	}
-	events, missed, err = drainTo(c, batch, cw.rows)
+	events, missed, err = drainTo(c, csvRenderer{}, batch, cw.write)
 	if err != nil {
 		return events, missed, err
 	}
@@ -208,7 +211,7 @@ func ChromeTraceCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (even
 		return 0, 0, err
 	}
 	written := 0 // events emitted so far, across batches
-	events, missed, err = drainTo(c, batch, func(es []tracer.Entry) error {
+	events, missed, err = drainTo(c, nil, batch, func(es []tracer.Entry, _ []byte) error {
 		for i := range es {
 			e := &es[i]
 			raw, err := json.Marshal(chromeEvent{
@@ -248,13 +251,25 @@ func ChromeTraceCursor(w io.Writer, c tracer.Cursor, batch []tracer.Entry) (even
 
 // drainTo reads c to exhaustion through batch, handing each filled batch
 // to sink, and accumulates the counts. The batch contents are only valid
-// inside the sink call, per the cursor ownership contract.
-func drainTo(c tracer.Cursor, batch []tracer.Entry, sink func([]tracer.Entry) error) (events int, missed uint64, err error) {
+// inside the sink call, per the cursor ownership contract. A sink that
+// renders with r, over a tracer.RenderCursor, may be handed a stretch
+// of rows as the cursor's text of them instead (text non-nil, es nil),
+// valid as long.
+func drainTo(c tracer.Cursor, r tracer.Renderer, batch []tracer.Entry, sink func(es []tracer.Entry, text []byte) error) (events int, missed uint64, err error) {
 	if len(batch) == 0 {
 		return 0, 0, fmt.Errorf("export: empty batch")
 	}
+	rc, render := c.(tracer.RenderCursor)
+	render = render && r != nil
 	for {
-		n, m, err := c.Next(batch)
+		var n int
+		var text []byte
+		var m uint64
+		if render {
+			n, text, m, err = rc.NextRendered(r, batch)
+		} else {
+			n, m, err = c.Next(batch)
+		}
 		missed += m
 		if err != nil {
 			return events, missed, err
@@ -262,7 +277,11 @@ func drainTo(c tracer.Cursor, batch []tracer.Entry, sink func([]tracer.Entry) er
 		if n == 0 {
 			return events, missed, nil
 		}
-		if err := sink(batch[:n]); err != nil {
+		var es []tracer.Entry
+		if text == nil {
+			es = batch[:n]
+		}
+		if err := sink(es, text); err != nil {
 			return events, missed, err
 		}
 		events += n

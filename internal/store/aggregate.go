@@ -44,6 +44,7 @@ import (
 	"unsafe"
 
 	"btrace/internal/btql"
+	"btrace/internal/tracer"
 )
 
 // aggSink is the header-only sink of the shared scan.
@@ -262,8 +263,24 @@ func newAggs(specs []btql.AggSpec) []*btql.Aggregator {
 }
 
 // scan folds segment sn into sink. missed is the snapshot's count of a
-// segment retention deleted before it could be opened.
+// segment retention deleted before it could be opened. Of the active
+// segment, under a predicate that reads no payload byte, a resident
+// header set at the snapshot's extent (scan.go) is folded through
+// MatchHeader instead, the file unopened. A fold never builds one.
 func (p *AggSnapshot) scan(sn *segSnap, sink rowSink) (missed uint64, err error) {
+	if pred := p.q.pred; !sn.sealed && !pred.NeedsPayload() {
+		k := blockKey{name: sn.name, off: sn.bound, sec: secHeaders}
+		if rows, hit, _ := p.st.bcache.headerSet(k, false); hit {
+			for i := range rows {
+				r := &rows[i]
+				core, tid, cat, level := splitW3(r.w3)
+				if pred.MatchHeader(r.stamp, r.ts, core, tid, cat, level) {
+					sink.row(r.stamp, r.ts, core, tid, cat, level, tracer.LengthOnly(int(uint16(r.w3))))
+				}
+			}
+			return 0, nil
+		}
+	}
 	s, missed, err := p.st.openScan(p.q, sn)
 	if s == nil {
 		return missed, err

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"btrace/internal/btql"
+	"btrace/internal/store/backend/local"
 	"btrace/internal/tracer"
 )
 
@@ -204,6 +205,68 @@ func TestAggregateColumnarSkips(t *testing.T) {
 	}
 }
 
+// TestAggregateFoldsActiveHeaderSet: a fold reads the active segment's
+// header set (scan.go), once a CSV export has built one at the
+// snapshot's extent, instead of the frames: it opens no file. Once the
+// segment has grown past that extent the fold walks it again, until an
+// export builds the set of the new extent. The answers are the
+// row-at-a-time reference's, and a fold builds no set of its own.
+func TestAggregateFoldsActiveHeaderSet(t *testing.T) {
+	lb, err := local.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := &readCounter{Backend: lb, opens: map[string]int{}, bytes: map[string]int{}}
+	st, err := Open("", Config{Backend: rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	appendRange(t, st, 1, 300)
+	q := Query{Pred: predOf(t, `category == 2 && stamp >= 20`)}
+	specs := []btql.AggSpec{{Kind: btql.AggCount}, {Kind: btql.AggTopK, Field: btql.FTID, K: 3}}
+	fold := func(what string) map[string]int {
+		t.Helper()
+		want := aggRef(t, st, q, specs)
+		rc.take()
+		got, _, err := st.Aggregate(q, specs)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %+v (%v), want %+v", what, got, err, want)
+		}
+		_, bytes := rc.take()
+		return bytes
+	}
+	export := func() {
+		t.Helper()
+		if _, err := csvExport(t, st, Query{LengthsOnly: true}, 1, 64); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, ok := activeSet(st); !ok {
+			t.Fatal("the export built no set of the active segment")
+		}
+	}
+	fold("before any export")
+	if _, _, _, ok := activeSet(st); ok {
+		t.Fatal("a fold built a set")
+	}
+	export()
+	if bytes := fold("over the set"); len(bytes) != 0 {
+		t.Fatalf("a fold over the set read %v", bytes)
+	}
+	appendRange(t, st, 301, 400)
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	name, size, _, _ := activeSet(st)
+	if bytes := fold("past the set"); int64(bytes[name]) < size-headerSize {
+		t.Fatalf("a fold past the set read %d bytes of %s, want its %d", bytes[name], name, size-headerSize)
+	}
+	export()
+	if bytes := fold("over the new set"); len(bytes) != 0 {
+		t.Fatalf("a fold over the new set read %v", bytes)
+	}
+}
+
 // TestCorruptFrameFailsEverySurface: one byte of rot in a hot segment
 // has to surface as ErrCorrupt from the one-worker cursor, the parallel
 // cursor, the aggregate executor and the freeze alike, never as a
@@ -216,9 +279,10 @@ func TestAggregateColumnarSkips(t *testing.T) {
 // selects the frame meets it, one that prunes it never hands out the
 // corrupt bytes. The walks that select every frame — a sealed segment's
 // header-set build, the freeze, recovery — check every frame, because
-// what they make stands for all of them. A record padded past the size
-// tracer.EncodeEvent gives its payload, under a checksum recomputed to
-// match, is refused by every surface too.
+// what they make stands for all of them, the builds of the active
+// segment's set at a later extent than the last one's included. A record padded past the size tracer.EncodeEvent gives its
+// payload, under a checksum recomputed to match, is refused by every
+// surface too.
 func TestCorruptFrameFailsEverySurface(t *testing.T) {
 	first := mkEntry(1) // category 1: `category == 2` never selects it
 	for _, tc := range []struct {
@@ -384,6 +448,56 @@ func TestCorruptFrameFailsEverySurface(t *testing.T) {
 					t.Fatalf("row %d: stamp %d", i, es[i].Stamp)
 				}
 				checkEntry(t, es[i])
+			}
+		})
+	}
+	// Rot in a frame appended after the active segment's set was built
+	// (scan.go): the CSV export at the new extent fails, again when asked
+	// again, and caches nothing — the old extent's set stays as it was,
+	// and no text is rendered — and the aggregate, which finds no set of
+	// the new extent and walks the segment, fails as well.
+	for _, rot := range []struct {
+		name string
+		off  func(e *tracer.Entry) int64 // byte to flip, relative to the frame
+	}{
+		{"magic", func(e *tracer.Entry) int64 { return int64(e.WireSize() + 6) }},
+		{"checksum", func(*tracer.Entry) int64 { return tracer.EventHeaderSize }},
+	} {
+		t.Run(rot.name+" past the active set", func(t *testing.T) {
+			st, err := Open(t.TempDir(), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			appendRange(t, st, 1, 100)
+			q := Query{LengthsOnly: true}
+			if _, err := csvExport(t, st, q, 2, 64); err != nil {
+				t.Fatal(err)
+			}
+			name, built, rows, ok := activeSet(st)
+			if !ok || len(rows) != 100 {
+				t.Fatalf("the export built %d rows of the active segment (%v), want 100", len(rows), ok)
+			}
+			appendRange(t, st, 101, 200)
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			e := mkEntry(101)
+			flipByte(t, filepath.Join(st.loc, name), built+rot.off(&e))
+			before := st.bcache.classCounters()
+			for ask := 0; ask < 2; ask++ {
+				if _, err := csvExport(t, st, q, 2, 64); !errors.Is(err, tracer.ErrCorrupt) {
+					t.Errorf("ask %d: err = %v, want ErrCorrupt", ask, err)
+				}
+				if _, _, _, ok := activeSet(st); ok {
+					t.Errorf("ask %d: a set of the rotten extent was admitted", ask)
+				}
+				if c := st.bcache.classCounters(); c.resident != before.resident || c.misses[classText] != before.misses[classText] {
+					t.Errorf("ask %d: the cache moved: %+v, was %+v", ask, c, before)
+				}
+			}
+			if res, _, err := st.Aggregate(Query{}, []btql.AggSpec{{Kind: btql.AggCount}}); !errors.Is(err, tracer.ErrCorrupt) {
+				t.Errorf("Aggregate: result %+v, err = %v, want ErrCorrupt", res, err)
 			}
 		})
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"btrace/internal/btql"
+	"btrace/internal/export"
 	"btrace/internal/tracer"
 )
 
@@ -478,6 +479,65 @@ func BenchmarkHotTailExport(b *testing.B) {
 			b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N*rows), "cpu-ns/row")
 		})
 	}
+}
+
+// BenchmarkHotTailCSV is BenchmarkHotTailExport's read as the CSV export
+// query-tiered's scan class makes of it: export.CSVCursor over the same
+// cursor, into a writer that counts the bytes. walk is a store without
+// a block cache: each export walks the segments' frames, checks the
+// rows it selects, sorts every segment's rows and renders each row.
+// cached is the store its warm-up export left: the segments'
+// header sets, the active segment's among them, stand for their frames,
+// and their text, rendered once, is written as it is. cpu-ns/row is as
+// in BenchmarkHotTailExport, texts/op the renderings each export was
+// served. cmd/benchdiff gates cached against walk within-run.
+func BenchmarkHotTailCSV(b *testing.B) {
+	for _, cached := range []bool{false, true} {
+		name, cacheBytes := "walk", int64(-1)
+		if cached {
+			name, cacheBytes = "cached", 0
+		}
+		b.Run(name, func(b *testing.B) {
+			st, newest := hotTailStore(b, cacheBytes)
+			defer st.Close()
+			const rows = 1 << 16
+			q := Query{MinStamp: newest - rows + 1, Limit: rows, LengthsOnly: true}
+			batch := make([]tracer.Entry, 1024)
+			var out countingWriter
+			csv := func() {
+				cur := st.QueryParallel(q, 4)
+				n, _, err := export.CSVCursor(&out, cur, batch)
+				cur.Close()
+				if err != nil || n != rows {
+					b.Fatalf("exported %d rows (%v), want %d", n, err, rows)
+				}
+			}
+			csv() // sets and their text, with the cache
+			base := st.bcache.classCounters().hits[classText]
+			b.ReportAllocs()
+			b.ResetTimer()
+			cpu := processCPU()
+			for i := 0; i < b.N; i++ {
+				csv()
+			}
+			cpu = processCPU() - cpu
+			b.StopTimer()
+			texts := st.bcache.classCounters().hits[classText] - base
+			if cached == (texts == 0) {
+				b.Fatalf("%d exports were served %d texts (cached: %v)", b.N, texts, cached)
+			}
+			b.ReportMetric(float64(texts)/float64(b.N), "texts/op")
+			b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N*rows), "cpu-ns/row")
+		})
+	}
+}
+
+// countingWriter counts what is written to it, and keeps none of it.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
 }
 
 // windowBTQL is BenchmarkWindowExport's query: the stamps from 20 001

@@ -23,19 +23,31 @@
 //	         — row or cold — left (aggregate.go). Charged the structs and
 //	         16 B a rate bucket or counted topk value: a count() is
 //	         ≈ 230 B a segment. Merged from, never into.
-//	headers  one sealed segment's set (scan.go): rows as frame headers
+//	headers  one segment's set (scan.go): rows as frame headers
 //	         keep them — stamp, time and header word 3 (core, TID,
 //	         category, level, payload length), 24 B a row — stably
 //	         sorted by stamp: what a length-only cursor reads of the
 //	         segment, in place (parallel.go). A row segment's header
 //	         set holds every frame's, each of which passed the magic,
-//	         checksum and length-bound checks before the set was built.
+//	         checksum and length-bound checks before the set was built;
+//	         the active segment's, every frame's up to one extent.
 //	         A cold segment's filtered set holds the rows that pass one
 //	         filter less its stamp and time comparisons, as the column
 //	         walker found them over every block; it is admitted only
 //	         if no larger than the segment's inflated meta sections,
 //	         and one that is larger leaves an empty entry in its place
 //	         that sends later passes to walk.
+//	text     one set's rendering in one export format (Store.setText):
+//	         the text the format's row kernel makes of every row of a
+//	         header set or a filtered set, back to back, and where each row's text ends (4 B a row).
+//	         It stands for the rows as a CSV export consumes them: a pass
+//	         that tests no row of the set hands its stretches over as
+//	         text, and the export writes them as they are (parallel.go).
+//	         Built by the first such pass over the whole set, it is
+//	         admitted only if no larger than the frames of the rows it
+//	         renders — a bound the set sets, with no knob — and one that
+//	         is larger leaves an empty entry in its place, as a filtered
+//	         set does.
 //
 // What a query caches is therefore what it reads: `category == C |
 // count()` leaves meta sections and time columns behind (the result
@@ -45,10 +57,12 @@
 // text export) leaves everything, one that reads their lengths only
 // (Query.LengthsOnly: a CSV or Chrome export) leaves meta sections and
 // columns, the payload offsets among them, and no chunk, and the header
-// set of every sealed row segment it reads whole — and the second such
-// scan finds every column decoded and every set built; under a filter
-// such as `tid == T` it leaves a filtered set of every cold segment it
-// reads, and the second finds those. Nothing is cached on
+// set of every sealed row segment it reads to its end — and the second
+// such scan finds every column decoded and every set built; under a
+// filter such as `tid == T` it leaves a filtered set of every cold
+// segment it reads, and the second finds those. A CSV export leaves
+// the text of each set it reads every row of, a one-off export
+// included, under the text's bound. Nothing is cached on
 // behalf of a query that did not ask for it — which is also what the
 // budget buys: chunks somebody read, not sections somebody was forced
 // to inflate to get at one row, nor payloads an exporter was handed and
@@ -63,10 +77,12 @@
 // The others are keyed by a cold file's name, and a cold file is
 // written once under a name the store never gives out again; a row
 // segment's name is not given out again either. A partial and a set are
-// keyed by name and sealed extent (bytes of a row segment, blocks of a
-// cold one), which between them say what the rows are, and by the
+// keyed by name and extent (bytes of a row segment — the active one's
+// frames up to an extent never change — blocks of a cold one), which
+// between them say what the rows are, and by the
 // filter they were folded or selected under (agg): a partial's residual
-// and specs, a filtered set's residual, none for a header set. Freezes
+// and specs, a filtered set's residual, none for a header set; a text
+// by its set's key and the format's name. Freezes
 // and retention take a name out of the snapshots that follow; the
 // entries left behind are never asked for and age out of the LRU. Folds
 // under an Ownership (the cluster's pushdown) and stores opened without
@@ -74,11 +90,17 @@
 // sets.
 //
 // A header set is needed by a length-only cursor pass that would read
-// the sealed extent from its first frame to its end, with no ordered
-// cut: it builds the set instead. A point query that seeks into an
-// ordered segment or stops before its end never builds one, and
-// aggregates never walk for one: their partials serve them. A filtered
-// set is built by the first length-only pass under its filter that
+// the sealed extent to its end, with no ordered cut: it builds the set
+// instead, from the first frame even where it seeks into the segment.
+// A point query that stops before the segment's end, or that seeks
+// into it under a limit below the frames past the seek, never builds one, and
+// aggregates never walk for one: their partials serve them. The active
+// segment's header set is built by a pass whose window holds every
+// stamp of the segment, up to the snapshot's extent and keyed by it —
+// the key of the sealed segment's set, should the segment seal there —
+// and a fold reads it in place of the frames. A set of an extent the
+// segment has grown past is never asked for again and ages out of the
+// LRU. A filtered set is built by the first length-only pass under its filter that
 // reads the cold segment at all, over every block whatever the pass's
 // window: the set serves the windows after it. Its admission bound —
 // the meta sections, ≈ 10 B a row, that a walk of the segment caches
@@ -95,11 +117,16 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"io"
+	"math"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"btrace/internal/btql"
+	"btrace/internal/tracer"
 )
 
 // defaultColdCacheBytes is the block-cache budget when
@@ -117,12 +144,14 @@ const (
 	secPayOff
 	secPayload // one payload chunk; also a whole v1 block
 	secPartial // one sealed segment's fold of one aggregate
-	secHeaders // one sealed row segment's frame headers
+	secHeaders // one sealed segment's set
+	secText    // one set's rendering
 )
 
 // cacheClass groups sections for the counters: one inflate each for
 // meta and payload, one decode for a column, one segment fold for a
-// partial, one verified walk of a sealed row segment for a header set.
+// partial, one verified walk of a sealed row segment for a header set,
+// one rendering of a set for its text.
 type cacheClass uint8
 
 const (
@@ -131,10 +160,11 @@ const (
 	classPayload
 	classPartial
 	classHeaders
+	classText
 	numClasses
 )
 
-var classNames = [numClasses]string{"meta", "column", "payload", "partial", "headers"}
+var classNames = [numClasses]string{"meta", "column", "payload", "partial", "headers", "text"}
 
 func (s section) class() cacheClass {
 	switch s {
@@ -146,18 +176,22 @@ func (s section) class() cacheClass {
 		return classPartial
 	case secHeaders:
 		return classHeaders
+	case secText:
+		return classText
 	}
 	return classColumn
 }
 
 // blockKey identifies one cacheable part of one cold block: the file it
 // lives in, the block's offset (unique within the file), the section,
-// and for secPayload the chunk of it (0 elsewhere). A secPartial or a
-// secHeaders is a whole sealed segment's: off is the segment's sealed
-// extent (segSnap's bound), and agg is, for a partial, the aggregate
-// folded over it, residual filter and specs (AggSnapshot.fold), and for
-// a filtered set its residual filter (compiled.setKey); agg is empty
-// elsewhere, a header set's included.
+// and for secPayload the chunk of it (0 elsewhere). A secPartial, a
+// secHeaders or a secText is a whole segment's: off is the segment's
+// extent (segSnap's bound), sealed but for the active segment's header
+// set and its rendering, and agg is, for a partial,
+// the aggregate folded over it, residual filter and specs
+// (AggSnapshot.fold), for a filtered set its residual filter
+// (compiled.setKey), and for a rendering the format's name, a colon and
+// its set's agg; agg is empty elsewhere, a header set's included.
 type blockKey struct {
 	name  string
 	off   int64
@@ -171,14 +205,15 @@ type blockKey struct {
 type cacheEnt struct {
 	key  blockKey
 	size int64
-	data []byte             // secPayload
+	data []byte             // secPayload; secText: the rows' text back to back
 	meta *metaSec           // secMeta
 	u64  []uint64           // secStamps, secTimes
-	u32  []uint32           // secTIDs, secPayOff
+	u32  []uint32           // secTIDs, secPayOff; secText: where each row's text ends
 	aggs []*btql.Aggregator // secPartial: one per spec, merged from, never into
 	hdrs []hdrRow           // secHeaders
-	// walk marks, under a filtered set's key, a set too large to admit:
-	// secHeaders, hdrs nil.
+	// walk marks, under a filtered set's key, a set too large to admit
+	// (secHeaders, hdrs nil), and under a rendering's a text too large
+	// (secText, data nil).
 	walk bool
 }
 
@@ -291,6 +326,58 @@ func (bc *blockCache) headerSet(k blockKey, build bool) (rows []hdrRow, hit, bui
 		bc.misses[classHeaders]++
 	}
 	return nil, false, build
+}
+
+// setText returns the rendering by r of the set k names, rows, through
+// the cache: the rows' text back to back, and where each row's ends.
+// The first pass to ask renders the whole set, and admits the text if
+// it is no larger than the frames of the rows it renders — a bound the
+// set itself sets, under the cache's budget — or else leaves an entry
+// that says so. nil for such a set: its passes render what they read.
+func (st *Store) setText(k blockKey, r tracer.Renderer, rows []hdrRow) (text []byte, ends []uint32) {
+	k.sec, k.agg = secText, r.Format()+":"+k.agg
+	if ent := st.bcache.get(k); ent != nil {
+		return ent.data, ent.u32
+	}
+	var frames int64
+	for i := range rows {
+		frames += int64(tracer.EventWireSize(int(uint16(rows[i].w3))) + tailSize)
+	}
+	ent := &cacheEnt{key: k, walk: true, size: textSize(0, 0)}
+	if frames <= math.MaxInt32 { // so that the 4-byte row ends cannot overflow
+		if text, ends = renderRows(r, rows, frames); text != nil && st.bcache.fits(textSize(len(text), len(ends))) {
+			ent.data, ent.u32, ent.walk, ent.size = text, ends, false, textSize(len(text), len(ends))
+		}
+	}
+	st.bcache.put(ent)
+	return ent.data, ent.u32
+}
+
+// textSize is a rendering's budget charge: its text, its row ends and
+// its entry.
+func textSize(bytes, rows int) int64 {
+	return int64(unsafe.Sizeof(cacheEnt{})) + int64(bytes) + 4*int64(rows)
+}
+
+// renderRows renders rows with r, a batch of entries at a time, and
+// gives up, returning nil, once the text and its row ends outgrow limit
+// bytes.
+func renderRows(r tracer.Renderer, rows []hdrRow, limit int64) (text []byte, ends []uint32) {
+	var batch [128]tracer.Entry
+	ends = make([]uint32, 0, len(rows))
+	for len(rows) > 0 {
+		es := batch[:min(len(rows), len(batch))]
+		for i := range es {
+			rows[i].entry(&es[i])
+		}
+		if text, ends = r.AppendRows(text, ends, es); int64(len(text)+4*len(ends)) > limit {
+			return nil, nil
+		}
+		rows = rows[len(es):]
+	}
+	// AppendRows grows text as append does: what is charged is what is
+	// held.
+	return slices.Clip(bytes.Clone(text)), ends
 }
 
 func (bc *blockCache) classCounters() cacheCounters {

@@ -294,13 +294,17 @@ func (f *countedFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// TestHeaderSetAdmission: a length-only cursor that would walk a sealed
-// row segment whole builds its header set instead, and the next such
-// pass opens no sealed file. Nothing else builds
-// one: a point query that seeks into an ordered segment or stops before
-// its end, an aggregate, a read that keeps payloads, a length-only read
-// under a payload predicate, and the active segment; and a set the
-// budget could not hold is never built.
+// TestHeaderSetAdmission: a length-only cursor that reads a sealed row
+// segment to its end builds its header set instead — from the first
+// frame even where a min_stamp seeks into an ordered segment, the
+// boundary segment of a window that reaches the newest rows — and one
+// whose window holds every stamp of the active segment builds that
+// segment's set at the snapshot's extent. The next such pass opens no
+// file at all. Nothing else builds one: a point query that seeks into
+// a segment or stops before its end, a seek under a limit below the
+// frames past it, an aggregate, a read that keeps payloads and a
+// length-only read under a payload predicate; and a set the budget
+// could not hold is never built.
 func TestHeaderSetAdmission(t *testing.T) {
 	open := func(cacheBytes int64) (*Store, *readCounter) {
 		lb, err := local.New(t.TempDir())
@@ -347,6 +351,10 @@ func TestHeaderSetAdmission(t *testing.T) {
 		}
 	}
 	state := func() cacheCounters { return st.bcache.classCounters() }
+	active := func() bool {
+		_, _, _, ok := activeSet(st)
+		return ok
+	}
 
 	// What builds no set.
 	segs := st.Segments()
@@ -355,6 +363,8 @@ func TestHeaderSetAdmission(t *testing.T) {
 		{MinStamp: mid, MaxStamp: mid, LengthsOnly: true},
 		{MinStamp: segs[1].BaseStamp, MaxStamp: segs[1].BaseStamp + 1, LengthsOnly: true},
 		{Pred: predOf(t, `payload contains "payload"`), LengthsOnly: true},
+		{MinStamp: mid, MaxStamp: segs[1].MaxStamp, Limit: 1, LengthsOnly: true},
+		{MinStamp: 5005, LengthsOnly: true}, // seeks into the active segment
 		{},
 	} {
 		for range 2 {
@@ -367,25 +377,34 @@ func TestHeaderSetAdmission(t *testing.T) {
 		}
 	}
 	if c := state(); c.misses[classHeaders]+c.hits[classHeaders] != 0 || c.resident[classHeaders] != 0 {
-		t.Fatalf("reads that walk no sealed segment whole for its headers: %+v", c)
+		t.Fatalf("reads that walk no segment whole for its headers: %+v", c)
 	}
 
-	// The first export builds and admits every set.
-	export()
-	if c := state(); c.misses[classHeaders] != uint64(len(sealed)) || c.hits[classHeaders] != 0 || c.resident[classHeaders] == 0 {
-		t.Fatalf("first export: %+v (want %d misses)", c, len(sealed))
-	}
-	// The second opens no sealed file.
-	be.take()
-	export()
-	opens, bytes := be.take()
-	for _, name := range sealed {
-		if opens[name] != 0 || bytes[name] != 0 {
-			t.Errorf("second export: %s opened %d times, %d bytes read", name, opens[name], bytes[name])
+	// A window from mid on builds the set of every segment it reads, the
+	// boundary segment's from its first frame, the active one included.
+	boundary := 1
+	for _, s := range segs {
+		if s.Sealed && s.MaxStamp >= mid {
+			boundary++
 		}
 	}
-	if c := state(); c.hits[classHeaders] != uint64(len(sealed)) || c.misses[classHeaders] != uint64(len(sealed)) {
-		t.Fatalf("second export: %+v (want %d hits)", c, len(sealed))
+	ask(Query{MinStamp: mid, LengthsOnly: true})
+	if c := state(); c.misses[classHeaders] != uint64(boundary) || c.hits[classHeaders] != 0 || !active() {
+		t.Fatalf("the window from %d: %+v (want %d misses), active segment's set %v", mid, c, boundary, active())
+	}
+
+	// The first export builds what is left, the second opens no file.
+	export()
+	if c := state(); c.misses[classHeaders] != uint64(len(sealed)+1) || c.hits[classHeaders] != uint64(boundary) || c.resident[classHeaders] == 0 {
+		t.Fatalf("first export: %+v (want %d misses, %d hits)", c, len(sealed)+1, boundary)
+	}
+	be.take()
+	export()
+	if opens, bytes := be.take(); len(opens)+len(bytes) != 0 {
+		t.Errorf("second export: files opened %v, bytes read %v", opens, bytes)
+	}
+	if c := state(); c.hits[classHeaders] != uint64(boundary+len(sealed)+1) || c.misses[classHeaders] != uint64(len(sealed)+1) {
+		t.Fatalf("second export: %+v (want %d hits)", c, boundary+len(sealed)+1)
 	}
 
 	// A budget that holds no set: nothing is built.
@@ -393,9 +412,24 @@ func TestHeaderSetAdmission(t *testing.T) {
 	for range 2 {
 		export()
 	}
-	if c := state(); c.misses[classHeaders]+c.hits[classHeaders] != 0 {
-		t.Fatalf("starved cache: %+v", c)
+	if c := state(); c.misses[classHeaders]+c.hits[classHeaders] != 0 || active() {
+		t.Fatalf("starved cache: %+v, active segment's set %v", c, active())
 	}
+}
+
+// activeSet is the active segment's header set at its extent, if the
+// block cache holds one, looked up without counting a hit or a miss.
+func activeSet(st *Store) (name string, size int64, rows []hdrRow, ok bool) {
+	st.mu.Lock()
+	s := st.activeSeg()
+	name, size = s.name, s.size
+	st.mu.Unlock()
+	st.bcache.mu.Lock()
+	defer st.bcache.mu.Unlock()
+	if el, hit := st.bcache.m[blockKey{name: name, off: size, sec: secHeaders}]; hit {
+		return name, size, el.Value.(*cacheEnt).hdrs, true
+	}
+	return name, size, nil, false
 }
 
 // TestFilteredSetsMatchCachelessStore: a cold segment's filtered sets

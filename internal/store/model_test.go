@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"btrace/internal/btql"
+	"btrace/internal/export"
 	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
 )
@@ -39,7 +40,10 @@ import (
 // the segments' sets, the second reads them in place — so every answer
 // a header set gives is held to the oracle too, across seals, freezes
 // and retention, and to the answer, missed included, of a store without
-// a block cache opened over a copy of the backend at that instant.
+// a block cache opened over a copy of the backend at that instant. Such
+// a read is exported as CSV as well, twice, and held byte for byte to
+// export.CSV of the oracle's rows: the second export is served the text
+// the first rendered of the sets it read in place.
 //
 // A sequence is a byte string (a program): every choice the interpreter
 // makes is drawn from it, so the seeded test and FuzzStoreModel run the
@@ -294,6 +298,9 @@ func (m *storeModel) readPar(q Query, name string, workers int) {
 	what := fmt.Sprintf("QueryParallel(%d)%s", workers, name)
 	batch := 1 + m.p.intn(90)
 	want := limited(m.byStamp(m.matches(&q, m.gone, len(m.all))), q.Limit)
+	if q.LengthsOnly {
+		m.readCSV(q, what, workers, batch, want)
+	}
 	for ask := 0; ask < 2; ask++ {
 		hits := m.st.bcache.classCounters().hits[classHeaders]
 		cur := m.st.QueryParallel(q, workers)
@@ -308,6 +315,32 @@ func (m *storeModel) readPar(q Query, name string, workers int) {
 			return
 		}
 		what = fmt.Sprintf("QueryParallel(%d)%s, asked again", workers, name)
+	}
+}
+
+// readCSV holds export.CSVCursor over a cursor of length-only q to
+// export.CSV of the oracle's rows want, asked twice: the first ask
+// renders the sets the pass reads in place, the second is served the
+// text of those it kept.
+func (m *storeModel) readCSV(q Query, what string, workers, batch int, want []int) {
+	m.t.Helper()
+	rows := make([]tracer.Entry, len(want))
+	for i, j := range want {
+		rows[i] = m.all[j]
+	}
+	var exp bytes.Buffer
+	if err := export.CSV(&exp, rows); err != nil {
+		m.failf("%s: export.CSV: %v", what, err)
+	}
+	for ask := 0; ask < 2; ask++ {
+		var got bytes.Buffer
+		cur := m.st.QueryParallel(q, workers)
+		_, missed, err := export.CSVCursor(&got, cur, make([]tracer.Entry, batch))
+		cur.Close()
+		if err != nil || missed != 0 || !bytes.Equal(got.Bytes(), exp.Bytes()) {
+			m.failf("%s: CSV export, ask %d: %d bytes, missed %d, %v; export.CSV of the oracle's %d rows: %d bytes",
+				what, ask, got.Len(), missed, err, len(rows), exp.Len())
+		}
 	}
 }
 

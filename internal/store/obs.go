@@ -120,13 +120,13 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_store_block_cache_misses_total", "cold section reads that had to inflate", misses)
 	// The same by what was looked up. A column miss is a decode from a
 	// cached meta section, not an inflate, a partial miss the fold of one
-	// sealed segment for one aggregate and a headers miss the build of
-	// one sealed segment's set, so the unlabelled pair above
-	// is the meta and payload rows only.
+	// sealed segment for one aggregate, a headers miss the build of one
+	// sealed segment's set and a text miss the rendering of one set, so
+	// the unlabelled pair above is the meta and payload rows only.
 	for class, name := range classNames {
 		label := fmt.Sprintf("{section=%q}", name)
 		e.Counter("btrace_store_block_cache_hits_total"+label, "block cache lookups served, by section", cc.hits[class])
-		e.Counter("btrace_store_block_cache_misses_total"+label, "block cache lookups that had to inflate (meta, payload), decode (column), fold a sealed segment (partial) or build its header or filtered set (headers), by section", cc.misses[class])
+		e.Counter("btrace_store_block_cache_misses_total"+label, "block cache lookups that had to inflate (meta, payload), decode (column), fold a sealed segment (partial), build its header or filtered set (headers) or render a set (text), by section", cc.misses[class])
 		e.Gauge("btrace_store_block_cache_bytes"+label, "bytes resident in the block cache, by section", float64(cc.resident[class]))
 	}
 	for class, name := range readNames {

@@ -26,14 +26,24 @@
 //     of ordered and unordered segments alike, is at most scanSpanBytes
 //     and is read through the scan permit's own buffer, so the pass
 //     holds `workers` span buffers however many chunks are in flight.
-//     Under a predicate that reads no payload byte it reads a sealed
-//     row segment from the block cache's header set once there is one,
+//     Under a predicate that reads no payload byte it reads a row
+//     segment from the block cache's header set once there is one,
 //     and a sealed cold segment, under a filter that is more than
 //     stamp and time bounds, from its filtered set (scan.go): no file
 //     opened, and rows already in stamp order, so an unordered segment
 //     is neither held whole nor sorted. The stream sends the set
 //     itself, and the merge writes its rows straight into the caller's
 //     batch.
+//   - A consumer that renders rows as text — the CSV exporter, through
+//     NextRendered — is handed rendered stretches: a set read in place
+//     whose rows the pass tests none of is rendered once, whole, by the
+//     exporter's own row kernel, and kept in the block cache (the text
+//     kind), and where the merge would write a stretch of its rows into
+//     the batch it hands over that stretch's text, one slice of the
+//     set's. It cuts the stretch where it cuts entries — at the bound,
+//     at the next stream's head and at Limit — but not at the batch's
+//     end. Every other row the exporter renders from its entry with the
+//     same kernel, so the bytes do not depend on which rows had text.
 //
 // The snapshot is taken by the first Next. Events appended after it
 // belong to a later cursor; once the pass has delivered its last entry
@@ -67,13 +77,20 @@ const DefaultQueryWorkers = 4
 // A chunk may instead carry a set read in place (hdrs, entries empty):
 // its rows are those of hdrs that test matches, every one for a nil
 // test, and the first row of hdrs is one of them. The merge turns
-// them into entries as it writes them into the caller's batch.
+// them into entries as it writes them into the caller's batch — or,
+// where the set has text (a nil test, and a cursor whose consumer
+// renders: NextRendered), hands stretches of the text over instead:
+// text and ends are the whole set's rendering (Store.setText) and base
+// the place in it of hdrs[0].
 type pchunk struct {
 	entries []tracer.Entry
 	data    []byte
 	lengths bool
 	hdrs    []hdrRow
 	test    *btql.Predicate
+	text    []byte
+	ends    []uint32
+	base    int
 }
 
 // newChunk takes a chunk from the global pool for a query that keeps
@@ -132,12 +149,23 @@ func (ck *pchunk) setRows(dst []tracer.Entry, i int, bound uint64) (n, next int)
 		if test != nil && !test.MatchHeader(r.stamp, r.ts, core, tid, cat, level) {
 			continue
 		}
-		e := &dst[n]
-		e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level = r.stamp, r.ts, core, tid, cat, level
-		e.Payload = tracer.LengthOnly(int(uint16(r.w3)))
+		r.entry(&dst[n])
 		n++
 	}
 	return n, ck.nextMatch(i)
+}
+
+// stretch returns the rendered set's rows from row i on, up to the
+// first stamp past bound and at most room of them: how many, and their
+// text, one slice of the set's.
+func (ck *pchunk) stretch(i int, bound uint64, room int) (int, []byte) {
+	rows := ck.hdrs[i:min(len(ck.hdrs), i+room)]
+	k := sort.Search(len(rows), func(j int) bool { return rows[j].stamp > bound })
+	at, from := ck.base+i, uint32(0)
+	if at > 0 {
+		from = ck.ends[at-1]
+	}
+	return k, ck.text[from:ck.ends[at+k-1]]
 }
 
 func (ck *pchunk) span(n int) []byte {
@@ -244,6 +272,7 @@ func (ck *pchunk) reset() {
 	ck.entries = ck.entries[:0]
 	ck.data = ck.data[:0]
 	ck.hdrs, ck.test = nil, nil
+	ck.text, ck.ends, ck.base = nil, nil, 0
 }
 
 // globalChunks backs every scan's chunks, so span buffers (up to
@@ -323,6 +352,9 @@ type pstream struct {
 type PCursor struct {
 	st *Store
 	q  *compiled
+	// render is what the consumer renders rows with (NextRendered), nil
+	// for one that reads entries alone.
+	render tracer.Renderer
 
 	// sem holds the scan permits, `workers` of them. A permit is also a
 	// span buffer — a pooled chunk used for nothing else, made on first
@@ -368,11 +400,29 @@ func (st *Store) Query(q Query) *PCursor { return st.QueryParallel(q, 1) }
 
 // Next implements tracer.Cursor.
 func (c *PCursor) Next(batch []tracer.Entry) (int, uint64, error) {
+	n, _, missed, err := c.read(batch)
+	return n, missed, err
+}
+
+// NextRendered implements tracer.RenderCursor: a set the pass reads in
+// place and delivers every row of is rendered by r once, through the
+// block cache (Store.setText), and the merge hands over stretches of
+// that text where Next would write its rows into the batch — cut where
+// Next would cut them, at a stamp another stream has yet to deliver and
+// at Limit, but not at the batch's end.
+func (c *PCursor) NextRendered(r tracer.Renderer, batch []tracer.Entry) (int, []byte, uint64, error) {
+	if !c.started {
+		c.render = r
+	}
+	return c.read(batch)
+}
+
+func (c *PCursor) read(batch []tracer.Entry) (int, []byte, uint64, error) {
 	if c.closed {
-		return 0, 0, tracer.ErrClosed
+		return 0, nil, 0, tracer.ErrClosed
 	}
 	if len(batch) == 0 {
-		return 0, 0, nil
+		return 0, nil, 0, nil
 	}
 	// Entries handed out by the previous Next are invalid from here on;
 	// their chunks go back to the pool.
@@ -382,12 +432,12 @@ func (c *PCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 		c.start()
 	}
 	if c.streams == nil {
-		return 0, 0, nil
+		return 0, nil, 0, nil
 	}
-	n, err := c.merge(batch)
+	n, text, err := c.merge(batch)
 	missed := c.pendingMissed
 	c.pendingMissed = 0
-	return n, missed, err
+	return n, text, missed, err
 }
 
 // start snapshots the committed store state and launches one scan
@@ -481,12 +531,12 @@ func (c *PCursor) runStream(ps *pstream) {
 		}
 		rows, err = s.buildSet(k, buf)
 		c.release(buf)
-		// A failed build caches nothing. A header set is built only by a
-		// pass that walks its segment whole, so the failure is the pass's;
-		// the pass a filtered set's build serves may read less of the
-		// segment than the build did, and walks that part instead, as a
-		// store without a cache would.
-		if hit = err == nil; !hit && !sn.cold {
+		// A failed build caches nothing. Where the pass reads the segment
+		// from its first frame the failure is the pass's; a pass that
+		// seeks into it, and the pass a filtered set's build serves, may
+		// read less of the segment than the build did, and walks that part
+		// instead, as a store without a cache would.
+		if hit = err == nil; !hit && !sn.cold && sn.start == headerSize {
 			ps.err = err
 			return
 		}
@@ -607,18 +657,24 @@ func (c *PCursor) runStream(ps *pstream) {
 // for a filtered one.
 func (c *PCursor) sendSet(ps *pstream, k blockKey, rows []hdrRow) {
 	q, sn := c.q, &ps.snap
-	rows = rows[sort.Search(len(rows), func(i int) bool { return rows[i].stamp >= q.minStamp }):]
-	rows = rows[:sort.Search(len(rows), func(i int) bool { return rows[i].stamp > q.maxStamp })]
-	if len(rows) == 0 {
+	lo := sort.Search(len(rows), func(i int) bool { return rows[i].stamp >= q.minStamp })
+	cut := rows[lo:]
+	cut = cut[:sort.Search(len(cut), func(i int) bool { return cut[i].stamp > q.maxStamp })]
+	if len(cut) == 0 {
 		return
 	}
 	ck := c.pool.get(0)
-	ck.hdrs = rows
-	hull := btql.Meta{MinStamp: rows[0].stamp, MaxStamp: rows[len(rows)-1].stamp, MinTS: sn.minTS, MaxTS: sn.maxTS}
+	ck.hdrs = cut
+	hull := btql.Meta{MinStamp: cut[0].stamp, MaxStamp: cut[len(cut)-1].stamp, MinTS: sn.minTS, MaxTS: sn.maxTS}
 	if rest, ok := q.pred.Residual(&hull); !ok || rest != k.agg {
 		ck.test = q.pred
+	} else if c.render != nil {
+		// Every row goes out: the set's text can stand for them.
+		if ck.text, ck.ends = c.st.setText(k, c.render, rows); ck.text != nil {
+			ck.base = lo
+		}
 	}
-	if ck.hdrs = rows[ck.nextMatch(0):]; len(ck.hdrs) == 0 {
+	if ck.hdrs = cut[ck.nextMatch(0):]; len(ck.hdrs) == 0 {
 		c.pool.put(ck)
 		return
 	}
@@ -788,18 +844,21 @@ func (c *PCursor) advanceStream(ps *pstream) bool {
 // stream's in its own order, so the answer does not depend on where
 // chunks or batches happen to end: a stream that comes before the top
 // one in that order stops the top's stretch below its head.
-func (c *PCursor) merge(batch []tracer.Entry) (int, error) {
-	n := 0
+//
+// A stretch of a set that has text (pchunk) is handed over as that text
+// alone, n its rows: the rows before it in this call go first, and it is
+// not cut at the batch's end.
+func (c *PCursor) merge(batch []tracer.Entry) (n int, text []byte, err error) {
 	for n < len(batch) {
 		if c.q.limit > 0 && c.delivered >= c.q.limit {
 			c.abort()
-			return n, nil
+			return n, nil, nil
 		}
 		for c.next < len(c.streams) && (len(c.h) == 0 || c.streams[c.next].snap.baseStamp <= c.headStamp(0)) {
 			c.admit()
 		}
 		if len(c.h) == 0 {
-			return n, c.finish()
+			return n, nil, c.finish()
 		}
 		bound := ^uint64(0)
 		if c.next < len(c.streams) {
@@ -819,7 +878,17 @@ func (c *PCursor) merge(batch []tracer.Entry) (int, error) {
 		}
 		// The head itself is at or below bound, so k >= 1.
 		k := 0
-		if ck := ps.cur; ck.hdrs != nil {
+		if ck := ps.cur; ck.text != nil {
+			if n > 0 {
+				return n, nil, nil
+			}
+			room = len(ck.hdrs)
+			if c.q.limit > 0 {
+				room = c.q.limit - c.delivered
+			}
+			k, text = ck.stretch(ps.idx, bound, room)
+			ps.idx += k
+		} else if ck.hdrs != nil {
 			k, ps.idx = ck.setRows(batch[n:n+room], ps.idx, bound)
 		} else {
 			es := ck.entries[ps.idx:]
@@ -844,8 +913,11 @@ func (c *PCursor) merge(batch []tracer.Entry) (int, error) {
 			c.h = c.h[:last]
 		}
 		c.down(0)
+		if text != nil {
+			return n, text, nil
+		}
 	}
-	return n, nil
+	return n, nil, nil
 }
 
 // finish ends a pass whose streams have all closed their channels, and

@@ -44,10 +44,18 @@
 // A cursor that reads lengths only, under a predicate that reads no
 // payload byte, needs nothing of a sealed row segment but its frame
 // headers, and a sealed segment never changes. So when such a cursor
-// would walk one whole, it builds the segment's header set instead and
-// the block cache keeps it (blockcache.go, the headers kind): every frame
-// checked — tail magic, checksum, record kind and payload-length bound,
-// selected or not — and the headers sorted by stamp, stably. Of a sealed
+// would read one to its end, it builds the segment's header set instead
+// and the block cache keeps it (blockcache.go, the headers kind): every
+// frame checked — tail magic, checksum, record kind and payload-length
+// bound, selected or not — and the headers sorted by stamp, stably. The
+// build walks the segment from its first frame even where the cursor
+// seeks into it, so that the boundary segment of a window reaching the
+// newest rows is walked once, not by every such window. The active
+// segment changes only by growing, and what it holds up to an extent
+// never changes: a cursor whose window holds every stamp of it builds
+// its header set up to the snapshot's extent all the same, keyed by
+// that extent — the key the segment's header set takes if it seals
+// there. Of a sealed
 // cold segment such a cursor needs no more than the rows that pass its
 // filter, and a filter asked once is asked again with another window:
 // so under a filter that keeps anything once its stamp and time
@@ -90,6 +98,13 @@ type hdrRow struct{ stamp, ts, w3 uint64 }
 // splitW3 unpacks header word 3.
 func splitW3(w3 uint64) (core uint8, tid uint32, cat, level uint8) {
 	return uint8(w3 >> 56), uint32(w3>>32) & 0xFFFFFF, uint8(w3 >> 24), uint8(w3 >> 16)
+}
+
+// entry expands the row into e, with a payload of the row's length.
+func (r *hdrRow) entry(e *tracer.Entry) {
+	core, tid, cat, level := splitW3(r.w3)
+	e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level = r.stamp, r.ts, core, tid, cat, level
+	e.Payload = tracer.LengthOnly(int(uint16(r.w3)))
 }
 
 // packW3 packs a row's fields as header word 3 carries them.
@@ -144,6 +159,9 @@ type segSnap struct {
 	cold         bool
 	// blocks shares the cold segment's immutable block directory.
 	blocks []coldBlock
+	// skipped counts the frames before start: those the sparse seek
+	// passed over.
+	skipped uint64
 }
 
 // snapOf captures s for a scan of the stamps from minStamp up. Caller
@@ -169,7 +187,7 @@ func snapOf(s *segment, minStamp uint64) segSnap {
 		// Sparse seek: skip straight to the stamp lower bound.
 		lo := sort.Search(len(s.sparse), func(i int) bool { return s.sparse[i].stamp >= minStamp })
 		if lo > 0 {
-			sn.start = s.sparse[lo-1].off
+			sn.start, sn.skipped = s.sparse[lo-1].off, uint64(lo-1)*indexStride
 		}
 	}
 	return sn
@@ -227,14 +245,15 @@ func (st *Store) openScan(q *compiled, sn *segSnap) (s *segScan, missed uint64, 
 
 // setKey names the set a pass of q reads snapshot sn through, if it
 // reads one: a cursor pass that reads payload lengths only, under a
-// predicate that reads no payload byte, over a sealed segment. A row
-// segment has one set, its header set: every frame's header. A cold
-// segment has one per filter, its filtered set: the rows that pass what
-// is left of q's filter once the stamp and time comparisons of its
-// top-level && chain are taken out (btql.Predicate.Rest), under which
-// the set is keyed; a filter of nothing else has none.
+// predicate that reads no payload byte. A row segment has one set, its
+// header set: every frame's header up to the snapshot's extent. A
+// sealed cold segment has one per filter, its filtered set: the rows
+// that pass what is left of q's filter once the stamp and time
+// comparisons of its top-level && chain are taken out
+// (btql.Predicate.Rest), under which the set is keyed; a filter of
+// nothing else has none.
 func (q *compiled) setKey(sn *segSnap) (k blockKey, ok bool) {
-	if !q.lengths || q.pred.NeedsPayload() || !sn.sealed {
+	if !q.lengths || q.pred.NeedsPayload() {
 		return k, false
 	}
 	k = blockKey{name: sn.name, off: sn.bound, sec: secHeaders}
@@ -248,15 +267,27 @@ func (q *compiled) setKey(sn *segSnap) (k blockKey, ok bool) {
 // headerSet looks up the set k names for a pass of q over sn. A resident
 // set is a hit: its rows, all of them (none for a filtered set no row
 // passes), the file unopened. Otherwise build reports that the pass
-// builds the set and admits it (blockcache.go) — the miss: a row
-// segment's when the pass would walk it whole, from its first frame to
-// its sealed end with no ordered cut, and a set the cache's budget could
-// hold; a cold segment's whenever the cache could hold an entry at all.
+// builds the set (buildSet) and admits it (blockcache.go) — the miss:
+//   - a sealed row segment's when the pass reads it to its sealed end,
+//     with no ordered cut, and a set the cache's budget could hold. The
+//     boundary segment a min_stamp seeks into (snapOf) is such a
+//     segment, if the pass's limit, where it has one, covers the frames
+//     past the seek: the build walks it from its first frame all the
+//     same, so that a window reaching the newest rows, asked again,
+//     walks none, but a point read has no use for the rest;
+//   - the active segment's when the pass's window holds every stamp of
+//     the snapshot. A point read into it never builds one: the segment
+//     grows under it, and the set it built would soon be stale;
+//   - a cold segment's whenever the cache could hold an entry at all.
 func (st *Store) headerSet(q *compiled, sn *segSnap, k blockKey) (rows []hdrRow, hit, build bool) {
 	build = st.bcache.fits(hdrSetSize(0))
-	if !sn.cold {
-		build = sn.start == headerSize && (!sn.ordered || q.maxStamp >= sn.maxStamp) &&
-			st.bcache.fits(hdrSetSize(int(sn.count)))
+	switch {
+	case sn.cold:
+	case !sn.sealed:
+		build = q.minStamp <= sn.baseStamp && q.maxStamp >= sn.maxStamp && st.bcache.fits(hdrSetSize(int(sn.count)))
+	default:
+		whole := sn.skipped == 0 || q.limit == 0 || uint64(q.limit) >= uint64(sn.count)-sn.skipped
+		build = whole && (!sn.ordered || q.maxStamp >= sn.maxStamp) && st.bcache.fits(hdrSetSize(int(sn.count)))
 	}
 	return st.bcache.headerSet(k, build)
 }
@@ -323,29 +354,29 @@ func (st *Store) walk(q *compiled, sn *segSnap, f backend.ReadFile, dst rowSink)
 	return s.off, err
 }
 
-// buildSet builds the set k names of sealed segment s.sn, reading a row
+// buildSet builds the set k names of segment s.sn, reading a row
 // segment's spans through buf: the walker runs under the set's filter —
 // none for a row segment's header set, whose walk therefore checks
-// every frame — over the whole segment, from its first frame or block,
-// and its rows are kept as header rows, stably sorted by stamp. A row
-// segment's set is admitted to the block cache if the walk reached the
-// sealed end (headerSet checked that it fits). A cold segment's set no
-// larger than the segment's inflated meta sections, which any walk of
-// it caches anyway, nor than the cache's budget is admitted; another is
-// not, and the entry left in its place says so, so that later passes
-// walk what they read instead of building it again. A walk that fails
-// caches nothing.
+// every frame — over the whole segment, from its first frame or block
+// whatever the pass's own start, and its rows are kept as header rows,
+// stably sorted by stamp. A row segment's set is admitted to the block
+// cache if the walk reached the snapshot's bound (headerSet checked
+// that it fits). A cold segment's set no larger than the segment's
+// inflated meta sections, which any walk of it caches anyway, nor than
+// the cache's budget is admitted; another is not, and the entry left in
+// its place says so, so that later passes walk what they read instead
+// of building it again. A walk that fails caches nothing.
 func (s *segScan) buildSet(k blockKey, buf *pchunk) ([]hdrRow, error) {
 	pq, err := btql.Parse(k.agg)
 	if err != nil {
 		return nil, err
 	}
 	sn := s.sn
-	sink := setSink{buf: buf}
+	whole, sink := *sn, setSink{buf: buf}
 	if !sn.cold {
-		sink.set = make([]hdrRow, 0, sn.count)
+		whole.start, sink.set = headerSize, make([]hdrRow, 0, sn.count)
 	}
-	end, err := s.st.walk(&compiled{pred: pq.Predicate(), maxStamp: ^uint64(0)}, sn, s.f, &sink)
+	end, err := s.st.walk(&compiled{pred: pq.Predicate(), maxStamp: ^uint64(0)}, &whole, s.f, &sink)
 	if err != nil {
 		return nil, err
 	}

@@ -33,6 +33,29 @@ type Cursor interface {
 	Close() error
 }
 
+// Renderer formats entries as text, a row each. A row's text depends on
+// its entry and the format alone, so rows rendered once may be kept and
+// handed out again in place of their entries (RenderCursor).
+type Renderer interface {
+	// Format names the rendering: renderers of one name render every
+	// entry alike.
+	Format() string
+	// AppendRows appends the rows of es to dst, and to ends the offset
+	// in dst at which each row ends.
+	AppendRows(dst []byte, ends []uint32, es []Entry) ([]byte, []uint32)
+}
+
+// RenderCursor is a Cursor that may hand over stretches of rows already
+// rendered, as text, instead of as entries.
+type RenderCursor interface {
+	Cursor
+	// NextRendered is Next for a consumer that renders with r, the same
+	// r on every call: it fills batch as Next does, or hands over the
+	// text r makes of the next n rows (text non-nil, batch untouched).
+	// The text is read-only and valid until the next call or Close.
+	NextRendered(r Renderer, batch []Entry) (n int, text []byte, missed uint64, err error)
+}
+
 // Events returns a Go iterator over c, reading through batch (which
 // sizes the per-call read; it must be non-empty). The yielded *Entry is
 // borrowed — valid only for that iteration step — per the Cursor
