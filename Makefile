@@ -123,7 +123,8 @@ bench:
 	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkReadPath' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test . -run '^$$' -bench 'BenchmarkWritePathStampBatch' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/live -run '^$$' -bench 'BenchmarkLive(Fanout|SSE)' -benchmem -benchtime $(BENCHTIME); \
-	   $(GO) test ./internal/export -run '^$$' -bench 'BenchmarkExportCSV' -benchmem -benchtime $(OBS_RECORD_BENCHTIME); } \
+	   $(GO) test ./internal/export -run '^$$' -bench 'BenchmarkExportCSV' -benchmem -benchtime $(OBS_RECORD_BENCHTIME); \
+	   $(GO) test ./internal/tracer -run '^$$' -bench 'BenchmarkDecodeEvents' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
 	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query|Reopen)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate|AggregateRepeat)|BenchmarkHotTailExport|BenchmarkWindowExport' -benchmem -benchtime $(BENCHTIME); \
@@ -144,9 +145,10 @@ bench:
 # show, and note its ns/op, MB/s and custom-metric deltas against the
 # committed baselines (taken from HEAD) without failing on them. The
 # read-path / obs fast paths, the store's append path (a pooled frame
-# buffer, alone and under eight appenders) and the single-store /ingest
-# path (pooled batch → decode → drain → append,
-# BenchmarkServeIngest/single) must stay allocation-free. The -max-ratio rules enforce the
+# buffer, alone and under eight appenders), the /ingest body decode
+# (BenchmarkDecodeEvents) and the single-store /ingest path (pooled
+# batch → decode → drain → append, BenchmarkServeIngest/single) must
+# stay allocation-free. The -max-ratio rules enforce the
 # storage contracts within the fresh run itself (hardware-independent):
 # the wide query over the majority-cold store must stay within 2x of the
 # identical all-hot query, a selective BTQL query with predicate
@@ -191,5 +193,5 @@ benchdiff:
 	@for f in BENCH_readpath.json BENCH_store.json BENCH_obs.json; do \
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
-	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkStoreAppend,BenchmarkStoreAppendConcurrent,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkServeIngest/single' \
+	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkStoreAppend,BenchmarkStoreAppendConcurrent,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkDecodeEvents,BenchmarkServeIngest/single' \
 	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregateRepeat<=0.1*BenchmarkQueryAggregate,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkColdSelect/sparse-lengths<=0.65*BenchmarkColdSelect/sparse,BenchmarkHotTailExport/cached<=0.5*BenchmarkHotTailExport/walk,BenchmarkHotTailCSV/cached<=0.12*BenchmarkHotTailCSV/walk,BenchmarkWindowExport/cached<=0.05*BenchmarkWindowExport/walk,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'

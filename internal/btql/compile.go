@@ -112,9 +112,9 @@ func (p *Predicate) Expr() Expr {
 	return p.expr
 }
 
-// Narrow returns the predicate of p's filter ANDed behind es: how a
-// request's field form and its ?q= become the one predicate evaluated.
-// p may be nil, and is returned as it is when es adds nothing.
+// Narrow returns the predicate of p's filter ANDed behind es (live.Filter
+// puts its TID list in front of its Pred so). p may be nil, and is
+// returned as it is when es adds nothing.
 func (p *Predicate) Narrow(es ...Expr) *Predicate {
 	fields := AllOf(es...)
 	if fields == nil && p != nil {

@@ -309,10 +309,11 @@ func (c *diffCluster) check(after string) {
 	healthy := len(c.up()) == len(c.names())
 	for _, src := range []string{"", `payload contains "7"`, `category == 2 && payload contains "3"`} {
 		for _, from := range []uint64{0, c.epoch} {
-			q := store.Query{MinStamp: from}
+			var filter btql.Expr
 			if src != "" {
-				q.Pred = predOf(t, src)
+				filter = predOf(t, src).Expr()
 			}
+			q := store.Query{Pred: where(btql.Between(btql.FStamp, from, 0), filter)}
 			what := fmt.Sprintf("%q from stamp %d", src, from)
 			want, wantMissed, err := c.d.aggregateMerged(q, diffSpecs)
 			if err != nil {
@@ -338,6 +339,10 @@ func (c *diffCluster) check(after string) {
 		}
 	}
 }
+
+// where is how these tests spell a filter: the BTQL predicate of es
+// ANDed in order (a nil one adds nothing), match-all for none.
+func where(es ...btql.Expr) *btql.Predicate { return btql.Compile(btql.AllOf(es...)) }
 
 func predOf(t *testing.T, src string) *btql.Predicate {
 	t.Helper()
@@ -423,7 +428,7 @@ func TestAggregateFallsBackWhenFirstOwnerIsBehind(t *testing.T) {
 		t.Fatalf("first owner behind: %d merged, %d mismatches, want the fallback", s.aggMerged.Load(), s.aggFallbacks[fallbackMismatch].Load())
 	}
 	// A query the missed event does not match still verifies.
-	if _, _, reason := c.d.pushdown(store.Query{MaxStamp: 1}, count); reason != "" {
+	if _, _, reason := c.d.pushdown(store.Query{Pred: where(btql.Between(btql.FStamp, 0, 1))}, count); reason != "" {
 		t.Fatalf("pushdown over the stamps before the fault fell back: %s", reason)
 	}
 }

@@ -23,7 +23,7 @@ func TestDistributorQueryParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("acked %d of 500", res.Acked)
 	}
 
-	q := store.Query{MinStamp: 50, MaxStamp: 450}
+	q := store.Query{Pred: where(btql.Between(btql.FStamp, 50, 450))}
 	var seq []tracer.Entry
 	seen := make(map[uint64]bool)
 	for _, sh := range locals {
@@ -160,7 +160,7 @@ func TestLengthOnlyMatchesFull(t *testing.T) {
 	}
 	for name, q := range map[string]store.Query{
 		"all":     {},
-		"window":  {MinStamp: 777, MaxStamp: 3210, Limit: 1500},
+		"window":  {Pred: where(btql.Between(btql.FStamp, 777, 3210)), Limit: 1500},
 		"payload": {Pred: needle.Predicate()},
 	} {
 		for _, workers := range []int{0, 1, 4} {

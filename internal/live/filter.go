@@ -2,32 +2,25 @@ package live
 
 import "btrace/internal/btql"
 
-// Filter selects the slice of the admitted stream a subscriber wants.
-// The event fields mirror store.Query (category/core/time plus TID) and
-// mean what they mean there; tenant scoping is layered on for cluster
-// mode. Zero values match everything.
+// Filter selects the slice of the admitted stream a subscriber wants:
+// a tenant, and a BTQL predicate over the events (btql.ParseParams
+// lowers /live's parameters to one). Zero values match everything.
 type Filter struct {
 	// Tenant scopes the subscription to one tenant's events; ""
 	// matches all tenants (the single-operator dashboard case).
 	Tenant string
-	// MinTS/MaxTS bound the event virtual timestamp (inclusive;
-	// MaxTS 0 = unbounded).
-	MinTS, MaxTS uint64
-	// Cores, Categories and TIDs are membership filters; empty = all.
-	Cores, Categories []uint8
-	TIDs              []uint32
-	// Pred is an optional compiled BTQL predicate, ANDed with the field
-	// filters above. The tail has the payload, so payload matches work.
+	// Pred is the compiled BTQL filter; nil matches everything. The
+	// tail has the payload, so payload matches work.
 	Pred *btql.Predicate
+	// TIDs, if not empty, is `tid in (TIDs)` ANDed in front of Pred. It
+	// is a second spelling kept for the end-to-end benchmark's layer
+	// harness, which subscribes with it; anything else says it in Pred.
+	TIDs []uint32
 }
 
 // predicate lowers the filter's event half to the one predicate
 // Sub.offer evaluates per event. The tenant is not an event field: a
 // batch is published under one, and offer asks once per batch.
 func (f *Filter) predicate() *btql.Predicate {
-	return f.Pred.Narrow(
-		btql.Between(btql.FTime, f.MinTS, f.MaxTS),
-		btql.In(btql.FCore, f.Cores),
-		btql.In(btql.FCategory, f.Categories),
-		btql.In(btql.FTID, f.TIDs))
+	return f.Pred.Narrow(btql.In(btql.FTID, f.TIDs))
 }

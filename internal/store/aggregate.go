@@ -205,7 +205,8 @@ type Partial struct {
 // scanned by the first fold that asks this aggregate of it and merged
 // from the block cache by those after (partial); boundary segments and
 // the active one are scanned every time, and so is everything under an
-// Ownership or in a store without a block cache.
+// Ownership or in a store without a block cache — a row segment's scan
+// reads its header set where one is resident (scan).
 func (p *AggSnapshot) Fold(specs []btql.AggSpec, own *Ownership) (Partial, error) {
 	return p.fold(specs, own, own == nil && p.st.bcache != nil)
 }
@@ -263,19 +264,21 @@ func newAggs(specs []btql.AggSpec) []*btql.Aggregator {
 }
 
 // scan folds segment sn into sink. missed is the snapshot's count of a
-// segment retention deleted before it could be opened. Of the active
-// segment, under a predicate that reads no payload byte, a resident
-// header set at the snapshot's extent (scan.go) is folded through
-// MatchHeader instead, the file unopened. A fold never builds one.
+// segment retention deleted before it could be opened. Of a row
+// segment, active or sealed, under a predicate that reads no payload
+// byte, a resident header set at the snapshot's extent (scan.go) is
+// folded through MatchHeader instead, the file unopened — as a cursor
+// reads it, a file deleted under the snapshot included, missed 0. A
+// fold never builds one.
 func (p *AggSnapshot) scan(sn *segSnap, sink rowSink) (missed uint64, err error) {
-	if pred := p.q.pred; !sn.sealed && !pred.NeedsPayload() {
+	if pred := p.q.pred; !sn.cold && !pred.NeedsPayload() {
 		k := blockKey{name: sn.name, off: sn.bound, sec: secHeaders}
 		if rows, hit, _ := p.st.bcache.headerSet(k, false); hit {
 			for i := range rows {
 				r := &rows[i]
-				core, tid, cat, level := splitW3(r.w3)
+				core, tid, cat, level, plen := tracer.UnpackWord3(r.w3)
 				if pred.MatchHeader(r.stamp, r.ts, core, tid, cat, level) {
-					sink.row(r.stamp, r.ts, core, tid, cat, level, tracer.LengthOnly(int(uint16(r.w3))))
+					sink.row(r.stamp, r.ts, core, tid, cat, level, tracer.LengthOnly(plen))
 				}
 			}
 			return 0, nil

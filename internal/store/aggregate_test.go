@@ -63,7 +63,7 @@ func TestAggregateAcrossTiers(t *testing.T) {
 		q    Query
 	}{
 		{"all", Query{}},
-		{"field-filters", Query{Cores: []uint8{1, 2}, MinStamp: 150}},
+		{"field-filters", Query{Pred: where(btql.Between(btql.FStamp, 150, 0), btql.In(btql.FCore, []uint8{1, 2}))}},
 		{"header-pred", Query{Pred: predOf(t, `category == 2 && core != 3`)}},
 		{"stamp-pred", Query{Pred: predOf(t, `stamp >= 200 && stamp <= 400`)}},
 		{"payload-pred", Query{Pred: predOf(t, `payload contains "payload-77"`)}},
@@ -120,7 +120,7 @@ func TestFoldUnderOwnership(t *testing.T) {
 	for _, q := range []Query{
 		{},
 		{Pred: predOf(t, `category == 2 && core != 3`)},
-		{Pred: predOf(t, `payload contains "payload-7"`), MinStamp: 150},
+		{Pred: where(btql.Between(btql.FStamp, 150, 0), predOf(t, `payload contains "payload-7"`).Expr())},
 	} {
 		part, err := st.AggregateSnapshot(q).Fold(specs, &Ownership{Self: self, Slots: slots, CountedBy: countedBy})
 		if err != nil || part.Missed != 0 {
@@ -233,7 +233,10 @@ func TestAggregateFoldsActiveHeaderSet(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %+v (%v), want %+v", what, got, err, want)
 		}
-		_, bytes := rc.take()
+		opens, bytes := rc.take()
+		if len(opens) != len(bytes) {
+			t.Fatalf("%s: opened %v, read %v", what, opens, bytes)
+		}
 		return bytes
 	}
 	export := func() {
@@ -264,6 +267,19 @@ func TestAggregateFoldsActiveHeaderSet(t *testing.T) {
 	export()
 	if bytes := fold("over the new set"); len(bytes) != 0 {
 		t.Fatalf("a fold over the new set read %v", bytes)
+	}
+	// Sealed at the extent of its set, the segment keeps it, and a fold
+	// whose stamp bound cuts through the segment — a boundary segment,
+	// which no partial stands for — folds the set, as a cursor reads it:
+	// it opens no file, its rows once in the block cache.
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	appendRange(t, st, 401, 500)
+	export()
+	q, specs = Query{Pred: predOf(t, `stamp >= 150`)}, []btql.AggSpec{{Kind: btql.AggCount}}
+	if bytes := fold("a bound cutting the sealed segment"); len(bytes) != 0 {
+		t.Fatalf("a fold cutting a sealed segment with a set read %v", bytes)
 	}
 }
 
@@ -439,7 +455,7 @@ func TestCorruptFrameFailsEverySurface(t *testing.T) {
 			if s := st.Stats(); s.RecoveredTruncations != 1 || s.TornBytesDropped != uint64(fi.Size()-valid) {
 				t.Errorf("reopen truncated %d segments by %d bytes, want 1 by %d", s.RecoveredTruncations, s.TornBytesDropped, fi.Size()-valid)
 			}
-			es := drainStore(t, st, Query{MaxStamp: 100})
+			es := drainStore(t, st, Query{Pred: where(btql.Between(btql.FStamp, 0, 100))})
 			if len(es) != tc.frame {
 				t.Fatalf("reopen kept %d rows of the segment, want %d", len(es), tc.frame)
 			}

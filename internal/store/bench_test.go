@@ -156,7 +156,7 @@ func BenchmarkStoreQueryWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := drainCursor(b, st.QueryParallel(Query{Categories: []uint8{2}}, 1), batch)
+		n := drainCursor(b, st.QueryParallel(Query{Pred: where(btql.In(btql.FCategory, []uint8{2}))}, 1), batch)
 		if n == 0 {
 			b.Fatal("query returned no records")
 		}
@@ -173,7 +173,7 @@ func BenchmarkStoreQueryParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := drainCursor(b, st.QueryParallel(Query{Categories: []uint8{2}}, 4), batch)
+		n := drainCursor(b, st.QueryParallel(Query{Pred: where(btql.In(btql.FCategory, []uint8{2}))}, 4), batch)
 		if n == 0 {
 			b.Fatal("query returned no records")
 		}
@@ -230,7 +230,7 @@ func BenchmarkColdQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := drainCursor(b, st.QueryParallel(Query{Categories: []uint8{2}}, 4), batch)
+		n := drainCursor(b, st.QueryParallel(Query{Pred: where(btql.In(btql.FCategory, []uint8{2}))}, 4), batch)
 		if n == 0 {
 			b.Fatal("query returned no records")
 		}
@@ -454,7 +454,7 @@ func BenchmarkHotTailExport(b *testing.B) {
 			st, newest := hotTailStore(b, cacheBytes)
 			defer st.Close()
 			const rows = 1 << 16
-			q := Query{MinStamp: newest - rows + 1, Limit: rows, LengthsOnly: true}
+			q := Query{Pred: where(btql.Between(btql.FStamp, newest-rows+1, 0)), Limit: rows, LengthsOnly: true}
 			batch := make([]tracer.Entry, 1024)
 			read := func() {
 				if n := drainCursor(b, st.QueryParallel(q, 4), batch); n != rows {
@@ -501,7 +501,7 @@ func BenchmarkHotTailCSV(b *testing.B) {
 			st, newest := hotTailStore(b, cacheBytes)
 			defer st.Close()
 			const rows = 1 << 16
-			q := Query{MinStamp: newest - rows + 1, Limit: rows, LengthsOnly: true}
+			q := Query{Pred: where(btql.Between(btql.FStamp, newest-rows+1, 0)), Limit: rows, LengthsOnly: true}
 			batch := make([]tracer.Entry, 1024)
 			var out countingWriter
 			csv := func() {
@@ -803,7 +803,7 @@ func BenchmarkStoreQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := uint64(1 + (i*37)%(total-1000))
-		cur := st.Query(Query{MinStamp: lo, MaxStamp: lo + 999})
+		cur := st.Query(Query{Pred: where(btql.Between(btql.FStamp, lo, lo+999))})
 		n := 0
 		for {
 			m, _, err := cur.Next(batch)

@@ -341,7 +341,8 @@ func (st *Store) setText(k blockKey, r tracer.Renderer, rows []hdrRow) (text []b
 	}
 	var frames int64
 	for i := range rows {
-		frames += int64(tracer.EventWireSize(int(uint16(rows[i].w3))) + tailSize)
+		_, _, _, _, plen := tracer.UnpackWord3(rows[i].w3)
+		frames += int64(tracer.EventWireSize(plen) + tailSize)
 	}
 	ent := &cacheEnt{key: k, walk: true, size: textSize(0, 0)}
 	if frames <= math.MaxInt32 { // so that the 4-byte row ends cannot overflow

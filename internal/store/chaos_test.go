@@ -41,7 +41,7 @@ func TestObjectBackendConformance(t *testing.T) {
 	if len(es) != n {
 		t.Fatalf("drained %d events, want %d", len(es), n)
 	}
-	pc := st.QueryParallel(Query{MinStamp: 100, MaxStamp: 800}, 3)
+	pc := st.QueryParallel(Query{Pred: where(btql.Between(btql.FStamp, 100, 800))}, 3)
 	pes, _ := drainParallel(t, pc, 64)
 	pc.Close()
 	if len(pes) != 701 {
@@ -857,7 +857,7 @@ func TestStoreCompactorStress(t *testing.T) {
 	if err := st.WriteErr(); err != nil {
 		t.Fatalf("write path error: %v", err)
 	}
-	es := drainStore(t, st, Query{MinStamp: lastStamp, MaxStamp: lastStamp})
+	es := drainStore(t, st, Query{Pred: where(btql.Between(btql.FStamp, lastStamp, lastStamp))})
 	if len(es) != 1 {
 		t.Fatalf("newest event %d not readable after stress: got %d copies", lastStamp, len(es))
 	}

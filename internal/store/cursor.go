@@ -11,21 +11,15 @@ package store
 import "btrace/internal/btql"
 
 // Query selects a subset of the stored trace. The zero Query matches
-// everything. Bounds are inclusive; a zero upper bound means unbounded.
+// everything. What it selects is said in BTQL alone: a window, a thread,
+// a list of cores is a predicate (btql.Compile over btql.Between, In,
+// AllOf, or a parsed query), as the HTTP field parameters are
+// (btql.ParseParams).
 type Query struct {
-	// MinStamp/MaxStamp bound the logic-stamp range.
-	MinStamp, MaxStamp uint64
-	// MinTS/MaxTS bound the virtual-time range in nanoseconds.
-	MinTS, MaxTS uint64
-	// Cores restricts to these virtual cores (empty = all).
-	Cores []uint8
-	// Categories restricts to these workload categories (empty = all).
-	Categories []uint8
+	// Pred is the compiled BTQL filter; nil matches everything.
+	Pred *btql.Predicate
 	// Limit caps the number of delivered events (0 = unlimited).
 	Limit int
-	// Pred is an optional compiled BTQL predicate, ANDed with the field
-	// filters above.
-	Pred *btql.Predicate
 	// LengthsOnly is the read's projection: the caller looks at the
 	// length of each entry's Payload and never at its bytes (a CSV or
 	// Chrome export). The scan then reads, inflates, copies and keeps
@@ -35,9 +29,9 @@ type Query struct {
 	LengthsOnly bool
 }
 
-// compiled is the evaluated form of a Query: its field filters lowered
-// to BTQL and ANDed with Pred, so that one predicate is all a pruning
-// site — files, blocks, raw headers, columns — ever asks.
+// compiled is the evaluated form of a Query: its predicate, and what
+// every pruning site — files, blocks, raw headers, columns — derives
+// from it.
 type compiled struct {
 	pred  *btql.Predicate
 	limit int // 0 = unlimited
@@ -50,12 +44,14 @@ type compiled struct {
 	minStamp, maxStamp uint64
 }
 
+// matchAll is the predicate of a Query without one.
+var matchAll = btql.Compile(nil)
+
 func compile(q Query) *compiled {
-	c := &compiled{limit: q.Limit, lengths: q.LengthsOnly, pred: q.Pred.Narrow(
-		btql.Between(btql.FStamp, q.MinStamp, q.MaxStamp),
-		btql.Between(btql.FTime, q.MinTS, q.MaxTS),
-		btql.In(btql.FCore, q.Cores),
-		btql.In(btql.FCategory, q.Categories))}
+	c := &compiled{pred: q.Pred, limit: q.Limit, lengths: q.LengthsOnly}
+	if c.pred == nil {
+		c.pred = matchAll
+	}
 	c.minStamp, c.maxStamp = c.pred.StampBounds()
 	return c
 }

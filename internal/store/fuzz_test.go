@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"btrace/internal/btql"
 	"btrace/internal/tracer"
 )
 
@@ -105,7 +106,7 @@ func FuzzSegmentRecover(f *testing.F) {
 		if err := st.Append(&e); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}
-		after := st.Query(Query{MinStamp: next})
+		after := st.Query(Query{Pred: where(btql.Between(btql.FStamp, next, 0))})
 		defer after.Close()
 		got, err := tracer.Drain(after, 8)
 		if err != nil || len(got) != 1 || got[0].Stamp != next {

@@ -142,13 +142,13 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 		t.Helper()
 		for _, q := range []Query{
 			{},
-			{MinStamp: 300},
+			{Pred: where(btql.Between(btql.FStamp, 300, 0))},
 			{Pred: predOf(t, `tid == 101`)},
-			{Pred: predOf(t, `category == 2 && stamp >= 100`), MaxStamp: 900},
+			{Pred: where(btql.Between(btql.FStamp, 0, 900), predOf(t, `category == 2 && stamp >= 100`).Expr())},
 			{Pred: predOf(t, `tid == 100 && category == 3`)},
-			{MinStamp: 200, MaxTS: 700_003},
+			{Pred: where(btql.Between(btql.FStamp, 200, 0), btql.Between(btql.FTime, 0, 700_003))},
 			{Limit: 150},
-			{MinStamp: 300, Limit: 77},
+			{Pred: where(btql.Between(btql.FStamp, 300, 0)), Limit: 77},
 			{Pred: predOf(t, `payload contains "7"`)},
 		} {
 			q.LengthsOnly = true
@@ -360,11 +360,11 @@ func TestHeaderSetAdmission(t *testing.T) {
 	segs := st.Segments()
 	mid := segs[1].BaseStamp + 100 // past the first sparse-index stride
 	for _, q := range []Query{
-		{MinStamp: mid, MaxStamp: mid, LengthsOnly: true},
-		{MinStamp: segs[1].BaseStamp, MaxStamp: segs[1].BaseStamp + 1, LengthsOnly: true},
+		{Pred: where(btql.Between(btql.FStamp, mid, mid)), LengthsOnly: true},
+		{Pred: where(btql.Between(btql.FStamp, segs[1].BaseStamp, segs[1].BaseStamp+1)), LengthsOnly: true},
 		{Pred: predOf(t, `payload contains "payload"`), LengthsOnly: true},
-		{MinStamp: mid, MaxStamp: segs[1].MaxStamp, Limit: 1, LengthsOnly: true},
-		{MinStamp: 5005, LengthsOnly: true}, // seeks into the active segment
+		{Pred: where(btql.Between(btql.FStamp, mid, segs[1].MaxStamp)), Limit: 1, LengthsOnly: true},
+		{Pred: where(btql.Between(btql.FStamp, 5005, 0)), LengthsOnly: true}, // seeks into the active segment
 		{},
 	} {
 		for range 2 {
@@ -388,7 +388,7 @@ func TestHeaderSetAdmission(t *testing.T) {
 			boundary++
 		}
 	}
-	ask(Query{MinStamp: mid, LengthsOnly: true})
+	ask(Query{Pred: where(btql.Between(btql.FStamp, mid, 0)), LengthsOnly: true})
 	if c := state(); c.misses[classHeaders] != uint64(boundary) || c.hits[classHeaders] != 0 || !active() {
 		t.Fatalf("the window from %d: %+v (want %d misses), active segment's set %v", mid, c, boundary, active())
 	}
@@ -521,10 +521,10 @@ func TestFilteredSetsMatchCachelessStore(t *testing.T) {
 		{Pred: predOf(t, `category == 2`)},
 		{Pred: predOf(t, `tid in (1, 4, 100)`)},
 		{Pred: predOf(t, `stamp in (5, 77, 1234, 2100, 2301, 2600)`)},
-		{Pred: predOf(t, `tid == 4 && category == 3`), MinStamp: 333, MaxStamp: 1111},
+		{Pred: where(btql.Between(btql.FStamp, 333, 1111), predOf(t, `tid == 4 && category == 3`).Expr())},
 		{Pred: predOf(t, `stamp >= 700 && stamp <= 2200 && category == 1`)},
 		{Pred: predOf(t, `tid == 100 && time >= 2150003`)},
-		{Pred: predOf(t, `category == 4`), MinTS: 400_500, MaxTS: 2_300_000, Limit: 90},
+		{Pred: where(btql.Between(btql.FTime, 400_500, 2_300_000), predOf(t, `category == 4`).Expr()), Limit: 90},
 	}
 	check := func(when string) {
 		t.Helper()
@@ -684,8 +684,8 @@ func TestFilteredSetCorruptMeta(t *testing.T) {
 	if bad.path == "" {
 		t.Fatalf("fixture: %+v", secs)
 	}
-	inside := Query{Pred: predOf(t, `tid == 3`), MinStamp: bad.baseStamp, MaxStamp: bad.baseStamp + 10, LengthsOnly: true}
-	outside := Query{Pred: predOf(t, `tid == 3`), MaxStamp: bad.baseStamp - 1, LengthsOnly: true}
+	inside := Query{Pred: where(btql.Between(btql.FStamp, bad.baseStamp, bad.baseStamp+10), predOf(t, `tid == 3`).Expr()), LengthsOnly: true}
+	outside := Query{Pred: where(btql.Between(btql.FStamp, 0, bad.baseStamp-1), predOf(t, `tid == 3`).Expr()), LengthsOnly: true}
 	want := drainStore(t, st, outside)
 	if len(want) == 0 {
 		t.Fatal("the window before the corrupt block matches nothing")

@@ -24,23 +24,43 @@ import (
 // let through. The fixture is built to be unkind to bitmaps and
 // dictionaries.
 
-// refMatchRaw is the reference the lowering of a Query's field filters
-// (compile) is pinned to: the checks the frame walker made inline, one
-// compare per bound, before there was one predicate — zero upper bounds
-// unbounded, empty lists unrestricted — and then the query's own
-// predicate on the header.
-func refMatchRaw(q *Query, e *tracer.Entry) bool {
-	if e.Stamp < q.MinStamp || (q.MaxStamp > 0 && e.Stamp > q.MaxStamp) {
+// fieldQuery is a query drawn in parts — stamp and time bounds (a zero
+// upper bound unbounded), core and category lists (empty = all) and a
+// BTQL filter (nil = none) — so that an oracle can check each part with
+// compares of its own (matchHeader, match), independent of the BTQL the
+// store is asked: the parts' conjunction, which lower puts in Query.Pred.
+type fieldQuery struct {
+	Query
+	minStamp, maxStamp, minTS, maxTS uint64
+	cores, cats                      []uint8
+	filter                           *btql.Predicate
+}
+
+// lower sets the query's predicate to its parts ANDed, in that order.
+func (q *fieldQuery) lower() {
+	q.Pred = where(btql.Between(btql.FStamp, q.minStamp, q.maxStamp), btql.Between(btql.FTime, q.minTS, q.maxTS),
+		btql.In(btql.FCore, q.cores), btql.In(btql.FCategory, q.cats), q.filter.Expr())
+}
+
+// matchHeader is the reference for a row's header: one compare per
+// bound and a list search, then the filter's header test.
+func (q *fieldQuery) matchHeader(e *tracer.Entry) bool {
+	if e.Stamp < q.minStamp || (q.maxStamp > 0 && e.Stamp > q.maxStamp) {
 		return false
 	}
-	if e.TS < q.MinTS || (q.MaxTS > 0 && e.TS > q.MaxTS) {
+	if e.TS < q.minTS || (q.maxTS > 0 && e.TS > q.maxTS) {
 		return false
 	}
-	if len(q.Cores) > 0 && !slices.Contains(q.Cores, e.Core) ||
-		len(q.Categories) > 0 && !slices.Contains(q.Categories, e.Category) {
+	if len(q.cores) > 0 && !slices.Contains(q.cores, e.Core) ||
+		len(q.cats) > 0 && !slices.Contains(q.cats, e.Category) {
 		return false
 	}
-	return q.Pred == nil || q.Pred.MatchHeader(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level)
+	return q.filter == nil || q.filter.MatchHeader(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level)
+}
+
+// match is matchHeader and the filter's exact test.
+func (q *fieldQuery) match(e *tracer.Entry) bool {
+	return q.matchHeader(e) && (q.filter == nil || q.filter.Match(e))
 }
 
 // kernelFixture freezes four segments into a cold file each and leaves
@@ -134,18 +154,18 @@ func coldSnaps(st *Store) []segSnap {
 // checkColumnWalker runs q's column walker over every cold block of st
 // and holds it to the row-by-row oracle over the same block's meta
 // section decoded whole, each row's payload taken from es, the entries
-// that went in: the selection is exactly the rows refMatchRaw passes (and the
-// lowered predicate's MatchHeader, which the frame walker asks), the
+// that went in: the selection is exactly the rows q.matchHeader passes
+// (and the lowered predicate's MatchHeader, which the frame walker asks), the
 // rows emitted exactly those that also pass Predicate.Match, in order,
 // field for field, and the aggregate sink counts as many. A block the
 // block rung would have pruned must select nothing.
-func checkColumnWalker(t testing.TB, st *Store, es []tracer.Entry, q Query) {
+func checkColumnWalker(t testing.TB, st *Store, es []tracer.Entry, q fieldQuery) {
 	t.Helper()
 	payloads := make(map[uint64][]byte, len(es))
 	for i := range es {
 		payloads[es[i].Stamp] = es[i].Payload
 	}
-	cq := compile(q)
+	cq := compile(q.Query)
 	for _, sn := range coldSnaps(st) {
 		s, _, err := st.openScan(cq, &sn)
 		if err != nil || s == nil {
@@ -171,11 +191,11 @@ func checkColumnWalker(t testing.TB, st *Store, es []tracer.Entry, q Query) {
 				if int(cb.payOff[r+1]-cb.payOff[r]) != len(e.Payload) {
 					t.Fatalf("%s block %d row %d: payload length column says %d, the entry had %d", sn.name, bi, r, cb.payOff[r+1]-cb.payOff[r], len(e.Payload))
 				}
-				raw := refMatchRaw(&q, &e)
+				raw := q.matchHeader(&e)
 				if got := cq.pred.MatchHeader(e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level); got != raw {
 					t.Fatalf("%s block %d row %d (%+v): lowered MatchHeader = %v, the field checks say %v", sn.name, bi, r, e, got, raw)
 				}
-				exact := raw && (q.Pred == nil || q.Pred.Match(&e))
+				exact := q.match(&e)
 				if got := cq.pred.Match(&e); got != exact {
 					t.Fatalf("%s block %d row %d (%+v): lowered Match = %v, the field checks say %v", sn.name, bi, r, e, got, exact)
 				}
@@ -270,33 +290,34 @@ func TestColumnKernelsMatchRowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2025))
 	pick := func() uint64 { return es[rng.Intn(len(es))].Stamp }
 	for i := 0; i < 400; i++ {
-		var q Query
+		var q fieldQuery
 		if rng.Intn(4) > 0 {
-			q.Pred = btql.Compile(randExpr(rng, es, 3))
+			q.filter = btql.Compile(randExpr(rng, es, 3))
 		}
-		// The store's own rungs: stamp and time hulls (MaxStamp inside an
-		// ordered block cuts it) and the core and category sets.
+		// The store's own rungs: stamp and time hulls (a stamp bound inside
+		// an ordered block cuts it) and the core and category sets.
 		if rng.Intn(3) == 0 {
-			q.MinStamp = pick()
+			q.minStamp = pick()
 		}
 		if rng.Intn(3) == 0 {
-			q.MaxStamp = pick()
+			q.maxStamp = pick()
 		}
 		if rng.Intn(5) == 0 {
-			q.MinTS = pick() * 1000
+			q.minTS = pick() * 1000
 		}
 		if rng.Intn(5) == 0 {
-			q.MaxTS = pick()*1000 + 2500
+			q.maxTS = pick()*1000 + 2500
 		}
 		if rng.Intn(5) == 0 {
-			q.Cores = []uint8{0, 64, uint8(rng.Intn(256))}
+			q.cores = []uint8{0, 64, uint8(rng.Intn(256))}
 		}
 		if rng.Intn(5) == 0 {
-			q.Categories = []uint8{11, 100, uint8(rng.Intn(256))}
+			q.cats = []uint8{11, 100, uint8(rng.Intn(256))}
 		}
+		q.lower()
 		checkColumnWalker(t, st, es, q)
 		if t.Failed() {
-			t.Fatalf("query %d: %+v pred %v", i, q, q.Pred)
+			t.Fatalf("query %d: pred %v", i, q.Pred.Expr())
 		}
 	}
 	// And the surfaces end to end, against the entries that went in.
@@ -359,10 +380,11 @@ func FuzzColumnKernels(f *testing.F) {
 		if err != nil {
 			return
 		}
-		q := Query{MinStamp: minStamp, MaxStamp: maxStamp}
+		q := fieldQuery{minStamp: minStamp, maxStamp: maxStamp}
 		if bq.Filter != nil {
-			q.Pred = bq.Predicate()
+			q.filter = bq.Predicate()
 		}
+		q.lower()
 		checkColumnWalker(t, st, es, q)
 	})
 }

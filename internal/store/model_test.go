@@ -97,7 +97,7 @@ func modelEntry(stamp uint64, bare bool) tracer.Entry {
 // follower is a cursor held open across other operations.
 type follower struct {
 	name string
-	q    Query
+	q    fieldQuery
 	par  *PCursor
 	// What the cursor may deliver: the matches of all[from:upto], its
 	// snapshot.
@@ -129,7 +129,7 @@ type storeModel struct {
 }
 
 type askedAgg struct {
-	q     Query
+	q     fieldQuery
 	specs []btql.AggSpec
 	name  string
 }
@@ -172,10 +172,10 @@ func (m *storeModel) settle() {
 
 // matches returns the indices into all[from:upto] of the events q
 // selects, by the row-at-a-time references.
-func (m *storeModel) matches(q *Query, from, upto int) []int {
+func (m *storeModel) matches(q *fieldQuery, from, upto int) []int {
 	var idx []int
 	for i := from; i < upto; i++ {
-		if e := &m.all[i]; refMatchRaw(q, e) && (q.Pred == nil || q.Pred.Match(e)) {
+		if e := &m.all[i]; q.match(e) {
 			idx = append(idx, i)
 		}
 	}
@@ -183,33 +183,33 @@ func (m *storeModel) matches(q *Query, from, upto int) []int {
 }
 
 // randQuery draws a query over the values the store holds.
-func (m *storeModel) randQuery(limit bool) (Query, string) {
-	var q Query
+func (m *storeModel) randQuery(limit bool) (fieldQuery, string) {
+	var q fieldQuery
 	if len(m.all) == 0 {
 		return q, "{}"
 	}
 	rng := m.p.rng()
 	pick := func() uint64 { return m.all[rng.Intn(len(m.all))].Stamp }
 	if rng.Intn(4) > 0 {
-		q.Pred = btql.Compile(randExpr(rng, m.all, 2))
+		q.filter = btql.Compile(randExpr(rng, m.all, 2))
 	}
 	if rng.Intn(4) == 0 {
-		q.MinStamp = pick()
+		q.minStamp = pick()
 	}
 	if rng.Intn(4) == 0 {
-		q.MaxStamp = pick()
+		q.maxStamp = pick()
 	}
 	if rng.Intn(6) == 0 {
-		q.MinTS = pick() * 1000
+		q.minTS = pick() * 1000
 	}
 	if rng.Intn(6) == 0 {
-		q.MaxTS = pick()*1000 + 2500
+		q.maxTS = pick()*1000 + 2500
 	}
 	if rng.Intn(6) == 0 {
-		q.Cores = []uint8{0, 64, uint8(rng.Intn(256))}
+		q.cores = []uint8{0, 64, uint8(rng.Intn(256))}
 	}
 	if rng.Intn(6) == 0 {
-		q.Categories = []uint8{11, 70, uint8(rng.Intn(256))}
+		q.cats = []uint8{11, 70, uint8(rng.Intn(256))}
 	}
 	if limit && rng.Intn(4) == 0 {
 		q.Limit = 1 + rng.Intn(40)
@@ -217,8 +217,9 @@ func (m *storeModel) randQuery(limit bool) (Query, string) {
 	// Drawn last, and from rng, so the programs of the committed corpus
 	// make the choices they made before there was a projection.
 	q.LengthsOnly = rng.Intn(3) == 0
+	q.lower()
 	return q, fmt.Sprintf("{stamp %d..%d ts %d..%d cores %v cats %v limit %d lengths %v pred %v}",
-		q.MinStamp, q.MaxStamp, q.MinTS, q.MaxTS, q.Cores, q.Categories, q.Limit, q.LengthsOnly, q.Pred.Expr())
+		q.minStamp, q.maxStamp, q.minTS, q.maxTS, q.cores, q.cats, q.Limit, q.LengthsOnly, q.filter.Expr())
 }
 
 // sameEntry reports whether a cursor's entry is the oracle's: field for
@@ -294,22 +295,22 @@ func limited(idx []int, limit int) []int {
 // served the first ask: the first builds the sets, the second reads
 // them. An answer header sets served is also held to a cache-less
 // store's (cacheless).
-func (m *storeModel) readPar(q Query, name string, workers int) {
+func (m *storeModel) readPar(q fieldQuery, name string, workers int) {
 	what := fmt.Sprintf("QueryParallel(%d)%s", workers, name)
 	batch := 1 + m.p.intn(90)
 	want := limited(m.byStamp(m.matches(&q, m.gone, len(m.all))), q.Limit)
 	if q.LengthsOnly {
-		m.readCSV(q, what, workers, batch, want)
+		m.readCSV(q.Query, what, workers, batch, want)
 	}
 	for ask := 0; ask < 2; ask++ {
 		hits := m.st.bcache.classCounters().hits[classHeaders]
-		cur := m.st.QueryParallel(q, workers)
+		cur := m.st.QueryParallel(q.Query, workers)
 		got, missed := m.drain(what, cur, batch, q.LengthsOnly)
 		cur.Close()
 		m.checkExact(what, got, missed, want, q.LengthsOnly)
 		if served := m.st.bcache.classCounters().hits[classHeaders] - hits; !q.LengthsOnly || served > 0 {
 			if served > 0 {
-				m.cacheless(q, what, workers, batch, got, missed)
+				m.cacheless(q.Query, what, workers, batch, got, missed)
 			}
 			m.headerReads += served
 			return
@@ -369,7 +370,7 @@ func (m *storeModel) cacheless(q Query, what string, workers, batch int, got []t
 	}
 }
 
-func (m *storeModel) readAgg(q Query, name string) {
+func (m *storeModel) readAgg(q fieldQuery, name string) {
 	specs := []btql.AggSpec{
 		{Kind: btql.AggCount},
 		{Kind: btql.AggTopK, K: 1 + m.p.intn(4), Field: []btql.Field{btql.FTID, btql.FCategory, btql.FCore}[m.p.intn(3)]},
@@ -383,7 +384,7 @@ func (m *storeModel) readAgg(q Query, name string) {
 
 // checkAgg holds q | specs to the oracle three ways: asked, asked again,
 // and folded without the block cache's partials.
-func (m *storeModel) checkAgg(q Query, specs []btql.AggSpec, name string) {
+func (m *storeModel) checkAgg(q fieldQuery, specs []btql.AggSpec, name string) {
 	want := make([]btql.Result, len(specs))
 	matches := m.matches(&q, m.gone, len(m.all))
 	for i, spec := range specs {
@@ -404,10 +405,10 @@ func (m *storeModel) checkAgg(q Query, specs []btql.AggSpec, name string) {
 		}
 	}
 	for _, how := range []string{"", ", asked again"} {
-		got, missed, err := m.st.Aggregate(q, specs)
+		got, missed, err := m.st.Aggregate(q.Query, specs)
 		check(how, got, missed, err)
 	}
-	part, err := m.st.AggregateSnapshot(q).fold(specs, nil, false)
+	part, err := m.st.AggregateSnapshot(q.Query).fold(specs, nil, false)
 	got := make([]btql.Result, len(part.Aggs))
 	for i, a := range part.Aggs {
 		got[i] = a.Result()
@@ -437,7 +438,7 @@ func (m *storeModel) poll(f *follower) {
 			m.failf("%s delivered %+v, which is not an event it could see", f.name, *e)
 		}
 		// The oracle's copy: a length-only entry has no bytes to match.
-		if w := &m.all[j]; !refMatchRaw(&f.q, w) || f.q.Pred != nil && !f.q.Pred.Match(w) {
+		if !f.q.match(&m.all[j]) {
 			m.failf("%s delivered %+v, which its query rejects", f.name, *e)
 		}
 		if f.seen[e.Stamp] {
@@ -565,7 +566,7 @@ func (m *storeModel) step(writers int) {
 		m.open(image)
 		m.settle()
 		// Recovery is exactly-once: everything is there, nothing twice.
-		m.readPar(Query{}, " after crash", 1)
+		m.readPar(fieldQuery{}, " after crash", 1)
 		m.reask("crash")
 	case op < 24:
 		q, desc := m.randQuery(true)
@@ -593,7 +594,7 @@ func (m *storeModel) step(writers int) {
 		// rest of the pass for later.
 		workers := []int{1, 4}[p.intn(2)]
 		f.name = fmt.Sprintf("follower %d (QueryParallel(%d))", len(m.ops), workers)
-		f.par = m.st.QueryParallel(q, workers)
+		f.par = m.st.QueryParallel(q.Query, workers)
 		var one [1]tracer.Entry
 		n, missed, err := f.par.Next(one[:])
 		if err != nil || missed != 0 {
@@ -651,15 +652,15 @@ func runStoreModel(t testing.TB, prog []byte) uint64 {
 	if testing.Verbose() {
 		t.Logf("%d ops, %d events (%d retired), tiers %+v, %d reads from header sets", len(m.ops), len(m.all), m.gone, m.st.TierStats(), m.headerReads)
 	}
-	m.readPar(Query{}, " (final)", 1)
-	m.readPar(Query{}, " (final)", 4)
-	m.readAgg(Query{}, " (final)")
-	m.readPar(Query{LengthsOnly: true}, " (final, lengths)", 1)
-	m.readPar(Query{LengthsOnly: true}, " (final, lengths)", 4)
+	m.readPar(fieldQuery{}, " (final)", 1)
+	m.readPar(fieldQuery{}, " (final)", 4)
+	m.readAgg(fieldQuery{}, " (final)")
+	m.readPar(fieldQuery{Query: Query{LengthsOnly: true}}, " (final, lengths)", 1)
+	m.readPar(fieldQuery{Query: Query{LengthsOnly: true}}, " (final, lengths)", 4)
 	if pred := btql.Compile(&btql.PayloadMatch{Needle: "oom"}); len(m.all) > 0 {
-		m.readPar(Query{Pred: pred}, " (final, payload)", 1)
-		m.readPar(Query{Pred: pred, LengthsOnly: true}, " (final, payload, lengths)", 1)
-		m.readAgg(Query{Pred: pred}, " (final, payload)")
+		m.readPar(fieldQuery{Query: Query{Pred: pred}, filter: pred}, " (final, payload)", 1)
+		m.readPar(fieldQuery{Query: Query{Pred: pred, LengthsOnly: true}, filter: pred}, " (final, payload, lengths)", 1)
+		m.readAgg(fieldQuery{Query: Query{Pred: pred}, filter: pred}, " (final, payload)")
 	}
 	return m.headerReads
 }

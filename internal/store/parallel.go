@@ -126,7 +126,7 @@ func (ck *pchunk) nextMatch(i int) int {
 	}
 	for ; i < len(ck.hdrs); i++ {
 		r := &ck.hdrs[i]
-		core, tid, cat, level := splitW3(r.w3)
+		core, tid, cat, level, _ := tracer.UnpackWord3(r.w3)
 		if ck.test.MatchHeader(r.stamp, r.ts, core, tid, cat, level) {
 			break
 		}
@@ -145,7 +145,7 @@ func (ck *pchunk) setRows(dst []tracer.Entry, i int, bound uint64) (n, next int)
 			break
 		}
 		i++
-		core, tid, cat, level := splitW3(r.w3)
+		core, tid, cat, level, _ := tracer.UnpackWord3(r.w3)
 		if test != nil && !test.MatchHeader(r.stamp, r.ts, core, tid, cat, level) {
 			continue
 		}

@@ -86,15 +86,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 		keep func(e *tracer.Entry) bool
 	}{
 		{Query{}, func(e *tracer.Entry) bool { return true }},
-		{Query{MinStamp: 500, MaxStamp: 1500}, func(e *tracer.Entry) bool { return e.Stamp >= 500 && e.Stamp <= 1500 }},
-		{Query{Categories: []uint8{2}}, func(e *tracer.Entry) bool { return e.Category == 2 }},
-		{Query{Cores: []uint8{0, 3}, MinStamp: 100}, func(e *tracer.Entry) bool { return (e.Core == 0 || e.Core == 3) && e.Stamp >= 100 }},
-		{Query{MinTS: 700_000, MaxTS: 900_000}, func(e *tracer.Entry) bool { return e.TS >= 700_000 && e.TS <= 900_000 }},
+		{Query{Pred: where(btql.Between(btql.FStamp, 500, 1500))}, func(e *tracer.Entry) bool { return e.Stamp >= 500 && e.Stamp <= 1500 }},
+		{Query{Pred: where(btql.In(btql.FCategory, []uint8{2}))}, func(e *tracer.Entry) bool { return e.Category == 2 }},
+		{Query{Pred: where(btql.Between(btql.FStamp, 100, 0), btql.In(btql.FCore, []uint8{0, 3}))}, func(e *tracer.Entry) bool { return (e.Core == 0 || e.Core == 3) && e.Stamp >= 100 }},
+		{Query{Pred: where(btql.Between(btql.FTime, 700_000, 900_000))}, func(e *tracer.Entry) bool { return e.TS >= 700_000 && e.TS <= 900_000 }},
 		{Query{Limit: 37}, func(e *tracer.Entry) bool { return true }},
-		{Query{MinStamp: 1900, Limit: 250}, func(e *tracer.Entry) bool { return e.Stamp >= 1900 }},
+		{Query{Pred: where(btql.Between(btql.FStamp, 1900, 0)), Limit: 250}, func(e *tracer.Entry) bool { return e.Stamp >= 1900 }},
 		{Query{Pred: predOf(t, `tid == 3`)}, func(e *tracer.Entry) bool { return e.TID == 3 }},
 		{Query{Pred: predOf(t, `category == 2 && core != 1`)}, func(e *tracer.Entry) bool { return e.Category == 2 && e.Core != 1 }},
-		{Query{Pred: predOf(t, `payload contains "payload-77"`), MinStamp: 300}, func(e *tracer.Entry) bool {
+		{Query{Pred: where(btql.Between(btql.FStamp, 300, 0), predOf(t, `payload contains "payload-77"`).Expr())}, func(e *tracer.Entry) bool {
 			return e.Stamp >= 300 && bytes.Contains(e.Payload, []byte("payload-77"))
 		}},
 	}

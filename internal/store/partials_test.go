@@ -23,7 +23,7 @@ func aggOracle(es []tracer.Entry, q Query, specs []btql.AggSpec) []btql.Result {
 	for i := range specs {
 		a := specs[i].New()
 		for j := range es {
-			if e := &es[j]; refMatchRaw(&q, e) && (q.Pred == nil || q.Pred.Match(e)) {
+			if e := &es[j]; q.Pred == nil || q.Pred.Match(e) {
 				a.ObserveEntry(e)
 			}
 		}
@@ -194,9 +194,9 @@ func TestAggregatePartials(t *testing.T) {
 	// A window in the field form shares the entries of its BTQL spelling,
 	// and a window that moves those of the one before it.
 	for _, q := range []Query{
-		{MinStamp: 1250, MaxStamp: 2250},
-		{MinStamp: 1150, MaxStamp: 2350},
-		{MinTS: 450_000, MaxTS: 2_450_499, Pred: predOf(t, `category != 4`)},
+		{Pred: where(btql.Between(btql.FStamp, 1250, 2250))},
+		{Pred: where(btql.Between(btql.FStamp, 1150, 2350))},
+		{Pred: where(btql.Between(btql.FTime, 450_000, 2_450_499), predOf(t, `category != 4`).Expr())},
 	} {
 		before := st.Stats()
 		ask(st, q, specs[0])

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"btrace/internal/btql"
 	"btrace/internal/export"
 	"btrace/internal/tracer"
 )
@@ -136,7 +137,7 @@ func TestLengthOnlyMatchesFull(t *testing.T) {
 	}{
 		{"all", Query{}},
 		{"limit", Query{Limit: 777}},
-		{"header", Query{MinStamp: 90, Pred: predOf(t, `category == 2 && core != 3`)}},
+		{"header", Query{Pred: where(btql.Between(btql.FStamp, 90, 0), predOf(t, `category == 2 && core != 3`).Expr())}},
 		{"payload", Query{Pred: predOf(t, `payload contains "payload-7"`)}},
 		{"payload-or", Query{Pred: predOf(t, `tid == 3 || payload contains "payload-11"`)}},
 	}
@@ -207,7 +208,7 @@ func TestLengthOnlyInflatesNothing(t *testing.T) {
 		es, _ := drainParallel(t, pc, 128)
 		return len(es)
 	}
-	window := Query{MinStamp: 300, MaxStamp: 1500}
+	window := Query{Pred: where(btql.Between(btql.FStamp, 300, 1500))}
 	for _, workers := range []int{1, 4} {
 		lengths := window
 		lengths.LengthsOnly = true

@@ -175,7 +175,7 @@ func TestColdStampPruningSkipsCorruptBlocks(t *testing.T) {
 	defer st.Close()
 
 	for name, q := range map[string]Query{
-		"field-bound": {MaxStamp: cutoff},
+		"field-bound": {Pred: where(btql.Between(btql.FStamp, 0, cutoff))},
 		"btql-hull":   {Pred: predOf(t, `stamp <= 600`)},
 	} {
 		es := drainStore(t, st, q)
@@ -297,7 +297,7 @@ func TestColdV1V2MixedDirectory(t *testing.T) {
 		q    Query
 	}{
 		{"all", Query{}},
-		{"fields", Query{MinStamp: 150, Cores: []uint8{1, 2}}},
+		{"fields", Query{Pred: where(btql.Between(btql.FStamp, 150, 0), btql.In(btql.FCore, []uint8{1, 2}))}},
 		{"header-pred", Query{Pred: predOf(t, `category == 2 && core != 3`)}},
 		{"stamp-pred", Query{Pred: predOf(t, `stamp >= 200 && stamp <= 1300`)}},
 		{"payload-pred", Query{Pred: predOf(t, `payload contains "payload-77"`)}},

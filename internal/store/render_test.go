@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"btrace/internal/btql"
 	"btrace/internal/export"
 	"btrace/internal/tracer"
 )
@@ -89,7 +90,7 @@ func (f *renderFixture) want(t *testing.T, q Query) []byte {
 	t.Helper()
 	var rows []tracer.Entry
 	for i := range f.all {
-		if e := &f.all[i]; refMatchRaw(&q, e) && (q.Pred == nil || q.Pred.Match(e)) {
+		if e := &f.all[i]; q.Pred == nil || q.Pred.Match(e) {
 			rows = append(rows, *e)
 		}
 	}
@@ -129,13 +130,13 @@ func TestRenderedCSVMatchesOracle(t *testing.T) {
 		{},
 		{Limit: 1},
 		{Limit: 1234},
-		{MinStamp: 1000}, // seeks into an ordered sealed segment
-		{MinStamp: 1000, Limit: 17},
-		{MinStamp: 2222, MaxStamp: 3333}, // cuts unordered segments
-		{MinStamp: 3850},                 // cuts the active segment
-		{MaxStamp: 3830, Limit: 3000},
+		{Pred: where(btql.Between(btql.FStamp, 1000, 0))}, // seeks into an ordered sealed segment
+		{Pred: where(btql.Between(btql.FStamp, 1000, 0)), Limit: 17},
+		{Pred: where(btql.Between(btql.FStamp, 2222, 3333))}, // cuts unordered segments
+		{Pred: where(btql.Between(btql.FStamp, 3850, 0))},    // cuts the active segment
+		{Pred: where(btql.Between(btql.FStamp, 0, 3830)), Limit: 3000},
 		{Pred: predOf(t, `tid == 3`)}, // filtered sets, and header sets under a test
-		{Pred: predOf(t, `tid == 3`), MinStamp: 300, MaxStamp: 2500, Limit: 60},
+		{Pred: where(btql.Between(btql.FStamp, 300, 2500), predOf(t, `tid == 3`).Expr()), Limit: 60},
 		{Pred: predOf(t, `category == 2 && stamp >= 100`)},
 		{Pred: predOf(t, `payload contains "payload-7"`)},
 	}

@@ -92,24 +92,14 @@ const scanSpanBytes = 256 << 10
 
 // hdrRow is one frame's header as a header set keeps it: the stamp, the
 // time and header word 3 — core, TID, category, level and payload
-// length, packed as the record carries them.
+// length, packed as the record carries them (tracer.PackWord3).
 type hdrRow struct{ stamp, ts, w3 uint64 }
-
-// splitW3 unpacks header word 3.
-func splitW3(w3 uint64) (core uint8, tid uint32, cat, level uint8) {
-	return uint8(w3 >> 56), uint32(w3>>32) & 0xFFFFFF, uint8(w3 >> 24), uint8(w3 >> 16)
-}
 
 // entry expands the row into e, with a payload of the row's length.
 func (r *hdrRow) entry(e *tracer.Entry) {
-	core, tid, cat, level := splitW3(r.w3)
+	core, tid, cat, level, plen := tracer.UnpackWord3(r.w3)
 	e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level = r.stamp, r.ts, core, tid, cat, level
-	e.Payload = tracer.LengthOnly(int(uint16(r.w3)))
-}
-
-// packW3 packs a row's fields as header word 3 carries them.
-func packW3(core uint8, tid uint32, cat, level uint8, plen int) uint64 {
-	return uint64(core)<<56 | uint64(tid&0xFFFFFF)<<32 | uint64(cat)<<24 | uint64(level)<<16 | uint64(uint16(plen))
+	e.Payload = tracer.LengthOnly(plen)
 }
 
 // rowSink consumes the rows a scan selects. It is called only for rows
@@ -329,8 +319,8 @@ func (s *segScan) step(dst rowSink) (more bool, err error) {
 // segment: recovery's and the freeze's (a header set's build parses the
 // same match-all filter from its key). The frame walker checks each
 // frame of such a walk as it checks a row it delivers: tail magic,
-// checksum, record kind and record size (payloadLen).
-var everyFrame = compiled{pred: btql.Compile(nil), maxStamp: ^uint64(0)}
+// checksum, record kind and canonical record size.
+var everyFrame = compiled{pred: matchAll, maxStamp: ^uint64(0)}
 
 // wholeSnap is the snapshot of a walk over a row segment's frames from
 // the first to byte bound, the frame walk of recovery and the freeze.
@@ -415,7 +405,7 @@ func (*setSink) payloads() bool { return false }
 func (k *setSink) span(n int) []byte { return k.buf.span(n) }
 
 func (k *setSink) row(stamp, ts uint64, core uint8, tid uint32, cat, level uint8, payload []byte) {
-	k.set = append(k.set, hdrRow{stamp, ts, packW3(core, tid, cat, level, len(payload))})
+	k.set = append(k.set, hdrRow{stamp, ts, tracer.PackWord3(core, tid, cat, level, len(payload))})
 }
 
 func (k *setSink) rows(c *blockCols, idx []int32) {
@@ -429,7 +419,7 @@ func (k *setSink) rows(c *blockCols, idx []int32) {
 		if lens != nil {
 			plen = int(lens[i+1] - lens[i])
 		}
-		k.set = append(k.set, hdrRow{stamps[i], ts[i], packW3(m.cores[i], tids[i], m.dict[m.catIdx[i]], m.levels[i], plen)})
+		k.set = append(k.set, hdrRow{stamps[i], ts[i], tracer.PackWord3(m.cores[i], tids[i], m.dict[m.catIdx[i]], m.levels[i], plen)})
 	}
 }
 
@@ -508,11 +498,13 @@ func (s *segScan) inflatedFrames(b *coldBlock, dst rowSink) error {
 // bytes they span; a trailing partial frame is left for the caller (the
 // next span rereads it). It is the only frame walk in the store. Every
 // frame's tail magic is checked, which keeps the walk itself honest;
-// the checksum and the decode are deferred until the raw header words
-// say the query wants the record, so a pruned frame costs three loads
-// and a mask test instead of a CRC pass. A walk that must check every
-// frame — recovery, the freeze, a header set's build — selects every
-// frame.
+// the checksum and the decode are deferred until the header's words
+// (tracer.PeekEvent) say the query wants the record, so a pruned frame
+// costs three loads and a mask test instead of a CRC pass. A walk that
+// must check every frame — recovery, the freeze, a header set's build —
+// selects every frame. A selected record must be an event of exactly
+// the size tracer.EncodeEvent writes for its payload: the store framed
+// it, so a record tracer.DecodeEvent would take padded is rot here.
 func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 	q := s.q
 	maxStamp := ^uint64(0) // ordered early exit bound
@@ -522,7 +514,7 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 	predPay, keep := q.pred.NeedsPayload(), dst.payloads()
 	pos := 0
 	for pos+tracer.Align <= len(buf) {
-		_, recSize, perr := tracer.PeekRecord(buf[pos:])
+		kind, recSize, perr := tracer.PeekRecord(buf[pos:])
 		if perr != nil {
 			return 0, perr
 		}
@@ -541,23 +533,25 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 			return 0, fmt.Errorf("%w: short event", tracer.ErrCorrupt)
 		}
 		pos += frame
-		stamp := le64(rec[8:])
+		stamp, ts, w3 := tracer.PeekEvent(rec)
 		if stamp > maxStamp {
 			s.cut = true
 			break
 		}
-		ts := le64(rec[16:])
-		core, tid, cat, level := splitW3(le64(rec[24:]))
+		core, tid, cat, level, plen := tracer.UnpackWord3(w3)
 		if !q.pred.MatchHeader(stamp, ts, core, tid, cat, level) {
 			continue
 		}
 		if err := checkFrame(rec, tail); err != nil {
 			return 0, err
 		}
-		var payload []byte
+		if kind != tracer.KindEvent || recSize != tracer.EventWireSize(plen) {
+			return 0, fmt.Errorf("%w: kind %v size %d, payload length %d", tracer.ErrCorrupt, kind, recSize, plen)
+		}
+		payload := tracer.LengthOnly(plen) // the row aliases nothing of buf
 		if predPay || keep {
 			var e tracer.Entry
-			if err := decodeEventTo(rec, &e); err != nil {
+			if err := tracer.DecodeEvent(rec, &e); err != nil {
 				return 0, err
 			}
 			// MatchHeader is conservative for payload predicates; finish the
@@ -565,15 +559,9 @@ func (s *segScan) frames(buf []byte, dst rowSink) (used int, err error) {
 			if predPay && !q.pred.Match(&e) {
 				continue
 			}
-			payload = e.Payload
-		}
-		if !keep {
-			// The length is in the header; the row aliases nothing of buf.
-			plen, err := payloadLen(rec)
-			if err != nil {
-				return 0, err
+			if keep {
+				payload = e.Payload
 			}
-			payload = tracer.LengthOnly(plen)
 		}
 		dst.row(stamp, ts, core, tid, cat, level, payload)
 	}

@@ -304,7 +304,7 @@ func checkFrame(rec, tail []byte) error {
 // segment (Store.walk): it folds each row into the segment's metadata
 // and sparse index, and keeps off, the end of the last whole, checked
 // frame. A row's frame size follows from its payload length, because
-// payloadLen holds every record to tracer.EventWireSize. One sink
+// the walk holds every record to tracer.EventWireSize. One sink
 // serves every segment Open recovers, so they share its span buffer.
 type recoverySink struct {
 	s   *segment
@@ -326,45 +326,3 @@ func (r *recoverySink) row(stamp, ts uint64, core uint8, _ uint32, cat, _ uint8,
 }
 
 func (*recoverySink) rows(*blockCols, []int32) {} // a row segment has no columnar block
-
-// decodeEventTo decodes the KindEvent record at the start of src
-// directly into *e, skipping tracer.Record entirely — the by-value
-// Record/Entry moves in DecodeRecord dominate row-scan query profiles
-// (~24% duffcopy). The payload aliases src; the caller owns src's
-// lifetime. src must be exactly the record (the caller has already run
-// PeekRecord and checkFrame).
-func decodeEventTo(src []byte, e *tracer.Entry) error {
-	plen, err := payloadLen(src)
-	if err != nil {
-		return err
-	}
-	e.Stamp = le64(src[8:])
-	e.TS = le64(src[16:])
-	w3 := le64(src[24:])
-	e.Core = uint8(w3 >> 56)
-	e.TID = uint32(w3>>32) & 0xFFFFFF
-	e.Category = uint8(w3 >> 24)
-	e.Level = uint8(w3 >> 16)
-	e.Payload = nil
-	if plen > 0 {
-		e.Payload = src[tracer.EventHeaderSize : tracer.EventHeaderSize+plen : tracer.EventHeaderSize+plen]
-	}
-	return nil
-}
-
-// payloadLen validates the KindEvent record at the start of src — its
-// kind, that its size fits src and is exactly the size
-// tracer.EncodeEvent writes for the payload length its header carries
-// — and returns that length: every check decodeEventTo makes, for a
-// reader that wants no payload byte.
-func payloadLen(src []byte) (int, error) {
-	if len(src) < tracer.EventHeaderSize {
-		return 0, fmt.Errorf("%w: short event", tracer.ErrCorrupt)
-	}
-	w0 := le64(src)
-	size, plen := int(uint32(w0)), int(uint16(le64(src[24:])))
-	if tracer.Kind(w0>>56) != tracer.KindEvent || size != tracer.EventWireSize(plen) || size > len(src) {
-		return 0, fmt.Errorf("%w: kind %d size %d, payload length %d, of %d", tracer.ErrCorrupt, uint8(w0>>56), size, plen, len(src))
-	}
-	return plen, nil
-}

@@ -8,11 +8,18 @@ import (
 	"path/filepath"
 	"testing"
 
+	"btrace/internal/btql"
 	"btrace/internal/store/backend"
 	"btrace/internal/store/backend/local"
 	"btrace/internal/tracer"
 	"btrace/internal/tracer/tracertest"
 )
+
+// where is how these tests spell a filter: the BTQL predicate of es
+// ANDed in order (a nil one adds nothing), match-all for none — a
+// window is btql.Between, a list btql.In, a parsed filter
+// predOf(t, src).Expr().
+func where(es ...btql.Expr) *btql.Predicate { return btql.Compile(btql.AllOf(es...)) }
 
 // mkEntry builds a deterministic test entry.
 func mkEntry(stamp uint64) tracer.Entry {
@@ -171,11 +178,11 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		}
 		// Stamp-range query over the recovered store vs the in-memory
 		// readout of the surviving records.
-		q := Query{MinStamp: 20, MaxStamp: 90}
+		q := Query{Pred: where(btql.Between(btql.FStamp, 20, 90))}
 		got := drainStore(t, rec, q)
 		var want []tracer.Entry
 		for _, e := range es {
-			if e.Stamp >= q.MinStamp && e.Stamp <= q.MaxStamp {
+			if e.Stamp >= 20 && e.Stamp <= 90 {
 				want = append(want, e)
 			}
 		}
@@ -276,15 +283,15 @@ func TestQueryFilters(t *testing.T) {
 		q    Query
 		keep func(e *tracer.Entry) bool
 	}{
-		{"stamp range", Query{MinStamp: 100, MaxStamp: 250},
+		{"stamp range", Query{Pred: where(btql.Between(btql.FStamp, 100, 250))},
 			func(e *tracer.Entry) bool { return e.Stamp >= 100 && e.Stamp <= 250 }},
-		{"time range", Query{MinTS: 50_000, MaxTS: 120_000},
+		{"time range", Query{Pred: where(btql.Between(btql.FTime, 50_000, 120_000))},
 			func(e *tracer.Entry) bool { return e.TS >= 50_000 && e.TS <= 120_000 }},
-		{"core", Query{Cores: []uint8{2}},
+		{"core", Query{Pred: where(btql.In(btql.FCore, []uint8{2}))},
 			func(e *tracer.Entry) bool { return e.Core == 2 }},
-		{"category", Query{Categories: []uint8{0, 3}},
+		{"category", Query{Pred: where(btql.In(btql.FCategory, []uint8{0, 3}))},
 			func(e *tracer.Entry) bool { return e.Category == 0 || e.Category == 3 }},
-		{"combined", Query{MinStamp: 40, MaxStamp: 360, Cores: []uint8{1, 3}, Categories: []uint8{1, 2, 4}},
+		{"combined", Query{Pred: where(btql.Between(btql.FStamp, 40, 360), btql.In(btql.FCore, []uint8{1, 3}), btql.In(btql.FCategory, []uint8{1, 2, 4}))},
 			func(e *tracer.Entry) bool {
 				return e.Stamp >= 40 && e.Stamp <= 360 && (e.Core == 1 || e.Core == 3) &&
 					(e.Category == 1 || e.Category == 2 || e.Category == 4)
@@ -795,7 +802,7 @@ func TestCursorReadsTailSealedBehindIt(t *testing.T) {
 	if missed != 0 || fmt.Sprint(got) != fmt.Sprint(stampRange(13, 15)) {
 		t.Fatalf("after the freeze: delivered %v, missed %d, want stamps 13..15", got, missed)
 	}
-	if got, missed := drainStamps(t, st.Query(Query{MinStamp: 16})); missed != 0 || fmt.Sprint(got) != fmt.Sprint(stampRange(16, 30)) {
+	if got, missed := drainStamps(t, st.Query(Query{Pred: where(btql.Between(btql.FStamp, 16, 0))})); missed != 0 || fmt.Sprint(got) != fmt.Sprint(stampRange(16, 30)) {
 		t.Fatalf("a new pass above it: delivered %v, missed %d, want stamps 16..30", got, missed)
 	}
 }
@@ -812,7 +819,7 @@ func TestCursorCutLeavesActiveSegmentOpen(t *testing.T) {
 	}
 	defer st.Close()
 	appendRange(t, st, 200, 205)
-	cur := st.Query(Query{MaxStamp: 203})
+	cur := st.Query(Query{Pred: where(btql.Between(btql.FStamp, 0, 203))})
 	defer cur.Close()
 	if got, _ := drainStamps(t, cur); fmt.Sprint(got) != fmt.Sprint(stampRange(200, 203)) {
 		t.Fatalf("first pass: %v, want stamps 200..203", got)
@@ -822,7 +829,7 @@ func TestCursorCutLeavesActiveSegmentOpen(t *testing.T) {
 		t.Fatalf("the finished pass delivered %v, missed %d", got, missed)
 	}
 	want := append(stampRange(1, 5), stampRange(200, 203)...)
-	if got, missed := drainStamps(t, st.Query(Query{MaxStamp: 203})); missed != 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+	if got, missed := drainStamps(t, st.Query(Query{Pred: where(btql.Between(btql.FStamp, 0, 203))})); missed != 0 || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after the late writer: delivered %v, missed %d, want %v", got, missed, want)
 	}
 }

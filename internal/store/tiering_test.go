@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"btrace/internal/btql"
 	"btrace/internal/tracer"
 )
 
@@ -175,7 +176,7 @@ func TestColdPruningSkipsDecompression(t *testing.T) {
 
 	// Every stamp below the corrupt block's range: both cursors must
 	// prune the bad block from its header alone and succeed.
-	q := Query{MaxStamp: bad.meta.baseStamp - 1}
+	q := Query{Pred: where(btql.Between(btql.FStamp, 0, bad.meta.baseStamp-1))}
 	want := int(bad.meta.baseStamp - 1)
 	if es := drainStore(t, st, q); len(es) != want {
 		t.Fatalf("pruned one-worker query: %d events, want %d", len(es), want)
@@ -226,10 +227,10 @@ func TestColdQueryFilters(t *testing.T) {
 		q    Query
 		keep func(e *tracer.Entry) bool
 	}{
-		{Query{MinStamp: 200, MaxStamp: 700}, func(e *tracer.Entry) bool { return e.Stamp >= 200 && e.Stamp <= 700 }},
-		{Query{Cores: []uint8{1}}, func(e *tracer.Entry) bool { return e.Core == 1 }},
-		{Query{Categories: []uint8{2, 3}}, func(e *tracer.Entry) bool { return e.Category == 2 || e.Category == 3 }},
-		{Query{MinTS: 300_000, MaxTS: 600_000}, func(e *tracer.Entry) bool { return e.TS >= 300_000 && e.TS <= 600_000 }},
+		{Query{Pred: where(btql.Between(btql.FStamp, 200, 700))}, func(e *tracer.Entry) bool { return e.Stamp >= 200 && e.Stamp <= 700 }},
+		{Query{Pred: where(btql.In(btql.FCore, []uint8{1}))}, func(e *tracer.Entry) bool { return e.Core == 1 }},
+		{Query{Pred: where(btql.In(btql.FCategory, []uint8{2, 3}))}, func(e *tracer.Entry) bool { return e.Category == 2 || e.Category == 3 }},
+		{Query{Pred: where(btql.Between(btql.FTime, 300_000, 600_000))}, func(e *tracer.Entry) bool { return e.TS >= 300_000 && e.TS <= 600_000 }},
 		{Query{Limit: 123}, nil},
 	}
 	for qi, tc := range queries {
@@ -286,7 +287,7 @@ func TestColdRetention(t *testing.T) {
 	if got := st.Stats().SegmentsDeleted; got == 0 {
 		t.Fatalf("retention deleted nothing (cold segments: %d)", before)
 	}
-	if es := drainStore(t, st, Query{MinStamp: 2001}); len(es) != 100 {
+	if es := drainStore(t, st, Query{Pred: where(btql.Between(btql.FStamp, 2001, 0))}); len(es) != 100 {
 		t.Fatalf("newest data lost to retention: %d events, want 100", len(es))
 	}
 }

@@ -8,7 +8,10 @@
 // gaps for a single stamp-ordered producer.
 package store
 
-import "btrace/internal/tracer"
+import (
+	"btrace/internal/btql"
+	"btrace/internal/tracer"
+)
 
 // Tracer adapts a Store to tracer.Tracer. Unlike the in-memory tracers
 // it persists every write; ReadAll and cursors read back from disk.
@@ -81,7 +84,7 @@ func (c *pollingCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	n, missed, err := c.cur.Next(batch)
 	if n == 0 && err == nil {
 		c.cur.Close()
-		c.cur = c.st.QueryParallel(Query{MinStamp: c.last + 1}, c.workers)
+		c.cur = c.st.QueryParallel(Query{Pred: where(btql.Between(btql.FStamp, c.last+1, 0))}, c.workers)
 		var m uint64
 		n, m, err = c.cur.Next(batch)
 		missed += m

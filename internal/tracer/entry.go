@@ -8,10 +8,14 @@
 // The wire format is deliberately simple and 8-byte aligned so that every
 // tracer (global-buffer, per-core, per-thread and block-based) can share
 // one encoder/decoder and the analysis pipeline can compare readouts
-// byte-for-byte.
+// byte-for-byte. This file is the one place that knows an event record's
+// header: every reader of it — the tracers' readouts, the /ingest
+// decode, the store's frame walk and header sets — goes through
+// PeekEvent, DecodeEvent and the word-3 pack and unpack here.
 package tracer
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -145,36 +149,27 @@ func unpackWord0(w uint64) (Kind, int) {
 //	bits 24..31  cat
 //	bits 16..23  level
 //	bits  0..15  payload length
-func packWord3(core uint8, tid uint32, cat, level uint8, payloadLen int) uint64 {
+//
+// PackWord3 packs them; a reader that keeps event headers without their
+// records (the store's header sets) keeps this word.
+func PackWord3(core uint8, tid uint32, cat, level uint8, payloadLen int) uint64 {
 	return uint64(core)<<56 | uint64(tid&0xFFFFFF)<<32 | uint64(cat)<<24 |
 		uint64(level)<<16 | uint64(uint16(payloadLen))
 }
 
-func unpackWord3(w uint64) (core uint8, tid uint32, cat, level uint8, payloadLen int) {
+// UnpackWord3 is PackWord3's inverse.
+func UnpackWord3(w uint64) (core uint8, tid uint32, cat, level uint8, payloadLen int) {
 	return uint8(w >> 56), uint32(w>>32) & 0xFFFFFF, uint8(w >> 24), uint8(w >> 16),
 		int(uint16(w))
 }
 
-// le stores/loads 64-bit words without importing encoding/binary in the
-// hot path (the compiler lowers these to single MOVs on little-endian
-// machines).
-func le64put(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
+// le64put and le64 store and load the wire's little-endian words. Each
+// compiles to one MOV, and encoding/binary's words are costed as such
+// by the inliner, so a reader built of a few of them (PeekEvent) is
+// itself inlined into its caller's loop.
+func le64put(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
+func le64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 // EncodeEvent writes e into dst, which must be at least e.WireSize() bytes.
 // It returns the number of bytes written.
@@ -189,7 +184,7 @@ func EncodeEvent(dst []byte, e *Entry) (int, error) {
 	le64put(dst[0:], packWord0(KindEvent, size))
 	le64put(dst[8:], e.Stamp)
 	le64put(dst[16:], e.TS)
-	le64put(dst[24:], packWord3(e.Core, e.TID, e.Category, e.Level, len(e.Payload)))
+	le64put(dst[24:], PackWord3(e.Core, e.TID, e.Category, e.Level, len(e.Payload)))
 	copy(dst[EventHeaderSize:], e.Payload)
 	// Zero the padding so decodes are deterministic.
 	for i := EventHeaderSize + len(e.Payload); i < size; i++ {
@@ -245,16 +240,54 @@ func PeekRecord(src []byte) (Kind, int, error) {
 	return k, size, nil
 }
 
+// PeekEvent returns words 1–3 of the event record at the start of src
+// — its stamp, its time and word 3 (UnpackWord3) — and checks nothing:
+// src must hold EventHeaderSize bytes. A reader that can refuse a
+// record on its header alone (the store's frame walk, before it pays
+// for a checksum) tests these; DecodeEvent is the checked decode.
+func PeekEvent(src []byte) (stamp, ts, w3 uint64) {
+	return le64(src[8:]), le64(src[16:]), le64(src[24:])
+}
+
+// DecodeEvent decodes the KindEvent record rec into *e, every field of
+// it: rec is the whole record, as its size word says (PeekRecord), and
+// holds no more. Payload aliases rec, capped at the payload's length,
+// and is nil for an empty one; nothing is allocated. A record of
+// another kind, shorter than EventHeaderSize or whose payload length
+// runs past its size is ErrCorrupt. A record padded past
+// EventWireSize(len(Payload)) is not: a reader that knows it wrote
+// exact records (the store) holds them to that itself.
+//
+// It is the one decode of an event record: DecodeRecord's events,
+// DecodeEvents and the store's frame walk (for a row whose payload it
+// keeps or tests) all go through it.
+func DecodeEvent(rec []byte, e *Entry) error {
+	if len(rec) < EventHeaderSize {
+		return fmt.Errorf("%w: short event", ErrCorrupt)
+	}
+	if k, size := unpackWord0(le64(rec)); k != KindEvent || size != len(rec) {
+		return fmt.Errorf("%w: kind %v size %d of %d", ErrCorrupt, k, size, len(rec))
+	}
+	stamp, ts, w3 := PeekEvent(rec)
+	core, tid, cat, level, plen := UnpackWord3(w3)
+	if EventHeaderSize+plen > len(rec) {
+		return fmt.Errorf("%w: payload length %d exceeds record size %d", ErrCorrupt, plen, len(rec))
+	}
+	e.Stamp, e.TS, e.Core, e.TID, e.Category, e.Level = stamp, ts, core, tid, cat, level
+	e.Payload = nil
+	if plen > 0 {
+		e.Payload = rec[EventHeaderSize : EventHeaderSize+plen : EventHeaderSize+plen]
+	}
+	return nil
+}
+
 // DecodeRecord decodes the record at the start of src. It returns the
 // record and its size. A zeroed or malformed region decodes as
 // (KindInvalid, ErrCorrupt).
 func DecodeRecord(src []byte) (Record, error) {
-	if len(src) < Align {
-		return Record{}, fmt.Errorf("%w: short buffer (%d bytes)", ErrCorrupt, len(src))
-	}
-	k, size := unpackWord0(le64(src))
-	if size < Align || size%Align != 0 || size > len(src) {
-		return Record{}, fmt.Errorf("%w: kind %v size %d of %d", ErrCorrupt, k, size, len(src))
+	k, size, err := wholeRecord(src)
+	if err != nil {
+		return Record{}, err
 	}
 	r := Record{Kind: k, Size: size}
 	switch k {
@@ -267,24 +300,23 @@ func DecodeRecord(src []byte) (Record, error) {
 		r.Pos = le64(src[8:])
 		return r, nil
 	case KindEvent:
-		if size < EventHeaderSize {
-			return Record{}, fmt.Errorf("%w: short event", ErrCorrupt)
-		}
-		r.Event.Stamp = le64(src[8:])
-		r.Event.TS = le64(src[16:])
-		w3 := le64(src[24:])
-		var plen int
-		r.Event.Core, r.Event.TID, r.Event.Category, r.Event.Level, plen = unpackWord3(w3)
-		if EventHeaderSize+plen > size {
-			return Record{}, fmt.Errorf("%w: payload length %d exceeds record size %d", ErrCorrupt, plen, size)
-		}
-		if plen > 0 {
-			r.Event.Payload = src[EventHeaderSize : EventHeaderSize+plen]
+		if err := DecodeEvent(src[:size], &r.Event); err != nil {
+			return Record{}, err
 		}
 		return r, nil
 	default:
 		return Record{}, fmt.Errorf("%w: kind byte %d", ErrCorrupt, uint8(k))
 	}
+}
+
+// wholeRecord is PeekRecord for a region that must hold the whole
+// record.
+func wholeRecord(src []byte) (Kind, int, error) {
+	k, size, err := PeekRecord(src)
+	if err == nil && size > len(src) {
+		err = fmt.Errorf("%w: kind %v size %d of %d", ErrCorrupt, k, size, len(src))
+	}
+	return k, size, err
 }
 
 // DecodeAll decodes consecutive records from a fully written region,
@@ -306,19 +338,28 @@ func DecodeAll(src []byte) (recs []Record, truncated bool) {
 
 // DecodeEvents is DecodeAll for consumers that want only the events:
 // it appends the KindEvent records of src to dst, skipping structural
-// records, with the same truncated verdict. Payloads alias src, so with
-// a dst that has room it allocates nothing — the server ingest path
+// records, with the same truncated verdict. Each event is decoded in
+// place into dst's next element and its payload aliases src, so with a
+// dst that has room it allocates nothing — the server ingest path
 // decodes a pooled body into a pooled slice with it.
 func DecodeEvents(dst []Entry, src []byte) (es []Entry, truncated bool) {
 	for len(src) >= Align {
-		r, err := DecodeRecord(src)
+		k, size, err := wholeRecord(src)
 		if err != nil {
 			return dst, true
 		}
-		if r.Kind == KindEvent {
-			dst = append(dst, r.Event)
+		if k == KindEvent {
+			dst = append(dst, Entry{})
+			if err = DecodeEvent(src[:size], &dst[len(dst)-1]); err != nil {
+				dst = dst[:len(dst)-1]
+			}
+		} else {
+			_, err = DecodeRecord(src[:size])
 		}
-		src = src[r.Size:]
+		if err != nil {
+			return dst, true
+		}
+		src = src[size:]
 	}
 	return dst, len(src) != 0
 }

@@ -273,17 +273,7 @@ func TestStatsString(t *testing.T) {
 // nothing — payloads alias the source — and structural records are
 // skipped.
 func TestDecodeEventsNoAlloc(t *testing.T) {
-	src := make([]byte, 0, 64<<10)
-	rec := make([]byte, EventWireSize(64))
-	src = append(src, rec[:EncodeBlockHeader(rec, 1)]...)
-	for i := 0; i < 256; i++ {
-		n, err := EncodeEvent(rec, &Entry{Stamp: uint64(i + 1), TID: uint32(i % 8), Payload: rec[:i%64]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src = append(src, rec[:n]...)
-	}
-	src = append(src, rec[:EncodeDummy(rec, 24)]...)
+	src := ingestBody(t)
 	dst := make([]Entry, 0, 256)
 	if allocs := testing.AllocsPerRun(100, func() {
 		es, truncated := DecodeEvents(dst[:0], src)
@@ -293,4 +283,37 @@ func TestDecodeEventsNoAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("DecodeEvents: %v allocs/op, want 0", allocs)
 	}
+}
+
+// ingestBody is an /ingest request body: a block header, 256 events
+// with payloads of 0 to 63 bytes, and a dummy record.
+func ingestBody(tb testing.TB) []byte {
+	src := make([]byte, 0, 64<<10)
+	rec := make([]byte, EventWireSize(64))
+	src = append(src, rec[:EncodeBlockHeader(rec, 1)]...)
+	for i := 0; i < 256; i++ {
+		n, err := EncodeEvent(rec, &Entry{Stamp: uint64(i + 1), TID: uint32(i % 8), Payload: rec[:i%64]})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		src = append(src, rec[:n]...)
+	}
+	return append(src, rec[:EncodeDummy(rec, 24)]...)
+}
+
+// BenchmarkDecodeEvents times the /ingest decode: one 256-event body
+// decoded into a reused slice, as the server decodes a pooled body into
+// a pooled batch. It must allocate nothing.
+func BenchmarkDecodeEvents(b *testing.B) {
+	src := ingestBody(b)
+	dst := make([]Entry, 0, 256)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if es, truncated := DecodeEvents(dst[:0], src); truncated || len(es) != 256 {
+			b.Fatalf("decoded %d events (truncated=%v), want 256", len(es), truncated)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/256, "ns/event")
 }
