@@ -117,7 +117,8 @@ OBS_RECORD_BENCHTIME ?= 200000x
 # The store benchmarks whose op is tens of milliseconds (a payload-heavy
 # cold drain, ordering 65 536 entries) run at a count of their own, and
 # so does the hot-tail CSV export, six times in one process for its
-# ratio rule's median.
+# ratio rule's median. The append benchmark's two store sizes run six
+# times too, for the same reason.
 STORE_SLOW_BENCHTIME ?= 300x
 bench:
 	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkReadPath' -benchmem -benchtime $(BENCHTIME); \
@@ -127,9 +128,10 @@ bench:
 	   $(GO) test ./internal/tracer -run '^$$' -bench 'BenchmarkDecodeEvents' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
-	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Append|Query|Reopen)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate|AggregateRepeat)|BenchmarkHotTailExport|BenchmarkWindowExport' -benchmem -benchtime $(BENCHTIME); \
+	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(AppendConcurrent|Query|Reopen)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate|AggregateRepeat)|BenchmarkHotTailExport|BenchmarkWindowExport' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkColdSelect|BenchmarkRunMerge' -benchmem -benchtime $(STORE_SLOW_BENCHTIME); \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkHotTailCSV' -benchmem -benchtime $(STORE_SLOW_BENCHTIME) -count 6; \
+	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStoreAppend$$' -benchmem -benchtime $(BENCHTIME) -count 6; \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributor(Ingest|Query)' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorAggregate' -benchmem -benchtime $(BENCHTIME) -count 6; \
 	   $(GO) test ./cmd/btrace-serve -run '^$$' -bench 'BenchmarkServeIngest' -benchmem -benchtime $(BENCHTIME); } \
@@ -145,10 +147,12 @@ bench:
 # show, and note its ns/op, MB/s and custom-metric deltas against the
 # committed baselines (taken from HEAD) without failing on them. The
 # read-path / obs fast paths, the store's append path (a pooled frame
-# buffer, alone and under eight appenders), the /ingest body decode
-# (BenchmarkDecodeEvents) and the single-store /ingest path (pooled
-# batch → decode → drain → append, BenchmarkServeIngest/single) must
-# stay allocation-free. The -max-ratio rules enforce the
+# buffer, alone over either store size and under eight appenders), the
+# /ingest body decode (BenchmarkDecodeEvents) and both /ingest paths
+# (pooled batch → decode → drain → append, BenchmarkServeIngest/single;
+# and → one encoding → four shards' deliveries on the handler
+# goroutine, BenchmarkServeIngest/cluster-4xrf2) must stay
+# allocation-free. The -max-ratio rules enforce the
 # storage contracts within the fresh run itself (hardware-independent):
 # the wide query over the majority-cold store must stay within 2x of the
 # identical all-hot query, a selective BTQL query with predicate
@@ -175,9 +179,13 @@ bench:
 # `tid == T && category == C` window over the mostly-cold store asked
 # again served from the cold files' filtered sets at most a twentieth of
 # the same read walking their blocks with the cache off (it opens no
-# file and decodes no column), RF=2 ingest over 4 shards must stay
-# within 4x of direct single-shard ingest (2x of it is the second
-# copy), a count() over the same cluster within 3x of the count() over
+# file and decodes no column), an append to a store holding 4096
+# segments within 1.5x of the same append to a store holding one (the
+# segment gauges are running totals: nothing on the append path walks
+# the segment list; the median of the five passes after the first),
+# RF=2 ingest over 4 shards must stay within 3x of direct single-shard
+# ingest (2x of it is the second copy; the batch is framed once for
+# both replicas), a count() over the same cluster within 3x of the count() over
 # one store holding the stream once (2x of it is the second copy
 # again: every shard folds what it holds, and what it pays on top is
 # the ownership lookup and the replica fingerprint per row; the median
@@ -193,5 +201,5 @@ benchdiff:
 	@for f in BENCH_readpath.json BENCH_store.json BENCH_obs.json; do \
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
-	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkStoreAppend,BenchmarkStoreAppendConcurrent,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkDecodeEvents,BenchmarkServeIngest/single' \
-	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregateRepeat<=0.1*BenchmarkQueryAggregate,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkColdSelect/sparse-lengths<=0.65*BenchmarkColdSelect/sparse,BenchmarkHotTailExport/cached<=0.5*BenchmarkHotTailExport/walk,BenchmarkHotTailCSV/cached<=0.12*BenchmarkHotTailCSV/walk,BenchmarkWindowExport/cached<=0.05*BenchmarkWindowExport/walk,BenchmarkDistributorIngest/rf2-4shards<=4*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'
+	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkStoreAppend/.*,BenchmarkStoreAppendConcurrent,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkDecodeEvents,BenchmarkServeIngest/single,BenchmarkServeIngest/cluster-4xrf2' \
+	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregateRepeat<=0.1*BenchmarkQueryAggregate,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkColdSelect/sparse-lengths<=0.65*BenchmarkColdSelect/sparse,BenchmarkHotTailExport/cached<=0.5*BenchmarkHotTailExport/walk,BenchmarkHotTailCSV/cached<=0.12*BenchmarkHotTailCSV/walk,BenchmarkWindowExport/cached<=0.05*BenchmarkWindowExport/walk,BenchmarkStoreAppend/segs=4096<=1.5*BenchmarkStoreAppend/segs=1,BenchmarkDistributorIngest/rf2-4shards<=3*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'

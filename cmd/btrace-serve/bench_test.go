@@ -55,7 +55,7 @@ func restamp(wire []byte, k int) {
 // per-batch garbage from coming back.
 func BenchmarkServeIngest(b *testing.B) {
 	const warmup = 2 * ingestQueueDepth
-	// BenchmarkStoreAppend's store shape: rotation and retention included,
+	// 4 MiB segments under 64 MiB retention: rotation and retention included,
 	// disk use bounded however long the run.
 	scfg := store.Config{SegmentBytes: 4 << 20, MaxBytes: 64 << 20}
 	wire := benchWire(b)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"btrace/internal/btql"
-	"btrace/internal/ingest"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
@@ -19,19 +18,19 @@ import (
 // while the shard stays healthy, which is what makes the distributor
 // hedge and refuse.
 type flakySink struct {
-	ingest.Sink
+	Replica
 	failNext atomic.Int64
 	fired    atomic.Int64
 }
 
-func (f *flakySink) AppendEntries(es []tracer.Entry) error {
+func (f *flakySink) AppendBatch(b *store.Batch, rows []int32) error {
 	for n := f.failNext.Load(); n > 0; n = f.failNext.Load() {
 		if f.failNext.CompareAndSwap(n, n-1) {
 			f.fired.Add(1)
 			return errInjected
 		}
 	}
-	return f.Sink.AppendEntries(es)
+	return f.Replica.AppendBatch(b, rows)
 }
 
 // diffCluster is a cluster of disk-backed shards the differential test
@@ -66,8 +65,8 @@ func (c *diffCluster) open(name string) *LocalShard {
 		c.t.Fatal(err)
 	}
 	f := &flakySink{}
-	sh, err := NewLocalShard(LocalConfig{Name: name, Store: st, WrapStore: func(s ingest.Sink) ingest.Sink {
-		f.Sink = s
+	sh, err := NewLocalShard(LocalConfig{Name: name, Store: st, WrapStore: func(s Replica) Replica {
+		f.Replica = s
 		return f
 	}})
 	if err != nil {
@@ -491,7 +490,7 @@ func TestAggregateCountsACopyOnEveryReplica(t *testing.T) {
 	single := newTestShard(t, "single")
 	defer single.Close()
 	for i := 0; i < 2; i++ {
-		if err := single.Ingest(events(100, 1, 30, 31, 32, 33)); err != nil {
+		if err := single.st.AppendEntries(events(100, 1, 30, 31, 32, 33)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -87,10 +87,12 @@ func BenchmarkDistributorIngest(b *testing.B) {
 		}
 		defer sh.Close()
 
+		var batch store.Batch
 		b.SetBytes(benchBytes())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sh.Ingest(benchEvents(uint64(i)*benchBatch + 1)); err != nil {
+			batch.Encode(benchEvents(uint64(i)*benchBatch + 1))
+			if err := sh.Ingest(&batch, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -239,7 +241,7 @@ func BenchmarkDistributorQuery(b *testing.B) {
 		}
 		defer sh.Close()
 		for _, s := range inOrder {
-			if err := sh.Ingest(benchEvents(s)); err != nil {
+			if err := st.AppendEntries(benchEvents(s)); err != nil {
 				b.Fatal(err)
 			}
 		}

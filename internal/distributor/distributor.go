@@ -163,9 +163,8 @@ type fanout struct {
 	evWalk []int32          // per admitted event: its walk's offset in walks
 	acks   []uint8          // per admitted event: replicas that applied it
 
-	sub     [][]tracer.Entry // per shard: this round's sub-batch, in batch order
-	idx     [][]int32        // per shard: the admitted index of each sub-batch entry
-	applied []bool           // per shard: this round's delivery succeeded
+	batch store.Batch // the admitted events, framed once for every replica
+	rows  [][]int32   // per shard: this round's rows of batch, in batch order
 }
 
 var fanoutPool = sync.Pool{New: func() any { return &fanout{walkAt: make(map[uint32]int32)} }}
@@ -176,34 +175,27 @@ func (f *fanout) reset(shards, events int) {
 	f.walks = f.walks[:0]
 	f.evWalk = append(f.evWalk[:0], make([]int32, events)...)
 	f.acks = append(f.acks[:0], make([]uint8, events)...)
-	for len(f.sub) < shards {
-		f.sub = append(f.sub, nil)
-		f.idx = append(f.idx, nil)
-		f.applied = append(f.applied, false)
+	for len(f.rows) < shards {
+		f.rows = append(f.rows, nil)
 	}
 	f.clearRound()
 }
 
 func (f *fanout) clearRound() {
-	for si := range f.sub {
-		f.sub[si] = f.sub[si][:0]
-		f.idx[si] = f.idx[si][:0]
+	for si := range f.rows {
+		f.rows[si] = f.rows[si][:0]
 	}
-}
-
-// route appends event i to shard si's sub-batch.
-func (f *fanout) route(si, i int, e *tracer.Entry) {
-	f.sub[si] = append(f.sub[si], *e)
-	f.idx[si] = append(f.idx[si], int32(i))
 }
 
 // Ingest admits and fans out one tenant batch, blocking until every
 // event resolved (quorum reached, or hedges exhausted). Safe for
 // concurrent use. Ingest consumes es: verifier, quota and gate filter it
-// in place (no per-batch copy), and the surviving entries are shared
-// read-only with the shards until the call returns. Nothing retains es,
-// nor a payload it points at, past the call — the caller may recycle
-// both as soon as it has the Result.
+// in place (no per-batch copy), and the surviving entries are framed
+// once into a pooled store.Batch that every delivery writes its rows
+// from. An entry that cannot be framed (an oversized payload) is
+// refused and the rest delivered. Nothing retains es, nor a payload it
+// points at, past the call — the caller may recycle both as soon as it
+// has the Result.
 func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	// Quarantined entries come back with the admitted ones and are
 	// replicated with the batch.
@@ -224,10 +216,16 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	f := fanoutPool.Get().(*fanout)
 	defer fanoutPool.Put(f)
 	f.reset(len(targets), len(admitted))
+	// Every replica writes its rows out of this one encoding. A row that
+	// cannot be framed goes nowhere and ends refused.
+	f.batch.Encode(admitted)
 
-	// One ring walk per TID, one sub-batch per owner shard. Appending in
-	// batch order keeps per-thread stamp order inside every shard.
+	// One ring walk per TID, one row list per owner shard. Listing rows
+	// in batch order keeps per-thread stamp order inside every shard.
 	for i := range admitted {
+		if !f.batch.Framed(i) {
+			continue
+		}
 		tid := admitted[i].TID
 		at, ok := f.walkAt[tid]
 		if !ok {
@@ -237,7 +235,7 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 		}
 		f.evWalk[i] = at
 		for _, si := range f.walks[at : int(at)+rf] {
-			f.route(si, i, &admitted[i])
+			f.rows[si] = append(f.rows[si], int32(i))
 		}
 	}
 	d.deliverRound(targets, f)
@@ -248,8 +246,9 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 		f.clearRound()
 		short := false
 		for i := range admitted {
-			if f.acks[i] < need {
-				f.route(f.walks[int(f.evWalk[i])+h], i, &admitted[i])
+			if f.acks[i] < need && f.batch.Framed(i) {
+				si := f.walks[int(f.evWalk[i])+h]
+				f.rows[si] = append(f.rows[si], int32(i))
 				short = true
 			}
 		}
@@ -288,51 +287,33 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 // shard kill with zero acked loss.
 func quorum(rf int) int { return rf/2 + 1 }
 
-// deliverRound delivers the round's non-empty sub-batches in parallel,
-// credits every applied one to its events' ack counts, and returns how
-// many applied. The last delivery runs on the caller's goroutine: a
-// delivery encodes and writes on whatever goroutine runs it, and the
-// caller's stack has usually grown to that depth already, where a fresh
-// goroutine's must grow at the write.
+// deliverRound delivers the round's non-empty row lists one after
+// another on the caller's goroutine, credits every applied one to its
+// events' ack counts, and returns how many applied. Deliveries run
+// inline, not on goroutines or per-shard workers: a delivery is mostly
+// a write under its store's lock, and on a small box a hand-off costs a
+// wake-up per delivery while concurrent writes cost more each than the
+// same writes in turn.
 func (d *Distributor) deliverRound(targets []Shard, f *fanout) int {
-	var wg sync.WaitGroup
-	last := -1
-	for si := range targets {
-		f.applied[si] = false
-		if len(f.sub[si]) == 0 {
+	applied := 0
+	for si, sh := range targets {
+		if len(f.rows[si]) == 0 || d.deliver(sh, &f.batch, f.rows[si]) != nil {
 			continue
 		}
-		if prev := last; prev >= 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f.applied[prev] = d.deliver(targets[prev], f.sub[prev]) == nil
-			}()
-		}
-		last = si
-	}
-	if last >= 0 {
-		f.applied[last] = d.deliver(targets[last], f.sub[last]) == nil
-	}
-	wg.Wait()
-	applied := 0
-	for si := range targets {
-		if f.applied[si] {
-			applied++
-			for _, i := range f.idx[si] {
-				f.acks[i]++
-			}
+		applied++
+		for _, i := range f.rows[si] {
+			f.acks[i]++
 		}
 	}
 	return applied
 }
 
-// deliver writes a batch to one shard, once: every error a shard
+// deliver writes a batch's rows to one shard, once: every error a shard
 // returns is one a second try would meet again (a dead shard, a sticky
 // store failure), so a refused delivery counts as a replica error and
 // the next hedge candidate is the recovery.
-func (d *Distributor) deliver(sh Shard, es []tracer.Entry) error {
-	err := sh.Ingest(es)
+func (d *Distributor) deliver(sh Shard, b *store.Batch, rows []int32) error {
+	err := sh.Ingest(b, rows)
 	if err != nil {
 		d.obs.replicaErrors.Add(1)
 	}
@@ -431,11 +412,13 @@ func (d *Distributor) AddShard(sh Shard) (DrainReport, error) {
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Name() < peers[j].Name() })
 
 	pending := make([]tracer.Entry, 0, drainBatch)
+	var b store.Batch
 	flush := func() {
 		if len(pending) == 0 {
 			return
 		}
-		if err := d.deliver(sh, pending); err != nil {
+		b.Encode(pending) // read back from a store: every row frames
+		if err := d.deliver(sh, &b, nil); err != nil {
 			rep.Failed += len(pending)
 		} else {
 			rep.Moved += len(pending)
@@ -563,14 +546,16 @@ func (d *Distributor) DrainShard(name string) (Shard, DrainReport, error) {
 		return sh, rep, fmt.Errorf("distributor: drain %s: %w", name, err)
 	}
 	pending := make(map[string][]tracer.Entry)
+	var b store.Batch
 	flush := func(target string) {
 		es := pending[target]
 		if len(es) == 0 {
 			return
 		}
 		pending[target] = nil
+		b.Encode(es) // read back from a store: every row frames
 		// A target removed mid-drain counts as a failed replica.
-		if tsh := d.Shard(target); tsh == nil || d.deliver(tsh, es) != nil {
+		if tsh := d.Shard(target); tsh == nil || d.deliver(tsh, &b, nil) != nil {
 			rep.Failed += len(es)
 			return
 		}

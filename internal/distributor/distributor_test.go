@@ -68,6 +68,15 @@ func events(n int, startStamp uint64, tids ...uint32) []tracer.Entry {
 	return es
 }
 
+// ingestAll delivers every event of es to sh as one framed batch.
+func ingestAll(sh Shard, es []tracer.Entry) error {
+	var b store.Batch
+	if err := b.Encode(es); err != nil {
+		return err
+	}
+	return sh.Ingest(&b, nil)
+}
+
 func drainAll(t *testing.T, cur tracer.Cursor) []tracer.Entry {
 	t.Helper()
 	defer cur.Close()
@@ -357,11 +366,11 @@ func TestKilledShardRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	if err := sh.Ingest(events(10, 1, 7)); err != nil {
+	if err := ingestAll(sh, events(10, 1, 7)); err != nil {
 		t.Fatal(err)
 	}
 	sh.Kill()
-	if err := sh.Ingest(events(10, 100, 7)); !errors.Is(err, ErrShardDown) {
+	if err := ingestAll(sh, events(10, 100, 7)); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("ingest after kill: %v, want ErrShardDown", err)
 	}
 	if _, err := sh.Query(store.Query{}, 0); !errors.Is(err, ErrShardDown) {

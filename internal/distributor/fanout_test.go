@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"btrace/internal/ingest"
 	"btrace/internal/ring"
 	"btrace/internal/store"
 	"btrace/internal/store/backend"
@@ -36,15 +35,15 @@ type spyShard struct {
 	log []delivery
 }
 
-func (s *spyShard) Ingest(es []tracer.Entry) error {
-	d := delivery{stamps: make([]uint64, len(es))}
-	for i := range es {
-		d.stamps[i] = es[i].Stamp
+func (s *spyShard) Ingest(b *store.Batch, rows []int32) error {
+	d := delivery{stamps: make([]uint64, len(rows))}
+	for k, i := range rows {
+		d.stamps[k] = b.Stamp(int(i))
 	}
 	if s.fail.Load() {
 		d.err = errInjected
 	} else {
-		d.err = s.LocalShard.Ingest(es)
+		d.err = s.LocalShard.Ingest(b, rows)
 	}
 	s.mu.Lock()
 	s.log = append(s.log, d)
@@ -60,7 +59,7 @@ func (s *spyShard) deliveries() []delivery {
 
 // newSpyCluster builds n spied shards (shard-00…) and a distributor
 // over them; wrap, when set, is shard i's fault-injection seam.
-func newSpyCluster(t *testing.T, n int, cfg Config, wrap func(i int) func(ingest.Sink) ingest.Sink) (*Distributor, []*spyShard) {
+func newSpyCluster(t *testing.T, n int, cfg Config, wrap func(i int) func(Replica) Replica) (*Distributor, []*spyShard) {
 	t.Helper()
 	spies := make([]*spyShard, n)
 	shards := make([]Shard, n)
@@ -267,18 +266,18 @@ func TestFanoutPerShardUnderFaults(t *testing.T) {
 // holdStore parks its first append until released, pinning one delivery
 // in flight.
 type holdStore struct {
-	ingest.Sink
+	Replica
 	armed   atomic.Bool
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (h *holdStore) AppendEntries(es []tracer.Entry) error {
+func (h *holdStore) AppendBatch(b *store.Batch, rows []int32) error {
 	if h.armed.CompareAndSwap(true, false) {
 		close(h.entered)
 		<-h.release
 	}
-	return h.Sink.AppendEntries(es)
+	return h.Replica.AppendBatch(b, rows)
 }
 
 // TestKillDuringInflightDelivery kills a shard while one delivery is
@@ -290,12 +289,12 @@ func TestKillDuringInflightDelivery(t *testing.T) {
 	hold := &holdStore{entered: make(chan struct{}), release: make(chan struct{})}
 	hold.armed.Store(true)
 	d, spies := newSpyCluster(t, 4, Config{Replication: 2, HedgeLimit: 2, Gate: gateOff(), RecordStamps: true},
-		func(i int) func(ingest.Sink) ingest.Sink {
+		func(i int) func(Replica) Replica {
 			if i != 1 {
 				return nil
 			}
-			return func(ds ingest.Sink) ingest.Sink {
-				hold.Sink = ds
+			return func(ds Replica) Replica {
+				hold.Replica = ds
 				return hold
 			}
 		})

@@ -85,7 +85,7 @@ func TestLocalShardQueryStampOrdered(t *testing.T) {
 		// Each writer's batch is sorted; b's lands first, so every pair of
 		// batches is out of order in the segment.
 		for _, es := range [][]tracer.Entry{b[i : i+50], a[i : i+50]} {
-			if err := sh.Ingest(es); err != nil {
+			if err := ingestAll(sh, es); err != nil {
 				t.Fatal(err)
 			}
 		}

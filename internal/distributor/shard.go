@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/store"
 	"btrace/internal/tracer"
@@ -23,15 +22,17 @@ var (
 
 // Shard is one replica target: a named store the distributor can
 // synchronously deliver batches to and fan queries out across. Ingest
-// is the quorum unit — when it returns nil the batch is applied to the
+// is the quorum unit — when it returns nil the rows are applied to the
 // shard's durable store, not merely enqueued.
 type Shard interface {
 	Name() string
-	// Ingest delivers one batch and blocks until it is durably applied
-	// or refused; a refused batch leaves nothing behind for the shard to
-	// apply later. es is only valid for the duration of the call. Safe
-	// for concurrent use.
-	Ingest(es []tracer.Entry) error
+	// Ingest delivers the named rows of a framed batch (all of them when
+	// rows is nil, see store.Store.AppendBatch) and blocks until they are
+	// durably applied or refused; a refused delivery leaves nothing
+	// behind for the shard to apply later. b and rows are only valid for
+	// the duration of the call and are shared with the batch's other
+	// deliveries: Ingest must not modify them. Safe for concurrent use.
+	Ingest(b *store.Batch, rows []int32) error
 	// Query opens a cursor over a point-in-time snapshot of the shard's
 	// durable store, in stamp order, scanned by up to workers goroutines
 	// (at least one).
@@ -62,18 +63,28 @@ type LocalConfig struct {
 	Store *store.Store
 	// WrapStore, when set, wraps the store as seen by deliveries — the
 	// fault-injection seam (queries still read the unwrapped store).
-	WrapStore func(ingest.Sink) ingest.Sink
+	WrapStore func(Replica) Replica
+}
+
+// Replica is a shard's store as its deliveries see it: the
+// *store.Store, or what LocalConfig.WrapStore made of it.
+type Replica interface {
+	// AppendBatch writes rows of b; see store.Store.AppendBatch.
+	AppendBatch(b *store.Batch, rows []int32) error
+	// WriteErr reports a sticky write-path failure: once non-nil, no
+	// later append can succeed.
+	WriteErr() error
 }
 
 // LocalShard is an in-process replica over one store: many of them in
 // one process make a cluster that is testable and chaos-able without
 // networking. A delivery is a synchronous append on the caller's
-// goroutine, which encodes and writes the batch itself; concurrent
-// deliveries share the store's commits.
+// goroutine, which gathers its rows' frames out of the shared batch and
+// writes them itself; concurrent deliveries share the store's commits.
 type LocalShard struct {
 	name string
 	st   *store.Store
-	sink ingest.Sink // st, or WrapStore(st)
+	sink Replica // st, or WrapStore(st)
 
 	// down fails new deliveries and queries fast; inflight lets Kill and
 	// Close wait out the deliveries that were already applying.
@@ -99,16 +110,16 @@ func NewLocalShard(cfg LocalConfig) (*LocalShard, error) {
 
 func (s *LocalShard) Name() string { return s.name }
 
-// Ingest appends one batch to the shard's store, once. Nil means
+// Ingest appends rows of b to the shard's store, once. Nil means
 // applied; an error means the delivery does not count and nothing of it
 // is retained to apply later — the distributor's hedge is the recovery.
-func (s *LocalShard) Ingest(es []tracer.Entry) error {
+func (s *LocalShard) Ingest(b *store.Batch, rows []int32) error {
 	s.inflight.RLock()
 	defer s.inflight.RUnlock()
 	if s.down.Load() {
 		return ErrShardDown
 	}
-	if err := s.sink.AppendEntries(es); err != nil {
+	if err := s.sink.AppendBatch(b, rows); err != nil {
 		return fmt.Errorf("%w: %s: %v", errNotApplied, s.name, err)
 	}
 	return nil

@@ -45,7 +45,7 @@ func TestChaosClusterShardKill(t *testing.T) {
 			Store: st,
 			// Every shard's sink rolls the same injected dice: a cluster
 			// of flaky disks, not one bad apple.
-			WrapStore: func(ds ingest.Sink) ingest.Sink {
+			WrapStore: func(ds distributor.Replica) distributor.Replica {
 				f := in.FlakyStore(ds, 0.02)
 				flaky[idx] = f
 				return f

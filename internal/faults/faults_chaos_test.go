@@ -356,6 +356,7 @@ func TestChaosDeterministicSchedules(t *testing.T) {
 		src := in.BurstSource(faults.BurstConfig{CalmPolls: 12, StormPolls: 8, Cycles: 2, Categories: []uint8{1, 2}})
 		adm := ingest.NewAdmission(overload.Config{EngagePressure: 0.6, DisengagePressure: 0.3, EngageAfter: 2}, nil, nil)
 		var o outcome
+		var batch store.Batch // the append's one encoding, as store.AppendEntries makes it
 		for !src.Quiet() {
 			if src.Storming() {
 				fst.Wedge()
@@ -373,8 +374,11 @@ func TestChaosDeterministicSchedules(t *testing.T) {
 			o.quarantined += c.Quarantined
 			o.throttled += c.Throttled
 			o.gateDropped += c.GateDropped
-			if len(admitted) > 0 && fst.AppendEntries(admitted) != nil {
-				o.refused += uint64(len(admitted))
+			if len(admitted) > 0 {
+				batch.Encode(admitted)
+				if fst.AppendBatch(&batch, nil) != nil {
+					o.refused += uint64(len(admitted))
+				}
 			}
 		}
 		o.gate = adm.GateStats()

@@ -7,6 +7,7 @@ import (
 
 	"btrace/internal/faults"
 	"btrace/internal/sim"
+	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
 
@@ -112,11 +113,15 @@ func TestChainRoutesStall(t *testing.T) {
 	}
 }
 
-// countSink is an ingest.Sink that only counts what it is handed.
+// countSink is a distributor.Replica that only counts what it is
+// handed.
 type countSink struct{ events uint64 }
 
-func (s *countSink) AppendEntries(es []tracer.Entry) error { s.events += uint64(len(es)); return nil }
-func (s *countSink) WriteErr() error                       { return nil }
+func (s *countSink) AppendBatch(b *store.Batch, rows []int32) error {
+	s.events += uint64(b.Len())
+	return nil
+}
+func (s *countSink) WriteErr() error { return nil }
 
 // TestFlakyStoreDeterministicSchedule: one seed, one append-failure
 // schedule; a failed append reaches nothing below and is not sticky.
@@ -125,9 +130,10 @@ func TestFlakyStoreDeterministicSchedule(t *testing.T) {
 		in := faults.New(seed)
 		dst := &countSink{}
 		f := in.FlakyStore(dst, 0.5)
-		batch := make([]tracer.Entry, 8)
+		var batch store.Batch
+		batch.Encode(make([]tracer.Entry, 8))
 		for i := 0; i < 64; i++ {
-			f.AppendEntries(batch)
+			f.AppendBatch(&batch, nil)
 		}
 		appends, events, failures := f.Stats()
 		if appends != 64 || events != dst.events || events != (appends-failures)*8 {

@@ -68,6 +68,8 @@ func TestChaosOverloadStorm(t *testing.T) {
 		// append attempts of the storm batches that admitted anything.
 		calmAdmitted, shedAdmitted   uint64
 		stormAppends, stormAppenders uint64
+		// The append's one encoding, as store.AppendEntries makes it.
+		batch store.Batch
 	)
 	for quietBatches < 30 {
 		storming := src.Storming()
@@ -95,7 +97,8 @@ func TestChaosOverloadStorm(t *testing.T) {
 		quarantined += uint64(c.Quarantined)
 		throttled += uint64(c.Throttled)
 		if len(admitted) > 0 {
-			if fst.AppendEntries(admitted) != nil {
+			batch.Encode(admitted)
+			if fst.AppendBatch(&batch, nil) != nil {
 				refused += uint64(len(admitted))
 			}
 		}

@@ -11,7 +11,8 @@ import (
 	"fmt"
 	"sync"
 
-	"btrace/internal/ingest"
+	"btrace/internal/distributor"
+	"btrace/internal/store"
 	"btrace/internal/tracer"
 )
 
@@ -177,16 +178,18 @@ func (s *BurstSource) Produced() uint64 {
 	return s.produced
 }
 
-// FlakyStore wraps an ingest.Sink with injected append failures:
-// probabilistic ones via ErrProb and a deterministic Wedge/Heal switch —
-// the flaky disk under an overload storm. Injected failures are
-// transient: WriteErr reports only the wrapped store's own sticky
-// failure, and the next append may succeed. No caller retries one: the
-// drain counts the batch dropped, and a cluster delivery goes straight
-// to its hedge candidate.
+// FlakyStore wraps a shard's store, as its deliveries see it, with
+// injected append failures: probabilistic ones via ErrProb and a
+// deterministic Wedge/Heal switch — the flaky disk under an overload
+// storm. It is the LocalConfig.WrapStore seam, so the faults land on the
+// append production deliveries make. Injected failures are transient:
+// WriteErr reports only the wrapped store's own sticky failure, and the
+// next append may succeed. No caller retries one: a cluster delivery
+// goes straight to its hedge candidate, and a single-store drain counts
+// the batch dropped.
 type FlakyStore struct {
 	in  *Injector
-	dst ingest.Sink
+	dst distributor.Replica
 
 	// ErrProb is the probability that an append fails.
 	ErrProb float64
@@ -199,7 +202,7 @@ type FlakyStore struct {
 }
 
 // FlakyStore wraps dst with the given failure probability.
-func (in *Injector) FlakyStore(dst ingest.Sink, errProb float64) *FlakyStore {
+func (in *Injector) FlakyStore(dst distributor.Replica, errProb float64) *FlakyStore {
 	return &FlakyStore{in: in, dst: dst, ErrProb: errProb}
 }
 
@@ -226,9 +229,9 @@ func (f *FlakyStore) Heal() {
 	}
 }
 
-// AppendEntries implements ingest.Sink. A failed append consumes
+// AppendBatch implements distributor.Replica. A failed append consumes
 // nothing.
-func (f *FlakyStore) AppendEntries(es []tracer.Entry) error {
+func (f *FlakyStore) AppendBatch(b *store.Batch, rows []int32) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.appends++
@@ -240,14 +243,19 @@ func (f *FlakyStore) AppendEntries(es []tracer.Entry) error {
 		f.failures++
 		return fmt.Errorf("%w: append error", ErrInjected)
 	}
-	if err := f.dst.AppendEntries(es); err != nil {
+	if err := f.dst.AppendBatch(b, rows); err != nil {
 		return err
 	}
-	f.events += uint64(len(es))
+	if rows == nil {
+		f.events += uint64(b.Len())
+	} else {
+		f.events += uint64(len(rows))
+	}
 	return nil
 }
 
-// WriteErr implements ingest.Sink: the wrapped store's sticky failure.
+// WriteErr implements distributor.Replica: the wrapped store's sticky
+// failure.
 func (f *FlakyStore) WriteErr() error { return f.dst.WriteErr() }
 
 // Stats returns (append attempts, events appended, injected failures).
@@ -257,4 +265,4 @@ func (f *FlakyStore) Stats() (appends, events, failures uint64) {
 	return f.appends, f.events, f.failures
 }
 
-var _ ingest.Sink = (*FlakyStore)(nil)
+var _ distributor.Replica = (*FlakyStore)(nil)

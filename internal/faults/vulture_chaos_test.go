@@ -10,7 +10,6 @@ import (
 
 	"btrace/internal/distributor"
 	"btrace/internal/faults"
-	"btrace/internal/ingest"
 	"btrace/internal/live"
 	"btrace/internal/overload"
 	"btrace/internal/store"
@@ -49,7 +48,7 @@ func TestChaosVultureContinuous(t *testing.T) {
 		sh, err := distributor.NewLocalShard(distributor.LocalConfig{
 			Name:  fmt.Sprintf("shard-%02d", i),
 			Store: st,
-			WrapStore: func(ds ingest.Sink) ingest.Sink {
+			WrapStore: func(ds distributor.Replica) distributor.Replica {
 				f := in.FlakyStore(ds, 0.01)
 				flaky[idx] = f
 				return f

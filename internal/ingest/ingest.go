@@ -143,8 +143,8 @@ func (a *Admission) GateStats() overload.Stats {
 	return a.gate.Stats()
 }
 
-// Sink is the durable store as the delivery side sees it (store.Store
-// satisfies it; fault injectors wrap it).
+// Sink is the durable store as the single-store drain sees it
+// (store.Store satisfies it; the drain's tests substitute failing ones).
 type Sink interface {
 	// AppendEntries durably stages a batch; nil means applied, and a
 	// refused batch leaves nothing behind for the sink to apply later.

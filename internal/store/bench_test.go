@@ -14,6 +14,7 @@ import (
 
 	"btrace/internal/btql"
 	"btrace/internal/export"
+	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
 )
 
@@ -33,20 +34,31 @@ func benchEntries(n int) []tracer.Entry {
 }
 
 // BenchmarkStoreAppend measures the durable append path in batches of
-// 512 (the collector's cursor batch), rotation included.
+// 64 events, rotation included, over a store that already holds segs
+// segments: segs-1 sealed one-event segments and the active one the
+// timed appends start in (4 MiB segments after it). What an append
+// costs must not grow with the segment list; a -max-ratio rule holds
+// segs=4096 to segs=1, and the batch is small enough that a walk of
+// 4096 segments per append would be most of the op. The object backend
+// keeps the files in memory, bounded by MaxBytes retention at 64 MiB —
+// which, once reached, deletes the oldest segments first — so run it at
+// a fixed -benchtime well short of that (2000 ops is 8 MiB).
 func BenchmarkStoreAppend(b *testing.B) {
-	const batch = 512
+	for _, segs := range []int{1, 4096} {
+		b.Run("segs="+strconv.Itoa(segs), func(b *testing.B) { benchAppend(b, segs) })
+	}
+}
+
+func benchAppend(b *testing.B, segs int) {
+	const batch = 64
 	es := benchEntries(batch)
-	st, err := Open(b.TempDir(), Config{SegmentBytes: 4 << 20, MaxBytes: 64 << 20})
+	st, err := Open("", Config{Backend: backend.NewObject(), SegmentBytes: 4 << 20, MaxBytes: 64 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
 	var next uint64
-	b.SetBytes(int64(batch * FrameSize(&es[0])))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	appendAll := func(es []tracer.Entry) {
 		for j := range es {
 			next++
 			es[j].Stamp = next
@@ -55,6 +67,23 @@ func BenchmarkStoreAppend(b *testing.B) {
 		if err := st.AppendEntries(es); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for i := 0; i < segs; i++ {
+		if i > 0 {
+			if err := st.Seal(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		appendAll(es[:1])
+	}
+	if got := len(st.Segments()); got != segs {
+		b.Fatalf("store holds %d segments, want %d", got, segs)
+	}
+	b.SetBytes(int64(batch * FrameSize(&es[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		appendAll(es)
 	}
 }
 

@@ -211,6 +211,10 @@ func (st *Store) freezeRun(run []*segment) (int, error) {
 	i := st.segIndexLocked(run[0])
 	st.segs[i] = cold
 	st.segs = append(st.segs[:i+1], st.segs[i+len(run):]...)
+	for _, s := range run {
+		st.addSegLocked(s, -1)
+	}
+	st.addSegLocked(cold, 1)
 	st.stats.ColdCompactions++
 	st.stats.SegmentsFrozen += uint64(len(run))
 	st.stats.ColdBlocksBuilt += uint64(len(blocks))

@@ -155,31 +155,47 @@ func (o *storeObs) collect(e *obs.Emitter) {
 	e.Gauge("btrace_store_stores", "open stores", 1)
 }
 
-// publishObsLocked copies st.stats to the collector and refreshes the
-// gauges from the live segment list. Called with st.mu held, once per
-// public mutating operation — never per event.
+// tierTally is one tier's running totals: what the segment list holds,
+// kept under st.mu so that neither the gauges nor Size and Events walk
+// the list. An append adds what it wrote; a new segment, a retirement
+// and a freeze move whole segments in and out; Open counts what it
+// recovered.
+type tierTally struct {
+	segs   int64
+	bytes  int64
+	events uint64
+}
+
+// addSegLocked moves s's size and events into (sign 1) or out of (-1)
+// its tier's tally.
+func (st *Store) addSegLocked(s *segment, sign int64) {
+	t := &st.tiers[s.tier]
+	t.segs += sign
+	t.bytes += sign * s.size
+	t.events += uint64(sign) * s.meta.count
+}
+
+// publishObsLocked copies st.stats to the collector and the tier tallies
+// to the gauges. Called with st.mu held, once per public mutating
+// operation — never per event, and in O(1).
 func (st *Store) publishObsLocked() {
 	o := st.obs
 	o.mu.Lock()
 	o.stats = st.stats
 	o.mu.Unlock()
 
-	var size int64
+	var segs, size int64
 	var events uint64
-	var tierSegs, tierSize [2]int64
-	for _, s := range st.segs {
-		size += s.size
-		events += s.meta.count
-		tierSegs[s.tier]++
-		tierSize[s.tier] += s.size
+	for tier, t := range st.tiers {
+		segs += t.segs
+		size += t.bytes
+		events += t.events
+		o.tierSegments[tier].Set(t.segs)
+		o.tierBytes[tier].Set(t.bytes)
 	}
-	o.segments.Set(int64(len(st.segs)))
+	o.segments.Set(segs)
 	o.sizeBytes.Set(size)
 	o.events.Set(int64(events))
-	for t := range tierSegs {
-		o.tierSegments[t].Set(tierSegs[t])
-		o.tierBytes[t].Set(tierSize[t])
-	}
 }
 
 // syncActive fsyncs the active segment, timing the stall.

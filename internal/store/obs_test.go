@@ -1,12 +1,15 @@
 package store
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"btrace/internal/obs"
+	"btrace/internal/store/backend"
 )
 
 // storeSeries is each unlabelled btrace_store_* counter that Stats
@@ -134,4 +137,107 @@ func TestStoreSeriesReadStats(t *testing.T) {
 	}
 	appendRange(t, re, 1301, 1310)
 	check("reopened", st, re)
+}
+
+// TestStoreGaugesMatchRecount: the segment gauges are running totals —
+// an append adds what it wrote, and only a new segment, a retirement, a
+// freeze or an Open moves whole segments in or out — so whatever the
+// store went through, each must equal a fresh count over its segment
+// list, and so must Size and Events. A seeded program of appends across
+// rotations, Seals, CompactTick freezes and retention runs over one
+// store and again after a reopen, checked after every step.
+func TestStoreGaugesMatchRecount(t *testing.T) {
+	be := backend.NewObject()
+	cfg := tierCfg()
+	cfg.Backend = be
+	cfg.SegmentBytes = 4 << 10
+	cfg.MaxBytes = 96 << 10
+	st, err := Open("", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		// A commit waits for every rotation's finalization, and with it
+		// the retention behind it.
+		if err := st.Sync(); err != nil {
+			t.Fatalf("%s: Sync: %v", step, err)
+		}
+		size, events := st.Size(), st.Events()
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		var want [2]tierTally
+		for _, s := range st.segs {
+			w := &want[s.tier]
+			w.segs++
+			w.bytes += s.size
+			w.events += s.meta.count
+		}
+		o := st.obs
+		for tier, w := range want {
+			if got := o.tierSegments[tier].Load(); got != w.segs {
+				t.Errorf("%s: tier %d segments gauge %d, recount %d", step, tier, got, w.segs)
+			}
+			if got := o.tierBytes[tier].Load(); got != w.bytes {
+				t.Errorf("%s: tier %d bytes gauge %d, recount %d", step, tier, got, w.bytes)
+			}
+		}
+		all := tierTally{segs: want[0].segs + want[1].segs, bytes: want[0].bytes + want[1].bytes, events: want[0].events + want[1].events}
+		if got := o.segments.Load(); got != all.segs {
+			t.Errorf("%s: segments gauge %d, recount %d", step, got, all.segs)
+		}
+		if got := o.sizeBytes.Load(); got != all.bytes || size != all.bytes {
+			t.Errorf("%s: size gauge %d, Size %d, recount %d", step, got, size, all.bytes)
+		}
+		if got := o.events.Load(); uint64(got) != all.events || events != all.events {
+			t.Errorf("%s: events gauge %d, Events %d, recount %d", step, got, events, all.events)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	rng := rand.New(rand.NewSource(41))
+	next := uint64(1)
+	program := func(life string, steps int) {
+		for i := 0; i < steps; i++ {
+			var op string
+			switch r := rng.Intn(10); {
+			case r < 6:
+				n := 1 + uint64(rng.Intn(300))
+				appendRange(t, st, next, next+n-1)
+				next += n
+				op = fmt.Sprintf("append %d", n)
+			case r < 8:
+				if err := st.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				op = "seal"
+			default:
+				if err := st.CompactTick(); err != nil {
+					t.Fatal(err)
+				}
+				op = "freeze"
+			}
+			check(fmt.Sprintf("%s step %d (%s)", life, i, op))
+		}
+	}
+	exercised := func(life string) {
+		t.Helper()
+		if s := st.Stats(); s.Seals == 0 || s.SegmentsDeleted == 0 || s.SegmentsFrozen == 0 {
+			t.Fatalf("%s left a transition unexercised: %+v", life, s)
+		}
+	}
+	program("first life", 150)
+	exercised("first life")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open("", cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	check("reopened")
+	program("second life", 50)
+	exercised("second life")
 }

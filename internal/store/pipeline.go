@@ -2,11 +2,13 @@
 // writes it itself under st.mu; a background maintenance goroutine
 // takes seal finalization and retention off that path.
 //
-// AppendEntries encodes frames into a pooled buffer with no lock held,
-// then takes st.mu and writes them with one WriteAt per segment stretch
-// (writeLocked); the batch is readable by cursors when the call
-// returns. Durability is a commit: one fsync of the active file covers
-// every batch written since the previous commit, by any appender. Sync,
+// A Batch holds a batch's frames, encoded once with no lock held;
+// AppendBatch takes st.mu and writes them — all, or the rows a caller
+// picks — with one WriteAt per segment stretch (writeLocked), and
+// AppendEntries is Encode plus AppendBatch. The rows are readable by
+// cursors when the call returns. Durability is a commit: one fsync of
+// the active file covers every batch written since the previous commit,
+// by any appender. Sync,
 // Seal and the CommitEvery timer run commits. Seal finalization —
 // header rewrite, preallocation trim, retention — runs on the
 // maintenance goroutine, so rotation costs the append path nothing but
@@ -27,6 +29,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -36,7 +39,7 @@ import (
 )
 
 // maxSealBacklog caps how many rotated segments may await finalization
-// before appenders stall. An appender waits on it before encoding, with
+// before appenders stall. An appender waits on it before writing, with
 // no lock held: the maintenance goroutine needs st.mu to make progress.
 const maxSealBacklog = 64
 
@@ -52,94 +55,165 @@ type parkedSeal struct {
 	f   backend.File
 }
 
-// stagedEntry is the per-frame metadata writeLocked needs to fold an
-// encoded frame into segment metadata without re-decoding it.
-type stagedEntry struct {
+// frameMeta is what writeLocked needs of one encoded frame to fold it
+// into segment metadata without re-decoding it, and where the frame
+// sits in its batch's buffer. size 0 marks a row that was not framed.
+type frameMeta struct {
 	stamp uint64
 	ts    uint64
+	off   int
 	size  uint32
 	core  uint8
 	cat   uint8
 }
 
-// frameBuf is one append's encoding: its frames back to back and the
-// metadata of each. Pooled, so a steady append path allocates nothing.
-type frameBuf struct {
-	buf   []byte
-	metas []stagedEntry
+// Batch is a batch of events framed once — each record followed by its
+// CRC tail, back to back in one buffer — for any number of appends:
+// AppendBatch writes all of its frames or the rows a caller picks, so
+// the replicas of one batch share a single encoding. The zero Batch is
+// ready to use, and Encode reuses its buffers.
+type Batch struct {
+	buf      []byte
+	metas    []frameMeta // one per row Encode was given
+	unframed int         // rows Encode could not frame
 }
 
-// A fresh frameBuf is sized for a 512-event batch (the collector's
-// cursor batch) of small payloads, so it rarely grows at all.
-var framePool = sync.Pool{New: func() any {
-	return &frameBuf{buf: make([]byte, 0, 64<<10), metas: make([]stagedEntry, 0, 512)}
+// A pooled Batch is sized for a 512-event batch (the collector's cursor
+// batch) of small payloads, so it rarely grows at all. The pool serves
+// AppendEntries' encodings and AppendBatch's gathers, so a steady
+// append path allocates nothing.
+var batchPool = sync.Pool{New: func() any {
+	return &Batch{buf: make([]byte, 0, 64<<10), metas: make([]frameMeta, 0, 512)}
 }}
 
+// Encode frames es, replacing the batch's contents; row i of the batch
+// is es[i]. A row that cannot be framed (an oversized payload) is left
+// out of every append: Framed reports it, and Encode returns the first
+// such failure.
+func (b *Batch) Encode(es []tracer.Entry) error {
+	buf, metas := b.buf[:0], b.metas[:0]
+	b.unframed = 0
+	var encErr error
+	for i := range es {
+		e := &es[i]
+		off := len(buf)
+		var err error
+		if buf, err = encodeFrame(buf, e); err != nil {
+			encErr = cmp.Or(encErr, err)
+			b.unframed++
+		}
+		metas = append(metas, frameMeta{
+			stamp: e.Stamp,
+			ts:    e.TS,
+			off:   off,
+			size:  uint32(len(buf) - off),
+			core:  e.Core,
+			cat:   e.Category,
+		})
+	}
+	b.buf, b.metas = buf, metas
+	return encErr
+}
+
+// Len returns the number of rows the batch was encoded from.
+func (b *Batch) Len() int { return len(b.metas) }
+
+// Framed reports whether row i was framed, and so can be appended.
+func (b *Batch) Framed(i int) bool { return b.metas[i].size != 0 }
+
+// Stamp returns row i's stamp.
+func (b *Batch) Stamp(i int) uint64 { return b.metas[i].stamp }
+
+// gather replaces g's contents with src's framed rows — every one when
+// rows is nil, else those named, in the order given — copying their
+// frames into g's buffer.
+func (g *Batch) gather(src *Batch, rows []int32) {
+	g.buf, g.metas, g.unframed = g.buf[:0], g.metas[:0], 0
+	n := len(rows)
+	if rows == nil {
+		n = len(src.metas)
+	}
+	for k := range n {
+		m := src.metas[k]
+		if rows != nil {
+			m = src.metas[rows[k]]
+		}
+		if m.size == 0 {
+			continue
+		}
+		off := len(g.buf)
+		g.buf = append(g.buf, src.buf[m.off:m.off+int(m.size)]...)
+		m.off = off
+		g.metas = append(g.metas, m)
+	}
+}
+
 // AppendEntries appends a batch of events with one write per segment
-// stretch — the bulk path the ingest paths and the replay dump use. The
+// stretch — the bulk path the single-store ingest path and the replay
+// dump use: it frames es into a pooled Batch and appends all of it. The
 // batch is readable by cursors when it returns; it is durable at the
 // next commit (Sync, Seal, Close or the CommitEvery timer).
 //
-// An entry that cannot encode (oversized payload) fails the batch at
-// that entry; the frames encoded before it are still written.
+// An entry that cannot be framed (oversized payload) is left out and
+// its error returned; the rest of the batch is still written.
 func (st *Store) AppendEntries(es []tracer.Entry) error {
 	if len(es) == 0 {
+		return nil
+	}
+	start := time.Now()
+	b := batchPool.Get().(*Batch)
+	encErr := b.Encode(es)
+	err := st.appendBatch(b, nil, start)
+	batchPool.Put(b)
+	return cmp.Or(encErr, err)
+}
+
+// AppendBatch writes b's frames — every framed row when rows is nil,
+// else the rows named, in the order given — with one WriteAt per
+// segment stretch: the rows b holds as encoded when it is written whole,
+// and a gather of the chosen frames into a pooled buffer otherwise. The
+// rows are readable by cursors when it returns and durable at the next
+// commit. A row that was not framed is skipped. b is only read, so
+// concurrent AppendBatch calls, on this store or others, may share it.
+func (st *Store) AppendBatch(b *Batch, rows []int32) error {
+	return st.appendBatch(b, rows, time.Now())
+}
+
+// appendBatch is AppendBatch with the start of the append's latency
+// supplied, so that AppendEntries' encoding counts toward it.
+func (st *Store) appendBatch(b *Batch, rows []int32, start time.Time) error {
+	w := b
+	if rows != nil || b.unframed > 0 {
+		w = batchPool.Get().(*Batch)
+		defer batchPool.Put(w)
+		w.gather(b, rows)
+	}
+	if len(w.metas) == 0 {
 		return nil
 	}
 	if err := st.WriteErr(); err != nil {
 		return err
 	}
-	start := time.Now()
 	st.maint.waitBelow(maxSealBacklog)
-	fb := framePool.Get().(*frameBuf)
-	buf, metas := fb.buf[:0], fb.metas[:0]
-	var encErr error
-	for i := range es {
-		off := len(buf)
-		var err error
-		if buf, err = encodeFrame(buf, &es[i]); err != nil {
-			encErr = err
-			break
-		}
-		metas = append(metas, stagedEntry{
-			stamp: es[i].Stamp,
-			ts:    es[i].TS,
-			size:  uint32(len(buf) - off),
-			core:  es[i].Core,
-			cat:   es[i].Category,
-		})
-	}
-	fb.buf, fb.metas = buf, metas
-	if len(metas) == 0 {
-		framePool.Put(fb)
-		return encErr
-	}
 	st.mu.Lock()
 	err := st.WriteErr()
 	if err == nil {
-		if err = st.writeLocked(buf, metas); err != nil {
+		if err = st.writeLocked(w.buf, w.metas); err != nil {
 			st.fail(err)
 		}
 	}
 	st.mu.Unlock()
-	framePool.Put(fb)
 	if err == nil && st.cfg.CommitEvery > 0 && st.commitArmed.CompareAndSwap(false, true) {
 		time.AfterFunc(st.cfg.CommitEvery, st.commitTick)
 	}
+	n := uint64(len(w.metas))
 	elapsed := uint64(time.Since(start))
 	st.obs.appendNs.Observe(elapsed)
 	// The pressure EWMA normalizes per event: the overload gate's append
 	// budget is per event, and a call's latency grows with its batch
-	// size — one large AppendEntries is throughput, not overload.
-	per := elapsed / uint64(len(es))
-	if per == 0 {
-		per = 1
-	}
-	st.ewmaAppend.observe(per)
-	st.obs.batchEvents.Observe(uint64(len(es)))
-	if encErr != nil {
-		return encErr
-	}
+	// size — one large append is throughput, not overload.
+	st.ewmaAppend.observe(max(elapsed/n, 1))
+	st.obs.batchEvents.Observe(n)
 	return err
 }
 
@@ -248,7 +322,7 @@ func (st *Store) commitTick() {
 // writeLocked writes one append's encoded frames to the segment files:
 // the longest run of frames that fits the active segment goes out in a
 // single WriteAt, rotating between runs. Called with st.mu held.
-func (st *Store) writeLocked(buf []byte, metas []stagedEntry) error {
+func (st *Store) writeLocked(buf []byte, metas []frameMeta) error {
 	pos := 0
 	for i := 0; i < len(metas); {
 		seg := st.activeSeg()
@@ -286,6 +360,9 @@ func (st *Store) writeLocked(buf []byte, metas []stagedEntry) error {
 			}
 			return err
 		}
+		t := &st.tiers[seg.tier]
+		t.bytes += int64(runBytes)
+		t.events += uint64(j - i)
 		off := seg.size
 		for ; i < j; i++ {
 			m := &metas[i]

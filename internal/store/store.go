@@ -208,6 +208,8 @@ type Store struct {
 	// stats is the one home of the counts kept under mu; public mutating
 	// operations publish a copy to obs on exit (see obs.go).
 	stats Stats
+	// tiers are the segment list's running totals per tier (obs.go).
+	tiers [2]tierTally
 	obs   *storeObs
 	obsID uint64
 
@@ -322,6 +324,9 @@ func OpenBackend(be backend.Backend, cfg Config) (*Store, error) {
 	// mistake the new segment for a leftover of that transition.
 	if s := st.lastSeg(); s != nil && s.coversThrough >= st.nextSeq {
 		st.nextSeq = s.coversThrough + 1
+	}
+	for _, s := range st.segs {
+		st.addSegLocked(s, 1)
 	}
 	st.publishObsLocked() // surface the recovery counters
 	st.registerObs()
@@ -558,6 +563,7 @@ func (st *Store) newSegmentLocked() (*segment, error) {
 	st.nextSeq++
 	st.active = f
 	st.segs = append(st.segs, s)
+	st.addSegLocked(s, 1)
 	return s, nil
 }
 
@@ -566,10 +572,7 @@ func (st *Store) newSegmentLocked() (*segment, error) {
 // Remove); the active segment is never touched.
 func (st *Store) enforceRetentionLocked() {
 	if st.cfg.MaxBytes > 0 {
-		total := int64(0)
-		for _, s := range st.segs {
-			total += s.size
-		}
+		total := st.tiers[TierHot].bytes + st.tiers[TierCold].bytes
 		for total > st.cfg.MaxBytes && len(st.segs) > 1 && st.segs[0].sealed {
 			total -= st.segs[0].size
 			st.retireOldestLocked()
@@ -594,6 +597,7 @@ func (st *Store) retireOldestLocked() {
 	s.retired = true // a parked seal fsync would be wasted on it
 	st.be.Remove(s.name)
 	st.segs = st.segs[1:]
+	st.addSegLocked(s, -1)
 	st.stats.SegmentsDeleted++
 	st.stats.EventsRetired += s.meta.count
 }
@@ -667,22 +671,14 @@ func (st *Store) Backend() backend.Backend { return st.be }
 func (st *Store) Size() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var total int64
-	for _, s := range st.segs {
-		total += s.size
-	}
-	return total
+	return st.tiers[TierHot].bytes + st.tiers[TierCold].bytes
 }
 
 // Events returns the number of events currently held.
 func (st *Store) Events() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var n uint64
-	for _, s := range st.segs {
-		n += s.meta.count
-	}
-	return n
+	return st.tiers[TierHot].events + st.tiers[TierCold].events
 }
 
 // Stats returns a snapshot of the store's counters.
