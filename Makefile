@@ -83,11 +83,15 @@ compaction-chaos:
 # shard mid-storm and another wedges transiently; every quorum-acked
 # event must remain readable through the merged query view, the tenant
 # accounting identity must hold exactly, and the ring property tests
-# bound key movement on join/leave. Honors -short
-# (make cluster-chaos SHORT=-short).
+# bound key movement on join/leave. The ring changes' one copy loop runs
+# three times over, raced against Ingest: joins and drains under
+# writers keep every owner whole, an add-drain-remove sequence loses no
+# acked event, and a move copies each row to the owners its thread
+# gains exactly once. Honors -short (make cluster-chaos SHORT=-short).
 cluster-chaos:
 	$(GO) test -race $(SHORT) -v -run 'TestChaosClusterShardKill' ./internal/faults/
 	$(GO) test -race -run 'TestRing' ./internal/ring/
+	$(GO) test -race -count 3 -run 'TestAddDrainRemoveLosesNothing|TestRebalanceUnderWritesKeepsEveryOwnerWhole|TestMoveCopiesExactlyWhatMoves' ./internal/distributor/
 
 # Continuous-verification soak: boot a real 4-shard RF=2 btrace-serve,
 # run btrace-vulture against it (known stamped writes read back through
@@ -108,8 +112,9 @@ vulture-soak:
 # counts the timer granularity would swamp the <2% contract — and run
 # six times in one process (-count 6), so that their ratio rule can drop
 # the first pass, which pays for running first, and take the median of
-# the other five; so does the distributor's aggregate benchmark, whose
-# count-4xrf2<=3*direct-1shard rule one pass read at 3.01x. The CSV
+# the other five; so do the distributor's ingest and aggregate
+# benchmarks, whose rf2-4shards and count-4xrf2 <=3*direct-1shard rules
+# one pass can cross (count-4xrf2 once read 3.01x). The CSV
 # export benchmark's op is one row, ~45ns on a 2-CPU box, and runs at
 # OBS_RECORD_BENCHTIME too.
 BENCHTIME ?= 2000x
@@ -132,7 +137,8 @@ bench:
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkColdSelect|BenchmarkRunMerge' -benchmem -benchtime $(STORE_SLOW_BENCHTIME); \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkHotTailCSV' -benchmem -benchtime $(STORE_SLOW_BENCHTIME) -count 6; \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStoreAppend$$' -benchmem -benchtime $(BENCHTIME) -count 6; \
-	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributor(Ingest|Query)' -benchmem -benchtime $(BENCHTIME); \
+	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorIngest' -benchmem -benchtime $(BENCHTIME) -count 6; \
+	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorQuery' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorAggregate' -benchmem -benchtime $(BENCHTIME) -count 6; \
 	   $(GO) test ./cmd/btrace-serve -run '^$$' -bench 'BenchmarkServeIngest' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_store.json

@@ -402,7 +402,7 @@ func TestAggregateFallsBackWhenFirstOwnerIsBehind(t *testing.T) {
 	c.boot([]string{"shard-00", "shard-01", "shard-02", "shard-03"})
 	t.Cleanup(func() { c.d.Close() })
 	const tid = 4242
-	first := c.d.ring.Lookup(streamKey(tid))[0]
+	first := ownersOf(c.d.ring, tid)[0]
 	ev := func(stamp uint64) []tracer.Entry {
 		return []tracer.Entry{{Stamp: stamp, TS: stamp, TID: tid, Level: 1}}
 	}
@@ -446,7 +446,7 @@ func TestAggregateFallsBackOnACopyNobodyOwns(t *testing.T) {
 	c.boot([]string{"shard-00", "shard-01", "shard-02", "shard-03"})
 	t.Cleanup(func() { c.d.Close() })
 	const tid = 4242
-	for _, owner := range c.d.ring.Lookup(streamKey(tid)) {
+	for _, owner := range ownersOf(c.d.ring, tid) {
 		c.faults[owner].failNext.Store(4)
 	}
 	if res := c.d.Ingest("", []tracer.Entry{{Stamp: 1, TS: 1, TID: tid, Level: 1}}); res.Refused != 1 || c.d.Stats().Hedges != 1 {

@@ -17,8 +17,9 @@ package distributor
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -98,7 +99,7 @@ type Stats struct {
 	Quarantined   uint64 // entries the front-door verifier flagged (replicated, never shed)
 	ReplicaErrors uint64 // failed deliveries
 	Hedges        uint64 // deliveries diverted to a non-owner candidate
-	DrainMoved    uint64 // events re-placed by DrainShard
+	DrainMoved    uint64 // events copied to new owners by AddShard and DrainShard
 }
 
 // Distributor routes tenant traffic across the shard ring.
@@ -145,15 +146,10 @@ func New(shards []Shard, cfg Config) (*Distributor, error) {
 		obs:    newDistObs(),
 	}
 	d.setRingLocked(r)
-	d.obs.shards.Set(int64(len(table)))
 	d.obs.replication.Set(int64(cfg.Replication))
 	d.registerObs()
 	return d, nil
 }
-
-// streamKey derives the placement key for an entry: the TID alone (see
-// the package comment for why the tenant is excluded).
-func streamKey(tid uint32) string { return strconv.FormatUint(uint64(tid), 10) }
 
 // fanout is one Ingest call's routing scratch, pooled across calls. The
 // per-shard slices are indexed like Distributor.targets.
@@ -320,8 +316,9 @@ func (d *Distributor) deliver(sh Shard, b *store.Batch, rows []int32) error {
 	return err
 }
 
-// setRingLocked swaps the ring and re-derives targets from the shard
-// table. Callers hold topo for writing (or own d exclusively).
+// setRingLocked swaps the ring and re-derives targets and the shards
+// gauge from the shard table. Callers hold topo for writing (or own d
+// exclusively).
 func (d *Distributor) setRingLocked(r *ring.Ring) {
 	names := r.Shards()
 	targets := make([]Shard, len(names))
@@ -329,6 +326,7 @@ func (d *Distributor) setRingLocked(r *ring.Ring) {
 		targets[i] = d.shards[name]
 	}
 	d.ring, d.targets = r, targets
+	d.obs.shards.Set(int64(len(d.shards)))
 }
 
 // Query fans q out across every healthy shard — each scanning its
@@ -376,100 +374,38 @@ func (d *Distributor) Shard(name string) Shard {
 }
 
 // AddShard joins a shard to the ring and rebalances: new writes to the
-// moved hash ranges route to it immediately, and the historical events
-// of those ranges are copied over from their old owners before AddShard
-// returns, out of one snapshot per peer taken after the ring swap (which
-// waited out every Ingest the old ring routed). The copy is what keeps
-// the topology invariant — every owner in ring.Lookup(key) possesses
-// key's acked events — true across joins; DrainShard relies on it when
-// it skips owners that "already" hold a key, so a join without
-// rebalance would silently leave the moved ranges one replica short and
-// a later drain+crash could lose them.
+// hash ranges it gains route to it at once, and before AddShard returns
+// every peer moves it the rows of the threads it gains (see move), out
+// of one snapshot per peer taken after the ring swap, which waited out
+// every Ingest the old ring routed. The copy keeps the topology
+// invariant — every owner the ring names for a thread holds its acked
+// events — true across joins; DrainShard relies on it when it skips the
+// owners a thread keeps, so a join without the copy would leave the
+// gained ranges one replica short and a later drain plus a crash could
+// lose them.
 func (d *Distributor) AddShard(sh Shard) (DrainReport, error) {
 	var rep DrainReport
 	name := sh.Name()
-	d.topo.Lock()
-	if _, dup := d.shards[name]; dup {
-		d.topo.Unlock()
-		return rep, fmt.Errorf("distributor: shard %q already present", name)
-	}
-	oldRing := d.ring
-	newRing, err := oldRing.Add(name)
+	var peers []Shard
+	from, to, err := d.reshape(func(r *ring.Ring) (*ring.Ring, error) {
+		if d.shards[name] != nil {
+			return nil, fmt.Errorf("distributor: shard %q already present", name)
+		}
+		next, err := r.Add(name)
+		if err == nil {
+			peers = slices.Collect(maps.Values(d.shards))
+			d.shards[name] = sh
+		}
+		return next, err
+	})
 	if err != nil {
-		d.topo.Unlock()
 		return rep, err
 	}
-	d.shards[name] = sh
-	d.setRingLocked(newRing)
-	d.obs.shards.Set(int64(len(d.shards)))
-	peers := make([]Shard, 0, len(d.shards)-1)
-	for pname, p := range d.shards {
-		if pname != name {
-			peers = append(peers, p)
-		}
-	}
-	d.topo.Unlock()
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Name() < peers[j].Name() })
-
-	pending := make([]tracer.Entry, 0, drainBatch)
-	var b store.Batch
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		b.Encode(pending) // read back from a store: every row frames
-		if err := d.deliver(sh, &b, nil); err != nil {
-			rep.Failed += len(pending)
-		} else {
-			rep.Moved += len(pending)
-			d.obs.drainMoved.Add(uint64(len(pending)))
-		}
-		pending = pending[:0]
-	}
-	batch := make([]tracer.Entry, drainBatch)
-	picked := make([]tracer.Entry, 0, drainBatch)
 	for _, peer := range peers {
-		cur, err := peer.Query(store.Query{}, 1)
-		if err != nil {
-			// An unreadable peer cannot ship its ranges; the newcomer
-			// still serves new writes, and the peer's replicas keep the
-			// historical data readable.
-			continue
-		}
-		for {
-			n, _, err := cur.Next(batch)
-			if err != nil || n == 0 {
-				break
-			}
-			rep.Scanned += n
-			picked = picked[:0]
-			for i := range batch[:n] {
-				key := streamKey(batch[i].TID)
-				if !contains(newRing.Lookup(key), name) {
-					continue
-				}
-				// One canonical source per key — its first old owner —
-				// so the newcomer gets one copy, not rf. A possessor
-				// outside the old owner set ships too: possession beats
-				// placement, and duplicates collapse in the merged
-				// query view.
-				if old := oldRing.Lookup(key); contains(old, peer.Name()) && old[0] != peer.Name() {
-					continue
-				}
-				picked = append(picked, batch[i])
-			}
-			// The cursor arena is reused across Next calls; retained
-			// entries are deep-copied before the next refill.
-			pending = tracer.CloneEntries(pending, picked)
-			if len(pending) >= drainBatch {
-				flush()
-			}
-		}
-		cur.Close()
-	}
-	flush()
-	if rep.Moved > 0 {
-		rep.Targets = []string{name}
+		// An unreadable peer cannot ship; the newcomer still serves new
+		// writes, and the peer's replicas keep its rows readable.
+		d.move(peer, from, to, false, &rep)
 	}
 	return rep, nil
 }
@@ -479,141 +415,159 @@ func (d *Distributor) AddShard(sh Shard) (DrainReport, error) {
 // close or discard; quorum replication means its acked data remains
 // readable from its peers.
 func (d *Distributor) RemoveShard(name string) (Shard, error) {
-	d.topo.Lock()
-	defer d.topo.Unlock()
-	sh := d.shards[name]
-	if sh == nil {
-		return nil, fmt.Errorf("distributor: shard %q not in ring", name)
-	}
-	r, err := d.ring.Remove(name)
-	if err != nil {
-		return nil, err
-	}
-	delete(d.shards, name)
-	d.setRingLocked(r)
-	d.obs.shards.Set(int64(len(d.shards)))
-	return sh, nil
+	sh, _, err := d.remove(name, false)
+	return sh, err
 }
 
-// DrainReport accounts one DrainShard run.
+// DrainShard gracefully removes a shard: the ring is re-derived without
+// it, so new writes route to the new owners at once, the shard moves
+// everything it holds to the owners its threads gain (see move), and
+// only then does it leave the shard table, queryable until its copy is
+// done. The shard is returned for the caller to close.
+func (d *Distributor) DrainShard(name string) (Shard, DrainReport, error) {
+	return d.remove(name, true)
+}
+
+// remove takes the named shard off the ring, and out of the shard table
+// at once on the crash path or after a drain's move.
+func (d *Distributor) remove(name string, drain bool) (sh Shard, rep DrainReport, err error) {
+	// Taking topo for writing waits out the Ingests the old ring routed,
+	// so the snapshot a drain reads holds everything the shard acked.
+	from, to, err := d.reshape(func(r *ring.Ring) (*ring.Ring, error) {
+		if sh = d.shards[name]; sh == nil {
+			return nil, fmt.Errorf("distributor: shard %q not in ring", name)
+		}
+		next, err := r.Remove(name)
+		if err == nil && !drain {
+			delete(d.shards, name)
+		}
+		return next, err
+	})
+	if err != nil {
+		return nil, rep, err
+	}
+	if !drain {
+		return sh, rep, nil
+	}
+	if err = d.move(sh, from, to, true, &rep); err != nil {
+		// Shard unreadable (e.g. killed): it leaves as a crash-removal.
+		err = fmt.Errorf("distributor: drain %s: %w", name, err)
+	}
+	d.reshape(func(r *ring.Ring) (*ring.Ring, error) {
+		delete(d.shards, name)
+		return r, nil
+	})
+	return sh, rep, err
+}
+
+// reshape makes one topology change under topo held for writing: change
+// may edit the shard table and returns the ring to install (or an
+// error, having edited nothing); targets and the shards gauge follow.
+// It returns the ring it replaced and the one it installed.
+func (d *Distributor) reshape(change func(*ring.Ring) (*ring.Ring, error)) (from, to *ring.Ring, err error) {
+	d.topo.Lock()
+	defer d.topo.Unlock()
+	from = d.ring
+	if to, err = change(from); err != nil {
+		return nil, nil, err
+	}
+	d.setRingLocked(to)
+	return from, to, nil
+}
+
+// DrainReport accounts one AddShard or DrainShard run.
 type DrainReport struct {
-	// Scanned is the events read off the drained shard.
+	// Scanned is the events read off the shards that ship: the drained
+	// shard, or a joining shard's peers.
 	Scanned int
-	// Moved is the events redelivered to new owners (an event moving to
+	// Moved is the events delivered to new owners (an event moving to
 	// two new owners counts twice).
 	Moved int
-	// Failed is redeliveries that did not apply; the events remain
-	// readable from the drained key's surviving replicas.
+	// Failed is deliveries to new owners that did not apply; the events
+	// remain readable from their thread's other replicas.
 	Failed int
-	// Targets lists the shards that received moved ranges.
+	// Targets lists the shards that took moved rows, sorted.
 	Targets []string
 }
 
-// drainBatch is the redelivery granularity of DrainShard.
-const drainBatch = 1024
+// moveBatch is how many rows a move reads, frames and delivers at once.
+const moveBatch = 1024
 
-// DrainShard gracefully removes a shard: the ring is re-derived without
-// it (so new writes route to the new owners at once), then every event
-// it holds is re-placed — delivered only to the owners that are new for
-// its key, i.e. exactly the moved hash ranges, never the replicas that
-// already hold it — and finally the shard leaves the table. The shard
-// is returned for the caller to close.
-func (d *Distributor) DrainShard(name string) (Shard, DrainReport, error) {
-	var rep DrainReport
-	d.topo.Lock()
-	sh := d.shards[name]
-	if sh == nil {
-		d.topo.Unlock()
-		return nil, rep, fmt.Errorf("distributor: shard %q not in ring", name)
-	}
-	oldRing := d.ring
-	newRing, err := oldRing.Remove(name)
+// move is every copy a ring change makes: it reads src once and
+// delivers each row to the owners its thread gains from ring from to
+// ring to. A leaving src ships everything it holds. Otherwise src ships
+// a thread only as the thread's first owner under from, so each gained
+// owner gets one copy rather than rf, or as a holder outside its owners
+// (a hedged copy): possession beats placement, and duplicates collapse
+// in the merged query view. Placement is by TID, one ring walk per
+// thread.
+func (d *Distributor) move(src Shard, from, to *ring.Ring, leaving bool, rep *DrainReport) error {
+	cur, err := src.Query(store.Query{}, 1)
 	if err != nil {
-		d.topo.Unlock()
-		return nil, rep, err
+		return err
 	}
-	// Swap the ring first: from here on, writes route around the
-	// draining shard while its data stays queryable until the copy is
-	// done. Taking topo for writing waited out the Ingests the old ring
-	// routed, so the snapshot below holds everything the shard ever acked.
-	d.setRingLocked(newRing)
-	d.topo.Unlock()
-
-	cur, err := sh.Query(store.Query{}, 1)
-	if err != nil {
-		// Shard unreadable (e.g. killed): fall back to crash-removal.
-		d.finishRemove(name)
-		return sh, rep, fmt.Errorf("distributor: drain %s: %w", name, err)
+	defer cur.Close()
+	fromNames, toNames := from.Shards(), to.Shards()
+	self := slices.Index(fromNames, src.Name())
+	wasAt := make([]int, len(toNames)) // each to shard's index in from, -1 if new
+	for i, name := range toNames {
+		wasAt[i] = slices.Index(fromNames, name)
 	}
-	pending := make(map[string][]tracer.Entry)
-	var b store.Batch
-	flush := func(target string) {
-		es := pending[target]
-		if len(es) == 0 {
-			return
-		}
-		pending[target] = nil
-		b.Encode(es) // read back from a store: every row frames
-		// A target removed mid-drain counts as a failed replica.
-		if tsh := d.Shard(target); tsh == nil || d.deliver(tsh, &b, nil) != nil {
-			rep.Failed += len(es)
-			return
-		}
-		rep.Moved += len(es)
-		d.obs.drainMoved.Add(uint64(len(es)))
-	}
-	batch := make([]tracer.Entry, drainBatch)
-	moved := make(map[string]bool)
+	var (
+		gainOf  = make(map[uint32][]int) // TID → to's indexes of the owners it gains
+		was, is []int
+		rows    = make([][]int32, len(toNames)) // per to shard: the batch's rows it gains
+		b       store.Batch
+		batch   = make([]tracer.Entry, moveBatch)
+	)
 	for {
 		n, _, err := cur.Next(batch)
 		if err != nil || n == 0 {
 			break
 		}
 		rep.Scanned += n
-		// The cursor arena is reused across Next calls and the pending
-		// buffers outlive it, so retained entries are deep-copied.
-		es := tracer.CloneEntries(nil, batch[:n])
-		for i := range es {
-			key := streamKey(es[i].TID)
-			old := oldRing.Lookup(key)
-			for _, owner := range newRing.Lookup(key) {
-				if contains(old, owner) {
-					continue // already a replica of this key
+		for i := range batch[:n] {
+			tid := batch[i].TID
+			gains, ok := gainOf[tid]
+			if !ok {
+				was = from.Owners(was[:0], uint64(tid), from.RF())
+				if leaving || was[0] == self || !slices.Contains(was, self) {
+					is = to.Owners(is[:0], uint64(tid), to.RF())
+					for _, o := range is {
+						if !slices.Contains(was, wasAt[o]) {
+							gains = append(gains, o)
+						}
+					}
 				}
-				pending[owner] = append(pending[owner], es[i])
-				moved[owner] = true
-				if len(pending[owner]) >= drainBatch {
-					flush(owner)
-				}
+				gainOf[tid] = gains
+			}
+			for _, o := range gains {
+				rows[o] = append(rows[o], int32(i))
 			}
 		}
-	}
-	cur.Close()
-	for target := range pending {
-		flush(target)
-	}
-	for target := range moved {
-		rep.Targets = append(rep.Targets, target)
-	}
-	sort.Strings(rep.Targets)
-	d.finishRemove(name)
-	return sh, rep, nil
-}
-
-func (d *Distributor) finishRemove(name string) {
-	d.topo.Lock()
-	delete(d.shards, name)
-	d.obs.shards.Set(int64(len(d.shards)))
-	d.topo.Unlock()
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
+		if !slices.ContainsFunc(rows, func(rs []int32) bool { return len(rs) > 0 }) {
+			continue // nothing read this time moves
+		}
+		b.Encode(batch[:n]) // read back from a store: every row frames
+		for o, rs := range rows {
+			if len(rs) == 0 {
+				continue
+			}
+			// A target removed mid-move counts as a failed replica.
+			if dst := d.Shard(toNames[o]); dst == nil || d.deliver(dst, &b, rs) != nil {
+				rep.Failed += len(rs)
+			} else {
+				rep.Moved += len(rs)
+				d.obs.drainMoved.Add(uint64(len(rs)))
+				if !slices.Contains(rep.Targets, toNames[o]) {
+					rep.Targets = append(rep.Targets, toNames[o])
+				}
+			}
+			rows[o] = rs[:0]
 		}
 	}
-	return false
+	sort.Strings(rep.Targets)
+	return nil
 }
 
 // ShardInfo is one shard's row in the /ring view.
@@ -638,11 +592,7 @@ type Info struct {
 // each shard's health and store footprint.
 func (d *Distributor) Info() Info {
 	d.topo.RLock()
-	r := d.ring
-	shards := make([]Shard, 0, len(d.shards))
-	for _, sh := range d.shards {
-		shards = append(shards, sh)
-	}
+	r, shards := d.ring, slices.Collect(maps.Values(d.shards))
 	d.topo.RUnlock()
 	own := r.Ownership()
 	info := Info{Replication: r.RF(), VNodes: ring.DefaultVNodes}

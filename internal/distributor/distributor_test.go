@@ -3,13 +3,16 @@ package distributor
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"btrace/internal/ingest"
 	"btrace/internal/overload"
+	"btrace/internal/ring"
 	"btrace/internal/store"
 	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
@@ -452,7 +455,7 @@ func TestRebalanceUnderWritesKeepsEveryOwnerWhole(t *testing.T) {
 	for w := range acked {
 		total += len(acked[w])
 		for stamp, tid := range acked[w] {
-			for _, owner := range d.ring.Lookup(streamKey(tid)) {
+			for _, owner := range ownersOf(d.ring, tid) {
 				if !held[owner][stamp] {
 					t.Fatalf("acked stamp %d (tid %d) is missing on its owner %s", stamp, tid, owner)
 				}
@@ -462,4 +465,153 @@ func TestRebalanceUnderWritesKeepsEveryOwnerWhole(t *testing.T) {
 	if total < 4500 {
 		t.Fatalf("writers got %d events acked, want the rebalances to have run under load", total)
 	}
+}
+
+// ownersOf names the shards r places thread tid on, first owner first.
+func ownersOf(r *ring.Ring, tid uint32) []string {
+	names := r.Shards()
+	var out []string
+	for _, si := range r.Owners(nil, uint64(tid), r.RF()) {
+		out = append(out, names[si])
+	}
+	return out
+}
+
+// copiesOf counts the rows a shard's store holds per stamp, bypassing
+// the health check a drained shard's Query applies.
+func copiesOf(t *testing.T, sh *LocalShard) map[uint64]int {
+	t.Helper()
+	out := make(map[uint64]int)
+	for _, e := range drainAll(t, sh.st.Query(store.Query{})) {
+		out[e.Stamp]++
+	}
+	return out
+}
+
+// TestMoveCopiesExactlyWhatMoves holds a join and a drain to the move
+// rule: each row reaches every owner its thread gains from the old ring
+// to the new exactly once, and no other shard. A join's peer ships a
+// thread only as its first old owner or as a holder outside its owners
+// (a hedged copy); a drain ships everything the leaving shard holds.
+func TestMoveCopiesExactlyWhatMoves(t *testing.T) {
+	tids := make([]uint32, 40)
+	for i := range tids {
+		tids[i] = uint32(500 + i)
+	}
+	const seeded = 400
+	// cluster is a seeded 3-shard RF=2 cluster and its shards' fault
+	// seams, by name.
+	cluster := func(t *testing.T) (*Distributor, map[string]*spyShard, map[string]*flakySink) {
+		sinks := make([]*flakySink, 3)
+		d, list := newSpyCluster(t, 3, Config{Replication: 2, Gate: gateOff()}, func(i int) func(Replica) Replica {
+			return func(r Replica) Replica {
+				sinks[i] = &flakySink{Replica: r}
+				return sinks[i]
+			}
+		})
+		if res := d.Ingest("", events(seeded, 1, tids...)); res.Acked != seeded {
+			t.Fatalf("seed ingest: %+v", res)
+		}
+		spies, seams := make(map[string]*spyShard), make(map[string]*flakySink)
+		for i, sp := range list {
+			spies[sp.Name()], seams[sp.Name()] = sp, sinks[i]
+		}
+		return d, spies, seams
+	}
+
+	t.Run("join", func(t *testing.T) {
+		d, spies, seams := cluster(t)
+		from := d.ring
+		to, err := from.Add("shard-99")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One more row, on a thread the newcomer gains, which its first
+		// owner refuses: it sits on the second owner and on the hedge
+		// candidate, a holder outside the thread's owners.
+		var tid uint32
+		for _, c := range tids {
+			if slices.Contains(ownersOf(to, c), "shard-99") {
+				tid = c
+				break
+			}
+		}
+		owners := ownersOf(from, tid)
+		seams[owners[0]].failNext.Store(1)
+		hedged := events(1, seeded+1, tid)
+		if res := d.Ingest("", slices.Clone(hedged)); res.Acked != 1 {
+			t.Fatalf("hedged ingest: %+v", res)
+		}
+		for name, sp := range spies {
+			if held := copiesOf(t, sp.LocalShard)[seeded+1]; held != 1 && name != owners[0] || held != 0 && name == owners[0] {
+				t.Fatalf("%s holds %d copies of the hedged row (first owner %s)", name, held, owners[0])
+			}
+		}
+
+		extra := newTestShard(t, "shard-99")
+		rep, err := d.AddShard(extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[uint64]int)
+		for _, e := range append(events(seeded, 1, tids...), hedged...) {
+			if slices.Contains(ownersOf(to, e.TID), "shard-99") {
+				want[e.Stamp] = 1
+			}
+		}
+		if got := copiesOf(t, extra); !maps.Equal(got, want) {
+			t.Fatalf("newcomer holds %d stamps (%d rows), want each of the %d rows of its threads once", len(got), extra.Events(), len(want))
+		}
+		if rep.Moved != len(want) || rep.Failed != 0 || !slices.Equal(rep.Targets, []string{"shard-99"}) {
+			t.Fatalf("join report %+v, want Moved %d to shard-99", rep, len(want))
+		}
+	})
+
+	t.Run("drain", func(t *testing.T) {
+		d, spies, _ := cluster(t)
+		const victim = "shard-01"
+		from := d.ring
+		to, err := from.Remove(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := make(map[string]map[uint64]int)
+		for name, sp := range spies {
+			before[name] = copiesOf(t, sp.LocalShard)
+		}
+		_, rep, err := d.DrainShard(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, moved := 0, 0
+		for name, sp := range spies {
+			if name == victim {
+				continue
+			}
+			want := make(map[uint64]int)
+			for _, e := range events(seeded, 1, tids...) {
+				was := ownersOf(from, e.TID)
+				if slices.Contains(was, victim) && !slices.Contains(was, name) && slices.Contains(ownersOf(to, e.TID), name) {
+					want[e.Stamp] = 1
+				}
+			}
+			got := make(map[uint64]int)
+			for stamp, n := range copiesOf(t, sp.LocalShard) {
+				total += n
+				if n -= before[name][stamp]; n != 0 {
+					got[stamp] = n
+				}
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("%s gained %d new stamps, want each of the %d drained rows of its gained threads once", name, len(got), len(want))
+			}
+			moved += len(want)
+		}
+		if total != 2*seeded {
+			t.Fatalf("survivors hold %d rows, want exactly %d (%d events × RF 2)", total, 2*seeded, seeded)
+		}
+		if rep.Moved != moved || rep.Failed != 0 || uint64(rep.Scanned) != uint64(len(before[victim])) {
+			t.Fatalf("drain report %+v, want Moved %d of %d scanned", rep, moved, len(before[victim]))
+		}
+	})
 }

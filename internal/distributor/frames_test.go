@@ -68,7 +68,7 @@ func TestSharedFramesByteIdentical(t *testing.T) {
 			if es[i].Stamp == unframeable {
 				continue
 			}
-			owners := d.ring.Lookup(streamKey(es[i].TID))
+			owners := ownersOf(d.ring, es[i].TID)
 			for si, sh := range shards {
 				if slices.Contains(owners, sh.Name()) {
 					want[si] = append(want[si], es[i])

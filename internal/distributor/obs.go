@@ -66,7 +66,7 @@ func (o *distObs) collect(e *obs.Emitter) {
 	e.Counter("btrace_distributor_events_refused_total", "events that failed quorum after hedging", o.refused.Load())
 	e.Counter("btrace_distributor_replica_errors_total", "replica deliveries that failed", o.replicaErrors.Load())
 	e.Counter("btrace_distributor_hedges_total", "deliveries hedged to a non-owner candidate", o.hedges.Load())
-	e.Counter("btrace_distributor_drain_moved_events_total", "events re-placed by shard drains", o.drainMoved.Load())
+	e.Counter("btrace_distributor_drain_moved_events_total", "events copied to new owners by shard joins and drains", o.drainMoved.Load())
 	const byPath = "aggregate queries answered, by path: folded on the shards, or over the merged event stream"
 	e.Counter(`btrace_distributor_aggregates_total{path="pushdown"}`, byPath, o.aggPushdown.Load())
 	e.Counter(`btrace_distributor_aggregates_total{path="merged"}`, byPath, o.aggMerged.Load())

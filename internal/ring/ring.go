@@ -147,13 +147,10 @@ func (r *Ring) RF() int {
 	return r.cfg.Replicas
 }
 
-// Lookup returns the RF distinct shards owning key, primary first.
-func (r *Ring) Lookup(key string) []string { return r.LookupN(key, r.RF()) }
-
 // LookupN returns up to n distinct shards for key in preference order:
-// the walk that Lookup truncates at RF, extended for hedging — the
-// (RF+1)-th entry is the shard a write spills to when a replica is down.
-// n is clamped to the shard count.
+// the first RF own key, primary first, and the walk goes on for hedging
+// — the (RF+1)-th entry is the shard a write spills to when a replica is
+// down. n is clamped to the shard count.
 func (r *Ring) LookupN(key string, n int) []string {
 	var buf [8]int
 	idx := r.walk(buf[:0], hash64(key), n)

@@ -66,15 +66,15 @@ func TestRingDeterministic(t *testing.T) {
 	a := mustRing(t, []string{"shard-00", "shard-01", "shard-02", "shard-03"}, cfg)
 	b := mustRing(t, []string{"shard-03", "shard-01", "shard-00", "shard-02"}, cfg)
 	for _, k := range keys(5000) {
-		oa, ob := a.Lookup(k), b.Lookup(k)
+		oa, ob := a.LookupN(k, a.RF()), b.LookupN(k, b.RF())
 		if len(oa) != 2 || len(ob) != 2 {
-			t.Fatalf("Lookup(%q) sizes %d/%d, want 2", k, len(oa), len(ob))
+			t.Fatalf("LookupN(%q) sizes %d/%d, want 2", k, len(oa), len(ob))
 		}
 		if oa[0] != ob[0] || oa[1] != ob[1] {
-			t.Fatalf("Lookup(%q) differs across construction orders: %v vs %v", k, oa, ob)
+			t.Fatalf("LookupN(%q) differs across construction orders: %v vs %v", k, oa, ob)
 		}
 		if oa[0] == oa[1] {
-			t.Fatalf("Lookup(%q) returned duplicate owners %v", k, oa)
+			t.Fatalf("LookupN(%q) returned duplicate owners %v", k, oa)
 		}
 	}
 }
@@ -89,7 +89,7 @@ func TestRingBalance(t *testing.T) {
 		primary := map[string]int{}
 		all := map[string]int{}
 		for _, k := range keys(nkeys) {
-			owners := r.Lookup(k)
+			owners := r.LookupN(k, r.RF())
 			primary[owners[0]]++
 			for _, o := range owners {
 				all[o]++
@@ -138,7 +138,7 @@ func TestRingAddMovesBoundedKeys(t *testing.T) {
 		}
 		moved := 0
 		for _, k := range keys(nkeys) {
-			a, b := old.Lookup(k)[0], grown.Lookup(k)[0]
+			a, b := old.LookupN(k, old.RF())[0], grown.LookupN(k, grown.RF())[0]
 			if a != b {
 				moved++
 				if b != fmt.Sprintf("shard-%02d", n) {
@@ -167,7 +167,7 @@ func TestRingRemoveMovesOnlyOwnedRanges(t *testing.T) {
 		}
 		owned := 0
 		for _, k := range keys(nkeys) {
-			before, after := old.Lookup(k), shrunk.Lookup(k)
+			before, after := old.LookupN(k, old.RF()), shrunk.LookupN(k, shrunk.RF())
 			had := false
 			for _, o := range before {
 				if o == victim {
@@ -204,17 +204,17 @@ func TestRingRemoveMovesOnlyOwnedRanges(t *testing.T) {
 }
 
 // LookupN beyond RF extends the same walk: the first RF entries equal
-// Lookup, and entries stay distinct — the hedging contract.
+// the owner set, and entries stay distinct — the hedging contract.
 func TestRingLookupNExtendsWalk(t *testing.T) {
 	r := mustRing(t, names(5), Config{Replicas: 2})
 	for _, k := range keys(2000) {
-		owners := r.Lookup(k)
+		owners := r.LookupN(k, r.RF())
 		ext := r.LookupN(k, 4)
 		if len(ext) != 4 {
 			t.Fatalf("LookupN(4) returned %d owners", len(ext))
 		}
 		if ext[0] != owners[0] || ext[1] != owners[1] {
-			t.Fatalf("LookupN prefix %v disagrees with Lookup %v", ext[:2], owners)
+			t.Fatalf("LookupN prefix %v disagrees with the owners %v", ext[:2], owners)
 		}
 		seen := map[string]bool{}
 		for _, o := range ext {

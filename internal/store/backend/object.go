@@ -8,6 +8,7 @@
 package backend
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -171,19 +172,26 @@ func (f *objFile) Truncate(size int64) error {
 // wrappers interpose here to model crash points.
 func (f *objFile) Sync() error { return nil }
 
-// Seal implements File: the object becomes immutable.
+// Seal implements File: the object becomes immutable. An object that
+// uses under half its capacity — a preallocated segment sealed early —
+// is copied to its length, so what it holds is what it wrote.
 func (f *objFile) Seal() error {
-	f.o.mu.Lock()
-	f.o.sealed = true
-	f.o.mu.Unlock()
+	o := f.o
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.sealed = true
+	if cap(o.data) > 2*len(o.data) {
+		o.data = bytes.Clone(o.data)
+	}
 	return nil
 }
 
-// Create implements Backend.
+// Create implements Backend: preallocBytes is the object's initial
+// capacity, so a segment's appends fill it without regrowing.
 func (b *Object) Create(name string, preallocBytes int64) (File, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	o := &object{}
+	o := &object{data: make([]byte, 0, max(preallocBytes, 0))}
 	b.objects[name] = o
 	return &objFile{o: o, writable: true}, nil
 }

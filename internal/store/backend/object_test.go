@@ -2,15 +2,23 @@ package backend
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
-// WriteAt grows an object by capacity doubling; the spare capacity must
-// never show: a hole past the old end reads as zeros even where a
-// Truncate left stale bytes behind, and a Clone stops at the size.
+// WriteAt grows an object into its preallocated capacity, then by
+// capacity doubling; the spare capacity must never show: a hole past the
+// old end reads as zeros even where a Truncate left stale bytes behind,
+// a Clone stops at the size, and Seal gives back what is unused.
 func TestObjectWriteAtGrowth(t *testing.T) {
+	for _, prealloc := range []int64{0, 64, 1 << 16} {
+		t.Run(fmt.Sprintf("prealloc=%d", prealloc), func(t *testing.T) { testObjectWriteAtGrowth(t, prealloc) })
+	}
+}
+
+func testObjectWriteAtGrowth(t *testing.T, prealloc int64) {
 	b := NewObject()
-	f, err := b.Create("o", 0)
+	f, err := b.Create("o", prealloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,5 +64,14 @@ func TestObjectWriteAtGrowth(t *testing.T) {
 	}
 	if got := read(cf); !bytes.Equal(got, want) {
 		t.Fatalf("clone reads %q, want %q", got, want)
+	}
+	if err := f.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(f); !bytes.Equal(got, want) {
+		t.Fatalf("sealed object reads %q, want %q", got, want)
+	}
+	if data := f.(*objFile).o.data; cap(data) > 2*len(data) {
+		t.Fatalf("sealed object keeps %d bytes of capacity for %d written", cap(data), len(data))
 	}
 }
