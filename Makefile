@@ -19,10 +19,13 @@ fmt:
 
 # bench/ is a module of its own (the root ./... skips it) that compiles
 # against internal/ APIs: vetting it here means moving a type it imports
-# fails locally, not only on the CI runner.
+# fails locally, not only on the CI runner. TestDocCitations fails on a
+# test that DESIGN.md or a package doc cites, or that a -run or -fuzz
+# pattern here or in CI selects, and that no *_test.go declares.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+	$(GO) test -count=1 -run '^TestDocCitations$$' .
 
 test:
 	$(GO) test ./...
@@ -106,7 +109,7 @@ vulture-soak:
 # across commits. BENCHTIME trades precision for runtime. BENCH_obs.json
 # captures the self-observability overhead contract: the instrumented
 # record/read fast paths must stay at 0 allocs/op and within noise of
-# the Options.DisableStats baseline (see DESIGN.md). The obs record
+# the Options.DisableStats baseline (see internal/obs). The obs record
 # sub-benchmarks measure a single ~45ns Write, so they get their own
 # much higher iteration count (OBS_RECORD_BENCHTIME) — at BENCHTIME-scale
 # counts the timer granularity would swamp the <2% contract — and run

@@ -1,39 +1,3 @@
-// Package btrace is the public API of BTrace, the block-based mobile
-// tracer of "Enabling Efficient Mobile Tracing with BTrace" (ASPLOS 2025).
-//
-// BTrace partitions one contiguous buffer into equally sized blocks that
-// are dynamically assigned to the most demanding cores: it keeps the
-// memory efficiency of a global buffer and the low recording latency of
-// per-core buffers, retains roughly twice the continuous trace of a
-// per-core tracer under skewed mobile workloads, never drops the newest
-// events, and supports runtime buffer resizing without synchronizing
-// producers.
-//
-// # Quick start
-//
-//	tr, err := btrace.Open(btrace.Config{Cores: 8, BufferBytes: 8 << 20})
-//	if err != nil { ... }
-//	w, _ := tr.Writer(coreID, threadID)
-//	w.Write(btrace.Event{TS: now, Category: 3, Level: 1, Payload: data})
-//
-//	r := tr.NewReader()
-//	batch := make([]btrace.Event, 256)
-//	for {
-//		n, missed, _ := r.Next(batch)
-//		if n == 0 { break }
-//		consume(batch[:n], missed) // valid until the next call to Next
-//	}
-//
-// Each producing thread obtains a Writer naming the (virtual or physical)
-// core it runs on; the core id routes the write to the core's current
-// block. On platforms with real thread pinning, use the pinned CPU id; in
-// portable Go programs any stable shard id in [0, Cores) preserves the
-// algorithm's benefits.
-//
-// The batch Next loop is the steady-state read path: it reuses a decode
-// arena across calls, so following a busy buffer allocates nothing per
-// poll. Snapshot and Poll remain as convenience wrappers that return
-// freshly allocated, caller-owned slices.
 package btrace
 
 import (
@@ -96,8 +60,8 @@ type Config struct {
 	// DisableStats opts this tracer out of the self-observability layer:
 	// no counters are registered and nothing appears in Metrics(). The
 	// record fast path is identical either way (event counting rides the
-	// confirmation CAS the protocol already performs — see DESIGN.md,
-	// "Self-observability"); this exists for baseline measurements and
+	// confirmation CAS the protocol already performs — see the package
+	// doc of internal/core); this exists for baseline measurements and
 	// for embedders that want zero metrics surface.
 	DisableStats bool
 }

@@ -213,9 +213,9 @@ func (p *ingestPipeline) enqueue(b *ingestBatch) bool {
 }
 
 // notReadyReasons returns why the ingest path should refuse traffic —
-// empty when it is ready. The conditions mirror DESIGN.md "Overload
-// control": a dead store write path and the full-drop shedding tier (at
-// which nearly every accepted event would be discarded anyway).
+// empty when it is ready. The conditions are the ones internal/overload's
+// package doc names: a dead store write path and the full-drop shedding
+// tier (at which nearly every accepted event would be discarded anyway).
 func (p *ingestPipeline) notReadyReasons() []string {
 	var reasons []string
 	if err := p.sink.WriteErr(); err != nil {

@@ -1,15 +1,3 @@
-// Command btrace-serve is the trace server. It runs over one durable
-// segment store, or with -shards over a replicated ring of them under
-// the -store root, which it requires. It takes wire records on POST
-// /ingest through the shared admission path (verify, tenant quotas, the
-// overload gate), answers /store/query — BTQL and the field parameters,
-// one predicate — over the tiered store, streams admitted events on
-// /live (SSE), runs the background compactor and freezer, and exposes
-// /ring, /metrics, /readyz and /debug/pprof. The paper's tables and
-// figures, replays and readout exports are the harness's own commands:
-// btrace-bench, btrace-replay and btrace-inspect.
-//
-//	btrace-serve -addr localhost:8321 -store ./trace-store
 package main
 
 import (

@@ -8,6 +8,10 @@
 // latency of all tracers (§5.2, Table 2) — and a producer advancing onto a
 // block still held by a preempted writer must wait (Table 1:
 // "Availability: Blocking").
+//
+// Contract: it passes the tracer conformance suite (TestConformance),
+// uses the whole buffer (TestGlobalBufferFullUtilization), and waits on a
+// straggler instead of skipping it (TestBlockingOnStraggler).
 package bbq
 
 import (

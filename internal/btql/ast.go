@@ -1,29 +1,3 @@
-// Package btql implements the BTrace query language: a small composable
-// filter + aggregate language over trace events, in the spirit of Tempo's
-// TraceQL scaled down to BTrace's fixed event shape.
-//
-// A query is a boolean filter over the event fields, optionally piped into
-// one aggregate:
-//
-//	category == 2 && time >= 5ms && payload contains "alloc"
-//	core != 0 || tid == 4096
-//	stamp >= 1000 && stamp < 2000 | count()
-//	category == 3 | rate(10ms)
-//	time < 1s | topk(5, tid)
-//	tid in (4096, 4097) && core in (0, 1)
-//
-// Queries parse to a typed AST (Expr) and compile to a Predicate, the one
-// event filter the server has, evaluated at four fidelities that match the
-// store's pruning ladder and the live tail's admit hook:
-//
-//   - MatchMeta: against file/block summaries (min/max ranges, presence
-//     bitmaps, TID blooms) — tri-state, false means provably no match, so a
-//     whole file or block can be skipped without touching its bytes.
-//   - Select: against a block held by column — one pass per column a leaf
-//     names, into a tri-state row selection (columns.go).
-//   - MatchHeader: against a decoded event header (no payload) — exact for
-//     payload-free predicates, conservative otherwise.
-//   - Match: against a full tracer.Entry — always exact.
 package btql
 
 import (

@@ -1,12 +1,3 @@
-// Package collect implements the daemon-collector deployment model the
-// paper's production system uses: tracing runs continuously into the
-// in-memory buffer, a collector daemon follows it incrementally, and when
-// a suspicious symptom is detected the recent window is dumped for offline
-// analysis (§2.1 "a daemon collector dumps the buffer"; §6 deploys
-// watchdog daemons with 10-20 s timeouts to catch silent defects).
-//
-// Triggers operate on the events' virtual timestamps, so the package
-// works identically under replayed and live time.
 package collect
 
 import (

@@ -5,6 +5,7 @@
 // transports or malformed by clients, so Check hands inconsistent
 // entries back to it, quarantined with one violation each, rather than
 // panicking.
+
 package collect
 
 import (

@@ -1,20 +1,3 @@
-// Package core implements BTrace, the block-based tracer of
-// "Enabling Efficient Mobile Tracing with BTrace" (ASPLOS 2025).
-//
-// BTrace statically partitions one contiguous global buffer into N equally
-// sized data blocks. At any instant at most A blocks are active (A is also
-// the number of metadata blocks; each metadata block is mapped to N/A data
-// blocks through the global ratio, §3.3). Each virtual core owns at most
-// one active block at a time and its threads allocate entries inside that
-// block with a single fetch-and-add (fast path, §4.1); confirmation is
-// out-of-order (§3.4). When a block fills, a producer advances through the
-// slow path (§4.2): it fetch-and-adds the global position, closes the
-// lagging block that shares the candidate's metadata, skips candidates
-// still held by preempted writers, and locks/initializes the new block
-// with three CAS steps. Consumers read filled blocks speculatively and
-// re-validate the metadata round afterwards (§4.3). Resizing flips the
-// global ratio and reclaims implicitly (§3.3, §4.4): a producer that has
-// filled its block is, by that very fact, out of the reclaimed epoch.
 package core
 
 import (

@@ -1,18 +1,3 @@
-// Package distributor is the multi-tenant front end of the distributed
-// ingest tier: it resolves each wire batch to a tenant and a set of
-// stream keys, applies per-tenant quotas and the shared overload gate
-// once — before replication, so every replica sees the identical
-// post-gate stream — and fans the admitted events out to the RF shard
-// replicas the consistent-hash ring names for each, one delivery per
-// destination shard, with hedging on replica failure and quorum-ack
-// semantics: an event is acknowledged only when a majority of its
-// replica set durably applied it, which is what makes killing any
-// single shard lose nothing that was acknowledged.
-//
-// Placement is deliberately tenant-agnostic: the stream key is the TID
-// alone, because durable events do not carry a tenant and drain must be
-// able to re-derive every key from the store. Tenancy drives quotas and
-// accounting (internal/ingest's tenant table), never placement.
 package distributor
 
 import (

@@ -1,8 +1,3 @@
-// Package export converts trace readouts into interchange formats: the
-// Chrome trace-event JSON consumed by chrome://tracing and Perfetto (the
-// trace viewers the paper's ecosystem uses [17, 37, 39]), CSV for ad-hoc
-// analysis, and a human-readable text rendering modeled on the kernel's
-// trace output.
 package export
 
 import (

@@ -15,8 +15,8 @@ import (
 
 // TestChaosClusterShardKill drives a replicated ingest storm through the
 // distributor while one shard is killed outright and another shard's
-// store goes flaky and intermittently wedges. Asserted, per DESIGN.md
-// "Distributed ingest tier":
+// store goes flaky and intermittently wedges. Asserted, per
+// internal/distributor's package doc:
 //
 //   - zero acked-event loss: with RF=2 and quorum acks, every stamp the
 //     distributor acked is readable from the surviving shards after the

@@ -1,22 +1,3 @@
-// Package faults is a deterministic, seed-driven fault injector for two
-// targets: the BTrace tracer on the simulated SoC, and the trace
-// server's admission path. The paper's production deployment (§2.1, §6)
-// runs the tracer behind watchdog daemons because real devices misbehave
-// — threads freeze mid-write, drivers stall, CPUs hot-unplug — and the
-// algorithm's availability mechanisms (block skipping, out-of-order
-// confirmation, implicit reclaiming) exist precisely to survive those
-// events. PreemptStorm, Straggler and Hotplug *provoke* them on demand so
-// the chaos suite can assert every DESIGN.md invariant under each
-// scenario; BurstSource and FlakyStore (overloadfaults.go) flood
-// ingest.Admission and fail the store appends behind it.
-//
-// All decisions are drawn from per-hook PRNG streams derived from one
-// root seed, so the injected schedule of every hook is a deterministic
-// function of (seed, hook name, invocation index): the same seed always
-// plans the same faults, regardless of how the system under test
-// interleaves. The consumed prefix of a hook's stream can differ across
-// runs of a concurrent scenario (threads race to the hooks), but the
-// stream contents never do.
 package faults
 
 import (

@@ -14,7 +14,7 @@ import (
 // floods it while the durable store's write path is wedged, then both
 // heal. Each batch goes BurstSource → Admit → one append, as on a server,
 // with the gate's pressure fed from the source's loss rate — no clock
-// anywhere. Asserted, per DESIGN.md "Overload control":
+// anywhere. Asserted, per internal/overload's package doc:
 //
 //   - the tier machine escalates to the full-drop tier under each storm,
 //     steps back monotonically during each calm (no flapping), and ends

@@ -23,7 +23,7 @@ import (
 // replicated cluster with flaky stores while a live-tail subscriber
 // follows along, a shard is drained mid-storm, and afterwards every
 // fully-acked range is demanded back from both cluster read surfaces.
-// Asserted, per DESIGN.md "Live tail & continuous verification":
+// Asserted, per internal/live's and internal/vulture's package docs:
 //
 //   - zero acked-stamp loss, duplication or mis-ordering on the merged
 //     query surface, stamp for stamp in agreement with the shards' own

@@ -13,6 +13,10 @@
 // 1/C in the worst case and skewed per-core production speeds fragment the
 // retained trace (§2.2 Observation 2, Fig. 5) — the weaknesses BTrace is
 // built to fix.
+//
+// Contract: it passes the tracer conformance suite (TestConformance),
+// keeps cores isolated (TestPerCoreIsolation), and holds preemption off
+// for the duration of a write (TestPreemptionDisabledDuringWrite).
 package ftrace
 
 import (

@@ -1,18 +1,3 @@
-// Package ingest is the server-side admission policy, in one place:
-// what happens to a decoded batch between the socket and a durable
-// store. Both server paths run it — btrace-serve's single-store drain
-// and the distributor in front of the shard ring — and nothing else
-// knows it:
-//
-//	tenant row → verify → quota → overload gate → live publish → (quarantined re-appended) → one Sink append
-//
-// Admission is the filtering half; the caller appends what it admits to
-// a Sink once, and counts a refused batch instead of retrying it. Tenancy
-// lives here and nowhere else: each tenant is one row of a bounded
-// table (tenant.go) holding its verifier, its quota and its attribution.
-// The device-side collector (internal/collect) is the other end of the
-// contract: it follows a tracer and dumps windows; it neither gates nor
-// stores.
 package ingest
 
 import (

@@ -1,33 +1,3 @@
-// Package live is the live-tail subsystem: a Hub fans admitted ingest
-// events out to per-subscriber cursors with bounded ring buffers, so
-// streaming consumers (the SSE GET /live endpoint on btrace-serve)
-// observe the trace as it happens instead of querying sealed segments
-// after the fact — the online-consumer scenario WOOTdroid argues
-// whole-system tracing must serve (see PAPERS.md).
-//
-// The hub hangs off the end of admission (ingest.NewAdmission's publish
-// argument): both the single-store ingest pipeline and the cluster
-// distributor admit every batch through an ingest.Admission, so one
-// hook covers both pipelines, and live subscribers see exactly the
-// events the gate admitted — never events that were shed, sampled out,
-// throttled or quarantined.
-//
-// Delivery is lossy by design, and the loss is accounted, never
-// silent: each subscriber owns a ring bounded in events and in payload
-// bytes; when either bound is hit the oldest undelivered event is
-// overwritten and the subscriber's missed count increments, reusing the
-// tracer.Cursor missed semantics.
-// The accounting identity
-//
-//	delivered + missed == matched
-//
-// (matched = admitted events matching the subscriber's filter) holds
-// exactly once the subscriber's buffer is drained. A subscriber that
-// stops reading long enough to accumulate Config.EvictAfterMissed
-// missed events is evicted: its buffered events convert to missed, and
-// its next read returns ErrEvicted. Ingest never blocks on a slow
-// subscriber — the cost of falling behind lands on the subscriber that
-// fell behind.
 package live
 
 import (

@@ -10,6 +10,10 @@
 // newest events (§2.2: "other tracers, such as LTTng, sacrifice buffer
 // availability by discarding the newest data"). The paper's Fig. 1b shows
 // the resulting extra gaps under oversubscription.
+//
+// Contract: it passes the tracer conformance suite (TestConformance),
+// keeps cores isolated (TestPerCoreIsolation), and drops the newest
+// events behind a straggler (TestDropsNewestOnStraggler).
 package lttng
 
 import (

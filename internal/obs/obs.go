@@ -1,18 +1,3 @@
-// Package obs is BTrace's zero-dependency self-observability core: the
-// tracer whose value proposition is negligible overhead must be able to
-// measure — and expose — its own cost in production. obs provides the
-// three metric primitives the hot subsystems instrument themselves with
-// (sharded padded counters, gauges, and fixed-bucket histograms with a
-// lock-free Observe), and a registry that merges every live instance into
-// one consistent Snapshot rendered as Prometheus text.
-//
-// The design constraint, enforced by BenchmarkObsOverhead, is that
-// instrumentation on the record/read fast paths stays allocation-free and
-// within noise of the uninstrumented baseline. That rules out any shared
-// mutex and any shared cache line on the write path: Counter shards its
-// backing words (callers route by core id via AddAt), and every word is
-// padded to its own cache line so two cores incrementing "writes" never
-// bounce a line between them.
 package obs
 
 import (

@@ -1,36 +1,3 @@
-// Package overload is the ingest path's adaptive overload-control
-// subsystem: production tracing must degrade gracefully under load, not
-// wedge the traced system (the XTrace non-invasive production framing)
-// — and every event it gives up must stay attributable (the
-// event-cap/truncation-counter idiom). A Gate sits inside
-// ingest.Admission, between the verifier and the append, and makes one
-// decision per event, in a fixed order:
-//
-//  1. tiered load shedding — under sustained pressure the controller
-//     escalates through three tiers (drop payload bytes → drop
-//     low-priority events → drop everything) and steps back down only
-//     after a hysteresis cool-down, so the system never flaps across the
-//     engage boundary;
-//  2. head sampling — per-category keep rates fall smoothly from 1.0
-//     toward Config.MinSampleRate as smoothed pressure rises, using a
-//     deterministic credit accumulator (exactly ⌈r·n⌉ of n events pass
-//     at rate r, evenly spread);
-//  3. token buckets — a hard per-category rate limit with configurable
-//     burst, refilled on the events' own virtual timestamps so replayed
-//     and live time behave identically.
-//
-// Every sampling, throttle and shed decision increments a dedicated
-// counter, so the accounting identity
-//
-//	Seen == Admitted + SampledOut + ThrottledCategory + ShedCategory
-//	        + ShedStream
-//
-// holds exactly at all times (payload-stripped events count as admitted;
-// only their bytes are recorded as shed).
-//
-// A Gate is single-goroutine by contract and keeps its counts in a
-// plain Stats: ingest.Admission holds a lock around it and emits its
-// btrace_overload_* series under that same lock.
 package overload
 
 import (

@@ -6,6 +6,12 @@
 // unique monotonically increasing logic stamp, and records per-write
 // latencies. Events whose stamps do not appear in the readout are the
 // tracer's losses.
+//
+// Contract: every tracer replays at thread level, and only LTTng drops
+// writes (TestThreadLevelReplayAllTracers); a pinned schedule replays
+// every event (TestReplayFromSchedule); under a skewed workload and the same
+// budget BTrace's latest fragment beats the per-core and per-thread
+// baselines (TestRetentionOrdering).
 package replay
 
 import (

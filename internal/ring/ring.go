@@ -1,27 +1,3 @@
-// Package ring implements the consistent-hash ring that places tenant
-// streams onto store shards. It is the distribution tier's only source
-// of placement truth: every ingest and every drain asks the ring who
-// owns a stream key, and the answer is a pure function of (topology,
-// key) — no coordinator state, no rebalancing journal.
-//
-// The ring hashes each shard onto many virtual nodes (points on a
-// 64-bit circle). A key is owned by the first RF distinct shards
-// encountered walking clockwise from the key's hash: index 0 is the
-// primary, indexes 1..RF-1 the replicas. Virtual nodes give two
-// properties the distributor depends on:
-//
-//   - balance: with the default 1024 points per shard, every shard owns
-//     within a few percent of its fair share of the key space;
-//   - bounded movement: adding or removing a shard moves only the arcs
-//     that shard gains or loses — about 1/N of the keys — and never
-//     reshuffles placement among the surviving shards. Owner sets that
-//     did not include a removed shard are provably unchanged, which is
-//     what makes drain ("re-place only the moved ranges") cheap.
-//
-// A Ring is immutable; Add and Remove return derived rings. That makes
-// topology changes race-free by construction: the distributor swaps one
-// pointer, and every in-flight lookup keeps the topology it started
-// with.
 package ring
 
 import (

@@ -11,6 +11,13 @@
 // confirm, 30+ distinct writer threads per core (Fig. 6) — depends only on
 // this logical structure, not on physical placement (see DESIGN.md,
 // "Faithfulness notes").
+//
+// Contract: a virtual core runs at most one thread at a time
+// (TestCoreExclusivity); a preemption point yields the core, and a
+// preemption-disabled scope is never preempted (TestPreemptionYieldsCore,
+// TestDisablePreemption); a hot-unplugged core's unbound threads migrate
+// and its bound threads starve until replug (TestHotplugMigratesUnboundThreads,
+// TestHotplugStarvesBoundThread).
 package sim
 
 import (

@@ -38,6 +38,7 @@
 // the snapshot's bound, as they always were. A fold under an Ownership
 // runs none of this: what it counts depends on a ring the store does
 // not know, and no key names.
+
 package store
 
 import (

@@ -21,6 +21,10 @@
 //   - Seal declares a file's contents final. A sealed file rejects
 //     further writes; object-store style backends use it as the
 //     put-on-seal commit point.
+//
+// The object backend meets the same contract as the local one
+// (TestObjectBackendConformance, in internal/store), and its crash
+// snapshots are what TestCompactionChaosTierBoundaries reopens.
 package backend
 
 import "io"

@@ -5,6 +5,7 @@
 // where it doubles as a crash camera: Clone snapshots the whole
 // namespace at any instant, and a store reopened over the clone sees
 // exactly what a crash at that instant would have left behind.
+
 package backend
 
 import (

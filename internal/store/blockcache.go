@@ -114,6 +114,7 @@
 // any number of concurrent scans share one copy without a lock held
 // past the lookup; eviction only drops the cache's reference — a value
 // still aliased by a live cursor stays valid until the GC collects it.
+
 package store
 
 import (

@@ -19,6 +19,7 @@
 // Each block header carries the block's own min/max stamp, min/max TS
 // and core/category bitmaps, so queries prune whole blocks — and skip
 // their decompression — from the directory alone.
+
 package store
 
 import (

@@ -36,6 +36,7 @@
 // The freeze path emits v3. v2 blocks (testdata/cold-v2) and v1 blocks
 // remain fully readable; a v2 block is read through the chunk path as a
 // block of one chunk spanning all its rows.
+
 package store
 
 import (

@@ -14,6 +14,7 @@
 // Freezing does its compression I/O outside st.mu over the sealed,
 // immutable sources, then re-takes the lock and verifies the run is
 // still intact (retention may have raced it) before committing.
+
 package store
 
 import (

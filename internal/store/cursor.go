@@ -1,11 +1,9 @@
 // Queries: what a read asks for, and the compiled form every rung of
-// the pruning ladder asks in turn. A read is one pass over one
-// point-in-time snapshot of the store (parallel.go), and its cursor
-// implements tracer.Cursor, so every consumer written against the
-// streaming read path — exporters, replay.RetainedStamps, the
-// conformance suite — works against disk unchanged. A reader that wants
-// what was appended since opens a new cursor above the last stamp it
-// was handed.
+// the pruning ladder asks in turn. compile takes Query.Pred as it is,
+// so a compiled query is one predicate, a limit and the predicate's
+// stamp hull, and nothing else in the store compares an event field
+// against a query bound.
+
 package store
 
 import "btrace/internal/btql"

@@ -4,6 +4,7 @@
 // bloom fill, section sizes, payload chunking — rendered for an
 // operator deciding whether a store's blocks actually prune well under
 // their workload.
+
 package store
 
 // ColdBlockInfo describes one cold block as its directory header

@@ -1,12 +1,9 @@
-// Pruned queries: the store's one read implementation. QueryParallel
-// answers one pass over one point-in-time snapshot of the store — what
-// Aggregate folds, delivered as entries in global stamp order —
-// scanning the surviving segments with a bounded worker pool feeding a
-// k-way merge by stamp; Query is the same pass with one worker:
+// The cursor's driver of the one scan: QueryParallel's streams and
+// their merge by stamp.
 //
-//   - Prune first: the snapshot (Store.snapshot) drops segments whose
-//     header metadata (stamp/time min-max, core and category bitsets)
-//     cannot match the query, without ever opening their files.
+//   - The snapshot (Store.snapshot, which Aggregate takes too) drops
+//     segments whose header metadata cannot match the query, without
+//     opening their files.
 //   - One goroutine per surviving segment opens its file at once and
 //     then steps the shared scan (scan.go) into chunks it streams over a
 //     channel; a semaphore of `workers` permits bounds how many are
@@ -18,40 +15,24 @@
 //     stamp ranges are disjoint — the common sealed-rotation layout —
 //     one stream is in the merge at a time and it is a straight copy
 //     per chunk; what a pass holds goes by how many segments overlap,
-//     not by how many it reads or whether one of them is unordered.
+//     not by how many it reads.
 //   - A pass that keeps payload bytes hands each span on with the rows
 //     that alias it, and reads an unordered segment whole, because its
-//     rows are sorted together and must alias one buffer. A length-only
-//     pass (Query.LengthsOnly) has rows that alias nothing: every span,
-//     of ordered and unordered segments alike, is at most scanSpanBytes
-//     and is read through the scan permit's own buffer, so the pass
-//     holds `workers` span buffers however many chunks are in flight.
-//     Under a predicate that reads no payload byte it reads a row
-//     segment from the block cache's header set once there is one,
-//     and a sealed cold segment, under a filter that is more than
-//     stamp and time bounds, from its filtered set (scan.go): no file
-//     opened, and rows already in stamp order, so an unordered segment
-//     is neither held whole nor sorted. The stream sends the set
-//     itself, and the merge writes its rows straight into the caller's
-//     batch.
-//   - A consumer that renders rows as text — the CSV exporter, through
-//     NextRendered — is handed rendered stretches: a set read in place
-//     whose rows the pass tests none of is rendered once, whole, by the
-//     exporter's own row kernel, and kept in the block cache (the text
-//     kind), and where the merge would write a stretch of its rows into
-//     the batch it hands over that stretch's text, one slice of the
-//     set's. It cuts the stretch where it cuts entries — at the bound,
-//     at the next stream's head and at Limit — but not at the batch's
-//     end. Every other row the exporter renders from its entry with the
-//     same kernel, so the bytes do not depend on which rows had text.
-//
-// The snapshot is taken by the first Next. Events appended after it
-// belong to a later cursor; once the pass has delivered its last entry
-// (or Query.Limit of them) Next answers (0, 0, nil) until Close.
-// Entries handed out borrow chunk buffers that stay valid until the
-// next Next or Close, matching the cursor ownership contract, and
-// `missed` bounds the snapshot events a retention or freeze pass
-// deleted before their stream could open them.
+//     rows are merged by run (runMerger) and must alias one buffer. A
+//     length-only pass has rows that alias nothing: every span is at
+//     most scanSpanBytes and is read through the scan permit's own
+//     buffer. Where the block cache holds the segment's set (scan.go,
+//     blockcache.go) the stream sends the set itself, and the merge
+//     writes its rows straight into the caller's batch.
+//   - A set read in place whose rows the pass tests none of carries its
+//     rendering (the text kind); where the merge would write a stretch
+//     of its rows it hands NextRendered that stretch's text instead, cut
+//     where it cuts entries — at the bound, at the next stream's head
+//     and at Limit — but not at the batch's end.
+//   - A step that selected fewer than thinRows rows has them copied into
+//     a chunk that gathers such rows, so a selective query holds memory
+//     in proportion to its matches, not a span per handful of them.
+
 package store
 
 import (

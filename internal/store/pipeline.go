@@ -1,31 +1,33 @@
 // Write path: the appender encodes its batch outside the store lock and
-// writes it itself under st.mu; a background maintenance goroutine
-// takes seal finalization and retention off that path.
+// writes it itself under st.mu, one WriteAt per segment stretch
+// (writeLocked), as a BTrace writer records straight into its own
+// block; no goroutine writes on another's behalf. A commit fsyncs the
+// active file under st.mu, noting how many segments have rotated out so
+// far, then waits for those finalizations only, not for the queue to go
+// idle, which a steady stream of appends could put off for good. Seal
+// finalization (header rewrite, preallocation trim, retention) runs on
+// the maintenance goroutine, so rotation costs the append path a queue
+// push.
 //
-// A Batch holds a batch's frames, encoded once with no lock held;
-// AppendBatch takes st.mu and writes them — all, or the rows a caller
-// picks — with one WriteAt per segment stretch (writeLocked), and
-// AppendEntries is Encode plus AppendBatch. The rows are readable by
-// cursors when the call returns. Durability is a commit: one fsync of
-// the active file covers every batch written since the previous commit,
-// by any appender. Sync,
-// Seal and the CommitEvery timer run commits. Seal finalization —
-// header rewrite, preallocation trim, retention — runs on the
-// maintenance goroutine, so rotation costs the append path nothing but
-// a queue push; with no CommitEvery the sealed file's own fsync is
-// deferred to the next commit too (parked, bounded by maxParkedSeals),
-// so a store with no durability demand pays no fsync at all in steady
-// state.
+// Segment files are preallocated to SegmentBytes so that appends land in
+// reserved extents instead of allocating blocks inside a journal
+// transaction per extension; the seal trims the unused tail, and
+// recovery treats a zero tail as the end. With no CommitEvery a sealed
+// file's own fsync is parked for the next commit (bounded by
+// maxParkedSeals): on ext4, fsyncing a sealed file forces a journal
+// commit that stalls concurrent extending writes to the active segment.
+// A store with a commit policy keeps eager seal fsyncs, so its
+// durability window never widens.
 //
-// A failed write, commit or seal finalization latches a sticky error:
-// every later append, Sync and Seal returns it. WriteErr and Pressure
-// read it, and closed, through atomics, so neither ever waits on a
-// write or an fsync.
+// A failed write, commit or seal finalization latches a sticky error.
+// WriteErr and Pressure read it, and closed, through atomics, so
+// neither ever waits on a write or an fsync.
 //
 // Lock order: commitMu → drainMu → st.mu → maint.mu (rotateActiveLocked
 // enqueues; commit reads the rotation count). The maintenance loop
 // releases maint.mu before it takes drainMu or st.mu, and an appender
 // waits on the seal backlog with no lock held, so there is no cycle.
+
 package store
 
 import (

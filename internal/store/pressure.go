@@ -3,6 +3,7 @@
 // already measures its append and fsync latencies for /metrics; here
 // they are additionally folded into cheap EWMAs so a per-step consumer
 // gets a recent average without walking histogram buckets.
+
 package store
 
 import (

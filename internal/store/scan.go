@@ -16,14 +16,16 @@
 //
 // The frame and column walkers differ in when a row comes into being.
 // The frame walker meets whole rows, so it tests them one at a time
-// (Predicate.MatchHeader on the raw header words). The column walker
-// materialises late: it first reduces the block to a selection — the
-// predicate evaluated one column at a time (Predicate.Select), each
-// leaf touching only the column it names — and only then, and only for
-// a non-empty selection, fetches what the sink reads of the selected
-// rows: the columns it names and the payload chunks those rows live
-// in. A column nobody names is never decoded, a chunk nobody reads
-// never inflated, and so neither is ever cached (blockcache.go).
+// (Predicate.MatchHeader on the raw header words), and defers the CRC
+// and the decode until a frame's header passes; a pruned frame costs
+// its tail-magic check and a mask test. The column walker materialises
+// late: it first reduces the block to a selection — the predicate
+// evaluated one column at a time (Predicate.Select), each leaf touching
+// only the column it names — and only then, and only for a non-empty
+// selection, fetches what the sink reads of the selected rows: the
+// columns it names and the payload chunks those rows live in. A column
+// nobody names is never decoded, a chunk nobody reads never inflated,
+// and so neither is ever cached (blockcache.go).
 //
 // What the sink reads of a payload is the read's projection, and both
 // walkers ask it the same question (rowSink.payloads). A sink that
@@ -31,45 +33,24 @@
 // copy — gets them: a row of the frame walker aliases the span it was
 // found in, a row of the column walker the cached chunk it lives in. A
 // sink that does not — the aggregators, and a cursor under
-// Query.LengthsOnly, which a CSV or Chrome export sets because it
-// prints sizes — gets a payload's length and none of its bytes
+// Query.LengthsOnly — gets a payload's length and none of its bytes
 // (tracer.LengthOnly): the frame walker takes it from header word 3
-// and the column walker's sink from the payload-offset column, so no
-// record body is decoded, no chunk read, inflated or cached, and no row
-// keeps a span or a chunk alive. Every check stays: the frame checksum
-// of each delivered row, the header's payload-length bound, each meta
-// section's checksum. Payload bytes are read then only for the
-// predicate's sake, and only where the header fields left it unsure.
+// and the column walker's sink from the payload-offset column. Every
+// check stays: the frame checksum of each delivered row, the header's
+// payload-length bound, each meta section's checksum. Payload bytes are
+// read then only for the predicate's sake, and only where the header
+// fields left it unsure.
 //
-// A cursor that reads lengths only, under a predicate that reads no
-// payload byte, needs nothing of a sealed row segment but its frame
-// headers, and a sealed segment never changes. So when such a cursor
-// would read one to its end, it builds the segment's header set instead
-// and the block cache keeps it (blockcache.go, the headers kind): every
-// frame checked — tail magic, checksum, record kind and payload-length
-// bound, selected or not — and the headers sorted by stamp, stably. The
-// build walks the segment from its first frame even where the cursor
-// seeks into it, so that the boundary segment of a window reaching the
-// newest rows is walked once, not by every such window. The active
-// segment changes only by growing, and what it holds up to an extent
-// never changes: a cursor whose window holds every stamp of it builds
-// its header set up to the snapshot's extent all the same, keyed by
-// that extent — the key the segment's header set takes if it seals
-// there. Of a sealed
-// cold segment such a cursor needs no more than the rows that pass its
-// filter, and a filter asked once is asked again with another window:
-// so under a filter that keeps anything once its stamp and time
-// comparisons are taken out, the cursor builds the segment's filtered
-// set — the column walker's rows under that remainder, over every
-// block, kept in a header set's order and format — and the cache keeps
-// it under the remainder's text. From then on the cursor reads the set
-// instead of the file, which it does not open: the stream hands the
-// merge the set itself, cut by binary search to the query's stamp
-// bounds, and the merge tests each row with MatchHeader as it writes it
-// into the caller's batch — or tests none, where the set's hulls imply
-// the whole filter less the set's own. There a delivered row's checks
-// are the ones the build made: the contract of the cold tier, whose
-// cache holds values verified once.
+// When a length-only cursor reads a segment's set instead of its file,
+// and when it builds one, is the block cache's to say (blockcache.go,
+// the headers kind). A row segment's set is built here by a walk under
+// a predicate that selects every frame, so every frame of the extent is
+// checked, selected or not; a cold segment's filtered set by the column
+// walker under the filter's remainder over every block. A build that
+// fails caches nothing. After admission a delivered row's checks are
+// the ones the build made: the contract of the cold tier, whose cache
+// holds values verified once.
+
 package store
 
 import (

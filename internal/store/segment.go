@@ -14,6 +14,7 @@
 // a recoverySink — truncates the file at the first frame that does,
 // never mid-record, never past a whole one. A read error is not a torn
 // frame: it fails Open, and nothing is truncated.
+
 package store
 
 import (

@@ -1,27 +1,12 @@
-// Package store implements the durable half of the deployment story: an
-// append-only, segmented trace store fed by tracer.Cursor streams. The
-// block buffer keeps the latest trace continuous in memory; the store is
-// where traces go to survive the process, and post-mortem queries
-// ("what happened on core 3 between t1 and t2") are answered from
-// storage without replaying a full export.
-//
-// Layout: a store is a backend namespace (a local directory by default,
-// see internal/store/backend) of numbered files. Row segments
-// (seg-00000001.seg, ...) are a fixed header followed by CRC-framed wire
-// records (see segment.go). Exactly one segment — the newest — is
-// active; it rotates when it reaches Config.SegmentBytes. Sealed
-// segments are immutable, which is what makes retention (atomic
-// whole-file deletion, oldest first) and the tiering pipeline
-// crash-safe: data ages hot → cold (compressed block files,
-// col-%08d.blk, cold.go), the transition committing through one
-// write-new/fsync/rename/delete-old sequence (compactor.go).
-//
-// Recovery invariant: reopening a store after a crash loses at most the
-// final torn record of the active segment. Every surviving record is
-// whole and checksummed; the scan truncates the file at the first frame
-// whose magic, checksum or decode fails. A crash at any tier boundary
-// leaves either the sources or the frozen result — recovery deletes
-// exactly the duplicate copy, identified by seq coverage, never both.
+// The Store value: Open, which recovers every segment it finds, the
+// segment list, rotation, retention and Close. A segment header is
+// rewritten only when the segment seals and is never trusted for
+// counters: Open rebuilds each segment's metadata and its sparse index
+// (one (stamp, offset) entry per 64 frames) from the frames themselves.
+// Open takes the backend's exclusive lock because recovery truncates
+// and deletes files; the kernel drops a directory's flock if its holder
+// dies. Retention removes whole sealed files, so it is atomic.
+
 package store
 
 import (

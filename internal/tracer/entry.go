@@ -1,17 +1,3 @@
-// Package tracer defines the abstractions shared by every tracer in this
-// repository: the wire format of trace entries, the Tracer interface that
-// BTrace and all baseline tracers implement, the Proc execution-context
-// abstraction that lets a simulated scheduler inject preemption at the
-// points where real mobile systems preempt trace writers, and a registry
-// used by the benchmark harness.
-//
-// The wire format is deliberately simple and 8-byte aligned so that every
-// tracer (global-buffer, per-core, per-thread and block-based) can share
-// one encoder/decoder and the analysis pipeline can compare readouts
-// byte-for-byte. This file is the one place that knows an event record's
-// header: every reader of it — the tracers' readouts, the /ingest
-// decode, the store's frame walk and header sets — goes through
-// PeekEvent, DecodeEvent and the word-3 pack and unpack here.
 package tracer
 
 import (

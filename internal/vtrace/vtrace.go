@@ -10,6 +10,10 @@
 // average 0.3 MB of 12 MB). The per-event ASCII formatting — OTF is a
 // text format — is also the dominant recording cost, giving VTrace the
 // second-highest latency in the paper's evaluation.
+//
+// Contract: it passes the tracer conformance suite (TestConformance),
+// fragments per thread (TestPerThreadFragmentation), and materialises
+// buffers per thread within the budget (TestManyThreadsLazyAllocation).
 package vtrace
 
 import (

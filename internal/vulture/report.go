@@ -1,13 +1,3 @@
-// Package vulture continuously verifies a running btrace-serve: it
-// writes known stamped traces through POST /ingest and reads every
-// acked stamp back through each query surface — the /live tail, the
-// one-worker and parallel /store/query reads, the BTQL filter and
-// count() pipelines, and (once segments have aged into it) the cold
-// columnar tier — alerting on loss, duplication or mis-ordering. The name follows the SRE tradition of "vulture"
-// processes that circle a storage system probing for silently dropped
-// writes: an ack is a durability promise, and this package exists to
-// catch the promise being broken, continuously, in CI soak jobs and
-// against live deployments alike.
 package vulture
 
 import (

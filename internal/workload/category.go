@@ -10,6 +10,12 @@
 // event streams calibrated to the paper's published aggregates (see
 // DESIGN.md, "Faithfulness notes"). Generation is deterministic per
 // (workload, core): two runs produce byte-identical schedules.
+//
+// Contract: the 20 workloads exist by name (TestAllTwentyWorkloads,
+// TestByName); generation is deterministic (TestGenDeterminism); the
+// per-core speeds, level volumes and oversubscription follow the paper's
+// figures (TestFig4Shape, TestFig3LevelVolumes, TestFig6Oversubscription);
+// a pinned schedule round-trips byte for byte (TestScheduleRoundTrip).
 package workload
 
 // Category enumerates the atrace categories of Fig. 2.
