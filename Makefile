@@ -96,11 +96,12 @@ cluster-chaos:
 	$(GO) test -race -run 'TestRing' ./internal/ring/
 	$(GO) test -race -count 3 -run 'TestAddDrainRemoveLosesNothing|TestRebalanceUnderWritesKeepsEveryOwnerWhole|TestMoveCopiesExactlyWhatMoves' ./internal/distributor/
 
-# Continuous-verification soak: boot a real 4-shard RF=2 btrace-serve,
+# Continuous-verification soak: boot a real single-store btrace-serve,
 # run btrace-vulture against it (known stamped writes read back through
-# /live, one-worker and parallel /store/query, and the cold tier), and
-# drain a shard mid-soak. Fails on any acked-stamp loss, duplication or
-# mis-ordering. Honors -short (make vulture-soak SHORT=-short, ~30s).
+# /live, one-worker and parallel /store/query, and the cold tier), then
+# do the same to a real 4-shard RF=2 one and drain a shard mid-soak.
+# Fails on any acked-stamp loss, duplication or mis-ordering on either.
+# Honors -short (make vulture-soak SHORT=-short, ~1 min).
 vulture-soak:
 	./scripts/vulture-soak.sh $(SHORT)
 
@@ -158,7 +159,8 @@ bench:
 # read-path / obs fast paths, the store's append path (a pooled frame
 # buffer, alone over either store size and under eight appenders), the
 # /ingest body decode (BenchmarkDecodeEvents) and both /ingest paths
-# (pooled batch → decode → drain → append, BenchmarkServeIngest/single;
+# (pooled batch → decode → admit → ack → append on the handler
+# goroutine, BenchmarkServeIngest/single;
 # and → one encoding → four shards' deliveries on the handler
 # goroutine, BenchmarkServeIngest/cluster-4xrf2) must stay
 # allocation-free. The -max-ratio rules enforce the

@@ -26,15 +26,17 @@ const maxPooledBatch = 1 << 20
 
 // ingestBatch is one POST /ingest from socket to segment: the request
 // body and the events decoded from it, whose payloads alias the body.
-// It has exactly one owner at a time — the handler until the batch is
-// enqueued (or Distributor.Ingest returns), the drain goroutine after —
-// and the owner that finishes with it calls release. Nothing downstream
-// keeps a reference: the store encodes its own frames and
+// It is owned by the request goroutine that filled it, which releases it
+// once the batch is appended (or Distributor.Ingest returns). Nothing
+// downstream keeps a reference: the store encodes its own frames and
 // live.Hub.Publish copies what it retains.
 type ingestBatch struct {
 	tenant string
 	body   []byte
 	es     []tracer.Entry
+	// ack is the single-store 202 body's buffer: {"accepted":N}\n for
+	// any N a body can hold.
+	ack [24]byte
 }
 
 var batchPool = sync.Pool{New: func() any { return new(ingestBatch) }}

@@ -2,7 +2,7 @@ package main
 
 import (
 	"encoding/binary"
-	"runtime"
+	"net/http"
 	"testing"
 
 	"btrace/internal/store"
@@ -46,15 +46,26 @@ func restamp(wire []byte, k int) {
 	}
 }
 
+// discardResponse is the ResponseWriter the single-store benchmark
+// hands serve: one header map, reused, and a body that goes nowhere.
+type discardResponse http.Header
+
+func (d discardResponse) Header() http.Header       { return http.Header(d) }
+func (discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (discardResponse) WriteHeader(int)             {}
+func (discardResponse) Flush()                      {}
+
 // BenchmarkServeIngest drives both /ingest paths from just below
 // net/http — a pooled batch filled from a generated body, decoded, then
-// enqueued and drained (single) or quorum-replicated (cluster) into
+// run through what the handler runs on it: the single store's serve
+// (gate, admit, ack, append) or the cluster's quorum replication, into
 // local-backend stores — in steady state, after the pool, the stores'
-// frame buffers and the fan-out scratch have warmed up. single must stay at 0
-// allocs/op (benchdiff -zero-allocs): that is the gate that keeps the
-// per-batch garbage from coming back.
+// frame buffers and the fan-out scratch have warmed up. Both must stay
+// at 0 allocs/op (benchdiff -zero-allocs): that is the gate that keeps
+// the per-batch garbage from coming back.
 func BenchmarkServeIngest(b *testing.B) {
-	const warmup = 2 * ingestQueueDepth
+	// Warm-up batches: 11 MB, at least one segment rotation per store.
+	const warmup = 512
 	// 4 MiB segments under 64 MiB retention: rotation and retention included,
 	// disk use bounded however long the run.
 	scfg := store.Config{SegmentBytes: 4 << 20, MaxBytes: 64 << 20}
@@ -80,33 +91,17 @@ func BenchmarkServeIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		post := func(k int) {
-			batch := load(k)
-			for !p.enqueue(batch) {
-				runtime.Gosched() // queue full: what a 429 and a retry amount to
-			}
-		}
-		// Stock the pool with as many batches as can be in flight at once
-		// (a full queue, one in the drain, one in hand), so that steady
-		// state does not depend on how far ahead of the drain the warm-up
-		// happened to get.
-		held := make([]*ingestBatch, ingestQueueDepth+2)
-		for k := range held {
-			held[k] = load(k)
-		}
-		for _, batch := range held {
-			batch.release()
-		}
+		defer p.Close()
+		w := discardResponse{}
 		for k := 0; k < warmup; k++ {
-			post(k)
+			p.serve(w, load(k))
 		}
 		b.SetBytes(int64(len(wire)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			post(warmup + i)
+			p.serve(w, load(warmup+i))
 		}
-		p.Close() // the op includes the drain: everything posted is applied
 		b.StopTimer()
 		// Not st.Events(): past MaxBytes retention deletes the oldest
 		// segments, and the store holds less than was applied to it.

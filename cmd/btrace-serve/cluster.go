@@ -14,11 +14,37 @@ import (
 	"btrace/internal/store"
 )
 
-// gateEvery is how often the cluster's shared overload gate is
-// re-evaluated against the worst store pressure across the shard fleet,
-// and how often the single-store drain evaluates its gate while no
-// batch arrives (with traffic it evaluates once per batch).
+// gateEvery is how often gateLoop re-evaluates a pipeline's overload
+// gate: the cluster's against the worst store pressure across the shard
+// fleet, a single store's against its own (which its handler also
+// evaluates once per batch).
 const gateEvery = 250 * time.Millisecond
+
+// gateLoop calls eval every gateEvery on a goroutine of its own until
+// the returned stop is called; stop returns once that goroutine has
+// exited and is safe to call more than once. No traffic must not mean
+// no evaluations: a tier that engaged has to be able to cool down while
+// clients heed /readyz and stay away.
+func gateLoop(eval func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(gateEvery)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				eval()
+			}
+		}
+	}()
+	return sync.OnceFunc(func() {
+		close(quit)
+		<-done
+	})
+}
 
 // shardNamePattern constrains operator-supplied shard names: they become
 // directory names under the cluster root.
@@ -42,15 +68,12 @@ type clusterConfig struct {
 
 // clusterPipeline owns the distributed ingest tier inside btrace-serve:
 // N in-process replicated shards under one directory root, fronted by
-// the consistent-hash distributor, plus the background gate evaluation
-// the single-store path gets from its drain loop.
+// the consistent-hash distributor, plus the background gate evaluation.
 type clusterPipeline struct {
 	cfg clusterConfig
 	d   *distributor.Distributor
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	// stopGate ends the gate evaluations.
+	stopGate func()
 
 	// topo serializes operator topology changes (/ring POST): add, drain
 	// and remove are rare and slow, so one at a time is plenty.
@@ -107,34 +130,14 @@ func newClusterPipeline(cfg clusterConfig) (*clusterPipeline, error) {
 		}
 		return nil, err
 	}
-	p := &clusterPipeline{cfg: cfg, d: d, stop: make(chan struct{}), done: make(chan struct{})}
-	go p.gateLoop()
-	return p, nil
-}
-
-// gateLoop periodically folds the fleet's store pressure into the shared
-// gate so the shedding tiers engage and release like the single-store
-// path's.
-func (p *clusterPipeline) gateLoop() {
-	defer close(p.done)
-	t := time.NewTicker(gateEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-t.C:
-			p.d.EvaluateGate()
-		}
-	}
+	return &clusterPipeline{cfg: cfg, d: d, stopGate: gateLoop(d.EvaluateGate)}, nil
 }
 
 // Close stops the gate loop and closes every shard (in-flight
 // deliveries finish, then its store closes). Safe to call more than
 // once.
 func (p *clusterPipeline) Close() error {
-	p.stopOnce.Do(func() { close(p.stop) })
-	<-p.done
+	p.stopGate()
 	return p.d.Close()
 }
 

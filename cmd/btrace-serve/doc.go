@@ -11,26 +11,31 @@
 //
 //	btrace-serve -addr localhost:8321 -store ./trace-store
 //
-// On a single store, POST /ingest is a bounded queue and one drain loop:
-// the handler decodes the body into a pooled batch (tracer.DecodeEvents,
-// payloads aliasing the body) and enqueues it; the drain evaluates the
-// gate on the store's pressure, admits the batch (ingest.Admission) and
-// appends what it admitted once. A batch has one owner at a time, the
-// handler until the enqueue succeeds and the drain after, and the owner
-// that finishes with it releases it. In cluster mode the handler calls
-// Distributor.Ingest and releases the batch when it returns.
+// On a single store, POST /ingest runs on the request's goroutine: the
+// handler decodes the body into a pooled batch (tracer.DecodeEvents,
+// payloads aliasing the body), evaluates the gate on the store's
+// pressure, admits the batch (ingest.Admission), writes the 202, appends
+// what it admitted once and releases the batch. There is no queue and no
+// drain goroutine. In cluster mode the handler calls Distributor.Ingest
+// and releases the batch when it returns.
 //
 // # Contract
 //
 // POST /ingest, single store:
-//   - A 202 means decoded, well-formed and queued, not applied; every
-//     batch answered 202 is applied or counted in
-//     btrace_ingest_dropped_events_total, event-exact, and Close returns
-//     only after that holds (TestIngestEndToEnd, TestIngestDrainFailurePath).
-//   - A full queue answers 429 with Retry-After, so memory is bounded by
-//     the queue's batches (TestIngestQueueFullBackpressure); a body over
-//     the cap is refused, from its Content-Length when it has one
-//     (TestIngestBodyLimits, TestIngestRejectsBadPayloads).
+//   - A 202 means decoded, well-formed and admitted, not yet applied. It
+//     is flushed whole, with its Content-Length, before the append; the
+//     append runs before the handler returns, and a refused one is
+//     counted in btrace_ingest_dropped_events_total, event-exact
+//     (TestIngestAckPrecedesAppend, TestIngestDrainFailurePath).
+//   - Go reads a connection's next request only after the handler
+//     returns, so a connection's next batch is admitted after its
+//     previous one is appended, and a batch posted after another's 202
+//     is verified after it (TestIngestAckPrecedesAppend). On shutdown
+//     http.Server.Shutdown waits for the handlers, so every batch
+//     answered 202 is applied or counted before the store closes.
+//   - Memory holds one batch per request in flight, as on a cluster; a
+//     body over the cap is refused, from its Content-Length when it has
+//     one (TestIngestBodyLimits, TestIngestRejectsBadPayloads).
 //   - Nothing is copied between the socket and the store's frame
 //     encoding, and every payload reads back byte-identical from
 //     /store/query and /live while released batches are poisoned

@@ -6,9 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"btrace/internal/ingest"
 	"btrace/internal/live"
@@ -16,12 +14,6 @@ import (
 	"btrace/internal/overload"
 	"btrace/internal/store"
 )
-
-// ingestQueueDepth is the number of accepted-but-unapplied batches the
-// pipeline holds before /ingest starts answering 429. The bound is the
-// server-side backpressure, also while the store is failing: beyond it
-// the client is told to slow down instead of memory growing.
-const ingestQueueDepth = 256
 
 // ingestConfig carries the admission flags into the pipeline.
 type ingestConfig struct {
@@ -69,147 +61,97 @@ func (cfg ingestConfig) gateConfig() (overload.Config, error) {
 	return gcfg, nil
 }
 
-// ingestPipeline owns the single-store POST /ingest delivery path: a
-// bounded queue of decoded batches and one goroutine that blocks on it
-// and runs internal/ingest's admit, then one store append, on each, and
-// releases the batch. A 202 is an enqueue; the cluster path (cluster.go)
-// acks a quorum instead. HTTP handlers touch only the queue, the
-// rejected counter and the Admission, which locks itself.
+// ingestPipeline owns the single-store POST /ingest path. It has no
+// queue and no goroutine of its own: the handler's goroutine evaluates
+// the gate, admits the batch, answers 202, appends what it admitted once
+// and releases the batch (serve). A 202 means admitted, and the append
+// follows on the same goroutine; the cluster path (cluster.go) acks a
+// quorum instead. The Admission locks itself and the store serialises
+// its appends, so concurrent requests need nothing more.
 type ingestPipeline struct {
-	queue chan *ingestBatch
-	adm   *ingest.Admission
-	st    *store.Store
+	adm *ingest.Admission
+	st  *store.Store
 	// sink is st; the failure-path tests substitute a flaky one. Its
 	// WriteErr is /readyz's and btrace_ingest_store_failed's.
 	sink ingest.Sink
+	// stopGate ends the periodic gate evaluations.
+	stopGate func()
 
-	// admit orders enqueues against Close: once closed is set nothing
-	// more enters the queue, so closing it is safe and everything that
-	// was answered 202 is in front of the drain's exit.
-	admit     sync.RWMutex
-	closed    bool
-	done      chan struct{}
-	rejected  atomic.Uint64 // batches refused with 429
-	throttled atomic.Uint64 // events dropped by a tenant quota override
-
-	// The drain's counters, published as btrace_ingest_*: batches taken
-	// off the queue, and the batches (and their events) the store
-	// refused.
+	// Published as btrace_ingest_*: batches admitted, the batches (and
+	// their events) the store refused, and events a tenant quota dropped.
 	batches        atomic.Uint64
 	droppedBatches atomic.Uint64
 	droppedEvents  atomic.Uint64
+	throttled      atomic.Uint64
 	obsID          uint64 // registry id of the btrace_ingest_* series
 }
 
-// newIngestPipeline wires the admission stage over st and starts the
-// drain goroutine.
+// newIngestPipeline wires the admission stage over st and starts its
+// periodic gate evaluations.
 func newIngestPipeline(st *store.Store, cfg ingestConfig) (*ingestPipeline, error) {
 	gcfg, err := cfg.gateConfig()
 	if err != nil {
 		return nil, err
 	}
-	queue := make(chan *ingestBatch, ingestQueueDepth)
 	p := &ingestPipeline{
-		queue: queue,
-		adm:   ingest.NewAdmission(gcfg, cfg.Overrides, cfg.Hub.Publish),
-		st:    st,
-		sink:  st,
-		done:  make(chan struct{}),
+		adm:  ingest.NewAdmission(gcfg, cfg.Overrides, cfg.Hub.Publish),
+		st:   st,
+		sink: st,
 	}
 	p.obsID = obs.Default().Register(func(e *obs.Emitter) {
 		failed := 0.0
 		if p.sink.WriteErr() != nil {
 			failed = 1
 		}
-		e.Gauge("btrace_ingest_queue_depth", "accepted batches waiting for the ingest drain", float64(len(queue)))
-		e.Counter("btrace_ingest_batches_total", "batches the ingest drain took off the queue", p.batches.Load())
+		e.Counter("btrace_ingest_batches_total", "batches the single-store ingest path answered 202", p.batches.Load())
 		e.Counter("btrace_ingest_dropped_batches_total", "accepted batches the store refused", p.droppedBatches.Load())
 		e.Counter("btrace_ingest_dropped_events_total", "events inside dropped batches", p.droppedEvents.Load())
 		e.Counter("btrace_ingest_events_throttled_total", "events dropped by per-tenant quota overrides", p.throttled.Load())
 		e.Gauge("btrace_ingest_store_failed", "1 while the store's write path has failed for good", failed)
 	})
-	go p.run()
+	p.stopGate = gateLoop(p.evaluate)
 	return p, nil
 }
 
-// run is the drain goroutine. It blocks on the queue — an accepted
-// batch is applied as soon as the previous one is, with no poll
-// interval in between — and returns once Close has closed the queue and
-// everything in it has been applied or counted.
-func (p *ingestPipeline) run() {
-	defer close(p.done)
-	// No traffic must not mean no evaluations: a tier that engaged has
-	// to be able to cool down while clients heed /readyz and stay away.
-	idle := time.NewTicker(gateEvery)
-	defer idle.Stop()
-	for {
-		select {
-		case b, ok := <-p.queue:
-			if !ok {
-				return
-			}
-			p.apply(b)
-		case <-idle.C:
-			p.adm.Evaluate(p.st.Pressure())
-		}
-	}
-}
+// evaluate feeds the store's write-path pressure to the gate.
+func (p *ingestPipeline) evaluate() { p.adm.Evaluate(p.st.Pressure()) }
 
-// apply runs one batch through admit → append and releases it. The
-// append is tried once — a store's refusals are sticky — and a refused
-// batch is counted, event-exact, as dropped: every event answered 202
-// ends up applied, attributed to the quota or the gate, or in
-// btrace_ingest_dropped_events_total.
-func (p *ingestPipeline) apply(b *ingestBatch) {
+// serve runs one decoded batch through gate → admit → 202 → append on
+// the caller's goroutine and releases it. The 202 is flushed whole
+// before the append, so its latency is the admission's alone. The append
+// is tried once — a store's refusals are sticky — and a refused batch is
+// counted, event-exact, as dropped: every event answered 202 ends up
+// applied, attributed to the quota or the gate, or in
+// btrace_ingest_dropped_events_total by the time serve returns.
+func (p *ingestPipeline) serve(w http.ResponseWriter, b *ingestBatch) {
 	defer b.release()
 	p.batches.Add(1)
-	p.adm.Evaluate(p.st.Pressure())
+	p.evaluate()
+	accepted := len(b.es)
 	es, c := p.adm.Admit(b.tenant, b.es)
 	p.throttled.Add(uint64(c.Throttled))
-	if len(es) == 0 {
-		return
+	ack := append(appendJSONInt(append(b.ack[:0], '{'), "accepted", accepted), "}\n"...)
+	w.Header()["Content-Length"] = ackLengths[len(ack)]
+	writeAccepted(w, ack)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
 	}
-	if p.sink.AppendEntries(es) == nil {
+	if len(es) == 0 || p.sink.AppendEntries(es) == nil {
 		return
 	}
 	p.droppedBatches.Add(1)
 	p.droppedEvents.Add(uint64(len(es)))
 }
 
-// Close stops intake, waits for the drain to apply (or count as
-// dropped) everything that was accepted, and returns. The store must
-// stay open until then. Safe to call more than once.
+// Close stops the periodic gate evaluations. It waits for nothing
+// else: by the time main calls it, http.Server.Shutdown has waited out
+// every handler, and each handler appended (or counted) its own batch.
+// Safe to call more than once.
 func (p *ingestPipeline) Close() {
-	p.admit.Lock()
-	first := !p.closed
-	if first {
-		p.closed = true
-		close(p.queue)
-	}
-	p.admit.Unlock()
-	<-p.done
-	if first {
-		// Fold, not unregister: the gauges go with the queue, the
-		// counters stay in the process totals.
-		obs.Default().Fold(p.obsID)
-	}
-}
-
-// enqueue offers one decoded batch to the drain without blocking. On
-// true the drain owns b; on false (queue full, or closing) the caller
-// still does.
-func (p *ingestPipeline) enqueue(b *ingestBatch) bool {
-	p.admit.RLock()
-	defer p.admit.RUnlock()
-	if !p.closed {
-		select {
-		case p.queue <- b:
-			return true
-		default:
-		}
-	}
-	p.rejected.Add(1)
-	return false
+	p.stopGate()
+	// Fold, not unregister: the gauge goes with the pipeline, the
+	// counters stay in the process totals.
+	obs.Default().Fold(p.obsID)
 }
 
 // notReadyReasons returns why the ingest path should refuse traffic —
@@ -233,8 +175,7 @@ func (p *ingestPipeline) notReadyReasons() []string {
 // to a replica quorum. The tenant comes from the X-Btrace-Tenant header
 // (default tenant when absent) and drives quota overrides and the
 // per-tenant drop attribution on /metrics. Responses: 202 with the
-// accepted count, 429 when the queue is full (client should back off
-// and retry), 503 when quorum is unavailable, 400 for malformed
+// accepted count, 503 when quorum is unavailable, 400 for malformed
 // payloads, 413 for oversized ones.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -249,8 +190,9 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The 202 bodies are built by hand, byte for byte what json.Encoder
-	// wrote for the maps they used to be (keys sorted). The buffers
-	// escape through w.Write, so each is sized to its body.
+	// wrote for the maps they used to be (keys sorted). The cluster's
+	// buffer escapes through w.Write, so it is sized to its body; the
+	// single store's is the pooled batch's.
 	if s.cluster != nil {
 		// Cluster mode: synchronous quorum-ack. A 202 means every event
 		// was either durably replicated or attributably dropped by quota
@@ -272,18 +214,20 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeAccepted(w, append(out, "}\n"...))
 		return
 	}
-	accepted := len(b.es)
-	if !s.ingest.enqueue(b) {
-		b.release()
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "ingest queue full", http.StatusTooManyRequests)
-		return
-	}
-	var buf [24]byte
-	writeAccepted(w, append(appendJSONInt(append(buf[:0], '{'), "accepted", accepted), "}\n"...))
+	s.ingest.serve(w, b)
 }
 
 var jsonContentType = []string{"application/json"}
+
+// ackLengths[n] is the Content-Length value of an n-byte single-store
+// ack, shared like jsonContentType. The ack is flushed before the
+// append, and only a declared length lets the client see its end then.
+var ackLengths = func() (l [len(ingestBatch{}.ack) + 1][]string) {
+	for n := range l {
+		l[n] = []string{strconv.Itoa(n)}
+	}
+	return l
+}()
 
 func writeAccepted(w http.ResponseWriter, body []byte) {
 	w.Header()["Content-Type"] = jsonContentType

@@ -3,8 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"btrace/internal/ingest"
@@ -43,9 +47,9 @@ func httpPost(t *testing.T, srv *server, path string, body []byte) *httptest.Res
 	return rec
 }
 
-// newIngestServer builds a server over a fresh store with a live ingest
-// pipeline; cleanup stops the pipeline before the store closes, like
-// main does.
+// newIngestServer builds a server over a fresh store with its
+// single-store ingest path; cleanup stops the gate loop before the store
+// closes, like main does.
 func newIngestServer(t *testing.T, cfg ingestConfig) (*server, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Config{})
@@ -87,14 +91,12 @@ func TestIngestEndToEnd(t *testing.T) {
 	if rec := httpGet(t, srv, "/readyz"); rec.Code != 200 {
 		t.Fatalf("/readyz during ingest: %d %s", rec.Code, rec.Body.String())
 	}
-	// A 202 is an enqueue; Close returns once the drain has applied
-	// everything accepted, so the store holds all three right after it.
-	srv.ingest.Close()
+	// The handler appends before it returns.
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Events(); got != 3 {
-		t.Fatalf("store holds %d events after Close, want 3", got)
+		t.Fatalf("store holds %d events after the 202, want 3", got)
 	}
 }
 
@@ -120,7 +122,6 @@ func TestIngestTenantOverrideOverHTTP(t *testing.T) {
 	if rec.Code != 202 {
 		t.Fatalf("/ingest status %d: %s", rec.Code, rec.Body.String())
 	}
-	srv.ingest.Close()
 	qrec := httpGet(t, srv, "/store/query")
 	if rows := strings.Count(qrec.Body.String(), "\n"); qrec.Code != 200 || rows != 1 {
 		t.Fatalf("/store/query: status %d, %d rows, want the 1 event the quota admits:\n%s", qrec.Code, rows, qrec.Body.String())
@@ -148,25 +149,93 @@ func TestIngestRejectsBadPayloads(t *testing.T) {
 	}
 }
 
-// TestIngestQueueFullBackpressure: a stalled pipeline (no drain
-// goroutine, one-slot queue) answers 429 with Retry-After instead of
-// queuing without bound.
-func TestIngestQueueFullBackpressure(t *testing.T) {
-	srv := newServer(nil)
-	srv.attachIngest(&ingestPipeline{queue: make(chan *ingestBatch, 1)})
-	body := encodeEvents(t, []tracer.Entry{{Stamp: 1, TS: 10, TID: 7, Category: 1, Level: 1}})
-	if rec := httpPost(t, srv, "/ingest", body); rec.Code != 202 {
-		t.Fatalf("first post: status %d", rec.Code)
+// blockingSink holds the first append until release is closed, and
+// closes started when that append begins.
+type blockingSink struct {
+	st      *store.Store
+	started chan struct{}
+	release chan struct{}
+	calls   atomic.Int32
+}
+
+func (s *blockingSink) AppendEntries(es []tracer.Entry) error {
+	if s.calls.Add(1) == 1 {
+		close(s.started)
+		<-s.release
 	}
-	rec := httpPost(t, srv, "/ingest", body)
-	if rec.Code != 429 {
-		t.Fatalf("second post: status %d, want 429", rec.Code)
+	return s.st.AppendEntries(es)
+}
+
+func (s *blockingSink) WriteErr() error { return s.st.WriteErr() }
+
+// TestIngestAckPrecedesAppend: on a single store the 202 is written
+// whole after admission and before the append, and the append runs on
+// the request's goroutine. A client holds its complete 202 while the
+// append behind it is still blocked; once the handler returns the store
+// counts the batch, with no Close and no poll; and a batch of the same
+// thread posted on a second connection after the first 202 follows it
+// in the verifier's order, so it is not quarantined.
+func TestIngestAckPrecedesAppend(t *testing.T) {
+	srv, st := newIngestServer(t, ingestConfig{SampleRate: 1})
+	sink := &blockingSink{st: st, started: make(chan struct{}), release: make(chan struct{})}
+	srv.ingest.sink = sink
+	returned := make(chan struct{}, 2)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		returned <- struct{}{}
+	}))
+	t.Cleanup(ts.Close)
+	release := sync.OnceFunc(func() { close(sink.release) })
+	t.Cleanup(release) // before ts.Close, which waits for the handlers
+
+	// post sends one batch of thread 7 on a connection of its own and
+	// reads its 202 to the end.
+	post := func(first uint64) {
+		t.Helper()
+		es := make([]tracer.Entry, 3)
+		for i := range es {
+			stamp := first + uint64(i)
+			es[i] = tracer.Entry{Stamp: stamp, TS: 10 * stamp, TID: 7, Category: 1, Level: 1}
+		}
+		tr := &http.Transport{}
+		defer tr.CloseIdleConnections()
+		resp, err := (&http.Client{Transport: tr}).Post(ts.URL+"/ingest", "application/octet-stream", bytes.NewReader(encodeEvents(t, es)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		const want = `{"accepted":3}` + "\n"
+		// Without a declared length the body would end only when the
+		// handler returns, after the append.
+		if resp.StatusCode != 202 || resp.ContentLength != int64(len(want)) {
+			t.Fatalf("post at stamp %d: status %d, Content-Length %d; want 202, %d", first, resp.StatusCode, resp.ContentLength, len(want))
+		}
+		if body, err := io.ReadAll(resp.Body); err != nil || string(body) != want {
+			t.Fatalf("post at stamp %d: body %q (%v), want %q", first, body, err, want)
+		}
 	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+
+	post(1)
+	<-sink.started
+	select {
+	case <-returned:
+		t.Fatal("the handler returned while its append was held")
+	default:
 	}
-	if got := srv.ingest.rejected.Load(); got != 1 {
-		t.Errorf("rejected batches: %d, want 1", got)
+	if n := st.Events(); n != 0 {
+		t.Fatalf("store holds %d events while the append is held, want 0", n)
+	}
+
+	post(4) // its append is not held
+	<-returned
+	if n, q := st.Events(), srv.ingest.adm.Quarantined(); n != 3 || q != 0 {
+		t.Fatalf("after the second handler returned: %d events stored, %d quarantined; want 3, 0", n, q)
+	}
+
+	release()
+	<-returned
+	if n, q := st.Events(), srv.ingest.adm.Quarantined(); n != 6 || q != 0 {
+		t.Fatalf("after both handlers returned: %d events stored, %d quarantined; want 6, 0", n, q)
 	}
 }
 

@@ -203,8 +203,8 @@ func TestLiveTenantScoping(t *testing.T) {
 }
 
 // TestLiveInterleavedClients: batches from independent clients arrive
-// on the ingest queue in arbitrary global stamp order (client B's
-// higher-stamped batch before client A's). The pipeline's verifier runs
+// at admission in arbitrary global stamp order (client B's
+// higher-stamped batch before client A's). The admission's verifier runs
 // in unordered mode, so both batches must reach a live subscriber — a
 // regression here means interleaved traffic is quarantined around the
 // gate: persisted but invisible to live tail, sampling and rate limits.

@@ -63,9 +63,9 @@ func main() {
 		ColdAfterNs:     uint64(coldAfter.Nanoseconds()),
 	}
 	// One boot fork: a shard ring under the -store root, fronted by the
-	// consistent-hash distributor, or a single store with its own ingest
-	// drain. Deferred closes run in reverse, so a drain stops (with a
-	// final flush) before its store closes.
+	// consistent-hash distributor, or a single store. Shutdown below
+	// waits for the handlers, and each handler appends its own batch, so
+	// the deferred closes find nothing in flight.
 	var srv *server
 	if *shards > 0 {
 		cluster, err := newClusterPipeline(clusterConfig{

@@ -27,8 +27,8 @@ type server struct {
 	// store is the durable trace store served by /store/*; nil in cluster
 	// mode.
 	store *store.Store
-	// ingest is the single-store POST /ingest delivery pipeline
-	// (attachIngest wires it after construction).
+	// ingest is the single-store POST /ingest path (attachIngest wires
+	// it after construction).
 	ingest *ingestPipeline
 	// cluster is the distributed ingest tier (-shards); nil in
 	// single-store mode. When set it takes over /ingest, /store/query,
@@ -69,8 +69,7 @@ func newServer(st *store.Store) *server {
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // attachIngest hands the server its single-store ingest pipeline.
-// Separate from newServer so tests can hand it a stalled or hand-built
-// one.
+// Separate from newServer so tests can hand it a hand-built one.
 func (s *server) attachIngest(p *ingestPipeline) { s.ingest = p }
 
 // attachCluster hands the server its distributed ingest tier; mutually

@@ -21,8 +21,8 @@
 // FlakyStore's failures are transient, which a real store's never are
 // (a store's write-path failure is sticky): they stand for a replica that
 // refuses a batch and later recovers. No caller retries one: the
-// single-store drain counts the batch dropped, and a cluster delivery
-// goes to its hedge.
+// single-store /ingest handler counts the batch dropped, and a cluster
+// delivery goes to its hedge.
 //
 // # Scenarios
 //

@@ -185,8 +185,8 @@ func (s *BurstSource) Produced() uint64 {
 // append production deliveries make. Injected failures are transient:
 // WriteErr reports only the wrapped store's own sticky failure, and the
 // next append may succeed. No caller retries one: a cluster delivery
-// goes straight to its hedge candidate, and a single-store drain counts
-// the batch dropped.
+// goes straight to its hedge candidate, and a single-store /ingest
+// handler counts the batch dropped.
 type FlakyStore struct {
 	in  *Injector
 	dst distributor.Replica

@@ -1,8 +1,8 @@
 // Package ingest is the server-side admission policy, in one place:
 // what happens to a decoded batch between the socket and a durable
-// store. Both server paths run it — btrace-serve's single-store drain
-// and the distributor in front of the shard ring — and nothing else
-// knows it:
+// store. Both server paths run it — btrace-serve's single-store
+// /ingest handler and the distributor in front of the shard ring — and
+// nothing else knows it:
 //
 //	tenant row → verify → quota → overload gate → live publish → (quarantined re-appended) → one Sink append
 //

@@ -128,8 +128,9 @@ func (a *Admission) GateStats() overload.Stats {
 	return a.gate.Stats()
 }
 
-// Sink is the durable store as the single-store drain sees it
-// (store.Store satisfies it; the drain's tests substitute failing ones).
+// Sink is the durable store as the single-store /ingest handler sees it
+// (store.Store satisfies it; the handler's tests substitute failing
+// ones).
 type Sink interface {
 	// AppendEntries durably stages a batch; nil means applied, and a
 	// refused batch leaves nothing behind for the sink to apply later.

@@ -425,13 +425,9 @@ func TestSSERoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := EncodeMissed(&buf, 17); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(AppendMissed(nil, 17))
 	fmt.Fprint(&buf, ": keepalive\n\n")
-	if err := EncodeEvicted(&buf, 42); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(AppendEvicted(nil, 42))
 
 	sr := NewStreamReader(&buf)
 	for i := range events {

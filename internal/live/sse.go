@@ -89,9 +89,9 @@ func appendCount(dst []byte, head string, n uint64) []byte {
 // Keepalive is the comment frame an idle stream carries.
 const Keepalive = ": keepalive\n\n"
 
-// EncodeFrame writes the AppendFrame bytes for e. The Encode forms are
-// for callers with a writer and no buffer of their own; the /live
-// handler appends a whole drain into one.
+// EncodeFrame writes the AppendFrame bytes for e, for a caller with a
+// writer and no buffer of its own; the /live handler appends a whole
+// drain into one buffer instead.
 func EncodeFrame(w io.Writer, e *tracer.Entry) error {
 	_, err := w.Write(AppendFrame(nil, e))
 	return err
@@ -119,18 +119,6 @@ func DecodeFrame(data []byte) (tracer.Entry, error) {
 		e.Payload = f.Payload
 	}
 	return e, nil
-}
-
-// EncodeMissed writes the AppendMissed frame.
-func EncodeMissed(w io.Writer, n uint64) error {
-	_, err := w.Write(AppendMissed(nil, n))
-	return err
-}
-
-// EncodeEvicted writes the AppendEvicted frame.
-func EncodeEvicted(w io.Writer, totalMissed uint64) error {
-	_, err := w.Write(AppendEvicted(nil, totalMissed))
-	return err
 }
 
 // ParseCount parses the data payload of a missed/evicted event.

@@ -22,9 +22,9 @@
 //
 // The controller's input is the store's write path (StorePressure): on
 // a single store its EWMA append and fsync latencies and its sticky
-// failure bit, read by the drain once per batch and on a 250 ms ticker
-// while idle; on a cluster the worst of those across the shards
-// (Distributor.EvaluateGate). Releases are deliberately slower than
+// failure bit, read by the /ingest handler once per batch and on a
+// 250 ms ticker; on a cluster the worst of those across the shards, on
+// the same ticker (Distributor.EvaluateGate). Releases are deliberately slower than
 // engagements: shedding too little wedges the system, shedding too long
 // only costs detail.
 //

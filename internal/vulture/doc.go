@@ -36,7 +36,8 @@
 //   - With -strict-live, delivered + missed == admitted on /live, which
 //     holds only with sampling and shedding off.
 //
-// `make vulture-soak` runs it against a real 4-shard RF=2 btrace-serve
-// while a shard drains out of the ring; TestChaosVultureContinuous
+// `make vulture-soak` runs it against a real single-store btrace-serve,
+// then against a real 4-shard RF=2 one while a shard drains out of the
+// ring; TestChaosVultureContinuous
 // (internal/faults) is the in-process twin over flaky replica stores.
 package vulture

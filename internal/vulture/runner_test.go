@@ -128,7 +128,7 @@ func (st *stubStore) handleLive(w http.ResponseWriter, r *http.Request) {
 	for {
 		n, missed, err := sub.Next(batch)
 		if missed > 0 {
-			live.EncodeMissed(w, missed)
+			w.Write(live.AppendMissed(nil, missed))
 		}
 		for i := 0; i < n; i++ {
 			live.EncodeFrame(w, &batch[i])

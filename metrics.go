@@ -11,9 +11,9 @@ import (
 // series the process's BTrace subsystems expose: block lifecycle
 // counters from each open tracer (btrace_core_*) and durable stores
 // (btrace_store_*), and in a trace server the admission verifier's
-// quarantine count (btrace_collect_quarantined_total), the ingest drain
-// (btrace_ingest_*), the overload gate (btrace_overload_*) and the shard
-// ring (btrace_distributor_*).
+// quarantine count (btrace_collect_quarantined_total), the single-store
+// ingest path (btrace_ingest_*), the overload gate (btrace_overload_*)
+// and the shard ring (btrace_distributor_*).
 // Multiple instances of one subsystem merge by summing; instances that
 // have been closed or collected keep contributing their final counter
 // totals, so the series are process-lifetime monotonic.
