@@ -263,10 +263,18 @@ func passRatio(num, den []Benchmark) (ratio float64, passes int) {
 
 // canonical strips the trailing -GOMAXPROCS suffix go test appends to
 // benchmark names, so baselines recorded on machines with different core
-// counts still line up.
-var procSuffix = regexp.MustCompile(`-\d+$`)
+// counts still line up, and then the #NN go test gives a sub-benchmark
+// name run again in one process: a benchmark that interleaves its
+// variants pass by pass lists each variant's passes under one name, in
+// run order, as -count does.
+var (
+	procSuffix   = regexp.MustCompile(`-\d+$`)
+	repeatSuffix = regexp.MustCompile(`#\d+$`)
+)
 
-func canonical(name string) string { return procSuffix.ReplaceAllString(name, "") }
+func canonical(name string) string {
+	return repeatSuffix.ReplaceAllString(procSuffix.ReplaceAllString(name, ""), "")
+}
 
 // sortedKeys returns m's keys in order, for deterministic report output.
 func sortedKeys(m map[string]float64) []string {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,6 +125,44 @@ func TestCanonicalStripsProcSuffix(t *testing.T) {
 	}
 	if got := canonical("BenchmarkX"); got != "BenchmarkX" {
 		t.Fatalf("canonical = %q", got)
+	}
+}
+
+// TestCanonicalFoldsRepeatedRuns: a sub-benchmark run again in one
+// process comes back as name#01, name#02, ...; folded, the rows of an
+// interleaved pair line up pass by pass, as -count's rows do, and the
+// ratio rule holds the median of the passes after the first.
+func TestCanonicalFoldsRepeatedRuns(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkD/rf2-4shards-2":       "BenchmarkD/rf2-4shards",
+		"BenchmarkD/rf2-4shards#01-2":    "BenchmarkD/rf2-4shards",
+		"BenchmarkD/rf2-4shards#05":      "BenchmarkD/rf2-4shards",
+		"BenchmarkD/direct-1shard#12-16": "BenchmarkD/direct-1shard",
+	} {
+		if got := canonical(in); got != want {
+			t.Errorf("canonical(%q) = %q, want %q", in, got, want)
+		}
+	}
+	dir := t.TempDir()
+	var rows []Benchmark
+	for k, ns := range []float64{400, 290, 280, 500, 270, 260} { // pass 1 and pass 4 slow
+		suffix := ""
+		if k > 0 {
+			suffix = fmt.Sprintf("#%02d", k)
+		}
+		rows = append(rows, bench("BenchmarkD/rf2-4shards"+suffix+"-2", ns, 0), bench("BenchmarkD/direct-1shard"+suffix+"-2", 100, 0))
+	}
+	data, err := json.Marshal(File{Benchmarks: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_x.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	args := []string{"-old", dir, "-new", dir, "-max-ratio", "BenchmarkD/rf2-4shards<=3*BenchmarkD/direct-1shard"}
+	if got := run(args, &stdout, &stderr); got != 0 || !strings.Contains(stdout.String(), "= 2.80x, limit 3x [ok] (median of 5 passes after the first)") {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", got, stdout.String(), stderr.String())
 	}
 }
 

@@ -1,6 +1,8 @@
 package distributor
 
 import (
+	"slices"
+
 	"btrace/internal/btql"
 	"btrace/internal/ring"
 	"btrace/internal/store"
@@ -112,10 +114,11 @@ func (d *Distributor) cut(q store.Query) (r *ring.Ring, snaps []*store.AggSnapsh
 	return d.ring, snaps, ""
 }
 
-// ownership is shard self's place among r's slots shards for one fold. A fold asks
-// once per matching row, so answers are remembered per thread: in a
-// map, behind a small direct-mapped table that serves the few hundred
-// threads a pass usually meets without hashing.
+// ownership is shard self's place among r's slots shards for one fold.
+// A fold asks once per matching row, so the answers for the few hundred
+// threads a pass usually meets are kept in a small direct-mapped table;
+// a thread it does not hold is looked up in the ring's owner memo,
+// which Ingest has usually filled already.
 func ownership(r *ring.Ring, self, slots int) *store.Ownership {
 	rf := r.RF()
 	type memo struct {
@@ -124,23 +127,16 @@ func ownership(r *ring.Ring, self, slots int) *store.Ownership {
 		set bool
 	}
 	var front [256]memo
-	countedBy := make(map[uint32]int32)
 	owners := make([]int, 0, rf)
 	return &store.Ownership{Self: self, Slots: slots, CountedBy: func(tid uint32) int {
 		m := &front[tid%uint32(len(front))]
 		if m.set && m.tid == tid {
 			return int(m.x)
 		}
-		x, ok := countedBy[tid]
-		if !ok {
-			x = -1
-			owners = r.Owners(owners[:0], uint64(tid), rf)
-			for _, o := range owners {
-				if o == self {
-					x = int32(owners[0])
-				}
-			}
-			countedBy[tid] = x
+		x := int32(-1)
+		owners = r.Owners(owners[:0], uint64(tid), rf)
+		if slices.Contains(owners, self) {
+			x = int32(owners[0])
 		}
 		*m = memo{tid: tid, x: x, set: true}
 		return int(x)

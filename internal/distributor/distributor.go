@@ -139,20 +139,18 @@ func New(shards []Shard, cfg Config) (*Distributor, error) {
 // fanout is one Ingest call's routing scratch, pooled across calls. The
 // per-shard slices are indexed like Distributor.targets.
 type fanout struct {
-	walkAt map[uint32]int32 // TID → offset of its ring walk in walks
-	walks  []int            // ring walks, width shard indexes each: owners first, hedges after
-	evWalk []int32          // per admitted event: its walk's offset in walks
-	acks   []uint8          // per admitted event: replicas that applied it
+	walks  []int   // per framed event, its ring walk: width shard indexes, owners first, hedges after
+	evWalk []int32 // per admitted event: its walk's offset in walks
+	acks   []uint8 // per admitted event: replicas that applied it
 
 	batch store.Batch // the admitted events, framed once for every replica
 	rows  [][]int32   // per shard: this round's rows of batch, in batch order
 }
 
-var fanoutPool = sync.Pool{New: func() any { return &fanout{walkAt: make(map[uint32]int32)} }}
+var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
 
 // reset sizes the scratch for a batch of events over shards.
 func (f *fanout) reset(shards, events int) {
-	clear(f.walkAt)
 	f.walks = f.walks[:0]
 	f.evWalk = append(f.evWalk[:0], make([]int32, events)...)
 	f.acks = append(f.acks[:0], make([]uint8, events)...)
@@ -201,19 +199,16 @@ func (d *Distributor) Ingest(tenant string, es []tracer.Entry) Result {
 	// cannot be framed goes nowhere and ends refused.
 	f.batch.Encode(admitted)
 
-	// One ring walk per TID, one row list per owner shard. Listing rows
-	// in batch order keeps per-thread stamp order inside every shard.
+	// Each event's walk comes out of the ring's memo (a thread is walked
+	// once per ring, not once per batch), one row list per owner shard.
+	// Listing rows in batch order keeps per-thread stamp order inside
+	// every shard.
 	for i := range admitted {
 		if !f.batch.Framed(i) {
 			continue
 		}
-		tid := admitted[i].TID
-		at, ok := f.walkAt[tid]
-		if !ok {
-			at = int32(len(f.walks))
-			f.walks = r.Owners(f.walks, uint64(tid), width)
-			f.walkAt[tid] = at
-		}
+		at := int32(len(f.walks))
+		f.walks = r.Owners(f.walks, uint64(admitted[i].TID), width)
 		f.evWalk[i] = at
 		for _, si := range f.walks[at : int(at)+rf] {
 			f.rows[si] = append(f.rows[si], int32(i))

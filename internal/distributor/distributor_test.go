@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"btrace/internal/btql"
 	"btrace/internal/ingest"
 	"btrace/internal/overload"
 	"btrace/internal/ring"
@@ -614,4 +615,110 @@ func TestMoveCopiesExactlyWhatMoves(t *testing.T) {
 			t.Fatalf("drain report %+v, want Moved %d of %d scanned", rep, moved, len(before[victim]))
 		}
 	})
+}
+
+// TestIngestRoutesByTheRingOfTheCall: placement follows the ring each
+// Ingest saw, across every kind of ring change. After an ingest, a join,
+// a drain and a crash removal, each followed by another ingest, every
+// row of that ingest is on exactly the owners LookupN walks under the
+// ring of the call — a walk that goes through no memo — and on no other
+// shard. An owner memo that outlived its ring would route by the old
+// topology.
+func TestIngestRoutesByTheRingOfTheCall(t *testing.T) {
+	d, locals := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
+	held := make(map[string]*LocalShard)
+	for _, sh := range locals {
+		held[sh.Name()] = sh
+	}
+	tids := tidRange(1000, 64)
+	next := uint64(1)
+	ingest := func(step string) {
+		t.Helper()
+		es := events(256, next, tids...)
+		next += uint64(len(es))
+		if res := d.Ingest("", es); res.Acked != len(es) {
+			t.Fatalf("%s: %+v, want all %d acked", step, res, len(es))
+		}
+		r := d.ring
+		want := make(map[uint64]string) // stamp → its owners, by name
+		for _, e := range es {
+			owners := r.LookupN(fmt.Sprint(e.TID), r.RF())
+			slices.Sort(owners)
+			want[e.Stamp] = fmt.Sprint(owners)
+		}
+		got := make(map[uint64][]string)
+		for _, name := range slices.Sorted(maps.Keys(held)) {
+			if d.Shard(name) == nil {
+				continue // drained or removed
+			}
+			for stamp, n := range copiesOf(t, held[name]) {
+				if _, ok := want[stamp]; ok {
+					for range n {
+						got[stamp] = append(got[stamp], name)
+					}
+				}
+			}
+		}
+		for stamp, owners := range want {
+			if g := fmt.Sprint(got[stamp]); g != owners {
+				t.Fatalf("%s: stamp %d is on %s, the ring of the call places it on %s", step, stamp, g, owners)
+			}
+		}
+	}
+
+	ingest("first ingest")
+	joiner := newTestShard(t, "shard-04")
+	held[joiner.Name()] = joiner
+	if _, err := d.AddShard(joiner); err != nil {
+		t.Fatal(err)
+	}
+	ingest("after the join")
+	if _, _, err := d.DrainShard("shard-01"); err != nil {
+		t.Fatal(err)
+	}
+	ingest("after the drain")
+	if _, err := d.RemoveShard("shard-02"); err != nil {
+		t.Fatal(err)
+	}
+	ingest("after the removal")
+}
+
+// TestSteadyBatchWalksNothing: a thread is walked once per ring, not
+// once per batch. The first batch over 64 threads runs one ring walk per
+// thread, the next batch over the same threads none (before the memo
+// it ran 64 again), and a count() pushed down to the shards, whose
+// ownership asks the same ring per row, none either.
+func TestSteadyBatchWalksNothing(t *testing.T) {
+	d, _ := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
+	tids := tidRange(1000, 64)
+	r := d.ring
+	for i, want := range []uint64{64, 0, 0} {
+		before := r.Walks()
+		if res := d.Ingest("", events(256, uint64(1+256*i), tids...)); res.Acked != 256 {
+			t.Fatalf("batch %d: %+v", i, res)
+		}
+		if got := r.Walks() - before; got != want {
+			t.Fatalf("batch %d over threads seen %d times ran %d ring walks, want %d", i, i, got, want)
+		}
+	}
+	before := r.Walks()
+	got, _, err := d.Aggregate(store.Query{}, []btql.AggSpec{{Kind: btql.AggCount}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Events != 3*256 || d.obs.aggPushdown.Load() != 1 {
+		t.Fatalf("count %d, %d pushdowns: want 768 counted on the shards", got[0].Events, d.obs.aggPushdown.Load())
+	}
+	if w := r.Walks() - before; w != 0 {
+		t.Fatalf("the pushed-down count ran %d ring walks, want 0", w)
+	}
+}
+
+// tidRange returns the n thread ids from first on.
+func tidRange(first uint32, n int) []uint32 {
+	tids := make([]uint32, n)
+	for i := range tids {
+		tids[i] = first + uint32(i)
+	}
+	return tids
 }

@@ -44,6 +44,15 @@
 //     (TestSharedFramesByteIdentical), and over warmed shards Ingest
 //     allocates nothing (TestIngestAllocatesNothing; BenchmarkServeIngest
 //     under benchdiff's -zero-allocs).
+//   - Each event is routed by the ring its Ingest holds, through that
+//     ring's owner memo (internal/ring), asked for the RF owners and
+//     HedgeLimit hedges: every row lands on exactly the owners the ring
+//     walks, across joins, drains and removals
+//     (TestIngestRoutesByTheRingOfTheCall), and a batch over threads the
+//     ring has seen runs no ring walk, nor does a pushed-down aggregate's
+//     ownership, which asks the same memo (TestSteadyBatchWalksNothing).
+//     The memo's memory is the ring's fixed table, whatever the TIDs a
+//     client sends (TestRingMemoBounded).
 //
 // Query and MergeCursor:
 //   - The merged view equals the shards' own one-worker reads,

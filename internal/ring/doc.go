@@ -31,4 +31,25 @@
 //     written under the string form stay valid, and allocates nothing
 //     (TestRingOwnersMatchLookupN, TestRingPlacementGolden,
 //     TestRingOwnersDoesNotAllocate).
+//
+// # The owner memo
+//
+// A ring remembers Owners' answers, so a thread is walked once per ring
+// rather than once per lookup:
+//   - It caches the walk itself, the longest prefix a caller has asked
+//     for: a repeat at the same or a narrower width walks nothing, a
+//     wider one walks once more and is remembered at that width, and
+//     every answer is the walk's (TestRingOwnersMemo). Walks counts the
+//     walks a ring ran.
+//   - It is a fixed table of 4096 one-word entries, filled on first use
+//     and overwritten on collision. A million distinct keys allocate
+//     nothing, and a displaced key is walked again (TestRingMemoBounded).
+//     An entry is read and written whole, so lookups racing each other's
+//     fills each get their own key's walk (TestRingOwnersMemoConcurrent).
+//     A key past 32 bits, a walk wider than 4 shards or a ring of more
+//     than 64 shards always walks.
+//   - It dies with its ring: Add and Remove build rings that start
+//     empty, so a topology change needs no invalidation
+//     (TestRingOwnersMemo; TestIngestRoutesByTheRingOfTheCall in
+//     internal/distributor).
 package ring

@@ -2,8 +2,10 @@ package ring
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
+	"sync/atomic"
 )
 
 // DefaultVNodes is the number of virtual nodes per shard. At 1024
@@ -38,7 +40,52 @@ type Ring struct {
 	cfg    Config
 	shards []string // sorted, unique
 	points []point  // sorted by hash
+
+	// memo remembers Owners' answers, one packed walk per slot (see
+	// memoEntry); it belongs to this ring alone, so a topology change,
+	// which builds a new ring, starts from an empty one.
+	memo  [memoSlots]atomic.Uint64
+	walks atomic.Uint64 // ring walks run, for Walks
 }
+
+// The owner memo is a fixed, direct-mapped table: a key another key
+// displaced is walked again, so the table's footprint does not depend
+// on how many distinct keys callers ask for. An entry packs a 32-bit
+// key, the walk's length and up to memoWidth shard indexes of memoIdxBits
+// bits into one word, read and written whole, so a lookup racing a fill
+// sees one of the two answers and never a mix. A lookup the table
+// cannot pack — a key past 32 bits, a walk wider than memoWidth, a ring
+// of more than 1<<memoIdxBits shards — walks every time.
+const (
+	memoBits    = 12
+	memoSlots   = 1 << memoBits
+	memoWidth   = 4
+	memoIdxBits = 6
+	memoLenBits = 3
+)
+
+// memoEntry packs a key and its walk: the key in the low 32 bits, the
+// walk's length above it, then its shard indexes, first owner lowest.
+// Length 0 is the empty slot.
+func memoEntry(key uint64, walk []int) uint64 {
+	w := key | uint64(len(walk))<<32
+	for j, si := range walk {
+		w |= uint64(si) << (32 + memoLenBits + j*memoIdxBits)
+	}
+	return w
+}
+
+// memoLen and memoShard unpack an entry's walk length and its j-th
+// shard index.
+func memoLen(w uint64) int { return int(w >> 32 & (1<<memoLenBits - 1)) }
+
+func memoShard(w uint64, j int) int {
+	return int(w >> (32 + memoLenBits + j*memoIdxBits) & (1<<memoIdxBits - 1))
+}
+
+// memoSlot spreads a key over the table by Fibonacci hashing: any run of
+// 2,584 consecutive thread ids, the common case, lands in distinct slots.
+func memoSlot(key uint64) uint32 { return uint32(key) * 0x9E3779B9 >> (32 - memoBits) }
 
 // New builds a ring over the given shard names. Names must be non-empty
 // and unique; order does not matter (the ring sorts them, so two rings
@@ -142,10 +189,32 @@ func (r *Ring) LookupN(key string, n int) []string {
 
 // Owners is LookupN for an integer key, without allocating: it appends
 // to dst the indexes into Shards() of up to n distinct shards, in the
-// order LookupN(strconv.FormatUint(key, 10), n) names them.
+// order LookupN(strconv.FormatUint(key, 10), n) names them. The answer
+// comes out of the ring's memo when the key's slot holds a walk at
+// least n long, and is walked and remembered otherwise.
 func (r *Ring) Owners(dst []int, key uint64, n int) []int {
-	return r.walk(dst, hashUint(key), n)
+	n = min(n, len(r.shards))
+	if key > math.MaxUint32 || n > memoWidth || len(r.shards) > 1<<memoIdxBits {
+		return r.walk(dst, hashUint(key), n)
+	}
+	slot := &r.memo[memoSlot(key)]
+	if w := slot.Load(); uint32(w) == uint32(key) && memoLen(w) >= n {
+		for j := range n {
+			dst = append(dst, memoShard(w, j))
+		}
+		return dst
+	}
+	start := len(dst)
+	dst = r.walk(dst, hashUint(key), n)
+	if len(dst) > start {
+		slot.Store(memoEntry(key, dst[start:]))
+	}
+	return dst
 }
+
+// Walks returns how many ring walks this ring has run: every LookupN,
+// and every Owners its memo did not answer.
+func (r *Ring) Walks() uint64 { return r.walks.Load() }
 
 // walk appends to dst the indexes of the first n distinct shards
 // clockwise from hash h (n clamped to the shard count).
@@ -156,6 +225,7 @@ func (r *Ring) walk(dst []int, h uint64, n int) []int {
 	if n <= 0 {
 		return dst
 	}
+	r.walks.Add(1)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	var seen uint64 // shard-count is small; a bitmap beats a map here
 	var seenOver []bool

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -316,4 +319,138 @@ func TestRingOwnersDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Owners allocates %v times per lookup, want 0", n)
 	}
+}
+
+// TestRingOwnersMemo pins what the owner memo saves and what it must
+// not change: a key's first lookup walks, a repeat at the same or a
+// narrower width does not, a wider one walks once more and is then
+// remembered at that width; keys past 32 bits, walks wider than an
+// entry packs and rings of more than 64 shards walk every time; and a
+// derived ring starts with nothing remembered. Every answer is LookupN's.
+func TestRingOwnersMemo(t *testing.T) {
+	r := mustRing(t, names(4), Config{Replicas: 2})
+	var buf []int
+	check := func(r *Ring, key uint64, n int, walks uint64) {
+		t.Helper()
+		want := r.LookupN(strconv.FormatUint(key, 10), n)
+		before := r.Walks()
+		buf = r.Owners(buf[:0], key, n)
+		if got := r.Walks() - before; got != walks {
+			t.Fatalf("Owners(%d, %d) ran %d walks, want %d", key, n, got, walks)
+		}
+		shards := r.Shards()
+		if len(buf) != len(want) {
+			t.Fatalf("Owners(%d, %d) = %v, LookupN %v", key, n, buf, want)
+		}
+		for i, si := range buf {
+			if shards[si] != want[i] {
+				t.Fatalf("Owners(%d, %d)[%d] = %s, LookupN %v", key, n, i, shards[si], want)
+			}
+		}
+	}
+	check(r, 7, 2, 1) // first sight
+	check(r, 7, 2, 0)
+	check(r, 7, 1, 0) // a prefix of what is remembered
+	check(r, 7, 3, 1) // wider: walked again, remembered at 3
+	check(r, 7, 3, 0)
+	check(r, 7, 2, 0)
+	check(r, 7, 9, 1) // clamped to 4 shards, wider than 3
+	check(r, 7, 4, 0)
+	check(r, 0, 3, 1) // key 0 is not the empty slot
+	check(r, 0, 3, 0)
+	check(r, math.MaxUint32, 3, 1)
+	check(r, math.MaxUint32, 3, 0)
+	check(r, math.MaxUint32+1, 3, 1) // past 32 bits: never remembered
+	check(r, math.MaxUint32+1, 3, 1)
+
+	added, err := r.Add("shard-99")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(added, 7, 3, 1) // nothing carried over from r
+	check(added, 7, 3, 0)
+	check(added, 7, 5, 1) // five shards: wider than an entry packs
+	check(added, 7, 5, 1)
+
+	big := mustRing(t, names(65), Config{Replicas: 2})
+	check(big, 7, 2, 1) // shard indexes past 6 bits
+	check(big, 7, 2, 1)
+}
+
+// TestRingMemoBounded: the memo is a fixed table. A stream of a million
+// distinct thread ids — what a hostile client can send — allocates
+// nothing and walks each key once a pass (the table holds a few
+// thousand of them), and afterwards every slot holds a walk that is
+// LookupN's answer for its key.
+func TestRingMemoBounded(t *testing.T) {
+	r := mustRing(t, names(4), Config{Replicas: 2})
+	const distinct = 1 << 20
+	var buf [3]int
+	if n := testing.AllocsPerRun(1, func() {
+		for tid := uint64(0); tid < distinct; tid++ {
+			r.Owners(buf[:0], tid*7919, 3)
+		}
+	}); n != 0 {
+		t.Fatalf("a stream of %d distinct keys allocated %v times", distinct, n)
+	}
+	// AllocsPerRun runs the function once more as a warm-up.
+	if w := r.Walks(); w != 2*distinct {
+		t.Fatalf("%d walks over two passes of %d distinct keys, want one per key per pass", w, distinct)
+	}
+	shards := r.Shards()
+	filled := 0
+	for i := range r.memo {
+		w := r.memo[i].Load()
+		n := memoLen(w)
+		if n == 0 {
+			continue
+		}
+		filled++
+		key := uint64(uint32(w))
+		if memoSlot(key) != uint32(i) {
+			t.Fatalf("slot %d holds key %d, which maps to slot %d", i, key, memoSlot(key))
+		}
+		want := r.LookupN(strconv.FormatUint(key, 10), n)
+		for j := range n {
+			if si := memoShard(w, j); shards[si] != want[j] {
+				t.Fatalf("slot %d: key %d's walk[%d] = %s, LookupN %v", i, key, j, shards[si], want)
+			}
+		}
+	}
+	if filled != memoSlots {
+		t.Fatalf("%d of %d slots filled after %d distinct keys", filled, memoSlots, distinct)
+	}
+}
+
+// TestRingOwnersMemoConcurrent: lookups racing on one ring — as
+// concurrent Ingests do — over more keys than the table has slots, at
+// mixed widths, so that fills overwrite each other's entries, each get
+// LookupN's answer. Run under -race (make cluster-chaos).
+func TestRingOwnersMemoConcurrent(t *testing.T) {
+	r := mustRing(t, names(4), Config{Replicas: 2})
+	const keys = 3 * memoSlots
+	want := make([][]int, keys)
+	for k := range want {
+		for _, name := range r.LookupN(strconv.Itoa(k), 4) {
+			want[k] = append(want[k], sort.SearchStrings(r.Shards(), name))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var buf []int
+			for i := 0; i < 50_000; i++ {
+				k, n := rng.Intn(keys), 1+rng.Intn(4)
+				buf = r.Owners(buf[:0], uint64(k), n)
+				if !slices.Equal(buf, want[k][:n]) {
+					t.Errorf("Owners(%d, %d) = %v, want %v", k, n, buf, want[k][:n])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"cmp"
+	"compress/flate"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -16,6 +18,7 @@ import (
 	"btrace/internal/export"
 	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
+	"btrace/internal/workload"
 )
 
 // benchEntries builds n stamp-ordered events with small payloads, the
@@ -881,5 +884,115 @@ func BenchmarkStoreReopen(b *testing.B) {
 			b.Fatalf("reopened store has %d events", re.Events())
 		}
 		re.Close()
+	}
+}
+
+// freezeStream is the tail-mixed end-to-end workload's event stream,
+// built the way its generator builds it: one client's 64 threads, the
+// calibrated Fig. 2 category mix and payload sizes, payloads half
+// random letters and half the category's name, 320 µs of virtual time
+// between events. It returns the first n events.
+func freezeStream(b *testing.B, n int) []tracer.Entry {
+	w := workload.Workload{
+		Name: "bench", LittleK: 10, MiddleK: 10, BigK: 10,
+		ThreadsTotal: 64, ThreadsPerSec: 64, Seed: 7 * 1009,
+	}
+	g, err := w.Gen(workload.GenOptions{WindowNs: 1 << 62})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7 * 7919))
+	es := make([]tracer.Entry, n)
+	for i := range es {
+		ev, ok := g.Next()
+		if !ok {
+			b.Fatal("workload generator ran dry")
+		}
+		tid := 1000 + (ev.TID&0xFFFF-1)%64
+		payload := make([]byte, ev.PayloadLen)
+		name := workload.Categories[ev.Cat].Name
+		for j := range payload {
+			if j < len(payload)/2 {
+				payload[j] = byte('a' + rng.Intn(16))
+			} else {
+				payload[j] = name[j%len(name)]
+			}
+		}
+		stamp := uint64(i + 1)
+		es[i] = tracer.Entry{
+			Stamp: stamp, TS: stamp * 320_000, Core: uint8(tid % 8), TID: tid,
+			Category: uint8(ev.Cat), Level: ev.Level, Payload: payload,
+		}
+	}
+	return es
+}
+
+// BenchmarkFreezeDeflate measures what the freezer's DEFLATE costs per
+// event and what it leaves on disk, per section of one full cold block
+// (defaultColdBlockBytes of frames) of the tail-mixed stream: the
+// payload section, 128-row chunks each its own stream, and the meta
+// section (columns plus chunk directory), at the shipped level
+// (flate.BestSpeed, the pooled compressor) and, for comparison, at
+// flate.HuffmanOnly. ns/event and B/event are per row of the block.
+func BenchmarkFreezeDeflate(b *testing.B) {
+	es := freezeStream(b, 8192)
+	w := &coldWriterV2{blockBytes: defaultColdBlockBytes}
+	rows := 0
+	for rows < len(es) && w.frameRaw+int64(FrameSize(&es[rows])) < defaultColdBlockBytes {
+		if err := w.add(&es[rows]); err != nil {
+			b.Fatal(err)
+		}
+		rows++
+	}
+	if rows == len(es) {
+		b.Fatal("stream shorter than a block")
+	}
+	if _, err := w.compress(); err != nil { // fills the chunk directory the meta section holds
+		b.Fatal(err)
+	}
+	sections := map[string]func(fw *flate.Writer, dst *bytes.Buffer) error{
+		"payload": func(fw *flate.Writer, dst *bytes.Buffer) error {
+			plens, pay := w.cols.plens, w.pay
+			for len(plens) > 0 {
+				n, raw := min(payChunkRows, len(plens)), 0
+				for _, pl := range plens[:n] {
+					raw += int(pl)
+				}
+				if raw > 0 {
+					if err := deflate(fw, dst, pay[:raw]); err != nil {
+						return err
+					}
+				}
+				plens, pay = plens[n:], pay[raw:]
+			}
+			return nil
+		},
+		"meta": func(fw *flate.Writer, dst *bytes.Buffer) error { return deflate(fw, dst, w.scratch) },
+	}
+	huffman, err := flate.NewWriter(nil, flate.HuffmanOnly)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, section := range []string{"payload", "meta"} {
+		for _, level := range []string{"", "-huffman"} {
+			b.Run(section+level, func(b *testing.B) {
+				fw := huffman
+				if level == "" {
+					fw = flateWriters.Get().(*flate.Writer)
+					defer func() { fw.Reset(nil); flateWriters.Put(fw) }()
+				}
+				var dst bytes.Buffer
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst.Reset()
+					if err := sections[section](fw, &dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/event")
+				b.ReportMetric(float64(dst.Len())/float64(rows), "B/event")
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"testing"
@@ -84,5 +85,60 @@ func TestEventRecordDecoders(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEncodeOverwritesStaleBuffer: Encode grows its buffer without
+// clearing it, so every byte of a frame must be written by the encode
+// itself. Over a pooled Batch whose spare capacity is poisoned with
+// 0xFF, every frame equals a record encoded into zeroed memory plus its
+// tail: padding zero, CRC valid, payload lengths 0 through 2*Align+1 so
+// every padding width occurs, and an unframeable row leaves no bytes.
+func TestEncodeOverwritesStaleBuffer(t *testing.T) {
+	var es []tracer.Entry
+	for plen := 0; plen <= 2*tracer.Align+1; plen++ {
+		payload := make([]byte, plen)
+		for i := range payload {
+			payload[i] = byte('a' + i%26)
+		}
+		s := uint64(len(es) + 1)
+		es = append(es, tracer.Entry{Stamp: s, TS: s * 1000, Core: 2, TID: 40 + uint32(plen), Category: 3, Level: 1, Payload: payload})
+	}
+	// An oversized payload, mid-batch: Encode leaves it out.
+	es = append(es[:5], append([]tracer.Entry{{Stamp: 99, Payload: make([]byte, tracer.MaxPayload+1)}}, es[5:]...)...)
+
+	b := batchPool.Get().(*Batch)
+	defer batchPool.Put(b)
+	for pass := 0; pass < 2; pass++ { // the second pass reuses the first's buffer
+		spare := b.buf[:cap(b.buf)]
+		for i := range spare {
+			spare[i] = 0xFF
+		}
+		if err := b.Encode(es); err == nil {
+			t.Fatal("Encode framed an oversized payload")
+		}
+		var want []byte
+		for i := range es {
+			if i == 5 {
+				if b.Framed(i) {
+					t.Fatal("oversized row framed")
+				}
+				continue
+			}
+			rec := make([]byte, es[i].WireSize())
+			if _, err := tracer.EncodeEvent(rec, &es[i]); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, rec...)
+			want = binary.LittleEndian.AppendUint64(want, uint64(frameMagic)<<32|uint64(crc32.Checksum(rec, castagnoli)))
+			m := b.metas[i]
+			frame := b.buf[m.off : m.off+int(m.size)]
+			if err := checkFrame(frame[:len(frame)-tailSize], frame[len(frame)-tailSize:]); err != nil {
+				t.Fatalf("pass %d row %d: %v", pass, i, err)
+			}
+		}
+		if string(b.buf) != string(want) {
+			t.Fatalf("pass %d: the batch's frames differ from records encoded into zeroed memory", pass)
+		}
 	}
 }

@@ -20,6 +20,7 @@ package store
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"btrace/internal/tracer"
 )
@@ -276,11 +277,13 @@ func decodeHeaderMagic(src []byte, magic uint64) (m segmentMeta, coversThrough u
 }
 
 // encodeFrame appends the framed encoding of e to dst: the wire record
-// followed by the CRC tail.
+// followed by the CRC tail. dst grows without being cleared: EncodeEvent
+// writes every byte of the record, its padding included, and the tail
+// is written last, so whatever the buffer held before is overwritten.
 func encodeFrame(dst []byte, e *tracer.Entry) ([]byte, error) {
 	size := e.WireSize()
 	off := len(dst)
-	dst = append(dst, make([]byte, size+tailSize)...)
+	dst = slices.Grow(dst, size+tailSize)[:off+size+tailSize]
 	if _, err := tracer.EncodeEvent(dst[off:off+size], e); err != nil {
 		return dst[:off], err
 	}
