@@ -38,12 +38,14 @@ race:
 # The store's parallel-cursor stress test under the race detector:
 # concurrent appenders, parallel cursors (full passes reopened back to
 # back, and partial drains ending in Close) and retention all racing
-# mid-scan; appenders racing Close, each batch all or nothing; and
-# commits racing rotations: Sync and Seal cover every segment rotated
-# before them, and a free-running appender cannot hold a Sync off.
+# mid-scan; appenders racing Close, each batch all or nothing; commits
+# racing rotations: Sync and Seal cover every segment rotated before
+# them, and a free-running appender cannot hold a Sync off; and the one
+# durability rule: a sealed segment is fsynced as its seal finalizes,
+# with no commit, and Close leaves every file fsynced.
 # -short keeps a double run CI-sized.
 race-stress:
-	$(GO) test -race -short -count 2 -run 'TestStoreParallelStress|TestAppendRacingClose|TestSyncCoversConcurrentRotations|TestCommitNotHeldOffByAppends' ./internal/store
+	$(GO) test -race -short -count 2 -run 'TestStoreParallelStress|TestAppendRacingClose|TestSyncCoversConcurrentRotations|TestCommitNotHeldOffByAppends|TestSealDurableWithoutCommit|TestCloseLeavesEverythingDurable' ./internal/store
 
 tier1: build fmt vet test race
 
@@ -119,10 +121,9 @@ vulture-soak:
 # turns (rows name#01..#05, which benchdiff folds), so that their ratio
 # rule can drop the first pass, which pays for running first, and take
 # the median of the other five, each pass timed on the same machine;
-# the distributor's ingest benchmark does the same. The distributor's
-# aggregate benchmark, whose count-4xrf2 <=3*direct-1shard rule one
-# pass can cross (it once read 3.01x), runs six times in one process
-# (-count 6) for the same median, its passes back to back. The CSV
+# every other benchmark a ratio rule compares two variants of does the
+# same (the distributor's ingest and aggregate benchmarks, the store's
+# append and hot-tail CSV ones), so no line here takes -count. The CSV
 # export benchmark's op is one row, ~45ns on a 2-CPU box, and runs at
 # OBS_RECORD_BENCHTIME too.
 BENCHTIME ?= 2000x
@@ -130,9 +131,7 @@ OBS_RECORD_BENCHTIME ?= 200000x
 # The store benchmarks whose op is milliseconds or more (a payload-heavy
 # cold drain, ordering 65 536 entries, deflating a cold block's
 # sections) run at a count of their own, and
-# so does the hot-tail CSV export, six times in one process for its
-# ratio rule's median. The append benchmark's two store sizes run six
-# times too, for the same reason.
+# so does the hot-tail CSV export.
 STORE_SLOW_BENCHTIME ?= 300x
 bench:
 	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkReadPath' -benchmem -benchtime $(BENCHTIME); \
@@ -144,11 +143,11 @@ bench:
 	@echo "wrote BENCH_readpath.json"
 	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(AppendConcurrent|Query|Reopen)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate|AggregateRepeat)|BenchmarkHotTailExport|BenchmarkWindowExport' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkColdSelect|BenchmarkRunMerge|BenchmarkFreezeDeflate' -benchmem -benchtime $(STORE_SLOW_BENCHTIME); \
-	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkHotTailCSV' -benchmem -benchtime $(STORE_SLOW_BENCHTIME) -count 6; \
-	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStoreAppend$$' -benchmem -benchtime $(BENCHTIME) -count 6; \
+	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkHotTailCSV' -benchmem -benchtime $(STORE_SLOW_BENCHTIME); \
+	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStoreAppend$$' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorIngest' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorQuery' -benchmem -benchtime $(BENCHTIME); \
-	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorAggregate' -benchmem -benchtime $(BENCHTIME) -count 6; \
+	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorAggregate' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./cmd/btrace-serve -run '^$$' -bench 'BenchmarkServeIngest' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_store.json
 	@echo "wrote BENCH_store.json"

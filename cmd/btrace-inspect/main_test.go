@@ -62,7 +62,7 @@ func TestInspectStoreDir(t *testing.T) {
 	}
 	for i := uint64(1); i <= 8; i++ {
 		e := tracer.Entry{Stamp: i, TS: i * 1e6, Core: uint8(i % 2), Category: 11}
-		if err := st.Append(&e); err != nil {
+		if err := st.AppendEntries([]tracer.Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestInspectTiers(t *testing.T) {
 	}
 	for i := uint64(1); i <= 8; i++ {
 		e := tracer.Entry{Stamp: i, TS: i * 1e6, Category: 11}
-		if err := st.Append(&e); err != nil {
+		if err := st.AppendEntries([]tracer.Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestInspectTiersClusterRoot(t *testing.T) {
 		}
 		for s := uint64(1); s <= n; s++ {
 			e := tracer.Entry{Stamp: s, TS: s * 1e6, Category: 11}
-			if err := st.Append(&e); err != nil {
+			if err := st.AppendEntries([]tracer.Entry{e}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -165,7 +165,7 @@ func coldStoreDir(t *testing.T, n uint64) string {
 			Category: uint8(1 + i%3), Level: 1,
 			Payload: []byte(fmt.Sprintf("payload-%d", i)),
 		}
-		if err := st.Append(&e); err != nil {
+		if err := st.AppendEntries([]tracer.Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func coldStoreDir(t *testing.T, n uint64) string {
 	}
 	// A much newer event ages the sealed segment past ColdAfterNs.
 	e := tracer.Entry{Stamp: n + 800, TS: 10e9, Category: 1, Level: 1}
-	if err := st.Append(&e); err != nil {
+	if err := st.AppendEntries([]tracer.Entry{e}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Seal(); err != nil {

@@ -25,7 +25,7 @@ func main() {
 	addr := flag.String("addr", "localhost:8321", "listen address")
 	storeDir := flag.String("store", "", "durable trace store directory (required; with -shards, the cluster root)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "store segment roll size in bytes (0 = default 1MiB)")
-	commitEvery := flag.Duration("commit-every", 0, "store group-commit interval (0 = fsync only on demand)")
+	commitEvery := flag.Duration("commit-every", 0, "store group-commit interval (0 = no timer: sealed segments are fsynced as they seal, the active one by Sync, Seal or Close)")
 	compactInterval := flag.Duration("compact-interval", 0, "background compactor tick interval: one freeze pass of aged sealed segments into the cold tier (0 = no background compaction)")
 	coldAfter := flag.Duration("cold-after", 0, "age at which sealed segments are compressed into the cold tier, in virtual-time terms (0 = never freeze)")
 	sampleRate := flag.Float64("sample-rate", 0.05, "ingest head-sampling keep-rate floor under full overload, in (0, 1]")
@@ -36,7 +36,16 @@ func main() {
 	tenantOverrides := flag.String("tenant-overrides", "", "per-tenant ingest quotas in either mode, e.g. alpha=1000,beta=500:2000 (events/sec of virtual time[:burst])")
 	flag.Parse()
 
-	if err := checkFlags(*storeDir, *sampleRate, *rateLimit, *shards); err != nil {
+	if err := checkFlags(serveFlags{
+		storeDir:        *storeDir,
+		sampleRate:      *sampleRate,
+		rateLimit:       *rateLimit,
+		shards:          *shards,
+		segmentBytes:    *segmentBytes,
+		commitEvery:     *commitEvery,
+		compactInterval: *compactInterval,
+		coldAfter:       *coldAfter,
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "btrace-serve:", err)
 		os.Exit(2)
 	}
@@ -138,21 +147,40 @@ func main() {
 	}
 }
 
+// serveFlags are the flag values checkFlags vets.
+type serveFlags struct {
+	storeDir                                string
+	sampleRate, rateLimit                   float64
+	shards                                  int
+	segmentBytes                            int64
+	commitEvery, compactInterval, coldAfter time.Duration
+}
+
 // checkFlags refuses a server with no store and the numeric flag values
 // that mean nothing, instead of reading them as some other setting.
 // Negative rates and shard counts are refused rather than run as
-// unlimited and as a single store. Every comparison is written so that
-// NaN fails it.
-func checkFlags(storeDir string, sampleRate, rateLimit float64, shards int) error {
+// unlimited and as a single store; negative durations and sizes rather
+// than run as "off" or the default, and a negative -cold-after rather
+// than wrapped into a huge age that freezes everything. Every comparison
+// is written so that NaN fails it.
+func checkFlags(f serveFlags) error {
 	switch {
-	case storeDir == "":
+	case f.storeDir == "":
 		return errors.New("-store is required (the store directory, or with -shards the cluster root)")
-	case !(sampleRate > 0 && sampleRate <= 1):
-		return fmt.Errorf("-sample-rate must be in (0, 1], got %v", sampleRate)
-	case !(rateLimit >= 0):
-		return fmt.Errorf("-rate-limit must be >= 0, got %v", rateLimit)
-	case shards < 0:
-		return fmt.Errorf("-shards must be >= 0, got %d", shards)
+	case !(f.sampleRate > 0 && f.sampleRate <= 1):
+		return fmt.Errorf("-sample-rate must be in (0, 1], got %v", f.sampleRate)
+	case !(f.rateLimit >= 0):
+		return fmt.Errorf("-rate-limit must be >= 0, got %v", f.rateLimit)
+	case f.shards < 0:
+		return fmt.Errorf("-shards must be >= 0, got %d", f.shards)
+	case f.segmentBytes < 0:
+		return fmt.Errorf("-segment-bytes must be >= 0, got %d", f.segmentBytes)
+	case f.commitEvery < 0:
+		return fmt.Errorf("-commit-every must be >= 0, got %v", f.commitEvery)
+	case f.compactInterval < 0:
+		return fmt.Errorf("-compact-interval must be >= 0, got %v", f.compactInterval)
+	case f.coldAfter < 0:
+		return fmt.Errorf("-cold-after must be >= 0, got %v", f.coldAfter)
 	}
 	return nil
 }

@@ -39,7 +39,7 @@ func storeServer(t *testing.T, n int) (*httptest.Server, *store.Store) {
 			Category: uint8(i % 3),
 			Level:    1,
 		}
-		if err := st.Append(&e); err != nil {
+		if err := st.AppendEntries([]tracer.Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -50,15 +50,16 @@ func benchBytes() int64 {
 	return n
 }
 
-// ingestPasses is how many times BenchmarkDistributorIngest runs its
-// pair. benchdiff's ratio rule drops the first pass and holds the median
-// of the rest.
-const ingestPasses = 6
+// benchPasses is how many times BenchmarkDistributorIngest and
+// BenchmarkDistributorAggregate run the pair a ratio rule compares.
+// benchdiff's ratio rule drops the first pass and holds the median of
+// the rest.
+const benchPasses = 6
 
 // BenchmarkDistributorIngest measures ingest throughput through the
 // RF=2 fan-out over 4 shards against direct single-shard ingest: the
 // price of quorum replication per acked event. The two variants take
-// turns, ingestPasses times in one process, so each pass of the pair
+// turns, benchPasses times in one process, so each pass of the pair
 // meets the same machine; a repeated name comes back suffixed #01, #02,
 // ..., which benchdiff folds into one row per pass. Each pass opens
 // fresh stores and ingests one batch before the timer starts: the first
@@ -66,7 +67,7 @@ const ingestPasses = 6
 // rows, a one-time cost four times larger on the cluster that would
 // otherwise weigh on the ratio by how few ops a pass times.
 func BenchmarkDistributorIngest(b *testing.B) {
-	for range ingestPasses {
+	for range benchPasses {
 		b.Run("rf2-4shards", benchIngestCluster)
 		b.Run("direct-1shard", benchIngestDirect)
 	}
@@ -299,7 +300,11 @@ func BenchmarkDistributorQuery(b *testing.B) {
 // cache to keep any in. live-B is the heap one more call grows by with
 // the chunk pools emptied and the collector off: everything the call
 // allocated, so an upper bound on what it held at any moment — the call
-// cannot be stopped halfway the way a drain can.
+// cannot be stopped halfway the way a drain can. count-4xrf2 and
+// direct-1shard, the pair a ratio rule compares, take turns benchPasses
+// times in one process, as in BenchmarkDistributorIngest; each pass
+// starts on fresh stores, so one untimed call warms it up. The other
+// variants run once, after them.
 func BenchmarkDistributorAggregate(b *testing.B) {
 	inOrder, interleaved := benchStarts()
 	count := []btql.AggSpec{{Kind: btql.AggCount}}
@@ -314,6 +319,7 @@ func BenchmarkDistributorAggregate(b *testing.B) {
 				b.Fatalf("aggregate over %d events: %+v, missed %d, %v", benchScanEvents, res, missed, err)
 			}
 		}
+		aggregate() // warm-up, untimed
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -338,11 +344,7 @@ func BenchmarkDistributorAggregate(b *testing.B) {
 			}
 		}
 	}
-	b.Run("count-4xrf2", cluster(count, inOrder))
-	b.Run("count-4xrf2-interleaved", cluster(count, interleaved))
-	b.Run("topk-tid-4xrf2", cluster(topk, inOrder))
-	b.Run("topk-tid-4xrf2-interleaved", cluster(topk, interleaved))
-	b.Run("direct-1shard", func(b *testing.B) {
+	direct := func(b *testing.B) {
 		st, err := store.OpenBackend(backend.NewObject(), store.Config{ColdCacheBytes: -1})
 		if err != nil {
 			b.Fatal(err)
@@ -354,5 +356,12 @@ func BenchmarkDistributorAggregate(b *testing.B) {
 			}
 		}
 		run(b, st, count)
-	})
+	}
+	for range benchPasses {
+		b.Run("count-4xrf2", cluster(count, inOrder))
+		b.Run("direct-1shard", direct)
+	}
+	b.Run("count-4xrf2-interleaved", cluster(count, interleaved))
+	b.Run("topk-tid-4xrf2", cluster(topk, inOrder))
+	b.Run("topk-tid-4xrf2-interleaved", cluster(topk, interleaved))
 }

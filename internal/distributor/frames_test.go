@@ -28,9 +28,7 @@ func TestSharedFramesByteIdentical(t *testing.T) {
 	locals := make([]*LocalShard, nShards)
 	for i := range shards {
 		bes[i], refBes[i] = backend.NewObject(), backend.NewObject()
-		c := cfg
-		c.Backend = bes[i]
-		st, err := store.Open("", c)
+		st, err := store.OpenBackend(bes[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,8 +36,7 @@ func TestSharedFramesByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		shards[i] = locals[i]
-		c.Backend = refBes[i]
-		if refs[i], err = store.Open("", c); err != nil {
+		if refs[i], err = store.OpenBackend(refBes[i], cfg); err != nil {
 			t.Fatal(err)
 		}
 		defer refs[i].Close()

@@ -217,7 +217,7 @@ func TestAggregateFoldsActiveHeaderSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := &readCounter{Backend: lb, opens: map[string]int{}, bytes: map[string]int{}}
-	st, err := Open("", Config{Backend: rc})
+	st, err := OpenBackend(rc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,17 +45,27 @@ func benchEntries(n int) []tracer.Entry {
 // 4096 segments per append would be most of the op. The object backend
 // keeps the files in memory, bounded by MaxBytes retention at 64 MiB —
 // which, once reached, deletes the oldest segments first — so run it at
-// a fixed -benchtime well short of that (2000 ops is 8 MiB).
+// a fixed -benchtime well short of that (2000 ops is 8 MiB). The two
+// store sizes take turns, benchPasses times in one process.
 func BenchmarkStoreAppend(b *testing.B) {
-	for _, segs := range []int{1, 4096} {
-		b.Run("segs="+strconv.Itoa(segs), func(b *testing.B) { benchAppend(b, segs) })
+	for range benchPasses {
+		for _, segs := range []int{1, 4096} {
+			b.Run("segs="+strconv.Itoa(segs), func(b *testing.B) { benchAppend(b, segs) })
+		}
 	}
 }
+
+// benchPasses is how many times a benchmark whose variants a -max-ratio
+// rule compares runs the pair, the two taking turns, so that each pass
+// of the pair meets the same machine. A repeated name comes back
+// suffixed #01, #02, ..., which benchdiff folds into one row per pass;
+// its ratio rule drops the first pass and holds the median of the rest.
+const benchPasses = 6
 
 func benchAppend(b *testing.B, segs int) {
 	const batch = 64
 	es := benchEntries(batch)
-	st, err := Open("", Config{Backend: backend.NewObject(), SegmentBytes: 4 << 20, MaxBytes: 64 << 20})
+	st, err := OpenBackend(backend.NewObject(), Config{SegmentBytes: 4 << 20, MaxBytes: 64 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -522,8 +532,15 @@ func BenchmarkHotTailExport(b *testing.B) {
 // header sets, the active segment's among them, stand for their frames,
 // and their text, rendered once, is written as it is. cpu-ns/row is as
 // in BenchmarkHotTailExport, texts/op the renderings each export was
-// served. cmd/benchdiff gates cached against walk within-run.
+// served. cmd/benchdiff gates cached against walk within-run; the two
+// take turns, benchPasses times.
 func BenchmarkHotTailCSV(b *testing.B) {
+	for range benchPasses {
+		benchHotTailCSV(b)
+	}
+}
+
+func benchHotTailCSV(b *testing.B) {
 	for _, cached := range []bool{false, true} {
 		name, cacheBytes := "walk", int64(-1)
 		if cached {

@@ -22,9 +22,7 @@ import (
 // sufficient for everything the local path does.
 func TestObjectBackendConformance(t *testing.T) {
 	be := backend.NewObject()
-	cfg := tierCfg()
-	cfg.Backend = be
-	st, err := Open("", cfg)
+	st, err := OpenBackend(be, tierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +47,14 @@ func TestObjectBackendConformance(t *testing.T) {
 	}
 	// A second Open must fail while the lock is held, like the local
 	// backend's LOCK file.
-	if _, err := Open("", cfg); err == nil {
+	if _, err := OpenBackend(be, tierCfg()); err == nil {
 		t.Fatal("second Open over a locked object backend succeeded")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Reopen over the same namespace: full recovery across tiers.
-	st2, err := Open("", cfg)
+	st2, err := OpenBackend(be, tierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +173,7 @@ func (f *snapFile) Seal() error {
 // matter where in a tier transition the "crash" landed.
 func TestCompactionChaosTierBoundaries(t *testing.T) {
 	sb := &snapBackend{inner: backend.NewObject()}
-	cfg := tierCfg()
-	cfg.Backend = sb
-	st, err := Open("", cfg)
+	st, err := OpenBackend(sb, tierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +210,7 @@ func TestCompactionChaosTierBoundaries(t *testing.T) {
 
 	seen := make([]int, n+1)
 	for i, clone := range sb.snaps {
-		rcfg := tierCfg()
-		rcfg.Backend = clone
-		st2, err := Open("", rcfg)
+		st2, err := OpenBackend(clone, tierCfg())
 		if err != nil {
 			t.Fatalf("snapshot %d (%s): reopen: %v", i, sb.labels[i], err)
 		}
@@ -334,7 +328,7 @@ func checkSticky(t *testing.T, st *Store, be *failOnceBackend, stamp uint64, wan
 // answers ErrClosed on both.
 func TestAppendFailureIsSticky(t *testing.T) {
 	be := &failOnceBackend{Object: backend.NewObject()}
-	st, err := Open("", Config{Backend: be})
+	st, err := OpenBackend(be, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +350,7 @@ func TestAppendFailureIsSticky(t *testing.T) {
 
 	t.Run("sync", func(t *testing.T) {
 		be := &failOnceBackend{Object: backend.NewObject()}
-		st, err := Open("", Config{Backend: be})
+		st, err := OpenBackend(be, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +370,7 @@ func TestAppendFailureIsSticky(t *testing.T) {
 
 	t.Run("commit-timer", func(t *testing.T) {
 		be := &failOnceBackend{Object: backend.NewObject()}
-		st, err := Open("", Config{Backend: be, CommitEvery: time.Millisecond})
+		st, err := OpenBackend(be, Config{CommitEvery: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,12 +477,12 @@ func (f *syncLogFile) Sync() error {
 // while an appender keeps rotating 4 KiB segments under them: when
 // either returns, every file that held bytes written before the call
 // has been fsynced since those bytes — the active file, and every
-// segment rotated out before or during the commit, parked or not.
+// segment rotated out before or during the commit.
 func TestSyncCoversConcurrentRotations(t *testing.T) {
 	for _, every := range []time.Duration{0, time.Hour} {
 		t.Run(fmt.Sprintf("CommitEvery=%v", every), func(t *testing.T) {
 			be := newSyncLog()
-			st, err := Open("", Config{Backend: be, SegmentBytes: 4 << 10, CommitEvery: every})
+			st, err := OpenBackend(be, Config{SegmentBytes: 4 << 10, CommitEvery: every})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -543,13 +537,84 @@ func TestSyncCoversConcurrentRotations(t *testing.T) {
 	}
 }
 
+// TestSealDurableWithoutCommit: a sealed segment is durable once its
+// seal finalizes, whatever the commit policy. With no CommitEvery timer
+// and no Sync, every segment that rotated out has been fsynced after its
+// last write once the maintenance queue is idle; only the active
+// segment waits for a commit.
+func TestSealDurableWithoutCommit(t *testing.T) {
+	be := newSyncLog()
+	st, err := OpenBackend(be, Config{SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	es := make([]tracer.Entry, 16)
+	for stamp := uint64(1); st.Stats().Seals < 3; {
+		for i := range es {
+			es[i] = mkEntry(stamp)
+			stamp++
+		}
+		if err := st.AppendEntries(es); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.maint.waitIdle()
+	written := be.written()
+	if segs := st.Segments(); !segs[len(segs)-1].Sealed {
+		delete(written, segs[len(segs)-1].File)
+	}
+	if len(written) < 3 {
+		t.Fatalf("%d rotated files, want at least 3", len(written))
+	}
+	if f := be.unsynced(written); f != "" {
+		t.Fatalf("sealed segment %s not fsynced after its seal finalized", f)
+	}
+}
+
+// TestCloseLeavesEverythingDurable: after a clean Close every file the
+// store wrote has been fsynced after its last write — the segments that
+// rotated out and the one Close sealed — with a commit timer or without.
+func TestCloseLeavesEverythingDurable(t *testing.T) {
+	for _, every := range []time.Duration{0, time.Hour} {
+		t.Run(fmt.Sprintf("CommitEvery=%v", every), func(t *testing.T) {
+			be := newSyncLog()
+			st, err := OpenBackend(be, Config{SegmentBytes: 4 << 10, CommitEvery: every})
+			if err != nil {
+				t.Fatal(err)
+			}
+			es := make([]tracer.Entry, 16)
+			stamp := uint64(1)
+			for range 20 { // about three rotations and a partial segment
+				for i := range es {
+					es[i] = mkEntry(stamp)
+					stamp++
+				}
+				if err := st.AppendEntries(es); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			written := be.written()
+			if len(written) < 2 {
+				t.Fatalf("store wrote %d files, want several", len(written))
+			}
+			if f := be.unsynced(written); f != "" {
+				t.Fatalf("Close returned with %s not fsynced", f)
+			}
+		})
+	}
+}
+
 // TestCommitNotHeldOffByAppends: a commit waits only for the rotations
 // that precede it. With the appender running free, 4 KiB segments and
 // each sealed file's fsync taking a while, the seal queue never runs
 // dry, yet every Sync returns.
 func TestCommitNotHeldOffByAppends(t *testing.T) {
 	be := newSyncLog()
-	st, err := Open("", Config{Backend: be, SegmentBytes: 4 << 10, CommitEvery: time.Hour})
+	st, err := OpenBackend(be, Config{SegmentBytes: 4 << 10, CommitEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

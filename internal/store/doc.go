@@ -64,12 +64,16 @@
 //     (BenchmarkStoreAppend, gated at 1.5x and 0 allocs/op by benchdiff).
 //
 // Sync, Seal, Close, WriteErr, Pressure:
+//   - Durability has one rule, whatever CommitEvery says: a sealed
+//     segment is fsynced as its seal finalizes, with no commit asking
+//     (TestSealDurableWithoutCommit); the active segment is durable at
+//     the next commit — Sync, Seal, Close or the CommitEvery timer.
 //   - A commit covers every byte written before it began, segments
 //     rotated while it runs included (TestSyncCoversConcurrentRotations),
 //     and a steady stream of appends cannot hold it off
 //     (TestCommitNotHeldOffByAppends).
-//   - A clean Close leaves everything durable, parked seal fsyncs
-//     included.
+//   - A clean Close leaves everything durable, with a commit timer or
+//     without (TestCloseLeavesEverythingDurable).
 //   - WriteErr and Pressure read atomics and never wait on a write or an
 //     fsync (TestPressureAndWriteErr, TestPressureAppendLatencyPerEvent).
 //

@@ -103,7 +103,7 @@ func FuzzSegmentRecover(f *testing.F) {
 		// path) and read them back.
 		next := uint64(1000)
 		e := mkEntryTB(next)
-		if err := st.Append(&e); err != nil {
+		if err := st.AppendEntries([]tracer.Entry{e}); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}
 		after := st.Query(Query{Pred: where(btql.Between(btql.FStamp, next, 0))})

@@ -117,7 +117,7 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		be := &vanishing{Backend: lb}
-		st, err := Open("", Config{Backend: be, SegmentBytes: 16 << 10, ColdAfterNs: 600_000, ColdCacheBytes: cacheBytes})
+		st, err := OpenBackend(be, Config{SegmentBytes: 16 << 10, ColdAfterNs: 600_000, ColdCacheBytes: cacheBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestHeaderSetAdmission(t *testing.T) {
 			t.Fatal(err)
 		}
 		be := &readCounter{Backend: lb, opens: map[string]int{}, bytes: map[string]int{}}
-		st, err := Open("", Config{Backend: be, SegmentBytes: 16 << 10, ColdCacheBytes: cacheBytes})
+		st, err := OpenBackend(be, Config{SegmentBytes: 16 << 10, ColdCacheBytes: cacheBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func TestFilteredSetsMatchCachelessStore(t *testing.T) {
 		}
 		rc := &readCounter{Backend: lb, opens: map[string]int{}, bytes: map[string]int{}}
 		be := &vanishing{Backend: rc}
-		st, err := Open("", Config{Backend: be, SegmentBytes: 16 << 10, ColdAfterNs: 300_000, ColdBlockBytes: 4 << 10, ColdFileBytes: 32 << 10, ColdCacheBytes: cacheBytes})
+		st, err := OpenBackend(be, Config{SegmentBytes: 16 << 10, ColdAfterNs: 300_000, ColdBlockBytes: 4 << 10, ColdFileBytes: 32 << 10, ColdCacheBytes: cacheBytes})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,7 +110,7 @@ func kernelFixture(t testing.TB) (*Store, []tracer.Entry) {
 	}
 	// One event far in the future ages everything sealed before it.
 	last := tracer.Entry{Stamp: stamp + 1, TS: 1 << 40, Category: 2}
-	if err := st.Append(&last); err != nil {
+	if err := st.AppendEntries([]tracer.Entry{last}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Seal(); err != nil {

@@ -147,9 +147,7 @@ func (m *storeModel) failf(format string, args ...any) {
 
 func (m *storeModel) open(be *backend.Object) {
 	m.be = &snapBackend{inner: be}
-	cfg := m.cfg
-	cfg.Backend = m.be
-	st, err := Open("", cfg)
+	st, err := OpenBackend(m.be, m.cfg)
 	if err != nil {
 		m.failf("Open: %v", err)
 	}
@@ -351,8 +349,8 @@ func (m *storeModel) readCSV(q Query, what string, workers, batch int, want []in
 func (m *storeModel) cacheless(q Query, what string, workers, batch int, got []tracer.Entry, missed uint64) {
 	m.t.Helper()
 	cfg := m.cfg
-	cfg.Backend, cfg.ColdCacheBytes = m.be.inner.Clone(), -1
-	bare, err := Open("", cfg)
+	cfg.ColdCacheBytes = -1
+	bare, err := OpenBackend(m.be.inner.Clone(), cfg)
 	if err != nil {
 		m.failf("%s: opening a cache-less copy: %v", what, err)
 	}

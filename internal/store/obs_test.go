@@ -149,10 +149,9 @@ func TestStoreSeriesReadStats(t *testing.T) {
 func TestStoreGaugesMatchRecount(t *testing.T) {
 	be := backend.NewObject()
 	cfg := tierCfg()
-	cfg.Backend = be
 	cfg.SegmentBytes = 4 << 10
 	cfg.MaxBytes = 96 << 10
-	st, err := Open("", cfg)
+	st, err := OpenBackend(be, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,7 @@ func TestStoreGaugesMatchRecount(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st, err = Open("", cfg); err != nil {
+	if st, err = OpenBackend(be, cfg); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()

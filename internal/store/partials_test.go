@@ -105,8 +105,8 @@ func openCounting(t *testing.T, dir string, cacheBytes int64) (*Store, *counting
 	}
 	be := &countingBackend{Backend: lb, opens: map[string]int{}}
 	cfg := tierCfg()
-	cfg.Backend, cfg.ColdCacheBytes = be, cacheBytes
-	st, err := Open("", cfg)
+	cfg.ColdCacheBytes = cacheBytes
+	st, err := OpenBackend(be, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,28 +5,26 @@
 // active file under st.mu, noting how many segments have rotated out so
 // far, then waits for those finalizations only, not for the queue to go
 // idle, which a steady stream of appends could put off for good. Seal
-// finalization (header rewrite, preallocation trim, retention) runs on
-// the maintenance goroutine, so rotation costs the append path a queue
-// push.
+// finalization (header rewrite, preallocation trim, fsync, close,
+// retention) runs on the maintenance goroutine, so rotation costs the
+// append path a queue push.
 //
+// Durability has one rule: a sealed segment is durable once its seal
+// finalizes, whatever the commit policy; the active segment is durable
+// at the next commit (Sync, Seal, Close or the CommitEvery timer).
 // Segment files are preallocated to SegmentBytes so that appends land in
 // reserved extents instead of allocating blocks inside a journal
 // transaction per extension; the seal trims the unused tail, and
-// recovery treats a zero tail as the end. With no CommitEvery a sealed
-// file's own fsync is parked for the next commit (bounded by
-// maxParkedSeals): on ext4, fsyncing a sealed file forces a journal
-// commit that stalls concurrent extending writes to the active segment.
-// A store with a commit policy keeps eager seal fsyncs, so its
-// durability window never widens.
+// recovery treats a zero tail as the end.
 //
 // A failed write, commit or seal finalization latches a sticky error.
 // WriteErr and Pressure read it, and closed, through atomics, so
 // neither ever waits on a write or an fsync.
 //
-// Lock order: commitMu → drainMu → st.mu → maint.mu (rotateActiveLocked
-// enqueues; commit reads the rotation count). The maintenance loop
-// releases maint.mu before it takes drainMu or st.mu, and an appender
-// waits on the seal backlog with no lock held, so there is no cycle.
+// Lock order: commitMu → st.mu → maint.mu (rotateActiveLocked enqueues;
+// commit reads the rotation count). The maintenance loop releases
+// maint.mu before it takes st.mu, and an appender waits on the seal
+// backlog with no lock held, so there is no cycle.
 
 package store
 
@@ -44,18 +42,6 @@ import (
 // before appenders stall. An appender waits on it before writing, with
 // no lock held: the maintenance goroutine needs st.mu to make progress.
 const maxSealBacklog = 64
-
-// maxParkedSeals caps how many sealed files may sit with their fsync
-// deferred to the next commit window. Past the cap the maintenance
-// goroutine drains them itself, so the window of sealed-but-not-durable
-// data stays bounded even when no commit policy is configured.
-const maxParkedSeals = 64
-
-// parkedSeal is a sealed segment file awaiting its deferred fsync.
-type parkedSeal struct {
-	seg *segment
-	f   backend.File
-}
 
 // frameMeta is what writeLocked needs of one encoded frame to fold it
 // into segment metadata without re-decoding it, and where the frame
@@ -281,10 +267,10 @@ func (st *Store) fail(err error) { st.werr.CompareAndSwap(nil, &err) }
 // commit makes every byte written before it began durable. Under st.mu
 // it fsyncs the active file and notes how many rotations precede it:
 // every earlier byte is then in that file or in a segment rotated out
-// before, so the commit waits for those rotations' finalizations (each
-// fsyncs or parks its file) and drains the parked files. Rotations
-// after that point are the next commit's, so a steady stream of appends
-// cannot hold a commit off. commitMu serializes commits.
+// before, so the commit waits for those rotations' finalizations, each
+// of which fsyncs its file. Rotations after that point are the next
+// commit's, so a steady stream of appends cannot hold a commit off.
+// commitMu serializes commits.
 func (st *Store) commit() error {
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
@@ -299,15 +285,12 @@ func (st *Store) commit() error {
 	rotated := st.maint.rotations()
 	st.mu.Unlock()
 	st.maint.waitFinalized(rotated)
-	if derr := st.drainParked(); err == nil {
-		err = derr
-	}
 	st.obs.groupCommits.Add(1)
 	if err != nil {
 		st.fail(err)
 	}
-	// A failed finalization or drain on the maintenance goroutine is
-	// latched before it counts as done, so it is seen here.
+	// A failed finalization on the maintenance goroutine is latched
+	// before it counts as done, so it is seen here.
 	if p := st.werr.Load(); p != nil {
 		return *p
 	}
@@ -429,10 +412,8 @@ func (st *Store) maintLoop() {
 }
 
 // finalizeSeal completes one rotation: rewrite the header with the real
-// metadata, trim the preallocated tail, park the file for its deferred
-// fsync and run retention. The fsync itself belongs to the next commit
-// window (group commit covers sealed and active bytes alike); past
-// maxParkedSeals the maintenance goroutine drains the backlog here.
+// metadata, trim the preallocated tail, fsync and close the file and run
+// retention. Once it returns the segment is durable.
 func (st *Store) finalizeSeal(j sealJob) error {
 	hdr := make([]byte, headerSize)
 	// The metadata is final once sealed, but it was written under st.mu;
@@ -453,75 +434,19 @@ func (st *Store) finalizeSeal(j sealJob) error {
 	if serr := j.f.Seal(); err == nil && serr != nil {
 		err = serr
 	}
-	if st.cfg.CommitEvery > 0 {
-		// A commit timer is running: fsync the sealed file here, off the
-		// append path, so commit windows find it already durable instead
-		// of paying the fsync serially. Without one its fsync is parked
-		// until a commit window (Sync, Seal, Close) or the maxParkedSeals
-		// cap asks for durability.
-		start := time.Now()
-		serr := j.f.Sync()
-		st.noteFsync(uint64(time.Since(start)))
-		if err == nil {
-			err = serr
-		}
-		if cerr := j.f.Close(); err == nil {
-			err = cerr
-		}
-		st.mu.Lock()
-		st.enforceRetentionLocked()
-		st.publishObsLocked()
-		st.mu.Unlock()
-		return err
+	start := time.Now()
+	serr := j.f.Sync()
+	st.noteFsync(uint64(time.Since(start)))
+	if err == nil {
+		err = serr
+	}
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
 	}
 	st.mu.Lock()
-	st.parked = append(st.parked, parkedSeal{seg: j.seg, f: j.f})
-	overCap := len(st.parked) > maxParkedSeals
 	st.enforceRetentionLocked()
 	st.publishObsLocked()
 	st.mu.Unlock()
-	if overCap {
-		if derr := st.drainParked(); err == nil {
-			err = derr
-		}
-	}
-	return err
-}
-
-// drainParked fsyncs and closes every sealed file parked since the last
-// commit window. Retired segments (deleted by retention) are closed
-// without the fsync — their data is gone. drainMu serializes drainers,
-// so when it returns every file parked before the call is fsynced, even
-// one a racing drainer took; a failure is latched before drainMu is
-// released.
-func (st *Store) drainParked() error {
-	st.drainMu.Lock()
-	defer st.drainMu.Unlock()
-	st.mu.Lock()
-	parked := st.parked
-	st.parked = nil
-	skip := make([]bool, len(parked))
-	for i, ps := range parked {
-		skip[i] = ps.seg.retired
-	}
-	st.mu.Unlock()
-	var err error
-	for i, ps := range parked {
-		if !skip[i] {
-			start := time.Now()
-			serr := ps.f.Sync()
-			st.noteFsync(uint64(time.Since(start)))
-			if err == nil {
-				err = serr
-			}
-		}
-		if cerr := ps.f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		st.fail(err)
-	}
 	return err
 }
 

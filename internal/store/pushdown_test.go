@@ -433,7 +433,7 @@ func FuzzColdBlockV3Decode(f *testing.F) {
 	}
 	e := mkEntryTB(1000)
 	e.TS = 1 << 40 // age everything sealed before it
-	if err := st.Append(&e); err != nil {
+	if err := st.AppendEntries([]tracer.Entry{e}); err != nil {
 		f.Fatal(err)
 	}
 	if err := st.Seal(); err != nil {

@@ -166,9 +166,6 @@ type segment struct {
 	rawSize int64
 	tier    Tier
 	sealed  bool
-	// retired marks a segment deleted by retention; a parked
-	// seal fsync is skipped for it (the data is gone).
-	retired bool
 	meta    segmentMeta
 	// sparse holds one entry per indexStride frames (first frame
 	// included), used to seek stamp-range queries when meta.ordered.

@@ -45,18 +45,13 @@ type Config struct {
 	// newest timestamp trails the store's newest timestamp by more than
 	// this are deleted (0 = unlimited).
 	MaxAgeNs uint64
-	// CommitEvery bounds how long written-but-unsynced bytes may sit
-	// before a commit fsyncs them; each rotated segment is then fsynced
-	// as it is finalized. With 0 there is no timer: nothing is durable
-	// until a Sync, Seal or Close, except that once more than
-	// maxParkedSeals rotated segments await their fsync the maintenance
-	// goroutine fsyncs them (never the active segment) — the paper's
-	// dump-then-analyze workflow.
+	// CommitEvery is the active segment's group-commit timer: how long
+	// its written-but-unsynced bytes may sit before a commit fsyncs them.
+	// With 0 there is no timer, and the active segment is durable at the
+	// next Sync, Seal or Close. Either way a sealed segment is fsynced as
+	// its seal finalizes.
 	CommitEvery time.Duration
 
-	// Backend overrides the storage backend. nil selects the local
-	// directory backend over Open's dir argument.
-	Backend backend.Backend
 	// CompactInterval starts a background compactor goroutine that runs
 	// a freeze pass (CompactTick) this often (0 = no background
 	// compaction; CompactCold stays available manually).
@@ -151,11 +146,9 @@ type Store struct {
 	maint   maintenance
 	maintWG sync.WaitGroup
 
-	// commitMu serializes commits (see commit), drainMu drainers of the
-	// parked seals (see drainParked). commitArmed is set while a
-	// CommitEvery timer is pending.
+	// commitMu serializes commits (see commit). commitArmed is set while
+	// a CommitEvery timer is pending.
 	commitMu    sync.Mutex
-	drainMu     sync.Mutex
 	commitArmed atomic.Bool
 	// werr is the write path's sticky error, nil until a write, a
 	// commit or a seal finalization fails. closed is set, under mu, when
@@ -182,13 +175,10 @@ type Store struct {
 	freezeMu sync.Mutex
 	// coldW is the freezer's writer, kept between runs for its buffers;
 	// only a freeze pass (freezeMu) touches it.
-	coldW  coldWriterV2
-	lock   io.Closer  // held backend lock, released by Close
-	segs   []*segment // ascending seq; the last may be active
-	active backend.File
-	// parked holds sealed files whose fsync is deferred to the next
-	// commit window (drainParked); bounded by maxParkedSeals.
-	parked  []parkedSeal
+	coldW   coldWriterV2
+	lock    io.Closer  // held backend lock, released by Close
+	segs    []*segment // ascending seq; the last may be active
+	active  backend.File
 	nextSeq uint64
 	// stats is the one home of the counts kept under mu; public mutating
 	// operations publish a copy to obs on exit (see obs.go).
@@ -205,20 +195,16 @@ type Store struct {
 }
 
 // Open opens (creating if necessary) the store in dir over the local
-// directory backend — or over cfg.Backend when set, in which case dir is
-// ignored — and recovers it: stray temp files are removed (and counted),
-// every segment is scanned, torn tails are truncated, and leftovers of
-// an interrupted tier transition are deleted. Open holds the backend's
-// exclusive store lock until Close; a second Open (from this or any
-// other process, where that is meaningful) fails fast rather than
-// letting two recoveries truncate each other's files.
+// directory backend and recovers it: stray temp files are removed (and
+// counted), every segment is scanned, torn tails are truncated, and
+// leftovers of an interrupted tier transition are deleted. Open holds
+// the backend's exclusive store lock until Close; a second Open (from
+// this or any other process, where that is meaningful) fails fast
+// rather than letting two recoveries truncate each other's files.
 func Open(dir string, cfg Config) (*Store, error) {
-	be := cfg.Backend
-	if be == nil {
-		var err error
-		if be, err = local.New(dir); err != nil {
-			return nil, err
-		}
+	be, err := local.New(dir)
+	if err != nil {
+		return nil, err
 	}
 	return OpenBackend(be, cfg)
 }
@@ -524,12 +510,6 @@ func (st *Store) activeSeg() *segment {
 	return nil
 }
 
-// Append appends one event. The write is visible to cursors as soon as
-// Append returns; it is durable at the next commit (see AppendEntries).
-func (st *Store) Append(e *tracer.Entry) error {
-	return st.AppendEntries([]tracer.Entry{*e})
-}
-
 // newSegmentLocked creates and activates a fresh segment file.
 func (st *Store) newSegmentLocked() (*segment, error) {
 	seq := st.nextSeq
@@ -579,7 +559,6 @@ func (st *Store) enforceRetentionLocked() {
 
 func (st *Store) retireOldestLocked() {
 	s := st.segs[0]
-	s.retired = true // a parked seal fsync would be wasted on it
 	st.be.Remove(s.name)
 	st.segs = st.segs[1:]
 	st.addSegLocked(s, -1)
@@ -622,9 +601,10 @@ func (st *Store) Close() error {
 	st.closed.Store(true)
 	st.rotateActiveLocked()
 	st.mu.Unlock()
-	st.stopMaintenance()    // finalizes the last seal, joins the goroutine
-	st.commitMu.Lock()      // wait out a commit that is still draining
-	err := st.drainParked() // clean Close leaves everything durable
+	st.stopMaintenance() // fsyncs every seal, the last one's too, and joins the goroutine
+	// Wait out a commit still in flight, so that its failure is latched
+	// and it is counted before the counters are folded.
+	st.commitMu.Lock()
 	st.commitMu.Unlock()
 
 	st.mu.Lock()
@@ -639,10 +619,10 @@ func (st *Store) Close() error {
 	st.mu.Unlock()
 	obs.Default().Fold(st.obsID)
 
-	if p := st.werr.Load(); err == nil && p != nil {
-		err = *p
+	if p := st.werr.Load(); p != nil {
+		return *p
 	}
-	return err
+	return nil
 }
 
 // Dir returns the store's backend location (the directory path for the

@@ -47,7 +47,7 @@ func (t *Tracer) Name() string { return "store" }
 // Write implements tracer.Tracer; the Proc is unused (the entry already
 // carries its core and thread identity).
 func (t *Tracer) Write(_ tracer.Proc, e *tracer.Entry) error {
-	return t.st.Append(e)
+	return t.st.AppendEntries([]tracer.Entry{*e})
 }
 
 // ReadAll implements tracer.Tracer: a full drain of the store, in stamp
