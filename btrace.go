@@ -51,7 +51,7 @@ type Config struct {
 	// out-of-order stamps, so global stamp order no longer matches
 	// cross-thread write order. Leave at 0 or 1 (the default, one add
 	// per write) when consumers rely on global stamp order — Poll's
-	// missed accounting and collect.Verifier's ordering check do.
+	// missed accounting does.
 	StampBatch int
 	// PoisonOnReclaim overwrites memory reclaimed by a shrink with a
 	// poison pattern, turning use-after-reclaim bugs into loud decode

@@ -87,10 +87,7 @@ func BenchmarkServeIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer st.Close()
-		p, err := newIngestPipeline(st, ingestConfig{SampleRate: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := newIngestPipeline(st, ingestConfig{SampleRate: 1})
 		defer p.Close()
 		w := discardResponse{}
 		for k := 0; k < warmup; k++ {

@@ -97,16 +97,6 @@ func (cfg clusterConfig) openShard(name string) (*distributor.LocalShard, error)
 
 // newClusterPipeline opens the shard stores and starts the gate loop.
 func newClusterPipeline(cfg clusterConfig) (*clusterPipeline, error) {
-	if cfg.Shards < 2 {
-		return nil, fmt.Errorf("cluster needs at least 2 shards, got %d", cfg.Shards)
-	}
-	if cfg.Replication < 1 || cfg.Replication > cfg.Shards {
-		return nil, fmt.Errorf("replication %d out of [1, %d shards]", cfg.Replication, cfg.Shards)
-	}
-	gcfg, err := cfg.Ingest.gateConfig()
-	if err != nil {
-		return nil, err
-	}
 	shards := make([]distributor.Shard, 0, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := cfg.openShard(fmt.Sprintf("shard-%02d", i))
@@ -121,7 +111,7 @@ func newClusterPipeline(cfg clusterConfig) (*clusterPipeline, error) {
 	d, err := distributor.New(shards, distributor.Config{
 		Replication: cfg.Replication,
 		Overrides:   cfg.Ingest.Overrides,
-		Gate:        gcfg,
+		Gate:        cfg.Ingest.gateConfig(),
 		Publish:     cfg.Ingest.Hub.Publish,
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -41,13 +40,10 @@ type ingestConfig struct {
 // /ingest; absent or empty falls back to the default tenant.
 const tenantHeader = "X-Btrace-Tenant"
 
-// gateConfig maps the overload-control flags onto the gate
-// configuration; shared by the single-store pipeline and the cluster
-// distributor so both paths shed identically.
-func (cfg ingestConfig) gateConfig() (overload.Config, error) {
-	if cfg.SampleRate <= 0 || cfg.SampleRate > 1 {
-		return overload.Config{}, fmt.Errorf("sample rate %v out of (0, 1]", cfg.SampleRate)
-	}
+// gateConfig maps the overload-control flags, which checkFlags has
+// vetted, onto the gate configuration; shared by the single-store
+// pipeline and the cluster distributor so both paths shed identically.
+func (cfg ingestConfig) gateConfig() overload.Config {
 	gcfg := overload.Config{
 		MinSampleRate: cfg.SampleRate,
 		RatePerSec:    cfg.RateLimit,
@@ -58,7 +54,7 @@ func (cfg ingestConfig) gateConfig() (overload.Config, error) {
 		// keep working.
 		gcfg.EngagePressure = 2
 	}
-	return gcfg, nil
+	return gcfg
 }
 
 // ingestPipeline owns the single-store POST /ingest path. It has no
@@ -88,13 +84,9 @@ type ingestPipeline struct {
 
 // newIngestPipeline wires the admission stage over st and starts its
 // periodic gate evaluations.
-func newIngestPipeline(st *store.Store, cfg ingestConfig) (*ingestPipeline, error) {
-	gcfg, err := cfg.gateConfig()
-	if err != nil {
-		return nil, err
-	}
+func newIngestPipeline(st *store.Store, cfg ingestConfig) *ingestPipeline {
 	p := &ingestPipeline{
-		adm:  ingest.NewAdmission(gcfg, cfg.Overrides, cfg.Hub.Publish),
+		adm:  ingest.NewAdmission(cfg.gateConfig(), cfg.Overrides, cfg.Hub.Publish),
 		st:   st,
 		sink: st,
 	}
@@ -110,7 +102,7 @@ func newIngestPipeline(st *store.Store, cfg ingestConfig) (*ingestPipeline, erro
 		e.Gauge("btrace_ingest_store_failed", "1 while the store's write path has failed for good", failed)
 	})
 	p.stopGate = gateLoop(p.evaluate)
-	return p, nil
+	return p
 }
 
 // evaluate feeds the store's write-path pressure to the gate.

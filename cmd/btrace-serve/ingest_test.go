@@ -57,10 +57,7 @@ func newIngestServer(t *testing.T, cfg ingestConfig) (*server, *store.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	ing, err := newIngestPipeline(st, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ing := newIngestPipeline(st, cfg)
 	t.Cleanup(ing.Close)
 	srv := newServer(st)
 	srv.attachIngest(ing)
@@ -247,12 +244,13 @@ func TestReadyzReportsOverloadAndStoreFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newServer(st)
-	// A hand-built pipeline (no goroutine) whose gate moves one tier per
-	// evaluation lets the test drive the tier deterministically.
-	p := &ingestPipeline{st: st, sink: st, adm: ingest.NewAdmission(overload.Config{EngageAfter: 1, CooldownEvals: 1}, nil, nil)}
+	// A hand-built pipeline (no goroutine) lets the test drive the tier
+	// deterministically: 24 evaluations run the gate from one end of the
+	// tiers to the other, three per tier up and eight per tier down.
+	p := &ingestPipeline{st: st, sink: st, adm: ingest.NewAdmission(overload.Config{}, nil, nil)}
 	srv.attachIngest(p)
 	evaluate := func(failed bool) {
-		for range overload.TierStream {
+		for range 24 {
 			p.adm.Evaluate(overload.StorePressure{Failed: failed})
 		}
 	}

@@ -204,10 +204,11 @@ func TestLiveTenantScoping(t *testing.T) {
 
 // TestLiveInterleavedClients: batches from independent clients arrive
 // at admission in arbitrary global stamp order (client B's
-// higher-stamped batch before client A's). The admission's verifier runs
-// in unordered mode, so both batches must reach a live subscriber — a
-// regression here means interleaved traffic is quarantined around the
-// gate: persisted but invisible to live tail, sampling and rate limits.
+// higher-stamped batch before client A's). The admission's verifier
+// checks per-thread order only, so both batches must reach a live
+// subscriber — a regression here means interleaved traffic is
+// quarantined around the gate: persisted but invisible to live tail,
+// sampling and rate limits.
 func TestLiveInterleavedClients(t *testing.T) {
 	ts, hub := liveServer(t, live.Config{})
 

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -41,6 +42,7 @@ func main() {
 		sampleRate:      *sampleRate,
 		rateLimit:       *rateLimit,
 		shards:          *shards,
+		replication:     *replication,
 		segmentBytes:    *segmentBytes,
 		commitEvery:     *commitEvery,
 		compactInterval: *compactInterval,
@@ -101,11 +103,7 @@ func main() {
 		defer ts.Close()
 		log.Printf("btrace-serve: store %s (%d segments, %d events)",
 			ts.Dir(), len(ts.Segments()), ts.Events())
-		ing, err := newIngestPipeline(ts, icfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "btrace-serve: ingest:", err)
-			os.Exit(1)
-		}
+		ing := newIngestPipeline(ts, icfg)
 		defer ing.Close()
 		srv = newServer(ts)
 		srv.attachIngest(ing)
@@ -151,18 +149,21 @@ func main() {
 type serveFlags struct {
 	storeDir                                string
 	sampleRate, rateLimit                   float64
-	shards                                  int
+	shards, replication                     int
 	segmentBytes                            int64
 	commitEvery, compactInterval, coldAfter time.Duration
 }
 
 // checkFlags refuses a server with no store and the numeric flag values
-// that mean nothing, instead of reading them as some other setting.
+// that mean nothing, instead of reading them as some other setting; it
+// is the one place the flags are vetted, before anything boots.
 // Negative rates and shard counts are refused rather than run as
-// unlimited and as a single store; negative durations and sizes rather
-// than run as "off" or the default, and a negative -cold-after rather
-// than wrapped into a huge age that freezes everything. Every comparison
-// is written so that NaN fails it.
+// unlimited and as a single store, and an infinite -rate-limit rather
+// than run as the unlimited 0; a one-shard cluster and a -replication
+// outside [1, -shards] rather than failing once boot has begun; negative
+// durations and sizes rather than run as "off" or the default, and a
+// negative -cold-after rather than wrapped into a huge age that freezes
+// everything. Every comparison is written so that NaN fails it.
 func checkFlags(f serveFlags) error {
 	switch {
 	case f.storeDir == "":
@@ -171,8 +172,14 @@ func checkFlags(f serveFlags) error {
 		return fmt.Errorf("-sample-rate must be in (0, 1], got %v", f.sampleRate)
 	case !(f.rateLimit >= 0):
 		return fmt.Errorf("-rate-limit must be >= 0, got %v", f.rateLimit)
+	case !(f.rateLimit <= math.MaxFloat64):
+		return fmt.Errorf("-rate-limit must be finite (0 is unlimited), got %v", f.rateLimit)
 	case f.shards < 0:
 		return fmt.Errorf("-shards must be >= 0, got %d", f.shards)
+	case f.shards == 1:
+		return errors.New("-shards must be 0 (a single store) or at least 2, got 1")
+	case f.shards > 0 && (f.replication < 1 || f.replication > f.shards):
+		return fmt.Errorf("-replication must be in [1, %d] (-shards), got %d", f.shards, f.replication)
 	case f.segmentBytes < 0:
 		return fmt.Errorf("-segment-bytes must be >= 0, got %d", f.segmentBytes)
 	case f.commitEvery < 0:

@@ -33,8 +33,7 @@
 // Verifier.Check:
 //   - Entries that break per-thread stamp order or structural soundness
 //     are handed back quarantined with one violation each, never dropped
-//     or panicked on; the ordered verifier also enforces global stamp
-//     order, which the unordered one, for multiplexed sources, waives
+//     or panicked on, and stamps interleaved across threads pass
 //     (TestVerifierUnorderedSource).
 //   - It works in place: the clean entries share the batch's backing
 //     array, and a batch with nothing to quarantine allocates nothing

@@ -14,46 +14,28 @@ import (
 	"btrace/internal/tracer"
 )
 
-// Verifier checks the stream invariants of a polled readout:
+// Verifier checks the stream invariants of a multiplexed source
+// (independent clients POSTing to /ingest), where batches interleave
+// arbitrarily and there is no cross-thread order to verify:
 //
-//   - the stream is totally ordered by logic stamp and stamps are unique
-//     (DESIGN.md invariant 5, first half);
 //   - stamps within one producer thread are strictly increasing
-//     (invariant 5, second half);
+//     (DESIGN.md invariant 5, second half);
 //   - every entry is structurally sound (non-zero stamp, payload within
 //     the wire format's bounds — a torn batch decodes as garbage here).
 //
 // Entries failing a check are quarantined, not dropped silently, and the
-// verifier's cursors do not advance past them, so one corrupt entry
-// cannot poison the stream that follows it.
-//
-// In unordered mode the first invariant is waived: a multiplexed source
-// (independent clients POSTing to /ingest) has no cross-thread order to
-// verify, only the per-thread and structural invariants.
+// verifier's per-thread cursors do not advance past them, so one corrupt
+// entry cannot poison the stream that follows it.
 //
 // A Verifier is not safe for concurrent use: ingest.Admission calls it
 // under its own lock.
 type Verifier struct {
-	lastStamp uint64
 	perThread map[uint32]uint64
-	// unordered drops the cross-thread total-order checks: the stream is
-	// a multiplex of independent producers (NewUnorderedVerifier), where
-	// batches interleave arbitrarily and only per-thread order is an
-	// invariant.
-	unordered bool
 }
 
 // NewVerifier creates a Verifier with empty cursors.
 func NewVerifier() *Verifier {
 	return &Verifier{perThread: map[uint32]uint64{}}
-}
-
-// NewUnorderedVerifier creates a Verifier in unordered mode, for a
-// source that multiplexes independent producers.
-func NewUnorderedVerifier() *Verifier {
-	v := NewVerifier()
-	v.unordered = true
-	return v
 }
 
 // Check splits a polled batch into clean entries and quarantined ones,
@@ -71,7 +53,6 @@ func (v *Verifier) Check(es []tracer.Entry) (clean, quarantined []tracer.Entry, 
 			violations = append(violations, reason)
 			continue
 		}
-		v.lastStamp = e.Stamp
 		v.perThread[e.TID] = e.Stamp
 		clean = append(clean, *e)
 	}
@@ -86,14 +67,6 @@ func (v *Verifier) check(e *tracer.Entry) string {
 	}
 	if len(e.Payload) > tracer.MaxPayload {
 		return fmt.Sprintf("stamp %d: payload %d exceeds wire maximum %d", e.Stamp, len(e.Payload), tracer.MaxPayload)
-	}
-	if !v.unordered {
-		if e.Stamp == v.lastStamp {
-			return fmt.Sprintf("stamp %d: duplicate of previous entry", e.Stamp)
-		}
-		if e.Stamp < v.lastStamp {
-			return fmt.Sprintf("stamp %d: out of order after %d", e.Stamp, v.lastStamp)
-		}
 	}
 	if last, ok := v.perThread[e.TID]; ok && e.Stamp <= last {
 		return fmt.Sprintf("stamp %d: thread %d not strictly increasing after %d", e.Stamp, e.TID, last)

@@ -7,45 +7,37 @@ import (
 	"btrace/internal/tracer"
 )
 
-// TestVerifierUnorderedSource: in unordered mode (a multiplexed source
-// like the /ingest queue) cross-thread stamp inversions are legal and
-// must pass, while per-thread regressions and structural violations are
-// still quarantined.
+// TestVerifierUnorderedSource: on a multiplexed source like /ingest,
+// cross-thread stamp inversions are legal and must pass, while
+// per-thread regressions and structural violations are still
+// quarantined.
 func TestVerifierUnorderedSource(t *testing.T) {
 	e := func(stamp uint64, tid uint32) tracer.Entry {
 		return tracer.Entry{Stamp: stamp, TS: stamp, TID: tid, Category: 1}
 	}
 
-	ordered := NewVerifier()
-	clean, quarantined, _ := ordered.Check([]tracer.Entry{e(65, 2), e(66, 2), e(1, 1), e(2, 1)})
-	if len(clean) != 2 || len(quarantined) != 2 {
-		t.Fatalf("ordered verifier on interleaved batches: clean %d quarantined %d, want 2/2",
-			len(clean), len(quarantined))
-	}
-
-	un := NewVerifier()
-	un.unordered = true
-	clean, quarantined, _ = un.Check([]tracer.Entry{e(65, 2), e(66, 2), e(1, 1), e(2, 1)})
+	v := NewVerifier()
+	clean, quarantined, _ := v.Check([]tracer.Entry{e(65, 2), e(66, 2), e(1, 1), e(2, 1)})
 	if len(clean) != 4 || len(quarantined) != 0 {
-		t.Fatalf("unordered verifier on interleaved batches: clean %d quarantined %d, want 4/0",
+		t.Fatalf("interleaved batches: clean %d quarantined %d, want 4/0",
 			len(clean), len(quarantined))
 	}
 
 	// Per-thread order and structural soundness still hold: a stamp
 	// reuse within thread 2, a zero stamp, and an oversized payload are
-	// quarantined even in unordered mode.
+	// quarantined.
 	bad := []tracer.Entry{
 		e(66, 2),
 		{TS: 1, TID: 1, Category: 1},
 		{Stamp: 99, TS: 1, TID: 3, Category: 1, Payload: make([]byte, tracer.MaxPayload+1)},
 		e(3, 1),
 	}
-	clean, quarantined, violations := un.Check(bad)
+	clean, quarantined, violations := v.Check(bad)
 	if len(clean) != 1 || clean[0].Stamp != 3 {
-		t.Fatalf("unordered verifier kept %d clean (want just stamp 3): %+v", len(clean), clean)
+		t.Fatalf("verifier kept %d clean (want just stamp 3): %+v", len(clean), clean)
 	}
 	if len(quarantined) != 3 || len(violations) != 3 {
-		t.Fatalf("unordered verifier quarantined %d with %d violations, want 3/3",
+		t.Fatalf("verifier quarantined %d with %d violations, want 3/3",
 			len(quarantined), len(violations))
 	}
 }
@@ -60,7 +52,6 @@ func TestVerifierCheckInPlace(t *testing.T) {
 	}
 	cases := []struct {
 		name       string
-		unordered  bool
 		in         []tracer.Entry
 		clean      []uint64
 		quarantine []uint64
@@ -68,17 +59,7 @@ func TestVerifierCheckInPlace(t *testing.T) {
 	}{
 		{name: "all clean", in: []tracer.Entry{e(1, 1), e(2, 2), e(3, 1)}, clean: []uint64{1, 2, 3}},
 		{
-			name:  "ordered: duplicate, regression, zero stamp",
-			in:    []tracer.Entry{e(5, 1), e(5, 2), e(6, 1), e(4, 3), {TID: 9}, e(7, 2)},
-			clean: []uint64{5, 6, 7}, quarantine: []uint64{5, 4, 0},
-			violations: []string{
-				"stamp 5: duplicate of previous entry",
-				"stamp 4: out of order after 6",
-				"zero logic stamp",
-			},
-		},
-		{
-			name: "unordered: only per-thread order", unordered: true,
+			name:  "only per-thread order",
 			in:    []tracer.Entry{e(65, 2), e(1, 1), e(64, 2), e(2, 1), e(66, 2)},
 			clean: []uint64{65, 1, 2, 66}, quarantine: []uint64{64},
 			violations: []string{"stamp 64: thread 2 not strictly increasing after 65"},
@@ -98,9 +79,7 @@ func TestVerifierCheckInPlace(t *testing.T) {
 		return out
 	}
 	for _, tc := range cases {
-		v := NewVerifier()
-		v.unordered = tc.unordered
-		clean, quarantined, violations := v.Check(tc.in)
+		clean, quarantined, violations := NewVerifier().Check(tc.in)
 		if !slices.Equal(stamps(clean), tc.clean) {
 			t.Errorf("%s: clean %v, want %v", tc.name, stamps(clean), tc.clean)
 		}
@@ -120,7 +99,7 @@ func TestVerifierCheckInPlace(t *testing.T) {
 		}
 	}
 
-	v := NewUnorderedVerifier()
+	v := NewVerifier()
 	batch := make([]tracer.Entry, 256)
 	next := uint64(0)
 	if allocs := testing.AllocsPerRun(100, func() {

@@ -414,9 +414,10 @@ func TestKillDuringInflightDelivery(t *testing.T) {
 // cluster quarantining what it stores: verification used to run in
 // every shard on a stream that interleaves threads across shards, so
 // healthy traffic tripped the global stamp-order check. At the front
-// door, in unordered mode, per-thread-monotone input from interleaved
-// clients quarantines nothing — and a genuine per-thread regression is
-// still flagged, still replicated, still counted.
+// door, which checks per-thread order only, per-thread-monotone input
+// from interleaved clients quarantines nothing — and a genuine
+// per-thread regression is still flagged, still replicated, still
+// counted.
 func TestFrontDoorVerifierIsPerThread(t *testing.T) {
 	d, locals := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
 	a := []uint32{10, 11, 12, 13, 14, 15, 16, 17}

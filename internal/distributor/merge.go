@@ -31,7 +31,7 @@ func (s *mergeSource) refill(missed *uint64) {
 // (Shard.Query), into one stamp-ordered stream, deduplicating equal
 // stamps: with replication every event exists on RF shards, so
 // duplicates are the normal case, and the globally-unique-stamp
-// invariant (enforced at collection by the Verifier) makes the stamp
+// invariant (one stamp counter per trace) makes the stamp
 // the identity to collapse on. Same-shard duplicates (a refused batch
 // the client posted again, on a replica that had applied it the first
 // time) are adjacent in their run, so they collapse too.

@@ -354,7 +354,7 @@ func TestChaosDeterministicSchedules(t *testing.T) {
 		defer st.Close()
 		fst := in.FlakyStore(st, 0.3)
 		src := in.BurstSource(faults.BurstConfig{CalmPolls: 12, StormPolls: 8, Cycles: 2, Categories: []uint8{1, 2}})
-		adm := ingest.NewAdmission(overload.Config{EngagePressure: 0.6, DisengagePressure: 0.3, EngageAfter: 2}, nil, nil)
+		adm := ingest.NewAdmission(overload.Config{EngagePressure: 0.6}, nil, nil)
 		var o outcome
 		var batch store.Batch // the append's one encoding, as store.AppendEntries makes it
 		for !src.Quiet() {

@@ -46,13 +46,7 @@ func TestChaosOverloadStorm(t *testing.T) {
 		Categories:   []uint8{1, 2, 3},
 		PayloadBytes: 32,
 	})
-	adm := ingest.NewAdmission(overload.Config{
-		MinSampleRate:     0.25,
-		EngagePressure:    0.6,
-		DisengagePressure: 0.3,
-		EngageAfter:       2,
-		CooldownEvals:     4,
-	}, nil, nil)
+	adm := ingest.NewAdmission(overload.Config{MinSampleRate: 0.25, EngagePressure: 0.6}, nil, nil)
 
 	type sample struct {
 		storm bool

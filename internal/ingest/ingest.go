@@ -23,11 +23,10 @@ type Admission struct {
 	quarantined *obs.Counter
 }
 
-// NewAdmission builds the admission stage. Each tenant's verifier is
-// unordered: a server multiplexes independent clients, whose batches
-// interleave arbitrarily, so only per-thread stamp order is an invariant
-// — an ordered verifier would quarantine legitimate interleaved traffic
-// around the gate and the live tail. publish may be nil; it is called
+// NewAdmission builds the admission stage. Each tenant's verifier checks
+// per-thread stamp order only: a server multiplexes independent clients,
+// whose batches interleave arbitrarily, so that is the one order that is
+// an invariant. publish may be nil; it is called
 // under the lock with a slice that aliases the caller's batch, so it
 // must copy what it keeps and must not block.
 func NewAdmission(gate overload.Config, overrides map[string]TenantLimit, publish func(tenant string, es []tracer.Entry)) *Admission {

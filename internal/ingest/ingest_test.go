@@ -27,7 +27,6 @@ func batch(tid uint32, first uint64, n int) []tracer.Entry {
 // live tail ever see it.
 func TestAdmitQuarantineBypassesQuotaAndGate(t *testing.T) {
 	const bad = 9 // category of the entries the verifier must quarantine
-	fullDrop := overload.Config{MinSampleRate: 1, EngagePressure: 0.5, EngageAfter: 1}
 	for _, tc := range []struct {
 		name      string
 		gate      overload.Config
@@ -40,7 +39,8 @@ func TestAdmitQuarantineBypassesQuotaAndGate(t *testing.T) {
 			want: Counts{Seen: 6, Quarantined: 2}, wantOut: 6},
 		{name: "tenant quota", gate: overload.Config{MinSampleRate: 1}, overrides: "acme=1:1",
 			want: Counts{Seen: 6, Quarantined: 2, Throttled: 3}, wantOut: 3},
-		{name: "full-drop tier", gate: fullDrop, hot: 3,
+		// Three tiers of three hot evaluations each.
+		{name: "full-drop tier", gate: overload.Config{MinSampleRate: 1}, hot: 9,
 			want: Counts{Seen: 6, Quarantined: 2, GateDropped: 4}, wantOut: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -43,10 +43,7 @@ func TestOverloadSeriesReadGateStats(t *testing.T) {
 	}
 	// The gauges sum over live gates: let the other tests' Admissions go.
 	before := foldedGates(t)
-	a := NewAdmission(overload.Config{
-		MinSampleRate: 0.2, SampleStart: 0.5, RatePerSec: 1000, Burst: 20,
-		EngagePressure: 0.75, DisengagePressure: 0.35, EngageAfter: 1, CooldownEvals: 1, Smoothing: 1,
-	}, overrides, nil)
+	a := NewAdmission(overload.Config{MinSampleRate: 0.2, RatePerSec: 1000}, overrides, nil)
 
 	var stamp uint64
 	// feed admits n entries of thread 1 as tenant, one virtual
@@ -66,16 +63,20 @@ func TestOverloadSeriesReadGateStats(t *testing.T) {
 		_, c := a.Admit(tenant, es)
 		return c
 	}
-	evaluate := func(fill float64, want overload.Tier) {
+	// evaluate feeds n evaluations at one pressure: a tier engages after
+	// three hot ones and releases after eight cool ones.
+	evaluate := func(fill float64, n int, want overload.Tier) {
 		t.Helper()
-		// 1 ms per event is the gate's whole append budget: pressure 1.
-		a.Evaluate(overload.StorePressure{AppendNs: uint64(fill * 1_000_000)})
+		for range n {
+			// 1 ms per event is the gate's whole append budget: pressure 1.
+			a.Evaluate(overload.StorePressure{AppendNs: uint64(fill * 1_000_000)})
+		}
 		if got := a.Tier(); got != want {
-			t.Fatalf("after pressure %v: tier %v, want %v", fill, got, want)
+			t.Fatalf("after %d evaluations at pressure %v: tier %v, want %v", n, fill, got, want)
 		}
 	}
 
-	evaluate(0, overload.TierNone)
+	evaluate(0, 1, overload.TierNone)
 	feed("a", 50, false)
 	if _, c := a.Admit("a", []tracer.Entry{{TID: 2}}); c.Quarantined != 1 {
 		t.Fatalf("a zero stamp was not quarantined: %+v", c)
@@ -83,17 +84,17 @@ func TestOverloadSeriesReadGateStats(t *testing.T) {
 	if c := feed("slow", 10, true); c.Throttled != 6 {
 		t.Fatalf("tenant quota: %+v, want 6 of 10 throttled", c)
 	}
-	feed("a", 40, true)              // the category bucket's burst is 20
-	evaluate(0.6, overload.TierNone) // in the band: sampling only
+	feed("a", 2100, true)               // the category bucket's burst is 2×1000
+	evaluate(0.6, 1, overload.TierNone) // in the band: the tier holds
 	feed("a", 50, false)
-	evaluate(1, overload.TierPayload)
+	evaluate(1, 3, overload.TierPayload) // smoothed pressure past 0.5: sampling
 	feed("a", 50, false)
-	evaluate(1, overload.TierCategory)
+	evaluate(1, 3, overload.TierCategory)
 	feed("b", 50, false)
-	evaluate(1, overload.TierStream)
+	evaluate(1, 3, overload.TierStream)
 	feed("b", 50, false)
 	for _, tier := range []overload.Tier{overload.TierCategory, overload.TierPayload, overload.TierNone} {
-		evaluate(0, tier)
+		evaluate(0, 8, tier)
 	}
 
 	gs, tenants, quarantined := a.GateStats(), a.TenantStats(), a.Quarantined()

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,7 +64,11 @@ func (l TenantLimit) withDefaults() TenantLimit {
 //
 //	alpha=1000,beta=500:2000
 //
-// Rates are events per second of virtual time.
+// Rates are events per second of virtual time. A rate must be finite
+// and above 0 and a burst, given or defaulted, finite and at least 1:
+// NaN throttles every event, an infinite rate means no quota at all,
+// and a bucket below one token never admits one. Every comparison is
+// written so that NaN fails it.
 func ParseOverrides(s string) (map[string]TenantLimit, error) {
 	out := make(map[string]TenantLimit)
 	if strings.TrimSpace(s) == "" {
@@ -84,18 +89,22 @@ func ParseOverrides(s string) (map[string]TenantLimit, error) {
 		}
 		rateStr, burstStr, hasBurst := strings.Cut(spec, ":")
 		rate, err := strconv.ParseFloat(strings.TrimSpace(rateStr), 64)
-		if err != nil || rate <= 0 {
-			return nil, fmt.Errorf("tenant override %q: bad rate %q", part, rateStr)
+		if err != nil || !(rate > 0 && rate <= math.MaxFloat64) {
+			return nil, fmt.Errorf("tenant override %q: bad rate %q, want a finite rate > 0", part, rateStr)
 		}
 		lim := TenantLimit{RatePerSec: rate}
 		if hasBurst {
 			burst, err := strconv.ParseFloat(strings.TrimSpace(burstStr), 64)
-			if err != nil || burst <= 0 {
-				return nil, fmt.Errorf("tenant override %q: bad burst %q", part, burstStr)
+			if err != nil || !(burst >= 1 && burst <= math.MaxFloat64) {
+				return nil, fmt.Errorf("tenant override %q: bad burst %q, want a finite burst >= 1", part, burstStr)
 			}
 			lim.Burst = burst
 		}
-		out[name] = lim.withDefaults()
+		lim = lim.withDefaults()
+		if math.IsInf(lim.Burst, 0) {
+			return nil, fmt.Errorf("tenant override %q: rate %v too large for its default burst of twice that", part, rate)
+		}
+		out[name] = lim
 	}
 	return out, nil
 }
@@ -111,7 +120,7 @@ type tenantRow struct {
 }
 
 func newTenantRow(limit TenantLimit) *tenantRow {
-	return &tenantRow{ver: collect.NewUnorderedVerifier(), limit: limit.withDefaults()}
+	return &tenantRow{ver: collect.NewVerifier(), limit: limit.withDefaults()}
 }
 
 // throttle drops the events beyond the row's quota, in place, returning

@@ -30,9 +30,19 @@ func TestParseOverrides(t *testing.T) {
 	if m, err := ParseOverrides(""); err != nil || len(m) != 0 {
 		t.Fatalf("empty spec: %v, %v", m, err)
 	}
-	for _, bad := range []string{"=5", "a=", "a=0", "a=-1", "a=1:0", "a=x", "a=1:1,a=2:2", "a"} {
+	for _, bad := range []string{
+		"=5", "a=", "a=0", "a=-1", "a=1:0", "a=x", "a=1:1,a=2:2", "a",
+		// NaN fails no <= test: it parsed, and throttled every event.
+		"a=NaN", "a=1:NaN",
+		// An infinite rate or burst parsed as no quota at all.
+		"a=+Inf", "a=Inf", "a=1:Inf", "a=1:+Inf",
+		// A bucket that never holds a whole token throttles to zero.
+		"a=100:0.5",
+		// A finite rate whose default burst, twice it, overflows.
+		"a=1e308",
+	} {
 		if _, err := ParseOverrides(bad); err == nil {
-			t.Fatalf("ParseOverrides(%q) accepted", bad)
+			t.Errorf("ParseOverrides(%q) accepted", bad)
 		}
 	}
 }
@@ -137,9 +147,10 @@ func TestTenantAttributionExact(t *testing.T) {
 }
 
 func TestTenantAttributionCountsDrops(t *testing.T) {
-	// One token per virtual second with burst 1: a same-timestamp burst
-	// admits one event and throttles the rest, all booked to the tenant.
-	a := NewAdmission(overload.Config{MinSampleRate: 1, RatePerSec: 1, Burst: 1}, nil, nil)
+	// Half a token per virtual second, so the burst is 1: a
+	// same-timestamp burst admits one event and throttles the rest, all
+	// booked to the tenant.
+	a := NewAdmission(overload.Config{MinSampleRate: 1, RatePerSec: 0.5}, nil, nil)
 	a.Admit("noisy", at(9, 1, 8, 1000))
 	if got := a.TenantStats()["noisy"]; got.Seen != 8 || got.Admitted != 1 || got.Dropped != 7 {
 		t.Fatalf("noisy stats %+v, want Seen 8 Admitted 1 Dropped 7", got)

@@ -61,21 +61,20 @@ func BenchmarkRecordUnderOverload(b *testing.B) {
 	})
 	b.Run("storm", func(b *testing.B) {
 		// Saturated gate: pressure pinned at 1 so sampling floors, tight
-		// buckets throttle, and the tier machine escalates to category
-		// shedding — the expensive decision paths all run.
-		g := NewGate(Config{
-			MinSampleRate: 0.1,
-			RatePerSec:    200_000,
-			Burst:         64,
-			EngageAfter:   2,
-			CooldownEvals: 4,
-		})
-		for i := 0; i < 4; i++ {
-			g.Evaluate(at(1))
-		}
+		// buckets (a burst of 64, refilled at 32/s) throttle, and the tier
+		// machine escalates to category shedding — the expensive decision
+		// paths all run.
+		g := NewGate(Config{MinSampleRate: 0.1, RatePerSec: 32})
+		pressurize(g, 1, 2*engageAfter)
 		if g.Tier() != TierCategory {
-			// Two escalations from 4 hot evaluations at EngageAfter=2.
 			b.Fatalf("storm setup: tier %v", g.Tier())
+		}
+		// The smoothed pressure reaches 1 only after the evaluations
+		// that would escalate to TierStream, which sheds every event
+		// first: pin it where a long storm converges instead.
+		g.ctl.smoothed = 1
+		if n, _ := g.SampleRates(); n != 0.1 {
+			b.Fatalf("storm setup: keep rate %v, want the 0.1 floor", n)
 		}
 		benchFilter(b, g)
 	})

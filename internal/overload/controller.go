@@ -7,20 +7,22 @@ package overload
 //
 // The tier state machine:
 //
-//	score ≥ EngagePressure     → hot streak grows; EngageAfter
-//	                             consecutive hot evaluations escalate
-//	                             one tier and restart the streak.
-//	score ≤ DisengagePressure  → cool streak grows; CooldownEvals
-//	                             consecutive cool evaluations release
-//	                             one tier and restart the streak.
-//	in between (the band)      → both streaks reset: the tier holds.
+//	score ≥ engage     → hot streak grows; engageAfter consecutive
+//	                     hot evaluations escalate one tier and restart
+//	                     the streak.
+//	score ≤ disengage  → cool streak grows; cooldownEvals consecutive
+//	                     cool evaluations release one tier and restart
+//	                     the streak.
+//	in between (the band) → both streaks reset: the tier holds.
 //
 // Because a release requires the score to stay *below* the band for the
 // whole cool-down while an engagement requires it *above* the band,
 // a score oscillating around either threshold cannot flap the tier —
 // crossing into the band resets the opposing streak.
 type controller struct {
-	cfg *Config
+	// engage is Config.EngagePressure; disengage is disengagePressure,
+	// or engage/2 when engage is not above it.
+	engage, disengage float64
 
 	tier     Tier
 	smoothed float64
@@ -28,25 +30,30 @@ type controller struct {
 	cool     int
 }
 
-func (c *controller) init(cfg *Config) { c.cfg = cfg }
+func (c *controller) init(engage float64) {
+	c.engage, c.disengage = engage, disengagePressure
+	if c.disengage >= engage {
+		c.disengage = engage / 2
+	}
+}
 
 // evaluate consumes one pressure score and reports whether the tier
 // escalated or released on this evaluation.
 func (c *controller) evaluate(score float64) (engaged, released bool) {
-	c.smoothed += c.cfg.Smoothing * (score - c.smoothed)
+	c.smoothed += smoothing * (score - c.smoothed)
 	switch {
-	case score >= c.cfg.EngagePressure:
+	case score >= c.engage:
 		c.cool = 0
 		c.hot++
-		if c.hot >= c.cfg.EngageAfter && c.tier < TierStream {
+		if c.hot >= engageAfter && c.tier < TierStream {
 			c.tier++
 			c.hot = 0
 			return true, false
 		}
-	case score <= c.cfg.DisengagePressure:
+	case score <= c.disengage:
 		c.hot = 0
 		c.cool++
-		if c.cool >= c.cfg.CooldownEvals && c.tier > TierNone {
+		if c.cool >= cooldownEvals && c.tier > TierNone {
 			c.tier--
 			c.cool = 0
 			return false, true

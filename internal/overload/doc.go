@@ -15,10 +15,10 @@
 //  2. head sampling — per-category keep rates fall smoothly from 1.0
 //     toward Config.MinSampleRate as smoothed pressure rises, using a
 //     deterministic credit accumulator;
-//  3. token buckets — a hard per-category rate limit with configurable
-//     burst, refilled on the events' own virtual timestamps so replayed
-//     and live time behave identically. Bucket is that bucket, and the
-//     one internal/ingest's tenant quotas draw from too.
+//  3. token buckets — a hard per-category rate limit with a burst of
+//     twice the rate, refilled on the events' own virtual timestamps so
+//     replayed and live time behave identically. Bucket is that bucket,
+//     and the one internal/ingest's tenant quotas draw from too.
 //
 // The controller's input is the store's write path (StorePressure): on
 // a single store its EWMA append and fsync latencies and its sticky
@@ -39,11 +39,15 @@
 //     latencies normalised against fixed budgets (1 ms per appended
 //     event, 20 ms per fsync), and a failed write path scores 1
 //     (TestPressureScore).
-//   - A tier engages only after EngageAfter consecutive evaluations at or
-//     above EngagePressure and releases only after CooldownEvals at or
-//     below DisengagePressure; a score inside the band resets both
-//     streaks, so an oscillation straddling it moves the tier zero times
-//     (TestHysteresisNoFlap).
+//   - A tier engages only after engageAfter (3) consecutive evaluations
+//     at or above Config.EngagePressure and releases only after
+//     cooldownEvals (8) at or below disengagePressure (0.35); a score
+//     inside the band resets both streaks, so an oscillation straddling
+//     it moves the tier zero times (TestHysteresisNoFlap).
+//   - Config holds only what btrace-serve's flags set; the tuning its
+//     defaults run — those streaks and thresholds, the smoothing
+//     coefficient 0.5, sampleStart 0.5 and a category burst of
+//     2×RatePerSec — is pinned as a whole (TestGateProductionTuning).
 //
 // Filter:
 //   - An unpressured gate with no rate limits passes everything and

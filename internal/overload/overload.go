@@ -75,43 +75,45 @@ func (p StorePressure) score() float64 {
 // paper's most verbose level.
 func lowPriority(level uint8) bool { return level >= 3 }
 
-// Config configures a Gate. Zero values select the documented defaults.
+// Config configures a Gate: the three values btrace-serve's flags set.
+// Zero values select the documented defaults; the rest of the tuning is
+// the constants below.
 type Config struct {
 	// MinSampleRate is the floor the controller may drive per-category
 	// keep rates down to under full pressure (default 0.05; 1 disables
 	// dynamic sampling entirely).
 	MinSampleRate float64
-	// SampleStart is the smoothed pressure at which keep rates begin to
-	// fall below 1.0 (default 0.5).
-	SampleStart float64
-
 	// RatePerSec is the per-category token refill rate in events per
-	// second of virtual time (0 = no category rate limit).
+	// second of virtual time, with a burst of twice that, at least 1
+	// (0 = no category rate limit).
 	RatePerSec float64
-	// Burst is the per-category bucket capacity (default 2×RatePerSec,
-	// minimum 1).
-	Burst float64
-
 	// EngagePressure is the score at or above which an evaluation counts
-	// toward escalation (default 0.75).
+	// toward escalation (default 0.75; above 1 the tier never moves).
 	EngagePressure float64
-	// DisengagePressure is the score at or below which an evaluation
-	// counts toward release (default 0.35). Scores between the two
-	// thresholds hold the current tier — that band is the hysteresis.
-	DisengagePressure float64
-	// EngageAfter is the number of consecutive hot evaluations required
-	// per tier escalation (default 3).
-	EngageAfter int
-	// CooldownEvals is the number of consecutive cool evaluations
-	// required per tier release (default 8). Releases are deliberately
-	// slower than engagements: shedding too little wedges the system,
-	// shedding too long only costs detail.
-	CooldownEvals int
-	// Smoothing is the EWMA coefficient applied to the pressure score
-	// before it drives sampling rates, in (0, 1] (default 0.5; 1 =
-	// unsmoothed).
-	Smoothing float64
 }
+
+// The controller's fixed tuning.
+const (
+	// sampleStart is the smoothed pressure at which keep rates begin to
+	// fall below 1.0.
+	sampleStart = 0.5
+	// disengagePressure is the score at or below which an evaluation
+	// counts toward release; EngagePressure/2 takes its place when
+	// EngagePressure is not above it. Scores between the two thresholds
+	// hold the current tier: that band is the hysteresis.
+	disengagePressure = 0.35
+	// engageAfter is the number of consecutive hot evaluations per tier
+	// escalation.
+	engageAfter = 3
+	// cooldownEvals is the number of consecutive cool evaluations per
+	// tier release. Releases are deliberately slower than engagements:
+	// shedding too little wedges the system, shedding too long only
+	// costs detail.
+	cooldownEvals = 8
+	// smoothing is the EWMA coefficient applied to the pressure score
+	// before it drives sampling rates.
+	smoothing = 0.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.MinSampleRate <= 0 {
@@ -120,32 +122,8 @@ func (c Config) withDefaults() Config {
 	if c.MinSampleRate > 1 {
 		c.MinSampleRate = 1
 	}
-	if c.SampleStart <= 0 {
-		c.SampleStart = 0.5
-	}
-	if c.Burst <= 0 {
-		c.Burst = 2 * c.RatePerSec
-	}
-	if c.RatePerSec > 0 && c.Burst < 1 {
-		c.Burst = 1
-	}
 	if c.EngagePressure <= 0 {
 		c.EngagePressure = 0.75
-	}
-	if c.DisengagePressure <= 0 {
-		c.DisengagePressure = 0.35
-	}
-	if c.DisengagePressure >= c.EngagePressure {
-		c.DisengagePressure = c.EngagePressure / 2
-	}
-	if c.EngageAfter <= 0 {
-		c.EngageAfter = 3
-	}
-	if c.CooldownEvals <= 0 {
-		c.CooldownEvals = 8
-	}
-	if c.Smoothing <= 0 || c.Smoothing > 1 {
-		c.Smoothing = 0.5
 	}
 	return c
 }
@@ -179,6 +157,8 @@ type Stats struct {
 type Gate struct {
 	cfg Config
 	ctl controller
+	// burst is each category bucket's capacity: 2×RatePerSec, at least 1.
+	burst float64
 
 	// sampleAcc accumulates per-category sampling credit (credit
 	// sampling: acc += rate; admit and spend 1 when acc ≥ 1).
@@ -191,8 +171,9 @@ type Gate struct {
 
 // NewGate creates a Gate.
 func NewGate(cfg Config) *Gate {
-	g := &Gate{cfg: cfg.withDefaults()}
-	g.ctl.init(&g.cfg)
+	cfg = cfg.withDefaults()
+	g := &Gate{cfg: cfg, burst: max(2*cfg.RatePerSec, 1)}
+	g.ctl.init(cfg.EngagePressure)
 	return g
 }
 
@@ -231,11 +212,10 @@ func (g *Gate) Stats() Stats { return g.stats }
 // first detail to give up is the detail worth the least.
 func (g *Gate) sampleRate(low bool) float64 {
 	p := g.ctl.smoothed
-	start := g.cfg.SampleStart
-	if p <= start {
+	if p <= sampleStart {
 		return 1
 	}
-	x := (p - start) / (1 - start)
+	x := (p - sampleStart) / (1 - sampleStart)
 	if low {
 		x *= 2
 	}
@@ -271,7 +251,7 @@ func (g *Gate) Filter(es []tracer.Entry) []tracer.Entry {
 			continue
 		}
 		if g.cfg.RatePerSec > 0 &&
-			!g.catBuckets[e.Category].Take(e.TS, g.cfg.RatePerSec, g.cfg.Burst) {
+			!g.catBuckets[e.Category].Take(e.TS, g.cfg.RatePerSec, g.burst) {
 			g.stats.ThrottledCategory++
 			continue
 		}

@@ -72,10 +72,12 @@ func TestNoPressurePassesEverything(t *testing.T) {
 // TestSamplingCreditExactness: the credit accumulator admits exactly
 // ⌈r·n⌉ events per category, evenly spread — not a noisy approximation.
 func TestSamplingCreditExactness(t *testing.T) {
-	g := NewGate(Config{MinSampleRate: 0.25, SampleStart: 0.1, Smoothing: 1})
 	// Saturate pressure so the rate floors at MinSampleRate for every
-	// priority class.
-	pressurize(g, 1, 4)
+	// priority class: the smoothed pressure reaches 1 within 60
+	// evaluations. The gate sheds nothing (-shed=false), so the tier
+	// stays TierNone.
+	g := NewGate(Config{MinSampleRate: 0.25, EngagePressure: 2})
+	pressurize(g, 1, 60)
 	if n, l := g.SampleRates(); n != 0.25 || l != 0.25 {
 		t.Fatalf("rates at full pressure: %v %v (want 0.25 floor)", n, l)
 	}
@@ -94,20 +96,20 @@ func TestSamplingCreditExactness(t *testing.T) {
 	checkIdentity(t, g.Stats())
 }
 
-// TestSampleRateScalesWithPressure: rates sit at 1 below SampleStart,
+// TestSampleRateScalesWithPressure: rates sit at 1 below sampleStart,
 // fall continuously above it, and low-priority decays faster.
 func TestSampleRateScalesWithPressure(t *testing.T) {
-	g := NewGate(Config{MinSampleRate: 0.1, SampleStart: 0.5, Smoothing: 1})
-	pressurize(g, 0.4, 1)
+	g := NewGate(Config{MinSampleRate: 0.1})
+	pressurize(g, 1, 1) // smoothed 0.5
 	if n, l := g.SampleRates(); n != 1 || l != 1 {
-		t.Fatalf("below SampleStart rates should be 1: %v %v", n, l)
+		t.Fatalf("at sampleStart rates should be 1: %v %v", n, l)
 	}
-	pressurize(g, 0.75, 1)
+	pressurize(g, 1, 1) // smoothed 0.75
 	n, l := g.SampleRates()
 	if !(n < 1 && n > 0.1) || !(l < n) {
 		t.Fatalf("mid-pressure rates: normal %v low %v", n, l)
 	}
-	pressurize(g, 1, 1)
+	pressurize(g, 1, 60)
 	if n, _ := g.SampleRates(); n != 0.1 {
 		t.Fatalf("full-pressure rate %v, want floor 0.1", n)
 	}
@@ -116,8 +118,8 @@ func TestSampleRateScalesWithPressure(t *testing.T) {
 // TestCategoryTokenBucket: the per-category bucket admits the burst,
 // throttles the excess, and refills on virtual time.
 func TestCategoryTokenBucket(t *testing.T) {
-	g := NewGate(Config{RatePerSec: 1000, Burst: 10})
-	// 100 events at the same virtual instant: burst admits 10.
+	g := NewGate(Config{RatePerSec: 5})
+	// 100 events at the same virtual instant: the burst of 2×5 admits 10.
 	es := make([]tracer.Entry, 100)
 	for i := range es {
 		es[i] = tracer.Entry{Stamp: uint64(i + 1), TS: 1_000_000, TID: 1, Category: 5, Level: 1}
@@ -129,15 +131,15 @@ func TestCategoryTokenBucket(t *testing.T) {
 	if s := g.Stats(); s.ThrottledCategory != 90 {
 		t.Fatalf("throttled %d, want 90", s.ThrottledCategory)
 	}
-	// 1 ms of virtual time refills one token at 1000/s.
-	one := []tracer.Entry{{Stamp: 1000, TS: 2_000_000, TID: 1, Category: 5, Level: 1}}
+	// 200 ms of virtual time refills one token at 5/s.
+	one := []tracer.Entry{{Stamp: 1000, TS: 201_000_000, TID: 1, Category: 5, Level: 1}}
 	if out := g.Filter(one); len(out) != 1 {
 		t.Fatal("refilled token not granted")
 	}
 	// An out-of-order (older) event must not refill the bucket.
 	old := []tracer.Entry{
-		{Stamp: 1001, TS: 1_500_000, TID: 1, Category: 5, Level: 1},
-		{Stamp: 1002, TS: 1_500_000, TID: 1, Category: 5, Level: 1},
+		{Stamp: 1001, TS: 101_000_000, TID: 1, Category: 5, Level: 1},
+		{Stamp: 1002, TS: 101_000_000, TID: 1, Category: 5, Level: 1},
 	}
 	if out := g.Filter(old); len(out) != 0 {
 		t.Fatalf("out-of-order events refilled the bucket: %d admitted", len(out))
@@ -164,7 +166,7 @@ func TestShedTiersInOrder(t *testing.T) {
 		return mkBatch(1, 120, 1000, []uint8{1, 2, 3}, 8)
 	}
 
-	g := NewGate(Config{MinSampleRate: 1, EngageAfter: 1, CooldownEvals: 1})
+	g := NewGate(Config{MinSampleRate: 1})
 	forceTier(t, g, TierPayload)
 	out := g.Filter(mk())
 	if len(out) != 120 {
@@ -208,14 +210,7 @@ func TestShedTiersInOrder(t *testing.T) {
 // cool-down, and a score oscillating around either threshold — or
 // sitting inside the hysteresis band — never flaps the tier.
 func TestHysteresisNoFlap(t *testing.T) {
-	cfg := Config{
-		EngagePressure:    0.75,
-		DisengagePressure: 0.35,
-		EngageAfter:       3,
-		CooldownEvals:     5,
-		Smoothing:         1,
-	}
-	g := NewGate(cfg)
+	g := NewGate(Config{})
 
 	// Two hot evaluations are not enough; the third engages.
 	pressurize(g, 0.9, 2)
@@ -259,14 +254,14 @@ func TestHysteresisNoFlap(t *testing.T) {
 		t.Fatalf("released %d tiers during oscillation", rel)
 	}
 
-	// Cooling: 4 cool evaluations are not enough; the 5th releases one
+	// Cooling: 7 cool evaluations are not enough; the 8th releases one
 	// tier. A hot blip restarts the cool-down from zero.
-	pressurize(g, 0.1, 4)
+	pressurize(g, 0.1, cooldownEvals-1)
 	if g.Tier() != TierStream {
 		t.Fatalf("released before cool-down complete: %v", g.Tier())
 	}
 	pressurize(g, 0.9, 1) // blip
-	pressurize(g, 0.1, 4)
+	pressurize(g, 0.1, cooldownEvals-1)
 	if g.Tier() != TierStream {
 		t.Fatalf("blip failed to restart cool-down: %v", g.Tier())
 	}
@@ -278,7 +273,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 	// Full recovery is monotonic: the tier only ever steps down while
 	// the score stays below the band.
 	prev := g.Tier()
-	for i := 0; i < 3*cfg.CooldownEvals; i++ {
+	for i := 0; i < 3*cooldownEvals; i++ {
 		g.Evaluate(at(0.1))
 		if cur := g.Tier(); cur > prev {
 			t.Fatalf("tier rose from %v to %v during recovery", prev, cur)
@@ -299,13 +294,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 // pressure signal that wanders the whole range, the identity holds
 // after every batch.
 func TestAccountingIdentityUnderChurn(t *testing.T) {
-	g := NewGate(Config{
-		MinSampleRate: 0.2,
-		RatePerSec:    100,
-		Burst:         5,
-		EngageAfter:   2,
-		CooldownEvals: 3,
-	})
+	g := NewGate(Config{MinSampleRate: 0.2, RatePerSec: 2.5})
 	rng := rand.New(rand.NewSource(42))
 	var stamp uint64 = 1
 	for round := 0; round < 200; round++ {

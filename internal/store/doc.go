@@ -157,9 +157,9 @@
 //   - The compactor races appends, queries and retention safely
 //     (TestStoreCompactorStress, TestFreezeBuildsColdTier), over either
 //     backend (TestObjectBackendConformance).
-//   - Retention deletes whole sealed segments, oldest first, never the
-//     active one (TestRetentionByBytes, TestRetentionByAge,
-//     TestColdRetention).
+//   - Retention is by bytes only (Config.MaxBytes): it deletes whole
+//     sealed segments, oldest first, never the active one
+//     (TestRetentionByBytes, TestColdRetention).
 //   - The block cache stays within ColdCacheBytes, serves repeated cold
 //     reads, and can be turned off (TestBlockCacheServesRepeatedColdQueries,
 //     TestBlockCacheEvictsWithinBudget, TestBlockCacheDisabled).

@@ -37,14 +37,11 @@ type Config struct {
 	// single record larger than the threshold still gets a segment of
 	// its own rather than being rejected.
 	SegmentBytes int64
-	// MaxBytes bounds the store's total on-disk size; beyond it the
-	// oldest sealed segments are deleted, whole files at a time
-	// (0 = unlimited). The active segment is never deleted.
+	// MaxBytes bounds the store's total on-disk size, the one retention
+	// bound; beyond it the oldest sealed segments are deleted, whole
+	// files at a time (0 = unlimited). The active segment is never
+	// deleted.
 	MaxBytes int64
-	// MaxAgeNs bounds retention by virtual age: sealed segments whose
-	// newest timestamp trails the store's newest timestamp by more than
-	// this are deleted (0 = unlimited).
-	MaxAgeNs uint64
 	// CommitEvery is the active segment's group-commit timer: how long
 	// its written-but-unsynced bytes may sit before a commit fsyncs them.
 	// With 0 there is no timer, and the active segment is durable at the
@@ -533,37 +530,22 @@ func (st *Store) newSegmentLocked() (*segment, error) {
 }
 
 // enforceRetentionLocked deletes the oldest sealed segments until the
-// byte and age bounds hold. Deletion is atomic per segment (one backend
+// byte bound holds. Deletion is atomic per segment (one backend
 // Remove); the active segment is never touched.
 func (st *Store) enforceRetentionLocked() {
-	if st.cfg.MaxBytes > 0 {
-		total := st.tiers[TierHot].bytes + st.tiers[TierCold].bytes
-		for total > st.cfg.MaxBytes && len(st.segs) > 1 && st.segs[0].sealed {
-			total -= st.segs[0].size
-			st.retireOldestLocked()
-		}
+	if st.cfg.MaxBytes <= 0 {
+		return
 	}
-	if st.cfg.MaxAgeNs > 0 {
-		var newest uint64
-		for _, s := range st.segs {
-			if s.meta.count > 0 && s.meta.maxTS > newest {
-				newest = s.meta.maxTS
-			}
-		}
-		for len(st.segs) > 1 && st.segs[0].sealed &&
-			st.segs[0].meta.count > 0 && st.segs[0].meta.maxTS+st.cfg.MaxAgeNs < newest {
-			st.retireOldestLocked()
-		}
+	total := st.tiers[TierHot].bytes + st.tiers[TierCold].bytes
+	for total > st.cfg.MaxBytes && len(st.segs) > 1 && st.segs[0].sealed {
+		s := st.segs[0]
+		st.be.Remove(s.name)
+		st.segs = st.segs[1:]
+		st.addSegLocked(s, -1)
+		st.stats.SegmentsDeleted++
+		st.stats.EventsRetired += s.meta.count
+		total -= s.size
 	}
-}
-
-func (st *Store) retireOldestLocked() {
-	s := st.segs[0]
-	st.be.Remove(s.name)
-	st.segs = st.segs[1:]
-	st.addSegLocked(s, -1)
-	st.stats.SegmentsDeleted++
-	st.stats.EventsRetired += s.meta.count
 }
 
 // Sync makes every previous append durable: on return all of them,

@@ -360,27 +360,6 @@ func TestRetentionByBytes(t *testing.T) {
 	}
 }
 
-func TestRetentionByAge(t *testing.T) {
-	st, err := Open(t.TempDir(), Config{SegmentBytes: 2 << 10, MaxAgeNs: 100_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	appendRange(t, st, 1, 1000) // TS = stamp*1000, span 1e6 ns >> MaxAge
-	st.Seal()
-	es := drainStore(t, st, Query{})
-	if len(es) == 0 || len(es) == 1000 {
-		t.Fatalf("age retention kept %d of 1000", len(es))
-	}
-	oldest := es[0].TS
-	newest := es[len(es)-1].TS
-	// Whole-segment granularity: survivors may exceed the age bound by
-	// up to one segment's span, but grossly stale segments must be gone.
-	if newest-oldest > 600_000 {
-		t.Fatalf("oldest survivor is %d ns old (MaxAge 100000)", newest-oldest)
-	}
-}
-
 // TestCursorMissedOnRetention: retention deleting segments of a
 // one-worker pass's snapshot mid-pass surfaces through missed, never
 // silently — every event of the snapshot is delivered exactly once or
