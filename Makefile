@@ -35,9 +35,9 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# The store's parallel-cursor stress test under the race detector:
-# concurrent appenders, parallel cursors (full passes reopened back to
-# back, and partial drains ending in Close) and retention all racing
+# The store's cursor stress test under the race detector: concurrent
+# appenders, cursors (full passes reopened back to back, and partial
+# drains ending in Close) and retention all racing
 # mid-scan; appenders racing Close, each batch all or nothing; commits
 # racing rotations: Sync and Seal cover every segment rotated before
 # them, and a free-running appender cannot hold a Sync off; and the one
@@ -101,7 +101,7 @@ cluster-chaos:
 
 # Continuous-verification soak: boot a real single-store btrace-serve,
 # run btrace-vulture against it (known stamped writes read back through
-# /live, one-worker and parallel /store/query, and the cold tier), then
+# /live, the /store/query range read, and the cold tier), then
 # do the same to a real 4-shard RF=2 one and drain a shard mid-soak.
 # Fails on any acked-stamp loss, duplication or mis-ordering on either.
 # Honors -short (make vulture-soak SHORT=-short, ~1 min).
@@ -133,6 +133,11 @@ OBS_RECORD_BENCHTIME ?= 200000x
 # sections) run at a count of their own, and
 # so does the hot-tail CSV export.
 STORE_SLOW_BENCHTIME ?= 300x
+# The concurrent append benchmark's first run of its appenders makes
+# about a hundred allocations, a pooled frame buffer apiece among them,
+# that do not grow with the count; its zero-allocation rule needs a
+# count that rounds them to 0/op by a wide margin (~0.1 s).
+APPEND_CONCURRENT_BENCHTIME ?= 2000x
 bench:
 	@{ $(GO) test ./internal/core -run '^$$' -bench 'BenchmarkReadPath' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test . -run '^$$' -bench 'BenchmarkWritePathStampBatch' -benchmem -benchtime $(BENCHTIME); \
@@ -141,10 +146,11 @@ bench:
 	   $(GO) test ./internal/tracer -run '^$$' -bench 'BenchmarkDecodeEvents' -benchmem -benchtime $(BENCHTIME); } \
 	 | tee /dev/stderr | $(GO) run ./cmd/bench2json > BENCH_readpath.json
 	@echo "wrote BENCH_readpath.json"
-	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(AppendConcurrent|Query|Reopen)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate|AggregateRepeat)|BenchmarkHotTailExport|BenchmarkWindowExport' -benchmem -benchtime $(BENCHTIME); \
+	@{ $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStore(Query|Reopen)|BenchmarkColdQuery|BenchmarkCompactTier|BenchmarkQuery(FullScan|SelectiveBTQL|Aggregate|AggregateRepeat)|BenchmarkHotTailExport|BenchmarkWindowExport' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkColdSelect|BenchmarkRunMerge|BenchmarkFreezeDeflate' -benchmem -benchtime $(STORE_SLOW_BENCHTIME); \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkHotTailCSV' -benchmem -benchtime $(STORE_SLOW_BENCHTIME); \
 	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStoreAppend$$' -benchmem -benchtime $(BENCHTIME); \
+	   $(GO) test ./internal/store -run '^$$' -bench 'BenchmarkStoreAppendConcurrent' -benchmem -benchtime $(APPEND_CONCURRENT_BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorIngest' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorQuery' -benchmem -benchtime $(BENCHTIME); \
 	   $(GO) test ./internal/distributor -run '^$$' -bench 'BenchmarkDistributorAggregate' -benchmem -benchtime $(BENCHTIME); \
@@ -218,4 +224,4 @@ benchdiff:
 	  git show HEAD:$$f > .benchbase/$$f 2>/dev/null || rm -f .benchbase/$$f; done
 	$(GO) run ./cmd/benchdiff -old .benchbase -new . \
 	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkStoreAppend/.*,BenchmarkStoreAppendConcurrent,BenchmarkObsOverhead/.*,BenchmarkLiveFanout/.*,BenchmarkLiveSSE,BenchmarkExportCSV,BenchmarkDecodeEvents,BenchmarkServeIngest/single,BenchmarkServeIngest/cluster-4xrf2' \
-	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregateRepeat<=0.1*BenchmarkQueryAggregate,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkColdSelect/sparse-lengths<=0.65*BenchmarkColdSelect/sparse,BenchmarkHotTailExport/cached<=0.5*BenchmarkHotTailExport/walk,BenchmarkHotTailCSV/cached<=0.12*BenchmarkHotTailCSV/walk,BenchmarkWindowExport/cached<=0.05*BenchmarkWindowExport/walk,BenchmarkStoreAppend/segs=4096<=1.5*BenchmarkStoreAppend/segs=1,BenchmarkDistributorIngest/rf2-4shards<=3*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'
+	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryWide,BenchmarkQuerySelectiveBTQL<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregate<=0.2*BenchmarkQueryFullScan,BenchmarkQueryAggregateRepeat<=0.1*BenchmarkQueryAggregate,BenchmarkColdSelect/sparse<=0.3*BenchmarkColdSelect/dense,BenchmarkColdSelect/sparse-lengths<=0.65*BenchmarkColdSelect/sparse,BenchmarkHotTailExport/cached<=0.5*BenchmarkHotTailExport/walk,BenchmarkHotTailCSV/cached<=0.12*BenchmarkHotTailCSV/walk,BenchmarkWindowExport/cached<=0.05*BenchmarkWindowExport/walk,BenchmarkStoreAppend/segs=4096<=1.5*BenchmarkStoreAppend/segs=1,BenchmarkDistributorIngest/rf2-4shards<=3*BenchmarkDistributorIngest/direct-1shard,BenchmarkDistributorAggregate/count-4xrf2<=3*BenchmarkDistributorAggregate/direct-1shard,BenchmarkRecordUnderOverload/storm<=2*BenchmarkRecordUnderOverload/baseline,BenchmarkObsOverhead/record-instrumented<=1.1*BenchmarkObsOverhead/record-baseline'

@@ -6,7 +6,7 @@
 //
 //	benchdiff -old .benchbase -new . \
 //	  -zero-allocs 'BenchmarkReadPathCursor,BenchmarkObsOverhead/.*' \
-//	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryParallel'
+//	  -max-ratio 'BenchmarkColdQuery<=2*BenchmarkStoreQueryWide'
 //
 // A benchmark fails the gate if its name matches a -zero-allocs pattern
 // and its allocs/op is not zero (the read-path and obs fast-path

@@ -63,7 +63,9 @@
 //     (TestStoreQueryEndpoint, TestStoreQueryBTQL), and a query with an
 //     aggregate stage answers one JSON document (TestClusterBTQLAggregate,
 //     TestStoreQueryAggregatePartials).
-//   - The body is byte-identical at any ?workers= (TestStoreQueryWorkersParam).
+//   - The read is one snapshot pass on the request's goroutine; ?workers=
+//     is ignored like any parameter the server does not read
+//     (TestStoreQueryWorkersParam).
 //   - The format sets the read's projection: csv and chrome read payload
 //     lengths only (TestStoreQueryProjection).
 //   - A read that fails mid-export aborts the response instead of ending

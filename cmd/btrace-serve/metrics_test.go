@@ -127,7 +127,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// Two CSV-style reads of the sealed segment: the build of its header
 	// set, a read of the set.
 	for range 2 {
-		cur := st.QueryParallel(store.Query{LengthsOnly: true}, 1)
+		cur := st.Query(store.Query{LengthsOnly: true})
 		if es, err := tracer.Drain(cur, 16); err != nil || len(es) != 2 {
 			t.Fatalf("length-only read: %d events, %v", len(es), err)
 		}

@@ -114,26 +114,6 @@ func parseStoreQuery(r *http.Request) (store.Query, *btql.AggSpec, error) {
 	return q, agg, nil
 }
 
-// maxQueryWorkers caps the per-request ?workers= override: each worker
-// pins a scan goroutine, and an unauthenticated query must not be able
-// to demand an unbounded pool.
-const maxQueryWorkers = 32
-
-// requestWorkers resolves the scan-pool size for one /store/query:
-// ?workers=N a pool of N (capped; 0 reads as one worker, per shard on a
-// cluster), and an absent parameter is store.DefaultQueryWorkers.
-func requestWorkers(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("workers")
-	if v == "" {
-		return store.DefaultQueryWorkers, nil
-	}
-	u, err := strconv.ParseUint(v, 10, 16)
-	if err != nil || u > maxQueryWorkers {
-		return 0, fmt.Errorf("bad workers %q (allowed: [0, %d])", v, maxQueryWorkers)
-	}
-	return int(u), nil
-}
-
 // queryAborts counts the /store/query responses cut off after their
 // headers were out: an export that failed mid-stream (a corrupt
 // segment, a client that went away).
@@ -163,21 +143,15 @@ func (w *startedWriter) Write(p []byte) (int, error) {
 // projection, fixed before the cursor is opened: csv and chrome print a
 // payload's size and text its bytes (export.NeedsPayload), so only a
 // text export makes the scan read, inflate or copy payloads. Every read
-// is one stamp-ordered snapshot pass; ?workers= sizes its scan pool only,
-// 0 meaning one worker — per shard on a cluster, whose shards' passes a
-// merge deduplicates into one stream — so every value yields the
-// identical stream (btrace-vulture continuously cross-checks that).
+// is one stamp-ordered snapshot pass, run on the request's goroutine —
+// per shard on a cluster, whose shards' passes a merge deduplicates
+// into one stream.
 //
 // An export that fails once the response has begun aborts the
 // connection instead of returning: a clean end of the body would tell
 // the client the truncated stream is the whole answer.
 func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	q, agg, err := parseStoreQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	workers, err := requestWorkers(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -200,12 +174,12 @@ func (s *server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil {
 		// Cluster mode: fan out to every healthy shard and k-way-merge
 		// the replicas back to one stamp-ordered copy each.
-		if cur, err = s.cluster.d.Query(q, workers); err != nil {
+		if cur, err = s.cluster.d.Query(q); err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 	} else {
-		cur = s.store.QueryParallel(q, max(workers, 1))
+		cur = s.store.Query(q)
 	}
 	defer cur.Close()
 	out := &startedWriter{ResponseWriter: w}

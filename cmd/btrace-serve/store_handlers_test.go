@@ -271,7 +271,7 @@ func TestStoreQueryAbortsFailedExport(t *testing.T) {
 	}
 	whole := map[string]int{}
 	for _, format := range []string{"text", "csv", "chrome"} {
-		_, body := get(t, ts.URL+"/store/query?workers=0&format="+format)
+		_, body := get(t, ts.URL+"/store/query?format="+format)
 		whole[format] = len(body)
 	}
 
@@ -280,24 +280,22 @@ func TestStoreQueryAbortsFailedExport(t *testing.T) {
 	before := scrape(t, srv)["btrace_serve_query_aborts_total"]
 	var aborted float64
 	for _, format := range []string{"text", "csv", "chrome"} {
-		for _, workers := range []string{"0", "2"} {
-			resp, err := http.Get(ts.URL + "/store/query?format=" + format + "&workers=" + workers)
-			if err != nil {
-				t.Fatalf("%s workers=%s: %v", format, workers, err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s workers=%s: status %d, want the 200 the stream began with", format, workers, resp.StatusCode)
-			}
-			if !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Errorf("%s workers=%s: body read ended with %v after %d bytes, want io.ErrUnexpectedEOF", format, workers, err, len(body))
-			}
-			if len(body) == 0 || len(body) >= whole[format] {
-				t.Errorf("%s workers=%s: %d bytes of a %d-byte export arrived", format, workers, len(body), whole[format])
-			}
-			aborted++
+		resp, err := http.Get(ts.URL + "/store/query?format=" + format)
+		if err != nil {
+			t.Fatalf("%s: %v", format, err)
 		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want the 200 the stream began with", format, resp.StatusCode)
+		}
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: body read ended with %v after %d bytes, want io.ErrUnexpectedEOF", format, err, len(body))
+		}
+		if len(body) == 0 || len(body) >= whole[format] {
+			t.Errorf("%s: %d bytes of a %d-byte export arrived", format, len(body), whole[format])
+		}
+		aborted++
 	}
 	if got := scrape(t, srv)["btrace_serve_query_aborts_total"] - before; got != aborted {
 		t.Errorf("btrace_serve_query_aborts_total moved by %v over %v aborted exports", got, aborted)
@@ -306,7 +304,7 @@ func TestStoreQueryAbortsFailedExport(t *testing.T) {
 	// Before the first byte: the first row read is corrupt.
 	flip(segs[0], 1)
 	for _, format := range []string{"text", "csv"} {
-		if code, body := get(t, ts.URL+"/store/query?workers=0&format="+format); code != http.StatusInternalServerError || !strings.Contains(body, "corrupt") {
+		if code, body := get(t, ts.URL+"/store/query?format="+format); code != http.StatusInternalServerError || !strings.Contains(body, "corrupt") {
 			t.Errorf("%s over a corrupt first row: %d %q, want a 500 naming the corruption", format, code, body)
 		}
 	}
@@ -343,7 +341,7 @@ func TestStoreQueryProjection(t *testing.T) {
 		last = now
 		return d
 	}
-	for _, q := range []string{"format=csv&workers=0", "format=csv&workers=2", "format=chrome&workers=0", "format=chrome&workers=2"} {
+	for _, q := range []string{"format=csv", "format=chrome"} {
 		if code, body := get(t, ts.URL+"/store/query?"+q+window); code != http.StatusOK || strings.Count(body, "\n") < 1 {
 			t.Fatalf("%s: %d", q, code)
 		}
@@ -441,7 +439,7 @@ func TestStoreQueryOneRowAllocs(t *testing.T) {
 	}
 	_, st := storeServer(t, 100)
 	srv := newServer(st)
-	req := httptest.NewRequest(http.MethodGet, "/store/query?format=csv&min_stamp=50&max_stamp=50&workers=0&limit=1", nil)
+	req := httptest.NewRequest(http.MethodGet, "/store/query?format=csv&min_stamp=50&max_stamp=50&limit=1", nil)
 	run := func() {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)

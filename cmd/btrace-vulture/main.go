@@ -1,10 +1,11 @@
 // Command btrace-vulture continuously verifies a running btrace-serve:
 // it writes known stamped traces through POST /ingest and reads every
 // acked stamp back through each query surface — the /live tail, the
-// one-worker and parallel /store/query reads, the BTQL filter and
-// count() pipelines, and the cold columnar tier — and exits non-zero
-// if any acked stamp was lost, duplicated or delivered out of order. CI runs it as a soak gate (make vulture-soak);
-// operators can point it at a live deployment as a canary.
+// /store/query range read, the BTQL filter and count() pipelines, and
+// the cold columnar tier — and exits non-zero if any acked stamp was
+// lost, duplicated or delivered out of order. CI runs it as a soak gate
+// (make vulture-soak); operators can point it at a live deployment as a
+// canary.
 //
 //	btrace-vulture -url http://localhost:8321 -duration 60s -strict-live
 //
@@ -34,7 +35,6 @@ func main() {
 	interval := flag.Duration("interval", 20*time.Millisecond, "per-writer pause between batches")
 	settle := flag.Duration("settle", 500*time.Millisecond, "ack-to-read-back grace for the async single-store path")
 	coldAge := flag.Duration("cold-age", 0, "re-verify each range at this age to exercise the cold tier (0 = skip; set past the server's -cold-after)")
-	queryWorkers := flag.Int("query-workers", 4, "?workers= for the parallel read surface")
 	btqlProbe := flag.Bool("btql", true, "also read each range back as a BTQL ?q= filter and count() aggregate")
 	liveTail := flag.Bool("live", true, "verify the /live SSE surface too")
 	strictLive := flag.Bool("strict-live", false, "require every admitted event accounted for on /live (server must run without sampling or shedding)")
@@ -55,7 +55,6 @@ func main() {
 		Interval:     *interval,
 		Settle:       *settle,
 		Duration:     *duration,
-		QueryWorkers: *queryWorkers,
 		ColdAge:      *coldAge,
 		BTQL:         *btqlProbe,
 		Live:         *liveTail,

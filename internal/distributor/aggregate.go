@@ -178,12 +178,12 @@ func verified(parts []store.Partial, rf int) bool {
 // the tests hold the pushdown against. No aggregator reads a payload
 // byte, so the stream is read for payload lengths only. The merge adds
 // one mergeBatch of entries per shard to what the shards' scans hold
-// themselves — a store.PCursor each, up to three spans per segment of
-// its snapshot, an unordered segment's entries and one span buffer —
-// so the pass is bounded by the segments that match, not by a constant.
+// themselves — a store.PCursor each, a few chunks per segment its merge
+// is in, an unordered segment's entries and one span buffer — so the
+// pass is bounded by the segments that overlap, not by a constant.
 func (d *Distributor) aggregateMerged(q store.Query, specs []btql.AggSpec) (results []btql.Result, missed uint64, err error) {
 	q.LengthsOnly = true
-	cur, err := d.Query(q, 0)
+	cur, err := d.Query(q)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -261,7 +261,7 @@ func BenchmarkDistributorQuery(b *testing.B) {
 	inOrder, interleaved := benchStarts()
 	merged := func(b *testing.B, starts []uint64, q store.Query) {
 		d := benchCluster(b, starts)
-		drain(b, func() (tracer.Cursor, error) { return d.Query(q, 0) })
+		drain(b, func() (tracer.Cursor, error) { return d.Query(q) })
 	}
 
 	b.Run("merged-4xrf2", func(b *testing.B) { merged(b, inOrder, store.Query{}) })
@@ -283,7 +283,7 @@ func BenchmarkDistributorQuery(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		drain(b, func() (tracer.Cursor, error) { return sh.Query(store.Query{}, 0) })
+		drain(b, func() (tracer.Cursor, error) { return sh.Query(store.Query{}) })
 	})
 }
 

@@ -309,24 +309,23 @@ func (d *Distributor) setRingLocked(r *ring.Ring) {
 	d.obs.shards.Set(int64(len(d.shards)))
 }
 
-// Query fans q out across every healthy shard — each scanning its
-// segments with up to workers goroutines, at least one — and
+// Query fans q out across every healthy shard — each shard's pass runs
+// on the caller's goroutine, inside the merge's Next — and
 // k-way-merges the shards' stamp-ordered runs into one stamp-ordered,
 // replica-deduplicated cursor. q.Limit applies to the merged stream
 // alone: a shard's duplicates of one stamp must not use up its share.
 // The rest of q goes to every shard as it is — q.LengthsOnly included,
 // so a CSV or Chrome export of the cluster reads no payload byte on any
 // shard (the merge borrows entries and never looks inside a payload).
-func (d *Distributor) Query(q store.Query, workers int) (tracer.Cursor, error) {
+func (d *Distributor) Query(q store.Query) (tracer.Cursor, error) {
 	limit := q.Limit
 	q.Limit = 0
 	var curs []tracer.Cursor
 	for _, sh := range d.Shards() {
-		cur, err := sh.Query(q, workers)
-		if err != nil {
-			continue // dead replica: its data lives on its peers
+		// A dead replica refuses: its data lives on its peers.
+		if cur, err := sh.Query(q); err == nil {
+			curs = append(curs, cur)
 		}
-		curs = append(curs, cur)
 	}
 	if len(curs) == 0 {
 		return nil, fmt.Errorf("distributor: no healthy shards")
@@ -482,7 +481,7 @@ const moveBatch = 1024
 // in the merged query view. Placement is by TID, one ring walk per
 // thread.
 func (d *Distributor) move(src Shard, from, to *ring.Ring, leaving bool, rep *DrainReport) error {
-	cur, err := src.Query(store.Query{}, 1)
+	cur, err := src.Query(store.Query{})
 	if err != nil {
 		return err
 	}

@@ -117,7 +117,7 @@ func TestDistributorReplicatesToQuorum(t *testing.T) {
 
 	// The merged query view deduplicates the replicas back to one copy
 	// each, in stamp order, payloads intact.
-	cur, err := d.Query(store.Query{}, 0)
+	cur, err := d.Query(store.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDistributorHedgesAroundDeadReplica(t *testing.T) {
 	}
 	// And the acked events must be fully readable without the dead
 	// shard.
-	cur, err := d.Query(store.Query{}, 0)
+	cur, err := d.Query(store.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestDrainShardMovesOnlyMovedRanges(t *testing.T) {
 	victim.Close()
 
 	// The full stream must remain readable from the survivors.
-	cur, err := d.Query(store.Query{}, 0)
+	cur, err := d.Query(store.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestAddShardRoutesNewWrites(t *testing.T) {
 		t.Fatalf("post-add ingest: %+v", res)
 	}
 	// Old and new events both remain fully queryable across the ring.
-	cur, err := d.Query(store.Query{}, 0)
+	cur, err := d.Query(store.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestAddDrainRemoveLosesNothing(t *testing.T) {
 	if _, err := d.RemoveShard("shard-02"); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := d.Query(store.Query{}, 0)
+	cur, err := d.Query(store.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestKilledShardRefuses(t *testing.T) {
 	if err := ingestAll(sh, events(10, 100, 7)); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("ingest after kill: %v, want ErrShardDown", err)
 	}
-	if _, err := sh.Query(store.Query{}, 0); !errors.Is(err, ErrShardDown) {
+	if _, err := sh.Query(store.Query{}); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("query after kill: %v, want ErrShardDown", err)
 	}
 	if sh.Healthy() {

@@ -55,9 +55,8 @@
 //     client sends (TestRingMemoBounded).
 //
 // Query and MergeCursor:
-//   - The merged view equals the shards' own one-worker reads,
-//     deduplicated and sorted, at any worker count
-//     (TestDistributorQueryParallelMatchesSequential,
+//   - The merged view equals the shards' own reads, deduplicated and
+//     sorted (TestDistributorQueryParallelMatchesSequential,
 //     TestLocalShardQueryStampOrdered).
 //   - Consecutive equal stamps collapse, across replicas and within one
 //     shard (TestMergeDeduplicatesReplicas,

@@ -392,7 +392,7 @@ func TestKillDuringInflightDelivery(t *testing.T) {
 		}
 	}
 	// Nothing acked is lost: the survivors serve every acked stamp.
-	cur, err := d.Query(store.Query{}, 0)
+	cur, err := d.Query(store.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,9 @@ import (
 	"btrace/internal/tracer"
 )
 
-// The cluster read surface must not depend on how hard each shard
-// scans: whatever ?workers= asks for, the merged, deduplicated stream
-// has to be the same — btrace-vulture cross-checks that continuously —
-// and it has to be what the shards' own one-worker store reads hold,
-// deduplicated and sorted here: the reference without the merge.
+// The cluster read surface, the merged and deduplicated stream, has to
+// be what the shards' own store reads hold, deduplicated and sorted
+// here: the reference without the merge.
 func TestDistributorQueryParallelMatchesSequential(t *testing.T) {
 	d, locals := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
 	res := d.Ingest("", events(500, 1, 30, 31, 32, 33, 34))
@@ -39,29 +37,26 @@ func TestDistributorQueryParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("the shards' reads hold %d distinct events, want 401", len(seq))
 	}
 
-	for _, workers := range []int{0, 1, 4} {
-		cur, err := d.Query(q, workers)
-		if err != nil {
-			t.Fatal(err)
+	cur, err := d.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := drainAll(t, cur)
+	if len(par) != len(seq) {
+		t.Fatalf("%d events, the shards' reads %d", len(par), len(seq))
+	}
+	for i := range seq {
+		if seq[i].Stamp != par[i].Stamp {
+			t.Fatalf("divergence at %d: the shards' stamp %d, merged %d", i, seq[i].Stamp, par[i].Stamp)
 		}
-		par := drainAll(t, cur)
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d events, the shards' reads %d", workers, len(par), len(seq))
-		}
-		for i := range seq {
-			if seq[i].Stamp != par[i].Stamp {
-				t.Fatalf("workers=%d: divergence at %d: the shards' stamp %d, merged %d",
-					workers, i, seq[i].Stamp, par[i].Stamp)
-			}
-			if string(seq[i].Payload) != string(par[i].Payload) {
-				t.Fatalf("workers=%d: stamp %d payload differs between surfaces", workers, seq[i].Stamp)
-			}
+		if string(seq[i].Payload) != string(par[i].Payload) {
+			t.Fatalf("stamp %d payload differs between surfaces", seq[i].Stamp)
 		}
 	}
 
 	// A killed shard degrades nothing: RF=2 keeps every stamp readable.
 	locals[2].Kill()
-	cur, err := d.Query(q, 2)
+	cur, err = d.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,27 +85,25 @@ func TestLocalShardQueryStampOrdered(t *testing.T) {
 			}
 		}
 	}
-	for _, workers := range []int{0, 4} {
-		cur, err := sh.Query(store.Query{}, workers)
-		if err != nil {
-			t.Fatal(err)
+	cur, err := sh.Query(store.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainAll(t, cur)
+	if len(got) != 600 {
+		t.Fatalf("%d events, want 600", len(got))
+	}
+	for i, e := range got {
+		if e.Stamp != uint64(i+1) {
+			t.Fatalf("entry %d has stamp %d: the run is not stamp-ordered", i, e.Stamp)
 		}
-		got := drainAll(t, cur)
-		if len(got) != 600 {
-			t.Fatalf("workers=%d: %d events, want 600", workers, len(got))
-		}
-		for i, e := range got {
-			if e.Stamp != uint64(i+1) {
-				t.Fatalf("workers=%d: entry %d has stamp %d: the run is not stamp-ordered", workers, i, e.Stamp)
-			}
-		}
-		// A limit keeps the smallest stamps, not the first rows appended.
-		if cur, err = sh.Query(store.Query{Limit: 5}, workers); err != nil {
-			t.Fatal(err)
-		}
-		if got = drainAll(t, cur); len(got) != 5 || got[0].Stamp != 1 || got[4].Stamp != 5 {
-			t.Fatalf("workers=%d limit=5: got %d events from stamp %d", workers, len(got), got[0].Stamp)
-		}
+	}
+	// A limit keeps the smallest stamps, not the first rows appended.
+	if cur, err = sh.Query(store.Query{Limit: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if got = drainAll(t, cur); len(got) != 5 || got[0].Stamp != 1 || got[4].Stamp != 5 {
+		t.Fatalf("limit=5: got %d events from stamp %d", len(got), got[0].Stamp)
 	}
 }
 
@@ -119,8 +112,7 @@ func TestLocalShardQueryStampOrdered(t *testing.T) {
 // over a 4×RF2 cluster fed by two interleaving writers (so the shards'
 // segments are unordered) the CSV and Chrome bodies of a
 // Query.LengthsOnly read are byte for byte those of a full-payload
-// read, whatever the shards' scan pools, with and without a payload
-// predicate.
+// read, with and without a payload predicate.
 func TestLengthOnlyMatchesFull(t *testing.T) {
 	d, locals := newTestCluster(t, 4, Config{Replication: 2, Gate: gateOff()})
 	for s := uint64(1); s <= 4000; s += 400 {
@@ -140,9 +132,9 @@ func TestLengthOnlyMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodies := func(q store.Query, workers int) (csv, chrome bytes.Buffer) {
+	bodies := func(q store.Query) (csv, chrome bytes.Buffer) {
 		for i, w := range []*bytes.Buffer{&csv, &chrome} {
-			cur, err := d.Query(q, workers)
+			cur, err := d.Query(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,24 +155,21 @@ func TestLengthOnlyMatchesFull(t *testing.T) {
 		"window":  {Pred: where(btql.Between(btql.FStamp, 777, 3210)), Limit: 1500},
 		"payload": {Pred: needle.Predicate()},
 	} {
-		for _, workers := range []int{0, 1, 4} {
-			wantCSV, wantChrome := bodies(q, workers)
-			if rows := bytes.Count(wantCSV.Bytes(), []byte("\n")) - 1; rows < 100 {
-				t.Fatalf("%s: the full read matched %d rows", name, rows)
-			}
-			q.LengthsOnly = true
-			gotCSV, gotChrome := bodies(q, workers)
-			q.LengthsOnly = false
-			if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
-				t.Errorf("%s workers=%d: CSV under the projection differs (%d vs %d bytes)", name, workers, gotCSV.Len(), wantCSV.Len())
-			}
-			if !bytes.Equal(gotChrome.Bytes(), wantChrome.Bytes()) {
-				t.Errorf("%s workers=%d: Chrome under the projection differs (%d vs %d bytes)", name, workers, gotChrome.Len(), wantChrome.Len())
-			}
+		wantCSV, wantChrome := bodies(q)
+		if rows := bytes.Count(wantCSV.Bytes(), []byte("\n")) - 1; rows < 100 {
+			t.Fatalf("%s: the full read matched %d rows", name, rows)
+		}
+		q.LengthsOnly = true
+		gotCSV, gotChrome := bodies(q)
+		if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
+			t.Errorf("%s: CSV under the projection differs (%d vs %d bytes)", name, gotCSV.Len(), wantCSV.Len())
+		}
+		if !bytes.Equal(gotChrome.Bytes(), wantChrome.Bytes()) {
+			t.Errorf("%s: Chrome under the projection differs (%d vs %d bytes)", name, gotChrome.Len(), wantChrome.Len())
 		}
 	}
 	// The projection reached the shards: no merged entry carries a byte.
-	cur, err := d.Query(store.Query{LengthsOnly: true}, 0)
+	cur, err := d.Query(store.Query{LengthsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,8 @@ type Shard interface {
 	// deliveries: Ingest must not modify them. Safe for concurrent use.
 	Ingest(b *store.Batch, rows []int32) error
 	// Query opens a cursor over a point-in-time snapshot of the shard's
-	// durable store, in stamp order, scanned by up to workers goroutines
-	// (at least one).
-	Query(q store.Query, workers int) (tracer.Cursor, error)
+	// durable store, in stamp order.
+	Query(q store.Query) (tracer.Cursor, error)
 	// AggSnapshot fixes, now, what a header-only aggregate pass over q
 	// will read of the shard's durable store; the pass itself
 	// (store.AggSnapshot.Fold) runs whenever the caller gets to it. The
@@ -129,15 +128,16 @@ func (s *LocalShard) Ingest(b *store.Batch, rows []int32) error {
 // killed shard refuses: its data is intact on the backend but
 // unavailable, exactly like a dead process's disk. The sorted run costs
 // what a store.PCursor holds: a segment is scanned once its stamps are
-// due, up to three 256 KiB spans ahead of the merge, and a segment that
-// concurrent deliveries left unordered is held whole while it is in the
-// merge and merged by its sorted runs — its entries only, and `workers`
-// spans in all, when q.LengthsOnly says the caller reads no payload byte.
-func (s *LocalShard) Query(q store.Query, workers int) (tracer.Cursor, error) {
+// due, a 256 KiB span at a time as the merge uses up the last, and a
+// segment that concurrent deliveries left unordered is held whole while
+// it is in the merge and merged by its sorted runs — its entries only,
+// and one span buffer in all, when q.LengthsOnly says the caller reads
+// no payload byte.
+func (s *LocalShard) Query(q store.Query) (tracer.Cursor, error) {
 	if !s.Healthy() {
 		return nil, fmt.Errorf("%w: %s", ErrShardDown, s.name)
 	}
-	return s.st.QueryParallel(q, max(workers, 1)), nil
+	return s.st.Query(q), nil
 }
 
 // AggSnapshot snapshots the store for an aggregate pass; same refusal

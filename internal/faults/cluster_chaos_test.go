@@ -142,7 +142,7 @@ func TestChaosClusterShardKill(t *testing.T) {
 
 	// Zero acked-event loss: the merged view over the survivors must
 	// contain every quorum-acked stamp, strictly increasing.
-	cur, err := d.Query(store.Query{}, 0)
+	cur, err := d.Query(store.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,8 +188,7 @@ func drainCursor(b *testing.B, cur tracer.Cursor, batch []tracer.Entry) int {
 	return n
 }
 
-// BenchmarkStoreQueryWide is the one-worker row beside
-// BenchmarkStoreQueryParallel: one category filter drained across every
+// BenchmarkStoreQueryWide: one category filter drained across every
 // segment of the fixture, per-op = one full query.
 func BenchmarkStoreQueryWide(b *testing.B) {
 	st := benchQueryStore(b)
@@ -198,24 +197,7 @@ func BenchmarkStoreQueryWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := drainCursor(b, st.QueryParallel(Query{Pred: where(btql.In(btql.FCategory, []uint8{2}))}, 1), batch)
-		if n == 0 {
-			b.Fatal("query returned no records")
-		}
-	}
-}
-
-// BenchmarkStoreQueryParallel runs the identical query through the
-// parallel pruned cursor (pooled span reads, in-place decode, k-way
-// merge over per-segment streams).
-func BenchmarkStoreQueryParallel(b *testing.B) {
-	st := benchQueryStore(b)
-	defer st.Close()
-	batch := make([]tracer.Entry, 512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := drainCursor(b, st.QueryParallel(Query{Pred: where(btql.In(btql.FCategory, []uint8{2}))}, 4), batch)
+		n := drainCursor(b, st.Query(Query{Pred: where(btql.In(btql.FCategory, []uint8{2}))}), batch)
 		if n == 0 {
 			b.Fatal("query returned no records")
 		}
@@ -260,11 +242,11 @@ func benchColdStore(b *testing.B, cacheBytes int64) *Store {
 	return st
 }
 
-// BenchmarkColdQuery is BenchmarkStoreQueryParallel over the majority-
-// cold fixture: the same wide category query now pays block pruning and
+// BenchmarkColdQuery is BenchmarkStoreQueryWide over the majority-cold
+// fixture: the same wide category query now pays block pruning and
 // DEFLATE decompression instead of raw span reads. The paper-facing
 // contract (cold within 2x of all-hot, at >= 3x less disk) is gated by
-// cmd/benchdiff against BenchmarkStoreQueryParallel in BENCH_store.json.
+// cmd/benchdiff against BenchmarkStoreQueryWide in BENCH_store.json.
 func BenchmarkColdQuery(b *testing.B) {
 	st := benchColdStore(b, 0)
 	defer st.Close()
@@ -272,7 +254,7 @@ func BenchmarkColdQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := drainCursor(b, st.QueryParallel(Query{Pred: where(btql.In(btql.FCategory, []uint8{2}))}, 4), batch)
+		n := drainCursor(b, st.Query(Query{Pred: where(btql.In(btql.FCategory, []uint8{2}))}), batch)
 		if n == 0 {
 			b.Fatal("query returned no records")
 		}
@@ -378,7 +360,7 @@ func BenchmarkColdSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkRunMerge orders 65 536 entries the way PCursor.runStream
+// BenchmarkRunMerge orders 65 536 entries the way PCursor.step
 // orders an unordered segment's rows: sorted is the early return (one
 // pass, no copy), interleaved-2 what an unordered segment is — two
 // writers' 256-event batches interleaving — and random the degenerate
@@ -476,15 +458,15 @@ func processCPU() time.Duration {
 
 // BenchmarkHotTailExport is query-tiered's scan class in process: a
 // length-only read (what a CSV export asks for) of the newest 65 536
-// stamps over hotTailStore, at 4 scan workers, through a 1024-entry
-// batch. Eight unordered sealed segments and the active one hold them.
-// walk is a store without a block cache: each read walks the segments'
-// frames, checks the rows it selects and sorts every segment's rows.
-// cached reads the sets its warm-up built and no file byte: the merge
-// writes their rows into the batch in place. cpu-ns/row is the
-// process's CPU time over the timed reads per row delivered: the scan
-// workers run beside the merge, so wall time (ns/op) hides work they
-// take on or shed. cmd/benchdiff gates cached at <= 0.5x of walk
+// stamps over hotTailStore, through a 1024-entry batch. Eight
+// unordered sealed segments and the active one hold them. walk is a
+// store without a block cache: each read walks the segments' frames,
+// checks the rows it selects and sorts every segment's rows. cached
+// reads the sets its warm-up built and no file byte: the merge writes
+// their rows into the batch in place. cpu-ns/row is the process's CPU
+// time over the timed reads per row delivered: the collector runs
+// beside the read, so wall time (ns/op) hides the work it does on the
+// read's account. cmd/benchdiff gates cached at <= 0.5x of walk
 // within-run.
 func BenchmarkHotTailExport(b *testing.B) {
 	for _, cached := range []bool{false, true} {
@@ -499,7 +481,7 @@ func BenchmarkHotTailExport(b *testing.B) {
 			q := Query{Pred: where(btql.Between(btql.FStamp, newest-rows+1, 0)), Limit: rows, LengthsOnly: true}
 			batch := make([]tracer.Entry, 1024)
 			read := func() {
-				if n := drainCursor(b, st.QueryParallel(q, 4), batch); n != rows {
+				if n := drainCursor(b, st.Query(q), batch); n != rows {
 					b.Fatalf("read %d rows, want %d", n, rows)
 				}
 			}
@@ -554,7 +536,7 @@ func benchHotTailCSV(b *testing.B) {
 			batch := make([]tracer.Entry, 1024)
 			var out countingWriter
 			csv := func() {
-				cur := st.QueryParallel(q, 4)
+				cur := st.Query(q)
 				n, _, err := export.CSVCursor(&out, cur, batch)
 				cur.Close()
 				if err != nil || n != rows {
@@ -596,15 +578,15 @@ const windowBTQL = `stamp >= 20001 && stamp <= 80000 && tid == 7 && category == 
 
 // BenchmarkWindowExport is query-tiered's selective and cold classes in
 // process: windowBTQL read for payload lengths only (what a CSV export
-// asks for) over benchColdStore's mostly-cold fixture, at 4 scan
-// workers, through a 1024-entry batch, again and again. walk is a store
+// asks for) over benchColdStore's mostly-cold fixture, through a
+// 1024-entry batch, again and again. walk is a store
 // without a block cache: each read walks the window's cold blocks by
 // column, inflating their meta sections and decoding the TID, stamp and
 // time columns. cached reads the filtered sets (scan.go) its warm-up
 // built, one per cold file the window reaches, and opens no file.
 // cpu-ns/row is the process's CPU time over the timed reads per row
 // delivered, sets/op the sets each read was served. cmd/benchdiff gates
-// cached at <= 0.1x of walk within-run.
+// cached at <= 0.05x of walk within-run.
 func BenchmarkWindowExport(b *testing.B) {
 	want := 0
 	for s := uint64(20_001); s <= 80_000; s++ {
@@ -623,7 +605,7 @@ func BenchmarkWindowExport(b *testing.B) {
 			q := Query{Pred: benchParse(b, windowBTQL).Predicate(), LengthsOnly: true}
 			batch := make([]tracer.Entry, 1024)
 			read := func() {
-				if n := drainCursor(b, st.QueryParallel(q, 4), batch); n != want {
+				if n := drainCursor(b, st.Query(q), batch); n != want {
 					b.Fatalf("read %d rows, want %d", n, want)
 				}
 			}

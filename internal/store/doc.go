@@ -77,7 +77,12 @@
 //   - WriteErr and Pressure read atomics and never wait on a write or an
 //     fsync (TestPressureAndWriteErr, TestPressureAppendLatencyPerEvent).
 //
-// Query, QueryParallel (a PCursor; Query is one scan worker):
+// Query (a PCursor; QueryParallel is Query):
+//   - A pass runs on the goroutine that calls Next and starts none
+//     (TestCursorStartsNoGoroutine). It holds that goroutine, one span
+//     buffer, and one open file per segment not served from a set, and
+//     it closes every file it opened however it ends: drained, cut by
+//     Limit, closed early or failed (TestCursorClosesEveryFile).
 //   - A pass answers for one snapshot, taken by its first Next: it
 //     delivers the snapshot's matches in global stamp order, each once,
 //     and then (0, 0, nil) until Close, whatever the store does meanwhile
@@ -92,7 +97,7 @@
 //     FuzzStoreModel); the three ways an earlier following cursor lost
 //     events are pinned as snapshot passes (TestCursorReadsTailSealedBehindIt,
 //     TestCursorCutLeavesActiveSegmentOpen, TestCursorResumesInsideFreeze).
-//   - The answer does not depend on the worker count, the batch size or
+//   - The answer does not depend on the batch size or
 //     what the block cache holds (TestParallelMatchesSequential,
 //     TestHeaderSetsMatchCachelessStore, TestFilteredSetsMatchCachelessStore),
 //     and the cursor meets the repository's tracer conformance suite
@@ -106,9 +111,10 @@
 //     payload byte is read, inflated or cached for the caller, and CSV
 //     and Chrome bodies are byte-identical to those of a full read
 //     (TestLengthOnlyMatchesFull, TestLengthOnlyInflatesNothing); a pass
-//     holds one span buffer per worker (TestLengthOnlyHoldsWorkerSpans).
-//   - A pass holds the chunks of the segments that overlap in stamp plus
-//     workers ahead, not one per segment (TestParallelHoldsWhatOverlaps),
+//     reads every span through its one span buffer
+//     (TestLengthOnlyHoldsWorkerSpans).
+//   - A pass holds the chunks of the segments that overlap in stamp, not
+//     one per segment (TestParallelHoldsWhatOverlaps),
 //     and a selective pass holds memory in proportion to its matches
 //     (TestParallelThinRowsLeaveTheirSpan, TestChunkTake).
 //   - NextRendered hands over CSV text byte-identical to rendering the
@@ -168,7 +174,7 @@
 // one place (TestStoreSeriesReadStats).
 //
 // Ratios that `make benchdiff` enforces within one run: BenchmarkColdQuery
-// within 2x of BenchmarkStoreQueryParallel; BenchmarkQuerySelectiveBTQL
+// within 2x of BenchmarkStoreQueryWide; BenchmarkQuerySelectiveBTQL
 // and BenchmarkQueryAggregate at most 0.2x of BenchmarkQueryFullScan,
 // BenchmarkQueryAggregateRepeat 0.1x of BenchmarkQueryAggregate;
 // BenchmarkColdSelect sparse at most 0.3x of dense and sparse-lengths

@@ -9,10 +9,10 @@ import (
 	"btrace/internal/tracer"
 )
 
-// A BTQL predicate selects what a query reads; QueryParallel answers
-// with one pass over a snapshot of the store, in stamp order, through
-// the tracer.Cursor contract.
-func ExampleStore_QueryParallel() {
+// A BTQL predicate selects what a query reads; Query answers with one
+// pass over a snapshot of the store, in stamp order, through the
+// tracer.Cursor contract.
+func ExampleStore_Query() {
 	dir, err := os.MkdirTemp("", "store-example")
 	if err != nil {
 		panic(err)
@@ -36,7 +36,7 @@ func ExampleStore_QueryParallel() {
 	if err != nil {
 		panic(err)
 	}
-	cur := st.QueryParallel(store.Query{Pred: q.Predicate()}, 4)
+	cur := st.Query(store.Query{Pred: q.Predicate()})
 	defer cur.Close()
 	batch := make([]tracer.Entry, 64)
 	for {

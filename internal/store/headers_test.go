@@ -252,12 +252,14 @@ func TestHeaderSetsMatchCachelessStore(t *testing.T) {
 	}
 }
 
-// readCounter counts the bytes read from each file.
+// readCounter counts the bytes read from each file, and the read
+// handles open.
 type readCounter struct {
 	backend.Backend
 	mu    sync.Mutex
 	opens map[string]int
 	bytes map[string]int
+	held  int
 }
 
 func (b *readCounter) OpenRead(name string) (backend.ReadFile, error) {
@@ -267,8 +269,16 @@ func (b *readCounter) OpenRead(name string) (backend.ReadFile, error) {
 	}
 	b.mu.Lock()
 	b.opens[name]++
+	b.held++
 	b.mu.Unlock()
 	return &countedFile{ReadFile: f, b: b, name: name}, nil
+}
+
+// open returns how many read handles are open.
+func (b *readCounter) open() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.held
 }
 
 // take returns the opens and bytes counted since the last take.
@@ -282,8 +292,19 @@ func (b *readCounter) take() (opens, bytes map[string]int) {
 
 type countedFile struct {
 	backend.ReadFile
-	b    *readCounter
-	name string
+	b      *readCounter
+	name   string
+	closed bool
+}
+
+func (f *countedFile) Close() error {
+	if !f.closed {
+		f.closed = true
+		f.b.mu.Lock()
+		f.b.held--
+		f.b.mu.Unlock()
+	}
+	return f.ReadFile.Close()
 }
 
 func (f *countedFile) ReadAt(p []byte, off int64) (int, error) {

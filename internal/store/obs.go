@@ -37,7 +37,7 @@ type storeObs struct {
 	reads [len(readNames)]*obs.Counter
 
 	// blocksPruned/payloadSkips advance on the read path too (cursors
-	// and query workers increment them directly, like bcache's hits):
+	// and folds increment them directly, like bcache's hits):
 	// cold blocks rejected on header metadata alone, and columnar blocks
 	// whose rows were scanned without inflating a payload byte. The
 	// chunk rung below them: payload chunks (and the raw bytes in them)

@@ -1,29 +1,30 @@
-// The cursor's driver of the one scan: QueryParallel's streams and
-// their merge by stamp.
+// The cursor's driver of the one scan: a stream per segment and their
+// merge by stamp, all on the goroutine that calls Next.
 //
 //   - The snapshot (Store.snapshot, which Aggregate takes too) drops
 //     segments whose header metadata cannot match the query, without
 //     opening their files.
-//   - One goroutine per surviving segment opens its file at once and
-//     then steps the shared scan (scan.go) into chunks it streams over a
-//     channel; a semaphore of `workers` permits bounds how many are
-//     inside a read+decode at once.
+//   - The first Next looks up each surviving segment's set and opens
+//     every other segment's file at once; the merge then steps each
+//     stream's scan (scan.go) a chunk at a time, and only once it has
+//     used up the stream's current chunk.
 //   - The merge takes the segments in order of their smallest stamp and
 //     admits one only when that stamp is due, popping the admitted
-//     streams by head stamp and copying whole stretches; a segment
-//     starts decoding `workers` places ahead of its admission. Where
-//     stamp ranges are disjoint — the common sealed-rotation layout —
-//     one stream is in the merge at a time and it is a straight copy
-//     per chunk; what a pass holds goes by how many segments overlap,
-//     not by how many it reads.
+//     streams by head stamp and copying whole stretches; a segment is
+//     not scanned before its admission. Where stamp ranges are
+//     disjoint — the common sealed-rotation layout — one stream is in
+//     the merge at a time and it is a straight copy per chunk; what a
+//     pass holds goes by how many segments overlap, not by how many it
+//     reads.
 //   - A pass that keeps payload bytes hands each span on with the rows
 //     that alias it, and reads an unordered segment whole, because its
 //     rows are merged by run (runMerger) and must alias one buffer. A
 //     length-only pass has rows that alias nothing: every span is at
-//     most scanSpanBytes and is read through the scan permit's own
-//     buffer. Where the block cache holds the segment's set (scan.go,
-//     blockcache.go) the stream sends the set itself, and the merge
-//     writes its rows straight into the caller's batch.
+//     most scanSpanBytes and is read through the cursor's one span
+//     buffer, as is every set it builds. Where the block cache holds the
+//     segment's set (scan.go, blockcache.go) the stream yields the set
+//     itself, and the merge writes its rows straight into the caller's
+//     batch.
 //   - A set read in place whose rows the pass tests none of carries its
 //     rendering (the text kind); where the merge would write a stretch
 //     of its rows it hands NextRendered that stretch's text instead, cut
@@ -45,12 +46,8 @@ import (
 	"btrace/internal/tracer"
 )
 
-// DefaultQueryWorkers is the scan-pool size when the caller passes
-// workers <= 0.
-const DefaultQueryWorkers = 4
-
-// pchunk is the entry sink of the shared scan: one decoded batch, in
-// flight from a stream to the merge. Hot entries' payloads alias data — unless the query reads
+// pchunk is the entry sink of the shared scan: one decoded batch, from
+// a stream to the merge. Hot entries' payloads alias data — unless the query reads
 // payload lengths only (lengths, set by whoever took the chunk from the
 // pool): then every payload is a tracer.LengthOnly one and no entry
 // aliases anything.
@@ -195,9 +192,9 @@ func (ck *pchunk) rows(c *blockCols, idx []int32) {
 }
 
 // spanSink is an entry chunk whose spans are read through another
-// chunk's buffer: the sink of a length-only parallel pass, whose rows
-// alias no span, so that a span buffer belongs to a scan permit and not
-// to every chunk in flight.
+// chunk's buffer: the sink of a length-only pass, whose rows alias no
+// span, so that the pass reads every span through the cursor's one span
+// buffer and no chunk handed to the merge owns one.
 type spanSink struct {
 	*pchunk
 	buf *pchunk
@@ -264,11 +261,10 @@ func (ck *pchunk) reset() {
 // Aggregate pass.
 var globalChunks = sync.Pool{New: func() any { return new(pchunk) }}
 
-// chunkPool recycles chunks (and their buffers) across spans. Streams
-// and the merge touch it concurrently.
+// chunkPool recycles a cursor's chunks (and their buffers) across
+// spans.
 type chunkPool struct {
 	lengths bool // the cursor's projection, for chunks new to the pool
-	mu      sync.Mutex
 	free    []*pchunk
 }
 
@@ -278,7 +274,6 @@ type chunkPool struct {
 // next such segment and not to a 256 KiB span. The free list is a
 // handful of chunks.
 func (p *chunkPool) get(n int) *pchunk {
-	p.mu.Lock()
 	best := -1
 	for i, ck := range p.free {
 		if best < 0 {
@@ -290,36 +285,42 @@ func (p *chunkPool) get(n int) *pchunk {
 			best = i
 		}
 	}
-	if best >= 0 {
-		ck := p.free[best]
-		last := len(p.free) - 1
-		p.free[best] = p.free[last]
-		p.free = p.free[:last]
-		p.mu.Unlock()
-		return ck
+	if best < 0 {
+		return newChunk(p.lengths)
 	}
-	p.mu.Unlock()
-	return newChunk(p.lengths)
+	ck := p.free[best]
+	last := len(p.free) - 1
+	p.free[best] = p.free[last]
+	p.free = p.free[:last]
+	return ck
 }
 
 func (p *chunkPool) put(ck *pchunk) {
 	ck.reset()
-	p.mu.Lock()
 	p.free = append(p.free, ck)
-	p.mu.Unlock()
 }
 
-// pstream is one segment's scan: a goroutine filling ch, plus the
-// merge's view of the current chunk. missed/err are written by the
-// goroutine before ch closes and read by the merge only after the close
-// (or after wg.Wait), which orders them.
+// pstream is one segment's scan, stepped by the merge, and the merge's
+// view of its current chunk.
 type pstream struct {
 	snap segSnap
 	ord  int // place in the cursor's streams: the merge's order at equal stamps
-	ch   chan *pchunk
-	// gate holds the scan back, file open, until the merge is within
-	// `workers` segments of needing it.
-	gate chan struct{}
+
+	// s is the scan of the segment's file: opened by start unless the
+	// block cache holds the segment's set, nil once the stream has ended.
+	// k names the set where the pass reads through one: rows is the set
+	// once hit says it is there, and build that the stream builds it
+	// (buildSet) on its first step.
+	s          *segScan
+	k          blockKey
+	rows       []hdrRow
+	hit, build bool
+	// thin gathers the rows of sparse steps, their payloads copied out of
+	// the spans they were found in; ready holds the chunks the steps have
+	// made that the merge has yet to take.
+	thin  *pchunk
+	ready []*pchunk
+	ended bool
 
 	missed uint64
 	err    error
@@ -329,7 +330,8 @@ type pstream struct {
 }
 
 // PCursor is a query cursor. It implements tracer.Cursor. It is not
-// safe for concurrent use by multiple goroutines (the store itself is).
+// safe for concurrent use by multiple goroutines (the store itself is),
+// and it starts none: its pass runs in the caller's Next.
 type PCursor struct {
 	st *Store
 	q  *compiled
@@ -337,22 +339,19 @@ type PCursor struct {
 	// for one that reads entries alone.
 	render tracer.Renderer
 
-	// sem holds the scan permits, `workers` of them. A permit is also a
-	// span buffer — a pooled chunk used for nothing else, made on first
-	// use — which a length-only pass reads every span through.
-	sem  chan *pchunk
+	// span is the buffer a length-only pass reads every span through, as
+	// is every set build: a pooled chunk used for nothing else, made on
+	// first use.
+	span *pchunk
 	pool chunkPool
 
 	// The pass; streams is nil before the first Next starts it and again
 	// once it has ended. streams is in baseStamp order: [0, next) have
-	// been admitted to the merge, [0, ungated) are free to scan.
+	// been admitted to the merge.
 	started bool
 	streams []*pstream
 	next    int
-	ungated int
 	h       []*pstream // min-heap of admitted streams by head stamp
-	done    chan struct{}
-	wg      sync.WaitGroup
 
 	pendingMissed uint64
 	delivered     int
@@ -360,24 +359,18 @@ type PCursor struct {
 	closed        bool
 }
 
-// QueryParallel returns a parallel cursor over the records matching q,
-// scanning up to workers segments concurrently (<= 0 selects
-// DefaultQueryWorkers).
-func (st *Store) QueryParallel(q Query, workers int) *PCursor {
-	if workers <= 0 {
-		workers = DefaultQueryWorkers
-	}
-	c := &PCursor{st: st, q: compile(q), sem: make(chan *pchunk, workers)}
-	for i := 0; i < workers; i++ {
-		c.sem <- nil
-	}
+// Query returns a cursor over the records matching q.
+func (st *Store) Query(q Query) *PCursor {
+	c := &PCursor{st: st, q: compile(q)}
 	c.pool.lengths = c.q.lengths
 	st.obs.reads[c.q.readClass()].Inc()
 	return c
 }
 
-// Query returns a one-worker cursor over the records matching q.
-func (st *Store) Query(q Query) *PCursor { return st.QueryParallel(q, 1) }
+// QueryParallel is Query; workers is ignored.
+//
+// Deprecated: use Query.
+func (st *Store) QueryParallel(q Query, workers int) *PCursor { return st.Query(q) }
 
 // Next implements tracer.Cursor.
 func (c *PCursor) Next(batch []tracer.Entry) (int, uint64, error) {
@@ -421,9 +414,11 @@ func (c *PCursor) read(batch []tracer.Entry) (int, []byte, uint64, error) {
 	return n, text, missed, err
 }
 
-// start snapshots the committed store state and launches one scan
-// goroutine per surviving segment, each held at its gate. On return
-// c.streams is nil if there is nothing to scan.
+// start snapshots the committed store state and readies one stream per
+// surviving segment: its set where the block cache holds it, else its
+// file, opened at once — what a retention or freeze pass deletes after
+// that the stream still reads. On return c.streams is nil if there is
+// nothing to scan.
 func (c *PCursor) start() {
 	snaps := c.st.snapshot(c.q)
 	if len(snaps) == 0 {
@@ -433,25 +428,32 @@ func (c *PCursor) start() {
 	// order a segment is not needed before the merge has reached its
 	// baseStamp. Rotation's layout is in this order already.
 	slices.SortStableFunc(snaps, func(a, b segSnap) int { return cmp.Compare(a.baseStamp, b.baseStamp) })
-	c.done = make(chan struct{})
-	c.streams = make([]*pstream, 0, len(snaps))
+	all := make([]pstream, len(snaps))
+	c.streams = make([]*pstream, len(snaps))
 	for i := range snaps {
-		ps := &pstream{snap: snaps[i], ord: i, ch: make(chan *pchunk, 1), gate: make(chan struct{})}
-		c.streams = append(c.streams, ps)
-		c.wg.Add(1)
-		go c.runStream(ps)
+		ps := &all[i]
+		ps.snap, ps.ord = snaps[i], i
+		c.streams[i] = ps
+		sn := &ps.snap
+		if k, sets := c.q.setKey(sn); sets {
+			ps.k = k
+			ps.rows, ps.hit, ps.build = c.st.headerSet(c.q, sn, k)
+		}
+		if ps.hit {
+			continue
+		}
+		if ps.s, ps.missed, ps.err = c.st.openScan(c.q, sn); ps.s == nil {
+			// A failed open, or (err == nil) the file was deleted under the
+			// snapshot and missed bounds what it held.
+			ps.ended = true
+		}
 	}
 }
 
-// admit moves the next stream into the merge and lets the scans
-// `workers` places past it begin.
+// admit moves the next stream into the merge.
 func (c *PCursor) admit() {
 	ps := c.streams[c.next]
 	c.next++
-	for c.ungated < min(c.next+cap(c.sem), len(c.streams)) {
-		close(c.streams[c.ungated].gate)
-		c.ungated++
-	}
 	if !c.advanceStream(ps) {
 		return
 	}
@@ -466,178 +468,136 @@ func (c *PCursor) admit() {
 	}
 }
 
-// runStream steps the shared scan over one segment snapshot, sending
-// each step's chunk to the merge. The file is opened at once — what a
-// retention or freeze pass deletes after that the stream still
-// reads — and the first step waits for the gate. A semaphore permit is
-// held only across the read+decode, never across a channel send, so a
-// blocked merge cannot starve other streams of scan slots. A stream
-// that finds the segment's set (scan.go) resident opens no file: the
-// set stands for the rows, as they were at the snapshot. It sends the
-// set instead, as does one that builds it (sendSet).
-func (c *PCursor) runStream(ps *pstream) {
-	defer c.wg.Done()
-	defer close(ps.ch)
+// spanBuf returns the cursor's span buffer.
+func (c *PCursor) spanBuf() *pchunk {
+	if c.span == nil {
+		c.span = newChunk(true)
+	}
+	return c.span
+}
+
+// step runs one step of ps's scan — the build of its set, and the set
+// as the stream's one chunk (yieldSet), or the next span or block of
+// its file — putting any chunk it makes on ps.ready. A stream whose
+// scan is over, or has failed, ends.
+func (c *PCursor) step(ps *pstream) {
 	sn := &ps.snap
-	k, sets := c.q.setKey(sn)
-	var rows []hdrRow
-	var hit, build bool
-	if sets {
-		rows, hit, build = c.st.headerSet(c.q, sn, k)
-	}
-	var s *segScan
-	var err error
-	if !hit {
-		var missed uint64
-		if s, missed, err = c.st.openScan(c.q, sn); s == nil {
-			// A failed open, or (err == nil) the file was deleted under the
-			// snapshot and missed bounds what it held.
-			ps.missed, ps.err = missed, err
-			return
-		}
-		defer s.f.Close()
-	}
-	select {
-	case <-ps.gate:
-	case <-c.done:
-		return
-	}
-	if build {
-		buf, ok := c.acquire()
-		if !ok {
-			return
-		}
-		if buf == nil {
-			buf = newChunk(true)
-		}
-		rows, err = s.buildSet(k, buf)
-		c.release(buf)
+	if ps.build {
+		ps.build = false
+		rows, err := ps.s.buildSet(ps.k, c.spanBuf())
 		// A failed build caches nothing. Where the pass reads the segment
 		// from its first frame the failure is the pass's; a pass that
 		// seeks into it, and the pass a filtered set's build serves, may
 		// read less of the segment than the build did, and walks that part
 		// instead, as a store without a cache would.
-		if hit = err == nil; !hit && !sn.cold && sn.start == headerSize {
-			ps.err = err
+		if err == nil {
+			ps.rows, ps.hit = rows, true
+		} else if !sn.cold && sn.start == headerSize {
+			c.end(ps, err)
 			return
 		}
 	}
-	if hit {
-		c.sendSet(ps, k, rows)
+	if ps.hit {
+		c.yieldSet(ps)
+		c.end(ps, nil)
 		return
 	}
-	// thin gathers the rows of sparse steps, their payloads copied out of
-	// the spans they were found in.
-	var thin *pchunk
-	defer func() {
-		if thin != nil {
-			c.pool.put(thin)
+	s := ps.s
+	span := s.spanBytes(!c.q.lengths)
+	ck := c.pool.get(int(span))
+	var sink rowSink = ck
+	if c.q.lengths {
+		sink = spanSink{ck, c.spanBuf()}
+	}
+	if span > 0 {
+		// Room for every row of the span at the segment's average row
+		// size — an eighth more when it has to be made, so that it fits
+		// the next span too: append growing the slice instead would
+		// leave each buffer it outgrew to the collector, and what a
+		// pass holds would go by when the collector last ran.
+		// An unordered segment's chunk takes what is left of it, in
+		// however many spans.
+		bytes := span
+		if !sn.ordered {
+			bytes = sn.bound - s.off
 		}
-	}()
-	send := func(ck *pchunk) bool {
-		select {
-		case ps.ch <- ck:
-			return true
-		case <-c.done:
-			c.pool.put(ck)
-			return false
+		if rows := int(uint64(bytes) * sn.count / uint64(sn.bound-headerSize)); cap(ck.entries) < rows {
+			ck.entries = slices.Grow(ck.entries, rows+rows/8)
 		}
 	}
-	for more := true; more; {
-		buf, ok := c.acquire()
-		if !ok {
-			return
+	more, err := s.step(sink)
+	if !sn.ordered {
+		// The whole range (bounded by SegmentBytes) becomes one chunk
+		// sorted by stamp, so the merge can treat every stream as
+		// stamp-ordered.
+		for more && err == nil {
+			more, err = s.step(sink)
 		}
-		span := s.spanBytes(!c.q.lengths)
-		ck := c.pool.get(int(span))
-		var sink rowSink = ck
-		if c.q.lengths {
-			if buf == nil {
-				buf = newChunk(true)
-			}
-			sink = spanSink{ck, buf}
+		rm := runMergers.Get().(*runMerger)
+		ck.entries = rm.sort(ck.entries)
+		runMergers.Put(rm)
+	}
+	if err != nil {
+		c.pool.put(ck)
+		c.end(ps, err)
+		return
+	}
+	if len(ck.entries) >= thinRows {
+		// Rows before it go first.
+		if ps.thin != nil {
+			ps.ready = append(ps.ready, ps.thin)
+			ps.thin = nil
 		}
-		if span > 0 {
-			// Room for every row of the span at the segment's average row
-			// size — an eighth more when it has to be made, so that it fits
-			// the next span too: append growing the slice instead would
-			// leave each buffer it outgrew to the collector, and what a
-			// pass holds would go by when the collector last ran.
-			// An unordered segment's chunk takes what is left of it, in
-			// however many spans.
-			bytes := span
-			if !sn.ordered {
-				bytes = sn.bound - s.off
-			}
-			if rows := int(uint64(bytes) * sn.count / uint64(sn.bound-headerSize)); cap(ck.entries) < rows {
-				ck.entries = slices.Grow(ck.entries, rows+rows/8)
-			}
-		}
-		more, err = s.step(sink)
-		if !sn.ordered {
-			// The whole range (bounded by SegmentBytes) becomes one chunk
-			// sorted by stamp, so the merge can treat every stream as
-			// stamp-ordered.
-			for more && err == nil {
-				more, err = s.step(sink)
-			}
-			rm := runMergers.Get().(*runMerger)
-			ck.entries = rm.sort(ck.entries)
-			runMergers.Put(rm)
-		}
-		c.release(buf)
-		if err != nil {
-			c.pool.put(ck)
-			ps.err = err
-			return
-		}
-		if len(ck.entries) >= thinRows {
-			// Rows before it go first.
-			if thin != nil && !send(thin) {
-				thin = nil
-				c.pool.put(ck)
-				return
-			}
-			thin = nil
-			if !send(ck) {
-				return
-			}
-			continue
-		}
+		ps.ready = append(ps.ready, ck)
+	} else {
 		// A few rows must not hold a span buffer, or the cold chunks they
 		// alias, until the caller has let go of them: a selective query
 		// would hold a span for every handful of matches. Copy them out
 		// and scan the next span into the same chunk.
 		for rest := ck.entries; len(rest) > 0; {
-			if thin == nil {
-				thin = c.pool.get(0)
+			if ps.thin == nil {
+				ps.thin = c.pool.get(0)
 			}
-			if rest = thin.take(rest); len(thin.entries) >= thinRows || len(rest) > 0 {
-				if !send(thin) {
-					thin = nil
-					c.pool.put(ck)
-					return
-				}
-				thin = nil
+			if rest = ps.thin.take(rest); len(ps.thin.entries) >= thinRows || len(rest) > 0 {
+				ps.ready = append(ps.ready, ps.thin)
+				ps.thin = nil
 			}
 		}
 		c.pool.put(ck)
 	}
-	if thin != nil {
-		send(thin)
-		thin = nil
+	if !more {
+		if ps.thin != nil {
+			ps.ready = append(ps.ready, ps.thin)
+			ps.thin = nil
+		}
+		c.end(ps, nil)
 	}
 }
 
-// sendSet sends the merge the stream's set, cut to the query's stamp
+// end ends ps's scan and closes its file. err, if any, is the stream's,
+// surfaced at the end of the pass; rows a failed stream had gathered
+// and not yet handed on go with it.
+func (c *PCursor) end(ps *pstream, err error) {
+	if ps.s != nil {
+		ps.s.f.Close()
+		ps.s = nil
+	}
+	if ps.thin != nil {
+		c.pool.put(ps.thin)
+		ps.thin = nil
+	}
+	ps.err, ps.ended = err, true
+}
+
+// yieldSet hands the merge the stream's set, cut to the query's stamp
 // bounds, as its one chunk: rows already in stamp order, which the merge
 // reads in place. The merge tests no row where the set's hulls — its
 // stamps, cut to the query's bounds, and the segment's times — imply
 // every stamp and time comparison of the filter and what is left of it
 // is the set's own filter (btql.Residual): none for a header set, k.agg
 // for a filtered one.
-func (c *PCursor) sendSet(ps *pstream, k blockKey, rows []hdrRow) {
-	q, sn := c.q, &ps.snap
+func (c *PCursor) yieldSet(ps *pstream) {
+	q, sn, k, rows := c.q, &ps.snap, ps.k, ps.rows
 	lo := sort.Search(len(rows), func(i int) bool { return rows[i].stamp >= q.minStamp })
 	cut := rows[lo:]
 	cut = cut[:sort.Search(len(cut), func(i int) bool { return cut[i].stamp > q.maxStamp })]
@@ -659,11 +619,7 @@ func (c *PCursor) sendSet(ps *pstream, k blockKey, rows []hdrRow) {
 		c.pool.put(ck)
 		return
 	}
-	select {
-	case ps.ch <- ck:
-	case <-c.done:
-		c.pool.put(ck)
-	}
+	ps.ready = append(ps.ready, ck)
 }
 
 // runMerger orders entries by stamp by merging their natural runs. An
@@ -680,9 +636,9 @@ type runMerger struct {
 // runMergers recycles mergers across segments, cursors and stores. A
 // merge trades buffers with the chunk it orders — the chunk leaves with
 // the merger's spare, the merger keeps the chunk's old entries slice —
-// so a chunk in flight holds one entries slice, as it did when it was
-// sorted in place, and the second one exists once per scan worker at
-// work, not once per chunk.
+// so a chunk holds one entries slice, as it did when it was sorted in
+// place, and the second one exists once per sort under way, not once
+// per chunk.
 var runMergers = sync.Pool{New: func() any { return new(runMerger) }}
 
 // stampRun is es[lo:hi], ascending by stamp; lo moves up as the merge
@@ -784,20 +740,9 @@ func (rm *runMerger) sort(es []tracer.Entry) []tracer.Entry {
 	return out
 }
 
-func (c *PCursor) acquire() (buf *pchunk, ok bool) {
-	select {
-	case buf = <-c.sem:
-		return buf, true
-	case <-c.done:
-		return nil, false
-	}
-}
-
-func (c *PCursor) release(buf *pchunk) { c.sem <- buf }
-
 // advanceStream makes ps.cur/idx reference the stream's next
-// undelivered entry, blocking for the scanner when needed. false means
-// the stream finished (its missed tally is folded in).
+// undelivered entry, stepping its scan when needed. false means the
+// stream has ended (its missed tally is folded in).
 func (c *PCursor) advanceStream(ps *pstream) bool {
 	for {
 		if ps.cur != nil {
@@ -807,13 +752,16 @@ func (c *PCursor) advanceStream(ps *pstream) bool {
 			c.retired = append(c.retired, ps.cur)
 			ps.cur, ps.idx = nil, 0
 		}
-		ck, ok := <-ps.ch
-		if !ok {
+		for len(ps.ready) == 0 && !ps.ended {
+			c.step(ps)
+		}
+		if len(ps.ready) == 0 {
 			c.pendingMissed += ps.missed
 			ps.missed = 0
 			return false
 		}
-		ps.cur, ps.idx = ck, 0
+		ps.cur, ps.idx = ps.ready[0], 0
+		ps.ready = append(ps.ready[:0], ps.ready[1:]...)
 	}
 }
 
@@ -901,36 +849,30 @@ func (c *PCursor) merge(batch []tracer.Entry) (n int, text []byte, err error) {
 	return n, nil, nil
 }
 
-// finish ends a pass whose streams have all closed their channels, and
-// surfaces the first stream error.
+// finish ends a pass whose streams have all ended, and surfaces the
+// first stream error.
 func (c *PCursor) finish() error {
 	var err error
-	c.wg.Wait()
 	for _, ps := range c.streams {
-		if ps.cur != nil {
-			c.retired = append(c.retired, ps.cur)
-			ps.cur = nil
-		}
-		if ps.err != nil && err == nil {
+		if ps.err != nil {
 			err = ps.err
+			break
 		}
 	}
-	close(c.done)
 	c.streams, c.h = nil, nil
 	return err
 }
 
-// abort cancels the in-flight streams (Limit reached or Close). Chunks
-// that never made it to the caller go straight back to the pool.
+// abort ends the pass early (Limit reached or Close): every stream ends
+// and closes its file, and chunks that never made it to the caller go
+// straight back to the pool.
 func (c *PCursor) abort() {
-	close(c.done)
 	for _, ps := range c.streams {
-		for ck := range ps.ch {
+		c.end(ps, nil)
+		for _, ck := range ps.ready {
 			c.pool.put(ck)
 		}
-	}
-	c.wg.Wait()
-	for _, ps := range c.streams {
+		ps.ready = nil
 		if ps.cur != nil {
 			c.pool.put(ps.cur)
 			ps.cur = nil
@@ -990,11 +932,9 @@ func (c *PCursor) Close() error {
 		globalChunks.Put(ck)
 	}
 	c.pool.free = nil
-	// No stream is left to hold a permit.
-	for range cap(c.sem) {
-		if buf := <-c.sem; buf != nil {
-			globalChunks.Put(buf)
-		}
+	if c.span != nil {
+		globalChunks.Put(c.span)
+		c.span = nil
 	}
 	return nil
 }

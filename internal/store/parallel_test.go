@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"btrace/internal/btql"
+	"btrace/internal/store/backend"
 	"btrace/internal/tracer"
 	"btrace/internal/tracer/tracertest"
 )
@@ -43,11 +46,11 @@ func drainParallel(t *testing.T, c *PCursor, batch int) ([]tracer.Entry, uint64)
 // TestParallelMatchesSequential is the equivalence table of the scan
 // surfaces. Over a store holding both tiers at once — a frozen v3 run,
 // small sealed hot segments, one sealed by rotation and an unsealed
-// tail — Query (one scan worker) must deliver exactly a brute-force reading of the
-// fixture, QueryParallel at one and four workers exactly Query's result,
-// and Aggregate a brute-force fold of that drain, for a spread of
-// queries: field filters, the segment-pruning ones, BTQL header and
-// payload predicates, limits.
+// tail — Query must deliver exactly a brute-force reading of the
+// fixture, drained through a 64-entry batch and again through a
+// 113-entry one, and Aggregate a brute-force fold of that drain, for a
+// spread of queries: field filters, the segment-pruning ones, BTQL
+// header and payload predicates, limits.
 func TestParallelMatchesSequential(t *testing.T) {
 	st, err := Open(t.TempDir(), tierCfg())
 	if err != nil {
@@ -116,22 +119,20 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 			checkEntry(t, want[i])
 		}
-		for _, workers := range []int{1, 4} {
-			pc := st.QueryParallel(q, workers)
-			got, missed := drainParallel(t, pc, 113)
-			pc.Close()
-			if missed != 0 {
-				t.Fatalf("query %d workers %d: missed=%d on a quiescent store", qi, workers, missed)
+		pc := st.Query(q)
+		got, missed := drainParallel(t, pc, 113)
+		pc.Close()
+		if missed != 0 {
+			t.Fatalf("query %d: missed=%d on a quiescent store", qi, missed)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: got %d entries, want %d", qi, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Stamp != want[i].Stamp {
+				t.Fatalf("query %d: entry %d stamp %d, want %d", qi, i, got[i].Stamp, want[i].Stamp)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("query %d workers %d: got %d entries, want %d", qi, workers, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Stamp != want[i].Stamp {
-					t.Fatalf("query %d workers %d: entry %d stamp %d, want %d", qi, workers, i, got[i].Stamp, want[i].Stamp)
-				}
-				checkEntry(t, got[i])
-			}
+			checkEntry(t, got[i])
 		}
 		if q.Limit > 0 {
 			continue // an aggregate is defined over every match
@@ -299,18 +300,13 @@ func TestParallelCursorMissedOnRetention(t *testing.T) {
 }
 
 // TestStoreParallelTracerConformance runs the repository-wide tracer
-// conformance suite over the adapter's snapshot cursors with four scan
-// workers (TestStoreTracerConformance runs it with one): the
-// cursor/batch contract must hold whatever the pool size.
+// conformance suite over the adapter's snapshot cursors on the object
+// backend (TestStoreTracerConformance runs it on a directory): the
+// cursor/batch contract must hold whatever the files are.
 func TestStoreParallelTracerConformance(t *testing.T) {
 	tracertest.Run(t, tracertest.Config{
 		New: func(totalBytes, cores, threads int) (tracer.Tracer, error) {
-			tr, err := NewTracer(t.TempDir(), totalBytes)
-			if err != nil {
-				return nil, err
-			}
-			tr.workers = 4
-			return tr, nil
+			return newTracer(backend.NewObject(), totalBytes)
 		},
 	})
 }
@@ -684,4 +680,119 @@ func TestChunkTake(t *testing.T) {
 	if rest = ck.take(big); rest != nil || string(ck.entries[0].Payload) != string(big[0].Payload) {
 		t.Fatalf("an empty chunk must take any row")
 	}
+}
+
+// TestCursorStartsNoGoroutine: a pass runs on the goroutine that calls
+// Next. Over a dozen sealed segments and an active one, a cursor whose
+// first Next has returned — its snapshot taken, every file open and the
+// first segment scanned — has left the goroutine count where it was.
+// The store has no commit timer and no compactor, so nothing else
+// starts one.
+func TestCursorStartsNoGoroutine(t *testing.T) {
+	st, err := Open(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sealEvery(t, st, 1, 1200, 100)
+	appendRange(t, st, 1201, 1300)
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if segs := st.Segments(); len(segs) != 13 {
+		t.Fatalf("fixture: %d segments, want 13", len(segs))
+	}
+	before := runtime.NumGoroutine()
+	pc := st.Query(Query{})
+	defer pc.Close()
+	if n, _, err := pc.Next(make([]tracer.Entry, 64)); n != 64 || err != nil {
+		t.Fatalf("Next: %d entries, %v", n, err)
+	}
+	// A goroutine of an earlier test may still be exiting; none may
+	// have started.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after the first Next, %d before Query", after, before)
+	}
+}
+
+// TestCursorClosesEveryFile: a pass closes every file it opened however
+// it ends — drained to its end, cut by Limit, closed after its first
+// batch, or failed on a corrupt frame, which ends its own stream and
+// surfaces at the end of the pass.
+func TestCursorClosesEveryFile(t *testing.T) {
+	be := &readCounter{Backend: backend.NewObject(), opens: map[string]int{}, bytes: map[string]int{}}
+	st, err := OpenBackend(be, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sealEvery(t, st, 1, 1200, 100)
+	appendRange(t, st, 1201, 1300)
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]tracer.Entry, 64)
+	// drain reads pc until its pass ends: the rows it read, and the
+	// error that ended it.
+	drain := func(pc *PCursor) (rows int, err error) {
+		for {
+			n, _, err := pc.Next(batch)
+			if rows += n; n == 0 || err != nil {
+				return rows, err
+			}
+		}
+	}
+	check := func(what string) {
+		t.Helper()
+		if n := be.open(); n != 0 {
+			t.Errorf("%s: %d read handles left open", what, n)
+		}
+	}
+
+	pc := st.Query(Query{})
+	if rows, err := drain(pc); rows != 1300 || err != nil {
+		t.Fatalf("drained: %d rows, %v", rows, err)
+	}
+	check("drained to its end")
+	pc.Close()
+
+	pc = st.Query(Query{Limit: 150})
+	if rows, err := drain(pc); rows != 150 || err != nil {
+		t.Fatalf("limited: %d rows, %v", rows, err)
+	}
+	check("cut by Limit")
+	pc.Close()
+
+	pc = st.Query(Query{})
+	if n, _, err := pc.Next(batch); n != len(batch) || err != nil {
+		t.Fatalf("first batch: %d rows, %v", n, err)
+	}
+	if be.open() == 0 {
+		t.Fatal("a pass under way holds no file open")
+	}
+	pc.Close()
+	check("closed after its first batch")
+
+	// The first payload byte of the sixth segment's first frame.
+	name := st.Segments()[5].File
+	f, err := be.OpenRW(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	off := int64(headerSize + tracer.EventHeaderSize)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	pc = st.Query(Query{})
+	if _, err := drain(pc); !errors.Is(err, tracer.ErrCorrupt) {
+		t.Fatalf("over a corrupt frame: %v, want ErrCorrupt", err)
+	}
+	check("failed on a corrupt frame")
+	pc.Close()
 }

@@ -246,10 +246,9 @@ func TestLengthOnlyInflatesNothing(t *testing.T) {
 
 // TestLengthOnlyHoldsWorkerSpans is TestParallelHoldsWhatOverlaps for a
 // length-only pass over unordered segments several spans long: every
-// span is read through a scan permit's buffer, so the pass makes at
-// most `workers` of them, none longer than a span, and no chunk it
-// sends to the merge owns one — where a pass that keeps payloads holds
-// every unordered segment in its merge whole. The store has no block
+// span is read through the cursor's one span buffer, no longer than a
+// span, and no chunk it hands the merge owns one — where a pass that
+// keeps payloads holds every unordered segment in its merge whole. The store has no block
 // cache: with one, the first length-only pass would build the sealed
 // segments' header sets and the next read them, through no span at all.
 func TestLengthOnlyHoldsWorkerSpans(t *testing.T) {
@@ -278,43 +277,36 @@ func TestLengthOnlyHoldsWorkerSpans(t *testing.T) {
 	// held sums the span buffers of everything a finished pass made.
 	held := func(pc *PCursor) (total, largest int) {
 		cks := append(append([]*pchunk(nil), pc.pool.free...), pc.retired...)
-		for range cap(pc.sem) {
-			buf := <-pc.sem
-			if buf != nil {
-				cks = append(cks, buf)
-			}
-			pc.sem <- buf
+		if pc.span != nil {
+			cks = append(cks, pc.span)
 		}
 		for _, ck := range cks {
 			total, largest = total+cap(ck.data), max(largest, cap(ck.data))
 		}
 		return total, largest
 	}
-	for _, workers := range []int{1, 4} {
-		// Chunks other tests, or the pass before, left in the global pool
-		// come with buffers of their own; start from none. Get cannot
-		// reach another P's private slot, so draining by Get leaves some
-		// behind: two collections empty a sync.Pool, victim cache
-		// included.
-		runtime.GC()
-		runtime.GC()
-		pc := st.QueryParallel(Query{LengthsOnly: true}, workers)
-		got, missed := drainParallel(t, pc, 512)
-		if missed != 0 || len(got) != segs*per {
-			t.Fatalf("workers=%d: %d entries, missed %d", workers, len(got), missed)
-		}
-		for i := range got {
-			if want := mkEntry(uint64(i + 1)); got[i].Stamp != want.Stamp || len(got[i].Payload) != len(want.Payload) {
-				t.Fatalf("workers=%d: entry %d is stamp %d with %d payload bytes", workers, i, got[i].Stamp, len(got[i].Payload))
-			}
-		}
-		if total, _ := held(pc); total == 0 || total > workers*scanSpanBytes {
-			t.Errorf("workers=%d: the length-only pass holds %d bytes of span buffers, want at most %d", workers, total, workers*scanSpanBytes)
-		}
-		pc.Close()
+	// Chunks other tests left in the global pool come with buffers of
+	// their own; start from none. Get cannot reach another P's private
+	// slot, so draining by Get leaves some behind: two collections empty
+	// a sync.Pool, victim cache included.
+	runtime.GC()
+	runtime.GC()
+	lp := st.Query(Query{LengthsOnly: true})
+	got, missed := drainParallel(t, lp, 512)
+	if missed != 0 || len(got) != segs*per {
+		t.Fatalf("%d entries, missed %d", len(got), missed)
 	}
+	for i := range got {
+		if want := mkEntry(uint64(i + 1)); got[i].Stamp != want.Stamp || len(got[i].Payload) != len(want.Payload) {
+			t.Fatalf("entry %d is stamp %d with %d payload bytes", i, got[i].Stamp, len(got[i].Payload))
+		}
+	}
+	if total, _ := held(lp); total == 0 || total > scanSpanBytes {
+		t.Errorf("the length-only pass holds %d bytes of span buffers, want at most one span's %d", total, scanSpanBytes)
+	}
+	lp.Close()
 	// The fixture is one where keeping payloads costs a segment apiece.
-	pc := st.QueryParallel(Query{}, 1)
+	pc := st.Query(Query{})
 	defer pc.Close()
 	if got, _ := drainParallel(t, pc, 512); len(got) != segs*per {
 		t.Fatalf("full pass: %d entries", len(got))

@@ -165,7 +165,7 @@ func snapOf(s *segment, minStamp uint64) segSnap {
 }
 
 // snapshot captures, under st.mu, the segments one pass of q has to
-// read, oldest first: the point in time QueryParallel and Aggregate
+// read, oldest first: the point in time Query and Aggregate
 // answer for. The file rung runs here — a segment whose header metadata
 // rules out every record is dropped without its file being opened — so
 // the scans that follow never touch live segments.

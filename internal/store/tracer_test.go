@@ -1,8 +1,9 @@
 // Tracer adapter: exposes a Store through the tracer.Tracer interface so
 // the tracertest conformance suite — the contract every in-memory tracer
 // in this repository satisfies — also runs against disk
-// (TestStoreTracerConformance, TestStoreParallelTracerConformance: one
-// scan worker and four). It has no other caller, so it lives with them.
+// (TestStoreTracerConformance on a directory, and
+// TestStoreParallelTracerConformance on the object backend). It has no
+// other caller, so it lives with them.
 // Retention by MaxBytes stands in for overwrite-oldest: deleting whole
 // oldest segments keeps the newest records and never opens interior
 // gaps for a single stamp-ordered producer.
@@ -10,6 +11,8 @@ package store
 
 import (
 	"btrace/internal/btql"
+	"btrace/internal/store/backend"
+	"btrace/internal/store/backend/local"
 	"btrace/internal/tracer"
 )
 
@@ -19,23 +22,30 @@ type Tracer struct {
 	st     *Store
 	cfg    Config
 	budget int
-	// workers sizes each snapshot pass of the adapter's cursors.
-	workers int
 }
 
 // NewTracer opens a store-backed tracer in dir with a total on-disk
 // budget of totalBytes (enforced by retention, whole segments at a
 // time).
 func NewTracer(dir string, totalBytes int) (*Tracer, error) {
+	be, err := local.New(dir)
+	if err != nil {
+		return nil, err
+	}
+	return newTracer(be, totalBytes)
+}
+
+// newTracer is NewTracer over an explicit backend.
+func newTracer(be backend.Backend, totalBytes int) (*Tracer, error) {
 	cfg := Config{
 		SegmentBytes: int64(totalBytes) / 8,
 		MaxBytes:     int64(totalBytes),
 	}
-	st, err := Open(dir, cfg)
+	st, err := OpenBackend(be, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Tracer{st: st, cfg: cfg, budget: totalBytes, workers: 1}, nil
+	return &Tracer{st: st, cfg: cfg, budget: totalBytes}, nil
 }
 
 // Store returns the underlying store.
@@ -70,21 +80,20 @@ func (t *Tracer) ReadAll() ([]tracer.Entry, error) {
 // fed in stamp order that composes into the following cursor the
 // conformance suite expects.
 func (t *Tracer) NewCursor() tracer.Cursor {
-	return &pollingCursor{st: t.st, workers: t.workers, cur: t.st.QueryParallel(Query{}, t.workers)}
+	return &pollingCursor{st: t.st, cur: t.st.Query(Query{})}
 }
 
 type pollingCursor struct {
-	st      *Store
-	workers int
-	cur     *PCursor
-	last    uint64
+	st   *Store
+	cur  *PCursor
+	last uint64
 }
 
 func (c *pollingCursor) Next(batch []tracer.Entry) (int, uint64, error) {
 	n, missed, err := c.cur.Next(batch)
 	if n == 0 && err == nil {
 		c.cur.Close()
-		c.cur = c.st.QueryParallel(Query{Pred: where(btql.Between(btql.FStamp, c.last+1, 0))}, c.workers)
+		c.cur = c.st.Query(Query{Pred: where(btql.Between(btql.FStamp, c.last+1, 0))})
 		var m uint64
 		n, m, err = c.cur.Next(batch)
 		missed += m

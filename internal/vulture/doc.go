@@ -1,7 +1,7 @@
 // Package vulture continuously verifies a running btrace-serve: it
 // writes known stamped traces through POST /ingest and reads every
 // acked stamp back through each query surface — the /live tail, the
-// one-worker and parallel /store/query reads, the BTQL filter and
+// /store/query range read (surface "one-worker"), the BTQL filter and
 // count() pipelines, and (once segments have aged into it) the cold
 // columnar tier — alerting on loss, duplication or mis-ordering. The
 // name follows the SRE tradition of "vulture" processes that circle a
@@ -14,8 +14,8 @@
 // TID per writer, each payload echoing its stamp and each TS the
 // virtual time since the start, so that -cold-after aging advances with
 // the run. Every fully acked range is then demanded back from each
-// surface: /live (per-TID strictly increasing stamps), ?workers=0 and
-// ?workers=N, the BTQL spelling of the same read (every other batch as
+// surface: /live (per-TID strictly increasing stamps), the stamp-range
+// read, the BTQL spelling of the same read (every other batch as
 // `tid in (T, U)` with U a thread no writer uses, so `in` is held to
 // the ack contract wherever `==` is), its count(), and the same range
 // again past -cold-age, so that the read hits the frozen tier.

@@ -40,8 +40,6 @@ type RunnerConfig struct {
 	// Duration bounds the writing phase; verification of already-acked
 	// batches continues past it (default 30s).
 	Duration time.Duration
-	// QueryWorkers sizes the parallel read surface's ?workers= (default 4).
-	QueryWorkers int
 	// ColdAge, when positive, re-verifies each batch once it is this old —
 	// aimed past the server's -cold-after so the read exercises the
 	// frozen columnar tier (0 = skip the cold surface).
@@ -89,9 +87,6 @@ func (c RunnerConfig) withDefaults() RunnerConfig {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
-	}
-	if c.QueryWorkers <= 0 {
-		c.QueryWorkers = 4
 	}
 	if c.TIDBase == 0 {
 		c.TIDBase = 9000
@@ -345,8 +340,8 @@ func (v *runner) post(ctx context.Context, body []byte, lo, hi uint64, admitted 
 }
 
 // verifyWarm drains the pending queue: each acked range, once settled,
-// is read back through the one-worker (?workers=0) and parallel
-// /store/query surfaces; ranges then move on to the cold queue.
+// is read back through /store/query (surface "one-worker"); ranges then
+// move on to the cold queue.
 func (v *runner) verifyWarm(ctx context.Context, pending <-chan batchRef, cold chan<- batchRef) {
 	for ref := range pending {
 		if wait := time.Until(ref.acked.Add(v.cfg.Settle)); wait > 0 {
@@ -356,10 +351,9 @@ func (v *runner) verifyWarm(ctx context.Context, pending <-chan batchRef, cold c
 				return
 			}
 		}
-		v.checkRange(ctx, "one-worker", ref, 0, false)
-		v.checkRange(ctx, "parallel", ref, v.cfg.QueryWorkers, false)
+		v.checkRange(ctx, "one-worker", ref, false)
 		if v.cfg.BTQL {
-			v.checkRange(ctx, "btql", ref, 0, true)
+			v.checkRange(ctx, "btql", ref, true)
 			v.checkCount(ctx, "btql-count", ref)
 		}
 		if v.cfg.ColdAge > 0 {
@@ -384,7 +378,7 @@ func (v *runner) verifyCold(ctx context.Context, cold <-chan batchRef) {
 				return
 			}
 		}
-		v.checkRange(ctx, "cold", ref, 0, false)
+		v.checkRange(ctx, "cold", ref, false)
 		if v.cfg.BTQL {
 			// By now the range is frozen: this count() runs the columnar
 			// aggregate executor over cold blocks, pruning on the block
@@ -399,8 +393,8 @@ func (v *runner) verifyCold(ctx context.Context, cold <-chan batchRef) {
 // before it is recorded: the single-store path's 202 is an eventual
 // promise, and the vulture alerts on broken promises, not on reads that
 // raced durability.
-func (v *runner) checkRange(ctx context.Context, surface string, ref batchRef, workers int, btql bool) {
-	stamps, err := v.fetchStamps(ctx, ref, workers, btql)
+func (v *runner) checkRange(ctx context.Context, surface string, ref batchRef, btql bool) {
+	stamps, err := v.fetchStamps(ctx, ref, btql)
 	if err == nil && rangeClean(ref, stamps) {
 		v.rep.VerifyRange(surface, ref.lo, ref.hi, stamps)
 		return
@@ -409,7 +403,7 @@ func (v *runner) checkRange(ctx context.Context, surface string, ref batchRef, w
 	case <-time.After(v.cfg.Settle):
 	case <-ctx.Done():
 	}
-	retry, rerr := v.fetchStamps(ctx, ref, workers, btql)
+	retry, rerr := v.fetchStamps(ctx, ref, btql)
 	if rerr != nil {
 		if err == nil {
 			retry = stamps // first read at least answered; judge that one
@@ -443,7 +437,7 @@ func rangeClean(ref batchRef, stamps []uint64) bool {
 // and returns the stamp column, retrying transient failures. With btql
 // the same range is expressed as a ?q= filter instead of the field
 // parameters, so the read exercises the compiled-predicate scan path.
-func (v *runner) fetchStamps(ctx context.Context, ref batchRef, workers int, btql bool) ([]uint64, error) {
+func (v *runner) fetchStamps(ctx context.Context, ref batchRef, btql bool) ([]uint64, error) {
 	n := ref.hi - ref.lo + 1
 	limit := 2 * n // room to observe duplicates
 	if limit > 1<<20 {
@@ -452,11 +446,11 @@ func (v *runner) fetchStamps(ctx context.Context, ref batchRef, workers int, btq
 	var u string
 	if btql {
 		src := fmt.Sprintf("stamp >= %d && stamp <= %d && %s", ref.lo, ref.hi, v.tidFilter(ref))
-		u = fmt.Sprintf("%s/store/query?workers=%d&limit=%d&format=csv&q=%s",
-			v.cfg.BaseURL, workers, limit, url.QueryEscape(src))
+		u = fmt.Sprintf("%s/store/query?limit=%d&format=csv&q=%s",
+			v.cfg.BaseURL, limit, url.QueryEscape(src))
 	} else {
-		u = fmt.Sprintf("%s/store/query?min_stamp=%d&max_stamp=%d&workers=%d&limit=%d&format=csv",
-			v.cfg.BaseURL, ref.lo, ref.hi, workers, limit)
+		u = fmt.Sprintf("%s/store/query?min_stamp=%d&max_stamp=%d&limit=%d&format=csv",
+			v.cfg.BaseURL, ref.lo, ref.hi, limit)
 	}
 	var lastErr error
 	for attempt := 0; attempt < readRetries; attempt++ {

@@ -178,7 +178,7 @@ func TestRunnerCleanServer(t *testing.T) {
 		t.Fatalf("nothing written: %+v", rep)
 	}
 	surfaces := rep.Surfaces()
-	for _, name := range []string{"one-worker", "parallel", "btql", "btql-count", "live"} {
+	for _, name := range []string{"one-worker", "btql", "btql-count", "live"} {
 		if surfaces[name].Events == 0 {
 			t.Fatalf("surface %s never verified anything: %+v", name, surfaces)
 		}
@@ -242,7 +242,7 @@ func TestRunnerDetectsDuplication(t *testing.T) {
 	if !rep.Failed() {
 		t.Fatal("duplicating store passed verification")
 	}
-	if s := rep.Surfaces()["parallel"]; s.Duplicates == 0 {
+	if s := rep.Surfaces()["one-worker"]; s.Duplicates == 0 {
 		t.Fatalf("duplicates not attributed: %+v", rep.Surfaces())
 	}
 }
